@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short race bench report examples faults fuzz fuzz-wire serve-tests chaos-tests telemetry-tests index-tests repl-tests commit-tests failover-tests trace-tests clean
+.PHONY: all build vet fmt-check test test-short race bench report examples faults fuzz fuzz-wire serve-tests chaos-tests telemetry-tests index-tests repl-tests commit-tests failover-tests trace-tests bench-smoke clean
 
-all: build vet fmt-check test faults race serve-tests chaos-tests telemetry-tests index-tests repl-tests commit-tests failover-tests trace-tests fuzz-wire
+all: build vet fmt-check test faults race serve-tests chaos-tests telemetry-tests index-tests repl-tests commit-tests failover-tests trace-tests bench-smoke fuzz-wire
 
 build:
 	$(GO) build ./...
@@ -131,6 +131,14 @@ trace-tests:
 	$(GO) test -race ./internal/telemetry/trace/
 	$(GO) test -race -run 'Trace|Exemplar|ReplData|AppendTracedFrame|SlowLogConcurrent|Delta' \
 		./internal/server/... ./internal/telemetry/... ./client/
+
+# The benchmark is its own nested module (bench/go.mod), so `go build
+# ./...` and `go test ./...` from the root never reach it — yet it links
+# internal/ packages by name. This vets it and runs its 4 s smoke of all
+# four workloads, so a change to an API it uses fails here, not in the
+# benchmark run.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzz passes over the decoders and the language pipeline.
 fuzz:

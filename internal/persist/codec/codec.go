@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"dbpl/internal/dynamic"
 	"dbpl/internal/types"
@@ -101,9 +102,32 @@ type Encoder struct {
 // NewEncoder returns an encoder that writes the image header immediately.
 func NewEncoder(w io.Writer) *Encoder {
 	e := &Encoder{w: bufio.NewWriter(w), ids: map[value.Value]uint64{}}
+	e.header()
+	return e
+}
+
+func (e *Encoder) header() {
 	e.bytes([]byte(magic))
 	e.byte(version)
-	return e
+}
+
+// typeEncoders recycles the Encoders behind WriteType: each owns a 4 KiB
+// bufio.Writer, which is far more garbage than the few dozen bytes of a
+// type image when a store writes one per root.
+var typeEncoders = sync.Pool{New: func() any { return &Encoder{w: bufio.NewWriter(nil)} }}
+
+// WriteType writes t to w as a standalone image — the bytes NewEncoder,
+// Type and Flush produce — without building an Encoder per call.
+func WriteType(w io.Writer, t types.Type) error {
+	e := typeEncoders.Get().(*Encoder)
+	e.w.Reset(w)
+	e.err = nil
+	e.header()
+	e.encodeType(t)
+	err := e.Flush()
+	e.w.Reset(nil) // do not pin w in the pool
+	typeEncoders.Put(e)
+	return err
 }
 
 // Flush flushes buffered output and returns the first error encountered.

@@ -72,7 +72,8 @@ func crashWorkload(fsys iofault.FS, path string) (checkpoints []map[string]strin
 	if _, err := s.Compact(); err != nil {
 		return
 	}
-	step(func() error { return s.Bind("n", value.Int(42), nil) })
+	// The last group's root delta has both halves: an upsert and a delete.
+	step(func() error { s.Unbind("dept"); return s.Bind("n", value.Int(42), nil) })
 	return
 }
 

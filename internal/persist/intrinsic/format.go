@@ -27,18 +27,30 @@ import (
 //	"DBPLLOG" version
 //	repeated groups of records, each group terminated by a commit marker:
 //	  'N' oid len imageBytes     -- a node (re)definition
-//	  'R' count {name typeLen typeBytes valueInline}  -- the root table
+//	  'D' nUpsert {entry} nDelete {name}  -- a root-table delta (v2 only)
+//	  'R' count {entry}          -- a whole root table (v1; read-only on v2)
 //	  'X' count {name}           -- the index-definition table (v2 only)
 //	  'E' epoch                  -- the promotion epoch (v2 only)
 //	  'C' [crc32c]               -- commit marker
+//
+//	entry = name typeLen typeBytes valueLen valueInline
+//
+// The root table is a running fold over the log: a 'D' record upserts its
+// entries into the table and then removes its deleted names, so a commit
+// group's size follows what the commit changed, not how many handles the
+// store has. The writer omits the record when nothing changed and never
+// writes 'R' to a v2 log: a fresh log's first commit and Compact emit one
+// 'D' against the empty table. 'R' replaces the whole table; readers keep
+// accepting it so v2 logs written before 'D' existed, and v1 logs, replay
+// to the same state as ever.
 //
 // Version 2 (current) follows the 'C' with the little-endian CRC-32C of
 // the whole commit group — every byte from the end of the previous group
 // through the 'C' itself — so bit rot is *detected* with an offset
 // (CorruptError) instead of surfacing as an arbitrary decode failure.
-// Version 1 groups have no checksum; v1 logs remain fully readable, and a
-// store opened on one keeps appending v1 groups until Compact rewrites it
-// at v2.
+// Version 1 groups have no checksum and carry a whole 'R' table each; v1
+// logs remain fully readable, and a store opened on one keeps appending v1
+// groups until Compact rewrites it at v2.
 //
 // Replay applies whole groups only: a torn final group (crash mid-commit)
 // is ignored, so the store always reopens at the last complete commit.
@@ -59,9 +71,12 @@ const (
 	recNode   byte = 'N'
 	recRoots  byte = 'R'
 	recCommit byte = 'C'
+	// recRootDelta is the root-table delta every v2 commit that changed a
+	// handle carries; see the layout above.
+	recRootDelta byte = 'D'
 	// recIndex is the index-definition table: the declared field indexes,
 	// written whenever the set changes (a delta in time, a full table in
-	// content, like the root table). Layout: 'X' count {len fieldName}.
+	// content). Layout: 'X' count {len fieldName}.
 	// Written only to v2 logs — the v1 grammar is frozen — but tolerated by
 	// the reader in either version. Extent and index *contents* are never
 	// logged: they rebuild from the committed roots on open, which is what
@@ -172,17 +187,27 @@ func (b *nodeBuf) str(s string) {
 	b.WriteString(s)
 }
 
+// prefixLen turns the bytes written since offset start into a
+// length-prefixed field, shifting them right to make room for the uvarint
+// — so a field of unknown length is encoded straight into b, with no
+// scratch buffer per field.
+func (b *nodeBuf) prefixLen(start int) {
+	n := b.Len() - start
+	var tmp [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(tmp[:], uint64(n))
+	b.Write(tmp[:k])
+	field := b.Bytes()[start:]
+	copy(field[k:], field[:n])
+	copy(field, tmp[:k])
+}
+
+// typ writes t's length-prefixed codec image.
 func (b *nodeBuf) typ(t types.Type) error {
-	var tb bytes.Buffer
-	e := codec.NewEncoder(&tb)
-	if err := e.Type(t); err != nil {
+	start := b.Len()
+	if err := codec.WriteType(b, t); err != nil {
 		return err
 	}
-	if err := e.Flush(); err != nil {
-		return err
-	}
-	b.uvarint(uint64(tb.Len()))
-	b.Write(tb.Bytes())
+	b.prefixLen(start)
 	return nil
 }
 

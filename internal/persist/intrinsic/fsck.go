@@ -18,7 +18,7 @@ type FsckReport struct {
 	GoodEnd int64 // offset just past the last valid commit group
 	Commits int   // valid commit groups
 	Nodes   int   // node records inside valid groups
-	Roots   int   // root-table entries in the last valid root table
+	Roots   int   // handles in the root table folded over every valid group
 	// IndexDefs counts the entries of the last valid index-definition
 	// table ('X' record) — the field indexes a reopen will rebuild.
 	IndexDefs int
@@ -75,34 +75,8 @@ func FsckFS(fsys iofault.FS, path string) (*FsckReport, error) {
 	}
 
 	rep := &FsckReport{Path: path, Size: fi.Size()}
-	nodes := 0
-	var lastRoots, lastDefs int
-	var lastEpoch, pendingEpoch uint64
-	pendingNodes := 0
-	pendingRoots, pendingDefs := -1, -1
-	sawEpoch := false
-	sum, err := scanLog(f, scanSink{
-		node:      func(uint64, []byte) { pendingNodes++ },
-		roots:     func(entries []rootEntry) { pendingRoots = len(entries) },
-		indexDefs: func(fields []string) { pendingDefs = len(fields) },
-		epoch:     func(e uint64) { pendingEpoch, sawEpoch = e, true },
-		commit: func(int64) {
-			nodes += pendingNodes
-			pendingNodes = 0
-			if pendingRoots >= 0 {
-				lastRoots = pendingRoots
-				pendingRoots = -1
-			}
-			if pendingDefs >= 0 {
-				lastDefs = pendingDefs
-				pendingDefs = -1
-			}
-			if sawEpoch {
-				lastEpoch = pendingEpoch
-				sawEpoch = false
-			}
-		},
-	})
+	var fold groupFold // nodes left nil: images are counted, not retained
+	sum, err := scanLog(f, fold.sink())
 	if err != nil {
 		return nil, err
 	}
@@ -114,10 +88,10 @@ func FsckFS(fsys iofault.FS, path string) (*FsckReport, error) {
 	rep.Version = sum.version
 	rep.GoodEnd = sum.goodEnd
 	rep.Commits = sum.commits
-	rep.Nodes = nodes
-	rep.Roots = lastRoots
-	rep.IndexDefs = lastDefs
-	rep.Epoch = lastEpoch
+	rep.Nodes = fold.nodeRecs
+	rep.Roots = len(fold.upserts)
+	rep.IndexDefs = len(fold.defs)
+	rep.Epoch = fold.epoch
 	rep.TornTail = sum.torn
 	rep.Corrupt = sum.corrupt
 	return rep, nil

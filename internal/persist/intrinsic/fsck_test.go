@@ -2,6 +2,7 @@ package intrinsic
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -66,6 +67,51 @@ func TestFsckCleanLog(t *testing.T) {
 	}
 	if rep.Roots != 1 {
 		t.Errorf("roots = %d, want 1", rep.Roots)
+	}
+}
+
+// TestFsckFoldsRootDeltas: fsck's root count is the running table folded
+// over every group, not the length of the last root record — on a log
+// whose later groups mostly delete, the two differ by the whole table.
+func TestFsckFoldsRootDeltas(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.log")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	commit := func() {
+		t.Helper()
+		if _, err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		if err := s.Bind(fmt.Sprintf("r%02d", i), value.Int(int64(i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit()
+	for i := 0; i < 45; i++ { // nine delete-only groups
+		s.Unbind(fmt.Sprintf("r%02d", i))
+		if i%5 == 4 {
+			commit()
+		}
+	}
+	if err := s.Bind("r00", value.Int(100), nil); err != nil { // back again
+		t.Fatal(err)
+	}
+	s.Unbind("r49")
+	commit()
+	rep, err := Fsck(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(s.Names()); rep.Roots != want || want != 5 {
+		t.Fatalf("fsck reports %d roots, store holds %d, want 5", rep.Roots, want)
+	}
+	if !rep.Clean() || rep.Commits != 11 {
+		t.Fatalf("report = %+v, want clean with 11 commits", rep)
 	}
 }
 

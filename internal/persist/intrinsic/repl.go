@@ -273,7 +273,10 @@ type GroupDelta struct {
 // begin exactly at the store's durable end — appends it to the log with
 // the same rollback/poison discipline as a local commit, and applies it to
 // the materialized roots. The first call puts the store in replica mode
-// (see EnterReplica). Verification is complete before any I/O: a torn or
+// (see EnterReplica); on a store that has bound or committed locally since
+// it was opened, that call first reverts to the log as Abort does —
+// uncommitted local changes are dropped and values obtained earlier are
+// detached. Verification is complete before any of that: a torn or
 // checksum-corrupt frame is rejected with ErrBadGroup or a *CorruptError
 // and the store is untouched.
 func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
@@ -298,39 +301,10 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 		return delta, nil
 	}
 
-	// 1. Structural + checksum verification, collecting the committed
-	//    effect, before a single byte touches the file.
-	newNodes := map[uint64][]byte{}
-	pending := map[uint64][]byte{}
-	var newRoots []rootEntry
-	var newDefs []string
-	var newEpoch uint64
-	sawRoots, sawDefs, sawEpoch := false, false, false
-	var pendRoots []rootEntry
-	var pendDefs []string
-	var pendEpoch uint64
-	pendSawRoots, pendSawDefs, pendSawEpoch := false, false, false
-	sum, err := scanRaw(raw, scanSink{
-		node:      func(oid uint64, img []byte) { pending[oid] = img },
-		roots:     func(e []rootEntry) { pendRoots, pendSawRoots = e, true },
-		indexDefs: func(f []string) { pendDefs, pendSawDefs = f, true },
-		epoch:     func(e uint64) { pendEpoch, pendSawEpoch = e, true },
-		commit: func(int64) {
-			for oid, img := range pending {
-				newNodes[oid] = img
-			}
-			pending = map[uint64][]byte{}
-			if pendSawRoots {
-				newRoots, sawRoots, pendSawRoots = pendRoots, true, false
-			}
-			if pendSawDefs {
-				newDefs, sawDefs, pendSawDefs = pendDefs, true, false
-			}
-			if pendSawEpoch {
-				newEpoch, sawEpoch, pendSawEpoch = pendEpoch, true, false
-			}
-		},
-	})
+	// 1. Structural + checksum verification, folding the groups' effect,
+	//    before a single byte touches the file.
+	fold := groupFold{nodes: map[uint64][]byte{}}
+	sum, err := scanRaw(raw, fold.sink())
 	if err != nil {
 		return delta, err
 	}
@@ -341,14 +315,27 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 		return delta, fmt.Errorf("%w: frame does not end on a commit-group boundary", ErrBadGroup)
 	}
 	delta.Groups = sum.commits
+	newNodes := fold.nodes
+
+	if s.lastRoots == nil || len(s.touched) > 0 {
+		// The store committed or bound locally since it was loaded: its
+		// memory may be ahead of its log and lastRoots is gone. A replica's
+		// state is its log's, so start from that, as Abort would.
+		if err := s.reload(); err != nil {
+			return delta, err
+		}
+	}
 
 	// 2. Stage the in-memory effect without touching live state, so a
-	//    failed append leaves memory exactly at the old commit. A node
-	//    image overwriting a *different* existing image means in-place
-	//    mutation of a shared subgraph — a serve primary never produces
-	//    that (every PUT binds freshly decoded values), but a generic
-	//    primary can, and then the cheap per-root diff under-approximates:
-	//    fall back to re-materializing every root.
+	//    failed append leaves memory exactly at the old commit. The roots
+	//    to re-materialize are the ones the root deltas upserted — the
+	//    writer names every handle whose entry changed. A node image
+	//    overwriting a *different* existing image means in-place mutation
+	//    of a subgraph some untouched handle may share — a serve primary
+	//    never produces that (every PUT binds freshly decoded values), but
+	//    a generic primary can, and then the deltas under-approximate: fall
+	//    back to re-materializing every root. A legacy 'R' table names all
+	//    handles, so it is diffed against the last entries instead.
 	overwrite := false
 	for oid, img := range newNodes {
 		if prev, ok := s.nodes[oid]; ok && !bytes.Equal(prev, img) {
@@ -356,35 +343,44 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 			break
 		}
 	}
-	var changedEntries []rootEntry
+	unchanged := func(e rootEntry) bool {
+		old, ok := s.lastRoots[e.name]
+		return ok && bytes.Equal(old.inline, e.inline) && types.Intern(old.typ) == types.Intern(e.typ)
+	}
+	changed := make([]rootEntry, 0, len(fold.upserts))
+	for _, e := range fold.upserts {
+		if fold.replaced && !overwrite && unchanged(e) {
+			continue
+		}
+		changed = append(changed, e)
+	}
 	var removed []string
-	if sawRoots {
-		for _, e := range newRoots {
-			old, ok := s.lastRoots[e.name]
-			if !ok || overwrite || !bytes.Equal(old.inline, e.inline) ||
-				types.Intern(old.typ) != types.Intern(e.typ) {
-				changedEntries = append(changedEntries, e)
-			}
-		}
-		seen := make(map[string]bool, len(newRoots))
-		for _, e := range newRoots {
-			seen[e.name] = true
-		}
-		for name := range s.lastRoots {
-			if !seen[name] {
+	if fold.replaced {
+		for name := range s.roots {
+			if _, ok := fold.upserts[name]; !ok {
 				removed = append(removed, name)
 			}
 		}
-		sort.Strings(removed)
+	} else {
+		for name := range fold.deletes {
+			if _, ok := s.roots[name]; ok {
+				removed = append(removed, name)
+			}
+		}
+		if overwrite {
+			for name, e := range s.lastRoots {
+				if _, ok := fold.upserts[name]; !ok && !fold.deletes[name] {
+					changed = append(changed, e)
+				}
+			}
+		}
 	}
-	type stagedRoot struct {
-		entry rootEntry
-		val   value.Value
-	}
-	staged := make([]stagedRoot, 0, len(changedEntries))
+	sort.Slice(changed, func(i, j int) bool { return changed[i].name < changed[j].name })
+	sort.Strings(removed)
+	staged := make([]value.Value, len(changed))
 	s.applyOverlay = newNodes
 	cache := map[uint64]value.Value{}
-	for _, e := range changedEntries {
+	for i, e := range changed {
 		rd := &nodeReader{buf: e.inline}
 		v, merr := rd.inlineValue(func(oid uint64) (value.Value, error) {
 			return s.materialize(oid, cache, map[uint64]bool{})
@@ -393,7 +389,7 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 			s.applyOverlay = nil
 			return delta, merr
 		}
-		staged = append(staged, stagedRoot{entry: e, val: v})
+		staged[i] = v
 	}
 	s.applyOverlay = nil
 
@@ -410,24 +406,27 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 			s.nextOID = oid + 1
 		}
 	}
-	if sawRoots {
-		for _, name := range removed {
-			delete(s.roots, name)
-		}
-		for _, st := range staged {
-			s.roots[st.entry.name] = &Root{Declared: st.entry.typ, Value: st.val}
-			delta.Changed = append(delta.Changed, st.entry.name)
-		}
-		sort.Strings(delta.Changed)
-		s.lastRoots = make(map[string]rootEntry, len(newRoots))
-		for _, e := range newRoots {
-			s.lastRoots[e.name] = e
-		}
-		delta.Removed = removed
+	for _, name := range removed {
+		delete(s.roots, name)
 	}
-	if sawDefs {
-		next := make(map[string]bool, len(newDefs))
-		for _, f := range newDefs {
+	for i, e := range changed {
+		s.roots[e.name] = &Root{Declared: e.typ, Value: staged[i]}
+		delta.Changed = append(delta.Changed, e.name)
+	}
+	delta.Removed = removed
+	if fold.replaced {
+		s.lastRoots = fold.upserts
+	} else {
+		for name := range fold.deletes {
+			delete(s.lastRoots, name)
+		}
+		for name, e := range fold.upserts {
+			s.lastRoots[name] = e
+		}
+	}
+	if fold.sawDefs {
+		next := make(map[string]bool, len(fold.defs))
+		for _, f := range fold.defs {
 			next[f] = true
 		}
 		if len(next) != len(s.indexDefs) {
@@ -443,10 +442,10 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 		s.indexDefs = next
 		s.defsDirty = false
 	}
-	if sawEpoch {
+	if fold.sawEpoch {
 		// The primary's promotion record flows down the stream like any
 		// other record; the follower's epoch tracks the history it holds.
-		s.setEpoch(newEpoch)
+		s.setEpoch(fold.epoch)
 	}
 	return delta, nil
 }

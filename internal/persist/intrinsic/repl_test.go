@@ -351,7 +351,8 @@ func TestFollowerPrefixCrashMatrix(t *testing.T) {
 
 // TestFollowerPrefixCrashMatrixGroupCommit re-runs the follower crash
 // matrix against a *group-committing* primary: the same logical history
-// staged via StageCommit and promoted in two SyncBatch fsyncs. Because a
+// staged via StageBound — the server's stage — and promoted in two
+// SyncBatch fsyncs. Because a
 // batched log is byte-identical to a serial one, a follower streaming
 // from it must still converge byte-identical through every crash.
 func TestFollowerPrefixCrashMatrixGroupCommit(t *testing.T) {
@@ -370,7 +371,7 @@ func batchedPrimaryFixture(t *testing.T) (*Store, string) {
 	t.Cleanup(func() { p.Close() })
 	stage := func() {
 		t.Helper()
-		if _, err := p.StageCommit(); err != nil {
+		if _, err := p.StageBound(); err != nil {
 			t.Fatal(err)
 		}
 	}

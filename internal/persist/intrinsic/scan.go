@@ -45,11 +45,100 @@ func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 // their group is validated: callers must buffer per group and apply only
 // on commit (which fires only for valid groups).
 type scanSink struct {
-	node      func(oid uint64, img []byte)
-	roots     func(entries []rootEntry)
+	node func(oid uint64, img []byte)
+	// roots receives a root-table record: a 'D' delta, or (replace set) a
+	// legacy 'R' table, whose entries arrive as upserts.
+	roots     func(op rootOp)
 	indexDefs func(fields []string)
 	epoch     func(e uint64)
 	commit    func(end int64)
+}
+
+// rootOp is one root-table record's effect on the running table: drop the
+// whole table first when replace is set, then upsert, then delete.
+type rootOp struct {
+	replace bool
+	upserts []rootEntry
+	deletes []string
+}
+
+// groupFold accumulates what the valid commit groups of one scan did — the
+// single fold replay (load), ApplyGroup and Fsck share. Records buffer per
+// group and fold in only when the group's commit marker validates, so a
+// torn or corrupt group contributes nothing. The root-table effect is
+// relative to the table before the scan, which afterwards holds
+// (replaced ? nothing : before − deletes) ∪ upserts; the two are disjoint.
+type groupFold struct {
+	nodes    map[uint64][]byte // last image per OID; left nil, only counted
+	nodeRecs int
+	replaced bool
+	upserts  map[string]rootEntry
+	deletes  map[string]bool
+	defs     []string
+	sawDefs  bool
+	epoch    uint64
+	sawEpoch bool
+}
+
+func (f *groupFold) applyRootOp(op rootOp) {
+	if f.upserts == nil || op.replace {
+		f.upserts = make(map[string]rootEntry, len(op.upserts))
+		f.deletes = map[string]bool{}
+	}
+	f.replaced = f.replaced || op.replace
+	for _, e := range op.upserts {
+		f.upserts[e.name] = e
+		delete(f.deletes, e.name)
+	}
+	for _, name := range op.deletes {
+		delete(f.upserts, name)
+		f.deletes[name] = true
+	}
+}
+
+// sink returns the scanSink that feeds f.
+func (f *groupFold) sink() scanSink {
+	type nodeRec struct {
+		oid uint64
+		img []byte
+	}
+	// The open group's records, folded into f on its commit marker.
+	var (
+		nodes    []nodeRec
+		nodeRecs int
+		rootOps  []rootOp
+		defs     []string
+		epoch    uint64
+		sawDefs  bool
+		sawEpoch bool
+	)
+	return scanSink{
+		node: func(oid uint64, img []byte) {
+			nodeRecs++
+			if f.nodes != nil {
+				nodes = append(nodes, nodeRec{oid, img})
+			}
+		},
+		roots:     func(op rootOp) { rootOps = append(rootOps, op) },
+		indexDefs: func(fields []string) { defs, sawDefs = fields, true },
+		epoch:     func(e uint64) { epoch, sawEpoch = e, true },
+		commit: func(int64) {
+			f.nodeRecs += nodeRecs
+			for _, n := range nodes {
+				f.nodes[n.oid] = n.img
+			}
+			for _, op := range rootOps {
+				f.applyRootOp(op)
+			}
+			nodes, nodeRecs, rootOps = nodes[:0], 0, rootOps[:0]
+			if sawDefs {
+				f.defs, f.sawDefs, sawDefs = defs, true, false
+			}
+			if sawEpoch {
+				f.epoch, f.sawEpoch, sawEpoch = epoch, true, false
+			}
+		},
+	}
 }
 
 // scanSummary is the structural verdict over a whole log.
@@ -113,9 +202,10 @@ func isEOF(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// scanRootTable parses a root-table record, validating lengths and type
-// images.
-func scanRootTable(s *logScanner) ([]rootEntry, error) {
+// scanRootEntries parses a counted list of root-table entries — the body
+// of an 'R' record and the upsert half of a 'D' — validating lengths and
+// type images.
+func scanRootEntries(s *logScanner) ([]rootEntry, error) {
 	count, err := s.uvarint()
 	if err != nil {
 		return nil, err
@@ -167,31 +257,32 @@ func scanRootTable(s *logScanner) ([]rootEntry, error) {
 	return entries, nil
 }
 
-// scanIndexDefs parses an index-definition table record.
-func scanIndexDefs(s *logScanner) ([]string, error) {
+// scanNames parses a counted list of names: an index-definition table, or
+// the delete half of a root delta.
+func scanNames(s *logScanner) ([]string, error) {
 	count, err := s.uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if count > maxRecordSize {
-		return nil, fmt.Errorf("%w: oversized index-definition table", ErrCorrupt)
+		return nil, fmt.Errorf("%w: oversized name list", ErrCorrupt)
 	}
-	fields := make([]string, 0, capCount(int(count)))
+	names := make([]string, 0, capCount(int(count)))
 	for i := uint64(0); i < count; i++ {
 		n, err := s.uvarint()
 		if err != nil {
 			return nil, err
 		}
 		if n > maxRecordSize {
-			return nil, fmt.Errorf("%w: bad index field length", ErrCorrupt)
+			return nil, fmt.Errorf("%w: bad name length", ErrCorrupt)
 		}
 		name, err := s.bytes(int(n))
 		if err != nil {
 			return nil, err
 		}
-		fields = append(fields, string(name))
+		names = append(names, string(name))
 	}
-	return fields, nil
+	return names, nil
 }
 
 // scanLog reads the whole log from r, firing sink callbacks, and returns
@@ -285,17 +376,21 @@ func scanLog(r io.Reader, sink scanSink) (scanSummary, error) {
 			if sink.node != nil {
 				sink.node(oid, img)
 			}
-		case recRoots:
-			entries, err := scanRootTable(s)
+		case recRoots, recRootDelta:
+			op := rootOp{replace: kind == recRoots}
+			op.upserts, err = scanRootEntries(s)
+			if err == nil && kind == recRootDelta {
+				op.deletes, err = scanNames(s)
+			}
 			if err != nil {
 				anomaly(s.off, fmt.Sprintf("bad root table: %v", err), err)
 				return sum, nil
 			}
 			if sink.roots != nil {
-				sink.roots(entries)
+				sink.roots(op)
 			}
 		case recIndex:
-			fields, err := scanIndexDefs(s)
+			fields, err := scanNames(s)
 			if err != nil {
 				anomaly(s.off, fmt.Sprintf("bad index-definition table: %v", err), err)
 				return sum, nil

@@ -21,9 +21,23 @@ func v2Group(log *bytes.Buffer, records func(b *nodeBuf)) {
 	log.Write(b.Bytes())
 }
 
+// intEntry writes one root-table entry binding name to an Int.
+func intEntry(t testing.TB, b *nodeBuf, name string, x int64) {
+	b.str(name)
+	if err := b.typ(types.Int); err != nil {
+		t.Fatal(err)
+	}
+	start := b.Len()
+	if err := encodeInline(b, value.Int(x), nil); err != nil {
+		t.Fatal(err)
+	}
+	b.prefixLen(start)
+}
+
 // seedLogWithIndexGroup builds a well-formed v2 log whose second commit
 // group carries an index-definition delta — the satellite seed for the log
-// fuzzer, exercising the 'X' grammar alongside nodes and roots.
+// fuzzer, exercising the 'X' grammar alongside nodes and a legacy 'R'
+// root table.
 func seedLogWithIndexGroup(t testing.TB) []byte {
 	var log bytes.Buffer
 	log.WriteString(logMagic)
@@ -31,22 +45,44 @@ func seedLogWithIndexGroup(t testing.TB) []byte {
 	v2Group(&log, func(b *nodeBuf) {
 		b.WriteByte(recRoots)
 		b.uvarint(1)
-		b.str("x")
-		if err := b.typ(types.Int); err != nil {
-			t.Fatal(err)
-		}
-		var vb nodeBuf
-		if err := encodeInline(&vb, value.Int(7), nil); err != nil {
-			t.Fatal(err)
-		}
-		b.uvarint(uint64(vb.Len()))
-		b.Write(vb.Bytes())
+		intEntry(t, b, "x", 7)
 	})
 	v2Group(&log, func(b *nodeBuf) {
 		b.WriteByte(recIndex)
 		b.uvarint(2)
 		b.str("Empno")
 		b.str("Dept")
+	})
+	return log.Bytes()
+}
+
+// seedLogWithRootDeltas builds a well-formed v2 log of three 'D' groups: a
+// first delta against the empty table, one with both halves, and one with
+// deletes only.
+func seedLogWithRootDeltas(t testing.TB) []byte {
+	var log bytes.Buffer
+	log.WriteString(logMagic)
+	log.WriteByte(logVersion2)
+	v2Group(&log, func(b *nodeBuf) {
+		b.WriteByte(recRootDelta)
+		b.uvarint(2)
+		intEntry(t, b, "x", 7)
+		intEntry(t, b, "y", 8)
+		b.uvarint(0)
+	})
+	v2Group(&log, func(b *nodeBuf) {
+		b.WriteByte(recRootDelta)
+		b.uvarint(1)
+		intEntry(t, b, "z", 9)
+		b.uvarint(1)
+		b.str("x")
+	})
+	v2Group(&log, func(b *nodeBuf) {
+		b.WriteByte(recRootDelta)
+		b.uvarint(0)
+		b.uvarint(2)
+		b.str("y")
+		b.str("never bound")
 	})
 	return log.Bytes()
 }
@@ -70,13 +106,21 @@ func FuzzScanLog(f *testing.F) {
 	f.Add(flipped)
 	// An actually-unknown record kind after a valid group.
 	f.Add(append(append([]byte(nil), seed...), 'Z', 0, 0))
+	// Root deltas: intact, torn inside the last group's delete list, and
+	// with one bit flipped in the middle group's upsert.
+	deltas := seedLogWithRootDeltas(f)
+	f.Add(deltas)
+	f.Add(deltas[:len(deltas)-checksumSize-4])
+	flippedDelta := append([]byte(nil), deltas...)
+	flippedDelta[len(flippedDelta)/2] ^= 0x40
+	f.Add(flippedDelta)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		commits := 0
 		lastCommitEnd := int64(0)
 		sum, err := scanLog(bytes.NewReader(data), scanSink{
 			node:      func(uint64, []byte) {},
-			roots:     func([]rootEntry) {},
+			roots:     func(rootOp) {},
 			indexDefs: func([]string) {},
 			commit: func(end int64) {
 				commits++
@@ -129,5 +173,51 @@ func TestScanLogIndexSeeds(t *testing.T) {
 	sum, _ = scanLog(bytes.NewReader(flipped), scanSink{})
 	if sum.corrupt == nil {
 		t.Fatalf("bit rot in index group not detected: %+v", sum)
+	}
+}
+
+// TestScanLogRootDeltaSeeds pins the classification of the 'D' seeds at
+// every byte: the intact log folds to the one surviving root, a tear
+// anywhere is a torn tail ending on a group boundary, and a flip anywhere
+// past the header is never applied — corruption, or a length that now
+// overruns the input and reads as torn.
+func TestScanLogRootDeltaSeeds(t *testing.T) {
+	seed := seedLogWithRootDeltas(t)
+	var fold groupFold
+	sum, err := scanLog(bytes.NewReader(seed), fold.sink())
+	if err != nil || sum.corrupt != nil || sum.torn || sum.commits != 3 {
+		t.Fatalf("clean seed misclassified: err=%v sum=%+v", err, sum)
+	}
+	if _, ok := fold.upserts["z"]; !ok || len(fold.upserts) != 1 {
+		t.Fatalf("three deltas fold to %v, want only z", fold.upserts)
+	}
+
+	var ends []int64
+	scanLog(bytes.NewReader(seed), scanSink{commit: func(end int64) { ends = append(ends, end) }})
+	boundary := func(off int64) bool {
+		for _, e := range ends {
+			if e == off {
+				return true
+			}
+		}
+		return off == HeaderSize
+	}
+	for cut := HeaderSize; cut < int64(len(seed)); cut++ {
+		sum, _ := scanLog(bytes.NewReader(seed[:cut]), scanSink{})
+		if sum.corrupt != nil || !boundary(sum.goodEnd) || sum.torn != !boundary(cut) {
+			t.Fatalf("torn at %d: %+v", cut, sum)
+		}
+	}
+	for at := HeaderSize; at < int64(len(seed)); at++ {
+		flipped := append([]byte(nil), seed...)
+		flipped[at] ^= 0xFF
+		var damaged groupFold
+		sum, _ := scanLog(bytes.NewReader(flipped), damaged.sink())
+		if sum.corrupt == nil && !sum.torn {
+			t.Fatalf("flip at %d went undetected: %+v", at, sum)
+		}
+		if sum.goodEnd > at || !boundary(sum.goodEnd) {
+			t.Fatalf("flip at %d: valid prefix %d reaches the damage", at, sum.goodEnd)
+		}
 	}
 }

@@ -13,7 +13,13 @@
 //   - Sharing and cycles survive: two handles reaching one value still
 //     share it after reopening — the defect of replicating persistence does
 //     not arise.
-//   - Commit is incremental: only nodes whose image changed are appended.
+//   - Commit is incremental: a commit group holds the nodes whose image
+//     changed and a root-table delta naming the handles that were bound,
+//     unbound or enriched since the last group — its size follows the
+//     change, not the store. Commit still *walks* everything reachable, so
+//     in-place mutation of any persistent value is found; StageBound walks
+//     only the handles written since the last group, for callers that
+//     never mutate a bound value in place (see StageBound).
 //   - Garbage collection: values unreachable from any handle are simply not
 //     written by Compact, and never re-materialized.
 //   - Crash recovery: a torn final commit group is ignored on reopen.
@@ -77,7 +83,7 @@ type Root struct {
 type CommitStats struct {
 	NodesReachable int // containers reachable from the roots
 	NodesWritten   int // nodes whose image changed (or were new)
-	BytesWritten   int // log bytes appended, including the root table
+	BytesWritten   int // log bytes appended, including the root-table delta
 }
 
 // CompactStats reports the effect of a Compact.
@@ -160,13 +166,28 @@ type Store struct {
 	stagedNodes map[uint64][]byte
 	stagedDefs  bool
 
+	// touched holds the handles whose table entry changed since the last
+	// staged commit group, each with whether the table held the name before
+	// its first touch. Bind, Unbind and OpenAs's enrichment record the name;
+	// nothing else can change an entry (a root atom is immutable, a bound
+	// container keeps its OID) except on a promoted follower, whose values
+	// were never registered in oids — reach touches a root whose container
+	// it has to number afresh. The next group's root delta is computed from
+	// touched and StageBound walks only these roots. stagedTouched is what
+	// the open batch's groups consumed: a failed batch puts it back, exactly
+	// as stagedDefs restores defsDirty, so a retry re-emits the whole delta.
+	touched       map[string]bool
+	stagedTouched map[string]bool
+
 	// replica marks a store fed by ApplyGroup (a replication follower);
 	// local mutations are refused with ErrReplica, and materialized values
 	// are not registered in oids (a follower never re-encodes them).
 	replica bool
-	// lastRoots retains the last applied root-table entries so ApplyGroup
-	// can diff a new table against them and re-materialize only the roots
-	// whose bound value changed.
+	// lastRoots retains the root-table entries as of load and every
+	// ApplyGroup since: the table a legacy 'R' record is diffed against, and
+	// what ApplyGroup re-materializes from when a node image is overwritten
+	// in place. A local commit group drops it (nil) rather than maintain a
+	// second copy of every entry; ApplyGroup replays the log to get it back.
 	lastRoots map[string]rootEntry
 	// applyOverlay, non-nil only inside ApplyGroup, lets materialize see
 	// the incoming group's node images before they are committed to nodes.
@@ -247,42 +268,9 @@ func (s *Store) load() error {
 	}
 	s.indexDefs = map[string]bool{}
 	s.defsDirty = false
-	committed := struct {
-		nodes map[uint64][]byte
-		roots []rootEntry
-		defs  []string
-		epoch uint64
-	}{nodes: map[uint64][]byte{}}
-	pending := map[uint64][]byte{}
-	var pendingRoots []rootEntry
-	var pendingDefs []string
-	var pendingEpoch uint64
-	sawRoots, sawDefs, sawEpoch := false, false, false
-
-	sum, err := scanLog(s.f, scanSink{
-		node:      func(oid uint64, img []byte) { pending[oid] = img },
-		roots:     func(entries []rootEntry) { pendingRoots = entries; sawRoots = true },
-		indexDefs: func(fields []string) { pendingDefs = fields; sawDefs = true },
-		epoch:     func(e uint64) { pendingEpoch = e; sawEpoch = true },
-		commit: func(int64) {
-			for oid, img := range pending {
-				committed.nodes[oid] = img
-			}
-			pending = map[uint64][]byte{}
-			if sawRoots {
-				committed.roots = pendingRoots
-				sawRoots = false
-			}
-			if sawDefs {
-				committed.defs = pendingDefs
-				sawDefs = false
-			}
-			if sawEpoch {
-				committed.epoch = pendingEpoch
-				sawEpoch = false
-			}
-		},
-	})
+	s.touched, s.stagedTouched = nil, nil
+	fold := groupFold{nodes: map[uint64][]byte{}}
+	sum, err := scanLog(s.f, fold.sink())
 	if err != nil {
 		return err
 	}
@@ -317,22 +305,25 @@ func (s *Store) load() error {
 	s.version = sum.version
 	s.setEnd(sum.goodEnd)
 	s.tailDirty = sum.torn
-	s.setEpoch(committed.epoch)
+	s.setEpoch(fold.epoch)
 
-	for _, f := range committed.defs {
+	for _, f := range fold.defs {
 		s.indexDefs[f] = true
 	}
-	s.nodes = committed.nodes
+	s.nodes = fold.nodes
 	for oid := range s.nodes {
 		if oid >= s.nextOID {
 			s.nextOID = oid + 1
 		}
 	}
-	// Materialize the committed roots, retaining the raw entries for
-	// ApplyGroup's change detection.
+	// Materialize the committed roots — the fold of every root record from
+	// the empty table — retaining the raw entries for ApplyGroup.
 	cache := map[uint64]value.Value{}
-	s.lastRoots = make(map[string]rootEntry, len(committed.roots))
-	for _, e := range committed.roots {
+	s.lastRoots = fold.upserts
+	if s.lastRoots == nil {
+		s.lastRoots = map[string]rootEntry{}
+	}
+	for _, e := range s.lastRoots {
 		rd := &nodeReader{buf: e.inline}
 		v, err := rd.inlineValue(func(oid uint64) (value.Value, error) {
 			return s.materialize(oid, cache, map[uint64]bool{})
@@ -341,7 +332,6 @@ func (s *Store) load() error {
 			return err
 		}
 		s.roots[e.name] = &Root{Declared: e.typ, Value: v}
-		s.lastRoots[e.name] = e
 	}
 	// Position the write handle at the end of durable data: a torn tail,
 	// if any, is overwritten by the next append (after truncation).
@@ -496,8 +486,21 @@ func (s *Store) Bind(name string, v value.Value, declared types.Type) error {
 	if s.replica {
 		return ErrReplica
 	}
+	s.touch(name)
 	s.roots[name] = &Root{Declared: declared, Value: v}
 	return nil
+}
+
+// touch records that name's root-table entry is about to change. Callers
+// hold s.mu and have not yet written s.roots[name].
+func (s *Store) touch(name string) {
+	if _, ok := s.touched[name]; ok {
+		return
+	}
+	if s.touched == nil {
+		s.touched = map[string]bool{}
+	}
+	_, s.touched[name] = s.roots[name]
 }
 
 // Unbind removes a handle; the values it named become garbage unless
@@ -506,7 +509,10 @@ func (s *Store) Unbind(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.roots[name]
-	delete(s.roots, name)
+	if ok {
+		s.touch(name)
+		delete(s.roots, name)
+	}
 	return ok
 }
 
@@ -522,6 +528,10 @@ func (s *Store) Root(name string) (*Root, bool) {
 func (s *Store) Names() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.namesLocked()
+}
+
+func (s *Store) namesLocked() []string {
 	out := make([]string, 0, len(s.roots))
 	for n := range s.roots {
 		out = append(out, n)
@@ -604,6 +614,7 @@ func (s *Store) OpenAs(name string, want types.Type) (value.Value, error) {
 		return nil, fmt.Errorf("%w: value %s does not conform to %s",
 			ErrMigrationRequired, value.TypeOf(r.Value), meet)
 	}
+	s.touch(name)
 	r.Declared = meet // schema enrichment
 	return r.Value, nil
 }
@@ -612,10 +623,12 @@ func (s *Store) OpenAs(name string, want types.Type) (value.Value, error) {
 // Commit, abort, compaction
 // ---------------------------------------------------------------------------
 
-// reach walks the container graph from the roots, assigning OIDs to new
-// containers, and returns the reachable containers in a deterministic
-// order. Transient record fields are not traversed.
-func (s *Store) reach() []value.Value {
+// reach walks the container graph from the named roots, in the order
+// given, assigning OIDs to new containers, and returns the reachable
+// containers in that deterministic order. Transient record fields are not
+// traversed. A root whose own container has no OID yet is touched: its
+// table entry is about to name a fresh one.
+func (s *Store) reach(names []string) []value.Value {
 	var order []value.Value
 	seen := map[value.Value]bool{}
 	var walk func(v value.Value)
@@ -653,26 +666,21 @@ func (s *Store) reach() []value.Value {
 			walk(vv.Value())
 		}
 	}
-	names := make([]string, 0, len(s.roots))
-	for n := range s.roots {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	for _, n := range names {
-		walk(s.roots[n].Value)
+		v := s.roots[n].Value
+		if isContainer(v) {
+			if _, ok := s.oids[v]; !ok {
+				s.touch(n)
+			}
+		}
+		walk(v)
 	}
 	return order
 }
 
-// encodeRootTable writes the current root table record into b.
-func (s *Store) encodeRootTable(b *nodeBuf) error {
-	b.WriteByte(recRoots)
-	b.uvarint(uint64(len(s.roots)))
-	names := make([]string, 0, len(s.roots))
-	for n := range s.roots {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+// encodeRootEntries writes a count and one root-table entry per name.
+func (s *Store) encodeRootEntries(b *nodeBuf, names []string) error {
+	b.uvarint(uint64(len(names)))
 	oidOf := func(v value.Value) uint64 { return s.oids[v] }
 	for _, n := range names {
 		r := s.roots[n]
@@ -680,12 +688,51 @@ func (s *Store) encodeRootTable(b *nodeBuf) error {
 		if err := b.typ(r.Declared); err != nil {
 			return err
 		}
-		var vb nodeBuf
-		if err := encodeInline(&vb, r.Value, oidOf); err != nil {
+		start := b.Len()
+		if err := encodeInline(b, r.Value, oidOf); err != nil {
 			return err
 		}
-		b.uvarint(uint64(vb.Len()))
-		b.Write(vb.Bytes())
+		b.prefixLen(start)
+	}
+	return nil
+}
+
+// encodeRootTable writes the whole root table as an 'R' record — what a v1
+// log's frozen grammar carries in every group.
+func (s *Store) encodeRootTable(b *nodeBuf) error {
+	b.WriteByte(recRoots)
+	return s.encodeRootEntries(b, s.namesLocked())
+}
+
+// rootDelta turns the touched set into the two sorted halves of the next
+// group's 'D' record: the touched handles that are bound now, and those
+// that are not but were in the table.
+func (s *Store) rootDelta() (upserts, deletes []string) {
+	for name, was := range s.touched {
+		if _, ok := s.roots[name]; ok {
+			upserts = append(upserts, name)
+		} else if was {
+			deletes = append(deletes, name)
+		}
+	}
+	sort.Strings(upserts)
+	sort.Strings(deletes)
+	return upserts, deletes
+}
+
+// encodeRootDelta writes a 'D' record into b, or nothing when both halves
+// are empty.
+func (s *Store) encodeRootDelta(b *nodeBuf, upserts, deletes []string) error {
+	if len(upserts)+len(deletes) == 0 {
+		return nil
+	}
+	b.WriteByte(recRootDelta)
+	if err := s.encodeRootEntries(b, upserts); err != nil {
+		return err
+	}
+	b.uvarint(uint64(len(deletes)))
+	for _, n := range deletes {
+		b.str(n)
 	}
 	return nil
 }
@@ -724,7 +771,8 @@ func (s *Store) appendPos() int64 {
 // resetStaging discards the in-memory staging state once the staged bytes
 // are gone from the file. A batch that persisted the index-definition
 // table and then failed must mark the defs dirty again, so the next commit
-// re-writes them. Callers hold s.mu.
+// re-writes them; likewise the handles its root deltas covered are touched
+// again, each as it stood before the batch. Callers hold s.mu.
 func (s *Store) resetStaging() {
 	s.staged = 0
 	s.stagedEnd = s.end
@@ -733,6 +781,14 @@ func (s *Store) resetStaging() {
 		s.defsDirty = true
 		s.stagedDefs = false
 	}
+	if s.touched == nil {
+		s.touched = s.stagedTouched
+	} else {
+		for name, was := range s.stagedTouched {
+			s.touched[name] = was
+		}
+	}
+	s.stagedTouched = nil
 }
 
 // rollbackStaged trims every staged-but-unsynced group (and any torn bytes
@@ -809,6 +865,7 @@ func (s *Store) syncStaged() (int, error) {
 	s.stagedNodes = nil
 	s.staged = 0
 	s.stagedDefs = false
+	s.stagedTouched = nil
 	return n, nil
 }
 
@@ -826,10 +883,11 @@ func (s *Store) appendBytes(raw []byte) error {
 }
 
 // Commit makes the current state of every handle durable. Only nodes whose
-// shallow image differs from the last committed image are appended — the
-// incremental property benchmarked in experiment E4. Commit is stage +
-// sync as a batch of one: the group-commit primitives below share every
-// byte of its write path.
+// shallow image differs from the last committed image, and the root-table
+// entries of handles written since, are appended — the incremental
+// property benchmarked in experiment E4. Commit is stage + sync as a batch
+// of one: the group-commit primitives below share every byte of its write
+// path.
 //
 // Commit is crash-consistent: on a write or sync failure the log is
 // truncated back to the pre-commit offset (and the in-memory images are
@@ -842,7 +900,7 @@ func (s *Store) Commit() (CommitStats, error) {
 	if err := s.writable(); err != nil {
 		return CommitStats{}, err
 	}
-	stats, err := s.stageCommitLocked()
+	stats, err := s.stageCommitLocked(s.namesLocked())
 	if err != nil {
 		return stats, err
 	}
@@ -865,7 +923,26 @@ func (s *Store) StageCommit() (CommitStats, error) {
 	if err := s.writable(); err != nil {
 		return CommitStats{}, err
 	}
-	return s.stageCommitLocked()
+	return s.stageCommitLocked(s.namesLocked())
+}
+
+// StageBound is StageCommit for a caller that only ever changes the store
+// by binding and unbinding handles: it walks the handles written since the
+// last staged group instead of everything reachable, so staging costs what
+// the commit changed. The contract is that no value under an *untouched*
+// handle was mutated in place since it was committed — such a mutation is
+// not found, and persists only when a later Commit or StageCommit walks
+// it. A server whose published state is immutable and which binds freshly
+// decoded values meets it by construction. The group written is the one
+// StageCommit would write under that contract, byte for byte.
+func (s *Store) StageBound() (CommitStats, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.writable(); err != nil {
+		return CommitStats{}, err
+	}
+	bound, _ := s.rootDelta()
+	return s.stageCommitLocked(bound)
 }
 
 // SyncBatch makes every staged commit group durable with one fsync and
@@ -919,9 +996,14 @@ func (s *Store) writable() error {
 // encoding compares against the staged image when one exists — within a
 // batch each group diffs against its predecessor, exactly as if the
 // groups had been committed singly — which is why a batched log is
-// byte-identical to a serial one (the property test). Callers hold s.mu.
-func (s *Store) stageCommitLocked() (CommitStats, error) {
-	order := s.reach()
+// byte-identical to a serial one (the property test). The root delta
+// likewise covers the handles touched since the previous *staged* group.
+// walk names, sorted, the roots searched for changed nodes: every handle
+// (Commit's reachability semantics) or only the touched ones that are
+// bound (StageBound). Callers hold s.mu.
+func (s *Store) stageCommitLocked(walk []string) (CommitStats, error) {
+	order := s.reach(walk)
+	upserts, deletes := s.rootDelta() // after reach, which may touch
 	oidOf := func(v value.Value) uint64 { return s.oids[v] }
 
 	var out nodeBuf
@@ -947,7 +1029,13 @@ func (s *Store) stageCommitLocked() (CommitStats, error) {
 		out.Write(img)
 		stats.NodesWritten++
 	}
-	if err := s.encodeRootTable(&out); err != nil {
+	var err error
+	if s.version == logVersion2 {
+		err = s.encodeRootDelta(&out, upserts, deletes)
+	} else {
+		err = s.encodeRootTable(&out) // the v1 grammar is frozen
+	}
+	if err != nil {
 		return stats, err
 	}
 	wroteDefs := false
@@ -970,6 +1058,21 @@ func (s *Store) stageCommitLocked() (CommitStats, error) {
 		s.defsDirty = false
 		s.stagedDefs = true
 	}
+	// Hand the touched set to the batch: the map itself when this is the
+	// batch's first group — a first commit's holds every handle, and is
+	// not worth keeping allocated — else merged, an earlier group's record
+	// of how a handle stood before the batch winning.
+	if s.stagedTouched == nil {
+		s.stagedTouched = s.touched
+	} else {
+		for name, was := range s.touched {
+			if _, ok := s.stagedTouched[name]; !ok {
+				s.stagedTouched[name] = was
+			}
+		}
+	}
+	s.touched = nil
+	s.lastRoots = nil // not maintained by local groups; see the field
 	return stats, nil
 }
 
@@ -997,6 +1100,12 @@ func (s *Store) Abort() error {
 		s.resetStaging()
 	}
 	s.broken = nil // a poisoned store recovers by replaying the log
+	return s.reload()
+}
+
+// reload drops the in-memory heap and replays the log. Callers hold s.mu
+// and have left no staged group in the file.
+func (s *Store) reload() error {
 	s.roots = map[string]*Root{}
 	s.oids = map[value.Value]uint64{}
 	s.nodes = map[uint64][]byte{}
@@ -1022,14 +1131,15 @@ func (s *Store) Compact() (CompactStats, error) {
 	if err := s.writable(); err != nil {
 		return CompactStats{}, err
 	}
-	if _, err := s.stageCommitLocked(); err != nil {
+	if _, err := s.stageCommitLocked(s.namesLocked()); err != nil {
 		return CompactStats{}, err
 	}
 	if _, err := s.syncStaged(); err != nil {
 		return CompactStats{}, err
 	}
 	before := s.end
-	order := s.reach()
+	names := s.namesLocked()
+	order := s.reach(names)
 	oidOf := func(v value.Value) uint64 { return s.oids[v] }
 
 	tmp, err := s.fs.CreateTemp(iofault.Dir(s.path), ".compact-*")
@@ -1056,7 +1166,9 @@ func (s *Store) Compact() (CompactStats, error) {
 		out.uvarint(uint64(len(img)))
 		out.Write(img)
 	}
-	if err := s.encodeRootTable(&out); err != nil {
+	// The rewritten log's one group states the whole table as a delta
+	// against the empty one.
+	if err := s.encodeRootDelta(&out, names, nil); err != nil {
 		tmp.Close()
 		return CompactStats{}, err
 	}

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"dbpl/internal/types"
 	"dbpl/internal/value"
 )
 
@@ -18,16 +17,7 @@ func writeV1Log(t *testing.T, path string) {
 	b.WriteByte(logVersion1)
 	b.WriteByte(recRoots)
 	b.uvarint(1)
-	b.str("x")
-	if err := b.typ(types.Int); err != nil {
-		t.Fatal(err)
-	}
-	var vb nodeBuf
-	if err := encodeInline(&vb, value.Int(7), nil); err != nil {
-		t.Fatal(err)
-	}
-	b.uvarint(uint64(vb.Len()))
-	b.Write(vb.Bytes())
+	intEntry(t, &b, "x", 7)
 	b.WriteByte(recCommit) // v1: no checksum after the commit marker
 	if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
@@ -47,6 +37,15 @@ func TestV1LogCompat(t *testing.T) {
 	if r, ok := s.Root("x"); !ok || !value.Equal(r.Value, value.Int(7)) {
 		t.Fatalf("v1 root x = %v, want 7", r)
 	}
+	// Bind and unbind z across two v1 groups: each carries a whole 'R'
+	// table, which replay must read as "replace", dropping z again.
+	if err := s.Bind("z", value.Int(9), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatalf("Commit onto v1 log: %v", err)
+	}
+	s.Unbind("z")
 	if err := s.Bind("y", value.Int(8), nil); err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +65,8 @@ func TestV1LogCompat(t *testing.T) {
 	if rep.Version != logVersion1 {
 		t.Fatalf("version = %d after append, want 1", rep.Version)
 	}
-	if !rep.Clean() || rep.Commits != 2 {
-		t.Fatalf("report = %+v, want clean with 2 commits", rep)
+	if !rep.Clean() || rep.Commits != 3 || rep.Roots != 2 {
+		t.Fatalf("report = %+v, want clean with 3 commits and 2 roots", rep)
 	}
 
 	s2, err := Open(path)
@@ -77,10 +76,20 @@ func TestV1LogCompat(t *testing.T) {
 	if r, ok := s2.Root("y"); !ok || !value.Equal(r.Value, value.Int(8)) {
 		t.Fatalf("appended v1 root y = %v, want 8", r)
 	}
+	if _, ok := s2.Root("z"); ok {
+		t.Fatal("z survived the v1 table that dropped it")
+	}
 
-	// Compact rewrites at the current version: the upgrade path to v2.
+	// Compact rewrites at the current version: the upgrade path to v2 —
+	// and to root deltas, the next commit's included.
 	if _, err := s2.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
+	}
+	if err := s2.Bind("w", value.Int(6), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.Commit(); err != nil {
+		t.Fatalf("Commit onto the upgraded log: %v", err)
 	}
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
@@ -106,5 +115,8 @@ func TestV1LogCompat(t *testing.T) {
 	}
 	if r, ok := s3.Root("y"); !ok || !value.Equal(r.Value, value.Int(8)) {
 		t.Fatalf("upgraded root y = %v, want 8", r)
+	}
+	if r, ok := s3.Root("w"); !ok || !value.Equal(r.Value, value.Int(6)) || len(s3.Names()) != 3 {
+		t.Fatalf("upgraded log holds %v (w = %v), want w, x, y", s3.Names(), r)
 	}
 }

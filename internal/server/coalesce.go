@@ -6,7 +6,7 @@
 // 1/fsync-latency no matter how many clients push. The coalescer turns
 // that queue into a batch: writers hand their commit to a dedicated
 // committer goroutine, which drains everything queued, stages each commit
-// as its own group in the store's log (StageCommit — write, no sync), and
+// as its own group in the store's log (StageBound — write, no sync), and
 // promotes the whole batch with ONE shared fsync (SyncBatch). Every
 // waiter is acknowledged only after that shared durable boundary, so the
 // guarantee each writer observes is exactly per-commit durability — the
@@ -263,7 +263,7 @@ func (s *Server) processBatch(batch []*commitReq) {
 			}
 		}
 		if failAll == nil {
-			if _, err := s.store.StageCommit(); err != nil {
+			if _, err := s.store.StageBound(); err != nil {
 				failAll = err
 			}
 		}

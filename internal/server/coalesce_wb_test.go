@@ -458,9 +458,17 @@ func TestAsyncAckAheadOfDurable(t *testing.T) {
 func TestAsyncFsyncFailurePoisons(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "async-poison.log")
 	inj := iofault.NewInjector(iofault.OS{})
-	srv, _ := wbServer(t, inj, path, Config{Durability: DurAsync})
+	srv, st := wbServer(t, inj, path, Config{Durability: DurAsync})
 	if _, err := srv.commit([]txnOp{putOp("base", 0)}, "", nil); err != nil {
 		t.Fatal(err)
+	}
+	// base was acknowledged ahead of its fsync; let that land, or it is the
+	// one the fault below hits.
+	for deadline := time.Now().Add(5 * time.Second); st.StagedGroups() > 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the base commit's batch never synced")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	inj.FailAt(iofault.OpSync, inj.Count(iofault.OpSync)+1)

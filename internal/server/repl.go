@@ -37,12 +37,17 @@ import (
 	rtrace "dbpl/internal/telemetry/trace"
 )
 
-// notifyCommit wakes every blocked replication streamer by closing the
-// current signal channel and installing a fresh one. Streamers load the
-// channel *before* reading the durable end, so a commit landing between
-// the two closes exactly the channel they are about to wait on — the
-// wakeup cannot be lost.
+// notifyCommit marks a publication: the log grew and the published state
+// (already stored, when the group changed it) covers it. It records the
+// offset covered — the store's append position: the durable end, or under
+// DurAsync the staged end about to become it — and wakes every blocked
+// replication streamer by closing the current signal channel and
+// installing a fresh one. Streamers load the channel *before* reading the
+// durable end, so a commit landing between the two closes exactly the
+// channel they are about to wait on — the wakeup cannot be lost. Callers
+// hold commitMu.
 func (s *Server) notifyCommit() {
+	s.publishedEnd.Store(s.store.StagedEnd())
 	ch := make(chan struct{})
 	if old := s.commitSignal.Swap(&ch); old != nil {
 		close(*old)
@@ -600,9 +605,11 @@ func (s *Server) publishDelta(delta intrinsic.GroupDelta) error {
 	}
 	if next != cur {
 		s.state.Store(next)
-		s.notifyCommit()
 		s.m.indexTouched.Add(uint64(istats.EntriesTouched))
 		s.m.commits.Inc()
 	}
+	// Even a group that changed no state (an epoch record, a shutdown
+	// boundary) grew the log this server reports and re-ships.
+	s.notifyCommit()
 	return nil
 }

@@ -15,8 +15,11 @@
 // commit in progress, because the pointer is swapped only after the
 // store's commit group is durable. Writers buffer per session and
 // serialize through commitMu: apply the session's operations to the
-// store, store.Commit(), then publish the next state (a Fork of the
-// previous database with the delta applied). If the store commit fails,
+// store, stage and sync them as one commit group (StageBound: the store
+// walks only the roots just bound, which is sound because this server
+// binds freshly decoded values and never mutates a published one), then
+// publish the next state (a Fork of the previous database with the delta
+// applied). If the store commit fails,
 // store.Abort() replays the log back to the last durable group and the
 // published state is left untouched — the remote failure taxonomy
 // (wire.CodeIO / wire.CodeCorrupt) mirrors the local one.
@@ -323,6 +326,13 @@ type Server struct {
 
 	// state is the published committed view; see the package comment.
 	state atomic.Pointer[state]
+	// publishedEnd is the log offset the published state covers, stored
+	// after every state publication (notifyCommit). HEALTH reports the
+	// durable end capped by it: a follower's store end moves when a group
+	// is applied, before the state that serves it is published, and a
+	// client that saw the store's end would route a read-your-writes GET
+	// here one step too early.
+	publishedEnd atomic.Int64
 	// commitMu serializes writers end to end: store mutation, commit
 	// group, state publication.
 	commitMu sync.Mutex
@@ -498,7 +508,11 @@ func New(store *intrinsic.Store, cfg Config) (*Server, error) {
 		}
 		return 0
 	})
-	reg.GaugeFunc("dbpl_store_durable_end", func() int64 { return store.DurableEnd() })
+	// The durable end a reader can rely on: never past what the published
+	// state covers (see publishedEnd).
+	reg.GaugeFunc("dbpl_store_durable_end", func() int64 {
+		return min(store.DurableEnd(), srv.publishedEnd.Load())
+	})
 	// The acked-end watermark: equal to the durable end except under
 	// DurAsync, where it runs ahead by the acked-but-unsynced window.
 	reg.GaugeFunc("dbpl_server_acked_end", func() int64 {
@@ -703,6 +717,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if _, err := s.store.Commit(); err != nil {
 		return err
 	}
+	s.notifyCommit()
 	return nil
 }
 
@@ -1557,8 +1572,15 @@ func (s *Server) commit(ops []txnOp, key string, tr *rtrace.Trace) ([]bool, erro
 		}
 	}
 	tr.End(ssp)
+	// StageBound, not Commit: every value this server binds is freshly
+	// decoded and the published state is immutable, so nothing under an
+	// untouched root can have changed and the store need not walk it.
 	fsp := tr.Start(csp, "append-fsync")
-	if _, err := s.store.Commit(); err != nil {
+	_, err := s.store.StageBound()
+	if err == nil {
+		_, err = s.store.SyncBatch()
+	}
+	if err != nil {
 		s.rollback(err)
 		return nil, err
 	}
