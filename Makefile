@@ -140,10 +140,14 @@ trace-tests:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Short fuzz passes over the decoders and the language pipeline.
+# Short fuzz passes over the decoders, the conformance walk (differential
+# against TypeOf + subtyping) and the language pipeline. The codec seeds
+# include images nested past the depth bounds, 32 KiB and more; minimizing
+# an input grown from one would take the whole pass, so it is cut short.
 fuzz:
-	$(GO) test -fuzz=FuzzUnmarshalValue -fuzztime=30s ./internal/persist/codec/
-	$(GO) test -fuzz=FuzzDecodeType -fuzztime=30s ./internal/persist/codec/
+	$(GO) test -fuzz=FuzzUnmarshalValue -fuzztime=30s -fuzzminimizetime=5s ./internal/persist/codec/
+	$(GO) test -fuzz=FuzzDecodeType -fuzztime=30s -fuzzminimizetime=5s ./internal/persist/codec/
+	$(GO) test -fuzz=FuzzConforms -fuzztime=30s ./internal/value/
 	$(GO) test -fuzz=FuzzRun -fuzztime=30s ./internal/lang/
 
 # The wire-decoder fuzz contract (part of `make all`): malformed frames,

@@ -17,11 +17,13 @@ package codec
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 
 	"dbpl/internal/dynamic"
@@ -44,6 +46,22 @@ const (
 
 	// maxCount bounds decoded collection sizes as a corruption guard.
 	maxCount = 1 << 28
+)
+
+// Nesting bounds. Encoding and decoding recurse once per level, and a
+// goroutine that outgrows its stack kills the process, so an image nested
+// past a bound is refused with ErrLimitExceeded — by the decoder, which a
+// 16 MiB frame of nested list tags would otherwise crash, and by the
+// encoder, so nothing writes an image its reader refuses.
+const (
+	// MaxValueDepth bounds value nesting, generously: a linked list of
+	// 10 000 records round-trips.
+	MaxValueDepth = 1 << 15
+	// MaxTypeDepth bounds type nesting. An inferred type is as deep as
+	// its value — TypeOf of a linked list is as deep as the list — plus
+	// one for an empty list's or set's Bottom, so any value within
+	// MaxValueDepth round-trips at its most specific type.
+	MaxTypeDepth = MaxValueDepth + 1
 )
 
 // Value tags.
@@ -97,6 +115,9 @@ type Encoder struct {
 	ids  map[value.Value]uint64 // container identity -> id
 	next uint64
 	err  error
+	// valueDepth and typeDepth count the levels being encoded; see
+	// MaxValueDepth and MaxTypeDepth.
+	valueDepth, typeDepth int
 }
 
 // NewEncoder returns an encoder that writes the image header immediately.
@@ -193,6 +214,16 @@ func (e *Encoder) encodeValue(v value.Value) {
 	if e.err != nil {
 		return
 	}
+	if e.valueDepth == MaxValueDepth {
+		e.err = fmt.Errorf("%w: value nested deeper than %d", ErrLimitExceeded, MaxValueDepth)
+		return
+	}
+	e.valueDepth++
+	e.encodeValueBody(v)
+	e.valueDepth--
+}
+
+func (e *Encoder) encodeValueBody(v value.Value) {
 	switch vv := v.(type) {
 	case value.Int:
 		e.byte(vInt)
@@ -279,6 +310,16 @@ func (e *Encoder) encodeType(t types.Type) {
 	if e.err != nil {
 		return
 	}
+	if e.typeDepth == MaxTypeDepth {
+		e.err = fmt.Errorf("%w: type nested deeper than %d", ErrLimitExceeded, MaxTypeDepth)
+		return
+	}
+	e.typeDepth++
+	e.encodeTypeBody(t)
+	e.typeDepth--
+}
+
+func (e *Encoder) encodeTypeBody(t types.Type) {
 	switch tt := t.(type) {
 	case *types.Basic:
 		switch tt.Kind() {
@@ -362,13 +403,33 @@ type Decoder struct {
 	r    *bufio.Reader
 	refs []value.Value
 	// typeDepth tracks Type's recursion so only complete top-level types are
-	// canonicalized (open subterms under a binder should not be interned).
-	typeDepth int
+	// canonicalized (open subterms under a binder should not be interned),
+	// and, with valueDepth, enforces the nesting bounds.
+	typeDepth, valueDepth int
+
+	// open is the stack of containers being decoded, innermost last. Each
+	// enters refs before its children, so a child can refer back to a
+	// record, list or set still open and close a cycle. openBuf backs it
+	// for the common shallow image.
+	open    []openContainer
+	openBuf [4]openContainer
+	// cyclic has bit id set when the completed container refs[id] may reach
+	// a cycle; nil until an image has one. See setElem.
+	cyclic []uint64
+}
+
+// openContainer is one entry of Decoder.open.
+type openContainer struct {
+	id   int  // index in refs; ascending up the stack
+	kind byte // its value tag
+	// reaches is set once the container may reach a cycle.
+	reaches bool
 }
 
 // NewDecoder checks the image header and returns a decoder.
 func NewDecoder(r io.Reader) (*Decoder, error) {
 	d := &Decoder{r: bufio.NewReader(r)}
+	d.open = d.openBuf[:0]
 	var hdr [len(magic) + 1]byte
 	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMagic, err)
@@ -446,8 +507,71 @@ func capCount(n int) int {
 	return n
 }
 
+// Cycles. A set keys each element by its whole structure, and value.Key,
+// which stops only at a dynamic, recurses forever round a cycle, so a set
+// element that reaches one would crash the reader in Set.Add. Each open
+// container notes whether it may reach a cycle: it refers back to a
+// container still open, or to a completed one that may, or has a child that
+// may — a dynamic, opaque to Key, passes nothing on. A back reference from
+// inside a dynamic's value to a container outside it need not close a cycle
+// Key follows; counting it anyway keeps the check sound, at the price of
+// refusing a set that holds such a value. Every other cycle decodes.
+
+// push marks refs[id], a container of the given tag, as being decoded.
+func (d *Decoder) push(id int, kind byte) {
+	d.open = append(d.open, openContainer{id: id, kind: kind})
+}
+
+// pop marks the innermost container being decoded as complete. One that
+// may reach a cycle passes that on to its parent, unless it is a dynamic.
+func (d *Decoder) pop() {
+	n := len(d.open) - 1
+	c := d.open[n]
+	d.open = d.open[:n]
+	if !c.reaches || c.kind == vDynamic {
+		return
+	}
+	for len(d.cyclic) <= c.id/64 {
+		d.cyclic = append(d.cyclic, 0)
+	}
+	d.cyclic[c.id/64] |= 1 << (c.id % 64)
+	if n > 0 {
+		d.open[n-1].reaches = true
+	}
+}
+
+// ref notes a reference to refs[id] from the innermost open container.
+func (d *Decoder) ref(id int) {
+	if len(d.open) == 0 {
+		return
+	}
+	_, open := slices.BinarySearchFunc(d.open, id, func(c openContainer, id int) int { return cmp.Compare(c.id, id) })
+	if open || id/64 < len(d.cyclic) && d.cyclic[id/64]&(1<<(id%64)) != 0 {
+		d.open[len(d.open)-1].reaches = true
+	}
+}
+
+// setElem vets the element just decoded into the innermost open container,
+// a set, before Set.Add keys it.
+func (d *Decoder) setElem() error {
+	if d.open[len(d.open)-1].reaches {
+		return fmt.Errorf("%w: a set element reaching a cycle", ErrCorrupt)
+	}
+	return nil
+}
+
 // Value reads one value.
 func (d *Decoder) Value() (value.Value, error) {
+	if d.valueDepth == MaxValueDepth {
+		return nil, fmt.Errorf("%w: value nested deeper than %d", ErrLimitExceeded, MaxValueDepth)
+	}
+	d.valueDepth++
+	v, err := d.value()
+	d.valueDepth--
+	return v, err
+}
+
+func (d *Decoder) value() (value.Value, error) {
 	tag, err := d.r.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -482,6 +606,7 @@ func (d *Decoder) Value() (value.Value, error) {
 	case vRecord:
 		rec := value.NewRecord()
 		d.refs = append(d.refs, rec) // register before children: cycles
+		d.push(len(d.refs)-1, vRecord)
 		n, err := d.count()
 		if err != nil {
 			return nil, err
@@ -497,10 +622,12 @@ func (d *Decoder) Value() (value.Value, error) {
 			}
 			rec.Set(l, f)
 		}
+		d.pop()
 		return rec, nil
 	case vList:
 		lst := value.NewList()
 		d.refs = append(d.refs, lst)
+		d.push(len(d.refs)-1, vList)
 		n, err := d.count()
 		if err != nil {
 			return nil, err
@@ -512,10 +639,12 @@ func (d *Decoder) Value() (value.Value, error) {
 			}
 			lst.Append(el)
 		}
+		d.pop()
 		return lst, nil
 	case vSet:
 		set := value.NewSet()
 		d.refs = append(d.refs, set)
+		d.push(len(d.refs)-1, vSet)
 		n, err := d.count()
 		if err != nil {
 			return nil, err
@@ -525,13 +654,18 @@ func (d *Decoder) Value() (value.Value, error) {
 			if err != nil {
 				return nil, err
 			}
+			if err := d.setElem(); err != nil {
+				return nil, err
+			}
 			set.Add(el)
 		}
+		d.pop()
 		return set, nil
 	case vTag:
 		// Reserve the slot first so ids line up with encoding order.
 		idx := len(d.refs)
 		d.refs = append(d.refs, nil)
+		d.push(idx, vTag)
 		label, err := d.str()
 		if err != nil {
 			return nil, err
@@ -540,6 +674,7 @@ func (d *Decoder) Value() (value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
+		d.pop()
 		tv := value.NewTag(label, payload)
 		d.refs[idx] = tv
 		return tv, nil
@@ -552,6 +687,7 @@ func (d *Decoder) Value() (value.Value, error) {
 	case vDynamic:
 		idx := len(d.refs)
 		d.refs = append(d.refs, nil)
+		d.push(idx, vDynamic)
 		t, err := d.Type()
 		if err != nil {
 			return nil, err
@@ -560,6 +696,7 @@ func (d *Decoder) Value() (value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
+		d.pop()
 		dyn, err := dynamic.MakeAt(v, t)
 		if err != nil {
 			return nil, fmt.Errorf("%w: dynamic no longer conforms: %v", ErrCorrupt, err)
@@ -574,6 +711,7 @@ func (d *Decoder) Value() (value.Value, error) {
 		if id >= uint64(len(d.refs)) || d.refs[id] == nil {
 			return nil, fmt.Errorf("%w: dangling reference %d", ErrCorrupt, id)
 		}
+		d.ref(int(id))
 		return d.refs[id], nil
 	default:
 		return nil, fmt.Errorf("%w: value tag %d", ErrCorrupt, tag)
@@ -585,6 +723,9 @@ func (d *Decoder) Value() (value.Value, error) {
 // in-memory representation — and hence one entry in every type-keyed cache
 // and one extent handle in the database engine.
 func (d *Decoder) Type() (types.Type, error) {
+	if d.typeDepth == MaxTypeDepth {
+		return nil, fmt.Errorf("%w: type nested deeper than %d", ErrLimitExceeded, MaxTypeDepth)
+	}
 	d.typeDepth++
 	t, err := d.typeInner()
 	d.typeDepth--

@@ -36,6 +36,12 @@ func FuzzUnmarshalValue(f *testing.F) {
 	}
 	f.Add([]byte("DBPL\x01"))
 	f.Add([]byte{})
+	// Nesting one past the bound, a set reaching a cycle and a cycle of
+	// lists alone: each once crashed the reader's stack — the decoder's,
+	// value.Key's or TypeOf's.
+	f.Add(nestedImage([]byte{vList, 1}, MaxValueDepth, vInt, 0))
+	f.Add(nestedImage(nil, 0, vSet, 1, vSet, 1, vRef, 1))
+	f.Add(nestedImage(nil, 0, vList, 1, vRef, 0))
 
 	f.Fuzz(func(t *testing.T, img []byte) {
 		v, err := UnmarshalValue(img)
@@ -68,6 +74,7 @@ func FuzzDecodeType(f *testing.F) {
 		}
 		f.Add(img)
 	}
+	f.Add(nestedImage([]byte{tList}, MaxTypeDepth, tInt))
 	f.Fuzz(func(t *testing.T, img []byte) {
 		d, err := NewDecoder(bytes.NewReader(img))
 		if err != nil {

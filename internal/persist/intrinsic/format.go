@@ -133,9 +133,20 @@ func capCount(n int) int {
 	return n
 }
 
-// parseType decodes a codec type image (as written by nodeBuf.typ, without
-// the length prefix).
-func parseType(img []byte) (types.Type, error) {
+// typeImages maps a store's type images to the canonical types they decode
+// to. Principle P2 puts a type image beside every root entry, typed node and
+// type value, so a log repeats a few distinct images thousands of times;
+// through this map replay, ApplyGroup, Fsck and node decoding decode each
+// distinct image once. It grows with the distinct types the log names, as
+// the intern table does. A nil map decodes every image afresh.
+type typeImages map[string]types.Type
+
+// parse decodes a codec type image (as written by nodeBuf.typ, without the
+// length prefix), remembering it in c.
+func (c typeImages) parse(img []byte) (types.Type, error) {
+	if t, ok := c[string(img)]; ok {
+		return t, nil
+	}
 	dec, err := codec.NewDecoder(bytes.NewReader(img))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -143,6 +154,9 @@ func parseType(img []byte) (types.Type, error) {
 	t, err := dec.Type()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if c != nil {
+		c[string(img)] = t
 	}
 	return t, nil
 }
@@ -330,8 +344,9 @@ func isTransient(label, prefix string) bool {
 
 // nodeReader decodes node images.
 type nodeReader struct {
-	buf []byte
-	pos int
+	buf   []byte
+	pos   int
+	types typeImages
 }
 
 func (r *nodeReader) byte() (byte, error) {
@@ -382,16 +397,9 @@ func (r *nodeReader) typ() (types.Type, error) {
 	if r.pos+int(n) > len(r.buf) {
 		return nil, fmt.Errorf("%w: short type", ErrCorrupt)
 	}
-	dec, err := codec.NewDecoder(bytes.NewReader(r.buf[r.pos : r.pos+int(n)]))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
+	img := r.buf[r.pos : r.pos+int(n)]
 	r.pos += int(n)
-	t, err := dec.Type()
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return t, nil
+	return r.types.parse(img)
 }
 
 // inlineValue decodes an inline value; container refs are resolved through

@@ -76,7 +76,7 @@ func FsckFS(fsys iofault.FS, path string) (*FsckReport, error) {
 
 	rep := &FsckReport{Path: path, Size: fi.Size()}
 	var fold groupFold // nodes left nil: images are counted, not retained
-	sum, err := scanLog(f, fold.sink())
+	sum, err := scanLog(f, fold.sink(typeImages{}))
 	if err != nil {
 		return nil, err
 	}

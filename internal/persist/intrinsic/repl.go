@@ -202,7 +202,7 @@ func (s *Store) ReadGroupsAt(from int64, maxBytes int) ([]byte, int64, int, erro
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		good, groups, cerr := groupBoundary(buf)
+		good, groups, cerr := groupBoundary(buf, s.types)
 		if cerr != nil {
 			return nil, 0, 0, cerr
 		}
@@ -244,8 +244,8 @@ func (s *Store) readAt(off int64, n int) ([]byte, error) {
 // whole valid commit groups and how many groups that prefix holds. A cut
 // final group is fine (it just isn't counted); deterministic corruption is
 // an error.
-func groupBoundary(buf []byte) (int64, int, error) {
-	sum, err := scanRaw(buf, scanSink{})
+func groupBoundary(buf []byte, types typeImages) (int64, int, error) {
+	sum, err := scanRaw(buf, scanSink{types: types})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -304,7 +304,7 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	// 1. Structural + checksum verification, folding the groups' effect,
 	//    before a single byte touches the file.
 	fold := groupFold{nodes: map[uint64][]byte{}}
-	sum, err := scanRaw(raw, fold.sink())
+	sum, err := scanRaw(raw, fold.sink(s.types))
 	if err != nil {
 		return delta, err
 	}
@@ -379,12 +379,9 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	sort.Strings(removed)
 	staged := make([]value.Value, len(changed))
 	s.applyOverlay = newNodes
-	cache := map[uint64]value.Value{}
+	m := s.newMaterializer(len(newNodes))
 	for i, e := range changed {
-		rd := &nodeReader{buf: e.inline}
-		v, merr := rd.inlineValue(func(oid uint64) (value.Value, error) {
-			return s.materialize(oid, cache, map[uint64]bool{})
-		})
+		v, merr := m.root(e.inline)
 		if merr != nil {
 			s.applyOverlay = nil
 			return delta, merr

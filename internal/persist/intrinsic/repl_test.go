@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dbpl/internal/persist/iofault"
+	"dbpl/internal/types"
 	"dbpl/internal/value"
 )
 
@@ -270,6 +271,72 @@ func TestReplicaRefusesLocalMutation(t *testing.T) {
 	}
 	if _, err := f.Compact(); !errors.Is(err, ErrReplica) {
 		t.Fatalf("Compact on replica: %v, want ErrReplica", err)
+	}
+}
+
+// TestReplicaUnbindChangesNothing: on a follower Unbind is a no-op that
+// reports false — the handle table is the log's — so memory never runs
+// ahead of the log, and the next applied group lands on the primary's
+// state.
+func TestReplicaUnbindChangesNothing(t *testing.T) {
+	p, _ := primaryFixture(t)
+	f, err := Open(filepath.Join(t.TempDir(), "follower.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	catchUp(t, p, f)
+	before := render(f)
+	if f.Unbind("tag") {
+		t.Fatal("Unbind on replica reported true")
+	}
+	if got := render(f); !sameState(got, before) {
+		t.Fatalf("Unbind on replica changed its state: %v, want %v", got, before)
+	}
+	if err := p.Bind("n", value.Int(43), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	catchUp(t, p, f)
+	if !sameState(render(f), render(p)) {
+		t.Fatalf("follower state %v != primary state %v", render(f), render(p))
+	}
+}
+
+// TestReplicaOpenAsRefusesEnrichment: on a follower OpenAs still opens a
+// view, but enriching the handle's schema is a local write, refused with
+// ErrReplica, and the declared type stays the one the log holds.
+func TestReplicaOpenAsRefusesEnrichment(t *testing.T) {
+	p, err := Open(filepath.Join(t.TempDir(), "primary.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	emp := value.Rec("Name", value.String("J Doe"), "Empno", value.Int(1))
+	if err := p.Bind("emp", emp, types.MustParse("{Name: String}")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Open(filepath.Join(t.TempDir(), "follower.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	catchUp(t, p, f)
+	before := renderTyped(f)
+
+	if _, err := f.OpenAs("emp", types.Top); err != nil {
+		t.Fatalf("view on replica: %v", err)
+	}
+	if _, err := f.OpenAs("emp", types.MustParse("{Empno: Int}")); !errors.Is(err, ErrReplica) {
+		t.Fatalf("enrichment on replica: %v, want ErrReplica", err)
+	}
+	if got := renderTyped(f); !sameState(got, before) {
+		t.Fatalf("refused enrichment changed the replica: %v, want %v", got, before)
 	}
 }
 

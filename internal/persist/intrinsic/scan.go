@@ -52,6 +52,8 @@ type scanSink struct {
 	indexDefs func(fields []string)
 	epoch     func(e uint64)
 	commit    func(end int64)
+	// types decodes the root entries' type images; see typeImages.
+	types typeImages
 }
 
 // rootOp is one root-table record's effect on the running table: drop the
@@ -96,8 +98,9 @@ func (f *groupFold) applyRootOp(op rootOp) {
 	}
 }
 
-// sink returns the scanSink that feeds f.
-func (f *groupFold) sink() scanSink {
+// sink returns the scanSink that feeds f, decoding type images through
+// types.
+func (f *groupFold) sink(types typeImages) scanSink {
 	type nodeRec struct {
 		oid uint64
 		img []byte
@@ -122,6 +125,7 @@ func (f *groupFold) sink() scanSink {
 		roots:     func(op rootOp) { rootOps = append(rootOps, op) },
 		indexDefs: func(fields []string) { defs, sawDefs = fields, true },
 		epoch:     func(e uint64) { epoch, sawEpoch = e, true },
+		types:     types,
 		commit: func(int64) {
 			f.nodeRecs += nodeRecs
 			for _, n := range nodes {
@@ -157,6 +161,10 @@ type logScanner struct {
 	r   *bufio.Reader
 	off int64
 	crc uint32
+	// one and scratch hold bytes only until the next read: the byte
+	// ReadByte checksums, and the names and type images decoded in place.
+	one     [1]byte
+	scratch []byte
 }
 
 // ReadByte implements io.ByteReader so binary.ReadUvarint counts and
@@ -167,7 +175,8 @@ func (s *logScanner) ReadByte() (byte, error) {
 		return 0, err
 	}
 	s.off++
-	s.crc = crc32.Update(s.crc, crcTable, []byte{b})
+	s.one[0] = b
+	s.crc = crc32.Update(s.crc, crcTable, s.one[:])
 	return b, nil
 }
 
@@ -178,6 +187,25 @@ func (s *logScanner) uvarint() (uint64, error) {
 func (s *logScanner) bytes(n int) ([]byte, error) {
 	buf, err := readN(s.r, n)
 	if err != nil {
+		return nil, err
+	}
+	s.off += int64(n)
+	s.crc = crc32.Update(s.crc, crcTable, buf)
+	return buf, nil
+}
+
+// transient is bytes for a field decoded on the spot: the result is only
+// valid until the next read.
+func (s *logScanner) transient(n int) ([]byte, error) {
+	const limit = 64 << 10 // larger fields take readN's guarded growth
+	if n > limit {
+		return s.bytes(n)
+	}
+	if cap(s.scratch) < n {
+		s.scratch = make([]byte, max(n, 256))
+	}
+	buf := s.scratch[:n]
+	if _, err := io.ReadFull(s.r, buf); err != nil {
 		return nil, err
 	}
 	s.off += int64(n)
@@ -205,7 +233,7 @@ func isEOF(err error) bool {
 // scanRootEntries parses a counted list of root-table entries — the body
 // of an 'R' record and the upsert half of a 'D' — validating lengths and
 // type images.
-func scanRootEntries(s *logScanner) ([]rootEntry, error) {
+func scanRootEntries(s *logScanner, types typeImages) ([]rootEntry, error) {
 	count, err := s.uvarint()
 	if err != nil {
 		return nil, err
@@ -222,10 +250,11 @@ func scanRootEntries(s *logScanner) ([]rootEntry, error) {
 		if n > maxRecordSize {
 			return nil, fmt.Errorf("%w: bad root name length", ErrCorrupt)
 		}
-		name, err := s.bytes(int(n))
+		name, err := s.transient(int(n))
 		if err != nil {
 			return nil, err
 		}
+		e := rootEntry{name: string(name)}
 		tn, err := s.uvarint()
 		if err != nil {
 			return nil, err
@@ -233,12 +262,11 @@ func scanRootEntries(s *logScanner) ([]rootEntry, error) {
 		if tn > maxRecordSize {
 			return nil, fmt.Errorf("%w: oversized type record", ErrCorrupt)
 		}
-		tbuf, err := s.bytes(int(tn))
+		tbuf, err := s.transient(int(tn))
 		if err != nil {
 			return nil, err
 		}
-		typ, err := parseType(tbuf)
-		if err != nil {
+		if e.typ, err = types.parse(tbuf); err != nil {
 			return nil, err
 		}
 		vn, err := s.uvarint()
@@ -248,11 +276,10 @@ func scanRootEntries(s *logScanner) ([]rootEntry, error) {
 		if vn > maxRecordSize {
 			return nil, fmt.Errorf("%w: bad root value length", ErrCorrupt)
 		}
-		vbuf, err := s.bytes(int(vn))
-		if err != nil {
+		if e.inline, err = s.bytes(int(vn)); err != nil {
 			return nil, err
 		}
-		entries = append(entries, rootEntry{name: string(name), typ: typ, inline: vbuf})
+		entries = append(entries, e)
 	}
 	return entries, nil
 }
@@ -276,7 +303,7 @@ func scanNames(s *logScanner) ([]string, error) {
 		if n > maxRecordSize {
 			return nil, fmt.Errorf("%w: bad name length", ErrCorrupt)
 		}
-		name, err := s.bytes(int(n))
+		name, err := s.transient(int(n))
 		if err != nil {
 			return nil, err
 		}
@@ -378,7 +405,7 @@ func scanLog(r io.Reader, sink scanSink) (scanSummary, error) {
 			}
 		case recRoots, recRootDelta:
 			op := rootOp{replace: kind == recRoots}
-			op.upserts, err = scanRootEntries(s)
+			op.upserts, err = scanRootEntries(s, sink.types)
 			if err == nil && kind == recRootDelta {
 				op.deletes, err = scanNames(s)
 			}

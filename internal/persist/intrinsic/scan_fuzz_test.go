@@ -184,7 +184,7 @@ func TestScanLogIndexSeeds(t *testing.T) {
 func TestScanLogRootDeltaSeeds(t *testing.T) {
 	seed := seedLogWithRootDeltas(t)
 	var fold groupFold
-	sum, err := scanLog(bytes.NewReader(seed), fold.sink())
+	sum, err := scanLog(bytes.NewReader(seed), fold.sink(nil))
 	if err != nil || sum.corrupt != nil || sum.torn || sum.commits != 3 {
 		t.Fatalf("clean seed misclassified: err=%v sum=%+v", err, sum)
 	}
@@ -212,7 +212,7 @@ func TestScanLogRootDeltaSeeds(t *testing.T) {
 		flipped := append([]byte(nil), seed...)
 		flipped[at] ^= 0xFF
 		var damaged groupFold
-		sum, _ := scanLog(bytes.NewReader(flipped), damaged.sink())
+		sum, _ := scanLog(bytes.NewReader(flipped), damaged.sink(nil))
 		if sum.corrupt == nil && !sum.torn {
 			t.Fatalf("flip at %d went undetected: %+v", at, sum)
 		}

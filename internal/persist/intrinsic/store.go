@@ -125,6 +125,8 @@ type Store struct {
 	oids    map[value.Value]uint64
 	nodes   map[uint64][]byte
 	nextOID uint64
+	// types holds the type images decoded so far; reload keeps it.
+	types typeImages
 
 	// epoch is the promotion epoch: 0 until the first Promote, bumped by
 	// every Promote and recovered from the last committed 'E' record on
@@ -211,9 +213,8 @@ func OpenFS(fsys iofault.FS, path string) (*Store, error) {
 		fs:        fsys,
 		path:      path,
 		f:         f,
-		roots:     map[string]*Root{},
-		oids:      map[value.Value]uint64{},
 		nodes:     map[uint64][]byte{},
+		types:     typeImages{},
 		indexDefs: map[string]bool{},
 	}
 	if err := s.load(); err != nil {
@@ -270,7 +271,7 @@ func (s *Store) load() error {
 	s.defsDirty = false
 	s.touched, s.stagedTouched = nil, nil
 	fold := groupFold{nodes: map[uint64][]byte{}}
-	sum, err := scanLog(s.f, fold.sink())
+	sum, err := scanLog(s.f, fold.sink(s.types))
 	if err != nil {
 		return err
 	}
@@ -297,6 +298,7 @@ func (s *Store) load() error {
 		s.tailDirty = false
 		s.setEpoch(0)
 		s.lastRoots = map[string]rootEntry{}
+		s.roots, s.oids = map[string]*Root{}, map[value.Value]uint64{}
 		return nil
 	}
 	if sum.corrupt != nil {
@@ -318,20 +320,27 @@ func (s *Store) load() error {
 	}
 	// Materialize the committed roots — the fold of every root record from
 	// the empty table — retaining the raw entries for ApplyGroup.
-	cache := map[uint64]value.Value{}
 	s.lastRoots = fold.upserts
 	if s.lastRoots == nil {
 		s.lastRoots = map[string]rootEntry{}
 	}
+	s.roots = make(map[string]*Root, len(s.lastRoots))
+	oids := len(s.nodes)
+	if s.replica {
+		oids = 0 // a replica registers none; see register
+	}
+	s.oids = make(map[value.Value]uint64, oids)
+	m := s.newMaterializer(len(s.nodes))
+	roots := make([]Root, len(s.lastRoots))
+	i := 0
 	for _, e := range s.lastRoots {
-		rd := &nodeReader{buf: e.inline}
-		v, err := rd.inlineValue(func(oid uint64) (value.Value, error) {
-			return s.materialize(oid, cache, map[uint64]bool{})
-		})
+		v, err := m.root(e.inline)
 		if err != nil {
 			return err
 		}
-		s.roots[e.name] = &Root{Declared: e.typ, Value: v}
+		roots[i] = Root{Declared: e.typ, Value: v}
+		s.roots[e.name] = &roots[i]
+		i++
 	}
 	// Position the write handle at the end of durable data: a torn tail,
 	// if any, is overwritten by the next append (after truncation).
@@ -351,10 +360,43 @@ func (s *Store) register(v value.Value, oid uint64) {
 	}
 }
 
-// materialize decodes the node oid (and, recursively, its children) into a
-// live value, with sharing through cache.
-func (s *Store) materialize(oid uint64, cache map[uint64]value.Value, busy map[uint64]bool) (value.Value, error) {
-	if v, ok := cache[oid]; ok {
+// materializer decodes node images into live values for one load or
+// ApplyGroup. cache shares each node among every parent that reaches it;
+// busy holds the set, tag and dynamic nodes being decoded — a cycle back
+// into one is corrupt — and is allocated at the first of them.
+type materializer struct {
+	s       *Store
+	cache   map[uint64]value.Value
+	busy    map[uint64]bool
+	resolve func(oid uint64) (value.Value, error) // m.node, bound once
+}
+
+// newMaterializer returns a materializer sized for n nodes.
+func (s *Store) newMaterializer(n int) *materializer {
+	m := &materializer{s: s, cache: make(map[uint64]value.Value, n)}
+	m.resolve = m.node
+	return m
+}
+
+// root decodes a root entry's inline value.
+func (m *materializer) root(inline []byte) (value.Value, error) {
+	r := nodeReader{buf: inline, types: m.s.types}
+	return r.inlineValue(m.resolve)
+}
+
+// enter marks a non-record node as being decoded.
+func (m *materializer) enter(oid uint64) {
+	if m.busy == nil {
+		m.busy = map[uint64]bool{}
+	}
+	m.busy[oid] = true
+}
+
+// node decodes the node oid (and, recursively, its children) into a live
+// value, with sharing through the cache.
+func (m *materializer) node(oid uint64) (value.Value, error) {
+	s := m.s
+	if v, ok := m.cache[oid]; ok {
 		return v, nil
 	}
 	img, ok := s.nodes[oid]
@@ -364,26 +406,24 @@ func (s *Store) materialize(oid uint64, cache map[uint64]value.Value, busy map[u
 	if !ok {
 		return nil, fmt.Errorf("%w: dangling oid %d", ErrCorrupt, oid)
 	}
-	if busy[oid] {
+	if m.busy[oid] {
 		return nil, fmt.Errorf("%w: cycle through a non-record node %d", ErrCorrupt, oid)
 	}
-	r := &nodeReader{buf: img}
+	r := nodeReader{buf: img, types: s.types}
 	tag, err := r.byte()
 	if err != nil {
 		return nil, err
 	}
-	resolve := func(child uint64) (value.Value, error) {
-		return s.materialize(child, cache, busy)
-	}
+	resolve := m.resolve
 	switch tag {
 	case inRecord:
-		rec := value.NewRecord()
-		cache[oid] = rec // before children: record cycles are supported
-		s.register(rec, oid)
 		n, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
+		rec := value.NewRecordCap(capCount(int(n)))
+		m.cache[oid] = rec // before children: record cycles are supported
+		s.register(rec, oid)
 		for i := uint64(0); i < n; i++ {
 			l, err := r.str()
 			if err != nil {
@@ -397,13 +437,13 @@ func (s *Store) materialize(oid uint64, cache map[uint64]value.Value, busy map[u
 		}
 		return rec, nil
 	case inList:
-		lst := value.NewList()
-		cache[oid] = lst
-		s.register(lst, oid)
 		n, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
+		lst := &value.List{Elems: make([]value.Value, 0, capCount(int(n)))}
+		m.cache[oid] = lst
+		s.register(lst, oid)
 		for i := uint64(0); i < n; i++ {
 			el, err := r.inlineValue(resolve)
 			if err != nil {
@@ -414,9 +454,9 @@ func (s *Store) materialize(oid uint64, cache map[uint64]value.Value, busy map[u
 		return lst, nil
 	case inSet:
 		set := value.NewSet()
-		cache[oid] = set
+		m.cache[oid] = set
 		s.register(set, oid)
-		busy[oid] = true
+		m.enter(oid)
 		n, err := r.uvarint()
 		if err != nil {
 			return nil, err
@@ -428,10 +468,10 @@ func (s *Store) materialize(oid uint64, cache map[uint64]value.Value, busy map[u
 			}
 			set.Add(el)
 		}
-		delete(busy, oid)
+		delete(m.busy, oid)
 		return set, nil
 	case inTag:
-		busy[oid] = true
+		m.enter(oid)
 		label, err := r.str()
 		if err != nil {
 			return nil, err
@@ -440,13 +480,13 @@ func (s *Store) materialize(oid uint64, cache map[uint64]value.Value, busy map[u
 		if err != nil {
 			return nil, err
 		}
-		delete(busy, oid)
+		delete(m.busy, oid)
 		tv := value.NewTag(label, payload)
-		cache[oid] = tv
+		m.cache[oid] = tv
 		s.register(tv, oid)
 		return tv, nil
 	case inDynamic:
-		busy[oid] = true
+		m.enter(oid)
 		t, err := r.typ()
 		if err != nil {
 			return nil, err
@@ -455,12 +495,12 @@ func (s *Store) materialize(oid uint64, cache map[uint64]value.Value, busy map[u
 		if err != nil {
 			return nil, err
 		}
-		delete(busy, oid)
+		delete(m.busy, oid)
 		d, err := dynamic.MakeAt(inner, t)
 		if err != nil {
 			return nil, fmt.Errorf("%w: persisted dynamic no longer conforms: %v", ErrCorrupt, err)
 		}
-		cache[oid] = d
+		m.cache[oid] = d
 		s.register(d, oid)
 		return d, nil
 	default:
@@ -504,10 +544,15 @@ func (s *Store) touch(name string) {
 }
 
 // Unbind removes a handle; the values it named become garbage unless
-// reachable from another handle, and are reclaimed by the next Compact.
+// reachable from another handle, and are reclaimed by the next Compact. On
+// a replica it changes nothing and reports false: the handle table is the
+// log's, and only ApplyGroup moves it.
 func (s *Store) Unbind(name string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.replica {
+		return false
+	}
 	_, ok := s.roots[name]
 	if ok {
 		s.touch(name)
@@ -596,6 +641,9 @@ func (s *Store) indexDefsLocked() []string {
 //     does not yet conform to the meet, ErrMigrationRequired is returned
 //     and nothing changes.
 //   - otherwise: ErrInconsistent.
+//
+// On a replica a view still opens, but an enrichment is a local write and
+// is refused with ErrReplica.
 func (s *Store) OpenAs(name string, want types.Type) (value.Value, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -609,6 +657,9 @@ func (s *Store) OpenAs(name string, want types.Type) (value.Value, error) {
 	meet, ok := types.Meet(r.Declared, want)
 	if !ok {
 		return nil, fmt.Errorf("%w: stored %s, requested %s", ErrInconsistent, r.Declared, want)
+	}
+	if s.replica {
+		return nil, fmt.Errorf("%w: enriching %q", ErrReplica, name)
 	}
 	if !value.Conforms(r.Value, meet) {
 		return nil, fmt.Errorf("%w: value %s does not conform to %s",
@@ -1106,8 +1157,6 @@ func (s *Store) Abort() error {
 // reload drops the in-memory heap and replays the log. Callers hold s.mu
 // and have left no staged group in the file.
 func (s *Store) reload() error {
-	s.roots = map[string]*Root{}
-	s.oids = map[value.Value]uint64{}
 	s.nodes = map[uint64][]byte{}
 	s.nextOID = 0
 	return s.load()

@@ -216,3 +216,31 @@ func TestExternClosureReachability(t *testing.T) {
 		t.Error("reachable structure lost")
 	}
 }
+
+func TestExternInternCycleBesideSet(t *testing.T) {
+	// A record cycle next to a set, in the same value and inside a set's
+	// dynamic element, interns back with its cycles and sets intact.
+	s := open(t)
+	db := value.NewRecord()
+	db.Set("Self", db)
+	db.Set("Tags", value.NewSet(value.String("a"), value.String("b")))
+	db.Set("Wrapped", value.NewSet(dynamic.Make(db)))
+	if err := s.ExternValue("h", db); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Intern("h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := got.Value().(*value.Record)
+	if r.MustGet("Self") != r {
+		t.Error("the record cycle did not survive")
+	}
+	if n := r.MustGet("Tags").(*value.Set).Len(); n != 2 {
+		t.Errorf("the set holds %d elements, want 2", n)
+	}
+	wrapped := r.MustGet("Wrapped").(*value.Set).Elems()
+	if len(wrapped) != 1 || wrapped[0].(*dynamic.Dynamic).Value() != r {
+		t.Error("the dynamic in the set lost its cycle")
+	}
+}

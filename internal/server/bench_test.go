@@ -178,6 +178,56 @@ func BenchmarkServePutConcurrency(b *testing.B) {
 	}
 }
 
+// BenchmarkReopen measures recovery: intrinsic.Open replaying a 4 096-root
+// log declared at 41 record types — one root in eight carries a list of 16
+// sub-records — and server.New deriving the published state from it. The
+// log is written as 16 commit groups and is never appended to, so every
+// iteration replays the same bytes.
+func BenchmarkReopen(b *testing.B) {
+	const nRoots, nTypes, perGroup = 4096, 41, 256
+	path := filepath.Join(b.TempDir(), "reopen.log")
+	st, err := intrinsic.Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	itemT := types.MustParse("{Sku: Int, Qty: Int}")
+	for i := 0; i < nRoots; i++ {
+		k := i % nTypes
+		v := value.Rec("Id", value.Int(int64(i)), "Name", value.String(fmt.Sprintf("n%05d", i)),
+			fmt.Sprintf("F%d", k), value.Int(int64(k)))
+		t := types.MustParse(fmt.Sprintf("{Id: Int, Name: String, F%d: Int}", k))
+		if i%8 == 0 {
+			items := value.NewList()
+			for j := 0; j < 16; j++ {
+				items.Append(value.Rec("Sku", value.Int(int64(j)), "Qty", value.Int(1)))
+			}
+			v.Set("Items", items)
+			t = types.NewRecord(append(t.(*types.Record).Fields(), types.Field{Label: "Items", Type: types.NewList(itemT)})...)
+		}
+		if err := st.Bind(fmt.Sprintf("r%05d", i), v, t); err != nil {
+			b.Fatal(err)
+		}
+		if (i+1)%perGroup == 0 {
+			if _, err := st.Commit(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	st.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := intrinsic.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := server.New(st, server.Config{}); err != nil {
+			b.Fatal(err)
+		}
+		st.Close()
+	}
+}
+
 func BenchmarkServePut(b *testing.B) {
 	rec := value.Rec("Name", value.String("bench"), "Empno", value.Int(1))
 	recT := types.MustParse("{Name: String, Empno: Int}")

@@ -443,9 +443,10 @@ func (s *Server) markCommit(trace uint64) {
 // *definitions* are durable), so it can never be ahead of the durable
 // state — the crash-matrix invariant.
 func stateFromStore(store *intrinsic.Store) (*state, error) {
-	st := &state{roots: map[string]*dynamic.Dynamic{}, db: core.New(core.StrategyIndexed)}
-	var members []*dynamic.Dynamic
-	for _, name := range store.Names() {
+	names := store.Names()
+	st := &state{roots: make(map[string]*dynamic.Dynamic, len(names)), db: core.New(core.StrategyIndexed)}
+	members := make([]*dynamic.Dynamic, 0, len(names))
+	for _, name := range names {
 		r, ok := store.Root(name)
 		if !ok {
 			continue

@@ -26,15 +26,28 @@ func (tv *TypeVal) String() string { return "type(" + tv.T.String() + ")" }
 //
 // Values may share structure (DAGs); results are memoized per record so the
 // traversal is linear in the number of distinct nodes. A cyclic value is
-// given Top at the back edge, a conservative answer that keeps TypeOf total.
+// given Top at the back edge, a conservative answer that keeps TypeOf total —
+// whether the cycle passes through a record or only through lists, sets and
+// tags.
 func TypeOf(v Value) types.Type {
-	return typeOf(v, map[*Record]types.Type{})
+	t := typer{memo: map[*Record]types.Type{}}
+	return t.typeOf(v)
 }
 
-// inProgress marks a record currently being typed (cycle detection).
+// inProgress marks a container currently being typed (cycle detection).
 var inProgress = types.Type(types.Top)
 
-func typeOf(v Value, memo map[*Record]types.Type) types.Type {
+// typer is one TypeOf traversal. memo holds each record typed, inProgress
+// while it is, so a cycle through a record ends at Top. A cycle through no
+// record returns along elements that are lists, sets or tags; path holds the
+// lists, sets and tags being typed that took such a step, and is allocated
+// at the first, so a value without one costs nothing more.
+type typer struct {
+	memo map[*Record]types.Type
+	path map[Value]bool
+}
+
+func (t *typer) typeOf(v Value) types.Type {
 	switch vv := v.(type) {
 	case Int:
 		return types.Int
@@ -51,34 +64,60 @@ func typeOf(v Value, memo map[*Record]types.Type) types.Type {
 	case *TypeVal:
 		return types.TypeRep
 	case *Record:
-		if t, ok := memo[vv]; ok {
-			return t // includes the Top answer for back edges
+		if rt, ok := t.memo[vv]; ok {
+			return rt // includes the Top answer for back edges
 		}
-		memo[vv] = inProgress
+		t.memo[vv] = inProgress
 		fs := make([]types.Field, vv.Len())
 		for i, l := range vv.labels {
-			fs[i] = types.Field{Label: l, Type: typeOf(vv.values[i], memo)}
+			fs[i] = types.Field{Label: l, Type: t.typeOf(vv.values[i])}
 		}
-		t := types.NewRecord(fs...)
-		memo[vv] = t
-		return t
+		rt := types.NewRecord(fs...)
+		t.memo[vv] = rt
+		return rt
 	case *List:
+		if t.path[vv] {
+			return inProgress
+		}
 		elem := types.Type(types.Bottom)
 		for _, e := range vv.Elems {
-			elem = types.Join(elem, typeOf(e, memo))
+			elem = types.Join(elem, t.elem(vv, e))
 		}
+		delete(t.path, vv)
 		return types.NewList(elem)
 	case *Set:
+		if t.path[vv] {
+			return inProgress
+		}
 		elem := types.Type(types.Bottom)
 		for _, e := range vv.elems {
-			elem = types.Join(elem, typeOf(e, memo))
+			elem = types.Join(elem, t.elem(vv, e))
 		}
+		delete(t.path, vv)
 		return types.NewSet(elem)
 	case *Tag:
-		return types.NewVariant(types.Field{Label: vv.Label, Type: typeOf(vv.Payload, memo)})
+		if t.path[vv] {
+			return inProgress
+		}
+		pt := t.elem(vv, vv.Payload)
+		delete(t.path, vv)
+		return types.NewVariant(types.Field{Label: vv.Label, Type: pt})
 	default:
 		return types.Top
 	}
+}
+
+// elem types e, an element of the list, set or tag c, first putting c on
+// the path when e is a list, set or tag.
+func (t *typer) elem(c, e Value) types.Type {
+	switch e.(type) {
+	case *List, *Set, *Tag:
+		if t.path == nil {
+			t.path = map[Value]bool{}
+		}
+		t.path[c] = true
+	}
+	return t.typeOf(e)
 }
 
 // Conforms reports whether v can be used at type t — v's most specific type
@@ -90,8 +129,215 @@ func Conforms(v Value, t types.Type) bool {
 
 // ConformsInterned is Conforms with the target type already interned, for
 // callers filtering many values against one type (relation extraction, class
-// conformance): the subtype verdict is then a pointer-keyed cache hit per
-// distinct value shape.
+// conformance, every root on open and every PUT).
+//
+// The verdict is Intern(TypeOf(v)) ⊑ t, but it is decided by walking t over
+// v, without building TypeOf(v), wherever the two provably agree:
+//
+//   - Top accepts every value and ⊥ conforms to every type;
+//   - an atom against a basic type reads the subtype order of the basic
+//     types (so Int ≤ Float holds), and against any other walked form fails;
+//   - a record against a record type needs every label of the type, each
+//     field conforming (width and depth subtyping);
+//   - a list or set against a list or set type needs every element to
+//     conform to the element type: TypeOf joins the element types, and a
+//     join is below a type exactly when each joined type is;
+//   - a tagged value against a variant type needs its tag among the
+//     variant's, its payload conforming.
+//
+// Every other form — type variables, quantifiers, recursive and function
+// types, Dynamic and other opaque values, a walk nested deeper than
+// walkDepth — falls back to the reference expression above, which stays the
+// oracle the tests check the walk against.
+//
+// A cyclic value also falls back, whatever the walk would visit. TypeOf
+// types a back edge as Top, and the record it stops at depends on the order
+// its traversal meets the cycle in: for r := {self: r}, r does not conform
+// to {self: {self: {}}}. A record shared by two paths is typed once, along
+// the first, so a cycle the walk never enters can still decide a verdict.
 func ConformsInterned(v Value, t *types.Interned) bool {
+	if ok, decided := conforms(v, t.Type()); decided {
+		return ok
+	}
 	return types.SubtypeInterned(types.Intern(TypeOf(v)), t)
+}
+
+// walkDepth bounds the nesting the walk follows before it falls back.
+// Join widens to Top past a fixed depth of structure below a list or set,
+// which a deeper walk would not see; no declared type comes close.
+const walkDepth = 32
+
+// basicLeq[s][t] is the subtype order on the basic types, read off
+// types.Subtype once so the walk cannot drift from it.
+var basicLeq = func() (leq [types.KindTypeRep + 1][types.KindTypeRep + 1]bool) {
+	basics := []*types.Basic{types.Int, types.Float, types.String, types.Bool, types.Unit,
+		types.Top, types.Bottom, types.Dynamic, types.TypeRep}
+	for _, s := range basics {
+		for _, t := range basics {
+			leq[s.Kind()][t.Kind()] = types.Subtype(s, t)
+		}
+	}
+	return leq
+}()
+
+// conforms is the walk behind ConformsInterned; decided is false when the
+// verdict is left to the reference.
+func conforms(v Value, t types.Type) (ok, decided bool) {
+	if t.Kind() == types.KindTop {
+		return true, true
+	}
+	var state map[Value]bool
+	if cyclic(v, &state) {
+		return false, false
+	}
+	return walk(v, t, 0)
+}
+
+// walk decides v : t for an acyclic v.
+func walk(v Value, t types.Type, depth int) (ok, decided bool) {
+	switch t.(type) {
+	case *types.Basic, *types.Record, *types.Variant, *types.List, *types.Set:
+	default:
+		return false, false
+	}
+	if t.Kind() == types.KindTop {
+		return true, true
+	}
+	if depth > walkDepth {
+		return false, false
+	}
+	switch vv := v.(type) {
+	case bottomValue:
+		return true, true
+	case Int:
+		return atomConforms(types.KindInt, t), true
+	case Float:
+		return atomConforms(types.KindFloat, t), true
+	case String:
+		return atomConforms(types.KindString, t), true
+	case Bool:
+		return atomConforms(types.KindBool, t), true
+	case unitValue:
+		return atomConforms(types.KindUnit, t), true
+	case *TypeVal:
+		return atomConforms(types.KindTypeRep, t), true
+	case *Record:
+		tr, ok := t.(*types.Record)
+		if !ok || tr.LabelBits()&^vv.labelBits != 0 {
+			return false, true
+		}
+		// Both label lists are sorted: a merge join, like the subtype check.
+		decided = true
+		j := 0
+		for i := 0; i < tr.Len(); i++ {
+			f := tr.Field(i)
+			for j < len(vv.labels) && vv.labels[j] < f.Label {
+				j++
+			}
+			if j == len(vv.labels) || vv.labels[j] != f.Label {
+				return false, true
+			}
+			switch ok, d := walk(vv.values[j], f.Type, depth+1); {
+			case !d:
+				decided = false
+			case !ok:
+				return false, true
+			}
+		}
+		return true, decided
+	case *List:
+		tl, ok := t.(*types.List)
+		if !ok {
+			return false, true
+		}
+		return walkElems(vv.Elems, tl.Elem, depth+1)
+	case *Set:
+		ts, ok := t.(*types.Set)
+		if !ok {
+			return false, true
+		}
+		return walkElems(vv.elems, ts.Elem, depth+1)
+	case *Tag:
+		tv, ok := t.(*types.Variant)
+		if !ok {
+			return false, true
+		}
+		pt, ok := tv.Lookup(vv.Label)
+		if !ok {
+			return false, true
+		}
+		return walk(vv.Payload, pt, depth+1)
+	default:
+		return false, false
+	}
+}
+
+// atomConforms reports whether an atom of basic kind k conforms to t, one of
+// the walked forms.
+func atomConforms(k types.Kind, t types.Type) bool {
+	b, ok := t.(*types.Basic)
+	return ok && basicLeq[k][b.Kind()]
+}
+
+// walkElems decides whether every element conforms to elem: a false
+// verdict on any element decides the whole, as a conjunction does.
+func walkElems(elems []Value, elem types.Type, depth int) (ok, decided bool) {
+	decided = true
+	for _, e := range elems {
+		switch ok, d := walk(e, elem, depth); {
+		case !d:
+			decided = false
+		case !ok:
+			return false, true
+		}
+	}
+	return true, decided
+}
+
+// cyclic reports whether a container reachable from v lies on a cycle.
+// state holds each container met with a nested container: false while it is
+// on the search path, true once everything below it is known acyclic. It is
+// allocated at the first nested container, so a record of atoms costs
+// nothing.
+func cyclic(v Value, state *map[Value]bool) bool {
+	var elems []Value
+	switch vv := v.(type) {
+	case *Record:
+		elems = vv.values
+	case *List:
+		elems = vv.Elems
+	case *Set:
+		elems = vv.elems
+	case *Tag:
+		elems = []Value{vv.Payload}
+	default:
+		return false
+	}
+	marked := false
+	for _, e := range elems {
+		switch e.(type) {
+		case *Record, *List, *Set, *Tag:
+		default:
+			continue
+		}
+		if *state == nil {
+			*state = map[Value]bool{}
+		}
+		if !marked {
+			(*state)[v], marked = false, true
+		}
+		if done, seen := (*state)[e]; seen {
+			if !done {
+				return true
+			}
+			continue
+		}
+		if cyclic(e, state) {
+			return true
+		}
+	}
+	if marked {
+		(*state)[v] = true
+	}
+	return false
 }

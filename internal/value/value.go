@@ -143,6 +143,12 @@ type Record struct {
 // NewRecord returns an empty record object.
 func NewRecord() *Record { return &Record{} }
 
+// NewRecordCap returns an empty record object with room for n fields, for
+// decoders that know the field count up front.
+func NewRecordCap(n int) *Record {
+	return &Record{labels: make([]string, 0, n), values: make([]Value, 0, n)}
+}
+
 // Rec builds a record from alternating label, value pairs:
 // Rec("Name", String("J Doe"), "Age", Int(42)). It panics on an odd number
 // of arguments or a non-string label, which indicate programming errors.

@@ -396,6 +396,24 @@ func TestTypeOfCyclicValue(t *testing.T) {
 	if !types.Equal(got, want) {
 		t.Errorf("TypeOf(cyclic) = %s, want %s", got, want)
 	}
+
+	// Nor a cycle through no record: a list that holds itself, and a set
+	// and a tag on a list's cycle.
+	l := NewList()
+	l.Append(l)
+	l2 := NewList()
+	l2.Append(NewSet(NewTag("T", l2)))
+	for _, c := range []struct {
+		v    Value
+		want string
+	}{
+		{l, "List[Top]"},
+		{l2, "List[Set[[T: Top]]]"},
+	} {
+		if got := TypeOf(c.v); !types.Equal(got, types.MustParse(c.want)) {
+			t.Errorf("TypeOf(cyclic list) = %s, want %s", got, c.want)
+		}
+	}
 }
 
 func TestTypeOfSharedDag(t *testing.T) {
