@@ -47,9 +47,9 @@ examples:
 # The fault-injection and crash-consistency suites: every persistence
 # store driven through iofault.Injector — per-operation failures, torn
 # writes, and a crash at every mutating I/O boundary — plus fsck/salvage
-# and the v1 log compatibility checks.
+# and the refusal of logs of other format versions.
 faults:
-	$(GO) test -run 'Fault|Crash|Fsck|Salvage|Poison|V1Log|Inject|LoseUnsynced' \
+	$(GO) test -run 'Fault|Crash|Fsck|Salvage|Poison|OldLogVersionsRefused|Inject|LoseUnsynced' \
 		./internal/persist/... ./cmd/dbpl/
 
 # The server battery: the e2e suite, the commit/abort isolation stress,
@@ -123,7 +123,7 @@ failover-tests:
 # The tracing battery (docs/OBSERVABILITY.md Tracing): the trace package
 # unit tests (span nesting, sampler determinism, forced-retention ring
 # under racing writers, codec hardening), the wire tests for the traced
-# frame fast path and the 6-field REPDATA form, the server trace e2e
+# frame fast path and REPDATA's trace context, the server trace e2e
 # suite (group-commit span nesting, the follower's linked apply trace,
 # TRACES opcode, sampling off), and the client zero-alloc stamping test
 # — all under the race detector.
@@ -140,13 +140,15 @@ trace-tests:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Short fuzz passes over the decoders, the conformance walk (differential
-# against TypeOf + subtyping) and the language pipeline. The codec seeds
-# include images nested past the depth bounds, 32 KiB and more; minimizing
-# an input grown from one would take the whole pass, so it is cut short.
+# Short fuzz passes over the decoders, the log scanner (its seeds include
+# the refused older headers), the conformance walk (differential against
+# TypeOf + subtyping) and the language pipeline. The codec seeds include
+# images nested past the depth bounds, 32 KiB and more; minimizing an
+# input grown from one would take the whole pass, so it is cut short.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalValue -fuzztime=30s -fuzzminimizetime=5s ./internal/persist/codec/
 	$(GO) test -fuzz=FuzzDecodeType -fuzztime=30s -fuzzminimizetime=5s ./internal/persist/codec/
+	$(GO) test -fuzz=FuzzScanLog -fuzztime=30s ./internal/persist/intrinsic/
 	$(GO) test -fuzz=FuzzConforms -fuzztime=30s ./internal/value/
 	$(GO) test -fuzz=FuzzRun -fuzztime=30s ./internal/lang/
 

@@ -6,38 +6,27 @@ import (
 	"dbpl/internal/server/wire"
 )
 
-// BenchmarkPing measures the full client round trip with and without
-// trace stamping, -benchmem being the point: stamping a trace ID onto a
-// request must not cost an allocation over the untraced path (the E15
-// addendum in EXPERIMENTS.md). The frame is encoded into the
-// connection's reused buffer either way; AppendTracedFrame splices the
-// trace field in place instead of building a fresh field slice.
+// BenchmarkPing measures the full client round trip, -benchmem being the
+// point: stamping a trace ID onto a request costs no allocation (the E15
+// addendum in EXPERIMENTS.md). The frame is encoded into the connection's
+// reused buffer; AppendTracedFrame splices the trace field in place
+// instead of building a fresh field slice.
 func BenchmarkPing(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		noTrace bool
-	}{
-		{"traced", false},
-		{"untraced", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			addr := fakeServer(b, answerPings)
-			c, err := Dial(addr, &Options{PoolSize: 1, DisableTrace: bc.noTrace})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			if err := c.Ping(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.Ping(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	addr := fakeServer(b, answerPings)
+	c, err := Dial(addr, &Options{PoolSize: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Ping(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

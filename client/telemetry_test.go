@@ -85,35 +85,3 @@ func TestTraceMismatchCondemnsConn(t *testing.T) {
 		t.Errorf("conn_lost retries = %d, want 2 (MaxAttempts-1)", got)
 	}
 }
-
-// TestDisableTraceSendsBareFrames: Options.DisableTrace turns the wire
-// extension off entirely — no flag bit, no trace field — for talking to
-// pre-extension servers that reject unknown opcodes.
-func TestDisableTraceSendsBareFrames(t *testing.T) {
-	addr := fakeServer(t, func(conn net.Conn) {
-		defer conn.Close()
-		for {
-			rawOp, _, err := wire.ReadFrame(conn, 0)
-			if err != nil {
-				return
-			}
-			if rawOp&wire.TraceFlag != 0 {
-				// A strict old server: unknown opcode is a protocol error.
-				wire.WriteFrame(conn, 0, wire.OpError,
-					wire.ErrorFields(&wire.WireError{Code: wire.CodeBadFrame, Msg: "unknown op"})...)
-				return
-			}
-			if err := wire.WriteFrame(conn, 0, wire.OpOK); err != nil {
-				return
-			}
-		}
-	})
-	c, err := Dial(addr, &Options{PoolSize: 1, DisableTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Put("k", value.Int(1), nil); err != nil {
-		t.Fatalf("Put with DisableTrace against a strict old server: %v", err)
-	}
-}

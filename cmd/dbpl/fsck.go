@@ -12,11 +12,12 @@ import (
 //
 //	dbpl fsck [-salvage out.log] store.log
 //
-// It verifies the intrinsic store's log — record structure and, for v2
-// logs, the CRC-32C of every commit group — and reports the last valid
-// commit offset. With -salvage it additionally copies the valid prefix
-// into a fresh log at the given path. The exit status is nonzero when the
-// log is corrupt (a torn tail alone is recoverable and exits zero).
+// It verifies the intrinsic store's log — record structure and the
+// CRC-32C of every commit group — and reports the last valid commit
+// offset. With -salvage it additionally copies the valid prefix into a
+// fresh log at the given path. The exit status is nonzero when the log is
+// corrupt (a torn tail alone is recoverable and exits zero) or of another
+// format version, which the error names and nothing rewrites.
 func runFsck(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("fsck", flag.ContinueOnError)
 	fs.SetOutput(out)

@@ -74,3 +74,28 @@ func TestFsckVerbCorruptAndSalvage(t *testing.T) {
 		t.Errorf("salvaged root = %v, want x = 1", r)
 	}
 }
+
+// TestFsckVerbNamesRefusedVersion: a log of another format version is not
+// verified or salvaged; the verb fails naming the version it found.
+func TestFsckVerbNamesRefusedVersion(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "store.log")
+	buildStore(t, path)
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[len("DBPLLOG")] = 2
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	salvaged := filepath.Join(dir, "salvaged.log")
+	var out strings.Builder
+	err = runFsck([]string{"-salvage", salvaged, path}, &out)
+	if err == nil || !strings.Contains(err.Error(), "log version 2") {
+		t.Fatalf("runFsck on a v2 log = %v, want an error naming version 2\n%s", err, out.String())
+	}
+	if _, err := os.Stat(salvaged); !os.IsNotExist(err) {
+		t.Fatalf("salvage target written: %v", err)
+	}
+}

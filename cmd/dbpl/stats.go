@@ -69,12 +69,9 @@ func renderDelta(out io.Writer, addr string, cur, prev *telemetry.Snapshot) {
 	if secs <= 0 {
 		secs = 1
 	}
-	if role, epoch, ok := replIdentity(cur); ok {
-		fmt.Fprintf(out, "dbpl stats %s — Δ%.1fs — %s, epoch %d\n",
-			addr, secs, wire.Role(role).String(), epoch)
-	} else {
-		fmt.Fprintf(out, "dbpl stats %s — Δ%.1fs\n", addr, secs)
-	}
+	role, epoch := replIdentity(cur)
+	fmt.Fprintf(out, "dbpl stats %s — Δ%.1fs — %s, epoch %d\n",
+		addr, secs, wire.Role(role).String(), epoch)
 	var headed bool
 	for _, c := range d.Counters {
 		if c.Value == 0 {
@@ -122,12 +119,9 @@ func renderSnapshot(out io.Writer, addr string, s *telemetry.Snapshot) {
 	// The replication identity — role and promotion epoch — leads the
 	// report: during a failover it is the first thing an operator needs,
 	// and digging it out of the gauge list is too slow at 3am.
-	if role, epoch, ok := replIdentity(s); ok {
-		fmt.Fprintf(out, "dbpl stats %s — taken %s — %s, epoch %d\n",
-			addr, s.TakenAt.Format(time.RFC3339), wire.Role(role).String(), epoch)
-	} else {
-		fmt.Fprintf(out, "dbpl stats %s — taken %s\n", addr, s.TakenAt.Format(time.RFC3339))
-	}
+	role, epoch := replIdentity(s)
+	fmt.Fprintf(out, "dbpl stats %s — taken %s — %s, epoch %d\n",
+		addr, s.TakenAt.Format(time.RFC3339), wire.Role(role).String(), epoch)
 	if len(s.Counters) > 0 {
 		fmt.Fprintln(out, "counters:")
 		for _, c := range s.Counters {
@@ -150,20 +144,12 @@ func renderSnapshot(out io.Writer, addr string, s *telemetry.Snapshot) {
 	fmt.Fprintln(out)
 }
 
-// replIdentity digs the server's role and promotion epoch out of the
-// snapshot's gauges; ok is false against a pre-failover server that does
-// not publish them.
-func replIdentity(s *telemetry.Snapshot) (role, epoch int64, ok bool) {
-	var haveRole, haveEpoch bool
-	for _, g := range s.Gauges {
-		switch g.Name {
-		case "dbpl_repl_role":
-			role, haveRole = g.Value, true
-		case "dbpl_server_epoch":
-			epoch, haveEpoch = g.Value, true
-		}
-	}
-	return role, epoch, haveRole && haveEpoch
+// replIdentity reads the server's role and promotion epoch from the
+// snapshot's gauges.
+func replIdentity(s *telemetry.Snapshot) (role, epoch int64) {
+	role, _ = s.Gauge("dbpl_repl_role")
+	epoch, _ = s.Gauge("dbpl_server_epoch")
+	return role, epoch
 }
 
 // histVal renders one histogram-scaled value: durations humanly

@@ -314,8 +314,8 @@ func TestPromotedFollowerKeepsRootsOnCommit(t *testing.T) {
 	}
 }
 
-// TestApplyGroupAfterLocalCommits: a store that committed locally keeps no
-// lastRoots, and its memory may hold uncommitted bindings. When it starts
+// TestApplyGroupAfterLocalCommits: a store that committed locally may hold
+// uncommitted bindings in memory. When it starts
 // following — its log a byte prefix of the primary's — ApplyGroup must
 // still re-materialize an untouched root whose node the primary overwrote
 // in place, and the uncommitted binding must go.
@@ -340,6 +340,53 @@ func TestApplyGroupAfterLocalCommits(t *testing.T) {
 		t.Fatalf("Commit = %+v, %v; want one overwritten node", stats, err)
 	}
 	catchUp(t, p, f)
+	if got, want := renderTyped(f), renderTyped(p); !reflect.DeepEqual(got, want) {
+		t.Fatalf("follower %v, primary %v", got, want)
+	}
+}
+
+// TestApplyGroupOverwriteReplayFailurePoisons: a group that overwrites a
+// node image in place is durable once appended, and the follower rebuilds
+// its memory by replaying the log. When that replay fails the store is
+// poisoned — nothing more is applied — and Abort recovers the primary's
+// state from the log.
+func TestApplyGroupOverwriteReplayFailurePoisons(t *testing.T) {
+	dir := t.TempDir()
+	p, err := Open(filepath.Join(dir, "p.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	inj := iofault.NewInjector(iofault.OS{})
+	f, err := OpenFS(inj, filepath.Join(dir, "f.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	preload(t, p, 4)
+	catchUp(t, p, f)
+	r, _ := p.Root("root00001")
+	r.Value.(*value.Record).Set("N", value.Int(-1))
+	if stats, err := p.Commit(); err != nil || stats.NodesWritten != 1 {
+		t.Fatalf("Commit = %+v, %v; want one overwritten node", stats, err)
+	}
+	raw, _, _, err := p.ReadGroupsAt(f.DurableEnd(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.FailAt(iofault.OpSeek, inj.Count(iofault.OpSeek)+1) // the replay's rewind
+	if _, err := f.ApplyGroup(raw); !errors.Is(err, iofault.ErrInjected) {
+		t.Fatalf("ApplyGroup with a failing replay = %v, want the injected fault", err)
+	}
+	if f.DurableEnd() != p.DurableEnd() {
+		t.Fatalf("follower durable end %d, primary %d: the group was appended", f.DurableEnd(), p.DurableEnd())
+	}
+	if _, err := f.ApplyGroup(nil); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("ApplyGroup after the failed replay = %v, want ErrPoisoned", err)
+	}
+	if err := f.Abort(); err != nil {
+		t.Fatalf("Abort: %v", err)
+	}
 	if got, want := renderTyped(f), renderTyped(p); !reflect.DeepEqual(got, want) {
 		t.Fatalf("follower %v, primary %v", got, want)
 	}
@@ -582,7 +629,7 @@ func (h *history) step() string {
 	case 12: // failover: the follower is promoted, the old primary follows it
 		// The new primary never registered an OID for the values it
 		// materialized as a follower, and the old one's memory holds whatever
-		// it had not committed and no lastRoots: both must come out right.
+		// it had not committed: both must come out right.
 		if _, err := h.f.Promote(); err != nil {
 			t.Fatalf("Promote: %v", err)
 		}
@@ -664,50 +711,14 @@ func TestRootDeltaHistories(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Mixed generations
+// Mixed writers
 // ---------------------------------------------------------------------------
 
-// legacyCommit appends the commit group a v2 store wrote before root
-// deltas: the changed nodes, then the whole root table as an 'R' record.
-func legacyCommit(t *testing.T, s *Store) {
-	t.Helper()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	oidOf := func(v value.Value) uint64 { return s.oids[v] }
-	var out nodeBuf
-	for _, v := range s.reach(s.namesLocked()) {
-		img, err := encodeNode(v, oidOf, TransientPrefix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oid := s.oids[v]
-		if prev, ok := s.nodes[oid]; ok && bytes.Equal(prev, img) {
-			continue
-		}
-		s.nodes[oid] = img
-		out.WriteByte(recNode)
-		out.uvarint(oid)
-		out.uvarint(uint64(len(img)))
-		out.Write(img)
-	}
-	if err := s.encodeRootTable(&out); err != nil {
-		t.Fatal(err)
-	}
-	out.WriteByte(recCommit)
-	if err := s.stageGroup(&out); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.syncStaged(); err != nil {
-		t.Fatal(err)
-	}
-	s.touched = nil // the table just written covers them
-}
-
-// TestMixedGenerationReplay: a log begun by the pre-delta writer ('R' in
-// every group) and continued by this one ('D') replays, at every group
-// boundary, to the state the live store had there — by cold open and by
-// ApplyGroup on a follower, whose delta for a legacy group is still the
-// diff of its table against the last one.
+// TestMixedGenerationReplay: a log whose groups come from each of the
+// store's writers — Commit, a StageBound batch and a StageCommit batch —
+// replays, at every group boundary, to the state the live store had there:
+// by cold open and by ApplyGroup on a follower, whose GroupDelta names
+// exactly the handles the group bound and unbound.
 func TestMixedGenerationReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mixed.log")
 	s, err := Open(path)
@@ -729,46 +740,43 @@ func TestMixedGenerationReplay(t *testing.T) {
 	mark := func(changed, removed []string) {
 		wants = append(wants, want{renderTyped(s), changed, removed})
 	}
+	batch := func(stage func() (CommitStats, error)) {
+		t.Helper()
+		if _, err := stage(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.SyncBatch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit := func() {
+		t.Helper()
+		if _, err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	bind("a", value.Rec("Name", value.String("A"), "N", value.Int(1)))
 	bind("b", value.Int(1))
 	bind("c", value.String("gone soon"))
-	legacyCommit(t, s)
+	commit()
 	mark([]string{"a", "b", "c"}, nil)
 	bind("b", value.Int(2))
 	s.Unbind("c")
-	legacyCommit(t, s)
+	batch(s.StageBound)
 	mark([]string{"b"}, []string{"c"})
 	bind("d", value.NewList(value.Int(1), value.Int(2)))
-	if _, err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	batch(s.StageCommit)
 	mark([]string{"d"}, nil)
 	s.Unbind("a")
 	bind("b", value.Int(3))
-	if _, err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	commit()
 	mark([]string{"b"}, []string{"a"})
 
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var kinds []byte
-	if _, err := scanRaw(raw[HeaderSize:], scanSink{roots: func(op rootOp) {
-		if op.replace {
-			kinds = append(kinds, recRoots)
-		} else {
-			kinds = append(kinds, recRootDelta)
-		}
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	if string(kinds) != "RRDD" {
-		t.Fatalf("root records in the log = %q, want two legacy tables then two deltas", kinds)
-	}
-
 	groups := splitGroups(t, raw[HeaderSize:])
 	if len(groups) != len(wants) {
 		t.Fatalf("%d groups for %d checkpoints", len(groups), len(wants))
@@ -855,7 +863,7 @@ func TestRootDeltaGroupDamagedAtEveryByte(t *testing.T) {
 	if _, err := scanRaw(raw[groupStart:], scanSink{roots: func(op rootOp) { last = op }}); err != nil {
 		t.Fatal(err)
 	}
-	if last.replace || len(last.upserts) != 2 || !reflect.DeepEqual(last.deletes, []string{"a"}) {
+	if len(last.upserts) != 2 || !reflect.DeepEqual(last.deletes, []string{"a"}) {
 		t.Fatalf("last group's root record = %+v, want a delta upserting b, d and deleting a", last)
 	}
 

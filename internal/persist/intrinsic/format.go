@@ -27,30 +27,28 @@ import (
 //	"DBPLLOG" version
 //	repeated groups of records, each group terminated by a commit marker:
 //	  'N' oid len imageBytes     -- a node (re)definition
-//	  'D' nUpsert {entry} nDelete {name}  -- a root-table delta (v2 only)
-//	  'R' count {entry}          -- a whole root table (v1; read-only on v2)
-//	  'X' count {name}           -- the index-definition table (v2 only)
-//	  'E' epoch                  -- the promotion epoch (v2 only)
-//	  'C' [crc32c]               -- commit marker
+//	  'D' nUpsert {entry} nDelete {name}  -- a root-table delta
+//	  'X' count {name}           -- the index-definition table
+//	  'E' epoch                  -- the promotion epoch
+//	  'C' crc32c                 -- commit marker
 //
 //	entry = name typeLen typeBytes valueLen valueInline
 //
 // The root table is a running fold over the log: a 'D' record upserts its
 // entries into the table and then removes its deleted names, so a commit
 // group's size follows what the commit changed, not how many handles the
-// store has. The writer omits the record when nothing changed and never
-// writes 'R' to a v2 log: a fresh log's first commit and Compact emit one
-// 'D' against the empty table. 'R' replaces the whole table; readers keep
-// accepting it so v2 logs written before 'D' existed, and v1 logs, replay
-// to the same state as ever.
+// store has. The writer omits the record when nothing changed: a fresh
+// log's first commit and Compact emit one 'D' against the empty table.
 //
-// Version 2 (current) follows the 'C' with the little-endian CRC-32C of
-// the whole commit group — every byte from the end of the previous group
-// through the 'C' itself — so bit rot is *detected* with an offset
-// (CorruptError) instead of surfacing as an arbitrary decode failure.
-// Version 1 groups have no checksum and carry a whole 'R' table each; v1
-// logs remain fully readable, and a store opened on one keeps appending v1
-// groups until Compact rewrites it at v2.
+// The 'C' is followed by the little-endian CRC-32C of the whole commit
+// group — every byte from the end of the previous group through the 'C'
+// itself — so bit rot is *detected* with an offset (CorruptError) instead
+// of surfacing as an arbitrary decode failure.
+//
+// The version byte is 3. Any other version is refused at the header with a
+// *LogVersionError and the file is left as it is: a reader of this grammar
+// does not guess at an older one (version 1 had no checksums, and version 2
+// logs could carry whole-table 'R' records).
 //
 // Replay applies whole groups only: a torn final group (crash mid-commit)
 // is ignored, so the store always reopens at the last complete commit.
@@ -59,26 +57,38 @@ import (
 // Errors returned by log decoding.
 var (
 	ErrCorrupt = errors.New("intrinsic: corrupt log")
+	// ErrLogVersion: the log's header names a format other than the one
+	// this package reads and writes. LogVersionError carries the version.
+	ErrLogVersion = errors.New("intrinsic: unsupported log version")
 )
 
+// LogVersionError reports a log whose header version is not logVersion.
+// It unwraps to ErrLogVersion. Open, Fsck and Salvage return it without
+// modifying the file.
+type LogVersionError struct {
+	Found byte
+}
+
+func (e *LogVersionError) Error() string {
+	return fmt.Sprintf("intrinsic: log version %d is not supported (this build reads and writes version %d only)", e.Found, logVersion)
+}
+
+func (e *LogVersionError) Unwrap() error { return ErrLogVersion }
+
 const (
-	logMagic    = "DBPLLOG"
-	logVersion1 = 1
-	logVersion2 = 2
-	// logVersion is the format written to fresh logs.
-	logVersion = logVersion2
+	logMagic = "DBPLLOG"
+	// logVersion is the one format this package reads and writes.
+	logVersion = 3
 
 	recNode   byte = 'N'
-	recRoots  byte = 'R'
 	recCommit byte = 'C'
-	// recRootDelta is the root-table delta every v2 commit that changed a
+	// recRootDelta is the root-table delta every commit that changed a
 	// handle carries; see the layout above.
 	recRootDelta byte = 'D'
 	// recIndex is the index-definition table: the declared field indexes,
 	// written whenever the set changes (a delta in time, a full table in
 	// content). Layout: 'X' count {len fieldName}.
-	// Written only to v2 logs — the v1 grammar is frozen — but tolerated by
-	// the reader in either version. Extent and index *contents* are never
+	// Extent and index *contents* are never
 	// logged: they rebuild from the committed roots on open, which is what
 	// keeps an index from ever running ahead of the durable state.
 	recIndex byte = 'X'
@@ -86,13 +96,11 @@ const (
 	// Promote() when a replication follower takes over as primary, so two
 	// histories that fork at a failover are distinguishable forever.
 	// Layout: 'E' uvarint(epoch). Like 'X' it is a delta in time — the
-	// last committed record wins — and is written only to v2 logs (the v1
-	// grammar is frozen; Compact upgrades), but tolerated by the reader in
-	// either version. Appended durably inside its own commit group by
-	// Promote, and carried forward by Compact.
+	// last committed record wins. Appended durably inside its own commit
+	// group by Promote, and carried forward by Compact.
 	recEpoch byte = 'E'
 
-	// checksumSize is the CRC-32C trailer length after a v2 commit marker.
+	// checksumSize is the CRC-32C trailer length after a commit marker.
 	checksumSize = 4
 
 	// maxRecordSize bounds single node and type images as a corruption

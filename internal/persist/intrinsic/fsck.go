@@ -13,7 +13,7 @@ import (
 // the damage is a recoverable torn tail or deterministic corruption.
 type FsckReport struct {
 	Path    string
-	Version byte  // log format version (1 or 2)
+	Version byte  // log format version: always 3, the only one read
 	Size    int64 // file size in bytes
 	GoodEnd int64 // offset just past the last valid commit group
 	Commits int   // valid commit groups
@@ -29,7 +29,7 @@ type FsckReport struct {
 	// interrupted commit); they are ignored by Open and dropped by Salvage.
 	TornTail bool
 	// Corrupt is non-nil when the log holds deterministically detected
-	// corruption (v2 checksum mismatch or structurally impossible bytes);
+	// corruption (checksum mismatch or structurally impossible bytes);
 	// Open refuses such a log, Salvage recovers the prefix before it.
 	Corrupt *CorruptError
 }
@@ -56,8 +56,9 @@ func (r *FsckReport) String() string {
 }
 
 // Fsck verifies the log at path without opening it as a store: it checks
-// every record's structure and (v2) every commit group's CRC-32C, and
-// reports the last valid commit offset. It never modifies the file.
+// every record's structure and every commit group's CRC-32C, and reports
+// the last valid commit offset. It never modifies the file. A log of
+// another version is not verified: Fsck returns its *LogVersionError.
 func Fsck(path string) (*FsckReport, error) {
 	return FsckFS(iofault.OS{}, path)
 }
@@ -80,12 +81,10 @@ func FsckFS(fsys iofault.FS, path string) (*FsckReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	rep.Version = logVersion
 	if sum.empty {
-		rep.Version = logVersion
-		rep.TornTail = false
 		return rep, nil
 	}
-	rep.Version = sum.version
 	rep.GoodEnd = sum.goodEnd
 	rep.Commits = sum.commits
 	rep.Nodes = fold.nodeRecs
@@ -101,7 +100,9 @@ func FsckFS(fsys iofault.FS, path string) (*FsckReport, error) {
 // including the last valid commit group — into a fresh log at dst, written
 // atomically and durably. The result opens cleanly and holds exactly the
 // last committed state; torn or corrupt bytes are dropped. It returns the
-// fsck report of the source, whose GoodEnd is the number of bytes kept.
+// fsck report of the source, whose GoodEnd is the number of bytes kept. A
+// source of another log version is refused (*LogVersionError) and no dst
+// is written.
 func Salvage(src, dst string) (*FsckReport, error) {
 	return SalvageFS(iofault.OS{}, src, dst)
 }

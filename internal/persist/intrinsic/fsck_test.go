@@ -56,8 +56,8 @@ func TestFsckCleanLog(t *testing.T) {
 	if !rep.Clean() {
 		t.Fatalf("report not clean: %v", rep)
 	}
-	if rep.Version != logVersion2 {
-		t.Errorf("version = %d, want 2", rep.Version)
+	if rep.Version != logVersion {
+		t.Errorf("version = %d, want %d", rep.Version, logVersion)
 	}
 	if rep.Commits != 3 {
 		t.Errorf("commits = %d, want 3", rep.Commits)

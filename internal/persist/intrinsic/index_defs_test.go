@@ -86,45 +86,6 @@ func TestIndexDefsUncommittedNotDurable(t *testing.T) {
 	}
 }
 
-// TestIndexDefsV1UpgradeViaCompact: a v1 log never receives 'X' records —
-// its grammar is frozen — so definitions persist only once Compact
-// rewrites the file at v2.
-func TestIndexDefsV1UpgradeViaCompact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "store.log")
-	writeV1Log(t, path)
-
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.DeclareIndex("Empno")
-	if _, err := s.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// Still v1: the commit must not have written an 'X' record — the log
-	// stays structurally clean at version 1 with no definitions on disk.
-	rep, err := Fsck(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Version != logVersion1 || !rep.Clean() || rep.IndexDefs != 0 {
-		t.Fatalf("v1 after commit: version=%d clean=%v defs=%d", rep.Version, rep.Clean(), rep.IndexDefs)
-	}
-
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got := s2.IndexDefs(); !reflect.DeepEqual(got, []string{"Empno"}) {
-		t.Fatalf("IndexDefs after v1→v2 Compact = %v", got)
-	}
-}
-
 // indexCrashWorkload is the crash-matrix workload for index definitions:
 // each checkpoint pairs a root mutation with an index-definition change in
 // the same commit group, so a crash can only ever reveal both or neither.

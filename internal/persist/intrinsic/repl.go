@@ -8,7 +8,6 @@ import (
 	"sort"
 
 	"dbpl/internal/persist/iofault"
-	"dbpl/internal/types"
 	"dbpl/internal/value"
 )
 
@@ -29,9 +28,6 @@ const HeaderSize = int64(len(logMagic) + 1)
 var (
 	// ErrBadOffset: a replication offset outside [HeaderSize, durable end].
 	ErrBadOffset = errors.New("intrinsic: replication offset out of range")
-	// ErrUnverified: the log is v1 (no group checksums), so groups cannot
-	// be verified before shipping or applying; Compact upgrades it.
-	ErrUnverified = errors.New("intrinsic: replication requires a v2 (checksummed) log")
 	// ErrBadGroup: the bytes handed to ApplyGroup are not a sequence of
 	// whole, valid commit groups.
 	ErrBadGroup = errors.New("intrinsic: bytes are not whole verified commit groups")
@@ -87,8 +83,7 @@ func (s *Store) Epoch() uint64 { return s.epochA.Load() }
 // as a commit, so a crash at any I/O boundary leaves either the old epoch
 // (torn or missing group, ignored on reopen) or the new one — never a torn
 // record applied. Refused while a staged batch is open (its owner decides
-// its fate first), on a poisoned store, and on a v1 log (no checksummed
-// groups to replicate afterwards; Compact upgrades).
+// its fate first) and on a poisoned store.
 func (s *Store) Promote() (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -100,9 +95,6 @@ func (s *Store) Promote() (uint64, error) {
 	}
 	if s.staged > 0 {
 		return 0, fmt.Errorf("intrinsic: a staged commit batch is open; SyncBatch or Abort before Promote")
-	}
-	if s.version != logVersion2 {
-		return 0, ErrUnverified
 	}
 	next := s.epoch + 1
 	var out nodeBuf
@@ -159,10 +151,10 @@ func (s *Store) VerifyTail(raw []byte, from int64) (int64, error) {
 }
 
 // scanRaw runs the structural scanner over raw bytes as if they followed a
-// v2 log header. Offsets in the returned summary therefore count from
+// log header. Offsets in the returned summary therefore count from
 // HeaderSize, as in a real file.
 func scanRaw(raw []byte, sink scanSink) (scanSummary, error) {
-	hdr := append([]byte(logMagic), logVersion2)
+	hdr := append([]byte(logMagic), logVersion)
 	return scanLog(io.MultiReader(bytes.NewReader(hdr), bytes.NewReader(raw)), sink)
 }
 
@@ -180,9 +172,6 @@ func (s *Store) ReadGroupsAt(from int64, maxBytes int) ([]byte, int64, int, erro
 	}
 	if s.broken != nil {
 		return nil, 0, 0, s.broken
-	}
-	if s.version != logVersion2 {
-		return nil, 0, 0, ErrUnverified
 	}
 	if from < HeaderSize || from > s.end {
 		return nil, 0, 0, fmt.Errorf("%w: %d (durable log spans [%d,%d])", ErrBadOffset, from, HeaderSize, s.end)
@@ -269,14 +258,16 @@ type GroupDelta struct {
 	DefsChanged bool
 }
 
-// ApplyGroup verifies raw — one or more whole v2 commit groups that must
+// ApplyGroup verifies raw — one or more whole commit groups that must
 // begin exactly at the store's durable end — appends it to the log with
 // the same rollback/poison discipline as a local commit, and applies it to
 // the materialized roots. The first call puts the store in replica mode
-// (see EnterReplica); on a store that has bound or committed locally since
-// it was opened, that call first reverts to the log as Abort does —
+// (see EnterReplica); on a store that has bound or unbound handles since
+// its last commit group, that call first reverts to the log as Abort does —
 // uncommitted local changes are dropped and values obtained earlier are
-// detached. Verification is complete before any of that: a torn or
+// detached. A group that overwrites a node image in place is published by
+// replaying the log once it is durable; a failed replay poisons the store.
+// Verification is complete before any of that: a torn or
 // checksum-corrupt frame is rejected with ErrBadGroup or a *CorruptError
 // and the store is untouched.
 func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
@@ -288,9 +279,6 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	}
 	if s.broken != nil {
 		return delta, s.broken
-	}
-	if s.version != logVersion2 {
-		return delta, ErrUnverified
 	}
 	if s.staged > 0 {
 		return delta, fmt.Errorf("%w: store has a staged local commit batch", ErrReplica)
@@ -317,10 +305,10 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	delta.Groups = sum.commits
 	newNodes := fold.nodes
 
-	if s.lastRoots == nil || len(s.touched) > 0 {
-		// The store committed or bound locally since it was loaded: its
-		// memory may be ahead of its log and lastRoots is gone. A replica's
-		// state is its log's, so start from that, as Abort would.
+	if len(s.touched) > 0 {
+		// The store bound or unbound locally since its last commit group:
+		// its memory is ahead of its log. A replica's state is its log's,
+		// so start from that, as Abort would.
 		if err := s.reload(); err != nil {
 			return delta, err
 		}
@@ -333,9 +321,8 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	//    overwriting a *different* existing image means in-place mutation
 	//    of a subgraph some untouched handle may share — a serve primary
 	//    never produces that (every PUT binds freshly decoded values), but
-	//    a generic primary can, and then the deltas under-approximate: fall
-	//    back to re-materializing every root. A legacy 'R' table names all
-	//    handles, so it is diffed against the last entries instead.
+	//    a generic primary can, and then the deltas under-approximate: every
+	//    root is re-materialized from the log after the append instead.
 	overwrite := false
 	for oid, img := range newNodes {
 		if prev, ok := s.nodes[oid]; ok && !bytes.Equal(prev, img) {
@@ -343,60 +330,67 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 			break
 		}
 	}
-	unchanged := func(e rootEntry) bool {
-		old, ok := s.lastRoots[e.name]
-		return ok && bytes.Equal(old.inline, e.inline) && types.Intern(old.typ) == types.Intern(e.typ)
-	}
-	changed := make([]rootEntry, 0, len(fold.upserts))
-	for _, e := range fold.upserts {
-		if fold.replaced && !overwrite && unchanged(e) {
-			continue
-		}
-		changed = append(changed, e)
-	}
 	var removed []string
-	if fold.replaced {
-		for name := range s.roots {
-			if _, ok := fold.upserts[name]; !ok {
-				removed = append(removed, name)
-			}
-		}
-	} else {
-		for name := range fold.deletes {
-			if _, ok := s.roots[name]; ok {
-				removed = append(removed, name)
-			}
-		}
-		if overwrite {
-			for name, e := range s.lastRoots {
-				if _, ok := fold.upserts[name]; !ok && !fold.deletes[name] {
-					changed = append(changed, e)
-				}
-			}
+	for name := range fold.deletes {
+		if _, ok := s.roots[name]; ok {
+			removed = append(removed, name)
 		}
 	}
-	sort.Slice(changed, func(i, j int) bool { return changed[i].name < changed[j].name })
 	sort.Strings(removed)
-	staged := make([]value.Value, len(changed))
-	s.applyOverlay = newNodes
-	m := s.newMaterializer(len(newNodes))
-	for i, e := range changed {
-		v, merr := m.root(e.inline)
-		if merr != nil {
-			s.applyOverlay = nil
-			return delta, merr
+	var changed []rootEntry
+	var staged []value.Value
+	if !overwrite {
+		changed = make([]rootEntry, 0, len(fold.upserts))
+		for _, e := range fold.upserts {
+			changed = append(changed, e)
 		}
-		staged[i] = v
+		sort.Slice(changed, func(i, j int) bool { return changed[i].name < changed[j].name })
+		staged = make([]value.Value, len(changed))
+		s.applyOverlay = newNodes
+		m := s.newMaterializer(len(newNodes))
+		for i, e := range changed {
+			v, merr := m.root(e.inline)
+			if merr != nil {
+				s.applyOverlay = nil
+				return delta, merr
+			}
+			staged[i] = v
+		}
+		s.applyOverlay = nil
 	}
-	s.applyOverlay = nil
+	var nextDefs map[string]bool
+	if fold.sawDefs {
+		nextDefs = make(map[string]bool, len(fold.defs))
+		for _, f := range fold.defs {
+			nextDefs[f] = true
+		}
+		delta.DefsChanged = len(nextDefs) != len(s.indexDefs)
+		for f := range nextDefs {
+			if !s.indexDefs[f] {
+				delta.DefsChanged = true
+				break
+			}
+		}
+	}
 
 	// 3. Durable append — the shared write path with local commits.
 	if err := s.appendBytes(raw); err != nil {
 		return delta, err
 	}
 	delta.End = s.end
+	delta.Removed = removed
 
-	// 4. Publish to memory; nothing below can fail.
+	// 4. Publish to memory.
+	if overwrite {
+		// The log now holds the group; replay it. Memory that cannot be
+		// rebuilt from the durable log is unusable, so a failed replay
+		// poisons the store as a failed append would.
+		if err := s.reload(); err != nil {
+			return delta, s.poison(err)
+		}
+		delta.Changed = s.namesLocked()
+		return delta, nil
+	}
 	for oid, img := range newNodes {
 		s.nodes[oid] = img
 		if oid >= s.nextOID {
@@ -410,33 +404,8 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 		s.roots[e.name] = &Root{Declared: e.typ, Value: staged[i]}
 		delta.Changed = append(delta.Changed, e.name)
 	}
-	delta.Removed = removed
-	if fold.replaced {
-		s.lastRoots = fold.upserts
-	} else {
-		for name := range fold.deletes {
-			delete(s.lastRoots, name)
-		}
-		for name, e := range fold.upserts {
-			s.lastRoots[name] = e
-		}
-	}
 	if fold.sawDefs {
-		next := make(map[string]bool, len(fold.defs))
-		for _, f := range fold.defs {
-			next[f] = true
-		}
-		if len(next) != len(s.indexDefs) {
-			delta.DefsChanged = true
-		} else {
-			for f := range next {
-				if !s.indexDefs[f] {
-					delta.DefsChanged = true
-					break
-				}
-			}
-		}
-		s.indexDefs = next
+		s.indexDefs = nextDefs
 		s.defsDirty = false
 	}
 	if fold.sawEpoch {

@@ -369,25 +369,6 @@ func TestReadGroupsAtValidation(t *testing.T) {
 	}
 }
 
-// TestReplicationRequiresV2: a v1 log has no group checksums, so neither
-// side of the protocol will touch it — the primary refuses to ship and a
-// follower refuses to apply.
-func TestReplicationRequiresV2(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.log")
-	writeV1Log(t, path)
-	s, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, _, _, err := s.ReadGroupsAt(HeaderSize, 0); !errors.Is(err, ErrUnverified) {
-		t.Fatalf("ReadGroupsAt on v1 log: %v, want ErrUnverified", err)
-	}
-	if _, err := s.ApplyGroup([]byte{recCommit}); !errors.Is(err, ErrUnverified) {
-		t.Fatalf("ApplyGroup on v1 log: %v, want ErrUnverified", err)
-	}
-}
-
 // applyAll opens a follower over fsys and applies the groups in order,
 // stopping at the first failure — exactly what a crash does.
 func applyAll(fsys iofault.FS, path string, groups [][]byte) int {

@@ -15,14 +15,14 @@ import (
 //   - a clean log (every group ends in a valid commit marker);
 //   - a *torn tail* (the file ends inside a group — the signature of a
 //     crash mid-commit, recoverable by ignoring the tail);
-//   - *corruption* (v2 only: a complete group whose CRC-32C does not
-//     match, or structurally impossible bytes mid-file — the signature of
-//     bit rot, reported deterministically with an offset, never applied).
+//   - *corruption* (a complete group whose CRC-32C does not match, or
+//     structurally impossible bytes mid-file — the signature of bit rot,
+//     reported deterministically with an offset, never applied).
 //
-// The classification rule for v2 is: an anomaly that manifests as end of
-// input is torn (a crash can only shorten an fsynced append-only log);
-// any other anomaly is corruption. v1 logs have no checksum, so every
-// anomaly is treated leniently as a torn tail, exactly as before.
+// The classification rule is: an anomaly that manifests as end of input is
+// torn (a crash can only shorten an fsynced append-only log); any other
+// anomaly is corruption. A header naming another version is neither: the
+// scan stops there with a *LogVersionError.
 
 // crcTable is the Castagnoli polynomial table; CRC-32C has hardware
 // support (SSE4.2 / ARMv8 CRC) through hash/crc32.
@@ -46,8 +46,7 @@ func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 // on commit (which fires only for valid groups).
 type scanSink struct {
 	node func(oid uint64, img []byte)
-	// roots receives a root-table record: a 'D' delta, or (replace set) a
-	// legacy 'R' table, whose entries arrive as upserts.
+	// roots receives a 'D' root-table delta.
 	roots     func(op rootOp)
 	indexDefs func(fields []string)
 	epoch     func(e uint64)
@@ -56,10 +55,9 @@ type scanSink struct {
 	types typeImages
 }
 
-// rootOp is one root-table record's effect on the running table: drop the
-// whole table first when replace is set, then upsert, then delete.
+// rootOp is one root-table delta's effect on the running table: upsert,
+// then delete.
 type rootOp struct {
-	replace bool
 	upserts []rootEntry
 	deletes []string
 }
@@ -69,11 +67,10 @@ type rootOp struct {
 // group and fold in only when the group's commit marker validates, so a
 // torn or corrupt group contributes nothing. The root-table effect is
 // relative to the table before the scan, which afterwards holds
-// (replaced ? nothing : before − deletes) ∪ upserts; the two are disjoint.
+// (before − deletes) ∪ upserts; the two are disjoint.
 type groupFold struct {
 	nodes    map[uint64][]byte // last image per OID; left nil, only counted
 	nodeRecs int
-	replaced bool
 	upserts  map[string]rootEntry
 	deletes  map[string]bool
 	defs     []string
@@ -83,11 +80,10 @@ type groupFold struct {
 }
 
 func (f *groupFold) applyRootOp(op rootOp) {
-	if f.upserts == nil || op.replace {
+	if f.upserts == nil {
 		f.upserts = make(map[string]rootEntry, len(op.upserts))
 		f.deletes = map[string]bool{}
 	}
-	f.replaced = f.replaced || op.replace
 	for _, e := range op.upserts {
 		f.upserts[e.name] = e
 		delete(f.deletes, e.name)
@@ -148,7 +144,7 @@ func (f *groupFold) sink(types typeImages) scanSink {
 // scanSummary is the structural verdict over a whole log.
 type scanSummary struct {
 	empty   bool  // zero-length file (fresh store)
-	version byte  // header version (1 or 2)
+	version byte  // header version: logVersion, or 0 when empty or torn
 	goodEnd int64 // offset just past the last valid commit group
 	commits int   // valid commit groups
 	torn    bool  // trailing bytes past goodEnd that a crash explains
@@ -230,9 +226,8 @@ func isEOF(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
-// scanRootEntries parses a counted list of root-table entries — the body
-// of an 'R' record and the upsert half of a 'D' — validating lengths and
-// type images.
+// scanRootEntries parses a counted list of root-table entries — the upsert
+// half of a 'D' record — validating lengths and type images.
 func scanRootEntries(s *logScanner, types typeImages) ([]rootEntry, error) {
 	count, err := s.uvarint()
 	if err != nil {
@@ -314,8 +309,9 @@ func scanNames(s *logScanner) ([]string, error) {
 
 // scanLog reads the whole log from r, firing sink callbacks, and returns
 // the structural summary. The returned error is reserved for real I/O
-// failures of the underlying reader; corruption and torn tails are
-// reported in the summary.
+// failures of the underlying reader and for a header naming another
+// version (*LogVersionError); corruption and torn tails are reported in
+// the summary.
 func scanLog(r io.Reader, sink scanSink) (scanSummary, error) {
 	s := &logScanner{r: bufio.NewReader(r)}
 	var sum scanSummary
@@ -339,29 +335,23 @@ func scanLog(r io.Reader, sink scanSink) (scanSummary, error) {
 		sum.corrupt = &CorruptError{Offset: 0, Reason: "bad magic"}
 		return sum, nil
 	}
-	v := header[len(logMagic)]
-	if v != logVersion1 && v != logVersion2 {
-		sum.corrupt = &CorruptError{Offset: int64(len(logMagic)), Reason: fmt.Sprintf("unsupported log version %d", v)}
-		return sum, nil
+	if v := header[len(logMagic)]; v != logVersion {
+		return sum, &LogVersionError{Found: v}
 	}
-	sum.version = v
+	sum.version = logVersion
 	sum.goodEnd = s.off
 
 	groupStart := s.off
 	s.crc = 0
 
 	// anomaly classifies a parse failure at offset off: torn when a crash
-	// explains it, corrupt otherwise (v2) or leniently torn (v1).
+	// explains it, corrupt otherwise.
 	anomaly := func(off int64, reason string, err error) {
 		if err != nil && isEOF(err) {
 			sum.torn = true
 			return
 		}
-		if v == logVersion2 {
-			sum.corrupt = &CorruptError{Offset: off, Reason: reason}
-			return
-		}
-		sum.torn = true
+		sum.corrupt = &CorruptError{Offset: off, Reason: reason}
 	}
 
 	for {
@@ -403,10 +393,10 @@ func scanLog(r io.Reader, sink scanSink) (scanSummary, error) {
 			if sink.node != nil {
 				sink.node(oid, img)
 			}
-		case recRoots, recRootDelta:
-			op := rootOp{replace: kind == recRoots}
+		case recRootDelta:
+			var op rootOp
 			op.upserts, err = scanRootEntries(s, sink.types)
-			if err == nil && kind == recRootDelta {
+			if err == nil {
 				op.deletes, err = scanNames(s)
 			}
 			if err != nil {
@@ -435,20 +425,18 @@ func scanLog(r io.Reader, sink scanSink) (scanSummary, error) {
 				sink.epoch(e)
 			}
 		case recCommit:
-			if v == logVersion2 {
-				want := s.crc
-				stored, err := s.raw(checksumSize)
-				if err != nil {
-					anomaly(s.off, "short commit checksum", err)
-					return sum, nil
+			want := s.crc
+			stored, err := s.raw(checksumSize)
+			if err != nil {
+				anomaly(s.off, "short commit checksum", err)
+				return sum, nil
+			}
+			if got := binary.LittleEndian.Uint32(stored); got != want {
+				sum.corrupt = &CorruptError{
+					Offset: groupStart,
+					Reason: fmt.Sprintf("checksum mismatch in commit group at offset %d (stored %08x, computed %08x)", groupStart, got, want),
 				}
-				if got := binary.LittleEndian.Uint32(stored); got != want {
-					sum.corrupt = &CorruptError{
-						Offset: groupStart,
-						Reason: fmt.Sprintf("checksum mismatch in commit group at offset %d (stored %08x, computed %08x)", groupStart, got, want),
-					}
-					return sum, nil
-				}
+				return sum, nil
 			}
 			if sink.commit != nil {
 				sink.commit(s.off)

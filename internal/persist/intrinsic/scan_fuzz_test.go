@@ -3,6 +3,7 @@ package intrinsic
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"testing"
 
@@ -10,8 +11,8 @@ import (
 	"dbpl/internal/value"
 )
 
-// v2Group appends one v2 commit group (records + 'C' + CRC-32C) to log.
-func v2Group(log *bytes.Buffer, records func(b *nodeBuf)) {
+// logGroup appends one commit group (records + 'C' + CRC-32C) to log.
+func logGroup(log *bytes.Buffer, records func(b *nodeBuf)) {
 	var b nodeBuf
 	records(&b)
 	b.WriteByte(recCommit)
@@ -34,20 +35,20 @@ func intEntry(t testing.TB, b *nodeBuf, name string, x int64) {
 	b.prefixLen(start)
 }
 
-// seedLogWithIndexGroup builds a well-formed v2 log whose second commit
-// group carries an index-definition delta — the satellite seed for the log
-// fuzzer, exercising the 'X' grammar alongside nodes and a legacy 'R'
-// root table.
+// seedLogWithIndexGroup builds a well-formed log whose second commit group
+// carries an index-definition table — a seed for the log fuzzer,
+// exercising the 'X' grammar after a root delta.
 func seedLogWithIndexGroup(t testing.TB) []byte {
 	var log bytes.Buffer
 	log.WriteString(logMagic)
-	log.WriteByte(logVersion2)
-	v2Group(&log, func(b *nodeBuf) {
-		b.WriteByte(recRoots)
+	log.WriteByte(logVersion)
+	logGroup(&log, func(b *nodeBuf) {
+		b.WriteByte(recRootDelta)
 		b.uvarint(1)
 		intEntry(t, b, "x", 7)
+		b.uvarint(0)
 	})
-	v2Group(&log, func(b *nodeBuf) {
+	logGroup(&log, func(b *nodeBuf) {
 		b.WriteByte(recIndex)
 		b.uvarint(2)
 		b.str("Empno")
@@ -56,28 +57,28 @@ func seedLogWithIndexGroup(t testing.TB) []byte {
 	return log.Bytes()
 }
 
-// seedLogWithRootDeltas builds a well-formed v2 log of three 'D' groups: a
+// seedLogWithRootDeltas builds a well-formed log of three 'D' groups: a
 // first delta against the empty table, one with both halves, and one with
 // deletes only.
 func seedLogWithRootDeltas(t testing.TB) []byte {
 	var log bytes.Buffer
 	log.WriteString(logMagic)
-	log.WriteByte(logVersion2)
-	v2Group(&log, func(b *nodeBuf) {
+	log.WriteByte(logVersion)
+	logGroup(&log, func(b *nodeBuf) {
 		b.WriteByte(recRootDelta)
 		b.uvarint(2)
 		intEntry(t, b, "x", 7)
 		intEntry(t, b, "y", 8)
 		b.uvarint(0)
 	})
-	v2Group(&log, func(b *nodeBuf) {
+	logGroup(&log, func(b *nodeBuf) {
 		b.WriteByte(recRootDelta)
 		b.uvarint(1)
 		intEntry(t, b, "z", 9)
 		b.uvarint(1)
 		b.str("x")
 	})
-	v2Group(&log, func(b *nodeBuf) {
+	logGroup(&log, func(b *nodeBuf) {
 		b.WriteByte(recRootDelta)
 		b.uvarint(0)
 		b.uvarint(2)
@@ -88,14 +89,15 @@ func seedLogWithRootDeltas(t testing.TB) []byte {
 }
 
 // FuzzScanLog is the structural reader's contract under arbitrary bytes:
-// scanLog never panics, never returns an I/O error on an in-memory reader,
-// and its verdict is coherent — goodEnd within the input, corruption and
+// scanLog never panics, returns no error on an in-memory reader but a
+// *LogVersionError for a header of another version, and its verdict is
+// coherent — goodEnd within the input, corruption and
 // torn-tail reports never pointing past it, and replay (sink callbacks)
 // confined to validated groups.
 func FuzzScanLog(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(logMagic))
-	f.Add(append([]byte(logMagic), logVersion1))
+	f.Add(append([]byte(logMagic), logVersion))
 	seed := seedLogWithIndexGroup(f)
 	f.Add(seed)
 	// Torn inside the index-definition record.
@@ -114,6 +116,10 @@ func FuzzScanLog(f *testing.F) {
 	flippedDelta := append([]byte(nil), deltas...)
 	flippedDelta[len(flippedDelta)/2] ^= 0x40
 	f.Add(flippedDelta)
+	// Refused headers: the retired versions' own logs, and a future one.
+	f.Add(v1LogImage(f))
+	f.Add(v2RootTableLogImage(f))
+	f.Add(futureLogImage(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		commits := 0
@@ -127,6 +133,13 @@ func FuzzScanLog(f *testing.F) {
 				lastCommitEnd = end
 			},
 		})
+		var ve *LogVersionError
+		if errors.As(err, &ve) {
+			if len(data) <= len(logMagic) || data[len(logMagic)] != ve.Found || ve.Found == logVersion || commits != 0 {
+				t.Fatalf("version refusal %v for header %q after %d commits", err, data[:min(len(data), int(HeaderSize))], commits)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("scanLog returned an I/O error on in-memory input: %v", err)
 		}

@@ -103,9 +103,6 @@ type Store struct {
 	f      iofault.File
 	closed bool
 
-	// version is the log format of the backing file (1 or 2); appends
-	// must match it. Compact always rewrites at the current version.
-	version byte
 	// end is the offset just past the last durable commit group — the
 	// only legal append position. endA mirrors it for lock-free readers
 	// (DurableEnd): health reporting must not block behind a commit wedged
@@ -136,10 +133,9 @@ type Store struct {
 	epoch  uint64
 	epochA atomic.Uint64
 
-	// indexDefs is the declared field-index set (see DeclareIndex). Durable
-	// on v2 logs as an 'X' record in the next commit group after a change;
-	// on v1 logs it is memory-only until Compact upgrades the file. Only
-	// the *definitions* persist — index contents always rebuild from the
+	// indexDefs is the declared field-index set (see DeclareIndex), durable
+	// as an 'X' record in the next commit group after a change. Only the
+	// *definitions* persist — index contents always rebuild from the
 	// committed roots, so they can never run ahead of the durable state.
 	indexDefs map[string]bool
 	// defsDirty records that indexDefs changed since the last commit that
@@ -185,12 +181,6 @@ type Store struct {
 	// local mutations are refused with ErrReplica, and materialized values
 	// are not registered in oids (a follower never re-encodes them).
 	replica bool
-	// lastRoots retains the root-table entries as of load and every
-	// ApplyGroup since: the table a legacy 'R' record is diffed against, and
-	// what ApplyGroup re-materializes from when a node image is overwritten
-	// in place. A local commit group drops it (nil) rather than maintain a
-	// second copy of every entry; ApplyGroup replays the log to get it back.
-	lastRoots map[string]rootEntry
 	// applyOverlay, non-nil only inside ApplyGroup, lets materialize see
 	// the incoming group's node images before they are committed to nodes.
 	applyOverlay map[uint64][]byte
@@ -261,8 +251,9 @@ type rootEntry struct {
 
 // load replays the log and materializes the root graph. Replay applies
 // whole valid commit groups only; a torn tail is remembered (and trimmed
-// before the next append) and deterministic v2 corruption fails the open
-// with a CorruptError naming the offset.
+// before the next append), deterministic corruption fails the open with a
+// CorruptError naming the offset, and a log of another version fails it
+// with a LogVersionError, untouched.
 func (s *Store) load() error {
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 		return err
@@ -293,18 +284,15 @@ func (s *Store) load() error {
 		if err := s.f.Sync(); err != nil {
 			return &iofault.IOError{Op: iofault.OpSync, Path: s.path, Err: err}
 		}
-		s.version = logVersion
 		s.setEnd(int64(len(header)))
 		s.tailDirty = false
 		s.setEpoch(0)
-		s.lastRoots = map[string]rootEntry{}
 		s.roots, s.oids = map[string]*Root{}, map[value.Value]uint64{}
 		return nil
 	}
 	if sum.corrupt != nil {
 		return sum.corrupt
 	}
-	s.version = sum.version
 	s.setEnd(sum.goodEnd)
 	s.tailDirty = sum.torn
 	s.setEpoch(fold.epoch)
@@ -318,22 +306,18 @@ func (s *Store) load() error {
 			s.nextOID = oid + 1
 		}
 	}
-	// Materialize the committed roots — the fold of every root record from
-	// the empty table — retaining the raw entries for ApplyGroup.
-	s.lastRoots = fold.upserts
-	if s.lastRoots == nil {
-		s.lastRoots = map[string]rootEntry{}
-	}
-	s.roots = make(map[string]*Root, len(s.lastRoots))
+	// Materialize the committed roots — the fold of every root delta from
+	// the empty table.
+	s.roots = make(map[string]*Root, len(fold.upserts))
 	oids := len(s.nodes)
 	if s.replica {
 		oids = 0 // a replica registers none; see register
 	}
 	s.oids = make(map[value.Value]uint64, oids)
 	m := s.newMaterializer(len(s.nodes))
-	roots := make([]Root, len(s.lastRoots))
+	roots := make([]Root, len(fold.upserts))
 	i := 0
-	for _, e := range s.lastRoots {
+	for _, e := range fold.upserts {
 		v, err := m.root(e.inline)
 		if err != nil {
 			return err
@@ -586,8 +570,7 @@ func (s *Store) namesLocked() []string {
 }
 
 // DeclareIndex adds a field-value index definition, durable from the next
-// Commit (v2 logs; on a v1 log the definition persists only after Compact
-// upgrades the file). It reports whether the field was newly declared.
+// Commit. It reports whether the field was newly declared.
 // Like Bind, the declaration is in-memory until Commit.
 func (s *Store) DeclareIndex(field string) bool {
 	s.mu.Lock()
@@ -748,13 +731,6 @@ func (s *Store) encodeRootEntries(b *nodeBuf, names []string) error {
 	return nil
 }
 
-// encodeRootTable writes the whole root table as an 'R' record — what a v1
-// log's frozen grammar carries in every group.
-func (s *Store) encodeRootTable(b *nodeBuf) error {
-	b.WriteByte(recRoots)
-	return s.encodeRootEntries(b, s.namesLocked())
-}
-
 // rootDelta turns the touched set into the two sorted halves of the next
 // group's 'D' record: the touched handles that are bound now, and those
 // that are not but were in the table.
@@ -859,14 +835,12 @@ func (s *Store) rollbackStaged(cause error) error {
 	return cause
 }
 
-// stageGroup stages one encoded commit group — adding the CRC-32C trailer
-// on v2 logs — via stageBytes.
+// stageGroup stages one encoded commit group, adding its CRC-32C trailer,
+// via stageBytes.
 func (s *Store) stageGroup(out *nodeBuf) error {
-	if s.version == logVersion2 {
-		var tr [checksumSize]byte
-		binary.LittleEndian.PutUint32(tr[:], crc32.Checksum(out.Bytes(), crcTable))
-		out.Write(tr[:])
-	}
+	var tr [checksumSize]byte
+	binary.LittleEndian.PutUint32(tr[:], crc32.Checksum(out.Bytes(), crcTable))
+	out.Write(tr[:])
 	return s.stageBytes(out.Bytes())
 }
 
@@ -920,9 +894,9 @@ func (s *Store) syncStaged() (int, error) {
 	return n, nil
 }
 
-// appendBytes appends raw (already checksummed, when the format has
-// checksums) at the append position and advances s.end only when the
-// bytes are fully durable — stage + sync as a batch of one. This is the
+// appendBytes appends raw (already checksummed) at the append position
+// and advances s.end only when the bytes are fully durable — stage + sync
+// as a batch of one. This is the
 // single write path shared by local commits and replicated groups
 // (ApplyGroup), so both get the identical rollback/poison discipline.
 func (s *Store) appendBytes(raw []byte) error {
@@ -1080,19 +1054,12 @@ func (s *Store) stageCommitLocked(walk []string) (CommitStats, error) {
 		out.Write(img)
 		stats.NodesWritten++
 	}
-	var err error
-	if s.version == logVersion2 {
-		err = s.encodeRootDelta(&out, upserts, deletes)
-	} else {
-		err = s.encodeRootTable(&out) // the v1 grammar is frozen
-	}
-	if err != nil {
+	if err := s.encodeRootDelta(&out, upserts, deletes); err != nil {
 		return stats, err
 	}
-	wroteDefs := false
-	if s.defsDirty && s.version == logVersion2 {
+	wroteDefs := s.defsDirty
+	if wroteDefs {
 		s.encodeIndexDefs(&out)
-		wroteDefs = true
 	}
 	out.WriteByte(recCommit)
 	if err := s.stageGroup(&out); err != nil {
@@ -1123,7 +1090,6 @@ func (s *Store) stageCommitLocked(walk []string) (CommitStats, error) {
 		}
 	}
 	s.touched = nil
-	s.lastRoots = nil // not maintained by local groups; see the field
 	return stats, nil
 }
 
@@ -1166,8 +1132,6 @@ func (s *Store) reload() error {
 // nodes reachable from the current handles, at their current images. The
 // store must have no uncommitted changes worth keeping — Compact performs
 // a Commit first so the result is the current state, minimally stored.
-// Compact always rewrites at the current log version, so it is also the
-// upgrade path from a v1 (checksum-free) log to v2.
 func (s *Store) Compact() (CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1222,11 +1186,10 @@ func (s *Store) Compact() (CompactStats, error) {
 		return CompactStats{}, err
 	}
 	if len(s.indexDefs) > 0 {
-		s.encodeIndexDefs(&out) // the v1→v2 upgrade path for definitions
+		s.encodeIndexDefs(&out)
 	}
 	if s.epoch > 0 {
-		// Carry the promotion epoch into the rewritten log (and onto v2
-		// for a v1 source, where the record could not be appended).
+		// Carry the promotion epoch into the rewritten log.
 		out.WriteByte(recEpoch)
 		out.uvarint(s.epoch)
 	}
@@ -1262,7 +1225,6 @@ func (s *Store) Compact() (CompactStats, error) {
 	}
 	s.f.Close()
 	s.f = f
-	s.version = logVersion
 	s.setEnd(int64(out.Len()))
 	s.tailDirty = false
 	s.defsDirty = false // the rewrite persisted the definitions

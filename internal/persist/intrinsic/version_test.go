@@ -1,122 +1,115 @@
 package intrinsic
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"dbpl/internal/value"
+	"dbpl/internal/persist/iofault"
 )
 
-// writeV1Log handcrafts a version-1 (checksum-free) log holding one
-// committed root x = 7, byte for byte what the pre-v2 store wrote.
-func writeV1Log(t *testing.T, path string) {
-	t.Helper()
+// Byte values of the grammars this package no longer reads, spelled out
+// here because nothing else in the package names them.
+const (
+	oldRootTable byte = 'R' // a whole root table, as versions 1 and 2 wrote
+	oldVersion1  byte = 1   // no checksum after the commit marker
+	oldVersion2  byte = 2   // checksummed, 'R' or 'D' root records
+)
+
+// v1LogImage handcrafts a version-1 log holding one committed root x = 7,
+// byte for byte what the first store wrote.
+func v1LogImage(t testing.TB) []byte {
 	var b nodeBuf
 	b.WriteString(logMagic)
-	b.WriteByte(logVersion1)
-	b.WriteByte(recRoots)
+	b.WriteByte(oldVersion1)
+	b.WriteByte(oldRootTable)
 	b.uvarint(1)
 	intEntry(t, &b, "x", 7)
-	b.WriteByte(recCommit) // v1: no checksum after the commit marker
-	if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	b.WriteByte(recCommit)
+	return b.Bytes()
 }
 
-// TestV1LogCompat: a v1 log still opens, appends stay v1 (a mixed-version
-// log would be unreadable), and Compact upgrades the file to v2.
-func TestV1LogCompat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.log")
-	writeV1Log(t, path)
+// v2RootTableLogImage handcrafts a version-2 log whose one checksummed
+// group carries a whole 'R' root table — what the store wrote before root
+// deltas existed.
+func v2RootTableLogImage(t testing.TB) []byte {
+	var log bytes.Buffer
+	log.WriteString(logMagic)
+	log.WriteByte(oldVersion2)
+	logGroup(&log, func(b *nodeBuf) {
+		b.WriteByte(oldRootTable)
+		b.uvarint(1)
+		intEntry(t, b, "x", 7)
+	})
+	return log.Bytes()
+}
 
-	s, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open v1 log: %v", err)
-	}
-	if r, ok := s.Root("x"); !ok || !value.Equal(r.Value, value.Int(7)) {
-		t.Fatalf("v1 root x = %v, want 7", r)
-	}
-	// Bind and unbind z across two v1 groups: each carries a whole 'R'
-	// table, which replay must read as "replace", dropping z again.
-	if err := s.Bind("z", value.Int(9), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Commit(); err != nil {
-		t.Fatalf("Commit onto v1 log: %v", err)
-	}
-	s.Unbind("z")
-	if err := s.Bind("y", value.Int(8), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Commit(); err != nil {
-		t.Fatalf("Commit onto v1 log: %v", err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+// futureLogImage is a current log relabelled with a version this build has
+// never heard of.
+func futureLogImage(t testing.TB) []byte {
+	img := seedLogWithRootDeltas(t)
+	img[len(logMagic)] = 9
+	return img
+}
 
-	// The appended group is v1 too: the log stays structurally clean at
-	// version 1 (an appended checksum would read as a stray record).
-	rep, err := Fsck(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Version != logVersion1 {
-		t.Fatalf("version = %d after append, want 1", rep.Version)
-	}
-	if !rep.Clean() || rep.Commits != 3 || rep.Roots != 2 {
-		t.Fatalf("report = %+v, want clean with 3 commits and 2 roots", rep)
-	}
+// TestOldLogVersionsRefused: a log of any version but the current one is
+// refused with a typed *LogVersionError by Open, OpenFS, Fsck and Salvage,
+// and none of them writes a byte — the source stays identical and Salvage
+// creates no destination.
+func TestOldLogVersionsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		img     []byte
+		version byte
+	}{
+		{"v1", v1LogImage(t), 1},
+		{"v2 with root table", v2RootTableLogImage(t), 2},
+		{"v9", futureLogImage(t), 9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "old.log")
+			if err := os.WriteFile(path, tc.img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			refused := func(op string, err error) {
+				t.Helper()
+				var ve *LogVersionError
+				if !errors.Is(err, ErrLogVersion) || !errors.As(err, &ve) || ve.Found != tc.version {
+					t.Fatalf("%s = %v, want a LogVersionError naming version %d", op, err, tc.version)
+				}
+			}
+			s, err := Open(path)
+			if err == nil {
+				s.Close()
+			}
+			refused("Open", err)
+			s, err = OpenFS(iofault.NewInjector(iofault.OS{}), path)
+			if err == nil {
+				s.Close()
+			}
+			refused("OpenFS", err)
+			rep, err := Fsck(path)
+			if rep != nil {
+				t.Fatalf("Fsck returned a report for a refused log: %+v", rep)
+			}
+			refused("Fsck", err)
+			dst := filepath.Join(dir, "salvaged.log")
+			_, err = Salvage(path, dst)
+			refused("Salvage", err)
 
-	s2, err := Open(path)
-	if err != nil {
-		t.Fatalf("reopen v1 log: %v", err)
-	}
-	if r, ok := s2.Root("y"); !ok || !value.Equal(r.Value, value.Int(8)) {
-		t.Fatalf("appended v1 root y = %v, want 8", r)
-	}
-	if _, ok := s2.Root("z"); ok {
-		t.Fatal("z survived the v1 table that dropped it")
-	}
-
-	// Compact rewrites at the current version: the upgrade path to v2 —
-	// and to root deltas, the next commit's included.
-	if _, err := s2.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if err := s2.Bind("w", value.Int(6), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.Commit(); err != nil {
-		t.Fatalf("Commit onto the upgraded log: %v", err)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := Fsck(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Version != logVersion2 {
-		t.Fatalf("version = %d after Compact, want 2", rep2.Version)
-	}
-	if !rep2.Clean() {
-		t.Fatalf("upgraded log not clean: %+v", rep2)
-	}
-
-	s3, err := Open(path)
-	if err != nil {
-		t.Fatalf("reopen upgraded log: %v", err)
-	}
-	defer s3.Close()
-	if r, ok := s3.Root("x"); !ok || !value.Equal(r.Value, value.Int(7)) {
-		t.Fatalf("upgraded root x = %v, want 7", r)
-	}
-	if r, ok := s3.Root("y"); !ok || !value.Equal(r.Value, value.Int(8)) {
-		t.Fatalf("upgraded root y = %v, want 8", r)
-	}
-	if r, ok := s3.Root("w"); !ok || !value.Equal(r.Value, value.Int(6)) || len(s3.Names()) != 3 {
-		t.Fatalf("upgraded log holds %v (w = %v), want w, x, y", s3.Names(), r)
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, tc.img) {
+				t.Fatalf("source changed: %d bytes, %v (was %d bytes)", len(got), err, len(tc.img))
+			}
+			if _, err := os.Stat(dst); !os.IsNotExist(err) {
+				t.Fatalf("Salvage wrote %s: %v", dst, err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil || len(entries) != 1 {
+				t.Fatalf("directory holds %v, %v; want only the source", entries, err)
+			}
+		})
 	}
 }

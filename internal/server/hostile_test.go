@@ -3,11 +3,14 @@ package server_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
 	"testing"
 
+	"dbpl/client"
 	"dbpl/internal/persist/codec"
+	"dbpl/internal/server"
 	"dbpl/internal/server/wire"
 	"dbpl/internal/types"
 	"dbpl/internal/value"
@@ -81,5 +84,73 @@ func TestHostileNestingIsABadRequest(t *testing.T) {
 	}
 	if _, err := dial(t, h, nil).Health(); err != nil {
 		t.Fatalf("HEALTH after hostile frames: %v", err)
+	}
+}
+
+// TestOversizedReplyIsTypedError: a reply larger than the server's frame
+// limit is refused with CodeTooLarge, trace echoed, on a connection that
+// keeps serving — and the client gives up after one attempt instead of
+// retrying the same GET as a lost connection.
+func TestOversizedReplyIsTypedError(t *testing.T) {
+	h := bootCfg(t, filepath.Join(t.TempDir(), "store.log"), nil, server.Config{MaxFrame: 4096})
+	c := dial(t, h, &client.Options{PoolSize: 1})
+	for i := 0; i < 100; i++ {
+		name := fmt.Sprintf("employee-%03d-with-a-name-long-enough-to-add-up", i)
+		if err := c.Put(fmt.Sprintf("e%03d", i), emp(name, int64(i), "Sales"), employeeT); err != nil {
+			t.Fatal(err)
+		}
+	}
+	smallT := types.MustParse("{Tag: Int}")
+	if err := c.Put("small", value.Rec("Tag", value.Int(1)), smallT); err != nil {
+		t.Fatal(err)
+	}
+
+	const attempts = `dbpl_client_attempts_total{op="GET"}`
+	before, _ := c.Telemetry().Snapshot().Counter(attempts)
+	if _, err := c.Get(employeeT); !errors.Is(err, client.ErrTooLarge) {
+		t.Fatalf("GET of an oversized extent = %v, want ErrTooLarge", err)
+	}
+	if after, _ := c.Telemetry().Snapshot().Counter(attempts); after-before != 1 {
+		t.Fatalf("GET took %d attempts, want 1", after-before)
+	}
+	if got, err := c.Get(smallT); err != nil || len(got) != 1 {
+		t.Fatalf("small GET after the refusal = (%d values, %v)", len(got), err)
+	}
+
+	// On the wire: the refusal echoes the trace, and the same connection
+	// then answers a small GET.
+	raw, err := net.Dial("tcp", h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	get := func(tp types.Type, trace uint64) (byte, [][]byte) {
+		t.Helper()
+		tf, err := wire.MarshalType(tp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := wire.AppendTracedFrame(nil, 0, wire.OpGet, trace, tf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := raw.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		rawOp, rawFields, err := wire.ReadFrame(raw, 0)
+		if err != nil {
+			t.Fatalf("no reply: %v", err)
+		}
+		op, echoed, fields, traced, err := wire.SplitTrace(rawOp, rawFields)
+		if err != nil || !traced || echoed != trace {
+			t.Fatalf("reply trace = (%#x, %v, %v), want %#x echoed", echoed, traced, err, trace)
+		}
+		return op, fields
+	}
+	if op, fields := get(employeeT, 0xB16); op != wire.OpError || !errors.Is(wire.DecodeError(fields), wire.ErrTooLarge) {
+		t.Fatalf("oversized GET answered op %#x (%v), want a CodeTooLarge error", op, wire.DecodeError(fields))
+	}
+	if op, fields := get(smallT, 0xB17); op != wire.OpValues || len(fields) != 1 {
+		t.Fatalf("small GET on the same connection answered op %#x with %d fields", op, len(fields))
 	}
 }

@@ -75,7 +75,7 @@ type serverMetrics struct {
 
 	// replApplyDelay is the follower-side commit-to-apply lag: for each
 	// traced commit group applied, now minus the primary's commit
-	// wall-clock carried in the 6-field REPDATA form. Clock skew between
+	// wall-clock carried in the REPDATA frame. Clock skew between
 	// the two hosts leaks straight into it — it is a lag indicator, not a
 	// precision measurement; negative skew clamps to zero.
 	replApplyDelay *telemetry.Histogram

@@ -133,14 +133,16 @@ func (s *Server) streamReplicate(conn net.Conn, fields [][]byte, writeTO time.Du
 				conn.SetWriteDeadline(time.Now().Add(writeTO))
 			}
 			// A chunk whose tail is the most recent commit carries that
-			// commit's trace ID and wall-clock in the 6-field REPDATA form,
-			// so the follower's apply span can link back to the primary's
-			// commit span and measure the shipping delay. Catch-up chunks
-			// (older history, or an untraced commit) use the 4-field form.
-			repFields := wire.ReplDataFields(from, raw, s.store.Epoch())
+			// commit's trace ID and wall-clock, so the follower's apply
+			// span can link back to the primary's commit span and measure
+			// the shipping delay. Catch-up chunks (older history, or an
+			// untraced commit) send zeros: no link.
+			var trace uint64
+			var commitNS int64
 			if mk := s.lastCommit.Load(); mk != nil && mk.trace != 0 && mk.end == next {
-				repFields = wire.ReplDataTraceFields(from, raw, s.store.Epoch(), mk.trace, mk.ns)
+				trace, commitNS = mk.trace, mk.ns
 			}
+			repFields := wire.ReplDataFields(from, raw, s.store.Epoch(), trace, commitNS)
 			if wire.WriteFrame(conn, maxFrame, wire.OpRepData, repFields...) != nil {
 				return
 			}

@@ -871,7 +871,17 @@ func (s *Server) serveConn(conn net.Conn) {
 		if writeTO > 0 {
 			conn.SetWriteDeadline(time.Now().Add(writeTO))
 		}
-		if err := wire.WriteFrame(conn, s.cfg.maxFrame(), respOp, respFields...); err != nil {
+		err = wire.WriteFrame(conn, s.cfg.maxFrame(), respOp, respFields...)
+		if we, ok := err.(*wire.WireError); ok && we.Code == wire.CodeTooLarge {
+			// The reply does not fit a frame. Nothing was written, so the
+			// stream is intact: send the typed refusal and keep serving.
+			respOp, respFields = errResp(&wire.WireError{Code: wire.CodeTooLarge, Msg: "reply " + we.Msg})
+			if traced {
+				respOp, respFields = wire.AppendTrace(respOp, trace, respFields)
+			}
+			err = wire.WriteFrame(conn, s.cfg.maxFrame(), respOp, respFields...)
+		}
+		if err != nil {
 			return
 		}
 		if writeTO > 0 {
@@ -1083,8 +1093,7 @@ func toWireError(err error) *wire.WireError {
 		code = wire.CodeShutdown
 	case errors.Is(err, intrinsic.ErrReplica):
 		code = wire.CodeReadOnly
-	case errors.Is(err, intrinsic.ErrBadOffset), errors.Is(err, intrinsic.ErrUnverified),
-		errors.Is(err, intrinsic.ErrBadGroup):
+	case errors.Is(err, intrinsic.ErrBadOffset), errors.Is(err, intrinsic.ErrBadGroup):
 		code = wire.CodeBadRequest
 	case errors.Is(err, codec.ErrCorrupt), errors.Is(err, codec.ErrBadMagic),
 		errors.Is(err, codec.ErrBadVersion), errors.Is(err, codec.ErrLimitExceeded),

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"dbpl/client"
 	"dbpl/internal/server"
 	"dbpl/internal/server/wire"
 	"dbpl/internal/telemetry"
@@ -137,11 +136,18 @@ func TestTraceReachesSlowLog(t *testing.T) {
 		t.Errorf("PUT timestamp %v is not recent", put.Time)
 	}
 
-	// DisableTrace turns the client extension off; the entry records
-	// trace 0 rather than inventing one.
-	c2 := dial(t, h, &client.Options{DisableTrace: true})
-	if _, err := c2.Names(); err != nil {
+	// A bare frame, as replication and other tools send, carries no trace;
+	// the entry records trace 0 rather than inventing one.
+	nc, err := net.Dial("tcp", h.addr)
+	if err != nil {
 		t.Fatal(err)
+	}
+	defer nc.Close()
+	if err := wire.WriteFrame(nc, 0, wire.OpNames); err != nil {
+		t.Fatal(err)
+	}
+	if op, _, err := wire.ReadFrame(nc, 0); err != nil || op != wire.OpOK {
+		t.Fatalf("bare NAMES answered (%#x, %v), want an untraced OK", op, err)
 	}
 	for _, op := range h.srv.SlowOps() {
 		if op.Op == "NAMES" && op.Trace != 0 {

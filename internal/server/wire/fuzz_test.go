@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 	"time"
@@ -67,48 +68,47 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(mustFrame(OpOK, HealthFields(Health{Poisoned: true, InFlight: 7,
 		Sessions: 2, Roots: 100, Uptime: time.Hour})...))
 	// The durable-watermark pair: acked ahead of durable (async mode), and
-	// the legacy six-field shape without AckedEnd.
+	// the refused six-field shape without AckedEnd.
 	f.Add(mustFrame(OpOK, HealthFields(Health{DurableEnd: 1 << 20, AckedEnd: 1<<20 + 512})...))
 	f.Add(mustFrame(OpOK, HealthFields(Health{DurableEnd: 1 << 20})[:6]...))
-	// Replication: the subscribe request and both stream frame shapes,
-	// plus damaged variants (truncated group bytes, oversize offset, bad
-	// CRC trailer) — each must decode to a *WireError, never panic.
+	// Replication: the subscribe request and the stream frame, plus
+	// damaged variants (truncated group bytes, oversize offset, bad CRC
+	// trailer) — each must decode to a *WireError, never panic.
 	f.Add(mustFrame(OpReplicate, ReplicateFields(8, 3)...))
-	f.Add(mustFrame(OpReplicate, UvarintField(8)))                                                    // legacy single-field form
+	f.Add(mustFrame(OpReplicate, UvarintField(8)))                                                    // refused single-field form
 	f.Add(mustFrame(OpReplicate, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})) // > MaxInt64
-	f.Add(mustFrame(OpRepData, ReplDataFields(8, []byte("NOTALOGGROUP"), 2)...))
+	f.Add(mustFrame(OpRepData, ReplDataFields(8, []byte("NOTALOGGROUP"), 2, 0, 0)...))
 	f.Add(func() []byte { // truncated group payload invalidating the CRC
-		fields := ReplDataFields(8, []byte("group-bytes-here"), 2)
+		fields := ReplDataFields(8, []byte("group-bytes-here"), 2, 0, 0)
 		fields[1] = fields[1][:4]
 		return mustFrame(OpRepData, fields...)
 	}())
 	f.Add(func() []byte { // flipped CRC trailer
-		fields := ReplDataFields(8, []byte("group-bytes-here"), 2)
-		fields[3][0] ^= 0x40
+		fields := ReplDataFields(8, []byte("group-bytes-here"), 2, 0, 0)
+		fields[5][0] ^= 0x40
 		return mustFrame(OpRepData, fields...)
 	}())
 	f.Add(func() []byte { // flipped epoch field (the byte fencing trusts)
-		fields := ReplDataFields(8, []byte("group-bytes-here"), 2)
+		fields := ReplDataFields(8, []byte("group-bytes-here"), 2, 0, 0)
 		fields[2][0] ^= 0x01
 		return mustFrame(OpRepData, fields...)
 	}())
 	f.Add(mustFrame(OpRepData, []byte{8}, []byte("raw"))) // missing trailer
-	// The trace-carrying six-field REPDATA form, plus damaged variants
-	// (flipped trace ID, flipped commit timestamp, truncated to five
-	// fields) — corrupt trace context must fail the CRC, never leak into
-	// a follower's apply path.
-	f.Add(mustFrame(OpRepData, ReplDataTraceFields(8, []byte("group-bytes-here"), 2, 0xDEADBEEF, 1<<60)...))
+	// A frame with trace context, plus damaged variants (flipped trace ID,
+	// flipped commit timestamp, truncated to five fields) — corrupt trace
+	// context must fail the CRC, never leak into a follower's apply path.
+	f.Add(mustFrame(OpRepData, ReplDataFields(8, []byte("group-bytes-here"), 2, 0xDEADBEEF, 1<<60)...))
 	f.Add(func() []byte { // flipped trace-ID field
-		fields := ReplDataTraceFields(8, []byte("group-bytes-here"), 2, 0xDEADBEEF, 1<<60)
+		fields := ReplDataFields(8, []byte("group-bytes-here"), 2, 0xDEADBEEF, 1<<60)
 		fields[3][0] ^= 0x01
 		return mustFrame(OpRepData, fields...)
 	}())
 	f.Add(func() []byte { // flipped commit-time field
-		fields := ReplDataTraceFields(8, []byte("group-bytes-here"), 2, 0xDEADBEEF, 1<<60)
+		fields := ReplDataFields(8, []byte("group-bytes-here"), 2, 0xDEADBEEF, 1<<60)
 		fields[4][0] ^= 0x01
 		return mustFrame(OpRepData, fields...)
 	}())
-	f.Add(mustFrame(OpRepData, ReplDataTraceFields(8, []byte("group-bytes-here"), 2, 0xDEADBEEF, 1<<60)[:5]...))
+	f.Add(mustFrame(OpRepData, ReplDataFields(8, []byte("group-bytes-here"), 2, 0xDEADBEEF, 1<<60)[:5]...))
 	// The TRACES opcode: empty request, a response field carrying junk
 	// that the trace decoder must reject gracefully, and a traced TRACES
 	// request (flag + trace ID on the trace-fetch itself).
@@ -117,18 +117,33 @@ func FuzzReadFrame(f *testing.F) {
 	tracesOp, tracesFields := AppendTrace(OpTraces, 0xBEEF, nil)
 	f.Add(mustFrame(tracesOp, tracesFields...))
 	f.Add(mustFrame(OpRepHeartbeat, HeartbeatFields(1<<40, 5)...))
-	f.Add(mustFrame(OpRepHeartbeat, UvarintField(64))) // legacy single-field form
+	f.Add(mustFrame(OpRepHeartbeat, UvarintField(64))) // refused single-field form
 	f.Add(mustFrame(OpRepHeartbeat))
 	// Failover: the self-promote order, the fence notification, and a
 	// malformed fence epoch.
 	f.Add(mustFrame(OpPromote))
 	f.Add(mustFrame(OpPromote, FenceFields(9, "10.0.0.2:7070")...))
 	f.Add(mustFrame(OpPromote, []byte{0xFF}, []byte("addr")))
-	// The nine-field HEALTH payload with role and epoch, and the
-	// seven-field pre-failover shape.
+	// The nine-field HEALTH payload with role and epoch, and the refused
+	// seven-field shape.
 	f.Add(mustFrame(OpOK, HealthFields(Health{ReadOnly: true, Role: RoleFenced, Epoch: 4,
 		DurableEnd: 1 << 20, AckedEnd: 1 << 20})...))
 	f.Add(mustFrame(OpOK, HealthFields(Health{DurableEnd: 1 << 20, AckedEnd: 1<<20 + 512})[:7]...))
+	// The refused REPDATA shapes: three fields (CRC over offset and raw)
+	// and four (plus the epoch), each with a trailer that matches.
+	f.Add(func() []byte {
+		off, raw := UvarintField(8), []byte("group-bytes-here")
+		sum := crc32.Update(crc32.Update(0, replCRCTable, off), replCRCTable, raw)
+		return mustFrame(OpRepData, off, raw, binary.LittleEndian.AppendUint32(nil, sum))
+	}())
+	f.Add(func() []byte {
+		off, raw, ep := UvarintField(8), []byte("group-bytes-here"), UvarintField(2)
+		var sum uint32
+		for _, b := range [][]byte{off, raw, ep} {
+			sum = crc32.Update(sum, replCRCTable, b)
+		}
+		return mustFrame(OpRepData, off, raw, ep, binary.LittleEndian.AppendUint32(nil, sum))
+	}())
 	f.Add(append(mustFrame(OpBegin), mustFrame(OpCommit)...)) // pipelined
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
@@ -171,6 +186,24 @@ func FuzzReadFrame(f *testing.F) {
 				if !bytes.Equal(fields[i], fields2[i]) {
 					t.Fatalf("field %d mismatch", i)
 				}
+			}
+			// The payload decoders refuse what they cannot read with a
+			// *WireError, never a panic.
+			base, _, rest, _, derr := SplitTrace(op, fields)
+			switch {
+			case derr != nil:
+			case base == OpReplicate:
+				derr = decodeReplicateReq(rest)
+			case base == OpRepData:
+				derr = decodeReplData(rest)
+			case base == OpRepHeartbeat:
+				derr = decodeHeartbeat(rest)
+			case base == OpOK:
+				derr = decodeHealth(rest)
+			}
+			var we *WireError
+			if derr != nil && !errors.As(derr, &we) {
+				t.Fatalf("unclassified payload decode error: %v", derr)
 			}
 		}
 	})

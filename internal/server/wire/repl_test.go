@@ -23,13 +23,9 @@ func TestReplicateReqRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// The pre-failover single-field form still decodes, with epoch 0.
-	got, gotEpoch, err := DecodeReplicateReq([][]byte{UvarintField(8)})
-	if err != nil || got != 8 || gotEpoch != 0 {
-		t.Fatalf("legacy REPLICATE = (%d, %d, %v), want (8, 0, nil)", got, gotEpoch, err)
-	}
 	bad := [][][]byte{
 		{},                        // no fields
+		{UvarintField(8)},         // one field
 		{{1}, {2}, {3}},           // three fields
 		{{0xFF}},                  // unterminated uvarint
 		{UvarintField(8), {0xFF}}, // unterminated epoch
@@ -43,10 +39,11 @@ func TestReplicateReqRoundTrip(t *testing.T) {
 }
 
 // TestReplDataRoundTrip: a REPDATA frame carries offset, raw group bytes
-// and the primary's epoch under a CRC-32C that survives encode/decode.
+// and the primary's epoch under a CRC-32C that survives encode/decode; a
+// chunk with no commit link carries zero trace context.
 func TestReplDataRoundTrip(t *testing.T) {
 	raw := []byte("pretend-commit-group-bytes")
-	d, err := DecodeReplData(ReplDataFields(4096, raw, 7))
+	d, err := DecodeReplData(ReplDataFields(4096, raw, 7, 0, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,19 +55,19 @@ func TestReplDataRoundTrip(t *testing.T) {
 	}
 	// Empty payload is legal (it cannot happen on a live stream, but the
 	// decoder must not care).
-	if d, err = DecodeReplData(ReplDataFields(8, nil, 0)); err != nil || len(d.Raw) != 0 {
+	if d, err = DecodeReplData(ReplDataFields(8, nil, 0, 0, 0)); err != nil || len(d.Raw) != 0 {
 		t.Fatalf("empty round trip = (%q, %v)", d.Raw, err)
 	}
 }
 
-// TestReplDataTraceForm: the six-field frame carries the originating
-// commit's trace ID and publication time under the widened CRC, and a
-// flipped bit in either new field is caught.
+// TestReplDataTraceForm: the frame carries the originating commit's trace
+// ID and publication time under the CRC, and a flipped bit in either is
+// caught.
 func TestReplDataTraceForm(t *testing.T) {
 	raw := []byte("group-bytes")
-	fields := ReplDataTraceFields(4096, raw, 7, 0xabcdef, 1722222222000000000)
+	fields := ReplDataFields(4096, raw, 7, 0xabcdef, 1722222222000000000)
 	if len(fields) != 6 {
-		t.Fatalf("traced REPDATA has %d fields, want 6", len(fields))
+		t.Fatalf("REPDATA has %d fields, want 6", len(fields))
 	}
 	d, err := DecodeReplData(fields)
 	if err != nil {
@@ -81,7 +78,7 @@ func TestReplDataTraceForm(t *testing.T) {
 		t.Fatalf("traced round trip = %+v", d)
 	}
 	for _, field := range []int{3, 4} {
-		fields := ReplDataTraceFields(4096, raw, 7, 0xabcdef, 1722222222000000000)
+		fields := ReplDataFields(4096, raw, 7, 0xabcdef, 1722222222000000000)
 		fields[field] = append([]byte(nil), fields[field]...)
 		fields[field][0] ^= 0x01
 		if _, err := DecodeReplData(fields); !errors.Is(err, ErrRemoteCorrupt) {
@@ -90,36 +87,49 @@ func TestReplDataTraceForm(t *testing.T) {
 	}
 }
 
-// TestReplDataLegacyForm: the pre-failover three-field frame (no epoch;
-// CRC over offset+raw only) still decodes, with epoch 0 — a new follower
-// can stream from an old primary.
-func TestReplDataLegacyForm(t *testing.T) {
-	modern := ReplDataFields(4096, []byte("group-bytes"), 0)
-	// Rebuild the legacy frame: offset, raw, CRC over those two alone.
-	legacy := legacyReplDataFields(4096, []byte("group-bytes"))
-	d, err := DecodeReplData(legacy)
-	if err != nil {
-		t.Fatal(err)
+// TestRemovedFrameShapesRefused: the frame shapes of earlier servers —
+// three- and four-field REPDATA, six- and seven-field HEALTH, and
+// single-field REPLICATE and REPHEARTBEAT — are refused with a typed
+// error, never decoded with defaults and never a panic.
+func TestRemovedFrameShapesRefused(t *testing.T) {
+	raw := []byte("group-bytes")
+	off := UvarintField(4096)
+	crcOf := func(fields ...[]byte) []byte {
+		var sum uint32
+		for _, f := range fields {
+			sum = crc32.Update(sum, replCRCTable, f)
+		}
+		return binary.LittleEndian.AppendUint32(nil, sum)
 	}
-	if d.Start != 4096 || string(d.Raw) != "group-bytes" || d.Epoch != 0 {
-		t.Fatalf("legacy decode = (%d, %q, %d)", d.Start, d.Raw, d.Epoch)
-	}
-	// And the modern frame is not confused for it: 4 fields decode the
-	// epoch under the wider CRC.
-	if len(modern) != 4 {
-		t.Fatalf("modern REPDATA has %d fields, want 4", len(modern))
+	ep := UvarintField(7)
+	health := HealthFields(Health{ReadOnly: true, DurableEnd: 500, AckedEnd: 600, Role: RoleFollower, Epoch: 2})
+	for _, tc := range []struct {
+		name   string
+		decode func([][]byte) error
+		fields [][]byte
+		want   error
+	}{
+		{"REPDATA 3 fields", decodeReplData, [][]byte{off, raw, crcOf(off, raw)}, ErrBadFrame},
+		{"REPDATA 4 fields", decodeReplData, [][]byte{off, raw, ep, crcOf(off, raw, ep)}, ErrBadFrame},
+		{"HEALTH 6 fields", decodeHealth, health[:6], ErrBadFrame},
+		{"HEALTH 7 fields", decodeHealth, health[:7], ErrBadFrame},
+		{"REPLICATE 1 field", decodeReplicateReq, [][]byte{off}, ErrBadRequest},
+		{"REPHEARTBEAT 1 field", decodeHeartbeat, [][]byte{off}, ErrBadFrame},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.decode(tc.fields)
+			var we *WireError
+			if !errors.Is(err, tc.want) || !errors.As(err, &we) {
+				t.Fatalf("decoded to %v, want a WireError matching %v", err, tc.want)
+			}
+		})
 	}
 }
 
-// legacyReplDataFields reproduces the pre-failover encoder for
-// compatibility tests: [offset, raw, crc], CRC-32C over offset+raw.
-func legacyReplDataFields(start int64, raw []byte) [][]byte {
-	off := UvarintField(uint64(start))
-	sum := crc32.Update(crc32.Update(0, replCRCTable, off), replCRCTable, raw)
-	var tr [4]byte
-	binary.LittleEndian.PutUint32(tr[:], sum)
-	return [][]byte{off, raw, tr[:]}
-}
+func decodeReplData(f [][]byte) error     { _, err := DecodeReplData(f); return err }
+func decodeHealth(f [][]byte) error       { _, err := DecodeHealth(f); return err }
+func decodeReplicateReq(f [][]byte) error { _, _, err := DecodeReplicateReq(f); return err }
+func decodeHeartbeat(f [][]byte) error    { _, _, err := DecodeHeartbeat(f); return err }
 
 // TestReplDataDetectsCorruption: any bit flip — in the offset, the
 // payload, the epoch, or the trailer itself — fails the checksum with
@@ -135,9 +145,9 @@ func TestReplDataDetectsCorruption(t *testing.T) {
 		{"offset", 0, 0x01},
 		{"payload", 1, 0x80},
 		{"epoch", 2, 0x01},
-		{"trailer", 3, 0x10},
+		{"trailer", 5, 0x10},
 	} {
-		fields := ReplDataFields(4096, raw, 99)
+		fields := ReplDataFields(4096, raw, 99, 0, 0)
 		fields[flip.field] = append([]byte(nil), fields[flip.field]...)
 		fields[flip.field][0] ^= flip.bit
 		_, err := DecodeReplData(fields)
@@ -154,16 +164,20 @@ func TestReplDataDetectsCorruption(t *testing.T) {
 // TestReplDataMalformed: structurally damaged frames are CodeBadFrame,
 // never a panic.
 func TestReplDataMalformed(t *testing.T) {
-	good := ReplDataFields(8, []byte("raw"), 1)
-	traced := ReplDataTraceFields(8, []byte("raw"), 1, 2, 3)
+	good := ReplDataFields(8, []byte("raw"), 1, 2, 3)
+	with := func(i int, f []byte) [][]byte {
+		fields := append([][]byte(nil), good...)
+		fields[i] = f
+		return fields
+	}
 	bad := [][][]byte{
-		{},                                  // no fields
-		good[:2],                            // missing epoch and trailer
-		{good[0], good[1], good[2], {1}},    // short trailer
-		{{0xFF}, good[1], good[2], good[3]}, // unterminated offset
-		{{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, good[1], good[2], good[3]}, // oversize offset
-		traced[:5], // five fields is no generation of the frame
-		{traced[0], traced[1], traced[2], {0xFF}, traced[4], traced[5]}, // unterminated trace ID
+		{},                    // no fields
+		good[:2],              // missing epoch, trace context and trailer
+		good[:5],              // five fields
+		with(5, []byte{1}),    // short trailer
+		with(0, []byte{0xFF}), // unterminated offset
+		with(0, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}), // oversize offset
+		with(3, []byte{0xFF}), // unterminated trace ID
 	}
 	for i, fields := range bad {
 		if _, err := DecodeReplData(fields); !errors.Is(err, ErrBadFrame) {
@@ -173,17 +187,13 @@ func TestReplDataMalformed(t *testing.T) {
 }
 
 // TestHeartbeatRoundTrip: the keepalive carries the primary's durable end
-// and epoch; the legacy single-field form implies epoch 0.
+// and epoch.
 func TestHeartbeatRoundTrip(t *testing.T) {
 	got, epoch, err := DecodeHeartbeat(HeartbeatFields(1<<40, 12))
 	if err != nil || got != 1<<40 || epoch != 12 {
 		t.Fatalf("heartbeat round trip = (%d, %d, %v)", got, epoch, err)
 	}
-	got, epoch, err = DecodeHeartbeat([][]byte{UvarintField(64)})
-	if err != nil || got != 64 || epoch != 0 {
-		t.Fatalf("legacy heartbeat = (%d, %d, %v), want (64, 0, nil)", got, epoch, err)
-	}
-	for i, fields := range [][][]byte{{}, {{0xFF}}, {{1}, {2}, {3}}, {UvarintField(1), {0xFF}}} {
+	for i, fields := range [][][]byte{{}, {{0xFF}}, {{1}, {2}, {3}}, {UvarintField(1), {0xFF}}, {{0xFF}, UvarintField(1)}} {
 		if _, _, err := DecodeHeartbeat(fields); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("malformed heartbeat %d decoded to %v, want ErrBadFrame", i, err)
 		}
@@ -227,35 +237,5 @@ func TestHealthCarriesReplicationFields(t *testing.T) {
 	}
 	if _, err := DecodeHealth(HealthFields(want)[:5]); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("short HEALTH decoded to %v, want ErrBadFrame", err)
-	}
-}
-
-// TestHealthLegacyForms: six-field (pre-group-commit) and seven-field
-// (pre-failover) HEALTH payloads still decode; the role is derived from
-// the ReadOnly flag and the epoch defaults to 0.
-func TestHealthLegacyForms(t *testing.T) {
-	full := HealthFields(Health{
-		ReadOnly: true, InFlight: 1, Sessions: 2, Roots: 3,
-		Uptime: 4, DurableEnd: 500, AckedEnd: 600,
-	})
-	got7, err := DecodeHealth(full[:7])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got7.Role != RoleFollower || got7.Epoch != 0 || got7.AckedEnd != 600 {
-		t.Fatalf("7-field decode = %+v", got7)
-	}
-	got6, err := DecodeHealth(full[:6])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got6.AckedEnd != got6.DurableEnd || got6.Role != RoleFollower {
-		t.Fatalf("6-field decode = %+v", got6)
-	}
-	// A writable primary's legacy payload derives RolePrimary.
-	writable := HealthFields(Health{Roots: 1})
-	gotW, err := DecodeHealth(writable[:7])
-	if err != nil || gotW.Role != RolePrimary {
-		t.Fatalf("legacy writable decode = (%+v, %v)", gotW, err)
 	}
 }

@@ -230,22 +230,14 @@ func TestHealthFieldsRoundTrip(t *testing.T) {
 			t.Errorf("round trip = %+v, want %+v", got, h)
 		}
 	}
-	// A six-field payload (a pre-group-commit server without the AckedEnd
-	// watermark) still decodes; nothing was acked beyond the durable end
-	// there, so AckedEnd reports the durable end.
-	legacy := HealthFields(Health{DurableEnd: 777, AckedEnd: 777})[:6]
-	got, err := DecodeHealth(legacy)
-	if err != nil {
-		t.Fatalf("DecodeHealth(6 fields): %v", err)
-	}
-	if got.AckedEnd != 777 || got.DurableEnd != 777 {
-		t.Errorf("legacy decode = %+v, want AckedEnd = DurableEnd = 777", got)
-	}
 	// Malformed health payloads are diagnosed, not trusted.
+	full := HealthFields(Health{})
 	for name, fields := range map[string][][]byte{
-		"too few fields":  HealthFields(Health{})[:4],
-		"oversized flags": {{1, 2}, {0}, {0}, {0}, {0}},
-		"bad uvarint":     {{0}, {0x80}, {0}, {0}, {0}},
+		"too few fields":  full[:4],
+		"oversized flags": {{1, 2}, {0}, {0}, {0}, {0}, {0}, {0}, {0}, {0}},
+		"bad uvarint":     {{0}, {0x80}, {0}, {0}, {0}, {0}, {0}, {0}, {0}},
+		"bad epoch":       {{0}, {0}, {0}, {0}, {0}, {0}, {0}, {0}, {0x80}},
+		"oversized role":  {{0}, {0}, {0}, {0}, {0}, {0}, {0}, {0, 0}, {0}},
 	} {
 		if _, err := DecodeHealth(fields); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
