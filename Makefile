@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short race bench report examples faults fuzz fuzz-wire serve-tests chaos-tests telemetry-tests index-tests repl-tests commit-tests failover-tests trace-tests bench-smoke clean
+.PHONY: all build vet fmt-check test test-short race bench report examples faults fuzz fuzz-wire bench-smoke clean
 
-all: build vet fmt-check test faults race serve-tests chaos-tests telemetry-tests index-tests repl-tests commit-tests failover-tests trace-tests bench-smoke fuzz-wire
+all: build vet fmt-check test faults race bench-smoke fuzz-wire
 
 build:
 	$(GO) build ./...
@@ -21,8 +21,10 @@ fmt-check:
 test:
 	$(GO) test ./...
 
-# The concurrency stress tests (core engine, persist stores) are only
-# meaningful under the race detector.
+# Every package under the race detector: the concurrency stress tests
+# (core engine, persist stores, the server's commit pipeline, replication
+# and failover) are only meaningful here. To run one feature's tests,
+# filter by name, e.g. `go test -race -run 'Repl|Follower' ./internal/server/`.
 race:
 	$(GO) test -race ./...
 
@@ -51,86 +53,6 @@ examples:
 faults:
 	$(GO) test -run 'Fault|Crash|Fsck|Salvage|Poison|OldLogVersionsRefused|Inject|LoseUnsynced' \
 		./internal/persist/... ./cmd/dbpl/
-
-# The server battery: the e2e suite, the commit/abort isolation stress,
-# and the client/wire unit tests, all under the race detector, plus the
-# cmd-level signal regression tests.
-serve-tests:
-	$(GO) test -race ./internal/server/... ./client/ ./cmd/dbpl/
-
-# The resilience battery (docs/RESILIENCE.md): the netfault proxy unit
-# tests, the chaos e2e suite (resets/partitions/corruption/overload
-# around acknowledged writes), the idempotency dedup, and the client
-# retry-policy tests — all under the race detector.
-chaos-tests:
-	$(GO) test -race -run 'Chaos|Idem|Retry|Overload|Health|Forward|Latency|Reset|Flip|Blackhole|Partition' \
-		./internal/server/... ./client/
-
-# The observability battery (docs/OBSERVABILITY.md): the telemetry
-# package unit tests (histogram edges, snapshot immutability, codec,
-# Prometheus exposition, instrumented FS), the server STATS/slow-log/ops
-# e2e tests, the client trace and metrics tests, and the stats-verb
-# subprocess test — all under the race detector.
-telemetry-tests:
-	$(GO) test -race ./internal/telemetry/
-	$(GO) test -race -run 'Telemetry|Stats|Trace|SlowLog|SlowOps|OpsHandler|OpsEndpoint|Health|Prom|Snapshot|Histogram' \
-		./internal/server/... ./client/ ./cmd/dbpl/
-
-# The index battery (docs/INDEXES.md): the extent/field-index unit,
-# quick-check and concurrent-maintenance tests, the cost-model and
-# join-planning tests, the server index e2e (DDL lifecycle, txn refusal,
-# restart durability, STATS counters), and the persist-layer 'X'-record
-# durability + crash tests proving an index definition is never ahead of
-# the durable offset — all under the race detector.
-index-tests:
-	$(GO) test -race ./internal/index/ ./internal/plan/
-	$(GO) test -race -run 'Index|Plan|Explain|Extent' \
-		./internal/server/... ./internal/relation/ ./internal/persist/intrinsic/ ./client/
-
-# The replication battery (docs/REPLICATION.md): the wire codec for the
-# REPLICATE stream, the store-level ship/apply round-trip and the
-# follower-prefix crash matrix, the follower e2e suite (reads served,
-# writes refused typed, restart/resume both directions), the replication
-# chaos tests (partition/heal, flipped bytes on the stream, follower
-# crash mid-apply), and the client fan-out tests (read-your-writes
-# pinning, staleness bound, fallback) — all under the race detector.
-repl-tests:
-	$(GO) test -race -run 'Repl|Follower|Replica|Heartbeat|ReadOnly|PrimaryRestart|ReadGroups|ApplyGroup' \
-		./internal/server/... ./internal/persist/intrinsic/ ./client/
-
-# The group-commit battery (docs/PERSISTENCE.md durability modes): the
-# store-level batched-append tests (stage/sync round trip, byte-identity
-# with the serial log, the crash matrix at every I/O boundary, prefix
-# replay), the coalescer white-box tests (shared fsync, fail-the-whole-
-# batch, the stage→ack poison regression, exactly-once idempotency, the
-# async watermark), and the e2e concurrency stress — all under the race
-# detector.
-commit-tests:
-	$(GO) test -race -run 'Batch|Stage|SyncBatch|Coalescer|GroupCommit|Async|Compact' \
-		./internal/persist/intrinsic/ ./internal/server/...
-
-# The failover battery (docs/REPLICATION.md failover runbook): the
-# store-level promotion tests (durable epoch bump, crash matrix at every
-# I/O boundary, prefix/divergence properties, fork detection on rejoin),
-# the server chaos battery (kill-primary promotion, fencing of a
-# partitioned stale primary's late acks, typed divergent-rejoin refusal,
-# bit flips and hung links during promotion), and the client-driven
-# write-failover e2e — all under the race detector.
-failover-tests:
-	$(GO) test -race -run 'Promote|Failover|Fence|Fenced|Diverge|VerifyTail|Epoch|HangNext|WriteFailover' \
-		./internal/persist/intrinsic/ ./internal/server/... ./client/ ./cmd/dbpl/
-
-# The tracing battery (docs/OBSERVABILITY.md Tracing): the trace package
-# unit tests (span nesting, sampler determinism, forced-retention ring
-# under racing writers, codec hardening), the wire tests for the traced
-# frame fast path and REPDATA's trace context, the server trace e2e
-# suite (group-commit span nesting, the follower's linked apply trace,
-# TRACES opcode, sampling off), and the client zero-alloc stamping test
-# — all under the race detector.
-trace-tests:
-	$(GO) test -race ./internal/telemetry/trace/
-	$(GO) test -race -run 'Trace|Exemplar|ReplData|AppendTracedFrame|SlowLogConcurrent|Delta' \
-		./internal/server/... ./internal/telemetry/... ./client/
 
 # The benchmark is its own nested module (bench/go.mod), so `go build
 # ./...` and `go test ./...` from the root never reach it — yet it links

@@ -2,7 +2,7 @@
 //
 //	dbpl serve [-addr :7070] [-drain 5s] [-follow primary:7070] [-allow-promote] [-fsck]
 //	           [-max-inflight n] [-durability per-commit|group|async]
-//	           [-commit-max-delay d] [-commit-max-batch n] [-ops 127.0.0.1:7071]
+//	           [-commit-max-delay d] [-ops 127.0.0.1:7071]
 //	           [-trace-sample p] [-trace-ring n] store.log
 //
 // With -follow the server is a read-only replication follower: it streams
@@ -12,8 +12,9 @@
 // follower into the new primary at a bumped, durable promotion epoch —
 // see docs/REPLICATION.md for the failover runbook.
 //
-// -durability selects when writes are acknowledged relative to the fsync:
-// per-commit (default) fsyncs every commit group alone; group coalesces
+// -durability selects when writes are acknowledged relative to the fsync.
+// Every mode runs the same commit pipeline: per-commit (default) is a
+// batch of one commit group per fsync; group coalesces up to 64
 // concurrent commits under one shared fsync and acks after it (same
 // guarantee, amortized cost); async acks before the fsync and publishes
 // the acked-end watermark via HEALTH — a crash may lose acked writes. See
@@ -53,7 +54,6 @@ func runServe(args []string, out io.Writer) error {
 	opsAddr := fs.String("ops", "", "HTTP ops endpoint exposing /metrics, /slowops and /debug/pprof; unauthenticated — bind loopback (e.g. 127.0.0.1:7071)")
 	durability := fs.String("durability", "per-commit", "write acknowledgement mode: per-commit (one fsync per commit), group (concurrent commits share one fsync), async (ack before fsync; a crash may lose acked writes)")
 	commitMaxDelay := fs.Duration("commit-max-delay", 0, "group/async: linger this long for more commits to join a batch (0 = batch whatever queued during the previous fsync)")
-	commitMaxBatch := fs.Int("commit-max-batch", 0, "group/async: max commit groups amortized by one fsync (0 = default 64)")
 	traceSample := fs.Float64("trace-sample", 0, "head-sampling probability for span-based request tracing (0 = off, 1 = trace everything); slow requests are always retained")
 	traceRing := fs.Int("trace-ring", 0, "completed traces retained in memory for TRACES//traces (0 = default 256)")
 	if err := fs.Parse(args); err != nil {
@@ -106,7 +106,6 @@ func runServe(args []string, out io.Writer) error {
 		AllowPromote:    *allowPromote,
 		Durability:      dur,
 		GroupMaxDelay:   *commitMaxDelay,
-		GroupMaxBatch:   *commitMaxBatch,
 		TraceSampleRate: *traceSample,
 		TraceRingSize:   *traceRing,
 	})

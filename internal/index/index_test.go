@@ -332,7 +332,7 @@ func TestQuickSetEquivalentToScan(t *testing.T) {
 // TestConcurrentMaintenanceStress publishes successive Sets through an
 // atomic pointer while readers query lock-free — the server's exact usage
 // — and checks every observed snapshot is internally consistent. Run
-// under -race (make race / index-tests).
+// under -race (make race).
 func TestConcurrentMaintenanceStress(t *testing.T) {
 	var pub atomic.Pointer[Set]
 	pub.Store(NewSet(Def{Field: "Empno"}))

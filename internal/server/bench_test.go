@@ -221,10 +221,15 @@ func BenchmarkReopen(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := server.New(st, server.Config{}); err != nil {
+		srv, err := server.New(st, server.Config{})
+		if err != nil {
 			b.Fatal(err)
 		}
+		// Close first: the closed store refuses Shutdown's final commit
+		// group, so the log stays as written, and Shutdown still stops the
+		// server's committer goroutine.
 		st.Close()
+		srv.Shutdown(context.Background())
 	}
 }
 

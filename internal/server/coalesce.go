@@ -1,28 +1,25 @@
-// Group commit: the commit coalescer that amortizes the fsync across
-// concurrent writers.
+// The commit pipeline: every autocommit PUT/DELETE and transaction COMMIT
+// is handed to one committer goroutine, in every durability mode.
 //
-// Under Durability=per-commit every writer serializes through commitMu
-// and pays a full fsync alone, so aggregate write throughput flatlines at
-// 1/fsync-latency no matter how many clients push. The coalescer turns
-// that queue into a batch: writers hand their commit to a dedicated
-// committer goroutine, which drains everything queued, stages each commit
-// as its own group in the store's log (StageBound — write, no sync), and
-// promotes the whole batch with ONE shared fsync (SyncBatch). Every
-// waiter is acknowledged only after that shared durable boundary, so the
-// guarantee each writer observes is exactly per-commit durability — the
-// fsync is merely shared. While the fsync for batch N runs, the queue for
-// batch N+1 builds, which is what makes throughput scale with concurrency
-// instead of flatlining (experiment E18).
+// Writers enqueue their commit and block; the committer drains what is
+// queued into a batch (at most one commit under Durability=per-commit, up
+// to 64 under group and async), stages each commit as its own group in the
+// store's log (StageBound — write, no sync), and promotes the whole batch
+// with ONE fsync (SyncBatch). Every waiter is acknowledged only after that
+// durable boundary, so per-commit is simply the batch of one and group
+// gives each writer exactly the same guarantee — the fsync is merely
+// shared. While the fsync for batch N runs, the queue for batch N+1
+// builds, which is what makes group throughput scale with concurrency
+// instead of flatlining at 1/fsync-latency (experiment E18).
 //
-// Failure discipline (the PR 2/4 machinery, moved to the batch): a failed
-// stage or batch fsync has already truncated the log back to the
-// pre-batch durable end inside the store, so the coalescer fails every
-// waiter in the batch with the same typed cause and replays the log
-// (rollback) to re-derive the in-memory store state; if even that fails
-// the write path is poisoned. Results are decided solely by the
-// stage/sync outcome under commitMu — never by observing the poisoned
-// flag afterwards — so degraded-mode entry between stage and ack can
-// never acknowledge a writer whose group was truncated back (the
+// Failure discipline: a failed stage or batch fsync has already truncated
+// the log back to the pre-batch durable end inside the store, so the
+// committer fails every waiter in the batch with the same typed cause and
+// replays the log (rollback) to re-derive the in-memory store state; if
+// even that fails the write path is poisoned. Results are decided solely
+// by the stage/sync outcome under commitMu — never by observing the
+// poisoned flag afterwards — so degraded-mode entry between stage and ack
+// can never acknowledge a writer whose group was truncated back (the
 // double-ack hazard).
 //
 // Idempotency keys are recorded only after the batch is durable; a
@@ -52,7 +49,7 @@ type Durability int
 
 const (
 	// DurPerCommit: every commit group pays its own fsync before the ack —
-	// the PR 1 behavior, and the default.
+	// a batch of one. The default.
 	DurPerCommit Durability = iota
 	// DurGroup: concurrent commits are staged into one batch and promoted
 	// by one shared fsync; every waiter acks after that shared durable
@@ -76,6 +73,15 @@ func (d Durability) String() string {
 	}
 }
 
+// maxBatch caps the commit groups one fsync promotes: per-commit is the
+// batch of one; group and async amortize one fsync over up to 64.
+func (d Durability) maxBatch() int {
+	if d == DurPerCommit {
+		return 1
+	}
+	return 64
+}
+
 // ParseDurability maps the serve flag spelling to a Durability.
 func ParseDurability(s string) (Durability, error) {
 	switch s {
@@ -91,17 +97,28 @@ func ParseDurability(s string) (Durability, error) {
 
 // commitReq is one writer's commit handed to the committer goroutine.
 // tr/sp carry the writer's trace across the goroutine boundary: the
-// committer appends queue-wait/stage/fsync/publish child spans under
-// sp (the writer's "commit" span) while the writer blocks on done, so
-// the finished tree shows exactly where a group-committed write spent
-// its time. Both are nil/zero for unsampled requests.
+// committer appends lock-wait/stage/fsync/publish child spans under sp
+// (the writer's "commit" span) while the writer blocks on done, so the
+// finished tree shows exactly where the write spent its time. Both are
+// nil/zero for unsampled requests.
 type commitReq struct {
 	ops      []txnOp
 	key      string
 	enqueued time.Time
 	tr       *rtrace.Trace
 	sp       rtrace.SpanID
-	done     chan commitResult // buffered(1); exactly one send
+	done     chan struct{} // closed once res is final
+
+	// The rest belongs to processBatch, under commitMu. existed is set
+	// once the request's group is staged (a commit has at least one op,
+	// so it is non-nil exactly then); owner is the earlier request of the
+	// same batch whose group a duplicate idempotency key shares. res is
+	// the waiter's answer, final once answered and delivered once sent.
+	existed  []bool
+	owner    *commitReq
+	res      commitResult
+	answered bool
+	sent     bool
 }
 
 type commitResult struct {
@@ -109,30 +126,55 @@ type commitResult struct {
 	err     error
 }
 
+// answer records res as r's answer unless r already has one: a waiter
+// answered from the idempotency cache keeps its success when the rest of
+// its batch fails.
+func (r *commitReq) answer(res commitResult) {
+	if !r.answered {
+		r.res, r.answered = res, true
+	}
+}
+
+// send releases r's waiter to read its answer, once.
+func (r *commitReq) send() {
+	if r.sent {
+		return
+	}
+	r.sent = true
+	if !r.answered {
+		r.res = commitResult{err: &wire.WireError{Code: wire.CodeInternal, Msg: "commit batch dropped a waiter"}}
+	}
+	close(r.done)
+}
+
 // committerLoop is the dedicated committer goroutine: it blocks for the
-// next queued commit, drains whatever else is already queued (up to
-// GroupMaxBatch, lingering up to GroupMaxDelay for stragglers), and
+// next queued commit, drains whatever else is already queued (up to the
+// mode's batch cap, lingering up to GroupMaxDelay for stragglers), and
 // processes the batch under commitMu. It exits when commitCh closes
 // (Shutdown, after every request handler has returned), having processed
 // everything that was queued.
 func (s *Server) committerLoop() {
 	defer close(s.committerDone)
-	maxBatch := s.cfg.groupMaxBatch()
+	maxBatch := s.cfg.Durability.maxBatch()
 	maxDelay := s.cfg.groupMaxDelay()
+	batch := make([]*commitReq, 0, maxBatch)
 	for req := range s.commitCh {
-		s.processBatch(s.collectBatch(req, maxBatch, maxDelay))
+		batch = s.collectBatch(append(batch, req), maxBatch, maxDelay)
+		s.processBatch(batch)
+		clear(batch) // answered requests must not stay reachable
+		batch = batch[:0]
 	}
 }
 
-// collectBatch gathers the current batch: first, then everything already
-// queued, then — only when GroupMaxDelay is set — stragglers until the
-// delay expires or the batch is full. With no delay configured the batch
-// is simply "the queue at this instant", the classic self-tuning shape:
-// batches grow exactly as fast as the fsync is slow.
-func (s *Server) collectBatch(first *commitReq, maxBatch int, maxDelay time.Duration) []*commitReq {
-	batch := append(make([]*commitReq, 0, maxBatch), first)
+// collectBatch completes the batch that holds the first queued commit:
+// everything already queued, then — only when GroupMaxDelay is set and
+// the cap leaves room — stragglers until the delay expires or the batch
+// is full. With no delay configured the batch is simply "the queue at
+// this instant", the classic self-tuning shape: batches grow exactly as
+// fast as the fsync is slow.
+func (s *Server) collectBatch(batch []*commitReq, maxBatch int, maxDelay time.Duration) []*commitReq {
 	var linger <-chan time.Time
-	if maxDelay > 0 {
+	if maxDelay > 0 && len(batch) < maxBatch {
 		t := time.NewTimer(maxDelay)
 		defer t.Stop()
 		linger = t.C
@@ -169,33 +211,21 @@ func (s *Server) collectBatch(first *commitReq, maxBatch int, maxDelay time.Dura
 // interleave with alterIndex, Shutdown's final commit and the poison
 // flag.
 func (s *Server) processBatch(batch []*commitReq) {
-	began := time.Now()
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
+	// The wait ends when the committer holds commitMu, so time spent
+	// behind index DDL, a promotion, a fence or Shutdown counts as waiting.
+	locked := time.Now()
 	for _, r := range batch {
-		s.m.commitQueueWait.ObserveDuration(began.Sub(r.enqueued))
-		r.tr.Add(r.sp, "queue-wait", r.enqueued, began)
+		s.m.commitQueueWait.ObserveDuration(locked.Sub(r.enqueued))
+		r.tr.Add(r.sp, "lock-wait", r.enqueued, locked)
 	}
-
-	// results accumulates the answer for every waiter; send delivers it,
-	// exactly once per waiter (async acks deliver early, before the
-	// fsync; the deferred sweep answers everyone else).
-	results := make(map[*commitReq]commitResult, len(batch))
-	sent := make(map[*commitReq]bool, len(batch))
-	send := func(r *commitReq) {
-		if sent[r] {
-			return
-		}
-		sent[r] = true
-		res, ok := results[r]
-		if !ok {
-			res = commitResult{err: &wire.WireError{Code: wire.CodeInternal, Msg: "commit batch dropped a waiter"}}
-		}
-		r.done <- res
-	}
+	// Every waiter is answered exactly once, whichever return below is
+	// taken: async acks go out early, before the fsync; this sweep sends
+	// everyone else's.
 	defer func() {
 		for _, r := range batch {
-			send(r)
+			r.send()
 		}
 	}()
 
@@ -203,21 +233,17 @@ func (s *Server) processBatch(batch []*commitReq) {
 		err := &wire.WireError{Code: wire.CodeDegraded, Msg: s.poisoned.Error()}
 		for _, r := range batch {
 			s.m.degraded.Inc()
-			results[r] = commitResult{err: err}
+			r.answer(commitResult{err: err})
 		}
 		return
 	}
-	// The fence decision point for coalesced writes: a batch that queued
-	// while this server was primary but reached the committer after a
-	// fence is refused whole, under the same lock the fence was applied
-	// under — a demoted primary can never ack a write after its
-	// successor's promotion (the double-ack discipline, extended to
-	// failover).
+	// The fence decision point: a batch that queued while this server was
+	// primary but reached the committer after a fence is refused whole,
+	// under the same lock the fence was applied under — a demoted primary
+	// can never ack a write after its successor's promotion (the
+	// double-ack discipline, extended to failover).
 	if r := wire.Role(s.role.Load()); r != wire.RolePrimary {
-		err := s.refuseWrite(r)
-		for _, req := range batch {
-			results[req] = commitResult{err: err}
-		}
+		failBatch(batch, s.refuseWrite(r))
 		return
 	}
 
@@ -225,34 +251,32 @@ func (s *Server) processBatch(batch []*commitReq) {
 	// state is computed but not yet published. Requests answered from the
 	// idempotency cache (their groups are already durable from an earlier
 	// batch) succeed regardless of this batch's fate; a duplicate key
-	// *within* the batch aliases the first occurrence's result.
-	type stagedReq struct {
-		req     *commitReq
-		existed []bool
-	}
-	var staged []stagedReq
-	keyOwner := map[string]int{} // key -> index into staged
-	aliases := map[*commitReq]int{}
+	// *within* the batch shares the first occurrence's result.
 	pub := s.state.Load()
+	var staged int
 	var indexTouched uint64
 	var failAll error
-	for _, r := range batch {
+	// batchTrace is the trace that represents this batch on shared
+	// instruments (the sync-latency exemplar, the REPDATA stamp): the
+	// first sampled staged waiter's trace ID, zero when none was sampled.
+	var batchTrace uint64
+	for i, r := range batch {
 		if r.key != "" {
 			if existed, ok := s.idem.get(r.key); ok {
 				s.m.idemHits.Inc()
-				results[r] = commitResult{existed: existed}
+				r.answer(commitResult{existed: existed})
 				continue
 			}
-			if i, ok := keyOwner[r.key]; ok {
+			if o := stagedWithKey(batch[:i], r.key); o != nil {
 				s.m.idemHits.Inc()
-				aliases[r] = i
+				r.owner = o
 				continue
 			}
 		}
 		stageStart := time.Now()
 		existed := make([]bool, len(r.ops))
-		for i, o := range r.ops {
-			_, existed[i] = pub.roots[o.name]
+		for j, o := range r.ops {
+			_, existed[j] = pub.roots[o.name]
 			if o.del {
 				s.store.Unbind(o.name)
 				continue
@@ -262,10 +286,11 @@ func (s *Server) processBatch(batch []*commitReq) {
 				break
 			}
 		}
+		// StageBound, not Commit: every value this server binds is freshly
+		// decoded and the published state is immutable, so nothing under an
+		// untouched root can have changed and the store need not walk it.
 		if failAll == nil {
-			if _, err := s.store.StageBound(); err != nil {
-				failAll = err
-			}
+			_, failAll = s.store.StageBound()
 		}
 		if failAll != nil {
 			break
@@ -274,9 +299,10 @@ func (s *Server) processBatch(batch []*commitReq) {
 		next, istats := pub.apply(r.ops)
 		pub = next
 		indexTouched += uint64(istats.EntriesTouched)
-		staged = append(staged, stagedReq{req: r, existed: existed})
-		if r.key != "" {
-			keyOwner[r.key] = len(staged) - 1
+		r.existed = existed
+		staged++
+		if batchTrace == 0 {
+			batchTrace = r.tr.ID()
 		}
 	}
 	if failAll != nil {
@@ -285,60 +311,23 @@ func (s *Server) processBatch(batch []*commitReq) {
 		// re-derives the in-memory store state, or poisons. Every waiter
 		// not answered from the dedup cache fails with the same cause.
 		s.rollback(failAll)
-		s.failBatch(batch, results, failAll)
+		failBatch(batch, failAll)
 		return
 	}
-	if len(staged) == 0 {
+	if staged == 0 {
 		return // the whole batch was answered from the dedup cache
 	}
 
-	// batchTrace is the trace that represents this batch on shared
-	// instruments (the sync-latency exemplar, the REPDATA stamp): the
-	// first sampled waiter's trace ID, zero when none were sampled.
-	var batchTrace uint64
-	for _, sr := range staged {
-		if id := sr.req.tr.ID(); id != 0 {
-			batchTrace = id
-			break
-		}
-	}
-
 	async := s.cfg.Durability == DurAsync
-	ack := func() {
-		pubStart := time.Now()
-		s.state.Store(pub)
-		s.notifyCommit()
-		pubEnd := time.Now()
-		for _, sr := range staged {
-			if sr.req.key != "" {
-				s.idem.put(sr.req.key, sr.existed)
-			}
-			results[sr.req] = commitResult{existed: sr.existed}
-			sr.req.tr.Add(sr.req.sp, "publish", pubStart, pubEnd)
-			s.m.commits.Inc()
-			s.m.commitSeconds.ObserveDurationExemplar(time.Since(sr.req.enqueued), sr.req.tr.ID())
-			s.m.commitOps.Observe(int64(len(sr.req.ops)))
-		}
-		for r, i := range aliases {
-			results[r] = commitResult{existed: staged[i].existed}
-		}
-		s.m.indexTouched.Add(indexTouched)
-		s.m.batchGroups.Observe(int64(len(staged)))
-		s.m.fsyncsSaved.Add(uint64(len(staged) - 1))
-	}
-
 	if async {
 		// Acked-but-not-yet-durable: publish the watermark, answer the
 		// waiters before the fsync (that is the mode's entire point; the
 		// window is one batch wide), and record idempotency keys at ack
 		// time so a retry of an acked write cannot re-apply.
 		s.ackedEnd.Store(s.store.StagedEnd())
-		ack()
-		for _, sr := range staged {
-			send(sr.req)
-		}
-		for r := range aliases {
-			send(r)
+		s.ackBatch(batch, pub, staged, indexTouched)
+		for _, r := range batch {
+			r.send()
 		}
 	}
 
@@ -346,8 +335,8 @@ func (s *Server) processBatch(batch []*commitReq) {
 	_, err := s.store.SyncBatch()
 	syncEnd := time.Now()
 	s.m.commitSyncSeconds.ObserveExemplar(int64(syncEnd.Sub(syncStart)), batchTrace)
-	if err != nil {
-		if async {
+	if async {
+		if err != nil {
 			// The waiters were already acknowledged against state that just
 			// got truncated out of the log: the published state can no
 			// longer be made durable. Bring the store back to the durable
@@ -359,47 +348,75 @@ func (s *Server) processBatch(batch []*commitReq) {
 			s.logf("%v", s.poisoned)
 			return
 		}
+		s.markCommit(batchTrace)
+		return
+	}
+	if err != nil {
 		s.rollback(err)
-		s.failBatch(batch, results, err)
+		failBatch(batch, err)
 		return
 	}
 	// The shared fsync becomes a child span of every durably-acked
 	// waiter: the same wall-clock interval appears in each tree, which
-	// is the point — it shows N writers paying one fsync. Async waiters
-	// were already acknowledged (their goroutines may have recorded the
-	// trace), so only sync modes append it.
-	if !async {
-		for _, sr := range staged {
-			sr.req.tr.Add(sr.req.sp, "fsync", syncStart, syncEnd)
-		}
-	}
-	s.markCommit(batchTrace)
-	if !async {
-		ack()
-	}
-}
-
-// failBatch records err for every waiter in batch that does not already
-// have a result (dedup-cache hits keep their success: their groups were
-// made durable by an earlier batch).
-func (s *Server) failBatch(batch []*commitReq, results map[*commitReq]commitResult, err error) {
+	// is the point — it shows N writers paying one fsync. (Async waiters
+	// were answered before it, and their goroutines may already have
+	// recorded the trace.)
 	for _, r := range batch {
-		if _, ok := results[r]; !ok {
-			results[r] = commitResult{err: err}
+		if r.existed != nil {
+			r.tr.Add(r.sp, "fsync", syncStart, syncEnd)
 		}
 	}
+	// Mark before the wakeup in ackBatch: a streamer woken by it must see
+	// this batch's trace stamp when it ships the groups.
+	s.markCommit(batchTrace)
+	s.ackBatch(batch, pub, staged, indexTouched)
 }
 
-// coalescedCommit is the waiter side: enqueue and block for the result.
-// The committer goroutine does the idempotency lookup, existed
-// computation and staging under commitMu, so ordering is decided by queue
-// position exactly as it used to be by lock handoff.
-func (s *Server) coalescedCommit(ops []txnOp, key string, tr *rtrace.Trace) ([]bool, error) {
-	sp := tr.Start(0, "commit")
-	req := &commitReq{ops: ops, key: key, enqueued: time.Now(),
-		tr: tr, sp: sp, done: make(chan commitResult, 1)}
-	s.commitCh <- req
-	res := <-req.done
-	tr.End(sp)
-	return res.existed, res.err
+// ackBatch publishes the batch's successor state and answers every staged
+// request, and every in-batch duplicate with its owner's result. Caller
+// holds commitMu.
+func (s *Server) ackBatch(batch []*commitReq, pub *state, staged int, indexTouched uint64) {
+	pubStart := time.Now()
+	s.state.Store(pub)
+	s.notifyCommit()
+	pubEnd := time.Now()
+	for _, r := range batch {
+		switch {
+		case r.existed != nil:
+			if r.key != "" {
+				s.idem.put(r.key, r.existed)
+			}
+			r.answer(commitResult{existed: r.existed})
+			r.tr.Add(r.sp, "publish", pubStart, pubEnd)
+			s.m.commits.Inc()
+			s.m.commitSeconds.ObserveDurationExemplar(time.Since(r.enqueued), r.tr.ID())
+			s.m.commitOps.Observe(int64(len(r.ops)))
+		case r.owner != nil:
+			r.answer(commitResult{existed: r.owner.existed})
+		}
+	}
+	s.m.indexTouched.Add(indexTouched)
+	s.m.batchGroups.Observe(int64(staged))
+	s.m.fsyncsSaved.Add(uint64(staged - 1))
+}
+
+// stagedWithKey returns the request among reqs that staged a group under
+// the idempotency key, or nil. A batch holds at most 64 requests, so a
+// scan is cheaper than indexing the keys.
+func stagedWithKey(reqs []*commitReq, key string) *commitReq {
+	for _, r := range reqs {
+		if r.existed != nil && r.key == key {
+			return r
+		}
+	}
+	return nil
+}
+
+// failBatch answers err to every waiter in batch that has no answer yet
+// (dedup-cache hits keep their success: their groups were made durable by
+// an earlier batch).
+func failBatch(batch []*commitReq, err error) {
+	for _, r := range batch {
+		r.answer(commitResult{err: err})
+	}
 }

@@ -1,8 +1,7 @@
 // End-to-end group-commit tests: concurrent writers racing through the
-// wire protocol against a coalescing server. The commit-tests make target
-// runs this file under -race; the stress test is the satellite that
-// proves the coalescer under real client concurrency, not just the
-// white-box batches.
+// wire protocol against a coalescing server, meaningful under -race
+// (`make race`). The stress test proves the coalescer under real client
+// concurrency, not just the white-box batches.
 package server_test
 
 import (

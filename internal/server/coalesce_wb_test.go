@@ -1,7 +1,7 @@
-// White-box tests for the commit coalescer: batch failure semantics, the
+// White-box tests for the commit pipeline: batch failure semantics, the
 // double-ack regression at the stage→ack boundary, exactly-once
-// idempotency across and within batches, and the async acked-end
-// watermark. These drive Server.commit directly (no network) so the
+// idempotency across and within batches, the async acked-end watermark,
+// per-commit as the batch of one, and the lock-wait accounting. These drive Server.commit directly (no network) so the
 // injected faults land on deterministic I/O boundaries.
 package server
 
@@ -19,6 +19,7 @@ import (
 	"dbpl/internal/persist/intrinsic"
 	"dbpl/internal/persist/iofault"
 	"dbpl/internal/server/wire"
+	rtrace "dbpl/internal/telemetry/trace"
 	"dbpl/internal/value"
 )
 
@@ -503,5 +504,99 @@ func TestAsyncFsyncFailurePoisons(t *testing.T) {
 	}
 	if _, ok := fresh.Root("base"); !ok {
 		t.Fatal("durable root lost")
+	}
+}
+
+// TestPerCommitIsBatchOfOne: under the default durability every commit is
+// its own batch — one fsync per commit, none saved, and every batch-size
+// observation is 1 — however many writers race.
+func TestPerCommitIsBatchOfOne(t *testing.T) {
+	inj := iofault.NewInjector(iofault.OS{})
+	srv, _ := wbServer(t, inj, filepath.Join(t.TempDir(), "one.log"), Config{})
+
+	const writers, rounds = 8, 4
+	syncsBefore := inj.Count(iofault.OpSync)
+	var wg sync.WaitGroup
+	errs := make([]error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds && errs[w] == nil; r++ {
+				_, errs[w] = srv.commit([]txnOp{putOp(fmt.Sprintf("w%d-%d", w, r), int64(r))}, "", nil)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("writer %d: %v", w, err)
+		}
+	}
+	const commits = writers * rounds
+	if syncs := inj.Count(iofault.OpSync) - syncsBefore; syncs != commits {
+		t.Fatalf("%d per-commit commits used %d fsyncs, want one each", commits, syncs)
+	}
+	if saved := srv.m.fsyncsSaved.Value(); saved != 0 {
+		t.Fatalf("dbpl_commit_fsyncs_saved_total = %d under per-commit, want 0", saved)
+	}
+	if n, sum := srv.m.batchGroups.Stat(); n != commits || sum != commits {
+		t.Fatalf("dbpl_commit_batch_groups count %d sum %d, want %d batches of one", n, sum, commits)
+	}
+}
+
+// TestCommitLockWaitCoversCommitMu: a commit that queues behind another
+// holder of commitMu — index DDL, a promotion, a fence, Shutdown — counts
+// that wait as lock-wait, in its span and in
+// dbpl_commit_queue_wait_seconds: the wait ends no earlier than commitMu
+// is released and no later than staging starts.
+func TestCommitLockWaitCoversCommitMu(t *testing.T) {
+	const hold = 20 * time.Millisecond
+	for _, d := range []Durability{DurPerCommit, DurGroup, DurAsync} {
+		t.Run(d.String(), func(t *testing.T) {
+			srv, _ := wbServer(t, iofault.OS{}, filepath.Join(t.TempDir(), "lockwait.log"), Config{Durability: d})
+			tr := rtrace.New(rtrace.NextID(), "PUT")
+			srv.commitMu.Lock()
+			done := make(chan error, 1)
+			go func() {
+				_, err := srv.commit([]txnOp{putOp("r", 1)}, "", tr)
+				done <- err
+			}()
+			// Hold the lock for hold once the commit span has opened; the
+			// writer enqueues right after opening it.
+			for len(tr.Data().Spans) < 2 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			time.Sleep(hold)
+			unlocked := time.Now()
+			srv.commitMu.Unlock()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+
+			d := tr.Data()
+			spans := map[string]rtrace.Span{}
+			for _, sp := range d.Spans {
+				spans[sp.Name] = sp
+			}
+			lw, ok := spans["lock-wait"]
+			stage, ok2 := spans["stage"]
+			if !ok || !ok2 {
+				t.Fatalf("commit trace lacks lock-wait or stage: %+v", d.Spans)
+			}
+			if lw.Dur < hold {
+				t.Errorf("lock-wait %v, want at least the %v commitMu was held", lw.Dur, hold)
+			}
+			if end := d.Begin.Add(lw.Start + lw.Dur); end.Before(unlocked) {
+				t.Errorf("lock-wait ends %v before commitMu was released", unlocked.Sub(end))
+			}
+			if end := lw.Start + lw.Dur; end > stage.Start {
+				t.Errorf("lock-wait ends at %v, after stage starts at %v", end, stage.Start)
+			}
+			if n, sum := srv.m.commitQueueWait.Stat(); n != 1 || time.Duration(sum) != lw.Dur {
+				t.Errorf("dbpl_commit_queue_wait_seconds count %d sum %v, want 1 observation of the %v lock-wait",
+					n, time.Duration(sum), lw.Dur)
+			}
+		})
 	}
 }

@@ -1,8 +1,10 @@
-// The failover chaos battery (`make failover-tests`): epoch-fenced
-// follower promotion, stale-primary demotion, divergent-rejoin refusal,
-// and client-driven write failover, each under the faults that motivate
-// them — a dead primary, a partition straddling the promotion, a bit
-// flip or a silently hung link in the middle of it.
+// The failover chaos battery: epoch-fenced follower promotion,
+// stale-primary demotion, divergent-rejoin refusal, and client-driven
+// write failover, each under the faults that motivate them — a dead
+// primary, a partition straddling the promotion, a bit flip or a silently
+// hung link in the middle of it. `make race` runs it under the race
+// detector; alone it is
+// `go test -race -run 'Promote|Failover|Fence' ./internal/server/ ./client/`.
 //
 // The three invariants under test:
 //

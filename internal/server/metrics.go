@@ -36,15 +36,15 @@ type serverMetrics struct {
 	idemHits *telemetry.Counter // retried writes answered from the dedup cache
 
 	commits       *telemetry.Counter   // durable commit groups published
-	commitSeconds *telemetry.Histogram // store.Commit latency (fsync-dominated)
+	commitSeconds *telemetry.Histogram // enqueue to durable publication (fsync-dominated)
 	commitOps     *telemetry.Histogram // operations per commit group
 
-	// Group commit (coalesce.go). batchGroups is the size of each
-	// promoted batch in commit groups; fsyncsSaved counts the fsyncs
-	// coalescing avoided (batch size - 1, summed); commitQueueWait is how
-	// long each commit sat queued before its batch began (the follower
-	// wait); commitSyncSeconds is the shared batch fsync (the leader
-	// wait).
+	// The commit pipeline (coalesce.go). batchGroups is the size of each
+	// promoted batch in commit groups (always 1 under per-commit);
+	// fsyncsSaved counts the fsyncs coalescing avoided (batch size - 1,
+	// summed); commitQueueWait is how long each commit waited from
+	// enqueue until the committer held commitMu (the lock-wait span);
+	// commitSyncSeconds is the batch fsync.
 	batchGroups       *telemetry.Histogram
 	fsyncsSaved       *telemetry.Counter
 	commitQueueWait   *telemetry.Histogram
@@ -146,10 +146,10 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		"dbpl_server_requests_total":     "requests served, by opcode",
 		"dbpl_server_request_seconds":    "request latency by opcode, admission to response write",
 		"dbpl_server_errors_total":       "error responses, by wire error code",
-		"dbpl_server_commit_seconds":     "commit latency, enqueue (or lock) to durable publication",
+		"dbpl_server_commit_seconds":     "commit latency, enqueue to durable publication",
 		"dbpl_server_commits_total":      "durable commit groups published",
-		"dbpl_commit_queue_wait_seconds": "time a commit sat queued before its batch began",
-		"dbpl_commit_sync_seconds":       "shared batch fsync latency under group commit",
+		"dbpl_commit_queue_wait_seconds": "time a commit waited from enqueue until the committer held the commit lock",
+		"dbpl_commit_sync_seconds":       "commit batch fsync latency",
 		"dbpl_commit_batch_groups":       "commit groups coalesced per shared fsync",
 		"dbpl_repl_apply_delay_seconds":  "follower lag: primary commit wall-clock to local apply",
 		"dbpl_trace_total":               "traces retained in the in-memory ring",

@@ -13,16 +13,18 @@
 // root. Readers (GET, JOIN, NAMES outside a transaction) load the pointer
 // and run lock-free against that snapshot — they can never observe a
 // commit in progress, because the pointer is swapped only after the
-// store's commit group is durable. Writers buffer per session and
-// serialize through commitMu: apply the session's operations to the
-// store, stage and sync them as one commit group (StageBound: the store
-// walks only the roots just bound, which is sound because this server
-// binds freshly decoded values and never mutates a published one), then
+// store's commit group is durable. Writers buffer per session and hand
+// each commit to one committer goroutine (coalesce.go), which serializes
+// through commitMu: apply the batch's operations to the store, stage each
+// commit as one commit group (StageBound: the store walks only the roots
+// just bound, which is sound because this server binds freshly decoded
+// values and never mutates a published one), sync the batch, then
 // publish the next state (a Fork of the previous database with the delta
-// applied). If the store commit fails,
-// store.Abort() replays the log back to the last durable group and the
-// published state is left untouched — the remote failure taxonomy
-// (wire.CodeIO / wire.CodeCorrupt) mirrors the local one.
+// applied). Under the default per-commit durability a batch is one
+// commit. If the store commit fails, store.Abort() replays the log back
+// to the last durable group and the published state is left untouched —
+// the remote failure taxonomy (wire.CodeIO / wire.CodeCorrupt) mirrors
+// the local one.
 //
 // # Sessions and transactions
 //
@@ -138,20 +140,19 @@ type Config struct {
 	// commit group larger than it is still shipped whole. 0 means 256KiB.
 	ReplChunk int
 	// Durability selects when a write is acknowledged relative to its
-	// fsync: DurPerCommit (default, one fsync per commit group), DurGroup
-	// (concurrent commits share one fsync, acked after it) or DurAsync
-	// (acked before the fsync; the acked-end watermark is published via
+	// fsync. Every mode runs the same committer: DurPerCommit (default)
+	// is a batch of one commit group per fsync, DurGroup lets up to 64
+	// concurrent commits share one fsync, acked after it, and DurAsync
+	// acks them before it (the acked-end watermark is published via
 	// HEALTH/STATS). See coalesce.go and docs/PERSISTENCE.md.
 	Durability Durability
 	// GroupMaxDelay is how long the committer lingers for stragglers after
-	// the first commit of a batch, under DurGroup/DurAsync. 0 (the
-	// default) means no artificial wait: a batch is whatever queued while
-	// the previous fsync ran — batches grow exactly as fast as the disk is
-	// slow, adding no latency when the server is idle.
+	// the first commit of a batch, under DurGroup/DurAsync (a per-commit
+	// batch is full at one commit). 0 (the default) means no artificial
+	// wait: a batch is whatever queued while the previous fsync ran —
+	// batches grow exactly as fast as the disk is slow, adding no latency
+	// when the server is idle.
 	GroupMaxDelay time.Duration
-	// GroupMaxBatch caps the commit groups amortized by one fsync, under
-	// DurGroup/DurAsync; 0 means 64.
-	GroupMaxBatch int
 	// TraceSampleRate is the head-sampling probability for span-based
 	// request tracing: that share of requests (by uniform trace ID)
 	// record a full span tree into the trace ring, fetchable via TRACES
@@ -232,13 +233,6 @@ func (c Config) replChunk() int {
 		return 256 << 10
 	}
 	return c.ReplChunk
-}
-
-func (c Config) groupMaxBatch() int {
-	if c.GroupMaxBatch <= 0 {
-		return 64
-	}
-	return c.GroupMaxBatch
 }
 
 func (c Config) groupMaxDelay() time.Duration {
@@ -403,11 +397,10 @@ type Server struct {
 	// was inferred from a replication stream, not a notification).
 	fencedBy atomic.Pointer[string]
 
-	// commitCh feeds the committer goroutine under DurGroup/DurAsync; nil
-	// under DurPerCommit (commits take the serial path). committerDone
-	// closes when the committer has drained the queue and exited;
-	// committerStop guards the close of commitCh (Shutdown may be called
-	// twice). See coalesce.go.
+	// commitCh feeds the committer goroutine, the one path every commit
+	// takes in every durability mode. committerDone closes when the
+	// committer has drained the queue and exited; committerStop guards the
+	// close of commitCh (Shutdown may be called twice). See coalesce.go.
 	commitCh      chan *commitReq
 	committerDone chan struct{}
 	committerStop sync.Once
@@ -556,15 +549,14 @@ func New(store *intrinsic.Store, cfg Config) (*Server, error) {
 		})
 		go srv.followLoop()
 	}
-	// The committer starts whenever group durability is configured — even
-	// on a follower, where it idles: a promoted follower must be able to
-	// ack coalesced writes immediately, and starting the goroutine late
-	// would race every reader of commitCh.
-	if cfg.Durability != DurPerCommit {
-		srv.commitCh = make(chan *commitReq, cfg.groupMaxBatch())
-		srv.committerDone = make(chan struct{})
-		go srv.committerLoop()
-	}
+	// The committer always starts — even on a follower, where it idles: a
+	// promoted follower must be able to ack writes immediately, and
+	// starting the goroutine late would race every reader of commitCh.
+	// Sized to one batch: a full batch can queue while the committer syncs
+	// the previous one.
+	srv.commitCh = make(chan *commitReq, cfg.Durability.maxBatch())
+	srv.committerDone = make(chan struct{})
+	go srv.committerLoop()
 	return srv, nil
 }
 
@@ -695,10 +687,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// Every request handler has returned (wg), so no writer can enqueue
 	// again: close the commit queue and let the committer drain what is
 	// left before the final durable boundary below.
-	if s.commitCh != nil {
-		s.committerStop.Do(func() { close(s.commitCh) })
-		<-s.committerDone
-	}
+	s.committerStop.Do(func() { close(s.commitCh) })
+	<-s.committerDone
 
 	// Final fsync: an (often empty) commit group marking the shutdown
 	// boundary durable. A poisoned write path must not append it — the
@@ -1522,11 +1512,12 @@ func (sess *session) buffer(op txnOp) {
 // commit turns ops into one durable commit group and publishes the
 // successor state, reporting per-op whether each name existed in the
 // committed state the group was applied to (computed under commitMu, so
-// concurrent DELETEs of one name see exactly one existed=true). Writers
-// serialize here; readers never block. On store failure the log is
-// replayed back to the last durable group and the published state is
-// untouched, so a GET during or after a failed commit still observes only
-// committed roots.
+// concurrent DELETEs of one name see exactly one existed=true). The
+// commit is handed to the committer goroutine (coalesce.go), so ordering
+// is decided by queue position; readers never block. On store failure the
+// log is replayed back to the last durable group and the published state
+// is untouched, so a GET during or after a failed commit still observes
+// only committed roots.
 //
 // key, when non-empty, is the client's idempotency key: if the group was
 // already applied (the acknowledgement was lost and the client retried),
@@ -1537,84 +1528,13 @@ func (s *Server) commit(ops []txnOp, key string, tr *rtrace.Trace) ([]bool, erro
 	if len(ops) == 0 {
 		return nil, nil
 	}
-	if s.commitCh != nil {
-		// DurGroup/DurAsync: hand the commit to the coalescer, which
-		// batches it with every concurrent writer's under one shared fsync
-		// (see coalesce.go). The serial path below is DurPerCommit.
-		return s.coalescedCommit(ops, key, tr)
-	}
-	began := time.Now()
-	csp := tr.Start(0, "commit")
-	defer tr.End(csp)
-	lsp := tr.Start(csp, "lock-wait")
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	tr.End(lsp)
-	if s.poisoned != nil {
-		s.m.degraded.Inc()
-		return nil, &wire.WireError{Code: wire.CodeDegraded, Msg: s.poisoned.Error()}
-	}
-	// The fence decision point: a write admitted while this server was
-	// still primary, but reaching the commit decision after a fence, is
-	// refused here — a stale primary can never ack a write after its
-	// successor's promotion.
-	if r := wire.Role(s.role.Load()); r != wire.RolePrimary {
-		return nil, s.refuseWrite(r)
-	}
-	if key != "" {
-		if existed, ok := s.idem.get(key); ok {
-			s.m.idemHits.Inc()
-			return existed, nil
-		}
-	}
-	cur := s.state.Load()
-	existed := make([]bool, len(ops))
-	ssp := tr.Start(csp, "stage")
-	for i, o := range ops {
-		_, existed[i] = cur.roots[o.name]
-		if o.del {
-			s.store.Unbind(o.name)
-			continue
-		}
-		if err := s.store.Bind(o.name, o.dyn.Value(), o.dyn.Type()); err != nil {
-			s.rollback(err)
-			return nil, err
-		}
-	}
-	tr.End(ssp)
-	// StageBound, not Commit: every value this server binds is freshly
-	// decoded and the published state is immutable, so nothing under an
-	// untouched root can have changed and the store need not walk it.
-	fsp := tr.Start(csp, "append-fsync")
-	_, err := s.store.StageBound()
-	if err == nil {
-		_, err = s.store.SyncBatch()
-	}
-	if err != nil {
-		s.rollback(err)
-		return nil, err
-	}
-	tr.End(fsp)
-	psp := tr.Start(csp, "publish")
-	next, istats := cur.apply(ops)
-	s.state.Store(next)
-	// Mark before the wakeup: a streamer woken by notifyCommit must see
-	// this commit's trace stamp when it ships the group.
-	s.markCommit(tr.ID())
-	s.notifyCommit()
-	tr.End(psp)
-	if key != "" {
-		s.idem.put(key, existed)
-	}
-	s.m.indexTouched.Add(uint64(istats.EntriesTouched))
-	// Commit-group instrumentation covers only durable publications; a
-	// refused or failed group shows up in the error counters instead. The
-	// latency includes the wait for commitMu — queueing behind a slow disk
-	// is exactly what the histogram should expose.
-	s.m.commits.Inc()
-	s.m.commitSeconds.ObserveDurationExemplar(time.Since(began), tr.ID())
-	s.m.commitOps.Observe(int64(len(ops)))
-	return existed, nil
+	sp := tr.Start(0, "commit")
+	req := &commitReq{ops: ops, key: key, enqueued: time.Now(),
+		tr: tr, sp: sp, done: make(chan struct{})}
+	s.commitCh <- req
+	<-req.done
+	tr.End(sp)
+	return req.res.existed, req.res.err
 }
 
 // rollback reverts a failed commit by replaying the log: in-memory store

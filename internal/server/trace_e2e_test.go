@@ -3,6 +3,7 @@ package server_test
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,130 +42,122 @@ func assertNested(t *testing.T, d trace.Data) {
 	}
 }
 
-// TestTraceGroupCommitSpans is the tentpole's acceptance scenario: under
-// group durability a traced PUT's tree must show the queue-wait and the
-// shared fsync as distinct, correctly nested children of its commit
-// span, with the children's total inside the parent's duration.
-func TestTraceGroupCommitSpans(t *testing.T) {
-	h := bootCfg(t, filepath.Join(t.TempDir(), "store.log"), nil, server.Config{
-		Durability:      server.DurGroup,
-		GroupMaxDelay:   2 * time.Millisecond,
-		TraceSampleRate: 1,
-	})
-	c := dial(t, h, nil)
+// TestTraceCommitSpans: in every durability mode a traced PUT's commit
+// span has the one commit vocabulary as its children, in order and
+// disjoint — lock-wait, stage, fsync, publish, with no fsync under async,
+// whose waiters are answered before it — so the children's total fits in
+// the parent's duration. A traced GET records its planner decision and
+// the chosen access path.
+func TestTraceCommitSpans(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  server.Config
+		want []string
+	}{
+		{"per-commit", server.Config{},
+			[]string{"lock-wait", "stage", "fsync", "publish"}},
+		{"group", server.Config{Durability: server.DurGroup, GroupMaxDelay: 2 * time.Millisecond},
+			[]string{"lock-wait", "stage", "fsync", "publish"}},
+		{"async", server.Config{Durability: server.DurAsync},
+			[]string{"lock-wait", "stage", "publish"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.TraceSampleRate = 1
+			h := bootCfg(t, filepath.Join(t.TempDir(), "store.log"), nil, tc.cfg)
+			c := dial(t, h, nil)
 
-	const writers = 8
-	var wg sync.WaitGroup
-	errs := make([]error, writers)
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.Put(fmt.Sprintf("w%d", i), emp(fmt.Sprintf("W%d", i), int64(i), "Ops"), employeeT)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
-
-	ds, err := c.Traces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked := 0
-	for _, d := range ds {
-		if d.Op != "PUT" {
-			continue
-		}
-		assertNested(t, d)
-		ci := findSpan(d, "commit", 0)
-		if ci < 0 {
-			t.Fatalf("PUT trace %#x has no commit span: %+v", d.ID, d.Spans)
-		}
-		commit := d.Spans[ci]
-		var childSum time.Duration
-		for _, name := range []string{"queue-wait", "stage", "fsync", "publish"} {
-			si := findSpan(d, name, trace.SpanID(ci))
-			if si < 0 {
-				t.Fatalf("PUT trace %#x commit span lacks %q child: %+v", d.ID, name, d.Spans)
+			const writers = 8
+			var wg sync.WaitGroup
+			errs := make([]error, writers)
+			for i := 0; i < writers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					errs[i] = c.Put(fmt.Sprintf("w%d", i), emp(fmt.Sprintf("W%d", i), int64(i), "Ops"), employeeT)
+				}(i)
 			}
-			childSum += d.Spans[si].Dur
-		}
-		// The four phases are sequential, disjoint sub-intervals of the
-		// commit span, so their sum cannot exceed it.
-		if childSum > commit.Dur {
-			t.Errorf("trace %#x: children sum %v > commit span %v", d.ID, childSum, commit.Dur)
-		}
-		// queue-wait is the time before the batch began; the shared fsync
-		// comes strictly after it.
-		qw, fs := d.Spans[findSpan(d, "queue-wait", trace.SpanID(ci))], d.Spans[findSpan(d, "fsync", trace.SpanID(ci))]
-		if qw.Start+qw.Dur > fs.Start {
-			t.Errorf("trace %#x: queue-wait ends %v after fsync starts %v", d.ID, qw.Start+qw.Dur, fs.Start)
-		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatalf("no PUT traces retained; got %d traces", len(ds))
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("put %d: %v", i, err)
+				}
+			}
+			if _, err := c.Get(personT); err != nil {
+				t.Fatal(err)
+			}
+
+			ds, err := c.Traces()
+			if err != nil {
+				t.Fatal(err)
+			}
+			puts, gets := 0, 0
+			for _, d := range ds {
+				assertNested(t, d)
+				switch d.Op {
+				case "PUT":
+					puts++
+					assertCommitSpans(t, d, tc.want)
+				case "GET":
+					gets++
+					assertGetSpans(t, d)
+				}
+			}
+			if puts != writers || gets != 1 {
+				t.Fatalf("retained %d PUT and %d GET traces, want %d and 1", puts, gets, writers)
+			}
+		})
 	}
 }
 
-// TestTraceSerialCommitSpans covers the per-commit path: lock-wait,
-// stage, append-fsync and publish under the commit span.
-func TestTraceSerialCommitSpans(t *testing.T) {
-	h := bootCfg(t, filepath.Join(t.TempDir(), "store.log"), nil,
-		server.Config{TraceSampleRate: 1})
-	c := dial(t, h, nil)
-	if err := c.Put("alice", emp("Alice", 1, "Sales"), employeeT); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get(personT); err != nil {
-		t.Fatal(err)
-	}
-
-	ds, err := c.Traces()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var put, get *trace.Data
-	for i := range ds {
-		switch ds[i].Op {
-		case "PUT":
-			put = &ds[i]
-		case "GET":
-			get = &ds[i]
-		}
-	}
-	if put == nil || get == nil {
-		t.Fatalf("want PUT and GET traces, got %d traces", len(ds))
-	}
-	assertNested(t, *put)
-	assertNested(t, *get)
-	ci := findSpan(*put, "commit", 0)
+// assertCommitSpans checks that d's commit span has exactly the children
+// named in want, in that order, each starting no earlier than its
+// predecessor ends.
+func assertCommitSpans(t *testing.T, d trace.Data, want []string) {
+	t.Helper()
+	ci := findSpan(d, "commit", 0)
 	if ci < 0 {
-		t.Fatalf("PUT trace has no commit span: %+v", put.Spans)
+		t.Fatalf("PUT trace %#x has no commit span: %+v", d.ID, d.Spans)
 	}
-	for _, name := range []string{"lock-wait", "stage", "append-fsync", "publish"} {
-		if findSpan(*put, name, trace.SpanID(ci)) < 0 {
-			t.Fatalf("serial commit span lacks %q child: %+v", name, put.Spans)
+	var children []trace.Span
+	for _, sp := range d.Spans {
+		if sp.Parent == trace.SpanID(ci) {
+			children = append(children, sp)
 		}
 	}
-	// The read path records its planner decision and the chosen access
-	// path as spans.
-	if findSpan(*get, "plan", 0) < 0 {
-		t.Fatalf("GET trace has no plan span: %+v", get.Spans)
+	if len(children) != len(want) {
+		t.Fatalf("PUT trace %#x commit children %+v, want %v", d.ID, children, want)
 	}
-	found := false
-	for _, sp := range get.Spans {
-		if len(sp.Name) > 5 && sp.Name[:5] == "exec:" {
-			found = true
+	var sum time.Duration
+	for i, sp := range children {
+		if sp.Name != want[i] {
+			t.Fatalf("PUT trace %#x commit child %d is %q, want %q: %+v", d.ID, i, sp.Name, want[i], children)
+		}
+		if i > 0 {
+			if prev := children[i-1]; sp.Start < prev.Start+prev.Dur {
+				t.Errorf("trace %#x: %q starts at %v, before %q ends at %v",
+					d.ID, sp.Name, sp.Start, prev.Name, prev.Start+prev.Dur)
+			}
+		}
+		sum += sp.Dur
+	}
+	if commit := d.Spans[ci]; sum > commit.Dur {
+		t.Errorf("trace %#x: children sum %v > commit span %v", d.ID, sum, commit.Dur)
+	}
+}
+
+// assertGetSpans checks that a GET trace records the planner decision and
+// the chosen access path.
+func assertGetSpans(t *testing.T, d trace.Data) {
+	t.Helper()
+	if findSpan(d, "plan", 0) < 0 {
+		t.Fatalf("GET trace has no plan span: %+v", d.Spans)
+	}
+	for _, sp := range d.Spans {
+		if strings.HasPrefix(sp.Name, "exec:") {
+			return
 		}
 	}
-	if !found {
-		t.Fatalf("GET trace has no exec span: %+v", get.Spans)
-	}
+	t.Fatalf("GET trace has no exec span: %+v", d.Spans)
 }
 
 // TestTraceFollowerLink: a commit traced on the primary yields a linked

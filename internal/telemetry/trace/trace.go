@@ -13,9 +13,9 @@
 // the call sites. That is the whole overhead story for sampling-off —
 // see EXPERIMENTS.md E20.
 //
-// Traces cross goroutines: under group commit the coalescer goroutine
-// appends queue-wait/fsync spans to a waiter's trace while the waiter
-// owns it, so span mutation is guarded by a mutex. The completed tree is
+// Traces cross goroutines: the server's committer goroutine appends
+// lock-wait/stage/fsync/publish spans to a waiter's trace while the
+// waiter owns it, so span mutation is guarded by a mutex. The completed tree is
 // snapshotted into a plain-value Data before it enters the ring.
 package trace
 
@@ -123,9 +123,9 @@ func (t *Trace) End(id SpanID) {
 }
 
 // Add records an already-completed interval as a child of parent. This
-// is how a different goroutine (the coalescer) attributes shared work —
-// queue-wait, the batched fsync — to a waiter's trace: it measures the
-// interval itself and appends it wholesale.
+// is how a different goroutine (the committer) attributes work — the
+// wait for the commit lock, the batched fsync — to a waiter's trace: it
+// measures the interval itself and appends it wholesale.
 func (t *Trace) Add(parent SpanID, name string, start, end time.Time) {
 	if t == nil {
 		return
