@@ -2,8 +2,7 @@
 //
 //	dbpl serve [-addr :7070] [-drain 5s] [-follow primary:7070] [-allow-promote] [-fsck]
 //	           [-max-inflight n] [-durability per-commit|group|async]
-//	           [-commit-max-delay d] [-ops 127.0.0.1:7071]
-//	           [-trace-sample p] [-trace-ring n] store.log
+//	           [-ops 127.0.0.1:7071] [-trace-sample p] [-trace-ring n] store.log
 //
 // With -follow the server is a read-only replication follower: it streams
 // the primary's log, applies each verified commit group to its own, and
@@ -53,7 +52,6 @@ func runServe(args []string, out io.Writer) error {
 	allowPromote := fs.Bool("allow-promote", false, "accept the PROMOTE admin opcode (dbpl promote) to take over as primary during failover")
 	opsAddr := fs.String("ops", "", "HTTP ops endpoint exposing /metrics, /slowops and /debug/pprof; unauthenticated — bind loopback (e.g. 127.0.0.1:7071)")
 	durability := fs.String("durability", "per-commit", "write acknowledgement mode: per-commit (one fsync per commit), group (concurrent commits share one fsync), async (ack before fsync; a crash may lose acked writes)")
-	commitMaxDelay := fs.Duration("commit-max-delay", 0, "group/async: linger this long for more commits to join a batch (0 = batch whatever queued during the previous fsync)")
 	traceSample := fs.Float64("trace-sample", 0, "head-sampling probability for span-based request tracing (0 = off, 1 = trace everything); slow requests are always retained")
 	traceRing := fs.Int("trace-ring", 0, "completed traces retained in memory for TRACES//traces (0 = default 256)")
 	if err := fs.Parse(args); err != nil {
@@ -105,7 +103,6 @@ func runServe(args []string, out io.Writer) error {
 		Follow:          *follow,
 		AllowPromote:    *allowPromote,
 		Durability:      dur,
-		GroupMaxDelay:   *commitMaxDelay,
 		TraceSampleRate: *traceSample,
 		TraceRingSize:   *traceRing,
 	})
@@ -121,19 +118,19 @@ func runServe(args []string, out io.Writer) error {
 		go http.Serve(oln, srv.OpsHandler())
 		fmt.Fprintf(out, "dbpl: ops endpoint on http://%s/metrics\n", oln.Addr())
 	}
-	// SIGINT/SIGTERM drain the server, append the final commit group, and
-	// close the store — the same graceful path every verb now shares. The
-	// handler goes in before the banner below announces readiness, so a
-	// supervisor reacting to the banner can never catch the default
-	// (store-abandoning) signal disposition.
+	// SIGINT/SIGTERM drain the server, let its committer sync what it
+	// holds, and close the store — the same graceful path every verb now
+	// shares. The handler goes in before the banner below announces
+	// readiness, so a supervisor reacting to the banner can never catch
+	// the default (store-abandoning) signal disposition.
 	//
 	// Shutdown closes the listener first, which makes srv.Serve below
 	// return while the handler is still draining in-flight requests — so
 	// the handler signals completion through shutdownDone, and Serve's
 	// caller waits on it before letting the process exit. Without that
 	// wait, returning from runServe would kill requests mid-commit against
-	// a store the deferred Close is closing, and lose the final durable
-	// boundary the drain exists to write.
+	// a store the deferred Close is closing, and lose the acked writes of
+	// an async batch whose fsync the drain exists to wait for.
 	shutdownDone := make(chan struct{})
 	stop := onSignal(func(sig os.Signal) {
 		defer close(shutdownDone)
@@ -172,8 +169,8 @@ func runServe(args []string, out io.Writer) error {
 	}
 	if errors.Is(err, server.ErrServerClosed) {
 		// ErrServerClosed means the signal handler called Shutdown; wait
-		// for the drain, the final commit group, and the store close to
-		// complete before the process exits.
+		// for the drain, the committer's last fsync, and the store close
+		// to complete before the process exits.
 		<-shutdownDone
 	}
 	fmt.Fprintln(out, "dbpl: server stopped")

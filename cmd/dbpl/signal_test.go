@@ -162,7 +162,7 @@ func TestServeSignalDrains(t *testing.T) {
 		t.Errorf("stderr missing the drain diagnostic; got %q", stderr.String())
 	}
 
-	// The shutdown appended a durable boundary; the log reopens cleanly.
+	// The drain left the log at a durable group boundary; it reopens cleanly.
 	st, err := intrinsic.Open(storePath)
 	if err != nil {
 		t.Fatalf("store did not survive SIGTERM: %v", err)
@@ -173,7 +173,7 @@ func TestServeSignalDrains(t *testing.T) {
 // TestServeSignalDrainWaitsForInflight is the regression test for the
 // shutdown race: Shutdown closes the listener first, so srv.Serve returns
 // while the signal handler is still draining — runServe must wait for the
-// handler to finish (drain, final commit group, store close) before the
+// handler to finish (drain, the committer's last fsync, store close) before the
 // process exits, instead of killing in-flight requests mid-commit. The
 // server is signaled while client goroutines are streaming PUTs; the
 // handler's completion marker must appear, exit must be clean, and every

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -214,6 +215,10 @@ func BenchmarkReopen(b *testing.B) {
 		}
 	}
 	st.Close()
+	fixture, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -225,11 +230,16 @@ func BenchmarkReopen(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Close first: the closed store refuses Shutdown's final commit
-		// group, so the log stays as written, and Shutdown still stops the
-		// server's committer goroutine.
-		st.Close()
 		srv.Shutdown(context.Background())
+		st.Close()
+	}
+	b.StopTimer()
+	after, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if after.Size() != fixture.Size() {
+		b.Fatalf("the reopen fixture grew from %d to %d bytes", fixture.Size(), after.Size())
 	}
 }
 

@@ -336,7 +336,6 @@ func TestChaosPoisonedDegradedHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := bootCfg(t, path, st, server.Config{})
-	h.allowPoisoned = true
 	c := dial(t, h, nil)
 
 	if err := c.Put("A", value.Int(1), nil); err != nil {

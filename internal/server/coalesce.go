@@ -1,5 +1,8 @@
-// The commit pipeline: every autocommit PUT/DELETE and transaction COMMIT
-// is handed to one committer goroutine, in every durability mode.
+// The commit pipeline: every autocommit PUT/DELETE, transaction COMMIT
+// and index DDL is handed to one committer goroutine, in every durability
+// mode. It is the only writer of a primary's log; the two other appends
+// are a promotion's epoch group (promote) and a follower's replicated
+// groups (repl.go).
 //
 // Writers enqueue their commit and block; the committer drains what is
 // queued into a batch (at most one commit under Durability=per-commit, up
@@ -33,7 +36,8 @@
 // published as the acked-end watermark next to the durable end (HEALTH,
 // STATS). If the async fsync fails, acknowledged writes were lost: the
 // write path poisons unconditionally, because the published state can no
-// longer be made durable.
+// longer be made durable. Index DDL is the exception: a batch that holds
+// it acks after its fsync in every mode.
 package server
 
 import (
@@ -110,10 +114,12 @@ type commitReq struct {
 	done     chan struct{} // closed once res is final
 
 	// The rest belongs to processBatch, under commitMu. existed is set
-	// once the request's group is staged (a commit has at least one op,
-	// so it is non-nil exactly then); owner is the earlier request of the
-	// same batch whose group a duplicate idempotency key shares. res is
-	// the waiter's answer, final once answered and delivered once sent.
+	// once the request's answer rides the batch: its group is staged, or
+	// it is index DDL that changed nothing after an earlier group of the
+	// batch (a commit has at least one op, so it is non-nil exactly then).
+	// owner is the earlier request of the same batch whose group a
+	// duplicate idempotency key shares. res is the waiter's answer, final
+	// once answered and delivered once sent.
 	existed  []bool
 	owner    *commitReq
 	res      commitResult
@@ -147,38 +153,32 @@ func (r *commitReq) send() {
 	close(r.done)
 }
 
+// grouped reports whether r's commit wrote a group: every commit but
+// index DDL that changed nothing. Valid once existed is set.
+func (r *commitReq) grouped() bool { return !r.ops[0].index || r.existed[0] }
+
 // committerLoop is the dedicated committer goroutine: it blocks for the
 // next queued commit, drains whatever else is already queued (up to the
-// mode's batch cap, lingering up to GroupMaxDelay for stragglers), and
-// processes the batch under commitMu. It exits when commitCh closes
-// (Shutdown, after every request handler has returned), having processed
-// everything that was queued.
+// mode's batch cap), and processes the batch under commitMu. It exits
+// when commitCh closes (Shutdown, after every request handler has
+// returned), having processed — and synced — everything that was queued.
 func (s *Server) committerLoop() {
 	defer close(s.committerDone)
 	maxBatch := s.cfg.Durability.maxBatch()
-	maxDelay := s.cfg.groupMaxDelay()
 	batch := make([]*commitReq, 0, maxBatch)
 	for req := range s.commitCh {
-		batch = s.collectBatch(append(batch, req), maxBatch, maxDelay)
+		batch = s.collectBatch(append(batch, req), maxBatch)
 		s.processBatch(batch)
 		clear(batch) // answered requests must not stay reachable
 		batch = batch[:0]
 	}
 }
 
-// collectBatch completes the batch that holds the first queued commit:
-// everything already queued, then — only when GroupMaxDelay is set and
-// the cap leaves room — stragglers until the delay expires or the batch
-// is full. With no delay configured the batch is simply "the queue at
-// this instant", the classic self-tuning shape: batches grow exactly as
-// fast as the fsync is slow.
-func (s *Server) collectBatch(batch []*commitReq, maxBatch int, maxDelay time.Duration) []*commitReq {
-	var linger <-chan time.Time
-	if maxDelay > 0 && len(batch) < maxBatch {
-		t := time.NewTimer(maxDelay)
-		defer t.Stop()
-		linger = t.C
-	}
+// collectBatch completes the batch that holds the first queued commit
+// with everything queued at this instant, up to maxBatch: the classic
+// self-tuning shape, where batches grow exactly as fast as the fsync is
+// slow and an idle server adds no latency.
+func (s *Server) collectBatch(batch []*commitReq, maxBatch int) []*commitReq {
 	for len(batch) < maxBatch {
 		select {
 		case r, ok := <-s.commitCh:
@@ -186,19 +186,7 @@ func (s *Server) collectBatch(batch []*commitReq, maxBatch int, maxDelay time.Du
 				return batch
 			}
 			batch = append(batch, r)
-			continue
 		default:
-		}
-		if linger == nil {
-			return batch
-		}
-		select {
-		case r, ok := <-s.commitCh:
-			if !ok {
-				return batch
-			}
-			batch = append(batch, r)
-		case <-linger:
 			return batch
 		}
 	}
@@ -208,13 +196,12 @@ func (s *Server) collectBatch(batch []*commitReq, maxBatch int, maxDelay time.Du
 // processBatch stages every commit in the batch as its own group, shares
 // one fsync across them, and answers every waiter. It owns the whole
 // writer critical section (commitMu), so it is the only code that can
-// interleave with alterIndex, Shutdown's final commit and the poison
-// flag.
+// interleave with a promotion, a fence and the poison flag.
 func (s *Server) processBatch(batch []*commitReq) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
 	// The wait ends when the committer holds commitMu, so time spent
-	// behind index DDL, a promotion, a fence or Shutdown counts as waiting.
+	// behind a promotion or a fence counts as waiting.
 	locked := time.Now()
 	for _, r := range batch {
 		s.m.commitQueueWait.ObserveDuration(locked.Sub(r.enqueued))
@@ -260,6 +247,9 @@ func (s *Server) processBatch(batch []*commitReq) {
 	// instruments (the sync-latency exemplar, the REPDATA stamp): the
 	// first sampled staged waiter's trace ID, zero when none was sampled.
 	var batchTrace uint64
+	// ddl marks a batch holding index DDL: it acks after its fsync even
+	// under async, because a definition change is durable at ack.
+	var ddl bool
 	for i, r := range batch {
 		if r.key != "" {
 			if existed, ok := s.idem.get(r.key); ok {
@@ -276,19 +266,43 @@ func (s *Server) processBatch(batch []*commitReq) {
 		stageStart := time.Now()
 		existed := make([]bool, len(r.ops))
 		for j, o := range r.ops {
-			_, existed[j] = pub.roots[o.name]
-			if o.del {
+			switch {
+			case o.index: // existed is the "changed" bit the reply carries
+				ddl = true
+				if o.del {
+					existed[j] = s.store.DropIndexDef(o.name)
+				} else {
+					existed[j] = s.store.DeclareIndex(o.name)
+				}
+			case o.del:
+				_, existed[j] = pub.roots[o.name]
 				s.store.Unbind(o.name)
-				continue
+			default:
+				_, existed[j] = pub.roots[o.name]
+				failAll = s.store.Bind(o.name, o.dyn.Value(), o.dyn.Type())
 			}
-			if err := s.store.Bind(o.name, o.dyn.Value(), o.dyn.Type()); err != nil {
-				failAll = err
+			if failAll != nil {
 				break
 			}
+		}
+		if r.ops[0].index && !existed[0] {
+			// Index DDL that changes nothing stages no group. Its answer is
+			// final now, unless a group staged earlier in this batch made it
+			// so: then the answer waits for that group's fate.
+			if staged > 0 {
+				r.existed = existed
+				continue
+			}
+			if r.key != "" {
+				s.idem.put(r.key, existed)
+			}
+			r.answer(commitResult{existed: existed})
+			continue
 		}
 		// StageBound, not Commit: every value this server binds is freshly
 		// decoded and the published state is immutable, so nothing under an
 		// untouched root can have changed and the store need not walk it.
+		// With only the index definitions dirty it writes 'X' + 'C'.
 		if failAll == nil {
 			_, failAll = s.store.StageBound()
 		}
@@ -315,10 +329,12 @@ func (s *Server) processBatch(batch []*commitReq) {
 		return
 	}
 	if staged == 0 {
-		return // the whole batch was answered from the dedup cache
+		// Every request was answered at once: from the dedup cache, or as
+		// index DDL that changed nothing.
+		return
 	}
 
-	async := s.cfg.Durability == DurAsync
+	async := s.cfg.Durability == DurAsync && !ddl
 	if async {
 		// Acked-but-not-yet-durable: publish the watermark, answer the
 		// waiters before the fsync (that is the mode's entire point; the
@@ -372,9 +388,9 @@ func (s *Server) processBatch(batch []*commitReq) {
 	s.ackBatch(batch, pub, staged, indexTouched)
 }
 
-// ackBatch publishes the batch's successor state and answers every staged
-// request, and every in-batch duplicate with its owner's result. Caller
-// holds commitMu.
+// ackBatch publishes the batch's successor state and answers every request
+// whose answer rode the batch, and every in-batch duplicate with its
+// owner's result. Caller holds commitMu.
 func (s *Server) ackBatch(batch []*commitReq, pub *state, staged int, indexTouched uint64) {
 	pubStart := time.Now()
 	s.state.Store(pub)
@@ -388,9 +404,11 @@ func (s *Server) ackBatch(batch []*commitReq, pub *state, staged int, indexTouch
 			}
 			r.answer(commitResult{existed: r.existed})
 			r.tr.Add(r.sp, "publish", pubStart, pubEnd)
-			s.m.commits.Inc()
-			s.m.commitSeconds.ObserveDurationExemplar(time.Since(r.enqueued), r.tr.ID())
-			s.m.commitOps.Observe(int64(len(r.ops)))
+			if r.grouped() {
+				s.m.commits.Inc()
+				s.m.commitSeconds.ObserveDurationExemplar(time.Since(r.enqueued), r.tr.ID())
+				s.m.commitOps.Observe(int64(len(r.ops)))
+			}
 		case r.owner != nil:
 			r.answer(commitResult{existed: r.owner.existed})
 		}
@@ -400,9 +418,9 @@ func (s *Server) ackBatch(batch []*commitReq, pub *state, staged int, indexTouch
 	s.m.fsyncsSaved.Add(uint64(staged - 1))
 }
 
-// stagedWithKey returns the request among reqs that staged a group under
-// the idempotency key, or nil. A batch holds at most 64 requests, so a
-// scan is cheaper than indexing the keys.
+// stagedWithKey returns the request among reqs whose answer rides this
+// batch under the idempotency key, or nil. A batch holds at most 64
+// requests, so a scan is cheaper than indexing the keys.
 func stagedWithKey(reqs []*commitReq, key string) *commitReq {
 	for _, r := range reqs {
 		if r.existed != nil && r.key == key {

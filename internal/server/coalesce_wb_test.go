@@ -1,8 +1,11 @@
 // White-box tests for the commit pipeline: batch failure semantics, the
 // double-ack regression at the stage→ack boundary, exactly-once
 // idempotency across and within batches, the async acked-end watermark,
-// per-commit as the batch of one, and the lock-wait accounting. These drive Server.commit directly (no network) so the
-// injected faults land on deterministic I/O boundaries.
+// index DDL durable at ack, per-commit as the batch of one, and the
+// lock-wait accounting. These drive Server.commit directly (no network)
+// so the injected faults land on deterministic I/O boundaries, and they
+// force a batch by holding a lead commit's fsync (inOneBatch), never by
+// timing.
 package server
 
 import (
@@ -29,8 +32,7 @@ func putOp(name string, n int64) txnOp {
 
 // wbServer builds a server over fsys without a listener; commits are
 // driven through s.commit directly. Cleanup shuts the committer down and
-// closes the store (tolerating a poisoned final commit — several tests
-// poison on purpose).
+// closes the store.
 func wbServer(t *testing.T, fsys iofault.FS, path string, cfg Config) (*Server, *intrinsic.Store) {
 	t.Helper()
 	st, err := intrinsic.OpenFS(fsys, path)
@@ -51,10 +53,53 @@ func wbServer(t *testing.T, fsys iofault.FS, path string, cfg Config) (*Server, 
 	return srv, st
 }
 
-// groupCfg lingers generously so concurrent test writers coalesce into
-// one batch deterministically.
-func groupCfg() Config {
-	return Config{Durability: DurGroup, GroupMaxDelay: 200 * time.Millisecond}
+// groupServer is wbServer under DurGroup over a gateFS wrapping inner, so
+// that inOneBatch can force concurrent commits into one batch.
+func groupServer(t *testing.T, inner iofault.FS, path string) (*Server, *intrinsic.Store, *gateFS) {
+	gate := newGateFS(inner)
+	srv, st := wbServer(t, gate, path, Config{Durability: DurGroup})
+	// Registered after wbServer's cleanup so it runs first (LIFO): never
+	// leave the committer wedged on a gated fsync after a failed assert.
+	t.Cleanup(gate.Release)
+	return srv, st, gate
+}
+
+// inOneBatch runs n commits concurrently as one committer batch, with no
+// timing assumption: a lead commit holds the gated fsync open until all
+// n have queued behind it, then the gate opens and the committer takes
+// them at once. It returns each commit's error, then the lead's.
+func inOneBatch(t *testing.T, srv *Server, gate *gateFS, lead txnOp, n int, commit func(i int) error) ([]error, error) {
+	t.Helper()
+	gate.Hold()
+	leadErr := make(chan error, 1)
+	go func() {
+		_, err := srv.commit([]txnOp{lead}, "", nil)
+		leadErr <- err
+	}()
+	waitUntil(t, func() bool { return len(gate.blocked) == 1 }, "the lead commit never reached its fsync")
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = commit(i)
+		}()
+	}
+	waitUntil(t, func() bool { return len(srv.commitCh) == n }, "the batch never queued behind the lead")
+	gate.Release()
+	wg.Wait()
+	return errs, <-leadErr
+}
+
+// waitUntil polls cond for up to 5s, failing the test with msg after.
+func waitUntil(t *testing.T, cond func() bool, msg string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal(msg)
+		}
+	}
 }
 
 // TestCoalescerSharesFsync: K concurrent commits under DurGroup are
@@ -62,21 +107,17 @@ func groupCfg() Config {
 // every write is durable in the store afterwards.
 func TestCoalescerSharesFsync(t *testing.T) {
 	inj := iofault.NewInjector(iofault.OS{})
-	srv, st := wbServer(t, inj, filepath.Join(t.TempDir(), "share.log"), groupCfg())
+	srv, st, gate := groupServer(t, inj, filepath.Join(t.TempDir(), "share.log"))
 
 	const K = 8
 	syncsBefore := inj.Count(iofault.OpSync)
-	var wg sync.WaitGroup
-	errs := make([]error, K)
-	for i := 0; i < K; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[i] = srv.commit([]txnOp{putOp(fmt.Sprintf("r%d", i), int64(i))}, "", nil)
-		}()
+	errs, leadErr := inOneBatch(t, srv, gate, putOp("lead", 0), K, func(i int) error {
+		_, err := srv.commit([]txnOp{putOp(fmt.Sprintf("r%d", i), int64(i))}, "", nil)
+		return err
+	})
+	if leadErr != nil {
+		t.Fatalf("lead commit: %v", leadErr)
 	}
-	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("commit %d: %v", i, err)
@@ -107,30 +148,23 @@ func TestCoalescerSharesFsync(t *testing.T) {
 func TestCoalescerBatchFsyncFailureFailsAllWaiters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "failall.log")
 	inj := iofault.NewInjector(iofault.OS{})
-	srv, st := wbServer(t, inj, path, groupCfg())
+	srv, st, gate := groupServer(t, inj, path)
 	if _, err := srv.commit([]txnOp{putOp("base", 0)}, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	durable := st.DurableEnd()
 
-	// Fail the next K syncs: however the K commits split into batches,
-	// every batch's shared fsync fails.
+	// Fail the next K syncs: the lead's, and the shared fsync of the
+	// batch of K behind it.
 	const K = 6
 	n := inj.Count(iofault.OpSync)
 	for i := 1; i <= K; i++ {
 		inj.FailAt(iofault.OpSync, n+i)
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, K)
-	for i := 0; i < K; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[i] = srv.commit([]txnOp{putOp(fmt.Sprintf("doomed%d", i), int64(i))}, "", nil)
-		}()
-	}
-	wg.Wait()
+	errs, _ := inOneBatch(t, srv, gate, putOp("doomed-lead", 0), K, func(i int) error {
+		_, err := srv.commit([]txnOp{putOp(fmt.Sprintf("doomed%d", i), int64(i))}, "", nil)
+		return err
+	})
 	for i, err := range errs {
 		if err == nil {
 			t.Fatalf("waiter %d was acked although its batch fsync failed", i)
@@ -147,8 +181,8 @@ func TestCoalescerBatchFsyncFailureFailsAllWaiters(t *testing.T) {
 	}
 
 	// Rollback recovered the store: the next commit succeeds and only it
-	// is durable. (Disarm the spare failures first — the K commits may
-	// have coalesced into fewer than K batches.)
+	// is durable. (Disarm the spare failures first — the lead and the
+	// batch used two of them.)
 	inj.Clear(iofault.OpSync)
 	if _, err := srv.commit([]txnOp{putOp("after", 1)}, "", nil); err != nil {
 		t.Fatalf("commit after failed batch: %v", err)
@@ -171,16 +205,17 @@ func TestCoalescerBatchFsyncFailureFailsAllWaiters(t *testing.T) {
 func TestCoalescerPoisonBetweenStageAndAck(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "poison.log")
 	inj := iofault.NewInjector(iofault.OS{})
-	srv, st := wbServer(t, inj, path, groupCfg())
+	srv, st, gate := groupServer(t, inj, path)
 	if _, err := srv.commit([]txnOp{putOp("base", 0)}, "", nil); err != nil {
 		t.Fatal(err)
 	}
 
-	// Every sync fails for a while (whatever the batch split), and the
-	// next two truncates fail too: the store's rollback AND the server's
-	// Abort replay both cannot trim the staged groups — poison.
+	// The lead's sync passes; every sync after it fails for a while, and
+	// the next two truncates fail too: the store's rollback AND the
+	// server's Abort replay both cannot trim the batch's staged groups —
+	// poison.
 	const K = 4
-	ns := inj.Count(iofault.OpSync)
+	ns := inj.Count(iofault.OpSync) + 1
 	for i := 1; i <= K; i++ {
 		inj.FailAt(iofault.OpSync, ns+i)
 	}
@@ -188,17 +223,13 @@ func TestCoalescerPoisonBetweenStageAndAck(t *testing.T) {
 	inj.FailAt(iofault.OpTruncate, nt+1)
 	inj.FailAt(iofault.OpTruncate, nt+2)
 
-	var wg sync.WaitGroup
-	errs := make([]error, K)
-	for i := 0; i < K; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, errs[i] = srv.commit([]txnOp{putOp(fmt.Sprintf("doomed%d", i), int64(i))}, "", nil)
-		}()
+	errs, leadErr := inOneBatch(t, srv, gate, putOp("lead", 0), K, func(i int) error {
+		_, err := srv.commit([]txnOp{putOp(fmt.Sprintf("doomed%d", i), int64(i))}, "", nil)
+		return err
+	})
+	if leadErr != nil {
+		t.Fatalf("lead commit: %v", leadErr)
 	}
-	wg.Wait()
 	for i, err := range errs {
 		if err == nil {
 			t.Fatalf("waiter %d was acked although its group was truncated back (the double-ack hazard)", i)
@@ -255,7 +286,7 @@ func TestCoalescerPoisonBetweenStageAndAck(t *testing.T) {
 // without re-executing, and a duplicate key *within* one batch stages a
 // single group whose result both waiters share.
 func TestCoalescerIdemExactlyOnce(t *testing.T) {
-	srv, st := wbServer(t, iofault.OS{}, filepath.Join(t.TempDir(), "idem.log"), groupCfg())
+	srv, st, gate := groupServer(t, iofault.OS{}, filepath.Join(t.TempDir(), "idem.log"))
 
 	existed, err := srv.commit([]txnOp{putOp("R", 1)}, "key-1", nil)
 	if err != nil {
@@ -276,19 +307,16 @@ func TestCoalescerIdemExactlyOnce(t *testing.T) {
 
 	// Within one batch: two concurrent commits carrying the same fresh key
 	// must stage once; both see the same answer.
-	groupsBefore := commitGroupCount(t, srv)
-	var wg sync.WaitGroup
+	groupsBefore := commitGroupCount(t, srv) + 1 // the lead's group
 	results := make([][]bool, 2)
-	errs := make([]error, 2)
-	for i := 0; i < 2; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = srv.commit([]txnOp{putOp("S", 7)}, "key-2", nil)
-		}()
+	errs, leadErr := inOneBatch(t, srv, gate, putOp("lead", 0), 2, func(i int) error {
+		var err error
+		results[i], err = srv.commit([]txnOp{putOp("S", 7)}, "key-2", nil)
+		return err
+	})
+	if leadErr != nil {
+		t.Fatalf("lead commit: %v", leadErr)
 	}
-	wg.Wait()
 	for i := 0; i < 2; i++ {
 		if errs[i] != nil {
 			t.Fatalf("dup-key commit %d: %v", i, errs[i])
@@ -507,6 +535,116 @@ func TestAsyncFsyncFailurePoisons(t *testing.T) {
 	}
 }
 
+// TestAsyncDDLDurableAtAck: index DDL is a commit that acks after its
+// fsync in every mode. Under DurAsync, with the fsync held, a PUT is
+// acked and CREATEINDEX is not; the index is acked only once its fsync
+// has run, and a reopen of the log at that moment holds the definition.
+func TestAsyncDDLDurableAtAck(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "async-ddl.log")
+	inj := iofault.NewInjector(iofault.OS{})
+	gate := newGateFS(inj)
+	srv, _ := wbServer(t, gate, path, Config{Durability: DurAsync})
+	t.Cleanup(gate.Release)
+
+	gate.Hold()
+	if _, err := srv.commit([]txnOp{putOp("fast", 1)}, "", nil); err != nil {
+		t.Fatalf("async PUT with its fsync held: %v", err)
+	}
+	type ack struct {
+		changed []bool
+		err     error
+		syncs   int
+	}
+	acked := make(chan ack, 1)
+	go func() {
+		changed, err := srv.commit([]txnOp{{name: "Dept", index: true}}, "", nil)
+		acked <- ack{changed, err, inj.Count(iofault.OpSync)}
+	}()
+	waitUntil(t, func() bool { return len(srv.commitCh) == 1 }, "CREATEINDEX never queued")
+	// Let the PUT's fsync through, keeping the gate held for the DDL's.
+	close(<-gate.blocked)
+	waitUntil(t, func() bool { return len(gate.blocked) == 1 }, "CREATEINDEX never reached its fsync")
+	syncsBefore := inj.Count(iofault.OpSync)
+	select {
+	case a := <-acked:
+		t.Fatalf("CREATEINDEX acked with its fsync held: %+v", a)
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	gate.Release()
+	a := <-acked
+	if a.err != nil || len(a.changed) != 1 || !a.changed[0] {
+		t.Fatalf("CREATEINDEX = (%v, %v), want ([true], nil)", a.changed, a.err)
+	}
+	if a.syncs <= syncsBefore {
+		t.Fatalf("CREATEINDEX acked at %d fsyncs, before its own (%d were done when it was held)", a.syncs, syncsBefore)
+	}
+	fresh, err := intrinsic.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if defs := fresh.IndexDefs(); len(defs) != 1 || defs[0] != "Dept" {
+		t.Fatalf("reopened IndexDefs() = %v, want [Dept]", defs)
+	}
+}
+
+// TestNoopDDLWaitsForTheBatchThatMadeIt: index DDL that changes nothing
+// stages no group, but when an earlier group of its batch is what made
+// it a no-op, its answer shares that group's fate. A failed batch fails
+// both declarations, and neither is recorded.
+func TestNoopDDLWaitsForTheBatchThatMadeIt(t *testing.T) {
+	inj := iofault.NewInjector(iofault.OS{})
+	srv, st, gate := groupServer(t, inj, filepath.Join(t.TempDir(), "noop-ddl.log"))
+
+	groupsBefore := commitGroupCount(t, srv)
+	inj.FailAt(iofault.OpSync, inj.Count(iofault.OpSync)+2) // the batch's, not the lead's
+	create := txnOp{name: "Dept", index: true}
+	errs, leadErr := inOneBatch(t, srv, gate, putOp("lead", 0), 2, func(i int) error {
+		_, err := srv.commit([]txnOp{create}, fmt.Sprintf("ddl-%d", i), nil)
+		return err
+	})
+	if leadErr != nil {
+		t.Fatalf("lead commit: %v", leadErr)
+	}
+	for i, err := range errs {
+		if !errors.Is(err, iofault.ErrInjected) {
+			t.Fatalf("CREATEINDEX %d in the failed batch = %v, want the injected fsync cause", i, err)
+		}
+	}
+	if defs := st.IndexDefs(); len(defs) != 0 {
+		t.Fatalf("IndexDefs() = %v after the failed batch, want none", defs)
+	}
+	if grew := commitGroupCount(t, srv) - groupsBefore; grew != 1 {
+		t.Fatalf("log grew by %d groups, want only the lead's", grew)
+	}
+
+	// Retried in a batch that succeeds, one declaration changes the
+	// definitions and the other reports no change; only the first writes
+	// a group or counts as a commit. Alone in its batch, a third is
+	// answered at once, with no group either.
+	changed := make([]bool, 2)
+	errs, leadErr = inOneBatch(t, srv, gate, putOp("lead2", 0), 2, func(i int) error {
+		res, err := srv.commit([]txnOp{create}, fmt.Sprintf("ddl-%d", i), nil)
+		if err == nil {
+			changed[i] = res[0]
+		}
+		return err
+	})
+	if leadErr != nil || errs[0] != nil || errs[1] != nil || changed[0] == changed[1] {
+		t.Fatalf("retried batch: lead %v, CREATEINDEX errors %v, changed %v; want one change", leadErr, errs, changed)
+	}
+	if res, err := srv.commit([]txnOp{create}, "", nil); err != nil || res[0] {
+		t.Fatalf("CREATEINDEX of a declared index = (%v, %v), want ([false], nil)", res, err)
+	}
+	if grew := commitGroupCount(t, srv) - groupsBefore; grew != 3 {
+		t.Fatalf("log grew by %d groups, want the two leads' and one DDL group", grew)
+	}
+	if n := srv.m.commits.Value(); n != 3 {
+		t.Fatalf("dbpl_server_commits_total = %d, want 3 (the two leads and the one DDL group)", n)
+	}
+}
+
 // TestPerCommitIsBatchOfOne: under the default durability every commit is
 // its own batch — one fsync per commit, none saved, and every batch-size
 // observation is 1 — however many writers race.
@@ -546,7 +684,7 @@ func TestPerCommitIsBatchOfOne(t *testing.T) {
 }
 
 // TestCommitLockWaitCoversCommitMu: a commit that queues behind another
-// holder of commitMu — index DDL, a promotion, a fence, Shutdown — counts
+// holder of commitMu — a promotion, a fence — counts
 // that wait as lock-wait, in its span and in
 // dbpl_commit_queue_wait_seconds: the wait ends no earlier than commitMu
 // is released and no later than staging starts.

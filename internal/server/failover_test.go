@@ -116,10 +116,9 @@ func TestFailoverPromoteAfterPrimaryDeath(t *testing.T) {
 		t.Fatalf("PUT on promoted follower: %v", err)
 	}
 
-	// Byte-level: everything shipped before the death is still a byte
+	// Byte-level: the dead primary's log is exactly the shipped prefix —
+	// its shutdown appended nothing — and that prefix is still a byte
 	// prefix of the survivor's log; the promotion appended, never rewrote.
-	// (The comparison stops at ackedEnd — the dead primary's shutdown path
-	// appends a final group of its own that never shipped.)
 	pb, err := os.ReadFile(p.path)
 	if err != nil {
 		t.Fatal(err)
@@ -128,15 +127,26 @@ func TestFailoverPromoteAfterPrimaryDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(pb)) < ackedEnd || int64(len(fb)) <= ackedEnd ||
-		!bytes.Equal(fb[:ackedEnd], pb[:ackedEnd]) {
-		t.Fatalf("promoted log (%d bytes) is not a strict byte extension of the shipped prefix [0,%d)",
-			len(fb), ackedEnd)
+	if int64(len(pb)) != ackedEnd || int64(len(fb)) <= ackedEnd || !bytes.Equal(fb[:ackedEnd], pb) {
+		t.Fatalf("dead primary's log (%d bytes) is not the shipped prefix [0,%d) of the promoted log (%d bytes)",
+			len(pb), ackedEnd, len(fb))
 	}
 	// Epoch is monotonic: a second promotion (e.g. failing back later)
 	// bumps again rather than reusing the number.
 	if e2, err := fc.Promote(); err != nil || e2 != 2 {
 		t.Fatalf("second Promote = (%d, %v), want (2, nil)", e2, err)
+	}
+
+	// The log the promoted server wrote with the committer alone — the
+	// epoch groups and e4's — reopens to e1–e4 at epoch 2.
+	f.stop()
+	st, err := intrinsic.Open(f.path)
+	if err != nil {
+		t.Fatalf("reopen the promoted log: %v", err)
+	}
+	defer st.Close()
+	if names := st.Names(); fmt.Sprint(names) != "[e1 e2 e3 e4]" || st.Epoch() != 2 {
+		t.Fatalf("reopened promoted log = %v at epoch %d, want [e1 e2 e3 e4] at epoch 2", names, st.Epoch())
 	}
 }
 

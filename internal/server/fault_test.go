@@ -20,8 +20,9 @@ import (
 // TestFailedRollbackPoisonsWritePath: when a commit fails AND the rollback
 // replay fails too (the same failing disk), the store's in-memory roots no
 // longer match the published committed state. The server must refuse all
-// further commits — including Shutdown's final group — instead of durably
-// encoding the divergent root table and dropping committed roots.
+// further commits instead of durably encoding the divergent root table
+// and dropping committed roots. Shutdown appends nothing, so it has
+// nothing to refuse.
 func TestFailedRollbackPoisonsWritePath(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "poison.log")
 	inj := iofault.NewInjector(iofault.OS{})
@@ -79,11 +80,10 @@ func TestFailedRollbackPoisonsWritePath(t *testing.T) {
 		t.Fatalf("Names = %v, want %v", names, want)
 	}
 
-	// Shutdown must refuse the final commit group for the same reason.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err == nil || !strings.Contains(err.Error(), "poisoned") {
-		t.Fatalf("Shutdown on a poisoned server = %v, want poisoned refusal", err)
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown on a poisoned server = %v, want nil", err)
 	}
 	select {
 	case err := <-done:

@@ -41,10 +41,10 @@
 //
 // Shutdown closes the listener, interrupts idle reads, lets every
 // in-flight request finish and its response flush, force-closes laggards
-// when the context expires, and appends a final (possibly empty) commit
-// group so the shutdown itself is a durable boundary — the drain + final
-// fsync the ISSUE requires, and the same path cmd/dbpl routes SIGINT and
-// SIGTERM through.
+// when the context expires, and then closes the committer, which syncs
+// the batch it holds before it exits. Shutdown appends nothing of its
+// own: restarting an idle server leaves its log byte-identical. It is the
+// same path cmd/dbpl routes SIGINT and SIGTERM through.
 package server
 
 import (
@@ -140,19 +140,14 @@ type Config struct {
 	// commit group larger than it is still shipped whole. 0 means 256KiB.
 	ReplChunk int
 	// Durability selects when a write is acknowledged relative to its
-	// fsync. Every mode runs the same committer: DurPerCommit (default)
-	// is a batch of one commit group per fsync, DurGroup lets up to 64
-	// concurrent commits share one fsync, acked after it, and DurAsync
-	// acks them before it (the acked-end watermark is published via
-	// HEALTH/STATS). See coalesce.go and docs/PERSISTENCE.md.
+	// fsync, and is the committer's only setting. Every mode runs the same
+	// committer, whose batch is whatever queued while the previous fsync
+	// ran: DurPerCommit (default) caps it at one commit group per fsync,
+	// DurGroup lets up to 64 concurrent commits share one fsync, acked
+	// after it, and DurAsync acks them before it (the acked-end watermark
+	// is published via HEALTH/STATS). Index DDL acks after its fsync in
+	// every mode. See coalesce.go and docs/PERSISTENCE.md.
 	Durability Durability
-	// GroupMaxDelay is how long the committer lingers for stragglers after
-	// the first commit of a batch, under DurGroup/DurAsync (a per-commit
-	// batch is full at one commit). 0 (the default) means no artificial
-	// wait: a batch is whatever queued while the previous fsync ran —
-	// batches grow exactly as fast as the disk is slow, adding no latency
-	// when the server is idle.
-	GroupMaxDelay time.Duration
 	// TraceSampleRate is the head-sampling probability for span-based
 	// request tracing: that share of requests (by uniform trace ID)
 	// record a full span tree into the trace ring, fetchable via TRACES
@@ -235,13 +230,6 @@ func (c Config) replChunk() int {
 	return c.ReplChunk
 }
 
-func (c Config) groupMaxDelay() time.Duration {
-	if c.GroupMaxDelay < 0 {
-		return 0
-	}
-	return c.GroupMaxDelay
-}
-
 func (c Config) traceRingSize() int {
 	if c.TraceRingSize == 0 {
 		return 256
@@ -275,17 +263,28 @@ type state struct {
 // apply returns the successor state with ops applied, forking the
 // database (O(shards)) and advancing the index set (COW, single
 // successor) so the previous state stays valid for readers holding it.
-// The returned stats report the index-maintenance work done.
+// A commit that binds no root — index DDL — shares the roots and the
+// database with st. The returned stats report the index-maintenance work
+// done.
 func (st *state) apply(ops []txnOp) (*state, index.ApplyStats) {
-	next := &state{
-		roots: make(map[string]*dynamic.Dynamic, len(st.roots)+len(ops)),
-		db:    st.db.Fork(),
-	}
-	for k, v := range st.roots {
-		next.roots[k] = v
-	}
+	next := &state{roots: st.roots, db: st.db, idx: st.idx}
 	iops := make([]index.Op, 0, len(ops))
 	for _, o := range ops {
+		if o.index {
+			if o.del {
+				next.idx, _ = next.idx.DropField(o.name)
+			} else {
+				next.idx = next.idx.WithField(index.Def{Field: o.name})
+			}
+			continue
+		}
+		if next.db == st.db { // the commit's first root op
+			next.roots = make(map[string]*dynamic.Dynamic, len(st.roots)+len(ops))
+			for k, v := range st.roots {
+				next.roots[k] = v
+			}
+			next.db = st.db.Fork()
+		}
 		var iop index.Op
 		if old, ok := next.roots[o.name]; ok {
 			next.db.Remove(old)
@@ -302,15 +301,20 @@ func (st *state) apply(ops []txnOp) (*state, index.ApplyStats) {
 		}
 	}
 	var stats index.ApplyStats
-	next.idx, stats = st.idx.Apply(iops)
+	if len(iops) > 0 {
+		next.idx, stats = next.idx.Apply(iops)
+	}
 	return next, stats
 }
 
-// txnOp is one buffered session write: bind name to dyn, or delete it.
+// txnOp is one write of a commit: bind name to dyn, or delete it (del).
+// With index set it is index DDL instead, on the field name: declare the
+// field-value index, or drop it (del).
 type txnOp struct {
-	name string
-	dyn  *dynamic.Dynamic
-	del  bool
+	name  string
+	dyn   *dynamic.Dynamic
+	del   bool
+	index bool
 }
 
 // Server serves the dbpl wire protocol over an intrinsic store.
@@ -640,9 +644,11 @@ func (s *Server) Serve(ln net.Listener) error {
 
 // Shutdown drains the server: no new connections or requests are
 // accepted, requests already received run to completion and their
-// responses flush, then a final commit group is appended so shutdown is a
-// durable boundary. When ctx expires first, remaining connections are
-// force-closed. The store is left open — the caller owns it.
+// responses flush, and the committer syncs what it holds and exits. When
+// ctx expires first, remaining connections are force-closed. Shutdown
+// appends nothing to the log, so a second call is harmless, and it
+// returns nil: a poisoned write path stays visible in HEALTH and in
+// every refused write. The store is left open — the caller owns it.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	// Wake replication streamers (select-blocked, not read-blocked) and the
@@ -685,30 +691,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 
 	// Every request handler has returned (wg), so no writer can enqueue
-	// again: close the commit queue and let the committer drain what is
-	// left before the final durable boundary below.
+	// again: close the commit queue and wait for the committer. It syncs
+	// each batch before it takes the next, under async too, so once it
+	// has exited every acknowledged write is durable.
 	s.committerStop.Do(func() { close(s.commitCh) })
 	<-s.committerDone
-
-	// Final fsync: an (often empty) commit group marking the shutdown
-	// boundary durable. A poisoned write path must not append it — the
-	// store's in-memory root table has diverged from the committed state,
-	// and the group would durably encode that divergence. A follower's log
-	// grows only through ApplyGroup (every applied group was already
-	// fsynced), so there is nothing to append — and the replica-mode store
-	// would refuse the attempt.
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	if s.poisoned != nil {
-		return s.poisoned
-	}
-	if wire.Role(s.role.Load()) != wire.RolePrimary {
-		return nil
-	}
-	if _, err := s.store.Commit(); err != nil {
-		return err
-	}
-	s.notifyCommit()
 	return nil
 }
 
@@ -1017,10 +1004,8 @@ func (s *Server) handle(sess *session, op byte, fields [][]byte) (respOp byte, r
 			out[i] = []byte(n)
 		}
 		return wire.OpOK, out
-	case wire.OpCreateIndex:
-		return s.handleCreateIndex(sess, fields)
-	case wire.OpDropIndex:
-		return s.handleDropIndex(sess, fields)
+	case wire.OpCreateIndex, wire.OpDropIndex:
+		return s.handleIndexDDL(sess, op, fields)
 	case wire.OpExplain:
 		return s.handleExplain(fields)
 	case wire.OpPromote:
@@ -1362,109 +1347,36 @@ func (s *Server) handleDelete(sess *session, fields [][]byte) (byte, [][]byte) {
 // Index administration: CREATEINDEX, DROPINDEX, EXPLAIN
 // ---------------------------------------------------------------------------
 
-// handleCreateIndex declares a field-value index and backfills it from
-// the committed membership. The *definition* is durable (an 'X' record in
-// the commit group); the contents rebuild from the roots on every open.
-// Refused inside a transaction — index DDL is not transactional.
-func (s *Server) handleCreateIndex(sess *session, fields [][]byte) (byte, [][]byte) {
+// handleIndexDDL is CREATEINDEX and DROPINDEX: declare a field-value
+// index, backfilled from the committed membership, or retire one. Either
+// is one commit op through the committer, so it is poison- and role-gated,
+// deduplicated by its key and durable before the ack in every durability
+// mode. The *definition* is durable (an 'X' record in its commit group);
+// the contents rebuild from the roots on every open. The reply reports
+// whether anything changed (created / existed). Refused inside a
+// transaction — index DDL is not transactional.
+func (s *Server) handleIndexDDL(sess *session, op byte, fields [][]byte) (byte, [][]byte) {
+	name := wire.OpName(op)
 	if len(fields) != 1 && len(fields) != 2 {
-		return badReq("CREATEINDEX wants 1 or 2 fields, got %d", len(fields))
+		return badReq("%s wants 1 or 2 fields, got %d", name, len(fields))
 	}
 	field := string(fields[0])
 	if field == "" {
-		return badReq("CREATEINDEX with empty field name")
+		return badReq("%s with empty field name", name)
 	}
 	if sess.inTxn {
-		return errResp(&wire.WireError{Code: wire.CodeTxn, Msg: "CREATEINDEX inside a transaction"})
+		return errResp(&wire.WireError{Code: wire.CodeTxn, Msg: name + " inside a transaction"})
 	}
 	var key string
 	if len(fields) == 2 {
 		key = string(fields[1])
 	}
-	created, err := s.alterIndex(field, true, key)
+	ddl := txnOp{name: field, index: true, del: op == wire.OpDropIndex}
+	changed, err := s.commit([]txnOp{ddl}, key, sess.tr)
 	if err != nil {
 		return errResp(toWireError(err))
 	}
-	return wire.OpOK, [][]byte{boolField(created)}
-}
-
-// handleDropIndex removes a field-value index declaration; the response
-// reports whether it existed.
-func (s *Server) handleDropIndex(sess *session, fields [][]byte) (byte, [][]byte) {
-	if len(fields) != 1 && len(fields) != 2 {
-		return badReq("DROPINDEX wants 1 or 2 fields, got %d", len(fields))
-	}
-	field := string(fields[0])
-	if field == "" {
-		return badReq("DROPINDEX with empty field name")
-	}
-	if sess.inTxn {
-		return errResp(&wire.WireError{Code: wire.CodeTxn, Msg: "DROPINDEX inside a transaction"})
-	}
-	var key string
-	if len(fields) == 2 {
-		key = string(fields[1])
-	}
-	existed, err := s.alterIndex(field, false, key)
-	if err != nil {
-		return errResp(toWireError(err))
-	}
-	return wire.OpOK, [][]byte{boolField(existed)}
-}
-
-// alterIndex is the index-DDL commit path: like commit(), it serializes
-// under commitMu, refuses on a poisoned write path, deduplicates retries
-// through the idempotency cache, makes the definition change durable in
-// its own commit group, and only then publishes the successor state (same
-// roots and database, the index set advanced). On store failure the log
-// replay in rollback() also reverts the definition — defs reload from the
-// log — so memory and disk cannot diverge. Reports whether anything
-// changed (created / existed).
-func (s *Server) alterIndex(field string, create bool, key string) (bool, error) {
-	began := time.Now()
-	s.commitMu.Lock()
-	defer s.commitMu.Unlock()
-	if s.poisoned != nil {
-		s.m.degraded.Inc()
-		return false, &wire.WireError{Code: wire.CodeDegraded, Msg: s.poisoned.Error()}
-	}
-	if r := wire.Role(s.role.Load()); r != wire.RolePrimary {
-		return false, s.refuseWrite(r)
-	}
-	if key != "" {
-		if res, ok := s.idem.get(key); ok {
-			s.m.idemHits.Inc()
-			return len(res) == 1 && res[0], nil
-		}
-	}
-	var changed bool
-	if create {
-		changed = s.store.DeclareIndex(field)
-	} else {
-		changed = s.store.DropIndexDef(field)
-	}
-	if changed {
-		if _, err := s.store.Commit(); err != nil {
-			s.rollback(err)
-			return false, err
-		}
-		cur := s.state.Load()
-		next := &state{roots: cur.roots, db: cur.db}
-		if create {
-			next.idx = cur.idx.WithField(index.Def{Field: field})
-		} else {
-			next.idx, _ = cur.idx.DropField(field)
-		}
-		s.state.Store(next)
-		s.notifyCommit()
-		s.m.commits.Inc()
-		s.m.commitSeconds.ObserveDuration(time.Since(began))
-		s.m.commitOps.Observe(1)
-	}
-	if key != "" {
-		s.idem.put(key, []bool{changed})
-	}
-	return changed, nil
+	return wire.OpOK, [][]byte{boolField(changed[0])}
 }
 
 // handleExplain is the EXPLAIN opcode: one type field renders the GET
@@ -1512,7 +1424,9 @@ func (sess *session) buffer(op txnOp) {
 // commit turns ops into one durable commit group and publishes the
 // successor state, reporting per-op whether each name existed in the
 // committed state the group was applied to (computed under commitMu, so
-// concurrent DELETEs of one name see exactly one existed=true). The
+// concurrent DELETEs of one name see exactly one existed=true); for an
+// index DDL op the bit reports whether the definition changed, and one
+// that changes nothing writes no group. The
 // commit is handed to the committer goroutine (coalesce.go), so ordering
 // is decided by queue position; readers never block. On store failure the
 // log is replayed back to the last durable group and the published state
@@ -1542,8 +1456,8 @@ func (s *Server) commit(ops []txnOp, key string, tr *rtrace.Trace) ([]bool, erro
 // state. If the replay itself fails (plausibly the same failing disk), the
 // store's roots no longer match the published ones and the next successful
 // commit group would durably drop committed roots — so the write path is
-// poisoned instead: commit and Shutdown's final group refuse with the
-// rollback failure until the process restarts. The caller holds commitMu.
+// poisoned instead: every later commit refuses with the rollback failure
+// until the process restarts. The caller holds commitMu.
 func (s *Server) rollback(cause error) {
 	if aerr := s.store.Abort(); aerr != nil {
 		s.poisoned = fmt.Errorf("server: write path poisoned (rollback after %v failed): %w", cause, aerr)
@@ -1587,6 +1501,13 @@ func (s *Server) handlePromote(fields [][]byte) (byte, [][]byte) {
 // role, and tell the old upstream it has been superseded. The epoch
 // record is its own commit group, so chained followers receive the
 // promotion through the ordinary stream.
+//
+// The epoch group is the one primary-side append outside the committer,
+// on purpose: store.Promote is the role change itself, while the
+// committer refuses every non-primary by design. Routing it through the
+// committer would need a request kind that bypasses that role gate. It
+// needs no batch discipline either: it runs under commitMu, so no batch
+// is in progress, and the store refuses it while one is staged.
 func (s *Server) promote() (uint64, error) {
 	// Stop the follow loop first, outside commitMu (it may be holding
 	// commitMu in applyReplicated right now), so no replicated frame can

@@ -46,24 +46,25 @@ func assertNested(t *testing.T, d trace.Data) {
 // span has the one commit vocabulary as its children, in order and
 // disjoint — lock-wait, stage, fsync, publish, with no fsync under async,
 // whose waiters are answered before it — so the children's total fits in
-// the parent's duration. A traced GET records its planner decision and
-// the chosen access path.
+// the parent's duration. A traced CREATEINDEX has all four in every mode:
+// index DDL acks after its fsync. A traced GET records its planner
+// decision and the chosen access path. The store's fsync takes 2 ms, so
+// the eight writers coalesce under group commit.
 func TestTraceCommitSpans(t *testing.T) {
+	all := []string{"lock-wait", "stage", "fsync", "publish"}
 	for _, tc := range []struct {
 		name string
 		cfg  server.Config
 		want []string
 	}{
-		{"per-commit", server.Config{},
-			[]string{"lock-wait", "stage", "fsync", "publish"}},
-		{"group", server.Config{Durability: server.DurGroup, GroupMaxDelay: 2 * time.Millisecond},
-			[]string{"lock-wait", "stage", "fsync", "publish"}},
+		{"per-commit", server.Config{}, all},
+		{"group", server.Config{Durability: server.DurGroup}, all},
 		{"async", server.Config{Durability: server.DurAsync},
 			[]string{"lock-wait", "stage", "publish"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.TraceSampleRate = 1
-			h := bootCfg(t, filepath.Join(t.TempDir(), "store.log"), nil, tc.cfg)
+			h := bootSlowSync(t, filepath.Join(t.TempDir(), "store.log"), tc.cfg)
 			c := dial(t, h, nil)
 
 			const writers = 8
@@ -85,25 +86,31 @@ func TestTraceCommitSpans(t *testing.T) {
 			if _, err := c.Get(personT); err != nil {
 				t.Fatal(err)
 			}
+			if created, err := c.CreateIndex("Dept"); err != nil || !created {
+				t.Fatalf("CreateIndex = (%v, %v)", created, err)
+			}
 
 			ds, err := c.Traces()
 			if err != nil {
 				t.Fatal(err)
 			}
-			puts, gets := 0, 0
+			puts, gets, ddls := 0, 0, 0
 			for _, d := range ds {
 				assertNested(t, d)
 				switch d.Op {
 				case "PUT":
 					puts++
 					assertCommitSpans(t, d, tc.want)
+				case "CREATEINDEX":
+					ddls++
+					assertCommitSpans(t, d, all)
 				case "GET":
 					gets++
 					assertGetSpans(t, d)
 				}
 			}
-			if puts != writers || gets != 1 {
-				t.Fatalf("retained %d PUT and %d GET traces, want %d and 1", puts, gets, writers)
+			if puts != writers || gets != 1 || ddls != 1 {
+				t.Fatalf("retained %d PUT, %d GET and %d CREATEINDEX traces, want %d, 1 and 1", puts, gets, ddls, writers)
 			}
 		})
 	}
@@ -116,7 +123,7 @@ func assertCommitSpans(t *testing.T, d trace.Data, want []string) {
 	t.Helper()
 	ci := findSpan(d, "commit", 0)
 	if ci < 0 {
-		t.Fatalf("PUT trace %#x has no commit span: %+v", d.ID, d.Spans)
+		t.Fatalf("%s trace %#x has no commit span: %+v", d.Op, d.ID, d.Spans)
 	}
 	var children []trace.Span
 	for _, sp := range d.Spans {
@@ -125,12 +132,12 @@ func assertCommitSpans(t *testing.T, d trace.Data, want []string) {
 		}
 	}
 	if len(children) != len(want) {
-		t.Fatalf("PUT trace %#x commit children %+v, want %v", d.ID, children, want)
+		t.Fatalf("%s trace %#x commit children %+v, want %v", d.Op, d.ID, children, want)
 	}
 	var sum time.Duration
 	for i, sp := range children {
 		if sp.Name != want[i] {
-			t.Fatalf("PUT trace %#x commit child %d is %q, want %q: %+v", d.ID, i, sp.Name, want[i], children)
+			t.Fatalf("%s trace %#x commit child %d is %q, want %q: %+v", d.Op, d.ID, i, sp.Name, want[i], children)
 		}
 		if i > 0 {
 			if prev := children[i-1]; sp.Start < prev.Start+prev.Dur {
