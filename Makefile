@@ -63,7 +63,8 @@ bench-smoke:
 
 # Short fuzz passes over the decoders, the log scanner (its seeds include
 # the refused older headers), the conformance walk (differential against
-# TypeOf + subtyping) and the language pipeline. The codec seeds include
+# TypeOf + subtyping), the value key writer (byte-identical to the fmt
+# writer it replaced) and the language pipeline. The codec seeds include
 # images nested past the depth bounds, 32 KiB and more; minimizing an
 # input grown from one would take the whole pass, so it is cut short.
 fuzz:
@@ -71,6 +72,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeType -fuzztime=30s -fuzzminimizetime=5s ./internal/persist/codec/
 	$(GO) test -fuzz=FuzzScanLog -fuzztime=30s ./internal/persist/intrinsic/
 	$(GO) test -fuzz=FuzzConforms -fuzztime=30s ./internal/value/
+	$(GO) test -fuzz=FuzzAppendKey -fuzztime=30s ./internal/value/
 	$(GO) test -fuzz=FuzzRun -fuzztime=30s ./internal/lang/
 
 # The wire-decoder fuzz contract (part of `make all`): malformed frames,

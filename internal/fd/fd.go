@@ -9,7 +9,6 @@
 package fd
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -288,15 +287,15 @@ func SatisfiedGen(r *relation.Relation, f FD) bool {
 // projKey builds a canonical key of rec's values on attrs; ok is false when
 // any attribute is absent.
 func projKey(rec *value.Record, attrs AttrSet) (string, bool) {
-	var b strings.Builder
+	var b []byte
 	for _, a := range attrs.Sorted() {
 		v, ok := rec.Get(a)
 		if !ok {
 			return "", false
 		}
-		fmt.Fprintf(&b, "%s|", value.Key(v))
+		b = append(value.AppendKey(b, v), '|')
 	}
-	return b.String(), true
+	return string(b), true
 }
 
 // agree reports whether both records have equal values on every attribute

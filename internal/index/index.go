@@ -144,21 +144,22 @@ func (fi *FieldIndex) hasField(in *types.Interned) (member, odd bool) {
 	return ok, false
 }
 
-// atomOf extracts the member value's indexed field when it is an atom.
-func (fi *FieldIndex) atomOf(d *dynamic.Dynamic) (string, bool) {
+// atomOf appends the key of the member value's indexed field to dst when
+// that field is an atom.
+func (fi *FieldIndex) atomOf(dst []byte, d *dynamic.Dynamic) ([]byte, bool) {
 	rec, ok := d.Value().(*value.Record)
 	if !ok {
-		return "", false
+		return dst, false
 	}
 	fv, ok := rec.Get(fi.field)
 	if !ok {
-		return "", false
+		return dst, false
 	}
 	switch fv.Kind() {
 	case value.KindInt, value.KindFloat, value.KindString, value.KindBool:
-		return value.Key(fv), true
+		return value.AppendKey(dst, fv), true
 	}
-	return "", false
+	return dst, false
 }
 
 // Set is an immutable collection of maintained extents and field indexes
@@ -290,12 +291,13 @@ func (next *Set) add(d *dynamic.Dynamic) int {
 			nf.odd = append(nf.odd, e)
 		} else {
 			nf.defined = append(nf.defined, e)
-			if k, ok := nf.atomOf(d); ok {
+			var kb [64]byte
+			if k, ok := nf.atomOf(kb[:0], d); ok {
 				nb := make(map[string][]Entry, len(nf.buckets)+1)
 				for bk, bv := range nf.buckets {
 					nb[bk] = bv
 				}
-				nb[k] = append(nb[k], e)
+				nb[string(k)] = append(nb[string(k)], e)
 				nf.buckets = nb
 			}
 		}
@@ -332,16 +334,17 @@ func (next *Set) remove(d *dynamic.Dynamic) int {
 			nf.odd, changed = removeEntry(nf.odd, d)
 		} else {
 			nf.defined, changed = removeEntry(nf.defined, d)
-			if k, ok := nf.atomOf(d); ok {
-				if items, hit := removeEntry(nf.buckets[k], d); hit {
+			var kb [64]byte
+			if k, ok := nf.atomOf(kb[:0], d); ok {
+				if items, hit := removeEntry(nf.buckets[string(k)], d); hit {
 					nb := make(map[string][]Entry, len(nf.buckets))
 					for bk, bv := range nf.buckets {
 						nb[bk] = bv
 					}
 					if len(items) == 0 {
-						delete(nb, k)
+						delete(nb, string(k))
 					} else {
-						nb[k] = items
+						nb[string(k)] = items
 					}
 					nf.buckets = nb
 				}
@@ -364,6 +367,7 @@ func (s *Set) WithField(d Def) *Set {
 	}
 	next := s.clone()
 	fi := newFieldIndex(d.Field)
+	var kb [64]byte
 	for _, e := range s.All() {
 		member, odd := fi.hasField(e.Dyn.Interned())
 		switch {
@@ -371,8 +375,8 @@ func (s *Set) WithField(d Def) *Set {
 			fi.odd = append(fi.odd, e)
 		case member:
 			fi.defined = append(fi.defined, e)
-			if k, ok := fi.atomOf(e.Dyn); ok {
-				fi.buckets[k] = append(fi.buckets[k], e)
+			if k, ok := fi.atomOf(kb[:0], e.Dyn); ok {
+				fi.buckets[string(k)] = append(fi.buckets[string(k)], e)
 			}
 		}
 	}

@@ -94,6 +94,10 @@ func TestComparisonsAndLogic(t *testing.T) {
 	wantVal(t, "1 == 1", value.Bool(true))
 	wantVal(t, "1 == 2", value.Bool(false))
 	wantVal(t, "{A = 1} == {A = 1}", value.Bool(true))
+	// == is structural equality: it never widens, and Floats compare by bits.
+	wantVal(t, "1 == 1.0", value.Bool(false))
+	wantVal(t, "0.0 == -0.0", value.Bool(false))
+	wantVal(t, "-0.0 == -0.0", value.Bool(true))
 	wantVal(t, "1 != 2", value.Bool(true))
 	wantVal(t, "true and false", value.Bool(false))
 	wantVal(t, "true or false", value.Bool(true))

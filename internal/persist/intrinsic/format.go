@@ -320,11 +320,17 @@ func encodeNode(v value.Value, oidOf func(value.Value) uint64, transientPrefix s
 		}
 	case *value.Set:
 		b.WriteByte(inSet)
-		elems := vv.Elems()
-		sort.Slice(elems, func(i, j int) bool { return value.Key(elems[i]) < value.Key(elems[j]) })
+		// Elements go in key order, each key computed once.
+		type keyed struct {
+			key string
+			v   value.Value
+		}
+		elems := make([]keyed, 0, vv.Len())
+		vv.Each(func(el value.Value) { elems = append(elems, keyed{value.Key(el), el}) })
+		sort.Slice(elems, func(i, j int) bool { return elems[i].key < elems[j].key })
 		b.uvarint(uint64(len(elems)))
 		for _, el := range elems {
-			if err = encodeInline(&b, el, oidOf); err != nil {
+			if err = encodeInline(&b, el.v, oidOf); err != nil {
 				break
 			}
 		}

@@ -3,7 +3,6 @@ package relation
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"dbpl/internal/value"
 )
@@ -139,6 +138,7 @@ func GroupBy(r *Relation, by []string, aggs ...Aggregate) (*Relation, error) {
 	sort.Strings(sortedBy)
 	groups := map[string]*group{}
 	var order []string
+	var kb []byte // the member's group key, reused across members
 
 	for _, m := range r.Members() {
 		rec, ok := m.(*value.Record)
@@ -146,23 +146,26 @@ func GroupBy(r *Relation, by []string, aggs ...Aggregate) (*Relation, error) {
 			continue
 		}
 		keyRec := value.NewRecord()
-		var kb strings.Builder
+		kb = kb[:0]
 		for _, a := range sortedBy {
+			kb = append(append(kb, a...), '=')
 			if v, ok := rec.Get(a); ok {
 				keyRec.Set(a, v)
-				fmt.Fprintf(&kb, "%s=%s|", a, value.Key(v))
+				kb = value.AppendKey(kb, v)
 			} else {
-				fmt.Fprintf(&kb, "%s=⊥|", a)
+				kb = append(kb, "⊥"...)
 			}
+			kb = append(kb, '|')
 		}
-		g, ok := groups[kb.String()]
+		g, ok := groups[string(kb)]
 		if !ok {
 			g = &group{key: keyRec, accs: make([]value.Value, len(aggs))}
 			for i, agg := range aggs {
 				g.accs[i] = agg.zero()
 			}
-			groups[kb.String()] = g
-			order = append(order, kb.String())
+			k := string(kb)
+			groups[k] = g
+			order = append(order, k)
 		}
 		for i, agg := range aggs {
 			if agg.Attr == "" { // CountAll

@@ -76,17 +76,18 @@ func pickJoinAttr(r, s *Relation) (string, bool) {
 }
 
 // JoinCosts are the cost-model coefficients for the join planner, in
-// nanoseconds. DefaultJoinCosts holds measured priors; the server
-// substitutes learned values from its telemetry histograms.
+// nanoseconds. PlanJoinWith takes them explicitly; everything else,
+// including the server's JOIN and EXPLAIN, plans with DefaultJoinCosts.
 type JoinCosts struct {
 	PairNs  float64 // one value.Join attempt
 	HashNs  float64 // hashing one member into a bucket
 	SetupNs float64 // fixed partition overhead (map allocation)
 }
 
-// DefaultJoinCosts are the cold-start priors, measured on the E1/E16
-// microbenchmarks. Only their ordering needs to be roughly right: the
-// server's feedback loop replaces PairNs and HashNs with observed means.
+// DefaultJoinCosts are fixed priors, measured on the E1/E16
+// microbenchmarks. Nothing learns or replaces them at run time; only their
+// ordering needs to be roughly right, since they decide nested-loop against
+// partition and nothing finer.
 var DefaultJoinCosts = JoinCosts{PairNs: 150, HashNs: 120, SetupNs: 2000}
 
 // JoinPlan is the planner's verdict for one join: whether to hash-
@@ -176,28 +177,30 @@ func attrCounts(rel *Relation, attr string) (atoms, wild int) {
 // relations — the denominator of the same-bucket pair estimate.
 func distinctAtoms(r, s *Relation, attr string) int {
 	seen := map[string]bool{}
+	var buf [keyScratch]byte
 	for _, rel := range []*Relation{r, s} {
 		for _, m := range rel.elems {
-			if k, ok := atomOn(m, attr); ok {
-				seen[k] = true
+			if v, ok := atomOn(m, attr); ok {
+				if k := value.AppendKey(buf[:0], v); !seen[string(k)] {
+					seen[string(k)] = true
+				}
 			}
 		}
 	}
 	return len(seen)
 }
 
-// atomOn returns the canonical key of m's attr field when m is a record
-// defining it atomically.
-func atomOn(m value.Value, attr string) (string, bool) {
+// atomOn returns m's attr field when m is a record defining it atomically.
+func atomOn(m value.Value, attr string) (value.Value, bool) {
 	rec, ok := m.(*value.Record)
 	if !ok {
-		return "", false
+		return nil, false
 	}
 	v, ok := rec.Get(attr)
 	if !ok || !isAtom(v) {
-		return "", false
+		return nil, false
 	}
-	return value.Key(v), true
+	return v, true
 }
 
 // JoinFast computes the same generalized natural join as Join, planning
@@ -222,9 +225,11 @@ func JoinPlanned(r, s *Relation, p JoinPlan) *Relation {
 	}
 	buckets := map[string][]value.Value{}
 	var buildWild []value.Value
+	var buf [keyScratch]byte
 	for _, m := range build.elems {
-		if k, ok := atomOn(m, p.Attr); ok {
-			buckets[k] = append(buckets[k], m)
+		if v, ok := atomOn(m, p.Attr); ok {
+			k := value.AppendKey(buf[:0], v)
+			buckets[string(k)] = append(buckets[string(k)], m)
 		} else {
 			buildWild = append(buildWild, m)
 		}
@@ -242,9 +247,9 @@ func JoinPlanned(r, s *Relation, p JoinPlan) *Relation {
 		}
 	}
 	for _, m := range probe.elems {
-		if k, ok := atomOn(m, p.Attr); ok {
+		if v, ok := atomOn(m, p.Attr); ok {
 			// Equal atoms join; the build side's wildcards join everything.
-			for _, bm := range buckets[k] {
+			for _, bm := range buckets[string(value.AppendKey(buf[:0], v))] {
 				tryJoin(m, bm)
 			}
 			for _, bm := range buildWild {

@@ -100,6 +100,63 @@ func BenchmarkJoinHashed(b *testing.B) {
 	benchJoinImpl(b, JoinFast)
 }
 
+// readBulkShape builds the two sides of the benchmark's read-bulk JOIN:
+// 128 {Dept, Id, L, Name} and 8 {Dept, Id, L, L2, Name} records on the
+// left, 8 {DName, Dept, R} on the right, Dept being the position mod 8, so
+// every left member meets exactly one right member.
+func readBulkShape() (left, right []value.Value) {
+	rng := rand.New(rand.NewSource(1))
+	word := func() value.Value {
+		b := make([]byte, 12)
+		for i := range b {
+			b[i] = 'a' + byte(rng.Intn(26))
+		}
+		return value.String(b)
+	}
+	noise := func() value.Value { return value.Int(1<<24 + rng.Int63n(1<<24)) }
+	for i := 0; i < 136; i++ {
+		r := value.Rec("Dept", value.Int(int64(i%8)), "Id", value.Int(int64(i)), "L", noise(), "Name", word())
+		if i >= 128 {
+			r.Set("L2", word())
+		}
+		left = append(left, r)
+	}
+	for i := 0; i < 8; i++ {
+		right = append(right, value.Rec("DName", word(), "Dept", value.Int(int64(i)), "R", noise()))
+	}
+	return left, right
+}
+
+// joinReadBulk is what the server's JOIN does with the two extents.
+func joinReadBulk(left, right []value.Value) []value.Value {
+	r1, r2 := New(left...), New(right...)
+	return JoinPlanned(r1, r2, PlanJoin(r1, r2)).Members()
+}
+
+func BenchmarkJoinReadBulkShape(b *testing.B) {
+	left, right := readBulkShape()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		joinReadBulk(left, right)
+	}
+}
+
+// TestJoinReadBulkShapeAllocs pins the join's allocations: the order is
+// decided in place and member keys are written into scratch, so what is
+// left is the joined records, the relations' maps and the member keys
+// they store: ≈ 2 000, against 89 612 when every atom comparison built two
+// fmt-formatted keys.
+func TestJoinReadBulkShapeAllocs(t *testing.T) {
+	left, right := readBulkShape()
+	if got := len(joinReadBulk(left, right)); got != 136 {
+		t.Fatalf("join has %d members, want 136", got)
+	}
+	if n := testing.AllocsPerRun(5, func() { joinReadBulk(left, right) }); n > 10000 {
+		t.Errorf("read-bulk-shaped join: %.0f allocs, want ≤ 10 000", n)
+	}
+}
+
 func benchJoinImpl(b *testing.B, impl func(*Relation, *Relation) *Relation) {
 	for _, n := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -59,15 +59,20 @@ var ErrNoKey = errors.New("relation: object missing key attribute")
 // NewKeyed.
 type Relation struct {
 	elems []value.Value
+	keys  []string       // value.Key of each member, parallel to elems
 	index map[string]int // value.Key -> position
 	key   []string       // key attributes; empty means unkeyed
 	byKey map[string]int // key-tuple -> position, when keyed
 }
 
+// keyScratch sizes the stack buffers member keys are written into before a
+// map probe: a record of a handful of atomic fields fits.
+const keyScratch = 128
+
 // New returns an empty generalized relation, optionally seeded with
 // objects (inserted in order, with subsumption).
 func New(objects ...value.Value) *Relation {
-	r := &Relation{index: map[string]int{}}
+	r := &Relation{index: make(map[string]int, len(objects))}
 	for _, o := range objects {
 		r.Insert(o)
 	}
@@ -79,13 +84,13 @@ func New(objects ...value.Value) *Relation {
 // per-insert subsumption scan.
 func newFromCochain(members []value.Value) *Relation {
 	r := &Relation{index: make(map[string]int, len(members))}
+	var buf [keyScratch]byte
 	for _, m := range members {
-		k := value.Key(m)
-		if _, dup := r.index[k]; dup {
+		k := value.AppendKey(buf[:0], m)
+		if _, dup := r.index[string(k)]; dup {
 			continue
 		}
-		r.index[k] = len(r.elems)
-		r.elems = append(r.elems, m)
+		r.add(m, string(k), "")
 	}
 	return r
 }
@@ -111,27 +116,26 @@ func (r *Relation) Members() []value.Value { return append([]value.Value(nil), r
 
 // Contains reports whether an object structurally equal to o is a member.
 func (r *Relation) Contains(o value.Value) bool {
-	_, ok := r.index[value.Key(o)]
+	var buf [keyScratch]byte
+	_, ok := r.index[string(value.AppendKey(buf[:0], o))]
 	return ok
 }
 
-// keyString extracts the canonical key tuple of o, or an error if a key
-// attribute is missing or o is not a record.
-func (r *Relation) keyString(o value.Value) (string, error) {
+// appendKeyTuple appends the canonical key tuple of o to dst, or returns an
+// error if a key attribute is missing or o is not a record.
+func (r *Relation) appendKeyTuple(dst []byte, o value.Value) ([]byte, error) {
 	rec, ok := o.(*value.Record)
 	if !ok {
-		return "", fmt.Errorf("%w: %s is not a record", ErrNoKey, o)
+		return dst, fmt.Errorf("%w: %s is not a record", ErrNoKey, o)
 	}
-	var b strings.Builder
 	for _, k := range r.key {
 		v, ok := rec.Get(k)
 		if !ok {
-			return "", fmt.Errorf("%w: %q", ErrNoKey, k)
+			return dst, fmt.Errorf("%w: %q", ErrNoKey, k)
 		}
-		b.WriteString(value.Key(v))
-		b.WriteByte('|')
+		dst = append(value.AppendKey(dst, v), '|')
 	}
-	return b.String(), nil
+	return dst, nil
 }
 
 // Insert adds o with the paper's subsumption rule: o is not admitted if an
@@ -139,22 +143,25 @@ func (r *Relation) keyString(o value.Value) (string, error) {
 // than existing members, those are subsumed (removed). For keyed relations
 // a collision on the key with a non-comparable member is ErrKeyViolation.
 func (r *Relation) Insert(o value.Value) (Outcome, error) {
-	if r.Contains(o) {
+	var buf [keyScratch]byte
+	k := value.AppendKey(buf[:0], o)
+	if _, ok := r.index[string(k)]; ok {
 		return Redundant, nil
 	}
 	if len(r.key) > 0 {
-		ks, err := r.keyString(o)
+		var tuple [keyScratch]byte
+		ks, err := r.appendKeyTuple(tuple[:0], o)
 		if err != nil {
 			return Redundant, err
 		}
-		if i, ok := r.byKey[ks]; ok {
+		if i, ok := r.byKey[string(ks)]; ok {
 			old := r.elems[i]
 			switch {
 			case value.Leq(o, old):
 				return Redundant, nil
 			case value.Leq(old, o):
 				r.removeAt(i)
-				r.add(o, ks)
+				r.add(o, string(k), string(ks))
 				return Subsumed, nil
 			default:
 				return Redundant, fmt.Errorf("%w: %s vs %s", ErrKeyViolation, o, old)
@@ -162,7 +169,7 @@ func (r *Relation) Insert(o value.Value) (Outcome, error) {
 		}
 		// With a key, distinct key tuples guarantee incomparability, so no
 		// further scan is needed.
-		r.add(o, ks)
+		r.add(o, string(k), string(ks))
 		return Added, nil
 	}
 	// Unkeyed: compare against every member (the cost experiment E6
@@ -180,47 +187,49 @@ func (r *Relation) Insert(o value.Value) (Outcome, error) {
 		}
 		i++
 	}
-	r.add(o, "")
+	r.add(o, string(k), "")
 	if subsumed {
 		return Subsumed, nil
 	}
 	return Added, nil
 }
 
-func (r *Relation) add(o value.Value, keyStr string) {
-	r.index[value.Key(o)] = len(r.elems)
-	if keyStr != "" || len(r.key) > 0 {
-		r.byKey[keyStr] = len(r.elems)
+// add appends o, whose value.Key is k; tuple is its key tuple when the
+// relation is keyed.
+func (r *Relation) add(o value.Value, k, tuple string) {
+	r.index[k] = len(r.elems)
+	if len(r.key) > 0 {
+		r.byKey[tuple] = len(r.elems)
 	}
 	r.elems = append(r.elems, o)
+	r.keys = append(r.keys, k)
 }
 
 func (r *Relation) removeAt(i int) {
-	o := r.elems[i]
-	delete(r.index, value.Key(o))
+	delete(r.index, r.keys[i])
 	if len(r.key) > 0 {
-		if ks, err := r.keyString(o); err == nil {
-			delete(r.byKey, ks)
+		if ks, err := r.appendKeyTuple(nil, r.elems[i]); err == nil {
+			delete(r.byKey, string(ks))
 		}
 	}
 	last := len(r.elems) - 1
 	if i != last {
-		r.elems[i] = r.elems[last]
-		moved := r.elems[i]
-		r.index[value.Key(moved)] = i
+		r.elems[i], r.keys[i] = r.elems[last], r.keys[last]
+		r.index[r.keys[i]] = i
 		if len(r.key) > 0 {
-			if ks, err := r.keyString(moved); err == nil {
-				r.byKey[ks] = i
+			if ks, err := r.appendKeyTuple(nil, r.elems[i]); err == nil {
+				r.byKey[string(ks)] = i
 			}
 		}
 	}
-	r.elems = r.elems[:last]
+	r.elems, r.keys = r.elems[:last], r.keys[:last]
 }
 
 // Delete removes the member structurally equal to o, reporting whether it
 // was present.
 func (r *Relation) Delete(o value.Value) bool {
-	i, ok := r.index[value.Key(o)]
+	var buf [keyScratch]byte
+	i, ok := r.index[string(value.AppendKey(buf[:0], o))]
 	if !ok {
 		return false
 	}
@@ -234,12 +243,12 @@ func (r *Relation) Lookup(keyVals ...value.Value) (value.Value, bool) {
 	if len(r.key) == 0 || len(keyVals) != len(r.key) {
 		return nil, false
 	}
-	var b strings.Builder
+	var buf [keyScratch]byte
+	tuple := buf[:0]
 	for _, v := range keyVals {
-		b.WriteString(value.Key(v))
-		b.WriteByte('|')
+		tuple = append(value.AppendKey(tuple, v), '|')
 	}
-	i, ok := r.byKey[b.String()]
+	i, ok := r.byKey[string(tuple)]
 	if !ok {
 		return nil, false
 	}

@@ -3,7 +3,6 @@ package value
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // This file implements the paper's "Inheritance on Values" section: the
@@ -32,7 +31,7 @@ func Leq(o, op Value) bool {
 		return Equal(o, op)
 	case *Record:
 		b, ok := op.(*Record)
-		if !ok {
+		if !ok || len(a.labels) > len(b.labels) {
 			return false
 		}
 		// a ⊑ b needs labels(a) ⊆ labels(b); the precomputed signatures
@@ -40,11 +39,17 @@ func Leq(o, op Value) bool {
 		if a.labelBits&^b.labelBits != 0 {
 			return false
 		}
+		// Both label slices are sorted, so one merge finds each of a's
+		// labels in b.
+		j := 0
 		for i, l := range a.labels {
-			bv, ok := b.Get(l)
-			if !ok || !Leq(a.values[i], bv) {
+			for j < len(b.labels) && b.labels[j] < l {
+				j++
+			}
+			if j == len(b.labels) || b.labels[j] != l || !Leq(a.values[i], b.values[j]) {
 				return false
 			}
+			j++
 		}
 		return true
 	case *List:
@@ -119,7 +124,7 @@ func Join(a, b Value) (Value, error) {
 		if !ok {
 			return nil, conflict(a, b)
 		}
-		out := NewRecord()
+		out := NewRecordCap(len(av.labels) + len(bv.labels))
 		for i, l := range av.labels {
 			out.Set(l, av.values[i])
 		}
@@ -265,35 +270,31 @@ type sigGroup struct {
 
 func maximalRecords(vs []Value) []Value {
 	// Deduplicate by structural key, keeping first occurrences.
-	seen := map[string]int{}
+	seen := make(map[string]struct{}, len(vs))
 	var uniq []*Record
 	var uniqIdx []int
+	var buf [keyScratch]byte
 	for i, v := range vs {
-		k := Key(v)
-		if _, dup := seen[k]; dup {
+		k := AppendKey(buf[:0], v)
+		if _, dup := seen[string(k)]; dup {
 			continue
 		}
-		seen[k] = i
+		seen[string(k)] = struct{}{}
 		uniq = append(uniq, v.(*Record))
 		uniqIdx = append(uniqIdx, i)
 	}
 
 	// Group by label-set signature.
 	groups := map[string]*sigGroup{}
-	sigOf := func(r *Record) string {
-		var b strings.Builder
-		for _, l := range r.Labels() {
-			b.WriteString(l)
-			b.WriteByte(0)
-		}
-		return b.String()
-	}
 	for i, r := range uniq {
-		s := sigOf(r)
-		g, ok := groups[s]
+		sig := buf[:0]
+		for _, l := range r.labels {
+			sig = append(append(sig, l...), 0)
+		}
+		g, ok := groups[string(sig)]
 		if !ok {
 			g = &sigGroup{labels: r.Labels(), bits: r.labelBits}
-			groups[s] = g
+			groups[string(sig)] = g
 		}
 		g.recs = append(g.recs, r)
 		g.idx = append(g.idx, uniqIdx[i])
@@ -322,8 +323,8 @@ func maximalRecords(vs []Value) []Value {
 			g.buckets = map[string][]int{}
 			for i, r := range g.recs {
 				v, _ := r.Get(g.disc)
-				k := Key(v)
-				g.buckets[k] = append(g.buckets[k], i)
+				k := AppendKey(buf[:0], v)
+				g.buckets[string(k)] = append(g.buckets[string(k)], i)
 			}
 		}
 	}
@@ -366,7 +367,8 @@ func maximalRecords(vs []Value) []Value {
 			if v, ok := r.Get(g.disc); ok {
 				switch v.Kind() {
 				case KindInt, KindFloat, KindString, KindBool:
-					for _, j := range g.buckets[Key(v)] {
+					var kb [keyScratch]byte
+					for _, j := range g.buckets[string(AppendKey(kb[:0], v))] {
 						if check(j) {
 							return true
 						}
@@ -385,7 +387,6 @@ func maximalRecords(vs []Value) []Value {
 
 	var out []Value
 	for i, r := range uniq {
-		labels := r.Labels()
 		dominated := false
 		for _, g := range groups {
 			// Signature prefilter: labels(r) ⊆ g.labels requires r's bits to
@@ -393,7 +394,7 @@ func maximalRecords(vs []Value) []Value {
 			if r.labelBits&^g.bits != 0 {
 				continue
 			}
-			if len(g.labels) < len(labels) || !subset(labels, g.labels) {
+			if len(g.labels) < len(r.labels) || !subset(r.labels, g.labels) {
 				continue
 			}
 			if dominatedBy(r, uniqIdx[i], g) {

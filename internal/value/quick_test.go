@@ -1,12 +1,21 @@
 package value
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
 	"dbpl/internal/types"
+)
+
+// genInts and genFloats are the atom pools of genValue: small values that
+// collide often, plus the edges where equality by value and equality by
+// key could part — the most negative Int, both zeros, NaN and infinities.
+var (
+	genInts   = []int64{0, 1, 2, math.MinInt64}
+	genFloats = []float64{0, 1, 2, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
 )
 
 // genValue builds a random value of bounded depth. Labels are drawn from a
@@ -16,9 +25,9 @@ func genValue(r *rand.Rand, depth int) Value {
 	if depth <= 0 {
 		switch r.Intn(7) {
 		case 0:
-			return Int(r.Intn(3))
+			return Int(genInts[r.Intn(len(genInts))])
 		case 1:
-			return Float(r.Intn(3))
+			return Float(genFloats[r.Intn(len(genFloats))])
 		case 2:
 			return String([]string{"x", "y"}[r.Intn(2)])
 		case 3:
@@ -281,12 +290,40 @@ func TestQuickMeetLowerBound(t *testing.T) {
 }
 
 func TestQuickEqualMatchesKey(t *testing.T) {
+	// Every pair of components of a and b is compared, so atoms nested
+	// anywhere meet each other: that is where 0.0 meets -0.0.
 	f := func(a, b randValue) bool {
-		return Equal(a.V, b.V) == (Key(a.V) == Key(b.V))
+		parts := components(b.V, components(a.V, nil))
+		for _, x := range parts {
+			for _, y := range parts {
+				if Equal(x, y) != (Key(x) == Key(y)) {
+					return false
+				}
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// components appends v and every value nested in it to dst.
+func components(v Value, dst []Value) []Value {
+	dst = append(dst, v)
+	switch vv := v.(type) {
+	case *Record:
+		vv.Each(func(_ string, f Value) { dst = components(f, dst) })
+	case *List:
+		for _, e := range vv.Elems {
+			dst = components(e, dst)
+		}
+	case *Set:
+		vv.Each(func(e Value) { dst = components(e, dst) })
+	case *Tag:
+		dst = components(vv.Payload, dst)
+	}
+	return dst
 }
 
 func TestQuickCopyEqualAndIndependent(t *testing.T) {

@@ -11,8 +11,10 @@
 package value
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -342,21 +344,20 @@ func (s *Set) Add(v Value) bool {
 	if s.keys == nil {
 		s.keys = map[string]int{}
 	}
-	k := Key(v)
-	if _, ok := s.keys[k]; ok {
+	var buf [keyScratch]byte
+	k := AppendKey(buf[:0], v)
+	if _, ok := s.keys[string(k)]; ok {
 		return false
 	}
-	s.keys[k] = len(s.elems)
+	s.keys[string(k)] = len(s.elems)
 	s.elems = append(s.elems, v)
 	return true
 }
 
 // Contains reports whether a structurally equal element is present.
 func (s *Set) Contains(v Value) bool {
-	if s.keys == nil {
-		return false
-	}
-	_, ok := s.keys[Key(v)]
+	var buf [keyScratch]byte
+	_, ok := s.keys[string(AppendKey(buf[:0], v))]
 	return ok
 }
 
@@ -461,86 +462,127 @@ func Copy(v Value) Value {
 	}
 }
 
-// Equal reports deep structural equality. Int and Float atoms are never
-// equal to each other even when numerically equal, mirroring the type
-// distinction. Opaque values are equal only when identical.
+// Equal reports deep structural equality, which is exactly Key(a) ==
+// Key(b). Int and Float atoms are never equal to each other even when
+// numerically equal, mirroring the type distinction; Floats compare by
+// their bits, so 0.0 and -0.0 differ and a NaN equals itself. Opaque values
+// are equal only when identical.
+//
+// Atoms are decided by kind and value. Containers compare their keys,
+// written into stack scratch, so a record the size of a database tuple is
+// compared without allocating.
 func Equal(a, b Value) bool {
-	if a == b {
-		return true
+	switch x := a.(type) {
+	case Int:
+		y, ok := b.(Int)
+		return ok && x == y
+	case Float:
+		y, ok := b.(Float)
+		return ok && math.Float64bits(float64(x)) == math.Float64bits(float64(y))
+	case String:
+		y, ok := b.(String)
+		return ok && x == y
+	case Bool:
+		y, ok := b.(Bool)
+		return ok && x == y
+	case *Record, *List, *Set, *Tag, *TypeVal:
+		if a == b {
+			return true
+		}
+		var sa, sb [keyScratch]byte
+		return bytes.Equal(AppendKey(sa[:0], a), AppendKey(sb[:0], b))
+	default:
+		// Unit, ⊥ and opaque values are equal only to themselves.
+		return a == b
 	}
-	return Key(a) == Key(b)
 }
+
+// keyScratch is the stack buffer size callers give AppendKey: room for the
+// key of a record with a handful of atomic fields, so the common probe never
+// reaches the heap.
+const keyScratch = 128
 
 // Key returns a canonical string for v: structurally equal values share a
 // key and distinct values practically never collide. Set elements are
 // ordered by their own keys, so the key is order-insensitive for sets.
 func Key(v Value) string {
-	var b strings.Builder
-	writeKey(&b, v)
-	return b.String()
+	var buf [keyScratch]byte
+	return string(AppendKey(buf[:0], v))
 }
 
-func writeKey(b *strings.Builder, v Value) {
+// AppendKey appends Key(v) to dst and returns the extended buffer. A map
+// keyed by Key is probed without allocating as m[string(AppendKey(buf, v))].
+func AppendKey(dst []byte, v Value) []byte {
 	switch vv := v.(type) {
 	case Int:
-		fmt.Fprintf(b, "i%d", int64(vv))
+		return strconv.AppendInt(append(dst, 'i'), int64(vv), 10)
 	case Float:
-		fmt.Fprintf(b, "f%x", math.Float64bits(float64(vv)))
+		return strconv.AppendUint(append(dst, 'f'), math.Float64bits(float64(vv)), 16)
 	case String:
-		fmt.Fprintf(b, "s%d:%s", len(vv), string(vv))
+		return appendLenPrefixed(append(dst, 's'), string(vv))
 	case Bool:
 		if vv {
-			b.WriteString("bt")
-		} else {
-			b.WriteString("bf")
+			return append(dst, "bt"...)
 		}
+		return append(dst, "bf"...)
 	case unitValue:
-		b.WriteString("u")
+		return append(dst, 'u')
 	case bottomValue:
-		b.WriteString("⊥")
+		return append(dst, "⊥"...)
 	case *Record:
-		b.WriteByte('{')
+		dst = append(dst, '{')
 		for i, l := range vv.labels {
 			if i > 0 {
-				b.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			fmt.Fprintf(b, "%d:%s=", len(l), l)
-			writeKey(b, vv.values[i])
+			dst = append(appendLenPrefixed(dst, l), '=')
+			dst = AppendKey(dst, vv.values[i])
 		}
-		b.WriteByte('}')
+		return append(dst, '}')
 	case *List:
-		b.WriteString("l(")
+		dst = append(dst, "l("...)
 		for i, e := range vv.Elems {
 			if i > 0 {
-				b.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			writeKey(b, e)
+			dst = AppendKey(dst, e)
 		}
-		b.WriteByte(')')
+		return append(dst, ')')
 	case *Set:
-		keys := make([]string, len(vv.elems))
+		// Write every element's key once past the prefix, then copy them
+		// back in sorted order.
+		dst = append(dst, "S("...)
+		start := len(dst)
+		spans := make([][2]int, len(vv.elems))
 		for i, e := range vv.elems {
-			keys[i] = Key(e)
+			spans[i][0] = len(dst)
+			dst = AppendKey(dst, e)
+			spans[i][1] = len(dst)
 		}
-		sort.Strings(keys)
-		b.WriteString("S(")
-		for i, k := range keys {
+		slices.SortFunc(spans, func(x, y [2]int) int {
+			return bytes.Compare(dst[x[0]:x[1]], dst[y[0]:y[1]])
+		})
+		sorted := make([]byte, 0, len(dst)-start+len(spans))
+		for i, sp := range spans {
 			if i > 0 {
-				b.WriteByte(',')
+				sorted = append(sorted, ',')
 			}
-			b.WriteString(k)
+			sorted = append(sorted, dst[sp[0]:sp[1]]...)
 		}
-		b.WriteByte(')')
+		return append(append(dst[:start], sorted...), ')')
 	case *Tag:
-		fmt.Fprintf(b, "t%d:%s(", len(vv.Label), vv.Label)
-		writeKey(b, vv.Payload)
-		b.WriteByte(')')
+		dst = append(appendLenPrefixed(append(dst, 't'), vv.Label), '(')
+		return append(AppendKey(dst, vv.Payload), ')')
 	case *TypeVal:
-		b.WriteString("T<")
-		b.WriteString(types.Key(vv.T))
-		b.WriteByte('>')
+		return append(append(append(dst, "T<"...), types.Key(vv.T)...), '>')
 	default:
-		// Opaque values: identity only.
-		fmt.Fprintf(b, "opaque%p", v)
+		// Opaque values: identity only, as their address. They never meet
+		// the order's hot paths, so this is the one key fmt still writes.
+		return fmt.Appendf(dst, "opaque%p", v)
 	}
+}
+
+// appendLenPrefixed appends len(s), a colon and s.
+func appendLenPrefixed(dst []byte, s string) []byte {
+	return append(append(strconv.AppendInt(dst, int64(len(s)), 10), ':'), s...)
 }
