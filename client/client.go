@@ -595,7 +595,7 @@ func (c *Client) DropIndex(field string) (bool, error) {
 }
 
 // ExplainGet renders the access-path plan the server would choose right
-// now for a GET at t — the cost breakdown over scan, extent and index —
+// now for a GET at t — the cost breakdown over extent and index —
 // without executing anything.
 func (c *Client) ExplainGet(t types.Type) (string, error) {
 	return decodeText(c.readCall(wire.OpExplain, mustTypeField(t)))
@@ -720,7 +720,8 @@ func (s *Session) roundTrip(op byte, fields ...[]byte) (byte, [][]byte, error) {
 }
 
 // Get inside the session sees its own buffered writes overlaid on the
-// snapshot pinned at Begin.
+// snapshot pinned at Begin, in the order a Get right after Commit
+// returns them.
 func (s *Session) Get(t types.Type) ([]Packed, error) {
 	return decodeGet(s.roundTrip(wire.OpGet, mustTypeField(t)))
 }

@@ -46,18 +46,20 @@ func TestPlanGetRegimesCold(t *testing.T) {
 // point of telemetry-fed planning over fixed thresholds.
 func TestPlanGetFeedbackFlipsChoice(t *testing.T) {
 	m := newModel()
-	in := GetInput{N: 10000, Types: 5000}
+	// A dense index: by the priors, 8000 candidates cost more than the
+	// extent union of 5000 types.
+	in := GetInput{N: 10000, Types: 5000, Field: "Empno", Candidates: 8000}
 	if p := m.PlanGet(in); p.Path != PathExtent {
 		t.Fatalf("cold pick = %s, want extent\n%s", p.Path, p)
 	}
 	// Feed reality in which the extent path is terrible (say, the type
-	// cache is cold and the merge is wide) and the scan is cheap.
+	// cache is cold and the merge is wide) and the candidate walk is cheap.
 	for i := 0; i < minObs; i++ {
 		m.Observe(PathExtent, 5*time.Millisecond, 5000, 5000, 10000)
-		m.Observe(PathScan, 100*time.Microsecond, 10000, 5000, 10000)
+		m.Observe(PathIndex, 100*time.Microsecond, 8000, 5000, 10000)
 	}
-	if p := m.PlanGet(in); p.Path != PathScan {
-		t.Errorf("after contrary observations pick = %s, want scan\n%s", p.Path, p)
+	if p := m.PlanGet(in); p.Path != PathIndex || p.Field != "Empno" {
+		t.Errorf("after contrary observations pick = %s, want index on Empno\n%s", p.Path, p)
 	}
 }
 
@@ -86,7 +88,7 @@ func TestExplainRendering(t *testing.T) {
 	p := m.PlanGet(GetInput{N: 10000, Types: 10000, Field: "Empno", Candidates: 100})
 	out := p.String()
 	for _, want := range []string{"path=index", "field=Empno", "n=10000", "types=10000",
-		"candidates=100", "est_sel=", "cost{scan=", "extent=", "index="} {
+		"candidates=100", "est_sel=", "cost{extent=", "index="} {
 		if !strings.Contains(out, want) {
 			t.Errorf("EXPLAIN %q missing %q", out, want)
 		}
@@ -117,16 +119,10 @@ func person(i int) *value.Record {
 }
 
 // executeGet runs one GET through the chosen physical path against the
-// index set, with the full member list standing in for the engine scan.
-func executeGet(p GetPlan, set *index.Set, members []*dynamic.Dynamic, want *types.Interned) []*dynamic.Dynamic {
+// index set.
+func executeGet(p GetPlan, set *index.Set, want *types.Interned) []*dynamic.Dynamic {
 	var out []*dynamic.Dynamic
 	switch p.Path {
-	case PathScan:
-		for _, d := range members {
-			if types.SubtypeInterned(d.Interned(), want) {
-				out = append(out, d)
-			}
-		}
 	case PathExtent:
 		entries, _ := set.GetEntries(want)
 		for _, e := range entries {
@@ -208,7 +204,7 @@ func TestQuickPlannedGetEquivalent(t *testing.T) {
 				}
 			}
 			p := m.PlanGet(in)
-			got := executeGet(p, set, members, q)
+			got := executeGet(p, set, q)
 			var want []*dynamic.Dynamic
 			for _, d := range members {
 				if types.SubtypeInterned(d.Interned(), q) {

@@ -275,6 +275,84 @@ func TestE2ETransactions(t *testing.T) {
 	}
 }
 
+// TestE2ETxnReadsWhatCommitPublishes: a transaction's GET and JOIN return
+// what the same requests return right after its COMMIT — the same values
+// in the same order: the pinned extents minus the roots the session
+// wrote, then each written name's last PUT in buffer order. The store
+// binds b, a and d, so insertion order is not name order; the transaction
+// rebinds b and puts c. NAMES stays sorted.
+func TestE2ETxnReadsWhatCommitPublishes(t *testing.T) {
+	h := boot(t, filepath.Join(t.TempDir(), "txnorder.log"))
+	c := dial(t, h, nil)
+	for i, name := range []string{"b", "a", "d"} {
+		if err := c.Put(name, emp(name, int64(i), "Sales"), employeeT); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Put("sales", value.Rec("Dept", value.String("Sales"), "Floor", value.Int(3)), deptT); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("b", emp("b2", 7, "Sales"), employeeT); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("c", emp("c", 8, "Sales"), employeeT); err != nil {
+		t.Fatal(err)
+	}
+	inGet, err := s.Get(employeeT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inJoin, err := s.Join(employeeT, deptT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names, err := s.Names(); err != nil || !reflect.DeepEqual(names, []string{"a", "b", "c", "d", "sales"}) {
+		t.Errorf("session NAMES = %v, %v; want sorted [a b c d sales]", names, err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	afterGet, err := c.Get(employeeT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	afterJoin, err := c.Join(employeeT, deptT)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var order []string
+	for _, p := range afterGet {
+		n, _ := p.Value.(*value.Record).Get("Name")
+		order = append(order, string(n.(value.String)))
+	}
+	if want := []string{"a", "d", "b2", "c"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("GET after COMMIT = %v, want insertion order %v", order, want)
+	}
+	if len(inGet) != len(afterGet) {
+		t.Fatalf("GET in the transaction = %d values, after COMMIT %d", len(inGet), len(afterGet))
+	}
+	for i := range inGet {
+		if !value.Equal(inGet[i].Value, afterGet[i].Value) || !types.Equal(inGet[i].Witness, afterGet[i].Witness) {
+			t.Errorf("GET [%d]: in the transaction %s : %s, after COMMIT %s : %s",
+				i, inGet[i].Value, inGet[i].Witness, afterGet[i].Value, afterGet[i].Witness)
+		}
+	}
+	if len(inJoin) != len(afterJoin) || len(afterJoin) != len(afterGet) {
+		t.Fatalf("JOIN in the transaction = %d values, after COMMIT %d; want %d", len(inJoin), len(afterJoin), len(afterGet))
+	}
+	for i := range inJoin {
+		if !value.Equal(inJoin[i], afterJoin[i]) {
+			t.Errorf("JOIN [%d]: in the transaction %s, after COMMIT %s", i, inJoin[i], afterJoin[i])
+		}
+	}
+}
+
 // TestE2EReconnectAfterRestart mirrors the crash-matrix style of the
 // persistence tests at the system level: commit through one server
 // incarnation, shut it down, boot a second on the same log, and the

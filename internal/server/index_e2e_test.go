@@ -66,7 +66,7 @@ func TestE2EIndexLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"get path=", "cost{scan=", "candidates="} {
+	for _, want := range []string{"get path=", "cost{extent=", "candidates="} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("ExplainGet %q missing %q", plan, want)
 		}
@@ -196,13 +196,13 @@ func TestStatsPlannerCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var chosen uint64
-	for _, path := range []string{"scan", "extent", "index"} {
-		n, _ := snap.Counter(`dbpl_plan_chosen_total{path="` + path + `"}`)
-		chosen += n
+	extent, _ := snap.Counter(`dbpl_plan_chosen_total{path="extent"}`)
+	index, _ := snap.Counter(`dbpl_plan_chosen_total{path="index"}`)
+	if extent+index < gets {
+		t.Errorf("plan_chosen_total sums to %d, want >= %d (one per GET)", extent+index, gets)
 	}
-	if chosen < gets {
-		t.Errorf("plan_chosen_total sums to %d, want >= %d (one per GET)", chosen, gets)
+	if _, ok := snap.Counter(`dbpl_plan_chosen_total{path="scan"}`); ok {
+		t.Error(`dbpl_plan_chosen_total{path="scan"} is registered; the planner has no scan path`)
 	}
 	nested, _ := snap.Counter(`dbpl_plan_join_total{path="nested"}`)
 	partition, _ := snap.Counter(`dbpl_plan_join_total{path="partition"}`)
@@ -221,7 +221,7 @@ func TestStatsPlannerCounters(t *testing.T) {
 	// The planner's learning loop is visible too: every executed GET
 	// observed its path latency.
 	var observed uint64
-	for _, path := range []string{"scan", "extent", "index"} {
+	for _, path := range []string{"extent", "index"} {
 		if hist, ok := snap.Histogram(`dbpl_plan_path_seconds{path="` + path + `"}`); ok {
 			observed += hist.Count
 		}

@@ -122,7 +122,7 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		telemetry.UnitDuration, telemetry.DurationBuckets)
 	m.inflight = reg.Gauge("dbpl_server_inflight")
 	m.sessions = reg.Gauge("dbpl_server_sessions")
-	for p := plan.PathScan; int(p) < numPlanPaths; p++ {
+	for p := plan.PathExtent; int(p) < numPlanPaths; p++ {
 		m.planChosen[p] = reg.Counter(`dbpl_plan_chosen_total{path="` + p.String() + `"}`)
 	}
 	m.joinNested = reg.Counter(`dbpl_plan_join_total{path="nested"}`)

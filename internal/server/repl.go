@@ -600,10 +600,7 @@ func (s *Server) publishDelta(delta intrinsic.GroupDelta) error {
 				idx = idx.WithField(index.Def{Field: f})
 			}
 		}
-		if next == cur {
-			next = &state{roots: cur.roots, db: cur.db}
-		}
-		next.idx = idx
+		next = &state{roots: next.roots, idx: idx}
 	}
 	if next != cur {
 		s.state.Store(next)

@@ -9,22 +9,23 @@
 //
 // The server owns one intrinsic store (durability) and publishes, through
 // an atomic pointer, an immutable *state*: the committed root bindings
-// plus a sharded copy-on-write core.Database holding one dynamic per
-// root. Readers (GET, JOIN, NAMES outside a transaction) load the pointer
-// and run lock-free against that snapshot — they can never observe a
-// commit in progress, because the pointer is swapped only after the
-// store's commit group is durable. Writers buffer per session and hand
-// each commit to one committer goroutine (coalesce.go), which serializes
-// through commitMu: apply the batch's operations to the store, stage each
-// commit as one commit group (StageBound: the store walks only the roots
-// just bound, which is sound because this server binds freshly decoded
-// values and never mutates a published one), sync the batch, then
-// publish the next state (a Fork of the previous database with the delta
-// applied). Under the default per-commit durability a batch is one
-// commit. If the store commit fails, store.Abort() replays the log back
-// to the last durable group and the published state is left untouched —
-// the remote failure taxonomy (wire.CodeIO / wire.CodeCorrupt) mirrors
-// the local one.
+// plus one index.Set — the maintained extents and declared field indexes
+// over the same dynamics, the only membership structure every read path
+// shares. Readers (GET, JOIN, NAMES outside a transaction) load the
+// pointer and run lock-free against that snapshot — they can never
+// observe a commit in progress, because the pointer is swapped only after
+// the store's commit group is durable. Writers buffer per session and
+// hand each commit to one committer goroutine (coalesce.go), which
+// serializes through commitMu: apply the batch's operations to the store,
+// stage each commit as one commit group (StageBound: the store walks only
+// the roots just bound, which is sound because this server binds freshly
+// decoded values and never mutates a published one), sync the batch, then
+// publish the next state (the previous index.Set advanced by the delta).
+// Under the default per-commit durability a batch is one commit. If the
+// store commit fails, store.Abort() replays the log back to the last
+// durable group and the published state is left untouched — the remote
+// failure taxonomy (wire.CodeIO / wire.CodeCorrupt) mirrors the local
+// one.
 //
 // # Sessions and transactions
 //
@@ -32,9 +33,10 @@
 // (a one-operation commit group). BEGIN pins the session to the state
 // current at that moment and buffers subsequent PUT/DELETE; the session's
 // own reads see its buffered writes overlaid on the pinned snapshot
-// (read-your-writes at repeatable-read isolation), while every other
-// session keeps reading the published committed state. COMMIT turns the
-// buffer into one commit group; ABORT discards it. Conflicts are resolved
+// (read-your-writes at repeatable-read isolation), in the order the same
+// read returns right after COMMIT, while every other session keeps
+// reading the published committed state. COMMIT turns the buffer into one
+// commit group; ABORT discards it. Conflicts are resolved
 // last-writer-wins per root name at commit time.
 //
 // # Shutdown
@@ -59,7 +61,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dbpl/internal/core"
 	"dbpl/internal/dynamic"
 	"dbpl/internal/index"
 	"dbpl/internal/persist/codec"
@@ -250,25 +251,24 @@ func timeoutOr(d, def time.Duration) time.Duration {
 	return d
 }
 
-// state is one immutable committed view: the root bindings, the database
-// derived from them, and the maintained extents + field indexes over the
-// same membership. Published through Server.state; never mutated after
+// state is one immutable committed view: the root bindings and the
+// maintained extents + field indexes over the same dynamics, which every
+// read path shares. Published through Server.state; never mutated after
 // publication.
 type state struct {
 	roots map[string]*dynamic.Dynamic
-	db    *core.Database
 	idx   *index.Set
 }
 
-// apply returns the successor state with ops applied, forking the
-// database (O(shards)) and advancing the index set (COW, single
-// successor) so the previous state stays valid for readers holding it.
-// A commit that binds no root — index DDL — shares the roots and the
-// database with st. The returned stats report the index-maintenance work
-// done.
+// apply returns the successor state with ops applied, copying the root
+// map and advancing the index set (COW, single successor) so the previous
+// state stays valid for readers holding it. A commit that binds no root —
+// index DDL — shares the roots with st. The returned stats report the
+// index-maintenance work done.
 func (st *state) apply(ops []txnOp) (*state, index.ApplyStats) {
-	next := &state{roots: st.roots, db: st.db, idx: st.idx}
+	next := &state{roots: st.roots, idx: st.idx}
 	iops := make([]index.Op, 0, len(ops))
+	copied := false
 	for _, o := range ops {
 		if o.index {
 			if o.del {
@@ -278,22 +278,20 @@ func (st *state) apply(ops []txnOp) (*state, index.ApplyStats) {
 			}
 			continue
 		}
-		if next.db == st.db { // the commit's first root op
+		if !copied { // the commit's first root op
+			copied = true
 			next.roots = make(map[string]*dynamic.Dynamic, len(st.roots)+len(ops))
 			for k, v := range st.roots {
 				next.roots[k] = v
 			}
-			next.db = st.db.Fork()
 		}
 		var iop index.Op
 		if old, ok := next.roots[o.name]; ok {
-			next.db.Remove(old)
 			delete(next.roots, o.name)
 			iop.Remove = old
 		}
 		if !o.del {
 			next.roots[o.name] = o.dyn
-			next.db.Insert(o.dyn)
 			iop.Add = o.dyn
 		}
 		if iop.Remove != nil || iop.Add != nil {
@@ -441,7 +439,7 @@ func (s *Server) markCommit(trace uint64) {
 // state — the crash-matrix invariant.
 func stateFromStore(store *intrinsic.Store) (*state, error) {
 	names := store.Names()
-	st := &state{roots: make(map[string]*dynamic.Dynamic, len(names)), db: core.New(core.StrategyIndexed)}
+	st := &state{roots: make(map[string]*dynamic.Dynamic, len(names))}
 	members := make([]*dynamic.Dynamic, 0, len(names))
 	for _, name := range names {
 		r, ok := store.Root(name)
@@ -453,7 +451,6 @@ func stateFromStore(store *intrinsic.Store) (*state, error) {
 			return nil, fmt.Errorf("server: root %q does not conform to its declared type: %w", name, err)
 		}
 		st.roots[name] = d
-		st.db.Insert(d)
 		members = append(members, d)
 	}
 	defs := make([]index.Def, 0, 4)
@@ -1095,17 +1092,18 @@ func (s *Server) handleGet(sess *session, fields [][]byte) (byte, [][]byte) {
 	if err != nil {
 		return errResp(toWireError(err))
 	}
-	var packed []core.Packed
+	want := types.Intern(t)
+	var entries []index.Entry
 	if sess.inTxn {
-		packed = sess.getOverlay(t)
+		entries = sess.overlayGet(want)
 	} else {
 		// The lock-free hot path: one atomic load, then the planner-chosen
 		// physical path against that snapshot.
-		packed = s.plannedGet(sess.tr, s.state.Load(), t)
+		entries = s.plannedGet(sess.tr, s.state.Load(), want)
 	}
-	out := make([][]byte, len(packed))
-	for i, p := range packed {
-		img, err := codec.MarshalTagged(p.Value, p.Witness)
+	out := make([][]byte, len(entries))
+	for i, e := range entries {
+		img, err := codec.MarshalTagged(e.Dyn.Value(), e.Dyn.Type())
 		if err != nil {
 			return errResp(toWireError(err))
 		}
@@ -1133,107 +1131,93 @@ func planInput(st *state, want *types.Interned) plan.GetInput {
 }
 
 // plannedGet executes one non-transactional GET through the cost-chosen
-// physical path. All three paths return the same members in insertion
-// order (the plan/index property tests); the choice only affects time,
-// and the observed time feeds back into the model.
-func (s *Server) plannedGet(tr *rtrace.Trace, st *state, t types.Type) []core.Packed {
-	want := types.Intern(t)
+// physical path. Both paths return the same members in insertion order
+// (the plan/index property tests); the choice only affects time, and the
+// observed time feeds back into the model. The result may alias the
+// snapshot's extent and must not be mutated.
+func (s *Server) plannedGet(tr *rtrace.Trace, st *state, want *types.Interned) []index.Entry {
 	psp := tr.Start(0, "plan")
 	p := s.planModel.PlanGet(planInput(st, want))
 	tr.End(psp)
 	s.m.planChosen[p.Path].Inc()
 	esp := tr.Start(0, "exec:"+p.Path.String())
 	began := time.Now()
-	var packed []core.Packed
+	var entries []index.Entry
 	items := 0
-	switch p.Path {
-	case plan.PathExtent:
-		entries, _ := st.idx.GetEntries(want)
-		items = len(entries)
-		packed = make([]core.Packed, len(entries))
-		for i, e := range entries {
-			packed[i] = core.Packed{Value: e.Dyn.Value(), Witness: e.Dyn.Type()}
-		}
-	case plan.PathIndex:
+	if p.Path == plan.PathIndex {
 		cands, _ := st.idx.Candidates(p.Field)
 		items = len(cands)
 		for _, e := range cands {
 			if types.SubtypeInterned(e.Dyn.Interned(), want) {
-				packed = append(packed, core.Packed{Value: e.Dyn.Value(), Witness: e.Dyn.Type()})
+				entries = append(entries, e)
 			}
 		}
-	default: // PathScan: the sharded COW engine
-		packed = st.db.Get(t)
-		items = p.N
+	} else {
+		entries, _ = st.idx.GetEntries(want)
+		items = len(entries)
 	}
 	tr.End(esp)
-	s.planModel.Observe(p.Path, time.Since(began), items, len(packed), p.N)
-	return packed
+	s.planModel.Observe(p.Path, time.Since(began), items, len(entries), p.N)
+	return entries
 }
 
-// getOverlay is GET inside a transaction: the pinned snapshot with the
-// session's buffered writes overlaid (read-your-writes). Results are in
-// name order; only the lock-free non-transactional path promises the
-// database's insertion order.
-func (sess *session) getOverlay(t types.Type) []core.Packed {
-	want := types.Intern(t)
-	var out []core.Packed
-	for _, nd := range sess.viewBindings() {
-		if nd.dyn.IsInterned(want) {
-			out = append(out, core.Packed{Value: nd.dyn.Value(), Witness: nd.dyn.Type()})
+// overlayGet is GET inside a transaction: the extents of the snapshot
+// pinned at BEGIN minus the roots the session has written, then each
+// name's last buffered PUT in buffer order. That is the order the same
+// GET returns right after COMMIT publishes the buffer, because the commit
+// removes each written root and appends its new binding op by op. A
+// buffered write carries no sequence number: its entry's Seq is zero.
+func (sess *session) overlayGet(want *types.Interned) []index.Entry {
+	base, _ := sess.base.idx.GetEntries(want)
+	shadowed := make(map[*dynamic.Dynamic]bool, len(sess.overlay))
+	for n := range sess.overlay {
+		if d, ok := sess.base.roots[n]; ok {
+			shadowed[d] = true
+		}
+	}
+	out := make([]index.Entry, 0, len(base))
+	for _, e := range base {
+		if !shadowed[e.Dyn] {
+			out = append(out, e)
+		}
+	}
+	for i, op := range sess.ops {
+		if !op.del && sess.overlay[op.name] == i && op.dyn.IsInterned(want) {
+			out = append(out, index.Entry{Dyn: op.dyn})
 		}
 	}
 	return out
 }
 
-type namedDyn struct {
-	name string
-	dyn  *dynamic.Dynamic
-}
-
-// viewBindings materializes the session's transactional view in name
-// order.
-func (sess *session) viewBindings() []namedDyn {
-	names := make([]string, 0, len(sess.base.roots)+len(sess.overlay))
-	for n := range sess.base.roots {
+// viewNames lists the root names visible to the session, sorted: the
+// published state's outside a transaction, the overlay view inside one.
+func (sess *session) viewNames(s *Server) []string {
+	st := sess.base
+	if !sess.inTxn {
+		st = s.state.Load()
+	}
+	names := make([]string, 0, len(st.roots)+len(sess.overlay))
+	for n := range st.roots {
 		if _, shadowed := sess.overlay[n]; !shadowed {
 			names = append(names, n)
 		}
 	}
-	for n := range sess.overlay {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]namedDyn, 0, len(names))
-	for _, n := range names {
-		if i, ok := sess.overlay[n]; ok {
-			if op := sess.ops[i]; !op.del {
-				out = append(out, namedDyn{name: n, dyn: op.dyn})
-			}
-			continue
+	for n, i := range sess.overlay {
+		if !sess.ops[i].del {
+			names = append(names, n)
 		}
-		out = append(out, namedDyn{name: n, dyn: sess.base.roots[n]})
-	}
-	return out
-}
-
-// viewNames lists the root names visible to the session.
-func (sess *session) viewNames(s *Server) []string {
-	if sess.inTxn {
-		bs := sess.viewBindings()
-		names := make([]string, len(bs))
-		for i, b := range bs {
-			names[i] = b.name
-		}
-		return names
-	}
-	st := s.state.Load()
-	names := make([]string, 0, len(st.roots))
-	for n := range st.roots {
-		names = append(names, n)
 	}
 	sort.Strings(names)
 	return names
+}
+
+// values lists the members' values, for the relation layer.
+func values(entries []index.Entry) []value.Value {
+	vals := make([]value.Value, len(entries))
+	for i, e := range entries {
+		vals[i] = e.Dyn.Value()
+	}
+	return vals
 }
 
 func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
@@ -1248,20 +1232,16 @@ func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
 	if err != nil {
 		return errResp(toWireError(err))
 	}
-	var vals1, vals2 []value.Value
+	w1, w2 := types.Intern(t1), types.Intern(t2)
+	var e1, e2 []index.Entry
 	if sess.inTxn {
-		for _, p := range sess.getOverlay(t1) {
-			vals1 = append(vals1, p.Value)
-		}
-		for _, p := range sess.getOverlay(t2) {
-			vals2 = append(vals2, p.Value)
-		}
+		e1, e2 = sess.overlayGet(w1), sess.overlayGet(w2)
 	} else {
 		st := s.state.Load()
-		vals1 = st.db.GetValues(t1)
-		vals2 = st.db.GetValues(t2)
+		e1, _ = st.idx.GetEntries(w1)
+		e2, _ = st.idx.GetEntries(w2)
 	}
-	r1, r2 := relation.New(vals1...), relation.New(vals2...)
+	r1, r2 := relation.New(values(e1)...), relation.New(values(e2)...)
 	jp := relation.PlanJoin(r1, r2)
 	if jp.Partition {
 		s.m.joinPartition.Inc()
@@ -1401,8 +1381,9 @@ func (s *Server) handleExplain(fields [][]byte) (byte, [][]byte) {
 		if err != nil {
 			return errResp(toWireError(err))
 		}
-		r1 := relation.New(st.db.GetValues(t1)...)
-		r2 := relation.New(st.db.GetValues(t2)...)
+		e1, _ := st.idx.GetEntries(types.Intern(t1))
+		e2, _ := st.idx.GetEntries(types.Intern(t2))
+		r1, r2 := relation.New(values(e1)...), relation.New(values(e2)...)
 		return wire.OpOK, [][]byte{[]byte(relation.PlanJoin(r1, r2).String())}
 	default:
 		return badReq("EXPLAIN wants 1 or 2 fields, got %d", len(fields))
