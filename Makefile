@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short race bench report report-quick examples fuzz bench-smoke clean
+.PHONY: all build vet fmt-check test race bench report report-quick fuzz bench-smoke clean
 
 all: build vet fmt-check test race bench-smoke
 
@@ -27,10 +27,6 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Skips the end-to-end `go run` example tests.
-test-short:
-	$(GO) test -short ./...
-
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -40,10 +36,6 @@ report:
 
 report-quick:
 	$(GO) run ./cmd/benchreport -quick
-
-examples:
-	@for d in quickstart figure1 employees parkinglot billofmaterials evolution textsearch; do \
-		echo "=== $$d ==="; $(GO) run ./examples/$$d || exit 1; done
 
 # The benchmark is its own nested module (bench/go.mod), so `go build
 # ./...` and `go test ./...` from the root never reach it — yet it links

@@ -11,12 +11,17 @@
 //
 // A Set is immutable once published. Apply returns the successor Set with
 // a commit group's membership delta applied, sharing every untouched
-// structure with its parent. Appends may reuse spare capacity of the
-// parent's backing arrays — safe under the *single-successor* rule: a Set
-// may be Apply'd (or WithField'd/DropField'd) at most once, and only the
-// newest Set in a lineage may be advanced. The server guarantees this by
-// serializing writers through commitMu, exactly the discipline of the
-// core engine's published COW slices. Readers never take a lock.
+// structure with its parent. The type → extent table, the field table and
+// each field index's bucket and type tables are persistent maps
+// (internal/pmap): a successor copies the O(log n) path to each entry it
+// changes, never a whole table. Within a changed extent or bucket, an
+// append may reuse spare capacity of the parent's backing array — safe
+// under the *single-successor* rule: a Set may be Apply'd (or
+// WithField'd/DropField'd) at most once, and only the newest Set in a
+// lineage may be advanced. The server guarantees this by serializing
+// writers through its committer. Readers never take a lock. A removal
+// copies the one extent (and bucket) it leaves, so that is the one commit
+// cost that still grows with the store: O(extent).
 //
 // Unlike the core engine's per-shard extents (16 slices re-merged on
 // every read — the ~4× high-selectivity regression documented in E11),
@@ -26,22 +31,24 @@
 //
 // # Field-value indexes
 //
-// A Def declares an index on a record field label. The index keeps, in
-// insertion order, every member whose declared type can possibly conform
-// to a record type requiring that field — the 64-bit label signatures
-// from the interning layer (types.LabelBit) make the membership test one
-// mask check — plus hash buckets keyed by the field's atomic value for
-// members that define it atomically (the join planner's statistics).
-// The index is a sound prefilter, never a verdict: the planner's index
-// path re-checks every candidate against the requested type, so the
-// quick-check property "planner path ≡ reference scan" holds by
-// construction (plan/quick tests enforce it anyway).
+// A Def declares an index on a record field label. The index keeps the
+// member types that can possibly conform to a record type requiring that
+// field — the 64-bit label signatures from the interning layer
+// (types.LabelBit) make the test one mask check — so its candidates are
+// the union of those types' extents, in insertion order. It also keeps
+// hash buckets keyed by the field's atomic value for members that define
+// it atomically (the join planner's statistics). The index is a sound
+// prefilter, never a verdict: the planner's index path re-checks every
+// candidate against the requested type, so the quick-check property
+// "planner path ≡ reference scan" holds by construction (plan/quick tests
+// enforce it anyway).
 package index
 
 import (
 	"sort"
 
 	"dbpl/internal/dynamic"
+	"dbpl/internal/pmap"
 	"dbpl/internal/types"
 	"dbpl/internal/value"
 )
@@ -99,34 +106,37 @@ type FieldIndex struct {
 	field string
 	bit   uint64 // types.LabelBit(field): the signature prefilter mask
 
-	// defined holds, seq-ascending, every member whose declared type is a
+	// covers holds, by canonical type key, every member type that is a
 	// record type with the field — by record-width subtyping the complete
-	// candidate set for any record type requiring it.
-	defined []Entry
-	// odd holds members whose declared type is not a record type at all.
-	// Such members cannot be rejected by the field rule without a full
-	// subtype check, so the index path keeps them as candidates too. In a
-	// database of records it stays empty.
-	odd []Entry
-	// buckets groups the members of defined whose *value* carries the
-	// field as an atom, keyed by value.Key of that atom — the maintained
-	// form of the partition JoinFast builds per call, and the planner's
-	// distinct-count statistic.
-	buckets map[string][]Entry
+	// candidate types for any record type requiring it — plus every member
+	// type that is not a record type at all: such members cannot be
+	// rejected by the field rule without a full subtype check, so the
+	// index path keeps them as candidates too. In a database of records
+	// there are none. defined and odd count the members of each kind.
+	covers       pmap.Map[struct{}]
+	defined, odd int
+	// buckets groups the covered members whose *value* carries the field
+	// as an atom, keyed by value.Key of that atom, each bucket
+	// seq-ascending — the maintained form of the partition JoinFast builds
+	// per call, and the planner's distinct-count statistic.
+	buckets pmap.Map[[]Entry]
 }
 
 // Field returns the indexed label.
 func (fi *FieldIndex) Field() string { return fi.field }
 
 // Defined returns the number of members whose type defines the field.
-func (fi *FieldIndex) Defined() int { return len(fi.defined) }
+func (fi *FieldIndex) Defined() int { return fi.defined }
 
 // Distinct returns the number of distinct atomic values the field takes.
-func (fi *FieldIndex) Distinct() int { return len(fi.buckets) }
+func (fi *FieldIndex) Distinct() int { return fi.buckets.Len() }
 
 // Bucket returns the members whose value defines the field as exactly the
 // atom with canonical key k, in insertion order. The slice is shared.
-func (fi *FieldIndex) Bucket(k string) []Entry { return fi.buckets[k] }
+func (fi *FieldIndex) Bucket(k string) []Entry {
+	b, _ := fi.buckets.Get(k)
+	return b
+}
 
 // hasField reports whether the member's declared type makes it a possible
 // match for a record type requiring the indexed field: a record type
@@ -166,84 +176,60 @@ func (fi *FieldIndex) atomOf(dst []byte, d *dynamic.Dynamic) ([]byte, bool) {
 // over one committed membership; see the package comment for the
 // copy-on-write discipline.
 type Set struct {
-	seq    uint64 // next sequence number to assign
-	total  int    // members across all extents
-	byType map[*types.Interned]*Extent
-	fields map[string]*FieldIndex
+	seq    uint64                // next sequence number to assign
+	total  int                   // members across all extents
+	byType pmap.Map[*Extent]     // by the interned type's canonical key
+	fields pmap.Map[*FieldIndex] // by label
 }
 
 // NewSet returns an empty Set with the given field indexes declared.
 func NewSet(defs ...Def) *Set {
-	s := &Set{
-		byType: map[*types.Interned]*Extent{},
-		fields: map[string]*FieldIndex{},
-	}
+	s := &Set{}
 	for _, d := range defs {
-		s.fields[d.Field] = newFieldIndex(d.Field)
+		s.fields = s.fields.Set(d.Field, newFieldIndex(d.Field))
 	}
 	return s
 }
 
 func newFieldIndex(field string) *FieldIndex {
-	return &FieldIndex{field: field, bit: types.LabelBit(field), buckets: map[string][]Entry{}}
+	return &FieldIndex{field: field, bit: types.LabelBit(field)}
 }
 
 // Len reports the total member count.
 func (s *Set) Len() int { return s.total }
 
 // Types reports the number of distinct member types (= maintained extents).
-func (s *Set) Types() int { return len(s.byType) }
+func (s *Set) Types() int { return s.byType.Len() }
 
 // Extent returns the maintained extent for the interned type, nil when no
 // member has it.
-func (s *Set) Extent(in *types.Interned) *Extent { return s.byType[in] }
+func (s *Set) Extent(in *types.Interned) *Extent {
+	e, _ := s.byType.Get(in.Key())
+	return e
+}
 
 // Field returns the declared index for the label, nil when undeclared.
-func (s *Set) Field(label string) *FieldIndex { return s.fields[label] }
+func (s *Set) Field(label string) *FieldIndex {
+	fi, _ := s.fields.Get(label)
+	return fi
+}
 
 // Defs returns the declared field indexes in sorted label order.
 func (s *Set) Defs() []Def {
-	labels := make([]string, 0, len(s.fields))
-	for l := range s.fields {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	out := make([]Def, len(labels))
-	for i, l := range labels {
-		out[i] = Def{Field: l}
-	}
+	out := make([]Def, 0, s.fields.Len())
+	s.fields.Range(func(l string, _ *FieldIndex) bool {
+		out = append(out, Def{Field: l})
+		return true
+	})
 	return out
 }
 
-// clone is the shallow successor: maps copied, slices shared.
-func (s *Set) clone() *Set {
-	next := &Set{
-		seq:    s.seq,
-		total:  s.total,
-		byType: make(map[*types.Interned]*Extent, len(s.byType)+1),
-		fields: make(map[string]*FieldIndex, len(s.fields)),
-	}
-	for in, e := range s.byType {
-		next.byType[in] = e
-	}
-	for l, fi := range s.fields {
-		next.fields[l] = fi
-	}
-	return next
-}
-
-// removeEntry returns items without the entry holding d, always copying,
-// and reports whether it was present.
-func removeEntry(items []Entry, d *dynamic.Dynamic) ([]Entry, bool) {
-	for i := range items {
-		if items[i].Dyn == d {
-			next := make([]Entry, 0, len(items)-1)
-			next = append(next, items[:i]...)
-			next = append(next, items[i+1:]...)
-			return next, true
-		}
-	}
-	return items, false
+// removeAt returns a copy of items without items[i], with room for the
+// append a rebind makes next.
+func removeAt(items []Entry, i int) []Entry {
+	next := make([]Entry, 0, len(items))
+	next = append(next, items[:i]...)
+	return append(next, items[i+1:]...)
 }
 
 // Apply returns the successor Set with the commit group's ops applied in
@@ -251,7 +237,7 @@ func removeEntry(items []Entry, d *dynamic.Dynamic) ([]Entry, bool) {
 // on the newest Set of a lineage, at most once (the single-successor
 // rule); the caller serializes writers.
 func (s *Set) Apply(ops []Op) (*Set, ApplyStats) {
-	next := s.clone()
+	next := *s
 	var stats ApplyStats
 	for _, op := range ops {
 		if op.Remove != nil {
@@ -261,100 +247,109 @@ func (s *Set) Apply(ops []Op) (*Set, ApplyStats) {
 			stats.EntriesTouched += next.add(op.Add)
 		}
 	}
-	return next, stats
+	return &next, stats
 }
 
 // add appends d to its extent and every covering field index. Called on a
-// fresh clone only.
+// successor under construction only.
 func (next *Set) add(d *dynamic.Dynamic) int {
 	e := Entry{Dyn: d, Seq: next.seq}
 	next.seq++
 	next.total++
 	in := d.Interned()
-	touched := 1
-	ext := next.byType[in]
-	if ext == nil {
-		next.byType[in] = &Extent{in: in, items: []Entry{e}}
-	} else {
+	key := in.Key()
+	ext, had := next.byType.Get(key)
+	items := []Entry{e}
+	if had {
 		// append may reuse the parent's spare capacity: safe, because older
 		// published Sets hold shorter slice headers and the single-successor
 		// rule means no sibling Set appends to the same array.
-		next.byType[in] = &Extent{in: in, items: append(ext.items, e)}
+		items = append(ext.items, e)
 	}
-	for l, fi := range next.fields {
+	next.byType = next.byType.Set(key, &Extent{in: in, items: items})
+	touched := 1
+	next.fields.Range(func(l string, fi *FieldIndex) bool {
 		member, odd := fi.hasField(in)
 		if !member && !odd {
-			continue
+			return true
 		}
-		nf := &FieldIndex{field: fi.field, bit: fi.bit, defined: fi.defined, odd: fi.odd, buckets: fi.buckets}
+		nf := *fi
+		if !had {
+			nf.covers = nf.covers.Set(key, struct{}{})
+		}
 		if odd {
-			nf.odd = append(nf.odd, e)
+			nf.odd++
 		} else {
-			nf.defined = append(nf.defined, e)
+			nf.defined++
 			var kb [64]byte
 			if k, ok := nf.atomOf(kb[:0], d); ok {
-				nb := make(map[string][]Entry, len(nf.buckets)+1)
-				for bk, bv := range nf.buckets {
-					nb[bk] = bv
-				}
-				nb[string(k)] = append(nb[string(k)], e)
-				nf.buckets = nb
+				b, _ := nf.buckets.Get(string(k))
+				nf.buckets = nf.buckets.Set(string(k), append(b, e))
 			}
 		}
-		next.fields[l] = nf
+		next.fields = next.fields.Set(l, &nf)
 		touched++
-	}
+		return true
+	})
 	return touched
 }
 
 // remove deletes d from its extent and every covering field index,
-// reporting entries touched. Called on a fresh clone only.
+// reporting entries touched. Called on a successor under construction
+// only.
 func (next *Set) remove(d *dynamic.Dynamic) int {
 	in := d.Interned()
-	touched := 0
-	if ext := next.byType[in]; ext != nil {
-		if items, ok := removeEntry(ext.items, d); ok {
-			touched++
-			next.total--
-			if len(items) == 0 {
-				delete(next.byType, in)
-			} else {
-				next.byType[in] = &Extent{in: in, items: items}
-			}
-		}
+	key := in.Key()
+	ext, ok := next.byType.Get(key)
+	if !ok {
+		return 0
 	}
-	for l, fi := range next.fields {
+	i := 0
+	for i < len(ext.items) && ext.items[i].Dyn != d {
+		i++
+	}
+	if i == len(ext.items) {
+		return 0
+	}
+	seq := ext.items[i].Seq
+	items := removeAt(ext.items, i)
+	next.total--
+	if len(items) == 0 {
+		next.byType = next.byType.Delete(key)
+	} else {
+		next.byType = next.byType.Set(key, &Extent{in: in, items: items})
+	}
+	touched := 1
+	next.fields.Range(func(l string, fi *FieldIndex) bool {
 		member, odd := fi.hasField(in)
 		if !member && !odd {
-			continue
+			return true
 		}
-		nf := &FieldIndex{field: fi.field, bit: fi.bit, defined: fi.defined, odd: fi.odd, buckets: fi.buckets}
-		changed := false
+		nf := *fi
+		if len(items) == 0 {
+			nf.covers = nf.covers.Delete(key)
+		}
 		if odd {
-			nf.odd, changed = removeEntry(nf.odd, d)
+			nf.odd--
 		} else {
-			nf.defined, changed = removeEntry(nf.defined, d)
+			nf.defined--
 			var kb [64]byte
 			if k, ok := nf.atomOf(kb[:0], d); ok {
-				if items, hit := removeEntry(nf.buckets[string(k)], d); hit {
-					nb := make(map[string][]Entry, len(nf.buckets))
-					for bk, bv := range nf.buckets {
-						nb[bk] = bv
-					}
-					if len(items) == 0 {
-						delete(nb, string(k))
+				b, _ := nf.buckets.Get(string(k))
+				// A bucket is seq-ascending, so the entry is found by its Seq.
+				if j := sort.Search(len(b), func(j int) bool { return b[j].Seq >= seq }); j < len(b) && b[j].Seq == seq {
+					if len(b) == 1 {
+						nf.buckets = nf.buckets.Delete(string(k))
 					} else {
-						nb[string(k)] = items
+						nf.buckets = nf.buckets.Set(string(k), removeAt(b, j))
 					}
-					nf.buckets = nb
 				}
 			}
 		}
-		if changed {
-			next.fields[l] = nf
-			touched++
-		}
-	}
+		next.fields = next.fields.Set(l, &nf)
+		touched++
+		return true
+	})
 	return touched
 }
 
@@ -362,37 +357,63 @@ func (next *Set) remove(d *dynamic.Dynamic) int {
 // backfilled from the current membership. Declaring an existing field is
 // the identity. Single-successor rule applies.
 func (s *Set) WithField(d Def) *Set {
-	if _, ok := s.fields[d.Field]; ok {
+	if _, ok := s.fields.Get(d.Field); ok {
 		return s
 	}
-	next := s.clone()
-	fi := newFieldIndex(d.Field)
-	var kb [64]byte
-	for _, e := range s.All() {
-		member, odd := fi.hasField(e.Dyn.Interned())
+	next := *s
+	next.fields = next.fields.Set(d.Field, s.fill(d.Field))
+	return &next
+}
+
+// fill builds the field index on label over s's membership in one pass.
+func (s *Set) fill(label string) *FieldIndex {
+	fi := newFieldIndex(label)
+	var covered []string
+	var parts [][]Entry
+	s.byType.Range(func(key string, ext *Extent) bool {
+		member, odd := fi.hasField(ext.in)
 		switch {
 		case odd:
-			fi.odd = append(fi.odd, e)
+			fi.odd += len(ext.items)
 		case member:
-			fi.defined = append(fi.defined, e)
-			if k, ok := fi.atomOf(kb[:0], e.Dyn); ok {
-				fi.buckets[string(k)] = append(fi.buckets[string(k)], e)
-			}
+			fi.defined += len(ext.items)
+			parts = append(parts, ext.items)
+		default:
+			return true
+		}
+		covered = append(covered, key)
+		return true
+	})
+	fi.covers = pmap.Build(covered, make([]struct{}, len(covered)))
+	buckets := map[string][]Entry{}
+	var kb [64]byte
+	for _, e := range mergeBySeq(parts, fi.defined) {
+		if k, ok := fi.atomOf(kb[:0], e.Dyn); ok {
+			buckets[string(k)] = append(buckets[string(k)], e)
 		}
 	}
-	next.fields[d.Field] = fi
-	return next
+	keys := make([]string, 0, len(buckets))
+	for k := range buckets {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	vals := make([][]Entry, len(keys))
+	for i, k := range keys {
+		vals[i] = buckets[k]
+	}
+	fi.buckets = pmap.Build(keys, vals)
+	return fi
 }
 
 // DropField returns the successor Set without the field index, and
 // whether it was declared.
 func (s *Set) DropField(label string) (*Set, bool) {
-	if _, ok := s.fields[label]; !ok {
+	if _, ok := s.fields.Get(label); !ok {
 		return s, false
 	}
-	next := s.clone()
-	delete(next.fields, label)
-	return next, true
+	next := *s
+	next.fields = next.fields.Delete(label)
+	return &next, true
 }
 
 // mergeBySeq restores global insertion order across seq-ascending parts
@@ -448,10 +469,11 @@ func merge2(dst, a, b []Entry) []Entry {
 
 // All returns every member in insertion order.
 func (s *Set) All() []Entry {
-	parts := make([][]Entry, 0, len(s.byType))
-	for _, e := range s.byType {
+	parts := make([][]Entry, 0, s.byType.Len())
+	s.byType.Range(func(_ string, e *Extent) bool {
 		parts = append(parts, e.items)
-	}
+		return true
+	})
 	return mergeBySeq(parts, s.total)
 }
 
@@ -462,12 +484,13 @@ func (s *Set) All() []Entry {
 func (s *Set) GetEntries(want *types.Interned) (entries []Entry, matched int) {
 	parts := make([][]Entry, 0, 8)
 	total := 0
-	for in, e := range s.byType {
-		if types.SubtypeInterned(in, want) {
+	s.byType.Range(func(_ string, e *Extent) bool {
+		if types.SubtypeInterned(e.in, want) {
 			parts = append(parts, e.items)
 			total += len(e.items)
 		}
-	}
+		return true
+	})
 	return mergeBySeq(parts, total), len(parts)
 }
 
@@ -475,12 +498,13 @@ func (s *Set) GetEntries(want *types.Interned) (entries []Entry, matched int) {
 // cardinality and the number of matching extents. The cost is one cached
 // subtype check per distinct member type.
 func (s *Set) MatchStats(want *types.Interned) (result, matched int) {
-	for in, e := range s.byType {
-		if types.SubtypeInterned(in, want) {
+	s.byType.Range(func(_ string, e *Extent) bool {
+		if types.SubtypeInterned(e.in, want) {
 			result += len(e.items)
 			matched++
 		}
-	}
+		return true
+	})
 	return result, matched
 }
 
@@ -490,37 +514,60 @@ func (s *Set) MatchStats(want *types.Interned) (result, matched int) {
 // caller must still check every candidate against the requested type. ok
 // is false when the field is not indexed.
 func (s *Set) Candidates(field string) (entries []Entry, ok bool) {
-	fi := s.fields[field]
-	if fi == nil {
+	fi, ok := s.fields.Get(field)
+	if !ok {
 		return nil, false
 	}
-	if len(fi.odd) == 0 {
-		return fi.defined, true
-	}
-	return mergeBySeq([][]Entry{fi.defined, fi.odd}, len(fi.defined)+len(fi.odd)), true
+	parts := make([][]Entry, 0, fi.covers.Len())
+	fi.covers.Range(func(key string, _ struct{}) bool {
+		if ext, ok := s.byType.Get(key); ok {
+			parts = append(parts, ext.items)
+		}
+		return true
+	})
+	return mergeBySeq(parts, fi.defined+fi.odd), true
 }
 
 // CandidateCount sizes the index path for a field without materializing
 // it; ok is false when the field is not indexed.
 func (s *Set) CandidateCount(field string) (n int, ok bool) {
-	fi := s.fields[field]
-	if fi == nil {
+	fi, ok := s.fields.Get(field)
+	if !ok {
 		return 0, false
 	}
-	return len(fi.defined) + len(fi.odd), true
+	return fi.defined + fi.odd, true
 }
 
-// Rebuild constructs a Set from scratch: members added in the given
-// order (their insertion order), with the given field indexes declared.
-// This is the recovery fallback — a store reopened after a crash, a
-// salvaged log, or a follower catching up rebuilds its Set from the
-// committed roots, so an index can never be ahead of the durable state.
+// Rebuild constructs a Set from scratch in one pass: members added in the
+// given order (their insertion order), with the given field indexes
+// declared. This is the recovery fallback — a store reopened after a
+// crash, a salvaged log, or a follower catching up rebuilds its Set from
+// the committed roots, so an index can never be ahead of the durable
+// state.
 func Rebuild(members []*dynamic.Dynamic, defs ...Def) *Set {
-	s := NewSet(defs...)
-	ops := make([]Op, len(members))
+	s := &Set{seq: uint64(len(members)), total: len(members)}
+	byType := map[*types.Interned]*Extent{}
 	for i, d := range members {
-		ops[i] = Op{Add: d}
+		in := d.Interned()
+		ext := byType[in]
+		if ext == nil {
+			ext = &Extent{in: in}
+			byType[in] = ext
+		}
+		ext.items = append(ext.items, Entry{Dyn: d, Seq: uint64(i)})
 	}
-	s, _ = s.Apply(ops)
+	exts := make([]*Extent, 0, len(byType))
+	for _, ext := range byType {
+		exts = append(exts, ext)
+	}
+	sort.Slice(exts, func(i, j int) bool { return exts[i].in.Key() < exts[j].in.Key() })
+	keys := make([]string, len(exts))
+	for i, ext := range exts {
+		keys[i] = ext.in.Key()
+	}
+	s.byType = pmap.Build(keys, exts)
+	for _, d := range defs {
+		s.fields = s.fields.Set(d.Field, s.fill(d.Field))
+	}
 	return s
 }

@@ -73,6 +73,21 @@ func refGet(members []*dynamic.Dynamic, want *types.Interned) []*dynamic.Dynamic
 	return out
 }
 
+// refCandidates is the covering rule by scan: the members whose declared
+// type is a record type with the field, or not a record type at all.
+func refCandidates(members []*dynamic.Dynamic, field string) []*dynamic.Dynamic {
+	var out []*dynamic.Dynamic
+	for _, d := range members {
+		rt, ok := d.Interned().Type().(*types.Record)
+		if !ok {
+			out = append(out, d)
+		} else if _, ok := rt.Lookup(field); ok {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 func sameDyns(got []Entry, want []*dynamic.Dynamic) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("len: got %d want %d", len(got), len(want))
@@ -320,6 +335,34 @@ func TestQuickSetEquivalentToScan(t *testing.T) {
 					t.Logf("seed %d: %v missing from %s candidates", seed, d, field)
 					return false
 				}
+			}
+		}
+		// The one-pass Rebuild over the survivors agrees with the
+		// incrementally maintained Set, and both index exactly the
+		// members the covering rule admits, in insertion order.
+		reb := Rebuild(alive, Def{Field: "Empno"}, Def{Field: "StudentID"})
+		for _, q := range queries {
+			got, _ := reb.GetEntries(q)
+			if err := sameDyns(got, refGet(alive, q)); err != nil {
+				t.Logf("seed %d rebuilt Get[%s]: %v", seed, q.Type(), err)
+				return false
+			}
+		}
+		for _, field := range []string{"Empno", "StudentID"} {
+			want := refCandidates(alive, field)
+			for _, set := range []*Set{s, reb} {
+				cand, _ := set.Candidates(field)
+				n, _ := set.CandidateCount(field)
+				if err := sameDyns(cand, want); err != nil || n != len(want) {
+					t.Logf("seed %d %s candidates: %v, count %d of %d", seed, field, err, n, len(want))
+					return false
+				}
+			}
+			a, b := s.Field(field), reb.Field(field)
+			if a.Distinct() != b.Distinct() || a.Defined() != b.Defined() {
+				t.Logf("seed %d %s: incremental (%d distinct, %d defined), rebuilt (%d, %d)",
+					seed, field, a.Distinct(), a.Defined(), b.Distinct(), b.Defined())
+				return false
 			}
 		}
 		return true

@@ -112,11 +112,6 @@ func BenchmarkServeGet(b *testing.B) {
 	}
 }
 
-// BenchmarkServePut measures the autocommitting remote PUT round trip —
-// the write path the resilience layer touches twice per request: the
-// admission gate (one atomic add/sub) and the idempotency-key lookup +
-// record inside the commit (E14 in EXPERIMENTS.md). The dedup-off
-// variant isolates the key machinery's cost by disabling the cache.
 // BenchmarkServePutConcurrency measures aggregate autocommitting PUT
 // throughput as the writer count grows, per durability mode (E18 in
 // EXPERIMENTS.md). Under per-commit every writer pays a private fsync so
@@ -243,9 +238,18 @@ func BenchmarkReopen(b *testing.B) {
 	}
 }
 
+// BenchmarkServePut measures the autocommitting remote PUT round trip —
+// the write path the resilience layer touches twice per request: the
+// admission gate (one atomic add/sub) and the idempotency-key lookup +
+// record inside the commit (E14 in EXPERIMENTS.md). The dedup-off
+// variant isolates the key machinery's cost by disabling the cache. The
+// roots dimension pre-binds a store of that many roots at another type,
+// so a flat row shows that publishing one rebind costs what it changed,
+// not a copy of the store (E24).
 func BenchmarkServePut(b *testing.B) {
 	rec := value.Rec("Name", value.String("bench"), "Empno", value.Int(1))
 	recT := types.MustParse("{Name: String, Empno: Int}")
+	fillT := types.MustParse("{Name: String, Id: Int}")
 
 	for _, tc := range []struct {
 		name string
@@ -254,32 +258,45 @@ func BenchmarkServePut(b *testing.B) {
 		{"dedup-on", server.Config{}},
 		{"dedup-off", server.Config{IdemCacheSize: -1}},
 	} {
-		b.Run(tc.name, func(b *testing.B) {
-			st, err := intrinsic.Open(filepath.Join(b.TempDir(), "bench-put.log"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			srv, err := server.New(st, tc.cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			go srv.Serve(ln)
-			c, err := client.Dial(ln.Addr().String(), &client.Options{PoolSize: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer c.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := c.Put("k", rec, recT); err != nil {
+		for _, roots := range []int{1, 1 << 10, 1 << 16} {
+			b.Run(fmt.Sprintf("%s/roots-%d", tc.name, roots), func(b *testing.B) {
+				st, err := intrinsic.Open(filepath.Join(b.TempDir(), "bench-put.log"))
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				defer st.Close()
+				for i := 0; i < roots; i++ {
+					name := fmt.Sprintf("r%05d", i)
+					if err := st.Bind(name, value.Rec("Name", value.String(name), "Id", value.Int(int64(i))), fillT); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := st.Commit(); err != nil {
+					b.Fatal(err)
+				}
+				srv, err := server.New(st, tc.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					b.Fatal(err)
+				}
+				go srv.Serve(ln)
+				defer srv.Shutdown(context.Background())
+				c, err := client.Dial(ln.Addr().String(), &client.Options{PoolSize: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer c.Close()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := c.Put("k", rec, recT); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

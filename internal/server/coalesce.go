@@ -275,10 +275,10 @@ func (s *Server) processBatch(batch []*commitReq) {
 					existed[j] = s.store.DeclareIndex(o.name)
 				}
 			case o.del:
-				_, existed[j] = pub.roots[o.name]
+				_, existed[j] = pub.roots.Get(o.name)
 				s.store.Unbind(o.name)
 			default:
-				_, existed[j] = pub.roots[o.name]
+				_, existed[j] = pub.roots.Get(o.name)
 				failAll = s.store.Bind(o.name, o.dyn.Value(), o.dyn.Type())
 			}
 			if failAll != nil {
@@ -309,8 +309,10 @@ func (s *Server) processBatch(batch []*commitReq) {
 		if failAll != nil {
 			break
 		}
-		r.tr.Add(r.sp, "stage", stageStart, time.Now())
+		// The stage span ends once the successor state is built, so that
+		// work shows under stage, not as unattributed commit self time.
 		next, istats := pub.apply(r.ops)
+		r.tr.Add(r.sp, "stage", stageStart, time.Now())
 		pub = next
 		indexTouched += uint64(istats.EntriesTouched)
 		r.existed = existed

@@ -176,7 +176,7 @@ func TestCoalescerBatchFsyncFailureFailsAllWaiters(t *testing.T) {
 	if st.DurableEnd() != durable {
 		t.Fatalf("durable end moved %d -> %d across an all-failed batch", durable, st.DurableEnd())
 	}
-	if got := len(srv.state.Load().roots); got != 1 {
+	if got := srv.state.Load().roots.Len(); got != 1 {
 		t.Fatalf("published state has %d roots after a failed batch, want 1", got)
 	}
 
@@ -457,7 +457,7 @@ func TestAsyncAckAheadOfDurable(t *testing.T) {
 		t.Fatalf("acked end %d not ahead of durable end %d during the gated fsync", h.AckedEnd, h.DurableEnd)
 	}
 	// Read-your-writes: the acked write is in the published state.
-	if _, ok := srv.state.Load().roots["fast"]; !ok {
+	if _, ok := srv.state.Load().roots.Get("fast"); !ok {
 		t.Fatal("acked async write missing from the published state")
 	}
 

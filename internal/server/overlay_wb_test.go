@@ -39,7 +39,7 @@ func TestQuickOverlayMatchesApply(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		base := &state{roots: map[string]*dynamic.Dynamic{}, idx: index.NewSet()}
+		base := &state{idx: index.NewSet()}
 		for i, n := 0, rng.Intn(12); i < n; i++ {
 			base, _ = base.apply([]txnOp{randOp(rng, i)})
 		}
@@ -66,9 +66,10 @@ func TestQuickOverlayMatchesApply(t *testing.T) {
 			}
 		}
 		var wantNames []string
-		for n := range committed.roots {
+		committed.roots.Range(func(n string, _ *dynamic.Dynamic) bool {
 			wantNames = append(wantNames, n)
-		}
+			return true
+		})
 		sort.Strings(wantNames)
 		gotNames := sess.viewNames(nil)
 		if len(gotNames) != len(wantNames) {

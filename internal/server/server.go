@@ -20,7 +20,8 @@
 // stage each commit as one commit group (StageBound: the store walks only
 // the roots just bound, which is sound because this server binds freshly
 // decoded values and never mutates a published one), sync the batch, then
-// publish the next state (the previous index.Set advanced by the delta).
+// publish the next state (the previous root table and index.Set advanced
+// by the delta, sharing every node the delta did not touch).
 // Under the default per-commit durability a batch is one commit. If the
 // store commit fails, store.Abort() replays the log back to the last
 // durable group and the published state is left untouched — the remote
@@ -67,6 +68,7 @@ import (
 	"dbpl/internal/persist/intrinsic"
 	"dbpl/internal/persist/iofault"
 	"dbpl/internal/plan"
+	"dbpl/internal/pmap"
 	"dbpl/internal/relation"
 	"dbpl/internal/server/wire"
 	"dbpl/internal/telemetry"
@@ -254,21 +256,28 @@ func timeoutOr(d, def time.Duration) time.Duration {
 // state is one immutable committed view: the root bindings and the
 // maintained extents + field indexes over the same dynamics, which every
 // read path shares. Published through Server.state; never mutated after
-// publication.
+// publication. Both tables are persistent (internal/pmap), so a successor
+// shares everything but the paths to what its commit changed.
 type state struct {
-	roots map[string]*dynamic.Dynamic
+	roots pmap.Map[*dynamic.Dynamic]
 	idx   *index.Set
 }
 
-// apply returns the successor state with ops applied, copying the root
-// map and advancing the index set (COW, single successor) so the previous
-// state stays valid for readers holding it. A commit that binds no root —
-// index DDL — shares the roots with st. The returned stats report the
-// index-maintenance work done.
+// newState builds a state in one pass from roots sorted by name, their
+// dynamics in the same order (the index set's insertion order).
+func newState(names []string, members []*dynamic.Dynamic, defs ...index.Def) *state {
+	return &state{roots: pmap.Build(names, members), idx: index.Rebuild(members, defs...)}
+}
+
+// apply returns the successor state with ops applied: each root op edits
+// the name it binds in the persistent root table, and the index set
+// advances by the same membership delta (COW, single successor), so the
+// previous state stays valid for readers holding it and the cost is
+// O(changed · log n) plus the extents the removals rewrite. The returned
+// stats report the index-maintenance work done.
 func (st *state) apply(ops []txnOp) (*state, index.ApplyStats) {
 	next := &state{roots: st.roots, idx: st.idx}
 	iops := make([]index.Op, 0, len(ops))
-	copied := false
 	for _, o := range ops {
 		if o.index {
 			if o.del {
@@ -278,20 +287,14 @@ func (st *state) apply(ops []txnOp) (*state, index.ApplyStats) {
 			}
 			continue
 		}
-		if !copied { // the commit's first root op
-			copied = true
-			next.roots = make(map[string]*dynamic.Dynamic, len(st.roots)+len(ops))
-			for k, v := range st.roots {
-				next.roots[k] = v
-			}
-		}
 		var iop index.Op
-		if old, ok := next.roots[o.name]; ok {
-			delete(next.roots, o.name)
+		if old, ok := next.roots.Get(o.name); ok {
 			iop.Remove = old
 		}
-		if !o.del {
-			next.roots[o.name] = o.dyn
+		if o.del {
+			next.roots = next.roots.Delete(o.name)
+		} else {
+			next.roots = next.roots.Set(o.name, o.dyn)
 			iop.Add = o.dyn
 		}
 		if iop.Remove != nil || iop.Add != nil {
@@ -438,10 +441,10 @@ func (s *Server) markCommit(trace uint64) {
 // *definitions* are durable), so it can never be ahead of the durable
 // state — the crash-matrix invariant.
 func stateFromStore(store *intrinsic.Store) (*state, error) {
-	names := store.Names()
-	st := &state{roots: make(map[string]*dynamic.Dynamic, len(names))}
-	members := make([]*dynamic.Dynamic, 0, len(names))
-	for _, name := range names {
+	all := store.Names()
+	names := all[:0]
+	members := make([]*dynamic.Dynamic, 0, len(all))
+	for _, name := range all {
 		r, ok := store.Root(name)
 		if !ok {
 			continue
@@ -450,15 +453,14 @@ func stateFromStore(store *intrinsic.Store) (*state, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: root %q does not conform to its declared type: %w", name, err)
 		}
-		st.roots[name] = d
+		names = append(names, name)
 		members = append(members, d)
 	}
 	defs := make([]index.Def, 0, 4)
 	for _, f := range store.IndexDefs() {
 		defs = append(defs, index.Def{Field: f})
 	}
-	st.idx = index.Rebuild(members, defs...)
-	return st, nil
+	return newState(names, members, defs...), nil
 }
 
 // New builds a server over an opened store, deriving the initial
@@ -494,7 +496,7 @@ func New(store *intrinsic.Store, cfg Config) (*Server, error) {
 	// snapshot time so HEALTH, STATS and /metrics all read one consistent
 	// Snapshot instead of re-loading atomics field by field.
 	reg.GaugeFunc("dbpl_server_uptime_ns", func() int64 { return int64(time.Since(srv.start)) })
-	reg.GaugeFunc("dbpl_server_roots", func() int64 { return int64(len(srv.state.Load().roots)) })
+	reg.GaugeFunc("dbpl_server_roots", func() int64 { return int64(srv.state.Load().roots.Len()) })
 	reg.GaugeFunc("dbpl_index_defs", func() int64 { return int64(len(srv.state.Load().idx.Defs())) })
 	reg.GaugeFunc("dbpl_index_extents", func() int64 { return int64(srv.state.Load().idx.Types()) })
 	reg.GaugeFunc("dbpl_server_degraded", func() int64 {
@@ -1171,7 +1173,7 @@ func (sess *session) overlayGet(want *types.Interned) []index.Entry {
 	base, _ := sess.base.idx.GetEntries(want)
 	shadowed := make(map[*dynamic.Dynamic]bool, len(sess.overlay))
 	for n := range sess.overlay {
-		if d, ok := sess.base.roots[n]; ok {
+		if d, ok := sess.base.roots.Get(n); ok {
 			shadowed[d] = true
 		}
 	}
@@ -1196,12 +1198,13 @@ func (sess *session) viewNames(s *Server) []string {
 	if !sess.inTxn {
 		st = s.state.Load()
 	}
-	names := make([]string, 0, len(st.roots)+len(sess.overlay))
-	for n := range st.roots {
+	names := make([]string, 0, st.roots.Len()+len(sess.overlay))
+	st.roots.Range(func(n string, _ *dynamic.Dynamic) bool {
 		if _, shadowed := sess.overlay[n]; !shadowed {
 			names = append(names, n)
 		}
-	}
+		return true
+	})
 	for n, i := range sess.overlay {
 		if !sess.ops[i].del {
 			names = append(names, n)
@@ -1307,7 +1310,7 @@ func (s *Server) handleDelete(sess *session, fields [][]byte) (byte, [][]byte) {
 		if i, ok := sess.overlay[name]; ok {
 			existed = !sess.ops[i].del
 		} else {
-			_, existed = sess.base.roots[name]
+			_, existed = sess.base.roots.Get(name)
 		}
 		sess.buffer(op)
 		return wire.OpOK, [][]byte{boolField(existed)}
@@ -1689,5 +1692,5 @@ type Stats struct {
 
 // Stats returns current statistics.
 func (s *Server) Stats() Stats {
-	return Stats{Roots: len(s.state.Load().roots)}
+	return Stats{Roots: s.state.Load().roots.Len()}
 }
