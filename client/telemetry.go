@@ -60,7 +60,7 @@ func nextTrace() uint64 {
 type clientMetrics struct {
 	reg *telemetry.Registry
 
-	attempts      [int(wire.OpStats) + 1]*telemetry.Counter
+	attempts      [wire.LastRequestOp + 1]*telemetry.Counter
 	attemptsOther *telemetry.Counter
 
 	retryOverloaded *telemetry.Counter
@@ -82,11 +82,7 @@ type clientMetrics struct {
 
 func newClientMetrics(reg *telemetry.Registry) *clientMetrics {
 	m := &clientMetrics{reg: reg}
-	for _, op := range []byte{
-		wire.OpPing, wire.OpGet, wire.OpPut, wire.OpDelete, wire.OpJoin,
-		wire.OpBegin, wire.OpCommit, wire.OpAbort, wire.OpNames,
-		wire.OpHealth, wire.OpStats,
-	} {
+	for op := wire.OpPing; op <= wire.LastRequestOp; op++ {
 		m.attempts[op] = reg.Counter(`dbpl_client_attempts_total{op="` + wire.OpName(op) + `"}`)
 	}
 	m.attemptsOther = reg.Counter(`dbpl_client_attempts_total{op="other"}`)

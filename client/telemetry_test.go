@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"dbpl/internal/server/wire"
+	"dbpl/internal/telemetry"
 	"dbpl/internal/value"
 )
 
@@ -83,5 +84,21 @@ func TestTraceMismatchCondemnsConn(t *testing.T) {
 	}
 	if got, _ := c.Telemetry().Snapshot().Counter(`dbpl_client_retries_total{cause="conn_lost"}`); got != 2 {
 		t.Errorf("conn_lost retries = %d, want 2 (MaxAttempts-1)", got)
+	}
+}
+
+// TestAttemptSeriesCoverEveryRequestOpcode: each request opcode is counted
+// under its own op label, none under op="other".
+func TestAttemptSeriesCoverEveryRequestOpcode(t *testing.T) {
+	m := newClientMetrics(telemetry.NewRegistry())
+	for op := wire.OpPing; op <= wire.LastRequestOp; op++ {
+		m.attempt(op)
+		name := `dbpl_client_attempts_total{op="` + wire.OpName(op) + `"}`
+		if got, _ := m.reg.Snapshot().Counter(name); got != 1 {
+			t.Errorf("%s = %d after one %s attempt, want 1", name, got, wire.OpName(op))
+		}
+	}
+	if got, _ := m.reg.Snapshot().Counter(`dbpl_client_attempts_total{op="other"}`); got != 0 {
+		t.Errorf(`op="other" counted %d request opcodes, want 0`, got)
 	}
 }

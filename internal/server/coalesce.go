@@ -196,7 +196,7 @@ func (s *Server) collectBatch(batch []*commitReq, maxBatch int) []*commitReq {
 // processBatch stages every commit in the batch as its own group, shares
 // one fsync across them, and answers every waiter. It owns the whole
 // writer critical section (commitMu), so it is the only code that can
-// interleave with a promotion, a fence and the poison flag.
+// interleave with a promotion, a fence and poisoning.
 func (s *Server) processBatch(batch []*commitReq) {
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
@@ -216,21 +216,16 @@ func (s *Server) processBatch(batch []*commitReq) {
 		}
 	}()
 
-	if s.poisoned != nil {
-		err := &wire.WireError{Code: wire.CodeDegraded, Msg: s.poisoned.Error()}
+	// The write gate: a poisoned write path, then the role. A batch that
+	// queued while this server was primary but reached the committer after
+	// a fence is refused whole, under the same lock the fence was applied
+	// under — a demoted primary can never ack a write after its
+	// successor's promotion (the double-ack discipline, extended to
+	// failover).
+	if m := s.mode.Load(); m.poisoned != nil || m.role != wire.RolePrimary {
 		for _, r := range batch {
-			s.m.degraded.Inc()
-			r.answer(commitResult{err: err})
+			r.answer(commitResult{err: s.refuseWrite(m, true)})
 		}
-		return
-	}
-	// The fence decision point: a batch that queued while this server was
-	// primary but reached the committer after a fence is refused whole,
-	// under the same lock the fence was applied under — a demoted primary
-	// can never ack a write after its successor's promotion (the
-	// double-ack discipline, extended to failover).
-	if r := wire.Role(s.role.Load()); r != wire.RolePrimary {
-		failBatch(batch, s.refuseWrite(r))
 		return
 	}
 
@@ -361,9 +356,7 @@ func (s *Server) processBatch(batch []*commitReq) {
 			// boundary (best effort) and poison unconditionally — restart
 			// is the only exit.
 			s.store.Abort()
-			s.poisoned = fmt.Errorf("server: write path poisoned: async commit batch lost after acknowledgement: %w", err)
-			s.degraded.Store(true)
-			s.logf("%v", s.poisoned)
+			s.poison(fmt.Errorf("server: write path poisoned: async commit batch lost after acknowledgement: %w", err))
 			return
 		}
 		s.markCommit(batchTrace)

@@ -235,7 +235,7 @@ func TestCoalescerPoisonBetweenStageAndAck(t *testing.T) {
 			t.Fatalf("waiter %d was acked although its group was truncated back (the double-ack hazard)", i)
 		}
 	}
-	if !srv.degraded.Load() {
+	if srv.mode.Load().poisoned == nil {
 		t.Fatal("server not degraded after rollback double-failure")
 	}
 	var we *wire.WireError
@@ -243,7 +243,7 @@ func TestCoalescerPoisonBetweenStageAndAck(t *testing.T) {
 		t.Fatalf("commit on poisoned write path = %v, want CodeDegraded", err)
 	}
 	// HEALTH self-reports the poisoned flag next to the watermarks.
-	op, fields := srv.handleHealth()
+	op, fields := srv.handleHealth(nil, nil)
 	if op != wire.OpOK {
 		t.Fatalf("HEALTH answered %v", op)
 	}
@@ -442,7 +442,7 @@ func TestAsyncAckAheadOfDurable(t *testing.T) {
 		gate.Release()
 		t.Fatal("async commit was not acked before its fsync completed")
 	}
-	op, fields := srv.handleHealth()
+	op, fields := srv.handleHealth(nil, nil)
 	if op != wire.OpOK {
 		t.Fatalf("HEALTH answered %v", op)
 	}
@@ -469,7 +469,7 @@ func TestAsyncAckAheadOfDurable(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	op, fields = srv.handleHealth()
+	op, fields = srv.handleHealth(nil, nil)
 	if op != wire.OpOK {
 		t.Fatalf("HEALTH answered %v", op)
 	}

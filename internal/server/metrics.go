@@ -25,8 +25,8 @@ const numPlanPaths = int(plan.PathIndex) + 1
 type serverMetrics struct {
 	reg *telemetry.Registry
 
-	requests [lastKnownOp + 1]*telemetry.Counter   // per-opcode request count
-	latency  [lastKnownOp + 1]*telemetry.Histogram // per-opcode request latency
+	requests [wire.LastRequestOp + 1]*telemetry.Counter   // per-opcode request count
+	latency  [wire.LastRequestOp + 1]*telemetry.Histogram // per-opcode request latency
 	unknown  *telemetry.Counter
 
 	errors [int(lastWireCode) + 1]*telemetry.Counter // per-code error responses
@@ -81,22 +81,16 @@ type serverMetrics struct {
 	replApplyDelay *telemetry.Histogram
 }
 
-const lastKnownOp = int(wire.OpTraces)
 const lastWireCode = wire.CodeFenced
-
-// trackedOps are the request opcodes that get per-opcode series.
-var trackedOps = []byte{
-	wire.OpPing, wire.OpGet, wire.OpPut, wire.OpDelete, wire.OpJoin,
-	wire.OpBegin, wire.OpCommit, wire.OpAbort, wire.OpNames,
-	wire.OpHealth, wire.OpStats,
-	wire.OpCreateIndex, wire.OpDropIndex, wire.OpExplain,
-	wire.OpReplicate, wire.OpPromote, wire.OpTraces,
-}
 
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	m := &serverMetrics{reg: reg}
-	for _, op := range trackedOps {
-		label := `{op="` + wire.OpName(op) + `"}`
+	// Every row of the request table gets its per-opcode series.
+	for op, r := range routes {
+		if r.class == classNone {
+			continue
+		}
+		label := `{op="` + wire.OpName(byte(op)) + `"}`
 		m.requests[op] = reg.Counter("dbpl_server_requests_total" + label)
 		m.latency[op] = reg.Histogram("dbpl_server_request_seconds"+label,
 			telemetry.UnitDuration, telemetry.DurationBuckets)
@@ -164,7 +158,7 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 // non-zero trace stamps the latency bucket's exemplar so an operator
 // can jump from a histogram outlier to the span tree that produced it.
 func (m *serverMetrics) observe(op byte, d time.Duration, respOp byte, respFields [][]byte, trace uint64) {
-	if int(op) <= lastKnownOp && m.requests[op] != nil {
+	if int(op) < len(m.requests) && m.requests[op] != nil {
 		m.requests[op].Inc()
 		m.latency[op].ObserveDurationExemplar(d, trace)
 	} else {

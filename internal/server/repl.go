@@ -60,21 +60,19 @@ func (s *Server) notifyCommit() {
 
 // streamReplicate consumes the connection: it streams commit groups from
 // the requested offset, then heartbeats while caught up, until the peer
-// hangs up or the server drains. REPLICATE bypasses admission control —
-// a follower holding a stream open is not "in-flight work", and shedding
-// it under load would amplify the load with reconnect storms.
+// hangs up or the server drains. As the stream row, REPLICATE bypasses
+// admission control — a follower holding a stream open is not "in-flight
+// work", and shedding it under load would amplify the load with reconnect
+// storms.
 //
 // A follower can itself serve REPLICATE (its log is byte-identical to
 // the primary's prefix), so chains of followers work unmodified.
-func (s *Server) streamReplicate(conn net.Conn, fields [][]byte, writeTO time.Duration) {
-	s.m.requests[wire.OpReplicate].Inc()
+func (s *Server) streamReplicate(conn net.Conn, fields [][]byte) {
 	s.m.replStreams.Add(1)
 	defer s.m.replStreams.Add(-1)
 	maxFrame := s.cfg.maxFrame()
 	fail := func(we *wire.WireError) {
-		if writeTO > 0 {
-			conn.SetWriteDeadline(time.Now().Add(writeTO))
-		}
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		wire.WriteFrame(conn, maxFrame, wire.OpError, wire.ErrorFields(we)...)
 	}
 	from, subEpoch, err := wire.DecodeReplicateReq(fields)
@@ -102,9 +100,7 @@ func (s *Server) streamReplicate(conn net.Conn, fields [][]byte, writeTO time.Du
 	// durable end, so the subscriber learns about a failover (and can run
 	// rejoin verification) before a single group is applied — and even
 	// when the loop below refuses because its log has grown past ours.
-	if writeTO > 0 {
-		conn.SetWriteDeadline(time.Now().Add(writeTO))
-	}
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	if wire.WriteFrame(conn, maxFrame, wire.OpRepHeartbeat,
 		wire.HeartbeatFields(s.store.DurableEnd(), s.store.Epoch())...) != nil {
 		return
@@ -124,14 +120,12 @@ func (s *Server) streamReplicate(conn net.Conn, fields [][]byte, writeTO time.Du
 			return
 		}
 		if from < end {
-			raw, next, groups, err := s.store.ReadGroupsAt(from, s.cfg.replChunk())
+			raw, next, groups, err := s.store.ReadGroupsAt(from, replChunk)
 			if err != nil {
 				fail(toWireError(err))
 				return
 			}
-			if writeTO > 0 {
-				conn.SetWriteDeadline(time.Now().Add(writeTO))
-			}
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			// A chunk whose tail is the most recent commit carries that
 			// commit's trace ID and wall-clock, so the follower's apply
 			// span can link back to the primary's commit span and measure
@@ -162,9 +156,7 @@ func (s *Server) streamReplicate(conn net.Conn, fields [][]byte, writeTO time.Du
 			fail(&wire.WireError{Code: wire.CodeShutdown, Msg: "server is draining"})
 			return
 		case <-time.After(hb):
-			if writeTO > 0 {
-				conn.SetWriteDeadline(time.Now().Add(writeTO))
-			}
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			if wire.WriteFrame(conn, maxFrame, wire.OpRepHeartbeat, wire.HeartbeatFields(end, s.store.Epoch())...) != nil {
 				return
 			}
@@ -479,7 +471,7 @@ func (s *Server) applyReplicated(rd wire.ReplData) (int, error) {
 	// A frame already in flight when this server was promoted must not
 	// land after the epoch bump: the new primary's log grows through
 	// local commits now.
-	if wire.Role(s.role.Load()) == wire.RolePrimary {
+	if s.mode.Load().role == wire.RolePrimary {
 		return 0, fmt.Errorf("promoted to primary at epoch %d; dropping replication stream", s.store.Epoch())
 	}
 	var tr *rtrace.Trace

@@ -45,7 +45,7 @@ func deadAddr(t *testing.T) string {
 
 func healthOf(t *testing.T, s *Server) wire.Health {
 	t.Helper()
-	_, fields := s.handleHealth()
+	_, fields := s.handleHealth(nil, nil)
 	h, err := wire.DecodeHealth(fields)
 	if err != nil {
 		t.Fatal(err)

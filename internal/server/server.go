@@ -85,24 +85,15 @@ type Config struct {
 	// MaxFrame bounds request and response payloads; 0 means
 	// wire.MaxFrame.
 	MaxFrame int
-	// ReadTimeout bounds receiving the remainder of a request frame once
-	// its header has arrived (an idle connection may block indefinitely);
-	// 0 means 30s, negative disables.
-	ReadTimeout time.Duration
-	// WriteTimeout bounds writing one response frame; 0 means 30s,
-	// negative disables.
-	WriteTimeout time.Duration
 	// MaxInFlight is the admission-control cap: the number of requests
 	// allowed to execute concurrently across all connections. A request
 	// past the cap is shed immediately with CodeOverloaded and a
 	// retry-after hint — it is never queued, so load cannot pile up
-	// behind a slow disk. HEALTH is exempt, so a monitor can always ask
-	// an overloaded server how overloaded it is. 0 means 1024; negative
-	// disables the cap.
+	// behind a slow disk. The monitor class (HEALTH, STATS, TRACES) is
+	// exempt, so a monitor can always ask an overloaded server how
+	// overloaded it is (docs/SERVER.md, "Request classes"). 0 means 1024;
+	// negative disables the cap.
 	MaxInFlight int
-	// RetryAfterHint is the backoff hint attached to CodeOverloaded
-	// refusals; 0 means 50ms.
-	RetryAfterHint time.Duration
 	// IdemCacheSize bounds the LRU of applied write ids that deduplicates
 	// retried PUT/DELETE/COMMIT frames carrying idempotency keys; 0 means
 	// 4096, negative disables deduplication.
@@ -116,9 +107,6 @@ type Config struct {
 	// stamped into the slow-op ring log; 0 means 10ms, negative records
 	// every request (useful for tracing under test).
 	SlowOpThreshold time.Duration
-	// SlowLogSize bounds the slow-op ring; 0 means 256, negative disables
-	// the log entirely.
-	SlowLogSize int
 	// Logf, when set, receives one line per accepted connection error and
 	// per protocol violation. nil discards.
 	Logf func(format string, args ...any)
@@ -139,9 +127,6 @@ type Config struct {
 	// a follower declares the link dead after 4 missed heartbeats and
 	// redials with jittered backoff. 0 means 1s.
 	ReplHeartbeat time.Duration
-	// ReplChunk is the soft size target of one REPDATA frame; a single
-	// commit group larger than it is still shipped whole. 0 means 256KiB.
-	ReplChunk int
 	// Durability selects when a write is acknowledged relative to its
 	// fsync, and is the committer's only setting. Every mode runs the same
 	// committer, whose batch is whatever queued while the previous fsync
@@ -182,13 +167,6 @@ func (c Config) maxInFlight() int64 {
 	return int64(c.MaxInFlight)
 }
 
-func (c Config) retryAfterHint() time.Duration {
-	if c.RetryAfterHint <= 0 {
-		return 50 * time.Millisecond
-	}
-	return c.RetryAfterHint
-}
-
 func (c Config) idemCacheSize() int {
 	if c.IdemCacheSize == 0 {
 		return 4096
@@ -209,28 +187,11 @@ func (c Config) slowOpThreshold() time.Duration {
 	return c.SlowOpThreshold
 }
 
-func (c Config) slowLogSize() int {
-	if c.SlowLogSize == 0 {
-		return 256
-	}
-	if c.SlowLogSize < 0 {
-		return 0 // disabled
-	}
-	return c.SlowLogSize
-}
-
 func (c Config) replHeartbeat() time.Duration {
 	if c.ReplHeartbeat <= 0 {
 		return time.Second
 	}
 	return c.ReplHeartbeat
-}
-
-func (c Config) replChunk() int {
-	if c.ReplChunk <= 0 {
-		return 256 << 10
-	}
-	return c.ReplChunk
 }
 
 func (c Config) traceRingSize() int {
@@ -243,15 +204,22 @@ func (c Config) traceRingSize() int {
 	return c.TraceRingSize
 }
 
-func timeoutOr(d, def time.Duration) time.Duration {
-	if d == 0 {
-		return def
-	}
-	if d < 0 {
-		return 0
-	}
-	return d
-}
+// Fixed limits of every server.
+const (
+	// readTimeout bounds receiving the remainder of a request frame once
+	// its header has arrived; an idle connection may block indefinitely.
+	readTimeout = 30 * time.Second
+	// writeTimeout bounds writing one response frame.
+	writeTimeout = 30 * time.Second
+	// retryAfterHint is the backoff hint attached to CodeOverloaded
+	// refusals.
+	retryAfterHint = 50 * time.Millisecond
+	// slowLogSize bounds the slow-op ring.
+	slowLogSize = 256
+	// replChunk is the soft size target of one REPDATA frame; a single
+	// commit group larger than it is still shipped whole.
+	replChunk = 256 << 10
+)
 
 // state is one immutable committed view: the root bindings and the
 // maintained extents + field indexes over the same dynamics, which every
@@ -335,21 +303,15 @@ type Server struct {
 	// commitMu serializes writers end to end: store mutation, commit
 	// group, state publication.
 	commitMu sync.Mutex
-	// poisoned (guarded by commitMu) is set when a failed commit could not
-	// be rolled back: the store's in-memory state has diverged from the
-	// published committed state, and any further commit group would durably
-	// encode that divergence. Every subsequent write is refused with it.
-	poisoned error
-	// degraded mirrors poisoned != nil for readers that must not touch
-	// commitMu: the HEALTH handler has to report a poisoned write path
-	// even while a wedged commit is holding the lock.
-	degraded atomic.Bool
+	// mode is the write mode (see mode), loaded lock-free: HEALTH has to
+	// report it even while a wedged commit is holding commitMu.
+	mode atomic.Pointer[mode]
 	// idem (guarded by commitMu) deduplicates retried writes; see idem.go.
 	idem *idemCache
 
 	// m is the always-on metric set; m.inflight is the admission-control
 	// gauge (requests admitted, response not yet produced). slow is the
-	// bounded slow-op ring, nil when disabled.
+	// bounded slow-op ring.
 	m     *serverMetrics
 	slow  *telemetry.SlowLog
 	start time.Time
@@ -389,19 +351,6 @@ type Server struct {
 	// follower is the follow-loop state, nil unless cfg.Follow is set.
 	follower *followerState
 
-	// role is the server's replication role (a wire.Role): RolePrimary
-	// acks writes, RoleFollower refuses them naming the upstream,
-	// RoleFenced is a demoted primary that observed a higher promotion
-	// epoch and refuses them naming its successor. It starts from
-	// cfg.Follow and changes only under commitMu — PROMOTE makes this
-	// server the primary, a fence demotes it — so no write decision can
-	// race a role change (the double-ack discipline).
-	role atomic.Int32
-	// fencedBy is the address of the higher-epoch primary that fenced
-	// this server, for CodeFenced messages; nil when unknown (the fence
-	// was inferred from a replication stream, not a notification).
-	fencedBy atomic.Pointer[string]
-
 	// commitCh feeds the committer goroutine, the one path every commit
 	// takes in every durability mode. committerDone closes when the
 	// committer has drained the queue and exited; committerStop guards the
@@ -414,6 +363,23 @@ type Server struct {
 	// durable end by at most one in-flight batch. Zero (and ignored) in
 	// the synchronous modes, where nothing is acked before it is durable.
 	ackedEnd atomic.Int64
+}
+
+// mode is the server's write mode, one immutable value: the replication
+// role — RolePrimary acks writes, RoleFollower refuses them naming the
+// upstream, RoleFenced is a demoted primary that observed a higher
+// promotion epoch and refuses them naming successor ("" when unknown: the
+// fence was inferred from a replication stream, not a notification) — and
+// poisoned, set when a failed commit could not be rolled back: the store's
+// in-memory state has diverged from the published committed state, and
+// any further commit group would durably encode that divergence. The role
+// starts from cfg.Follow. Only promote, fence and poison replace the
+// value, each under commitMu, so no write decision can race a transition
+// (the double-ack discipline).
+type mode struct {
+	role      wire.Role
+	successor string
+	poisoned  error
 }
 
 // commitMark records the most recent durable, published commit for the
@@ -469,17 +435,17 @@ func stateFromStore(store *intrinsic.Store) (*state, error) {
 // and the follow loop starts immediately — the server replicates even
 // before Serve is called.
 func New(store *intrinsic.Store, cfg Config) (*Server, error) {
+	role := wire.RolePrimary
 	if cfg.Follow != "" {
 		store.EnterReplica()
+		role = wire.RoleFollower
 	}
 	st, err := stateFromStore(store)
 	if err != nil {
 		return nil, err
 	}
 	srv := &Server{cfg: cfg, store: store, conns: map[net.Conn]struct{}{}, start: time.Now()}
-	if cfg.Follow != "" {
-		srv.role.Store(int32(wire.RoleFollower))
-	}
+	srv.mode.Store(&mode{role: role})
 	srv.shutdownCh = make(chan struct{})
 	srv.notifyCommit() // seed the commit-signal channel
 	if n := cfg.idemCacheSize(); n > 0 {
@@ -500,7 +466,7 @@ func New(store *intrinsic.Store, cfg Config) (*Server, error) {
 	reg.GaugeFunc("dbpl_index_defs", func() int64 { return int64(len(srv.state.Load().idx.Defs())) })
 	reg.GaugeFunc("dbpl_index_extents", func() int64 { return int64(srv.state.Load().idx.Types()) })
 	reg.GaugeFunc("dbpl_server_degraded", func() int64 {
-		if srv.degraded.Load() {
+		if srv.mode.Load().poisoned != nil {
 			return 1
 		}
 		return 0
@@ -518,21 +484,13 @@ func New(store *intrinsic.Store, cfg Config) (*Server, error) {
 		}
 		return store.DurableEnd()
 	})
-	reg.GaugeFunc("dbpl_server_readonly", func() int64 {
-		if wire.Role(srv.role.Load()) != wire.RolePrimary {
-			return 1
-		}
-		return 0
-	})
 	// Failover observability: the promotion epoch (the store's, so it is
 	// exactly what the log holds) and the current role, for HEALTH, STATS
 	// and /metrics — a client picks the new primary as the highest-epoch
 	// node reporting RolePrimary.
 	reg.GaugeFunc("dbpl_server_epoch", func() int64 { return int64(store.Epoch()) })
-	reg.GaugeFunc("dbpl_repl_role", func() int64 { return int64(srv.role.Load()) })
-	if n := cfg.slowLogSize(); n > 0 {
-		srv.slow = telemetry.NewSlowLog(n, cfg.slowOpThreshold())
-	}
+	reg.GaugeFunc("dbpl_repl_role", func() int64 { return int64(srv.mode.Load().role) })
+	srv.slow = telemetry.NewSlowLog(slowLogSize, cfg.slowOpThreshold())
 	if cfg.TraceSampleRate > 0 {
 		if n := cfg.traceRingSize(); n > 0 {
 			srv.traces = rtrace.NewRing(n)
@@ -567,12 +525,8 @@ func New(store *intrinsic.Store, cfg Config) (*Server, error) {
 // ops endpoint serve).
 func (s *Server) Telemetry() *telemetry.Registry { return s.m.reg }
 
-// SlowOps returns the retained slow-op log entries, newest first; nil
-// when the log is disabled.
+// SlowOps returns the retained slow-op log entries, newest first.
 func (s *Server) SlowOps() []telemetry.SlowOp {
-	if s.slow == nil {
-		return nil
-	}
 	return s.slow.Snapshot()
 }
 
@@ -723,55 +677,40 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.m.sessions.Add(1)
 	defer s.m.sessions.Add(-1)
 	sess := &session{srv: s}
-	readTO := timeoutOr(s.cfg.ReadTimeout, 30*time.Second)
-	writeTO := timeoutOr(s.cfg.WriteTimeout, 30*time.Second)
 	for {
 		if s.draining.Load() {
 			return // an implicit abort of any open transaction
 		}
-		rawOp, rawFields, err := readRequest(s, conn, s.cfg.maxFrame(), readTO)
+		op, trace, fields, traced, err := s.readRequest(conn)
 		if err != nil {
 			var we *wire.WireError
 			if errors.As(err, &we) {
-				// Protocol violation: report it, then close — the stream
-				// is not trustworthy past a framing error.
+				// Protocol violation (a framing error or a malformed trace
+				// field): report it, then close — the stream is not
+				// trustworthy past it.
 				s.logf("server: %v: %v", conn.RemoteAddr(), we)
-				if writeTO > 0 {
-					conn.SetWriteDeadline(time.Now().Add(writeTO))
-				}
+				conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 				wire.WriteFrame(conn, s.cfg.maxFrame(), wire.OpError, wire.ErrorFields(we)...)
 			}
 			return
 		}
-		// Trace extraction happens before dispatch so every handler sees
-		// the base opcode. A traced frame with a malformed trace field is a
-		// protocol violation like any other framing error.
-		op, trace, fields, traced, terr := wire.SplitTrace(rawOp, rawFields)
-		if terr != nil {
-			var we *wire.WireError
-			errors.As(terr, &we)
-			s.logf("server: %v: %v", conn.RemoteAddr(), we)
-			if writeTO > 0 {
-				conn.SetWriteDeadline(time.Now().Add(writeTO))
-			}
-			wire.WriteFrame(conn, s.cfg.maxFrame(), wire.OpError, wire.ErrorFields(we)...)
-			return
-		}
-		// REPLICATE consumes the connection: it becomes a one-way stream of
-		// REPDATA/REPHEARTBEAT frames until the peer hangs up or we drain.
-		// Trace IDs are per-request and do not apply to a stream.
-		if op == wire.OpReplicate {
-			s.streamReplicate(conn, fields, writeTO)
+		r := lookup(op)
+		// The stream row consumes the connection: it becomes a one-way
+		// stream of REPDATA/REPHEARTBEAT frames until the peer hangs up or
+		// we drain. Trace IDs are per-request and do not apply to a stream.
+		if r.class == classStream {
+			s.m.requests[op].Inc()
+			r.stream(s, conn, fields)
 			return
 		}
 		began := time.Now()
 		// Head sampling: the wire trace ID (or a server-minted one when
 		// the client did not stamp) decides whether this request records
-		// a span tree. The monitoring opcodes are never traced — HEALTH
-		// polls every second on a replica set and TRACES would trace its
-		// own fetch; their span trees are noise that would churn the ring.
+		// a span tree. The monitor class is never traced — HEALTH polls
+		// every second on a replica set and TRACES would trace its own
+		// fetch; their span trees are noise that would churn the ring.
 		var tr *rtrace.Trace
-		if s.traces != nil && op != wire.OpHealth && op != wire.OpStats && op != wire.OpTraces {
+		if s.traces != nil && r.class != classMonitor {
 			id := trace
 			if id == 0 {
 				id = rtrace.NextID()
@@ -786,20 +725,20 @@ func (s *Server) serveConn(conn net.Conn) {
 		// Admission control: a request past the in-flight cap is shed here
 		// — typed refusal with a backoff hint, nothing executed, nothing
 		// queued — so overload cannot grow the server's memory or wedge
-		// its handlers. HEALTH, STATS and TRACES bypass the gate (and are
-		// not counted): a monitor must get an answer from exactly the
-		// server that is refusing everyone else.
-		if op == wire.OpHealth || op == wire.OpStats || op == wire.OpTraces {
-			respOp, respFields = s.handle(sess, op, fields)
+		// its handlers. The monitor class bypasses the gate (and is not
+		// counted): a monitor must get an answer from exactly the server
+		// that is refusing everyone else.
+		if r.class == classMonitor {
+			respOp, respFields = s.handle(sess, r, op, fields)
 		} else if s.admit() {
-			respOp, respFields = s.handle(sess, op, fields)
+			respOp, respFields = s.handle(sess, r, op, fields)
 			s.m.inflight.Add(-1)
 		} else {
 			s.m.shed.Inc()
 			respOp, respFields = errResp(&wire.WireError{
 				Code:       wire.CodeOverloaded,
 				Msg:        "server overloaded: in-flight request cap reached",
-				RetryAfter: s.cfg.retryAfterHint(),
+				RetryAfter: retryAfterHint,
 			})
 		}
 		sess.tr = nil
@@ -812,7 +751,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			exemplar = trace
 		}
 		s.m.observe(op, dur, respOp, respFields, exemplar)
-		if s.slow != nil && dur >= s.slow.Threshold() {
+		slow := dur >= s.slow.Threshold()
+		if slow {
 			respBytes := 0
 			for _, f := range respFields {
 				respBytes += len(f)
@@ -836,17 +776,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			// A request slow enough for the slow-op ring has its span
 			// tree force-retained: the trace that explains a slow op must
 			// survive ring churn until an operator fetches it.
-			forced := s.slow != nil && dur >= s.slow.Threshold()
-			s.traces.Record(tr.Data(), forced)
+			s.traces.Record(tr.Data(), slow)
 		}
 		if traced {
 			// Echo the trace so the client can tie this response to its
 			// call; see docs/OBSERVABILITY.md.
 			respOp, respFields = wire.AppendTrace(respOp, trace, respFields)
 		}
-		if writeTO > 0 {
-			conn.SetWriteDeadline(time.Now().Add(writeTO))
-		}
+		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		err = wire.WriteFrame(conn, s.cfg.maxFrame(), respOp, respFields...)
 		if we, ok := err.(*wire.WireError); ok && we.Code == wire.CodeTooLarge {
 			// The reply does not fit a frame. Nothing was written, so the
@@ -860,9 +797,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if writeTO > 0 {
-			conn.SetWriteDeadline(time.Time{})
-		}
+		conn.SetWriteDeadline(time.Time{})
 	}
 }
 
@@ -880,11 +815,13 @@ func (s *Server) admit() bool {
 	return true
 }
 
-// readRequest reads one request frame. The wait for the header may block
-// indefinitely (idle connection; Shutdown interrupts it via read
+// readRequest reads one request frame and strips its trace extension, so
+// every handler sees the base opcode; a malformed trace field is a
+// protocol violation like a framing error. The wait for the header may
+// block indefinitely (idle connection; Shutdown interrupts it via read
 // deadline); once the header has arrived the remainder must land within
-// bodyTimeout.
-func readRequest(s *Server, conn net.Conn, max int, bodyTimeout time.Duration) (byte, [][]byte, error) {
+// readTimeout.
+func (s *Server) readRequest(conn net.Conn) (op byte, trace uint64, fields [][]byte, traced bool, err error) {
 	conn.SetReadDeadline(time.Time{})
 	// Re-check draining after clearing the deadline: Shutdown may have set
 	// its wake-up deadline between our caller's check and the clear above,
@@ -892,126 +829,161 @@ func readRequest(s *Server, conn net.Conn, max int, bodyTimeout time.Duration) (
 	if s.draining.Load() {
 		conn.SetReadDeadline(time.Now())
 	}
-	r := &deadlineReader{conn: conn, bodyTimeout: bodyTimeout}
-	return wire.ReadFrame(r, max)
+	rawOp, rawFields, err := wire.ReadFrame(&deadlineReader{conn: conn}, s.cfg.maxFrame())
+	if err != nil {
+		return 0, 0, nil, false, err
+	}
+	return wire.SplitTrace(rawOp, rawFields)
 }
 
 // deadlineReader arms the body deadline after the first successful read
 // (the frame header), bounding how long a half-sent request can hold the
 // session.
 type deadlineReader struct {
-	conn        net.Conn
-	bodyTimeout time.Duration
-	started     bool
+	conn    net.Conn
+	started bool
 }
 
 func (d *deadlineReader) Read(p []byte) (int, error) {
 	n, err := d.conn.Read(p)
-	if err == nil && !d.started && d.bodyTimeout > 0 {
+	if err == nil && !d.started {
 		d.started = true
-		d.conn.SetReadDeadline(time.Now().Add(d.bodyTimeout))
+		d.conn.SetReadDeadline(time.Now().Add(readTimeout))
 	}
 	return n, err
 }
 
-// handle dispatches one request and returns the response frame. All
-// failures become OpError frames; a handler panic is confined to the
-// request that caused it.
-func (s *Server) handle(sess *session, op byte, fields [][]byte) (respOp byte, respFields [][]byte) {
+// opClass is a request opcode's class. It alone decides how a request is
+// treated before its handler runs: head sampling, admission, the drain
+// check and the role gate (docs/SERVER.md, "Request classes").
+type opClass uint8
+
+const (
+	classNone    opClass = iota // no row: CodeUnknownOp, counted as op="unknown"
+	classMonitor                // never traced or admitted; answers while draining
+	classRead
+	classWrite // refused on a non-primary with CodeReadOnly or CodeFenced
+	classAdmin
+	classStream // takes the connection over
+)
+
+// route is one row of the request table. Handlers are method
+// expressions, so dispatch allocates nothing.
+type route struct {
+	class  opClass
+	handle func(*Server, *session, [][]byte) (byte, [][]byte)
+	stream func(*Server, net.Conn, [][]byte) // the stream row's, instead of handle
+}
+
+// routes is the request table, indexed by opcode: the one list of the
+// opcodes this server answers.
+var routes = [wire.LastRequestOp + 1]route{
+	wire.OpPing:        {class: classAdmin, handle: (*Server).handlePing},
+	wire.OpGet:         {class: classRead, handle: (*Server).handleGet},
+	wire.OpPut:         {class: classWrite, handle: (*Server).handlePut},
+	wire.OpDelete:      {class: classWrite, handle: (*Server).handleDelete},
+	wire.OpJoin:        {class: classRead, handle: (*Server).handleJoin},
+	wire.OpBegin:       {class: classWrite, handle: (*Server).handleBegin},
+	wire.OpCommit:      {class: classWrite, handle: (*Server).handleCommit},
+	wire.OpAbort:       {class: classRead, handle: (*Server).handleAbort},
+	wire.OpNames:       {class: classRead, handle: (*Server).handleNames},
+	wire.OpHealth:      {class: classMonitor, handle: (*Server).handleHealth},
+	wire.OpStats:       {class: classMonitor, handle: (*Server).handleStats},
+	wire.OpCreateIndex: {class: classWrite, handle: (*Server).handleCreateIndex},
+	wire.OpDropIndex:   {class: classWrite, handle: (*Server).handleDropIndex},
+	wire.OpExplain:     {class: classRead, handle: (*Server).handleExplain},
+	wire.OpReplicate:   {class: classStream, stream: (*Server).streamReplicate},
+	wire.OpPromote:     {class: classAdmin, handle: (*Server).handlePromote},
+	wire.OpTraces:      {class: classMonitor, handle: (*Server).handleTraces},
+}
+
+// lookup returns op's row, the zero row (classNone) when it has none.
+func lookup(op byte) route {
+	if int(op) < len(routes) {
+		return routes[op]
+	}
+	return route{}
+}
+
+// handle dispatches one request through its row r and returns the
+// response frame. All failures become OpError frames; a handler panic is
+// confined to the request that caused it.
+func (s *Server) handle(sess *session, r route, op byte, fields [][]byte) (respOp byte, respFields [][]byte) {
 	defer func() {
-		if r := recover(); r != nil {
-			s.logf("server: panic handling op %#x: %v", op, r)
+		if p := recover(); p != nil {
+			s.logf("server: panic handling op %#x: %v", op, p)
 			respOp = wire.OpError
-			respFields = wire.ErrorFields(&wire.WireError{Code: wire.CodeInternal, Msg: fmt.Sprint(r)})
+			respFields = wire.ErrorFields(&wire.WireError{Code: wire.CodeInternal, Msg: fmt.Sprint(p)})
 		}
 	}()
-	// HEALTH, STATS and TRACES answer before the drain check: a server
-	// that is shutting down (or poisoned) reports its state instead of
-	// only refusing work.
-	if op == wire.OpHealth {
-		return s.handleHealth()
-	}
-	if op == wire.OpStats {
-		return s.handleStats(fields)
-	}
-	if op == wire.OpTraces {
-		return s.handleTraces(fields)
-	}
-	if s.draining.Load() {
+	// The monitor class answers before the drain check: a server that is
+	// shutting down (or poisoned) reports its state instead of only
+	// refusing work.
+	if r.class != classMonitor && s.draining.Load() {
 		return errResp(&wire.WireError{Code: wire.CodeShutdown, Msg: "server is draining"})
 	}
-	// A non-primary refuses every mutation by role — distinct from
+	// A non-primary refuses every write by role — distinct from
 	// CodeDegraded (this server is healthy) and never retryable against
-	// this server. A follower answers CodeReadOnly naming its upstream; a
-	// fenced ex-primary answers CodeFenced naming its successor, so a
-	// misdirected client can re-aim. PROMOTE is deliberately not in the
-	// refused set: a follower is exactly what gets promoted.
-	if r := wire.Role(s.role.Load()); r != wire.RolePrimary {
-		switch op {
-		case wire.OpPut, wire.OpDelete, wire.OpBegin, wire.OpCommit,
-			wire.OpCreateIndex, wire.OpDropIndex:
-			return errResp(s.refuseWrite(r))
+	// this server. PROMOTE is an admin row, not a write: a follower is
+	// exactly what gets promoted.
+	if r.class == classWrite {
+		if we := s.refuseWrite(s.mode.Load(), false); we != nil {
+			return errResp(we)
 		}
 	}
-	switch op {
-	case wire.OpPing:
-		return wire.OpOK, nil
-	case wire.OpGet:
-		return s.handleGet(sess, fields)
-	case wire.OpPut:
-		return s.handlePut(sess, fields)
-	case wire.OpDelete:
-		return s.handleDelete(sess, fields)
-	case wire.OpJoin:
-		return s.handleJoin(sess, fields)
-	case wire.OpBegin:
-		if sess.inTxn {
-			return errResp(&wire.WireError{Code: wire.CodeTxn, Msg: "BEGIN inside a transaction"})
-		}
-		sess.inTxn = true
-		sess.base = s.state.Load()
-		sess.ops = nil
-		sess.overlay = map[string]int{}
-		return wire.OpOK, nil
-	case wire.OpCommit:
-		if len(fields) > 1 {
-			return badReq("COMMIT wants 0 or 1 fields, got %d", len(fields))
-		}
-		if !sess.inTxn {
-			return errResp(&wire.WireError{Code: wire.CodeTxn, Msg: "COMMIT outside a transaction"})
-		}
-		var key string
-		if len(fields) == 1 {
-			key = string(fields[0])
-		}
-		ops := sess.ops
-		sess.endTxn()
-		if _, err := s.commit(ops, key, sess.tr); err != nil {
-			return errResp(toWireError(err))
-		}
-		return wire.OpOK, nil
-	case wire.OpAbort:
-		if !sess.inTxn {
-			return errResp(&wire.WireError{Code: wire.CodeTxn, Msg: "ABORT outside a transaction"})
-		}
-		sess.endTxn()
-		return wire.OpOK, nil
-	case wire.OpNames:
-		names := sess.viewNames(s)
-		out := make([][]byte, len(names))
-		for i, n := range names {
-			out[i] = []byte(n)
-		}
-		return wire.OpOK, out
-	case wire.OpCreateIndex, wire.OpDropIndex:
-		return s.handleIndexDDL(sess, op, fields)
-	case wire.OpExplain:
-		return s.handleExplain(fields)
-	case wire.OpPromote:
-		return s.handlePromote(fields)
-	default:
+	if r.handle == nil {
 		return errResp(&wire.WireError{Code: wire.CodeUnknownOp, Msg: fmt.Sprintf("opcode %#x", op)})
 	}
+	return r.handle(s, sess, fields)
+}
+
+func (s *Server) handlePing(*session, [][]byte) (byte, [][]byte) { return wire.OpOK, nil }
+
+func (s *Server) handleBegin(sess *session, _ [][]byte) (byte, [][]byte) {
+	if sess.inTxn {
+		return errResp(&wire.WireError{Code: wire.CodeTxn, Msg: "BEGIN inside a transaction"})
+	}
+	sess.inTxn = true
+	sess.base = s.state.Load()
+	sess.ops = nil
+	sess.overlay = map[string]int{}
+	return wire.OpOK, nil
+}
+
+func (s *Server) handleCommit(sess *session, fields [][]byte) (byte, [][]byte) {
+	if len(fields) > 1 {
+		return badReq("COMMIT wants 0 or 1 fields, got %d", len(fields))
+	}
+	if !sess.inTxn {
+		return errResp(&wire.WireError{Code: wire.CodeTxn, Msg: "COMMIT outside a transaction"})
+	}
+	var key string
+	if len(fields) == 1 {
+		key = string(fields[0])
+	}
+	ops := sess.ops
+	sess.endTxn()
+	if _, err := s.commit(ops, key, sess.tr); err != nil {
+		return errResp(toWireError(err))
+	}
+	return wire.OpOK, nil
+}
+
+func (s *Server) handleAbort(sess *session, _ [][]byte) (byte, [][]byte) {
+	if !sess.inTxn {
+		return errResp(&wire.WireError{Code: wire.CodeTxn, Msg: "ABORT outside a transaction"})
+	}
+	sess.endTxn()
+	return wire.OpOK, nil
+}
+
+func (s *Server) handleNames(sess *session, _ [][]byte) (byte, [][]byte) {
+	names := sess.viewNames(s)
+	out := make([][]byte, len(names))
+	for i, n := range names {
+		out[i] = []byte(n)
+	}
+	return wire.OpOK, out
 }
 
 func (sess *session) endTxn() {
@@ -1025,23 +997,31 @@ func errResp(we *wire.WireError) (byte, [][]byte) {
 	return wire.OpError, wire.ErrorFields(we)
 }
 
-// refuseWrite builds the role-gated write refusal: CodeReadOnly for a
-// follower (naming the upstream primary), CodeFenced for a demoted
-// primary (naming its successor when known). Used both at dispatch and
-// at the commit decision under commitMu, so a write admitted before a
-// fence cannot be acked after it.
-func (s *Server) refuseWrite(r wire.Role) *wire.WireError {
-	if r == wire.RoleFenced {
+// refuseWrite builds and counts the refusal of one write under m, nil
+// when m takes it: CodeDegraded naming the poisoning (only when poison
+// is set), CodeFenced for a demoted primary (naming its successor when
+// known), CodeReadOnly for a follower (naming the upstream primary).
+// Dispatch gates on the role alone, so a poisoned primary still opens a
+// transaction; the committer gates on poison, then the role, under
+// commitMu, so a write admitted before a fence cannot be acked after it.
+func (s *Server) refuseWrite(m *mode, poison bool) *wire.WireError {
+	switch {
+	case poison && m.poisoned != nil:
+		s.m.degraded.Inc()
+		return &wire.WireError{Code: wire.CodeDegraded, Msg: m.poisoned.Error()}
+	case m.role == wire.RoleFenced:
 		s.m.fencedRefusals.Inc()
 		msg := "fenced: a primary with a higher promotion epoch exists; writes refused"
-		if p := s.fencedBy.Load(); p != nil && *p != "" {
-			msg = fmt.Sprintf("fenced: the primary is now %s (higher promotion epoch); writes must go there", *p)
+		if m.successor != "" {
+			msg = fmt.Sprintf("fenced: the primary is now %s (higher promotion epoch); writes must go there", m.successor)
 		}
 		return &wire.WireError{Code: wire.CodeFenced, Msg: msg}
+	case m.role == wire.RoleFollower:
+		s.m.replReadOnly.Inc()
+		return &wire.WireError{Code: wire.CodeReadOnly,
+			Msg: fmt.Sprintf("read-only replication follower of %s; writes must go to the primary", s.cfg.Follow)}
 	}
-	s.m.replReadOnly.Inc()
-	return &wire.WireError{Code: wire.CodeReadOnly,
-		Msg: fmt.Sprintf("read-only replication follower of %s; writes must go to the primary", s.cfg.Follow)}
+	return nil
 }
 
 // toWireError folds any server-side failure into the wire taxonomy,
@@ -1330,16 +1310,23 @@ func (s *Server) handleDelete(sess *session, fields [][]byte) (byte, [][]byte) {
 // Index administration: CREATEINDEX, DROPINDEX, EXPLAIN
 // ---------------------------------------------------------------------------
 
-// handleIndexDDL is CREATEINDEX and DROPINDEX: declare a field-value
-// index, backfilled from the committed membership, or retire one. Either
-// is one commit op through the committer, so it is poison- and role-gated,
-// deduplicated by its key and durable before the ack in every durability
-// mode. The *definition* is durable (an 'X' record in its commit group);
-// the contents rebuild from the roots on every open. The reply reports
-// whether anything changed (created / existed). Refused inside a
-// transaction — index DDL is not transactional.
-func (s *Server) handleIndexDDL(sess *session, op byte, fields [][]byte) (byte, [][]byte) {
-	name := wire.OpName(op)
+func (s *Server) handleCreateIndex(sess *session, fields [][]byte) (byte, [][]byte) {
+	return s.handleIndexDDL(sess, fields, "CREATEINDEX", false)
+}
+
+func (s *Server) handleDropIndex(sess *session, fields [][]byte) (byte, [][]byte) {
+	return s.handleIndexDDL(sess, fields, "DROPINDEX", true)
+}
+
+// handleIndexDDL is CREATEINDEX and DROPINDEX (drop): declare a
+// field-value index, backfilled from the committed membership, or retire
+// one. Either is one commit op through the committer, so it is poison-
+// and role-gated, deduplicated by its key and durable before the ack in
+// every durability mode. The *definition* is durable (an 'X' record in
+// its commit group); the contents rebuild from the roots on every open.
+// The reply reports whether anything changed (created / existed).
+// Refused inside a transaction — index DDL is not transactional.
+func (s *Server) handleIndexDDL(sess *session, fields [][]byte, name string, drop bool) (byte, [][]byte) {
 	if len(fields) != 1 && len(fields) != 2 {
 		return badReq("%s wants 1 or 2 fields, got %d", name, len(fields))
 	}
@@ -1354,7 +1341,7 @@ func (s *Server) handleIndexDDL(sess *session, op byte, fields [][]byte) (byte, 
 	if len(fields) == 2 {
 		key = string(fields[1])
 	}
-	ddl := txnOp{name: field, index: true, del: op == wire.OpDropIndex}
+	ddl := txnOp{name: field, index: true, del: drop}
 	changed, err := s.commit([]txnOp{ddl}, key, sess.tr)
 	if err != nil {
 		return errResp(toWireError(err))
@@ -1365,7 +1352,7 @@ func (s *Server) handleIndexDDL(sess *session, op byte, fields [][]byte) (byte, 
 // handleExplain is the EXPLAIN opcode: one type field renders the GET
 // plan the server would choose right now, two render the JOIN plan. Pure
 // read — nothing executes, nothing is counted as a planner decision.
-func (s *Server) handleExplain(fields [][]byte) (byte, [][]byte) {
+func (s *Server) handleExplain(_ *session, fields [][]byte) (byte, [][]byte) {
 	st := s.state.Load()
 	switch len(fields) {
 	case 1:
@@ -1444,10 +1431,17 @@ func (s *Server) commit(ops []txnOp, key string, tr *rtrace.Trace) ([]bool, erro
 // until the process restarts. The caller holds commitMu.
 func (s *Server) rollback(cause error) {
 	if aerr := s.store.Abort(); aerr != nil {
-		s.poisoned = fmt.Errorf("server: write path poisoned (rollback after %v failed): %w", cause, aerr)
-		s.degraded.Store(true)
-		s.logf("%v", s.poisoned)
+		s.poison(fmt.Errorf("server: write path poisoned (rollback after %v failed): %w", cause, aerr))
 	}
+}
+
+// poison refuses every later write with cause, until the process
+// restarts. The caller holds commitMu.
+func (s *Server) poison(cause error) {
+	m := *s.mode.Load()
+	m.poisoned = cause
+	s.mode.Store(&m)
+	s.logf("%v", cause)
 }
 
 // ---------------------------------------------------------------------------
@@ -1461,7 +1455,7 @@ func (s *Server) rollback(cause error) {
 // primary sends its predecessor: a higher epoch exists at newPrimary —
 // demote yourself. Fence notifications are always accepted (refusing to
 // learn of a higher epoch would defeat fencing); stale ones are refused.
-func (s *Server) handlePromote(fields [][]byte) (byte, [][]byte) {
+func (s *Server) handlePromote(_ *session, fields [][]byte) (byte, [][]byte) {
 	epoch, newPrimary, fence, err := wire.DecodePromote(fields)
 	if err != nil {
 		return errResp(toWireError(err))
@@ -1499,23 +1493,21 @@ func (s *Server) promote() (uint64, error) {
 	s.stopFollow()
 	s.commitMu.Lock()
 	defer s.commitMu.Unlock()
-	if s.poisoned != nil {
-		s.m.degraded.Inc()
-		return 0, &wire.WireError{Code: wire.CodeDegraded, Msg: s.poisoned.Error()}
+	m := s.mode.Load()
+	if m.poisoned != nil {
+		return 0, s.refuseWrite(m, true)
 	}
-	wasPrimary := wire.Role(s.role.Load()) == wire.RolePrimary
 	epoch, err := s.store.Promote()
 	if err != nil {
 		return 0, err
 	}
-	s.role.Store(int32(wire.RolePrimary))
-	s.fencedBy.Store(nil)
+	s.mode.Store(&mode{role: wire.RolePrimary})
 	// The epoch record is a durable commit: wake streamers so followers
 	// of *this* server learn the new epoch immediately.
 	s.notifyCommit()
 	s.m.commits.Inc()
 	s.logf("server: promoted to primary at epoch %d", epoch)
-	if s.cfg.Follow != "" && !wasPrimary {
+	if s.cfg.Follow != "" && m.role != wire.RolePrimary {
 		// Best effort, retried in the background: the demoted primary may
 		// be dead or partitioned right now — that is usually why we were
 		// promoted — but must learn of its successor the moment it is
@@ -1546,13 +1538,18 @@ func (s *Server) handleFence(epoch uint64, newPrimary string) (byte, [][]byte) {
 // Caller holds commitMu, so no write decided before the fence can be
 // acked after it.
 func (s *Server) fence(e uint64, newPrimary string) {
+	m := *s.mode.Load()
 	if newPrimary != "" {
-		s.fencedBy.Store(&newPrimary)
+		m.successor = newPrimary
 	}
-	if wire.Role(s.role.Load()) != wire.RolePrimary {
+	demote := m.role == wire.RolePrimary
+	if demote {
+		m.role = wire.RoleFenced
+	}
+	s.mode.Store(&m)
+	if !demote {
 		return
 	}
-	s.role.Store(int32(wire.RoleFenced))
 	s.store.EnterReplica()
 	s.logf("server: fenced: observed promotion epoch %d (local epoch %d); entering read-only mode", e, s.store.Epoch())
 }
@@ -1626,7 +1623,7 @@ func (s *Server) fenceOnce(addr string, epoch uint64, self string) error {
 // the report is internally consistent: in-flight, session and root counts
 // were captured at the same instant and cannot tear against each other
 // the way per-field atomic loads could.
-func (s *Server) handleHealth() (byte, [][]byte) {
+func (s *Server) handleHealth(*session, [][]byte) (byte, [][]byte) {
 	snap := s.m.reg.Snapshot()
 	inflight, _ := snap.Gauge("dbpl_server_inflight")
 	sessions, _ := snap.Gauge("dbpl_server_sessions")
@@ -1635,12 +1632,11 @@ func (s *Server) handleHealth() (byte, [][]byte) {
 	degraded, _ := snap.Gauge("dbpl_server_degraded")
 	durableEnd, _ := snap.Gauge("dbpl_store_durable_end")
 	ackedEnd, _ := snap.Gauge("dbpl_server_acked_end")
-	readOnly, _ := snap.Gauge("dbpl_server_readonly")
 	role, _ := snap.Gauge("dbpl_repl_role")
 	epoch, _ := snap.Gauge("dbpl_server_epoch")
 	return wire.OpOK, wire.HealthFields(wire.Health{
 		Poisoned:   degraded != 0,
-		ReadOnly:   readOnly != 0,
+		ReadOnly:   wire.Role(role) != wire.RolePrimary,
 		InFlight:   int(inflight),
 		Sessions:   int(sessions),
 		Roots:      int(roots),
@@ -1654,10 +1650,10 @@ func (s *Server) handleHealth() (byte, [][]byte) {
 
 // handleStats is the STATS opcode: the full registry snapshot — server,
 // persistence and any co-registered layer — as one binary-encoded field.
-// Like HEALTH it takes no handler locks, bypasses admission control, and
-// answers during a drain, so the observer keeps observing exactly when
-// the server is at its most interesting.
-func (s *Server) handleStats(fields [][]byte) (byte, [][]byte) {
+// It takes no handler locks, and its monitor class keeps it answering an
+// overloaded or draining server, so the observer keeps observing exactly
+// when the server is at its most interesting.
+func (s *Server) handleStats(_ *session, fields [][]byte) (byte, [][]byte) {
 	if len(fields) != 0 {
 		return badReq("STATS wants 0 fields, got %d", len(fields))
 	}
@@ -1669,7 +1665,7 @@ func (s *Server) handleStats(fields [][]byte) (byte, [][]byte) {
 // field, newest first. A server running with sampling off (or with no
 // ring) answers OpOK with zero fields rather than an error — polling
 // for traces is not a fault.
-func (s *Server) handleTraces(fields [][]byte) (byte, [][]byte) {
+func (s *Server) handleTraces(_ *session, fields [][]byte) (byte, [][]byte) {
 	if len(fields) != 0 {
 		return badReq("TRACES wants 0 fields, got %d", len(fields))
 	}

@@ -44,11 +44,12 @@ const MaxFrame = 16 << 20
 
 const headerLen = 4
 
-// Request opcodes. The write opcodes (PUT, DELETE, COMMIT) accept one
-// optional trailing field: a client-stamped *idempotency key*, opaque
-// bytes the server remembers in a bounded LRU of applied write ids so a
-// retried frame — sent again because the acknowledgement was lost, not
-// because the write failed — applies exactly once.
+// Request opcodes. The keyed write opcodes (PUT, DELETE, COMMIT,
+// CREATEINDEX, DROPINDEX) accept one optional trailing field: a
+// client-stamped *idempotency key*, opaque bytes the server remembers in
+// a bounded LRU of applied write ids so a retried frame — sent again
+// because the acknowledgement was lost, not because the write failed —
+// applies exactly once.
 const (
 	OpPing   byte = 0x01 // []                        -> OK []
 	OpGet    byte = 0x02 // [type-image]              -> Values [tagged...]
@@ -61,8 +62,7 @@ const (
 	OpNames  byte = 0x09 // []                        -> OK [name...]
 	OpHealth byte = 0x0A // []                        -> OK [health fields]
 	OpStats  byte = 0x0B // []                        -> OK [snapshot]
-	// Index administration (write opcodes: the id? field is the
-	// idempotency key) and plan inspection.
+	// Index administration (keyed writes) and plan inspection.
 	OpCreateIndex byte = 0x0C // [field, id?]              -> OK [created(1)]
 	OpDropIndex   byte = 0x0D // [field, id?]              -> OK [existed(1)]
 	OpExplain     byte = 0x0E // [type-image(, type-image)] -> OK [plan-text]
@@ -85,16 +85,18 @@ const (
 	OpPromote byte = 0x10
 	// OpTraces fetches the server's ring of completed request trace
 	// trees ([] -> OK [encoded-trace...], one binary trace per field,
-	// newest first — see internal/telemetry/trace). Like STATS it
-	// bypasses admission control, so span trees stay fetchable from an
-	// overloaded server.
+	// newest first — see internal/telemetry/trace). The server treats it
+	// as a monitor request, like STATS, so span trees stay fetchable from
+	// an overloaded server (docs/SERVER.md, "Request classes").
 	OpTraces byte = 0x11
 )
 
-// lastRequestOp is the highest assigned request opcode. The opcode
-// exhaustiveness test walks [OpPing, lastRequestOp]; update it when
-// appending an opcode. Request opcodes must stay below TraceFlag.
-const lastRequestOp = OpTraces
+// LastRequestOp is the highest assigned request opcode: request opcodes
+// are [OpPing, LastRequestOp], and tables indexed by opcode (the server's
+// request table, the client's attempt counters) are sized by it. The
+// opcode exhaustiveness test walks that range; update it when appending
+// an opcode. Request opcodes must stay below TraceFlag.
+const LastRequestOp = OpTraces
 
 // Response opcodes. OpRepData and OpRepHeartbeat are the replication
 // stream (see OpReplicate): REPDATA carries whole commit groups as raw log

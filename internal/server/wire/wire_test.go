@@ -264,7 +264,7 @@ func TestSplitFieldsAliasesInput(t *testing.T) {
 // opcode (STATS was the last) without extending OpName fails here.
 func TestOpcodeExhaustiveness(t *testing.T) {
 	seen := map[string]byte{}
-	for op := OpPing; op <= lastRequestOp; op++ {
+	for op := OpPing; op <= LastRequestOp; op++ {
 		name := OpName(op)
 		if name == "" || strings.HasPrefix(name, "op(") {
 			t.Errorf("opcode %#x has no real OpName: %q", op, name)
@@ -290,10 +290,10 @@ func TestOpcodeExhaustiveness(t *testing.T) {
 			t.Errorf("%s round trip = %#x, %v", name, got, err)
 		}
 	}
-	// Past the end: the fallback form is the give-away that lastRequestOp
+	// Past the end: the fallback form is the give-away that LastRequestOp
 	// and OpName are in sync.
-	if s := OpName(lastRequestOp + 1); !strings.HasPrefix(s, "op(") {
-		t.Errorf("opcode past lastRequestOp has a real OpName %q; lastRequestOp is stale", s)
+	if s := OpName(LastRequestOp + 1); !strings.HasPrefix(s, "op(") {
+		t.Errorf("opcode past LastRequestOp has a real OpName %q; LastRequestOp is stale", s)
 	}
 	for _, op := range []byte{OpOK, OpValues, OpError} {
 		if s := OpName(op); strings.HasPrefix(s, "op(") {
