@@ -21,9 +21,9 @@
 // the crash, the new primary's dedup window recognizes the key and
 // reports the first application's result instead of applying twice; if
 // it never made it, the replay is the first application. Either way the
-// caller observes one write. (The one honest gap is Durability=async on
-// the old primary: a write acked there but never shipped is simply lost
-// with the old primary's unsynced tail — see docs/REPLICATION.md.)
+// caller observes one write. (A write the old primary acked but never
+// shipped stays durable in its log, outside the new history — the
+// at-risk writes of docs/REPLICATION.md.)
 package client
 
 import (

@@ -1163,8 +1163,7 @@ func e18GroupCommit() {
        so aggregate throughput flatlines at 1/fsync no matter how many
        clients push; the commit coalescer stages concurrent commits into
        one batch promoted by one shared fsync, so throughput should scale
-       with the batch while each writer keeps the same guarantee; async
-       acks before the fsync and marks the upper bound (and its price)`)
+       with the batch while each writer keeps the same guarantee`)
 	window := 400 * time.Millisecond
 	sweep := []int{1, 2, 4, 8, 16}
 	syncDelay := 2 * time.Millisecond // SSD-class fsync
@@ -1181,7 +1180,7 @@ func e18GroupCommit() {
 
 	fmt.Printf("fsync modeled at %v (SSD-class); host fsync is near-free, which\n", syncDelay)
 	fmt.Println("would measure the loopback round trip instead of durability cost")
-	modes := []server.Durability{server.DurPerCommit, server.DurGroup, server.DurAsync}
+	modes := []server.Durability{server.DurPerCommit, server.DurGroup}
 	rates := map[server.Durability]map[int]float64{}
 	fmt.Printf("\n%-12s |", "durability")
 	for _, w := range sweep {
@@ -1224,10 +1223,9 @@ func e18GroupCommit() {
 	fmt.Println("\nshape: per-commit is flat — adding writers only lengthens the fsync")
 	fmt.Println("queue; group scales because the batch amortizes that queue into one")
 	fmt.Println("shared fsync (batches self-tune to whatever queued during the previous")
-	fmt.Println("one); async tops the table by acking before the fsync, paying for it")
-	fmt.Println("with the acked-but-not-durable window HEALTH reports. The scaling is")
-	fmt.Println("real even on a single CPU — the writers overlap in fsync *wait*, not")
-	fmt.Println("in compute — though absolute rates compress as cores saturate.")
+	fmt.Println("one). The scaling is real even on a single CPU — the writers overlap")
+	fmt.Println("in fsync *wait*, not in compute — though absolute rates compress as")
+	fmt.Println("cores saturate.")
 }
 
 // ---------------------------------------------------------------------------
@@ -1356,10 +1354,4 @@ func e19Failover() {
 	fmt.Println("timeouts, and replaying — not by the promotion, which is one epoch")
 	fmt.Println("append + fsync. durability mode barely moves it: the epoch record and")
 	fmt.Println("the replayed write each pay one (possibly shared) fsync either way.")
-	fmt.Println("async caveat (why it has no RTO row): under -durability async the")
-	fmt.Println("primary acks before fsync *and* before shipping, so writes acked in")
-	fmt.Println("the window before the crash can be lost outright — the follower never")
-	fmt.Println("saw them and the fenced primary's unsynced tail is gone. Failover is")
-	fmt.Println("only as strong as the acked-means-shipped guarantee behind it; see")
-	fmt.Println("docs/REPLICATION.md for the at-risk-writes runbook.")
 }

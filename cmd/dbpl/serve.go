@@ -1,7 +1,7 @@
 // The serve verb: a concurrent database server over an intrinsic store.
 //
 //	dbpl serve [-addr :7070] [-drain 5s] [-follow primary:7070] [-allow-promote] [-fsck]
-//	           [-max-inflight n] [-durability per-commit|group|async]
+//	           [-max-inflight n] [-durability per-commit|group]
 //	           [-ops 127.0.0.1:7071] [-trace-sample p] [-trace-ring n] store.log
 //
 // With -follow the server is a read-only replication follower: it streams
@@ -11,13 +11,11 @@
 // follower into the new primary at a bumped, durable promotion epoch —
 // see docs/REPLICATION.md for the failover runbook.
 //
-// -durability selects when writes are acknowledged relative to the fsync.
-// Every mode runs the same commit pipeline: per-commit (default) is a
-// batch of one commit group per fsync; group coalesces up to 64
-// concurrent commits under one shared fsync and acks after it (same
-// guarantee, amortized cost); async acks before the fsync and publishes
-// the acked-end watermark via HEALTH — a crash may lose acked writes. See
-// docs/PERSISTENCE.md.
+// -durability selects how many commits share one fsync. Both modes run
+// the same commit pipeline and ack a write only after its fsync:
+// per-commit (default) is a batch of one commit group per fsync; group
+// coalesces up to 64 concurrent commits under one shared fsync (same
+// guarantee, amortized cost). See docs/PERSISTENCE.md.
 //
 // See docs/SERVER.md for the wire protocol and transaction semantics,
 // docs/RESILIENCE.md for admission control and degraded mode,
@@ -34,6 +32,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
 	"dbpl/internal/persist/intrinsic"
@@ -44,21 +43,21 @@ import (
 
 func runServe(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
-	addr := fs.String("addr", ":7070", "TCP listen address")
+	addr := fs.String("addr", ":7070", "TCP listen `address`")
 	drain := fs.Duration("drain", 5*time.Second, "graceful-shutdown drain budget on SIGINT/SIGTERM")
 	fsck := fs.Bool("fsck", false, "verify the log before serving; refuse to start on corruption")
-	maxInflight := fs.Int("max-inflight", 0, "admission-control cap on concurrently executing requests (0 = default 1024, negative = uncapped)")
-	follow := fs.String("follow", "", "replicate from the primary at this address and serve read-only")
+	maxInflight := fs.Int("max-inflight", 0, "admission-control cap of `n` concurrently executing requests (0 = default 1024, negative = uncapped)")
+	follow := fs.String("follow", "", "replicate from the `primary` at this address and serve read-only")
 	allowPromote := fs.Bool("allow-promote", false, "accept the PROMOTE admin opcode (dbpl promote) to take over as primary during failover")
-	opsAddr := fs.String("ops", "", "HTTP ops endpoint exposing /metrics, /slowops and /debug/pprof; unauthenticated — bind loopback (e.g. 127.0.0.1:7071)")
-	durability := fs.String("durability", "per-commit", "write acknowledgement mode: per-commit (one fsync per commit), group (concurrent commits share one fsync), async (ack before fsync; a crash may lose acked writes)")
-	traceSample := fs.Float64("trace-sample", 0, "head-sampling probability for span-based request tracing (0 = off, 1 = trace everything); slow requests are always retained")
-	traceRing := fs.Int("trace-ring", 0, "completed traces retained in memory for TRACES//traces (0 = default 256)")
+	opsAddr := fs.String("ops", "", "HTTP ops endpoint `address` exposing /metrics, /slowops and /debug/pprof; unauthenticated — bind loopback (e.g. 127.0.0.1:7071)")
+	durability := fs.String("durability", "per-commit", "`per-commit|group`: per-commit pays one fsync per commit, group lets concurrent commits share one; both ack a write only after its fsync")
+	traceSample := fs.Float64("trace-sample", 0, "head-sampling probability `p` for span-based request tracing (0 = off, 1 = trace everything); slow requests are always retained")
+	traceRing := fs.Int("trace-ring", 0, "`n` completed traces retained in memory for TRACES//traces (0 = default 256)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return errors.New("usage: dbpl serve [-addr :7070] [-drain 5s] [-fsck] [-max-inflight n] [-durability per-commit|group|async] [-ops 127.0.0.1:7071] store.log")
+		return usageError(fs, "store.log")
 	}
 	dur, err := server.ParseDurability(*durability)
 	if err != nil {
@@ -129,8 +128,7 @@ func runServe(args []string, out io.Writer) error {
 	// the handler signals completion through shutdownDone, and Serve's
 	// caller waits on it before letting the process exit. Without that
 	// wait, returning from runServe would kill requests mid-commit against
-	// a store the deferred Close is closing, and lose the acked writes of
-	// an async batch whose fsync the drain exists to wait for.
+	// a store the deferred Close is closing.
 	shutdownDone := make(chan struct{})
 	stop := onSignal(func(sig os.Signal) {
 		defer close(shutdownDone)
@@ -175,4 +173,20 @@ func runServe(args []string, out io.Writer) error {
 	}
 	fmt.Fprintln(out, "dbpl: server stopped")
 	return nil
+}
+
+// usageError renders a verb's synopsis from its FlagSet, so the usage line
+// names every flag the verb defines and cannot drift from them.
+func usageError(fs *flag.FlagSet, operands string) error {
+	var b strings.Builder
+	b.WriteString("usage: dbpl " + fs.Name())
+	fs.VisitAll(func(f *flag.Flag) {
+		if arg, _ := flag.UnquoteUsage(f); arg != "" {
+			fmt.Fprintf(&b, " [-%s %s]", f.Name, arg)
+		} else {
+			fmt.Fprintf(&b, " [-%s]", f.Name)
+		}
+	})
+	b.WriteString(" " + operands)
+	return errors.New(b.String())
 }

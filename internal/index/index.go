@@ -12,16 +12,16 @@
 // A Set is immutable once published. Apply returns the successor Set with
 // a commit group's membership delta applied, sharing every untouched
 // structure with its parent. The type → extent table, the field table and
-// each field index's bucket and type tables are persistent maps
-// (internal/pmap): a successor copies the O(log n) path to each entry it
-// changes, never a whole table. Within a changed extent or bucket, an
-// append may reuse spare capacity of the parent's backing array — safe
-// under the *single-successor* rule: a Set may be Apply'd (or
-// WithField'd/DropField'd) at most once, and only the newest Set in a
-// lineage may be advanced. The server guarantees this by serializing
+// each field index's type table are persistent maps (internal/pmap): a
+// successor copies the O(log n) path to each entry it changes, never a
+// whole table. Within a changed extent, an append may reuse spare
+// capacity of the parent's backing array — safe under the
+// *single-successor* rule: a Set may be Apply'd (or WithField'd/
+// DropField'd) at most once, and only the newest Set in a lineage may be
+// advanced. The server guarantees this by serializing
 // writers through its committer. Readers never take a lock. A removal
-// copies the one extent (and bucket) it leaves, so that is the one commit
-// cost that still grows with the store: O(extent).
+// copies the one extent it leaves, so that is the one commit cost that
+// still grows with the store: O(extent).
 //
 // Unlike the core engine's per-shard extents (16 slices re-merged on
 // every read — the ~4× high-selectivity regression documented in E11),
@@ -35,9 +35,9 @@
 // member types that can possibly conform to a record type requiring that
 // field — the 64-bit label signatures from the interning layer
 // (types.LabelBit) make the test one mask check — so its candidates are
-// the union of those types' extents, in insertion order. It also keeps
-// hash buckets keyed by the field's atomic value for members that define
-// it atomically (the join planner's statistics). The index is a sound
+// the union of those types' extents, in insertion order, and it counts
+// the members whose type defines the field. It keeps nothing keyed by a
+// member's value: a GET takes a type, not a value. The index is a sound
 // prefilter, never a verdict: the planner's index path re-checks every
 // candidate against the requested type, so the quick-check property
 // "planner path ≡ reference scan" holds by construction (plan/quick tests
@@ -50,7 +50,6 @@ import (
 	"dbpl/internal/dynamic"
 	"dbpl/internal/pmap"
 	"dbpl/internal/types"
-	"dbpl/internal/value"
 )
 
 // Entry is one indexed member: the dynamic plus the Set-wide sequence
@@ -115,11 +114,6 @@ type FieldIndex struct {
 	// there are none. defined and odd count the members of each kind.
 	covers       pmap.Map[struct{}]
 	defined, odd int
-	// buckets groups the covered members whose *value* carries the field
-	// as an atom, keyed by value.Key of that atom, each bucket
-	// seq-ascending — the maintained form of the partition JoinFast builds
-	// per call, and the planner's distinct-count statistic.
-	buckets pmap.Map[[]Entry]
 }
 
 // Field returns the indexed label.
@@ -127,16 +121,6 @@ func (fi *FieldIndex) Field() string { return fi.field }
 
 // Defined returns the number of members whose type defines the field.
 func (fi *FieldIndex) Defined() int { return fi.defined }
-
-// Distinct returns the number of distinct atomic values the field takes.
-func (fi *FieldIndex) Distinct() int { return fi.buckets.Len() }
-
-// Bucket returns the members whose value defines the field as exactly the
-// atom with canonical key k, in insertion order. The slice is shared.
-func (fi *FieldIndex) Bucket(k string) []Entry {
-	b, _ := fi.buckets.Get(k)
-	return b
-}
 
 // hasField reports whether the member's declared type makes it a possible
 // match for a record type requiring the indexed field: a record type
@@ -152,24 +136,6 @@ func (fi *FieldIndex) hasField(in *types.Interned) (member, odd bool) {
 	}
 	_, ok = rt.Lookup(fi.field)
 	return ok, false
-}
-
-// atomOf appends the key of the member value's indexed field to dst when
-// that field is an atom.
-func (fi *FieldIndex) atomOf(dst []byte, d *dynamic.Dynamic) ([]byte, bool) {
-	rec, ok := d.Value().(*value.Record)
-	if !ok {
-		return dst, false
-	}
-	fv, ok := rec.Get(fi.field)
-	if !ok {
-		return dst, false
-	}
-	switch fv.Kind() {
-	case value.KindInt, value.KindFloat, value.KindString, value.KindBool:
-		return value.AppendKey(dst, fv), true
-	}
-	return dst, false
 }
 
 // Set is an immutable collection of maintained extents and field indexes
@@ -281,11 +247,6 @@ func (next *Set) add(d *dynamic.Dynamic) int {
 			nf.odd++
 		} else {
 			nf.defined++
-			var kb [64]byte
-			if k, ok := nf.atomOf(kb[:0], d); ok {
-				b, _ := nf.buckets.Get(string(k))
-				nf.buckets = nf.buckets.Set(string(k), append(b, e))
-			}
 		}
 		next.fields = next.fields.Set(l, &nf)
 		touched++
@@ -311,7 +272,6 @@ func (next *Set) remove(d *dynamic.Dynamic) int {
 	if i == len(ext.items) {
 		return 0
 	}
-	seq := ext.items[i].Seq
 	items := removeAt(ext.items, i)
 	next.total--
 	if len(items) == 0 {
@@ -333,18 +293,6 @@ func (next *Set) remove(d *dynamic.Dynamic) int {
 			nf.odd--
 		} else {
 			nf.defined--
-			var kb [64]byte
-			if k, ok := nf.atomOf(kb[:0], d); ok {
-				b, _ := nf.buckets.Get(string(k))
-				// A bucket is seq-ascending, so the entry is found by its Seq.
-				if j := sort.Search(len(b), func(j int) bool { return b[j].Seq >= seq }); j < len(b) && b[j].Seq == seq {
-					if len(b) == 1 {
-						nf.buckets = nf.buckets.Delete(string(k))
-					} else {
-						nf.buckets = nf.buckets.Set(string(k), removeAt(b, j))
-					}
-				}
-			}
 		}
 		next.fields = next.fields.Set(l, &nf)
 		touched++
@@ -369,7 +317,6 @@ func (s *Set) WithField(d Def) *Set {
 func (s *Set) fill(label string) *FieldIndex {
 	fi := newFieldIndex(label)
 	var covered []string
-	var parts [][]Entry
 	s.byType.Range(func(key string, ext *Extent) bool {
 		member, odd := fi.hasField(ext.in)
 		switch {
@@ -377,7 +324,6 @@ func (s *Set) fill(label string) *FieldIndex {
 			fi.odd += len(ext.items)
 		case member:
 			fi.defined += len(ext.items)
-			parts = append(parts, ext.items)
 		default:
 			return true
 		}
@@ -385,23 +331,6 @@ func (s *Set) fill(label string) *FieldIndex {
 		return true
 	})
 	fi.covers = pmap.Build(covered, make([]struct{}, len(covered)))
-	buckets := map[string][]Entry{}
-	var kb [64]byte
-	for _, e := range mergeBySeq(parts, fi.defined) {
-		if k, ok := fi.atomOf(kb[:0], e.Dyn); ok {
-			buckets[string(k)] = append(buckets[string(k)], e)
-		}
-	}
-	keys := make([]string, 0, len(buckets))
-	for k := range buckets {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	vals := make([][]Entry, len(keys))
-	for i, k := range keys {
-		vals[i] = buckets[k]
-	}
-	fi.buckets = pmap.Build(keys, vals)
 	return fi
 }
 

@@ -165,7 +165,7 @@ func TestRemoveMaintainsExtentsAndIndexes(t *testing.T) {
 
 // TestFieldIndexSoundAndComplete: the candidate set must contain every
 // member that conforms to a record type requiring the field (complete),
-// and the bucket statistics must reflect the atom values.
+// and the counts must reflect the member types.
 func TestFieldIndexSoundAndComplete(t *testing.T) {
 	members := mixed()
 	s := addAll(NewSet(Def{Field: "Dept"}), members...)
@@ -183,13 +183,10 @@ func TestFieldIndexSoundAndComplete(t *testing.T) {
 			t.Errorf("member %v conforms to {Dept:String} but is not a candidate", d)
 		}
 	}
+	if len(cand) != 5 { // E1, E2, E3 and the two non-record members
+		t.Errorf("candidates = %d, want 5", len(cand))
+	}
 	fi := s.Field("Dept")
-	if fi.Distinct() != 2 { // Sales, Manuf
-		t.Errorf("Distinct = %d, want 2", fi.Distinct())
-	}
-	if got := len(fi.Bucket(value.Key(value.String("Sales")))); got != 2 {
-		t.Errorf("Sales bucket = %d, want 2", got)
-	}
 	if fi.Defined() != 3 {
 		t.Errorf("Defined = %d, want 3", fi.Defined())
 	}
@@ -212,8 +209,8 @@ func TestWithFieldBackfillEqualsIncremental(t *testing.T) {
 			t.Errorf("candidate %d differs", i)
 		}
 	}
-	if inc.Field("StudentID").Distinct() != back.Field("StudentID").Distinct() {
-		t.Error("Distinct differs between incremental and backfill")
+	if inc.Field("StudentID").Defined() != back.Field("StudentID").Defined() {
+		t.Error("Defined differs between incremental and backfill")
 	}
 }
 
@@ -359,9 +356,9 @@ func TestQuickSetEquivalentToScan(t *testing.T) {
 				}
 			}
 			a, b := s.Field(field), reb.Field(field)
-			if a.Distinct() != b.Distinct() || a.Defined() != b.Defined() {
-				t.Logf("seed %d %s: incremental (%d distinct, %d defined), rebuilt (%d, %d)",
-					seed, field, a.Distinct(), a.Defined(), b.Distinct(), b.Defined())
+			if a.Defined() != b.Defined() {
+				t.Logf("seed %d %s: incremental %d defined, rebuilt %d",
+					seed, field, a.Defined(), b.Defined())
 				return false
 			}
 		}

@@ -66,8 +66,7 @@ func serialHistory(t *testing.T) (states []map[string]string, raw []byte) {
 
 // TestStageSyncBatchRoundTrip: staged groups are invisible to the durable
 // end until one SyncBatch promotes them all, and the result survives a
-// reopen. The staged end meanwhile tracks every staged group — the
-// acked-end watermark an async server publishes.
+// reopen. The staged end meanwhile tracks every staged group.
 func TestStageSyncBatchRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.log")
 	s, err := Open(path)

@@ -986,8 +986,7 @@ func (s *Store) SyncBatch() (int, error) {
 }
 
 // StagedEnd returns the offset just past the last staged commit group —
-// the durable end when no batch is open. It is the acked-end watermark a
-// Durability=async server publishes next to DurableEnd.
+// the durable end when no batch is open.
 func (s *Store) StagedEnd() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

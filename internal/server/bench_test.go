@@ -116,12 +116,12 @@ func BenchmarkServeGet(b *testing.B) {
 // throughput as the writer count grows, per durability mode (E18 in
 // EXPERIMENTS.md). Under per-commit every writer pays a private fsync so
 // the aggregate flatlines; under group concurrent commits share one
-// fsync and throughput scales with the batch; async acks before it.
+// fsync and throughput scales with the batch.
 func BenchmarkServePutConcurrency(b *testing.B) {
 	rec := value.Rec("Name", value.String("bench"), "Empno", value.Int(1))
 	recT := types.MustParse("{Name: String, Empno: Int}")
 
-	for _, mode := range []server.Durability{server.DurPerCommit, server.DurGroup, server.DurAsync} {
+	for _, mode := range []server.Durability{server.DurPerCommit, server.DurGroup} {
 		for _, writers := range []int{1, 4, 8} {
 			b.Run(fmt.Sprintf("%s/writers-%d", mode, writers), func(b *testing.B) {
 				st, err := intrinsic.Open(filepath.Join(b.TempDir(), "bench-e18.log"))

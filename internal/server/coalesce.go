@@ -6,7 +6,7 @@
 //
 // Writers enqueue their commit and block; the committer drains what is
 // queued into a batch (at most one commit under Durability=per-commit, up
-// to 64 under group and async), stages each commit as its own group in the
+// to 64 under group), stages each commit as its own group in the
 // store's log (StageBound — write, no sync), and promotes the whole batch
 // with ONE fsync (SyncBatch). Every waiter is acknowledged only after that
 // durable boundary, so per-commit is simply the batch of one and group
@@ -28,16 +28,6 @@
 // Idempotency keys are recorded only after the batch is durable; a
 // duplicate key *within* one batch stages once and both waiters share the
 // recorded result — exactly-once across batch boundaries.
-//
-// Durability=async is the honest fast-and-loose mode: waiters are
-// acknowledged after their group is staged and the successor state is
-// published, and the shared fsync happens right after, still on the
-// committer goroutine. The acknowledged-but-not-yet-durable window is
-// published as the acked-end watermark next to the durable end (HEALTH,
-// STATS). If the async fsync fails, acknowledged writes were lost: the
-// write path poisons unconditionally, because the published state can no
-// longer be made durable. Index DDL is the exception: a batch that holds
-// it acks after its fsync in every mode.
 package server
 
 import (
@@ -48,7 +38,8 @@ import (
 	rtrace "dbpl/internal/telemetry/trace"
 )
 
-// Durability selects when a write is acknowledged relative to its fsync.
+// Durability selects how many commits share one fsync. Both modes
+// acknowledge a write only after its fsync.
 type Durability int
 
 const (
@@ -59,26 +50,17 @@ const (
 	// by one shared fsync; every waiter acks after that shared durable
 	// boundary. Same guarantee as per-commit, amortized cost.
 	DurGroup
-	// DurAsync: commits are acknowledged after staging (write, no sync);
-	// the shared fsync follows immediately but the ack does not wait for
-	// it. A crash may lose acknowledged writes up to the published
-	// acked-end watermark. See docs/PERSISTENCE.md.
-	DurAsync
 )
 
 func (d Durability) String() string {
-	switch d {
-	case DurGroup:
+	if d == DurGroup {
 		return "group"
-	case DurAsync:
-		return "async"
-	default:
-		return "per-commit"
 	}
+	return "per-commit"
 }
 
 // maxBatch caps the commit groups one fsync promotes: per-commit is the
-// batch of one; group and async amortize one fsync over up to 64.
+// batch of one; group amortizes one fsync over up to 64.
 func (d Durability) maxBatch() int {
 	if d == DurPerCommit {
 		return 1
@@ -93,10 +75,8 @@ func ParseDurability(s string) (Durability, error) {
 		return DurPerCommit, nil
 	case "group":
 		return DurGroup, nil
-	case "async":
-		return DurAsync, nil
 	}
-	return DurPerCommit, fmt.Errorf("unknown durability %q (want per-commit, group or async)", s)
+	return DurPerCommit, fmt.Errorf("unknown durability %q (want per-commit or group)", s)
 }
 
 // commitReq is one writer's commit handed to the committer goroutine.
@@ -208,8 +188,7 @@ func (s *Server) processBatch(batch []*commitReq) {
 		r.tr.Add(r.sp, "lock-wait", r.enqueued, locked)
 	}
 	// Every waiter is answered exactly once, whichever return below is
-	// taken: async acks go out early, before the fsync; this sweep sends
-	// everyone else's.
+	// taken.
 	defer func() {
 		for _, r := range batch {
 			r.send()
@@ -242,9 +221,6 @@ func (s *Server) processBatch(batch []*commitReq) {
 	// instruments (the sync-latency exemplar, the REPDATA stamp): the
 	// first sampled staged waiter's trace ID, zero when none was sampled.
 	var batchTrace uint64
-	// ddl marks a batch holding index DDL: it acks after its fsync even
-	// under async, because a definition change is durable at ack.
-	var ddl bool
 	for i, r := range batch {
 		if r.key != "" {
 			if existed, ok := s.idem.get(r.key); ok {
@@ -263,7 +239,6 @@ func (s *Server) processBatch(batch []*commitReq) {
 		for j, o := range r.ops {
 			switch {
 			case o.index: // existed is the "changed" bit the reply carries
-				ddl = true
 				if o.del {
 					existed[j] = s.store.DropIndexDef(o.name)
 				} else {
@@ -331,62 +306,21 @@ func (s *Server) processBatch(batch []*commitReq) {
 		return
 	}
 
-	async := s.cfg.Durability == DurAsync && !ddl
-	if async {
-		// Acked-but-not-yet-durable: publish the watermark, answer the
-		// waiters before the fsync (that is the mode's entire point; the
-		// window is one batch wide), and record idempotency keys at ack
-		// time so a retry of an acked write cannot re-apply.
-		s.ackedEnd.Store(s.store.StagedEnd())
-		s.ackBatch(batch, pub, staged, indexTouched)
-		for _, r := range batch {
-			r.send()
-		}
-	}
-
 	syncStart := time.Now()
 	_, err := s.store.SyncBatch()
 	syncEnd := time.Now()
 	s.m.commitSyncSeconds.ObserveExemplar(int64(syncEnd.Sub(syncStart)), batchTrace)
-	if async {
-		if err != nil {
-			// The waiters were already acknowledged against state that just
-			// got truncated out of the log: the published state can no
-			// longer be made durable. Bring the store back to the durable
-			// boundary (best effort) and poison unconditionally — restart
-			// is the only exit.
-			s.store.Abort()
-			s.poison(fmt.Errorf("server: write path poisoned: async commit batch lost after acknowledgement: %w", err))
-			return
-		}
-		s.markCommit(batchTrace)
-		return
-	}
 	if err != nil {
 		s.rollback(err)
 		failBatch(batch, err)
 		return
 	}
-	// The shared fsync becomes a child span of every durably-acked
-	// waiter: the same wall-clock interval appears in each tree, which
-	// is the point — it shows N writers paying one fsync. (Async waiters
-	// were answered before it, and their goroutines may already have
-	// recorded the trace.)
-	for _, r := range batch {
-		if r.existed != nil {
-			r.tr.Add(r.sp, "fsync", syncStart, syncEnd)
-		}
-	}
-	// Mark before the wakeup in ackBatch: a streamer woken by it must see
-	// this batch's trace stamp when it ships the groups.
+	// Mark before the wakeup in notifyCommit: a streamer woken by it must
+	// see this batch's trace stamp when it ships the groups.
 	s.markCommit(batchTrace)
-	s.ackBatch(batch, pub, staged, indexTouched)
-}
 
-// ackBatch publishes the batch's successor state and answers every request
-// whose answer rode the batch, and every in-batch duplicate with its
-// owner's result. Caller holds commitMu.
-func (s *Server) ackBatch(batch []*commitReq, pub *state, staged int, indexTouched uint64) {
+	// Publish the successor state, then answer every request whose answer
+	// rode the batch, and every in-batch duplicate with its owner's result.
 	pubStart := time.Now()
 	s.state.Store(pub)
 	s.notifyCommit()
@@ -398,6 +332,10 @@ func (s *Server) ackBatch(batch []*commitReq, pub *state, staged int, indexTouch
 				s.idem.put(r.key, r.existed)
 			}
 			r.answer(commitResult{existed: r.existed})
+			// The shared fsync is a child span of every waiter: the same
+			// wall-clock interval in each tree, which is the point — it
+			// shows N writers paying one fsync.
+			r.tr.Add(r.sp, "fsync", syncStart, syncEnd)
 			r.tr.Add(r.sp, "publish", pubStart, pubEnd)
 			if r.grouped() {
 				s.m.commits.Inc()

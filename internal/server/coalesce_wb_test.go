@@ -1,7 +1,7 @@
 // White-box tests for the commit pipeline: batch failure semantics, the
 // double-ack regression at the stage→ack boundary, exactly-once
-// idempotency across and within batches, the async acked-end watermark,
-// index DDL durable at ack, per-commit as the batch of one, and the
+// idempotency across and within batches, every write durable at ack,
+// per-commit as the batch of one, and the
 // lock-wait accounting. These drive Server.commit directly (no network)
 // so the injected faults land on deterministic I/O boundaries, and they
 // force a batch by holding a lead commit's fsync (inOneBatch), never by
@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -400,192 +401,80 @@ func (f *gateFile) Sync() error {
 	return f.File.Sync()
 }
 
-// TestAsyncAckAheadOfDurable: under DurAsync a commit is acknowledged
-// while its batch's fsync is still in flight, and the acked-end watermark
-// runs ahead of the durable end by exactly that window — observable via
-// HEALTH. Once the fsync lands the two converge.
-func TestAsyncAckAheadOfDurable(t *testing.T) {
-	gate := newGateFS(iofault.OS{})
-	srv, st := wbServer(t, gate, filepath.Join(t.TempDir(), "async.log"),
-		Config{Durability: DurAsync})
-	// Registered after wbServer's cleanup so it runs first (LIFO): never
-	// leave the committer wedged on a gated fsync after a failed assert.
-	t.Cleanup(gate.Release)
+// TestCoalescerAcksOnlyAfterFsync: in every durability mode an
+// acknowledged write is a durable write. With its fsync held, neither a
+// PUT nor a CREATEINDEX acks, is published, or moves HEALTH's durable
+// end; once the fsync is released both ack, and a fresh open of the log
+// holds the root and the index definition.
+func TestCoalescerAcksOnlyAfterFsync(t *testing.T) {
+	for _, d := range []Durability{DurPerCommit, DurGroup} {
+		t.Run(d.String(), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "ack.log")
+			gate := newGateFS(iofault.OS{})
+			srv, st := wbServer(t, gate, path, Config{Durability: d})
+			// Registered after wbServer's cleanup so it runs first (LIFO):
+			// never leave the committer wedged on a gated fsync.
+			t.Cleanup(gate.Release)
 
-	if _, err := srv.commit([]txnOp{putOp("base", 0)}, "", nil); err != nil {
-		t.Fatal(err)
-	}
-	// The ack raced ahead of the first batch's fsync too — wait for it to
-	// land so the baseline durable end is stable before gating.
-	settle := time.Now().Add(5 * time.Second)
-	for st.StagedGroups() != 0 || st.DurableEnd() <= intrinsic.HeaderSize {
-		if time.Now().After(settle) {
-			t.Fatal("first async batch never became durable")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	durable := st.DurableEnd()
+			for _, op := range []txnOp{putOp("put", 1), {name: "Dept", index: true}} {
+				durable := st.DurableEnd()
+				gate.Hold()
+				acked := make(chan error, 1)
+				go func() {
+					_, err := srv.commit([]txnOp{op}, "", nil)
+					acked <- err
+				}()
+				waitUntil(t, func() bool { return len(gate.blocked) == 1 }, "the commit never reached its fsync")
+				select {
+				case err := <-acked:
+					t.Fatalf("%q acked with its fsync held: %v", op.name, err)
+				case <-time.After(20 * time.Millisecond):
+				}
+				cur := srv.state.Load()
+				if _, ok := cur.roots.Get(op.name); ok || cur.idx.Field(op.name) != nil {
+					t.Fatalf("%q published with its fsync held", op.name)
+				}
+				if h := healthOf(t, srv); h.DurableEnd != durable {
+					t.Fatalf("HEALTH durable end %d with the fsync held, was %d", h.DurableEnd, durable)
+				}
+				gate.Release()
+				if err := <-acked; err != nil {
+					t.Fatalf("%q after its fsync: %v", op.name, err)
+				}
+			}
 
-	gate.Hold()
-	done := make(chan error, 1)
-	go func() {
-		_, err := srv.commit([]txnOp{putOp("fast", 1)}, "", nil)
-		done <- err
-	}()
-	// The ack must arrive while the fsync is gated shut.
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("async commit: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		gate.Release()
-		t.Fatal("async commit was not acked before its fsync completed")
-	}
-	op, fields := srv.handleHealth(nil, nil)
-	if op != wire.OpOK {
-		t.Fatalf("HEALTH answered %v", op)
-	}
-	h, err := wire.DecodeHealth(fields)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.DurableEnd != durable {
-		t.Fatalf("durable end %d moved while the fsync was gated (was %d)", h.DurableEnd, durable)
-	}
-	if h.AckedEnd <= h.DurableEnd {
-		t.Fatalf("acked end %d not ahead of durable end %d during the gated fsync", h.AckedEnd, h.DurableEnd)
-	}
-	// Read-your-writes: the acked write is in the published state.
-	if _, ok := srv.state.Load().roots.Get("fast"); !ok {
-		t.Fatal("acked async write missing from the published state")
-	}
-
-	gate.Release()
-	deadline := time.Now().Add(5 * time.Second)
-	for st.DurableEnd() <= durable {
-		if time.Now().After(deadline) {
-			t.Fatal("batch fsync never landed after release")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	op, fields = srv.handleHealth(nil, nil)
-	if op != wire.OpOK {
-		t.Fatalf("HEALTH answered %v", op)
-	}
-	if h, err = wire.DecodeHealth(fields); err != nil {
-		t.Fatal(err)
-	}
-	if h.AckedEnd != h.DurableEnd {
-		t.Fatalf("watermarks did not converge after the fsync: acked %d, durable %d", h.AckedEnd, h.DurableEnd)
+			fresh, err := intrinsic.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			if _, ok := fresh.Root("put"); !ok {
+				t.Fatal("acked PUT missing from a fresh open of the log")
+			}
+			if defs := fresh.IndexDefs(); len(defs) != 1 || defs[0] != "Dept" {
+				t.Fatalf("reopened IndexDefs() = %v, want [Dept]", defs)
+			}
+		})
 	}
 }
 
-// TestAsyncFsyncFailurePoisons: when the async batch fsync fails, writes
-// were already acknowledged against state that can no longer be made
-// durable — the write path must poison unconditionally and report it.
-func TestAsyncFsyncFailurePoisons(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "async-poison.log")
-	inj := iofault.NewInjector(iofault.OS{})
-	srv, st := wbServer(t, inj, path, Config{Durability: DurAsync})
-	if _, err := srv.commit([]txnOp{putOp("base", 0)}, "", nil); err != nil {
-		t.Fatal(err)
-	}
-	// base was acknowledged ahead of its fsync; let that land, or it is the
-	// one the fault below hits.
-	for deadline := time.Now().Add(5 * time.Second); st.StagedGroups() > 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("the base commit's batch never synced")
+// TestParseDurability: the serve flag accepts exactly per-commit (also
+// the empty default) and group, each round-tripping through String.
+// Anything else, async included, is refused with a message naming group.
+func TestParseDurability(t *testing.T) {
+	for in, want := range map[string]Durability{"": DurPerCommit, "per-commit": DurPerCommit, "group": DurGroup} {
+		d, err := ParseDurability(in)
+		if err != nil || d != want {
+			t.Fatalf("ParseDurability(%q) = (%v, %v), want %v", in, d, err, want)
 		}
-		time.Sleep(time.Millisecond)
-	}
-
-	inj.FailAt(iofault.OpSync, inj.Count(iofault.OpSync)+1)
-	// The ack precedes the fsync, so this commit reports success even
-	// though its batch is about to be lost — the mode's documented risk.
-	if _, err := srv.commit([]txnOp{putOp("lost", 1)}, "", nil); err != nil {
-		t.Fatalf("async commit (acked before failing fsync): %v", err)
-	}
-	// The failure lands on the committer goroutine; the next commit must
-	// observe the poisoned write path.
-	var we *wire.WireError
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, err := srv.commit([]txnOp{putOp("later", 2)}, "", nil)
-		if errors.As(err, &we) && we.Code == wire.CodeDegraded {
-			break
+		if back, err := ParseDurability(d.String()); err != nil || back != d {
+			t.Fatalf("ParseDurability(%q) = (%v, %v), want %v", d.String(), back, err, d)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("write path not poisoned after async fsync failure (last err: %v)", err)
+	}
+	for _, in := range []string{"async", "bogus"} {
+		if _, err := ParseDurability(in); err == nil || !strings.Contains(err.Error(), "group") {
+			t.Fatalf("ParseDurability(%q) = %v, want an error naming group", in, err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	// The acked write is genuinely lost on disk: a fresh open of the log
-	// holds only the durable prefix.
-	fresh, err := intrinsic.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	if _, ok := fresh.Root("lost"); ok {
-		t.Fatal("write acked under async survived the failed fsync — the test premise is broken")
-	}
-	if _, ok := fresh.Root("base"); !ok {
-		t.Fatal("durable root lost")
-	}
-}
-
-// TestAsyncDDLDurableAtAck: index DDL is a commit that acks after its
-// fsync in every mode. Under DurAsync, with the fsync held, a PUT is
-// acked and CREATEINDEX is not; the index is acked only once its fsync
-// has run, and a reopen of the log at that moment holds the definition.
-func TestAsyncDDLDurableAtAck(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "async-ddl.log")
-	inj := iofault.NewInjector(iofault.OS{})
-	gate := newGateFS(inj)
-	srv, _ := wbServer(t, gate, path, Config{Durability: DurAsync})
-	t.Cleanup(gate.Release)
-
-	gate.Hold()
-	if _, err := srv.commit([]txnOp{putOp("fast", 1)}, "", nil); err != nil {
-		t.Fatalf("async PUT with its fsync held: %v", err)
-	}
-	type ack struct {
-		changed []bool
-		err     error
-		syncs   int
-	}
-	acked := make(chan ack, 1)
-	go func() {
-		changed, err := srv.commit([]txnOp{{name: "Dept", index: true}}, "", nil)
-		acked <- ack{changed, err, inj.Count(iofault.OpSync)}
-	}()
-	waitUntil(t, func() bool { return len(srv.commitCh) == 1 }, "CREATEINDEX never queued")
-	// Let the PUT's fsync through, keeping the gate held for the DDL's.
-	close(<-gate.blocked)
-	waitUntil(t, func() bool { return len(gate.blocked) == 1 }, "CREATEINDEX never reached its fsync")
-	syncsBefore := inj.Count(iofault.OpSync)
-	select {
-	case a := <-acked:
-		t.Fatalf("CREATEINDEX acked with its fsync held: %+v", a)
-	case <-time.After(20 * time.Millisecond):
-	}
-
-	gate.Release()
-	a := <-acked
-	if a.err != nil || len(a.changed) != 1 || !a.changed[0] {
-		t.Fatalf("CREATEINDEX = (%v, %v), want ([true], nil)", a.changed, a.err)
-	}
-	if a.syncs <= syncsBefore {
-		t.Fatalf("CREATEINDEX acked at %d fsyncs, before its own (%d were done when it was held)", a.syncs, syncsBefore)
-	}
-	fresh, err := intrinsic.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	if defs := fresh.IndexDefs(); len(defs) != 1 || defs[0] != "Dept" {
-		t.Fatalf("reopened IndexDefs() = %v, want [Dept]", defs)
 	}
 }
 
@@ -690,7 +579,7 @@ func TestPerCommitIsBatchOfOne(t *testing.T) {
 // is released and no later than staging starts.
 func TestCommitLockWaitCoversCommitMu(t *testing.T) {
 	const hold = 20 * time.Millisecond
-	for _, d := range []Durability{DurPerCommit, DurGroup, DurAsync} {
+	for _, d := range []Durability{DurPerCommit, DurGroup} {
 		t.Run(d.String(), func(t *testing.T) {
 			srv, _ := wbServer(t, iofault.OS{}, filepath.Join(t.TempDir(), "lockwait.log"), Config{Durability: d})
 			tr := rtrace.New(rtrace.NextID(), "PUT")

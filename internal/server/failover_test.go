@@ -87,7 +87,7 @@ func TestFailoverPromoteAfterPrimaryDeath(t *testing.T) {
 
 	f := bootCfg(t, filepath.Join(dir, "follower.log"), nil, promotableCfg(p.addr))
 	waitConverged(t, p, f)
-	ackedEnd := f.store.DurableEnd() // every write acked by p is at or below this
+	lastAcked := f.store.DurableEnd() // every write acked by p is at or below this
 	p.stop()
 
 	fc := dial(t, f, noRetry())
@@ -103,7 +103,7 @@ func TestFailoverPromoteAfterPrimaryDeath(t *testing.T) {
 		t.Fatalf("promoted HEALTH = %+v, want writable primary at epoch 1", h)
 	}
 
-	// Invariant 1: everything acked at-or-below ackedEnd is readable.
+	// Invariant 1: everything acked at-or-below lastAcked is readable.
 	got, err := fc.Get(employeeT)
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +127,9 @@ func TestFailoverPromoteAfterPrimaryDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(pb)) != ackedEnd || int64(len(fb)) <= ackedEnd || !bytes.Equal(fb[:ackedEnd], pb) {
+	if int64(len(pb)) != lastAcked || int64(len(fb)) <= lastAcked || !bytes.Equal(fb[:lastAcked], pb) {
 		t.Fatalf("dead primary's log (%d bytes) is not the shipped prefix [0,%d) of the promoted log (%d bytes)",
-			len(pb), ackedEnd, len(fb))
+			len(pb), lastAcked, len(fb))
 	}
 	// Epoch is monotonic: a second promotion (e.g. failing back later)
 	// bumps again rather than reusing the number.

@@ -39,15 +39,14 @@ import (
 
 // notifyCommit marks a publication: the log grew and the published state
 // (already stored, when the group changed it) covers it. It records the
-// offset covered — the store's append position: the durable end, or under
-// DurAsync the staged end about to become it — and wakes every blocked
-// replication streamer by closing the current signal channel and
-// installing a fresh one. Streamers load the channel *before* reading the
-// durable end, so a commit landing between the two closes exactly the
-// channel they are about to wait on — the wakeup cannot be lost. Callers
-// hold commitMu.
+// offset covered — the durable end, since every caller runs after its
+// group's fsync — and wakes every blocked replication streamer by closing
+// the current signal channel and installing a fresh one. Streamers load
+// the channel *before* reading the durable end, so a commit landing
+// between the two closes exactly the channel they are about to wait on —
+// the wakeup cannot be lost. Callers hold commitMu.
 func (s *Server) notifyCommit() {
-	s.publishedEnd.Store(s.store.StagedEnd())
+	s.publishedEnd.Store(s.store.DurableEnd())
 	ch := make(chan struct{})
 	if old := s.commitSignal.Swap(&ch); old != nil {
 		close(*old)

@@ -22,8 +22,10 @@
 // decoded values and never mutates a published one), sync the batch, then
 // publish the next state (the previous root table and index.Set advanced
 // by the delta, sharing every node the delta did not touch).
-// Under the default per-commit durability a batch is one commit. If the
-// store commit fails, store.Abort() replays the log back to the last
+// Under the default per-commit durability a batch is one commit; under
+// group it is whatever queued, up to 64. In both modes a writer is
+// answered only after the sync, so an acknowledged write is durable. If
+// the store commit fails, store.Abort() replays the log back to the last
 // durable group and the published state is left untouched — the remote
 // failure taxonomy (wire.CodeIO / wire.CodeCorrupt) mirrors the local
 // one.
@@ -127,14 +129,12 @@ type Config struct {
 	// a follower declares the link dead after 4 missed heartbeats and
 	// redials with jittered backoff. 0 means 1s.
 	ReplHeartbeat time.Duration
-	// Durability selects when a write is acknowledged relative to its
-	// fsync, and is the committer's only setting. Every mode runs the same
-	// committer, whose batch is whatever queued while the previous fsync
-	// ran: DurPerCommit (default) caps it at one commit group per fsync,
-	// DurGroup lets up to 64 concurrent commits share one fsync, acked
-	// after it, and DurAsync acks them before it (the acked-end watermark
-	// is published via HEALTH/STATS). Index DDL acks after its fsync in
-	// every mode. See coalesce.go and docs/PERSISTENCE.md.
+	// Durability selects how many commits share one fsync, and is the
+	// committer's only setting. Both modes run the same committer, whose
+	// batch is whatever queued while the previous fsync ran, and ack every
+	// write after its fsync: DurPerCommit (default) caps the batch at one
+	// commit group, DurGroup lets up to 64 concurrent commits share one
+	// fsync. See coalesce.go and docs/PERSISTENCE.md.
 	Durability Durability
 	// TraceSampleRate is the head-sampling probability for span-based
 	// request tracing: that share of requests (by uniform trace ID)
@@ -358,11 +358,6 @@ type Server struct {
 	commitCh      chan *commitReq
 	committerDone chan struct{}
 	committerStop sync.Once
-	// ackedEnd is the acknowledged-end watermark under DurAsync: the log
-	// offset up to which writes have been acked, at or ahead of the
-	// durable end by at most one in-flight batch. Zero (and ignored) in
-	// the synchronous modes, where nothing is acked before it is durable.
-	ackedEnd atomic.Int64
 }
 
 // mode is the server's write mode, one immutable value: the replication
@@ -373,7 +368,7 @@ type Server struct {
 // poisoned, set when a failed commit could not be rolled back: the store's
 // in-memory state has diverged from the published committed state, and
 // any further commit group would durably encode that divergence. The role
-// starts from cfg.Follow. Only promote, fence and poison replace the
+// starts from cfg.Follow. Only promote, fence and rollback replace the
 // value, each under commitMu, so no write decision can race a transition
 // (the double-ack discipline).
 type mode struct {
@@ -475,14 +470,6 @@ func New(store *intrinsic.Store, cfg Config) (*Server, error) {
 	// state covers (see publishedEnd).
 	reg.GaugeFunc("dbpl_store_durable_end", func() int64 {
 		return min(store.DurableEnd(), srv.publishedEnd.Load())
-	})
-	// The acked-end watermark: equal to the durable end except under
-	// DurAsync, where it runs ahead by the acked-but-unsynced window.
-	reg.GaugeFunc("dbpl_server_acked_end", func() int64 {
-		if ae := srv.ackedEnd.Load(); ae > store.DurableEnd() {
-			return ae
-		}
-		return store.DurableEnd()
 	})
 	// Failover observability: the promotion epoch (the store's, so it is
 	// exactly what the log holds) and the current role, for HEALTH, STATS
@@ -645,8 +632,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 	// Every request handler has returned (wg), so no writer can enqueue
 	// again: close the commit queue and wait for the committer. It syncs
-	// each batch before it takes the next, under async too, so once it
-	// has exited every acknowledged write is durable.
+	// each batch before it acks it and takes the next, so once it has
+	// exited every queued write is durable.
 	s.committerStop.Do(func() { close(s.commitCh) })
 	<-s.committerDone
 	return nil
@@ -1430,18 +1417,14 @@ func (s *Server) commit(ops []txnOp, key string, tr *rtrace.Trace) ([]bool, erro
 // poisoned instead: every later commit refuses with the rollback failure
 // until the process restarts. The caller holds commitMu.
 func (s *Server) rollback(cause error) {
-	if aerr := s.store.Abort(); aerr != nil {
-		s.poison(fmt.Errorf("server: write path poisoned (rollback after %v failed): %w", cause, aerr))
+	aerr := s.store.Abort()
+	if aerr == nil {
+		return
 	}
-}
-
-// poison refuses every later write with cause, until the process
-// restarts. The caller holds commitMu.
-func (s *Server) poison(cause error) {
 	m := *s.mode.Load()
-	m.poisoned = cause
+	m.poisoned = fmt.Errorf("server: write path poisoned (rollback after %v failed): %w", cause, aerr)
 	s.mode.Store(&m)
-	s.logf("%v", cause)
+	s.logf("%v", m.poisoned)
 }
 
 // ---------------------------------------------------------------------------
@@ -1631,7 +1614,6 @@ func (s *Server) handleHealth(*session, [][]byte) (byte, [][]byte) {
 	uptimeNS, _ := snap.Gauge("dbpl_server_uptime_ns")
 	degraded, _ := snap.Gauge("dbpl_server_degraded")
 	durableEnd, _ := snap.Gauge("dbpl_store_durable_end")
-	ackedEnd, _ := snap.Gauge("dbpl_server_acked_end")
 	role, _ := snap.Gauge("dbpl_repl_role")
 	epoch, _ := snap.Gauge("dbpl_server_epoch")
 	return wire.OpOK, wire.HealthFields(wire.Health{
@@ -1642,7 +1624,6 @@ func (s *Server) handleHealth(*session, [][]byte) (byte, [][]byte) {
 		Roots:      int(roots),
 		Uptime:     time.Duration(uptimeNS),
 		DurableEnd: durableEnd,
-		AckedEnd:   ackedEnd,
 		Role:       wire.Role(role),
 		Epoch:      uint64(epoch),
 	})

@@ -42,25 +42,20 @@ func assertNested(t *testing.T, d trace.Data) {
 	}
 }
 
-// TestTraceCommitSpans: in every durability mode a traced PUT's commit
-// span has the one commit vocabulary as its children, in order and
-// disjoint — lock-wait, stage, fsync, publish, with no fsync under async,
-// whose waiters are answered before it — so the children's total fits in
-// the parent's duration. A traced CREATEINDEX has all four in every mode:
-// index DDL acks after its fsync. A traced GET records its planner
-// decision and the chosen access path. The store's fsync takes 2 ms, so
-// the eight writers coalesce under group commit.
+// TestTraceCommitSpans: in every durability mode a traced PUT's or
+// CREATEINDEX's commit span has the one commit vocabulary as its
+// children, in order and disjoint — lock-wait, stage, fsync, publish — so
+// the children's total fits in the parent's duration. A traced GET
+// records its planner decision and the chosen access path. The store's
+// fsync takes 2 ms, so the eight writers coalesce under group commit.
 func TestTraceCommitSpans(t *testing.T) {
 	all := []string{"lock-wait", "stage", "fsync", "publish"}
 	for _, tc := range []struct {
 		name string
 		cfg  server.Config
-		want []string
 	}{
-		{"per-commit", server.Config{}, all},
-		{"group", server.Config{Durability: server.DurGroup}, all},
-		{"async", server.Config{Durability: server.DurAsync},
-			[]string{"lock-wait", "stage", "publish"}},
+		{"per-commit", server.Config{}},
+		{"group", server.Config{Durability: server.DurGroup}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.TraceSampleRate = 1
@@ -100,7 +95,7 @@ func TestTraceCommitSpans(t *testing.T) {
 				switch d.Op {
 				case "PUT":
 					puts++
-					assertCommitSpans(t, d, tc.want)
+					assertCommitSpans(t, d, all)
 				case "CREATEINDEX":
 					ddls++
 					assertCommitSpans(t, d, all)

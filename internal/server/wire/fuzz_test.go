@@ -67,9 +67,8 @@ func FuzzReadFrame(f *testing.F) {
 		Msg: "shed", RetryAfter: 50 * time.Millisecond})...))
 	f.Add(mustFrame(OpOK, HealthFields(Health{Poisoned: true, InFlight: 7,
 		Sessions: 2, Roots: 100, Uptime: time.Hour})...))
-	// The durable-watermark pair: acked ahead of durable (async mode), and
-	// the refused six-field shape without AckedEnd.
-	f.Add(mustFrame(OpOK, HealthFields(Health{DurableEnd: 1 << 20, AckedEnd: 1<<20 + 512})...))
+	// The durable watermark, and the refused shape cut after it.
+	f.Add(mustFrame(OpOK, HealthFields(Health{DurableEnd: 1 << 20})...))
 	f.Add(mustFrame(OpOK, HealthFields(Health{DurableEnd: 1 << 20})[:6]...))
 	// Replication: the subscribe request and the stream frame, plus
 	// damaged variants (truncated group bytes, oversize offset, bad CRC
@@ -124,11 +123,13 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(mustFrame(OpPromote))
 	f.Add(mustFrame(OpPromote, FenceFields(9, "10.0.0.2:7070")...))
 	f.Add(mustFrame(OpPromote, []byte{0xFF}, []byte("addr")))
-	// The nine-field HEALTH payload with role and epoch, and the refused
-	// seven-field shape.
-	f.Add(mustFrame(OpOK, HealthFields(Health{ReadOnly: true, Role: RoleFenced, Epoch: 4,
-		DurableEnd: 1 << 20, AckedEnd: 1 << 20})...))
-	f.Add(mustFrame(OpOK, HealthFields(Health{DurableEnd: 1 << 20, AckedEnd: 1<<20 + 512})[:7]...))
+	// The eight-field HEALTH payload with role and epoch, the refused
+	// seven-field shape, and the refused nine-field shape that carried an
+	// acknowledged-end watermark after the durable end.
+	health := HealthFields(Health{ReadOnly: true, Role: RoleFenced, Epoch: 4, DurableEnd: 1 << 20})
+	f.Add(mustFrame(OpOK, health...))
+	f.Add(mustFrame(OpOK, health[:7]...))
+	f.Add(mustFrame(OpOK, append(append(append([][]byte{}, health[:6]...), UvarintField(1<<20+512)), health[6:]...)...))
 	// The refused REPDATA shapes: three fields (CRC over offset and raw)
 	// and four (plus the epoch), each with a trailer that matches.
 	f.Add(func() []byte {

@@ -88,7 +88,8 @@ func TestReplDataTraceForm(t *testing.T) {
 }
 
 // TestRemovedFrameShapesRefused: the frame shapes of earlier servers —
-// three- and four-field REPDATA, six- and seven-field HEALTH, and
+// three- and four-field REPDATA, six-, seven- and nine-field HEALTH (the
+// last carried an acknowledged-end watermark after the durable end), and
 // single-field REPLICATE and REPHEARTBEAT — are refused with a typed
 // error, never decoded with defaults and never a panic.
 func TestRemovedFrameShapesRefused(t *testing.T) {
@@ -102,7 +103,8 @@ func TestRemovedFrameShapesRefused(t *testing.T) {
 		return binary.LittleEndian.AppendUint32(nil, sum)
 	}
 	ep := UvarintField(7)
-	health := HealthFields(Health{ReadOnly: true, DurableEnd: 500, AckedEnd: 600, Role: RoleFollower, Epoch: 2})
+	health := HealthFields(Health{ReadOnly: true, DurableEnd: 500, Role: RoleFollower, Epoch: 2})
+	healthAcked := append(append(append([][]byte{}, health[:6]...), UvarintField(600)), health[6:]...)
 	for _, tc := range []struct {
 		name   string
 		decode func([][]byte) error
@@ -113,6 +115,7 @@ func TestRemovedFrameShapesRefused(t *testing.T) {
 		{"REPDATA 4 fields", decodeReplData, [][]byte{off, raw, ep, crcOf(off, raw, ep)}, ErrBadFrame},
 		{"HEALTH 6 fields", decodeHealth, health[:6], ErrBadFrame},
 		{"HEALTH 7 fields", decodeHealth, health[:7], ErrBadFrame},
+		{"HEALTH 9 fields", decodeHealth, healthAcked, ErrBadFrame},
 		{"REPLICATE 1 field", decodeReplicateReq, [][]byte{off}, ErrBadRequest},
 		{"REPHEARTBEAT 1 field", decodeHeartbeat, [][]byte{off}, ErrBadFrame},
 	} {
@@ -225,7 +228,7 @@ func TestHealthCarriesReplicationFields(t *testing.T) {
 	want := Health{
 		Poisoned: true, ReadOnly: true,
 		InFlight: 3, Sessions: 9, Roots: 42,
-		Uptime: 90210, DurableEnd: 1 << 33, AckedEnd: 1 << 33,
+		Uptime: 90210, DurableEnd: 1 << 33,
 		Role: RoleFenced, Epoch: 4,
 	}
 	got, err := DecodeHealth(HealthFields(want))

@@ -622,11 +622,6 @@ type Health struct {
 	// primary.DurableEnd - follower.DurableEnd is the replication lag in
 	// log bytes — observable from HEALTH alone, no STATS needed.
 	DurableEnd int64
-	// AckedEnd is the acknowledged-end watermark: the log offset up to
-	// which writes have been acknowledged. Equal to DurableEnd except
-	// under Durability=async, where AckedEnd - DurableEnd is the
-	// acked-but-not-yet-durable window a crash would lose.
-	AckedEnd int64
 	// Role is the replication role; failover clients probe HEALTH for the
 	// highest-epoch node reporting RolePrimary.
 	Role Role
@@ -651,20 +646,19 @@ func HealthFields(h Health) [][]byte {
 		UvarintField(uint64(h.Roots)),
 		UvarintField(uint64(h.Uptime)),
 		UvarintField(uint64(h.DurableEnd)),
-		UvarintField(uint64(h.AckedEnd)),
 		{byte(h.Role)},
 		UvarintField(h.Epoch),
 	}
 }
 
 // DecodeHealth reconstructs the Health from a HEALTH response payload of
-// exactly nine fields; any other shape is CodeBadFrame.
+// exactly eight fields; any other shape is CodeBadFrame.
 func DecodeHealth(fields [][]byte) (Health, error) {
-	if len(fields) != 9 || len(fields[0]) != 1 || len(fields[7]) != 1 {
+	if len(fields) != 8 || len(fields[0]) != 1 || len(fields[6]) != 1 {
 		return Health{}, errf(CodeBadFrame, "malformed HEALTH response")
 	}
-	var u [7]uint64
-	for i, f := range [7][]byte{fields[1], fields[2], fields[3], fields[4], fields[5], fields[6], fields[8]} {
+	var u [6]uint64
+	for i, f := range [6][]byte{fields[1], fields[2], fields[3], fields[4], fields[5], fields[7]} {
 		v, ok := uvarintOf(f)
 		if !ok {
 			return Health{}, errf(CodeBadFrame, "malformed HEALTH field %d", i+1)
@@ -679,9 +673,8 @@ func DecodeHealth(fields [][]byte) (Health, error) {
 		Roots:      int(u[2]),
 		Uptime:     time.Duration(u[3]),
 		DurableEnd: int64(u[4]),
-		AckedEnd:   int64(u[5]),
-		Role:       Role(fields[7][0]),
-		Epoch:      u[6],
+		Role:       Role(fields[6][0]),
+		Epoch:      u[5],
 	}, nil
 }
 

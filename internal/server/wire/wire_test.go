@@ -220,7 +220,7 @@ func TestHealthFieldsRoundTrip(t *testing.T) {
 	for _, h := range []Health{
 		{},
 		{Poisoned: true, InFlight: 3, Sessions: 2, Roots: 41, Uptime: 90 * time.Second},
-		{DurableEnd: 4096, AckedEnd: 8192}, // async: acked ahead of durable
+		{DurableEnd: 4096, Role: RoleFenced, Epoch: 3},
 	} {
 		got, err := DecodeHealth(HealthFields(h))
 		if err != nil {
@@ -234,10 +234,10 @@ func TestHealthFieldsRoundTrip(t *testing.T) {
 	full := HealthFields(Health{})
 	for name, fields := range map[string][][]byte{
 		"too few fields":  full[:4],
-		"oversized flags": {{1, 2}, {0}, {0}, {0}, {0}, {0}, {0}, {0}, {0}},
-		"bad uvarint":     {{0}, {0x80}, {0}, {0}, {0}, {0}, {0}, {0}, {0}},
-		"bad epoch":       {{0}, {0}, {0}, {0}, {0}, {0}, {0}, {0}, {0x80}},
-		"oversized role":  {{0}, {0}, {0}, {0}, {0}, {0}, {0}, {0, 0}, {0}},
+		"oversized flags": {{1, 2}, {0}, {0}, {0}, {0}, {0}, {0}, {0}},
+		"bad uvarint":     {{0}, {0x80}, {0}, {0}, {0}, {0}, {0}, {0}},
+		"bad epoch":       {{0}, {0}, {0}, {0}, {0}, {0}, {0}, {0x80}},
+		"oversized role":  {{0}, {0}, {0}, {0}, {0}, {0}, {0, 0}, {0}},
 	} {
 		if _, err := DecodeHealth(fields); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
