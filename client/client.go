@@ -594,9 +594,10 @@ func (c *Client) DropIndex(field string) (bool, error) {
 	return decodeBool(c.call(wire.OpDropIndex, []byte(field), c.nextKey()))
 }
 
-// ExplainGet renders the access-path plan the server would choose right
-// now for a GET at t — the cost breakdown over extent and index —
-// without executing anything.
+// ExplainGet renders the exact counts behind a GET at t right now —
+// "get n=… types=… matched=… result=…": the members and member types the
+// server holds, the member types conforming to t and the members a GET
+// returns — without executing the GET.
 func (c *Client) ExplainGet(t types.Type) (string, error) {
 	return decodeText(c.readCall(wire.OpExplain, mustTypeField(t)))
 }
@@ -724,6 +725,12 @@ func (s *Session) roundTrip(op byte, fields ...[]byte) (byte, [][]byte, error) {
 // returns them.
 func (s *Session) Get(t types.Type) ([]Packed, error) {
 	return decodeGet(s.roundTrip(wire.OpGet, mustTypeField(t)))
+}
+
+// ExplainGet is Client.ExplainGet over the session's view: its buffered
+// writes overlaid on the snapshot pinned at Begin.
+func (s *Session) ExplainGet(t types.Type) (string, error) {
+	return decodeText(s.roundTrip(wire.OpExplain, mustTypeField(t)))
 }
 
 // Put buffers a binding in the transaction.

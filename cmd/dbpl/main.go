@@ -42,6 +42,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -50,41 +51,25 @@ import (
 	"dbpl/internal/persist/replicating"
 )
 
+// verbs maps each subcommand to its runner; any other first argument is
+// a script path (or a flag) for the language runner.
+var verbs = map[string]func([]string, io.Writer) error{
+	"fsck":    runFsck,
+	"serve":   runServe,
+	"stats":   runStats,
+	"trace":   runTrace,
+	"promote": runPromote,
+}
+
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "fsck" {
-		if err := runFsck(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "dbpl: fsck:", err)
-			os.Exit(1)
+	if len(os.Args) > 1 {
+		if verb, ok := verbs[os.Args[1]]; ok {
+			if err := verb(os.Args[2:], os.Stdout); err != nil {
+				fmt.Fprintf(os.Stderr, "dbpl: %s: %v\n", os.Args[1], err)
+				os.Exit(1)
+			}
+			return
 		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		if err := runServe(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "dbpl: serve:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "stats" {
-		if err := runStats(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "dbpl: stats:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "trace" {
-		if err := runTrace(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "dbpl: trace:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "promote" {
-		if err := runPromote(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "dbpl: promote:", err)
-			os.Exit(1)
-		}
-		return
 	}
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "dbpl:", err)

@@ -62,44 +62,89 @@ func BenchmarkGetFlatExtent(b *testing.B) {
 	}
 }
 
-// BenchmarkGetFieldIndex reads through a field-value index over a
-// population where every member has its own record type, so the extent
-// union degenerates and the candidate prefilter is what saves the read.
-// ~1% of members carry the indexed Empno field.
+// wideSet is the E16 regime-2 population: every member its own record
+// type (a distinct field label), ~1% of members carrying the rare Empno
+// field, which is indexed.
+func wideSet(n int) *Set {
+	ops := make([]Op, n)
+	for i := 0; i < n; i++ {
+		if i%100 == 0 {
+			ops[i] = Op{Add: dynamic.Make(employee(fmt.Sprintf("E%06d", i), "Austin", i, "Sales"))}
+		} else {
+			ops[i] = Op{Add: dynamic.Make(value.Rec(
+				"Name", value.String(fmt.Sprintf("P%06d", i)),
+				fmt.Sprintf("X%05d", i), value.Int(int64(i))))}
+		}
+	}
+	s, _ := NewSet(Def{Field: "Empno"}).Apply(ops)
+	return s
+}
+
+// candidatesGet is the field-index route to {Empno: Int}: the candidate
+// prefilter, then a re-check of every candidate.
+func candidatesGet(s *Set, want *types.Interned) []core.Packed {
+	cands, _ := s.Candidates("Empno")
+	var out []core.Packed
+	for _, e := range cands {
+		if types.SubtypeInterned(e.Dyn.Interned(), want) {
+			out = append(out, core.Packed{Value: e.Dyn.Value(), Witness: e.Dyn.Type()})
+		}
+	}
+	return out
+}
+
+// BenchmarkGetFieldIndex reads through a field-value index over wideSet,
+// where the candidate prefilter skips the types that lack the field.
 func BenchmarkGetFieldIndex(b *testing.B) {
 	want := types.Intern(types.MustParse("{Empno: Int}"))
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			ops := make([]Op, n)
-			for i := 0; i < n; i++ {
-				if i%100 == 0 {
-					ops[i] = Op{Add: dynamic.Make(employee(fmt.Sprintf("E%06d", i), "Austin", i, "Sales"))}
-				} else {
-					ops[i] = Op{Add: dynamic.Make(value.Rec(
-						"Name", value.String(fmt.Sprintf("P%06d", i)),
-						fmt.Sprintf("X%05d", i), value.Int(int64(i))))}
-				}
-			}
-			s, _ := NewSet(Def{Field: "Empno"}).Apply(ops)
+			s := wideSet(n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cands, ok := s.Candidates("Empno")
-				if !ok {
-					b.Fatal("index missing")
-				}
-				var out []core.Packed
-				for _, e := range cands {
-					if types.SubtypeInterned(e.Dyn.Interned(), want) {
-						out = append(out, core.Packed{Value: e.Dyn.Value(), Witness: e.Dyn.Type()})
-					}
-				}
-				if len(out) == 0 {
+				if len(candidatesGet(s, want)) == 0 {
 					b.Fatal("empty result")
 				}
 			}
 		})
 	}
+}
+
+// BenchmarkGetEntriesWideTypes is the many-types regime the field index
+// existed for: 10 000 member types, a query on the rare Empno field. A
+// memo hit unions the ~100 matching extents without visiting the other
+// types, so memo-hit must cost no more than candidates (the field index
+// plus its re-check); memo-lookup alone allocates nothing.
+func BenchmarkGetEntriesWideTypes(b *testing.B) {
+	want := types.Intern(types.MustParse("{Empno: Int}"))
+	s := wideSet(10000)
+	s.GetEntries(want) // fill the generation's memo
+	b.Run("memo-hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			entries, _ := s.GetEntries(want)
+			if len(pack(entries)) == 0 {
+				b.Fatal("empty result")
+			}
+		}
+	})
+	b.Run("candidates", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if len(candidatesGet(s, want)) == 0 {
+				b.Fatal("empty result")
+			}
+		}
+	})
+	b.Run("memo-lookup", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if len(s.matches(want)) == 0 {
+				b.Fatal("no matching types")
+			}
+		}
+	})
 }
 
 // BenchmarkApply is the maintenance cost a commit pays: COW-extend the

@@ -1,11 +1,10 @@
-// Package index makes the paper's maintained extents — and their
-// generalization, field-value indexes — first-class, immutable values that
-// the server publishes behind the same atomic pointer as the committed
-// state. "A type is a very large relation" (experiment E10) becomes an
-// executable access path: a Set holds one maintained extent per distinct
-// member type plus any number of declared field indexes, and answers a
-// GET-by-subtype query by unioning the extents whose type passes the
-// (cached, pointer-keyed) subtype check instead of scanning members.
+// Package index makes the paper's maintained extents first-class,
+// immutable values that the server publishes behind the same atomic
+// pointer as the committed state. "A type is a very large relation"
+// (experiment E10) becomes the one executable access path: a Set holds one
+// maintained extent per distinct member type, and answers every
+// GET-by-subtype query — Get : ∀t. Database → List[∃t' ≤ t] — as the
+// union of the extents whose type is ≤ t.
 //
 // # Copy-on-write discipline
 //
@@ -29,23 +28,31 @@
 // high-selectivity read costs exactly the result walk. E16 measures the
 // repair.
 //
-// # Field-value indexes
+// # Type generations
+//
+// Successor Sets share a type generation until a member type first
+// appears or an extent empties, and the generation memoizes, per interned
+// query type, the matching member types. A memo hit costs O(matching
+// extents · log T + result) for T member types; a miss, one cached subtype
+// check per member type, once per generation.
+//
+// # Field indexes
 //
 // A Def declares an index on a record field label. The index keeps the
 // member types that can possibly conform to a record type requiring that
 // field — the 64-bit label signatures from the interning layer
 // (types.LabelBit) make the test one mask check — so its candidates are
 // the union of those types' extents, in insertion order, and it counts
-// the members whose type defines the field. It keeps nothing keyed by a
-// member's value: a GET takes a type, not a value. The index is a sound
-// prefilter, never a verdict: the planner's index path re-checks every
-// candidate against the requested type, so the quick-check property
-// "planner path ≡ reference scan" holds by construction (plan/quick tests
-// enforce it anyway).
+// the members whose type defines the field. No GET reads it: FieldIndex,
+// Candidates and CandidateCount are kept for E16 and the bench replay until
+// ROADMAP 5 deletes the replay. The index is a sound prefilter, never a
+// verdict — every candidate must still be checked against the requested
+// type.
 package index
 
 import (
 	"sort"
+	"sync"
 
 	"dbpl/internal/dynamic"
 	"dbpl/internal/pmap"
@@ -110,7 +117,7 @@ type FieldIndex struct {
 	// candidate types for any record type requiring it — plus every member
 	// type that is not a record type at all: such members cannot be
 	// rejected by the field rule without a full subtype check, so the
-	// index path keeps them as candidates too. In a database of records
+	// index keeps them as candidates too. In a database of records
 	// there are none. defined and odd count the members of each kind.
 	covers       pmap.Map[struct{}]
 	defined, odd int
@@ -146,11 +153,18 @@ type Set struct {
 	total  int                   // members across all extents
 	byType pmap.Map[*Extent]     // by the interned type's canonical key
 	fields pmap.Map[*FieldIndex] // by label
+	gen    *typeGen              // shared with every Set of the same member types
+}
+
+// typeGen is one type generation (see the package comment). Its memo grows
+// with the distinct query types asked, like the subtype verdict cache.
+type typeGen struct {
+	memo sync.Map // *types.Interned → []*types.Interned
 }
 
 // NewSet returns an empty Set with the given field indexes declared.
 func NewSet(defs ...Def) *Set {
-	s := &Set{}
+	s := &Set{gen: new(typeGen)}
 	for _, d := range defs {
 		s.fields = s.fields.Set(d.Field, newFieldIndex(d.Field))
 	}
@@ -199,9 +213,10 @@ func removeAt(items []Entry, i int) []Entry {
 }
 
 // Apply returns the successor Set with the commit group's ops applied in
-// order, together with maintenance statistics. Apply must only be called
-// on the newest Set of a lineage, at most once (the single-successor
-// rule); the caller serializes writers.
+// order, together with maintenance statistics. The successor keeps its
+// parent's type generation unless an op added a member type or emptied an
+// extent. Apply must only be called on the newest Set of a lineage, at
+// most once (the single-successor rule); the caller serializes writers.
 func (s *Set) Apply(ops []Op) (*Set, ApplyStats) {
 	next := *s
 	var stats ApplyStats
@@ -212,6 +227,9 @@ func (s *Set) Apply(ops []Op) (*Set, ApplyStats) {
 		if op.Add != nil {
 			stats.EntriesTouched += next.add(op.Add)
 		}
+	}
+	if next.gen == nil { // add or remove changed the member types
+		next.gen = new(typeGen)
 	}
 	return &next, stats
 }
@@ -231,6 +249,8 @@ func (next *Set) add(d *dynamic.Dynamic) int {
 		// published Sets hold shorter slice headers and the single-successor
 		// rule means no sibling Set appends to the same array.
 		items = append(ext.items, e)
+	} else {
+		next.gen = nil // a new member type: Apply starts a generation
 	}
 	next.byType = next.byType.Set(key, &Extent{in: in, items: items})
 	touched := 1
@@ -276,6 +296,7 @@ func (next *Set) remove(d *dynamic.Dynamic) int {
 	next.total--
 	if len(items) == 0 {
 		next.byType = next.byType.Delete(key)
+		next.gen = nil // an emptied extent: Apply starts a generation
 	} else {
 		next.byType = next.byType.Set(key, &Extent{in: in, items: items})
 	}
@@ -406,38 +427,50 @@ func (s *Set) All() []Entry {
 	return mergeBySeq(parts, s.total)
 }
 
-// GetEntries answers the subtype query: every member whose declared type
-// conforms to want, in insertion order, by unioning the matching extents.
-// matched reports how many extents passed the (cached) subtype check —
-// the planner's merge-width estimate confirmed.
-func (s *Set) GetEntries(want *types.Interned) (entries []Entry, matched int) {
-	parts := make([][]Entry, 0, 8)
-	total := 0
+// matches returns the member types conforming to want, memoized per
+// generation, so each has an extent in s. The slice must not be mutated.
+func (s *Set) matches(want *types.Interned) []*types.Interned {
+	if m, ok := s.gen.memo.Load(want); ok {
+		return m.([]*types.Interned)
+	}
+	var m []*types.Interned
 	s.byType.Range(func(_ string, e *Extent) bool {
 		if types.SubtypeInterned(e.in, want) {
-			parts = append(parts, e.items)
-			total += len(e.items)
+			m = append(m, e.in)
 		}
 		return true
 	})
-	return mergeBySeq(parts, total), len(parts)
+	s.gen.memo.Store(want, m)
+	return m
+}
+
+// GetEntries answers the subtype query: every member whose declared type
+// conforms to want, in insertion order, by unioning the matching extents.
+// matched reports how many extents that is. The result may alias an
+// extent and must not be mutated.
+func (s *Set) GetEntries(want *types.Interned) (entries []Entry, matched int) {
+	ts := s.matches(want)
+	parts := make([][]Entry, 0, 8)
+	total := 0
+	for _, in := range ts {
+		parts = append(parts, s.Extent(in).items)
+		total += len(parts[len(parts)-1])
+	}
+	return mergeBySeq(parts, total), len(ts)
 }
 
 // MatchStats sizes the subtype query without materializing it: the result
-// cardinality and the number of matching extents. The cost is one cached
-// subtype check per distinct member type.
+// cardinality and the number of matching extents, exactly what
+// GetEntries returns.
 func (s *Set) MatchStats(want *types.Interned) (result, matched int) {
-	s.byType.Range(func(_ string, e *Extent) bool {
-		if types.SubtypeInterned(e.in, want) {
-			result += len(e.items)
-			matched++
-		}
-		return true
-	})
-	return result, matched
+	ts := s.matches(want)
+	for _, in := range ts {
+		result += s.Extent(in).Len()
+	}
+	return result, len(ts)
 }
 
-// Candidates returns the index path's candidate set for a record query
+// Candidates returns a field index's candidate set for a record query
 // requiring the indexed field: the members whose type defines it plus the
 // conservatively kept non-record-typed members, in insertion order. The
 // caller must still check every candidate against the requested type. ok
@@ -457,7 +490,7 @@ func (s *Set) Candidates(field string) (entries []Entry, ok bool) {
 	return mergeBySeq(parts, fi.defined+fi.odd), true
 }
 
-// CandidateCount sizes the index path for a field without materializing
+// CandidateCount sizes a field index's candidate set without materializing
 // it; ok is false when the field is not indexed.
 func (s *Set) CandidateCount(field string) (n int, ok bool) {
 	fi, ok := s.fields.Get(field)
@@ -474,7 +507,7 @@ func (s *Set) CandidateCount(field string) (n int, ok bool) {
 // the committed roots, so an index can never be ahead of the durable
 // state.
 func Rebuild(members []*dynamic.Dynamic, defs ...Def) *Set {
-	s := &Set{seq: uint64(len(members)), total: len(members)}
+	s := &Set{seq: uint64(len(members)), total: len(members), gen: new(typeGen)}
 	byType := map[*types.Interned]*Extent{}
 	for i, d := range members {
 		in := d.Interned()

@@ -280,9 +280,26 @@ func randomMember(rng *rand.Rand) *dynamic.Dynamic {
 	}
 }
 
-// TestQuickSetEquivalentToScan is the quick-check property: after a random
-// interleaving of adds and removes, every query path of the Set agrees
-// with the reference full scan over the surviving members.
+// refMatched is the reference extent count: the distinct member types
+// conforming to want.
+func refMatched(members []*dynamic.Dynamic, want *types.Interned) int {
+	seen := map[*types.Interned]bool{}
+	for _, d := range members {
+		if in := d.Interned(); !seen[in] && types.SubtypeInterned(in, want) {
+			seen[in] = true
+		}
+	}
+	return len(seen)
+}
+
+// TestQuickSetEquivalentToScan is the quick-check property: after every
+// step of a random interleaving of adds, removes and index declarations
+// and drops — ending with one member type drained until its extent empties
+// and then brought back — every query path of the Set agrees with the
+// reference full scan over the surviving members. Querying after every
+// step is what exercises the type-generation memo: a query answered
+// before a member type appears or an extent empties must not be answered
+// from that generation afterwards.
 func TestQuickSetEquivalentToScan(t *testing.T) {
 	queries := []*types.Interned{
 		types.Intern(personT),
@@ -295,31 +312,67 @@ func TestQuickSetEquivalentToScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		s := NewSet(Def{Field: "Empno"}, Def{Field: "StudentID"})
 		var alive []*dynamic.Dynamic
+		step := func(what string, ops ...Op) bool {
+			s, _ = s.Apply(ops)
+			for _, op := range ops {
+				if op.Remove != nil {
+					k := 0
+					for alive[k] != op.Remove {
+						k++
+					}
+					alive = append(alive[:k:k], alive[k+1:]...)
+				}
+				if op.Add != nil {
+					alive = append(alive, op.Add)
+				}
+			}
+			return checkStep(t, seed, what, s, alive, queries)
+		}
 		nops := 20 + rng.Intn(60)
 		for i := 0; i < nops; i++ {
-			if len(alive) > 0 && rng.Intn(4) == 0 {
-				k := rng.Intn(len(alive))
-				s, _ = s.Apply([]Op{{Remove: alive[k]}})
-				alive = append(alive[:k:k], alive[k+1:]...)
-			} else {
-				d := randomMember(rng)
-				s, _ = s.Apply([]Op{{Add: d}})
-				alive = append(alive, d)
+			switch r := rng.Intn(8); {
+			case r < 2 && len(alive) > 0:
+				if !step("remove", Op{Remove: alive[rng.Intn(len(alive))]}) {
+					return false
+				}
+			case r == 2:
+				if s.Field("StudentID") != nil {
+					s, _ = s.DropField("StudentID")
+				} else {
+					s = s.WithField(Def{Field: "StudentID"})
+				}
+				if !checkStep(t, seed, "toggle StudentID", s, alive, queries) {
+					return false
+				}
+			default:
+				if !step("add", Op{Add: randomMember(rng)}) {
+					return false
+				}
 			}
 		}
-		if s.Len() != len(alive) {
-			t.Logf("Len = %d, want %d", s.Len(), len(alive))
+		// Drain one member type until its extent empties, then let the type
+		// appear again.
+		d := randomMember(rng)
+		if !step("add", Op{Add: d}) {
 			return false
 		}
-		for _, q := range queries {
-			got, _ := s.GetEntries(q)
-			if err := sameDyns(got, refGet(alive, q)); err != nil {
-				t.Logf("seed %d Get[%s]: %v", seed, q.Type(), err)
-				return false
+		for k := len(alive) - 1; k >= 0; k-- {
+			if alive[k].Interned() == d.Interned() {
+				if !step("drain", Op{Remove: alive[k]}) {
+					return false
+				}
 			}
+		}
+		if s.Extent(d.Interned()) != nil {
+			t.Logf("seed %d: drained extent of %s still present", seed, d.Interned())
+			return false
+		}
+		if !step("re-add", Op{Add: d}) {
+			return false
 		}
 		// Index completeness: every member conforming to a record type
 		// requiring the field is a candidate.
+		s = s.WithField(Def{Field: "StudentID"})
 		for _, field := range []string{"Empno", "StudentID"} {
 			cand, _ := s.Candidates(field)
 			in := map[*dynamic.Dynamic]bool{}
@@ -338,12 +391,8 @@ func TestQuickSetEquivalentToScan(t *testing.T) {
 		// incrementally maintained Set, and both index exactly the
 		// members the covering rule admits, in insertion order.
 		reb := Rebuild(alive, Def{Field: "Empno"}, Def{Field: "StudentID"})
-		for _, q := range queries {
-			got, _ := reb.GetEntries(q)
-			if err := sameDyns(got, refGet(alive, q)); err != nil {
-				t.Logf("seed %d rebuilt Get[%s]: %v", seed, q.Type(), err)
-				return false
-			}
+		if !checkStep(t, seed, "rebuild", reb, alive, queries) {
+			return false
 		}
 		for _, field := range []string{"Empno", "StudentID"} {
 			want := refCandidates(alive, field)
@@ -369,10 +418,53 @@ func TestQuickSetEquivalentToScan(t *testing.T) {
 	}
 }
 
+// checkStep holds every query of s against the reference scan over alive:
+// the members and their order, the matched extent count, and MatchStats.
+func checkStep(t *testing.T, seed int64, what string, s *Set, alive []*dynamic.Dynamic, queries []*types.Interned) bool {
+	if s.Len() != len(alive) {
+		t.Logf("seed %d after %s: Len = %d, want %d", seed, what, s.Len(), len(alive))
+		return false
+	}
+	for _, q := range queries {
+		got, matched := s.GetEntries(q)
+		if err := sameDyns(got, refGet(alive, q)); err != nil {
+			t.Logf("seed %d after %s: Get[%s]: %v", seed, what, q.Type(), err)
+			return false
+		}
+		n, m := s.MatchStats(q)
+		if want := refMatched(alive, q); matched != want || m != want || n != len(got) {
+			t.Logf("seed %d after %s: Get[%s] matched %d, MatchStats (%d, %d), want %d extents and %d members",
+				seed, what, q.Type(), matched, n, m, want, len(got))
+			return false
+		}
+	}
+	return true
+}
+
+// TestMemoHitAllocatesNothing: once a generation has answered a query
+// type, looking its matching types up again allocates nothing, in the
+// Set that filled the memo and in a successor of the same generation.
+func TestMemoHitAllocatesNothing(t *testing.T) {
+	members := mixed()
+	s := addAll(NewSet(), members...)
+	want := types.Intern(personT)
+	s.matches(want)
+	next, _ := s.Apply([]Op{{Add: dynamic.Make(person("P3", "Austin"))}})
+	if next.gen != s.gen {
+		t.Fatal("a member of an existing type started a new generation")
+	}
+	for _, set := range []*Set{s, next} {
+		if n := testing.AllocsPerRun(100, func() { set.matches(want) }); n != 0 {
+			t.Errorf("memo hit allocates %v times", n)
+		}
+	}
+}
+
 // TestConcurrentMaintenanceStress publishes successive Sets through an
 // atomic pointer while readers query lock-free — the server's exact usage
-// — and checks every observed snapshot is internally consistent. Run
-// under -race (make race).
+// — and checks every observed snapshot is internally consistent while the
+// writer keeps emptying and re-creating the employee extent, so readers
+// race type generations. Run under -race (make race).
 func TestConcurrentMaintenanceStress(t *testing.T) {
 	var pub atomic.Pointer[Set]
 	pub.Store(NewSet(Def{Field: "Empno"}))
@@ -417,7 +509,20 @@ func TestConcurrentMaintenanceStress(t *testing.T) {
 	var alive []*dynamic.Dynamic
 	for i := 0; i < 3000; i++ {
 		s := pub.Load()
-		if len(alive) > 64 || (len(alive) > 0 && rng.Intn(3) == 0) {
+		if i%100 == 99 {
+			// Empty the employee extent in one commit; later adds re-create it.
+			var ops []Op
+			kept := alive[:0:0]
+			for _, d := range alive {
+				if d.Interned() == emp {
+					ops = append(ops, Op{Remove: d})
+				} else {
+					kept = append(kept, d)
+				}
+			}
+			s, _ = s.Apply(ops)
+			alive = kept
+		} else if len(alive) > 64 || (len(alive) > 0 && rng.Intn(3) == 0) {
 			k := rng.Intn(len(alive))
 			s, _ = s.Apply([]Op{{Remove: alive[k]}})
 			alive = append(alive[:k:k], alive[k+1:]...)

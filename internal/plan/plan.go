@@ -1,6 +1,8 @@
-// Package plan is the cost-based access-path chooser for GET subtype
-// queries and for the JOIN build/probe decision. It turns the two
-// physical paths over the server's one membership structure, index.Set —
+// Package plan is the learned cost-based access-path chooser for GET
+// subtype queries. The server no longer uses it — every GET is the
+// extent union, memoized per type generation in internal/index — and it
+// is kept for E16 and the bench replay until ROADMAP 5 deletes the
+// replay. It turns the two physical paths over index.Set —
 //
 //   - extent: union the maintained per-type extents whose type passes one
 //     cached subtype check (index.Set.GetEntries);
@@ -20,8 +22,7 @@
 // The model never affects correctness: both paths return the same
 // members (the quick-check property tests in this package and in
 // internal/index prove it), so the worst a bad estimate can do is waste
-// time — and the feedback loop then corrects it, which is exactly what
-// EXPERIMENTS.md E16 demonstrates on the regime grid.
+// time.
 package plan
 
 import (

@@ -74,6 +74,7 @@ var (
 	personT   = types.MustParse("{Name: String}")
 	employeeT = types.MustParse("{Name: String, Empno: Int, Dept: String}")
 	deptT     = types.MustParse("{Dept: String, Floor: Int}")
+	managerT  = types.MustParse("{Name: String, Empno: Int, Dept: String, Reports: Int}")
 )
 
 func emp(name string, no int64, dept string) value.Value {

@@ -10,11 +10,13 @@ import (
 	"testing"
 
 	"dbpl/internal/server/wire"
+	"dbpl/internal/value"
 )
 
 // TestE2EIndexLifecycle drives the index-administration opcodes through
 // the client: create (idempotent), queries stay correct while the index
-// exists, EXPLAIN renders both plan kinds, drop (reports existence).
+// exists, EXPLAIN gives exact GET counts and a JOIN plan, drop (reports
+// existence).
 func TestE2EIndexLifecycle(t *testing.T) {
 	h := boot(t, filepath.Join(t.TempDir(), "idx.log"))
 	c := dial(t, h, nil)
@@ -61,15 +63,24 @@ func TestE2EIndexLifecycle(t *testing.T) {
 		t.Errorf("after put+delete: %d members, want 8", len(got))
 	}
 
-	// EXPLAIN renders both plan kinds without executing anything.
+	// EXPLAIN counts exactly what GET returns: a conforming subtype adds a
+	// matched extent, a non-conforming root only a member type.
+	if err := c.Put("mgr", value.Rec("Name", value.String("mgr"), "Empno", value.Int(99),
+		"Dept", value.String("Lab"), "Reports", value.Int(3)), managerT); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("lab", value.Rec("Dept", value.String("Lab"), "Floor", value.Int(2)), deptT); err != nil {
+		t.Fatal(err)
+	}
+	if got, err = c.Get(employeeT); err != nil {
+		t.Fatal(err)
+	}
 	plan, err := c.ExplainGet(employeeT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"get path=", "cost{extent=", "candidates="} {
-		if !strings.Contains(plan, want) {
-			t.Errorf("ExplainGet %q missing %q", plan, want)
-		}
+	if n, nTypes, matched, result := explainCounts(t, plan); n != 10 || nTypes != 3 || matched != 2 || result != len(got) {
+		t.Errorf("ExplainGet = %q, want n=10 types=3 matched=2 result=%d", plan, len(got))
 	}
 	jplan, err := c.ExplainJoin(employeeT, deptT)
 	if err != nil {
@@ -166,10 +177,63 @@ func TestE2EIndexSurvivesRestart(t *testing.T) {
 	}
 }
 
-// TestStatsPlannerCounters: the planner's decisions and the index
-// maintenance work surface in the STATS snapshot — the satellite's
-// observability requirement. Uses pre-resolved series only.
-func TestStatsPlannerCounters(t *testing.T) {
+// explainCounts parses EXPLAIN's GET rendering.
+func explainCounts(t *testing.T, plan string) (n, nTypes, matched, result int) {
+	t.Helper()
+	if _, err := fmt.Sscanf(plan, "get n=%d types=%d matched=%d result=%d", &n, &nTypes, &matched, &result); err != nil {
+		t.Fatalf("EXPLAIN %q: %v", plan, err)
+	}
+	return n, nTypes, matched, result
+}
+
+// TestExplainInTransactionCountsTheOverlay: EXPLAIN inside a transaction
+// counts the session's own view — the pinned snapshot plus its buffered
+// writes — exactly as the session's GET returns it; after ABORT the
+// buffered root is gone from the count.
+func TestExplainInTransactionCountsTheOverlay(t *testing.T) {
+	h := boot(t, filepath.Join(t.TempDir(), "txnexplain.log"))
+	c := dial(t, h, nil)
+	for i := 0; i < 3; i++ {
+		name := fmt.Sprintf("emp%d", i)
+		if err := c.Put(name, emp(name, int64(i), "Lab"), employeeT); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Put("emp9", emp("emp9", 9, "Lab"), employeeT); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Get(employeeT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := s.ExplainGet(employeeT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _, matched, result := explainCounts(t, plan); result != len(got) || result != 4 || n != 4 || matched != 1 {
+		t.Errorf("EXPLAIN in the transaction = %q, want n=4 matched=1 result=%d (the session's GET)", plan, len(got))
+	}
+	if err := s.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	plan, err = c.ExplainGet(employeeT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, result := explainCounts(t, plan); result != len(got)-1 {
+		t.Errorf("EXPLAIN after ABORT = %q, want result=%d", plan, len(got)-1)
+	}
+}
+
+// TestStatsIndexCounters: the JOIN plan decisions and the index
+// maintenance work surface in the STATS snapshot, and the GET access-path
+// series of the retired planner do not. Uses pre-resolved series only.
+func TestStatsIndexCounters(t *testing.T) {
 	h := boot(t, filepath.Join(t.TempDir(), "idxstats.log"))
 	c := dial(t, h, nil)
 
@@ -196,13 +260,22 @@ func TestStatsPlannerCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	extent, _ := snap.Counter(`dbpl_plan_chosen_total{path="extent"}`)
-	index, _ := snap.Counter(`dbpl_plan_chosen_total{path="index"}`)
-	if extent+index < gets {
-		t.Errorf("plan_chosen_total sums to %d, want >= %d (one per GET)", extent+index, gets)
+	if n, _ := snap.Counter(`dbpl_server_requests_total{op="GET"}`); n != gets {
+		t.Errorf(`requests_total{op="GET"} = %d, want %d`, n, gets)
 	}
-	if _, ok := snap.Counter(`dbpl_plan_chosen_total{path="scan"}`); ok {
-		t.Error(`dbpl_plan_chosen_total{path="scan"} is registered; the planner has no scan path`)
+	for _, path := range []string{"extent", "index", "scan"} {
+		label := `{path="` + path + `"}`
+		if _, ok := snap.Counter("dbpl_plan_chosen_total" + label); ok {
+			t.Errorf("dbpl_plan_chosen_total%s is registered; GET has one path", label)
+		}
+		for _, h := range []string{"dbpl_plan_path_seconds", "dbpl_plan_path_items"} {
+			if _, ok := snap.Histogram(h + label); ok {
+				t.Errorf("%s%s is registered; GET has one path", h, label)
+			}
+		}
+	}
+	if _, ok := snap.Histogram("dbpl_plan_selectivity_ppm"); ok {
+		t.Error("dbpl_plan_selectivity_ppm is registered; nothing estimates selectivity")
 	}
 	nested, _ := snap.Counter(`dbpl_plan_join_total{path="nested"}`)
 	partition, _ := snap.Counter(`dbpl_plan_join_total{path="partition"}`)
@@ -217,17 +290,6 @@ func TestStatsPlannerCounters(t *testing.T) {
 	}
 	if extents, _ := snap.Gauge("dbpl_index_extents"); extents != 1 {
 		t.Errorf("index_extents gauge = %d, want 1 (every member the same type)", extents)
-	}
-	// The planner's learning loop is visible too: every executed GET
-	// observed its path latency.
-	var observed uint64
-	for _, path := range []string{"extent", "index"} {
-		if hist, ok := snap.Histogram(`dbpl_plan_path_seconds{path="` + path + `"}`); ok {
-			observed += hist.Count
-		}
-	}
-	if observed < gets {
-		t.Errorf("plan_path_seconds observations = %d, want >= %d", observed, gets)
 	}
 	// The new opcodes have their own pre-resolved request series.
 	if n, _ := snap.Counter(`dbpl_server_requests_total{op="CREATEINDEX"}`); n != 1 {

@@ -9,13 +9,9 @@ package server
 import (
 	"time"
 
-	"dbpl/internal/plan"
 	"dbpl/internal/server/wire"
 	"dbpl/internal/telemetry"
 )
-
-// numPlanPaths sizes the planner-decision counter array.
-const numPlanPaths = int(plan.PathIndex) + 1
 
 // serverMetrics is the per-server instrument set, pre-resolved into
 // arrays indexed by opcode and error code so the request loop never
@@ -53,12 +49,10 @@ type serverMetrics struct {
 	inflight *telemetry.Gauge // requests admitted and not yet answered
 	sessions *telemetry.Gauge // open connections
 
-	// Planner decisions, pre-resolved per path (a closed set — no
-	// cardinality hazard), and index-maintenance work done at commit.
-	planChosen    [numPlanPaths]*telemetry.Counter // GET access-path picks
-	joinNested    *telemetry.Counter               // JOIN planned nested-loop
-	joinPartition *telemetry.Counter               // JOIN planned build/probe
-	indexTouched  *telemetry.Counter               // index entries touched at commit
+	// JOIN plan decisions, and index-maintenance work done at commit.
+	joinNested    *telemetry.Counter // JOIN planned nested-loop
+	joinPartition *telemetry.Counter // JOIN planned build/probe
+	indexTouched  *telemetry.Counter // index entries touched at commit
 
 	// Replication. The shipped side counts what this server streamed to
 	// followers; the applied side counts what this server (as a follower)
@@ -116,9 +110,6 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		telemetry.UnitDuration, telemetry.DurationBuckets)
 	m.inflight = reg.Gauge("dbpl_server_inflight")
 	m.sessions = reg.Gauge("dbpl_server_sessions")
-	for p := plan.PathExtent; int(p) < numPlanPaths; p++ {
-		m.planChosen[p] = reg.Counter(`dbpl_plan_chosen_total{path="` + p.String() + `"}`)
-	}
 	m.joinNested = reg.Counter(`dbpl_plan_join_total{path="nested"}`)
 	m.joinPartition = reg.Counter(`dbpl_plan_join_total{path="partition"}`)
 	m.indexTouched = reg.Counter("dbpl_index_entries_touched_total")

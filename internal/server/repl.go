@@ -548,7 +548,8 @@ func (s *Server) applyReplicated(rd wire.ReplData) (int, error) {
 // removed roots become deletes, changed roots re-bind from the store's
 // materialized value, and a changed index-definition table is reconciled
 // field by field. The same state.apply path as a local commit, so
-// follower GETs stay planner-served and lock-free. Caller holds commitMu.
+// follower GETs are the same lock-free extent unions as a primary's.
+// Caller holds commitMu.
 func (s *Server) publishDelta(delta intrinsic.GroupDelta) error {
 	cur := s.state.Load()
 	ops := make([]txnOp, 0, len(delta.Changed)+len(delta.Removed))

@@ -69,7 +69,6 @@ import (
 	"dbpl/internal/persist/codec"
 	"dbpl/internal/persist/intrinsic"
 	"dbpl/internal/persist/iofault"
-	"dbpl/internal/plan"
 	"dbpl/internal/pmap"
 	"dbpl/internal/relation"
 	"dbpl/internal/server/wire"
@@ -328,10 +327,6 @@ type Server struct {
 	// that commit. Stored under commitMu; loaded lock-free.
 	lastCommit atomic.Pointer[commitMark]
 
-	// planModel is the feedback-fed cost model choosing the GET access
-	// path; every executed GET observes its latency back into it.
-	planModel *plan.Model
-
 	draining atomic.Bool
 	mu       sync.Mutex // guards ln, conns
 	ln       net.Listener
@@ -452,7 +447,6 @@ func New(store *intrinsic.Store, cfg Config) (*Server, error) {
 		reg = telemetry.NewRegistry()
 	}
 	srv.m = newServerMetrics(reg)
-	srv.planModel = plan.NewModel(reg)
 	// Derived gauges: values that already live elsewhere, captured at
 	// snapshot time so HEALTH, STATS and /metrics all read one consistent
 	// Snapshot instead of re-loading atomics field by field.
@@ -1057,19 +1051,13 @@ func (s *Server) handleGet(sess *session, fields [][]byte) (byte, [][]byte) {
 	if len(fields) != 1 {
 		return badReq("GET wants 1 field, got %d", len(fields))
 	}
-	t, err := wire.UnmarshalType(fields[0])
+	ws, err := internTypes(fields)
 	if err != nil {
 		return errResp(toWireError(err))
 	}
-	want := types.Intern(t)
-	var entries []index.Entry
-	if sess.inTxn {
-		entries = sess.overlayGet(want)
-	} else {
-		// The lock-free hot path: one atomic load, then the planner-chosen
-		// physical path against that snapshot.
-		entries = s.plannedGet(sess.tr, s.state.Load(), want)
-	}
+	esp := sess.tr.Start(0, "exec")
+	entries := sess.get(s.state.Load(), ws[0])
+	sess.tr.End(esp)
 	out := make([][]byte, len(entries))
 	for i, e := range entries {
 		img, err := codec.MarshalTagged(e.Dyn.Value(), e.Dyn.Type())
@@ -1081,52 +1069,30 @@ func (s *Server) handleGet(sess *session, fields [][]byte) (byte, [][]byte) {
 	return wire.OpValues, out
 }
 
-// planInput sizes one GET for the planner: the snapshot's member and
-// extent counts, plus — when the requested type is a record — the
-// declared index on one of its fields with the fewest candidates. All
-// O(fields) map lookups, no data touched.
-func planInput(st *state, want *types.Interned) plan.GetInput {
-	in := plan.GetInput{N: st.idx.Len(), Types: st.idx.Types()}
-	if rt, ok := want.Type().(*types.Record); ok {
-		for _, fld := range rt.Fields() {
-			if c, ok := st.idx.CandidateCount(fld.Label); ok {
-				if in.Field == "" || c < in.Candidates {
-					in.Field, in.Candidates = fld.Label, c
-				}
-			}
+// internTypes decodes and interns the type images of a GET, JOIN or
+// EXPLAIN request; the caller has checked there are at most two.
+func internTypes(fields [][]byte) ([2]*types.Interned, error) {
+	var ws [2]*types.Interned
+	for i, f := range fields {
+		t, err := wire.UnmarshalType(f)
+		if err != nil {
+			return ws, err
 		}
+		ws[i] = types.Intern(t)
 	}
-	return in
+	return ws, nil
 }
 
-// plannedGet executes one non-transactional GET through the cost-chosen
-// physical path. Both paths return the same members in insertion order
-// (the plan/index property tests); the choice only affects time, and the
-// observed time feeds back into the model. The result may alias the
-// snapshot's extent and must not be mutated.
-func (s *Server) plannedGet(tr *rtrace.Trace, st *state, want *types.Interned) []index.Entry {
-	psp := tr.Start(0, "plan")
-	p := s.planModel.PlanGet(planInput(st, want))
-	tr.End(psp)
-	s.m.planChosen[p.Path].Inc()
-	esp := tr.Start(0, "exec:"+p.Path.String())
-	began := time.Now()
-	var entries []index.Entry
-	items := 0
-	if p.Path == plan.PathIndex {
-		cands, _ := st.idx.Candidates(p.Field)
-		items = len(cands)
-		for _, e := range cands {
-			if types.SubtypeInterned(e.Dyn.Interned(), want) {
-				entries = append(entries, e)
-			}
-		}
-	} else {
-		entries, _ = st.idx.GetEntries(want)
-		items = len(entries)
+// get answers GET for want as the session sees the database: the union of
+// the matching maintained extents of st, the published state the caller
+// loaded — one atomic load, then lock-free — or, inside a transaction,
+// the session's overlay view. The result may alias an extent and must not
+// be mutated.
+func (sess *session) get(st *state, want *types.Interned) []index.Entry {
+	if sess.inTxn {
+		return sess.overlayGet(want)
 	}
-	tr.End(esp)
-	s.planModel.Observe(p.Path, time.Since(began), items, len(entries), p.N)
+	entries, _ := st.idx.GetEntries(want)
 	return entries
 }
 
@@ -1190,28 +1156,21 @@ func values(entries []index.Entry) []value.Value {
 	return vals
 }
 
+// joinInputs is the two relations a JOIN of w1 and w2 reads, both from
+// one view of the database (see get).
+func (sess *session) joinInputs(st *state, w1, w2 *types.Interned) (r1, r2 *relation.Relation) {
+	return relation.New(values(sess.get(st, w1))...), relation.New(values(sess.get(st, w2))...)
+}
+
 func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
 	if len(fields) != 2 {
 		return badReq("JOIN wants 2 fields, got %d", len(fields))
 	}
-	t1, err := wire.UnmarshalType(fields[0])
+	ws, err := internTypes(fields)
 	if err != nil {
 		return errResp(toWireError(err))
 	}
-	t2, err := wire.UnmarshalType(fields[1])
-	if err != nil {
-		return errResp(toWireError(err))
-	}
-	w1, w2 := types.Intern(t1), types.Intern(t2)
-	var e1, e2 []index.Entry
-	if sess.inTxn {
-		e1, e2 = sess.overlayGet(w1), sess.overlayGet(w2)
-	} else {
-		st := s.state.Load()
-		e1, _ = st.idx.GetEntries(w1)
-		e2, _ = st.idx.GetEntries(w2)
-	}
-	r1, r2 := relation.New(values(e1)...), relation.New(values(e2)...)
+	r1, r2 := sess.joinInputs(s.state.Load(), ws[0], ws[1])
 	jp := relation.PlanJoin(r1, r2)
 	if jp.Partition {
 		s.m.joinPartition.Inc()
@@ -1336,35 +1295,50 @@ func (s *Server) handleIndexDDL(sess *session, fields [][]byte, name string, dro
 	return wire.OpOK, [][]byte{boolField(changed[0])}
 }
 
-// handleExplain is the EXPLAIN opcode: one type field renders the GET
-// plan the server would choose right now, two render the JOIN plan. Pure
-// read — nothing executes, nothing is counted as a planner decision.
-func (s *Server) handleExplain(_ *session, fields [][]byte) (byte, [][]byte) {
-	st := s.state.Load()
-	switch len(fields) {
-	case 1:
-		t, err := wire.UnmarshalType(fields[0])
-		if err != nil {
-			return errResp(toWireError(err))
-		}
-		p := s.planModel.PlanGet(planInput(st, types.Intern(t)))
-		return wire.OpOK, [][]byte{[]byte(p.String())}
-	case 2:
-		t1, err := wire.UnmarshalType(fields[0])
-		if err != nil {
-			return errResp(toWireError(err))
-		}
-		t2, err := wire.UnmarshalType(fields[1])
-		if err != nil {
-			return errResp(toWireError(err))
-		}
-		e1, _ := st.idx.GetEntries(types.Intern(t1))
-		e2, _ := st.idx.GetEntries(types.Intern(t2))
-		r1, r2 := relation.New(values(e1)...), relation.New(values(e2)...)
-		return wire.OpOK, [][]byte{[]byte(relation.PlanJoin(r1, r2).String())}
-	default:
+// handleExplain is the EXPLAIN opcode: one type field renders the exact
+// counts behind the GET the session would run right now, two render the
+// JOIN plan. Both read the session's view — inside a transaction, the
+// pinned snapshot plus the overlay. Pure read: no join runs and no value
+// is encoded.
+func (s *Server) handleExplain(sess *session, fields [][]byte) (byte, [][]byte) {
+	if len(fields) != 1 && len(fields) != 2 {
 		return badReq("EXPLAIN wants 1 or 2 fields, got %d", len(fields))
 	}
+	ws, err := internTypes(fields)
+	if err != nil {
+		return errResp(toWireError(err))
+	}
+	st := s.state.Load()
+	if len(fields) == 1 {
+		return wire.OpOK, [][]byte{[]byte(sess.explainGet(st, ws[0]))}
+	}
+	r1, r2 := sess.joinInputs(st, ws[0], ws[1])
+	return wire.OpOK, [][]byte{[]byte(relation.PlanJoin(r1, r2).String())}
+}
+
+// explainGet renders the GET for want over the session's view (see get)
+// as "get n=… types=… matched=… result=…": the visible members and their
+// distinct types, the types conforming to want and the members GET
+// returns. Outside a transaction MatchStats counts them through GET's memo.
+func (sess *session) explainGet(st *state, want *types.Interned) string {
+	var n, nTypes, matched, result int
+	if sess.inTxn {
+		all, got := sess.overlayGet(types.Intern(types.Top)), sess.overlayGet(want)
+		n, nTypes, matched, result = len(all), distinctTypes(all), distinctTypes(got), len(got)
+	} else {
+		n, nTypes = st.idx.Len(), st.idx.Types()
+		result, matched = st.idx.MatchStats(want)
+	}
+	return fmt.Sprintf("get n=%d types=%d matched=%d result=%d", n, nTypes, matched, result)
+}
+
+// distinctTypes counts the member types among entries.
+func distinctTypes(entries []index.Entry) int {
+	seen := make(map[*types.Interned]struct{}, 8)
+	for _, e := range entries {
+		seen[e.Dyn.Interned()] = struct{}{}
+	}
+	return len(seen)
 }
 
 func boolField(b bool) []byte {

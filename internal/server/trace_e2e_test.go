@@ -3,7 +3,6 @@ package server_test
 import (
 	"fmt"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -46,7 +45,7 @@ func assertNested(t *testing.T, d trace.Data) {
 // CREATEINDEX's commit span has the one commit vocabulary as its
 // children, in order and disjoint — lock-wait, stage, fsync, publish — so
 // the children's total fits in the parent's duration. A traced GET
-// records its planner decision and the chosen access path. The store's
+// records its one exec span. The store's
 // fsync takes 2 ms, so the eight writers coalesce under group commit.
 func TestTraceCommitSpans(t *testing.T) {
 	all := []string{"lock-wait", "stage", "fsync", "publish"}
@@ -147,19 +146,19 @@ func assertCommitSpans(t *testing.T, d trace.Data, want []string) {
 	}
 }
 
-// assertGetSpans checks that a GET trace records the planner decision and
-// the chosen access path.
+// assertGetSpans checks that a GET trace records its one read path: the
+// root has exactly one child, the exec span.
 func assertGetSpans(t *testing.T, d trace.Data) {
 	t.Helper()
-	if findSpan(d, "plan", 0) < 0 {
-		t.Fatalf("GET trace has no plan span: %+v", d.Spans)
-	}
+	var children []string
 	for _, sp := range d.Spans {
-		if strings.HasPrefix(sp.Name, "exec:") {
-			return
+		if sp.Parent == 0 {
+			children = append(children, sp.Name)
 		}
 	}
-	t.Fatalf("GET trace has no exec span: %+v", d.Spans)
+	if len(children) != 1 || children[0] != "exec" {
+		t.Fatalf("GET trace children = %v, want exactly [exec]: %+v", children, d.Spans)
+	}
 }
 
 // TestTraceFollowerLink: a commit traced on the primary yields a linked

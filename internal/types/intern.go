@@ -11,8 +11,9 @@ import (
 // verdict cache can be keyed on handle pairs instead of freshly concatenated
 // key strings. The paper observes that a database programming language
 // performs "a certain amount of computation at the level of types"; interning
-// is what keeps that computation off the Get hot path — the sharded extent
-// engine in internal/core partitions and indexes extents by interned handle.
+// is what keeps that computation off the Get hot path — internal/index keys
+// its maintained extents by interned handle, and memoizes which of them
+// answer a query by the query type's handle.
 
 // Interned is the canonical handle of an equivalence class of
 // alpha-equivalent types. Two types s and t satisfy Key(s) == Key(t) exactly
