@@ -21,8 +21,8 @@ test:
 	$(GO) test ./...
 
 # Every package under the race detector: the concurrency stress tests
-# (core engine, persist stores, the server's commit pipeline, replication
-# and failover) are only meaningful here. To run one feature's tests,
+# (forked core databases, index sets, persist stores, the server's commit
+# pipeline, replication and failover) are only meaningful here. To run one feature's tests,
 # filter by name, e.g. `go test -race -run 'Repl|Follower' ./internal/server/`.
 race:
 	$(GO) test -race ./...

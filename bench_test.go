@@ -118,34 +118,10 @@ func benchGet(b *testing.B, strategy core.Strategy) {
 			b.Run(fmt.Sprintf("n=%d/sel=%.2f", n, sel), func(b *testing.B) {
 				db := core.New(strategy)
 				fillMixed(db, n, sel)
-				db.Get(benchEmployeeT) // build the extent outside the timer
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if got := db.Get(benchEmployeeT); len(got) == 0 && sel > 0 {
-						b.Fatal("empty result")
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkGetScanWorkers sweeps the scan fan-out: the same Get against the
-// same database with the shard worker pool bounded at 1, 2, 4 and 8. The
-// n=100 rows sit below the engine's parallel threshold and stay sequential
-// by design; the larger rows show the fan-out win (E11).
-func BenchmarkGetScanWorkers(b *testing.B) {
-	for _, n := range []int{10000, 100000} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
-				db := core.New(core.StrategyScan)
-				fillMixed(db, n, 0.10)
-				db.SetScanWorkers(workers)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if got := db.Get(benchEmployeeT); len(got) == 0 {
 						b.Fatal("empty result")
 					}
 				}

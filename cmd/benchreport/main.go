@@ -6,6 +6,8 @@
 // Usage:
 //
 //	benchreport [-quick] [-exp E2,E3]
+//
+// An unknown -exp id exits with status 2 and names the valid ids.
 package main
 
 import (
@@ -18,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -48,62 +51,54 @@ var (
 	expFlag = flag.String("exp", "", "comma-separated experiments to run (default: all)")
 )
 
+// experiments lists every section in report order; -exp selects by id.
+var experiments = []struct {
+	id  string
+	run func()
+}{
+	{"E1", e1Figure1},
+	{"E2", e2GetStrategies},
+	{"E3", e3BillOfMaterials},
+	{"E4", e4Persistence},
+	{"E5", e5SchemaEvolution},
+	{"E6", e6KeysVsCochains},
+	{"E7", e7TypeComputation},
+	{"E8", e8FunctionalDependencies},
+	{"E9", e9DerivedExtents},
+	{"E10", e10TypeAsRelation},
+	{"E11", e11InternedTypes},
+	{"E16", e16AccessPaths},
+	{"E17", e17Replication},
+	{"E18", e18GroupCommit},
+	{"E19", e19Failover},
+}
+
 func main() {
 	flag.Parse()
-	want := map[string]bool{}
-	for _, e := range strings.Split(*expFlag, ",") {
-		if e = strings.TrimSpace(strings.ToUpper(e)); e != "" {
-			want[e] = true
-		}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
-	sel := func(id string) bool { return len(want) == 0 || want[id] }
+	want := map[string]bool{}
+	for _, id := range strings.Split(*expFlag, ",") {
+		id = strings.TrimSpace(strings.ToUpper(id))
+		if id == "" {
+			continue
+		}
+		if !slices.Contains(ids, id) {
+			fmt.Fprintf(os.Stderr, "benchreport: unknown experiment %q (valid: %s)\n",
+				id, strings.Join(ids, ", "))
+			os.Exit(2)
+		}
+		want[id] = true
+	}
 
 	fmt.Println("dbpl experiment report — Buneman & Atkinson, SIGMOD 1986 reproduction")
 	fmt.Println("=====================================================================")
-	if sel("E1") {
-		e1Figure1()
-	}
-	if sel("E2") {
-		e2GetStrategies()
-	}
-	if sel("E3") {
-		e3BillOfMaterials()
-	}
-	if sel("E4") {
-		e4Persistence()
-	}
-	if sel("E5") {
-		e5SchemaEvolution()
-	}
-	if sel("E6") {
-		e6KeysVsCochains()
-	}
-	if sel("E7") {
-		e7TypeComputation()
-	}
-	if sel("E8") {
-		e8FunctionalDependencies()
-	}
-	if sel("E9") {
-		e9DerivedExtents()
-	}
-	if sel("E10") {
-		e10TypeAsRelation()
-	}
-	if sel("E11") {
-		e11ShardedEngine()
-	}
-	if sel("E16") {
-		e16AccessPaths()
-	}
-	if sel("E17") {
-		e17Replication()
-	}
-	if sel("E18") {
-		e18GroupCommit()
-	}
-	if sel("E19") {
-		e19Failover()
+	for _, e := range experiments {
+		if len(want) == 0 || want[e.id] {
+			e.run()
+		}
 	}
 }
 
@@ -233,7 +228,6 @@ func e2GetStrategies() {
 					panic(err)
 				}
 			}
-			idxDB.Get(employeeT) // build the extent once
 			tScan := timeIt(func() { scanDB.Get(employeeT) })
 			tIdx := timeIt(func() { idxDB.Get(employeeT) })
 			tCls := timeIt(func() { _, _ = ec.Extent() })
@@ -683,11 +677,11 @@ func e10TypeAsRelation() {
 
 // ---------------------------------------------------------------------------
 
-func e11ShardedEngine() {
-	header("E11", "interned types and the sharded copy-on-write engine",
+func e11InternedTypes() {
+	header("E11", "interned types and a Fork flat in database size",
 		`the Get hot path after the engine refactor: hash-consed type handles
-       make repeated type computation pointer work, and the sharded COW store
-       serves Get without taking a lock`)
+       make repeated type computation pointer work, and a hypothetical
+       state of the database costs nothing to start`)
 
 	// Interning: the first derivation for a structure is structural; every
 	// check after it — on the same pointer or any alpha-equivalent type — is
@@ -712,32 +706,8 @@ func e11ShardedEngine() {
 	fmt.Printf("alpha-equivalent quantified types share one handle: %v\n",
 		types.Intern(alpha) == types.Intern(beta))
 
-	// Scan fan-out over the shards. On a single-CPU host the worker counts
-	// collapse to the same wall clock; the table is still the ablation knob.
-	n := 50000
-	if *quick {
-		n = 5000
-	}
-	rng := rand.New(rand.NewSource(42))
-	db := core.New(core.StrategyScan)
-	for i := 0; i < n; i++ {
-		if rng.Float64() < 0.10 {
-			db.InsertValue(employee(i))
-		} else {
-			db.InsertValue(person(i))
-		}
-	}
-	fmt.Printf("\n%-22s | %12s   (GOMAXPROCS=%d)\n",
-		fmt.Sprintf("scan Get, n=%d", n), "per call", runtime.GOMAXPROCS(0))
-	for _, workers := range []int{1, 2, 4, 8} {
-		db.SetScanWorkers(workers)
-		t := timeIt(func() { db.Get(employeeT) })
-		fmt.Printf("workers = %-12d | %12v\n", workers, t)
-	}
-	db.SetScanWorkers(0)
-
-	// Fork is O(shards), not O(n): both sides keep the published slices and
-	// copy lazily on the next write.
+	// Fork is O(member types), not O(n): both sides keep the members and
+	// copy an extent on its first write after the fork.
 	fmt.Printf("\n%-22s | %12s\n", "Fork()", "per call")
 	for _, fn := range sizes([]int{1000, 100000}) {
 		fdb := core.New(core.StrategyScan)
@@ -747,19 +717,18 @@ func e11ShardedEngine() {
 		t := timeIt(func() { fdb.Fork() })
 		fmt.Printf("n = %-18d | %12v\n", fn, t)
 	}
-	fmt.Println("\nshape: subtype cost is paid once per distinct type pair; scan workers")
-	fmt.Println("are bounded by available CPUs; fork cost is flat in database size.")
+	fmt.Println("\nshape: subtype cost is paid once per distinct type pair; fork cost is")
+	fmt.Println("flat in database size.")
 }
 
 // ---------------------------------------------------------------------------
 
 func e16AccessPaths() {
 	header("E16", "cost-based access paths: scan vs flat extent vs field index",
-		`E11 traded the seed's one-flat-slice-per-type extents for 16 sharded
-       slices re-merged per read (~4x on high-selectivity Get); the
-       internal/index maintained extents restore the flat slice. The
-       planner rows are historical: the server now answers every GET with
-       the extent union, memoized per type generation`)
+		`the internal/index maintained extents keep one flat slice per type,
+       so a Get costs the result walk. The planner rows are historical:
+       the server now answers every GET with the extent union, memoized
+       per type generation`)
 	n := 10000
 	if *quick {
 		n = 2000
@@ -779,15 +748,12 @@ func e16AccessPaths() {
 	}
 
 	// Regime 1: few member types (person/employee), selectivity sweep. The
-	// planner should pick the extent, which now costs O(result) like the
-	// seed's flat slices — not the sharded re-merge.
-	fmt.Printf("regime 1: two member types, n=%d — the E11 regression row\n", n)
-	fmt.Printf("%6s | %12s %12s %12s | planner (cold priors)\n",
-		"sel", "scan", "sharded(E11)", "flat extent")
+	// flat extent costs O(result); the scan pays for every member.
+	fmt.Printf("regime 1: two member types, n=%d\n", n)
+	fmt.Printf("%6s | %12s %12s | planner (cold priors)\n", "sel", "scan", "flat extent")
 	for _, selv := range []float64{0.01, 0.10, 0.50} {
 		rng := rand.New(rand.NewSource(42))
 		scanDB := core.New(core.StrategyScan)
-		shardDB := core.New(core.StrategyIndexed)
 		var ops []index.Op
 		for i := 0; i < n; i++ {
 			var v *value.Record
@@ -797,20 +763,16 @@ func e16AccessPaths() {
 				v = person(i)
 			}
 			scanDB.InsertValue(v)
-			shardDB.InsertValue(v)
 			ops = append(ops, index.Op{Add: dynamic.Make(v)})
 		}
 		set, _ := index.NewSet().Apply(ops)
-		shardDB.Get(employeeT) // build the sharded extents once
 		tScan := timeIt(func() { scanDB.Get(employeeT) })
-		tShard := timeIt(func() { shardDB.Get(employeeT) })
 		tFlat := timeIt(func() {
 			entries, _ := set.GetEntries(empIn)
 			packAll(entries)
 		})
 		p := model.PlanGet(plan.GetInput{N: set.Len(), Types: set.Types()})
-		fmt.Printf("%6.2f | %12v %12v %12v | %s  (sharded/flat = %.1fx)\n",
-			selv, tScan, tShard, tFlat, p.Path, float64(tShard)/float64(tFlat))
+		fmt.Printf("%6.2f | %12v %12v | %s\n", selv, tScan, tFlat, p.Path)
 	}
 
 	// Regime 2: every member its own record type (distinct field labels), a
@@ -877,8 +839,7 @@ func e16AccessPaths() {
 	fmt.Printf("\nregime 3: join %d x 20 — nested %v, planned %v\n", jn, tNested, tPlanned)
 	fmt.Printf("%-14s | %s\n", "planner", jp)
 
-	fmt.Println("\nshape: the flat extent restores the seed's O(result) high-selectivity")
-	fmt.Println("read (the sharded/flat ratio is the E11 regression repaid); with the")
+	fmt.Println("\nshape: the flat extent reads in O(result) at every selectivity; with the")
 	fmt.Println("type-generation memo the extent union is no slower than the field index")
 	fmt.Println("even when thousands of member types make unions wide.")
 }

@@ -71,7 +71,7 @@ func Subtype(s, t Type) bool { return types.Subtype(s, t) }
 // InternedType is the canonical handle of an equivalence class of types:
 // alpha-equivalent types intern to the same handle, so equivalence is
 // pointer comparison and repeated subtype checks are pointer-keyed cache
-// hits. The database engine shards and indexes extents by it.
+// hits. The maintained extents are keyed by it.
 type InternedType = types.Interned
 
 // InternType returns the canonical handle for t.
@@ -156,9 +156,6 @@ type Database = core.Database
 // Packed is an element of Get's result: value + witness type, the concrete
 // form of the existential ∃t'≤t.
 type Packed = core.Packed
-
-// Getter is the extraction interface every Get implementation satisfies.
-type Getter = core.Getter
 
 // Get strategies (the E2 ablation).
 const (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -118,49 +119,26 @@ func TestStressParallelInsertGetFork(t *testing.T) {
 	}
 }
 
-// TestScanWorkerSettingsAgree checks the parallel scan against the
-// sequential one on a database large enough to cross the fan-out threshold.
-func TestScanWorkerSettingsAgree(t *testing.T) {
-	db := New(StrategyScan)
-	for i := 0; i < 2*scanParallelMin; i++ {
-		if i%3 == 0 {
-			db.InsertValue(employee(fmt.Sprintf("e%d", i), "Austin", i, "Sales"))
-		} else {
-			db.InsertValue(person(fmt.Sprintf("p%d", i), "Austin"))
-		}
-	}
-	db.SetScanWorkers(1)
-	seq := db.Get(employeeT)
-	db.SetScanWorkers(8)
-	par := db.Get(employeeT)
-	if len(seq) != len(par) {
-		t.Fatalf("sequential scan found %d, parallel found %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i].Value != par[i].Value {
-			t.Fatalf("order diverges at %d: %s vs %s", i, seq[i], par[i])
-		}
-	}
+// step is one operation of a generated history over a family of forked
+// databases: an insert, a remove or a fork of database DB (modulo the
+// number alive), with Arg choosing the member kind or the victim.
+type step struct {
+	Op, DB, Arg uint8
 }
 
-// entrySpec drives the Get-vs-reference-scan property: a recipe for a small
-// heterogeneous database plus a query type.
-type entrySpec struct {
-	Kinds []uint8
-	Query uint8
-}
+// history drives the Get-vs-reference property.
+type history []step
 
 // Generate implements quick.Generator.
-func (entrySpec) Generate(r *rand.Rand, _ int) reflect.Value {
-	n := r.Intn(60)
-	ks := make([]uint8, n)
-	for i := range ks {
-		ks[i] = uint8(r.Intn(4))
+func (history) Generate(r *rand.Rand, _ int) reflect.Value {
+	h := make(history, r.Intn(80))
+	for i := range h {
+		h[i] = step{Op: uint8(r.Intn(8)), DB: uint8(r.Intn(256)), Arg: uint8(r.Intn(256))}
 	}
-	return reflect.ValueOf(entrySpec{Kinds: ks, Query: uint8(r.Intn(4))})
+	return reflect.ValueOf(h)
 }
 
-func (s entrySpec) build(i int, k uint8) value.Value {
+func build(i int, k uint8) value.Value {
 	switch k % 4 {
 	case 0:
 		return person(fmt.Sprintf("p%d", i), "Austin")
@@ -173,65 +151,88 @@ func (s entrySpec) build(i int, k uint8) value.Value {
 	}
 }
 
-func (s entrySpec) queryType() types.Type {
-	switch s.Query % 4 {
-	case 0:
-		return personT
-	case 1:
-		return employeeT
-	case 2:
-		return studentT
-	default:
-		return types.Top
-	}
+var queryTypes = []types.Type{personT, employeeT, studentT, types.Int, types.Top}
+
+// model is one database under test and the reference the test keeps for
+// it: its members in insertion order, as a plain slice.
+type model struct {
+	db  *Database
+	ref []*dynamic.Dynamic
 }
 
-// TestQuickGetMatchesReferenceScan is the engine-semantics property: for a
-// random database and query, the sharded Get (both strategies, sequential
-// and fanned-out) returns exactly the members a plain reference scan over
-// All() selects, in the same order.
-func TestQuickGetMatchesReferenceScan(t *testing.T) {
-	f := func(spec entrySpec) bool {
-		db := New(StrategyScan)
-		for i, k := range spec.Kinds {
-			db.InsertValue(spec.build(i, k))
-		}
-		q := spec.queryType()
-
-		// Reference: a sequential filter over the merged, ordered contents.
-		var want []value.Value
-		for _, d := range db.All() {
-			if types.Subtype(d.Type(), q) {
-				want = append(want, d.Value())
-			}
-		}
-
-		check := func(ps []Packed) bool {
-			if len(ps) != len(want) {
-				return false
-			}
-			for i := range ps {
-				if ps[i].Value != want[i] {
-					return false
-				}
-			}
-			return true
-		}
-		if !check(db.Get(q)) {
-			return false
-		}
-		db.SetScanWorkers(8)
-		if !check(db.Get(q)) {
-			return false
-		}
-		db.SetStrategy(StrategyIndexed)
-		if !check(db.Get(q)) { // builds extents
-			return false
-		}
-		return check(db.Get(q)) // reads extents
+// check compares every query's Get, All and Len with the reference.
+func (m *model) check() error {
+	if m.db.Len() != len(m.ref) {
+		return fmt.Errorf("Len = %d, reference holds %d", m.db.Len(), len(m.ref))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
+	if !slices.Equal(m.db.All(), m.ref) {
+		return fmt.Errorf("All differs from the reference")
+	}
+	for _, q := range queryTypes {
+		var want []*dynamic.Dynamic
+		for _, d := range m.ref {
+			if types.Subtype(d.Type(), q) {
+				want = append(want, d)
+			}
+		}
+		got := m.db.Get(q)
+		if len(got) != len(want) {
+			return fmt.Errorf("Get[%s] = %d members, want %d", q, len(got), len(want))
+		}
+		for i, p := range got {
+			if p.Value != want[i].Value() || p.Witness != want[i].Type() {
+				return fmt.Errorf("Get[%s][%d] = %s, want %s", q, i, p.Value, want[i].Value())
+			}
+		}
+	}
+	return nil
+}
+
+// TestQuickGetMatchesReferenceScan is the engine-semantics property: over
+// generated histories of Insert, Remove and Fork, every live database's Get
+// (both strategies), All and Len match a reference slice the test keeps in
+// insertion order, after every step.
+func TestQuickGetMatchesReferenceScan(t *testing.T) {
+	for _, strat := range []Strategy{StrategyScan, StrategyIndexed} {
+		t.Run(strat.String(), func(t *testing.T) {
+			f := func(h history) bool {
+				live := []*model{{db: New(strat)}}
+				for i, s := range h {
+					m := live[int(s.DB)%len(live)]
+					switch {
+					case s.Op < 5:
+						d := m.db.InsertValue(build(i, s.Arg))
+						m.ref = append(m.ref, d)
+					case s.Op < 7:
+						if len(m.ref) == 0 {
+							if m.db.Remove(dynamic.Make(value.Int(0))) {
+								t.Logf("step %d: removed a non-member", i)
+								return false
+							}
+							break
+						}
+						j := int(s.Arg) % len(m.ref)
+						if !m.db.Remove(m.ref[j]) {
+							t.Logf("step %d: Remove lost a member", i)
+							return false
+						}
+						m.ref = append(m.ref[:j:j], m.ref[j+1:]...)
+					default:
+						live = append(live, &model{db: m.db.Fork(), ref: m.ref[:len(m.ref):len(m.ref)]})
+					}
+					for k, m := range live {
+						if err := m.check(); err != nil {
+							t.Logf("step %d, database %d: %v", i, k, err)
+							return false
+						}
+					}
+				}
+				return true
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
@@ -244,7 +245,6 @@ func TestForkIsolationAfterCOW(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		ds = append(ds, db.InsertValue(person(fmt.Sprintf("p%d", i), "Austin")))
 	}
-	db.Get(personT) // build extents so forks copy them too
 	f := db.Fork()
 
 	db.InsertValue(person("parent-only", "Austin"))
@@ -268,4 +268,40 @@ func TestForkIsolationAfterCOW(t *testing.T) {
 	if got := len(db.Get(personT)); got != 201 {
 		t.Errorf("parent Get[Person] = %d, want 201", got)
 	}
+}
+
+// TestForkSidesAppendToOneExtent is the deterministic fork check: after a
+// Fork, both sides append to the extent they share — which has spare
+// capacity, five members in an array grown for eight — and each removes a
+// different shared member. Each side must then read back exactly the slice
+// the test kept for it.
+func TestForkSidesAppendToOneExtent(t *testing.T) {
+	forBothStrategies(t, func(t *testing.T, db *Database) {
+		var shared []*dynamic.Dynamic
+		for i := 0; i < 5; i++ {
+			shared = append(shared, db.InsertValue(person(fmt.Sprintf("p%d", i), "Austin")))
+		}
+		fork := db.Fork()
+		parent := &model{db: db, ref: append([]*dynamic.Dynamic(nil), shared...)}
+		child := &model{db: fork, ref: append([]*dynamic.Dynamic(nil), shared...)}
+
+		parent.ref = append(parent.ref, db.InsertValue(person("parent-only", "Austin")))
+		child.ref = append(child.ref, fork.InsertValue(person("fork-only", "Austin")))
+		sides := []struct {
+			name   string
+			m      *model
+			victim int
+		}{{"parent", parent, 1}, {"fork", child, 3}}
+		for _, s := range sides {
+			if !s.m.db.Remove(shared[s.victim]) {
+				t.Fatalf("%s: Remove(shared[%d]) reported absence", s.name, s.victim)
+			}
+			s.m.ref = append(s.m.ref[:s.victim:s.victim], s.m.ref[s.victim+1:]...)
+		}
+		for _, s := range sides {
+			if err := s.m.check(); err != nil {
+				t.Errorf("%s: %v", s.name, err)
+			}
+		}
+	})
 }

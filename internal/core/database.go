@@ -15,42 +15,27 @@
 // "has to traverse the whole database" and "check the structure of each
 // value". The package provides both that naive strategy (StrategyScan) and
 // the remedy the paper sketches — "a set of (statically) typed lists with
-// appropriate structure sharing" (StrategyIndexed), which maintains shared
-// per-type extents incrementally. The two are interchangeable behind the
-// same Get (and the Getter interface), which is the ablation of experiment
+// appropriate structure sharing" (StrategyIndexed). The two are
+// interchangeable behind the same Get, which is the ablation of experiment
 // E2.
 //
 // # Engine
 //
-// Storage is sharded: members live in numShards shards, each publishing an
-// immutable copy-on-write slice of entries through an atomic pointer. Get
-// never takes a lock — it snapshots every shard's published slice, tests
-// candidates against the interned target type (a pointer-keyed cache hit per
-// distinct member type), and restores insertion order by a global sequence
-// number carried on each entry. Inserts contend only on their target shard.
-// StrategyScan fans the filter across shards with a bounded worker pool
-// (SetScanWorkers); StrategyIndexed maintains per-shard extents, themselves
-// COW slices, so an indexed Get is lock-free once the extent exists. Fork is
-// O(shards): both databases keep the published slices, marked frozen so the
-// next writer on either side copies instead of appending in place.
-//
-// Entries are assigned to shards by interned-type hash mixed with a global
-// placement counter. Hash alone would be faithful "partitioned by type", but
-// a database holding a handful of hot types — the common case — would
-// degenerate to a handful of hot shards; mixing the counter spreads each
-// type's members round-robin over all shards. The insertion-order sequence
-// number is a separate counter taken under the shard lock, which keeps every
-// shard slice seq-ascending and lets reads restore global order with a k-way
-// merge instead of a sort. See docs/ARCHITECTURE.md.
+// A Database is a handle on one index.Set, the same membership structure
+// the server answers every GET from: one maintained extent per member
+// type, and a subtype query is the union of the extents whose type
+// conforms. Writers are serialised by a mutex and publish the successor Set
+// through an atomic pointer; readers load the pointer and take no lock.
+// See docs/ARCHITECTURE.md.
 package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"dbpl/internal/dynamic"
+	"dbpl/internal/index"
 	"dbpl/internal/types"
 	"dbpl/internal/value"
 )
@@ -79,17 +64,6 @@ func (p Packed) Open(want types.Type) (value.Value, error) {
 	return p.Value, nil
 }
 
-// Getter is the extraction interface shared by every Get implementation —
-// the two Database strategies here and any future backend. DESIGN.md §6
-// discusses the ablation between its implementations.
-type Getter interface {
-	// Get returns an existential package for every stored object whose type
-	// is a subtype of t, in insertion order.
-	Get(t types.Type) []Packed
-}
-
-var _ Getter = (*Database)(nil)
-
 // Strategy selects how Get locates objects.
 type Strategy int
 
@@ -97,9 +71,8 @@ const (
 	// StrategyScan is the paper's first solution: traverse the whole
 	// database interrogating each dynamic's type. Cost ∝ database size.
 	StrategyScan Strategy = iota
-	// StrategyIndexed maintains per-type extents with structure sharing:
-	// the first Get at a type pays one scan, after which inserts keep the
-	// extent current and Get costs ∝ result size.
+	// StrategyIndexed reads the maintained per-type extents: inserts keep
+	// them current and Get costs ∝ result size.
 	StrategyIndexed
 )
 
@@ -115,124 +88,19 @@ func (s Strategy) String() string {
 	}
 }
 
-const (
-	numShards = 16
-	shardMask = numShards - 1
-
-	// scanParallelMin is the database size below which a parallel scan is
-	// not worth the goroutine handoff.
-	scanParallelMin = 1024
-)
-
-// entry is one stored member: the dynamic plus the database-wide sequence
-// number that recovers insertion order after a multi-shard merge.
-type entry struct {
-	d   *dynamic.Dynamic
-	seq uint64
-}
-
-// cowSlice publishes an immutable slice of entries through an atomic
-// pointer. Readers load the pointer and iterate with no lock; writers
-// (holding the owning shard's mutex) either append in place — safe when the
-// backing array has spare capacity and is not shared with a fork, since
-// published headers never reach past their own length — or copy.
-type cowSlice struct {
-	ptr atomic.Pointer[[]entry]
-	// frozen marks the backing array as shared with a forked database, so
-	// the next append must copy. Guarded by the owning shard's mutex.
-	frozen bool
-}
-
-// load returns the published slice. Safe without the shard mutex.
-func (c *cowSlice) load() []entry {
-	if p := c.ptr.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// appendLocked publishes cur+e. Caller holds the owning shard's mutex.
-func (c *cowSlice) appendLocked(e entry) {
-	cur := c.load()
-	if !c.frozen && cap(cur) > len(cur) {
-		next := append(cur, e)
-		c.ptr.Store(&next)
-		return
-	}
-	next := make([]entry, len(cur), len(cur)*2+8)
-	copy(next, cur)
-	next = append(next, e)
-	c.ptr.Store(&next)
-	c.frozen = false
-}
-
-// removeLocked publishes the slice without the entry holding d, reporting
-// whether it was present. Always copies. Caller holds the shard's mutex.
-func (c *cowSlice) removeLocked(d *dynamic.Dynamic) bool {
-	cur := c.load()
-	for i := range cur {
-		if cur[i].d == d {
-			next := make([]entry, 0, len(cur)-1)
-			next = append(next, cur[:i]...)
-			next = append(next, cur[i+1:]...)
-			c.ptr.Store(&next)
-			c.frozen = false
-			return true
-		}
-	}
-	return false
-}
-
-// shardExtent is one shard's slice of a maintained extent: the shard members
-// conforming to the extent's type, sharing *dynamic.Dynamic pointers with
-// the member list — the "appropriate structure sharing" of the paper.
-type shardExtent struct {
-	in    *types.Interned
-	items cowSlice
-}
-
-// shard is one partition of the database. The mutex serializes writers;
-// readers go through the atomic pointers only.
-type shard struct {
-	mu      sync.Mutex
-	items   cowSlice
-	extents atomic.Pointer[map[*types.Interned]*shardExtent]
-}
-
-// extentsLoad returns the shard's extent map (possibly empty, never nil to
-// index). The map itself is immutable; writers replace it wholesale.
-func (sh *shard) extentsLoad() map[*types.Interned]*shardExtent {
-	if p := sh.extents.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
 // Database is an unconstrained, heterogeneous collection of dynamic values
 // — "we can put any dynamic value in it". Order of insertion is preserved.
 // A Database is safe for concurrent use; Get never blocks on writers.
 type Database struct {
-	strategy atomic.Int32
-	// seq numbers entries in insertion order. It is taken while holding the
-	// receiving shard's mutex, so each shard's slice is seq-ascending and
-	// reads can restore global order with a k-way merge.
-	seq atomic.Uint64
-	// place spreads consecutive inserts over the shards (mixed with the type
-	// hash in shardIndex). It is a separate counter from seq because the
-	// shard must be chosen before its lock can be taken.
-	place   atomic.Uint64
-	workers atomic.Int32
-	shards  [numShards]shard
+	strategy Strategy
+	mu       sync.Mutex // serialises writers
+	set      atomic.Pointer[index.Set]
 }
 
 // New returns an empty database using the given strategy.
 func New(strategy Strategy) *Database {
-	db := &Database{}
-	db.strategy.Store(int32(strategy))
-	empty := map[*types.Interned]*shardExtent{}
-	for i := range db.shards {
-		db.shards[i].extents.Store(&empty)
-	}
+	db := &Database{strategy: strategy}
+	db.set.Store(index.NewSet())
 	return db
 }
 
@@ -249,69 +117,24 @@ var GetType = types.NewForAll("t", nil,
 		types.NewList(types.NewExists("u", types.NewVar("t"), types.NewVar("u"))),
 	))
 
-// Strategy reports the database's current strategy.
-func (db *Database) Strategy() Strategy {
-	return Strategy(db.strategy.Load())
-}
-
-// SetStrategy switches strategies. Switching to StrategyScan drops all
-// maintained extents; switching to StrategyIndexed starts with none (they
-// are built lazily on first Get).
-func (db *Database) SetStrategy(s Strategy) {
-	db.strategy.Store(int32(s))
-	empty := map[*types.Interned]*shardExtent{}
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.Lock()
-		sh.extents.Store(&empty)
-		sh.mu.Unlock()
-	}
-}
-
-// SetScanWorkers bounds the worker pool a StrategyScan Get fans out over
-// the shards. n <= 0 restores the default, min(GOMAXPROCS, shard count);
-// n == 1 forces a sequential scan. Small databases scan sequentially
-// regardless.
-func (db *Database) SetScanWorkers(n int) { db.workers.Store(int32(n)) }
-
-func (db *Database) scanWorkerCount() int {
-	n := int(db.workers.Load())
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > numShards {
-		n = numShards
-	}
-	return n
-}
-
-// shardIndex picks the shard for an entry: interned-type hash mixed with the
-// placement counter, so one hot type still spreads over every shard (see the
-// package comment).
-func shardIndex(h, place uint64) int { return int((h + place) & shardMask) }
-
 // Len reports the number of objects in the database.
-func (db *Database) Len() int {
-	n := 0
-	for i := range db.shards {
-		n += len(db.shards[i].items.load())
+func (db *Database) Len() int { return db.set.Load().Len() }
+
+// apply publishes the successor Set with op applied, reporting whether op
+// changed the membership.
+func (db *Database) apply(op index.Op) bool {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	next, st := db.set.Load().Apply([]index.Op{op})
+	if st.EntriesTouched == 0 {
+		return false
 	}
-	return n
+	db.set.Store(next)
+	return true
 }
 
 // Insert adds a dynamic value to the database.
-func (db *Database) Insert(d *dynamic.Dynamic) {
-	sh := &db.shards[shardIndex(d.Interned().Hash(), db.place.Add(1))]
-	sh.mu.Lock()
-	e := entry{d: d, seq: db.seq.Add(1)}
-	sh.items.appendLocked(e)
-	for in, ext := range sh.extentsLoad() {
-		if d.IsInterned(in) {
-			ext.items.appendLocked(e)
-		}
-	}
-	sh.mu.Unlock()
-}
+func (db *Database) Insert(d *dynamic.Dynamic) { db.apply(index.Op{Add: d}) }
 
 // InsertValue wraps v in a dynamic at its most specific type and inserts it.
 // It returns the dynamic so callers can later Remove it.
@@ -323,127 +146,39 @@ func (db *Database) InsertValue(v value.Value) *dynamic.Dynamic {
 
 // Remove deletes the given dynamic (by identity), reporting whether it was
 // present.
-func (db *Database) Remove(d *dynamic.Dynamic) bool {
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.Lock()
-		if sh.items.removeLocked(d) {
-			for _, ext := range sh.extentsLoad() {
-				ext.items.removeLocked(d)
-			}
-			sh.mu.Unlock()
-			return true
-		}
-		sh.mu.Unlock()
-	}
-	return false
-}
-
-// snapshot loads every shard's published slice, returning the total count.
-func (db *Database) snapshot(snaps *[numShards][]entry) int {
-	total := 0
-	for i := range db.shards {
-		snaps[i] = db.shards[i].items.load()
-		total += len(snaps[i])
-	}
-	return total
-}
-
-// mergeBySeq restores insertion order across per-shard entry slices.
-// Sequence numbers are assigned under the shard lock, so each part is already
-// seq-ascending and a tree of two-way merges suffices — no comparison sort,
-// no reflection-based swapping on the Get hot path. The result may alias an
-// input slice (when only one shard has matches); all inputs and the result
-// are immutable by the COW discipline.
-func mergeBySeq(parts [][]entry, total int) []entry {
-	live, last := 0, -1
-	for i := range parts {
-		if len(parts[i]) > 0 {
-			live, last = live+1, i
-		}
-	}
-	if live == 0 {
-		return nil
-	}
-	if live == 1 {
-		return parts[last]
-	}
-	// Pairwise merge rounds over an even-padded slot list, ping-ponging
-	// between two flat buffers so each round's outputs never alias its
-	// inputs. Empty slots merge as plain copies, so no odd-carry case exists
-	// and the whole merge costs two buffer allocations.
-	cur := make([][]entry, len(parts), len(parts)+1)
-	copy(cur, parts)
-	if len(cur)%2 == 1 {
-		cur = append(cur, nil)
-	}
-	buf, alt := make([]entry, 0, total), make([]entry, 0, total)
-	for len(cur) > 1 {
-		dst := buf[:0]
-		next := cur[:0]
-		for i := 0; i+1 < len(cur); i += 2 {
-			start := len(dst)
-			dst = merge2(dst, cur[i], cur[i+1])
-			next = append(next, dst[start:len(dst):len(dst)])
-		}
-		cur = next
-		buf, alt = alt, dst
-	}
-	return cur[0]
-}
-
-// merge2 appends the seq-ordered merge of a and b (each seq-ascending) to dst.
-func merge2(dst, a, b []entry) []entry {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].seq <= b[j].seq {
-			dst = append(dst, a[i])
-			i++
-		} else {
-			dst = append(dst, b[j])
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
-}
+func (db *Database) Remove(d *dynamic.Dynamic) bool { return db.apply(index.Op{Remove: d}) }
 
 // All returns the database contents in insertion order.
 func (db *Database) All() []*dynamic.Dynamic {
-	var snaps [numShards][]entry
-	total := db.snapshot(&snaps)
-	merged := mergeBySeq(snaps[:], total)
-	out := make([]*dynamic.Dynamic, len(merged))
-	for i, e := range merged {
-		out[i] = e.d
+	es := db.set.Load().All()
+	out := make([]*dynamic.Dynamic, len(es))
+	for i, e := range es {
+		out[i] = e.Dyn
 	}
 	return out
 }
 
-// filterEntries keeps the entries whose carried type is a subtype of want.
-// memo keys verdicts by the candidate's interned handle, so a shard of
-// mostly-repeated member types costs one map hit per member after the first
-// occurrence of each type.
-func filterEntries(snap []entry, want *types.Interned, memo map[*types.Interned]bool) []entry {
-	var out []entry
-	for _, e := range snap {
-		in := e.d.Interned()
-		v, ok := memo[in]
-		if !ok {
-			v = types.SubtypeInterned(in, want)
-			memo[in] = v
+// entries returns the members whose type is a subtype of t, in insertion
+// order, by the database's strategy. The result must not be mutated.
+func (db *Database) entries(t types.Type) []index.Entry {
+	s, want := db.set.Load(), types.Intern(t)
+	if db.strategy == StrategyIndexed {
+		es, _ := s.GetEntries(want)
+		return es
+	}
+	// The naive scan: every member, one cached subtype check per member.
+	var out []index.Entry
+	memo := map[*types.Interned]bool{}
+	for _, e := range s.All() {
+		in := e.Dyn.Interned()
+		ok, seen := memo[in]
+		if !seen {
+			ok = types.SubtypeInterned(in, want)
+			memo[in] = ok
 		}
-		if v {
+		if ok {
 			out = append(out, e)
 		}
-	}
-	return out
-}
-
-func packEntries(es []entry) []Packed {
-	out := make([]Packed, len(es))
-	for i, e := range es {
-		out[i] = Packed{Value: e.d.Value(), Witness: e.d.Type()}
 	}
 	return out
 }
@@ -451,122 +186,25 @@ func packEntries(es []entry) []Packed {
 // Get is the generic extraction function: it returns, in insertion order,
 // an existential package for every object whose type is a subtype of t.
 // Get[Employee] ⊆ Get[Person] holds for every database because Employee ≤
-// Person — the class hierarchy is derived from the type hierarchy. Get
-// takes no locks beyond (for the first indexed Get at a type) the per-shard
-// mutexes used to install the missing extents.
+// Person — the class hierarchy is derived from the type hierarchy.
 func (db *Database) Get(t types.Type) []Packed {
-	want := types.Intern(t)
-	if db.Strategy() == StrategyIndexed {
-		return db.getIndexed(want)
+	es := db.entries(t)
+	out := make([]Packed, len(es))
+	for i, e := range es {
+		out[i] = Packed{Value: e.Dyn.Value(), Witness: e.Dyn.Type()}
 	}
-	return db.getScan(want)
-}
-
-func (db *Database) getScan(want *types.Interned) []Packed {
-	var snaps [numShards][]entry
-	total := db.snapshot(&snaps)
-	var matches [numShards][]entry
-	workers := db.scanWorkerCount()
-	if workers <= 1 || total < scanParallelMin {
-		memo := map[*types.Interned]bool{}
-		for i := range snaps {
-			matches[i] = filterEntries(snaps[i], want, memo)
-		}
-	} else {
-		var next atomic.Int32
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				memo := map[*types.Interned]bool{}
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= numShards {
-						return
-					}
-					matches[i] = filterEntries(snaps[i], want, memo)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	found := 0
-	for i := range matches {
-		found += len(matches[i])
-	}
-	return packEntries(mergeBySeq(matches[:], found))
-}
-
-func (db *Database) getIndexed(want *types.Interned) []Packed {
-	parts := make([][]entry, 0, numShards)
-	found := 0
-	for i := range db.shards {
-		sh := &db.shards[i]
-		ext := sh.extentsLoad()[want]
-		if ext == nil {
-			ext = sh.buildExtent(want)
-		}
-		p := ext.items.load()
-		parts = append(parts, p)
-		found += len(p)
-	}
-	return packEntries(mergeBySeq(parts, found))
-}
-
-// buildExtent installs (or finds, if a racing Get won) the shard's extent
-// for the interned type, scanning the shard's members once.
-func (sh *shard) buildExtent(want *types.Interned) *shardExtent {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	old := sh.extentsLoad()
-	if ext, ok := old[want]; ok {
-		return ext
-	}
-	ext := &shardExtent{in: want}
-	memo := map[*types.Interned]bool{}
-	for _, e := range filterEntries(sh.items.load(), want, memo) {
-		ext.items.appendLocked(e)
-	}
-	next := make(map[*types.Interned]*shardExtent, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[want] = ext
-	sh.extents.Store(&next)
-	return ext
+	return out
 }
 
 // GetValues is Get without the witnesses, for callers that only need the
 // values.
 func (db *Database) GetValues(t types.Type) []value.Value {
-	ps := db.Get(t)
-	out := make([]value.Value, len(ps))
-	for i, p := range ps {
-		out[i] = p.Value
+	es := db.entries(t)
+	out := make([]value.Value, len(es))
+	for i, e := range es {
+		out[i] = e.Dyn.Value()
 	}
 	return out
-}
-
-// Count returns the number of objects whose type is a subtype of t without
-// materializing the result list. A maintained extent answers its shard in
-// O(1); shards without one are scanned.
-func (db *Database) Count(t types.Type) int {
-	want := types.Intern(t)
-	indexed := db.Strategy() == StrategyIndexed
-	memo := map[*types.Interned]bool{}
-	n := 0
-	for i := range db.shards {
-		sh := &db.shards[i]
-		if indexed {
-			if ext, ok := sh.extentsLoad()[want]; ok {
-				n += len(ext.items.load())
-				continue
-			}
-		}
-		n += len(filterEntries(sh.items.load(), want, memo))
-	}
-	return n
 }
 
 // Fork returns an independent database with the same contents. The two
@@ -574,47 +212,15 @@ func (db *Database) Count(t types.Type) int {
 // memberships evolve separately — this supports the paper's case for
 // multiple extents per type: "one may want to experiment with hypothetical
 // states of the database", which a unique type-coupled extent cannot
-// express. Fork is O(shards): the published slices are kept by both sides
-// and marked frozen, so whichever database appends next copies then.
+// express. Both sides continue from one index.Set.Fork, so Fork costs
+// O(member types) and the first write to an extent on either side copies
+// that extent.
 func (db *Database) Fork() *Database {
-	out := New(db.Strategy())
-	for i := range db.shards {
-		sh := &db.shards[i]
-		osh := &out.shards[i]
-		sh.mu.Lock()
-		osh.items.ptr.Store(sh.items.ptr.Load())
-		osh.items.frozen = true
-		sh.items.frozen = true
-		if m := sh.extentsLoad(); len(m) > 0 {
-			nm := make(map[*types.Interned]*shardExtent, len(m))
-			for in, ext := range m {
-				ext.items.frozen = true
-				ne := &shardExtent{in: in}
-				ne.items.ptr.Store(ext.items.ptr.Load())
-				ne.items.frozen = true
-				nm[in] = ne
-			}
-			osh.extents.Store(&nm)
-		}
-		sh.mu.Unlock()
-	}
-	out.seq.Store(db.seq.Load())
-	out.place.Store(db.place.Load())
-	return out
-}
-
-// ExtentTypes reports the types for which maintained extents currently
-// exist (StrategyIndexed only); useful for inspection and tests.
-func (db *Database) ExtentTypes() []types.Type {
-	seen := map[*types.Interned]bool{}
-	var out []types.Type
-	for i := range db.shards {
-		for in := range db.shards[i].extentsLoad() {
-			if !seen[in] {
-				seen[in] = true
-				out = append(out, in.Type())
-			}
-		}
-	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	f := db.set.Load().Fork()
+	db.set.Store(f)
+	out := &Database{strategy: db.strategy}
+	out.set.Store(f)
 	return out
 }

@@ -160,15 +160,12 @@ func TestStrategiesAgree(t *testing.T) {
 func TestIndexedExtentMaintainedAcrossInserts(t *testing.T) {
 	db := New(StrategyIndexed)
 	populate(db)
-	before := len(db.Get(employeeT)) // builds the extent
+	before := len(db.Get(employeeT))
 	db.InsertValue(employee("E9", "Austin", 9, "Sales"))
 	db.InsertValue(person("P9", "Austin")) // must NOT enter the Employee extent
 	after := len(db.Get(employeeT))
 	if after != before+1 {
 		t.Errorf("extent after inserts = %d, want %d", after, before+1)
-	}
-	if n := len(db.ExtentTypes()); n != 1 {
-		t.Errorf("maintained extents = %d, want 1", n)
 	}
 }
 
@@ -198,17 +195,24 @@ func TestGetTopReturnsEverything(t *testing.T) {
 	})
 }
 
+// TestCount checks the size of Get, the way callers count a type's
+// members, against counts the test keeps while inserts and removes change
+// the extents underneath.
 func TestCount(t *testing.T) {
 	forBothStrategies(t, func(t *testing.T, db *Database) {
-		populate(db)
-		if db.Count(employeeT) != len(db.Get(employeeT)) {
-			t.Error("Count disagrees with Get before the extent exists")
+		_, nEmployee, _, nBoth, _ := populate(db)
+		want := nEmployee + nBoth
+		if got := len(db.Get(employeeT)); got != want {
+			t.Errorf("Get[Employee] = %d, want %d", got, want)
 		}
-		// After Get builds an extent (indexed mode), Count still agrees —
-		// including after further inserts.
-		db.InsertValue(employee("Late", "X", 77, "Sales"))
-		if db.Count(employeeT) != len(db.Get(employeeT)) {
-			t.Error("Count disagrees with Get after insert")
+		late := db.InsertValue(employee("Late", "X", 77, "Sales"))
+		db.InsertValue(person("NotAnEmployee", "X"))
+		if got := len(db.Get(employeeT)); got != want+1 {
+			t.Errorf("Get[Employee] after insert = %d, want %d", got, want+1)
+		}
+		db.Remove(late)
+		if got := len(db.Get(employeeT)); got != want {
+			t.Errorf("Get[Employee] after remove = %d, want %d", got, want)
 		}
 	})
 }
@@ -238,22 +242,6 @@ func TestGetTypeSignature(t *testing.T) {
 	}
 }
 
-func TestSetStrategyResets(t *testing.T) {
-	db := New(StrategyIndexed)
-	populate(db)
-	db.Get(personT)
-	if len(db.ExtentTypes()) != 1 {
-		t.Fatal("extent not built")
-	}
-	db.SetStrategy(StrategyScan)
-	if len(db.ExtentTypes()) != 0 {
-		t.Error("extents should be dropped on strategy switch")
-	}
-	if got := len(db.Get(personT)); got != 7 {
-		t.Errorf("scan after switch = %d, want 7", got)
-	}
-}
-
 func TestObjectIdentityCoexistence(t *testing.T) {
 	// "there is no reason why we should not allow two comparable objects to
 	// co-exist": the university lot with two identical cars.
@@ -273,7 +261,6 @@ func TestForkHypotheticalState(t *testing.T) {
 	forBothStrategies(t, func(t *testing.T, db *Database) {
 		populate(db)
 		before := len(db.Get(employeeT))
-		db.Get(personT) // build extents in indexed mode
 
 		fork := db.Fork()
 		fork.InsertValue(employee("Hypothetical", "Nowhere", 99, "Sales"))

@@ -62,9 +62,9 @@ func (d *Dynamic) Value() value.Value { return d.v }
 // on dynamics.
 func (d *Dynamic) Type() types.Type { return d.t }
 
-// Interned returns the canonical handle of the carried type. The extent
-// engine shards and indexes by it, and IsInterned makes the per-candidate
-// subtype test a pointer-keyed cache hit.
+// Interned returns the canonical handle of the carried type. The maintained
+// extents are keyed by it, and IsInterned makes the per-candidate subtype
+// test a pointer-keyed cache hit.
 func (d *Dynamic) Interned() *types.Interned { return d.in }
 
 // TypeVal returns the carried type reified as a value of type Type.

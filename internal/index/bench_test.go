@@ -1,8 +1,8 @@
 // Benchmarks for the E16 grid: the maintained flat extent and the field
 // index against the same mixed population the root package's
-// BenchmarkGetScan (full scan) and BenchmarkGetExtent (the E11 sharded
-// re-merge) measure. The packing into core.Packed is included so the
-// numbers are directly comparable with db.Get, which returns Packed.
+// BenchmarkGetScan (full scan) and BenchmarkGetExtent measure. The
+// packing into (value, witness) pairs is included so the numbers are
+// directly comparable with core.Database.Get, which returns such pairs.
 package index
 
 import (
@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"dbpl/internal/core"
 	"dbpl/internal/dynamic"
 	"dbpl/internal/types"
 	"dbpl/internal/value"
@@ -32,17 +31,23 @@ func benchSet(n int, sel float64, defs ...Def) *Set {
 	return s
 }
 
-func pack(entries []Entry) []core.Packed {
-	out := make([]core.Packed, len(entries))
+// packed mirrors packed, which this package cannot import.
+type packed struct {
+	Value   value.Value
+	Witness types.Type
+}
+
+func pack(entries []Entry) []packed {
+	out := make([]packed, len(entries))
 	for i, e := range entries {
-		out[i] = core.Packed{Value: e.Dyn.Value(), Witness: e.Dyn.Type()}
+		out[i] = packed{Value: e.Dyn.Value(), Witness: e.Dyn.Type()}
 	}
 	return out
 }
 
-// BenchmarkGetFlatExtent is the repaired E11 row: one flat seq-ascending
-// slice per type, no per-read re-merge. Compare with the root package's
-// BenchmarkGetExtent (sharded) at the same (n, sel) cells.
+// BenchmarkGetFlatExtent reads one flat seq-ascending slice per type, with
+// no per-read re-merge. The root package's BenchmarkGetExtent times the
+// same read through core.Database at the same (n, sel) cells.
 func BenchmarkGetFlatExtent(b *testing.B) {
 	want := types.Intern(employeeT)
 	for _, n := range []int{100, 1000, 10000} {
@@ -82,12 +87,12 @@ func wideSet(n int) *Set {
 
 // candidatesGet is the field-index route to {Empno: Int}: the candidate
 // prefilter, then a re-check of every candidate.
-func candidatesGet(s *Set, want *types.Interned) []core.Packed {
+func candidatesGet(s *Set, want *types.Interned) []packed {
 	cands, _ := s.Candidates("Empno")
-	var out []core.Packed
+	var out []packed
 	for _, e := range cands {
 		if types.SubtypeInterned(e.Dyn.Interned(), want) {
-			out = append(out, core.Packed{Value: e.Dyn.Value(), Witness: e.Dyn.Type()})
+			out = append(out, packed{Value: e.Dyn.Value(), Witness: e.Dyn.Type()})
 		}
 	}
 	return out

@@ -22,11 +22,13 @@
 // copies the one extent it leaves, so that is the one commit cost that
 // still grows with the store: O(extent).
 //
-// Unlike the core engine's per-shard extents (16 slices re-merged on
-// every read — the ~4× high-selectivity regression documented in E11),
-// a Set keeps each extent as one flat, insertion-ordered slice, so a
-// high-selectivity read costs exactly the result walk. E16 measures the
-// repair.
+// The one exception is Fork, which core.Database uses to give two
+// databases the same members: it clips every extent's spare capacity, so
+// the forked Set may be advanced by both owners, each first append to an
+// extent copying it. The server never forks, so Apply pays nothing for it.
+//
+// Each extent is one flat, insertion-ordered slice, so a high-selectivity
+// read costs exactly the result walk.
 //
 // # Type generations
 //
@@ -353,6 +355,25 @@ func (s *Set) fill(label string) *FieldIndex {
 	})
 	fi.covers = pmap.Build(covered, make([]struct{}, len(covered)))
 	return fi
+}
+
+// Fork returns a copy of s whose every extent is clipped to its length,
+// so that no append through the copy can write into an array another Set
+// still extends. That makes the fork the one exception to the
+// single-successor rule: it may be Apply'd any number of times, by any
+// number of owners, each append copying its extent first. Fork shares
+// every member and costs O(member types); s itself is left as it was.
+func (s *Set) Fork() *Set {
+	next := *s
+	keys := make([]string, 0, s.byType.Len())
+	exts := make([]*Extent, 0, s.byType.Len())
+	s.byType.Range(func(key string, e *Extent) bool {
+		keys = append(keys, key)
+		exts = append(exts, &Extent{in: e.in, items: e.items[:len(e.items):len(e.items)]})
+		return true
+	})
+	next.byType = pmap.Build(keys, exts)
+	return &next
 }
 
 // DropField returns the successor Set without the field index, and

@@ -252,6 +252,41 @@ func TestRebuildEqualsIncremental(t *testing.T) {
 	}
 }
 
+// TestForkTakesTwoSuccessors: a forked Set may be advanced by two owners,
+// each appending to the extents it shares with the other (which have spare
+// capacity in the parent), and neither sees the other's members; the Set it
+// was forked from is left as it was.
+func TestForkTakesTwoSuccessors(t *testing.T) {
+	members := mixed()
+	parent := addAll(NewSet(Def{Field: "Empno"}), members...)
+	f := parent.Fork()
+	a, b := dynamic.Make(employee("A", "Austin", 9, "Sales")), dynamic.Make(employee("B", "Moose", 8, "Manuf"))
+	sa := addAll(f, a)
+	sb, _ := f.Apply([]Op{{Add: b}, {Remove: members[1]}})
+	wantB := append(append(append([]*dynamic.Dynamic(nil), members[:1]...), members[2:]...), b)
+	for _, q := range []types.Type{personT, employeeT, types.Top} {
+		want := types.Intern(q)
+		for _, c := range []struct {
+			name    string
+			s       *Set
+			members []*dynamic.Dynamic
+		}{
+			{"parent", parent, members},
+			{"fork", f, members},
+			{"side a", sa, append(members[:len(members):len(members)], a)},
+			{"side b", sb, wantB},
+		} {
+			got, _ := c.s.GetEntries(want)
+			if err := sameDyns(got, refGet(c.members, want)); err != nil {
+				t.Errorf("%s Get[%s]: %v", c.name, q, err)
+			}
+		}
+	}
+	if n, _ := sb.CandidateCount("Empno"); n != 5 {
+		t.Errorf("side b Empno candidates = %d, want 5", n)
+	}
+}
+
 func TestDefsSorted(t *testing.T) {
 	s := NewSet(Def{Field: "Zeta"}, Def{Field: "Alpha"})
 	defs := s.Defs()

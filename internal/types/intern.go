@@ -17,13 +17,12 @@ import (
 
 // Interned is the canonical handle of an equivalence class of
 // alpha-equivalent types. Two types s and t satisfy Key(s) == Key(t) exactly
-// when Intern(s) == Intern(t); the handle carries the canonical key and a
-// precomputed structural hash so downstream consumers (the extent shards,
-// the subtype cache) never rebuild either.
+// when Intern(s) == Intern(t); the handle carries the canonical key so
+// downstream consumers (the maintained extents, the subtype cache) never
+// rebuild it.
 type Interned struct {
-	t    Type
-	key  string
-	hash uint64
+	t   Type
+	key string
 }
 
 // Type returns the canonical representative of the equivalence class — the
@@ -32,10 +31,6 @@ func (h *Interned) Type() Type { return h.t }
 
 // Key returns the canonical alpha-invariant key (see Key).
 func (h *Interned) Key() string { return h.key }
-
-// Hash returns the precomputed FNV-1a hash of the canonical key. The extent
-// engine uses it to pick shards.
-func (h *Interned) Hash() uint64 { return h.hash }
 
 // String renders the canonical representative.
 func (h *Interned) String() string { return h.t.String() }
@@ -64,7 +59,7 @@ func Intern(t Type) *Interned {
 		}
 	}
 	k := Key(t)
-	fresh := &Interned{t: t, key: k, hash: hashKey(k)}
+	fresh := &Interned{t: t, key: k}
 	h, _ := internByKey.LoadOrStore(k, fresh)
 	in := h.(*Interned)
 	if ok {
@@ -79,7 +74,7 @@ func Intern(t Type) *Interned {
 // every type-keyed cache).
 func Canon(t Type) Type { return Intern(t).t }
 
-// hashKey is FNV-1a over the canonical key.
+// hashKey is FNV-1a over a string (LabelBit's record labels).
 func hashKey(k string) uint64 {
 	const (
 		offset64 = 14695981039346656037
