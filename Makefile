@@ -22,7 +22,7 @@ test:
 
 # Every package under the race detector: the concurrency stress tests
 # (forked core databases, index sets, persist stores, the server's commit
-# pipeline, replication and failover) are only meaningful here. To run one feature's tests,
+# pipeline, transaction views, replication and failover) are only meaningful here. To run one feature's tests,
 # filter by name, e.g. `go test -race -run 'Repl|Follower' ./internal/server/`.
 race:
 	$(GO) test -race ./...

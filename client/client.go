@@ -720,15 +720,15 @@ func (s *Session) roundTrip(op byte, fields ...[]byte) (byte, [][]byte, error) {
 	return s.cn.roundTrip(s.c.o.requestTimeout(), op, fields...)
 }
 
-// Get inside the session sees its own buffered writes overlaid on the
-// snapshot pinned at Begin, in the order a Get right after Commit
-// returns them.
+// Get inside the session answers from the state its Commit would publish
+// over the snapshot pinned at Begin: its own buffered writes included, in
+// the order a Get right after Commit returns them.
 func (s *Session) Get(t types.Type) ([]Packed, error) {
 	return decodeGet(s.roundTrip(wire.OpGet, mustTypeField(t)))
 }
 
-// ExplainGet is Client.ExplainGet over the session's view: its buffered
-// writes overlaid on the snapshot pinned at Begin.
+// ExplainGet is Client.ExplainGet over the session's view: the state its
+// Commit would publish over the snapshot pinned at Begin.
 func (s *Session) ExplainGet(t types.Type) (string, error) {
 	return decodeText(s.roundTrip(wire.OpExplain, mustTypeField(t)))
 }

@@ -10,22 +10,23 @@
 //
 // A Set is immutable once published. Apply returns the successor Set with
 // a commit group's membership delta applied, sharing every untouched
-// structure with its parent. The type → extent table, the field table and
-// each field index's type table are persistent maps (internal/pmap): a
-// successor copies the O(log n) path to each entry it changes, never a
-// whole table. Within a changed extent, an append may reuse spare
-// capacity of the parent's backing array — safe under the
-// *single-successor* rule: a Set may be Apply'd (or WithField'd/
-// DropField'd) at most once, and only the newest Set in a lineage may be
-// advanced. The server guarantees this by serializing
-// writers through its committer. Readers never take a lock. A removal
-// copies the one extent it leaves, so that is the one commit cost that
-// still grows with the store: O(extent).
+// structure with its parent. The type → extent table is a persistent map
+// (internal/pmap): a successor copies the O(log n) path to each entry it
+// changes, never the whole table. Within a changed extent, an append may
+// reuse spare capacity of the parent's backing array — safe under the
+// *single-successor* rule: a Set may be Apply'd at most once, and only the
+// newest Set in a lineage may be advanced. The server guarantees this by
+// serializing writers through its committer. Readers never take a lock. A
+// removal copies the one extent it leaves, so that is the one commit cost
+// that still grows with the store: O(extent).
 //
-// The one exception is Fork, which core.Database uses to give two
-// databases the same members: it clips every extent's spare capacity, so
-// the forked Set may be advanced by both owners, each first append to an
-// extent copying it. The server never forks, so Apply pays nothing for it.
+// The one exception is Fork: it clips every extent's spare capacity, so
+// the forked Set may be advanced by any number of owners, each first
+// append to an extent copying it, while the Set it was forked from keeps
+// advancing. core.Database forks to give two databases the same members,
+// and the server forks a transaction's pinned Set to build the state its
+// COMMIT would publish. Fork costs O(member types); Apply pays nothing
+// for it.
 //
 // Each extent is one flat, insertion-ordered slice, so a high-selectivity
 // read costs exactly the result walk.
@@ -40,19 +41,22 @@
 //
 // # Field indexes
 //
-// A Def declares an index on a record field label. The index keeps the
-// member types that can possibly conform to a record type requiring that
-// field — the 64-bit label signatures from the interning layer
-// (types.LabelBit) make the test one mask check — so its candidates are
-// the union of those types' extents, in insertion order, and it counts
-// the members whose type defines the field. No GET reads it: FieldIndex,
-// Candidates and CandidateCount are kept for E16 and the bench replay until
-// ROADMAP 5 deletes the replay. The index is a sound prefilter, never a
-// verdict — every candidate must still be checked against the requested
-// type.
+// A Def declares an index on a record field label; the Set keeps only
+// the declared labels. A field index is derived from the extents, never
+// maintained beside them: its candidates are the union, in insertion
+// order, of the extents whose type can possibly conform to a record type
+// requiring the field — a record type carrying the label (the 64-bit
+// label signatures from the interning layer, types.LabelBit, make most
+// rejections one mask check), or, conservatively, not a record type at
+// all. So declaring, dropping and committing cost nothing per field. No
+// GET reads a field index: Candidates and CandidateCount are kept for E16
+// and the bench replay until ROADMAP 5 deletes the replay. The index is a
+// sound prefilter, never a verdict — every candidate must still be
+// checked against the requested type.
 package index
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -85,8 +89,7 @@ type Op struct {
 // ApplyStats reports what one Apply touched, for the maintenance-cost
 // telemetry.
 type ApplyStats struct {
-	// EntriesTouched counts entry insertions and removals summed over the
-	// extent map and every field index.
+	// EntriesTouched counts extent entry insertions and removals.
 	EntriesTouched int
 }
 
@@ -109,53 +112,15 @@ func (e *Extent) Items() []Entry { return e.items }
 // Len reports the member count.
 func (e *Extent) Len() int { return len(e.items) }
 
-// FieldIndex is one declared field-value index; see the package comment.
-type FieldIndex struct {
-	field string
-	bit   uint64 // types.LabelBit(field): the signature prefilter mask
-
-	// covers holds, by canonical type key, every member type that is a
-	// record type with the field — by record-width subtyping the complete
-	// candidate types for any record type requiring it — plus every member
-	// type that is not a record type at all: such members cannot be
-	// rejected by the field rule without a full subtype check, so the
-	// index keeps them as candidates too. In a database of records
-	// there are none. defined and odd count the members of each kind.
-	covers       pmap.Map[struct{}]
-	defined, odd int
-}
-
-// Field returns the indexed label.
-func (fi *FieldIndex) Field() string { return fi.field }
-
-// Defined returns the number of members whose type defines the field.
-func (fi *FieldIndex) Defined() int { return fi.defined }
-
-// hasField reports whether the member's declared type makes it a possible
-// match for a record type requiring the indexed field: a record type
-// carrying the field (the label-signature mask rejects most non-members
-// before the lookup), or — conservatively — not a record type at all.
-func (fi *FieldIndex) hasField(in *types.Interned) (member, odd bool) {
-	rt, ok := in.Type().(*types.Record)
-	if !ok {
-		return false, true
-	}
-	if rt.LabelBits()&fi.bit == 0 {
-		return false, false // signature: the field cannot be present
-	}
-	_, ok = rt.Lookup(fi.field)
-	return ok, false
-}
-
-// Set is an immutable collection of maintained extents and field indexes
-// over one committed membership; see the package comment for the
-// copy-on-write discipline.
+// Set is an immutable collection of maintained extents over one committed
+// membership, with the declared field-index labels; see the package
+// comment for the copy-on-write discipline.
 type Set struct {
-	seq    uint64                // next sequence number to assign
-	total  int                   // members across all extents
-	byType pmap.Map[*Extent]     // by the interned type's canonical key
-	fields pmap.Map[*FieldIndex] // by label
-	gen    *typeGen              // shared with every Set of the same member types
+	seq    uint64            // next sequence number to assign
+	total  int               // members across all extents
+	byType pmap.Map[*Extent] // by the interned type's canonical key
+	fields []string          // declared field-index labels, sorted; never mutated
+	gen    *typeGen          // shared with every Set of the same member types
 }
 
 // typeGen is one type generation (see the package comment). Its memo grows
@@ -166,15 +131,17 @@ type typeGen struct {
 
 // NewSet returns an empty Set with the given field indexes declared.
 func NewSet(defs ...Def) *Set {
-	s := &Set{gen: new(typeGen)}
-	for _, d := range defs {
-		s.fields = s.fields.Set(d.Field, newFieldIndex(d.Field))
-	}
-	return s
+	return &Set{fields: labels(defs), gen: new(typeGen)}
 }
 
-func newFieldIndex(field string) *FieldIndex {
-	return &FieldIndex{field: field, bit: types.LabelBit(field)}
+// labels returns the defs' labels, sorted and without duplicates.
+func labels(defs []Def) []string {
+	var out []string
+	for _, d := range defs {
+		out = append(out, d.Field)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Len reports the total member count.
@@ -190,19 +157,12 @@ func (s *Set) Extent(in *types.Interned) *Extent {
 	return e
 }
 
-// Field returns the declared index for the label, nil when undeclared.
-func (s *Set) Field(label string) *FieldIndex {
-	fi, _ := s.fields.Get(label)
-	return fi
-}
-
 // Defs returns the declared field indexes in sorted label order.
 func (s *Set) Defs() []Def {
-	out := make([]Def, 0, s.fields.Len())
-	s.fields.Range(func(l string, _ *FieldIndex) bool {
-		out = append(out, Def{Field: l})
-		return true
-	})
+	out := make([]Def, len(s.fields))
+	for i, l := range s.fields {
+		out[i] = Def{Field: l}
+	}
 	return out
 }
 
@@ -223,11 +183,12 @@ func (s *Set) Apply(ops []Op) (*Set, ApplyStats) {
 	next := *s
 	var stats ApplyStats
 	for _, op := range ops {
-		if op.Remove != nil {
-			stats.EntriesTouched += next.remove(op.Remove)
+		if op.Remove != nil && next.remove(op.Remove) {
+			stats.EntriesTouched++
 		}
 		if op.Add != nil {
-			stats.EntriesTouched += next.add(op.Add)
+			next.add(op.Add)
+			stats.EntriesTouched++
 		}
 	}
 	if next.gen == nil { // add or remove changed the member types
@@ -236,9 +197,9 @@ func (s *Set) Apply(ops []Op) (*Set, ApplyStats) {
 	return &next, stats
 }
 
-// add appends d to its extent and every covering field index. Called on a
-// successor under construction only.
-func (next *Set) add(d *dynamic.Dynamic) int {
+// add appends d to its extent. Called on a successor under construction
+// only.
+func (next *Set) add(d *dynamic.Dynamic) {
 	e := Entry{Dyn: d, Seq: next.seq}
 	next.seq++
 	next.total++
@@ -255,44 +216,23 @@ func (next *Set) add(d *dynamic.Dynamic) int {
 		next.gen = nil // a new member type: Apply starts a generation
 	}
 	next.byType = next.byType.Set(key, &Extent{in: in, items: items})
-	touched := 1
-	next.fields.Range(func(l string, fi *FieldIndex) bool {
-		member, odd := fi.hasField(in)
-		if !member && !odd {
-			return true
-		}
-		nf := *fi
-		if !had {
-			nf.covers = nf.covers.Set(key, struct{}{})
-		}
-		if odd {
-			nf.odd++
-		} else {
-			nf.defined++
-		}
-		next.fields = next.fields.Set(l, &nf)
-		touched++
-		return true
-	})
-	return touched
 }
 
-// remove deletes d from its extent and every covering field index,
-// reporting entries touched. Called on a successor under construction
-// only.
-func (next *Set) remove(d *dynamic.Dynamic) int {
+// remove deletes d from its extent, reporting whether it was a member.
+// Called on a successor under construction only.
+func (next *Set) remove(d *dynamic.Dynamic) bool {
 	in := d.Interned()
 	key := in.Key()
 	ext, ok := next.byType.Get(key)
 	if !ok {
-		return 0
+		return false
 	}
 	i := 0
 	for i < len(ext.items) && ext.items[i].Dyn != d {
 		i++
 	}
 	if i == len(ext.items) {
-		return 0
+		return false
 	}
 	items := removeAt(ext.items, i)
 	next.total--
@@ -302,59 +242,19 @@ func (next *Set) remove(d *dynamic.Dynamic) int {
 	} else {
 		next.byType = next.byType.Set(key, &Extent{in: in, items: items})
 	}
-	touched := 1
-	next.fields.Range(func(l string, fi *FieldIndex) bool {
-		member, odd := fi.hasField(in)
-		if !member && !odd {
-			return true
-		}
-		nf := *fi
-		if len(items) == 0 {
-			nf.covers = nf.covers.Delete(key)
-		}
-		if odd {
-			nf.odd--
-		} else {
-			nf.defined--
-		}
-		next.fields = next.fields.Set(l, &nf)
-		touched++
-		return true
-	})
-	return touched
+	return true
 }
 
-// WithField returns the successor Set with a field index declared and
-// backfilled from the current membership. Declaring an existing field is
-// the identity. Single-successor rule applies.
+// WithField returns the successor Set with a field index declared.
+// Declaring an existing field is the identity.
 func (s *Set) WithField(d Def) *Set {
-	if _, ok := s.fields.Get(d.Field); ok {
+	i, ok := slices.BinarySearch(s.fields, d.Field)
+	if ok {
 		return s
 	}
 	next := *s
-	next.fields = next.fields.Set(d.Field, s.fill(d.Field))
+	next.fields = slices.Insert(slices.Clone(s.fields), i, d.Field)
 	return &next
-}
-
-// fill builds the field index on label over s's membership in one pass.
-func (s *Set) fill(label string) *FieldIndex {
-	fi := newFieldIndex(label)
-	var covered []string
-	s.byType.Range(func(key string, ext *Extent) bool {
-		member, odd := fi.hasField(ext.in)
-		switch {
-		case odd:
-			fi.odd += len(ext.items)
-		case member:
-			fi.defined += len(ext.items)
-		default:
-			return true
-		}
-		covered = append(covered, key)
-		return true
-	})
-	fi.covers = pmap.Build(covered, make([]struct{}, len(covered)))
-	return fi
 }
 
 // Fork returns a copy of s whose every extent is clipped to its length,
@@ -379,11 +279,12 @@ func (s *Set) Fork() *Set {
 // DropField returns the successor Set without the field index, and
 // whether it was declared.
 func (s *Set) DropField(label string) (*Set, bool) {
-	if _, ok := s.fields.Get(label); !ok {
+	i, ok := slices.BinarySearch(s.fields, label)
+	if !ok {
 		return s, false
 	}
 	next := *s
-	next.fields = next.fields.Delete(label)
+	next.fields = slices.Delete(slices.Clone(s.fields), i, i+1)
 	return &next, true
 }
 
@@ -497,28 +398,39 @@ func (s *Set) MatchStats(want *types.Interned) (result, matched int) {
 // caller must still check every candidate against the requested type. ok
 // is false when the field is not indexed.
 func (s *Set) Candidates(field string) (entries []Entry, ok bool) {
-	fi, ok := s.fields.Get(field)
-	if !ok {
-		return nil, false
-	}
-	parts := make([][]Entry, 0, fi.covers.Len())
-	fi.covers.Range(func(key string, _ struct{}) bool {
-		if ext, ok := s.byType.Get(key); ok {
-			parts = append(parts, ext.items)
-		}
-		return true
-	})
-	return mergeBySeq(parts, fi.defined+fi.odd), true
+	parts, total, ok := s.covering(field)
+	return mergeBySeq(parts, total), ok
 }
 
 // CandidateCount sizes a field index's candidate set without materializing
 // it; ok is false when the field is not indexed.
 func (s *Set) CandidateCount(field string) (n int, ok bool) {
-	fi, ok := s.fields.Get(field)
-	if !ok {
-		return 0, false
+	_, n, ok = s.covering(field)
+	return n, ok
+}
+
+// covering returns the extents a declared field index derives its
+// candidates from (see the package comment) and their member count; ok is
+// false when the field is not indexed.
+func (s *Set) covering(field string) (parts [][]Entry, total int, ok bool) {
+	if _, ok := slices.BinarySearch(s.fields, field); !ok {
+		return nil, 0, false
 	}
-	return fi.defined + fi.odd, true
+	bit := types.LabelBit(field)
+	s.byType.Range(func(_ string, e *Extent) bool {
+		if rt, isRec := e.in.Type().(*types.Record); isRec {
+			if rt.LabelBits()&bit == 0 {
+				return true // signature: the field cannot be present
+			}
+			if _, has := rt.Lookup(field); !has {
+				return true
+			}
+		}
+		parts = append(parts, e.items)
+		total += len(e.items)
+		return true
+	})
+	return parts, total, true
 }
 
 // Rebuild constructs a Set from scratch in one pass: members added in the
@@ -528,7 +440,7 @@ func (s *Set) CandidateCount(field string) (n int, ok bool) {
 // the committed roots, so an index can never be ahead of the durable
 // state.
 func Rebuild(members []*dynamic.Dynamic, defs ...Def) *Set {
-	s := &Set{seq: uint64(len(members)), total: len(members), gen: new(typeGen)}
+	s := &Set{seq: uint64(len(members)), total: len(members), fields: labels(defs), gen: new(typeGen)}
 	byType := map[*types.Interned]*Extent{}
 	for i, d := range members {
 		in := d.Interned()
@@ -549,8 +461,5 @@ func Rebuild(members []*dynamic.Dynamic, defs ...Def) *Set {
 		keys[i] = ext.in.Key()
 	}
 	s.byType = pmap.Build(keys, exts)
-	for _, d := range defs {
-		s.fields = s.fields.Set(d.Field, s.fill(d.Field))
-	}
 	return s
 }

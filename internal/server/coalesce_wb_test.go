@@ -431,7 +431,8 @@ func TestCoalescerAcksOnlyAfterFsync(t *testing.T) {
 				case <-time.After(20 * time.Millisecond):
 				}
 				cur := srv.state.Load()
-				if _, ok := cur.roots.Get(op.name); ok || cur.idx.Field(op.name) != nil {
+				_, bound := cur.roots.Get(op.name)
+				if _, declared := cur.idx.CandidateCount(op.name); bound || declared {
 					t.Fatalf("%q published with its fsync held", op.name)
 				}
 				if h := healthOf(t, srv); h.DurableEnd != durable {

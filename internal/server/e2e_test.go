@@ -221,7 +221,7 @@ func TestE2ETransactions(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The session sees its overlay...
+	// The session sees its own writes...
 	inTxn, err := s.Get(employeeT)
 	if err != nil {
 		t.Fatal(err)
@@ -352,6 +352,63 @@ func TestE2ETxnReadsWhatCommitPublishes(t *testing.T) {
 			t.Errorf("JOIN [%d]: in the transaction %s, after COMMIT %s", i, inJoin[i], afterJoin[i])
 		}
 	}
+}
+
+// replyNames lists the Name fields of a GET reply in reply order.
+func replyNames(ps []client.Packed) []string {
+	out := make([]string, len(ps))
+	for i, p := range ps {
+		n, _ := p.Value.(*value.Record).Get("Name")
+		out[i] = string(n.(value.String))
+	}
+	return out
+}
+
+// TestE2ETxnViewIsolatedFromLaterCommits: a transaction's view of an
+// extent stays its own while another client commits into the same extent.
+// e1–e3 leave the extent spare capacity; A buffers x and reads, B
+// autocommits y, and A reads again. A sees [e1 e2 e3 x] both times, B
+// sees [e1 e2 e3 y], and after A's COMMIT both see [e1 e2 e3 y x]. A view
+// that appended x into the extent array B's commit appends to would show
+// A y instead.
+func TestE2ETxnViewIsolatedFromLaterCommits(t *testing.T) {
+	h := boot(t, filepath.Join(t.TempDir(), "txnview.log"))
+	a, b := dial(t, h, nil), dial(t, h, nil)
+	for i, name := range []string{"e1", "e2", "e3"} {
+		if err := a.Put(name, emp(name, int64(i), "Sales"), employeeT); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func(who string, g interface {
+		Get(types.Type) ([]client.Packed, error)
+	}, want ...string) {
+		t.Helper()
+		got, err := g.Get(employeeT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if names := replyNames(got); !reflect.DeepEqual(names, want) {
+			t.Errorf("%s GET = %v, want %v", who, names, want)
+		}
+	}
+	s, err := a.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("x", emp("x", 9, "Sales"), employeeT); err != nil {
+		t.Fatal(err)
+	}
+	get("A before B's commit", s, "e1", "e2", "e3", "x")
+	if err := b.Put("y", emp("y", 8, "Sales"), employeeT); err != nil {
+		t.Fatal(err)
+	}
+	get("A after B's commit", s, "e1", "e2", "e3", "x")
+	get("B", b, "e1", "e2", "e3", "y")
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	get("A after COMMIT", a, "e1", "e2", "e3", "y", "x")
+	get("B after A's COMMIT", b, "e1", "e2", "e3", "y", "x")
 }
 
 // TestE2EReconnectAfterRestart mirrors the crash-matrix style of the

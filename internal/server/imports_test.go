@@ -6,7 +6,7 @@ import (
 )
 
 // TestImportBoundary: the server answers every read from index.Set alone,
-// so its non-test files import neither the sharded core.Database nor the
+// so its non-test files import neither the library core.Database nor the
 // learned access-path planner.
 func TestImportBoundary(t *testing.T) {
 	pkg, err := build.ImportDir(".", 0)

@@ -282,8 +282,8 @@ func TestStatsIndexCounters(t *testing.T) {
 	if nested+partition < 1 {
 		t.Errorf("plan_join_total sums to %d, want >= 1", nested+partition)
 	}
-	if touched, _ := snap.Counter("dbpl_index_entries_touched_total"); touched < 6 {
-		t.Errorf("index_entries_touched_total = %d, want >= 6 (each PUT maintains the index)", touched)
+	if touched, _ := snap.Counter("dbpl_index_entries_touched_total"); touched != 6 {
+		t.Errorf("index_entries_touched_total = %d, want 6 (each PUT adds one extent entry)", touched)
 	}
 	if defs, _ := snap.Gauge("dbpl_index_defs"); defs != 1 {
 		t.Errorf("index_defs gauge = %d, want 1", defs)

@@ -52,7 +52,7 @@ type serverMetrics struct {
 	// JOIN plan decisions, and index-maintenance work done at commit.
 	joinNested    *telemetry.Counter // JOIN planned nested-loop
 	joinPartition *telemetry.Counter // JOIN planned build/probe
-	indexTouched  *telemetry.Counter // index entries touched at commit
+	indexTouched  *telemetry.Counter // extent entries touched at commit
 
 	// Replication. The shipped side counts what this server streamed to
 	// followers; the applied side counts what this server (as a follower)

@@ -9,10 +9,11 @@
 //
 // The server owns one intrinsic store (durability) and publishes, through
 // an atomic pointer, an immutable *state*: the committed root bindings
-// plus one index.Set — the maintained extents and declared field indexes
-// over the same dynamics, the only membership structure every read path
-// shares. Readers (GET, JOIN, NAMES outside a transaction) load the
-// pointer and run lock-free against that snapshot — they can never
+// plus one index.Set — the maintained extents over the same dynamics, the
+// only membership structure, with the declared field-index labels. Every
+// read (GET, JOIN, NAMES, EXPLAIN) answers from one state; outside a
+// transaction that is the published one: readers load the pointer and
+// run lock-free against that snapshot — they can never
 // observe a commit in progress, because the pointer is swapped only after
 // the store's commit group is durable. Writers buffer per session and
 // hand each commit to one committer goroutine (coalesce.go), which
@@ -35,11 +36,11 @@
 // Each connection is a session. Outside BEGIN, PUT and DELETE autocommit
 // (a one-operation commit group). BEGIN pins the session to the state
 // current at that moment and buffers subsequent PUT/DELETE; the session's
-// own reads see its buffered writes overlaid on the pinned snapshot
-// (read-your-writes at repeatable-read isolation), in the order the same
-// read returns right after COMMIT, while every other session keeps
-// reading the published committed state. COMMIT turns the buffer into one
-// commit group; ABORT discards it. Conflicts are resolved
+// own reads answer from the state its COMMIT would publish over the pin —
+// the same state.apply, over a Fork of the pinned index.Set
+// (read-your-writes at repeatable-read isolation) — while every other
+// session keeps reading the published committed state. COMMIT turns the
+// buffer into one commit group; ABORT discards it. Conflicts are resolved
 // last-writer-wins per root name at commit time.
 //
 // # Shutdown
@@ -59,7 +60,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -220,11 +220,12 @@ const (
 	replChunk = 256 << 10
 )
 
-// state is one immutable committed view: the root bindings and the
-// maintained extents + field indexes over the same dynamics, which every
-// read path shares. Published through Server.state; never mutated after
-// publication. Both tables are persistent (internal/pmap), so a successor
-// shares everything but the paths to what its commit changed.
+// state is one immutable view of the database: the root bindings and the
+// maintained extents over the same dynamics, from which every read
+// answers. Published through Server.state, or built as a transaction's
+// view (session.view); never mutated after publication. Both tables are
+// persistent (internal/pmap), so a successor shares everything but the
+// paths to what its commit changed.
 type state struct {
 	roots pmap.Map[*dynamic.Dynamic]
 	idx   *index.Set
@@ -639,12 +640,32 @@ type session struct {
 	inTxn bool
 	base  *state // snapshot pinned at BEGIN
 	ops   []txnOp
-	// overlay indexes the last buffered op per name, for read-your-writes.
-	overlay map[string]int
+	// cur is base with ops applied, built by view on the first read after
+	// a buffered write and dropped by buffer; nil until then.
+	cur *state
 	// tr is the current request's span tree, nil when the request is
 	// unsampled. Set by serveConn around each dispatch; handlers thread
-	// it into the plan/commit paths.
+	// it into the exec and commit spans.
 	tr *rtrace.Trace
+}
+
+// view returns the one state every read of the session answers from:
+// outside a transaction the published state, inside one the state its
+// COMMIT would publish over the pinned snapshot. That is base itself
+// while nothing is buffered, else state.apply of the buffer over a Fork
+// of base's index.Set: base is a published Set whose lineage keeps
+// advancing, so applying to it directly would append into extents the
+// committer appends to too (the single-successor rule).
+func (sess *session) view(s *Server) *state {
+	switch {
+	case !sess.inTxn:
+		return s.state.Load()
+	case len(sess.ops) == 0:
+		return sess.base
+	case sess.cur == nil:
+		sess.cur, _ = (&state{roots: sess.base.roots, idx: sess.base.idx.Fork()}).apply(sess.ops)
+	}
+	return sess.cur
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -927,7 +948,7 @@ func (s *Server) handleBegin(sess *session, _ [][]byte) (byte, [][]byte) {
 	sess.inTxn = true
 	sess.base = s.state.Load()
 	sess.ops = nil
-	sess.overlay = map[string]int{}
+	sess.cur = nil
 	return wire.OpOK, nil
 }
 
@@ -958,12 +979,15 @@ func (s *Server) handleAbort(sess *session, _ [][]byte) (byte, [][]byte) {
 	return wire.OpOK, nil
 }
 
+// handleNames lists the root names of the session's view, sorted (the
+// root table is ordered by name).
 func (s *Server) handleNames(sess *session, _ [][]byte) (byte, [][]byte) {
-	names := sess.viewNames(s)
-	out := make([][]byte, len(names))
-	for i, n := range names {
-		out[i] = []byte(n)
-	}
+	roots := sess.view(s).roots
+	out := make([][]byte, 0, roots.Len())
+	roots.Range(func(n string, _ *dynamic.Dynamic) bool {
+		out = append(out, []byte(n))
+		return true
+	})
 	return wire.OpOK, out
 }
 
@@ -971,7 +995,7 @@ func (sess *session) endTxn() {
 	sess.inTxn = false
 	sess.base = nil
 	sess.ops = nil
-	sess.overlay = nil
+	sess.cur = nil
 }
 
 func errResp(we *wire.WireError) (byte, [][]byte) {
@@ -1056,7 +1080,7 @@ func (s *Server) handleGet(sess *session, fields [][]byte) (byte, [][]byte) {
 		return errResp(toWireError(err))
 	}
 	esp := sess.tr.Start(0, "exec")
-	entries := sess.get(s.state.Load(), ws[0])
+	entries, _ := sess.view(s).idx.GetEntries(ws[0])
 	sess.tr.End(esp)
 	out := make([][]byte, len(entries))
 	for i, e := range entries {
@@ -1083,83 +1107,15 @@ func internTypes(fields [][]byte) ([2]*types.Interned, error) {
 	return ws, nil
 }
 
-// get answers GET for want as the session sees the database: the union of
-// the matching maintained extents of st, the published state the caller
-// loaded — one atomic load, then lock-free — or, inside a transaction,
-// the session's overlay view. The result may alias an extent and must not
-// be mutated.
-func (sess *session) get(st *state, want *types.Interned) []index.Entry {
-	if sess.inTxn {
-		return sess.overlayGet(want)
-	}
+// relationOf is the relation JOIN reads for want from st: GET's answer,
+// as values.
+func relationOf(st *state, want *types.Interned) *relation.Relation {
 	entries, _ := st.idx.GetEntries(want)
-	return entries
-}
-
-// overlayGet is GET inside a transaction: the extents of the snapshot
-// pinned at BEGIN minus the roots the session has written, then each
-// name's last buffered PUT in buffer order. That is the order the same
-// GET returns right after COMMIT publishes the buffer, because the commit
-// removes each written root and appends its new binding op by op. A
-// buffered write carries no sequence number: its entry's Seq is zero.
-func (sess *session) overlayGet(want *types.Interned) []index.Entry {
-	base, _ := sess.base.idx.GetEntries(want)
-	shadowed := make(map[*dynamic.Dynamic]bool, len(sess.overlay))
-	for n := range sess.overlay {
-		if d, ok := sess.base.roots.Get(n); ok {
-			shadowed[d] = true
-		}
-	}
-	out := make([]index.Entry, 0, len(base))
-	for _, e := range base {
-		if !shadowed[e.Dyn] {
-			out = append(out, e)
-		}
-	}
-	for i, op := range sess.ops {
-		if !op.del && sess.overlay[op.name] == i && op.dyn.IsInterned(want) {
-			out = append(out, index.Entry{Dyn: op.dyn})
-		}
-	}
-	return out
-}
-
-// viewNames lists the root names visible to the session, sorted: the
-// published state's outside a transaction, the overlay view inside one.
-func (sess *session) viewNames(s *Server) []string {
-	st := sess.base
-	if !sess.inTxn {
-		st = s.state.Load()
-	}
-	names := make([]string, 0, st.roots.Len()+len(sess.overlay))
-	st.roots.Range(func(n string, _ *dynamic.Dynamic) bool {
-		if _, shadowed := sess.overlay[n]; !shadowed {
-			names = append(names, n)
-		}
-		return true
-	})
-	for n, i := range sess.overlay {
-		if !sess.ops[i].del {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
-// values lists the members' values, for the relation layer.
-func values(entries []index.Entry) []value.Value {
 	vals := make([]value.Value, len(entries))
 	for i, e := range entries {
 		vals[i] = e.Dyn.Value()
 	}
-	return vals
-}
-
-// joinInputs is the two relations a JOIN of w1 and w2 reads, both from
-// one view of the database (see get).
-func (sess *session) joinInputs(st *state, w1, w2 *types.Interned) (r1, r2 *relation.Relation) {
-	return relation.New(values(sess.get(st, w1))...), relation.New(values(sess.get(st, w2))...)
+	return relation.New(vals...)
 }
 
 func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
@@ -1170,7 +1126,8 @@ func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
 	if err != nil {
 		return errResp(toWireError(err))
 	}
-	r1, r2 := sess.joinInputs(s.state.Load(), ws[0], ws[1])
+	st := sess.view(s)
+	r1, r2 := relationOf(st, ws[0]), relationOf(st, ws[1])
 	jp := relation.PlanJoin(r1, r2)
 	if jp.Partition {
 		s.m.joinPartition.Inc()
@@ -1232,12 +1189,7 @@ func (s *Server) handleDelete(sess *session, fields [][]byte) (byte, [][]byte) {
 	name := string(fields[0])
 	op := txnOp{name: name, del: true}
 	if sess.inTxn {
-		existed := false
-		if i, ok := sess.overlay[name]; ok {
-			existed = !sess.ops[i].del
-		} else {
-			_, existed = sess.base.roots.Get(name)
-		}
+		_, existed := sess.view(s).roots.Get(name)
 		sess.buffer(op)
 		return wire.OpOK, [][]byte{boolField(existed)}
 	}
@@ -1265,7 +1217,7 @@ func (s *Server) handleDropIndex(sess *session, fields [][]byte) (byte, [][]byte
 }
 
 // handleIndexDDL is CREATEINDEX and DROPINDEX (drop): declare a
-// field-value index, backfilled from the committed membership, or retire
+// field-value index, whose candidates derive from the extents, or retire
 // one. Either is one commit op through the committer, so it is poison-
 // and role-gated, deduplicated by its key and durable before the ack in
 // every durability mode. The *definition* is durable (an 'X' record in
@@ -1296,10 +1248,11 @@ func (s *Server) handleIndexDDL(sess *session, fields [][]byte, name string, dro
 }
 
 // handleExplain is the EXPLAIN opcode: one type field renders the exact
-// counts behind the GET the session would run right now, two render the
-// JOIN plan. Both read the session's view — inside a transaction, the
-// pinned snapshot plus the overlay. Pure read: no join runs and no value
-// is encoded.
+// counts behind the GET the session would run right now as
+// "get n=… types=… matched=… result=…" — the visible members and their
+// distinct types, the types conforming to the query and the members GET
+// returns — and two render the JOIN plan. Both read the session's view.
+// Pure read: no join runs and no value is encoded.
 func (s *Server) handleExplain(sess *session, fields [][]byte) (byte, [][]byte) {
 	if len(fields) != 1 && len(fields) != 2 {
 		return badReq("EXPLAIN wants 1 or 2 fields, got %d", len(fields))
@@ -1308,37 +1261,13 @@ func (s *Server) handleExplain(sess *session, fields [][]byte) (byte, [][]byte) 
 	if err != nil {
 		return errResp(toWireError(err))
 	}
-	st := s.state.Load()
+	st := sess.view(s)
 	if len(fields) == 1 {
-		return wire.OpOK, [][]byte{[]byte(sess.explainGet(st, ws[0]))}
+		result, matched := st.idx.MatchStats(ws[0])
+		plan := fmt.Sprintf("get n=%d types=%d matched=%d result=%d", st.idx.Len(), st.idx.Types(), matched, result)
+		return wire.OpOK, [][]byte{[]byte(plan)}
 	}
-	r1, r2 := sess.joinInputs(st, ws[0], ws[1])
-	return wire.OpOK, [][]byte{[]byte(relation.PlanJoin(r1, r2).String())}
-}
-
-// explainGet renders the GET for want over the session's view (see get)
-// as "get n=… types=… matched=… result=…": the visible members and their
-// distinct types, the types conforming to want and the members GET
-// returns. Outside a transaction MatchStats counts them through GET's memo.
-func (sess *session) explainGet(st *state, want *types.Interned) string {
-	var n, nTypes, matched, result int
-	if sess.inTxn {
-		all, got := sess.overlayGet(types.Intern(types.Top)), sess.overlayGet(want)
-		n, nTypes, matched, result = len(all), distinctTypes(all), distinctTypes(got), len(got)
-	} else {
-		n, nTypes = st.idx.Len(), st.idx.Types()
-		result, matched = st.idx.MatchStats(want)
-	}
-	return fmt.Sprintf("get n=%d types=%d matched=%d result=%d", n, nTypes, matched, result)
-}
-
-// distinctTypes counts the member types among entries.
-func distinctTypes(entries []index.Entry) int {
-	seen := make(map[*types.Interned]struct{}, 8)
-	for _, e := range entries {
-		seen[e.Dyn.Interned()] = struct{}{}
-	}
-	return len(seen)
+	return wire.OpOK, [][]byte{[]byte(relation.PlanJoin(relationOf(st, ws[0]), relationOf(st, ws[1])).String())}
 }
 
 func boolField(b bool) []byte {
@@ -1350,7 +1279,7 @@ func boolField(b bool) []byte {
 
 func (sess *session) buffer(op txnOp) {
 	sess.ops = append(sess.ops, op)
-	sess.overlay[op.name] = len(sess.ops) - 1
+	sess.cur = nil
 }
 
 // commit turns ops into one durable commit group and publishes the
