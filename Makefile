@@ -30,7 +30,7 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Regenerate every experiment (E1–E19) as paper-style tables.
+# Regenerate every experiment (E1–E11, E16–E19) as paper-style tables.
 report:
 	$(GO) run ./cmd/benchreport
 

@@ -602,8 +602,11 @@ func (c *Client) ExplainGet(t types.Type) (string, error) {
 	return decodeText(c.readCall(wire.OpExplain, mustTypeField(t)))
 }
 
-// ExplainJoin renders the join plan (nested-loop or build/probe
-// partition) for joining the extents at t1 and t2.
+// ExplainJoin renders the join plan for joining GET's answers at t1 and
+// t2 without running the join: "join left=… right=… pairs=…", the two
+// sides' sizes and the exact number of member pairs the join will try,
+// followed by "attr=… build=left|right" when it partitions on a shared
+// atomic label.
 func (c *Client) ExplainJoin(t1, t2 types.Type) (string, error) {
 	return decodeText(c.readCall(wire.OpExplain, mustTypeField(t1), mustTypeField(t2)))
 }
@@ -731,6 +734,11 @@ func (s *Session) Get(t types.Type) ([]Packed, error) {
 // Commit would publish over the snapshot pinned at Begin.
 func (s *Session) ExplainGet(t types.Type) (string, error) {
 	return decodeText(s.roundTrip(wire.OpExplain, mustTypeField(t)))
+}
+
+// ExplainJoin is Client.ExplainJoin over the session's view.
+func (s *Session) ExplainJoin(t1, t2 types.Type) (string, error) {
+	return decodeText(s.roundTrip(wire.OpExplain, mustTypeField(t1), mustTypeField(t2)))
 }
 
 // Put buffers a binding in the transaction.

@@ -816,8 +816,8 @@ func e16AccessPaths() {
 		"measured", tScan, tExtent, tIndex, cand)
 	fmt.Printf("%-14s | %s\n", "planner", p)
 
-	// Regime 3: the join planner replaces the fixed "both sides >= 16"
-	// threshold with the same cost discipline.
+	// Regime 3: the join planner counts the pairs each plan would try and
+	// picks the fewest.
 	jn := 1000
 	if *quick {
 		jn = 200

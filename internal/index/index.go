@@ -41,18 +41,20 @@
 //
 // # Field indexes
 //
-// A Def declares an index on a record field label; the Set keeps only
-// the declared labels. A field index is derived from the extents, never
-// maintained beside them: its candidates are the union, in insertion
-// order, of the extents whose type can possibly conform to a record type
-// requiring the field — a record type carrying the label (the 64-bit
-// label signatures from the interning layer, types.LabelBit, make most
-// rejections one mask check), or, conservatively, not a record type at
-// all. So declaring, dropping and committing cost nothing per field. No
-// GET reads a field index: Candidates and CandidateCount are kept for E16
-// and the bench replay until ROADMAP 5 deletes the replay. The index is a
-// sound prefilter, never a verdict — every candidate must still be
-// checked against the requested type.
+// A Def declares an index on a record field label, fixed when the Set is
+// built (NewSet, Rebuild) and inherited by every successor. A field index
+// is derived from the extents, never maintained beside them: its
+// candidates are the union, in insertion order, of the extents whose type
+// can possibly conform to a record type requiring the field — a record
+// type carrying the label (the 64-bit label signatures from the interning
+// layer, types.LabelBit, make most rejections one mask check), or,
+// conservatively, not a record type at all. So committing costs nothing
+// per field. No GET reads a field index, and the server's Sets declare
+// none — its index definitions live in the store's log alone:
+// Candidates and CandidateCount are kept for E16 and the bench replay
+// until ROADMAP 5 deletes the replay. The index is a sound prefilter,
+// never a verdict — every candidate must still be checked against the
+// requested type.
 package index
 
 import (
@@ -113,8 +115,8 @@ func (e *Extent) Items() []Entry { return e.items }
 func (e *Extent) Len() int { return len(e.items) }
 
 // Set is an immutable collection of maintained extents over one committed
-// membership, with the declared field-index labels; see the package
-// comment for the copy-on-write discipline.
+// membership, with the field-index labels it was built with; see the
+// package comment for the copy-on-write discipline and field indexes.
 type Set struct {
 	seq    uint64            // next sequence number to assign
 	total  int               // members across all extents
@@ -155,15 +157,6 @@ func (s *Set) Types() int { return s.byType.Len() }
 func (s *Set) Extent(in *types.Interned) *Extent {
 	e, _ := s.byType.Get(in.Key())
 	return e
-}
-
-// Defs returns the declared field indexes in sorted label order.
-func (s *Set) Defs() []Def {
-	out := make([]Def, len(s.fields))
-	for i, l := range s.fields {
-		out[i] = Def{Field: l}
-	}
-	return out
 }
 
 // removeAt returns a copy of items without items[i], with room for the
@@ -245,18 +238,6 @@ func (next *Set) remove(d *dynamic.Dynamic) bool {
 	return true
 }
 
-// WithField returns the successor Set with a field index declared.
-// Declaring an existing field is the identity.
-func (s *Set) WithField(d Def) *Set {
-	i, ok := slices.BinarySearch(s.fields, d.Field)
-	if ok {
-		return s
-	}
-	next := *s
-	next.fields = slices.Insert(slices.Clone(s.fields), i, d.Field)
-	return &next
-}
-
 // Fork returns a copy of s whose every extent is clipped to its length,
 // so that no append through the copy can write into an array another Set
 // still extends. That makes the fork the one exception to the
@@ -274,18 +255,6 @@ func (s *Set) Fork() *Set {
 	})
 	next.byType = pmap.Build(keys, exts)
 	return &next
-}
-
-// DropField returns the successor Set without the field index, and
-// whether it was declared.
-func (s *Set) DropField(label string) (*Set, bool) {
-	i, ok := slices.BinarySearch(s.fields, label)
-	if !ok {
-		return s, false
-	}
-	next := *s
-	next.fields = slices.Delete(slices.Clone(s.fields), i, i+1)
-	return &next, true
 }
 
 // mergeBySeq restores global insertion order across seq-ascending parts

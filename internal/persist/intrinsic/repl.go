@@ -245,8 +245,8 @@ func groupBoundary(buf []byte, types typeImages) (int64, int, error) {
 }
 
 // GroupDelta reports what ApplyGroup changed, in the vocabulary the server
-// needs to advance its published state: which roots were (re)bound, which
-// disappeared, and whether the index-definition table changed.
+// needs to advance its published state: which roots were (re)bound and
+// which disappeared.
 type GroupDelta struct {
 	Start, End int64 // the log offsets the bytes occupy
 	Groups     int   // commit groups applied
@@ -254,8 +254,6 @@ type GroupDelta struct {
 	// Removed names roots no longer in the table, sorted.
 	Changed []string
 	Removed []string
-	// DefsChanged reports that the declared index-field set changed.
-	DefsChanged bool
 }
 
 // ApplyGroup verifies raw — one or more whole commit groups that must
@@ -358,21 +356,6 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 		}
 		s.applyOverlay = nil
 	}
-	var nextDefs map[string]bool
-	if fold.sawDefs {
-		nextDefs = make(map[string]bool, len(fold.defs))
-		for _, f := range fold.defs {
-			nextDefs[f] = true
-		}
-		delta.DefsChanged = len(nextDefs) != len(s.indexDefs)
-		for f := range nextDefs {
-			if !s.indexDefs[f] {
-				delta.DefsChanged = true
-				break
-			}
-		}
-	}
-
 	// 3. Durable append — the shared write path with local commits.
 	if err := s.appendBytes(raw); err != nil {
 		return delta, err
@@ -405,7 +388,10 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 		delta.Changed = append(delta.Changed, e.name)
 	}
 	if fold.sawDefs {
-		s.indexDefs = nextDefs
+		s.indexDefs = make(map[string]bool, len(fold.defs))
+		for _, f := range fold.defs {
+			s.indexDefs[f] = true
+		}
 		s.defsDirty = false
 	}
 	if fold.sawEpoch {

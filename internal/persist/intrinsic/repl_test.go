@@ -181,10 +181,13 @@ func TestApplyGroupDelta(t *testing.T) {
 
 	want := []GroupDelta{
 		{Changed: []string{"emp", "tag"}},
-		{Changed: []string{"emps"}, DefsChanged: true},
+		{Changed: []string{"emps"}},
 		{Changed: []string{"tag"}, Removed: []string{"emp"}},
 		{Changed: []string{"n"}},
 	}
+	// The index definitions the follower holds after each group: the
+	// second declares Empno.
+	wantDefs := [][]string{{}, {"Empno"}, {"Empno"}, {"Empno"}}
 	at := f.DurableEnd()
 	for i, g := range groups {
 		delta, err := f.ApplyGroup(g)
@@ -197,11 +200,12 @@ func TestApplyGroupDelta(t *testing.T) {
 		}
 		at = delta.End
 		if !reflect.DeepEqual(delta.Changed, want[i].Changed) ||
-			!reflect.DeepEqual(delta.Removed, want[i].Removed) ||
-			delta.DefsChanged != want[i].DefsChanged {
-			t.Fatalf("group %d delta = {Changed:%v Removed:%v Defs:%v}, want {Changed:%v Removed:%v Defs:%v}",
-				i, delta.Changed, delta.Removed, delta.DefsChanged,
-				want[i].Changed, want[i].Removed, want[i].DefsChanged)
+			!reflect.DeepEqual(delta.Removed, want[i].Removed) {
+			t.Fatalf("group %d delta = {Changed:%v Removed:%v}, want {Changed:%v Removed:%v}",
+				i, delta.Changed, delta.Removed, want[i].Changed, want[i].Removed)
+		}
+		if defs := f.IndexDefs(); !reflect.DeepEqual(defs, wantDefs[i]) {
+			t.Fatalf("group %d: follower's index definitions %v, want %v", i, defs, wantDefs[i])
 		}
 	}
 }

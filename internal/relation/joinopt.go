@@ -2,7 +2,7 @@ package relation
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"dbpl/internal/value"
 )
@@ -15,179 +15,102 @@ import (
 // whose atoms agree — plus the members *silent* on the attribute, which,
 // like the paper's N Bug tuple, remain joinable with everything.
 //
-// The optimization never changes the result; TestQuickJoinFastEquals
-// checks equivalence on random partial relations, and BenchmarkJoin
-// measures the effect (the E1 ablation).
+// The plan is chosen from exact counts, not estimates: for every shared
+// label the planner counts the value.Join attempts a partition on it would
+// make, and partitions on the cheapest only when that beats the |R|·|S|
+// attempts of the nested loop. The optimization never changes the result
+// (TestQuickJoinPlannedEquals); BenchmarkJoin measures the effect (the E1
+// ablation).
 
-// joinAttrStats describes how useful an attribute is as a hash key.
-type joinAttrStats struct {
-	label    string
-	distinct int
-	silent   int // members not defining the attribute, or non-atomically
-}
-
-// pickJoinAttr selects the attribute with the best selectivity: maximal
-// distinct atom count, minimal silent members. Returns false when no
-// attribute is shared usefully.
-func pickJoinAttr(r, s *Relation) (string, bool) {
-	stats := func(rel *Relation) map[string]*joinAttrStats {
-		out := map[string]*joinAttrStats{}
-		for _, m := range rel.elems {
-			rec, ok := m.(*value.Record)
-			if !ok {
-				continue
-			}
-			rec.Each(func(l string, v value.Value) {
-				st, ok := out[l]
-				if !ok {
-					st = &joinAttrStats{label: l}
-					out[l] = st
-				}
-				if isAtom(v) {
-					st.distinct++ // counts occurrences; good enough as a proxy
-				} else {
-					st.silent++
-				}
-			})
-		}
-		return out
-	}
-	rs, ss := stats(r), stats(s)
-	best := ""
-	bestScore := -1
-	for l, a := range rs {
-		b, ok := ss[l]
-		if !ok {
-			continue
-		}
-		// Score: members that actually define the attribute atomically on
-		// both sides; penalize non-atomic occurrences (those members fall
-		// into the wildcard bucket anyway).
-		score := a.distinct + b.distinct - 2*(a.silent+b.silent)
-		if score > bestScore {
-			bestScore = score
-			best = l
-		}
-	}
-	if bestScore <= 0 {
-		return "", false
-	}
-	return best, true
-}
-
-// JoinCosts are the cost-model coefficients for the join planner, in
-// nanoseconds. PlanJoinWith takes them explicitly; everything else,
-// including the server's JOIN and EXPLAIN, plans with DefaultJoinCosts.
-type JoinCosts struct {
-	PairNs  float64 // one value.Join attempt
-	HashNs  float64 // hashing one member into a bucket
-	SetupNs float64 // fixed partition overhead (map allocation)
-}
-
-// DefaultJoinCosts are fixed priors, measured on the E1/E16
-// microbenchmarks. Nothing learns or replaces them at run time; only their
-// ordering needs to be roughly right, since they decide nested-loop against
-// partition and nothing finer.
-var DefaultJoinCosts = JoinCosts{PairNs: 150, HashNs: 120, SetupNs: 2000}
-
-// JoinPlan is the planner's verdict for one join: whether to hash-
-// partition at all, on which attribute, and which side to build the hash
-// table from (the probe side streams). The zero value means nested-loop.
+// JoinPlan is the planner's verdict for one join: the partition attribute
+// ("" for nested-loop), which side to build the hash table from (the probe
+// side streams), and the exact counts behind the choice, for EXPLAIN. The
+// zero value means nested-loop.
 type JoinPlan struct {
 	Attr       string // partition attribute; "" for nested-loop
-	Partition  bool
-	BuildRight bool // build from s (the smaller side), probe with r
+	BuildRight bool   // build from s (the smaller side), probe with r
 
-	// Cost estimates behind the choice, for EXPLAIN.
-	CostNested    float64
-	CostPartition float64
+	Left, Right int // |R| and |S|
+	Pairs       int // value.Join attempts the plan makes
 }
 
 // String renders the plan in the EXPLAIN format.
 func (p JoinPlan) String() string {
-	if !p.Partition {
-		return fmt.Sprintf("join path=nested cost{nested=%s partition=%s}",
-			ns(p.CostNested), ns(p.CostPartition))
+	s := fmt.Sprintf("join left=%d right=%d pairs=%d", p.Left, p.Right, p.Pairs)
+	if p.Attr == "" {
+		return s
 	}
 	side := "left"
 	if p.BuildRight {
 		side = "right"
 	}
-	return fmt.Sprintf("join path=partition attr=%s build=%s cost{nested=%s partition=%s}",
-		p.Attr, side, ns(p.CostNested), ns(p.CostPartition))
+	return fmt.Sprintf("%s attr=%s build=%s", s, p.Attr, side)
 }
 
-func ns(c float64) string {
-	if c <= 0 {
-		return "-"
-	}
-	return time.Duration(c).String()
-}
-
-// PlanJoin chooses the join strategy with the default cost priors —
-// replacing the old fixed "both sides ≥ 16 rows" threshold.
+// PlanJoin chooses the join strategy. Among the labels that members of
+// both sides carry, it picks the one whose partition makes the fewest
+// value.Join attempts — the smallest label on a tie — and partitions on it
+// only when that is fewer than the nested loop's |R|·|S|, building from
+// the smaller side. The plan depends on the members only, not on their
+// insertion order.
 func PlanJoin(r, s *Relation) JoinPlan {
-	return PlanJoinWith(r, s, DefaultJoinCosts)
-}
-
-// PlanJoinWith chooses the join strategy under explicit cost
-// coefficients. The nested-loop cost is |R|·|S| pair attempts; the
-// partition cost is hashing both sides plus the pairs that survive the
-// partition — same-bucket pairs (estimated through the attribute's
-// distinct-count) and wildcard cross-pairs, which the partition cannot
-// avoid.
-func PlanJoinWith(r, s *Relation, c JoinCosts) JoinPlan {
-	nr, nsz := r.Len(), s.Len()
-	p := JoinPlan{CostNested: float64(nr) * float64(nsz) * c.PairNs}
-	attr, ok := pickJoinAttr(r, s)
-	if !ok {
-		return p // no shared atomic attribute: partitioning cannot help
+	p := JoinPlan{Left: r.Len(), Right: s.Len(), Pairs: r.Len() * s.Len()}
+	for _, l := range sharedLabels(r, s) {
+		if n := pairsOn(r, s, l); n < p.Pairs {
+			p.Attr, p.Pairs = l, n
+		}
 	}
-	ra, rw := attrCounts(r, attr)
-	sa, sw := attrCounts(s, attr)
-	distinct := distinctAtoms(r, s, attr)
-	if distinct < 1 {
-		distinct = 1
-	}
-	survivors := float64(ra)*float64(sa)/float64(distinct) +
-		float64(rw)*float64(nsz) + float64(sw)*float64(ra)
-	p.CostPartition = c.SetupNs + float64(nr+nsz)*c.HashNs + survivors*c.PairNs
-	if p.CostPartition < p.CostNested {
-		p.Attr = attr
-		p.Partition = true
-		p.BuildRight = nsz <= nr // build the hash table over the smaller side
-	}
+	p.BuildRight = p.Attr != "" && p.Right <= p.Left
 	return p
 }
 
-// attrCounts returns how many members of rel define attr atomically, and
-// how many are wildcards on it (silent, non-atomic, or non-records).
-func attrCounts(rel *Relation, attr string) (atoms, wild int) {
-	for _, m := range rel.elems {
-		if _, ok := atomOn(m, attr); ok {
-			atoms++
+// sharedLabels returns, sorted, the labels some member of r and some
+// member of s both carry.
+func sharedLabels(r, s *Relation) []string {
+	sides := map[string]int{} // bit 0: r carries the label, bit 1: s does
+	for side, rel := range []*Relation{r, s} {
+		for _, m := range rel.elems {
+			if rec, ok := m.(*value.Record); ok {
+				rec.Each(func(l string, _ value.Value) { sides[l] |= 1 << side })
+			}
+		}
+	}
+	var out []string
+	for l, in := range sides {
+		if in == 3 {
+			out = append(out, l)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// pairsOn counts the value.Join attempts JoinPlanned makes partitioning
+// on attr, with either build side: each member of r atomic on attr meets
+// the members of s with an equal atom and s's wildcards (members silent,
+// non-atomic or not records on attr); each wildcard of r meets all of s.
+func pairsOn(r, s *Relation, attr string) int {
+	if s.Len() > r.Len() {
+		r, s = s, r // the count is symmetric; tally the smaller side
+	}
+	atoms, wild := map[string]int{}, 0
+	var buf [keyScratch]byte
+	for _, m := range s.elems {
+		if v, ok := atomOn(m, attr); ok {
+			atoms[string(value.AppendKey(buf[:0], v))]++
 		} else {
 			wild++
 		}
 	}
-	return atoms, wild
-}
-
-// distinctAtoms counts the distinct atom values attr takes across both
-// relations — the denominator of the same-bucket pair estimate.
-func distinctAtoms(r, s *Relation, attr string) int {
-	seen := map[string]bool{}
-	var buf [keyScratch]byte
-	for _, rel := range []*Relation{r, s} {
-		for _, m := range rel.elems {
-			if v, ok := atomOn(m, attr); ok {
-				if k := value.AppendKey(buf[:0], v); !seen[string(k)] {
-					seen[string(k)] = true
-				}
-			}
+	n := 0
+	for _, m := range r.elems {
+		if v, ok := atomOn(m, attr); ok {
+			n += atoms[string(value.AppendKey(buf[:0], v))] + wild
+		} else {
+			n += s.Len()
 		}
 	}
-	return len(seen)
+	return n
 }
 
 // atomOn returns m's attr field when m is a record defining it atomically.
@@ -203,10 +126,10 @@ func atomOn(m value.Value, attr string) (value.Value, bool) {
 	return v, true
 }
 
-// JoinFast computes the same generalized natural join as Join, planning
-// the strategy with the default cost model. Members silent (or
-// non-atomic) on the chosen attribute are wildcards paired with
-// everything, exactly preserving the partial-tuple semantics.
+// JoinFast computes the same generalized natural join as Join under the
+// plan PlanJoin chooses. Members silent (or non-atomic) on the chosen
+// attribute are wildcards paired with everything, exactly preserving the
+// partial-tuple semantics.
 func JoinFast(r, s *Relation) *Relation {
 	return JoinPlanned(r, s, PlanJoin(r, s))
 }
@@ -216,7 +139,7 @@ func JoinFast(r, s *Relation) *Relation {
 // the probe side streams through them. The result is identical under
 // every plan (TestQuickJoinPlannedEquals).
 func JoinPlanned(r, s *Relation, p JoinPlan) *Relation {
-	if !p.Partition {
+	if p.Attr == "" {
 		return Join(r, s)
 	}
 	build, probe := r, s

@@ -10,8 +10,8 @@ import (
 )
 
 func TestJoinFastFigure1(t *testing.T) {
-	// Below the size threshold JoinFast delegates; force the fast path by
-	// inflating the figure with padding rows that join with nothing.
+	// Pad the figure with rows that join with nothing, so the partition
+	// on Dept has buckets with no partner on the other side.
 	r1, r2 := Figure1R1(), Figure1R2()
 	for i := 0; i < 20; i++ {
 		r1.Insert(value.Rec("Name", value.String(fmt.Sprintf("pad%d", i)),
@@ -34,7 +34,7 @@ func TestJoinFastFigure1(t *testing.T) {
 
 func TestJoinFastSmallDelegates(t *testing.T) {
 	if !Equal(JoinFast(Figure1R1(), Figure1R2()), Figure1Result()) {
-		t.Error("small-input delegation broke Figure 1")
+		t.Error("JoinFast broke Figure 1")
 	}
 }
 

@@ -86,8 +86,8 @@ func TestE2EIndexLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(jplan, "join path=") {
-		t.Errorf("ExplainJoin %q missing join path", jplan)
+	if !strings.HasPrefix(jplan, "join left=") || !strings.Contains(jplan, " pairs=") {
+		t.Errorf("ExplainJoin %q is not a join plan with exact counts", jplan)
 	}
 
 	existed, err := c.DropIndex("Empno")
@@ -188,8 +188,8 @@ func explainCounts(t *testing.T, plan string) (n, nTypes, matched, result int) {
 
 // TestExplainInTransactionCountsTheOverlay: EXPLAIN inside a transaction
 // counts the session's own view — the pinned snapshot plus its buffered
-// writes — exactly as the session's GET returns it; after ABORT the
-// buffered root is gone from the count.
+// writes — exactly as the session's GET returns it, for a GET and for a
+// JOIN; after ABORT the buffered root is gone from the count.
 func TestExplainInTransactionCountsTheOverlay(t *testing.T) {
 	h := boot(t, filepath.Join(t.TempDir(), "txnexplain.log"))
 	c := dial(t, h, nil)
@@ -199,11 +199,22 @@ func TestExplainInTransactionCountsTheOverlay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	for i, d := range []string{"Lab", "Ops"} {
+		if err := c.Put(d, value.Rec("Dept", value.String(d), "Floor", value.Int(int64(i))), deptT); err != nil {
+			t.Fatal(err)
+		}
+	}
 	s, err := c.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	// Three Lab employees ⋈ the Lab and Ops departments: partitioned on
+	// Dept, the three Lab pairs are the only ones tried.
+	const joinBefore = "join left=3 right=2 pairs=3 attr=Dept build=right"
+	if jplan, err := s.ExplainJoin(employeeT, deptT); err != nil || jplan != joinBefore {
+		t.Fatalf("EXPLAIN JOIN in the transaction = (%q, %v), want %q", jplan, err, joinBefore)
+	}
 	if err := s.Put("emp9", emp("emp9", 9, "Lab"), employeeT); err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +226,12 @@ func TestExplainInTransactionCountsTheOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, _, matched, result := explainCounts(t, plan); result != len(got) || result != 4 || n != 4 || matched != 1 {
-		t.Errorf("EXPLAIN in the transaction = %q, want n=4 matched=1 result=%d (the session's GET)", plan, len(got))
+	if n, _, matched, result := explainCounts(t, plan); result != len(got) || result != 4 || n != 6 || matched != 1 {
+		t.Errorf("EXPLAIN in the transaction = %q, want n=6 matched=1 result=%d (the session's GET)", plan, len(got))
+	}
+	// The buffered Lab employee adds one member on the left and one pair.
+	if jplan, err := s.ExplainJoin(employeeT, deptT); err != nil || jplan != "join left=4 right=2 pairs=4 attr=Dept build=right" {
+		t.Errorf("EXPLAIN JOIN after the buffered PUT = (%q, %v), want left=4 pairs=4", jplan, err)
 	}
 	if err := s.Abort(); err != nil {
 		t.Fatal(err)
@@ -228,11 +243,15 @@ func TestExplainInTransactionCountsTheOverlay(t *testing.T) {
 	if _, _, _, result := explainCounts(t, plan); result != len(got)-1 {
 		t.Errorf("EXPLAIN after ABORT = %q, want result=%d", plan, len(got)-1)
 	}
+	if jplan, err := c.ExplainJoin(employeeT, deptT); err != nil || jplan != joinBefore {
+		t.Errorf("EXPLAIN JOIN after ABORT = (%q, %v), want %q", jplan, err, joinBefore)
+	}
 }
 
-// TestStatsIndexCounters: the JOIN plan decisions and the index
-// maintenance work surface in the STATS snapshot, and the GET access-path
-// series of the retired planner do not. Uses pre-resolved series only.
+// TestStatsIndexCounters: the index maintenance work surfaces in the
+// STATS snapshot, and the series retired with the GET access-path
+// planner, the JOIN cost model and the published index definitions do
+// not. Uses pre-resolved series only.
 func TestStatsIndexCounters(t *testing.T) {
 	h := boot(t, filepath.Join(t.TempDir(), "idxstats.log"))
 	c := dial(t, h, nil)
@@ -277,16 +296,16 @@ func TestStatsIndexCounters(t *testing.T) {
 	if _, ok := snap.Histogram("dbpl_plan_selectivity_ppm"); ok {
 		t.Error("dbpl_plan_selectivity_ppm is registered; nothing estimates selectivity")
 	}
-	nested, _ := snap.Counter(`dbpl_plan_join_total{path="nested"}`)
-	partition, _ := snap.Counter(`dbpl_plan_join_total{path="partition"}`)
-	if nested+partition < 1 {
-		t.Errorf("plan_join_total sums to %d, want >= 1", nested+partition)
+	for _, path := range []string{"nested", "partition"} {
+		if _, ok := snap.Counter(`dbpl_plan_join_total{path="` + path + `"}`); ok {
+			t.Errorf(`dbpl_plan_join_total{path=%q} is registered; EXPLAIN JOIN prints the exact counts`, path)
+		}
 	}
 	if touched, _ := snap.Counter("dbpl_index_entries_touched_total"); touched != 6 {
 		t.Errorf("index_entries_touched_total = %d, want 6 (each PUT adds one extent entry)", touched)
 	}
-	if defs, _ := snap.Gauge("dbpl_index_defs"); defs != 1 {
-		t.Errorf("index_defs gauge = %d, want 1", defs)
+	if _, ok := snap.Gauge("dbpl_index_defs"); ok {
+		t.Error("dbpl_index_defs is registered; the definitions live in the log only")
 	}
 	if extents, _ := snap.Gauge("dbpl_index_extents"); extents != 1 {
 		t.Errorf("index_extents gauge = %d, want 1 (every member the same type)", extents)

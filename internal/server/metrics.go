@@ -49,10 +49,8 @@ type serverMetrics struct {
 	inflight *telemetry.Gauge // requests admitted and not yet answered
 	sessions *telemetry.Gauge // open connections
 
-	// JOIN plan decisions, and index-maintenance work done at commit.
-	joinNested    *telemetry.Counter // JOIN planned nested-loop
-	joinPartition *telemetry.Counter // JOIN planned build/probe
-	indexTouched  *telemetry.Counter // extent entries touched at commit
+	// Index-maintenance work done at commit.
+	indexTouched *telemetry.Counter // extent entries touched at commit
 
 	// Replication. The shipped side counts what this server streamed to
 	// followers; the applied side counts what this server (as a follower)
@@ -110,8 +108,6 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		telemetry.UnitDuration, telemetry.DurationBuckets)
 	m.inflight = reg.Gauge("dbpl_server_inflight")
 	m.sessions = reg.Gauge("dbpl_server_sessions")
-	m.joinNested = reg.Counter(`dbpl_plan_join_total{path="nested"}`)
-	m.joinPartition = reg.Counter(`dbpl_plan_join_total{path="partition"}`)
 	m.indexTouched = reg.Counter("dbpl_index_entries_touched_total")
 	m.replStreams = reg.Gauge("dbpl_repl_streams")
 	m.replGroupsShipped = reg.Counter("dbpl_repl_groups_shipped_total")

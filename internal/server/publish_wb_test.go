@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"dbpl/internal/dynamic"
-	"dbpl/internal/index"
 	"dbpl/internal/types"
 	"dbpl/internal/value"
 )
@@ -45,7 +44,7 @@ func rebindCost(t *testing.T, roots, ntypes int) (bytes, mallocs uint64) {
 		k := i % ntypes
 		bind(fmt.Sprintf("r%06d", i), value.Rec("Id", value.Int(int64(i)), fmt.Sprintf("F%d", k), value.Int(int64(i))), others[k])
 	}
-	st := newState(names, members, index.Def{Field: "Id"})
+	st := newState(names, members)
 	ops := make([][]txnOp, rebinds)
 	for i := range ops {
 		p := i % probes
@@ -67,7 +66,7 @@ func rebindCost(t *testing.T, roots, ntypes int) (bytes, mallocs uint64) {
 		bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/rebinds)
 		mallocs = min(mallocs, (after.Mallocs-before.Mallocs)/rebinds)
 	}
-	if ids, _ := st.idx.CandidateCount("Id"); st.roots.Len() != roots || st.idx.Len() != roots || ids != roots {
+	if ids, _ := st.idx.MatchStats(types.Intern(types.MustParse("{Id: Int}"))); st.roots.Len() != roots || st.idx.Len() != roots || ids != roots {
 		t.Fatalf("after the rebinds: %d roots, %d members, %d Ids, want %d of each",
 			st.roots.Len(), st.idx.Len(), ids, roots)
 	}
@@ -107,7 +106,7 @@ func TestPublishCostsTheChangeNotTheStore(t *testing.T) {
 func TestPinnedStateStableUnderPublish(t *testing.T) {
 	var pub atomic.Pointer[state]
 	pub.Store(newState(nil, nil))
-	top := types.Intern(types.Top)
+	top, idT := types.Intern(types.Top), types.Intern(types.MustParse("{Id: Int}"))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -137,11 +136,10 @@ func TestPinnedStateStableUnderPublish(t *testing.T) {
 						return
 					}
 				}
-				if cands, ok := st.idx.Candidates("Id"); ok {
-					if n, _ := st.idx.CandidateCount("Id"); n != len(cands) {
-						t.Errorf("reader %d: CandidateCount %d, %d candidates", r, n, len(cands))
-						return
-					}
+				ids, _ := st.idx.GetEntries(idT)
+				if n, _ := st.idx.MatchStats(idT); n != len(ids) {
+					t.Errorf("reader %d: MatchStats %d, GET {Id: Int} %d", r, n, len(ids))
+					return
 				}
 			}
 		}(r)
@@ -154,7 +152,7 @@ func TestPinnedStateStableUnderPublish(t *testing.T) {
 	var snaps []snapshot
 	want := map[string]*dynamic.Dynamic{}
 	rng := rand.New(rand.NewSource(1))
-	labels := []string{"A", "B", ""} // "" binds a {Name: String}, which the Id index does not cover
+	labels := []string{"A", "B", ""} // "" binds a {Name: String}, which {Id: Int} does not match
 	for i := 0; i < 3000; i++ {
 		var op txnOp
 		name := fmt.Sprintf("n%03d", rng.Intn(200))

@@ -508,20 +508,11 @@ func (s *Server) applyReplicated(rd wire.ReplData) (int, error) {
 		return 0, err
 	}
 	psp := tr.Start(0, "publish")
-	if err := s.publishDelta(delta); err != nil {
-		// The group is durable but the cheap delta publication failed
-		// (a root that does not conform to its declared type — a primary
-		// never ships one). Rebuild the full state from the store rather
-		// than diverge from the log.
-		s.logf("server: replication: %v; rebuilding state", err)
-		st, rerr := stateFromStore(s.store)
-		if rerr != nil {
-			return 0, errors.Join(err, rerr)
-		}
-		s.state.Store(st)
-		s.notifyCommit()
-	}
+	err = s.publishDelta(delta)
 	tr.End(psp)
+	if err != nil {
+		return 0, err
+	}
 	s.m.replGroupsApplied.Add(uint64(delta.Groups))
 	s.m.replBytesApplied.Add(uint64(len(raw)))
 	if rd.CommitNS > 0 {
@@ -545,11 +536,11 @@ func (s *Server) applyReplicated(rd wire.ReplData) (int, error) {
 }
 
 // publishDelta advances the published state by what ApplyGroup reported:
-// removed roots become deletes, changed roots re-bind from the store's
-// materialized value, and a changed index-definition table is reconciled
-// field by field. The same state.apply path as a local commit, so
+// removed roots become deletes and changed roots re-bind from the store's
+// materialized value. The same state.apply path as a local commit, so
 // follower GETs are the same lock-free extent unions as a primary's.
-// Caller holds commitMu.
+// On an error nothing is published: the state and the end HEALTH reports
+// stay where they were. Caller holds commitMu.
 func (s *Server) publishDelta(delta intrinsic.GroupDelta) error {
 	cur := s.state.Load()
 	ops := make([]txnOp, 0, len(delta.Changed)+len(delta.Removed))
@@ -571,28 +562,6 @@ func (s *Server) publishDelta(delta intrinsic.GroupDelta) error {
 	var istats index.ApplyStats
 	if len(ops) > 0 {
 		next, istats = cur.apply(ops)
-	}
-	if delta.DefsChanged {
-		want := map[string]bool{}
-		for _, f := range s.store.IndexDefs() {
-			want[f] = true
-		}
-		idx := next.idx
-		for _, d := range idx.Defs() {
-			if !want[d.Field] {
-				idx, _ = idx.DropField(d.Field)
-			}
-		}
-		have := map[string]bool{}
-		for _, d := range idx.Defs() {
-			have[d.Field] = true
-		}
-		for f := range want {
-			if !have[f] {
-				idx = idx.WithField(index.Def{Field: f})
-			}
-		}
-		next = &state{roots: next.roots, idx: idx}
 	}
 	if next != cur {
 		s.state.Store(next)

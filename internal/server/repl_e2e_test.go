@@ -102,8 +102,8 @@ func counter(h *harness, name string) uint64 {
 }
 
 // TestFollowerServesReadsRefusesWrites: a follower replays the primary's
-// history, serves the whole read surface (GET, JOIN-free here, NAMES,
-// EXPLAIN with the replicated index), reports itself read-only with its
+// history, serves the whole read surface (GET, NAMES, EXPLAIN of a GET
+// and of a JOIN, as exact as the primary's), reports itself read-only with its
 // durable offset in HEALTH, and refuses every write verb with the typed
 // read-only error naming the primary.
 func TestFollowerServesReadsRefusesWrites(t *testing.T) {
@@ -145,6 +145,17 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 	}
 	if n, nTypes, matched, result := explainCounts(t, plan); n != 3 || nTypes != 1 || matched != 1 || result != len(got) {
 		t.Fatalf("follower ExplainGet = %q, want n=3 types=1 matched=1 result=%d", plan, len(got))
+	}
+	fjoin, err := fc.ExplainJoin(employeeT, employeeT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pjoin, err := pc.ExplainJoin(employeeT, employeeT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "join left=3 right=3 pairs=3 attr=Empno build=right"; fjoin != pjoin || pjoin != want {
+		t.Fatalf("ExplainJoin: follower %q, primary %q, want both %q", fjoin, pjoin, want)
 	}
 
 	// Every write verb is the typed refusal, and it names the primary.

@@ -201,3 +201,43 @@ func TestFollowerPublishesStatelessGroup(t *testing.T) {
 		t.Error("the streamers were not woken for a group they have to ship")
 	}
 }
+
+// TestFollowerRefusesNonConformingGroup: a group whose root does not
+// conform to its declared type — a serve primary never ships one, but a
+// program on the intrinsic API can commit one by mutating a bound value —
+// is durable in the follower's store, yet no state can serve it. The
+// applier returns the error and publishes nothing: the state is the same
+// pointer and HEALTH keeps reporting the end that state covers.
+func TestFollowerRefusesNonConformingGroup(t *testing.T) {
+	pst, err := intrinsic.Open(filepath.Join(t.TempDir(), "primary.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pst.Close()
+	rec := value.Rec("A", value.Int(1))
+	if err := pst.Bind("r", rec, types.MustParse("{A: Int}")); err != nil {
+		t.Fatal(err)
+	}
+	rec.Set("A", value.String("x"))
+	if _, err := pst.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	fsrv, fst := wbServer(t, iofault.OS{}, filepath.Join(t.TempDir(), "follower.log"), Config{Follow: deadAddr(t)})
+	start := fst.DurableEnd()
+	raw, _, n, err := pst.ReadGroupsAt(start, 0)
+	if err != nil || n != 1 {
+		t.Fatalf("ReadGroupsAt = %d groups, %v", n, err)
+	}
+	state, before := fsrv.state.Load(), healthOf(t, fsrv).DurableEnd
+	if _, err := fsrv.applyReplicated(wire.ReplData{Start: start, Raw: raw}); err == nil {
+		t.Fatal("a group binding a non-conforming root was published")
+	}
+	if fsrv.state.Load() != state {
+		t.Error("the published state changed")
+	}
+	if h := healthOf(t, fsrv); h.DurableEnd != before || fst.DurableEnd() != pst.DurableEnd() {
+		t.Errorf("HEALTH end %d (was %d), store end %d (primary %d): want HEALTH unmoved and the store at the primary",
+			h.DurableEnd, before, fst.DurableEnd(), pst.DurableEnd())
+	}
+}

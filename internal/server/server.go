@@ -10,7 +10,8 @@
 // The server owns one intrinsic store (durability) and publishes, through
 // an atomic pointer, an immutable *state*: the committed root bindings
 // plus one index.Set — the maintained extents over the same dynamics, the
-// only membership structure, with the declared field-index labels. Every
+// only membership structure. Index definitions are not part of it: they
+// live in the store's log alone, which answers CREATEINDEX/DROPINDEX. Every
 // read (GET, JOIN, NAMES, EXPLAIN) answers from one state; outside a
 // transaction that is the published one: readers load the pointer and
 // run lock-free against that snapshot — they can never
@@ -233,26 +234,22 @@ type state struct {
 
 // newState builds a state in one pass from roots sorted by name, their
 // dynamics in the same order (the index set's insertion order).
-func newState(names []string, members []*dynamic.Dynamic, defs ...index.Def) *state {
-	return &state{roots: pmap.Build(names, members), idx: index.Rebuild(members, defs...)}
+func newState(names []string, members []*dynamic.Dynamic) *state {
+	return &state{roots: pmap.Build(names, members), idx: index.Rebuild(members)}
 }
 
 // apply returns the successor state with ops applied: each root op edits
 // the name it binds in the persistent root table, and the index set
 // advances by the same membership delta (COW, single successor), so the
 // previous state stays valid for readers holding it and the cost is
-// O(changed · log n) plus the extents the removals rewrite. The returned
-// stats report the index-maintenance work done.
+// O(changed · log n) plus the extents the removals rewrite. Index DDL ops
+// change nothing a read consults and are skipped. The returned stats
+// report the index-maintenance work done.
 func (st *state) apply(ops []txnOp) (*state, index.ApplyStats) {
 	next := &state{roots: st.roots, idx: st.idx}
 	iops := make([]index.Op, 0, len(ops))
 	for _, o := range ops {
 		if o.index {
-			if o.del {
-				next.idx, _ = next.idx.DropField(o.name)
-			} else {
-				next.idx = next.idx.WithField(index.Def{Field: o.name})
-			}
 			continue
 		}
 		var iop index.Op
@@ -278,7 +275,8 @@ func (st *state) apply(ops []txnOp) (*state, index.ApplyStats) {
 
 // txnOp is one write of a commit: bind name to dyn, or delete it (del).
 // With index set it is index DDL instead, on the field name: declare the
-// field-value index, or drop it (del).
+// field-value index, or drop it (del). Only the store records it (the
+// committer calls DeclareIndex/DropIndexDef); state.apply skips it.
 type txnOp struct {
 	name  string
 	dyn   *dynamic.Dynamic
@@ -394,9 +392,8 @@ func (s *Server) markCommit(trace uint64) {
 }
 
 // stateFromStore derives a published state from the store's committed
-// roots. The index set rebuilds from those roots on every open (only the
-// *definitions* are durable), so it can never be ahead of the durable
-// state — the crash-matrix invariant.
+// roots. The index set rebuilds from those roots on every open, so it can
+// never be ahead of the durable state — the crash-matrix invariant.
 func stateFromStore(store *intrinsic.Store) (*state, error) {
 	all := store.Names()
 	names := all[:0]
@@ -413,11 +410,7 @@ func stateFromStore(store *intrinsic.Store) (*state, error) {
 		names = append(names, name)
 		members = append(members, d)
 	}
-	defs := make([]index.Def, 0, 4)
-	for _, f := range store.IndexDefs() {
-		defs = append(defs, index.Def{Field: f})
-	}
-	return newState(names, members, defs...), nil
+	return newState(names, members), nil
 }
 
 // New builds a server over an opened store, deriving the initial
@@ -453,7 +446,6 @@ func New(store *intrinsic.Store, cfg Config) (*Server, error) {
 	// Snapshot instead of re-loading atomics field by field.
 	reg.GaugeFunc("dbpl_server_uptime_ns", func() int64 { return int64(time.Since(srv.start)) })
 	reg.GaugeFunc("dbpl_server_roots", func() int64 { return int64(srv.state.Load().roots.Len()) })
-	reg.GaugeFunc("dbpl_index_defs", func() int64 { return int64(len(srv.state.Load().idx.Defs())) })
 	reg.GaugeFunc("dbpl_index_extents", func() int64 { return int64(srv.state.Load().idx.Types()) })
 	reg.GaugeFunc("dbpl_server_degraded", func() int64 {
 		if srv.mode.Load().poisoned != nil {
@@ -1127,15 +1119,7 @@ func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
 		return errResp(toWireError(err))
 	}
 	st := sess.view(s)
-	r1, r2 := relationOf(st, ws[0]), relationOf(st, ws[1])
-	jp := relation.PlanJoin(r1, r2)
-	if jp.Partition {
-		s.m.joinPartition.Inc()
-	} else {
-		s.m.joinNested.Inc()
-	}
-	joined := relation.JoinPlanned(r1, r2, jp)
-	members := joined.Members()
+	members := relation.JoinFast(relationOf(st, ws[0]), relationOf(st, ws[1])).Members()
 	out := make([][]byte, len(members))
 	for i, m := range members {
 		img, err := codec.MarshalTagged(m, nil)
@@ -1251,8 +1235,9 @@ func (s *Server) handleIndexDDL(sess *session, fields [][]byte, name string, dro
 // counts behind the GET the session would run right now as
 // "get n=… types=… matched=… result=…" — the visible members and their
 // distinct types, the types conforming to the query and the members GET
-// returns — and two render the JOIN plan. Both read the session's view.
-// Pure read: no join runs and no value is encoded.
+// returns — and two render the JOIN plan with its exact pair count
+// (relation.JoinPlan.String). Both read the session's view. Pure read: no
+// join runs and no value is encoded.
 func (s *Server) handleExplain(sess *session, fields [][]byte) (byte, [][]byte) {
 	if len(fields) != 1 && len(fields) != 2 {
 		return badReq("EXPLAIN wants 1 or 2 fields, got %d", len(fields))
