@@ -857,7 +857,7 @@ func mustTypeField(t types.Type) []byte {
 }
 
 func putFields(name string, v value.Value, declared types.Type) ([][]byte, error) {
-	img, err := codec.MarshalTagged(v, declared)
+	img, err := codec.AppendTagged(nil, v, declared)
 	if err != nil {
 		return nil, err
 	}
@@ -888,7 +888,7 @@ func decodeGet(op byte, fields [][]byte, err error) ([]Packed, error) {
 	}
 	out := make([]Packed, len(fields))
 	for i, f := range fields {
-		v, t, err := codec.UnmarshalTagged(f)
+		v, t, err := codec.DecodeTagged(f)
 		if err != nil {
 			return nil, err
 		}

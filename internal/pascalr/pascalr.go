@@ -152,7 +152,7 @@ func (db *Database) Save() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	return iofault.AtomicWriteFile(db.fs, db.path, func(w io.Writer) error {
-		enc := codec.NewEncoder(w)
+		enc := codec.NewEncoder(w) // a stream: the relations go to the atomic file's writer
 		names := make([]string, 0, len(db.rels))
 		for n := range db.rels {
 			names = append(names, n)
@@ -185,7 +185,7 @@ func (db *Database) load() error {
 		return err
 	}
 	defer f.Close()
-	dec, err := codec.NewDecoder(f)
+	dec, err := codec.NewDecoder(f) // a stream: the image is the whole file
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

@@ -12,11 +12,16 @@
 // paper attributes to the *loss* of sharing between separately externed
 // handles — sharing must survive within one image for the comparison to be
 // meaningful.
+//
+// There is one implementation, over a byte slice: an Encoder appends to a
+// []byte, and a Decoder reads one at a cursor, checking every claimed length
+// against the bytes that remain before it allocates. AppendTagged,
+// DecodeTagged, AppendType and DecodeType are the entry points. The
+// Marshal/Unmarshal helpers wrap them, and NewEncoder and NewDecoder are
+// stream wrappers, for an image of many values sharing references.
 package codec
 
 import (
-	"bufio"
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -24,7 +29,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sync"
 
 	"dbpl/internal/dynamic"
 	"dbpl/internal/types"
@@ -108,95 +112,119 @@ const (
 // Encoder
 // ---------------------------------------------------------------------------
 
-// Encoder writes values and types to an underlying stream. A single Encoder
-// shares container references across everything it writes.
+// Encoder appends values and types to one image. A single Encoder shares
+// container references across everything it writes.
 type Encoder struct {
-	w    *bufio.Writer
-	ids  map[value.Value]uint64 // container identity -> id
-	next uint64
-	err  error
+	buf []byte
+	// w, for a stream Encoder, receives buf at Flush and whenever buf passes
+	// flushAt between top-level values.
+	w io.Writer
+	// first is the first container written, id 0. ids maps every container
+	// to its id once a second one is met, so an image with a single
+	// container, such as a flat record, builds no map.
+	first value.Value
+	ids   map[value.Value]uint64
+	next  uint64
+	err   error
 	// valueDepth and typeDepth count the levels being encoded; see
 	// MaxValueDepth and MaxTypeDepth.
 	valueDepth, typeDepth int
 }
 
-// NewEncoder returns an encoder that writes the image header immediately.
+// flushAt is the buffered size past which a stream Encoder hands its
+// buffer to its writer after a top-level value or type.
+const flushAt = 64 << 10
+
+// NewEncoder returns an encoder that writes a stream of values and types
+// to w as one image, starting with the image header.
 func NewEncoder(w io.Writer) *Encoder {
-	e := &Encoder{w: bufio.NewWriter(w), ids: map[value.Value]uint64{}}
-	e.header()
-	return e
+	return &Encoder{buf: appendHeader(nil), w: w}
 }
 
-func (e *Encoder) header() {
-	e.bytes([]byte(magic))
-	e.byte(version)
-}
+func appendHeader(dst []byte) []byte { return append(append(dst, magic...), version) }
 
-// typeEncoders recycles the Encoders behind WriteType: each owns a 4 KiB
-// bufio.Writer, which is far more garbage than the few dozen bytes of a
-// type image when a store writes one per root.
-var typeEncoders = sync.Pool{New: func() any { return &Encoder{w: bufio.NewWriter(nil)} }}
-
-// WriteType writes t to w as a standalone image — the bytes NewEncoder,
-// Type and Flush produce — without building an Encoder per call.
-func WriteType(w io.Writer, t types.Type) error {
-	e := typeEncoders.Get().(*Encoder)
-	e.w.Reset(w)
-	e.err = nil
-	e.header()
-	e.encodeType(t)
-	err := e.Flush()
-	e.w.Reset(nil) // do not pin w in the pool
-	typeEncoders.Put(e)
-	return err
-}
-
-// Flush flushes buffered output and returns the first error encountered.
-func (e *Encoder) Flush() error {
+// image returns the encoded image, or dst and the first error.
+func (e *Encoder) image(dst []byte) ([]byte, error) {
 	if e.err != nil {
-		return e.err
+		return dst, e.err
 	}
-	return e.w.Flush()
+	return e.buf, nil
 }
 
-func (e *Encoder) byte(b byte) {
-	if e.err == nil {
-		e.err = e.w.WriteByte(b)
+// AppendTagged appends the image of v together with its type descriptor
+// (principle P2) to dst. If declared is nil the value's most specific type
+// is used.
+func AppendTagged(dst []byte, v value.Value, declared types.Type) ([]byte, error) {
+	if declared == nil {
+		declared = value.TypeOf(v)
 	}
+	e := Encoder{buf: appendHeader(dst)}
+	e.encodeType(declared)
+	e.encodeValue(v)
+	return e.image(dst)
 }
 
-func (e *Encoder) bytes(b []byte) {
-	if e.err == nil {
-		_, e.err = e.w.Write(b)
+// AppendType appends the standalone image of t to dst.
+func AppendType(dst []byte, t types.Type) ([]byte, error) {
+	e := Encoder{buf: appendHeader(dst)}
+	e.encodeType(t)
+	return e.image(dst)
+}
+
+// WriteType writes t to w as a standalone image (AppendType).
+func WriteType(w io.Writer, t types.Type) error {
+	e := NewEncoder(w)
+	e.encodeType(t)
+	return e.Flush()
+}
+
+// Flush hands the buffered image to the writer and returns the first error
+// encountered, the writer's included.
+func (e *Encoder) Flush() error {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+		e.buf = e.buf[:0]
 	}
+	return e.err
 }
 
-func (e *Encoder) uvarint(x uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], x)
-	e.bytes(buf[:n])
+// spill flushes a stream Encoder whose buffer has passed flushAt.
+func (e *Encoder) spill() error {
+	if e.w != nil && len(e.buf) >= flushAt {
+		return e.Flush()
+	}
+	return e.err
 }
 
-func (e *Encoder) varint(x int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], x)
-	e.bytes(buf[:n])
-}
+func (e *Encoder) byte(b byte) { e.buf = append(e.buf, b) }
+
+func (e *Encoder) uvarint(x uint64) { e.buf = binary.AppendUvarint(e.buf, x) }
 
 func (e *Encoder) str(s string) {
 	e.uvarint(uint64(len(s)))
-	e.bytes([]byte(s))
+	e.buf = append(e.buf, s...)
 }
 
 // ref registers a container and reports whether it was already written; if
 // so a back-reference has been emitted.
 func (e *Encoder) ref(v value.Value) bool {
-	if id, ok := e.ids[v]; ok {
+	id, seen := uint64(0), e.next > 0 && v == e.first
+	if e.ids != nil {
+		id, seen = e.ids[v]
+	}
+	if seen {
 		e.byte(vRef)
 		e.uvarint(id)
 		return true
 	}
-	e.ids[v] = e.next
+	switch e.next {
+	case 0:
+		e.first = v
+	case 1:
+		e.ids = map[value.Value]uint64{e.first: 0, v: 1}
+	default:
+		e.ids[v] = e.next
+	}
 	e.next++
 	return false
 }
@@ -204,10 +232,7 @@ func (e *Encoder) ref(v value.Value) bool {
 // Value writes one value.
 func (e *Encoder) Value(v value.Value) error {
 	e.encodeValue(v)
-	if e.err != nil {
-		return e.err
-	}
-	return nil
+	return e.spill()
 }
 
 func (e *Encoder) encodeValue(v value.Value) {
@@ -227,12 +252,10 @@ func (e *Encoder) encodeValueBody(v value.Value) {
 	switch vv := v.(type) {
 	case value.Int:
 		e.byte(vInt)
-		e.varint(int64(vv))
+		e.buf = binary.AppendVarint(e.buf, int64(vv))
 	case value.Float:
 		e.byte(vFloat)
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(float64(vv)))
-		e.bytes(buf[:])
+		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(float64(vv)))
 	case value.String:
 		e.byte(vString)
 		e.str(string(vv))
@@ -266,11 +289,8 @@ func (e *Encoder) encodeValueBody(v value.Value) {
 			return
 		}
 		e.byte(vSet)
-		elems := vv.Elems()
-		e.uvarint(uint64(len(elems)))
-		for _, el := range elems {
-			e.encodeValue(el)
-		}
+		e.uvarint(uint64(vv.Len()))
+		vv.Each(e.encodeValue)
 	case *value.Tag:
 		if e.ref(v) {
 			return
@@ -303,7 +323,7 @@ func (e *Encoder) encodeValueBody(v value.Value) {
 // Type writes one type descriptor.
 func (e *Encoder) Type(t types.Type) error {
 	e.encodeType(t)
-	return e.err
+	return e.spill()
 }
 
 func (e *Encoder) encodeType(t types.Type) {
@@ -398,9 +418,10 @@ func (e *Encoder) encodeTypeBody(t types.Type) {
 // Decoder
 // ---------------------------------------------------------------------------
 
-// Decoder reads values and types written by an Encoder.
+// Decoder reads values and types written by an Encoder from one image.
 type Decoder struct {
-	r    *bufio.Reader
+	src  []byte
+	pos  int // next byte of src to read
 	refs []value.Value
 	// typeDepth tracks Type's recursion so only complete top-level types are
 	// canonicalized (open subterms under a binder should not be interned),
@@ -426,31 +447,85 @@ type openContainer struct {
 	reaches bool
 }
 
-// NewDecoder checks the image header and returns a decoder.
-func NewDecoder(r io.Reader) (*Decoder, error) {
-	d := &Decoder{r: bufio.NewReader(r)}
-	d.open = d.openBuf[:0]
-	var hdr [len(magic) + 1]byte
-	if _, err := io.ReadFull(d.r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMagic, err)
+// errTruncated reports an image that ends early or claims a length past its end.
+var errTruncated = fmt.Errorf("%w: %v", ErrCorrupt, io.ErrUnexpectedEOF)
+
+// errVarint reports a varint cut short or longer than 64 bits.
+var errVarint = fmt.Errorf("%w: bad varint", ErrCorrupt)
+
+// newDecoder checks img's header and returns a decoder positioned after it.
+func newDecoder(img []byte) (*Decoder, error) {
+	if len(img) < len(magic)+1 {
+		return nil, fmt.Errorf("%w: %v", ErrBadMagic, io.ErrUnexpectedEOF)
 	}
-	if string(hdr[:len(magic)]) != magic {
+	if string(img[:len(magic)]) != magic {
 		return nil, ErrBadMagic
 	}
-	if hdr[len(magic)] != version {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, hdr[len(magic)])
+	if img[len(magic)] != version {
+		return nil, fmt.Errorf("%w: %d", ErrBadVersion, img[len(magic)])
 	}
+	d := &Decoder{src: img, pos: len(magic) + 1}
+	d.open = d.openBuf[:0]
 	return d, nil
 }
 
-func (d *Decoder) uvarint() (uint64, error) {
-	x, err := binary.ReadUvarint(d.r)
+// NewDecoder reads r to its end and returns a decoder of the image read,
+// its header checked.
+func NewDecoder(r io.Reader) (*Decoder, error) {
+	img, err := io.ReadAll(r)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}
+	return newDecoder(img)
+}
+
+// DecodeTagged decodes an image written by AppendTagged, returning the
+// value and the type that persisted with it.
+func DecodeTagged(img []byte) (value.Value, types.Type, error) {
+	d, err := newDecoder(img)
+	if err != nil {
+		return nil, nil, err
+	}
+	t, err := d.Type()
+	if err != nil {
+		return nil, nil, err
+	}
+	v, err := d.Value()
+	if err != nil {
+		return nil, nil, err
+	}
+	return v, t, nil
+}
+
+// DecodeType decodes a standalone type image written by AppendType.
+func DecodeType(img []byte) (types.Type, error) {
+	d, err := newDecoder(img)
+	if err != nil {
+		return nil, err
+	}
+	return d.Type()
+}
+
+func (d *Decoder) byte() (byte, error) {
+	if d.pos == len(d.src) {
+		return 0, errTruncated
+	}
+	d.pos++
+	return d.src[d.pos-1], nil
+}
+
+func (d *Decoder) uvarint() (uint64, error) {
+	x, n := binary.Uvarint(d.src[d.pos:])
+	if n <= 0 {
+		return 0, errVarint
+	}
+	d.pos += n
 	return x, nil
 }
 
+// count reads a collection size or string length. Each element or byte it
+// counts takes at least one byte of the image, so a count past the bytes
+// that remain is refused before anything is allocated.
 func (d *Decoder) count() (int, error) {
 	x, err := d.uvarint()
 	if err != nil {
@@ -458,6 +533,9 @@ func (d *Decoder) count() (int, error) {
 	}
 	if x > maxCount {
 		return 0, fmt.Errorf("%w: count %d", ErrLimitExceeded, x)
+	}
+	if x > uint64(len(d.src)-d.pos) {
+		return 0, errTruncated
 	}
 	return int(x), nil
 }
@@ -467,36 +545,8 @@ func (d *Decoder) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	buf, err := readN(d.r, n)
-	if err != nil {
-		return "", fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return string(buf), nil
-}
-
-// readN reads exactly n bytes, growing the buffer incrementally so a
-// corrupt image claiming a huge length fails fast at end of input instead
-// of pre-allocating gigabytes.
-func readN(r io.Reader, n int) ([]byte, error) {
-	const chunk = 64 << 10
-	if n <= chunk {
-		buf := make([]byte, n)
-		_, err := io.ReadFull(r, buf)
-		return buf, err
-	}
-	buf := make([]byte, 0, chunk)
-	for len(buf) < n {
-		step := n - len(buf)
-		if step > chunk {
-			step = chunk
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, step)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+	d.pos += n
+	return string(d.src[d.pos-n : d.pos]), nil
 }
 
 // capCount bounds an initial slice capacity derived from untrusted input.
@@ -572,9 +622,9 @@ func (d *Decoder) Value() (value.Value, error) {
 }
 
 func (d *Decoder) value() (value.Value, error) {
-	tag, err := d.r.ReadByte()
+	tag, err := d.byte()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, err
 	}
 	switch tag {
 	case vBottom:
@@ -582,17 +632,18 @@ func (d *Decoder) value() (value.Value, error) {
 	case vUnit:
 		return value.Unit, nil
 	case vInt:
-		x, err := binary.ReadVarint(d.r)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		x, n := binary.Varint(d.src[d.pos:])
+		if n <= 0 {
+			return nil, errVarint
 		}
+		d.pos += n
 		return value.Int(x), nil
 	case vFloat:
-		var buf [8]byte
-		if _, err := io.ReadFull(d.r, buf[:]); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		if len(d.src)-d.pos < 8 {
+			return nil, errTruncated
 		}
-		return value.Float(math.Float64frombits(binary.LittleEndian.Uint64(buf[:]))), nil
+		d.pos += 8
+		return value.Float(math.Float64frombits(binary.LittleEndian.Uint64(d.src[d.pos-8:]))), nil
 	case vString:
 		s, err := d.str()
 		if err != nil {
@@ -604,13 +655,13 @@ func (d *Decoder) value() (value.Value, error) {
 	case vBoolFalse:
 		return value.Bool(false), nil
 	case vRecord:
-		rec := value.NewRecord()
-		d.refs = append(d.refs, rec) // register before children: cycles
-		d.push(len(d.refs)-1, vRecord)
 		n, err := d.count()
 		if err != nil {
 			return nil, err
 		}
+		rec := value.NewRecordCap(capCount(n))
+		d.refs = append(d.refs, rec) // register before children: cycles
+		d.push(len(d.refs)-1, vRecord)
 		for i := 0; i < n; i++ {
 			l, err := d.str()
 			if err != nil {
@@ -625,13 +676,13 @@ func (d *Decoder) value() (value.Value, error) {
 		d.pop()
 		return rec, nil
 	case vList:
-		lst := value.NewList()
-		d.refs = append(d.refs, lst)
-		d.push(len(d.refs)-1, vList)
 		n, err := d.count()
 		if err != nil {
 			return nil, err
 		}
+		lst := &value.List{Elems: make([]value.Value, 0, capCount(n))}
+		d.refs = append(d.refs, lst)
+		d.push(len(d.refs)-1, vList)
 		for i := 0; i < n; i++ {
 			el, err := d.Value()
 			if err != nil {
@@ -736,9 +787,9 @@ func (d *Decoder) Type() (types.Type, error) {
 }
 
 func (d *Decoder) typeInner() (types.Type, error) {
-	tag, err := d.r.ReadByte()
+	tag, err := d.byte()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, err
 	}
 	switch tag {
 	case tInt:
@@ -856,64 +907,30 @@ func (d *Decoder) typeInner() (types.Type, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Convenience: tagged and untagged images in memory
+// Convenience: tagged and untagged images as fresh slices
 // ---------------------------------------------------------------------------
 
-// MarshalTagged encodes v together with its type descriptor (principle P2).
-// If declared is nil the value's most specific type is used.
+// MarshalTagged returns AppendTagged(nil, v, declared).
 func MarshalTagged(v value.Value, declared types.Type) ([]byte, error) {
-	if declared == nil {
-		declared = value.TypeOf(v)
-	}
-	var buf bytes.Buffer
-	e := NewEncoder(&buf)
-	if err := e.Type(declared); err != nil {
-		return nil, err
-	}
-	if err := e.Value(v); err != nil {
-		return nil, err
-	}
-	if err := e.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return AppendTagged(nil, v, declared)
 }
 
-// UnmarshalTagged decodes an image written by MarshalTagged, returning the
-// value and the type that persisted with it.
+// UnmarshalTagged is DecodeTagged.
 func UnmarshalTagged(img []byte) (value.Value, types.Type, error) {
-	d, err := NewDecoder(bytes.NewReader(img))
-	if err != nil {
-		return nil, nil, err
-	}
-	t, err := d.Type()
-	if err != nil {
-		return nil, nil, err
-	}
-	v, err := d.Value()
-	if err != nil {
-		return nil, nil, err
-	}
-	return v, t, nil
+	return DecodeTagged(img)
 }
 
 // MarshalValue encodes v without its type descriptor — the ablation of
 // principle P2 used by the codec benchmarks.
 func MarshalValue(v value.Value) ([]byte, error) {
-	var buf bytes.Buffer
-	e := NewEncoder(&buf)
-	if err := e.Value(v); err != nil {
-		return nil, err
-	}
-	if err := e.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	e := Encoder{buf: appendHeader(nil)}
+	e.encodeValue(v)
+	return e.image(nil)
 }
 
 // UnmarshalValue decodes an image written by MarshalValue.
 func UnmarshalValue(img []byte) (value.Value, error) {
-	d, err := NewDecoder(bytes.NewReader(img))
+	d, err := newDecoder(img)
 	if err != nil {
 		return nil, err
 	}

@@ -3,9 +3,12 @@ package codec
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"dbpl/internal/dynamic"
@@ -342,21 +345,106 @@ func TestStreamOfManyValues(t *testing.T) {
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	// The decoder reads its stream to the end first, so a reader that
+	// yields one byte per call decodes the same.
+	for name, r := range map[string]io.Reader{
+		"whole":    bytes.NewReader(buf.Bytes()),
+		"one byte": iotest.OneByteReader(bytes.NewReader(buf.Bytes())),
+	} {
+		d, err := NewDecoder(r)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var first *value.Record
+		for i := 0; i < 10; i++ {
+			v, err := d.Value()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			s := v.(*value.Record).MustGet("S").(*value.Record)
+			if first == nil {
+				first = s
+			} else if s != first {
+				t.Fatalf("%s: cross-value sharing lost", name)
+			}
+		}
+	}
+}
+
+// failingWriter accepts n bytes and then fails every write.
+type failingWriter struct{ n int }
+
+var errWriterFull = errors.New("writer full")
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		n := w.n
+		w.n = 0
+		return n, errWriterFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestStreamEncoderWriteErrors: a stream encoder whose writer fails
+// returns the writer's error, from Flush for a short stream and from the
+// Value that passes the flush threshold for a long one, and from Flush
+// thereafter.
+func TestStreamEncoderWriteErrors(t *testing.T) {
+	for _, k := range []int{0, 3, 20} {
+		e := NewEncoder(&failingWriter{n: k})
+		for i := 0; i < 4; i++ {
+			if err := e.Value(value.Rec("I", value.Int(int64(i)))); err != nil {
+				t.Fatalf("k=%d: a buffered Value failed: %v", k, err)
+			}
+		}
+		if err := e.Flush(); !errors.Is(err, errWriterFull) {
+			t.Errorf("k=%d: Flush = %v, want the writer's error", k, err)
+		}
+	}
+	e := NewEncoder(&failingWriter{n: 1 << 10})
+	var err error
+	for i := 0; err == nil && i < 1<<14; i++ {
+		err = e.Value(value.String(fmt.Sprintf("value %d of a long stream", i)))
+	}
+	if !errors.Is(err, errWriterFull) {
+		t.Fatalf("long stream: Value = %v, want the writer's error", err)
+	}
+	if err := e.Flush(); !errors.Is(err, errWriterFull) {
+		t.Errorf("long stream: Flush = %v, want the writer's error", err)
+	}
+}
+
+// TestStreamEncoderSpills: a stream longer than the encoder's buffer
+// reaches the writer before Flush, and decodes whole after it.
+func TestStreamEncoderSpills(t *testing.T) {
+	const total = 200 << 10
+	var buf bytes.Buffer
+	e := NewEncoder(&buf)
+	pad := value.String(make([]byte, 1000))
+	n := 0
+	for ; n*1000 < total; n++ {
+		if err := e.Value(value.Rec("I", value.Int(int64(n)), "Pad", pad)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if buf.Len() < total-flushAt-2000 {
+		t.Errorf("%d bytes reached the writer before Flush of a %d-byte stream", buf.Len(), total)
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	d, err := NewDecoder(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var first *value.Record
-	for i := 0; i < 10; i++ {
-		v, err := d.Value()
+	for i := 0; i < n; i++ {
+		got, err := d.Value()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("value %d: %v", i, err)
 		}
-		s := v.(*value.Record).MustGet("S").(*value.Record)
-		if first == nil {
-			first = s
-		} else if s != first {
-			t.Fatal("cross-value sharing lost")
+		if id := got.(*value.Record).MustGet("I"); id != value.Int(int64(i)) {
+			t.Fatalf("value %d decoded as record %s", i, id)
 		}
 	}
 }

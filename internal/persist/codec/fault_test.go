@@ -1,7 +1,9 @@
 package codec
 
 import (
+	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -116,5 +118,22 @@ func TestHugeCountsRejected(t *testing.T) {
 	_ = v
 	if _, err := UnmarshalValue(img); err == nil {
 		t.Error("huge count accepted")
+	}
+
+	// A string claiming 128 MiB inside a 16-byte image fails on its length,
+	// before anything is allocated for its bytes.
+	img = append([]byte("DBPL\x01"), vString, 0x80, 0x80, 0x80, 0x40)
+	img = append(img, "abcdef"...)
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := UnmarshalValue(img); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%d-byte image claiming a 1<<27-byte string: %v, want ErrCorrupt", len(img), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 1<<10 {
+		t.Errorf("refusing a 1<<27-byte string claim allocated %d bytes, want < 1 KiB", perRun)
 	}
 }

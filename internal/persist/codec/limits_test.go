@@ -76,7 +76,7 @@ func TestEncodeRefusesDeepNesting(t *testing.T) {
 	if _, err := MarshalValue(v); !errors.Is(err, ErrLimitExceeded) {
 		t.Fatalf("MarshalValue of a %d-deep value: %v, want ErrLimitExceeded", MaxValueDepth+1, err)
 	}
-	// A failed encode leaves a pooled type encoder usable.
+	// A failed encode leaves nothing behind that a later one trips on.
 	if err := WriteType(&bytes.Buffer{}, types.Int); err != nil {
 		t.Fatalf("WriteType after a refusal: %v", err)
 	}

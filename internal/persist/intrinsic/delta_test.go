@@ -151,8 +151,8 @@ func TestStageBoundRebindCost(t *testing.T) {
 }
 
 // TestFirstCommitAllocs: a first commit still encodes one type image per
-// root; it must do so into the group's own buffer, not through an encoder
-// (and its 4 KiB writer) per image.
+// root; it must append it straight into the group's own buffer, not build
+// a fresh image per root.
 func TestFirstCommitAllocs(t *testing.T) {
 	const roots = 1024
 	dir := t.TempDir()
@@ -173,7 +173,7 @@ func TestFirstCommitAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Measured 4.6 a root (6.2 under the race detector), nearly all of it
+	// Measured 3.6 a root (4.4 under the race detector), nearly all of it
 	// the binding: the name, the Root, the map slots. An encoder per type
 	// image made it 11.6.
 	if per := allocs / roots; per > 8 {

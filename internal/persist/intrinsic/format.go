@@ -155,11 +155,7 @@ func (c typeImages) parse(img []byte) (types.Type, error) {
 	if t, ok := c[string(img)]; ok {
 		return t, nil
 	}
-	dec, err := codec.NewDecoder(bytes.NewReader(img))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	t, err := dec.Type()
+	t, err := codec.DecodeType(img)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -192,17 +188,9 @@ type nodeBuf struct {
 	bytes.Buffer
 }
 
-func (b *nodeBuf) uvarint(x uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], x)
-	b.Write(tmp[:n])
-}
+func (b *nodeBuf) uvarint(x uint64) { b.Write(binary.AppendUvarint(b.AvailableBuffer(), x)) }
 
-func (b *nodeBuf) varint(x int64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], x)
-	b.Write(tmp[:n])
-}
+func (b *nodeBuf) varint(x int64) { b.Write(binary.AppendVarint(b.AvailableBuffer(), x)) }
 
 func (b *nodeBuf) str(s string) {
 	b.uvarint(uint64(len(s)))
@@ -226,9 +214,11 @@ func (b *nodeBuf) prefixLen(start int) {
 // typ writes t's length-prefixed codec image.
 func (b *nodeBuf) typ(t types.Type) error {
 	start := b.Len()
-	if err := codec.WriteType(b, t); err != nil {
+	img, err := codec.AppendType(b.AvailableBuffer(), t)
+	if err != nil {
 		return err
 	}
+	b.Write(img)
 	b.prefixLen(start)
 	return nil
 }

@@ -89,14 +89,14 @@ func (e *Environment) Len() int {
 func Save(w io.Writer, e *Environment) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	// A stream encoder: one encoder for the whole image keeps sharing
+	// across bindings. The image is the count, then each (name, value) pair.
 	enc := codec.NewEncoder(w)
 	names := make([]string, 0, len(e.binds))
 	for n := range e.binds {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	// The count, then each (name, value) pair. One encoder for the whole
-	// image keeps sharing across bindings.
 	if err := enc.Value(value.Int(int64(len(names)))); err != nil {
 		return err
 	}
@@ -113,7 +113,7 @@ func Save(w io.Writer, e *Environment) error {
 
 // Resume reads an environment previously written by Save.
 func Resume(r io.Reader) (*Environment, error) {
-	dec, err := codec.NewDecoder(r)
+	dec, err := codec.NewDecoder(r) // a stream: references span the bindings
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

@@ -1074,13 +1074,27 @@ func (s *Server) handleGet(sess *session, fields [][]byte) (byte, [][]byte) {
 	esp := sess.tr.Start(0, "exec")
 	entries, _ := sess.view(s).idx.GetEntries(ws[0])
 	sess.tr.End(esp)
-	out := make([][]byte, len(entries))
-	for i, e := range entries {
-		img, err := codec.MarshalTagged(e.Dyn.Value(), e.Dyn.Type())
-		if err != nil {
+	return valuesReply(len(entries), func(dst []byte, i int) ([]byte, error) {
+		return codec.AppendTagged(dst, entries[i].Dyn.Value(), entries[i].Dyn.Type())
+	})
+}
+
+// valuesReply answers with n tagged images, appended by image into one
+// buffer that the reply's fields slice.
+func valuesReply(n int, image func(dst []byte, i int) ([]byte, error)) (byte, [][]byte) {
+	var buf []byte
+	ends := make([]int, n)
+	for i := range ends {
+		var err error
+		if buf, err = image(buf, i); err != nil {
 			return errResp(toWireError(err))
 		}
-		out[i] = img
+		ends[i] = len(buf)
+	}
+	out := make([][]byte, n)
+	start := 0
+	for i, end := range ends {
+		out[i], start = buf[start:end], end
 	}
 	return wire.OpValues, out
 }
@@ -1120,15 +1134,9 @@ func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
 	}
 	st := sess.view(s)
 	members := relation.JoinFast(relationOf(st, ws[0]), relationOf(st, ws[1])).Members()
-	out := make([][]byte, len(members))
-	for i, m := range members {
-		img, err := codec.MarshalTagged(m, nil)
-		if err != nil {
-			return errResp(toWireError(err))
-		}
-		out[i] = img
-	}
-	return wire.OpValues, out
+	return valuesReply(len(members), func(dst []byte, i int) ([]byte, error) {
+		return codec.AppendTagged(dst, members[i], nil)
+	})
 }
 
 // ---------------------------------------------------------------------------
@@ -1143,7 +1151,7 @@ func (s *Server) handlePut(sess *session, fields [][]byte) (byte, [][]byte) {
 	if name == "" {
 		return badReq("PUT with empty root name")
 	}
-	v, t, err := codec.UnmarshalTagged(fields[1])
+	v, t, err := codec.DecodeTagged(fields[1])
 	if err != nil {
 		return errResp(toWireError(err))
 	}

@@ -24,7 +24,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -525,26 +524,10 @@ func SplitFields(b []byte) ([][]byte, error) {
 // ---------------------------------------------------------------------------
 
 // MarshalType encodes a type as a self-contained codec image field.
-func MarshalType(t types.Type) ([]byte, error) {
-	var buf bytes.Buffer
-	e := codec.NewEncoder(&buf)
-	if err := e.Type(t); err != nil {
-		return nil, err
-	}
-	if err := e.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+func MarshalType(t types.Type) ([]byte, error) { return codec.AppendType(nil, t) }
 
 // UnmarshalType decodes a type image field.
-func UnmarshalType(b []byte) (types.Type, error) {
-	d, err := codec.NewDecoder(bytes.NewReader(b))
-	if err != nil {
-		return nil, err
-	}
-	return d.Type()
-}
+func UnmarshalType(b []byte) (types.Type, error) { return codec.DecodeType(b) }
 
 // ErrorFields encodes an OpError payload: [code, message] plus a
 // retry-after hint field (uvarint nanoseconds) when the error carries

@@ -114,6 +114,23 @@ func TestTypeFieldRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnmarshalTypeAllocs pins what decoding a GET's type field costs:
+// the type itself and its canonical lookup.
+func TestUnmarshalTypeAllocs(t *testing.T) {
+	b, err := MarshalType(types.MustParse("{Badge: Int}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := UnmarshalType(b); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 11 {
+		t.Errorf("UnmarshalType({Badge: Int}) = %.0f allocs, want <= 11", allocs)
+	}
+}
+
 func TestWireErrorTaxonomy(t *testing.T) {
 	for code, sentinel := range map[Code]error{
 		CodeBadFrame:      ErrBadFrame,
