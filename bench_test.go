@@ -606,18 +606,61 @@ func BenchmarkCodecUntagged(b *testing.B) {
 	}
 }
 
+// BenchmarkCodecDecode decodes the 1000-employee world as one untagged
+// image, and a 512-record reply of the read-bulk record shape in 4 witness
+// types — each record its own tagged image, as a GET returns them — once
+// one-shot and once through one TypeTable per reply, as the client decodes
+// a GET. ns/rec is the cost of one record.
 func BenchmarkCodecDecode(b *testing.B) {
-	world, _ := benchWorld(1000)
-	img, err := codec.MarshalValue(world)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := codec.UnmarshalValue(img); err != nil {
+	b.Run("world", func(b *testing.B) {
+		world, _ := benchWorld(1000)
+		img, err := codec.MarshalValue(world)
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := codec.UnmarshalValue(img); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	reply := make([][]byte, 512)
+	for i := range reply {
+		v := value.Rec("Id", value.Int(int64(i)), "Name", value.String(fmt.Sprintf("row-%07d", i)),
+			"A", value.Int(1<<24+int64(i)), fmt.Sprintf("A%d", 1+i%4), value.String("zxcvbnmasdfg"), "A9", value.Float(0.625))
+		img, err := codec.AppendTagged(nil, v, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reply[i] = img
+	}
+	for _, c := range []struct {
+		name   string
+		decode func(*codec.TypeTable, []byte) error
+	}{
+		{"tagged-reply/one-shot", func(_ *codec.TypeTable, img []byte) error {
+			_, _, err := codec.DecodeTagged(img)
+			return err
+		}},
+		{"tagged-reply/table", func(tbl *codec.TypeTable, img []byte) error {
+			_, _, err := tbl.DecodeTagged(img)
+			return err
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var tbl codec.TypeTable
+				for _, img := range reply {
+					if err := c.decode(&tbl, img); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reply)), "ns/rec")
+		})
 	}
 }
 

@@ -1,9 +1,13 @@
 package client
 
 import (
+	"fmt"
 	"testing"
 
+	"dbpl/internal/persist/codec"
 	"dbpl/internal/server/wire"
+	"dbpl/internal/types"
+	"dbpl/internal/value"
 )
 
 // BenchmarkPing measures the full client round trip, -benchmem being the
@@ -44,5 +48,52 @@ func TestTracedStampWriteSideAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("traced frame encode allocates %v times per request, want 0", n)
+	}
+}
+
+// TestDecodeGetAllocs: a VALUES reply of 512 records in 4 interleaved
+// witness types decodes each record at the canonical type a one-shot
+// DecodeTagged gives — its own types.Intern handle — at no more than 12
+// allocations a record, because the reply decodes each distinct type image
+// once and reuses its labels.
+func TestDecodeGetAllocs(t *testing.T) {
+	const n, witnesses, maxPerRecord = 512, 4, 12
+	fields := make([][]byte, n)
+	recs := make([]value.Value, n)
+	want := make([]types.Type, n)
+	for i := range fields {
+		recs[i] = value.Rec("Id", value.Int(int64(4711+i)), "Name", value.String(fmt.Sprintf("name-%07d", i)),
+			fmt.Sprintf("A%d", i%witnesses), value.Int(1<<24+int64(i)), "A2", value.Float(0.625))
+		img, err := codec.AppendTagged(nil, recs[i], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fields[i] = img
+		if _, want[i], err = codec.DecodeTagged(img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ps, err := decodeGet(wire.OpValues, fields, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ps) != n {
+		t.Fatalf("decoded %d records, want %d", len(ps), n)
+	}
+	for i, p := range ps {
+		if p.Witness != want[i] || types.Intern(p.Witness) != types.Intern(want[i]) {
+			t.Fatalf("record %d decoded at %s, not the one-shot decode's canonical %s", i, p.Witness, want[i])
+		}
+		if !value.Equal(p.Value, recs[i]) {
+			t.Fatalf("record %d decoded to %v, want %v", i, p.Value, recs[i])
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := decodeGet(wire.OpValues, fields, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perRecord := allocs / n; perRecord > maxPerRecord {
+		t.Errorf("decoding a %d-record reply costs %.1f allocs a record, want <= %d", n, perRecord, maxPerRecord)
 	}
 }

@@ -887,8 +887,13 @@ func decodeGet(op byte, fields [][]byte, err error) ([]Packed, error) {
 		return nil, err
 	}
 	out := make([]Packed, len(fields))
+	if len(out) == 0 {
+		return out, nil
+	}
+	// One table per reply: its records repeat a few type images.
+	var tbl codec.TypeTable
 	for i, f := range fields {
-		v, t, err := codec.DecodeTagged(f)
+		v, t, err := tbl.DecodeTagged(f)
 		if err != nil {
 			return nil, err
 		}

@@ -18,6 +18,8 @@ func bulkRecord() (value.Value, types.Type) {
 // TestTaggedImageAllocs pins what one tagged image costs. Appending into a
 // buffer with room allocates nothing; a fresh image allocates only its
 // growing slice; decoding allocates the value, the type and their strings.
+// Through a warm TypeTable the type and the labels cost nothing, and a
+// table's first image costs no more than a one-shot decode.
 func TestTaggedImageAllocs(t *testing.T) {
 	v, ty := bulkRecord()
 	buf, err := AppendTagged(nil, v, ty)
@@ -25,6 +27,11 @@ func TestTaggedImageAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := append([]byte(nil), buf...)
+	var warm TypeTable
+	if _, _, err := warm.DecodeTagged(img); err != nil {
+		t.Fatal(err)
+	}
+	oneShot := testing.AllocsPerRun(100, func() { DecodeTagged(img) })
 	for _, c := range []struct {
 		name string
 		max  float64
@@ -40,6 +47,15 @@ func TestTaggedImageAllocs(t *testing.T) {
 		}},
 		{"UnmarshalTagged", 36, func() error {
 			_, _, err := UnmarshalTagged(img)
+			return err
+		}},
+		{"DecodeTagged through a warm table", 12, func() error {
+			_, _, err := warm.DecodeTagged(img)
+			return err
+		}},
+		{"DecodeTagged through a zero-value table", oneShot, func() error {
+			var tbl TypeTable
+			_, _, err := tbl.DecodeTagged(img)
 			return err
 		}},
 	} {

@@ -19,6 +19,14 @@
 // DecodeTagged, AppendType and DecodeType are the entry points. The
 // Marshal/Unmarshal helpers wrap them, and NewEncoder and NewDecoder are
 // stream wrappers, for an image of many values sharing references.
+//
+// Principle P2 puts a type image beside every record, so one reader — a
+// reply of many records, or a store's log — meets a few distinct type images
+// many times. A TypeTable serves one such reader: its DecodeTagged and
+// DecodeType measure each type image with a skip that allocates nothing,
+// and decode and canonicalise only an image they have not met before. The
+// package-level DecodeTagged and DecodeType are the same code with a nil
+// table, which decodes every image afresh.
 package codec
 
 import (
@@ -423,6 +431,8 @@ type Decoder struct {
 	src  []byte
 	pos  int // next byte of src to read
 	refs []value.Value
+	// tbl, if set, is the TypeTable whose decoder this is.
+	tbl *TypeTable
 	// typeDepth tracks Type's recursion so only complete top-level types are
 	// canonicalized (open subterms under a binder should not be interned),
 	// and, with valueDepth, enforces the nesting bounds.
@@ -453,18 +463,29 @@ var errTruncated = fmt.Errorf("%w: %v", ErrCorrupt, io.ErrUnexpectedEOF)
 // errVarint reports a varint cut short or longer than 64 bits.
 var errVarint = fmt.Errorf("%w: bad varint", ErrCorrupt)
 
-// newDecoder checks img's header and returns a decoder positioned after it.
-func newDecoder(img []byte) (*Decoder, error) {
-	if len(img) < len(magic)+1 {
-		return nil, fmt.Errorf("%w: %v", ErrBadMagic, io.ErrUnexpectedEOF)
+// headerLen is the length of the image header: magic and version.
+const headerLen = len(magic) + 1
+
+// checkHeader checks img's header.
+func checkHeader(img []byte) error {
+	if len(img) < headerLen {
+		return fmt.Errorf("%w: %v", ErrBadMagic, io.ErrUnexpectedEOF)
 	}
 	if string(img[:len(magic)]) != magic {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
 	if img[len(magic)] != version {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, img[len(magic)])
+		return fmt.Errorf("%w: %d", ErrBadVersion, img[len(magic)])
 	}
-	d := &Decoder{src: img, pos: len(magic) + 1}
+	return nil
+}
+
+// newDecoder checks img's header and returns a decoder positioned after it.
+func newDecoder(img []byte) (*Decoder, error) {
+	if err := checkHeader(img); err != nil {
+		return nil, err
+	}
+	d := &Decoder{src: img, pos: headerLen}
 	d.open = d.openBuf[:0]
 	return d, nil
 }
@@ -482,10 +503,40 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 // DecodeTagged decodes an image written by AppendTagged, returning the
 // value and the type that persisted with it.
 func DecodeTagged(img []byte) (value.Value, types.Type, error) {
-	d, err := newDecoder(img)
+	return (*TypeTable)(nil).DecodeTagged(img)
+}
+
+// DecodeType decodes a standalone type image written by AppendType.
+func DecodeType(img []byte) (types.Type, error) {
+	return (*TypeTable)(nil).DecodeType(img)
+}
+
+// TypeTable maps the exact bytes of a type image to the canonical type they
+// decode to, for one reader: one reply, or one store's log. Through a table
+// each distinct type image is decoded and canonicalised once, and a record
+// or variant label equal to one the table has met reuses that string. It
+// grows with the distinct images and labels its reader meets. The zero
+// value is ready to use, and a nil *TypeTable decodes every image afresh.
+// A TypeTable is not safe for concurrent use.
+type TypeTable struct {
+	// first is the first image stored and firstType its type; types maps
+	// every image once a second one is stored, so a reader of a single type
+	// builds no map.
+	first     string
+	firstType types.Type
+	types     map[string]types.Type
+	labels    map[string]string
+	// d is the decoder every image through the table reuses.
+	d Decoder
+}
+
+// DecodeTagged is the package-level DecodeTagged through tbl.
+func (tbl *TypeTable) DecodeTagged(img []byte) (value.Value, types.Type, error) {
+	d, err := tbl.decoder(img)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer tbl.release()
 	t, err := d.Type()
 	if err != nil {
 		return nil, nil, err
@@ -497,13 +548,116 @@ func DecodeTagged(img []byte) (value.Value, types.Type, error) {
 	return v, t, nil
 }
 
-// DecodeType decodes a standalone type image written by AppendType.
-func DecodeType(img []byte) (types.Type, error) {
-	d, err := newDecoder(img)
+// DecodeType is the package-level DecodeType through tbl.
+func (tbl *TypeTable) DecodeType(img []byte) (types.Type, error) {
+	// An image that is exactly the header and a stored type image is that
+	// type without a skip, which would end where the image does.
+	if tbl != nil && checkHeader(img) == nil {
+		if t := tbl.lookup(img[headerLen:]); t != nil {
+			return t, nil
+		}
+	}
+	d, err := tbl.decoder(img)
 	if err != nil {
 		return nil, err
 	}
+	defer tbl.release()
 	return d.Type()
+}
+
+// decoder checks img's header and returns a decoder positioned after it:
+// the table's own, reset, or for a nil table a fresh one.
+func (tbl *TypeTable) decoder(img []byte) (*Decoder, error) {
+	if tbl == nil {
+		return newDecoder(img)
+	}
+	if err := checkHeader(img); err != nil {
+		return nil, err
+	}
+	d := &tbl.d
+	*d = Decoder{src: img, pos: headerLen, refs: d.refs, tbl: tbl}
+	d.open = d.openBuf[:0]
+	return d, nil
+}
+
+// release drops what the table's decoder holds of the image it read.
+func (tbl *TypeTable) release() {
+	if tbl != nil {
+		clear(tbl.d.refs)
+		tbl.d.src, tbl.d.refs = nil, tbl.d.refs[:0]
+	}
+}
+
+// typ reads the top-level type image at d's cursor. A stored image costs a
+// skip and a lookup; any other is decoded, and stored if it decodes.
+func (tbl *TypeTable) typ(d *Decoder) (types.Type, error) {
+	start := d.pos
+	if err := d.skipType(0); err != nil {
+		// The decoder reports the first fault in image order, and the skip
+		// does not look for duplicate labels.
+		d.pos = start
+		if _, derr := d.decodeType(); derr != nil {
+			return nil, derr
+		}
+		return nil, err
+	}
+	end := d.pos
+	if t := tbl.lookup(d.src[start:end]); t != nil {
+		return t, nil
+	}
+	d.pos = start
+	t, err := d.decodeType()
+	if err != nil {
+		return nil, err
+	}
+	if d.pos != end {
+		return nil, fmt.Errorf("%w: a %d-byte type image read as %d bytes", ErrCorrupt, end-start, d.pos-start)
+	}
+	tbl.store(string(d.src[start:end]), t)
+	return t, nil
+}
+
+// Len returns the number of distinct type images tbl holds: the images it
+// has decoded.
+func (tbl *TypeTable) Len() int {
+	if tbl == nil || tbl.firstType == nil {
+		return 0
+	}
+	return max(1, len(tbl.types))
+}
+
+func (tbl *TypeTable) lookup(img []byte) types.Type {
+	if tbl.types != nil {
+		return tbl.types[string(img)]
+	}
+	if tbl.first == string(img) {
+		return tbl.firstType // nil until an image is stored
+	}
+	return nil
+}
+
+func (tbl *TypeTable) store(img string, t types.Type) {
+	switch {
+	case tbl.firstType == nil:
+		tbl.first, tbl.firstType = img, t
+	case tbl.types == nil:
+		tbl.types = map[string]types.Type{tbl.first: tbl.firstType, img: t}
+	default:
+		tbl.types[img] = t
+	}
+}
+
+// label returns b as a string, the table's copy if it has met b.
+func (tbl *TypeTable) label(b []byte) string {
+	if l, ok := tbl.labels[string(b)]; ok {
+		return l
+	}
+	l := string(b)
+	if tbl.labels == nil {
+		tbl.labels = map[string]string{}
+	}
+	tbl.labels[l] = l
+	return l
 }
 
 func (d *Decoder) byte() (byte, error) {
@@ -540,13 +694,28 @@ func (d *Decoder) count() (int, error) {
 	return int(x), nil
 }
 
-func (d *Decoder) str() (string, error) {
+// bytes reads a counted byte string, returning it in place.
+func (d *Decoder) bytes() ([]byte, error) {
 	n, err := d.count()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	d.pos += n
-	return string(d.src[d.pos-n : d.pos]), nil
+	return d.src[d.pos-n : d.pos], nil
+}
+
+func (d *Decoder) str() (string, error) {
+	b, err := d.bytes()
+	return string(b), err
+}
+
+// label reads a record or variant label through the decoder's table.
+func (d *Decoder) label() (string, error) {
+	b, err := d.bytes()
+	if err != nil || d.tbl == nil {
+		return string(b), err
+	}
+	return d.tbl.label(b), nil
 }
 
 // capCount bounds an initial slice capacity derived from untrusted input.
@@ -663,7 +832,7 @@ func (d *Decoder) value() (value.Value, error) {
 		d.refs = append(d.refs, rec) // register before children: cycles
 		d.push(len(d.refs)-1, vRecord)
 		for i := 0; i < n; i++ {
-			l, err := d.str()
+			l, err := d.label()
 			if err != nil {
 				return nil, err
 			}
@@ -772,8 +941,16 @@ func (d *Decoder) value() (value.Value, error) {
 // Type reads one type descriptor. Top-level types are routed through
 // types.Canon, so every image of a schema decodes to the one canonical
 // in-memory representation — and hence one entry in every type-keyed cache
-// and one extent handle in the database engine.
+// and one extent handle in the database engine — and through the decoder's
+// TypeTable, if it has one.
 func (d *Decoder) Type() (types.Type, error) {
+	if d.tbl != nil && d.typeDepth == 0 {
+		return d.tbl.typ(d)
+	}
+	return d.decodeType()
+}
+
+func (d *Decoder) decodeType() (types.Type, error) {
 	if d.typeDepth == MaxTypeDepth {
 		return nil, fmt.Errorf("%w: type nested deeper than %d", ErrLimitExceeded, MaxTypeDepth)
 	}
@@ -818,7 +995,7 @@ func (d *Decoder) typeInner() (types.Type, error) {
 		fs := make([]types.Field, 0, capCount(n))
 		seen := make(map[string]bool, capCount(n))
 		for i := 0; i < n; i++ {
-			l, err := d.str()
+			l, err := d.label()
 			if err != nil {
 				return nil, err
 			}
@@ -904,6 +1081,61 @@ func (d *Decoder) typeInner() (types.Type, error) {
 	default:
 		return nil, fmt.Errorf("%w: type tag %d", ErrCorrupt, tag)
 	}
+}
+
+// skipType moves past one type image, nested depth levels down, without
+// decoding it. It allocates nothing and refuses what Type refuses for
+// nesting and counts.
+func (d *Decoder) skipType(depth int) error {
+	if depth == MaxTypeDepth {
+		return fmt.Errorf("%w: type nested deeper than %d", ErrLimitExceeded, MaxTypeDepth)
+	}
+	tag, err := d.byte()
+	if err != nil {
+		return err
+	}
+	n := 0 // the nested types that follow
+	switch tag {
+	case tInt, tFloat, tString, tBool, tUnit, tTop, tBottom, tDynamic, tTypeRep:
+	case tRecord, tVariant:
+		if n, err = d.count(); err != nil {
+			return err
+		}
+		for ; n > 0; n-- { // label, type
+			if _, err := d.bytes(); err != nil {
+				return err
+			}
+			if err := d.skipType(depth + 1); err != nil {
+				return err
+			}
+		}
+	case tList, tSet:
+		n = 1
+	case tFunc:
+		if n, err = d.count(); err != nil {
+			return err
+		}
+		n++ // the parameters and the result
+	case tVar:
+		_, err = d.bytes()
+		return err
+	case tRec, tForAll, tExists: // a name, then the body or the bound and the body
+		if _, err := d.bytes(); err != nil {
+			return err
+		}
+		n = 2
+		if tag == tRec {
+			n = 1
+		}
+	default:
+		return fmt.Errorf("%w: type tag %d", ErrCorrupt, tag)
+	}
+	for ; n > 0; n-- {
+		if err := d.skipType(depth + 1); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------

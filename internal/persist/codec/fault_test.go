@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"dbpl/internal/value"
 )
 
 // Fault injection: a decoder fed arbitrarily corrupted images must either
@@ -33,7 +31,11 @@ func corpusImages(t *testing.T) (plain, tagged [][]byte) {
 	return plain, tagged
 }
 
-func decodeSafely(t *testing.T, img []byte, what string) {
+// decodeSafely decodes img one-shot and, given a table, through it as a
+// tagged image and as a type image, expecting the one-shot outcome
+// (sameThroughTable). A table shared across corrupted images is where a
+// corruption whose type bytes hit a stored image would show.
+func decodeSafely(t *testing.T, tbl *TypeTable, img []byte, what string) {
 	t.Helper()
 	done := make(chan struct{})
 	go func() {
@@ -45,6 +47,10 @@ func decodeSafely(t *testing.T, img []byte, what string) {
 		}()
 		_, _ = UnmarshalValue(img)
 		_, _, _ = UnmarshalTagged(img)
+		if tbl != nil {
+			sameThroughTable(t, tbl, img, decodeTagged)
+			sameThroughTable(t, tbl, img, decodeType)
+		}
 	}()
 	select {
 	case <-done:
@@ -56,6 +62,7 @@ func decodeSafely(t *testing.T, img []byte, what string) {
 func TestBitFlipsNeverPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	plain, tagged := corpusImages(t)
+	var tbl TypeTable
 	for _, img := range append(plain, tagged...) {
 		for trial := 0; trial < 50; trial++ {
 			mut := append([]byte(nil), img...)
@@ -64,7 +71,7 @@ func TestBitFlipsNeverPanic(t *testing.T) {
 				i := rng.Intn(len(mut))
 				mut[i] ^= 1 << rng.Intn(8)
 			}
-			decodeSafely(t, mut, "bitflip")
+			decodeSafely(t, &tbl, mut, "bitflip")
 		}
 	}
 }
@@ -75,28 +82,29 @@ func TestRandomGarbageNeverPanics(t *testing.T) {
 		n := rng.Intn(200)
 		img := make([]byte, n)
 		rng.Read(img)
-		decodeSafely(t, img, "garbage")
+		decodeSafely(t, nil, img, "garbage")
 	}
 	// Garbage behind a valid header.
 	for trial := 0; trial < 100; trial++ {
 		img := append([]byte("DBPL\x01"), make([]byte, rng.Intn(64))...)
 		rng.Read(img[5:])
-		decodeSafely(t, img, "garbage-with-header")
+		decodeSafely(t, nil, img, "garbage-with-header")
 	}
 }
 
 func TestByteTruncationAndExtension(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	plain, tagged := corpusImages(t)
+	var tbl TypeTable
 	for _, img := range append(append([][]byte(nil), plain...), tagged...) {
 		// Random truncations.
 		for trial := 0; trial < 25; trial++ {
 			cut := rng.Intn(len(img))
-			decodeSafely(t, img[:cut], "truncation")
+			decodeSafely(t, &tbl, img[:cut], "truncation")
 		}
 		// Trailing junk after a valid image must not panic the decoder.
 		withJunk := append(append([]byte(nil), img...), 0xFF, 0x00, 0x13)
-		decodeSafely(t, withJunk, "extension")
+		decodeSafely(t, &tbl, withJunk, "extension")
 	}
 	// A clean untagged prefix with junk after it still decodes: the junk is
 	// simply unread stream.
@@ -109,31 +117,51 @@ func TestByteTruncationAndExtension(t *testing.T) {
 }
 
 func TestHugeCountsRejected(t *testing.T) {
-	// A list claiming 2^40 elements must be rejected by the count guard,
-	// not attempted.
-	img := []byte("DBPL\x01")
-	img = append(img, vList)
-	img = append(img, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01) // huge uvarint
-	v := value.NewList()
-	_ = v
-	if _, err := UnmarshalValue(img); err == nil {
+	// One table, warmed with a valid image, is shared by the table decodes.
+	var tbl TypeTable
+	if _, err := tbl.DecodeType(nestedImage(nil, 0, tRecord, 1, 1, 'A', tInt)); err != nil {
+		t.Fatal(err)
+	}
+	// A list claiming 2^40 elements, and a record type claiming as many
+	// fields, must be rejected by the count guard, not attempted.
+	if _, err := UnmarshalValue(nestedImage(nil, 0, vList, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)); err == nil {
 		t.Error("huge count accepted")
+	}
+	hugeRecord := nestedImage(nil, 0, tRecord, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)
+	for _, decode := range []tableDecode{decodeType, decodeTagged} {
+		if _, _, err := decode(&tbl, hugeRecord); !errors.Is(err, ErrLimitExceeded) {
+			t.Errorf("a record type claiming 2^40 fields through a table: %v, want ErrLimitExceeded", err)
+		}
 	}
 
 	// A string claiming 128 MiB inside a 16-byte image fails on its length,
-	// before anything is allocated for its bytes.
-	img = append([]byte("DBPL\x01"), vString, 0x80, 0x80, 0x80, 0x40)
-	img = append(img, "abcdef"...)
-	const runs = 10
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		if _, err := UnmarshalValue(img); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%d-byte image claiming a 1<<27-byte string: %v, want ErrCorrupt", len(img), err)
+	// before anything is allocated for its bytes: a string value one-shot,
+	// and a label in a type image through the table.
+	for _, c := range []struct {
+		name string
+		img  []byte
+		f    func([]byte) error
+	}{
+		{"string value", nestedImage(nil, 0, vString, 0x80, 0x80, 0x80, 0x40, 'a', 'b', 'c', 'd', 'e', 'f'), func(img []byte) error {
+			_, err := UnmarshalValue(img)
+			return err
+		}},
+		{"label through a table", nestedImage(nil, 0, tRecord, 1, 0x80, 0x80, 0x80, 0x40, 'a', 'b', 'c', 'd', 'e'), func(img []byte) error {
+			_, err := tbl.DecodeType(img)
+			return err
+		}},
+	} {
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if err := c.f(c.img); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: %d-byte image claiming 1<<27 bytes: %v, want ErrCorrupt", c.name, len(c.img), err)
+			}
 		}
-	}
-	runtime.ReadMemStats(&after)
-	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 1<<10 {
-		t.Errorf("refusing a 1<<27-byte string claim allocated %d bytes, want < 1 KiB", perRun)
+		runtime.ReadMemStats(&after)
+		if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun >= 1<<10 {
+			t.Errorf("%s: refusing a 1<<27-byte claim allocated %d bytes, want < 1 KiB", c.name, perRun)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"dbpl/internal/types"
@@ -15,7 +16,9 @@ import (
 // re-encoding what an input decodes to gives an image that decodes and
 // re-encodes to itself byte for byte, cyclic and shared inputs included.
 // Bytes are compared, not values: value.Equal does not terminate on a
-// cycle.
+// cycle. Each target also decodes its input through one TypeTable twice,
+// cold and then warm, and expects the one-shot decoder's outcome
+// (sameThroughTable).
 
 func FuzzUnmarshalValue(f *testing.F) {
 	seed := []value.Value{
@@ -48,6 +51,7 @@ func FuzzUnmarshalValue(f *testing.F) {
 	f.Add(nestedImage(nil, 0, vList, 1, vRef, 0))
 
 	f.Fuzz(func(t *testing.T, img []byte) {
+		sameThroughTable(t, new(TypeTable), img, decodeTagged)
 		v, err := UnmarshalValue(img)
 		if err != nil {
 			return
@@ -83,6 +87,7 @@ func FuzzDecodeType(f *testing.F) {
 	}
 	f.Add(nestedImage([]byte{tList}, MaxTypeDepth, tInt))
 	f.Fuzz(func(t *testing.T, img []byte) {
+		sameThroughTable(t, new(TypeTable), img, decodeType)
 		ty, err := DecodeType(img)
 		if err != nil {
 			return
@@ -107,3 +112,62 @@ func FuzzDecodeType(f *testing.F) {
 
 // typeImage encodes a parsed type with the image header.
 func typeImage(src string) ([]byte, error) { return AppendType(nil, types.MustParse(src)) }
+
+// A tableDecode decodes img through tbl; a nil tbl is the one-shot decoder.
+type tableDecode func(tbl *TypeTable, img []byte) (value.Value, types.Type, error)
+
+func decodeTagged(tbl *TypeTable, img []byte) (value.Value, types.Type, error) {
+	return tbl.DecodeTagged(img)
+}
+
+func decodeType(tbl *TypeTable, img []byte) (value.Value, types.Type, error) {
+	ty, err := tbl.DecodeType(img)
+	return nil, ty, err
+}
+
+// sameThroughTable decodes img one-shot and then twice through tbl, which
+// may already hold other images, and fails unless both table decodes have
+// the one-shot outcome: the same error class, or the identical canonical
+// type and a value that re-encodes to the same bytes (value.Equal does not
+// terminate on a cycle).
+func sameThroughTable(t *testing.T, tbl *TypeTable, img []byte, decode tableDecode) {
+	t.Helper()
+	v, ty, err := decode(nil, img)
+	want, werr := errClass(err), error(nil)
+	var wantImg []byte
+	if err == nil && v != nil {
+		wantImg, werr = AppendTagged(nil, v, ty)
+	}
+	for _, pass := range []string{"cold", "warm"} {
+		tv, tty, err := decode(tbl, img)
+		if got := errClass(err); got != want {
+			t.Errorf("%s table decode of %x: %v, one-shot decode class %v", pass, img, err, want)
+			return
+		}
+		if err != nil {
+			continue
+		}
+		if tty != ty {
+			t.Errorf("%s table decode of %x: type %s is not the one-shot decode's canonical %s", pass, img, tty, ty)
+			return
+		}
+		if v == nil {
+			continue
+		}
+		got, gerr := AppendTagged(nil, tv, tty)
+		if !errors.Is(gerr, werr) || !bytes.Equal(got, wantImg) {
+			t.Errorf("%s table decode of %x re-encodes to %x (%v), one-shot decode to %x (%v)", pass, img, got, gerr, wantImg, werr)
+			return
+		}
+	}
+}
+
+// errClass returns the package error err is, or err itself.
+func errClass(err error) error {
+	for _, c := range []error{ErrBadMagic, ErrBadVersion, ErrCorrupt, ErrUnsupported, ErrLimitExceeded} {
+		if errors.Is(err, c) {
+			return c
+		}
+	}
+	return err
+}

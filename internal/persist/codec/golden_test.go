@@ -177,6 +177,9 @@ func readGolden(t *testing.T) map[string][]byte {
 // TestGoldenImages: the encoder reproduces every recorded image byte for
 // byte, and every recorded image decodes and re-encodes to itself. Bytes
 // are compared, not values: value.Equal does not terminate on a cycle.
+// Every image also decodes through one shared TypeTable as it does
+// one-shot: a type image as a type, any other as a tagged image, which an
+// untagged one is not and must fail or misread the same way both times.
 func TestGoldenImages(t *testing.T) {
 	corpus := goldenCorpus(t)
 	if *updateGolden {
@@ -196,6 +199,7 @@ func TestGoldenImages(t *testing.T) {
 	if len(golden) != len(corpus) {
 		t.Errorf("golden file has %d images, corpus %d", len(golden), len(corpus))
 	}
+	var tbl TypeTable
 	for _, g := range corpus {
 		want, ok := golden[g.name]
 		if !ok {
@@ -218,5 +222,10 @@ func TestGoldenImages(t *testing.T) {
 		if !bytes.Equal(again, want) {
 			t.Errorf("%s: decoded and re-encoded to\n%x\nwant\n%x", g.name, again, want)
 		}
+		decode := decodeTagged
+		if g.typ != nil {
+			decode = decodeType
+		}
+		sameThroughTable(t, &tbl, want, decode)
 	}
 }

@@ -141,30 +141,6 @@ func capCount(n int) int {
 	return n
 }
 
-// typeImages maps a store's type images to the canonical types they decode
-// to. Principle P2 puts a type image beside every root entry, typed node and
-// type value, so a log repeats a few distinct images thousands of times;
-// through this map replay, ApplyGroup, Fsck and node decoding decode each
-// distinct image once. It grows with the distinct types the log names, as
-// the intern table does. A nil map decodes every image afresh.
-type typeImages map[string]types.Type
-
-// parse decodes a codec type image (as written by nodeBuf.typ, without the
-// length prefix), remembering it in c.
-func (c typeImages) parse(img []byte) (types.Type, error) {
-	if t, ok := c[string(img)]; ok {
-		return t, nil
-	}
-	t, err := codec.DecodeType(img)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	if c != nil {
-		c[string(img)] = t
-	}
-	return t, nil
-}
-
 // Inline value tags used inside node images and root entries.
 const (
 	inBottom byte = iota
@@ -346,11 +322,11 @@ func isTransient(label, prefix string) bool {
 	return prefix != "" && len(label) >= len(prefix) && label[:len(prefix)] == prefix
 }
 
-// nodeReader decodes node images.
+// nodeReader decodes node images, their type images through types.
 type nodeReader struct {
 	buf   []byte
 	pos   int
-	types typeImages
+	types *codec.TypeTable
 }
 
 func (r *nodeReader) byte() (byte, error) {
@@ -403,7 +379,11 @@ func (r *nodeReader) typ() (types.Type, error) {
 	}
 	img := r.buf[r.pos : r.pos+int(n)]
 	r.pos += int(n)
-	return r.types.parse(img)
+	t, err := r.types.DecodeType(img)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return t, nil
 }
 
 // inlineValue decodes an inline value; container refs are resolved through

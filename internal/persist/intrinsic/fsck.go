@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 
+	"dbpl/internal/persist/codec"
 	"dbpl/internal/persist/iofault"
 )
 
@@ -77,7 +78,7 @@ func FsckFS(fsys iofault.FS, path string) (*FsckReport, error) {
 
 	rep := &FsckReport{Path: path, Size: fi.Size()}
 	var fold groupFold // nodes left nil: images are counted, not retained
-	sum, err := scanLog(f, fold.sink(typeImages{}))
+	sum, err := scanLog(f, fold.sink(new(codec.TypeTable)))
 	if err != nil {
 		return nil, err
 	}

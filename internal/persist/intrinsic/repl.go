@@ -7,6 +7,7 @@ import (
 	"io"
 	"sort"
 
+	"dbpl/internal/persist/codec"
 	"dbpl/internal/persist/iofault"
 	"dbpl/internal/value"
 )
@@ -233,7 +234,7 @@ func (s *Store) readAt(off int64, n int) ([]byte, error) {
 // whole valid commit groups and how many groups that prefix holds. A cut
 // final group is fine (it just isn't counted); deterministic corruption is
 // an error.
-func groupBoundary(buf []byte, types typeImages) (int64, int, error) {
+func groupBoundary(buf []byte, types *codec.TypeTable) (int64, int, error) {
 	sum, err := scanRaw(buf, scanSink{types: types})
 	if err != nil {
 		return 0, 0, err

@@ -53,7 +53,7 @@ func TestReopenDecodesEachTypeImageOnce(t *testing.T) {
 		t.Cleanup(func() { re.Close() })
 		// A miss is the only place an image is decoded, and every miss is
 		// kept: the cache's size is the number of decodes.
-		if n := len(re.types); n != wantDecodes {
+		if n := re.types.Len(); n != wantDecodes {
 			t.Fatalf("reopen decoded %d type images, want %d", n, wantDecodes)
 		}
 		if got := renderTyped(re); !sameState(got, want) {
@@ -87,13 +87,13 @@ func TestTypeImageHitAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := buf.Bytes()
-	c := typeImages{}
-	first, err := c.parse(img)
+	c := new(codec.TypeTable)
+	first, err := c.DecodeType(img)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if t2, err := c.parse(img); err != nil || t2 != first {
+		if t2, err := c.DecodeType(img); err != nil || t2 != first {
 			t.Fatalf("repeated image decoded to %v, %v", t2, err)
 		}
 	}); n != 0 {

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"dbpl/internal/persist/codec"
 )
 
 // This file implements the single structural reader of the log, shared by
@@ -51,8 +53,9 @@ type scanSink struct {
 	indexDefs func(fields []string)
 	epoch     func(e uint64)
 	commit    func(end int64)
-	// types decodes the root entries' type images; see typeImages.
-	types typeImages
+	// types decodes the root entries' type images. Principle P2 puts one
+	// beside every root entry, so a log repeats a few distinct images.
+	types *codec.TypeTable
 }
 
 // rootOp is one root-table delta's effect on the running table: upsert,
@@ -96,7 +99,7 @@ func (f *groupFold) applyRootOp(op rootOp) {
 
 // sink returns the scanSink that feeds f, decoding type images through
 // types.
-func (f *groupFold) sink(types typeImages) scanSink {
+func (f *groupFold) sink(types *codec.TypeTable) scanSink {
 	type nodeRec struct {
 		oid uint64
 		img []byte
@@ -228,7 +231,7 @@ func isEOF(err error) bool {
 
 // scanRootEntries parses a counted list of root-table entries — the upsert
 // half of a 'D' record — validating lengths and type images.
-func scanRootEntries(s *logScanner, types typeImages) ([]rootEntry, error) {
+func scanRootEntries(s *logScanner, types *codec.TypeTable) ([]rootEntry, error) {
 	count, err := s.uvarint()
 	if err != nil {
 		return nil, err
@@ -261,8 +264,8 @@ func scanRootEntries(s *logScanner, types typeImages) ([]rootEntry, error) {
 		if err != nil {
 			return nil, err
 		}
-		if e.typ, err = types.parse(tbuf); err != nil {
-			return nil, err
+		if e.typ, err = types.DecodeType(tbuf); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 		vn, err := s.uvarint()
 		if err != nil {

@@ -43,6 +43,7 @@ import (
 	"sync/atomic"
 
 	"dbpl/internal/dynamic"
+	"dbpl/internal/persist/codec"
 	"dbpl/internal/persist/iofault"
 	"dbpl/internal/types"
 	"dbpl/internal/value"
@@ -122,8 +123,9 @@ type Store struct {
 	oids    map[value.Value]uint64
 	nodes   map[uint64][]byte
 	nextOID uint64
-	// types holds the type images decoded so far; reload keeps it.
-	types typeImages
+	// types holds the type images decoded so far; reload keeps it. It is
+	// used under mu.
+	types *codec.TypeTable
 
 	// epoch is the promotion epoch: 0 until the first Promote, bumped by
 	// every Promote and recovered from the last committed 'E' record on
@@ -204,7 +206,7 @@ func OpenFS(fsys iofault.FS, path string) (*Store, error) {
 		path:      path,
 		f:         f,
 		nodes:     map[uint64][]byte{},
-		types:     typeImages{},
+		types:     new(codec.TypeTable),
 		indexDefs: map[string]bool{},
 	}
 	if err := s.load(); err != nil {
