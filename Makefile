@@ -48,12 +48,14 @@ bench-smoke:
 # Short fuzz passes over every Fuzz* target in the repo: the decoders,
 # the log scanner (its seeds include the refused older headers), the
 # conformance walk (differential against TypeOf + subtyping), the value
-# key writer (byte-identical to the fmt writer it replaced), the language
+# key writer (byte-identical to the fmt writer it replaced), the pruned
+# maximal-elements scan (differential against the naive one), the language
 # pipeline and the wire frame reader (malformed frames, truncated length
 # prefixes and oversize claims must yield typed wire errors — never a
 # panic, never an unbounded allocation). The codec seeds include images
-# nested past the depth bounds, 32 KiB and more; minimizing an input grown
-# from one would take the whole pass, so it is cut short. `make test`
+# nested past the depth bounds, 32 KiB and more, and each FuzzMaximal input
+# runs the quadratic reference scan; minimizing an input grown from either
+# would take the whole pass, so it is cut short. `make test`
 # runs every target's seed corpus.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalValue -fuzztime=30s -fuzzminimizetime=5s ./internal/persist/codec/
@@ -61,6 +63,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzScanLog -fuzztime=30s ./internal/persist/intrinsic/
 	$(GO) test -fuzz=FuzzConforms -fuzztime=30s ./internal/value/
 	$(GO) test -fuzz=FuzzAppendKey -fuzztime=30s ./internal/value/
+	$(GO) test -fuzz=FuzzMaximal -fuzztime=30s -fuzzminimizetime=5s ./internal/value/
 	$(GO) test -fuzz=FuzzRun -fuzztime=30s ./internal/lang/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/server/wire/
 

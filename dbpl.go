@@ -180,8 +180,10 @@ type Relation = relation.Relation
 // Flat is a classical first-normal-form relation.
 type Flat = relation.Flat
 
-// NewRelation returns a generalized relation seeded with objects (inserted
-// with subsumption).
+// NewRelation returns a generalized relation holding the maximal objects
+// among objects: the ones inserting them in order with subsumption would
+// keep, in input order, the first of duplicates winning. Like every
+// Relation it is not safe for concurrent use.
 func NewRelation(objects ...Value) *Relation { return relation.New(objects...) }
 
 // NewKeyedRelation returns a relation with key attributes; keys forbid

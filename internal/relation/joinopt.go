@@ -93,19 +93,18 @@ func pairsOn(r, s *Relation, attr string) int {
 	if s.Len() > r.Len() {
 		r, s = s, r // the count is symmetric; tally the smaller side
 	}
-	atoms, wild := map[string]int{}, 0
-	var buf [keyScratch]byte
+	atoms, wild := map[value.AtomKey]int{}, 0
 	for _, m := range s.elems {
-		if v, ok := atomOn(m, attr); ok {
-			atoms[string(value.AppendKey(buf[:0], v))]++
+		if k, ok := atomOn(m, attr); ok {
+			atoms[k]++
 		} else {
 			wild++
 		}
 	}
 	n := 0
 	for _, m := range r.elems {
-		if v, ok := atomOn(m, attr); ok {
-			n += atoms[string(value.AppendKey(buf[:0], v))] + wild
+		if k, ok := atomOn(m, attr); ok {
+			n += atoms[k] + wild
 		} else {
 			n += s.Len()
 		}
@@ -113,17 +112,15 @@ func pairsOn(r, s *Relation, attr string) int {
 	return n
 }
 
-// atomOn returns m's attr field when m is a record defining it atomically.
-func atomOn(m value.Value, attr string) (value.Value, bool) {
-	rec, ok := m.(*value.Record)
-	if !ok {
-		return nil, false
+// atomOn returns the AtomKey of m's attr field when m is a record defining
+// it atomically.
+func atomOn(m value.Value, attr string) (value.AtomKey, bool) {
+	if rec, ok := m.(*value.Record); ok {
+		if v, ok := rec.Get(attr); ok {
+			return value.AtomKeyOf(v)
+		}
 	}
-	v, ok := rec.Get(attr)
-	if !ok || !isAtom(v) {
-		return nil, false
-	}
-	return v, true
+	return value.AtomKey{}, false
 }
 
 // JoinFast computes the same generalized natural join as Join under the
@@ -146,13 +143,11 @@ func JoinPlanned(r, s *Relation, p JoinPlan) *Relation {
 	if p.BuildRight {
 		build, probe = s, r
 	}
-	buckets := map[string][]value.Value{}
+	buckets := map[value.AtomKey][]value.Value{}
 	var buildWild []value.Value
-	var buf [keyScratch]byte
 	for _, m := range build.elems {
-		if v, ok := atomOn(m, p.Attr); ok {
-			k := value.AppendKey(buf[:0], v)
-			buckets[string(k)] = append(buckets[string(k)], m)
+		if k, ok := atomOn(m, p.Attr); ok {
+			buckets[k] = append(buckets[k], m)
 		} else {
 			buildWild = append(buildWild, m)
 		}
@@ -170,9 +165,9 @@ func JoinPlanned(r, s *Relation, p JoinPlan) *Relation {
 		}
 	}
 	for _, m := range probe.elems {
-		if v, ok := atomOn(m, p.Attr); ok {
+		if k, ok := atomOn(m, p.Attr); ok {
 			// Equal atoms join; the build side's wildcards join everything.
-			for _, bm := range buckets[string(value.AppendKey(buf[:0], v))] {
+			for _, bm := range buckets[k] {
 				tryJoin(m, bm)
 			}
 			for _, bm := range buildWild {
@@ -185,5 +180,5 @@ func JoinPlanned(r, s *Relation, p JoinPlan) *Relation {
 			}
 		}
 	}
-	return newFromCochain(value.Maximal(joined))
+	return New(joined...)
 }

@@ -3,9 +3,11 @@ package relation
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"dbpl/internal/types"
 	"dbpl/internal/value"
 )
 
@@ -117,6 +119,109 @@ func TestQuickKeyedNeverComparable(t *testing.T) {
 		return rel.IsCochain()
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// insertFold is New's reference: the objects inserted one by one, with
+// subsumption. subsumed reports whether an insert replaced a member.
+func insertFold(objects []value.Value) (r *Relation, subsumed bool) {
+	r = New()
+	for _, o := range objects {
+		if out, _ := r.Insert(o); out == Subsumed {
+			subsumed = true
+		}
+	}
+	return r, subsumed
+}
+
+// genExtent builds what a server extent may be, which is not a cochain:
+// partial records with comparable pairs and both copied and
+// pointer-identical duplicates. Some seeds give the records an Id, so that
+// fewer are comparable; some give them a type-valued field, each built
+// afresh as a decoder builds it, so that equal records hold distinct
+// *TypeVals; and some mix in non-records, which send value.Maximal down its
+// naive path.
+func genExtent(rng *rand.Rand) []value.Value {
+	ids, typed, mixed := rng.Intn(2) == 0, rng.Intn(3) == 0, rng.Intn(3) == 0
+	others := []value.Value{value.Int(1), value.Bottom, value.NewSet(value.Int(0)), value.String("x")}
+	var xs []value.Value
+	for n := rng.Intn(70); len(xs) < n; {
+		o := genObject(rng)
+		if ids {
+			o.(*value.Record).Set("Id", value.Int(int64(rng.Intn(24))))
+		}
+		if typed && rng.Intn(2) == 0 {
+			o.(*value.Record).Set("T", value.NewTypeVal(types.Int))
+		}
+		if mixed && rng.Intn(8) == 0 {
+			o = others[rng.Intn(len(others))]
+		}
+		xs = append(xs, o)
+		switch rng.Intn(6) {
+		case 0:
+			xs = append(xs, value.Copy(o))
+		case 1:
+			xs = append(xs, o)
+		}
+	}
+	return xs
+}
+
+// TestQuickNewEqualsInsertFold: New keeps what inserting the objects in
+// order keeps — the same members, in input order when no insert subsumed
+// one — and its index, built on first use, answers Contains, Insert,
+// Delete and Equal as the fold's does.
+func TestQuickNewEqualsInsertFold(t *testing.T) {
+	keys := func(r *Relation) []string {
+		ks := make([]string, r.Len())
+		for i, m := range r.elems {
+			ks[i] = value.Key(m)
+		}
+		sort.Strings(ks)
+		return ks
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		xs := genExtent(rng)
+		got := New(xs...)
+		want, subsumed := insertFold(xs)
+		if !reflect.DeepEqual(keys(got), keys(want)) {
+			t.Logf("seed %d: New has %v, the fold %v", seed, got, want)
+			return false
+		}
+		if !subsumed {
+			for i := range got.elems {
+				if got.elems[i] != want.elems[i] {
+					t.Logf("seed %d: member %d is %s, the fold's %s", seed, i, got.elems[i], want.elems[i])
+					return false
+				}
+			}
+		}
+		probe := genObject(rng)
+		if len(xs) > 0 && rng.Intn(2) == 0 {
+			probe = xs[rng.Intn(len(xs))]
+		}
+		if New(xs...).Contains(probe) != want.Contains(probe) {
+			t.Logf("seed %d: Contains(%s) differs", seed, probe)
+			return false
+		}
+		a, b := New(xs...), New(xs...)
+		fa, _ := insertFold(xs)
+		fb, _ := insertFold(xs)
+		ao, aerr := a.Insert(probe)
+		fo, ferr := fa.Insert(probe)
+		if ao != fo || aerr != nil || ferr != nil || !reflect.DeepEqual(keys(a), keys(fa)) {
+			t.Logf("seed %d: Insert(%s) = %v, %v; the fold's %v, %v", seed, probe, ao, aerr, fo, ferr)
+			return false
+		}
+		if b.Delete(probe) != fb.Delete(probe) || !reflect.DeepEqual(keys(b), keys(fb)) {
+			t.Logf("seed %d: Delete(%s) differs", seed, probe)
+			return false
+		}
+		return Equal(New(xs...), want) && Equal(want, New(xs...))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
 	}
 }

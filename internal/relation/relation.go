@@ -56,11 +56,15 @@ var ErrNoKey = errors.New("relation: object missing key attribute")
 // Relation is a generalized relation: a set of mutually incomparable
 // objects under the information ordering ("cochains in the jargon of
 // lattice theory"). The zero value is not usable; construct with New or
-// NewKeyed.
+// NewKeyed. A Relation is not safe for concurrent use: even Contains may
+// build its member index.
 type Relation struct {
 	elems []value.Value
-	keys  []string       // value.Key of each member, parallel to elems
-	index map[string]int // value.Key -> position
+	// keys (value.Key of each member, parallel to elems) and index (value.Key
+	// -> position) are built on first use by indexMembers, so a relation
+	// that is only joined never formats a key.
+	keys  []string
+	index map[string]int
 	key   []string       // key attributes; empty means unkeyed
 	byKey map[string]int // key-tuple -> position, when keyed
 }
@@ -69,30 +73,28 @@ type Relation struct {
 // map probe: a record of a handful of atomic fields fits.
 const keyScratch = 128
 
-// New returns an empty generalized relation, optionally seeded with
-// objects (inserted in order, with subsumption).
+// New returns a generalized relation holding the maximal objects among
+// objects, computed in one pass by value.Maximal: the members are the
+// survivors in input order, and of duplicates (or of objects each ⊑ the
+// other) the first occurrence is kept. That is the cochain inserting the
+// objects in order would build, up to the order of its members. Like every
+// Relation, the result is not safe for concurrent use.
 func New(objects ...value.Value) *Relation {
-	r := &Relation{index: make(map[string]int, len(objects))}
-	for _, o := range objects {
-		r.Insert(o)
-	}
-	return r
+	return &Relation{elems: value.Maximal(objects)}
 }
 
-// newFromCochain builds a relation directly from members already known to
-// be mutually incomparable (e.g. the output of value.Maximal), skipping the
-// per-insert subsumption scan.
-func newFromCochain(members []value.Value) *Relation {
-	r := &Relation{index: make(map[string]int, len(members))}
-	var buf [keyScratch]byte
-	for _, m := range members {
-		k := value.AppendKey(buf[:0], m)
-		if _, dup := r.index[string(k)]; dup {
-			continue
-		}
-		r.add(m, string(k), "")
+// indexMembers builds the member index, keys and index, if it is not built
+// yet.
+func (r *Relation) indexMembers() {
+	if r.index != nil {
+		return
 	}
-	return r
+	r.index = make(map[string]int, len(r.elems))
+	r.keys = make([]string, len(r.elems))
+	for i, m := range r.elems {
+		r.keys[i] = value.Key(m)
+		r.index[r.keys[i]] = i
+	}
 }
 
 // NewKeyed returns an empty relation with the given key attributes. As the
@@ -101,7 +103,7 @@ func newFromCochain(members []value.Value) *Relation {
 func NewKeyed(key ...string) *Relation {
 	ks := append([]string(nil), key...)
 	sort.Strings(ks)
-	return &Relation{index: map[string]int{}, key: ks, byKey: map[string]int{}}
+	return &Relation{key: ks, byKey: map[string]int{}}
 }
 
 // Len reports the number of members.
@@ -116,6 +118,7 @@ func (r *Relation) Members() []value.Value { return append([]value.Value(nil), r
 
 // Contains reports whether an object structurally equal to o is a member.
 func (r *Relation) Contains(o value.Value) bool {
+	r.indexMembers()
 	var buf [keyScratch]byte
 	_, ok := r.index[string(value.AppendKey(buf[:0], o))]
 	return ok
@@ -143,6 +146,7 @@ func (r *Relation) appendKeyTuple(dst []byte, o value.Value) ([]byte, error) {
 // than existing members, those are subsumed (removed). For keyed relations
 // a collision on the key with a non-comparable member is ErrKeyViolation.
 func (r *Relation) Insert(o value.Value) (Outcome, error) {
+	r.indexMembers()
 	var buf [keyScratch]byte
 	k := value.AppendKey(buf[:0], o)
 	if _, ok := r.index[string(k)]; ok {
@@ -228,6 +232,7 @@ func (r *Relation) removeAt(i int) {
 // Delete removes the member structurally equal to o, reporting whether it
 // was present.
 func (r *Relation) Delete(o value.Value) bool {
+	r.indexMembers()
 	var buf [keyScratch]byte
 	i, ok := r.index[string(value.AppendKey(buf[:0], o))]
 	if !ok {
@@ -287,7 +292,7 @@ func Join(r, s *Relation) *Relation {
 			}
 		}
 	}
-	return newFromCochain(value.Maximal(joined))
+	return New(joined...)
 }
 
 // Project restricts each member record to the given labels — with partial

@@ -14,6 +14,7 @@ import (
 
 	"dbpl/client"
 	"dbpl/internal/persist/intrinsic"
+	"dbpl/internal/relation"
 	"dbpl/internal/server"
 	"dbpl/internal/server/wire"
 	"dbpl/internal/types"
@@ -351,6 +352,107 @@ func TestE2ETxnReadsWhatCommitPublishes(t *testing.T) {
 		if !value.Equal(inJoin[i], afterJoin[i]) {
 			t.Errorf("JOIN [%d]: in the transaction %s, after COMMIT %s", i, inJoin[i], afterJoin[i])
 		}
+	}
+}
+
+// TestE2EJoinOverNonCochainExtent: an extent is not a cochain in general.
+// Here each side binds one root whose value is below another's and two
+// roots with equal values under different names. JOIN answers what
+// relation.Join answers over the extents folded through Insert, and
+// EXPLAIN JOIN counts the maximal members only.
+func TestE2EJoinOverNonCochainExtent(t *testing.T) {
+	h := boot(t, filepath.Join(t.TempDir(), "noncochain.log"))
+	c := dial(t, h, nil)
+	phoned := emp("E1", 1, "Lab").(*value.Record).Copy()
+	phoned.Set("Phone", value.Int(5551))
+	lab := value.Rec("Dept", value.String("Lab"), "Floor", value.Int(3))
+	labA := value.Rec("Dept", value.String("Lab"), "Floor", value.Int(3), "Bldg", value.String("A"))
+	ops := value.Rec("Dept", value.String("Ops"), "Floor", value.Int(1))
+	for _, b := range []struct {
+		name string
+		v    value.Value
+		t    types.Type
+	}{
+		{"e1", emp("E1", 1, "Lab"), employeeT},
+		{"e1phone", phoned, employeeT}, // e1 ⊑ e1phone
+		{"e2", emp("E2", 2, "Ops"), employeeT},
+		{"e2twin", emp("E2", 2, "Ops"), employeeT},
+		{"e3", emp("E3", 3, "Lab"), employeeT},
+		{"lab", lab, deptT},
+		{"labA", labA, deptT}, // lab ⊑ labA
+		{"ops", ops, deptT},
+		{"opsTwin", ops, deptT},
+	} {
+		if err := c.Put(b.name, b.v, b.t); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fold := func(ty types.Type) *relation.Relation {
+		ps, err := c.Get(ty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := relation.New()
+		for _, p := range ps {
+			r.Insert(p.Value)
+		}
+		return r
+	}
+	keys := func(vs []value.Value) []string {
+		out := make([]string, len(vs))
+		for i, v := range vs {
+			out[i] = value.Key(v)
+		}
+		sort.Strings(out)
+		return out
+	}
+	want := relation.Join(fold(employeeT), fold(deptT)).Members()
+	got, err := c.Join(employeeT, deptT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 3 || !reflect.DeepEqual(keys(got), keys(want)) {
+		t.Errorf("JOIN = %v, want the 3 members of the folded join %v", got, want)
+	}
+	const plan = "join left=3 right=2 pairs=3 attr=Dept build=right"
+	if jplan, err := c.ExplainJoin(employeeT, deptT); err != nil || jplan != plan {
+		t.Errorf("EXPLAIN JOIN = (%q, %v), want %q", jplan, err, plan)
+	}
+}
+
+// TestE2EJoinTypeValuedTwins: two roots bound to equal records with a
+// type-valued field are one JOIN member. Each bound value decodes with its
+// own type value, so only an order that compares type values by structure,
+// as Equal does, sees the two as duplicates.
+func TestE2EJoinTypeValuedTwins(t *testing.T) {
+	h := boot(t, filepath.Join(t.TempDir(), "typetwins.log"))
+	c := dial(t, h, nil)
+	typedT := types.MustParse("{N: Int, T: Type}")
+	namedT := types.MustParse("{N: Int, M: String}")
+	for _, b := range []struct {
+		name string
+		v    value.Value
+		t    types.Type
+	}{
+		{"t1", value.Rec("N", value.Int(1), "T", value.NewTypeVal(types.Int)), typedT},
+		{"t2", value.Rec("N", value.Int(1), "T", value.NewTypeVal(types.Int)), typedT},
+		{"m", value.Rec("N", value.Int(1), "M", value.String("m")), namedT},
+	} {
+		if err := c.Put(b.name, b.v, b.t); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := c.Join(typedT, namedT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := value.Rec("N", value.Int(1), "T", value.NewTypeVal(types.Int), "M", value.String("m"))
+	if len(got) != 1 || !value.Equal(got[0], want) {
+		t.Errorf("JOIN = %v, want [%s]", got, want)
+	}
+	const plan = "join left=1 right=1 pairs=1"
+	if jplan, err := c.ExplainJoin(typedT, namedT); err != nil || jplan != plan {
+		t.Errorf("EXPLAIN JOIN = (%q, %v), want %q", jplan, err, plan)
 	}
 }
 

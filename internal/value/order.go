@@ -18,7 +18,8 @@ import (
 var ErrConflict = errors.New("value: join conflict")
 
 // Leq reports o ⊑ o': every piece of information in o is also in o'.
-// ⊥ ⊑ v for all v; atoms are ordered discretely; records by field inclusion
+// ⊥ ⊑ v for all v; atoms and type values are ordered discretely, so that ⊑
+// agrees with Equal on them; records by field inclusion
 // with pointwise Leq; lists pointwise at equal length; tags by equal label
 // and payload Leq; sets by the paper's relation ordering (each element of
 // the larger is above some element of the smaller).
@@ -27,7 +28,7 @@ func Leq(o, op Value) bool {
 		return true
 	}
 	switch a := o.(type) {
-	case Int, Float, String, Bool, unitValue:
+	case Int, Float, String, Bool, unitValue, *TypeVal:
 		return Equal(o, op)
 	case *Record:
 		b, ok := op.(*Record)
@@ -114,7 +115,7 @@ func Join(a, b Value) (Value, error) {
 		return a, nil
 	}
 	switch av := a.(type) {
-	case Int, Float, String, Bool, unitValue:
+	case Int, Float, String, Bool, unitValue, *TypeVal:
 		if Equal(a, b) {
 			return a, nil
 		}
@@ -207,15 +208,18 @@ func SetJoin(a, b *Set) *Set {
 }
 
 // Maximal returns the elements of vs that are not strictly below any other
-// element — the cochain of maximal elements. Duplicates (and mutually-⊑
-// pairs, possible only through sets) collapse to the first occurrence.
+// element — the cochain of maximal elements — in a fresh slice, in input
+// order. Of duplicates, and of mutually-⊑ pairs (possible only through
+// sets), the first occurrence is kept.
 //
-// For large record-only inputs the quadratic scan is pruned by two facts:
-// r ⊑ r' requires labels(r) ⊆ labels(r'), so only label-superset groups
-// can dominate; and two records whose common atomic field differs are
-// incomparable, so groups are bucketed by a discriminating atom when one
-// exists. maximalNaive is the reference implementation (property-tested
-// equal).
+// For record-only inputs of more than 32 elements the quadratic scan is
+// pruned by two facts. r ⊑ r' requires labels(r) ⊆ labels(r'), so only the
+// records of a label-superset group can dominate r. And two records whose
+// common atomic field differs are incomparable, so each group is bucketed
+// on its discriminator: of the labels atomic in every member, the one with
+// the most distinct atoms, the first in label order on a tie. r is then
+// compared only with the bucket holding its own atom there. maximalNaive is
+// the reference implementation (property-tested and fuzzed equal).
 func Maximal(vs []Value) []Value {
 	if len(vs) <= 32 {
 		return maximalNaive(vs)
@@ -258,75 +262,78 @@ func maximalNaive(vs []Value) []Value {
 type sigGroup struct {
 	labels []string
 	bits   uint64 // label signature of the shared label set
-	// members in input order, with their input indices (for the
-	// first-occurrence tie-break on mutually-⊑ pairs).
+	// members in input order, with their input positions, which tell a
+	// member from its duplicates and decide the first-occurrence rule.
 	recs []*Record
 	idx  []int
-	// disc is a label whose value is an atom in every member ("" if none);
-	// buckets groups members by that atom's key.
-	disc    string
-	buckets map[string][]int // atom key -> positions in recs
+	// disc is the group's discriminator ("" when none is needed or no
+	// label is atomic in every member). heads maps each of its atoms to one
+	// plus the first member holding it; next chains each member to the one
+	// after it holding the same atom, -1 at the last. Oldest first, a
+	// duplicate meets its first occurrence at once.
+	disc  string
+	heads map[AtomKey]int
+	next  []int
+}
+
+// bucket picks g's discriminator and chains its members by their atom
+// there. seen is scratch for counting distinct atoms.
+func (g *sigGroup) bucket(seen map[AtomKey]struct{}) {
+	if len(g.recs) < 2 {
+		return // a lone member is its own bucket
+	}
+	best, most := -1, 0
+	for i := range g.labels {
+		clear(seen)
+		for _, r := range g.recs {
+			k, ok := AtomKeyOf(r.values[i])
+			if !ok {
+				clear(seen)
+				break
+			}
+			seen[k] = struct{}{}
+		}
+		if len(seen) > most {
+			best, most = i, len(seen)
+			if most == len(g.recs) {
+				break // every atom distinct: no label does better
+			}
+		}
+	}
+	if best < 0 {
+		return
+	}
+	g.disc = g.labels[best]
+	g.heads = make(map[AtomKey]int, most)
+	g.next = make([]int, len(g.recs))
+	for j := len(g.recs) - 1; j >= 0; j-- {
+		k, _ := AtomKeyOf(g.recs[j].values[best])
+		g.next[j] = g.heads[k] - 1
+		g.heads[k] = j + 1
+	}
 }
 
 func maximalRecords(vs []Value) []Value {
-	// Deduplicate by structural key, keeping first occurrences.
-	seen := make(map[string]struct{}, len(vs))
-	var uniq []*Record
-	var uniqIdx []int
+	// Group by label set.
+	groups := map[string]*sigGroup{}
 	var buf [keyScratch]byte
 	for i, v := range vs {
-		k := AppendKey(buf[:0], v)
-		if _, dup := seen[string(k)]; dup {
-			continue
-		}
-		seen[string(k)] = struct{}{}
-		uniq = append(uniq, v.(*Record))
-		uniqIdx = append(uniqIdx, i)
-	}
-
-	// Group by label-set signature.
-	groups := map[string]*sigGroup{}
-	for i, r := range uniq {
+		r := v.(*Record)
 		sig := buf[:0]
 		for _, l := range r.labels {
 			sig = append(append(sig, l...), 0)
 		}
 		g, ok := groups[string(sig)]
 		if !ok {
-			g = &sigGroup{labels: r.Labels(), bits: r.labelBits}
+			g = &sigGroup{labels: r.labels, bits: r.labelBits}
 			groups[string(sig)] = g
 		}
 		g.recs = append(g.recs, r)
-		g.idx = append(g.idx, uniqIdx[i])
+		g.idx = append(g.idx, i)
 	}
-	// Pick a discriminating atom label per group and bucket by it.
+	seen := map[AtomKey]struct{}{}
 	for _, g := range groups {
-		for _, l := range g.labels {
-			allAtoms := true
-			for _, r := range g.recs {
-				v, _ := r.Get(l)
-				switch v.Kind() {
-				case KindInt, KindFloat, KindString, KindBool:
-				default:
-					allAtoms = false
-				}
-				if !allAtoms {
-					break
-				}
-			}
-			if allAtoms {
-				g.disc = l
-				break
-			}
-		}
-		if g.disc != "" {
-			g.buckets = map[string][]int{}
-			for i, r := range g.recs {
-				v, _ := r.Get(g.disc)
-				k := AppendKey(buf[:0], v)
-				g.buckets[string(k)] = append(g.buckets[string(k)], i)
-			}
-		}
+		g.bucket(seen)
 	}
 	// For each record, search for a dominator among label-superset groups.
 	subset := func(a, b []string) bool { // a ⊆ b, both sorted
@@ -344,31 +351,22 @@ func maximalRecords(vs []Value) []Value {
 	}
 	dominatedBy := func(r *Record, rIdx int, g *sigGroup) bool {
 		check := func(j int) bool {
+			if g.idx[j] == rIdx {
+				return false // r itself
+			}
 			w := g.recs[j]
-			if w == r {
-				return false
-			}
-			if Leq(r, w) {
-				if !Leq(w, r) {
-					return true
-				}
-				return g.idx[j] < rIdx // mutual ⊑: first occurrence wins
-			}
-			return false
+			// Of mutually-⊑ records, duplicates included, the first
+			// occurrence wins.
+			return Leq(r, w) && (!Leq(w, r) || g.idx[j] < rIdx)
 		}
 		if g.disc != "" {
-			// The dominator must agree on the discriminating atom; a
-			// candidate r lacking the label (or non-atomic there) cannot be
-			// below any member that has an atom in it only if the field
-			// would be missing in r — but labels(r) ⊆ labels(w) suffices
-			// for domination, and if r lacks disc entirely r can still be
-			// below w. Only when r *has* an atom at disc can we restrict to
-			// the equal-atom bucket.
+			// A dominator agrees with r on the discriminator, so when r
+			// holds an atom there only that atom's bucket is searched. When
+			// r lacks the label, or holds ⊥ or a container there, any
+			// member may still be above it.
 			if v, ok := r.Get(g.disc); ok {
-				switch v.Kind() {
-				case KindInt, KindFloat, KindString, KindBool:
-					var kb [keyScratch]byte
-					for _, j := range g.buckets[string(AppendKey(kb[:0], v))] {
+				if k, ok := AtomKeyOf(v); ok {
+					for j := g.heads[k] - 1; j >= 0; j = g.next[j] {
 						if check(j) {
 							return true
 						}
@@ -386,7 +384,8 @@ func maximalRecords(vs []Value) []Value {
 	}
 
 	var out []Value
-	for i, r := range uniq {
+	for i, v := range vs {
+		r := v.(*Record)
 		dominated := false
 		for _, g := range groups {
 			// Signature prefilter: labels(r) ⊆ g.labels requires r's bits to
@@ -397,7 +396,7 @@ func maximalRecords(vs []Value) []Value {
 			if len(g.labels) < len(r.labels) || !subset(r.labels, g.labels) {
 				continue
 			}
-			if dominatedBy(r, uniqIdx[i], g) {
+			if dominatedBy(r, i, g) {
 				dominated = true
 				break
 			}
@@ -417,7 +416,7 @@ func Meet(a, b Value) Value {
 		return Bottom
 	}
 	switch av := a.(type) {
-	case Int, Float, String, Bool, unitValue:
+	case Int, Float, String, Bool, unitValue, *TypeVal:
 		if Equal(a, b) {
 			return a
 		}

@@ -404,43 +404,175 @@ func TestQuickConformsOwnType(t *testing.T) {
 func TestQuickMaximalFastEqualsNaive(t *testing.T) {
 	// The signature/discriminator-pruned Maximal must agree with the naive
 	// O(n²) definition on record-only inputs large enough to take the fast
-	// path, including comparable chains and duplicates.
+	// path, including comparable chains and duplicates. Half the seeds draw
+	// nested records, where a set-valued field makes members each ⊑ the
+	// other without being equal. The other half draw flat records of atoms
+	// from the genValue pools (NaN, both zeros, infinities, strings, type
+	// values) with A the least discriminating label, and on some seeds a
+	// wide Z: there the group buckets on a label other than its first. Type
+	// values are built afresh each time, and one kind of duplicate rebuilds
+	// them, so equal records hold distinct *TypeVals; no two survivors may
+	// be Equal.
+	sets := []Value{NewSet(Rec()), NewSet(Rec(), Rec("X", Int(0)))} // each ⊑ the other
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
+		atom := func() Value {
+			switch rng.Intn(4) {
+			case 0:
+				return Int(genInts[rng.Intn(len(genInts))])
+			case 1:
+				return Float(genFloats[rng.Intn(len(genFloats))])
+			case 2:
+				return NewTypeVal(types.Int)
+			default:
+				return String([]string{"", "x", "y"}[rng.Intn(3)])
+			}
+		}
+		flat, wide := rng.Intn(2) == 0, rng.Intn(3) == 0
 		var vs []Value
 		n := 40 + rng.Intn(30)
 		for i := 0; i < n; i++ {
 			rec := NewRecord()
 			for _, l := range []string{"A", "B", "C", "D"} {
-				switch rng.Intn(4) {
+				if flat {
+					if l == "A" {
+						rec.Set(l, Bool(rng.Intn(2) == 0))
+					} else {
+						rec.Set(l, atom())
+					}
+					continue
+				}
+				switch rng.Intn(6) {
 				case 0:
 					rec.Set(l, Int(int64(rng.Intn(3))))
 				case 1:
 					rec.Set(l, Rec("X", Int(int64(rng.Intn(2)))))
 				case 2:
 					rec.Set(l, Rec("X", Int(int64(rng.Intn(2))), "Y", Int(int64(rng.Intn(2)))))
+				case 3:
+					rec.Set(l, atom())
+				case 4:
+					rec.Set(l, sets[rng.Intn(2)])
 				}
 			}
+			if wide {
+				rec.Set("Z", Int(int64(rng.Intn(n))))
+			}
 			vs = append(vs, rec)
-			if rng.Intn(5) == 0 { // inject duplicates
+			switch rng.Intn(6) { // inject duplicates
+			case 0:
 				vs = append(vs, Copy(rec))
+			case 1:
+				vs = append(vs, rec) // the same *Record twice
+			case 2:
+				vs = append(vs, rebuilt(rec))
 			}
 		}
 		fast := Maximal(vs)
+		if !distinct(fast) {
+			return false
+		}
 		naive := maximalNaive(vs)
 		if len(fast) != len(naive) {
 			return false
 		}
 		for i := range fast {
-			if !Equal(fast[i], naive[i]) {
+			if fast[i] != naive[i] {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// rebuilt copies rec with each type-valued field built afresh: equal to
+// rec, but sharing no *TypeVal with it.
+func rebuilt(rec *Record) *Record {
+	out := NewRecord()
+	rec.Each(func(l string, v Value) {
+		if tv, ok := v.(*TypeVal); ok {
+			v = NewTypeVal(tv.T)
+		}
+		out.Set(l, v)
+	})
+	return out
+}
+
+// distinct reports whether no two of vs are Equal.
+func distinct(vs []Value) bool {
+	for i := range vs {
+		for j := i + 1; j < len(vs); j++ {
+			if Equal(vs[i], vs[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// fuzzRecords decodes data into at most 64 records. A byte from 0xf0 up
+// repeats an earlier *Record; any other byte starts a record whose low four
+// bits say which of A–D it holds, each taking the next byte as an index into
+// a pool of atoms (NaN and both zeros among them), ⊥, a record, two sets
+// each ⊑ the other and two separately built, equal type values.
+func fuzzRecords(data []byte) []Value {
+	pool := []Value{Int(0), Int(1), Int(math.MinInt64), Float(0), Float(math.Copysign(0, -1)),
+		Float(math.NaN()), Float(math.Inf(1)), String(""), String("x"), Bool(true), Bottom,
+		Rec("X", Int(0)), NewSet(Rec()), NewSet(Rec(), Rec("X", Int(0))),
+		NewTypeVal(types.Int), NewTypeVal(types.Int)}
+	var vs []Value
+	for len(data) > 0 && len(vs) < 64 {
+		b := data[0]
+		data = data[1:]
+		if b >= 0xf0 && len(vs) > 0 {
+			vs = append(vs, vs[int(b&0x0f)%len(vs)])
+			continue
+		}
+		rec := NewRecord()
+		for i, l := range []string{"A", "B", "C", "D"} {
+			if b&(1<<i) != 0 && len(data) > 0 {
+				rec.Set(l, pool[int(data[0])%len(pool)])
+				data = data[1:]
+			}
+		}
+		vs = append(vs, rec)
+	}
+	return vs
+}
+
+// FuzzMaximal checks Maximal, and the record path it takes past 32 inputs,
+// against maximalNaive on records decoded from the fuzzer's bytes. The
+// survivors must be the same *Records in the same order, no two Equal.
+func FuzzMaximal(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x0f, 1, 2, 3, 4, 0x03, 1, 2, 0xf0})
+	f.Add([]byte{0x01, 14, 0x01, 15}) // {A = type(Int)} twice, type values apart
+	// 40 {A = NaN, B = NaN, C, D}, every other one repeated.
+	var nan []byte
+	for i := 0; i < 40; i++ {
+		nan = append(nan, 0x0f, 5, 5, byte(i), byte(i/3), 0xf0|byte(i%16))
+	}
+	f.Add(nan)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vs := fuzzRecords(data)
+		want := maximalNaive(vs)
+		if !distinct(want) {
+			t.Fatalf("maximalNaive keeps Equal survivors: %v", want)
+		}
+		for _, got := range [][]Value{Maximal(vs), maximalRecords(vs)} {
+			if len(got) != len(want) {
+				t.Fatalf("%d survivors, maximalNaive has %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("survivor %d is %s, maximalNaive has %s", i, got[i], want[i])
+				}
+			}
+		}
+	})
 }
 
 func TestQuickMaximalIsCochain(t *testing.T) {

@@ -497,6 +497,36 @@ func Equal(a, b Value) bool {
 	}
 }
 
+// AtomKey identifies an Int, Float, String or Bool atom by its kind and
+// contents, so a map can hash atoms without formatting them. Two atoms have
+// equal AtomKeys exactly when Equal holds between them. Interface == on a
+// Value is not a substitute: there NaN ≠ NaN and −0 = +0.
+type AtomKey struct {
+	kind Kind
+	bits uint64 // the Int's bits, the Float's Float64bits, or 1 for true
+	str  string
+}
+
+// AtomKeyOf returns v's AtomKey, reporting false when v is not an Int,
+// Float, String or Bool.
+func AtomKeyOf(v Value) (AtomKey, bool) {
+	switch x := v.(type) {
+	case Int:
+		return AtomKey{kind: KindInt, bits: uint64(x)}, true
+	case Float:
+		return AtomKey{kind: KindFloat, bits: math.Float64bits(float64(x))}, true
+	case String:
+		return AtomKey{kind: KindString, str: string(x)}, true
+	case Bool:
+		k := AtomKey{kind: KindBool}
+		if x {
+			k.bits = 1
+		}
+		return k, true
+	}
+	return AtomKey{}, false
+}
+
 // keyScratch is the stack buffer size callers give AppendKey: room for the
 // key of a record with a handful of atomic fields, so the common probe never
 // reaches the heap.
