@@ -73,7 +73,7 @@ func TestDecodeGetAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ps, err := decodeGet(wire.OpValues, fields, nil)
+	ps, err := decodeGet(fields, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestDecodeGetAllocs(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := decodeGet(wire.OpValues, fields, nil); err != nil {
+		if _, err := decodeGet(fields, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -279,6 +279,8 @@ type Packed = core.Packed
 // Client is a pooled connection to one dbpl server. It is safe for
 // concurrent use.
 type Client struct {
+	handle // the verbs Client and Session share
+
 	// addr is the current write target, guarded by mu: failover re-pins
 	// it to a newly promoted primary. origin is the address Dial was
 	// given, immutable, and always part of the failover candidate set.
@@ -312,6 +314,7 @@ func Dial(addr string, opts *Options) (*Client, error) {
 		o = *opts
 	}
 	c := &Client{addr: addr, origin: addr, o: o, pool: make([]*conn, o.poolSize())}
+	c.handle = handle{c: c}
 	reg := o.Registry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -411,6 +414,7 @@ func (c *Client) getConn() (*conn, error) {
 	return fresh, nil
 }
 
+// roundTrip is one attempt on a pooled connection.
 func (c *Client) roundTrip(op byte, fields ...[]byte) (byte, [][]byte, error) {
 	cn, err := c.getConn()
 	if err != nil {
@@ -419,22 +423,38 @@ func (c *Client) roundTrip(op byte, fields ...[]byte) (byte, [][]byte, error) {
 	return cn.roundTrip(c.o.requestTimeout(), op, fields...)
 }
 
-// call is roundTrip under the retry policy. OpError responses are decoded
-// here (rather than in expect) so the loop can classify them; the request
-// must be idempotent or carry an idempotency key.
-func (c *Client) call(op byte, fields ...[]byte) (byte, [][]byte, error) {
+// policy is how a request retries a failed attempt.
+type policy uint8
+
+const (
+	// retryAll is the RetryPolicy with failover: every stateless verb, and
+	// Begin. The request must be idempotent or carry an idempotency key.
+	retryAll policy = iota
+	// once is a single attempt: Promote, whose replay would bump the
+	// epoch again, HEALTH probes, and a session's verbs.
+	once
+	// retryOverload retries overload sheds only: a session's COMMIT. A
+	// shed leaves the session's connection, and so the transaction,
+	// alive; a lost connection took the transaction with it.
+	retryOverload
+)
+
+// run is the one round-trip loop. try sends op on the connection it
+// selects; run counts an attempt for every try, checks each reply against
+// op's row in wire.Ops and retries a failed attempt as p allows.
+func (c *Client) run(p policy, op byte, try func() (byte, [][]byte, error)) ([][]byte, error) {
 	pol := c.o.RetryPolicy
-	budget := pol.budget()
 	var slept time.Duration
-	var lastErr error
 	for attempt := 1; ; attempt++ {
 		c.m.attempt(op)
-		respOp, respFields, err := c.roundTrip(op, fields...)
-		if err == nil && respOp == wire.OpError {
-			err = wire.DecodeError(respFields)
-		}
+		respOp, fields, err := try()
 		if err == nil {
-			return respOp, respFields, nil
+			if fields, err = reply(op, respOp, fields); err == nil {
+				return fields, nil
+			}
+		}
+		if p == once || attempt >= pol.maxAttempts() {
+			return nil, err
 		}
 		// Failover: the primary is gone (lost connection, dial failure) or
 		// refuses writes by role (fenced, demoted). With a failover set
@@ -444,25 +464,38 @@ func (c *Client) call(op byte, fields ...[]byte) (byte, [][]byte, error) {
 		// original reached the old primary's log. The replay skips the
 		// backoff (the new primary is fresh evidence, not a guess) but
 		// still counts against MaxAttempts.
-		if attempt < pol.maxAttempts() && c.failoverEligible(err) && c.failover() {
+		if p == retryAll && c.failoverEligible(err) && c.failover() {
 			continue
 		}
-		if !retryable(err) || attempt >= pol.maxAttempts() {
-			return 0, nil, err
+		if p == retryAll && !retryable(err) || p == retryOverload && !errors.Is(err, ErrOverloaded) {
+			return nil, err
 		}
-		lastErr = err
 		d := pol.backoff(attempt)
-		if hint := retryAfterOf(lastErr); hint > d {
+		if hint := retryAfterOf(err); hint > d {
 			d = hint
 		}
-		if slept+d > budget {
-			return 0, nil, lastErr
+		if slept+d > pol.budget() {
+			return nil, err
 		}
-		c.m.retry(lastErr)
+		c.m.retry(err)
 		c.m.backoff(d)
 		time.Sleep(d)
 		slept += d
 	}
+}
+
+// reply checks a response to op against op's row in wire.Ops: the row's
+// reply opcode passes, an ERROR frame decodes to its *wire.WireError and
+// any other opcode is bad-frame.
+func reply(op, respOp byte, fields [][]byte) ([][]byte, error) {
+	switch respOp {
+	case wire.Ops[op].Reply:
+		return fields, nil
+	case wire.OpError:
+		return nil, wire.DecodeError(fields)
+	}
+	return nil, &wire.WireError{Code: wire.CodeBadFrame,
+		Msg: fmt.Sprintf("unexpected response opcode %#x", respOp)}
 }
 
 // retryable classifies failures that are safe to repeat: the request
@@ -505,12 +538,143 @@ func retryAfterOf(err error) time.Duration {
 }
 
 // ---------------------------------------------------------------------------
-// Stateless operations
+// Verbs
 // ---------------------------------------------------------------------------
+
+// handle is the one path every verb takes to the server: a connection
+// selector and a round-trip policy. A Client's handle (s nil) selects the
+// pool, or for a read a caught-up replica first, under the retry policy.
+// A Session's selects the session's connection, one attempt a frame.
+// Client and Session both embed one, so the verbs they share are written
+// once, here.
+type handle struct {
+	c *Client
+	s *Session
+}
+
+// call sends op on the handle's connection under its policy and returns
+// the reply's fields.
+func (h *handle) call(op byte, fields ...[]byte) ([][]byte, error) {
+	c, s := h.c, h.s
+	if s != nil && s.done {
+		return nil, ErrDone
+	}
+	if s == nil && c.reps != nil && wire.Ops[op].Class == wire.ClassRead {
+		if ok, out, err := c.replicaRead(op, fields); ok {
+			return out, err
+		}
+	}
+	p := retryAll
+	switch {
+	case s != nil && op == wire.OpCommit:
+		p = retryOverload
+	case s != nil || op == wire.OpPromote:
+		p = once
+	}
+	return c.run(p, op, func() (byte, [][]byte, error) {
+		if s != nil {
+			return s.cn.roundTrip(c.o.requestTimeout(), op, fields...)
+		}
+		return c.roundTrip(op, fields...)
+	})
+}
+
+// write sends a write verb of at most two fields. On a Client the frame
+// gets a fresh idempotency key as its last field, and the write is noted
+// for read-your-writes once answered; a Session buffers the write as-is.
+func (h *handle) write(op byte, fields ...[]byte) ([][]byte, error) {
+	if h.s != nil {
+		return h.call(op, fields...)
+	}
+	defer h.c.noteWrite()
+	// A local array keeps the frame's fields, the key included, off the
+	// heap.
+	var keyed [3][]byte
+	for i, f := range fields {
+		keyed[i] = f
+	}
+	keyed[len(fields)] = h.c.nextKey()
+	return h.call(op, keyed[:len(fields)+1]...)
+}
+
+// Get is the paper's generic extraction, remotely: every root whose
+// declared type is a subtype of t, packaged with its witness. With
+// Options.Replicas a Client's Get may be served by a caught-up follower.
+// A Session's Get answers from the state its Commit would publish over
+// the snapshot pinned at Begin: its own buffered writes included, in the
+// order a Get right after Commit returns them.
+func (h *handle) Get(t types.Type) ([]Packed, error) {
+	return decodeGet(h.call(wire.OpGet, mustTypeField(t)))
+}
+
+// Put binds name to v at the declared type (nil means v's most specific
+// type). A Client commits it as one group; the frame carries an
+// idempotency key, so a retry after a lost acknowledgement applies
+// exactly once. A Session buffers it until Commit.
+func (h *handle) Put(name string, v value.Value, declared types.Type) error {
+	img, err := codec.AppendTagged(nil, v, declared)
+	if err != nil {
+		return err
+	}
+	_, err = h.write(wire.OpPut, []byte(name), img)
+	return err
+}
+
+// Delete unbinds name, reporting whether it existed: in the committed
+// state for a Client, in the session's view for a Session. A Client's
+// Delete is key-stamped like Put, so a retried DELETE reports the
+// existed bit of its first application, not of the retry.
+func (h *handle) Delete(name string) (bool, error) {
+	return decodeBool(h.write(wire.OpDelete, []byte(name)))
+}
+
+// Join computes the generalized natural join (the paper's Figure 1) of
+// the extents at t1 and t2, remotely, over the same state Get reads.
+func (h *handle) Join(t1, t2 types.Type) ([]value.Value, error) {
+	ps, err := decodeGet(h.call(wire.OpJoin, mustTypeField(t1), mustTypeField(t2)))
+	if err != nil {
+		return nil, err
+	}
+	out := make([]value.Value, len(ps))
+	for i, p := range ps {
+		out[i] = p.Value
+	}
+	return out, nil
+}
+
+// Names lists the root names of the state Get reads.
+func (h *handle) Names() ([]string, error) {
+	fields, err := h.call(wire.OpNames)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]string, len(fields))
+	for i, f := range fields {
+		out[i] = string(f)
+	}
+	return out, nil
+}
+
+// ExplainGet renders the exact counts behind a GET at t right now —
+// "get n=… types=… matched=… result=…": the members and member types the
+// server holds, the member types conforming to t and the members a GET
+// returns — without executing the GET. It counts the state Get reads.
+func (h *handle) ExplainGet(t types.Type) (string, error) {
+	return decodeText(h.call(wire.OpExplain, mustTypeField(t)))
+}
+
+// ExplainJoin renders the join plan for joining GET's answers at t1 and
+// t2 without running the join: "join left=… right=… pairs=…", the two
+// sides' sizes and the exact number of member pairs the join will try,
+// followed by "attr=… build=left|right" when it partitions on a shared
+// atomic label.
+func (h *handle) ExplainJoin(t1, t2 types.Type) (string, error) {
+	return decodeText(h.call(wire.OpExplain, mustTypeField(t1), mustTypeField(t2)))
+}
 
 // Ping checks server liveness.
 func (c *Client) Ping() error {
-	_, _, err := expect(wire.OpOK)(c.call(wire.OpPing))
+	_, err := c.call(wire.OpPing)
 	return err
 }
 
@@ -518,18 +682,7 @@ func (c *Client) Ping() error {
 // in-flight requests, sessions, committed roots, uptime. It is answered
 // even by an overloaded or poisoned server.
 func (c *Client) Health() (Health, error) {
-	_, fields, err := expect(wire.OpOK)(c.call(wire.OpHealth))
-	if err != nil {
-		return Health{}, err
-	}
-	return wire.DecodeHealth(fields)
-}
-
-// Get is the paper's generic extraction, remotely: every root whose
-// declared type is a subtype of t, packaged with its witness. With
-// Options.Replicas it may be served by a caught-up follower.
-func (c *Client) Get(t types.Type) ([]Packed, error) {
-	return decodeGet(c.readCall(wire.OpGet, mustTypeField(t)))
+	return decodeHealth(c.call(wire.OpHealth))
 }
 
 // GetExpr is Get over the concrete type syntax, e.g. "{Name: String}".
@@ -541,74 +694,18 @@ func (c *Client) GetExpr(src string) ([]Packed, error) {
 	return c.Get(t)
 }
 
-// Put binds name to v at the declared type (nil means v's most specific
-// type) and commits it as one group. The frame carries an idempotency
-// key, so a retry after a lost acknowledgement applies exactly once.
-func (c *Client) Put(name string, v value.Value, declared types.Type) error {
-	f, err := putFields(name, v, declared)
-	if err != nil {
-		return err
-	}
-	f = append(f, c.nextKey())
-	defer c.noteWrite()
-	_, _, err = expect(wire.OpOK)(c.call(wire.OpPut, f...))
-	return err
-}
-
-// Delete unbinds name, reporting whether it existed. Like Put it is
-// key-stamped: a retried DELETE reports the existed bit of its first
-// application, not of the retry.
-func (c *Client) Delete(name string) (bool, error) {
-	defer c.noteWrite()
-	return decodeDelete(c.call(wire.OpDelete, []byte(name), c.nextKey()))
-}
-
-// Join computes the generalized natural join (the paper's Figure 1) of
-// the extents at t1 and t2, remotely.
-func (c *Client) Join(t1, t2 types.Type) ([]value.Value, error) {
-	ps, err := decodeGet(c.readCall(wire.OpJoin, mustTypeField(t1), mustTypeField(t2)))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]value.Value, len(ps))
-	for i, p := range ps {
-		out[i] = p.Value
-	}
-	return out, nil
-}
-
 // CreateIndex declares a field-value index on a record label, reporting
-// whether it was newly created (false: it already existed). The
-// definition is durable; the index itself is maintained in memory and
-// rebuilt from the committed roots on every server start. Key-stamped
-// like every write, so a retry applies exactly once.
+// whether it was newly created (false: it already existed). Only the
+// declaration is durable; no read consults the index (docs/INDEXES.md).
+// Key-stamped like every write, so a retry applies exactly once.
 func (c *Client) CreateIndex(field string) (bool, error) {
-	defer c.noteWrite()
-	return decodeBool(c.call(wire.OpCreateIndex, []byte(field), c.nextKey()))
+	return decodeBool(c.write(wire.OpCreateIndex, []byte(field)))
 }
 
 // DropIndex removes a field-value index declaration, reporting whether it
 // existed. Key-stamped.
 func (c *Client) DropIndex(field string) (bool, error) {
-	defer c.noteWrite()
-	return decodeBool(c.call(wire.OpDropIndex, []byte(field), c.nextKey()))
-}
-
-// ExplainGet renders the exact counts behind a GET at t right now —
-// "get n=… types=… matched=… result=…": the members and member types the
-// server holds, the member types conforming to t and the members a GET
-// returns — without executing the GET.
-func (c *Client) ExplainGet(t types.Type) (string, error) {
-	return decodeText(c.readCall(wire.OpExplain, mustTypeField(t)))
-}
-
-// ExplainJoin renders the join plan for joining GET's answers at t1 and
-// t2 without running the join: "join left=… right=… pairs=…", the two
-// sides' sizes and the exact number of member pairs the join will try,
-// followed by "attr=… build=left|right" when it partitions on a shared
-// atomic label.
-func (c *Client) ExplainJoin(t1, t2 types.Type) (string, error) {
-	return decodeText(c.readCall(wire.OpExplain, mustTypeField(t1), mustTypeField(t2)))
+	return decodeBool(c.write(wire.OpDropIndex, []byte(field)))
 }
 
 // Promote orders the server to take over as primary: it stops following
@@ -619,15 +716,11 @@ func (c *Client) ExplainJoin(t1, t2 types.Type) (string, error) {
 // replay would bump the epoch again, so a lost acknowledgement is left
 // to the operator (probe Health for the role and epoch, then decide).
 func (c *Client) Promote() (uint64, error) {
-	c.m.attempt(wire.OpPromote)
-	op, fields, err := c.roundTrip(wire.OpPromote)
-	if err == nil && op == wire.OpError {
-		err = wire.DecodeError(fields)
-	}
+	fields, err := c.call(wire.OpPromote)
 	if err != nil {
 		return 0, err
 	}
-	if op != wire.OpOK || len(fields) != 1 {
+	if len(fields) != 1 {
 		return 0, &wire.WireError{Code: wire.CodeBadFrame, Msg: "malformed PROMOTE response"}
 	}
 	epoch, n := binary.Uvarint(fields[0])
@@ -637,19 +730,6 @@ func (c *Client) Promote() (uint64, error) {
 	return epoch, nil
 }
 
-// Names lists the root names.
-func (c *Client) Names() ([]string, error) {
-	_, fields, err := expect(wire.OpOK)(c.readCall(wire.OpNames))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(fields))
-	for i, f := range fields {
-		out[i] = string(f)
-	}
-	return out, nil
-}
-
 // ---------------------------------------------------------------------------
 // Sessions (server-side transactions)
 // ---------------------------------------------------------------------------
@@ -657,130 +737,33 @@ func (c *Client) Names() ([]string, error) {
 // Session is one server-side transaction, pinned to its own connection.
 // Finish it with Commit or Abort (Close aborts if neither happened).
 type Session struct {
-	c    *Client
+	handle
 	cn   *conn
 	done bool
 }
 
 // Begin opens a transaction on a dedicated connection. Nothing has been
-// buffered yet, so the whole dial+BEGIN is retried under the policy.
+// buffered yet, so the whole dial+BEGIN is retried under the policy, and
+// fails over like a stateless call: redialing the new primary is free.
 func (c *Client) Begin() (*Session, error) {
-	pol := c.o.RetryPolicy
-	budget := pol.budget()
-	var slept time.Duration
-	for attempt := 1; ; attempt++ {
-		c.m.attempt(wire.OpBegin)
-		s, err := c.begin()
-		if err == nil {
-			return s, nil
+	s := &Session{}
+	s.handle = handle{c: c, s: s}
+	_, err := c.run(retryAll, wire.OpBegin, func() (byte, [][]byte, error) {
+		cn, err := dialConn(c.primary(), c.o)
+		if err != nil {
+			return 0, nil, err
 		}
-		// Sessions fail over like stateless calls: nothing is buffered
-		// before BEGIN succeeds, so redialing the new primary is free.
-		if attempt < pol.maxAttempts() && c.failoverEligible(err) && c.failover() {
-			continue
+		op, fields, err := cn.roundTrip(c.o.requestTimeout(), wire.OpBegin)
+		if err != nil || op != wire.OpOK {
+			cn.fail(ErrClosed)
 		}
-		if !retryable(err) || attempt >= pol.maxAttempts() {
-			return nil, err
-		}
-		d := pol.backoff(attempt)
-		if hint := retryAfterOf(err); hint > d {
-			d = hint
-		}
-		if slept+d > budget {
-			return nil, err
-		}
-		c.m.retry(err)
-		c.m.backoff(d)
-		time.Sleep(d)
-		slept += d
-	}
-}
-
-func (c *Client) begin() (*Session, error) {
-	cn, err := dialConn(c.primary(), c.o)
+		s.cn = cn
+		return op, fields, err
+	})
 	if err != nil {
 		return nil, err
 	}
-	op, fields, err := cn.roundTrip(c.o.requestTimeout(), wire.OpBegin)
-	if err == nil && op == wire.OpError {
-		err = wire.DecodeError(fields)
-	}
-	if err == nil && op != wire.OpOK {
-		err = &wire.WireError{Code: wire.CodeBadFrame,
-			Msg: fmt.Sprintf("unexpected response opcode %#x", op)}
-	}
-	if err != nil {
-		cn.fail(ErrClosed)
-		return nil, err
-	}
-	return &Session{c: c, cn: cn}, nil
-}
-
-func (s *Session) roundTrip(op byte, fields ...[]byte) (byte, [][]byte, error) {
-	if s.done {
-		return 0, nil, ErrDone
-	}
-	return s.cn.roundTrip(s.c.o.requestTimeout(), op, fields...)
-}
-
-// Get inside the session answers from the state its Commit would publish
-// over the snapshot pinned at Begin: its own buffered writes included, in
-// the order a Get right after Commit returns them.
-func (s *Session) Get(t types.Type) ([]Packed, error) {
-	return decodeGet(s.roundTrip(wire.OpGet, mustTypeField(t)))
-}
-
-// ExplainGet is Client.ExplainGet over the session's view: the state its
-// Commit would publish over the snapshot pinned at Begin.
-func (s *Session) ExplainGet(t types.Type) (string, error) {
-	return decodeText(s.roundTrip(wire.OpExplain, mustTypeField(t)))
-}
-
-// ExplainJoin is Client.ExplainJoin over the session's view.
-func (s *Session) ExplainJoin(t1, t2 types.Type) (string, error) {
-	return decodeText(s.roundTrip(wire.OpExplain, mustTypeField(t1), mustTypeField(t2)))
-}
-
-// Put buffers a binding in the transaction.
-func (s *Session) Put(name string, v value.Value, declared types.Type) error {
-	f, err := putFields(name, v, declared)
-	if err != nil {
-		return err
-	}
-	_, _, err = expect(wire.OpOK)(s.roundTrip(wire.OpPut, f...))
-	return err
-}
-
-// Delete buffers an unbinding, reporting whether the name was bound in
-// the session's view.
-func (s *Session) Delete(name string) (bool, error) {
-	return decodeDelete(s.roundTrip(wire.OpDelete, []byte(name)))
-}
-
-// Join runs the generalized join against the session's view.
-func (s *Session) Join(t1, t2 types.Type) ([]value.Value, error) {
-	ps, err := decodeGet(s.roundTrip(wire.OpJoin, mustTypeField(t1), mustTypeField(t2)))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]value.Value, len(ps))
-	for i, p := range ps {
-		out[i] = p.Value
-	}
-	return out, nil
-}
-
-// Names lists the root names in the session's view.
-func (s *Session) Names() ([]string, error) {
-	_, fields, err := expect(wire.OpOK)(s.roundTrip(wire.OpNames))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(fields))
-	for i, f := range fields {
-		out[i] = string(f)
-	}
-	return out, nil
+	return s, nil
 }
 
 // Commit makes the buffered writes one durable commit group and ends the
@@ -793,36 +776,14 @@ func (s *Session) Commit() error {
 		return ErrDone
 	}
 	defer s.c.noteWrite()
-	key := s.c.nextKey()
-	pol := s.c.o.RetryPolicy
-	budget := pol.budget()
-	var slept time.Duration
-	var err error
-	for attempt := 1; ; attempt++ {
-		s.c.m.attempt(wire.OpCommit)
-		_, _, err = expect(wire.OpOK)(s.roundTrip(wire.OpCommit, key))
-		if err == nil || !errors.Is(err, ErrOverloaded) || attempt >= pol.maxAttempts() {
-			break
-		}
-		d := pol.backoff(attempt)
-		if hint := retryAfterOf(err); hint > d {
-			d = hint
-		}
-		if slept+d > budget {
-			break
-		}
-		s.c.m.retry(err)
-		s.c.m.backoff(d)
-		time.Sleep(d)
-		slept += d
-	}
+	_, err := s.call(wire.OpCommit, s.c.nextKey())
 	s.finish()
 	return err
 }
 
 // Abort discards the buffered writes and ends the session.
 func (s *Session) Abort() error {
-	_, _, err := expect(wire.OpOK)(s.roundTrip(wire.OpAbort))
+	_, err := s.call(wire.OpAbort)
 	s.finish()
 	return err
 }
@@ -856,34 +817,11 @@ func mustTypeField(t types.Type) []byte {
 	return b
 }
 
-func putFields(name string, v value.Value, declared types.Type) ([][]byte, error) {
-	img, err := codec.AppendTagged(nil, v, declared)
+// The reply decoders take a checked reply's fields and the round trip's
+// error, so a verb is one decoder over one call.
+
+func decodeGet(fields [][]byte, err error) ([]Packed, error) {
 	if err != nil {
-		return nil, err
-	}
-	return [][]byte{[]byte(name), img}, nil
-}
-
-// expect checks the response opcode, decoding OpError frames into their
-// *wire.WireError.
-func expect(want byte) func(byte, [][]byte, error) (byte, [][]byte, error) {
-	return func(op byte, fields [][]byte, err error) (byte, [][]byte, error) {
-		if err != nil {
-			return op, fields, err
-		}
-		if op == wire.OpError {
-			return op, nil, wire.DecodeError(fields)
-		}
-		if op != want {
-			return op, nil, &wire.WireError{Code: wire.CodeBadFrame,
-				Msg: fmt.Sprintf("unexpected response opcode %#x", op)}
-		}
-		return op, fields, nil
-	}
-}
-
-func decodeGet(op byte, fields [][]byte, err error) ([]Packed, error) {
-	if _, fields, err = expect(wire.OpValues)(op, fields, err); err != nil {
 		return nil, err
 	}
 	out := make([]Packed, len(fields))
@@ -902,20 +840,10 @@ func decodeGet(op byte, fields [][]byte, err error) ([]Packed, error) {
 	return out, nil
 }
 
-func decodeDelete(op byte, fields [][]byte, err error) (bool, error) {
-	if _, fields, err = expect(wire.OpOK)(op, fields, err); err != nil {
-		return false, err
-	}
-	if len(fields) != 1 || len(fields[0]) != 1 {
-		return false, &wire.WireError{Code: wire.CodeBadFrame, Msg: "malformed DELETE response"}
-	}
-	return fields[0][0] == 1, nil
-}
-
-// decodeBool decodes an OK response carrying one boolean field (the
-// created/existed bit of the index opcodes).
-func decodeBool(op byte, fields [][]byte, err error) (bool, error) {
-	if _, fields, err = expect(wire.OpOK)(op, fields, err); err != nil {
+// decodeBool decodes a reply carrying one boolean field (the existed bit
+// of DELETE, the created/existed bit of the index opcodes).
+func decodeBool(fields [][]byte, err error) (bool, error) {
+	if err != nil {
 		return false, err
 	}
 	if len(fields) != 1 || len(fields[0]) != 1 {
@@ -924,15 +852,22 @@ func decodeBool(op byte, fields [][]byte, err error) (bool, error) {
 	return fields[0][0] == 1, nil
 }
 
-// decodeText decodes an OK response carrying one text field (EXPLAIN).
-func decodeText(op byte, fields [][]byte, err error) (string, error) {
-	if _, fields, err = expect(wire.OpOK)(op, fields, err); err != nil {
+// decodeText decodes a reply carrying one text field (EXPLAIN).
+func decodeText(fields [][]byte, err error) (string, error) {
+	if err != nil {
 		return "", err
 	}
 	if len(fields) != 1 {
 		return "", &wire.WireError{Code: wire.CodeBadFrame, Msg: "malformed EXPLAIN response"}
 	}
 	return string(fields[0]), nil
+}
+
+func decodeHealth(fields [][]byte, err error) (Health, error) {
+	if err != nil {
+		return Health{}, err
+	}
+	return wire.DecodeHealth(fields)
 }
 
 // ---------------------------------------------------------------------------

@@ -109,14 +109,9 @@ func (c *Client) probeAddr(addr string) (Health, error) {
 		return Health{}, err
 	}
 	defer cn.fail(ErrClosed)
-	op, fields, err := cn.roundTrip(capDur(c.o.requestTimeout(), 2*time.Second), wire.OpHealth)
-	if err == nil && op == wire.OpError {
-		err = wire.DecodeError(fields)
-	}
-	if err != nil {
-		return Health{}, err
-	}
-	return wire.DecodeHealth(fields)
+	return decodeHealth(c.run(once, wire.OpHealth, func() (byte, [][]byte, error) {
+		return cn.roundTrip(capDur(c.o.requestTimeout(), 2*time.Second), wire.OpHealth)
+	}))
 }
 
 // capDur bounds d to at most cap; 0 (no deadline) also becomes cap.

@@ -85,14 +85,9 @@ func (rep *replica) roundTrip(c *Client, op byte, fields ...[]byte) (byte, [][]b
 }
 
 func (rep *replica) health(c *Client) (Health, error) {
-	op, fields, err := rep.roundTrip(c, wire.OpHealth)
-	if err == nil && op == wire.OpError {
-		err = wire.DecodeError(fields)
-	}
-	if err != nil {
-		return Health{}, err
-	}
-	return wire.DecodeHealth(fields)
+	return decodeHealth(c.run(once, wire.OpHealth, func() (byte, [][]byte, error) {
+		return rep.roundTrip(c, wire.OpHealth)
+	}))
 }
 
 // replicaSet is the rotation and its prober.
@@ -202,14 +197,9 @@ func (rs *replicaSet) probe() {
 // healthOnce is a single-attempt HEALTH against the primary (the retrying
 // Health() would stall the prober for seconds while the primary is down).
 func (c *Client) healthOnce() (Health, error) {
-	op, fields, err := c.roundTrip(wire.OpHealth)
-	if err == nil && op == wire.OpError {
-		err = wire.DecodeError(fields)
-	}
-	if err != nil {
-		return Health{}, err
-	}
-	return wire.DecodeHealth(fields)
+	return decodeHealth(c.run(once, wire.OpHealth, func() (byte, [][]byte, error) {
+		return c.roundTrip(wire.OpHealth)
+	}))
 }
 
 // noteWrite bumps the write stamp, pinning reads to the primary until a
@@ -218,35 +208,29 @@ func (c *Client) healthOnce() (Health, error) {
 // unknown, and pinning must cover the write that might have applied.
 func (c *Client) noteWrite() { c.writes.Add(1) }
 
-// readCall routes one idempotent read: a single attempt against an
-// eligible replica first, the primary (under the full retry policy) when
-// none is eligible or the replica attempt failed. A definite application
-// error from the replica returns as-is — the primary would say the same.
-func (c *Client) readCall(op byte, fields ...[]byte) (byte, [][]byte, error) {
-	if c.reps != nil {
-		if rep := c.reps.pick(); rep != nil {
-			c.m.attempt(op)
-			c.m.replicaReads.Inc()
-			respOp, respFields, err := rep.roundTrip(c, op, fields...)
-			if err == nil && respOp == wire.OpError {
-				err = wire.DecodeError(respFields)
-			}
-			if err == nil {
-				return respOp, respFields, nil
-			}
-			// Role-change refusals (ErrReadOnly, ErrFenced) invalidate the
-			// cached verdict and fall back — this server is not what the
-			// probe thought it was, but the primary can still answer the
-			// read. Other definite application errors return as-is: the
-			// primary would say the same.
-			if !retryable(err) && !errors.Is(err, ErrShutdown) &&
-				!errors.Is(err, ErrReadOnly) && !errors.Is(err, ErrFenced) {
-				return 0, nil, err
-			}
-			rep.healthy.Store(false)
-			rep.synced.Store(0)
-			c.m.replicaFallbacks.Inc()
-		}
+// replicaRead is a read's single attempt against an eligible replica;
+// ok is false when none is eligible or the attempt failed in a way the
+// primary may not, and the read then goes to the primary under the full
+// retry policy. A definite application error returns as-is: the primary
+// would say the same.
+func (c *Client) replicaRead(op byte, fields [][]byte) (ok bool, out [][]byte, err error) {
+	rep := c.reps.pick()
+	if rep == nil {
+		return false, nil, nil
 	}
-	return c.call(op, fields...)
+	c.m.replicaReads.Inc()
+	out, err = c.run(once, op, func() (byte, [][]byte, error) {
+		return rep.roundTrip(c, op, fields...)
+	})
+	// Role-change refusals (ErrReadOnly, ErrFenced) invalidate the cached
+	// verdict and fall back — this server is not what the probe thought
+	// it was, but the primary can still answer the read.
+	if err == nil || !retryable(err) && !errors.Is(err, ErrShutdown) &&
+		!errors.Is(err, ErrReadOnly) && !errors.Is(err, ErrFenced) {
+		return true, out, err
+	}
+	rep.healthy.Store(false)
+	rep.synced.Store(0)
+	c.m.replicaFallbacks.Inc()
+	return false, nil, nil
 }

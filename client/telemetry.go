@@ -82,8 +82,10 @@ type clientMetrics struct {
 
 func newClientMetrics(reg *telemetry.Registry) *clientMetrics {
 	m := &clientMetrics{reg: reg}
-	for op := wire.OpPing; op <= wire.LastRequestOp; op++ {
-		m.attempts[op] = reg.Counter(`dbpl_client_attempts_total{op="` + wire.OpName(op) + `"}`)
+	for op, row := range wire.Ops {
+		if row.Class != wire.ClassNone {
+			m.attempts[op] = reg.Counter(`dbpl_client_attempts_total{op="` + row.Name + `"}`)
+		}
 	}
 	m.attemptsOther = reg.Counter(`dbpl_client_attempts_total{op="other"}`)
 	m.retryOverloaded = reg.Counter(`dbpl_client_retries_total{cause="overloaded"}`)
@@ -130,7 +132,7 @@ func (c *Client) Telemetry() *telemetry.Registry { return c.m.reg }
 // persistence layer maintain. Answered even by an overloaded, draining or
 // poisoned server.
 func (c *Client) Stats() (*telemetry.Snapshot, error) {
-	_, fields, err := expect(wire.OpOK)(c.call(wire.OpStats))
+	fields, err := c.call(wire.OpStats)
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +149,7 @@ type Trace = trace.Data
 // opcode), newest first. A server running with sampling disabled answers
 // an empty slice, not an error.
 func (c *Client) Traces() ([]Trace, error) {
-	_, fields, err := expect(wire.OpOK)(c.call(wire.OpTraces))
+	fields, err := c.call(wire.OpTraces)
 	if err != nil {
 		return nil, err
 	}

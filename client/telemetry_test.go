@@ -1,13 +1,16 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"dbpl/internal/server/wire"
 	"dbpl/internal/telemetry"
+	"dbpl/internal/types"
 	"dbpl/internal/value"
 )
 
@@ -100,5 +103,132 @@ func TestAttemptSeriesCoverEveryRequestOpcode(t *testing.T) {
 	}
 	if got, _ := m.reg.Snapshot().Counter(`dbpl_client_attempts_total{op="other"}`); got != 0 {
 		t.Errorf(`op="other" counted %d request opcodes, want 0`, got)
+	}
+}
+
+// tableServer answers every request with its wire.Ops reply opcode and no
+// fields, echoing the trace, and records the opcodes it was sent.
+type tableServer struct {
+	mu  sync.Mutex
+	ops []byte
+}
+
+func (s *tableServer) serve(conn net.Conn) {
+	defer conn.Close()
+	for {
+		rawOp, rawFields, err := wire.ReadFrame(conn, 0)
+		if err != nil {
+			return
+		}
+		op, trace, _, _, err := wire.SplitTrace(rawOp, rawFields)
+		if err != nil {
+			return
+		}
+		s.mu.Lock()
+		s.ops = append(s.ops, op)
+		s.mu.Unlock()
+		respOp, respFields := wire.AppendTrace(wire.Lookup(op).Reply, trace, nil)
+		if err := wire.WriteFrame(conn, 0, respOp, respFields...); err != nil {
+			return
+		}
+	}
+}
+
+func (s *tableServer) sent() []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]byte(nil), s.ops...)
+}
+
+// TestSessionFramesCountAsAttempts: a session's frames are wire frames
+// sent like any other, so BEGIN, three session PUTs, a session GET and
+// COMMIT count one attempt each under their own opcodes.
+func TestSessionFramesCountAsAttempts(t *testing.T) {
+	c, err := Dial(fakeServer(t, (&tableServer{}).serve), &Options{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Put("k", value.Int(int64(i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Get(types.MustParse("{A: Int}")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	snap := c.Telemetry().Snapshot()
+	for op, want := range map[string]uint64{"BEGIN": 1, "PUT": 3, "GET": 1, "COMMIT": 1} {
+		name := `dbpl_client_attempts_total{op="` + op + `"}`
+		if got, _ := snap.Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestEveryOpcodeHasAClientVerb: every wire.Ops row but REPLICATE, which
+// only a follower sends, has a client verb, and the verb sends that
+// opcode. The fake answers without the reply's fields, so verbs that
+// decode them fail after sending; only what was sent is checked.
+func TestEveryOpcodeHasAClientVerb(t *testing.T) {
+	srv := &tableServer{}
+	c, err := Dial(fakeServer(t, srv.serve), &Options{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rec := types.MustParse("{A: Int}")
+	inSession := func(end func(*Session) error) func() error {
+		return func() error {
+			s, err := c.Begin()
+			if err != nil {
+				return err
+			}
+			return end(s)
+		}
+	}
+	verbs := map[byte]func() error{
+		wire.OpPing:        c.Ping,
+		wire.OpGet:         func() error { _, err := c.Get(rec); return err },
+		wire.OpPut:         func() error { return c.Put("a", value.Int(1), nil) },
+		wire.OpDelete:      func() error { _, err := c.Delete("a"); return err },
+		wire.OpJoin:        func() error { _, err := c.Join(rec, rec); return err },
+		wire.OpBegin:       inSession((*Session).Close),
+		wire.OpCommit:      inSession((*Session).Commit),
+		wire.OpAbort:       inSession((*Session).Abort),
+		wire.OpNames:       func() error { _, err := c.Names(); return err },
+		wire.OpHealth:      func() error { _, err := c.Health(); return err },
+		wire.OpStats:       func() error { _, err := c.Stats(); return err },
+		wire.OpCreateIndex: func() error { _, err := c.CreateIndex("A"); return err },
+		wire.OpDropIndex:   func() error { _, err := c.DropIndex("A"); return err },
+		wire.OpExplain:     func() error { _, err := c.ExplainGet(rec); return err },
+		wire.OpPromote:     func() error { _, err := c.Promote(); return err },
+		wire.OpTraces:      func() error { _, err := c.Traces(); return err },
+	}
+	for op := wire.OpPing; op <= wire.LastRequestOp; op++ {
+		name := wire.Ops[op].Name
+		verb, ok := verbs[op]
+		switch {
+		case op == wire.OpReplicate:
+			if ok {
+				t.Errorf("%s has a client verb; only a follower sends it", name)
+			}
+			continue
+		case !ok:
+			t.Errorf("%s has no client verb", name)
+			continue
+		}
+		before := len(srv.sent())
+		verb()
+		if sent := srv.sent()[before:]; !bytes.Contains(sent, []byte{op}) {
+			t.Errorf("%s's verb sent %v, not %#x", name, sent, op)
+		}
 	}
 }

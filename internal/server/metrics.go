@@ -77,12 +77,12 @@ const lastWireCode = wire.CodeFenced
 
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	m := &serverMetrics{reg: reg}
-	// Every row of the request table gets its per-opcode series.
-	for op, r := range routes {
-		if r.class == classNone {
+	// Every row of the protocol table gets its per-opcode series.
+	for op, row := range wire.Ops {
+		if row.Class == wire.ClassNone {
 			continue
 		}
-		label := `{op="` + wire.OpName(byte(op)) + `"}`
+		label := `{op="` + row.Name + `"}`
 		m.requests[op] = reg.Counter("dbpl_server_requests_total" + label)
 		m.latency[op] = reg.Histogram("dbpl_server_request_seconds"+label,
 			telemetry.UnitDuration, telemetry.DurationBuckets)

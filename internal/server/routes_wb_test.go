@@ -1,12 +1,16 @@
-// White-box tests of the request table: every request opcode has a row,
-// and the row's class alone decides the drain check, the role gate,
-// admission and head sampling.
+// White-box tests of the request table: every wire.Ops row has one server
+// row, the row's class alone decides the drain check, the role gate,
+// admission and head sampling, its arity alone which field counts are
+// refused, and docs/SERVER.md lists the table as it is.
 package server
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -27,16 +31,16 @@ func errCode(t *testing.T, respOp byte, fields [][]byte) wire.Code {
 	return we.Code
 }
 
-// roundTrip sends op with no fields on a fresh connection and reads the
+// roundTrip sends op with fields on a fresh connection and reads the
 // first frame of the answer.
-func roundTrip(t *testing.T, addr string, op byte) (byte, [][]byte) {
+func roundTrip(t *testing.T, addr string, op byte, fields ...[]byte) (byte, [][]byte) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := wire.WriteFrame(conn, 0, op); err != nil {
+	if err := wire.WriteFrame(conn, 0, op, fields...); err != nil {
 		t.Fatal(err)
 	}
 	respOp, fields, err := wire.ReadFrame(conn, 0)
@@ -46,28 +50,86 @@ func roundTrip(t *testing.T, addr string, op byte) (byte, [][]byte) {
 	return respOp, fields
 }
 
-// TestRequestTableCoversEveryOpcode: every request opcode has a row, of
-// the class the "Request classes" table in docs/SERVER.md gives it.
+// TestRequestTableCoversEveryOpcode: the server's request table has
+// exactly one row per wire.Ops row — a stream handler for the stream row,
+// a request handler for every other — and none where wire.Ops has none.
 func TestRequestTableCoversEveryOpcode(t *testing.T) {
-	want := map[opClass][]byte{
-		classMonitor: {wire.OpHealth, wire.OpStats, wire.OpTraces},
-		classRead:    {wire.OpGet, wire.OpJoin, wire.OpAbort, wire.OpNames, wire.OpExplain},
-		classWrite: {wire.OpPut, wire.OpDelete, wire.OpBegin, wire.OpCommit,
-			wire.OpCreateIndex, wire.OpDropIndex},
-		classAdmin:  {wire.OpPing, wire.OpPromote},
-		classStream: {wire.OpReplicate},
+	for op, r := range routes {
+		name := wire.OpName(byte(op))
+		switch class := wire.Ops[op].Class; {
+		case class == wire.ClassNone && (r.handle != nil || r.stream != nil):
+			t.Errorf("%s has a server row but no wire.Ops row", name)
+		case class == wire.ClassStream && (r.stream == nil || r.handle != nil):
+			t.Errorf("%s is the stream row but has no stream handler alone", name)
+		case class != wire.ClassNone && class != wire.ClassStream && (r.handle == nil || r.stream != nil):
+			t.Errorf("%s has no request handler alone", name)
+		}
 	}
-	n := 0
-	for class, ops := range want {
-		for _, op := range ops {
-			n++
-			if got := lookup(op).class; got != class {
-				t.Errorf("%s has class %d, want %d", wire.OpName(op), got, class)
+}
+
+// TestRequestArityRefusedUniformly: every opcode refuses a frame with one
+// field more than its row's maximum, and one fewer than its minimum, with
+// bad-request, the stream row included, and whatever its handler would
+// make of the fields.
+func TestRequestArityRefusedUniformly(t *testing.T) {
+	_, _, addr := serveWB(t, "arity.log", Config{AllowPromote: true})
+	junk := func(n int) [][]byte {
+		fields := make([][]byte, n)
+		for i := range fields {
+			fields[i] = []byte("junk")
+		}
+		return fields
+	}
+	for op := wire.OpPing; op <= wire.LastRequestOp; op++ {
+		row := wire.Ops[op]
+		counts := []int{row.Max + 1}
+		if row.Min > 0 {
+			counts = append(counts, row.Min-1)
+		}
+		for _, n := range counts {
+			respOp, fields := roundTrip(t, addr, op, junk(n)...)
+			if code := errCode(t, respOp, fields); code != wire.CodeBadRequest {
+				t.Errorf("%s with %d fields answered %s (code %v), want %v",
+					row.Name, n, wire.OpName(respOp), code, wire.CodeBadRequest)
 			}
 		}
 	}
-	if n != int(wire.LastRequestOp) {
-		t.Errorf("the expected classes cover %d opcodes, want all %d", n, wire.LastRequestOp)
+}
+
+// TestServerDocListsEveryOpcode: docs/SERVER.md's opcode table lists
+// exactly wire.Ops' names and opcodes, in order, and its "Request
+// classes" table gives each opcode its row's class.
+func TestServerDocListsEveryOpcode(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/SERVER.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for op := wire.OpPing; op <= wire.LastRequestOp; op++ {
+		want = append(want, fmt.Sprintf("%s %#02x", wire.Ops[op].Name, op))
+	}
+	var got []string
+	for _, m := range regexp.MustCompile("(?m)^\\| `([A-Z]+) +(0x[0-9A-F]{2})` \\|").FindAllSubmatch(doc, -1) {
+		got = append(got, fmt.Sprintf("%s %s", m[1], strings.ToLower(string(m[2]))))
+	}
+	if strings.Join(got, ", ") != strings.Join(want, ", ") {
+		t.Errorf("SERVER.md's opcode table lists\n  %s\nwant wire.Ops'\n  %s", strings.Join(got, ", "), strings.Join(want, ", "))
+	}
+
+	classOf := map[string]string{}
+	for _, m := range regexp.MustCompile("(?m)^\\| ([a-z]+) \\| (`[A-Z]+`(?:, `[A-Z]+`)*) \\|").FindAllSubmatch(doc, -1) {
+		for _, name := range strings.Split(string(m[2]), ", ") {
+			classOf[strings.Trim(name, "`")] = string(m[1])
+		}
+	}
+	for op := wire.OpPing; op <= wire.LastRequestOp; op++ {
+		row := wire.Ops[op]
+		if got := classOf[row.Name]; got != row.Class.String() {
+			t.Errorf("SERVER.md's request classes give %s class %q, want %q", row.Name, got, row.Class)
+		}
+	}
+	if len(classOf) != int(wire.LastRequestOp) {
+		t.Errorf("SERVER.md's request classes name %d opcodes, want %d", len(classOf), wire.LastRequestOp)
 	}
 }
 
@@ -79,14 +141,14 @@ func TestRequestClassDrain(t *testing.T) {
 	srv.draining.Store(true)
 	sess := &session{srv: srv}
 	for op := wire.OpPing; op <= wire.LastRequestOp; op++ {
-		r := lookup(op)
+		class := wire.Ops[op].Class
 		var respOp byte
 		var fields [][]byte
-		if r.class == classStream {
+		if class == wire.ClassStream {
 			server, client := net.Pipe()
 			go func() {
 				defer server.Close()
-				r.stream(srv, server, wire.ReplicateFields(0, 0))
+				routes[op].stream(srv, server, wire.ReplicateFields(0, 0))
 			}()
 			for respOp == 0 || respOp == wire.OpRepHeartbeat {
 				var err error
@@ -96,13 +158,13 @@ func TestRequestClassDrain(t *testing.T) {
 			}
 			client.Close()
 		} else {
-			respOp, fields = srv.handle(sess, r, op, nil)
+			respOp, fields = srv.handle(sess, op, nil)
 		}
 		code := errCode(t, respOp, fields)
-		if r.class == classMonitor && respOp != wire.OpOK {
+		if class == wire.ClassMonitor && respOp != wire.OpOK {
 			t.Errorf("%s on a draining server answered %s (code %v), want OK", wire.OpName(op), wire.OpName(respOp), code)
 		}
-		if r.class != classMonitor && code != wire.CodeShutdown {
+		if class != wire.ClassMonitor && code != wire.CodeShutdown {
 			t.Errorf("%s on a draining server answered code %v, want %v", wire.OpName(op), code, wire.CodeShutdown)
 		}
 	}
@@ -127,13 +189,13 @@ func TestRequestClassRoleGate(t *testing.T) {
 	} {
 		sess := &session{srv: c.srv}
 		for op := wire.OpPing; op <= wire.LastRequestOp; op++ {
-			r := lookup(op)
-			if r.class == classStream {
+			class := wire.Ops[op].Class
+			if class == wire.ClassStream {
 				continue // takes the connection over; a follower serves it
 			}
-			respOp, fields := c.srv.handle(sess, r, op, nil)
+			respOp, fields := c.srv.handle(sess, op, nil)
 			code := errCode(t, respOp, fields)
-			if r.class != classWrite {
+			if class != wire.ClassWrite {
 				if code == c.want {
 					t.Errorf("%s (not a write) refused with %v", wire.OpName(op), code)
 				}
@@ -157,13 +219,13 @@ func TestRequestClassAdmissionAndTracing(t *testing.T) {
 	srv, _, addr := serveWB(t, "admit.log", Config{MaxInFlight: 1, TraceSampleRate: 1})
 	srv.m.inflight.Add(1)
 	for op := wire.OpPing; op <= wire.LastRequestOp; op++ {
-		r := lookup(op)
+		class := wire.Ops[op].Class
 		before := srv.traces.Total()
 		respOp, fields := roundTrip(t, addr, op)
 		shed := errCode(t, respOp, fields) == wire.CodeOverloaded
 		traced := srv.traces.Total() != before
-		switch r.class {
-		case classMonitor:
+		switch class {
+		case wire.ClassMonitor:
 			if shed || traced {
 				t.Errorf("%s: shed %v, traced %v; a monitor request is neither", wire.OpName(op), shed, traced)
 			}
@@ -172,7 +234,7 @@ func TestRequestClassAdmissionAndTracing(t *testing.T) {
 					t.Errorf("HEALTH reports in-flight %d (%v), want 1: it must not count itself", h.InFlight, err)
 				}
 			}
-		case classStream:
+		case wire.ClassStream:
 			if shed || traced {
 				t.Errorf("%s: shed %v, traced %v; a stream is neither", wire.OpName(op), shed, traced)
 			}

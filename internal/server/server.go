@@ -688,13 +688,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		r := lookup(op)
+		class := wire.Lookup(op).Class
 		// The stream row consumes the connection: it becomes a one-way
 		// stream of REPDATA/REPHEARTBEAT frames until the peer hangs up or
 		// we drain. Trace IDs are per-request and do not apply to a stream.
-		if r.class == classStream {
+		if class == wire.ClassStream {
 			s.m.requests[op].Inc()
-			r.stream(s, conn, fields)
+			routes[op].stream(s, conn, fields)
 			return
 		}
 		began := time.Now()
@@ -704,7 +704,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// every second on a replica set and TRACES would trace its own
 		// fetch; their span trees are noise that would churn the ring.
 		var tr *rtrace.Trace
-		if s.traces != nil && r.class != classMonitor {
+		if s.traces != nil && class != wire.ClassMonitor {
 			id := trace
 			if id == 0 {
 				id = rtrace.NextID()
@@ -722,10 +722,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		// its handlers. The monitor class bypasses the gate (and is not
 		// counted): a monitor must get an answer from exactly the server
 		// that is refusing everyone else.
-		if r.class == classMonitor {
-			respOp, respFields = s.handle(sess, r, op, fields)
+		if class == wire.ClassMonitor {
+			respOp, respFields = s.handle(sess, op, fields)
 		} else if s.admit() {
-			respOp, respFields = s.handle(sess, r, op, fields)
+			respOp, respFields = s.handle(sess, op, fields)
 			s.m.inflight.Add(-1)
 		} else {
 			s.m.shed.Inc()
@@ -847,62 +847,41 @@ func (d *deadlineReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// opClass is a request opcode's class. It alone decides how a request is
-// treated before its handler runs: head sampling, admission, the drain
-// check and the role gate (docs/SERVER.md, "Request classes").
-type opClass uint8
-
-const (
-	classNone    opClass = iota // no row: CodeUnknownOp, counted as op="unknown"
-	classMonitor                // never traced or admitted; answers while draining
-	classRead
-	classWrite // refused on a non-primary with CodeReadOnly or CodeFenced
-	classAdmin
-	classStream // takes the connection over
-)
-
-// route is one row of the request table. Handlers are method
-// expressions, so dispatch allocates nothing.
+// route is one row of the request table: the handler of a wire.Ops row.
+// Handlers are method expressions, so dispatch allocates nothing.
 type route struct {
-	class  opClass
 	handle func(*Server, *session, [][]byte) (byte, [][]byte)
 	stream func(*Server, net.Conn, [][]byte) // the stream row's, instead of handle
 }
 
-// routes is the request table, indexed by opcode: the one list of the
-// opcodes this server answers.
+// routes is the request table, indexed by opcode: one row per wire.Ops
+// row, holding only its handler. The row's class and arity come from
+// wire.Ops.
 var routes = [wire.LastRequestOp + 1]route{
-	wire.OpPing:        {class: classAdmin, handle: (*Server).handlePing},
-	wire.OpGet:         {class: classRead, handle: (*Server).handleGet},
-	wire.OpPut:         {class: classWrite, handle: (*Server).handlePut},
-	wire.OpDelete:      {class: classWrite, handle: (*Server).handleDelete},
-	wire.OpJoin:        {class: classRead, handle: (*Server).handleJoin},
-	wire.OpBegin:       {class: classWrite, handle: (*Server).handleBegin},
-	wire.OpCommit:      {class: classWrite, handle: (*Server).handleCommit},
-	wire.OpAbort:       {class: classRead, handle: (*Server).handleAbort},
-	wire.OpNames:       {class: classRead, handle: (*Server).handleNames},
-	wire.OpHealth:      {class: classMonitor, handle: (*Server).handleHealth},
-	wire.OpStats:       {class: classMonitor, handle: (*Server).handleStats},
-	wire.OpCreateIndex: {class: classWrite, handle: (*Server).handleCreateIndex},
-	wire.OpDropIndex:   {class: classWrite, handle: (*Server).handleDropIndex},
-	wire.OpExplain:     {class: classRead, handle: (*Server).handleExplain},
-	wire.OpReplicate:   {class: classStream, stream: (*Server).streamReplicate},
-	wire.OpPromote:     {class: classAdmin, handle: (*Server).handlePromote},
-	wire.OpTraces:      {class: classMonitor, handle: (*Server).handleTraces},
+	wire.OpPing:        {handle: (*Server).handlePing},
+	wire.OpGet:         {handle: (*Server).handleGet},
+	wire.OpPut:         {handle: (*Server).handlePut},
+	wire.OpDelete:      {handle: (*Server).handleDelete},
+	wire.OpJoin:        {handle: (*Server).handleJoin},
+	wire.OpBegin:       {handle: (*Server).handleBegin},
+	wire.OpCommit:      {handle: (*Server).handleCommit},
+	wire.OpAbort:       {handle: (*Server).handleAbort},
+	wire.OpNames:       {handle: (*Server).handleNames},
+	wire.OpHealth:      {handle: (*Server).handleHealth},
+	wire.OpStats:       {handle: (*Server).handleStats},
+	wire.OpCreateIndex: {handle: (*Server).handleCreateIndex},
+	wire.OpDropIndex:   {handle: (*Server).handleDropIndex},
+	wire.OpExplain:     {handle: (*Server).handleExplain},
+	wire.OpReplicate:   {stream: (*Server).streamReplicate},
+	wire.OpPromote:     {handle: (*Server).handlePromote},
+	wire.OpTraces:      {handle: (*Server).handleTraces},
 }
 
-// lookup returns op's row, the zero row (classNone) when it has none.
-func lookup(op byte) route {
-	if int(op) < len(routes) {
-		return routes[op]
-	}
-	return route{}
-}
-
-// handle dispatches one request through its row r and returns the
-// response frame. All failures become OpError frames; a handler panic is
+// handle dispatches one request by its wire.Ops row and returns the
+// response frame: the class gates first, then the row's arity, then the
+// handler. All failures become OpError frames; a handler panic is
 // confined to the request that caused it.
-func (s *Server) handle(sess *session, r route, op byte, fields [][]byte) (respOp byte, respFields [][]byte) {
+func (s *Server) handle(sess *session, op byte, fields [][]byte) (respOp byte, respFields [][]byte) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.logf("server: panic handling op %#x: %v", op, p)
@@ -910,25 +889,29 @@ func (s *Server) handle(sess *session, r route, op byte, fields [][]byte) (respO
 			respFields = wire.ErrorFields(&wire.WireError{Code: wire.CodeInternal, Msg: fmt.Sprint(p)})
 		}
 	}()
+	row := wire.Lookup(op)
 	// The monitor class answers before the drain check: a server that is
 	// shutting down (or poisoned) reports its state instead of only
 	// refusing work.
-	if r.class != classMonitor && s.draining.Load() {
+	if row.Class != wire.ClassMonitor && s.draining.Load() {
 		return errResp(&wire.WireError{Code: wire.CodeShutdown, Msg: "server is draining"})
 	}
 	// A non-primary refuses every write by role — distinct from
 	// CodeDegraded (this server is healthy) and never retryable against
 	// this server. PROMOTE is an admin row, not a write: a follower is
 	// exactly what gets promoted.
-	if r.class == classWrite {
+	if row.Class == wire.ClassWrite {
 		if we := s.refuseWrite(s.mode.Load(), false); we != nil {
 			return errResp(we)
 		}
 	}
-	if r.handle == nil {
+	if row.Class == wire.ClassNone {
 		return errResp(&wire.WireError{Code: wire.CodeUnknownOp, Msg: fmt.Sprintf("opcode %#x", op)})
 	}
-	return r.handle(s, sess, fields)
+	if err := row.CheckFields(len(fields)); err != nil {
+		return errResp(toWireError(err))
+	}
+	return routes[op].handle(s, sess, fields)
 }
 
 func (s *Server) handlePing(*session, [][]byte) (byte, [][]byte) { return wire.OpOK, nil }
@@ -945,19 +928,12 @@ func (s *Server) handleBegin(sess *session, _ [][]byte) (byte, [][]byte) {
 }
 
 func (s *Server) handleCommit(sess *session, fields [][]byte) (byte, [][]byte) {
-	if len(fields) > 1 {
-		return badReq("COMMIT wants 0 or 1 fields, got %d", len(fields))
-	}
 	if !sess.inTxn {
 		return errResp(&wire.WireError{Code: wire.CodeTxn, Msg: "COMMIT outside a transaction"})
 	}
-	var key string
-	if len(fields) == 1 {
-		key = string(fields[0])
-	}
 	ops := sess.ops
 	sess.endTxn()
-	if _, err := s.commit(ops, key, sess.tr); err != nil {
+	if _, err := s.commit(ops, keyOf(fields, 0), sess.tr); err != nil {
 		return errResp(toWireError(err))
 	}
 	return wire.OpOK, nil
@@ -1064,9 +1040,6 @@ func badReq(format string, args ...any) (byte, [][]byte) {
 // ---------------------------------------------------------------------------
 
 func (s *Server) handleGet(sess *session, fields [][]byte) (byte, [][]byte) {
-	if len(fields) != 1 {
-		return badReq("GET wants 1 field, got %d", len(fields))
-	}
 	ws, err := internTypes(fields)
 	if err != nil {
 		return errResp(toWireError(err))
@@ -1100,7 +1073,7 @@ func valuesReply(n int, image func(dst []byte, i int) ([]byte, error)) (byte, []
 }
 
 // internTypes decodes and interns the type images of a GET, JOIN or
-// EXPLAIN request; the caller has checked there are at most two.
+// EXPLAIN request; their rows in wire.Ops allow at most two.
 func internTypes(fields [][]byte) ([2]*types.Interned, error) {
 	var ws [2]*types.Interned
 	for i, f := range fields {
@@ -1125,9 +1098,6 @@ func relationOf(st *state, want *types.Interned) *relation.Relation {
 }
 
 func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
-	if len(fields) != 2 {
-		return badReq("JOIN wants 2 fields, got %d", len(fields))
-	}
 	ws, err := internTypes(fields)
 	if err != nil {
 		return errResp(toWireError(err))
@@ -1144,9 +1114,6 @@ func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
 // ---------------------------------------------------------------------------
 
 func (s *Server) handlePut(sess *session, fields [][]byte) (byte, [][]byte) {
-	if len(fields) != 2 && len(fields) != 3 {
-		return badReq("PUT wants 2 or 3 fields, got %d", len(fields))
-	}
 	name := string(fields[0])
 	if name == "" {
 		return badReq("PUT with empty root name")
@@ -1164,20 +1131,13 @@ func (s *Server) handlePut(sess *session, fields [][]byte) (byte, [][]byte) {
 		sess.buffer(op)
 		return wire.OpOK, nil
 	}
-	var key string
-	if len(fields) == 3 {
-		key = string(fields[2])
-	}
-	if _, err := s.commit([]txnOp{op}, key, sess.tr); err != nil {
+	if _, err := s.commit([]txnOp{op}, keyOf(fields, 2), sess.tr); err != nil {
 		return errResp(toWireError(err))
 	}
 	return wire.OpOK, nil
 }
 
 func (s *Server) handleDelete(sess *session, fields [][]byte) (byte, [][]byte) {
-	if len(fields) != 1 && len(fields) != 2 {
-		return badReq("DELETE wants 1 or 2 fields, got %d", len(fields))
-	}
 	name := string(fields[0])
 	op := txnOp{name: name, del: true}
 	if sess.inTxn {
@@ -1185,11 +1145,7 @@ func (s *Server) handleDelete(sess *session, fields [][]byte) (byte, [][]byte) {
 		sess.buffer(op)
 		return wire.OpOK, [][]byte{boolField(existed)}
 	}
-	var key string
-	if len(fields) == 2 {
-		key = string(fields[1])
-	}
-	existed, err := s.commit([]txnOp{op}, key, sess.tr)
+	existed, err := s.commit([]txnOp{op}, keyOf(fields, 1), sess.tr)
 	if err != nil {
 		return errResp(toWireError(err))
 	}
@@ -1217,9 +1173,6 @@ func (s *Server) handleDropIndex(sess *session, fields [][]byte) (byte, [][]byte
 // The reply reports whether anything changed (created / existed).
 // Refused inside a transaction — index DDL is not transactional.
 func (s *Server) handleIndexDDL(sess *session, fields [][]byte, name string, drop bool) (byte, [][]byte) {
-	if len(fields) != 1 && len(fields) != 2 {
-		return badReq("%s wants 1 or 2 fields, got %d", name, len(fields))
-	}
 	field := string(fields[0])
 	if field == "" {
 		return badReq("%s with empty field name", name)
@@ -1227,12 +1180,8 @@ func (s *Server) handleIndexDDL(sess *session, fields [][]byte, name string, dro
 	if sess.inTxn {
 		return errResp(&wire.WireError{Code: wire.CodeTxn, Msg: name + " inside a transaction"})
 	}
-	var key string
-	if len(fields) == 2 {
-		key = string(fields[1])
-	}
 	ddl := txnOp{name: field, index: true, del: drop}
-	changed, err := s.commit([]txnOp{ddl}, key, sess.tr)
+	changed, err := s.commit([]txnOp{ddl}, keyOf(fields, 1), sess.tr)
 	if err != nil {
 		return errResp(toWireError(err))
 	}
@@ -1247,9 +1196,6 @@ func (s *Server) handleIndexDDL(sess *session, fields [][]byte, name string, dro
 // (relation.JoinPlan.String). Both read the session's view. Pure read: no
 // join runs and no value is encoded.
 func (s *Server) handleExplain(sess *session, fields [][]byte) (byte, [][]byte) {
-	if len(fields) != 1 && len(fields) != 2 {
-		return badReq("EXPLAIN wants 1 or 2 fields, got %d", len(fields))
-	}
 	ws, err := internTypes(fields)
 	if err != nil {
 		return errResp(toWireError(err))
@@ -1261,6 +1207,15 @@ func (s *Server) handleExplain(sess *session, fields [][]byte) (byte, [][]byte) 
 		return wire.OpOK, [][]byte{[]byte(plan)}
 	}
 	return wire.OpOK, [][]byte{[]byte(relation.PlanJoin(relationOf(st, ws[0]), relationOf(st, ws[1])).String())}
+}
+
+// keyOf is a keyed write's optional idempotency key, the field at i when
+// the request carries it.
+func keyOf(fields [][]byte, i int) string {
+	if i < len(fields) {
+		return string(fields[i])
+	}
+	return ""
 }
 
 func boolField(b bool) []byte {
@@ -1530,10 +1485,7 @@ func (s *Server) handleHealth(*session, [][]byte) (byte, [][]byte) {
 // It takes no handler locks, and its monitor class keeps it answering an
 // overloaded or draining server, so the observer keeps observing exactly
 // when the server is at its most interesting.
-func (s *Server) handleStats(_ *session, fields [][]byte) (byte, [][]byte) {
-	if len(fields) != 0 {
-		return badReq("STATS wants 0 fields, got %d", len(fields))
-	}
+func (s *Server) handleStats(*session, [][]byte) (byte, [][]byte) {
 	snap := s.m.reg.Snapshot()
 	return wire.OpOK, [][]byte{snap.AppendBinary(nil)}
 }
@@ -1542,10 +1494,7 @@ func (s *Server) handleStats(_ *session, fields [][]byte) (byte, [][]byte) {
 // field, newest first. A server running with sampling off (or with no
 // ring) answers OpOK with zero fields rather than an error — polling
 // for traces is not a fault.
-func (s *Server) handleTraces(_ *session, fields [][]byte) (byte, [][]byte) {
-	if len(fields) != 0 {
-		return badReq("TRACES wants 0 fields, got %d", len(fields))
-	}
+func (s *Server) handleTraces(*session, [][]byte) (byte, [][]byte) {
 	if s.traces == nil {
 		return wire.OpOK, nil
 	}

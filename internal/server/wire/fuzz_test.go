@@ -21,8 +21,8 @@ import (
 // beyond the frame limit; and every frame that decodes re-encodes to a
 // frame that decodes identically.
 func FuzzReadFrame(f *testing.F) {
-	// Seed corpus: every request shape the protocol defines, plus
-	// degenerate inputs.
+	// Seed corpus: request and reply shapes the protocol defines, one
+	// frame per wire.Ops row at its maximum arity, and degenerate inputs.
 	mustFrame := func(op byte, fields ...[]byte) []byte {
 		b, err := AppendFrame(nil, 0, op, fields...)
 		if err != nil {
@@ -146,6 +146,13 @@ func FuzzReadFrame(f *testing.F) {
 		return mustFrame(OpRepData, off, raw, ep, binary.LittleEndian.AppendUint32(nil, sum))
 	}())
 	f.Add(append(mustFrame(OpBegin), mustFrame(OpCommit)...)) // pipelined
+	for op := OpPing; op <= LastRequestOp; op++ {
+		fields := make([][]byte, Ops[op].Max)
+		for i := range fields {
+			fields[i] = []byte{byte(i)}
+		}
+		f.Add(mustFrame(op, fields...))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 1})

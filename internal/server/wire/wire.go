@@ -43,28 +43,29 @@ const MaxFrame = 16 << 20
 
 const headerLen = 4
 
-// Request opcodes. The keyed write opcodes (PUT, DELETE, COMMIT,
-// CREATEINDEX, DROPINDEX) accept one optional trailing field: a
+// Request opcodes; their rows in Ops give their fields and replies. The
+// keyed write opcodes (PUT, DELETE, COMMIT, CREATEINDEX, DROPINDEX)
+// accept one optional trailing field: a
 // client-stamped *idempotency key*, opaque bytes the server remembers in
 // a bounded LRU of applied write ids so a retried frame — sent again
 // because the acknowledgement was lost, not because the write failed —
 // applies exactly once.
 const (
-	OpPing   byte = 0x01 // []                        -> OK []
-	OpGet    byte = 0x02 // [type-image]              -> Values [tagged...]
-	OpPut    byte = 0x03 // [name, tagged-image, id?] -> OK []
-	OpDelete byte = 0x04 // [name, id?]               -> OK [existed(1)]
-	OpJoin   byte = 0x05 // [type-image, type-image]  -> Values [tagged...]
-	OpBegin  byte = 0x06 // []                        -> OK []
-	OpCommit byte = 0x07 // [id?]                     -> OK []
-	OpAbort  byte = 0x08 // []                        -> OK []
-	OpNames  byte = 0x09 // []                        -> OK [name...]
-	OpHealth byte = 0x0A // []                        -> OK [health fields]
-	OpStats  byte = 0x0B // []                        -> OK [snapshot]
+	OpPing   byte = 0x01
+	OpGet    byte = 0x02
+	OpPut    byte = 0x03
+	OpDelete byte = 0x04
+	OpJoin   byte = 0x05
+	OpBegin  byte = 0x06
+	OpCommit byte = 0x07
+	OpAbort  byte = 0x08
+	OpNames  byte = 0x09
+	OpHealth byte = 0x0A
+	OpStats  byte = 0x0B
 	// Index administration (keyed writes) and plan inspection.
-	OpCreateIndex byte = 0x0C // [field, id?]              -> OK [created(1)]
-	OpDropIndex   byte = 0x0D // [field, id?]              -> OK [existed(1)]
-	OpExplain     byte = 0x0E // [type-image(, type-image)] -> OK [plan-text]
+	OpCreateIndex byte = 0x0C
+	OpDropIndex   byte = 0x0D
+	OpExplain     byte = 0x0E
 	// OpReplicate subscribes the connection to the primary's log:
 	// [from, epoch] — the uvarint durable offset and the subscriber's
 	// promotion epoch; a server seeing a subscriber with a
@@ -89,13 +90,6 @@ const (
 	// an overloaded server (docs/SERVER.md, "Request classes").
 	OpTraces byte = 0x11
 )
-
-// LastRequestOp is the highest assigned request opcode: request opcodes
-// are [OpPing, LastRequestOp], and tables indexed by opcode (the server's
-// request table, the client's attempt counters) are sized by it. The
-// opcode exhaustiveness test walks that range; update it when appending
-// an opcode. Request opcodes must stay below TraceFlag.
-const LastRequestOp = OpTraces
 
 // Response opcodes. OpRepData and OpRepHeartbeat are the replication
 // stream (see OpReplicate): REPDATA carries whole commit groups as raw log
@@ -122,60 +116,104 @@ const (
 // response opcodes (0x80–0xBF) never collide with the flag.
 const TraceFlag byte = 0x40
 
+// Class is a request opcode's class. It alone decides how the server
+// treats a request before its handler runs: head sampling, admission, the
+// drain check and the role gate (docs/SERVER.md, "Request classes").
+type Class uint8
+
+const (
+	ClassNone    Class = iota // not a request opcode: CodeUnknownOp, op="unknown"
+	ClassMonitor              // never traced or admitted; answers while draining
+	ClassRead
+	ClassWrite // refused on a non-primary with CodeReadOnly or CodeFenced
+	ClassAdmin
+	ClassStream // takes the connection over
+)
+
+var classNames = [...]string{"none", "monitor", "read", "write", "admin", "stream"}
+
+// String names the class as docs/SERVER.md does.
+func (c Class) String() string { return classNames[c] }
+
+// Op is one row of the protocol table: a request opcode's name, class,
+// the bounds on its field count (the trace field excluded) and the
+// opcode of its successful reply. A request outside the bounds is refused
+// with CodeBadRequest before its handler runs.
+type Op struct {
+	Name     string
+	Class    Class
+	Min, Max int
+	Reply    byte
+}
+
+// Ops is the protocol table, indexed by opcode: the one place a request
+// opcode's name, class, arity and reply are written. The server's request
+// table, both ends' per-opcode metric series, the fuzz seeds and the
+// checks of docs/SERVER.md all read it. Index 0 is no opcode. The
+// comments give each row's fields and reply fields, "key?" the optional
+// idempotency key.
+var Ops = [...]Op{
+	OpPing:        {"PING", ClassAdmin, 0, 0, OpOK},                 // [] -> []
+	OpGet:         {"GET", ClassRead, 1, 1, OpValues},               // [type-image] -> [tagged...]
+	OpPut:         {"PUT", ClassWrite, 2, 3, OpOK},                  // [name, tagged-image, key?]
+	OpDelete:      {"DELETE", ClassWrite, 1, 2, OpOK},               // [name, key?] -> [existed(1)]
+	OpJoin:        {"JOIN", ClassRead, 2, 2, OpValues},              // [type-image, type-image] -> [tagged...]
+	OpBegin:       {"BEGIN", ClassWrite, 0, 0, OpOK},                // [] -> []
+	OpCommit:      {"COMMIT", ClassWrite, 0, 1, OpOK},               // [key?]
+	OpAbort:       {"ABORT", ClassRead, 0, 0, OpOK},                 // [] -> []
+	OpNames:       {"NAMES", ClassRead, 0, 0, OpOK},                 // -> [name...]
+	OpHealth:      {"HEALTH", ClassMonitor, 0, 0, OpOK},             // -> HealthFields
+	OpStats:       {"STATS", ClassMonitor, 0, 0, OpOK},              // -> [snapshot]
+	OpCreateIndex: {"CREATEINDEX", ClassWrite, 1, 2, OpOK},          // [field, key?] -> [created(1)]
+	OpDropIndex:   {"DROPINDEX", ClassWrite, 1, 2, OpOK},            // [field, key?] -> [existed(1)]
+	OpExplain:     {"EXPLAIN", ClassRead, 1, 2, OpOK},               // [type-image, type-image?] -> [plan-text]
+	OpReplicate:   {"REPLICATE", ClassStream, 2, 2, OpRepHeartbeat}, // ReplicateFields -> the stream, a heartbeat first
+	OpPromote:     {"PROMOTE", ClassAdmin, 0, 2, OpOK},              // [] -> [epoch], or FenceFields -> []
+	OpTraces:      {"TRACES", ClassMonitor, 0, 0, OpOK},             // -> [encoded-trace...]
+}
+
+// LastRequestOp is the highest assigned request opcode: request opcodes
+// are [OpPing, LastRequestOp], and tables indexed by opcode are sized by
+// it. Request opcodes must stay below TraceFlag.
+const LastRequestOp = byte(len(Ops) - 1)
+
+// Lookup returns op's row, the zero row (ClassNone) when op is not a
+// request opcode.
+func Lookup(op byte) Op {
+	if int(op) < len(Ops) {
+		return Ops[op]
+	}
+	return Op{}
+}
+
+// CheckFields refuses a request of n fields outside the row's bounds.
+func (o Op) CheckFields(n int) error {
+	switch {
+	case n >= o.Min && n <= o.Max:
+		return nil
+	case o.Min == o.Max:
+		return errf(CodeBadRequest, "%s wants %d fields, got %d", o.Name, o.Min, n)
+	}
+	return errf(CodeBadRequest, "%s wants %d to %d fields, got %d", o.Name, o.Min, o.Max, n)
+}
+
+// replyNames names the response opcodes, OpOK onwards.
+var replyNames = [...]string{"OK", "VALUES", "ERROR", "REPDATA", "REPHEARTBEAT"}
+
 // OpName names a request or response opcode for logs, metrics and the
 // slow-op ring; a traced opcode names the same as its base. Unknown
 // opcodes render as "op(0xNN)" — callers using names as metric labels
 // must not feed them unvalidated peer opcodes, or a hostile peer could
 // mint unbounded label cardinality.
 func OpName(op byte) string {
-	switch op &^ TraceFlag {
-	case OpPing:
-		return "PING"
-	case OpGet:
-		return "GET"
-	case OpPut:
-		return "PUT"
-	case OpDelete:
-		return "DELETE"
-	case OpJoin:
-		return "JOIN"
-	case OpBegin:
-		return "BEGIN"
-	case OpCommit:
-		return "COMMIT"
-	case OpAbort:
-		return "ABORT"
-	case OpNames:
-		return "NAMES"
-	case OpHealth:
-		return "HEALTH"
-	case OpStats:
-		return "STATS"
-	case OpCreateIndex:
-		return "CREATEINDEX"
-	case OpDropIndex:
-		return "DROPINDEX"
-	case OpExplain:
-		return "EXPLAIN"
-	case OpReplicate:
-		return "REPLICATE"
-	case OpPromote:
-		return "PROMOTE"
-	case OpTraces:
-		return "TRACES"
-	case OpOK:
-		return "OK"
-	case OpValues:
-		return "VALUES"
-	case OpError:
-		return "ERROR"
-	case OpRepData:
-		return "REPDATA"
-	case OpRepHeartbeat:
-		return "REPHEARTBEAT"
-	default:
-		return fmt.Sprintf("op(%#x)", op)
+	op &^= TraceFlag
+	if name := Lookup(op).Name; name != "" {
+		return name
 	}
+	if op >= OpOK && int(op-OpOK) < len(replyNames) {
+		return replyNames[op-OpOK]
+	}
+	return fmt.Sprintf("op(%#x)", op)
 }
 
 // AppendTrace turns an untraced frame into a traced one: sets the flag
@@ -682,8 +720,8 @@ func ReplicateFields(from int64, epoch uint64) [][]byte {
 // offset and the subscriber's epoch. An offset that does not fit an int64
 // is as malformed as a truncated one.
 func DecodeReplicateReq(fields [][]byte) (int64, uint64, error) {
-	if len(fields) != 2 {
-		return 0, 0, errf(CodeBadRequest, "REPLICATE wants 2 fields, got %d", len(fields))
+	if err := Ops[OpReplicate].CheckFields(len(fields)); err != nil {
+		return 0, 0, err
 	}
 	v, ok := uvarintOf(fields[0])
 	if !ok {

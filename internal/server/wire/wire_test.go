@@ -274,17 +274,22 @@ func TestSplitFieldsAliasesInput(t *testing.T) {
 	}
 }
 
-// TestOpcodeExhaustiveness walks every assigned request opcode the same
-// way TestCodeExhaustiveness walks the codes: each must have a real
-// OpName (no op(0xNN) fallback), names must be distinct, the traced
-// variant must name identically, and a frame round-trips. Appending an
-// opcode (STATS was the last) without extending OpName fails here.
+// TestOpcodeExhaustiveness walks every request opcode the same way
+// TestCodeExhaustiveness walks the codes: each must have a whole wire.Ops
+// row — a real name (no op(0xNN) fallback), a class, Min <= Max and a
+// named response opcode as its reply — names must be distinct, the
+// traced variant must name identically, and a frame round-trips. A hole
+// in the table, or an opcode appended without its row, fails here.
 func TestOpcodeExhaustiveness(t *testing.T) {
 	seen := map[string]byte{}
 	for op := OpPing; op <= LastRequestOp; op++ {
 		name := OpName(op)
 		if name == "" || strings.HasPrefix(name, "op(") {
 			t.Errorf("opcode %#x has no real OpName: %q", op, name)
+		}
+		if row := Ops[op]; row.Class == ClassNone || row.Min < 0 || row.Min > row.Max ||
+			row.Reply < OpOK || strings.HasPrefix(OpName(row.Reply), "op(") {
+			t.Errorf("%s has an incomplete row %+v", name, row)
 		}
 		if prev, dup := seen[name]; dup {
 			t.Errorf("opcodes %#x and %#x share the name %q", prev, op, name)
@@ -307,12 +312,11 @@ func TestOpcodeExhaustiveness(t *testing.T) {
 			t.Errorf("%s round trip = %#x, %v", name, got, err)
 		}
 	}
-	// Past the end: the fallback form is the give-away that LastRequestOp
-	// and OpName are in sync.
+	// Past the end of the table, no name.
 	if s := OpName(LastRequestOp + 1); !strings.HasPrefix(s, "op(") {
-		t.Errorf("opcode past LastRequestOp has a real OpName %q; LastRequestOp is stale", s)
+		t.Errorf("opcode past LastRequestOp has a real OpName %q", s)
 	}
-	for _, op := range []byte{OpOK, OpValues, OpError} {
+	for _, op := range []byte{OpOK, OpValues, OpError, OpRepData, OpRepHeartbeat} {
 		if s := OpName(op); strings.HasPrefix(s, "op(") {
 			t.Errorf("response opcode %#x has no real OpName", op)
 		}
