@@ -50,9 +50,10 @@ bench-smoke:
 # conformance walk (differential against TypeOf + subtyping), the value
 # key writer (byte-identical to the fmt writer it replaced), the pruned
 # maximal-elements scan (differential against the naive one), the language
-# pipeline and the wire frame reader (malformed frames, truncated length
+# pipeline, the wire frame reader (malformed frames, truncated length
 # prefixes and oversize claims must yield typed wire errors — never a
-# panic, never an unbounded allocation). The codec seeds include images
+# panic, never an unbounded allocation) and the reply decoder
+# (differential against per-image DecodeTagged). The codec seeds include images
 # nested past the depth bounds, 32 KiB and more, and each FuzzMaximal input
 # runs the quadratic reference scan; minimizing an input grown from either
 # would take the whole pass, so it is cut short. `make test`
@@ -66,6 +67,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzMaximal -fuzztime=30s -fuzzminimizetime=5s ./internal/value/
 	$(GO) test -fuzz=FuzzRun -fuzztime=30s ./internal/lang/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/server/wire/
+	$(GO) test -fuzz=FuzzReplyDecode -fuzztime=30s -fuzzminimizetime=5s ./internal/persist/codec/
 
 clean:
 	$(GO) clean ./...

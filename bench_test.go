@@ -638,25 +638,34 @@ func BenchmarkCodecDecode(b *testing.B) {
 	}
 	for _, c := range []struct {
 		name   string
-		decode func(*codec.TypeTable, []byte) error
+		decode func(imgs [][]byte) error
 	}{
-		{"tagged-reply/one-shot", func(_ *codec.TypeTable, img []byte) error {
-			_, _, err := codec.DecodeTagged(img)
-			return err
+		{"tagged-reply/one-shot", func(imgs [][]byte) error {
+			for _, img := range imgs {
+				if _, _, err := codec.DecodeTagged(img); err != nil {
+					return err
+				}
+			}
+			return nil
 		}},
-		{"tagged-reply/table", func(tbl *codec.TypeTable, img []byte) error {
-			_, _, err := tbl.DecodeTagged(img)
-			return err
+		{"tagged-reply/table", func(imgs [][]byte) error {
+			var tbl codec.TypeTable
+			for _, img := range imgs {
+				if _, _, err := tbl.DecodeTagged(img); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"tagged-reply/reply", func(imgs [][]byte) error {
+			return codec.DecodeReply(imgs, func(int, value.Value, types.Type) {})
 		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				var tbl codec.TypeTable
-				for _, img := range reply {
-					if err := c.decode(&tbl, img); err != nil {
-						b.Fatal(err)
-					}
+				if err := c.decode(reply); err != nil {
+					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reply)), "ns/rec")

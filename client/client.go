@@ -273,7 +273,11 @@ func (o Options) replicaProbe() time.Duration {
 }
 
 // Packed mirrors core.Packed: a remote object with the witness type it was
-// stored at.
+// stored at. The values of one reply (Get, GetExpr, Join) share what the
+// reply was decoded into: one copy of its payload, which their string
+// atoms are substrings of, and the slabs their records come from. So a
+// value kept from a reply pins what that one frame was decoded into, and
+// nothing of any other reply; the witness types pin none of it.
 type Packed = core.Packed
 
 // Client is a pooled connection to one dbpl server. It is safe for
@@ -602,7 +606,9 @@ func (h *handle) write(op byte, fields ...[]byte) ([][]byte, error) {
 // Options.Replicas a Client's Get may be served by a caught-up follower.
 // A Session's Get answers from the state its Commit would publish over
 // the snapshot pinned at Begin: its own buffered writes included, in the
-// order a Get right after Commit returns them.
+// order a Get right after Commit returns them. The values share the
+// reply's payload and slabs (see Packed): a kept value pins at most one
+// frame.
 func (h *handle) Get(t types.Type) ([]Packed, error) {
 	return decodeGet(h.call(wire.OpGet, mustTypeField(t)))
 }
@@ -825,17 +831,10 @@ func decodeGet(fields [][]byte, err error) ([]Packed, error) {
 		return nil, err
 	}
 	out := make([]Packed, len(fields))
-	if len(out) == 0 {
-		return out, nil
-	}
-	// One table per reply: its records repeat a few type images.
-	var tbl codec.TypeTable
-	for i, f := range fields {
-		v, t, err := tbl.DecodeTagged(f)
-		if err != nil {
-			return nil, err
-		}
+	if err := codec.DecodeReply(fields, func(i int, v value.Value, t types.Type) {
 		out[i] = Packed{Value: v, Witness: t}
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -26,7 +26,10 @@
 // DecodeType measure each type image with a skip that allocates nothing,
 // and decode and canonicalise only an image they have not met before. The
 // package-level DecodeTagged and DecodeType are the same code with a nil
-// table, which decodes every image afresh.
+// table, which decodes every image afresh. DecodeReply reads the images of
+// one reply through one table and builds its values from memory shared by
+// the reply; AppendTaggedImage writes an image at a type image encoded
+// once.
 package codec
 
 import (
@@ -37,6 +40,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strings"
 
 	"dbpl/internal/dynamic"
 	"dbpl/internal/types"
@@ -168,6 +172,15 @@ func AppendTagged(dst []byte, v value.Value, declared types.Type) ([]byte, error
 	}
 	e := Encoder{buf: appendHeader(dst)}
 	e.encodeType(declared)
+	e.encodeValue(v)
+	return e.image(dst)
+}
+
+// AppendTaggedImage appends AppendTagged's image of v at the type whose
+// standalone image, AppendType's, is typeImg: that image, then v's. A
+// writer of many values at a few types encodes each type once.
+func AppendTaggedImage(dst, typeImg []byte, v value.Value) ([]byte, error) {
+	e := Encoder{buf: append(dst, typeImg...)}
 	e.encodeValue(v)
 	return e.image(dst)
 }
@@ -433,6 +446,9 @@ type Decoder struct {
 	refs []value.Value
 	// tbl, if set, is the TypeTable whose decoder this is.
 	tbl *TypeTable
+	// rep, if set, is the reply whose images the decoder reads; see
+	// DecodeReply.
+	rep *reply
 	// typeDepth tracks Type's recursion so only complete top-level types are
 	// canonicalized (open subterms under a binder should not be interned),
 	// and, with valueDepth, enforces the nesting bounds.
@@ -532,7 +548,12 @@ type TypeTable struct {
 
 // DecodeTagged is the package-level DecodeTagged through tbl.
 func (tbl *TypeTable) DecodeTagged(img []byte) (value.Value, types.Type, error) {
-	d, err := tbl.decoder(img)
+	return tbl.decodeTagged(img, nil)
+}
+
+// decodeTagged is DecodeTagged of an image of rep, if rep is set.
+func (tbl *TypeTable) decodeTagged(img []byte, rep *reply) (value.Value, types.Type, error) {
+	d, err := tbl.decoder(img, rep)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -541,7 +562,15 @@ func (tbl *TypeTable) DecodeTagged(img []byte) (value.Value, types.Type, error) 
 	if err != nil {
 		return nil, nil, err
 	}
+	start := d.pos
 	v, err := d.Value()
+	if err == errDynamicInReply {
+		// Start the value again, one field at a time.
+		clear(d.refs)
+		*d = Decoder{src: img, pos: start, refs: d.refs[:0], tbl: tbl}
+		d.open = d.openBuf[:0]
+		v, err = d.Value()
+	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -557,7 +586,7 @@ func (tbl *TypeTable) DecodeType(img []byte) (types.Type, error) {
 			return t, nil
 		}
 	}
-	d, err := tbl.decoder(img)
+	d, err := tbl.decoder(img, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -566,8 +595,9 @@ func (tbl *TypeTable) DecodeType(img []byte) (types.Type, error) {
 }
 
 // decoder checks img's header and returns a decoder positioned after it:
-// the table's own, reset, or for a nil table a fresh one.
-func (tbl *TypeTable) decoder(img []byte) (*Decoder, error) {
+// the table's own, reset, or for a nil table a fresh one. A table's decoder
+// of an image of a reply reads it as one.
+func (tbl *TypeTable) decoder(img []byte, rep *reply) (*Decoder, error) {
 	if tbl == nil {
 		return newDecoder(img)
 	}
@@ -575,7 +605,7 @@ func (tbl *TypeTable) decoder(img []byte) (*Decoder, error) {
 		return nil, err
 	}
 	d := &tbl.d
-	*d = Decoder{src: img, pos: headerLen, refs: d.refs, tbl: tbl}
+	*d = Decoder{src: img, pos: headerLen, refs: d.refs, tbl: tbl, rep: rep}
 	d.open = d.openBuf[:0]
 	return d, nil
 }
@@ -814,7 +844,7 @@ func (d *Decoder) value() (value.Value, error) {
 		d.pos += 8
 		return value.Float(math.Float64frombits(binary.LittleEndian.Uint64(d.src[d.pos-8:]))), nil
 	case vString:
-		s, err := d.str()
+		s, err := d.atom()
 		if err != nil {
 			return nil, err
 		}
@@ -827,6 +857,9 @@ func (d *Decoder) value() (value.Value, error) {
 		n, err := d.count()
 		if err != nil {
 			return nil, err
+		}
+		if d.rep != nil {
+			return d.replyRecord(n)
 		}
 		rec := value.NewRecordCap(capCount(n))
 		d.refs = append(d.refs, rec) // register before children: cycles
@@ -905,6 +938,9 @@ func (d *Decoder) value() (value.Value, error) {
 		}
 		return value.NewTypeVal(t), nil
 	case vDynamic:
+		if d.rep != nil {
+			return nil, errDynamicInReply
+		}
 		idx := len(d.refs)
 		d.refs = append(d.refs, nil)
 		d.push(idx, vDynamic)
@@ -1136,6 +1172,162 @@ func (d *Decoder) skipType(depth int) error {
 		}
 	}
 	return nil
+}
+
+// ---------------------------------------------------------------------------
+// Replies
+// ---------------------------------------------------------------------------
+
+// DecodeReply decodes the tagged images of one reply, such as the fields of
+// one VALUES frame, in order, and calls each with an image's index, value
+// and type. Its outcome is per-image DecodeTagged's, stopping at the first
+// error, but it costs what the reply's bytes cost. The images share one
+// TypeTable. The reply's records and their value slices are cut from slabs
+// sized from the image count, records with the same labels share one labels
+// slice, and string atoms are substrings of one copy of the images. So a
+// value kept from the reply keeps that copy and those slabs alive. The
+// types keep strings of their own, since a canonical type outlives the
+// reply. An image that holds a dynamic decodes its value as DecodeTagged
+// does, one field at a time: a dynamic checks its value while the records
+// around it are still being decoded.
+func DecodeReply(imgs [][]byte, each func(i int, v value.Value, t types.Type)) error {
+	if len(imgs) == 0 {
+		return nil
+	}
+	total := 0
+	for _, img := range imgs {
+		total += len(img)
+	}
+	var b strings.Builder
+	b.Grow(total)
+	for _, img := range imgs {
+		b.Write(img)
+	}
+	rep := &reply{src: b.String(), images: len(imgs)}
+	for i, img := range imgs {
+		v, t, err := rep.tbl.decodeTagged(img, rep)
+		if err != nil {
+			return err
+		}
+		each(i, v, t)
+		rep.off += len(img)
+		rep.done++
+	}
+	return nil
+}
+
+// errDynamicInReply stops a reply's decode of an image's value at a dynamic.
+var errDynamicInReply = errors.New("codec: a dynamic in a reply")
+
+// reply is what the decodes of one reply's images share.
+type reply struct {
+	tbl TypeTable
+	// src is every image, back to back; off is where the image being
+	// decoded starts in it.
+	src string
+	off int
+	// images is the number of images and done the number decoded.
+	images, done int
+	recs         slab[value.Record]
+	vals         slab[value.Value]
+	// labels holds the labels of the records being decoded, innermost
+	// last; seqs the label sequences the reply has met, by seqHash.
+	labels []string
+	seqs   map[uint64][]string
+}
+
+// slab hands out runs of one reply's records or values.
+type slab[T any] struct {
+	free []T // the rest of the current chunk
+	used int // the elements handed out
+}
+
+// take returns n elements. A new chunk holds what the images still to
+// decode will take at the rate the decoded ones took, but no more than n
+// for each image left or the elements handed out so far, whichever is
+// more, and no more than the bytes left could use, since each element
+// takes at least one byte. So a reply of like images takes one chunk, and
+// one whose images differ wastes at most what it used plus n an image.
+func (s *slab[T]) take(n int, d *Decoder) []T {
+	if len(s.free) < n {
+		rep := d.rep
+		images := rep.images - rep.done
+		size := (s.used + n + rep.done) / (rep.done + 1) * images
+		left := len(rep.src) - rep.off - d.pos
+		s.free = make([]T, max(n, min(size, max(n*images, s.used), n+left)))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	s.used += n
+	return out
+}
+
+// atom reads a string atom: in a reply, a substring of the reply's copy.
+func (d *Decoder) atom() (string, error) {
+	if d.rep == nil {
+		return d.str()
+	}
+	b, err := d.bytes()
+	if err != nil {
+		return "", err
+	}
+	end := d.rep.off + d.pos
+	return d.rep.src[end-len(b) : end], nil
+}
+
+// replyRecord reads the n fields of a reply's record into its slabs.
+func (d *Decoder) replyRecord(n int) (value.Value, error) {
+	rep := d.rep
+	rec := &rep.recs.take(1, d)[0]
+	vals := rep.vals.take(n, d)
+	d.refs = append(d.refs, rec) // register before children: cycles
+	d.push(len(d.refs)-1, vRecord)
+	base := len(rep.labels)
+	for i := range vals {
+		l, err := d.label()
+		if err != nil {
+			return nil, err
+		}
+		rep.labels = append(rep.labels, l)
+		if vals[i], err = d.Value(); err != nil {
+			return nil, err
+		}
+	}
+	d.pop()
+	labels := rep.share(rep.labels[base:])
+	rep.labels = rep.labels[:base]
+	return value.InitRecord(rec, labels, vals), nil
+}
+
+// share returns the reply's copy of the label sequence ls, made at its
+// first meeting.
+func (rep *reply) share(ls []string) []string {
+	h := seqHash(ls)
+	if seq, ok := rep.seqs[h]; ok && slices.Equal(seq, ls) {
+		return seq
+	}
+	seq := slices.Clone(ls)
+	if rep.seqs == nil {
+		rep.seqs = map[uint64][]string{}
+	}
+	if _, ok := rep.seqs[h]; !ok {
+		rep.seqs[h] = seq
+	}
+	return seq
+}
+
+// seqHash is FNV-1a over a label sequence, each label ended by 0xff. share
+// compares the sequences a hash finds, so a collision costs only a copy.
+func seqHash(ls []string) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for _, l := range ls {
+		for i := 0; i < len(l); i++ {
+			h = (h ^ uint64(l[i])) * prime
+		}
+		h = (h ^ 0xff) * prime
+	}
+	return h
 }
 
 // ---------------------------------------------------------------------------

@@ -20,13 +20,15 @@ import (
 // encode, TCP, server-side lock-free extent extraction, response framing,
 // client decode — over a 512-root store at three selectivities: the query
 // type matches all roots, a tagged 1/8 subset, or none (E13 in
-// EXPERIMENTS.md). Parallel variants multiplex pipelined clients over the
-// loopback.
+// EXPERIMENTS.md). A fourth query matches the 512 roots and one more, a
+// record with a list of 8192 ints, so its reply mixes image sizes.
+// Parallel variants multiplex pipelined clients over the loopback.
 func BenchmarkServeGet(b *testing.B) {
 	const nRoots = 512
 	baseT := types.MustParse("{Name: String, Empno: Int}")
 	taggedT := types.MustParse("{Name: String, Empno: Int, Tag: Bool}")
 	missT := types.MustParse("{Nonesuch: Int}")
+	nameT := types.MustParse("{Name: String}")
 
 	st, err := intrinsic.Open(filepath.Join(b.TempDir(), "bench.log"))
 	if err != nil {
@@ -47,6 +49,14 @@ func BenchmarkServeGet(b *testing.B) {
 		if err := st.Bind(name, v, t); err != nil {
 			b.Fatal(err)
 		}
+	}
+	log := make([]value.Value, 8192)
+	for i := range log {
+		log[i] = value.Int(int64(i))
+	}
+	bigT := types.MustParse("{Name: String, Log: List[Int]}")
+	if err := st.Bind("big", value.Rec("Name", value.String("big"), "Log", value.NewList(log...)), bigT); err != nil {
+		b.Fatal(err)
 	}
 	if _, err := st.Commit(); err != nil {
 		b.Fatal(err)
@@ -71,6 +81,7 @@ func BenchmarkServeGet(b *testing.B) {
 		{"all-512", baseT, nRoots},
 		{"tagged-64", taggedT, nRoots / 8},
 		{"miss-0", missT, 0},
+		{"mixed-513", nameT, nRoots + 1},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {

@@ -1,0 +1,242 @@
+// White-box tests of the VALUES reply, the frame that answers GET and
+// JOIN: its bytes are those of one tagged image per record framed once,
+// and a bulk GET costs a bounded number of allocations end to end.
+package server
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math/rand"
+	"net"
+	"runtime"
+	"testing"
+
+	"dbpl/client"
+	"dbpl/internal/dynamic"
+	"dbpl/internal/persist/codec"
+	"dbpl/internal/relation"
+	"dbpl/internal/server/wire"
+	"dbpl/internal/types"
+	"dbpl/internal/value"
+)
+
+// commitRoots binds each root at its declared type in one commit.
+func commitRoots(t *testing.T, srv *Server, names []string, vals []value.Value, decl []types.Type) {
+	t.Helper()
+	ops := make([]txnOp, len(names))
+	for i, name := range names {
+		d, err := dynamic.MakeAt(vals[i], decl[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops[i] = txnOp{name: name, dyn: d}
+	}
+	if _, err := srv.commit(ops, "", nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rawExchange sends one request frame on conn and returns the whole reply
+// frame, length prefix included, as the server wrote it.
+func rawExchange(t *testing.T, conn net.Conn, req []byte) []byte {
+	t.Helper()
+	if _, err := conn.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	var hdr [4]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, 4+binary.BigEndian.Uint32(hdr[:]))
+	copy(frame, hdr[:])
+	if _, err := io.ReadFull(conn, frame[4:]); err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// TestValuesReplyBytesUnchanged: every GET and JOIN reply frame, traced
+// and untraced, is byte-identical to one built from a codec.AppendTagged
+// image per record and wire.AppendFrame. The store holds several
+// witnesses, nested records, lists, a sub-value shared within and across
+// records, a cyclic record and a reply past the session's kept frame
+// buffer. The replies run on one connection, so each reuses the buffer
+// the last one left. JOIN leaves the cyclic record out: JOIN infers each
+// member's type, and TypeOf does not terminate on a cycle.
+func TestValuesReplyBytesUnchanged(t *testing.T) {
+	srv, _, addr := serveWB(t, "reply.log", Config{})
+	person := types.MustParse("{Name: String, Id: Int}")
+	located := types.MustParse("{Name: String, Id: Int, Addr: {City: String}}")
+	tagged := types.MustParse("{Name: String, Id: Int, Addr: {City: String}, Tags: List[String]}")
+	dept := types.MustParse("{Id: Int, Dept: Int}")
+	big := types.MustParse("{Name: String, Id: Int, Log: List[Int]}")
+	oslo := value.Rec("City", value.String("Oslo"))
+	cyclic := value.Rec("Name", value.String("loop"), "Id", value.Int(99))
+	cyclic.Set("Self", cyclic)
+	log := value.NewList()
+	for i := 0; i < 12000; i++ {
+		log.Append(value.Int(int64(i) << 20))
+	}
+	var names []string
+	var vals []value.Value
+	var decl []types.Type
+	add := func(v value.Value, t types.Type) {
+		names = append(names, fmt.Sprintf("r%02d", len(names)))
+		vals, decl = append(vals, v), append(decl, t)
+	}
+	for i := 0; i < 6; i++ {
+		id := value.Int(int64(i))
+		name := value.String(fmt.Sprintf("n%d", i))
+		add(value.Rec("Name", name, "Id", id), person)
+		add(value.Rec("Name", name, "Id", id, "Addr", oslo), located)
+		add(value.Rec("Name", name, "Id", id, "Addr", oslo, "Home", oslo,
+			"Tags", value.NewList(value.String("a"), value.String("b"))), tagged)
+		add(value.Rec("Id", id, "Dept", value.Int(int64(i%3))), dept)
+	}
+	add(cyclic, person)
+	add(value.Rec("Name", value.String("big"), "Id", value.Int(-1), "Log", log), big)
+	commitRoots(t, srv, names, vals, decl)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	st := srv.state.Load()
+	frameOf := func(trace uint64, imgs [][]byte) []byte {
+		op, fields := wire.OpValues, imgs
+		if trace != 0 {
+			op, fields = wire.AppendTrace(op, trace, fields)
+		}
+		want, err := wire.AppendFrame(nil, 0, op, fields...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want
+	}
+	request := func(trace uint64, op byte, ts ...types.Type) []byte {
+		fields := make([][]byte, len(ts))
+		for i, ty := range ts {
+			fields[i], err = wire.MarshalType(ty)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var req []byte
+		if trace != 0 {
+			req, err = wire.AppendTracedFrame(nil, 0, op, trace, fields...)
+		} else {
+			req, err = wire.AppendFrame(nil, 0, op, fields...)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	for _, trace := range []uint64{0, 0xfeedface} {
+		for _, q := range []types.Type{person, big, located, tagged, types.MustParse("{Nonesuch: Int}"), person} {
+			entries, _ := st.idx.GetEntries(types.Intern(q))
+			imgs := make([][]byte, len(entries))
+			for i, e := range entries {
+				if imgs[i], err = codec.AppendTagged(nil, e.Dyn.Value(), e.Dyn.Type()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := frameOf(trace, imgs)
+			if got := rawExchange(t, conn, request(trace, wire.OpGet, q)); !bytes.Equal(got, want) {
+				t.Fatalf("GET %s (trace %#x): reply of %d bytes differs from the per-record frame of %d", q, trace, len(got), len(want))
+			}
+		}
+		for _, q := range [][2]types.Type{{located, dept}, {tagged, dept}, {dept, located}} {
+			members := relation.JoinFast(relationOf(st, types.Intern(q[0])), relationOf(st, types.Intern(q[1]))).Members()
+			if len(members) == 0 {
+				t.Fatalf("JOIN %s, %s is empty", q[0], q[1])
+			}
+			imgs := make([][]byte, len(members))
+			for i, m := range members {
+				if imgs[i], err = codec.AppendTagged(nil, m, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := frameOf(trace, imgs)
+			if got := rawExchange(t, conn, request(trace, wire.OpJoin, q[0], q[1])); !bytes.Equal(got, want) {
+				t.Fatalf("JOIN %s, %s (trace %#x): reply of %d bytes differs from the per-record frame of %d", q[0], q[1], trace, len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestServeGetBulkAllocs: a loopback GET of 512 records in four witness
+// types, shaped like the read-bulk benchmark's records, costs at most
+// 2 600 allocations in the whole process: the client's request, the
+// server's read, extraction and reply, and the client's decode.
+func TestServeGetBulkAllocs(t *testing.T) {
+	const n, maxAllocs = 512, 2600
+	srv, _, addr := serveWB(t, "bulk.log", Config{})
+	witness := []types.Type{
+		types.MustParse("{Id: Int, Name: String, A: Int}"),
+		types.MustParse("{Id: Int, Name: String, A: Int, A1: String}"),
+		types.MustParse("{Id: Int, Name: String, A: Int, A2: Float}"),
+		types.MustParse("{Id: Int, Name: String, A: Int, A1: String, A2: Float}"),
+	}
+	rng := rand.New(rand.NewSource(1))
+	text := func() value.Value {
+		b := make([]byte, 12)
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(26))
+		}
+		return value.String(b)
+	}
+	names := make([]string, n)
+	vals := make([]value.Value, n)
+	decl := make([]types.Type, n)
+	for i := range names {
+		w := witness[i%len(witness)]
+		rec := value.NewRecord()
+		for _, f := range w.(*types.Record).Fields() {
+			switch {
+			case f.Label == "Id":
+				rec.Set(f.Label, value.Int(int64(i)))
+			case f.Type == types.String:
+				rec.Set(f.Label, text())
+			case f.Type == types.Float:
+				rec.Set(f.Label, value.Float(rng.Float64()))
+			default:
+				rec.Set(f.Label, value.Int(1<<24+rng.Int63n(1<<24)))
+			}
+		}
+		names[i], vals[i], decl[i] = fmt.Sprintf("r%04d", i), rec, w
+	}
+	commitRoots(t, srv, names, vals, decl)
+
+	c, err := client.Dial(addr, &client.Options{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	get := func() {
+		ps, err := c.Get(witness[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ps) != n {
+			t.Fatalf("GET returned %d records, want %d", len(ps), n)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		get()
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		get()
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := float64(after.Mallocs-before.Mallocs) / runs; allocs > maxAllocs {
+		t.Errorf("a %d-record GET costs %.0f allocations process-wide, want <= %d", n, allocs, maxAllocs)
+	}
+}

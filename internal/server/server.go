@@ -639,7 +639,14 @@ type session struct {
 	// unsampled. Set by serveConn around each dispatch; handlers thread
 	// it into the exec and commit spans.
 	tr *rtrace.Trace
+	// frame is the buffer serveConn encodes replies into, kept while it
+	// is at most maxRetainedFrame.
+	frame []byte
 }
+
+// maxRetainedFrame caps the reply buffer a session keeps between
+// requests: one large reply must not pin its size on an idle connection.
+const maxRetainedFrame = 64 << 10
 
 // view returns the one state every read of the session answers from:
 // outside a transaction the published state, inside one the state its
@@ -772,27 +779,35 @@ func (s *Server) serveConn(conn net.Conn) {
 			// survive ring churn until an operator fetches it.
 			s.traces.Record(tr.Data(), slow)
 		}
-		if traced {
-			// Echo the trace so the client can tie this response to its
-			// call; see docs/OBSERVABILITY.md.
-			respOp, respFields = wire.AppendTrace(respOp, trace, respFields)
-		}
 		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		err = wire.WriteFrame(conn, s.cfg.maxFrame(), respOp, respFields...)
+		frame, err := s.appendReply(sess.frame[:0], respOp, respFields, trace, traced)
 		if we, ok := err.(*wire.WireError); ok && we.Code == wire.CodeTooLarge {
 			// The reply does not fit a frame. Nothing was written, so the
 			// stream is intact: send the typed refusal and keep serving.
 			respOp, respFields = errResp(&wire.WireError{Code: wire.CodeTooLarge, Msg: "reply " + we.Msg})
-			if traced {
-				respOp, respFields = wire.AppendTrace(respOp, trace, respFields)
-			}
-			err = wire.WriteFrame(conn, s.cfg.maxFrame(), respOp, respFields...)
+			frame, err = s.appendReply(sess.frame[:0], respOp, respFields, trace, traced)
+		}
+		if err == nil {
+			_, err = conn.Write(frame)
+		}
+		if cap(frame) <= maxRetainedFrame {
+			sess.frame = frame
 		}
 		if err != nil {
 			return
 		}
 		conn.SetWriteDeadline(time.Time{})
 	}
+}
+
+// appendReply appends the reply frame to dst, echoing the request's trace
+// if it carried one, so the client can tie the reply to its call; see
+// docs/OBSERVABILITY.md.
+func (s *Server) appendReply(dst []byte, op byte, fields [][]byte, trace uint64, traced bool) ([]byte, error) {
+	if traced {
+		return wire.AppendTracedFrame(dst, s.cfg.maxFrame(), op, trace, fields...)
+	}
+	return wire.AppendFrame(dst, s.cfg.maxFrame(), op, fields...)
 }
 
 // admit claims an in-flight slot, reporting false (shed) when the cap is
@@ -1047,8 +1062,21 @@ func (s *Server) handleGet(sess *session, fields [][]byte) (byte, [][]byte) {
 	esp := sess.tr.Start(0, "exec")
 	entries, _ := sess.view(s).idx.GetEntries(ws[0])
 	sess.tr.End(esp)
+	var typeImgs map[types.Type][]byte // each witness's, encoded once per reply
 	return valuesReply(len(entries), func(dst []byte, i int) ([]byte, error) {
-		return codec.AppendTagged(dst, entries[i].Dyn.Value(), entries[i].Dyn.Type())
+		t := entries[i].Dyn.Type()
+		timg, ok := typeImgs[t]
+		if !ok {
+			var err error
+			if timg, err = codec.AppendType(nil, t); err != nil {
+				return dst, err
+			}
+			if typeImgs == nil {
+				typeImgs = map[types.Type][]byte{}
+			}
+			typeImgs[t] = timg
+		}
+		return codec.AppendTaggedImage(dst, timg, entries[i].Dyn.Value())
 	})
 }
 

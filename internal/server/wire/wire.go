@@ -30,6 +30,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"dbpl/internal/persist/codec"
@@ -437,7 +438,8 @@ func errf(c Code, format string, args ...any) *WireError {
 // ---------------------------------------------------------------------------
 
 // AppendFrame appends the encoded frame to dst and returns it, or an error
-// if the frame would exceed max (<= 0 means MaxFrame).
+// if the frame would exceed max (<= 0 means MaxFrame). dst grows at most
+// once, to the frame's size.
 func AppendFrame(dst []byte, max int, op byte, fields ...[]byte) ([]byte, error) {
 	if max <= 0 {
 		max = MaxFrame
@@ -450,6 +452,7 @@ func AppendFrame(dst []byte, max int, op byte, fields ...[]byte) ([]byte, error)
 	if n > max {
 		return dst, errf(CodeTooLarge, "frame payload %d exceeds limit %d", n, max)
 	}
+	dst = slices.Grow(dst, headerLen+n)
 	var hdr [headerLen]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(n))
 	dst = append(dst, hdr[:]...)
@@ -483,6 +486,7 @@ func AppendTracedFrame(dst []byte, max int, op byte, trace uint64, fields ...[]b
 	if n > max {
 		return dst, errf(CodeTooLarge, "frame payload %d exceeds limit %d", n, max)
 	}
+	dst = slices.Grow(dst, headerLen+n)
 	var hdr [headerLen]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(n))
 	dst = append(dst, hdr[:]...)
@@ -540,19 +544,27 @@ func ReadFrame(r io.Reader, max int) (op byte, fields [][]byte, err error) {
 }
 
 // SplitFields parses the field sequence of a frame payload. The returned
-// slices alias b.
+// slices alias b. The fields are counted first, so the result is allocated
+// once.
 func SplitFields(b []byte) ([][]byte, error) {
-	var out [][]byte
-	for len(b) > 0 {
-		n, k := binary.Uvarint(b)
+	count := 0
+	for rest := b; len(rest) > 0; count++ {
+		n, k := binary.Uvarint(rest)
 		if k <= 0 {
 			return nil, errf(CodeBadFrame, "bad field length prefix")
 		}
-		if n > uint64(len(b)-k) {
-			return nil, errf(CodeBadFrame, "field length %d exceeds remaining %d", n, len(b)-k)
+		if n > uint64(len(rest)-k) {
+			return nil, errf(CodeBadFrame, "field length %d exceeds remaining %d", n, len(rest)-k)
 		}
-		out = append(out, b[k:k+int(n)])
-		b = b[k+int(n):]
+		rest = rest[k+int(n):]
+	}
+	if count == 0 {
+		return nil, nil
+	}
+	out := make([][]byte, count)
+	for i := range out {
+		n, k := binary.Uvarint(b)
+		out[i], b = b[k:k+int(n)], b[k+int(n):]
 	}
 	return out, nil
 }

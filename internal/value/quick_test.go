@@ -347,6 +347,73 @@ func TestQuickCopyEqualAndIndependent(t *testing.T) {
 	}
 }
 
+// TestQuickSharedLabelsIndependent: records built by InitRecord over one
+// labels slice, as a reply decoder builds them, stay independent. Random
+// Set and Delete sequences on one record leave every other record equal to
+// its snapshot, and leave the edited record equal to the same edits on a
+// record built by Set.
+func TestQuickSharedLabelsIndependent(t *testing.T) {
+	pool := []string{"A", "B", "C", "D", "E"}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var labels []string
+		for _, l := range pool {
+			if r.Intn(3) > 0 {
+				labels = append(labels, l)
+			}
+		}
+		recs := make([]Record, 1+r.Intn(4))
+		snaps := make([]*Record, len(recs))
+		for i := range recs {
+			vals := make([]Value, len(labels))
+			for j := range vals {
+				vals[j] = genValue(r, 1)
+			}
+			InitRecord(&recs[i], labels, vals)
+			snaps[i] = recs[i].Copy()
+		}
+		edit := r.Intn(len(recs))
+		model := snaps[edit].Copy()
+		for k := r.Intn(8); k > 0; k-- {
+			l := pool[r.Intn(len(pool))]
+			if r.Intn(2) == 0 {
+				v := genValue(r, 1)
+				recs[edit].Set(l, v)
+				model.Set(l, v)
+			} else if recs[edit].Delete(l) != model.Delete(l) {
+				return false
+			}
+		}
+		for i := range recs {
+			want := snaps[i]
+			if i == edit {
+				want = model
+			}
+			if !Equal(&recs[i], want) || recs[i].LabelBits() != want.LabelBits() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, quickCfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestInitRecordOutOfOrder: labels out of order, repeated ones included,
+// build the record Set would build.
+func TestInitRecordOutOfOrder(t *testing.T) {
+	labels := []string{"B", "A", "B"}
+	got := InitRecord(&Record{}, labels, []Value{Int(1), Int(2), Int(3)})
+	want := Rec("B", Int(1), "A", Int(2), "B", Int(3))
+	if !Equal(got, want) || got.LabelBits() != want.LabelBits() {
+		t.Fatalf("InitRecord out of order = %v, want %v", got, want)
+	}
+	if labels[0] != "B" || labels[1] != "A" {
+		t.Fatalf("InitRecord reordered its caller's labels: %v", labels)
+	}
+}
+
 func TestQuickTypeOfRespectsLeq(t *testing.T) {
 	// More informative set-free, ⊥-free objects have smaller (more
 	// specific) record types: o ⊑ o' on records implies TypeOf(o') ≤

@@ -151,6 +151,29 @@ func NewRecordCap(n int) *Record {
 	return &Record{labels: make([]string, 0, n), values: make([]Value, 0, n)}
 }
 
+// InitRecord sets r, a zero Record, to the fields labels[i] = values[i] and
+// returns it. A decoder gives it labels in ascending order, and then r holds
+// labels and values themselves, each capped at its length, so records may
+// share one labels slice: no method writes into a record's labels in place.
+// Labels in any other order are added one by one as by Set, so a repeated
+// label resolves as Set resolves it.
+func InitRecord(r *Record, labels []string, values []Value) *Record {
+	n := len(labels)
+	for i := 1; i < n; i++ {
+		if labels[i-1] >= labels[i] {
+			for i, l := range labels {
+				r.Set(l, values[i])
+			}
+			return r
+		}
+	}
+	r.labels, r.values = labels[:n:n], values[:n:n]
+	for _, l := range labels {
+		r.labelBits |= types.LabelBit(l)
+	}
+	return r
+}
+
 // Rec builds a record from alternating label, value pairs:
 // Rec("Name", String("J Doe"), "Age", Int(42)). It panics on an odd number
 // of arguments or a non-string label, which indicate programming errors.
@@ -228,7 +251,9 @@ func (r *Record) Delete(label string) bool {
 	if i >= len(r.labels) || r.labels[i] != label {
 		return false
 	}
-	r.labels = append(r.labels[:i], r.labels[i+1:]...)
+	// The labels may be shared (InitRecord), so they are copied; the
+	// values are the record's own.
+	r.labels = slices.Concat(r.labels[:i], r.labels[i+1:])
 	r.values = append(r.values[:i], r.values[i+1:]...)
 	// Another label may hash to the deleted label's bit, so recompute rather
 	// than clear.
