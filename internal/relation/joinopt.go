@@ -65,14 +65,19 @@ func PlanJoin(r, s *Relation) JoinPlan {
 }
 
 // sharedLabels returns, sorted, the labels some member of r and some
-// member of s both carry.
+// member of s both carry. A member with the labels of the record before it
+// adds none, so an extent of a few label sets is read once per run of each.
 func sharedLabels(r, s *Relation) []string {
 	sides := map[string]int{} // bit 0: r carries the label, bit 1: s does
 	for side, rel := range []*Relation{r, s} {
+		var prev *value.Record
 		for _, m := range rel.elems {
-			if rec, ok := m.(*value.Record); ok {
-				rec.Each(func(l string, _ value.Value) { sides[l] |= 1 << side })
+			rec, ok := m.(*value.Record)
+			if !ok || prev != nil && rec.SameLabels(prev) {
+				continue
 			}
+			rec.Each(func(l string, _ value.Value) { sides[l] |= 1 << side })
+			prev = rec
 		}
 	}
 	var out []string
@@ -136,49 +141,88 @@ func JoinFast(r, s *Relation) *Relation {
 // the probe side streams through them. The result is identical under
 // every plan (TestQuickJoinPlannedEquals).
 func JoinPlanned(r, s *Relation, p JoinPlan) *Relation {
+	out, _ := JoinPairs(r, s, p)
+	return out
+}
+
+// JoinPairs is JoinPlanned that also reports which members each result
+// member joins: Members()[i] is the join of r's member pairs[i][0] and s's
+// member pairs[i][1].
+//
+// When New proved both sides keyed, on k_R and k_S, the joined objects are
+// a cochain already and the maxima pass is skipped. A joined object holds
+// its r member's atom at k_R and its s member's atom at k_S, since an atom
+// joins only with an equal atom or ⊥. So j₁ ⊑ j₂ forces equal atoms at
+// both labels, hence the same pair of members, and each pair is joined once.
+func JoinPairs(r, s *Relation, p JoinPlan) (*Relation, [][2]int) {
+	joined, pairs := joinAll(r, s, p)
+	if r.keyedOn != "" && s.keyedOn != "" {
+		return &Relation{elems: joined}, pairs
+	}
+	out, keep := newFrom(joined)
+	if keep == nil {
+		return out, pairs
+	}
+	kept := make([][2]int, len(keep))
+	for i, k := range keep {
+		kept[i] = pairs[k]
+	}
+	return out, kept
+}
+
+// joinAll makes every value.Join attempt the plan calls for and returns
+// the joins that succeed, in plan order, with the positions of the pair of
+// members behind each.
+func joinAll(r, s *Relation, p JoinPlan) (joined []value.Value, pairs [][2]int) {
+	try := func(i, j int) {
+		if m, err := value.Join(r.elems[i], s.elems[j]); err == nil {
+			joined, pairs = append(joined, m), append(pairs, [2]int{i, j})
+		}
+	}
 	if p.Attr == "" {
-		return Join(r, s)
+		for i := range r.elems {
+			for j := range s.elems {
+				try(i, j)
+			}
+		}
+		return joined, pairs
 	}
 	build, probe := r, s
 	if p.BuildRight {
 		build, probe = s, r
 	}
-	buckets := map[value.AtomKey][]value.Value{}
-	var buildWild []value.Value
-	for _, m := range build.elems {
+	buckets := map[value.AtomKey][]int{}
+	var buildWild []int
+	for i, m := range build.elems {
 		if k, ok := atomOn(m, p.Attr); ok {
-			buckets[k] = append(buckets[k], m)
+			buckets[k] = append(buckets[k], i)
 		} else {
-			buildWild = append(buildWild, m)
+			buildWild = append(buildWild, i)
 		}
 	}
-
-	var joined []value.Value
-	// tryJoin keeps the (r, s) orientation regardless of build side.
-	tryJoin := func(pm, bm value.Value) {
-		a, b := bm, pm
+	// tryPair keeps the (r, s) orientation regardless of build side.
+	tryPair := func(pi, bi int) {
 		if p.BuildRight {
-			a, b = pm, bm
-		}
-		if j, err := value.Join(a, b); err == nil {
-			joined = append(joined, j)
+			try(pi, bi)
+		} else {
+			try(bi, pi)
 		}
 	}
-	for _, m := range probe.elems {
+	for pi, m := range probe.elems {
 		if k, ok := atomOn(m, p.Attr); ok {
 			// Equal atoms join; the build side's wildcards join everything.
-			for _, bm := range buckets[k] {
-				tryJoin(m, bm)
+			for _, bi := range buckets[k] {
+				tryPair(pi, bi)
 			}
-			for _, bm := range buildWild {
-				tryJoin(m, bm)
+			for _, bi := range buildWild {
+				tryPair(pi, bi)
 			}
 		} else {
 			// A probe wildcard pairs with the whole build side.
-			for _, bm := range build.elems {
-				tryJoin(m, bm)
+			for bi := range build.elems {
+				tryPair(pi, bi)
 			}
 		}
 	}
-	return New(joined...)
+	return joined, pairs
 }

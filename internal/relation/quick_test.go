@@ -225,3 +225,156 @@ func TestQuickNewEqualsInsertFold(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// maximaNaive is the maximal elements of xs by the quadratic definition,
+// in input order, the first occurrence kept of objects each ⊑ the other.
+func maximaNaive(xs []value.Value) []value.Value {
+	var out []value.Value
+	for i, x := range xs {
+		kept := true
+		for j, y := range xs {
+			if i != j && value.Leq(x, y) && (!value.Leq(y, x) || j < i) {
+				kept = false
+				break
+			}
+		}
+		if kept {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// sameSequence reports whether a and b hold the same objects in the same
+// order.
+func sameSequence(a, b []value.Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// genKeyed builds n records with pairwise distinct Int atoms at key, the
+// rest of each drawn by genObject (so members would be comparable without
+// the key), over labels from extra. With late set, the last record repeats
+// the key atom of one in the middle, so no key holds and the probe fails
+// at the last member.
+func genKeyed(rng *rand.Rand, n int, key string, extra []string, late bool) []value.Value {
+	xs := make([]value.Value, n)
+	for i, k := range rng.Perm(n) {
+		rec := genObject(rng).(*value.Record)
+		rec.Set(key, value.Int(int64(k)))
+		for _, l := range extra {
+			if rng.Intn(2) == 0 {
+				rec.Set(l, value.Int(int64(rng.Intn(3))))
+			}
+		}
+		xs[i] = rec
+	}
+	if late && n > 2 {
+		xs[n-1].(*value.Record).Set(key, xs[n/2].(*value.Record).MustGet(key))
+	}
+	return xs
+}
+
+// TestQuickNewEqualsMaxima: on extents with a key and without one, New
+// keeps exactly the maximal objects the quadratic definition keeps, in
+// the same order; the key probe changes only how they are found.
+func TestQuickNewEqualsMaxima(t *testing.T) {
+	keyed := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var xs []value.Value
+		switch rng.Intn(3) {
+		case 0:
+			xs = genExtent(rng)
+		default:
+			xs = genKeyed(rng, rng.Intn(70), "Id", []string{"Dept"}, rng.Intn(3) == 0)
+		}
+		got := New(xs...)
+		if got.keyedOn != "" {
+			keyed++
+			if !sameSequence(got.elems, xs) {
+				t.Logf("seed %d: New proved a key on %s but dropped or moved members", seed, got.keyedOn)
+				return false
+			}
+		}
+		if want := maximaNaive(xs); !sameSequence(got.elems, want) {
+			t.Logf("seed %d: New has %v, the quadratic maxima %v", seed, got.elems, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
+	}
+	if keyed < 100 {
+		t.Errorf("only %d of 400 extents proved keyed", keyed)
+	}
+}
+
+// TestQuickKeyedJoinPairs: with both sides proved keyed (on Id and on
+// Dept, each side carrying the other's key label on some members), the
+// join under every plan is a cochain already: it equals New of its own
+// members as a sequence, and the quadratic maxima of them. Each member is
+// the join of the pair JoinPairs reports, and the members are those of
+// the join over every pair.
+func TestQuickKeyedJoinPairs(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		r := New(genKeyed(rng, 1+rng.Intn(30), "Id", []string{"Dept"}, false)...)
+		s := New(genKeyed(rng, 1+rng.Intn(8), "Dept", []string{"Id"}, false)...)
+		if r.keyedOn == "" || s.keyedOn == "" {
+			t.Logf("seed %d: sides keyed on %q and %q", seed, r.keyedOn, s.keyedOn)
+			return false
+		}
+		var all []value.Value
+		for _, a := range r.elems {
+			for _, b := range s.elems {
+				if j, err := value.Join(a, b); err == nil {
+					all = append(all, j)
+				}
+			}
+		}
+		want := New(maximaNaive(all)...)
+		plans := []JoinPlan{{}, PlanJoin(r, s)}
+		for _, l := range sharedLabels(r, s) {
+			plans = append(plans, JoinPlan{Attr: l}, JoinPlan{Attr: l, BuildRight: true})
+		}
+		for _, p := range plans {
+			got, pairs := JoinPairs(r, s, p)
+			planned := JoinPlanned(r, s, p).elems
+			same := len(planned) == got.Len()
+			for i := 0; same && i < len(planned); i++ {
+				same = value.Equal(planned[i], got.elems[i])
+			}
+			if !same {
+				t.Logf("seed %d, plan %+v: JoinPlanned and JoinPairs differ", seed, p)
+				return false
+			}
+			if !sameSequence(New(got.elems...).elems, got.elems) || !sameSequence(maximaNaive(got.elems), got.elems) {
+				t.Logf("seed %d, plan %+v: the keyed join %v is not a cochain", seed, p, got.elems)
+				return false
+			}
+			for i, m := range got.elems {
+				if j, err := value.Join(r.elems[pairs[i][0]], s.elems[pairs[i][1]]); err != nil || !value.Equal(j, m) {
+					t.Logf("seed %d, plan %+v: member %s is not the join of its pair %v", seed, p, m, pairs[i])
+					return false
+				}
+			}
+			if !Equal(got, want) {
+				t.Logf("seed %d, plan %+v: %v, want %v", seed, p, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}

@@ -5,11 +5,19 @@
 // type-as-relation extraction that unifies relational and object-oriented
 // database programming. A classical flat (1NF) relation type is provided as
 // the baseline the generalization is measured against.
+//
+// A key proves a cochain. Records that each hold an atom at one label,
+// pairwise distinct there, are mutually incomparable: a record below
+// another would hold an equal atom there, since atoms are ordered only by
+// equality. New finds such a label in one linear probe (value.MaximalIndex)
+// and then keeps its input without comparing members, and the join of two
+// relations keyed so is a cochain as built (see JoinPairs).
 package relation
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -60,6 +68,10 @@ var ErrNoKey = errors.New("relation: object missing key attribute")
 // build its member index.
 type Relation struct {
 	elems []value.Value
+	// keyedOn is the label value.MaximalIndex proved the members a cochain
+	// on — each holds a distinct atom there — or "" when none was proven.
+	// Insert forgets it.
+	keyedOn string
 	// keys (value.Key of each member, parallel to elems) and index (value.Key
 	// -> position) are built on first use by indexMembers, so a relation
 	// that is only joined never formats a key.
@@ -74,13 +86,49 @@ type Relation struct {
 const keyScratch = 128
 
 // New returns a generalized relation holding the maximal objects among
-// objects, computed in one pass by value.Maximal: the members are the
+// objects, computed in one pass by value.MaximalIndex: the members are the
 // survivors in input order, and of duplicates (or of objects each ⊑ the
 // other) the first occurrence is kept. That is the cochain inserting the
-// objects in order would build, up to the order of its members. Like every
+// objects in order would build, up to the order of its members. Records
+// that hold pairwise distinct atoms at one label are a cochain already (a
+// key keeps comparable objects apart), so then every object is kept after
+// one linear probe, and the relation remembers the label. Like every
 // Relation, the result is not safe for concurrent use.
 func New(objects ...value.Value) *Relation {
-	return &Relation{elems: value.Maximal(objects)}
+	r, _ := newFrom(objects)
+	return r
+}
+
+// NewIndexed is New that also reports where each member came from:
+// Members()[i] is objects[pos[i]].
+func NewIndexed(objects []value.Value) (r *Relation, pos []int) {
+	r, keep := newFrom(objects)
+	if r.keyedOn != "" {
+		keep = make([]int, len(objects))
+		for i := range keep {
+			keep[i] = i
+		}
+	}
+	return r, keep
+}
+
+// newFrom builds New's relation over objects and returns the survivors'
+// positions, nil when every object survives a proven key.
+func newFrom(objects []value.Value) (*Relation, []int) {
+	keep, key := value.MaximalIndex(objects)
+	if key != "" {
+		return &Relation{elems: slices.Clone(objects), keyedOn: key}, nil
+	}
+	return &Relation{elems: pick(objects, keep)}, keep
+}
+
+// pick returns vs at the positions keep.
+func pick(vs []value.Value, keep []int) []value.Value {
+	out := make([]value.Value, len(keep))
+	for i, k := range keep {
+		out[i] = vs[k]
+	}
+	return out
 }
 
 // indexMembers builds the member index, keys and index, if it is not built
@@ -201,6 +249,7 @@ func (r *Relation) Insert(o value.Value) (Outcome, error) {
 // add appends o, whose value.Key is k; tuple is its key tuple when the
 // relation is keyed.
 func (r *Relation) add(o value.Value, k, tuple string) {
+	r.keyedOn = "" // o may repeat the atom the members were keyed on
 	r.index[k] = len(r.elems)
 	if len(r.key) > 0 {
 		r.byKey[tuple] = len(r.elems)
@@ -282,17 +331,9 @@ func Equal(r, s *Relation) bool {
 // Join is the generalized natural join of Figure 1: every pairwise join of
 // members that does not conflict, reduced to the maximal (mutually
 // incomparable) objects. For flat keyed relations it coincides with the
-// classical natural join.
+// classical natural join. It is the nested-loop plan of JoinPlanned.
 func Join(r, s *Relation) *Relation {
-	var joined []value.Value
-	for _, a := range r.elems {
-		for _, b := range s.elems {
-			if j, err := value.Join(a, b); err == nil {
-				joined = append(joined, j)
-			}
-		}
-	}
-	return New(joined...)
+	return JoinPlanned(r, s, JoinPlan{})
 }
 
 // Project restricts each member record to the given labels — with partial

@@ -3,9 +3,11 @@ package server_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -120,6 +122,126 @@ func BenchmarkServeGet(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// joinBulkServer serves a store shaped like the read-bulk benchmark's
+// JOIN: 128 {Id, Name, Dept, L} and 8 {…, L2: String} roots on the left,
+// 8 {Dept, DName, R} on the right, Dept being a root's position in its
+// class mod 8, so every left root meets exactly one right root. It returns
+// the address and the two query types; the server stops at cleanup.
+func joinBulkServer(tb testing.TB) (addr string, left, right types.Type) {
+	tb.Helper()
+	left = types.MustParse("{Id: Int, Name: String, Dept: Int, L: Int}")
+	wide := types.MustParse("{Id: Int, Name: String, Dept: Int, L: Int, L2: String}")
+	right = types.MustParse("{Dept: Int, DName: String, R: Int}")
+	st, err := intrinsic.Open(filepath.Join(tb.TempDir(), "join.log"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	word := func() value.Value {
+		b := make([]byte, 12)
+		for i := range b {
+			b[i] = 'a' + byte(rng.Intn(26))
+		}
+		return value.String(b)
+	}
+	noise := func() value.Value { return value.Int(1<<24 + rng.Int63n(1<<24)) }
+	bind := func(name string, v value.Value, t types.Type) {
+		if err := st.Bind(name, v, t); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := 0; i < 136; i++ {
+		r, t := value.Rec("Id", value.Int(int64(i)), "Name", word(), "Dept", value.Int(int64(i%8)), "L", noise()), left
+		if i >= 128 {
+			r.Set("L2", word())
+			t = wide
+		}
+		bind(fmt.Sprintf("l%03d", i), r, t)
+	}
+	for i := 0; i < 8; i++ {
+		bind(fmt.Sprintf("r%d", i), value.Rec("Dept", value.Int(int64(i)), "DName", word(), "R", noise()), right)
+	}
+	if _, err := st.Commit(); err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := server.New(st, server.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	go srv.Serve(ln)
+	tb.Cleanup(func() {
+		srv.Shutdown(context.Background())
+		st.Close()
+	})
+	return ln.Addr().String(), left, right
+}
+
+// BenchmarkServeJoin measures the full remote JOIN round trip of the
+// read-bulk shape, 136 × 8 records joined into 136 (E29 in
+// EXPERIMENTS.md): client encode, TCP, both extents read and keyed, the
+// hash join, each member typed at the meet of its pair's witnesses and
+// encoded, and the client's decode.
+func BenchmarkServeJoin(b *testing.B) {
+	addr, left, right := joinBulkServer(b)
+	c, err := client.Dial(addr, &client.Options{PoolSize: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vs, err := c.Join(left, right)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(vs) != 136 {
+			b.Fatalf("got %d, want 136", len(vs))
+		}
+	}
+}
+
+// TestServeJoinBulkAllocs: a loopback JOIN of the read-bulk shape costs
+// at most 1 200 allocations in the whole process: the client's request,
+// the server's read, relations, join, typing and reply, and the client's
+// decode. It measures 891 with Go 1.24 on linux/amd64.
+func TestServeJoinBulkAllocs(t *testing.T) {
+	const maxAllocs = 1200
+	addr, left, right := joinBulkServer(t)
+	c, err := client.Dial(addr, &client.Options{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	join := func() {
+		vs, err := c.Join(left, right)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vs) != 136 {
+			t.Fatalf("JOIN returned %d records, want 136", len(vs))
+		}
+	}
+	for i := 0; i < 5; i++ {
+		join()
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		join()
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := float64(after.Mallocs-before.Mallocs) / runs; allocs > maxAllocs {
+		t.Errorf("a 136 × 8 JOIN costs %.0f allocations process-wide, want <= %d", allocs, maxAllocs)
 	}
 }
 

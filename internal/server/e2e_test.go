@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"dbpl/client"
+	"dbpl/internal/persist/codec"
 	"dbpl/internal/persist/intrinsic"
 	"dbpl/internal/relation"
 	"dbpl/internal/server"
@@ -418,6 +420,58 @@ func TestE2EJoinOverNonCochainExtent(t *testing.T) {
 	if jplan, err := c.ExplainJoin(employeeT, deptT); err != nil || jplan != plan {
 		t.Errorf("EXPLAIN JOIN = (%q, %v), want %q", jplan, err, plan)
 	}
+	// Every root is declared at employeeT or deptT, so every member ships
+	// at their meet.
+	meet, _ := types.Meet(employeeT, deptT)
+	if vals, wits := rawJoin(t, h, employeeT, deptT); len(vals) != 3 || !allAt(wits, meet) {
+		t.Errorf("JOIN ships %d members at %v, want 3 at %s", len(vals), wits, meet)
+	}
+}
+
+// rawJoin sends one JOIN on a connection of its own and decodes the reply
+// as the server framed it: each member, and the witness it ships at.
+func rawJoin(t *testing.T, h *harness, t1, t2 types.Type) ([]value.Value, []types.Type) {
+	t.Helper()
+	conn, err := net.Dial("tcp", h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	f1, err := wire.MarshalType(t1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, err := wire.MarshalType(t2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WriteFrame(conn, 0, wire.OpJoin, f1, f2); err != nil {
+		t.Fatal(err)
+	}
+	op, fields, err := wire.ReadFrame(conn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op != wire.OpValues {
+		t.Fatalf("JOIN answered %s: %v", wire.OpName(op), wire.DecodeError(fields))
+	}
+	vals, wits := make([]value.Value, len(fields)), make([]types.Type, len(fields))
+	for i, f := range fields {
+		if vals[i], wits[i], err = codec.DecodeTagged(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return vals, wits
+}
+
+// allAt reports whether every witness of wits equals w.
+func allAt(wits []types.Type, w types.Type) bool {
+	for _, x := range wits {
+		if !types.Equal(x, w) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestE2EJoinTypeValuedTwins: two roots bound to equal records with a
@@ -453,6 +507,67 @@ func TestE2EJoinTypeValuedTwins(t *testing.T) {
 	const plan = "join left=1 right=1 pairs=1"
 	if jplan, err := c.ExplainJoin(typedT, namedT); err != nil || jplan != plan {
 		t.Errorf("EXPLAIN JOIN = (%q, %v), want %q", jplan, err, plan)
+	}
+	meet, _ := types.Meet(typedT, namedT)
+	if vals, wits := rawJoin(t, h, typedT, namedT); len(vals) != 1 || !allAt(wits, meet) {
+		t.Errorf("JOIN ships %d members at %v, want 1 at %s", len(vals), wits, meet)
+	}
+}
+
+// TestE2EJoinFilledBottomShipsTypeOf: a member whose join filled a ⊥
+// need not be of the witnesses' meet, and then ships at its most specific
+// type. x = {A = ⊥, B = 1} is declared {A: Bottom, B: Int} and y = {A = 2}
+// {A: Int}; x ⊔ y = {A = 2, B = 1} is not of the meet {A: Bottom, B: Int}.
+func TestE2EJoinFilledBottomShipsTypeOf(t *testing.T) {
+	h := boot(t, filepath.Join(t.TempDir(), "bottom.log"))
+	c := dial(t, h, nil)
+	if err := c.Put("x", value.Rec("A", value.Bottom, "B", value.Int(1)), types.MustParse("{A: Bottom, B: Int}")); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("y", value.Rec("A", value.Int(2)), types.MustParse("{A: Int}")); err != nil {
+		t.Fatal(err)
+	}
+	vals, wits := rawJoin(t, h, types.MustParse("{B: Int}"), types.MustParse("{A: Int}"))
+	want := value.Rec("A", value.Int(2), "B", value.Int(1))
+	if len(vals) != 1 || !value.Equal(vals[0], want) || !types.Equal(wits[0], value.TypeOf(want)) {
+		t.Errorf("JOIN = %v at %v, want [%s] at %s", vals, wits, want, value.TypeOf(want))
+	}
+}
+
+// TestE2EJoinCyclicValues: JOIN terminates on cyclic values. Two roots
+// declared at {a: Int} are cyclic: r = {a = 1, self = r} and s = {a = 1,
+// b = 2, self = s}. Coinductively r ⊑ s, so the extent keeps s alone, and
+// s ⊔ s closes the cycle of the record it builds. JOIN answers at the
+// declared witnesses' meet, EXPLAIN JOIN plans it, and the server stays
+// healthy.
+func TestE2EJoinCyclicValues(t *testing.T) {
+	h := boot(t, filepath.Join(t.TempDir(), "cyclic.log"))
+	c := dial(t, h, nil)
+	aT := types.MustParse("{a: Int}")
+	r := value.Rec("a", value.Int(1))
+	r.Set("self", r)
+	s := value.Rec("a", value.Int(1), "b", value.Int(2))
+	s.Set("self", s)
+	for name, v := range map[string]value.Value{"r": r, "s": s} {
+		if err := c.Put(name, v, aT); err != nil {
+			t.Fatal(err)
+		}
+	}
+	vals, wits := rawJoin(t, h, aT, aT)
+	if len(vals) != 1 || !allAt(wits, aT) {
+		t.Fatalf("JOIN ships %d members at %v, want 1 at %s", len(vals), wits, aT)
+	}
+	m := vals[0].(*value.Record)
+	self, _ := m.Get("self")
+	if _, ok := self.(*value.Record); !ok || !value.Equal(m.MustGet("a"), value.Int(1)) || !value.Equal(m.MustGet("b"), value.Int(2)) {
+		t.Errorf("JOIN = a record without a = 1, b = 2 and a record self")
+	}
+	const plan = "join left=1 right=1 pairs=1"
+	if jplan, err := c.ExplainJoin(aT, aT); err != nil || jplan != plan {
+		t.Errorf("EXPLAIN JOIN = (%q, %v), want %q", jplan, err, plan)
+	}
+	if hl, err := c.Health(); err != nil || hl.Poisoned || hl.Roots != 2 {
+		t.Errorf("HEALTH after the cyclic JOIN = (%+v, %v)", hl, err)
 	}
 }
 

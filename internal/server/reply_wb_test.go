@@ -59,12 +59,13 @@ func rawExchange(t *testing.T, conn net.Conn, req []byte) []byte {
 
 // TestValuesReplyBytesUnchanged: every GET and JOIN reply frame, traced
 // and untraced, is byte-identical to one built from a codec.AppendTagged
-// image per record and wire.AppendFrame. The store holds several
+// image per record and wire.AppendFrame. GET's records ship at their
+// declared witnesses; a JOIN member ships at the meet of the witnesses of
+// the two members it joins, and conforms to it. The store holds several
 // witnesses, nested records, lists, a sub-value shared within and across
 // records, a cyclic record and a reply past the session's kept frame
 // buffer. The replies run on one connection, so each reuses the buffer
-// the last one left. JOIN leaves the cyclic record out: JOIN infers each
-// member's type, and TypeOf does not terminate on a cycle.
+// the last one left.
 func TestValuesReplyBytesUnchanged(t *testing.T) {
 	srv, _, addr := serveWB(t, "reply.log", Config{})
 	person := types.MustParse("{Name: String, Id: Int}")
@@ -149,14 +150,35 @@ func TestValuesReplyBytesUnchanged(t *testing.T) {
 				t.Fatalf("GET %s (trace %#x): reply of %d bytes differs from the per-record frame of %d", q, trace, len(got), len(want))
 			}
 		}
-		for _, q := range [][2]types.Type{{located, dept}, {tagged, dept}, {dept, located}} {
-			members := relation.JoinFast(relationOf(st, types.Intern(q[0])), relationOf(st, types.Intern(q[1]))).Members()
+		for _, q := range [][2]types.Type{{located, dept}, {tagged, dept}, {dept, located}, {person, dept}} {
+			// Each side's members, and the declared witness of each.
+			side := func(ty types.Type) (*relation.Relation, map[value.Value]types.Type) {
+				entries, _ := st.idx.GetEntries(types.Intern(ty))
+				vals := make([]value.Value, len(entries))
+				wits := map[value.Value]types.Type{}
+				for i, e := range entries {
+					vals[i], wits[e.Dyn.Value()] = e.Dyn.Value(), e.Dyn.Type()
+				}
+				return relation.New(vals...), wits
+			}
+			left, lw := side(q[0])
+			right, rw := side(q[1])
+			joined, pairs := relation.JoinPairs(left, right, relation.PlanJoin(left, right))
+			members := joined.Members()
 			if len(members) == 0 {
 				t.Fatalf("JOIN %s, %s is empty", q[0], q[1])
 			}
 			imgs := make([][]byte, len(members))
 			for i, m := range members {
-				if imgs[i], err = codec.AppendTagged(nil, m, nil); err != nil {
+				l, r := left.Members()[pairs[i][0]], right.Members()[pairs[i][1]]
+				if j, err := value.Join(l, r); err != nil || !value.Equal(j, m) {
+					t.Fatalf("JOIN member %s is not the join of its pair %s, %s", m, l, r)
+				}
+				w, ok := types.Meet(lw[l], rw[r])
+				if !ok || !value.Conforms(m, w) {
+					t.Fatalf("JOIN member %s does not conform to the meet %s of %s and %s", m, w, lw[l], rw[r])
+				}
+				if imgs[i], err = codec.AppendTagged(nil, m, w); err != nil {
 					t.Fatal(err)
 				}
 			}

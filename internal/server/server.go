@@ -1114,26 +1114,74 @@ func internTypes(fields [][]byte) ([2]*types.Interned, error) {
 	return ws, nil
 }
 
-// relationOf is the relation JOIN reads for want from st: GET's answer,
-// as values.
-func relationOf(st *state, want *types.Interned) *relation.Relation {
+// relationOf is the relation JOIN reads for want from st, GET's answer as
+// values, with each member's declared witness and whether ⊥ occurs in it.
+func relationOf(st *state, want *types.Interned) (*relation.Relation, []witnessed) {
 	entries, _ := st.idx.GetEntries(want)
 	vals := make([]value.Value, len(entries))
 	for i, e := range entries {
 		vals[i] = e.Dyn.Value()
 	}
-	return relation.New(vals...)
+	r, pos := relation.NewIndexed(vals)
+	ws := make([]witnessed, len(pos))
+	for i, p := range pos {
+		ws[i] = witnessed{wit: entries[p].Dyn.Type(), bottom: value.HoldsBottom(vals[p])}
+	}
+	return r, ws
 }
 
+// witnessed is what JOIN needs to type a relation member's joins.
+type witnessed struct {
+	wit    types.Type // the member's declared witness
+	bottom bool       // value.HoldsBottom of the member
+}
+
+// handleJoin answers the generalized join in the paper's types: the member
+// joining a left member declared at σ with a right one declared at τ ships
+// at σ ⊓ τ, computed and encoded once per distinct pair of witnesses. A
+// member ships at its most specific type (value.TypeOf) instead when the
+// meet is uninhabited, which takes a quantified witness or a recursive one
+// past types.Meet's unfolding bound, or when the member does not conform
+// to it. Only a ⊥ the join filled can cause that: ⊥ conforms to every type,
+// so a member declared {A: Int} may hold ⊥ at A, and joined with {A = 1.5}
+// it holds a Float there. So only the members of pairs holding ⊥ are
+// checked.
 func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
 	ws, err := internTypes(fields)
 	if err != nil {
 		return errResp(toWireError(err))
 	}
 	st := sess.view(s)
-	members := relation.JoinFast(relationOf(st, ws[0]), relationOf(st, ws[1])).Members()
+	left, lw := relationOf(st, ws[0])
+	right, rw := relationOf(st, ws[1])
+	joined, pairs := relation.JoinPairs(left, right, relation.PlanJoin(left, right))
+	members := joined.Members()
+	type meet struct {
+		img []byte          // the meet's type image; nil when uninhabited
+		typ *types.Interned // the meet, for the conformance check
+	}
+	var meets map[[2]types.Type]meet
 	return valuesReply(len(members), func(dst []byte, i int) ([]byte, error) {
-		return codec.AppendTagged(dst, members[i], nil)
+		l, r := lw[pairs[i][0]], rw[pairs[i][1]]
+		pw := [2]types.Type{l.wit, r.wit}
+		m, ok := meets[pw]
+		if !ok {
+			if t, ok := types.Meet(pw[0], pw[1]); ok {
+				var err error
+				if m.img, err = codec.AppendType(nil, t); err != nil {
+					return dst, err
+				}
+				m.typ = types.Intern(t)
+			}
+			if meets == nil {
+				meets = map[[2]types.Type]meet{}
+			}
+			meets[pw] = m
+		}
+		if m.img == nil || (l.bottom || r.bottom) && !value.ConformsInterned(members[i], m.typ) {
+			return codec.AppendTagged(dst, members[i], nil)
+		}
+		return codec.AppendTaggedImage(dst, m.img, members[i])
 	})
 }
 
@@ -1234,7 +1282,9 @@ func (s *Server) handleExplain(sess *session, fields [][]byte) (byte, [][]byte) 
 		plan := fmt.Sprintf("get n=%d types=%d matched=%d result=%d", st.idx.Len(), st.idx.Types(), matched, result)
 		return wire.OpOK, [][]byte{[]byte(plan)}
 	}
-	return wire.OpOK, [][]byte{[]byte(relation.PlanJoin(relationOf(st, ws[0]), relationOf(st, ws[1])).String())}
+	left, _ := relationOf(st, ws[0])
+	right, _ := relationOf(st, ws[1])
+	return wire.OpOK, [][]byte{[]byte(relation.PlanJoin(left, right).String())}
 }
 
 // keyOf is a keyed write's optional idempotency key, the field at i when

@@ -136,8 +136,11 @@ func meet(s, t Type, fuel int) (Type, bool) {
 		if !ok {
 			return Bottom, false
 		}
-		// Union of labels; common labels must have an inhabited meet, since
-		// a record type with an uninhabited field type is itself empty.
+		// Union of labels; common labels must not conflict, since a record
+		// type with a field no value fits is itself empty. A field already
+		// Bottom on one side meets at Bottom, as the subtype fast path above
+		// answers {A: Bottom} ⊓ {A: Int} = {A: Bottom}: the record ⊥ fills
+		// there (TypeOf({A = ⊥}) is {A: Bottom}) inhabits it.
 		merged := map[string]Type{}
 		for i := 0; i < st.Len(); i++ {
 			f := st.Field(i)
@@ -147,7 +150,7 @@ func meet(s, t Type, fuel int) (Type, bool) {
 			f := tr.Field(i)
 			if prev, ok := merged[f.Label]; ok {
 				m, ok := meet(prev, f.Type, fuel-1)
-				if !ok {
+				if !ok && !eitherBottom(prev, f.Type) {
 					return Bottom, false
 				}
 				merged[f.Label] = m
@@ -165,12 +168,14 @@ func meet(s, t Type, fuel int) (Type, bool) {
 		if !ok {
 			return Bottom, false
 		}
-		// Intersection of tags; a variant with no tags is empty.
+		// Intersection of tags; a variant with no tags is empty. A tag
+		// whose payload is Bottom on one side stays, at Bottom, as a field
+		// of a record does.
 		var fs []Field
 		for i := 0; i < st.Len(); i++ {
 			f := st.Tag(i)
 			if ot, ok := tv.Lookup(f.Label); ok {
-				if m, ok := meet(f.Type, ot, fuel-1); ok {
+				if m, ok := meet(f.Type, ot, fuel-1); ok || eitherBottom(f.Type, ot) {
 					fs = append(fs, Field{Label: f.Label, Type: m})
 				}
 			}
@@ -219,6 +224,9 @@ func meet(s, t Type, fuel int) (Type, bool) {
 		return Bottom, false
 	}
 }
+
+// eitherBottom reports whether s or t is Bottom.
+func eitherBottom(s, t Type) bool { return s.Kind() == KindBottom || t.Kind() == KindBottom }
 
 // Consistent reports whether s and t have a common inhabited subtype. The
 // paper: a handle stored at DBType may be reopened at DBType' when DBType is

@@ -42,6 +42,12 @@ func TestMeetBasics(t *testing.T) {
 			"{Name: String, Age: Int, Dept: String}", true},
 		// Records that disagree on a field are inconsistent.
 		{"{Age: Int}", "{Age: String}", "Bottom", false},
+		// A field Bottom on one side is no disagreement: it meets at Bottom
+		// whether or not one record type is below the other.
+		{"{A: Bottom}", "{A: Int}", "{A: Bottom}", true},
+		{"{A: Bottom, B: Int}", "{A: Int, C: Int}", "{A: Bottom, B: Int, C: Int}", true},
+		{"{A: Bottom, B: Int}", "{A: Bottom, C: Int}", "{A: Bottom, B: Int, C: Int}", true},
+		{"[P: Bottom, Q: Int]", "[P: Bottom, R: Int]", "[P: Bottom]", true},
 		{"List[Int]", "List[Float]", "List[Int]", true},
 		// List meets never fail outright: List[Bottom] has the empty list.
 		{"List[Int]", "List[String]", "List[Bottom]", true},

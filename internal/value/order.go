@@ -3,6 +3,8 @@ package value
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 )
 
 // This file implements the paper's "Inheritance on Values" section: the
@@ -23,9 +25,17 @@ var ErrConflict = errors.New("value: join conflict")
 // with pointwise Leq; lists pointwise at equal length; tags by equal label
 // and payload Leq; sets by the paper's relation ordering (each element of
 // the larger is above some element of the smaller).
-func Leq(o, op Value) bool {
-	if o.Kind() == KindBottom {
-		return true
+//
+// Leq is coinductive, as recursive subtyping is: a pair of records, lists
+// or tags met again on its own path is assumed to hold, so Leq terminates
+// on cyclic values (see orderPath).
+func Leq(o, op Value) bool { return leq(o, op, nil, 0) }
+
+// leq is Leq inside depth pairs of containers, p being their path once
+// depth has reached pathFrom.
+func leq(o, op Value, p *orderPath, depth int) bool {
+	if p == nil && depth >= pathFrom {
+		return leqOnPath(o, op, depth)
 	}
 	switch a := o.(type) {
 	case Int, Float, String, Bool, unitValue, *TypeVal:
@@ -40,52 +50,82 @@ func Leq(o, op Value) bool {
 		if a.labelBits&^b.labelBits != 0 {
 			return false
 		}
+		if _, ok := p.find(a, b); ok {
+			return true
+		}
+		p.push(a, b, nil)
 		// Both label slices are sorted, so one merge finds each of a's
 		// labels in b.
-		j := 0
+		j, holds := 0, true
 		for i, l := range a.labels {
 			for j < len(b.labels) && b.labels[j] < l {
 				j++
 			}
-			if j == len(b.labels) || b.labels[j] != l || !Leq(a.values[i], b.values[j]) {
-				return false
+			if j == len(b.labels) || b.labels[j] != l || !leq(a.values[i], b.values[j], p, depth+1) {
+				holds = false
+				break
 			}
 			j++
 		}
-		return true
+		p.pop()
+		return holds
 	case *List:
 		b, ok := op.(*List)
 		if !ok || len(a.Elems) != len(b.Elems) {
 			return false
 		}
+		if _, ok := p.find(a, b); ok {
+			return true
+		}
+		p.push(a, b, nil)
+		holds := true
 		for i := range a.Elems {
-			if !Leq(a.Elems[i], b.Elems[i]) {
-				return false
+			if !leq(a.Elems[i], b.Elems[i], p, depth+1) {
+				holds = false
+				break
 			}
 		}
-		return true
+		p.pop()
+		return holds
 	case *Tag:
 		b, ok := op.(*Tag)
-		return ok && a.Label == b.Label && Leq(a.Payload, b.Payload)
+		if !ok || a.Label != b.Label {
+			return false
+		}
+		if _, ok := p.find(a, b); ok {
+			return true
+		}
+		p.push(a, b, nil)
+		holds := leq(a.Payload, b.Payload, p, depth+1)
+		p.pop()
+		return holds
 	case *Set:
 		b, ok := op.(*Set)
 		if !ok {
 			return false
 		}
-		return SetLeq(a, b)
+		return setLeq(a, b, p, depth)
 	default:
-		return o == op
+		return o.Kind() == KindBottom || o == op
 	}
+}
+
+// leqOnPath is leq starting a path, in its own frame.
+func leqOnPath(o, op Value, depth int) bool {
+	var p orderPath
+	return leq(o, op, &p, depth)
 }
 
 // SetLeq is the paper's ordering on relations: R ⊑ R' iff for every object
 // o' in R' there is an object o in R with o ⊑ o' — every member of R' is
 // more informative than some member of R.
-func SetLeq(r, rp *Set) bool {
+func SetLeq(r, rp *Set) bool { return setLeq(r, rp, nil, 0) }
+
+func setLeq(r, rp *Set, p *orderPath, depth int) bool {
 	for _, op := range rp.elems {
 		found := false
 		for _, o := range r.elems {
-			if Leq(o, op) {
+			if leq(o, op, p, depth+1) {
 				found = true
 				break
 			}
@@ -101,18 +141,114 @@ func SetLeq(r, rp *Set) bool {
 // comparable pairs (they are cochains).
 func Comparable(o, op Value) bool { return Leq(o, op) || Leq(op, o) }
 
+// orderPath is the path of one Leq or Join: the pairs of records, lists
+// and tags it is inside, outermost first, each with the container Join
+// builds for it. Only a cycle makes a pair recur on its own path, and no
+// acyclic value nests containers pathFrom deep in practice, so the walk
+// keeps no path above that depth: the level that reaches it starts one in
+// its frame, which spills to the heap only past pathDepth pairs more. A
+// cycle then recurs within one more turn. A nil *orderPath keeps nothing.
+type orderPath struct {
+	fixed [pathDepth]pathStep
+	n     int
+	spill []pathStep
+}
+
+const (
+	// pathFrom is the nesting depth at which Leq and Join start a path.
+	pathFrom = 32
+	// pathDepth is how many pairs the fixed part of a path holds.
+	pathDepth = 8
+)
+
+// pathStep is one pair on the path: a and b are compared or joined, and
+// out is the container Join builds for them (nil under Leq).
+type pathStep struct {
+	a, b, out Value
+}
+
+// find reports whether the pair (a, b) is on the path, and its out.
+func (p *orderPath) find(a, b Value) (Value, bool) {
+	if p == nil {
+		return nil, false
+	}
+	return p.lookup(a, b)
+}
+
+// lookup is find on a path. It is kept out of line so that find, which
+// every container pair meets, inlines to a nil check.
+//
+//go:noinline
+func (p *orderPath) lookup(a, b Value) (Value, bool) {
+	for i := range min(p.n, pathDepth) {
+		if s := &p.fixed[i]; s.a == a && s.b == b {
+			return s.out, true
+		}
+	}
+	for i := range p.spill {
+		if s := &p.spill[i]; s.a == a && s.b == b {
+			return s.out, true
+		}
+	}
+	return nil, false
+}
+
+// push puts the pair (a, b), with out, on the path, to be taken off by pop.
+func (p *orderPath) push(a, b, out Value) {
+	if p != nil {
+		p.add(pathStep{a, b, out})
+	}
+}
+
+func (p *orderPath) add(s pathStep) {
+	if p.n < pathDepth {
+		p.fixed[p.n] = s
+	} else {
+		p.spill = append(p.spill, s)
+	}
+	p.n++
+}
+
+// pop takes off the pair pushed last.
+func (p *orderPath) pop() {
+	if p == nil {
+		return
+	}
+	p.n--
+	if p.n >= pathDepth {
+		p.spill = p.spill[:len(p.spill)-1]
+	}
+}
+
 // Join returns the least object containing the information of both a and b,
 // or an error wrapping ErrConflict when they disagree on a common component.
 // Joining records merges their fields; this is the paper's mechanism for
 // turning a Person into an Employee by "adding information":
 //
 //	{Name = 'J Doe'} ⊔ {Emp_no = 1234} = {Name = 'J Doe', Emp_no = 1234}
-func Join(a, b Value) (Value, error) {
+//
+// Join terminates on cyclic values: a pair of records, lists or tags met
+// again on its own path joins to the container being built for it, so the
+// result closes the cycle too (see orderPath).
+func Join(a, b Value) (Value, error) { return join(a, b, nil, 0) }
+
+// join is Join inside depth pairs of containers, p being their path once
+// depth has reached pathFrom.
+func join(a, b Value, p *orderPath, depth int) (Value, error) {
 	if a.Kind() == KindBottom {
 		return b, nil
 	}
 	if b.Kind() == KindBottom {
 		return a, nil
+	}
+	if p == nil && depth >= pathFrom {
+		return joinOnPath(a, b, depth)
+	}
+	switch a.(type) {
+	case *Record, *List, *Tag:
+		if out, ok := p.find(a, b); ok {
+			return out, nil
+		}
 	}
 	switch av := a.(type) {
 	case Int, Float, String, Bool, unitValue, *TypeVal:
@@ -125,54 +261,38 @@ func Join(a, b Value) (Value, error) {
 		if !ok {
 			return nil, conflict(a, b)
 		}
-		out := NewRecordCap(len(av.labels) + len(bv.labels))
-		for i, l := range av.labels {
-			out.Set(l, av.values[i])
-		}
-		var err error
-		bv.Each(func(l string, v Value) {
-			if err != nil {
-				return
-			}
-			if prev, ok := out.Get(l); ok {
-				j, jerr := Join(prev, v)
-				if jerr != nil {
-					err = fmt.Errorf("field %s: %w", l, jerr)
-					return
-				}
-				out.Set(l, j)
-			} else {
-				out.Set(l, v)
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
+		return joinRecords(av, bv, p, depth)
 	case *List:
 		bv, ok := b.(*List)
 		if !ok || len(av.Elems) != len(bv.Elems) {
 			return nil, conflict(a, b)
 		}
 		out := &List{Elems: make([]Value, len(av.Elems))}
+		p.push(av, bv, out)
 		for i := range av.Elems {
-			j, err := Join(av.Elems[i], bv.Elems[i])
+			j, err := join(av.Elems[i], bv.Elems[i], p, depth+1)
 			if err != nil {
-				return nil, fmt.Errorf("element %d: %w", i, err)
+				p.pop()
+				return nil, &joinError{elem: i, inner: err}
 			}
 			out.Elems[i] = j
 		}
+		p.pop()
 		return out, nil
 	case *Tag:
 		bv, ok := b.(*Tag)
 		if !ok || av.Label != bv.Label {
 			return nil, conflict(a, b)
 		}
-		p, err := Join(av.Payload, bv.Payload)
+		out := &Tag{Label: av.Label}
+		p.push(av, bv, out)
+		pl, err := join(av.Payload, bv.Payload, p, depth+1)
+		p.pop()
 		if err != nil {
 			return nil, err
 		}
-		return NewTag(av.Label, p), nil
+		out.Payload = pl
+		return out, nil
 	case *Set:
 		bv, ok := b.(*Set)
 		if !ok {
@@ -187,8 +307,135 @@ func Join(a, b Value) (Value, error) {
 	}
 }
 
-func conflict(a, b Value) error {
-	return fmt.Errorf("%w: %s vs %s", ErrConflict, a, b)
+// joinOnPath is join starting a path, in its own frame.
+func joinOnPath(a, b Value, depth int) (Value, error) {
+	var p orderPath
+	return join(a, b, &p, depth)
+}
+
+// joinRecords merges a's and b's sorted labels in one pass: a label of one
+// side keeps its value, and a common label joins a's value with b's.
+func joinRecords(a, b *Record, p *orderPath, depth int) (*Record, error) {
+	out := newJoined(len(a.labels) + len(b.labels))
+	out.labelBits = a.labelBits | b.labelBits
+	p.push(a, b, out)
+	defer p.pop()
+	i, j := 0, 0
+	for i < len(a.labels) && j < len(b.labels) {
+		switch la, lb := a.labels[i], b.labels[j]; {
+		case la < lb:
+			out.labels, out.values = append(out.labels, la), append(out.values, a.values[i])
+			i++
+		case lb < la:
+			out.labels, out.values = append(out.labels, lb), append(out.values, b.values[j])
+			j++
+		default:
+			v, err := join(a.values[i], b.values[j], p, depth+1)
+			if err != nil {
+				return nil, &joinError{field: true, label: la, inner: err}
+			}
+			out.labels, out.values = append(out.labels, la), append(out.values, v)
+			i++
+			j++
+		}
+	}
+	out.labels, out.values = append(out.labels, a.labels[i:]...), append(out.values, a.values[i:]...)
+	out.labels, out.values = append(out.labels, b.labels[j:]...), append(out.values, b.values[j:]...)
+	return out, nil
+}
+
+// joinedInline is the field count up to which a joined record is one
+// allocation: a relation join builds one record per pair, most of a few
+// fields each.
+const joinedInline = 8
+
+// newJoined returns an empty record with room for n fields, in one
+// allocation with its label and value arrays when n ≤ joinedInline.
+func newJoined(n int) *Record {
+	if n > joinedInline {
+		return &Record{labels: make([]string, 0, n), values: make([]Value, 0, n)}
+	}
+	blk := new(struct {
+		r      Record
+		labels [joinedInline]string
+		values [joinedInline]Value
+	})
+	blk.r.labels, blk.r.values = blk.labels[:0:n], blk.values[:0:n]
+	return &blk.r
+}
+
+func conflict(a, b Value) error { return &joinError{a: a, b: b} }
+
+// joinError is a Join failure: the conflict itself, or one found under a
+// record field or list element. Its text is written only when asked for,
+// since a relation join discards most failures and a cyclic value prints
+// without end.
+type joinError struct {
+	field bool // under the record field label, else under list element elem
+	label string
+	elem  int
+	inner error // the failure under the field or element; nil at the conflict
+	a, b  Value // the conflicting values, at the conflict
+}
+
+func (e *joinError) Error() string {
+	switch {
+	case e.inner == nil:
+		return fmt.Sprintf("%v: %s vs %s", ErrConflict, e.a, e.b)
+	case e.field:
+		return "field " + e.label + ": " + e.inner.Error()
+	default:
+		return "element " + strconv.Itoa(e.elem) + ": " + e.inner.Error()
+	}
+}
+
+func (e *joinError) Unwrap() error {
+	if e.inner == nil {
+		return ErrConflict
+	}
+	return e.inner
+}
+
+// HoldsBottom reports whether ⊥ occurs in v. It reads at most bottomScan
+// nodes and answers true past them, so it terminates on cyclic and on
+// widely shared values: false is a guarantee, true a maybe. The join of
+// two values without ⊥ has the meet of their types; with ⊥, which
+// conforms to every type, it need not (TestQuickJoinHasMeetType).
+func HoldsBottom(v Value) bool {
+	budget := bottomScan
+	return holdsBottom(v, &budget)
+}
+
+// bottomScan bounds the nodes HoldsBottom reads.
+const bottomScan = 4096
+
+func holdsBottom(v Value, budget *int) bool {
+	if *budget--; *budget < 0 {
+		return true
+	}
+	switch x := v.(type) {
+	case *Record:
+		for _, f := range x.values {
+			if holdsBottom(f, budget) {
+				return true
+			}
+		}
+	case *List:
+		for _, e := range x.Elems {
+			if holdsBottom(e, budget) {
+				return true
+			}
+		}
+	case *Set:
+		for _, e := range x.elems {
+			if holdsBottom(e, budget) {
+				return true
+			}
+		}
+	case *Tag:
+		return holdsBottom(x.Payload, budget)
+	}
+	return v.Kind() == KindBottom
 }
 
 // SetJoin is the least upper bound of two sets under the relation ordering:
@@ -212,29 +459,182 @@ func SetJoin(a, b *Set) *Set {
 // order. Of duplicates, and of mutually-⊑ pairs (possible only through
 // sets), the first occurrence is kept.
 //
-// For record-only inputs of more than 32 elements the quadratic scan is
-// pruned by two facts. r ⊑ r' requires labels(r) ⊆ labels(r'), so only the
-// records of a label-superset group can dominate r. And two records whose
-// common atomic field differs are incomparable, so each group is bucketed
-// on its discriminator: of the labels atomic in every member, the one with
-// the most distinct atoms, the first in label order on a tie. r is then
-// compared only with the bucket holding its own atom there. maximalNaive is
-// the reference implementation (property-tested and fuzzed equal).
+// A key proves a cochain. When every element is a record holding an atom
+// at one label, pairwise distinct there (keyLabel), no two are comparable:
+// x ⊑ y would need y to hold an atom ⊒ x's there, and atoms are ordered
+// only by equality. Such input is returned as it is, after one probe.
+//
+// Otherwise, for record-only inputs of more than 32 elements, the quadratic
+// scan is pruned by two facts. r ⊑ r' requires labels(r) ⊆ labels(r'), so
+// only the records of a label-superset group can dominate r. And two
+// records whose common atomic field differs are incomparable, so each group
+// is bucketed on its discriminator: of the labels atomic in every member,
+// the one with the most distinct atoms, the first in label order on a tie.
+// r is then compared only with the bucket holding its own atom there.
+// maximalNaive is the reference implementation (property-tested and fuzzed
+// equal).
 func Maximal(vs []Value) []Value {
+	keep, key := MaximalIndex(vs)
+	if key != "" {
+		return slices.Clone(vs)
+	}
+	var out []Value
+	for _, i := range keep {
+		out = append(out, vs[i])
+	}
+	return out
+}
+
+// MaximalIndex is Maximal by position: keep lists the positions in vs of
+// the survivors, ascending. When keyLabel proves vs a cochain, key is its
+// label, every element survives and keep is nil; otherwise key is "".
+func MaximalIndex(vs []Value) (keep []int, key string) {
+	if key, ok := keyLabel(vs); ok {
+		return nil, key
+	}
 	if len(vs) <= 32 {
-		return maximalNaive(vs)
+		return maximalNaive(vs), ""
 	}
 	for _, v := range vs {
 		if _, ok := v.(*Record); !ok {
-			return maximalNaive(vs) // mixed kinds: rare, keep it simple
+			return maximalNaive(vs), "" // mixed kinds: rare, keep it simple
 		}
 	}
-	return maximalRecords(vs)
+	return maximalRecords(vs), ""
 }
 
-// maximalNaive is the direct O(n²) definition.
-func maximalNaive(vs []Value) []Value {
-	var out []Value
+// keySample is how many elements, spread evenly from the first to the
+// last, keyLabel reads to rule out labels before probing one in full.
+const keySample = 9
+
+// keyLabel reports a label proving vs a cochain, if it finds one: every
+// element of vs is a record holding an atom there, and no two hold equal
+// atoms (equal AtomKeys), so no element is below another (see Maximal).
+//
+// The candidates are the labels atomic in vs[0] whose atoms are pairwise
+// distinct across a sample of keySample elements, in label order; each is
+// probed over all of vs until one holds. The probes stop once they have
+// read 2·len(vs) elements, so the search costs O(len(vs)) whether or not
+// it succeeds.
+func keyLabel(vs []Value) (string, bool) {
+	if len(vs) == 0 {
+		return "", false
+	}
+	first, ok := vs[0].(*Record)
+	if !ok {
+		return "", false
+	}
+	var sample [keySample]*Record
+	n := min(len(vs), keySample)
+	for k := range n {
+		r, ok := vs[k*(len(vs)-1)/max(n-1, 1)].(*Record)
+		if !ok {
+			return "", false
+		}
+		sample[k] = r
+	}
+	budget := 2 * len(vs)
+	// Sized for success: only a label the sample could not rule out is
+	// probed.
+	seen := atomSet{size: len(vs)}
+	for _, l := range first.labels {
+		if !distinctAtoms(sample[:n], l) {
+			continue
+		}
+		seen.clear()
+		if probeKey(vs, l, &seen, &budget) {
+			return l, true
+		}
+		if budget <= 0 {
+			break
+		}
+	}
+	return "", false
+}
+
+// atomSet is a set of atoms made on first use with room for size. Ints,
+// the usual key, are hashed by their bits alone, at a fraction of the cost
+// of hashing a whole AtomKey.
+type atomSet struct {
+	size  int
+	ints  map[uint64]struct{}
+	other map[AtomKey]struct{}
+}
+
+// add adds k, reporting whether it was absent.
+func (s *atomSet) add(k AtomKey) bool {
+	if k.kind == KindInt {
+		if s.ints == nil {
+			s.ints = make(map[uint64]struct{}, s.size)
+		}
+		n := len(s.ints)
+		s.ints[k.bits] = struct{}{}
+		return len(s.ints) > n
+	}
+	if s.other == nil {
+		s.other = make(map[AtomKey]struct{}, s.size)
+	}
+	n := len(s.other)
+	s.other[k] = struct{}{}
+	return len(s.other) > n
+}
+
+func (s *atomSet) clear() {
+	clear(s.ints)
+	clear(s.other)
+}
+
+// distinctAtoms reports whether every record of rs holds an atom at l, no
+// two of them equal.
+func distinctAtoms(rs []*Record, l string) bool {
+	var keys [keySample]AtomKey
+	for i, r := range rs {
+		v, ok := r.Get(l)
+		if !ok {
+			return false
+		}
+		if keys[i], ok = AtomKeyOf(v); !ok {
+			return false
+		}
+		for j := range i {
+			if keys[j] == keys[i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// probeKey reports whether every element of vs is a record holding an atom
+// at l, no two equal, reading at most *budget elements and charging what
+// it reads. seen is empty scratch.
+func probeKey(vs []Value, l string, seen *atomSet, budget *int) bool {
+	for _, v := range vs {
+		if *budget--; *budget < 0 {
+			return false
+		}
+		r, ok := v.(*Record)
+		if !ok {
+			return false
+		}
+		a, ok := r.Get(l)
+		if !ok {
+			return false
+		}
+		k, ok := AtomKeyOf(a)
+		if !ok {
+			return false
+		}
+		if !seen.add(k) {
+			return false
+		}
+	}
+	return true
+}
+
+// maximalNaive is the direct O(n²) definition, by position.
+func maximalNaive(vs []Value) []int {
+	var out []int
 	for i, v := range vs {
 		dominated := false
 		for j, w := range vs {
@@ -252,7 +652,7 @@ func maximalNaive(vs []Value) []Value {
 			}
 		}
 		if !dominated {
-			out = append(out, v)
+			out = append(out, i)
 		}
 	}
 	return out
@@ -313,7 +713,8 @@ func (g *sigGroup) bucket(seen map[AtomKey]struct{}) {
 	}
 }
 
-func maximalRecords(vs []Value) []Value {
+// maximalRecords is the pruned scan over records, by position.
+func maximalRecords(vs []Value) []int {
 	// Group by label set.
 	groups := map[string]*sigGroup{}
 	var buf [keyScratch]byte
@@ -383,7 +784,7 @@ func maximalRecords(vs []Value) []Value {
 		return false
 	}
 
-	var out []Value
+	var out []int
 	for i, v := range vs {
 		r := v.(*Record)
 		dominated := false
@@ -402,7 +803,7 @@ func maximalRecords(vs []Value) []Value {
 			}
 		}
 		if !dominated {
-			out = append(out, r)
+			out = append(out, i)
 		}
 	}
 	return out

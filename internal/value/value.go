@@ -271,6 +271,11 @@ func (r *Record) Delete(label string) bool {
 // walking fields.
 func (r *Record) LabelBits() uint64 { return r.labelBits }
 
+// SameLabels reports whether r and o have the same labels.
+func (r *Record) SameLabels(o *Record) bool {
+	return r.labelBits == o.labelBits && slices.Equal(r.labels, o.labels)
+}
+
 // Each calls f for every field in label order.
 func (r *Record) Each(f func(label string, v Value)) {
 	for i, l := range r.labels {

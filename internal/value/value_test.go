@@ -435,3 +435,53 @@ func TestStringRendering(t *testing.T) {
 		t.Error("set String should be canonical")
 	}
 }
+
+// TestOrderOnCycles: Leq and Join terminate on cyclic values, past the
+// depth at which they start keeping a path. Leq is coinductive: r = {A = 1,
+// Self = r} is below s = {A = 1, B = 2, Self = s}. Join ties the knot: r ⊔
+// s is {A = 1, B = 2, Self = …} whose Self chain closes a cycle. A
+// conflict under the cycle is still found, and deep acyclic values, whose
+// path spills past its fixed part, still order and join.
+func TestOrderOnCycles(t *testing.T) {
+	r := Rec("A", Int(1))
+	r.Set("Self", r)
+	s := Rec("A", Int(1), "B", Int(2))
+	s.Set("Self", s)
+	if !Leq(r, s) || Leq(s, r) || !Leq(r, r) {
+		t.Errorf("Leq(r, s), Leq(s, r), Leq(r, r) = %v, %v, %v; want true, false, true", Leq(r, s), Leq(s, r), Leq(r, r))
+	}
+	j, err := Join(r, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[*Record]bool{}
+	for x := j.(*Record); !seen[x]; x = x.MustGet("Self").(*Record) {
+		if len(seen) > 4*pathFrom {
+			t.Fatal("r ⊔ s does not close its cycle")
+		}
+		seen[x] = true
+		if !Equal(x.MustGet("A"), Int(1)) || !Equal(x.MustGet("B"), Int(2)) {
+			t.Fatalf("r ⊔ s holds %s on its Self chain", x.Labels())
+		}
+	}
+	// y agrees with r for two turns, then holds A = 2.
+	y := Rec("A", Int(1), "Self", Rec("A", Int(1), "Self", Rec("A", Int(2))))
+	if _, err := Join(r, y); !errors.Is(err, ErrConflict) || err.Error() != "field Self: field Self: field A: value: join conflict: 1 vs 2" {
+		t.Errorf("r ⊔ y: err = %v, want the conflict at Self.Self.A", err)
+	}
+	l := NewList(Int(1))
+	l.Append(l)
+	if jl, err := Join(l, l); err != nil || !Leq(l, jl) {
+		t.Errorf("l ⊔ l = (%v, %v), want a list above l", jl != nil, err)
+	}
+	deep, deeper := Rec("N", Int(0)), Rec("N", Int(0), "M", Int(1))
+	for i := 0; i < 3*pathFrom; i++ {
+		deep, deeper = Rec("N", deep), Rec("N", deeper)
+	}
+	if !Leq(deep, deeper) || Leq(deeper, deep) {
+		t.Error("a deep acyclic record is not below its deeper copy")
+	}
+	if jd, err := Join(deep, deeper); err != nil || !Equal(jd, deeper) {
+		t.Errorf("deep ⊔ deeper = (%v, %v), want deeper", jd, err)
+	}
+}
