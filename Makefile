@@ -46,7 +46,10 @@ bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Short fuzz passes over every Fuzz* target in the repo: the decoders,
-# the log scanner (its seeds include the refused older headers), the
+# the log scanner (its seeds include the refused older headers), a
+# follower's ApplyGroup of a mutated replicated group (its checksum
+# rewritten, so the mutation reaches the decoder, the materializer and the
+# conformance check), the
 # conformance walk (differential against TypeOf + subtyping), the value
 # key writer (byte-identical to the fmt writer it replaced), the pruned
 # maximal-elements scan (differential against the naive one), the language
@@ -62,6 +65,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalValue -fuzztime=30s -fuzzminimizetime=5s ./internal/persist/codec/
 	$(GO) test -fuzz=FuzzDecodeType -fuzztime=30s -fuzzminimizetime=5s ./internal/persist/codec/
 	$(GO) test -fuzz=FuzzScanLog -fuzztime=30s ./internal/persist/intrinsic/
+	$(GO) test -fuzz=FuzzApplyGroup -fuzztime=30s ./internal/persist/intrinsic/
 	$(GO) test -fuzz=FuzzConforms -fuzztime=30s ./internal/value/
 	$(GO) test -fuzz=FuzzAppendKey -fuzztime=30s ./internal/value/
 	$(GO) test -fuzz=FuzzMaximal -fuzztime=30s -fuzzminimizetime=5s ./internal/value/

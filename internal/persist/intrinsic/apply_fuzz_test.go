@@ -1,0 +1,62 @@
+package intrinsic
+
+import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"path/filepath"
+	"testing"
+)
+
+// FuzzApplyGroup feeds a follower one mutated commit group after a prefix
+// of primaryFixture's history (the first byte picks how many of its groups
+// the follower holds first; the seeds are the fixture's groups, each at its
+// own place). The harness rewrites the input's CRC-32C trailer, so a
+// mutation reaches the decoder, the materializer and the conformance check
+// instead of stopping at the checksum. ApplyGroup must not panic; it
+// succeeds or refuses with a typed error, and a refusal leaves the
+// committed table as it was, and the durable end too — unless the group
+// was appended and its replay refused, which poisons the store.
+func FuzzApplyGroup(f *testing.F) {
+	p, _ := primaryFixture(f)
+	groups := splitGroups(f, allGroups(f, p))
+	for i, g := range groups {
+		f.Add(uint8(i), g)
+	}
+	f.Fuzz(func(t *testing.T, at uint8, g []byte) {
+		fol, err := Open(filepath.Join(t.TempDir(), "follower.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fol.Close()
+		for _, prev := range groups[:int(at)%len(groups)] {
+			if _, err := fol.ApplyGroup(prev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(g) > checksumSize {
+			body := len(g) - checksumSize
+			g = append([]byte(nil), g...)
+			binary.LittleEndian.PutUint32(g[body:], crc32.Checksum(g[:body], crcTable))
+		}
+		end, committed := fol.DurableEnd(), fol.Committed()
+		delta, err := fol.ApplyGroup(g)
+		if err == nil {
+			if delta.End != fol.DurableEnd() || (len(g) > 0 && delta.End != end+int64(len(g))) {
+				t.Fatalf("applied %d bytes at %d: delta ends at %d, store at %d", len(g), end, delta.End, fol.DurableEnd())
+			}
+			return
+		}
+		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrBadGroup) && !errors.Is(err, ErrNotConforming) {
+			t.Fatalf("ApplyGroup refused with an untyped error: %v", err)
+		}
+		if fol.Committed() != committed {
+			t.Fatalf("refused group (%v) replaced the committed table", err)
+		}
+		if fol.DurableEnd() != end {
+			if _, perr := fol.ApplyGroup(nil); !errors.Is(perr, ErrPoisoned) {
+				t.Fatalf("refused group (%v) moved the durable end %d → %d without poisoning the store", err, end, fol.DurableEnd())
+			}
+		}
+	})
+}

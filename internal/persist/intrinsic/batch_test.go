@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"dbpl/internal/dynamic"
 	"dbpl/internal/persist/iofault"
+	"dbpl/internal/pmap"
 	"dbpl/internal/value"
 )
 
@@ -657,5 +660,77 @@ func TestCompactRefusesStagedBatch(t *testing.T) {
 	// The batch is still intact and can be promoted.
 	if n, err := s.SyncBatch(); err != nil || n != 1 {
 		t.Fatalf("SyncBatch after refused Compact = (%d, %v), want (1, nil)", n, err)
+	}
+}
+
+// TestCommittedMovesOnlyWhenDurable: the committed root table is the one
+// the last durable group holds. Binds, unbinds and a staged group leave it
+// as it was, and a map taken from Committed keeps its contents whatever
+// the working table does after; the fsync that makes a batch durable moves
+// it. AbortBound after a failed fsync puts the working table back to it.
+func TestCommittedMovesOnlyWhenDurable(t *testing.T) {
+	inj := iofault.NewInjector(iofault.OS{})
+	s, err := OpenFS(inj, filepath.Join(t.TempDir(), "store.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	names := func(m pmap.Map[*dynamic.Dynamic]) (out []string) {
+		m.Range(func(n string, _ *dynamic.Dynamic) bool {
+			out = append(out, n)
+			return true
+		})
+		return out
+	}
+	for _, n := range []string{"a", "b"} {
+		if err := s.Bind(n, value.Int(1), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	c1 := s.Committed()
+	a1, _ := c1.Get("a")
+	if err := s.Bind("a", value.Int(2), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Bind("c", value.Int(3), nil); err != nil {
+		t.Fatal(err)
+	}
+	s.Unbind("b")
+	if _, err := s.StageCommit(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Committed() != c1 {
+		t.Fatal("the committed table moved before the fsync")
+	}
+	if got, _ := c1.Get("a"); got != a1 || !reflect.DeepEqual(names(c1), []string{"a", "b"}) {
+		t.Fatalf("a committed map changed under later edits: %v, a = %v", names(c1), got)
+	}
+	if _, err := s.SyncBatch(); err != nil {
+		t.Fatal(err)
+	}
+	c2 := s.Committed()
+	if a2, _ := c2.Get("a"); !reflect.DeepEqual(names(c2), []string{"a", "c"}) || a2 == a1 {
+		t.Fatalf("committed after the fsync: %v, want [a c] with a rebound", names(c2))
+	}
+
+	if err := s.Bind("d", value.Rec("x", value.Int(4)), nil); err != nil {
+		t.Fatal(err)
+	}
+	s.Unbind("a")
+	inj.FailAt(iofault.OpSync, inj.Count(iofault.OpSync)+1)
+	if _, err := s.Commit(); !errors.Is(err, iofault.ErrInjected) {
+		t.Fatalf("Commit over a failing fsync = %v, want the injected cause", err)
+	}
+	if s.Committed() != c2 {
+		t.Fatal("a failed commit moved the committed table")
+	}
+	if err := s.AbortBound(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Names(); !reflect.DeepEqual(got, []string{"a", "c"}) {
+		t.Fatalf("Names after AbortBound = %v, want the committed [a c]", got)
 	}
 }

@@ -806,9 +806,9 @@ func TestMixedGenerationReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ApplyGroup %d: %v", i+1, err)
 		}
-		if !reflect.DeepEqual(delta.Changed, wants[i].changed) || !reflect.DeepEqual(delta.Removed, wants[i].removed) {
+		if changed, removed := deltaNames(delta); !reflect.DeepEqual(changed, wants[i].changed) || !reflect.DeepEqual(removed, wants[i].removed) {
 			t.Fatalf("group %d delta = changed %v removed %v, want %v and %v",
-				i+1, delta.Changed, delta.Removed, wants[i].changed, wants[i].removed)
+				i+1, changed, removed, wants[i].changed, wants[i].removed)
 		}
 		if got := renderTyped(f); !reflect.DeepEqual(got, wants[i].state) {
 			t.Fatalf("follower after group %d = %v, want %v", i+1, got, wants[i].state)

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 
+	"dbpl/internal/dynamic"
 	"dbpl/internal/types"
 	"dbpl/internal/value"
 )
@@ -54,13 +55,14 @@ func (s *Store) Namespaces() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seen := map[string]bool{}
-	for n := range s.roots {
+	s.roots.Range(func(n string, _ *dynamic.Dynamic) bool {
 		if i := strings.Index(n, nsSep); i >= 0 {
 			seen[n[:i]] = true
 		} else {
 			seen[""] = true
 		}
-	}
+		return true
+	})
 	out := make([]string, 0, len(seen))
 	for n := range seen {
 		out = append(out, n)

@@ -7,9 +7,10 @@ import (
 	"io"
 	"sort"
 
+	"dbpl/internal/dynamic"
 	"dbpl/internal/persist/codec"
 	"dbpl/internal/persist/iofault"
-	"dbpl/internal/value"
+	"dbpl/internal/pmap"
 )
 
 // This file is the store's replication surface: a primary reads verified
@@ -245,30 +246,38 @@ func groupBoundary(buf []byte, types *codec.TypeTable) (int64, int, error) {
 	return sum.goodEnd - HeaderSize, sum.commits, nil
 }
 
+// RootChange is one root a replicated group rebound or removed: Old is
+// its committed binding before the group (nil when the name is new), New
+// its binding after (nil when the group removed it).
+type RootChange struct {
+	Name     string
+	Old, New *dynamic.Dynamic
+}
+
 // GroupDelta reports what ApplyGroup changed, in the vocabulary the server
-// needs to advance its published state: which roots were (re)bound and
-// which disappeared.
+// needs to advance its published state: the roots whose binding is new,
+// different or gone, with their bindings on either side.
 type GroupDelta struct {
 	Start, End int64 // the log offsets the bytes occupy
 	Groups     int   // commit groups applied
-	// Changed names roots whose binding is new or different, sorted;
-	// Removed names roots no longer in the table, sorted.
-	Changed []string
-	Removed []string
+	// Changes is in name order.
+	Changes []RootChange
 }
 
 // ApplyGroup verifies raw — one or more whole commit groups that must
 // begin exactly at the store's durable end — appends it to the log with
 // the same rollback/poison discipline as a local commit, and applies it to
-// the materialized roots. The first call puts the store in replica mode
+// the committed root table. The first call puts the store in replica mode
 // (see EnterReplica); on a store that has bound or unbound handles since
 // its last commit group, that call first reverts to the log as Abort does —
 // uncommitted local changes are dropped and values obtained earlier are
-// detached. A group that overwrites a node image in place is published by
-// replaying the log once it is durable; a failed replay poisons the store.
-// Verification is complete before any of that: a torn or
-// checksum-corrupt frame is rejected with ErrBadGroup or a *CorruptError
-// and the store is untouched.
+// detached. Verification is complete before any of that: a torn or
+// checksum-corrupt frame is rejected with ErrBadGroup or a *CorruptError,
+// and an upserted root that does not conform to its declared type with a
+// *ConformanceError, and the store is untouched. A group that overwrites a
+// node image in place is published by replaying the log once it is
+// durable, and the replay makes the checks instead: a failed replay
+// poisons the store.
 func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -308,20 +317,21 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 		// The store bound or unbound locally since its last commit group:
 		// its memory is ahead of its log. A replica's state is its log's,
 		// so start from that, as Abort would.
-		if err := s.reload(); err != nil {
+		if err := s.load(); err != nil {
 			return delta, err
 		}
 	}
 
 	// 2. Stage the in-memory effect without touching live state, so a
-	//    failed append leaves memory exactly at the old commit. The roots
-	//    to re-materialize are the ones the root deltas upserted — the
-	//    writer names every handle whose entry changed. A node image
-	//    overwriting a *different* existing image means in-place mutation
-	//    of a subgraph some untouched handle may share — a serve primary
-	//    never produces that (every PUT binds freshly decoded values), but
-	//    a generic primary can, and then the deltas under-approximate: every
-	//    root is re-materialized from the log after the append instead.
+	//    refused group or a failed append leaves memory exactly at the old
+	//    commit. The roots to re-materialize and check are the ones the
+	//    root deltas upserted — the writer names every handle whose entry
+	//    changed. A node image overwriting a *different* existing image
+	//    means in-place mutation of a subgraph some untouched handle may
+	//    share — a serve primary never produces that (every PUT binds
+	//    freshly decoded values), but a generic primary can, and then the
+	//    deltas under-approximate: every root is re-materialized from the
+	//    log after the append instead.
 	overwrite := false
 	for oid, img := range newNodes {
 		if prev, ok := s.nodes[oid]; ok && !bytes.Equal(prev, img) {
@@ -329,76 +339,78 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 			break
 		}
 	}
-	var removed []string
+	old, next := s.Committed(), s.Committed()
+	names := make([]string, 0, len(fold.upserts)+len(fold.deletes))
 	for name := range fold.deletes {
-		if _, ok := s.roots[name]; ok {
-			removed = append(removed, name)
-		}
+		next = next.Delete(name)
+		names = append(names, name)
 	}
-	sort.Strings(removed)
-	var changed []rootEntry
-	var staged []value.Value
 	if !overwrite {
-		changed = make([]rootEntry, 0, len(fold.upserts))
+		m := s.newMaterializer(len(newNodes), newNodes)
 		for _, e := range fold.upserts {
-			changed = append(changed, e)
-		}
-		sort.Slice(changed, func(i, j int) bool { return changed[i].name < changed[j].name })
-		staged = make([]value.Value, len(changed))
-		s.applyOverlay = newNodes
-		m := s.newMaterializer(len(newNodes))
-		for i, e := range changed {
-			v, merr := m.root(e.inline)
-			if merr != nil {
-				s.applyOverlay = nil
-				return delta, merr
+			v, err := m.root(e.inline)
+			var d *dynamic.Dynamic
+			if err == nil {
+				d, err = makeRoot(e.name, v, e.typ)
 			}
-			staged[i] = v
+			if err != nil {
+				return delta, err
+			}
+			next = next.Set(e.name, d)
+			names = append(names, e.name)
 		}
-		s.applyOverlay = nil
 	}
 	// 3. Durable append — the shared write path with local commits.
 	if err := s.appendBytes(raw); err != nil {
 		return delta, err
 	}
 	delta.End = s.end
-	delta.Removed = removed
 
 	// 4. Publish to memory.
 	if overwrite {
 		// The log now holds the group; replay it. Memory that cannot be
 		// rebuilt from the durable log is unusable, so a failed replay
-		// poisons the store as a failed append would.
-		if err := s.reload(); err != nil {
+		// poisons the store as a failed append would. Every root the
+		// replay leaves is rebound.
+		if err := s.load(); err != nil {
 			return delta, s.poison(err)
 		}
-		delta.Changed = s.namesLocked()
-		return delta, nil
-	}
-	for oid, img := range newNodes {
-		s.nodes[oid] = img
-		if oid >= s.nextOID {
-			s.nextOID = oid + 1
+		next = s.Committed()
+		names = append(names, s.namesLocked()...)
+	} else {
+		for oid, img := range newNodes {
+			s.nodes[oid] = img
+			if oid >= s.nextOID {
+				s.nextOID = oid + 1
+			}
 		}
-	}
-	for _, name := range removed {
-		delete(s.roots, name)
-	}
-	for i, e := range changed {
-		s.roots[e.name] = &Root{Declared: e.typ, Value: staged[i]}
-		delta.Changed = append(delta.Changed, e.name)
-	}
-	if fold.sawDefs {
-		s.indexDefs = make(map[string]bool, len(fold.defs))
-		for _, f := range fold.defs {
-			s.indexDefs[f] = true
+		s.roots = next
+		s.committed.Store(&next)
+		if fold.sawDefs {
+			s.indexDefs = sortedSet(fold.defs)
+			s.durableDefs, s.defsDirty = s.indexDefs, false
 		}
-		s.defsDirty = false
 	}
 	if fold.sawEpoch {
 		// The primary's promotion record flows down the stream like any
 		// other record; the follower's epoch tracks the history it holds.
 		s.setEpoch(fold.epoch)
 	}
+	delta.Changes = changesOf(old, next, names)
 	return delta, nil
+}
+
+// changesOf lists, in name order, each name's binding in prev and in
+// next, leaving out the names neither binds.
+func changesOf(prev, next pmap.Map[*dynamic.Dynamic], names []string) []RootChange {
+	sort.Strings(names)
+	changes := make([]RootChange, 0, len(names))
+	for _, name := range names {
+		was, _ := prev.Get(name)
+		is, _ := next.Get(name)
+		if was != nil || is != nil {
+			changes = append(changes, RootChange{Name: name, Old: was, New: is})
+		}
+	}
+	return changes
 }

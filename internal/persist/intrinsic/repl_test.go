@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dbpl/internal/dynamic"
 	"dbpl/internal/persist/iofault"
 	"dbpl/internal/types"
 	"dbpl/internal/value"
@@ -18,7 +19,7 @@ import (
 // commits touching every record kind replication has to carry — node
 // images, root-table rewrites (including a rebind and an unbind), and an
 // index-definition change.
-func primaryFixture(t *testing.T) (*Store, string) {
+func primaryFixture(t testing.TB) (*Store, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "primary.log")
 	p, err := Open(path)
@@ -60,7 +61,7 @@ func primaryFixture(t *testing.T) (*Store, string) {
 }
 
 // allGroups reads the primary's whole verified log body in one window.
-func allGroups(t *testing.T, p *Store) []byte {
+func allGroups(t testing.TB, p *Store) []byte {
 	t.Helper()
 	raw, _, n, err := p.ReadGroupsAt(HeaderSize, 1<<30)
 	if err != nil {
@@ -72,9 +73,22 @@ func allGroups(t *testing.T, p *Store) []byte {
 	return raw
 }
 
+// deltaNames splits a delta's changes into the names rebound and the
+// names removed, each in name order.
+func deltaNames(d GroupDelta) (changed, removed []string) {
+	for _, c := range d.Changes {
+		if c.New == nil {
+			removed = append(removed, c.Name)
+		} else {
+			changed = append(changed, c.Name)
+		}
+	}
+	return changed, removed
+}
+
 // splitGroups cuts raw log bytes into individual commit groups at the
 // boundaries the structural scanner reports.
-func splitGroups(t *testing.T, raw []byte) [][]byte {
+func splitGroups(t testing.TB, raw []byte) [][]byte {
 	t.Helper()
 	var ends []int64
 	sum, err := scanRaw(raw, scanSink{commit: func(end int64) { ends = append(ends, end-HeaderSize) }})
@@ -179,17 +193,18 @@ func TestApplyGroupDelta(t *testing.T) {
 	}
 	defer f.Close()
 
-	want := []GroupDelta{
-		{Changed: []string{"emp", "tag"}},
-		{Changed: []string{"emps"}},
-		{Changed: []string{"tag"}, Removed: []string{"emp"}},
-		{Changed: []string{"n"}},
+	want := []struct{ changed, removed []string }{
+		{changed: []string{"emp", "tag"}},
+		{changed: []string{"emps"}},
+		{changed: []string{"tag"}, removed: []string{"emp"}},
+		{changed: []string{"n"}},
 	}
 	// The index definitions the follower holds after each group: the
 	// second declares Empno.
 	wantDefs := [][]string{{}, {"Empno"}, {"Empno"}, {"Empno"}}
 	at := f.DurableEnd()
 	for i, g := range groups {
+		before := f.Committed()
 		delta, err := f.ApplyGroup(g)
 		if err != nil {
 			t.Fatalf("group %d: %v", i, err)
@@ -199,10 +214,20 @@ func TestApplyGroupDelta(t *testing.T) {
 				i, delta.Start, delta.End, delta.Groups, at, at+int64(len(g)))
 		}
 		at = delta.End
-		if !reflect.DeepEqual(delta.Changed, want[i].Changed) ||
-			!reflect.DeepEqual(delta.Removed, want[i].Removed) {
-			t.Fatalf("group %d delta = {Changed:%v Removed:%v}, want {Changed:%v Removed:%v}",
-				i, delta.Changed, delta.Removed, want[i].Changed, want[i].Removed)
+		if changed, removed := deltaNames(delta); !reflect.DeepEqual(changed, want[i].changed) ||
+			!reflect.DeepEqual(removed, want[i].removed) {
+			t.Fatalf("group %d delta = {changed:%v removed:%v}, want {changed:%v removed:%v}",
+				i, changed, removed, want[i].changed, want[i].removed)
+		}
+		// Each change carries the bindings on either side: the ones the
+		// committed table held before the group, and holds after it.
+		after := f.Committed()
+		for _, c := range delta.Changes {
+			was, _ := before.Get(c.Name)
+			is, _ := after.Get(c.Name)
+			if c.Old != was || c.New != is {
+				t.Fatalf("group %d: change of %q = (%v, %v), want the committed bindings (%v, %v)", i, c.Name, c.Old, c.New, was, is)
+			}
 		}
 		if defs := f.IndexDefs(); !reflect.DeepEqual(defs, wantDefs[i]) {
 			t.Fatalf("group %d: follower's index definitions %v, want %v", i, defs, wantDefs[i])
@@ -254,6 +279,102 @@ func TestApplyGroupRejectsDamage(t *testing.T) {
 	}
 	if _, err := f.ApplyGroup(g); err != nil {
 		t.Fatalf("undamaged group refused after rejections: %v", err)
+	}
+}
+
+// TestApplyGroupRefusesNonConformingRoot: a program on the library API can
+// commit a root that no longer conforms to its declared type, by mutating
+// the bound value in place. A follower checks every root a group upserts
+// before it appends, so it refuses that group with a ConformanceError
+// naming the root, and neither its end nor its committed table moves; the
+// refusal does not poison it, so a conforming group applies after. Open
+// refuses a log ending in that group for the same reason.
+func TestApplyGroupRefusesNonConformingRoot(t *testing.T) {
+	p, err := Open(filepath.Join(t.TempDir(), "primary.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	rAt := types.MustParse("{a: Int}")
+	rec := value.Rec("a", value.Int(1))
+	if err := p.Bind("r", rec, rAt); err != nil {
+		t.Fatal(err)
+	}
+	rec.Set("a", value.String("x"))
+	if _, err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	bad, _, _, err := p.ReadGroupsAt(HeaderSize, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Bind("r", value.Rec("a", value.Int(2)), rAt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	good, _, _, err := p.ReadGroupsAt(HeaderSize+int64(len(bad)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := Open(filepath.Join(t.TempDir(), "follower.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	end, committed := f.DurableEnd(), f.Committed()
+	_, err = f.ApplyGroup(bad)
+	var ce *ConformanceError
+	if !errors.Is(err, ErrNotConforming) || !errors.As(err, &ce) || ce.Root != "r" {
+		t.Fatalf("ApplyGroup of a non-conforming root = %v, want a ConformanceError naming r", err)
+	}
+	if f.DurableEnd() != end || f.Committed() != committed {
+		t.Fatalf("refused group moved the follower: end %d → %d, committed table replaced: %v",
+			end, f.DurableEnd(), f.Committed() != committed)
+	}
+	if _, err := f.ApplyGroup(good); err != nil {
+		t.Fatalf("conforming group after the refusal: %v", err)
+	}
+	if r, ok := f.Root("r"); !ok || !value.Equal(r.Value, value.Rec("a", value.Int(2))) {
+		t.Fatalf("follower's r = %v (bound %v), want {a=2}", r, ok)
+	}
+
+	prefix := filepath.Join(t.TempDir(), "prefix.log")
+	if err := os.WriteFile(prefix, append(append([]byte(logMagic), logVersion), bad...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(prefix); !errors.As(err, &ce) || ce.Root != "r" {
+		t.Fatalf("Open of a log binding a non-conforming root = %v, want a ConformanceError naming r", err)
+	}
+}
+
+// TestRebindTakesTheDynamicAsChecked: Rebind binds the dynamic it is
+// handed without checking it again — the server's PUT checks conformance
+// once, when its handler builds the dynamic — while Bind checks the value
+// it pairs with the declared type.
+func TestRebindTakesTheDynamicAsChecked(t *testing.T) {
+	s, err := Open(filepath.Join(t.TempDir(), "s.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	at := types.MustParse("{a: Int}")
+	rec := value.Rec("a", value.Int(1))
+	d, err := dynamic.MakeAt(rec, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Set("a", value.String("x"))
+	if err := s.Bind("bound", rec, at); !errors.Is(err, ErrNotConforming) {
+		t.Fatalf("Bind of a non-conforming value = %v, want ErrNotConforming", err)
+	}
+	if prev, err := s.Rebind("rebound", d); prev != nil || err != nil {
+		t.Fatalf("Rebind = (%v, %v), want (nil, nil)", prev, err)
+	}
+	if got, _ := s.Rebind("rebound", nil); got != d {
+		t.Fatalf("Rebind(nil) returned %v, want the dynamic it replaced", got)
 	}
 }
 
@@ -398,7 +519,7 @@ func applyAll(fsys iofault.FS, path string, groups [][]byte) int {
 // ending on a group boundary — and resuming from its durable end must
 // converge to a byte-identical file and equal visible state.
 func TestFollowerPrefixCrashMatrix(t *testing.T) {
-	followerPrefixCrashMatrix(t, primaryFixture)
+	followerPrefixCrashMatrix(t, func(t *testing.T) (*Store, string) { return primaryFixture(t) })
 }
 
 // TestFollowerPrefixCrashMatrixGroupCommit re-runs the follower crash

@@ -38,6 +38,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,6 +46,7 @@ import (
 	"dbpl/internal/dynamic"
 	"dbpl/internal/persist/codec"
 	"dbpl/internal/persist/iofault"
+	"dbpl/internal/pmap"
 	"dbpl/internal/types"
 	"dbpl/internal/value"
 )
@@ -74,10 +76,34 @@ const TransientPrefix = "_"
 
 // Root is a named handle: a declared type and the value it names. "The sole
 // purpose of the handle is to provide a name for the value that is global
-// to the program."
+// to the program." The store holds each as a *dynamic.Dynamic.
 type Root struct {
 	Declared types.Type
 	Value    value.Value
+}
+
+// ConformanceError names a root whose value does not conform to its
+// declared type, as Bind, Open and ApplyGroup refuse it. It unwraps to
+// ErrNotConforming and the dynamic.CoerceError.
+type ConformanceError struct {
+	Root string
+	Err  error
+}
+
+func (e *ConformanceError) Error() string {
+	return fmt.Sprintf("intrinsic: root %q does not conform to its declared type: %v", e.Root, e.Err)
+}
+
+func (e *ConformanceError) Unwrap() []error { return []error{ErrNotConforming, e.Err} }
+
+// makeRoot pairs a root's value with its declared type: the conformance
+// check of every way into the store.
+func makeRoot(name string, v value.Value, t types.Type) (*dynamic.Dynamic, error) {
+	d, err := dynamic.MakeAt(v, t)
+	if err != nil {
+		return nil, &ConformanceError{Root: name, Err: err}
+	}
+	return d, nil
 }
 
 // CommitStats reports what a Commit wrote.
@@ -117,13 +143,20 @@ type Store struct {
 	// rolled back; see ErrPoisoned.
 	broken error
 
-	roots map[string]*Root
+	// roots is the working root table, edited in place where owner built
+	// it; committed is the last durable group's, which a durable commit
+	// replaces in O(1) by the table it staged (staging takes a new owner).
+	roots     pmap.Map[*dynamic.Dynamic]
+	owner     *pmap.Owner
+	committed atomic.Pointer[pmap.Map[*dynamic.Dynamic]]
 	// oids maps live container values to their OIDs; nodes holds the last
-	// committed image per OID.
+	// committed image per OID; fresh lists the containers numbered since
+	// the last durable group, which AbortBound forgets.
 	oids    map[value.Value]uint64
 	nodes   map[uint64][]byte
 	nextOID uint64
-	// types holds the type images decoded so far; reload keeps it. It is
+	fresh   []value.Value
+	// types holds the type images decoded so far; a replay keeps it. It is
 	// used under mu.
 	types *codec.TypeTable
 
@@ -135,14 +168,16 @@ type Store struct {
 	epoch  uint64
 	epochA atomic.Uint64
 
-	// indexDefs is the declared field-index set (see DeclareIndex), durable
-	// as an 'X' record in the next commit group after a change. Only the
-	// *definitions* persist — index contents always rebuild from the
-	// committed roots, so they can never run ahead of the durable state.
-	indexDefs map[string]bool
+	// indexDefs is the declared field-index set (see DeclareIndex), sorted
+	// and replaced on change, durable as an 'X' record in the next commit
+	// group after a change. Only the *definitions* persist — index contents
+	// always rebuild from the committed roots, so they can never run ahead
+	// of the durable state.
+	indexDefs []string
 	// defsDirty records that indexDefs changed since the last commit that
-	// persisted them.
-	defsDirty bool
+	// persisted them; durableDefs is the set the log holds.
+	defsDirty   bool
+	durableDefs []string
 
 	// Batch staging (group commit). StageCommit appends an encoded commit
 	// group to the file *without* syncing it; SyncBatch makes every staged
@@ -154,8 +189,9 @@ type Store struct {
 	//   stagedNodes — node images those groups wrote; merged into nodes only
 	//                 when the batch is durable, so a failed batch leaves the
 	//                 in-memory images exactly at the durable state
-	//   stagedDefs  — a staged group persisted the index-definition table
-	//                 (defsDirty is restored if the batch fails)
+	//   stagedRoots — the root table the last staged group wrote, or nil
+	//   stagedDefs  — the index-definition table a staged group wrote, or
+	//                 nil (defsDirty is restored if the batch fails)
 	//
 	// The invariant every recovery path preserves: while staged > 0 the file
 	// may hold complete-but-unsynced groups past end, and they must be
@@ -164,18 +200,19 @@ type Store struct {
 	staged      int
 	stagedEnd   int64
 	stagedNodes map[uint64][]byte
-	stagedDefs  bool
+	stagedRoots *pmap.Map[*dynamic.Dynamic]
+	stagedDefs  []string
 
 	// touched holds the handles whose table entry changed since the last
-	// staged commit group, each with whether the table held the name before
-	// its first touch. Bind, Unbind and OpenAs's enrichment record the name;
-	// nothing else can change an entry (a root atom is immutable, a bound
-	// container keeps its OID) except on a promoted follower, whose values
-	// were never registered in oids — reach touches a root whose container
-	// it has to number afresh. The next group's root delta is computed from
-	// touched and StageBound walks only these roots. stagedTouched is what
-	// the open batch's groups consumed: a failed batch puts it back, exactly
-	// as stagedDefs restores defsDirty, so a retry re-emits the whole delta.
+	// staged commit group. Bind, Unbind and OpenAs's enrichment record the
+	// name; nothing else can change an entry (a root atom is immutable, a
+	// bound container keeps its OID) except on a promoted follower, whose
+	// values were never registered in oids — reach touches a root whose
+	// container it has to number afresh. The next group's root delta is
+	// computed from touched and StageBound walks only these roots.
+	// stagedTouched is what the open batch's groups consumed: a failed batch
+	// puts it back, exactly as stagedDefs restores defsDirty, so a retry
+	// re-emits the whole delta.
 	touched       map[string]bool
 	stagedTouched map[string]bool
 
@@ -183,9 +220,6 @@ type Store struct {
 	// local mutations are refused with ErrReplica, and materialized values
 	// are not registered in oids (a follower never re-encodes them).
 	replica bool
-	// applyOverlay, non-nil only inside ApplyGroup, lets materialize see
-	// the incoming group's node images before they are committed to nodes.
-	applyOverlay map[uint64][]byte
 }
 
 // Open opens (or creates) a store at path, replaying the log to the last
@@ -202,12 +236,11 @@ func OpenFS(fsys iofault.FS, path string) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		fs:        fsys,
-		path:      path,
-		f:         f,
-		nodes:     map[uint64][]byte{},
-		types:     new(codec.TypeTable),
-		indexDefs: map[string]bool{},
+		fs:    fsys,
+		path:  path,
+		f:     f,
+		types: new(codec.TypeTable),
+		owner: new(pmap.Owner),
 	}
 	if err := s.load(); err != nil {
 		f.Close()
@@ -237,6 +270,10 @@ func (s *Store) setEnd(v int64) {
 	s.endA.Store(v)
 }
 
+// Committed returns the root table of the last durable commit group, an
+// immutable map. Lock-free, like DurableEnd.
+func (s *Store) Committed() pmap.Map[*dynamic.Dynamic] { return *s.committed.Load() }
+
 // setEpoch moves the promotion epoch, keeping the lock-free mirror in
 // step. Callers hold s.mu.
 func (s *Store) setEpoch(e uint64) {
@@ -254,15 +291,17 @@ type rootEntry struct {
 // load replays the log and materializes the root graph. Replay applies
 // whole valid commit groups only; a torn tail is remembered (and trimmed
 // before the next append), deterministic corruption fails the open with a
-// CorruptError naming the offset, and a log of another version fails it
-// with a LogVersionError, untouched.
+// CorruptError naming the offset, a log of another version fails it with
+// a LogVersionError, untouched, and a non-conforming root with a
+// ConformanceError.
 func (s *Store) load() error {
 	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	s.indexDefs = map[string]bool{}
+	s.indexDefs, s.durableDefs = nil, nil
 	s.defsDirty = false
 	s.touched, s.stagedTouched = nil, nil
+	s.nodes, s.nextOID, s.fresh = map[uint64][]byte{}, 0, nil
 	fold := groupFold{nodes: map[uint64][]byte{}}
 	sum, err := scanLog(s.f, fold.sink(s.types))
 	if err != nil {
@@ -289,7 +328,9 @@ func (s *Store) load() error {
 		s.setEnd(int64(len(header)))
 		s.tailDirty = false
 		s.setEpoch(0)
-		s.roots, s.oids = map[string]*Root{}, map[value.Value]uint64{}
+		s.oids = map[value.Value]uint64{}
+		s.roots = pmap.Map[*dynamic.Dynamic]{}
+		s.committed.Store(new(pmap.Map[*dynamic.Dynamic]))
 		return nil
 	}
 	if sum.corrupt != nil {
@@ -299,9 +340,8 @@ func (s *Store) load() error {
 	s.tailDirty = sum.torn
 	s.setEpoch(fold.epoch)
 
-	for _, f := range fold.defs {
-		s.indexDefs[f] = true
-	}
+	s.indexDefs = sortedSet(fold.defs)
+	s.durableDefs = s.indexDefs
 	s.nodes = fold.nodes
 	for oid := range s.nodes {
 		if oid >= s.nextOID {
@@ -310,24 +350,31 @@ func (s *Store) load() error {
 	}
 	// Materialize the committed roots — the fold of every root delta from
 	// the empty table.
-	s.roots = make(map[string]*Root, len(fold.upserts))
 	oids := len(s.nodes)
 	if s.replica {
 		oids = 0 // a replica registers none; see register
 	}
 	s.oids = make(map[value.Value]uint64, oids)
-	m := s.newMaterializer(len(s.nodes))
-	roots := make([]Root, len(fold.upserts))
-	i := 0
-	for _, e := range fold.upserts {
+	names := make([]string, 0, len(fold.upserts))
+	for name := range fold.upserts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	dyns := make([]*dynamic.Dynamic, len(names))
+	m := s.newMaterializer(len(s.nodes), nil)
+	for i, name := range names {
+		e := fold.upserts[name]
 		v, err := m.root(e.inline)
 		if err != nil {
 			return err
 		}
-		roots[i] = Root{Declared: e.typ, Value: v}
-		s.roots[e.name] = &roots[i]
-		i++
+		if dyns[i], err = makeRoot(name, v, e.typ); err != nil {
+			return err
+		}
 	}
+	roots := pmap.Build(names, dyns)
+	s.roots = roots
+	s.committed.Store(&roots)
 	// Position the write handle at the end of durable data: a torn tail,
 	// if any, is overwritten by the next append (after truncation).
 	if _, err := s.f.Seek(s.end, io.SeekStart); err != nil {
@@ -349,17 +396,19 @@ func (s *Store) register(v value.Value, oid uint64) {
 // materializer decodes node images into live values for one load or
 // ApplyGroup. cache shares each node among every parent that reaches it;
 // busy holds the set, tag and dynamic nodes being decoded — a cycle back
-// into one is corrupt — and is allocated at the first of them.
+// into one is corrupt — and is allocated at the first of them. overlay,
+// an ApplyGroup's incoming node images, wins over the committed ones.
 type materializer struct {
 	s       *Store
+	overlay map[uint64][]byte
 	cache   map[uint64]value.Value
 	busy    map[uint64]bool
 	resolve func(oid uint64) (value.Value, error) // m.node, bound once
 }
 
 // newMaterializer returns a materializer sized for n nodes.
-func (s *Store) newMaterializer(n int) *materializer {
-	m := &materializer{s: s, cache: make(map[uint64]value.Value, n)}
+func (s *Store) newMaterializer(n int, overlay map[uint64][]byte) *materializer {
+	m := &materializer{s: s, overlay: overlay, cache: make(map[uint64]value.Value, n)}
 	m.resolve = m.node
 	return m
 }
@@ -386,8 +435,8 @@ func (m *materializer) node(oid uint64) (value.Value, error) {
 		return v, nil
 	}
 	img, ok := s.nodes[oid]
-	if o, ok2 := s.applyOverlay[oid]; ok2 {
-		img, ok = o, true // the incoming group's image wins during ApplyGroup
+	if o, ok2 := m.overlay[oid]; ok2 {
+		img, ok = o, true
 	}
 	if !ok {
 		return nil, fmt.Errorf("%w: dangling oid %d", ErrCorrupt, oid)
@@ -502,31 +551,46 @@ func (m *materializer) node(oid uint64) (value.Value, error) {
 // declares the value's most specific type. Binding is in-memory until the
 // next Commit, matching PS-algol's pre-commit divergence.
 func (s *Store) Bind(name string, v value.Value, declared types.Type) error {
+	var d *dynamic.Dynamic
 	if declared == nil {
-		declared = value.TypeOf(v)
-	} else if !value.Conforms(v, declared) {
-		return fmt.Errorf("%w: %s : %s", ErrNotConforming, value.TypeOf(v), declared)
+		d = dynamic.Make(v)
+	} else {
+		var err error
+		if d, err = makeRoot(name, v, declared); err != nil {
+			return err
+		}
 	}
+	_, err := s.Rebind(name, d)
+	return err
+}
+
+// Rebind is Bind of a dynamic, whose construction checked it, or Unbind
+// when d is nil; it returns the binding it replaced, or nil.
+func (s *Store) Rebind(name string, d *dynamic.Dynamic) (*dynamic.Dynamic, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.replica {
-		return ErrReplica
+		return nil, ErrReplica
+	}
+	prev, bound := s.roots.Get(name)
+	if d == nil && !bound {
+		return nil, nil
 	}
 	s.touch(name)
-	s.roots[name] = &Root{Declared: declared, Value: v}
-	return nil
+	if d == nil {
+		s.roots = s.roots.Delete(name)
+	} else {
+		s.roots = s.roots.SetOwned(name, d, s.owner)
+	}
+	return prev, nil
 }
 
-// touch records that name's root-table entry is about to change. Callers
-// hold s.mu and have not yet written s.roots[name].
+// touch records that name's root-table entry changes. Callers hold s.mu.
 func (s *Store) touch(name string) {
-	if _, ok := s.touched[name]; ok {
-		return
-	}
 	if s.touched == nil {
 		s.touched = map[string]bool{}
 	}
-	_, s.touched[name] = s.roots[name]
+	s.touched[name] = true
 }
 
 // Unbind removes a handle; the values it named become garbage unless
@@ -534,25 +598,19 @@ func (s *Store) touch(name string) {
 // a replica it changes nothing and reports false: the handle table is the
 // log's, and only ApplyGroup moves it.
 func (s *Store) Unbind(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.replica {
-		return false
-	}
-	_, ok := s.roots[name]
-	if ok {
-		s.touch(name)
-		delete(s.roots, name)
-	}
-	return ok
+	prev, _ := s.Rebind(name, nil)
+	return prev != nil
 }
 
 // Root returns the handle's declared type and value.
 func (s *Store) Root(name string) (*Root, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.roots[name]
-	return r, ok
+	d, ok := s.roots.Get(name)
+	s.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	return &Root{Declared: d.Type(), Value: d.Value()}, true
 }
 
 // Names returns all handle names in sorted order.
@@ -563,37 +621,37 @@ func (s *Store) Names() []string {
 }
 
 func (s *Store) namesLocked() []string {
-	out := make([]string, 0, len(s.roots))
-	for n := range s.roots {
+	out := make([]string, 0, s.roots.Len())
+	s.roots.Range(func(n string, _ *dynamic.Dynamic) bool {
 		out = append(out, n)
-	}
-	sort.Strings(out)
+		return true
+	})
 	return out
 }
 
 // DeclareIndex adds a field-value index definition, durable from the next
 // Commit. It reports whether the field was newly declared.
 // Like Bind, the declaration is in-memory until Commit.
-func (s *Store) DeclareIndex(field string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.indexDefs[field] {
-		return false
-	}
-	s.indexDefs[field] = true
-	s.defsDirty = true
-	return true
-}
+func (s *Store) DeclareIndex(field string) bool { return s.setIndexDef(field, true) }
 
 // DropIndexDef removes a field-value index definition, reporting whether
 // it was declared.
-func (s *Store) DropIndexDef(field string) bool {
+func (s *Store) DropIndexDef(field string) bool { return s.setIndexDef(field, false) }
+
+// setIndexDef declares field (on) or drops it, reporting whether the set
+// changed. It replaces the set, never writing into one a snapshot holds.
+func (s *Store) setIndexDef(field string, on bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.indexDefs[field] {
+	i, had := slices.BinarySearch(s.indexDefs, field)
+	if had == on {
 		return false
 	}
-	delete(s.indexDefs, field)
+	if defs := slices.Clip(s.indexDefs); on {
+		s.indexDefs = slices.Insert(defs, i, field)
+	} else {
+		s.indexDefs = append(defs[:i:i], defs[i+1:]...)
+	}
 	s.defsDirty = true
 	return true
 }
@@ -602,16 +660,14 @@ func (s *Store) DropIndexDef(field string) bool {
 func (s *Store) IndexDefs() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.indexDefsLocked()
+	return append([]string{}, s.indexDefs...)
 }
 
-func (s *Store) indexDefsLocked() []string {
-	out := make([]string, 0, len(s.indexDefs))
-	for f := range s.indexDefs {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
+// sortedSet returns the distinct strings of a, sorted, in a new slice.
+func sortedSet(a []string) []string {
+	out := slices.Clone(a)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // OpenAs opens a handle at the type a (re)compiled program declares for it,
@@ -632,27 +688,28 @@ func (s *Store) indexDefsLocked() []string {
 func (s *Store) OpenAs(name string, want types.Type) (value.Value, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r, ok := s.roots[name]
+	r, ok := s.roots.Get(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoRoot, name)
 	}
-	if types.Subtype(r.Declared, want) {
-		return r.Value, nil // a view of the (possibly richer) stored data
+	if types.Subtype(r.Type(), want) {
+		return r.Value(), nil // a view of the (possibly richer) stored data
 	}
-	meet, ok := types.Meet(r.Declared, want)
+	meet, ok := types.Meet(r.Type(), want)
 	if !ok {
-		return nil, fmt.Errorf("%w: stored %s, requested %s", ErrInconsistent, r.Declared, want)
+		return nil, fmt.Errorf("%w: stored %s, requested %s", ErrInconsistent, r.Type(), want)
 	}
 	if s.replica {
 		return nil, fmt.Errorf("%w: enriching %q", ErrReplica, name)
 	}
-	if !value.Conforms(r.Value, meet) {
+	enriched, err := dynamic.MakeAt(r.Value(), meet) // schema enrichment
+	if err != nil {
 		return nil, fmt.Errorf("%w: value %s does not conform to %s",
-			ErrMigrationRequired, value.TypeOf(r.Value), meet)
+			ErrMigrationRequired, value.TypeOf(r.Value()), meet)
 	}
 	s.touch(name)
-	r.Declared = meet // schema enrichment
-	return r.Value, nil
+	s.roots = s.roots.SetOwned(name, enriched, s.owner)
+	return r.Value(), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -679,6 +736,7 @@ func (s *Store) reach(names []string) []value.Value {
 		if _, ok := s.oids[v]; !ok {
 			s.oids[v] = s.nextOID
 			s.nextOID++
+			s.fresh = append(s.fresh, v)
 		}
 		order = append(order, v)
 		switch vv := v.(type) {
@@ -703,7 +761,8 @@ func (s *Store) reach(names []string) []value.Value {
 		}
 	}
 	for _, n := range names {
-		v := s.roots[n].Value
+		d, _ := s.roots.Get(n)
+		v := d.Value()
 		if isContainer(v) {
 			if _, ok := s.oids[v]; !ok {
 				s.touch(n)
@@ -719,13 +778,13 @@ func (s *Store) encodeRootEntries(b *nodeBuf, names []string) error {
 	b.uvarint(uint64(len(names)))
 	oidOf := func(v value.Value) uint64 { return s.oids[v] }
 	for _, n := range names {
-		r := s.roots[n]
+		d, _ := s.roots.Get(n)
 		b.str(n)
-		if err := b.typ(r.Declared); err != nil {
+		if err := b.typ(d.Type()); err != nil {
 			return err
 		}
 		start := b.Len()
-		if err := encodeInline(b, r.Value, oidOf); err != nil {
+		if err := encodeInline(b, d.Value(), oidOf); err != nil {
 			return err
 		}
 		b.prefixLen(start)
@@ -735,12 +794,16 @@ func (s *Store) encodeRootEntries(b *nodeBuf, names []string) error {
 
 // rootDelta turns the touched set into the two sorted halves of the next
 // group's 'D' record: the touched handles that are bound now, and those
-// that are not but were in the table.
+// that are not but were in the table the previous group wrote.
 func (s *Store) rootDelta() (upserts, deletes []string) {
-	for name, was := range s.touched {
-		if _, ok := s.roots[name]; ok {
+	prev := s.Committed()
+	if s.stagedRoots != nil {
+		prev = *s.stagedRoots
+	}
+	for name := range s.touched {
+		if _, ok := s.roots.Get(name); ok {
 			upserts = append(upserts, name)
-		} else if was {
+		} else if _, was := prev.Get(name); was {
 			deletes = append(deletes, name)
 		}
 	}
@@ -767,9 +830,8 @@ func (s *Store) encodeRootDelta(b *nodeBuf, upserts, deletes []string) error {
 }
 
 // encodeIndexDefs writes the index-definition table record into b.
-func (s *Store) encodeIndexDefs(b *nodeBuf) {
+func encodeIndexDefs(b *nodeBuf, defs []string) {
 	b.WriteByte(recIndex)
-	defs := s.indexDefsLocked()
 	b.uvarint(uint64(len(defs)))
 	for _, f := range defs {
 		b.str(f)
@@ -801,23 +863,37 @@ func (s *Store) appendPos() int64 {
 // are gone from the file. A batch that persisted the index-definition
 // table and then failed must mark the defs dirty again, so the next commit
 // re-writes them; likewise the handles its root deltas covered are touched
-// again, each as it stood before the batch. Callers hold s.mu.
+// again. Callers hold s.mu.
 func (s *Store) resetStaging() {
 	s.staged = 0
 	s.stagedEnd = s.end
 	s.stagedNodes = nil
-	if s.stagedDefs {
+	s.stagedRoots = nil
+	if s.stagedDefs != nil {
 		s.defsDirty = true
-		s.stagedDefs = false
+		s.stagedDefs = nil
 	}
 	if s.touched == nil {
 		s.touched = s.stagedTouched
 	} else {
-		for name, was := range s.stagedTouched {
-			s.touched[name] = was
+		for name := range s.stagedTouched {
+			s.touched[name] = true
 		}
 	}
 	s.stagedTouched = nil
+}
+
+// trim cuts the file back to the durable end and repositions the write
+// handle there, dropping the open batch's staging state. Callers hold s.mu.
+func (s *Store) trim() error {
+	if err := s.f.Truncate(s.end); err != nil {
+		return wrapIO(iofault.OpTruncate, s.path, err)
+	}
+	if _, err := s.f.Seek(s.end, io.SeekStart); err != nil {
+		return wrapIO(iofault.OpSeek, s.path, err)
+	}
+	s.resetStaging()
+	return nil
 }
 
 // rollbackStaged trims every staged-but-unsynced group (and any torn bytes
@@ -827,13 +903,9 @@ func (s *Store) resetStaging() {
 // complete groups past the durable end that cannot be removed, and only a
 // successful Abort (which retries the trim) recovers. Returns cause.
 func (s *Store) rollbackStaged(cause error) error {
-	if terr := s.f.Truncate(s.end); terr != nil {
+	if s.trim() != nil {
 		return s.poison(cause)
 	}
-	if _, serr := s.f.Seek(s.end, io.SeekStart); serr != nil {
-		return s.poison(cause)
-	}
-	s.resetStaging()
 	return cause
 }
 
@@ -889,10 +961,16 @@ func (s *Store) syncStaged() (int, error) {
 	for oid, img := range s.stagedNodes {
 		s.nodes[oid] = img
 	}
-	s.stagedNodes = nil
+	if s.stagedRoots != nil {
+		s.committed.Store(s.stagedRoots)
+	}
+	if s.stagedDefs != nil {
+		s.durableDefs = s.stagedDefs
+	}
+	s.stagedNodes, s.stagedRoots, s.stagedDefs = nil, nil, nil
 	s.staged = 0
-	s.stagedDefs = false
 	s.stagedTouched = nil
+	s.fresh = nil
 	return n, nil
 }
 
@@ -1060,7 +1138,7 @@ func (s *Store) stageCommitLocked(walk []string) (CommitStats, error) {
 	}
 	wroteDefs := s.defsDirty
 	if wroteDefs {
-		s.encodeIndexDefs(&out)
+		encodeIndexDefs(&out, s.indexDefs)
 	}
 	out.WriteByte(recCommit)
 	if err := s.stageGroup(&out); err != nil {
@@ -1073,21 +1151,20 @@ func (s *Store) stageCommitLocked(walk []string) (CommitStats, error) {
 	for oid, img := range newImages {
 		s.stagedNodes[oid] = img
 	}
+	roots := s.roots
+	s.stagedRoots, s.owner = &roots, new(pmap.Owner)
 	if wroteDefs {
 		s.defsDirty = false
-		s.stagedDefs = true
+		s.stagedDefs = append([]string{}, s.indexDefs...)
 	}
 	// Hand the touched set to the batch: the map itself when this is the
 	// batch's first group — a first commit's holds every handle, and is
-	// not worth keeping allocated — else merged, an earlier group's record
-	// of how a handle stood before the batch winning.
+	// not worth keeping allocated — else merged.
 	if s.stagedTouched == nil {
 		s.stagedTouched = s.touched
 	} else {
-		for name, was := range s.touched {
-			if _, ok := s.stagedTouched[name]; !ok {
-				s.stagedTouched[name] = was
-			}
+		for name := range s.touched {
+			s.stagedTouched[name] = true
 		}
 	}
 	s.touched = nil
@@ -1096,7 +1173,9 @@ func (s *Store) stageCommitLocked(walk []string) (CommitStats, error) {
 
 // Abort discards all uncommitted changes by replaying the log: handles and
 // their values revert to the last commit. Values obtained before the abort
-// are detached from the store afterwards.
+// are detached from the store afterwards. The replay is what finds a value
+// mutated in place since its commit; a caller that never does that can
+// roll back in O(change) with AbortBound.
 func (s *Store) Abort() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1109,24 +1188,46 @@ func (s *Store) Abort() error {
 	// failed. This is also how a poisoned batch rollback recovers — Abort
 	// retries the trim it could not do.
 	if s.staged > 0 {
-		if err := s.f.Truncate(s.end); err != nil {
-			return s.poison(wrapIO(iofault.OpTruncate, s.path, err))
+		if err := s.trim(); err != nil {
+			return s.poison(err)
 		}
-		if _, err := s.f.Seek(s.end, io.SeekStart); err != nil {
-			return s.poison(wrapIO(iofault.OpSeek, s.path, err))
-		}
-		s.resetStaging()
 	}
 	s.broken = nil // a poisoned store recovers by replaying the log
-	return s.reload()
+	return s.load()
 }
 
-// reload drops the in-memory heap and replays the log. Callers hold s.mu
-// and have left no staged group in the file.
-func (s *Store) reload() error {
-	s.nodes = map[uint64][]byte{}
-	s.nextOID = 0
-	return s.load()
+// AbortBound is Abort for a caller that keeps StageBound's contract — no
+// value under a handle was mutated in place since its commit — and reads
+// nothing from the log. It trims the staged groups still in the file, then
+// restores the working root table, the index definitions and the touched
+// set to the last durable group, and forgets the OIDs numbered since,
+// rewinding nextOID: the store is the one a reopen of the file would give,
+// at the cost of what the rolled-back batch changed. A store poisoned by a
+// trim that failed stays poisoned and AbortBound returns its error: only
+// Abort (which retries the trim and replays) or a reopen recovers it.
+func (s *Store) AbortBound() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	if s.broken != nil {
+		return s.broken
+	}
+	if s.staged > 0 {
+		if err := s.trim(); err != nil {
+			return s.poison(err)
+		}
+	}
+	s.roots = s.Committed()
+	s.indexDefs, s.defsDirty = s.durableDefs, false
+	s.touched, s.stagedTouched = nil, nil
+	for _, v := range s.fresh {
+		delete(s.oids, v)
+	}
+	s.nextOID -= uint64(len(s.fresh))
+	s.fresh = nil
+	return nil
 }
 
 // Compact garbage-collects the log: it rewrites the file with only the
@@ -1187,7 +1288,7 @@ func (s *Store) Compact() (CompactStats, error) {
 		return CompactStats{}, err
 	}
 	if len(s.indexDefs) > 0 {
-		s.encodeIndexDefs(&out)
+		encodeIndexDefs(&out, s.indexDefs)
 	}
 	if s.epoch > 0 {
 		// Carry the promotion epoch into the rewritten log.

@@ -10,6 +10,8 @@
 // table), so a commit publishes a successor that costs what it changed.
 package pmap
 
+import "slices"
+
 // width is the most items a node holds. A node left with fewer than
 // minItems by a Delete is merged with a sibling, or the two share their
 // items evenly; the gap between the two bounds keeps a key that flips
@@ -28,11 +30,19 @@ type Map[V any] struct {
 	n    int
 }
 
+// An Owner marks the nodes one writer's SetOwned built, which its later
+// SetOwned calls edit in place instead of copying. The writer must take a
+// new Owner before any other holder (a snapshot it keeps included) sees
+// the map. A nil *Owner owns nothing.
+type Owner struct{ _ byte }
+
 // node holds items in ascending key order. In a leaf each item carries a
 // value; in an inner node each carries a child and the least key under it.
-// Nodes are never modified once built, and only the root may be empty.
+// Nodes are never modified once built, except by their Owner, and only
+// the root may be empty.
 type node[V any] struct {
 	items []item[V]
+	owner *Owner
 }
 
 type item[V any] struct {
@@ -66,13 +76,26 @@ func (n *node[V]) splice(lo, hi int, its ...item[V]) *node[V] {
 	return &node[V]{items: append(items, n.items[hi:]...)}
 }
 
-// split halves a node that outgrew width; b is nil when n fits.
+// edit is splice under o: n changed in place when o owns it, else a copy
+// o owns.
+func (n *node[V]) edit(o *Owner, lo, hi int, its ...item[V]) *node[V] {
+	if o == nil || n.owner != o {
+		c := n.splice(lo, hi, its...)
+		c.owner = o
+		return c
+	}
+	n.items = slices.Replace(n.items, lo, hi, its...)
+	return n
+}
+
+// split halves a node that outgrew width; b is nil when n fits. The halves
+// keep n's owner; a is capped, so neither grows into the other.
 func (n *node[V]) split() (a, b *node[V]) {
 	if len(n.items) <= width {
 		return n, nil
 	}
 	h := len(n.items) / 2
-	return &node[V]{items: n.items[:h:h]}, &node[V]{items: n.items[h:]}
+	return &node[V]{items: n.items[:h:h], owner: n.owner}, &node[V]{items: n.items[h:], owner: n.owner}
 }
 
 // ref is the inner-node item pointing at n.
@@ -101,13 +124,16 @@ func (m Map[V]) Get(k string) (v V, ok bool) {
 }
 
 // Set returns the successor map with k bound to v.
-func (m Map[V]) Set(k string, v V) Map[V] {
+func (m Map[V]) Set(k string, v V) Map[V] { return m.SetOwned(k, v, nil) }
+
+// SetOwned is Set that edits in place the nodes o owns; see Owner.
+func (m Map[V]) SetOwned(k string, v V, o *Owner) Map[V] {
 	if m.root == nil {
-		return Map[V]{root: &node[V]{items: []item[V]{{key: k, val: v}}}, n: 1}
+		return Map[V]{root: &node[V]{items: []item[V]{{key: k, val: v}}, owner: o}, n: 1}
 	}
-	a, b, added := m.root.set(k, v)
+	a, b, added := m.root.set(k, v, o)
 	if b != nil {
-		a = &node[V]{items: []item[V]{ref(a), ref(b)}}
+		a = &node[V]{items: []item[V]{ref(a), ref(b)}, owner: o}
 	}
 	if added {
 		m.n++
@@ -116,24 +142,24 @@ func (m Map[V]) Set(k string, v V) Map[V] {
 	return m
 }
 
-// set returns the copy of n with k bound to v — split in two when it
+// set returns n with k bound to v, edited under o — split in two when it
 // outgrew width — and whether k is a new key.
-func (n *node[V]) set(k string, v V) (a, b *node[V], added bool) {
+func (n *node[V]) set(k string, v V, o *Owner) (a, b *node[V], added bool) {
 	i := n.find(k)
 	if n.leaf() {
 		if i >= 0 && n.items[i].key == k {
-			return n.splice(i, i+1, item[V]{key: k, val: v}), nil, false
+			return n.edit(o, i, i+1, item[V]{key: k, val: v}), nil, false
 		}
-		a, b = n.splice(i+1, i+1, item[V]{key: k, val: v}).split()
+		a, b = n.edit(o, i+1, i+1, item[V]{key: k, val: v}).split()
 		return a, b, true
 	}
 	i = max(i, 0) // a key below every key goes to the first child
-	ka, kb, added := n.items[i].kid.set(k, v)
+	ka, kb, added := n.items[i].kid.set(k, v, o)
 	var c *node[V]
 	if kb == nil {
-		c = n.splice(i, i+1, ref(ka))
+		c = n.edit(o, i, i+1, ref(ka))
 	} else {
-		c = n.splice(i, i+1, ref(ka), ref(kb))
+		c = n.edit(o, i, i+1, ref(ka), ref(kb))
 	}
 	a, b = c.split()
 	return a, b, added

@@ -92,10 +92,11 @@ func same(t *testing.T, m Map[int], want map[string]int) bool {
 func key(i int) string { return fmt.Sprintf("k%05d", i) }
 
 // TestQuickAgainstGoMap drives random insert, overwrite and delete
-// sequences — from empty and from a one-pass Build — against a Go map,
-// snapshotting versions as it goes. At the end every snapshot must still
-// read exactly what it held when taken: the copy-on-write property the
-// server's published state relies on.
+// sequences — from empty and from a one-pass Build, in half the runs with
+// owned edits that switch to a new Owner at each snapshot — against a Go
+// map, snapshotting versions as it goes. At the end every snapshot must
+// still read exactly what it held when taken: the copy-on-write property
+// the server's published state relies on.
 func TestQuickAgainstGoMap(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -118,16 +119,23 @@ func TestQuickAgainstGoMap(t *testing.T) {
 			want map[string]int
 		}
 		var snaps []snap
+		var o *Owner
+		if rng.Intn(2) == 0 {
+			o = new(Owner)
+		}
 		for op := 0; op < 4*universe; op++ {
 			k := key(rng.Intn(universe))
 			if rng.Intn(3) == 0 {
 				m = m.Delete(k)
 				delete(want, k)
 			} else {
-				m = m.Set(k, op)
+				m = m.SetOwned(k, op, o)
 				want[k] = op
 			}
 			if rng.Intn(universe/8+1) == 0 {
+				if o != nil {
+					o = new(Owner)
+				}
 				frozen := make(map[string]int, len(want))
 				for k, v := range want {
 					frozen[k] = v

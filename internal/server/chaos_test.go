@@ -345,9 +345,9 @@ func TestChaosPoisonedDegradedHealth(t *testing.T) {
 		t.Fatalf("Health before poison = %+v, %v", rep, err)
 	}
 
-	// Fail the next commit's append and the rollback replay behind it.
+	// Fail the next commit's append and the rollback's trim behind it.
 	inj.FailAt(iofault.OpWrite, inj.Count(iofault.OpWrite)+1)
-	inj.FailAt(iofault.OpRead, inj.Count(iofault.OpRead)+1)
+	inj.FailAt(iofault.OpTruncate, inj.Count(iofault.OpTruncate)+1)
 	if err := c.Put("B", value.Int(2), nil); err == nil {
 		t.Fatal("Put over failing disk succeeded")
 	}

@@ -18,8 +18,9 @@
 // Failure discipline: a failed stage or batch fsync has already truncated
 // the log back to the pre-batch durable end inside the store, so the
 // committer fails every waiter in the batch with the same typed cause and
-// replays the log (rollback) to re-derive the in-memory store state; if
-// even that fails the write path is poisoned. Results are decided solely
+// restores the store's working state to its last durable group (rollback,
+// reading nothing from the log); if the truncation failed the write path
+// is poisoned. Results are decided solely
 // by the stage/sync outcome under commitMu — never by observing the
 // poisoned flag afterwards — so degraded-mode entry between stage and ack
 // can never acknowledge a writer whose group was truncated back (the
@@ -34,6 +35,8 @@ import (
 	"fmt"
 	"time"
 
+	"dbpl/internal/dynamic"
+	"dbpl/internal/index"
 	"dbpl/internal/server/wire"
 	rtrace "dbpl/internal/telemetry/trace"
 )
@@ -208,12 +211,14 @@ func (s *Server) processBatch(batch []*commitReq) {
 		return
 	}
 
-	// Stage phase: each commit becomes one staged group; the successor
-	// state is computed but not yet published. Requests answered from the
+	// Stage phase: each commit binds its roots in the store's working
+	// table and becomes one staged group; the successor index set is
+	// computed but not yet published. Requests answered from the
 	// idempotency cache (their groups are already durable from an earlier
 	// batch) succeed regardless of this batch's fate; a duplicate key
 	// *within* the batch shares the first occurrence's result.
-	pub := s.state.Load()
+	idx := s.state.Load().idx
+	var iops []index.Op
 	var staged int
 	var indexTouched uint64
 	var failAll error
@@ -236,6 +241,7 @@ func (s *Server) processBatch(batch []*commitReq) {
 		}
 		stageStart := time.Now()
 		existed := make([]bool, len(r.ops))
+		iops = iops[:0]
 		for j, o := range r.ops {
 			switch {
 			case o.index: // existed is the "changed" bit the reply carries
@@ -244,12 +250,13 @@ func (s *Server) processBatch(batch []*commitReq) {
 				} else {
 					existed[j] = s.store.DeclareIndex(o.name)
 				}
-			case o.del:
-				_, existed[j] = pub.roots.Get(o.name)
-				s.store.Unbind(o.name)
-			default:
-				_, existed[j] = pub.roots.Get(o.name)
-				failAll = s.store.Bind(o.name, o.dyn.Value(), o.dyn.Type())
+			default: // o.dyn, already checked by its handler, or nil to delete
+				var prev *dynamic.Dynamic
+				prev, failAll = s.store.Rebind(o.name, o.dyn)
+				existed[j] = prev != nil
+				if prev != nil || o.dyn != nil {
+					iops = append(iops, index.Op{Remove: prev, Add: o.dyn})
+				}
 			}
 			if failAll != nil {
 				break
@@ -279,12 +286,14 @@ func (s *Server) processBatch(batch []*commitReq) {
 		if failAll != nil {
 			break
 		}
-		// The stage span ends once the successor state is built, so that
-		// work shows under stage, not as unattributed commit self time.
-		next, istats := pub.apply(r.ops)
+		// The stage span ends once the successor index set is built, so
+		// that work shows under stage, not as unattributed commit self time.
+		if len(iops) > 0 {
+			var istats index.ApplyStats
+			idx, istats = idx.Apply(iops)
+			indexTouched += uint64(istats.EntriesTouched)
+		}
 		r.tr.Add(r.sp, "stage", stageStart, time.Now())
-		pub = next
-		indexTouched += uint64(istats.EntriesTouched)
 		r.existed = existed
 		staged++
 		if batchTrace == 0 {
@@ -292,10 +301,9 @@ func (s *Server) processBatch(batch []*commitReq) {
 		}
 	}
 	if failAll != nil {
-		// The store already truncated every staged group of this batch (a
-		// failed stage rolls the whole open batch back); replaying the log
-		// re-derives the in-memory store state, or poisons. Every waiter
-		// not answered from the dedup cache fails with the same cause.
+		// The store rolls the batch back to its last durable group, or the
+		// write path is poisoned. Every waiter not answered from the dedup
+		// cache fails with the same cause.
 		s.rollback(failAll)
 		failBatch(batch, failAll)
 		return
@@ -319,10 +327,12 @@ func (s *Server) processBatch(batch []*commitReq) {
 	// see this batch's trace stamp when it ships the groups.
 	s.markCommit(batchTrace)
 
-	// Publish the successor state, then answer every request whose answer
-	// rode the batch, and every in-batch duplicate with its owner's result.
+	// Publish the successor state — the store's committed root table
+	// itself, and the index set over the same dynamics — then answer every
+	// request whose answer rode the batch, and every in-batch duplicate
+	// with its owner's result.
 	pubStart := time.Now()
-	s.state.Store(pub)
+	s.state.Store(&state{roots: s.store.Committed(), idx: idx})
 	s.notifyCommit()
 	pubEnd := time.Now()
 	for _, r := range batch {

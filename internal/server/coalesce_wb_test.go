@@ -9,6 +9,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -22,6 +23,7 @@ import (
 	"dbpl/internal/dynamic"
 	"dbpl/internal/persist/intrinsic"
 	"dbpl/internal/persist/iofault"
+	"dbpl/internal/pmap"
 	"dbpl/internal/server/wire"
 	rtrace "dbpl/internal/telemetry/trace"
 	"dbpl/internal/value"
@@ -198,6 +200,94 @@ func TestCoalescerBatchFsyncFailureFailsAllWaiters(t *testing.T) {
 	}
 }
 
+// TestRollbackMatchesReopen: a failed batch leaves the store as a reopen
+// of its file would — the same working table, index definitions, touched
+// set and next OID — so retrying the batch's writes appends, byte for
+// byte, the groups a store freshly opened on the same file appends for
+// them. The batch is one write (a new name, a rebind, a delete or a
+// CREATEINDEX) or three commits sharing one fsync.
+func TestRollbackMatchesReopen(t *testing.T) {
+	del := func(name string) txnOp { return txnOp{name: name, del: true} }
+	for _, tc := range []struct {
+		name  string
+		batch func() []txnOp // one commit each, built afresh per attempt
+	}{
+		{"put-new", func() []txnOp { return []txnOp{putOp("fresh", 1)} }},
+		{"rebind", func() []txnOp { return []txnOp{putOp("base", 2)} }},
+		{"delete", func() []txnOp { return []txnOp{del("gone")} }},
+		{"create-index", func() []txnOp { return []txnOp{{name: "Dept", index: true}} }},
+		{"batch-of-three", func() []txnOp { return []txnOp{putOp("fresh", 1), putOp("base", 2), del("gone")} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "rollback.log")
+			inj := iofault.NewInjector(iofault.OS{})
+			srv, st, gate := groupServer(t, inj, path)
+			for _, op := range []txnOp{putOp("base", 0), putOp("gone", 0)} {
+				if _, err := srv.commit([]txnOp{op}, "", nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			doomed := tc.batch()
+			commit := func(srv *Server, op txnOp) error {
+				_, err := srv.commit([]txnOp{op}, "", nil)
+				return err
+			}
+			if len(doomed) == 1 {
+				inj.FailAt(iofault.OpSync, inj.Count(iofault.OpSync)+1)
+				if err := commit(srv, doomed[0]); !errors.Is(err, iofault.ErrInjected) {
+					t.Fatalf("commit over a failing fsync = %v, want the injected cause", err)
+				}
+			} else {
+				inj.FailAt(iofault.OpSync, inj.Count(iofault.OpSync)+2) // the lead's fsync passes
+				errs, leadErr := inOneBatch(t, srv, gate, putOp("lead", 0), len(doomed), func(i int) error {
+					return commit(srv, doomed[i])
+				})
+				if leadErr != nil {
+					t.Fatalf("lead commit: %v", leadErr)
+				}
+				for i, err := range errs {
+					if !errors.Is(err, iofault.ErrInjected) {
+						t.Fatalf("commit %d of the failed batch = %v, want the injected cause", i, err)
+					}
+				}
+			}
+			if st.StagedGroups() != 0 {
+				t.Fatalf("%d groups left staged after the failed batch", st.StagedGroups())
+			}
+
+			log, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reopened := filepath.Join(dir, "reopened.log")
+			if err := os.WriteFile(reopened, log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fresh, _ := wbServer(t, iofault.OS{}, reopened, Config{})
+			for _, s := range []*Server{srv, fresh} {
+				for _, op := range tc.batch() {
+					if err := commit(s, op); err != nil {
+						t.Fatalf("retried %q: %v", op.name, err)
+					}
+				}
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(reopened)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[len(log):], want[len(log):]) {
+				t.Fatalf("the retry appended %d bytes after the rollback, %d after a reopen:\n%x\n%x",
+					len(got)-len(log), len(want)-len(log), got[len(log):], want[len(log):])
+			}
+		})
+	}
+}
+
 // TestCoalescerPoisonBetweenStageAndAck is the double-ack regression: the
 // batch fsync fails AND the rollback truncate fails twice (the store
 // poisons, the server enters degraded mode) exactly between stage and
@@ -212,9 +302,8 @@ func TestCoalescerPoisonBetweenStageAndAck(t *testing.T) {
 	}
 
 	// The lead's sync passes; every sync after it fails for a while, and
-	// the next two truncates fail too: the store's rollback AND the
-	// server's Abort replay both cannot trim the batch's staged groups —
-	// poison.
+	// the next two truncates fail too: the store's rollback cannot trim
+	// the batch's staged groups, nor could a retry of the trim — poison.
 	const K = 4
 	ns := inj.Count(iofault.OpSync) + 1
 	for i := 1; i <= K; i++ {
@@ -435,12 +524,27 @@ func TestCoalescerAcksOnlyAfterFsync(t *testing.T) {
 				if bound {
 					t.Fatalf("%q published with its fsync held", op.name)
 				}
+				// The store's committed table answers without its lock,
+				// which the commit holds through the fsync.
+				committed := make(chan pmap.Map[*dynamic.Dynamic], 1)
+				go func() { committed <- st.Committed() }()
+				select {
+				case m := <-committed:
+					if m != cur.roots {
+						t.Fatalf("%q: the committed table moved with its fsync held", op.name)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("Committed() blocked behind the held fsync")
+				}
 				if h := healthOf(t, srv); h.DurableEnd != durable {
 					t.Fatalf("HEALTH durable end %d with the fsync held, was %d", h.DurableEnd, durable)
 				}
 				gate.Release()
 				if err := <-acked; err != nil {
 					t.Fatalf("%q after its fsync: %v", op.name, err)
+				}
+				if srv.state.Load().roots != st.Committed() {
+					t.Fatalf("%q: the published roots are not the store's committed table", op.name)
 				}
 			}
 

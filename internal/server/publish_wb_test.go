@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"dbpl/internal/dynamic"
+	"dbpl/internal/pmap"
 	"dbpl/internal/types"
 	"dbpl/internal/value"
 )
@@ -44,7 +45,7 @@ func rebindCost(t *testing.T, roots, ntypes int) (bytes, mallocs uint64) {
 		k := i % ntypes
 		bind(fmt.Sprintf("r%06d", i), value.Rec("Id", value.Int(int64(i)), fmt.Sprintf("F%d", k), value.Int(int64(i))), others[k])
 	}
-	st := newState(names, members)
+	st := stateOf(pmap.Build(names, members))
 	ops := make([][]txnOp, rebinds)
 	for i := range ops {
 		p := i % probes
@@ -105,7 +106,7 @@ func TestPublishCostsTheChangeNotTheStore(t *testing.T) {
 // committer kept must still read exactly what it held when published.
 func TestPinnedStateStableUnderPublish(t *testing.T) {
 	var pub atomic.Pointer[state]
-	pub.Store(newState(nil, nil))
+	pub.Store(stateOf(pmap.Map[*dynamic.Dynamic]{}))
 	top, idT := types.Intern(types.Top), types.Intern(types.MustParse("{Id: Int}"))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dbpl/internal/dynamic"
 	"dbpl/internal/index"
 	"dbpl/internal/persist/intrinsic"
 	"dbpl/internal/server/wire"
@@ -508,11 +507,8 @@ func (s *Server) applyReplicated(rd wire.ReplData) (int, error) {
 		return 0, err
 	}
 	psp := tr.Start(0, "publish")
-	err = s.publishDelta(delta)
+	s.publishDelta(delta)
 	tr.End(psp)
-	if err != nil {
-		return 0, err
-	}
 	s.m.replGroupsApplied.Add(uint64(delta.Groups))
 	s.m.replBytesApplied.Add(uint64(len(raw)))
 	if rd.CommitNS > 0 {
@@ -536,40 +532,22 @@ func (s *Server) applyReplicated(rd wire.ReplData) (int, error) {
 }
 
 // publishDelta advances the published state by what ApplyGroup reported:
-// removed roots become deletes and changed roots re-bind from the store's
-// materialized value. The same state.apply path as a local commit, so
-// follower GETs are the same lock-free extent unions as a primary's.
-// On an error nothing is published: the state and the end HEALTH reports
-// stay where they were. Caller holds commitMu.
-func (s *Server) publishDelta(delta intrinsic.GroupDelta) error {
-	cur := s.state.Load()
-	ops := make([]txnOp, 0, len(delta.Changed)+len(delta.Removed))
-	for _, name := range delta.Removed {
-		ops = append(ops, txnOp{name: name, del: true})
-	}
-	for _, name := range delta.Changed {
-		r, ok := s.store.Root(name)
-		if !ok {
-			continue
+// the store's committed root table, which ApplyGroup already advanced, and
+// the index set moved by each change's old and new binding — the same
+// index.Apply as a local commit, so follower GETs are the same lock-free
+// extent unions as a primary's. Caller holds commitMu.
+func (s *Server) publishDelta(delta intrinsic.GroupDelta) {
+	if len(delta.Changes) > 0 {
+		ops := make([]index.Op, len(delta.Changes))
+		for i, c := range delta.Changes {
+			ops[i] = index.Op{Remove: c.Old, Add: c.New}
 		}
-		d, err := dynamic.MakeAt(r.Value, r.Declared)
-		if err != nil {
-			return fmt.Errorf("replicated root %q does not conform to its declared type: %w", name, err)
-		}
-		ops = append(ops, txnOp{name: name, dyn: d})
-	}
-	next := cur
-	var istats index.ApplyStats
-	if len(ops) > 0 {
-		next, istats = cur.apply(ops)
-	}
-	if next != cur {
-		s.state.Store(next)
+		idx, istats := s.state.Load().idx.Apply(ops)
+		s.state.Store(&state{roots: s.store.Committed(), idx: idx})
 		s.m.indexTouched.Add(uint64(istats.EntriesTouched))
 		s.m.commits.Inc()
 	}
 	// Even a group that changed no state (an epoch record, a shutdown
 	// boundary) grew the log this server reports and re-ships.
 	s.notifyCommit()
-	return nil
 }

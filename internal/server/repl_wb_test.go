@@ -5,6 +5,7 @@
 package server
 
 import (
+	"errors"
 	"net"
 	"path/filepath"
 	"testing"
@@ -112,11 +113,14 @@ func TestFollowerHealthNeverAheadOfPublishedState(t *testing.T) {
 	fsrv.commitMu.Lock()
 	delta, err := fst.ApplyGroup(raw)
 	if err == nil {
-		err = fsrv.publishDelta(delta)
+		fsrv.publishDelta(delta)
 	}
 	fsrv.commitMu.Unlock()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if fsrv.state.Load().roots != fst.Committed() {
+		t.Fatal("the follower's published roots are not its store's committed table")
 	}
 	probed()
 	before := replicaReads.Value()
@@ -149,9 +153,7 @@ func TestFollowerHealthNeverAheadOfPublishedState(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			sees(2)
 		}
-		if err := fsrv.publishDelta(delta); err != nil {
-			t.Fatal(err)
-		}
+		fsrv.publishDelta(delta)
 	}()
 
 	if h := healthOf(t, fsrv); h.DurableEnd != pst.DurableEnd() {
@@ -183,7 +185,7 @@ func TestFollowerPublishesStatelessGroup(t *testing.T) {
 	fsrv.commitMu.Lock()
 	delta, err := fst.ApplyGroup(raw)
 	if err == nil {
-		err = fsrv.publishDelta(delta)
+		fsrv.publishDelta(delta)
 	}
 	fsrv.commitMu.Unlock()
 	if err != nil {
@@ -205,9 +207,10 @@ func TestFollowerPublishesStatelessGroup(t *testing.T) {
 // TestFollowerRefusesNonConformingGroup: a group whose root does not
 // conform to its declared type — a serve primary never ships one, but a
 // program on the intrinsic API can commit one by mutating a bound value —
-// is durable in the follower's store, yet no state can serve it. The
-// applier returns the error and publishes nothing: the state is the same
-// pointer and HEALTH keeps reporting the end that state covers.
+// is refused by the follower's store before it appends, since no state
+// could serve it. The applier returns the typed error and publishes
+// nothing: the state is the same pointer, and neither HEALTH's end nor the
+// store's moves.
 func TestFollowerRefusesNonConformingGroup(t *testing.T) {
 	pst, err := intrinsic.Open(filepath.Join(t.TempDir(), "primary.log"))
 	if err != nil {
@@ -230,14 +233,14 @@ func TestFollowerRefusesNonConformingGroup(t *testing.T) {
 		t.Fatalf("ReadGroupsAt = %d groups, %v", n, err)
 	}
 	state, before := fsrv.state.Load(), healthOf(t, fsrv).DurableEnd
-	if _, err := fsrv.applyReplicated(wire.ReplData{Start: start, Raw: raw}); err == nil {
-		t.Fatal("a group binding a non-conforming root was published")
+	if _, err := fsrv.applyReplicated(wire.ReplData{Start: start, Raw: raw}); !errors.Is(err, intrinsic.ErrNotConforming) {
+		t.Fatalf("applying a group binding a non-conforming root = %v, want ErrNotConforming", err)
 	}
 	if fsrv.state.Load() != state {
 		t.Error("the published state changed")
 	}
-	if h := healthOf(t, fsrv); h.DurableEnd != before || fst.DurableEnd() != pst.DurableEnd() {
-		t.Errorf("HEALTH end %d (was %d), store end %d (primary %d): want HEALTH unmoved and the store at the primary",
-			h.DurableEnd, before, fst.DurableEnd(), pst.DurableEnd())
+	if h := healthOf(t, fsrv); h.DurableEnd != before || fst.DurableEnd() != start {
+		t.Errorf("HEALTH end %d (was %d), store end %d (was %d): want both unmoved",
+			h.DurableEnd, before, fst.DurableEnd(), start)
 	}
 }

@@ -8,29 +8,32 @@
 // # Architecture
 //
 // The server owns one intrinsic store (durability) and publishes, through
-// an atomic pointer, an immutable *state*: the committed root bindings
-// plus one index.Set — the maintained extents over the same dynamics, the
-// only membership structure. Index definitions are not part of it: they
-// live in the store's log alone, which answers CREATEINDEX/DROPINDEX. Every
+// an atomic pointer, an immutable *state*: the store's committed root
+// table itself (Store.Committed — one root table, not a copy kept in
+// step) plus one index.Set — the maintained extents over the same
+// dynamics, the only membership structure. Index definitions are not part
+// of it: they live in the store's log alone, which answers
+// CREATEINDEX/DROPINDEX. Every
 // read (GET, JOIN, NAMES, EXPLAIN) answers from one state; outside a
 // transaction that is the published one: readers load the pointer and
 // run lock-free against that snapshot — they can never
 // observe a commit in progress, because the pointer is swapped only after
 // the store's commit group is durable. Writers buffer per session and
 // hand each commit to one committer goroutine (coalesce.go), which
-// serializes through commitMu: apply the batch's operations to the store,
-// stage each commit as one commit group (StageBound: the store walks only
-// the roots just bound, which is sound because this server binds freshly
-// decoded values and never mutates a published one), sync the batch, then
-// publish the next state (the previous root table and index.Set advanced
-// by the delta, sharing every node the delta did not touch).
-// Under the default per-commit durability a batch is one commit; under
-// group it is whatever queued, up to 64. In both modes a writer is
-// answered only after the sync, so an acknowledged write is durable. If
-// the store commit fails, store.Abort() replays the log back to the last
-// durable group and the published state is left untouched — the remote
-// failure taxonomy (wire.CodeIO / wire.CodeCorrupt) mirrors the local
-// one.
+// serializes through commitMu: bind the batch's dynamics in the store's
+// working table as the handlers built them (one conformance check per
+// PUT), stage each commit as one commit group (StageBound: the store walks
+// only the roots just bound, which is sound because this server binds
+// freshly decoded values and never mutates a published one), sync the
+// batch, then publish the next state (the store's new committed table and
+// the index.Set advanced by the delta, each sharing every node the delta
+// did not touch). Under the default per-commit durability a batch is one
+// commit; under group it is whatever queued, up to 64. In both modes a
+// writer is answered only after the sync, so an acknowledged write is
+// durable. If the store commit fails, store.AbortBound() restores the
+// store's working state to the last durable group without reading the
+// log, and the published state is left untouched — the remote failure
+// taxonomy (wire.CodeIO / wire.CodeCorrupt) mirrors the local one.
 //
 // # Sessions and transactions
 //
@@ -232,19 +235,27 @@ type state struct {
 	idx   *index.Set
 }
 
-// newState builds a state in one pass from roots sorted by name, their
-// dynamics in the same order (the index set's insertion order).
-func newState(names []string, members []*dynamic.Dynamic) *state {
-	return &state{roots: pmap.Build(names, members), idx: index.Rebuild(members)}
+// stateOf builds the state over a root table in one pass, the index set
+// inserting its dynamics in name order. The index set rebuilds from the
+// store's committed roots on every open, so it can never be ahead of the
+// durable state — the crash-matrix invariant.
+func stateOf(roots pmap.Map[*dynamic.Dynamic]) *state {
+	members := make([]*dynamic.Dynamic, 0, roots.Len())
+	roots.Range(func(_ string, d *dynamic.Dynamic) bool {
+		members = append(members, d)
+		return true
+	})
+	return &state{roots: roots, idx: index.Rebuild(members)}
 }
 
-// apply returns the successor state with ops applied: each root op edits
-// the name it binds in the persistent root table, and the index set
+// apply returns a transaction view's state with ops applied: each root op
+// edits the name it binds in the persistent root table, and the index set
 // advances by the same membership delta (COW, single successor), so the
 // previous state stays valid for readers holding it and the cost is
 // O(changed · log n) plus the extents the removals rewrite. Index DDL ops
 // change nothing a read consults and are skipped. The returned stats
-// report the index-maintenance work done.
+// report the index-maintenance work done. (A commit edits only the store's
+// working table and publishes the store's committed one; see coalesce.go.)
 func (st *state) apply(ops []txnOp) (*state, index.ApplyStats) {
 	next := &state{roots: st.roots, idx: st.idx}
 	iops := make([]index.Op, 0, len(ops))
@@ -359,9 +370,9 @@ type Server struct {
 // upstream, RoleFenced is a demoted primary that observed a higher
 // promotion epoch and refuses them naming successor ("" when unknown: the
 // fence was inferred from a replication stream, not a notification) — and
-// poisoned, set when a failed commit could not be rolled back: the store's
-// in-memory state has diverged from the published committed state, and
-// any further commit group would durably encode that divergence. The role
+// poisoned, set when a failed commit could not be rolled back: the store
+// could not trim the failed batch's bytes from its log, and any further
+// commit group would land behind them. The role
 // starts from cfg.Follow. Only promote, fence and rollback replace the
 // value, each under commitMu, so no write decision can race a transition
 // (the double-ack discipline).
@@ -391,28 +402,6 @@ func (s *Server) markCommit(trace uint64) {
 	s.lastCommit.Store(&commitMark{end: s.store.DurableEnd(), trace: trace, ns: time.Now().UnixNano()})
 }
 
-// stateFromStore derives a published state from the store's committed
-// roots. The index set rebuilds from those roots on every open, so it can
-// never be ahead of the durable state — the crash-matrix invariant.
-func stateFromStore(store *intrinsic.Store) (*state, error) {
-	all := store.Names()
-	names := all[:0]
-	members := make([]*dynamic.Dynamic, 0, len(all))
-	for _, name := range all {
-		r, ok := store.Root(name)
-		if !ok {
-			continue
-		}
-		d, err := dynamic.MakeAt(r.Value, r.Declared)
-		if err != nil {
-			return nil, fmt.Errorf("server: root %q does not conform to its declared type: %w", name, err)
-		}
-		names = append(names, name)
-		members = append(members, d)
-	}
-	return newState(names, members), nil
-}
-
 // New builds a server over an opened store, deriving the initial
 // published state from the store's committed roots. When cfg.Follow is
 // set, the store enters replica mode (local writes refused from here on)
@@ -424,10 +413,7 @@ func New(store *intrinsic.Store, cfg Config) (*Server, error) {
 		store.EnterReplica()
 		role = wire.RoleFollower
 	}
-	st, err := stateFromStore(store)
-	if err != nil {
-		return nil, err
-	}
+	st := stateOf(store.Committed())
 	srv := &Server{cfg: cfg, store: store, conns: map[net.Conn]struct{}{}, start: time.Now()}
 	srv.mode.Store(&mode{role: role})
 	srv.shutdownCh = make(chan struct{})
@@ -1309,16 +1295,16 @@ func (sess *session) buffer(op txnOp) {
 }
 
 // commit turns ops into one durable commit group and publishes the
-// successor state, reporting per-op whether each name existed in the
-// committed state the group was applied to (computed under commitMu, so
-// concurrent DELETEs of one name see exactly one existed=true); for an
+// successor state, reporting per-op whether each name was bound when the
+// op applied (computed under commitMu, so concurrent DELETEs of one name
+// see exactly one existed=true); for an
 // index DDL op the bit reports whether the definition changed, and one
 // that changes nothing writes no group. The
 // commit is handed to the committer goroutine (coalesce.go), so ordering
 // is decided by queue position; readers never block. On store failure the
-// log is replayed back to the last durable group and the published state
-// is untouched, so a GET during or after a failed commit still observes
-// only committed roots.
+// store rolls back to the last durable group and the published state is
+// untouched, so a GET during or after a failed commit still observes only
+// committed roots.
 //
 // key, when non-empty, is the client's idempotency key: if the group was
 // already applied (the acknowledgement was lost and the client retried),
@@ -1338,15 +1324,17 @@ func (s *Server) commit(ops []txnOp, key string, tr *rtrace.Trace) ([]bool, erro
 	return req.res.existed, req.res.err
 }
 
-// rollback reverts a failed commit by replaying the log: in-memory store
-// state returns to the last durable commit, which is exactly the published
-// state. If the replay itself fails (plausibly the same failing disk), the
-// store's roots no longer match the published ones and the next successful
-// commit group would durably drop committed roots — so the write path is
-// poisoned instead: every later commit refuses with the rollback failure
-// until the process restarts. The caller holds commitMu.
+// rollback reverts a failed commit with the store's AbortBound: the store's
+// working state returns to its last durable group, which is exactly the
+// published state, in O(batch) and without reading the log — sound because
+// this server never mutates a bound value (StageBound's premise). If the
+// store could not trim the batch's bytes from the log (plausibly the same
+// failing disk), the file may hold groups past the durable end and the
+// next commit could land behind them — so the write path is poisoned
+// instead: every later commit refuses with the rollback failure until the
+// process restarts. The caller holds commitMu.
 func (s *Server) rollback(cause error) {
-	aerr := s.store.Abort()
+	aerr := s.store.AbortBound()
 	if aerr == nil {
 		return
 	}
