@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -75,27 +78,58 @@ func TestFsckVerbCorruptAndSalvage(t *testing.T) {
 	}
 }
 
-// TestFsckVerbNamesRefusedVersion: a log of another format version is not
-// verified or salvaged; the verb fails naming the version it found.
+// v3Log is a version-3 log as the store of that version wrote it: x bound
+// to 1 and then 2, each root entry carrying Int's whole type image.
+const v3Log = "4442504c4c4f4703" + // "DBPLLOG" 3
+	"44010178064442504c01000202020043" + "132d4a2e" + // 'D' x: Int = 1, 'C', CRC
+	"44010178064442504c01000202040043" + "04dbfbff" // 'D' x: Int = 2, 'C', CRC
+
+// TestFsckVerbNamesRefusedVersion: a log of another format version — one
+// relabelled 2, and a real version-3 log — is not verified or salvaged;
+// the verb fails naming the version it found, and leaves the file as it
+// was.
 func TestFsckVerbNamesRefusedVersion(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "store.log")
-	buildStore(t, path)
-	img, err := os.ReadFile(path)
+	v3, err := hex.DecodeString(v3Log)
 	if err != nil {
 		t.Fatal(err)
 	}
-	img[len("DBPLLOG")] = 2
-	if err := os.WriteFile(path, img, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	salvaged := filepath.Join(dir, "salvaged.log")
-	var out strings.Builder
-	err = runFsck([]string{"-salvage", salvaged, path}, &out)
-	if err == nil || !strings.Contains(err.Error(), "log version 2") {
-		t.Fatalf("runFsck on a v2 log = %v, want an error naming version 2\n%s", err, out.String())
-	}
-	if _, err := os.Stat(salvaged); !os.IsNotExist(err) {
-		t.Fatalf("salvage target written: %v", err)
+	for _, tc := range []struct {
+		version int
+		img     func(path string) []byte
+	}{
+		{2, func(path string) []byte {
+			buildStore(t, path)
+			img, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			img[len("DBPLLOG")] = 2
+			return img
+		}},
+		{3, func(string) []byte { return v3 }},
+	} {
+		t.Run(fmt.Sprintf("v%d", tc.version), func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "store.log")
+			img := tc.img(path)
+			if err := os.WriteFile(path, img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			salvaged := filepath.Join(dir, "salvaged.log")
+			want := fmt.Sprintf("log version %d", tc.version)
+			for _, args := range [][]string{{path}, {"-salvage", salvaged, path}} {
+				var out strings.Builder
+				err := runFsck(args, &out)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("runFsck %v = %v, want an error naming version %d\n%s", args, err, tc.version, out.String())
+				}
+			}
+			if _, err := os.Stat(salvaged); !os.IsNotExist(err) {
+				t.Fatalf("salvage target written: %v", err)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, img) {
+				t.Fatalf("the refused log changed: %d bytes, %v (was %d)", len(got), err, len(img))
+			}
+		})
 	}
 }

@@ -21,15 +21,14 @@
 // stream wrappers, for an image of many values sharing references.
 //
 // Principle P2 puts a type image beside every record, so one reader — a
-// reply of many records, or a store's log — meets a few distinct type images
-// many times. A TypeTable serves one such reader: its DecodeTagged and
-// DecodeType measure each type image with a skip that allocates nothing,
-// and decode and canonicalise only an image they have not met before. The
-// package-level DecodeTagged and DecodeType are the same code with a nil
-// table, which decodes every image afresh. DecodeReply reads the images of
-// one reply through one table and builds its values from memory shared by
-// the reply; AppendTaggedImage writes an image at a type image encoded
-// once.
+// reply of many records — meets a few distinct type images many times. A
+// TypeTable serves one such reader: its DecodeTagged measures each type
+// image with a skip that allocates nothing, and decodes and canonicalises
+// only an image it has not met before. The package-level DecodeTagged is
+// the same code with a nil table, which decodes every image afresh.
+// DecodeReply reads the images of one reply through one table and builds
+// its values from memory shared by the reply; AppendTaggedImage writes an
+// image at a type image encoded once.
 package codec
 
 import (
@@ -524,14 +523,18 @@ func DecodeTagged(img []byte) (value.Value, types.Type, error) {
 
 // DecodeType decodes a standalone type image written by AppendType.
 func DecodeType(img []byte) (types.Type, error) {
-	return (*TypeTable)(nil).DecodeType(img)
+	d, err := newDecoder(img)
+	if err != nil {
+		return nil, err
+	}
+	return d.Type()
 }
 
 // TypeTable maps the exact bytes of a type image to the canonical type they
-// decode to, for one reader: one reply, or one store's log. Through a table
-// each distinct type image is decoded and canonicalised once, and a record
-// or variant label equal to one the table has met reuses that string. It
-// grows with the distinct images and labels its reader meets. The zero
+// decode to, for one reader: one reply. Through a table each distinct type
+// image is decoded and canonicalised once, and a record or variant label
+// equal to one the table has met reuses that string. It grows with the
+// distinct images and labels its reader meets. The zero
 // value is ready to use, and a nil *TypeTable decodes every image afresh.
 // A TypeTable is not safe for concurrent use.
 type TypeTable struct {
@@ -575,23 +578,6 @@ func (tbl *TypeTable) decodeTagged(img []byte, rep *reply) (value.Value, types.T
 		return nil, nil, err
 	}
 	return v, t, nil
-}
-
-// DecodeType is the package-level DecodeType through tbl.
-func (tbl *TypeTable) DecodeType(img []byte) (types.Type, error) {
-	// An image that is exactly the header and a stored type image is that
-	// type without a skip, which would end where the image does.
-	if tbl != nil && checkHeader(img) == nil {
-		if t := tbl.lookup(img[headerLen:]); t != nil {
-			return t, nil
-		}
-	}
-	d, err := tbl.decoder(img, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer tbl.release()
-	return d.Type()
 }
 
 // decoder checks img's header and returns a decoder positioned after it:

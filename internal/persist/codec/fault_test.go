@@ -119,7 +119,7 @@ func TestByteTruncationAndExtension(t *testing.T) {
 func TestHugeCountsRejected(t *testing.T) {
 	// One table, warmed with a valid image, is shared by the table decodes.
 	var tbl TypeTable
-	if _, err := tbl.DecodeType(nestedImage(nil, 0, tRecord, 1, 1, 'A', tInt)); err != nil {
+	if _, _, err := decodeType(&tbl, nestedImage(nil, 0, tRecord, 1, 1, 'A', tInt)); err != nil {
 		t.Fatal(err)
 	}
 	// A list claiming 2^40 elements, and a record type claiming as many
@@ -147,7 +147,7 @@ func TestHugeCountsRejected(t *testing.T) {
 			return err
 		}},
 		{"label through a table", nestedImage(nil, 0, tRecord, 1, 0x80, 0x80, 0x80, 0x40, 'a', 'b', 'c', 'd', 'e'), func(img []byte) error {
-			_, err := tbl.DecodeType(img)
+			_, _, err := decodeType(&tbl, img)
 			return err
 		}},
 	} {

@@ -120,8 +120,10 @@ func decodeTagged(tbl *TypeTable, img []byte) (value.Value, types.Type, error) {
 	return tbl.DecodeTagged(img)
 }
 
+// decodeType reads the type image img through tbl as DecodeTagged reads a
+// record's: as the type of an image whose value is Bottom.
 func decodeType(tbl *TypeTable, img []byte) (value.Value, types.Type, error) {
-	ty, err := tbl.DecodeType(img)
+	_, ty, err := tbl.DecodeTagged(append(img[:len(img):len(img)], vBottom))
 	return nil, ty, err
 }
 

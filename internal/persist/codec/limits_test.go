@@ -47,7 +47,7 @@ func TestDecodeRefusesDeepNesting(t *testing.T) {
 	}
 	// Through a table, the skip that measures a type image is bounded too.
 	var tbl TypeTable
-	if _, err := tbl.DecodeType(nestedImage([]byte{tList}, n, tInt)); !errors.Is(err, ErrLimitExceeded) {
+	if _, _, err := decodeType(&tbl, nestedImage([]byte{tList}, n, tInt)); !errors.Is(err, ErrLimitExceeded) {
 		t.Fatalf("%d-deep type through a table: %v, want ErrLimitExceeded", n, err)
 	}
 	if _, _, err := tbl.DecodeTagged(nestedImage([]byte{tSet}, n, tInt)); !errors.Is(err, ErrLimitExceeded) {
@@ -62,7 +62,7 @@ func TestDecodeRefusesDeepNesting(t *testing.T) {
 	if _, err := d.Type(); err != nil {
 		t.Fatalf("type at the bound: %v", err)
 	}
-	if _, err := tbl.DecodeType(nestedImage([]byte{tList}, MaxTypeDepth-1, tInt)); err != nil {
+	if _, _, err := decodeType(&tbl, nestedImage([]byte{tList}, MaxTypeDepth-1, tInt)); err != nil {
 		t.Fatalf("type at the bound through a table: %v", err)
 	}
 	if _, err := UnmarshalValue(nestedImage([]byte{vList, 1}, MaxValueDepth-1, vInt, 0)); err != nil {

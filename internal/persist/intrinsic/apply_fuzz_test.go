@@ -11,7 +11,7 @@ import (
 // FuzzApplyGroup feeds a follower one mutated commit group after a prefix
 // of primaryFixture's history (the first byte picks how many of its groups
 // the follower holds first; the seeds are the fixture's groups, each at its
-// own place). The harness rewrites the input's CRC-32C trailer, so a
+// own place, and groups that name type ordinals well and badly). The harness rewrites the input's CRC-32C trailer, so a
 // mutation reaches the decoder, the materializer and the conformance check
 // instead of stopping at the checksum. ApplyGroup must not panic; it
 // succeeds or refuses with a typed error, and a refusal leaves the
@@ -23,6 +23,14 @@ func FuzzApplyGroup(f *testing.F) {
 	for i, g := range groups {
 		f.Add(uint8(i), g)
 	}
+	// Type ordinals: a fresh follower's group defining the types it names
+	// in all three places; one naming an ordinal no 'T' record defines;
+	// and the fixture's last group after its first only, whose ordinals
+	// count the 'T' record of the group the follower never applied.
+	typed := seedLogWithTypes(f)
+	f.Add(uint8(0), splitGroups(f, typed[HeaderSize:])[0])
+	f.Add(uint8(0), splitGroups(f, badOrdinalLogs(f)[0].log[HeaderSize:])[1])
+	f.Add(uint8(1), groups[len(groups)-1])
 	f.Fuzz(func(t *testing.T, at uint8, g []byte) {
 		fol, err := Open(filepath.Join(t.TempDir(), "follower.log"))
 		if err != nil {

@@ -548,6 +548,67 @@ func TestPoisonedBatchRecoversViaAbort(t *testing.T) {
 	}
 }
 
+// TestFailedAbortReplayPoisons: an Abort whose replay cannot read the log
+// leaves memory that does not match the file, the type table included, so
+// the store refuses appends until a later Abort replays it whole. The
+// commit after that defines the new type the aborted binding used.
+func TestFailedAbortReplayPoisons(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.log")
+	inj := iofault.NewInjector(iofault.OS{})
+	s, err := OpenFS(inj, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Bind("x", value.Int(1), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	shaped := value.Rec("Name", value.String("y"), "Shape", value.Int(1))
+	if err := s.Bind("y", shaped, nil); err != nil {
+		t.Fatal(err)
+	}
+	inj.FailAt(iofault.OpRead, inj.Count(iofault.OpRead)+1)
+	if err := s.Abort(); !errors.Is(err, iofault.ErrInjected) {
+		t.Fatalf("Abort over a failing read = %v, want the injected cause", err)
+	}
+	if err := s.Bind("y", shaped, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Commit(); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("Commit after a failed replay = %v, want ErrPoisoned", err)
+	}
+	if err := s.Abort(); err != nil {
+		t.Fatalf("second Abort: %v", err)
+	}
+	if err := s.Bind("y", shaped, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatalf("commit after recovery: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Fsck(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() || rep.Types != 2 {
+		t.Fatalf("log after recovery: %v, want clean with 2 types", rep)
+	}
+	r, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got, ok := r.Root("y"); !ok || got.Value.String() != shaped.String() {
+		t.Fatalf("y = %v after reopen, want %v", got, shaped)
+	}
+}
+
 // TestReadGroupsDuringStagedBatch: replication ships only the durable
 // prefix — staged groups are volatile and must never reach a follower —
 // and a replication read racing an open batch must not corrupt where the

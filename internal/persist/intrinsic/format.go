@@ -26,13 +26,25 @@ import (
 //
 //	"DBPLLOG" version
 //	repeated groups of records, each group terminated by a commit marker:
+//	  'T' len typeImage          -- defines the next type ordinal
 //	  'N' oid len imageBytes     -- a node (re)definition
 //	  'D' nUpsert {entry} nDelete {name}  -- a root-table delta
 //	  'X' count {name}           -- the index-definition table
 //	  'E' epoch                  -- the promotion epoch
 //	  'C' crc32c                 -- commit marker
 //
-//	entry = name typeLen typeBytes valueLen valueInline
+//	entry = name typeOrdinal valueLen valueInline
+//
+// Principle P2 keeps a type beside every persistent value, and the log
+// writes each distinct type once: a 'T' record holds its codec image and
+// defines the next ordinal, numbered from 0 in file order. Every type
+// reference — a root entry's declared type, a dynamic node's type, a type
+// atom — is that ordinal. A group writes its new types' 'T' records before
+// its other records, so a reader resolves an ordinal against the 'T'
+// records of the valid groups before it and of its own group; any other
+// ordinal is corruption. A 'T' in a torn or refused group defines nothing.
+// Compact numbers the rewritten log's types afresh, keeping only the types
+// the live nodes and roots name.
 //
 // The root table is a running fold over the log: a 'D' record upserts its
 // entries into the table and then removes its deleted names, so a commit
@@ -45,10 +57,11 @@ import (
 // itself — so bit rot is *detected* with an offset (CorruptError) instead
 // of surfacing as an arbitrary decode failure.
 //
-// The version byte is 3. Any other version is refused at the header with a
+// The version byte is 4. Any other version is refused at the header with a
 // *LogVersionError and the file is left as it is: a reader of this grammar
-// does not guess at an older one (version 1 had no checksums, and version 2
-// logs could carry whole-table 'R' records).
+// does not guess at an older one (version 1 had no checksums, version 2
+// logs could carry whole-table 'R' records, and version 3 wrote a type
+// image in place of every ordinal).
 //
 // Replay applies whole groups only: a torn final group (crash mid-commit)
 // is ignored, so the store always reopens at the last complete commit.
@@ -78,10 +91,12 @@ func (e *LogVersionError) Unwrap() error { return ErrLogVersion }
 const (
 	logMagic = "DBPLLOG"
 	// logVersion is the one format this package reads and writes.
-	logVersion = 3
+	logVersion = 4
 
 	recNode   byte = 'N'
 	recCommit byte = 'C'
+	// recType defines the next type ordinal; see the layout above.
+	recType byte = 'T'
 	// recRootDelta is the root-table delta every commit that changed a
 	// handle carries; see the layout above.
 	recRootDelta byte = 'D'
@@ -155,8 +170,8 @@ const (
 	inList
 	inSet
 	inTag
-	inDynamic
-	inTypeVal
+	inDynamic // type ordinal, then the inline value
+	inTypeVal // type ordinal follows
 )
 
 // nodeBuf is a growable encoding buffer.
@@ -187,7 +202,7 @@ func (b *nodeBuf) prefixLen(start int) {
 	copy(field, tmp[:k])
 }
 
-// typ writes t's length-prefixed codec image.
+// typ writes t's length-prefixed codec image: a 'T' record's body.
 func (b *nodeBuf) typ(t types.Type) error {
 	start := b.Len()
 	img, err := codec.AppendType(b.AvailableBuffer(), t)
@@ -208,9 +223,9 @@ func isContainer(v value.Value) bool {
 	return false
 }
 
-// encodeInline writes an atom inline or a container as an OID reference.
-// oidOf must return the (pre-assigned) OID for any container encountered.
-func encodeInline(b *nodeBuf, v value.Value, oidOf func(value.Value) uint64) error {
+// encodeInline writes an atom inline, a container as a reference to the
+// OID s assigned it, and a type atom as its ordinal in s's type table.
+func encodeInline(b *nodeBuf, v value.Value, s *Store) error {
 	switch vv := v.(type) {
 	case value.Int:
 		b.WriteByte(inInt)
@@ -231,11 +246,11 @@ func encodeInline(b *nodeBuf, v value.Value, oidOf func(value.Value) uint64) err
 		}
 	case *value.TypeVal:
 		b.WriteByte(inTypeVal)
-		return b.typ(vv.T)
+		b.uvarint(s.typeID(vv.T))
 	default:
 		if isContainer(v) {
 			b.WriteByte(inRef)
-			b.uvarint(oidOf(v))
+			b.uvarint(s.oids[v])
 			return nil
 		}
 		switch v.Kind() {
@@ -255,7 +270,7 @@ func encodeInline(b *nodeBuf, v value.Value, oidOf func(value.Value) uint64) err
 // information attached to a persistent structure" (the memo fields of the
 // bill-of-materials example), which must not persist. Set elements are
 // emitted in canonical key order so images are deterministic.
-func encodeNode(v value.Value, oidOf func(value.Value) uint64, transientPrefix string) ([]byte, error) {
+func encodeNode(v value.Value, s *Store, transientPrefix string) ([]byte, error) {
 	var b nodeBuf
 	var err error
 	switch vv := v.(type) {
@@ -274,13 +289,13 @@ func encodeNode(v value.Value, oidOf func(value.Value) uint64, transientPrefix s
 				return
 			}
 			b.str(l)
-			err = encodeInline(&b, f, oidOf)
+			err = encodeInline(&b, f, s)
 		})
 	case *value.List:
 		b.WriteByte(inList)
 		b.uvarint(uint64(len(vv.Elems)))
 		for _, el := range vv.Elems {
-			if err = encodeInline(&b, el, oidOf); err != nil {
+			if err = encodeInline(&b, el, s); err != nil {
 				break
 			}
 		}
@@ -296,19 +311,18 @@ func encodeNode(v value.Value, oidOf func(value.Value) uint64, transientPrefix s
 		sort.Slice(elems, func(i, j int) bool { return elems[i].key < elems[j].key })
 		b.uvarint(uint64(len(elems)))
 		for _, el := range elems {
-			if err = encodeInline(&b, el.v, oidOf); err != nil {
+			if err = encodeInline(&b, el.v, s); err != nil {
 				break
 			}
 		}
 	case *value.Tag:
 		b.WriteByte(inTag)
 		b.str(vv.Label)
-		err = encodeInline(&b, vv.Payload, oidOf)
+		err = encodeInline(&b, vv.Payload, s)
 	case *dynamic.Dynamic:
 		b.WriteByte(inDynamic)
-		if err = b.typ(vv.Type()); err == nil {
-			err = encodeInline(&b, vv.Value(), oidOf)
-		}
+		b.uvarint(s.typeID(vv.Type()))
+		err = encodeInline(&b, vv.Value(), s)
 	default:
 		return nil, fmt.Errorf("intrinsic: %T is not a container", v)
 	}
@@ -322,11 +336,12 @@ func isTransient(label, prefix string) bool {
 	return prefix != "" && len(label) >= len(prefix) && label[:len(prefix)] == prefix
 }
 
-// nodeReader decodes node images, their type images through types.
+// nodeReader decodes node images and inline values, resolving type
+// ordinals through types, the table of the 'T' records read so far.
 type nodeReader struct {
 	buf   []byte
 	pos   int
-	types *codec.TypeTable
+	types []types.Type
 }
 
 func (r *nodeReader) byte() (byte, error) {
@@ -369,21 +384,19 @@ func (r *nodeReader) str() (string, error) {
 	return s, nil
 }
 
+// typ reads a type ordinal. One that no 'T' record defines is corrupt,
+// and leaves pos at it.
 func (r *nodeReader) typ() (types.Type, error) {
-	n, err := r.uvarint()
+	start := r.pos
+	id, err := r.uvarint()
 	if err != nil {
 		return nil, err
 	}
-	if r.pos+int(n) > len(r.buf) {
-		return nil, fmt.Errorf("%w: short type", ErrCorrupt)
+	if id >= uint64(len(r.types)) {
+		r.pos = start
+		return nil, fmt.Errorf("%w: type ordinal %d is not defined (%d are)", ErrCorrupt, id, len(r.types))
 	}
-	img := r.buf[r.pos : r.pos+int(n)]
-	r.pos += int(n)
-	t, err := r.types.DecodeType(img)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return t, nil
+	return r.types[id], nil
 }
 
 // inlineValue decodes an inline value; container refs are resolved through
@@ -436,4 +449,80 @@ func (r *nodeReader) inlineValue(resolve func(oid uint64) (value.Value, error)) 
 	default:
 		return nil, fmt.Errorf("%w: inline tag %d", ErrCorrupt, tag)
 	}
+}
+
+// skip advances past a length-prefixed field.
+func (r *nodeReader) skip() error {
+	n, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	if n > uint64(len(r.buf)-r.pos) {
+		return fmt.Errorf("%w: short field", ErrCorrupt)
+	}
+	r.pos += int(n)
+	return nil
+}
+
+// checkNode walks a node image the way the materializer reads it, without
+// building a value, to resolve every type ordinal it names against
+// r.types; like the materializer, it ignores bytes after the value. The
+// scanner runs it on each node that may name a type as the node arrives,
+// so an ordinal is resolved against the 'T' records before it. The walk
+// follows encodeNode's layout, as materializer.node and inlineValue do:
+// a change to one is a change to all three.
+func (r *nodeReader) checkNode() error {
+	tag, err := r.byte()
+	if err != nil {
+		return err
+	}
+	var n uint64 = 1
+	switch tag {
+	case inRecord, inList, inSet:
+		if n, err = r.uvarint(); err != nil {
+			return err
+		}
+	case inTag:
+		err = r.skip()
+	case inDynamic:
+		_, err = r.typ()
+	default:
+		return fmt.Errorf("%w: node tag %d", ErrCorrupt, tag)
+	}
+	for i := uint64(0); err == nil && i < n; i++ {
+		if tag == inRecord {
+			if err = r.skip(); err != nil {
+				break
+			}
+		}
+		err = r.checkInline()
+	}
+	return err
+}
+
+// checkInline is checkNode of one inline value.
+func (r *nodeReader) checkInline() error {
+	tag, err := r.byte()
+	if err != nil {
+		return err
+	}
+	switch tag {
+	case inBottom, inUnit, inBoolTrue, inBoolFalse:
+	case inInt:
+		_, err = r.varint()
+	case inRef:
+		_, err = r.uvarint()
+	case inFloat:
+		if r.pos+8 > len(r.buf) {
+			return fmt.Errorf("%w: short float", ErrCorrupt)
+		}
+		r.pos += 8
+	case inString:
+		err = r.skip()
+	case inTypeVal:
+		_, err = r.typ()
+	default:
+		err = fmt.Errorf("%w: inline tag %d", ErrCorrupt, tag)
+	}
+	return err
 }

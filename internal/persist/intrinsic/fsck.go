@@ -5,8 +5,8 @@ import (
 	"io"
 	"os"
 
-	"dbpl/internal/persist/codec"
 	"dbpl/internal/persist/iofault"
+	"dbpl/internal/types"
 )
 
 // FsckReport is the verdict of a structural log verification: how much of
@@ -14,11 +14,12 @@ import (
 // the damage is a recoverable torn tail or deterministic corruption.
 type FsckReport struct {
 	Path    string
-	Version byte  // log format version: always 3, the only one read
+	Version byte  // log format version: logVersion, the only one read
 	Size    int64 // file size in bytes
 	GoodEnd int64 // offset just past the last valid commit group
 	Commits int   // valid commit groups
 	Nodes   int   // node records inside valid groups
+	Types   int   // 'T' records inside valid groups: the type table's size
 	Roots   int   // handles in the root table folded over every valid group
 	// IndexDefs counts the entries of the last valid index-definition
 	// table ('X' record) — the field indexes a reopen will rebuild.
@@ -41,8 +42,8 @@ func (r *FsckReport) Clean() bool { return !r.TornTail && r.Corrupt == nil }
 
 // String renders the report in the format the fsck CLI verb prints.
 func (r *FsckReport) String() string {
-	s := fmt.Sprintf("%s: log v%d, %d bytes, %d commits, %d nodes, %d roots, %d index defs, epoch %d\n",
-		r.Path, r.Version, r.Size, r.Commits, r.Nodes, r.Roots, r.IndexDefs, r.Epoch)
+	s := fmt.Sprintf("%s: log v%d, %d bytes, %d commits, %d nodes, %d types, %d roots, %d index defs, epoch %d\n",
+		r.Path, r.Version, r.Size, r.Commits, r.Nodes, r.Types, r.Roots, r.IndexDefs, r.Epoch)
 	s += fmt.Sprintf("last valid commit ends at offset %d", r.GoodEnd)
 	switch {
 	case r.Corrupt != nil:
@@ -57,9 +58,10 @@ func (r *FsckReport) String() string {
 }
 
 // Fsck verifies the log at path without opening it as a store: it checks
-// every record's structure and every commit group's CRC-32C, and reports
-// the last valid commit offset. It never modifies the file. A log of
-// another version is not verified: Fsck returns its *LogVersionError.
+// every record's structure, that every type ordinal is defined by a 'T'
+// record before it, and every commit group's CRC-32C, and reports the last
+// valid commit offset. It never modifies the file. A log of another
+// version is not verified: Fsck returns its *LogVersionError.
 func Fsck(path string) (*FsckReport, error) {
 	return FsckFS(iofault.OS{}, path)
 }
@@ -78,7 +80,8 @@ func FsckFS(fsys iofault.FS, path string) (*FsckReport, error) {
 
 	rep := &FsckReport{Path: path, Size: fi.Size()}
 	var fold groupFold // nodes left nil: images are counted, not retained
-	sum, err := scanLog(f, fold.sink(new(codec.TypeTable)))
+	var tab []types.Type
+	sum, err := scanLog(f, fold.sink(&tab))
 	if err != nil {
 		return nil, err
 	}
@@ -89,6 +92,7 @@ func FsckFS(fsys iofault.FS, path string) (*FsckReport, error) {
 	rep.GoodEnd = sum.goodEnd
 	rep.Commits = sum.commits
 	rep.Nodes = fold.nodeRecs
+	rep.Types = len(tab)
 	rep.Roots = len(fold.upserts)
 	rep.IndexDefs = len(fold.defs)
 	rep.Epoch = fold.epoch

@@ -68,6 +68,9 @@ func TestFsckCleanLog(t *testing.T) {
 	if rep.Roots != 1 {
 		t.Errorf("roots = %d, want 1", rep.Roots)
 	}
+	if rep.Types != 1 {
+		t.Errorf("types = %d, want 1: every generation names Int", rep.Types)
+	}
 }
 
 // TestFsckFoldsRootDeltas: fsck's root count is the running table folded

@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"dbpl/internal/dynamic"
-	"dbpl/internal/persist/codec"
 	"dbpl/internal/persist/iofault"
 	"dbpl/internal/pmap"
 )
@@ -160,11 +160,19 @@ func scanRaw(raw []byte, sink scanSink) (scanSummary, error) {
 	return scanLog(io.MultiReader(bytes.NewReader(hdr), bytes.NewReader(raw)), sink)
 }
 
+// rebase moves the offset of corruption scanRaw found in bytes that start
+// at log offset at from the scan's to the log's.
+func rebase(ce *CorruptError, at int64) *CorruptError {
+	ce.Offset += at - HeaderSize
+	return ce
+}
+
 // ReadGroupsAt reads whole commit groups starting exactly at offset from,
 // verifying structure and CRC before returning them — a primary ships only
-// its verified prefix. It returns the raw bytes, the offset of the first
-// byte after them, and how many groups they contain. maxBytes is a soft
-// target (<= 0 means 256 KiB): at least one whole group is always
+// its verified prefix. It decodes no type image: the follower's ApplyGroup
+// checks what the records mean. It returns the raw bytes, the offset of
+// the first byte after them, and how many groups they contain. maxBytes is
+// a soft target (<= 0 means 256 KiB): at least one whole group is always
 // returned, however large. from == DurableEnd returns (nil, from, 0, nil).
 func (s *Store) ReadGroupsAt(from int64, maxBytes int) ([]byte, int64, int, error) {
 	s.mu.Lock()
@@ -193,7 +201,7 @@ func (s *Store) ReadGroupsAt(from int64, maxBytes int) ([]byte, int64, int, erro
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		good, groups, cerr := groupBoundary(buf, s.types)
+		good, groups, cerr := groupBoundary(buf, from)
 		if cerr != nil {
 			return nil, 0, 0, cerr
 		}
@@ -231,17 +239,18 @@ func (s *Store) readAt(off int64, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// groupBoundary scans buf and returns the length of its longest prefix of
-// whole valid commit groups and how many groups that prefix holds. A cut
-// final group is fine (it just isn't counted); deterministic corruption is
-// an error.
-func groupBoundary(buf []byte, types *codec.TypeTable) (int64, int, error) {
-	sum, err := scanRaw(buf, scanSink{types: types})
+// groupBoundary scans buf, read at log offset at, for structure and
+// checksums only, and returns the length of its longest prefix of whole
+// valid commit groups and how many groups that prefix holds. A cut final
+// group is fine (it just isn't counted); deterministic corruption is an
+// error.
+func groupBoundary(buf []byte, at int64) (int64, int, error) {
+	sum, err := scanRaw(buf, scanSink{})
 	if err != nil {
 		return 0, 0, err
 	}
 	if sum.corrupt != nil {
-		return 0, 0, sum.corrupt
+		return 0, 0, rebase(sum.corrupt, at)
 	}
 	return sum.goodEnd - HeaderSize, sum.commits, nil
 }
@@ -272,10 +281,13 @@ type GroupDelta struct {
 // its last commit group, that call first reverts to the log as Abort does —
 // uncommitted local changes are dropped and values obtained earlier are
 // detached. Verification is complete before any of that: a torn or
-// checksum-corrupt frame is rejected with ErrBadGroup or a *CorruptError,
-// and an upserted root that does not conform to its declared type with a
-// *ConformanceError, and the store is untouched. A group that overwrites a
-// node image in place is published by replaying the log once it is
+// checksum-corrupt frame is rejected with ErrBadGroup or a *CorruptError
+// at the log offset where the damage would land, as is a type ordinal that
+// neither the store's table nor an earlier 'T' record of the frame
+// defines, and an upserted root that does not conform to its declared type
+// with a *ConformanceError, and the store is untouched: the frame's 'T'
+// records join the table only once it is durable. A group that overwrites
+// a node image in place is published by replaying the log once it is
 // durable, and the replay makes the checks instead: a failed replay
 // poisons the store.
 func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
@@ -299,13 +311,14 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 
 	// 1. Structural + checksum verification, folding the groups' effect,
 	//    before a single byte touches the file.
+	tab := slices.Clip(s.types) // the frame's 'T' records extend a copy
 	fold := groupFold{nodes: map[uint64][]byte{}}
-	sum, err := scanRaw(raw, fold.sink(s.types))
+	sum, err := scanRaw(raw, fold.sink(&tab))
 	if err != nil {
 		return delta, err
 	}
 	if sum.corrupt != nil {
-		return delta, sum.corrupt
+		return delta, rebase(sum.corrupt, s.end)
 	}
 	if sum.commits == 0 || sum.goodEnd != HeaderSize+int64(len(raw)) {
 		return delta, fmt.Errorf("%w: frame does not end on a commit-group boundary", ErrBadGroup)
@@ -318,7 +331,7 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 		// its memory is ahead of its log. A replica's state is its log's,
 		// so start from that, as Abort would.
 		if err := s.load(); err != nil {
-			return delta, err
+			return delta, s.poison(err)
 		}
 	}
 
@@ -346,7 +359,7 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 		names = append(names, name)
 	}
 	if !overwrite {
-		m := s.newMaterializer(len(newNodes), newNodes)
+		m := s.newMaterializer(len(newNodes), newNodes, tab)
 		for _, e := range fold.upserts {
 			v, err := m.root(e.inline)
 			var d *dynamic.Dynamic
@@ -378,6 +391,7 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 		next = s.Committed()
 		names = append(names, s.namesLocked()...)
 	} else {
+		s.defineTypes(tab)
 		for oid, img := range newNodes {
 			s.nodes[oid] = img
 			if oid >= s.nextOID {

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dbpl/internal/dynamic"
@@ -286,9 +287,12 @@ func TestApplyGroupRejectsDamage(t *testing.T) {
 // commit a root that no longer conforms to its declared type, by mutating
 // the bound value in place. A follower checks every root a group upserts
 // before it appends, so it refuses that group with a ConformanceError
-// naming the root, and neither its end nor its committed table moves; the
-// refusal does not poison it, so a conforming group applies after. Open
-// refuses a log ending in that group for the same reason.
+// naming the root, and neither its end nor its committed table moves. The
+// refused group's 'T' record defines nothing: the primary's next group,
+// which names that type's ordinal, is refused as corruption at the
+// ordinal. The refusals do not poison the follower, so a conforming group
+// that defines its own type applies after. Open refuses a log ending in
+// the non-conforming group for the same reason.
 func TestApplyGroupRefusesNonConformingRoot(t *testing.T) {
 	p, err := Open(filepath.Join(t.TempDir(), "primary.log"))
 	if err != nil {
@@ -314,7 +318,22 @@ func TestApplyGroupRefusesNonConformingRoot(t *testing.T) {
 	if _, err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	good, _, _, err := p.ReadGroupsAt(HeaderSize+int64(len(bad)), 0)
+	orphan, _, _, err := p.ReadGroupsAt(HeaderSize+int64(len(bad)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := Open(filepath.Join(t.TempDir(), "other.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if err := q.Bind("r", value.Rec("a", value.Int(2)), rAt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	good, _, _, err := q.ReadGroupsAt(HeaderSize, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,6 +348,14 @@ func TestApplyGroupRefusesNonConformingRoot(t *testing.T) {
 	var ce *ConformanceError
 	if !errors.Is(err, ErrNotConforming) || !errors.As(err, &ce) || ce.Root != "r" {
 		t.Fatalf("ApplyGroup of a non-conforming root = %v, want a ConformanceError naming r", err)
+	}
+	if f.DurableEnd() != end || f.Committed() != committed {
+		t.Fatalf("refused group moved the follower: end %d → %d, committed table replaced: %v",
+			end, f.DurableEnd(), f.Committed() != committed)
+	}
+	var corrupt *CorruptError
+	if _, err := f.ApplyGroup(orphan); !errors.As(err, &corrupt) || !strings.Contains(corrupt.Reason, "type ordinal 0") {
+		t.Fatalf("ApplyGroup of a group naming a refused group's type = %v, want a CorruptError at the ordinal", err)
 	}
 	if f.DurableEnd() != end || f.Committed() != committed {
 		t.Fatalf("refused group moved the follower: end %d → %d, committed table replaced: %v",

@@ -2,6 +2,7 @@ package intrinsic
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"io"
 
 	"dbpl/internal/persist/codec"
+	"dbpl/internal/types"
 )
 
 // This file implements the single structural reader of the log, shared by
@@ -25,6 +27,13 @@ import (
 // torn (a crash can only shorten an fsynced append-only log); any other
 // anomaly is corruption. A header naming another version is neither: the
 // scan stops there with a *LogVersionError.
+//
+// A scan given a type table also checks what the records mean for it: it
+// decodes each 'T' record's image onto the table, and checks each root
+// entry, and each node image that may name a type, against the table as
+// it stands, so an ordinal that no earlier 'T' record defines is
+// corruption at its offset. A scan without one checks structure and
+// checksums only.
 
 // crcTable is the Castagnoli polynomial table; CRC-32C has hardware
 // support (SSE4.2 / ARMv8 CRC) through hash/crc32.
@@ -53,9 +62,11 @@ type scanSink struct {
 	indexDefs func(fields []string)
 	epoch     func(e uint64)
 	commit    func(end int64)
-	// types decodes the root entries' type images. Principle P2 puts one
-	// beside every root entry, so a log repeats a few distinct images.
-	types *codec.TypeTable
+	// types, if set, is the type table the scan extends and checks
+	// ordinals against. It starts as the table of the log before the
+	// scanned bytes, and ends as the table of the valid groups: a torn or
+	// corrupt group's 'T' records are dropped from it.
+	types *[]types.Type
 }
 
 // rootOp is one root-table delta's effect on the running table: upsert,
@@ -97,9 +108,9 @@ func (f *groupFold) applyRootOp(op rootOp) {
 	}
 }
 
-// sink returns the scanSink that feeds f, decoding type images through
-// types.
-func (f *groupFold) sink(types *codec.TypeTable) scanSink {
+// sink returns the scanSink that feeds f, extending and checking against
+// the type table tab.
+func (f *groupFold) sink(tab *[]types.Type) scanSink {
 	type nodeRec struct {
 		oid uint64
 		img []byte
@@ -124,7 +135,7 @@ func (f *groupFold) sink(types *codec.TypeTable) scanSink {
 		roots:     func(op rootOp) { rootOps = append(rootOps, op) },
 		indexDefs: func(fields []string) { defs, sawDefs = fields, true },
 		epoch:     func(e uint64) { epoch, sawEpoch = e, true },
-		types:     types,
+		types:     tab,
 		commit: func(int64) {
 			f.nodeRecs += nodeRecs
 			for _, n := range nodes {
@@ -230,8 +241,9 @@ func isEOF(err error) bool {
 }
 
 // scanRootEntries parses a counted list of root-table entries — the upsert
-// half of a 'D' record — validating lengths and type images.
-func scanRootEntries(s *logScanner, types *codec.TypeTable) ([]rootEntry, error) {
+// half of a 'D' record — validating lengths, and each entry's type ordinal
+// and inline value against tab when it is set.
+func scanRootEntries(s *logScanner, tab *[]types.Type) ([]rootEntry, error) {
 	count, err := s.uvarint()
 	if err != nil {
 		return nil, err
@@ -253,19 +265,16 @@ func scanRootEntries(s *logScanner, types *codec.TypeTable) ([]rootEntry, error)
 			return nil, err
 		}
 		e := rootEntry{name: string(name)}
-		tn, err := s.uvarint()
+		typeOff := s.off
+		id, err := s.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		if tn > maxRecordSize {
-			return nil, fmt.Errorf("%w: oversized type record", ErrCorrupt)
-		}
-		tbuf, err := s.transient(int(tn))
-		if err != nil {
-			return nil, err
-		}
-		if e.typ, err = types.DecodeType(tbuf); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		if tab != nil {
+			if id >= uint64(len(*tab)) {
+				return nil, &CorruptError{Offset: typeOff, Reason: fmt.Sprintf("root %q names type ordinal %d, which no 'T' record defines (%d do)", e.name, id, len(*tab))}
+			}
+			e.typ = (*tab)[id]
 		}
 		vn, err := s.uvarint()
 		if err != nil {
@@ -274,12 +283,35 @@ func scanRootEntries(s *logScanner, types *codec.TypeTable) ([]rootEntry, error)
 		if vn > maxRecordSize {
 			return nil, fmt.Errorf("%w: bad root value length", ErrCorrupt)
 		}
+		inlineOff := s.off
 		if e.inline, err = s.bytes(int(vn)); err != nil {
 			return nil, err
+		}
+		if tab != nil {
+			r := nodeReader{buf: e.inline, types: *tab}
+			if err := r.checkInline(); err != nil || r.pos != len(e.inline) {
+				return nil, badImage(inlineOff, r, err, "root value")
+			}
 		}
 		entries = append(entries, e)
 	}
 	return entries, nil
+}
+
+// mayNameType reports whether a node image can name a type ordinal: as a
+// dynamic node's type, or as a type atom, whose tag byte it then holds. An
+// image that cannot need not be walked for ordinals.
+func mayNameType(img []byte) bool {
+	return len(img) > 0 && (img[0] == inDynamic || bytes.IndexByte(img[1:], inTypeVal) >= 0)
+}
+
+// badImage is the corruption a node image or inline value read by r at
+// offset off shows: err, or bytes left after the value.
+func badImage(off int64, r nodeReader, err error, what string) *CorruptError {
+	if err == nil {
+		err = fmt.Errorf("%d bytes after the value", len(r.buf)-r.pos)
+	}
+	return &CorruptError{Offset: off + int64(r.pos), Reason: fmt.Sprintf("bad %s: %v", what, err)}
 }
 
 // scanNames parses a counted list of names: an index-definition table, or
@@ -346,12 +378,25 @@ func scanLog(r io.Reader, sink scanSink) (scanSummary, error) {
 
 	groupStart := s.off
 	s.crc = 0
+	// validTypes is the type table's length at the last valid commit: the
+	// open group's 'T' records define nothing until its marker validates.
+	validTypes := 0
+	if sink.types != nil {
+		validTypes = len(*sink.types)
+		defer func() { *sink.types = (*sink.types)[:validTypes] }()
+	}
 
 	// anomaly classifies a parse failure at offset off: torn when a crash
-	// explains it, corrupt otherwise.
+	// explains it, corrupt otherwise — at the offset err names, if it is a
+	// *CorruptError.
 	anomaly := func(off int64, reason string, err error) {
 		if err != nil && isEOF(err) {
 			sum.torn = true
+			return
+		}
+		var ce *CorruptError
+		if errors.As(err, &ce) {
+			sum.corrupt = ce
 			return
 		}
 		sum.corrupt = &CorruptError{Offset: off, Reason: reason}
@@ -373,6 +418,30 @@ func scanLog(r io.Reader, sink scanSink) (scanSummary, error) {
 		s.crc = crc32.Update(s.crc, crcTable, []byte{kind})
 
 		switch kind {
+		case recType:
+			n, err := s.uvarint()
+			if err != nil {
+				anomaly(s.off, "bad type record length", err)
+				return sum, nil
+			}
+			if n > maxRecordSize {
+				anomaly(s.off, fmt.Sprintf("oversized type record (%d bytes)", n), nil)
+				return sum, nil
+			}
+			imgOff := s.off
+			img, err := s.transient(int(n))
+			if err != nil {
+				anomaly(s.off, "short type image", err)
+				return sum, nil
+			}
+			if sink.types != nil {
+				t, err := codec.DecodeType(img)
+				if err != nil {
+					anomaly(imgOff, fmt.Sprintf("bad image of type ordinal %d: %v", len(*sink.types), err), nil)
+					return sum, nil
+				}
+				*sink.types = append(*sink.types, t)
+			}
 		case recNode:
 			oid, err := s.uvarint()
 			if err != nil {
@@ -388,10 +457,18 @@ func scanLog(r io.Reader, sink scanSink) (scanSummary, error) {
 				anomaly(s.off, fmt.Sprintf("oversized node (%d bytes)", n), nil)
 				return sum, nil
 			}
+			imgOff := s.off
 			img, err := s.bytes(int(n))
 			if err != nil {
 				anomaly(s.off, "short node image", err)
 				return sum, nil
+			}
+			if sink.types != nil && mayNameType(img) {
+				r := nodeReader{buf: img, types: *sink.types}
+				if err := r.checkNode(); err != nil {
+					sum.corrupt = badImage(imgOff, r, err, fmt.Sprintf("node %d", oid))
+					return sum, nil
+				}
 			}
 			if sink.node != nil {
 				sink.node(oid, img)
@@ -443,6 +520,9 @@ func scanLog(r io.Reader, sink scanSink) (scanSummary, error) {
 			}
 			if sink.commit != nil {
 				sink.commit(s.off)
+			}
+			if sink.types != nil {
+				validTypes = len(*sink.types)
 			}
 			sum.commits++
 			sum.goodEnd = s.off

@@ -44,7 +44,6 @@ import (
 	"sync/atomic"
 
 	"dbpl/internal/dynamic"
-	"dbpl/internal/persist/codec"
 	"dbpl/internal/persist/iofault"
 	"dbpl/internal/pmap"
 	"dbpl/internal/types"
@@ -156,9 +155,14 @@ type Store struct {
 	nodes   map[uint64][]byte
 	nextOID uint64
 	fresh   []value.Value
-	// types holds the type images decoded so far; a replay keeps it. It is
-	// used under mu.
-	types *codec.TypeTable
+	// types is the log's type table: the type each ordinal names, the
+	// staged groups' ordinals included, and typeIDs its inverse, which the
+	// writer numbers a type by. durableTypes counts the ordinals the
+	// durable groups define; a rolled-back batch forgets the rest (see
+	// forgetTypes), so its retry writes their 'T' records again.
+	types        []types.Type
+	typeIDs      map[*types.Interned]uint64
+	durableTypes int
 
 	// epoch is the promotion epoch: 0 until the first Promote, bumped by
 	// every Promote and recovered from the last committed 'E' record on
@@ -239,7 +243,6 @@ func OpenFS(fsys iofault.FS, path string) (*Store, error) {
 		fs:    fsys,
 		path:  path,
 		f:     f,
-		types: new(codec.TypeTable),
 		owner: new(pmap.Owner),
 	}
 	if err := s.load(); err != nil {
@@ -302,11 +305,14 @@ func (s *Store) load() error {
 	s.defsDirty = false
 	s.touched, s.stagedTouched = nil, nil
 	s.nodes, s.nextOID, s.fresh = map[uint64][]byte{}, 0, nil
+	s.types, s.typeIDs, s.durableTypes = nil, map[*types.Interned]uint64{}, 0
+	var tab []types.Type
 	fold := groupFold{nodes: map[uint64][]byte{}}
-	sum, err := scanLog(s.f, fold.sink(s.types))
+	sum, err := scanLog(s.f, fold.sink(&tab))
 	if err != nil {
 		return err
 	}
+	s.defineTypes(tab)
 	if sum.empty || (sum.corrupt == nil && sum.version == 0) {
 		// Fresh file — or a torn header fragment from a crash during store
 		// creation, which cannot contain any commit and is safe to clear.
@@ -361,7 +367,7 @@ func (s *Store) load() error {
 	}
 	sort.Strings(names)
 	dyns := make([]*dynamic.Dynamic, len(names))
-	m := s.newMaterializer(len(s.nodes), nil)
+	m := s.newMaterializer(len(s.nodes), nil, s.types)
 	for i, name := range names {
 		e := fold.upserts[name]
 		v, err := m.root(e.inline)
@@ -383,6 +389,45 @@ func (s *Store) load() error {
 	return nil
 }
 
+// defineTypes makes tab, which extends the store's type table, the table
+// of the durable log, and numbers its new types for the writer. Callers
+// hold s.mu.
+func (s *Store) defineTypes(tab []types.Type) {
+	for id := len(s.types); id < len(tab); id++ {
+		h := types.Intern(tab[id])
+		if _, ok := s.typeIDs[h]; !ok {
+			s.typeIDs[h] = uint64(id)
+		}
+	}
+	s.types, s.durableTypes = tab, len(tab)
+}
+
+// forgetTypes drops the ordinals from n on: no group in the file defines
+// them any more. Callers hold s.mu.
+func (s *Store) forgetTypes(n int) {
+	for id := n; id < len(s.types); id++ {
+		h := types.Intern(s.types[id])
+		if s.typeIDs[h] == uint64(id) {
+			delete(s.typeIDs, h)
+		}
+	}
+	s.types = s.types[:n]
+}
+
+// typeID returns t's ordinal, numbering the type next when no group
+// defines it yet: the group being encoded then writes its 'T' record.
+// Callers hold s.mu.
+func (s *Store) typeID(t types.Type) uint64 {
+	h := types.Intern(t)
+	if id, ok := s.typeIDs[h]; ok {
+		return id
+	}
+	id := uint64(len(s.types))
+	s.typeIDs[h] = id
+	s.types = append(s.types, h.Type())
+	return id
+}
+
 // register records a live container's OID so a later Commit can re-encode
 // it incrementally. A replica never commits locally, so registration is
 // skipped there — a long-running follower must not grow oids without
@@ -397,25 +442,27 @@ func (s *Store) register(v value.Value, oid uint64) {
 // ApplyGroup. cache shares each node among every parent that reaches it;
 // busy holds the set, tag and dynamic nodes being decoded — a cycle back
 // into one is corrupt — and is allocated at the first of them. overlay,
-// an ApplyGroup's incoming node images, wins over the committed ones.
+// an ApplyGroup's incoming node images, wins over the committed ones, and
+// types is the type table with the incoming groups' 'T' records.
 type materializer struct {
 	s       *Store
 	overlay map[uint64][]byte
+	types   []types.Type
 	cache   map[uint64]value.Value
 	busy    map[uint64]bool
 	resolve func(oid uint64) (value.Value, error) // m.node, bound once
 }
 
 // newMaterializer returns a materializer sized for n nodes.
-func (s *Store) newMaterializer(n int, overlay map[uint64][]byte) *materializer {
-	m := &materializer{s: s, overlay: overlay, cache: make(map[uint64]value.Value, n)}
+func (s *Store) newMaterializer(n int, overlay map[uint64][]byte, tab []types.Type) *materializer {
+	m := &materializer{s: s, overlay: overlay, types: tab, cache: make(map[uint64]value.Value, n)}
 	m.resolve = m.node
 	return m
 }
 
 // root decodes a root entry's inline value.
 func (m *materializer) root(inline []byte) (value.Value, error) {
-	r := nodeReader{buf: inline, types: m.s.types}
+	r := nodeReader{buf: inline, types: m.types}
 	return r.inlineValue(m.resolve)
 }
 
@@ -444,7 +491,7 @@ func (m *materializer) node(oid uint64) (value.Value, error) {
 	if m.busy[oid] {
 		return nil, fmt.Errorf("%w: cycle through a non-record node %d", ErrCorrupt, oid)
 	}
-	r := nodeReader{buf: img, types: s.types}
+	r := nodeReader{buf: img, types: m.types}
 	tag, err := r.byte()
 	if err != nil {
 		return nil, err
@@ -776,15 +823,12 @@ func (s *Store) reach(names []string) []value.Value {
 // encodeRootEntries writes a count and one root-table entry per name.
 func (s *Store) encodeRootEntries(b *nodeBuf, names []string) error {
 	b.uvarint(uint64(len(names)))
-	oidOf := func(v value.Value) uint64 { return s.oids[v] }
 	for _, n := range names {
 		d, _ := s.roots.Get(n)
 		b.str(n)
-		if err := b.typ(d.Type()); err != nil {
-			return err
-		}
+		b.uvarint(s.typeID(d.Type()))
 		start := b.Len()
-		if err := encodeInline(b, d.Value(), oidOf); err != nil {
+		if err := encodeInline(b, d.Value(), s); err != nil {
 			return err
 		}
 		b.prefixLen(start)
@@ -829,6 +873,17 @@ func (s *Store) encodeRootDelta(b *nodeBuf, upserts, deletes []string) error {
 	return nil
 }
 
+// encodeTypes writes a 'T' record for each ordinal from from on.
+func (s *Store) encodeTypes(b *nodeBuf, from int) error {
+	for _, t := range s.types[from:] {
+		b.WriteByte(recType)
+		if err := b.typ(t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // encodeIndexDefs writes the index-definition table record into b.
 func encodeIndexDefs(b *nodeBuf, defs []string) {
 	b.WriteByte(recIndex)
@@ -863,12 +918,14 @@ func (s *Store) appendPos() int64 {
 // are gone from the file. A batch that persisted the index-definition
 // table and then failed must mark the defs dirty again, so the next commit
 // re-writes them; likewise the handles its root deltas covered are touched
-// again. Callers hold s.mu.
+// again, and the types its 'T' records defined are numbered anew. Callers
+// hold s.mu.
 func (s *Store) resetStaging() {
 	s.staged = 0
 	s.stagedEnd = s.end
 	s.stagedNodes = nil
 	s.stagedRoots = nil
+	s.forgetTypes(s.durableTypes)
 	if s.stagedDefs != nil {
 		s.defsDirty = true
 		s.stagedDefs = nil
@@ -958,6 +1015,7 @@ func (s *Store) syncStaged() (int, error) {
 	}
 	n := s.staged
 	s.setEnd(s.stagedEnd)
+	s.durableTypes = len(s.types)
 	for oid, img := range s.stagedNodes {
 		s.nodes[oid] = img
 	}
@@ -1108,15 +1166,58 @@ func (s *Store) writable() error {
 func (s *Store) stageCommitLocked(walk []string) (CommitStats, error) {
 	order := s.reach(walk)
 	upserts, deletes := s.rootDelta() // after reach, which may touch
-	oidOf := func(v value.Value) uint64 { return s.oids[v] }
-
-	var out nodeBuf
 	stats := CommitStats{NodesReachable: len(order)}
+	from := len(s.types)
+	group, newImages, err := s.encodeGroup(order, upserts, deletes, from, &stats)
+	if err != nil {
+		// The group never reached the file, so neither did its types.
+		s.forgetTypes(from)
+		return stats, err
+	}
+	// A failed stage rolls the whole batch back, and the rollback forgets
+	// every type the batch numbered (resetStaging).
+	if err := s.stageGroup(group); err != nil {
+		return stats, err
+	}
+	stats.BytesWritten = group.Len()
+	if s.stagedNodes == nil {
+		s.stagedNodes = make(map[uint64][]byte, len(newImages))
+	}
+	for oid, img := range newImages {
+		s.stagedNodes[oid] = img
+	}
+	roots := s.roots
+	s.stagedRoots, s.owner = &roots, new(pmap.Owner)
+	if s.defsDirty {
+		s.defsDirty = false
+		s.stagedDefs = append([]string{}, s.indexDefs...)
+	}
+	// Hand the touched set to the batch: the map itself when this is the
+	// batch's first group — a first commit's holds every handle, and is
+	// not worth keeping allocated — else merged.
+	if s.stagedTouched == nil {
+		s.stagedTouched = s.touched
+	} else {
+		for name := range s.touched {
+			s.stagedTouched[name] = true
+		}
+	}
+	s.touched = nil
+	return stats, nil
+}
+
+// encodeGroup encodes one commit group over the nodes of order that
+// changed since their staged or committed image, the root delta and, if
+// dirty, the index definitions. The types it numbers past from are
+// defined by 'T' records at the group's head. It returns the group,
+// without its checksum, and the node images it writes.
+func (s *Store) encodeGroup(order []value.Value, upserts, deletes []string, from int, stats *CommitStats) (*nodeBuf, map[uint64][]byte, error) {
+	var out nodeBuf
 	newImages := map[uint64][]byte{}
 	for _, v := range order {
-		img, err := encodeNode(v, oidOf, TransientPrefix)
+		img, err := encodeNode(v, s, TransientPrefix)
 		if err != nil {
-			return stats, err
+			return nil, nil, err
 		}
 		oid := s.oids[v]
 		prev, ok := s.stagedNodes[oid]
@@ -1134,41 +1235,21 @@ func (s *Store) stageCommitLocked(walk []string) (CommitStats, error) {
 		stats.NodesWritten++
 	}
 	if err := s.encodeRootDelta(&out, upserts, deletes); err != nil {
-		return stats, err
+		return nil, nil, err
 	}
-	wroteDefs := s.defsDirty
-	if wroteDefs {
+	if s.defsDirty {
 		encodeIndexDefs(&out, s.indexDefs)
 	}
-	out.WriteByte(recCommit)
-	if err := s.stageGroup(&out); err != nil {
-		return stats, err
-	}
-	stats.BytesWritten = out.Len()
-	if s.stagedNodes == nil {
-		s.stagedNodes = make(map[uint64][]byte, len(newImages))
-	}
-	for oid, img := range newImages {
-		s.stagedNodes[oid] = img
-	}
-	roots := s.roots
-	s.stagedRoots, s.owner = &roots, new(pmap.Owner)
-	if wroteDefs {
-		s.defsDirty = false
-		s.stagedDefs = append([]string{}, s.indexDefs...)
-	}
-	// Hand the touched set to the batch: the map itself when this is the
-	// batch's first group — a first commit's holds every handle, and is
-	// not worth keeping allocated — else merged.
-	if s.stagedTouched == nil {
-		s.stagedTouched = s.touched
-	} else {
-		for name := range s.touched {
-			s.stagedTouched[name] = true
+	group := &out
+	if len(s.types) > from {
+		group = new(nodeBuf)
+		if err := s.encodeTypes(group, from); err != nil {
+			return nil, nil, err
 		}
+		group.Write(out.Bytes())
 	}
-	s.touched = nil
-	return stats, nil
+	group.WriteByte(recCommit)
+	return group, newImages, nil
 }
 
 // Abort discards all uncommitted changes by replaying the log: handles and
@@ -1193,7 +1274,13 @@ func (s *Store) Abort() error {
 		}
 	}
 	s.broken = nil // a poisoned store recovers by replaying the log
-	return s.load()
+	if err := s.load(); err != nil {
+		// A replay cut short leaves memory that no longer matches the
+		// file — the type table among it — so nothing may append until a
+		// replay succeeds.
+		return s.poison(err)
+	}
+	return nil
 }
 
 // AbortBound is Abort for a caller that keeps StageBound's contract — no
@@ -1201,7 +1288,8 @@ func (s *Store) Abort() error {
 // nothing from the log. It trims the staged groups still in the file, then
 // restores the working root table, the index definitions and the touched
 // set to the last durable group, and forgets the OIDs numbered since,
-// rewinding nextOID: the store is the one a reopen of the file would give,
+// rewinding nextOID, as the trim forgets the type ordinals the staged
+// groups defined: the store is the one a reopen of the file would give,
 // at the cost of what the rolled-back batch changed. A store poisoned by a
 // trim that failed stays poisoned and AbortBound returns its error: only
 // Abort (which retries the trim and replays) or a reopen recovers it.
@@ -1255,7 +1343,6 @@ func (s *Store) Compact() (CompactStats, error) {
 	before := s.end
 	names := s.namesLocked()
 	order := s.reach(names)
-	oidOf := func(v value.Value) uint64 { return s.oids[v] }
 
 	tmp, err := s.fs.CreateTemp(iofault.Dir(s.path), ".compact-*")
 	if err != nil {
@@ -1263,39 +1350,56 @@ func (s *Store) Compact() (CompactStats, error) {
 	}
 	tmpName := tmp.Name()
 	defer s.fs.Remove(tmpName)
-	headerLen := len(logMagic) + 1
-	var out nodeBuf
-	out.WriteString(logMagic)
-	out.WriteByte(logVersion)
+	// The rewritten log numbers its types afresh, as a first group does:
+	// only the types the live nodes and roots name get a 'T' record. The
+	// old table comes back unless the rename makes the new file the log.
+	oldTypes, oldIDs := s.types, s.typeIDs
+	s.types, s.typeIDs = nil, map[*types.Interned]uint64{}
+	renamed := false
+	defer func() {
+		if !renamed {
+			s.types, s.typeIDs = oldTypes, oldIDs
+		}
+	}()
+	var body nodeBuf
 	kept := map[uint64][]byte{}
 	for _, v := range order {
-		img, err := encodeNode(v, oidOf, TransientPrefix)
+		img, err := encodeNode(v, s, TransientPrefix)
 		if err != nil {
 			tmp.Close()
 			return CompactStats{}, err
 		}
 		oid := s.oids[v]
 		kept[oid] = img
-		out.WriteByte(recNode)
-		out.uvarint(oid)
-		out.uvarint(uint64(len(img)))
-		out.Write(img)
+		body.WriteByte(recNode)
+		body.uvarint(oid)
+		body.uvarint(uint64(len(img)))
+		body.Write(img)
 	}
 	// The rewritten log's one group states the whole table as a delta
 	// against the empty one.
-	if err := s.encodeRootDelta(&out, names, nil); err != nil {
+	if err := s.encodeRootDelta(&body, names, nil); err != nil {
 		tmp.Close()
 		return CompactStats{}, err
 	}
 	if len(s.indexDefs) > 0 {
-		encodeIndexDefs(&out, s.indexDefs)
+		encodeIndexDefs(&body, s.indexDefs)
 	}
 	if s.epoch > 0 {
 		// Carry the promotion epoch into the rewritten log.
-		out.WriteByte(recEpoch)
-		out.uvarint(s.epoch)
+		body.WriteByte(recEpoch)
+		body.uvarint(s.epoch)
 	}
-	out.WriteByte(recCommit)
+	body.WriteByte(recCommit)
+	headerLen := len(logMagic) + 1
+	var out nodeBuf
+	out.WriteString(logMagic)
+	out.WriteByte(logVersion)
+	if err := s.encodeTypes(&out, 0); err != nil {
+		tmp.Close()
+		return CompactStats{}, err
+	}
+	out.Write(body.Bytes())
 	// The group checksum covers everything after the header.
 	var tr [checksumSize]byte
 	binary.LittleEndian.PutUint32(tr[:], crc32.Checksum(out.Bytes()[headerLen:], crcTable))
@@ -1314,6 +1418,8 @@ func (s *Store) Compact() (CompactStats, error) {
 	if err := s.fs.Rename(tmpName, s.path); err != nil {
 		return CompactStats{}, wrapIO(iofault.OpRename, s.path, err)
 	}
+	renamed = true
+	s.durableTypes = len(s.types)
 	// From here the on-disk log is the compacted file. Swap the handle
 	// before anything else can fail, so appends never target the unlinked
 	// old inode; failure to swap poisons the store.

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"dbpl/internal/persist/iofault"
+	"dbpl/internal/types"
+	"dbpl/internal/value"
 )
 
 // Byte values of the grammars this package no longer reads, spelled out
@@ -16,7 +18,22 @@ const (
 	oldRootTable byte = 'R' // a whole root table, as versions 1 and 2 wrote
 	oldVersion1  byte = 1   // no checksum after the commit marker
 	oldVersion2  byte = 2   // checksummed, 'R' or 'D' root records
+	oldVersion3  byte = 3   // a type image in place of every ordinal
 )
+
+// imageEntry writes one root-table entry binding name to an Int as
+// versions 1 to 3 did: the declared type's whole image inline.
+func imageEntry(t testing.TB, b *nodeBuf, name string, x int64) {
+	b.str(name)
+	if err := b.typ(types.Int); err != nil {
+		t.Fatal(err)
+	}
+	start := b.Len()
+	if err := encodeInline(b, value.Int(x), nil); err != nil {
+		t.Fatal(err)
+	}
+	b.prefixLen(start)
+}
 
 // v1LogImage handcrafts a version-1 log holding one committed root x = 7,
 // byte for byte what the first store wrote.
@@ -26,7 +43,7 @@ func v1LogImage(t testing.TB) []byte {
 	b.WriteByte(oldVersion1)
 	b.WriteByte(oldRootTable)
 	b.uvarint(1)
-	intEntry(t, &b, "x", 7)
+	imageEntry(t, &b, "x", 7)
 	b.WriteByte(recCommit)
 	return b.Bytes()
 }
@@ -41,8 +58,26 @@ func v2RootTableLogImage(t testing.TB) []byte {
 	logGroup(&log, func(b *nodeBuf) {
 		b.WriteByte(oldRootTable)
 		b.uvarint(1)
-		intEntry(t, b, "x", 7)
+		imageEntry(t, b, "x", 7)
 	})
+	return log.Bytes()
+}
+
+// v3LogImage handcrafts a version-3 log, byte for byte what the store
+// wrote before type ordinals: two groups binding x to 1 and then 2, each
+// entry with Int's image inline.
+func v3LogImage(t testing.TB) []byte {
+	var log bytes.Buffer
+	log.WriteString(logMagic)
+	log.WriteByte(oldVersion3)
+	for x := int64(1); x <= 2; x++ {
+		logGroup(&log, func(b *nodeBuf) {
+			b.WriteByte(recRootDelta)
+			b.uvarint(1)
+			imageEntry(t, b, "x", x)
+			b.uvarint(0)
+		})
+	}
 	return log.Bytes()
 }
 
@@ -66,6 +101,7 @@ func TestOldLogVersionsRefused(t *testing.T) {
 	}{
 		{"v1", v1LogImage(t), 1},
 		{"v2 with root table", v2RootTableLogImage(t), 2},
+		{"v3", v3LogImage(t), 3},
 		{"v9", futureLogImage(t), 9},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

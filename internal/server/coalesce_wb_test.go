@@ -204,19 +204,31 @@ func TestCoalescerBatchFsyncFailureFailsAllWaiters(t *testing.T) {
 // of its file would — the same working table, index definitions, touched
 // set and next OID — so retrying the batch's writes appends, byte for
 // byte, the groups a store freshly opened on the same file appends for
-// them. The batch is one write (a new name, a rebind, a delete or a
-// CREATEINDEX) or three commits sharing one fsync.
+// them. The batch is one write (a new name, a rebind, a delete, a
+// CREATEINDEX or the first use of a type) or commits sharing one fsync:
+// three, or two where the first defines a type the second uses. The
+// batch fails at its fsync, or at the second group's write after the
+// first group's 'T' record is staged. A type the failed batch defined is
+// defined again by the retry's 'T' record.
 func TestRollbackMatchesReopen(t *testing.T) {
 	del := func(name string) txnOp { return txnOp{name: name, del: true} }
+	// shaped is a PUT at a record type no earlier write used.
+	shaped := func(name string) txnOp {
+		return txnOp{name: name, dyn: dynamic.Make(value.Rec("Name", value.String(name), "Shape", value.Int(1)))}
+	}
 	for _, tc := range []struct {
 		name  string
 		batch func() []txnOp // one commit each, built afresh per attempt
+		write bool           // fail the second group's write, not the fsync
 	}{
-		{"put-new", func() []txnOp { return []txnOp{putOp("fresh", 1)} }},
-		{"rebind", func() []txnOp { return []txnOp{putOp("base", 2)} }},
-		{"delete", func() []txnOp { return []txnOp{del("gone")} }},
-		{"create-index", func() []txnOp { return []txnOp{{name: "Dept", index: true}} }},
-		{"batch-of-three", func() []txnOp { return []txnOp{putOp("fresh", 1), putOp("base", 2), del("gone")} }},
+		{"put-new", func() []txnOp { return []txnOp{putOp("fresh", 1)} }, false},
+		{"rebind", func() []txnOp { return []txnOp{putOp("base", 2)} }, false},
+		{"delete", func() []txnOp { return []txnOp{del("gone")} }, false},
+		{"create-index", func() []txnOp { return []txnOp{{name: "Dept", index: true}} }, false},
+		{"batch-of-three", func() []txnOp { return []txnOp{putOp("fresh", 1), putOp("base", 2), del("gone")} }, false},
+		{"new-type", func() []txnOp { return []txnOp{shaped("fresh")} }, false},
+		{"new-type-across-groups", func() []txnOp { return []txnOp{shaped("fresh"), shaped("other")} }, false},
+		{"new-type-second-write-fails", func() []txnOp { return []txnOp{shaped("fresh"), shaped("other")} }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -239,7 +251,12 @@ func TestRollbackMatchesReopen(t *testing.T) {
 					t.Fatalf("commit over a failing fsync = %v, want the injected cause", err)
 				}
 			} else {
-				inj.FailAt(iofault.OpSync, inj.Count(iofault.OpSync)+2) // the lead's fsync passes
+				if tc.write {
+					// The lead's write passes, then the batch's first group's.
+					inj.FailAt(iofault.OpWrite, inj.Count(iofault.OpWrite)+3)
+				} else {
+					inj.FailAt(iofault.OpSync, inj.Count(iofault.OpSync)+2) // the lead's fsync passes
+				}
 				errs, leadErr := inOneBatch(t, srv, gate, putOp("lead", 0), len(doomed), func(i int) error {
 					return commit(srv, doomed[i])
 				})
