@@ -55,9 +55,10 @@ func TestTracedStampWriteSideAllocs(t *testing.T) {
 // witness types decodes each record at the canonical type a one-shot
 // DecodeTagged gives — its own types.Intern handle — at no more than 6
 // allocations a record. The reply decodes each distinct type image once,
-// cuts its records and value slices from slabs, shares one labels slice
-// among the records of one label sequence and slices its string atoms from
-// one copy of the payload, so what is left is the boxing of the atoms.
+// cuts its records and value slices from slabs, gives the records of one
+// label set their interned value.Shape without a label string, and slices
+// its string atoms from one copy of the payload, so what is left is the
+// boxing of the atoms.
 func TestDecodeGetAllocs(t *testing.T) {
 	const n, witnesses, maxPerRecord = 512, 4, 6
 	fields := make([][]byte, n)

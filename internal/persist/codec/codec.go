@@ -448,6 +448,8 @@ type Decoder struct {
 	// rep, if set, is the reply whose images the decoder reads; see
 	// DecodeReply.
 	rep *reply
+	// recs builds the records the decoder reads.
+	recs value.RecordDecoder
 	// typeDepth tracks Type's recursion so only complete top-level types are
 	// canonicalized (open subterms under a binder should not be interned),
 	// and, with valueDepth, enforces the nesting bounds.
@@ -532,19 +534,19 @@ func DecodeType(img []byte) (types.Type, error) {
 
 // TypeTable maps the exact bytes of a type image to the canonical type they
 // decode to, for one reader: one reply. Through a table each distinct type
-// image is decoded and canonicalised once, and a record or variant label
-// equal to one the table has met reuses that string. It grows with the
-// distinct images and labels its reader meets. The zero
-// value is ready to use, and a nil *TypeTable decodes every image afresh.
-// A TypeTable is not safe for concurrent use.
+// image is decoded and canonicalised once. It grows with the distinct images
+// its reader meets. The zero value is ready to use, and a nil *TypeTable
+// decodes every image afresh. A TypeTable is not safe for concurrent use,
+// and is not copied once used.
 type TypeTable struct {
 	// first is the first image stored and firstType its type; types maps
 	// every image once a second one is stored, so a reader of a single type
-	// builds no map.
-	first     string
+	// builds no map. first is held in firstBuf when it fits, so a table's
+	// first image costs no more than a decode without a table.
+	first     []byte
+	firstBuf  [64]byte
 	firstType types.Type
 	types     map[string]types.Type
-	labels    map[string]string
 	// d is the decoder every image through the table reuses.
 	d Decoder
 }
@@ -565,15 +567,7 @@ func (tbl *TypeTable) decodeTagged(img []byte, rep *reply) (value.Value, types.T
 	if err != nil {
 		return nil, nil, err
 	}
-	start := d.pos
 	v, err := d.Value()
-	if err == errDynamicInReply {
-		// Start the value again, one field at a time.
-		clear(d.refs)
-		*d = Decoder{src: img, pos: start, refs: d.refs[:0], tbl: tbl}
-		d.open = d.openBuf[:0]
-		v, err = d.Value()
-	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -591,7 +585,7 @@ func (tbl *TypeTable) decoder(img []byte, rep *reply) (*Decoder, error) {
 		return nil, err
 	}
 	d := &tbl.d
-	*d = Decoder{src: img, pos: headerLen, refs: d.refs, tbl: tbl, rep: rep}
+	*d = Decoder{src: img, pos: headerLen, refs: d.refs, tbl: tbl, rep: rep, recs: d.recs}
 	d.open = d.openBuf[:0]
 	return d, nil
 }
@@ -601,6 +595,7 @@ func (tbl *TypeTable) release() {
 	if tbl != nil {
 		clear(tbl.d.refs)
 		tbl.d.src, tbl.d.refs = nil, tbl.d.refs[:0]
+		tbl.d.recs.Reset()
 	}
 }
 
@@ -629,51 +624,29 @@ func (tbl *TypeTable) typ(d *Decoder) (types.Type, error) {
 	if d.pos != end {
 		return nil, fmt.Errorf("%w: a %d-byte type image read as %d bytes", ErrCorrupt, end-start, d.pos-start)
 	}
-	tbl.store(string(d.src[start:end]), t)
+	tbl.store(d.src[start:end], t)
 	return t, nil
-}
-
-// Len returns the number of distinct type images tbl holds: the images it
-// has decoded.
-func (tbl *TypeTable) Len() int {
-	if tbl == nil || tbl.firstType == nil {
-		return 0
-	}
-	return max(1, len(tbl.types))
 }
 
 func (tbl *TypeTable) lookup(img []byte) types.Type {
 	if tbl.types != nil {
 		return tbl.types[string(img)]
 	}
-	if tbl.first == string(img) {
+	if string(tbl.first) == string(img) {
 		return tbl.firstType // nil until an image is stored
 	}
 	return nil
 }
 
-func (tbl *TypeTable) store(img string, t types.Type) {
+func (tbl *TypeTable) store(img []byte, t types.Type) {
 	switch {
 	case tbl.firstType == nil:
-		tbl.first, tbl.firstType = img, t
+		tbl.first, tbl.firstType = append(tbl.firstBuf[:0], img...), t
 	case tbl.types == nil:
-		tbl.types = map[string]types.Type{tbl.first: tbl.firstType, img: t}
+		tbl.types = map[string]types.Type{string(tbl.first): tbl.firstType, string(img): t}
 	default:
-		tbl.types[img] = t
+		tbl.types[string(img)] = t
 	}
-}
-
-// label returns b as a string, the table's copy if it has met b.
-func (tbl *TypeTable) label(b []byte) string {
-	if l, ok := tbl.labels[string(b)]; ok {
-		return l
-	}
-	l := string(b)
-	if tbl.labels == nil {
-		tbl.labels = map[string]string{}
-	}
-	tbl.labels[l] = l
-	return l
 }
 
 func (d *Decoder) byte() (byte, error) {
@@ -723,15 +696,6 @@ func (d *Decoder) bytes() ([]byte, error) {
 func (d *Decoder) str() (string, error) {
 	b, err := d.bytes()
 	return string(b), err
-}
-
-// label reads a record or variant label through the decoder's table.
-func (d *Decoder) label() (string, error) {
-	b, err := d.bytes()
-	if err != nil || d.tbl == nil {
-		return string(b), err
-	}
-	return d.tbl.label(b), nil
 }
 
 // capCount bounds an initial slice capacity derived from untrusted input.
@@ -844,14 +808,19 @@ func (d *Decoder) value() (value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
+		// A reply's records and values come from its slabs.
+		var rec *value.Record
+		var vals []value.Value
 		if d.rep != nil {
-			return d.replyRecord(n)
+			rec, vals = &d.rep.recs.take(1, d)[0], d.rep.vals.take(n, d)
+		} else {
+			rec, vals = new(value.Record), make([]value.Value, 0, capCount(n))
 		}
-		rec := value.NewRecordCap(capCount(n))
 		d.refs = append(d.refs, rec) // register before children: cycles
 		d.push(len(d.refs)-1, vRecord)
+		d.recs.Begin(rec, vals)
 		for i := 0; i < n; i++ {
-			l, err := d.label()
+			l, err := d.bytes()
 			if err != nil {
 				return nil, err
 			}
@@ -859,10 +828,10 @@ func (d *Decoder) value() (value.Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			rec.Set(l, f)
+			d.recs.Field(l, f)
 		}
 		d.pop()
-		return rec, nil
+		return d.recs.End(), nil
 	case vList:
 		n, err := d.count()
 		if err != nil {
@@ -924,9 +893,6 @@ func (d *Decoder) value() (value.Value, error) {
 		}
 		return value.NewTypeVal(t), nil
 	case vDynamic:
-		if d.rep != nil {
-			return nil, errDynamicInReply
-		}
 		idx := len(d.refs)
 		d.refs = append(d.refs, nil)
 		d.push(idx, vDynamic)
@@ -939,6 +905,7 @@ func (d *Decoder) value() (value.Value, error) {
 			return nil, err
 		}
 		d.pop()
+		d.recs.Flush() // the check reads the records around it as read so far
 		dyn, err := dynamic.MakeAt(v, t)
 		if err != nil {
 			return nil, fmt.Errorf("%w: dynamic no longer conforms: %v", ErrCorrupt, err)
@@ -1017,7 +984,7 @@ func (d *Decoder) typeInner() (types.Type, error) {
 		fs := make([]types.Field, 0, capCount(n))
 		seen := make(map[string]bool, capCount(n))
 		for i := 0; i < n; i++ {
-			l, err := d.label()
+			l, err := d.str()
 			if err != nil {
 				return nil, err
 			}
@@ -1168,14 +1135,13 @@ func (d *Decoder) skipType(depth int) error {
 // one VALUES frame, in order, and calls each with an image's index, value
 // and type. Its outcome is per-image DecodeTagged's, stopping at the first
 // error, but it costs what the reply's bytes cost. The images share one
-// TypeTable. The reply's records and their value slices are cut from slabs
-// sized from the image count, records with the same labels share one labels
-// slice, and string atoms are substrings of one copy of the images. So a
+// TypeTable, and their records get their labels as every decoded record
+// does, from the interned value.Shape of their label set. The reply's
+// records and their value slices are cut from slabs sized from the image
+// count, and string atoms are substrings of one copy of the images. So a
 // value kept from the reply keeps that copy and those slabs alive. The
 // types keep strings of their own, since a canonical type outlives the
-// reply. An image that holds a dynamic decodes its value as DecodeTagged
-// does, one field at a time: a dynamic checks its value while the records
-// around it are still being decoded.
+// reply.
 func DecodeReply(imgs [][]byte, each func(i int, v value.Value, t types.Type)) error {
 	if len(imgs) == 0 {
 		return nil
@@ -1202,9 +1168,6 @@ func DecodeReply(imgs [][]byte, each func(i int, v value.Value, t types.Type)) e
 	return nil
 }
 
-// errDynamicInReply stops a reply's decode of an image's value at a dynamic.
-var errDynamicInReply = errors.New("codec: a dynamic in a reply")
-
 // reply is what the decodes of one reply's images share.
 type reply struct {
 	tbl TypeTable
@@ -1216,10 +1179,6 @@ type reply struct {
 	images, done int
 	recs         slab[value.Record]
 	vals         slab[value.Value]
-	// labels holds the labels of the records being decoded, innermost
-	// last; seqs the label sequences the reply has met, by seqHash.
-	labels []string
-	seqs   map[uint64][]string
 }
 
 // slab hands out runs of one reply's records or values.
@@ -1259,61 +1218,6 @@ func (d *Decoder) atom() (string, error) {
 	}
 	end := d.rep.off + d.pos
 	return d.rep.src[end-len(b) : end], nil
-}
-
-// replyRecord reads the n fields of a reply's record into its slabs.
-func (d *Decoder) replyRecord(n int) (value.Value, error) {
-	rep := d.rep
-	rec := &rep.recs.take(1, d)[0]
-	vals := rep.vals.take(n, d)
-	d.refs = append(d.refs, rec) // register before children: cycles
-	d.push(len(d.refs)-1, vRecord)
-	base := len(rep.labels)
-	for i := range vals {
-		l, err := d.label()
-		if err != nil {
-			return nil, err
-		}
-		rep.labels = append(rep.labels, l)
-		if vals[i], err = d.Value(); err != nil {
-			return nil, err
-		}
-	}
-	d.pop()
-	labels := rep.share(rep.labels[base:])
-	rep.labels = rep.labels[:base]
-	return value.InitRecord(rec, labels, vals), nil
-}
-
-// share returns the reply's copy of the label sequence ls, made at its
-// first meeting.
-func (rep *reply) share(ls []string) []string {
-	h := seqHash(ls)
-	if seq, ok := rep.seqs[h]; ok && slices.Equal(seq, ls) {
-		return seq
-	}
-	seq := slices.Clone(ls)
-	if rep.seqs == nil {
-		rep.seqs = map[uint64][]string{}
-	}
-	if _, ok := rep.seqs[h]; !ok {
-		rep.seqs[h] = seq
-	}
-	return seq
-}
-
-// seqHash is FNV-1a over a label sequence, each label ended by 0xff. share
-// compares the sequences a hash finds, so a collision costs only a copy.
-func seqHash(ls []string) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for _, l := range ls {
-		for i := 0; i < len(l); i++ {
-			h = (h ^ uint64(l[i])) * prime
-		}
-		h = (h ^ 0xff) * prime
-	}
-	return h
 }
 
 // ---------------------------------------------------------------------------

@@ -304,3 +304,35 @@ func TestReplySlabBound(t *testing.T) {
 	}
 	t.Logf("reply %d bytes, one-shot %d bytes", reply, oneShot)
 }
+
+// TestDynamicSeesEnclosingRecord: a dynamic's value may refer back to the
+// record around it, which the dynamic's check reads as decoded so far.
+// outer = {A = 1, D = dynamic({X = outer} : {X: {A: Int}})} decodes one-shot
+// and in a reply, its cycle closed, though D is not yet set at the check.
+func TestDynamicSeesEnclosingRecord(t *testing.T) {
+	outer := value.Rec("A", value.Int(1))
+	inner, err := dynamic.MakeAt(value.Rec("X", outer), types.MustParse("{X: {A: Int}}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outer.Set("D", inner)
+	img, err := AppendTagged(nil, outer, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(how string, v value.Value) {
+		r := v.(*value.Record)
+		x := r.MustGet("D").(*dynamic.Dynamic).Value().(*value.Record).MustGet("X")
+		if x != v || !value.Equal(r.MustGet("A"), value.Int(1)) {
+			t.Errorf("%s: decoded %v, want the cycle back to the outer record", how, v)
+		}
+	}
+	v, _, err := DecodeTagged(img)
+	if err != nil {
+		t.Fatalf("DecodeTagged: %v", err)
+	}
+	check("DecodeTagged", v)
+	if err := DecodeReply([][]byte{img, img}, func(_ int, v value.Value, _ types.Type) { check("DecodeReply", v) }); err != nil {
+		t.Fatalf("DecodeReply: %v", err)
+	}
+}

@@ -371,17 +371,17 @@ func (r *nodeReader) varint() (int64, error) {
 	return x, nil
 }
 
-func (r *nodeReader) str() (string, error) {
+// bytes reads a length-prefixed string, returning it in place.
+func (r *nodeReader) bytes() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if r.pos+int(n) > len(r.buf) {
-		return "", fmt.Errorf("%w: short string", ErrCorrupt)
+	if n > uint64(len(r.buf)-r.pos) {
+		return nil, fmt.Errorf("%w: short string", ErrCorrupt)
 	}
-	s := string(r.buf[r.pos : r.pos+int(n)])
 	r.pos += int(n)
-	return s, nil
+	return r.buf[r.pos-int(n) : r.pos], nil
 }
 
 // typ reads a type ordinal. One that no 'T' record defines is corrupt,
@@ -425,11 +425,11 @@ func (r *nodeReader) inlineValue(resolve func(oid uint64) (value.Value, error)) 
 		r.pos += 8
 		return value.Float(math.Float64frombits(bits)), nil
 	case inString:
-		s, err := r.str()
+		b, err := r.bytes()
 		if err != nil {
 			return nil, err
 		}
-		return value.String(s), nil
+		return value.String(b), nil
 	case inBoolTrue:
 		return value.Bool(true), nil
 	case inBoolFalse:
@@ -451,26 +451,12 @@ func (r *nodeReader) inlineValue(resolve func(oid uint64) (value.Value, error)) 
 	}
 }
 
-// skip advances past a length-prefixed field.
-func (r *nodeReader) skip() error {
-	n, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if n > uint64(len(r.buf)-r.pos) {
-		return fmt.Errorf("%w: short field", ErrCorrupt)
-	}
-	r.pos += int(n)
-	return nil
-}
-
-// checkNode walks a node image the way the materializer reads it, without
-// building a value, to resolve every type ordinal it names against
-// r.types; like the materializer, it ignores bytes after the value. The
-// scanner runs it on each node that may name a type as the node arrives,
-// so an ordinal is resolved against the 'T' records before it. The walk
-// follows encodeNode's layout, as materializer.node and inlineValue do:
-// a change to one is a change to all three.
+// checkNode reads a node image as the materializer does, each inline value
+// by inlineValue with no reference resolved, to resolve every type ordinal
+// it names against r.types; like the materializer, it ignores bytes after
+// the value. The scanner runs it on each node that may name a type as the
+// node arrives, so an ordinal is resolved against the 'T' records before
+// it. Its node layout follows encodeNode, as materializer.node does.
 func (r *nodeReader) checkNode() error {
 	tag, err := r.byte()
 	if err != nil {
@@ -483,7 +469,7 @@ func (r *nodeReader) checkNode() error {
 			return err
 		}
 	case inTag:
-		err = r.skip()
+		_, err = r.bytes()
 	case inDynamic:
 		_, err = r.typ()
 	default:
@@ -491,38 +477,15 @@ func (r *nodeReader) checkNode() error {
 	}
 	for i := uint64(0); err == nil && i < n; i++ {
 		if tag == inRecord {
-			if err = r.skip(); err != nil {
+			if _, err = r.bytes(); err != nil {
 				break
 			}
 		}
-		err = r.checkInline()
+		_, err = r.inlineValue(noRefs)
 	}
 	return err
 }
 
-// checkInline is checkNode of one inline value.
-func (r *nodeReader) checkInline() error {
-	tag, err := r.byte()
-	if err != nil {
-		return err
-	}
-	switch tag {
-	case inBottom, inUnit, inBoolTrue, inBoolFalse:
-	case inInt:
-		_, err = r.varint()
-	case inRef:
-		_, err = r.uvarint()
-	case inFloat:
-		if r.pos+8 > len(r.buf) {
-			return fmt.Errorf("%w: short float", ErrCorrupt)
-		}
-		r.pos += 8
-	case inString:
-		err = r.skip()
-	case inTypeVal:
-		_, err = r.typ()
-	default:
-		err = fmt.Errorf("%w: inline tag %d", ErrCorrupt, tag)
-	}
-	return err
-}
+// noRefs resolves every reference to ⊥, for a walk that reads a node only
+// to check it.
+func noRefs(uint64) (value.Value, error) { return value.Bottom, nil }

@@ -289,7 +289,7 @@ func scanRootEntries(s *logScanner, tab *[]types.Type) ([]rootEntry, error) {
 		}
 		if tab != nil {
 			r := nodeReader{buf: e.inline, types: *tab}
-			if err := r.checkInline(); err != nil || r.pos != len(e.inline) {
+			if _, err := r.inlineValue(noRefs); err != nil || r.pos != len(e.inline) {
 				return nil, badImage(inlineOff, r, err, "root value")
 			}
 		}

@@ -451,6 +451,7 @@ type materializer struct {
 	cache   map[uint64]value.Value
 	busy    map[uint64]bool
 	resolve func(oid uint64) (value.Value, error) // m.node, bound once
+	recs    value.RecordDecoder
 }
 
 // newMaterializer returns a materializer sized for n nodes.
@@ -503,11 +504,12 @@ func (m *materializer) node(oid uint64) (value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		rec := value.NewRecordCap(capCount(int(n)))
+		rec := new(value.Record)
 		m.cache[oid] = rec // before children: record cycles are supported
 		s.register(rec, oid)
+		m.recs.Begin(rec, make([]value.Value, 0, capCount(int(n))))
 		for i := uint64(0); i < n; i++ {
-			l, err := r.str()
+			l, err := r.bytes()
 			if err != nil {
 				return nil, err
 			}
@@ -515,9 +517,9 @@ func (m *materializer) node(oid uint64) (value.Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			rec.Set(l, f)
+			m.recs.Field(l, f)
 		}
-		return rec, nil
+		return m.recs.End(), nil
 	case inList:
 		n, err := r.uvarint()
 		if err != nil {
@@ -554,7 +556,7 @@ func (m *materializer) node(oid uint64) (value.Value, error) {
 		return set, nil
 	case inTag:
 		m.enter(oid)
-		label, err := r.str()
+		label, err := r.bytes()
 		if err != nil {
 			return nil, err
 		}
@@ -563,7 +565,7 @@ func (m *materializer) node(oid uint64) (value.Value, error) {
 			return nil, err
 		}
 		delete(m.busy, oid)
-		tv := value.NewTag(label, payload)
+		tv := value.NewTag(string(label), payload)
 		m.cache[oid] = tv
 		s.register(tv, oid)
 		return tv, nil
@@ -578,6 +580,7 @@ func (m *materializer) node(oid uint64) (value.Value, error) {
 			return nil, err
 		}
 		delete(m.busy, oid)
+		m.recs.Flush() // the check reads the records around it as read so far
 		d, err := dynamic.MakeAt(inner, t)
 		if err != nil {
 			return nil, fmt.Errorf("%w: persisted dynamic no longer conforms: %v", ErrCorrupt, err)

@@ -451,6 +451,31 @@ func TestDynamicsPersist(t *testing.T) {
 	}
 }
 
+// TestDynamicSeesEnclosingRecordOnReopen: a persisted dynamic whose value
+// refers back to the record around it reopens, its check reading that
+// record as materialized so far: outer = {A = 1, D = dynamic({X = outer} :
+// {X: {A: Int}})}.
+func TestDynamicSeesEnclosingRecordOnReopen(t *testing.T) {
+	s := open(t)
+	outer := value.Rec("A", value.Int(1))
+	inner, err := dynamic.MakeAt(value.Rec("X", outer), types.MustParse("{X: {A: Int}}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outer.Set("D", inner)
+	if err := s.Bind("outer", outer, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	root, _ := reopen(t, s).Root("outer")
+	r := root.Value.(*value.Record)
+	if x := r.MustGet("D").(*dynamic.Dynamic).Value().(*value.Record).MustGet("X"); x != r {
+		t.Errorf("reopened %v, want the cycle back to the outer record", r)
+	}
+}
+
 func TestNamesAndUnbind(t *testing.T) {
 	s := open(t)
 	_ = s.Bind("b", value.Int(1), nil)

@@ -65,19 +65,19 @@ func PlanJoin(r, s *Relation) JoinPlan {
 }
 
 // sharedLabels returns, sorted, the labels some member of r and some
-// member of s both carry. A member with the labels of the record before it
-// adds none, so an extent of a few label sets is read once per run of each.
+// member of s both carry. Each side's labels are read once a shape, so an
+// extent of a few label sets costs a few reads.
 func sharedLabels(r, s *Relation) []string {
 	sides := map[string]int{} // bit 0: r carries the label, bit 1: s does
 	for side, rel := range []*Relation{r, s} {
-		var prev *value.Record
+		seen := map[*value.Shape]bool{}
 		for _, m := range rel.elems {
-			rec, ok := m.(*value.Record)
-			if !ok || prev != nil && rec.SameLabels(prev) {
-				continue
+			if rec, ok := m.(*value.Record); ok && !seen[rec.Shape()] {
+				seen[rec.Shape()] = true
+				for _, l := range rec.Labels() {
+					sides[l] |= 1 << side
+				}
 			}
-			rec.Each(func(l string, _ value.Value) { sides[l] |= 1 << side })
-			prev = rec
 		}
 	}
 	var out []string

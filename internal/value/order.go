@@ -42,12 +42,13 @@ func leq(o, op Value, p *orderPath, depth int) bool {
 		return Equal(o, op)
 	case *Record:
 		b, ok := op.(*Record)
-		if !ok || len(a.labels) > len(b.labels) {
+		if !ok {
 			return false
 		}
-		// a ⊑ b needs labels(a) ⊆ labels(b); the precomputed signatures
-		// reject a missing label in one word operation.
-		if a.labelBits&^b.labelBits != 0 {
+		// a ⊑ b needs labels(a) ⊆ labels(b); the shapes' signatures reject
+		// a missing label in one word operation.
+		sa, sb := a.Shape(), b.Shape()
+		if len(sa.labels) > len(sb.labels) || sa.bits&^sb.bits != 0 {
 			return false
 		}
 		if _, ok := p.find(a, b); ok {
@@ -55,13 +56,19 @@ func leq(o, op Value, p *orderPath, depth int) bool {
 		}
 		p.push(a, b, nil)
 		// Both label slices are sorted, so one merge finds each of a's
-		// labels in b.
+		// labels in b; over one shape the fields pair by position.
 		j, holds := 0, true
-		for i, l := range a.labels {
-			for j < len(b.labels) && b.labels[j] < l {
-				j++
+		for i, l := range sa.labels {
+			if sa != sb {
+				for j < len(sb.labels) && sb.labels[j] < l {
+					j++
+				}
+				if j == len(sb.labels) || sb.labels[j] != l {
+					holds = false
+					break
+				}
 			}
-			if j == len(b.labels) || b.labels[j] != l || !leq(a.values[i], b.values[j], p, depth+1) {
+			if !leq(a.values[i], b.values[j], p, depth+1) {
 				holds = false
 				break
 			}
@@ -136,10 +143,6 @@ func setLeq(r, rp *Set, p *orderPath, depth int) bool {
 	}
 	return true
 }
-
-// Comparable reports whether o ⊑ o' or o' ⊑ o. Generalized relations forbid
-// comparable pairs (they are cochains).
-func Comparable(o, op Value) bool { return Leq(o, op) || Leq(op, o) }
 
 // orderPath is the path of one Leq or Join: the pairs of records, lists
 // and tags it is inside, outermost first, each with the container Join
@@ -316,31 +319,35 @@ func joinOnPath(a, b Value, depth int) (Value, error) {
 // joinRecords merges a's and b's sorted labels in one pass: a label of one
 // side keeps its value, and a common label joins a's value with b's.
 func joinRecords(a, b *Record, p *orderPath, depth int) (*Record, error) {
-	out := newJoined(len(a.labels) + len(b.labels))
-	out.labelBits = a.labelBits | b.labelBits
+	la, lb := a.Shape().labels, b.Shape().labels
+	out := newJoined(len(la) + len(lb))
 	p.push(a, b, out)
 	defer p.pop()
-	i, j := 0, 0
-	for i < len(a.labels) && j < len(b.labels) {
-		switch la, lb := a.labels[i], b.labels[j]; {
-		case la < lb:
-			out.labels, out.values = append(out.labels, la), append(out.values, a.values[i])
+	var buf [keyScratch]byte
+	key := buf[:0]
+	for i, j := 0, 0; i < len(la) || j < len(lb); {
+		var l string
+		var v Value
+		switch {
+		case j == len(lb) || i < len(la) && la[i] < lb[j]:
+			l, v = la[i], a.values[i]
 			i++
-		case lb < la:
-			out.labels, out.values = append(out.labels, lb), append(out.values, b.values[j])
+		case i == len(la) || lb[j] < la[i]:
+			l, v = lb[j], b.values[j]
 			j++
 		default:
-			v, err := join(a.values[i], b.values[j], p, depth+1)
-			if err != nil {
-				return nil, &joinError{field: true, label: la, inner: err}
+			l = la[i]
+			var err error
+			if v, err = join(a.values[i], b.values[j], p, depth+1); err != nil {
+				return nil, &joinError{field: true, label: l, inner: err}
 			}
-			out.labels, out.values = append(out.labels, la), append(out.values, v)
 			i++
 			j++
 		}
+		key = appendLabelKey(key, l)
+		out.values = append(out.values, v)
 	}
-	out.labels, out.values = append(out.labels, a.labels[i:]...), append(out.values, a.values[i:]...)
-	out.labels, out.values = append(out.labels, b.labels[j:]...), append(out.values, b.values[j:]...)
+	out.shape = shapeOf(key)
 	return out, nil
 }
 
@@ -350,17 +357,16 @@ func joinRecords(a, b *Record, p *orderPath, depth int) (*Record, error) {
 const joinedInline = 8
 
 // newJoined returns an empty record with room for n fields, in one
-// allocation with its label and value arrays when n ≤ joinedInline.
+// allocation with its value array when n ≤ joinedInline.
 func newJoined(n int) *Record {
 	if n > joinedInline {
-		return &Record{labels: make([]string, 0, n), values: make([]Value, 0, n)}
+		return &Record{values: make([]Value, 0, n)}
 	}
 	blk := new(struct {
 		r      Record
-		labels [joinedInline]string
 		values [joinedInline]Value
 	})
-	blk.r.labels, blk.r.values = blk.labels[:0:n], blk.values[:0:n]
+	blk.r.values = blk.values[:0:n]
 	return &blk.r
 }
 
@@ -537,7 +543,7 @@ func keyLabel(vs []Value) (string, bool) {
 	// Sized for success: only a label the sample could not rule out is
 	// probed.
 	seen := atomSet{size: len(vs)}
-	for _, l := range first.labels {
+	for _, l := range first.Shape().labels {
 		if !distinctAtoms(sample[:n], l) {
 			continue
 		}
@@ -658,14 +664,16 @@ func maximalNaive(vs []Value) []int {
 	return out
 }
 
-// sigGroup collects the records sharing one label set.
-type sigGroup struct {
-	labels []string
-	bits   uint64 // label signature of the shared label set
+// shapeGroup collects the records of one shape.
+type shapeGroup struct {
+	shape *Shape
 	// members in input order, with their input positions, which tell a
 	// member from its duplicates and decide the first-occurrence rule.
 	recs []*Record
 	idx  []int
+	// above lists the groups whose shapes hold every label of this one, the
+	// only ones whose members can be above its members.
+	above []*shapeGroup
 	// disc is the group's discriminator ("" when none is needed or no
 	// label is atomic in every member). heads maps each of its atoms to one
 	// plus the first member holding it; next chains each member to the one
@@ -678,12 +686,12 @@ type sigGroup struct {
 
 // bucket picks g's discriminator and chains its members by their atom
 // there. seen is scratch for counting distinct atoms.
-func (g *sigGroup) bucket(seen map[AtomKey]struct{}) {
+func (g *shapeGroup) bucket(seen map[AtomKey]struct{}) {
 	if len(g.recs) < 2 {
 		return // a lone member is its own bucket
 	}
 	best, most := -1, 0
-	for i := range g.labels {
+	for i := range g.shape.labels {
 		clear(seen)
 		for _, r := range g.recs {
 			k, ok := AtomKeyOf(r.values[i])
@@ -703,7 +711,7 @@ func (g *sigGroup) bucket(seen map[AtomKey]struct{}) {
 	if best < 0 {
 		return
 	}
-	g.disc = g.labels[best]
+	g.disc = g.shape.labels[best]
 	g.heads = make(map[AtomKey]int, most)
 	g.next = make([]int, len(g.recs))
 	for j := len(g.recs) - 1; j >= 0; j-- {
@@ -713,21 +721,64 @@ func (g *sigGroup) bucket(seen map[AtomKey]struct{}) {
 	}
 }
 
+// dominates reports whether a member of g other than r, at position rIdx,
+// is above r: strictly, or as the first of mutually-⊑ records, duplicates
+// included.
+func (g *shapeGroup) dominates(r *Record, rIdx int) bool {
+	check := func(j int) bool {
+		w := g.recs[j]
+		return g.idx[j] != rIdx && Leq(r, w) && (!Leq(w, r) || g.idx[j] < rIdx)
+	}
+	if g.disc != "" {
+		// A dominator agrees with r on the discriminator, so when r holds
+		// an atom there only that atom's bucket is searched. When r lacks
+		// the label, or holds ⊥ or a container there, any member may still
+		// be above it.
+		if v, ok := r.Get(g.disc); ok {
+			if k, ok := AtomKeyOf(v); ok {
+				for j := g.heads[k] - 1; j >= 0; j = g.next[j] {
+					if check(j) {
+						return true
+					}
+				}
+				return false
+			}
+		}
+	}
+	for j := range g.recs {
+		if check(j) {
+			return true
+		}
+	}
+	return false
+}
+
+// subsetOf reports whether every label of s is one of t's.
+func (s *Shape) subsetOf(t *Shape) bool {
+	if len(s.labels) > len(t.labels) || s.bits&^t.bits != 0 {
+		return false
+	}
+	j := 0
+	for _, l := range s.labels {
+		for j < len(t.labels) && t.labels[j] < l {
+			j++
+		}
+		if j == len(t.labels) || t.labels[j] != l {
+			return false
+		}
+	}
+	return true
+}
+
 // maximalRecords is the pruned scan over records, by position.
 func maximalRecords(vs []Value) []int {
-	// Group by label set.
-	groups := map[string]*sigGroup{}
-	var buf [keyScratch]byte
+	groups := map[*Shape]*shapeGroup{}
 	for i, v := range vs {
 		r := v.(*Record)
-		sig := buf[:0]
-		for _, l := range r.labels {
-			sig = append(append(sig, l...), 0)
-		}
-		g, ok := groups[string(sig)]
-		if !ok {
-			g = &sigGroup{labels: r.labels, bits: r.labelBits}
-			groups[string(sig)] = g
+		g := groups[r.Shape()]
+		if g == nil {
+			g = &shapeGroup{shape: r.Shape()}
+			groups[g.shape] = g
 		}
 		g.recs = append(g.recs, r)
 		g.idx = append(g.idx, i)
@@ -735,74 +786,16 @@ func maximalRecords(vs []Value) []int {
 	seen := map[AtomKey]struct{}{}
 	for _, g := range groups {
 		g.bucket(seen)
+		for _, h := range groups {
+			if g.shape.subsetOf(h.shape) {
+				g.above = append(g.above, h)
+			}
+		}
 	}
-	// For each record, search for a dominator among label-superset groups.
-	subset := func(a, b []string) bool { // a ⊆ b, both sorted
-		i := 0
-		for _, l := range a {
-			for i < len(b) && b[i] < l {
-				i++
-			}
-			if i >= len(b) || b[i] != l {
-				return false
-			}
-			i++
-		}
-		return true
-	}
-	dominatedBy := func(r *Record, rIdx int, g *sigGroup) bool {
-		check := func(j int) bool {
-			if g.idx[j] == rIdx {
-				return false // r itself
-			}
-			w := g.recs[j]
-			// Of mutually-⊑ records, duplicates included, the first
-			// occurrence wins.
-			return Leq(r, w) && (!Leq(w, r) || g.idx[j] < rIdx)
-		}
-		if g.disc != "" {
-			// A dominator agrees with r on the discriminator, so when r
-			// holds an atom there only that atom's bucket is searched. When
-			// r lacks the label, or holds ⊥ or a container there, any
-			// member may still be above it.
-			if v, ok := r.Get(g.disc); ok {
-				if k, ok := AtomKeyOf(v); ok {
-					for j := g.heads[k] - 1; j >= 0; j = g.next[j] {
-						if check(j) {
-							return true
-						}
-					}
-					return false
-				}
-			}
-		}
-		for j := range g.recs {
-			if check(j) {
-				return true
-			}
-		}
-		return false
-	}
-
 	var out []int
 	for i, v := range vs {
 		r := v.(*Record)
-		dominated := false
-		for _, g := range groups {
-			// Signature prefilter: labels(r) ⊆ g.labels requires r's bits to
-			// be covered by the group's bits.
-			if r.labelBits&^g.bits != 0 {
-				continue
-			}
-			if len(g.labels) < len(r.labels) || !subset(r.labels, g.labels) {
-				continue
-			}
-			if dominatedBy(r, i, g) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
+		if !slices.ContainsFunc(groups[r.Shape()].above, func(h *shapeGroup) bool { return h.dominates(r, i) }) {
 			out = append(out, i)
 		}
 	}
@@ -812,9 +805,23 @@ func maximalRecords(vs []Value) []int {
 // Meet returns the greatest object whose information is contained in both a
 // and b — what the two objects agree on. Unlike Join it is total: objects
 // with nothing in common meet at ⊥ (or, for records, at the empty record).
+// Meet terminates on cyclic values: a pair of records, lists or tags met
+// again on its own path meets to the container being built for it, as in
+// Join (see orderPath).
 func Meet(a, b Value) Value {
+	var p orderPath
+	return meet(a, b, &p)
+}
+
+func meet(a, b Value, p *orderPath) Value {
 	if a.Kind() == KindBottom || b.Kind() == KindBottom {
 		return Bottom
+	}
+	switch a.(type) {
+	case *Record, *List, *Tag:
+		if out, ok := p.find(a, b); ok {
+			return out
+		}
 	}
 	switch av := a.(type) {
 	case Int, Float, String, Bool, unitValue, *TypeVal:
@@ -827,15 +834,19 @@ func Meet(a, b Value) Value {
 		if !ok {
 			return Bottom
 		}
-		out := NewRecord()
-		for i, l := range av.labels {
+		out := &Record{}
+		p.push(av, bv, out)
+		var key []byte
+		av.Each(func(l string, v Value) {
 			if w, ok := bv.Get(l); ok {
-				m := Meet(av.values[i], w)
-				if m.Kind() != KindBottom {
-					out.Set(l, m)
+				if m := meet(v, w, p); m.Kind() != KindBottom {
+					key = appendLabelKey(key, l)
+					out.values = append(out.values, m)
 				}
 			}
-		}
+		})
+		p.pop()
+		out.shape = shapeOf(key)
 		return out
 	case *List:
 		bv, ok := b.(*List)
@@ -843,16 +854,22 @@ func Meet(a, b Value) Value {
 			return Bottom
 		}
 		out := &List{Elems: make([]Value, len(av.Elems))}
+		p.push(av, bv, out)
 		for i := range av.Elems {
-			out.Elems[i] = Meet(av.Elems[i], bv.Elems[i])
+			out.Elems[i] = meet(av.Elems[i], bv.Elems[i], p)
 		}
+		p.pop()
 		return out
 	case *Tag:
 		bv, ok := b.(*Tag)
 		if !ok || av.Label != bv.Label {
 			return Bottom
 		}
-		return NewTag(av.Label, Meet(av.Payload, bv.Payload))
+		out := &Tag{Label: av.Label}
+		p.push(av, bv, out)
+		out.Payload = meet(av.Payload, bv.Payload, p)
+		p.pop()
+		return out
 	default:
 		if a == b {
 			return a

@@ -389,7 +389,7 @@ func TestQuickSharedLabelsIndependent(t *testing.T) {
 			if i == edit {
 				want = model
 			}
-			if !Equal(&recs[i], want) || recs[i].LabelBits() != want.LabelBits() {
+			if !Equal(&recs[i], want) || recs[i].Shape() != want.Shape() {
 				return false
 			}
 		}
@@ -406,7 +406,7 @@ func TestInitRecordOutOfOrder(t *testing.T) {
 	labels := []string{"B", "A", "B"}
 	got := InitRecord(&Record{}, labels, []Value{Int(1), Int(2), Int(3)})
 	want := Rec("B", Int(1), "A", Int(2), "B", Int(3))
-	if !Equal(got, want) || got.LabelBits() != want.LabelBits() {
+	if !Equal(got, want) || got.Shape() != want.Shape() {
 		t.Fatalf("InitRecord out of order = %v, want %v", got, want)
 	}
 	if labels[0] != "B" || labels[1] != "A" {

@@ -69,7 +69,7 @@ func (t *typer) typeOf(v Value) types.Type {
 		}
 		t.memo[vv] = inProgress
 		fs := make([]types.Field, vv.Len())
-		for i, l := range vv.labels {
+		for i, l := range vv.Shape().labels {
 			fs[i] = types.Field{Label: l, Type: t.typeOf(vv.values[i])}
 		}
 		rt := types.NewRecord(fs...)
@@ -223,7 +223,8 @@ func walk(v Value, t types.Type, depth int) (ok, decided bool) {
 		return atomConforms(types.KindTypeRep, t), true
 	case *Record:
 		tr, ok := t.(*types.Record)
-		if !ok || tr.LabelBits()&^vv.labelBits != 0 {
+		labels := vv.Shape().labels
+		if !ok || tr.LabelBits()&^vv.Shape().bits != 0 {
 			return false, true
 		}
 		// Both label lists are sorted: a merge join, like the subtype check.
@@ -231,10 +232,10 @@ func walk(v Value, t types.Type, depth int) (ok, decided bool) {
 		j := 0
 		for i := 0; i < tr.Len(); i++ {
 			f := tr.Field(i)
-			for j < len(vv.labels) && vv.labels[j] < f.Label {
+			for j < len(labels) && labels[j] < f.Label {
 				j++
 			}
-			if j == len(vv.labels) || vv.labels[j] != f.Label {
+			if j == len(labels) || labels[j] != f.Label {
 				return false, true
 			}
 			switch ok, d := walk(vv.values[j], f.Type, depth+1); {

@@ -131,47 +131,24 @@ func (bottomValue) String() string { return "⊥" }
 // Record is a record object — in the paper's treatment, a partial function
 // from labels to values. An absent field means "no information", so adding
 // a field produces a more informative object. Records are mutable and have
-// pointer identity.
+// pointer identity. Its labels are its Shape, shared by every record with
+// those labels; Set and Delete move a record to another shape.
 type Record struct {
-	labels []string // sorted
-	values []Value  // parallel to labels
-	// labelBits is the OR of types.LabelBit over labels, maintained eagerly
-	// by Set/Delete so concurrent readers (Leq under the extent engine) never
-	// write. It must stay exact — stale extra bits or missing bits both make
-	// the ⊑ fast-reject wrong.
-	labelBits uint64
+	shape  *Shape  // nil in the zero Record, which has no fields
+	values []Value // parallel to shape.labels
 }
 
 // NewRecord returns an empty record object.
 func NewRecord() *Record { return &Record{} }
 
-// NewRecordCap returns an empty record object with room for n fields, for
-// decoders that know the field count up front.
-func NewRecordCap(n int) *Record {
-	return &Record{labels: make([]string, 0, n), values: make([]Value, 0, n)}
-}
-
-// InitRecord sets r, a zero Record, to the fields labels[i] = values[i] and
-// returns it. A decoder gives it labels in ascending order, and then r holds
-// labels and values themselves, each capped at its length, so records may
-// share one labels slice: no method writes into a record's labels in place.
+// InitRecord sets r to the fields labels[i] = values[i] and returns it; r
+// keeps values itself, capped at its length. Labels in ascending order cost
+// one probe of the shape table, and no allocation when it holds them.
 // Labels in any other order are added one by one as by Set, so a repeated
 // label resolves as Set resolves it.
 func InitRecord(r *Record, labels []string, values []Value) *Record {
-	n := len(labels)
-	for i := 1; i < n; i++ {
-		if labels[i-1] >= labels[i] {
-			for i, l := range labels {
-				r.Set(l, values[i])
-			}
-			return r
-		}
-	}
-	r.labels, r.values = labels[:n:n], values[:n:n]
-	for _, l := range labels {
-		r.labelBits |= types.LabelBit(l)
-	}
-	return r
+	var buf [keyScratch]byte
+	return initRecord(r, appendLabels(buf[:0], labels), values)
 }
 
 // Rec builds a record from alternating label, value pairs:
@@ -199,20 +176,24 @@ func Rec(pairs ...any) *Record {
 // Kind implements Value.
 func (r *Record) Kind() Kind { return KindRecord }
 
+// Shape returns the record's shape, its label set.
+func (r *Record) Shape() *Shape {
+	if r.shape == nil {
+		return emptyShape
+	}
+	return r.shape
+}
+
 // Len reports the number of fields.
-func (r *Record) Len() int { return len(r.labels) }
+func (r *Record) Len() int { return len(r.values) }
 
 // Labels returns the field labels in sorted order.
-func (r *Record) Labels() []string {
-	out := make([]string, len(r.labels))
-	copy(out, r.labels)
-	return out
-}
+func (r *Record) Labels() []string { return slices.Clone(r.Shape().labels) }
 
 // Get returns the value of the named field, if present.
 func (r *Record) Get(label string) (Value, bool) {
-	i := sort.SearchStrings(r.labels, label)
-	if i < len(r.labels) && r.labels[i] == label {
+	labels := r.Shape().labels
+	if i := sort.SearchStrings(labels, label); i < len(labels) && labels[i] == label {
 		return r.values[i], true
 	}
 	return nil, false
@@ -231,62 +212,41 @@ func (r *Record) MustGet(label string) Value {
 // makes the paper's object extension possible: an existing Person record can
 // be enriched to an Employee without disturbing references to it.
 func (r *Record) Set(label string, v Value) {
-	i := sort.SearchStrings(r.labels, label)
-	if i < len(r.labels) && r.labels[i] == label {
+	s := r.Shape()
+	i := sort.SearchStrings(s.labels, label)
+	if i < len(s.labels) && s.labels[i] == label {
 		r.values[i] = v
 		return
 	}
-	r.labels = append(r.labels, "")
+	r.shape = s.edit(i, label, true)
 	r.values = append(r.values, nil)
-	copy(r.labels[i+1:], r.labels[i:])
 	copy(r.values[i+1:], r.values[i:])
-	r.labels[i] = label
 	r.values[i] = v
-	r.labelBits |= types.LabelBit(label)
 }
 
 // Delete removes the named field if present, reporting whether it was there.
 func (r *Record) Delete(label string) bool {
-	i := sort.SearchStrings(r.labels, label)
-	if i >= len(r.labels) || r.labels[i] != label {
+	s := r.Shape()
+	i := sort.SearchStrings(s.labels, label)
+	if i == len(s.labels) || s.labels[i] != label {
 		return false
 	}
-	// The labels may be shared (InitRecord), so they are copied; the
-	// values are the record's own.
-	r.labels = slices.Concat(r.labels[:i], r.labels[i+1:])
-	r.values = append(r.values[:i], r.values[i+1:]...)
-	// Another label may hash to the deleted label's bit, so recompute rather
-	// than clear.
-	var bits uint64
-	for _, l := range r.labels {
-		bits |= types.LabelBit(l)
-	}
-	r.labelBits = bits
+	r.shape = s.edit(i, label, false)
+	r.values = slices.Delete(r.values, i, i+1)
 	return true
-}
-
-// LabelBits returns the record's label signature: the OR of types.LabelBit
-// over its labels. labels(a) ⊆ labels(b) implies a.LabelBits()&^b.LabelBits()
-// == 0, which is what lets ⊑ and Maximal reject incomparable records without
-// walking fields.
-func (r *Record) LabelBits() uint64 { return r.labelBits }
-
-// SameLabels reports whether r and o have the same labels.
-func (r *Record) SameLabels(o *Record) bool {
-	return r.labelBits == o.labelBits && slices.Equal(r.labels, o.labels)
 }
 
 // Each calls f for every field in label order.
 func (r *Record) Each(f func(label string, v Value)) {
-	for i, l := range r.labels {
+	for i, l := range r.Shape().labels {
 		f(l, r.values[i])
 	}
 }
 
-// Copy returns a deep copy of the record (sharing atoms, copying all
-// containers).
+// Copy returns a deep copy of the record (sharing atoms and the shape,
+// copying all containers).
 func (r *Record) Copy() *Record {
-	out := &Record{labels: append([]string(nil), r.labels...), values: make([]Value, len(r.values)), labelBits: r.labelBits}
+	out := &Record{shape: r.shape, values: make([]Value, len(r.values))}
 	for i, v := range r.values {
 		out.values[i] = Copy(v)
 	}
@@ -297,7 +257,7 @@ func (r *Record) Copy() *Record {
 func (r *Record) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
-	for i, l := range r.labels {
+	for i, l := range r.Shape().labels {
 		if i > 0 {
 			b.WriteString(", ")
 		}
@@ -591,7 +551,7 @@ func AppendKey(dst []byte, v Value) []byte {
 		return append(dst, "⊥"...)
 	case *Record:
 		dst = append(dst, '{')
-		for i, l := range vv.labels {
+		for i, l := range vv.Shape().labels {
 			if i > 0 {
 				dst = append(dst, ',')
 			}

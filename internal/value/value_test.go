@@ -485,3 +485,36 @@ func TestOrderOnCycles(t *testing.T) {
 		t.Errorf("deep ⊔ deeper = (%v, %v), want deeper", jd, err)
 	}
 }
+
+// TestMeetCyclicValues: Meet terminates on cyclic values, as Join does. r1
+// = {a = 1, self = r1} and r2 = {a = 1, self = r2} meet at a record whose
+// self chain closes a cycle, below both under the coinductive Leq; a cycle
+// the two disagree under, and a list holding itself, meet likewise.
+func TestMeetCyclicValues(t *testing.T) {
+	r1, r2, s := Rec("a", Int(1)), Rec("a", Int(1)), Rec("a", Int(2))
+	r1.Set("self", r1)
+	r2.Set("self", r2)
+	s.Set("self", s)
+	m, ok := Meet(r1, r2).(*Record)
+	if !ok || !Leq(m, r1) || !Leq(m, r2) {
+		t.Fatalf("r1 ⊓ r2 is not a record below both")
+	}
+	seen := map[*Record]bool{}
+	for x := m; !seen[x]; x = x.MustGet("self").(*Record) {
+		if len(seen) > 4*pathFrom {
+			t.Fatal("r1 ⊓ r2 does not close its cycle")
+		}
+		seen[x] = true
+		if !Equal(x.MustGet("a"), Int(1)) {
+			t.Fatalf("r1 ⊓ r2 holds %s on its self chain", x.Labels())
+		}
+	}
+	if ms := Meet(r1, s); !Leq(ms, r1) || !Leq(ms, s) {
+		t.Error("r1 ⊓ s is not below both")
+	}
+	l := NewList(Int(1))
+	l.Append(l)
+	if ml := Meet(l, l); !Leq(ml, l) {
+		t.Error("l ⊓ l is not below l")
+	}
+}
