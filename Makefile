@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench report report-quick fuzz bench-smoke clean
+.PHONY: all build vet fmt-check test race fuzz bench-smoke clean
 
 all: build vet fmt-check test race bench-smoke
 
@@ -27,16 +27,6 @@ test:
 race:
 	$(GO) test -race ./...
 
-bench:
-	$(GO) test -bench=. -benchmem ./...
-
-# Regenerate every experiment (E1–E11, E16–E19) as paper-style tables.
-report:
-	$(GO) run ./cmd/benchreport
-
-report-quick:
-	$(GO) run ./cmd/benchreport -quick
-
 # The benchmark is its own nested module (bench/go.mod), so `go build
 # ./...` and `go test ./...` from the root never reach it — yet it links
 # internal/ packages by name. This vets it and runs its 4 s smoke of all
@@ -55,8 +45,10 @@ bench-smoke:
 # maximal-elements scan (differential against the naive one), the language
 # pipeline, the wire frame reader (malformed frames, truncated length
 # prefixes and oversize claims must yield typed wire errors — never a
-# panic, never an unbounded allocation) and the reply decoder
-# (differential against per-image DecodeTagged). The codec seeds include images
+# panic, never an unbounded allocation), the reply decoder
+# (differential against per-image DecodeTagged) and a live server fed
+# each input as a PUT image, then GET, JOIN, EXPLAIN and NAMES over it
+# (HEALTH must answer after every input). The codec seeds include images
 # nested past the depth bounds, 32 KiB and more, and each FuzzMaximal input
 # runs the quadratic reference scan; minimizing an input grown from either
 # would take the whole pass, so it is cut short. `make test`
@@ -72,6 +64,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRun -fuzztime=30s ./internal/lang/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/server/wire/
 	$(GO) test -fuzz=FuzzReplyDecode -fuzztime=30s -fuzzminimizetime=5s ./internal/persist/codec/
+	$(GO) test -fuzz=FuzzServeImage -fuzztime=30s -fuzzminimizetime=5s ./internal/server/
 
 clean:
 	$(GO) clean ./...

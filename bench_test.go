@@ -1,7 +1,7 @@
-// Benchmarks regenerating every experiment in DESIGN.md §4 (E1–E10). The
-// paper contains one figure and no numeric tables; E1 reproduces the figure
-// and the rest operationalize the paper's qualitative performance claims.
-// cmd/benchreport prints the same experiments as readable tables.
+// Benchmarks of the experiments E1–E11 in DESIGN.md §4, whose index names
+// each one's benchmarks, tests and examples. The paper contains one figure
+// and no numeric tables; E1 reproduces the figure and the rest
+// operationalize the paper's qualitative performance claims.
 package dbpl_test
 
 import (

@@ -22,7 +22,7 @@ import (
 
 // bootCfg is boot with a non-default server.Config and an optional
 // pre-opened store (for fault-injected disks); st == nil opens path.
-func bootCfg(t *testing.T, path string, st *intrinsic.Store, cfg server.Config) *harness {
+func bootCfg(t testing.TB, path string, st *intrinsic.Store, cfg server.Config) *harness {
 	t.Helper()
 	if st == nil {
 		var err error

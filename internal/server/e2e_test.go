@@ -26,7 +26,7 @@ import (
 // harness boots a server over a store at path on a throwaway port and
 // tears it down with the graceful path.
 type harness struct {
-	t     *testing.T
+	t     testing.TB
 	path  string
 	store *intrinsic.Store
 	srv   *server.Server
@@ -35,7 +35,7 @@ type harness struct {
 	once  sync.Once
 }
 
-func boot(t *testing.T, path string) *harness {
+func boot(t testing.TB, path string) *harness {
 	return bootCfg(t, path, nil, server.Config{})
 }
 
@@ -63,7 +63,7 @@ func (h *harness) stopOnce() {
 	h.store.Close()
 }
 
-func dial(t *testing.T, h *harness, opts *client.Options) *client.Client {
+func dial(t testing.TB, h *harness, opts *client.Options) *client.Client {
 	t.Helper()
 	c, err := client.Dial(h.addr, opts)
 	if err != nil {

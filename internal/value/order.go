@@ -51,7 +51,7 @@ func leq(o, op Value, p *orderPath, depth int) bool {
 		if len(sa.labels) > len(sb.labels) || sa.bits&^sb.bits != 0 {
 			return false
 		}
-		if _, ok := p.find(a, b); ok {
+		if _, _, ok := p.find(a, b); ok {
 			return true
 		}
 		p.push(a, b, nil)
@@ -81,7 +81,7 @@ func leq(o, op Value, p *orderPath, depth int) bool {
 		if !ok || len(a.Elems) != len(b.Elems) {
 			return false
 		}
-		if _, ok := p.find(a, b); ok {
+		if _, _, ok := p.find(a, b); ok {
 			return true
 		}
 		p.push(a, b, nil)
@@ -99,7 +99,7 @@ func leq(o, op Value, p *orderPath, depth int) bool {
 		if !ok || a.Label != b.Label {
 			return false
 		}
-		if _, ok := p.find(a, b); ok {
+		if _, _, ok := p.find(a, b); ok {
 			return true
 		}
 		p.push(a, b, nil)
@@ -144,13 +144,22 @@ func setLeq(r, rp *Set, p *orderPath, depth int) bool {
 	return true
 }
 
-// orderPath is the path of one Leq or Join: the pairs of records, lists
-// and tags it is inside, outermost first, each with the container Join
-// builds for it. Only a cycle makes a pair recur on its own path, and no
-// acyclic value nests containers pathFrom deep in practice, so the walk
-// keeps no path above that depth: the level that reaches it starts one in
-// its frame, which spills to the heap only past pathDepth pairs more. A
-// cycle then recurs within one more turn. A nil *orderPath keeps nothing.
+// orderPath is the path of one Leq, Join, Meet, key, String or Copy: the
+// pairs of containers it is inside, outermost first, each with the
+// container Join, Meet or Copy builds for it (a walk of one value pairs
+// each container with nil). Only a cycle makes a pair recur on its own
+// path. No acyclic value nests containers pathFrom deep in practice, so
+// Leq and Join keep no path until that depth: the level that reaches it
+// starts one in its frame, which spills to the heap only past pathDepth
+// pairs more. A key starts one at the top once a walk without one has
+// reached that depth (see AppendKey). A nil *orderPath keeps nothing.
+//
+// A pair is looked for among the first pathDepth pairs of the path and,
+// past them, at the positions that are powers of two. A pair met again
+// after one of the first pathDepth is found at once, and any cycle within
+// one more turn once it has passed such a position: a cycle entered at
+// position s recurs by position 2s plus its length. A deep acyclic value
+// costs O(log depth) per container rather than O(depth).
 type orderPath struct {
 	fixed [pathDepth]pathStep
 	n     int
@@ -160,7 +169,8 @@ type orderPath struct {
 const (
 	// pathFrom is the nesting depth at which Leq and Join start a path.
 	pathFrom = 32
-	// pathDepth is how many pairs the fixed part of a path holds.
+	// pathDepth is how many pairs the fixed part of a path holds. It is a
+	// power of two, the first position past it that lookup checks.
 	pathDepth = 8
 )
 
@@ -170,10 +180,11 @@ type pathStep struct {
 	a, b, out Value
 }
 
-// find reports whether the pair (a, b) is on the path, and its out.
-func (p *orderPath) find(a, b Value) (Value, bool) {
+// find reports whether the pair (a, b) is on the path, its out, and its
+// position: 0 outermost, p.n-1 the pair pushed last.
+func (p *orderPath) find(a, b Value) (out Value, pos int, ok bool) {
 	if p == nil {
-		return nil, false
+		return nil, 0, false
 	}
 	return p.lookup(a, b)
 }
@@ -182,18 +193,18 @@ func (p *orderPath) find(a, b Value) (Value, bool) {
 // every container pair meets, inlines to a nil check.
 //
 //go:noinline
-func (p *orderPath) lookup(a, b Value) (Value, bool) {
+func (p *orderPath) lookup(a, b Value) (Value, int, bool) {
 	for i := range min(p.n, pathDepth) {
 		if s := &p.fixed[i]; s.a == a && s.b == b {
-			return s.out, true
+			return s.out, i, true
 		}
 	}
-	for i := range p.spill {
-		if s := &p.spill[i]; s.a == a && s.b == b {
-			return s.out, true
+	for i := pathDepth; i < p.n; i *= 2 {
+		if s := &p.spill[i-pathDepth]; s.a == a && s.b == b {
+			return s.out, i, true
 		}
 	}
-	return nil, false
+	return nil, 0, false
 }
 
 // push puts the pair (a, b), with out, on the path, to be taken off by pop.
@@ -249,7 +260,7 @@ func join(a, b Value, p *orderPath, depth int) (Value, error) {
 	}
 	switch a.(type) {
 	case *Record, *List, *Tag:
-		if out, ok := p.find(a, b); ok {
+		if out, _, ok := p.find(a, b); ok {
 			return out, nil
 		}
 	}
@@ -374,8 +385,7 @@ func conflict(a, b Value) error { return &joinError{a: a, b: b} }
 
 // joinError is a Join failure: the conflict itself, or one found under a
 // record field or list element. Its text is written only when asked for,
-// since a relation join discards most failures and a cyclic value prints
-// without end.
+// since a relation join discards most failures.
 type joinError struct {
 	field bool // under the record field label, else under list element elem
 	label string
@@ -819,7 +829,7 @@ func meet(a, b Value, p *orderPath) Value {
 	}
 	switch a.(type) {
 	case *Record, *List, *Tag:
-		if out, ok := p.find(a, b); ok {
+		if out, _, ok := p.find(a, b); ok {
 			return out
 		}
 	}

@@ -244,30 +244,11 @@ func (r *Record) Each(f func(label string, v Value)) {
 }
 
 // Copy returns a deep copy of the record (sharing atoms and the shape,
-// copying all containers).
-func (r *Record) Copy() *Record {
-	out := &Record{shape: r.shape, values: make([]Value, len(r.values))}
-	for i, v := range r.values {
-		out.values[i] = Copy(v)
-	}
-	return out
-}
+// copying all containers), as Copy does.
+func (r *Record) Copy() *Record { return Copy(r).(*Record) }
 
 // String implements Value.
-func (r *Record) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range r.Shape().labels {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(l)
-		b.WriteString(" = ")
-		b.WriteString(r.values[i].String())
-	}
-	b.WriteByte('}')
-	return b.String()
-}
+func (r *Record) String() string { return containerString(r) }
 
 // ---------------------------------------------------------------------------
 // Lists
@@ -291,18 +272,7 @@ func (l *List) Len() int { return len(l.Elems) }
 func (l *List) Append(v Value) { l.Elems = append(l.Elems, v) }
 
 // String implements Value.
-func (l *List) String() string {
-	var b strings.Builder
-	b.WriteString("list(")
-	for i, e := range l.Elems {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(e.String())
-	}
-	b.WriteByte(')')
-	return b.String()
-}
+func (l *List) String() string { return containerString(l) }
 
 // ---------------------------------------------------------------------------
 // Sets
@@ -385,25 +355,7 @@ func (s *Set) Each(f func(Value)) {
 
 // String implements Value; elements print in canonical (sorted-key) order so
 // equal sets print identically.
-func (s *Set) String() string {
-	keys := make([]string, len(s.elems))
-	byKey := map[string]Value{}
-	for i, e := range s.elems {
-		keys[i] = Key(e)
-		byKey[keys[i]] = e
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("{")
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(byKey[k].String())
-	}
-	b.WriteString("}")
-	return b.String()
-}
+func (s *Set) String() string { return containerString(s) }
 
 // ---------------------------------------------------------------------------
 // Variant values
@@ -422,31 +374,125 @@ func NewTag(label string, payload Value) *Tag { return &Tag{Label: label, Payloa
 func (*Tag) Kind() Kind { return KindTag }
 
 // String implements Value.
-func (t *Tag) String() string { return t.Label + "(" + t.Payload.String() + ")" }
+func (t *Tag) String() string { return containerString(t) }
+
+// containerString renders a record, list, set or tag in the paper's
+// notation. It terminates on cyclic values, writing a container found on
+// its own path as the key does (see AppendKey): r = {a = 1, self = r}
+// prints as {a = 1, self = ^1}.
+func containerString(v Value) string {
+	var p orderPath
+	return string(appendString(nil, v, &p))
+}
+
+// appendString appends v's rendering, p being the path of containers it
+// is inside.
+func appendString(dst []byte, v Value, p *orderPath) []byte {
+	switch v.(type) {
+	case *Record, *List, *Set, *Tag:
+	default:
+		return append(dst, v.String()...)
+	}
+	if dst, ok := p.backRef(dst, v); ok {
+		return dst
+	}
+	p.push(v, nil, nil)
+	switch vv := v.(type) {
+	case *Record:
+		dst = append(dst, '{')
+		for i, l := range vv.Shape().labels {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendString(append(append(dst, l...), " = "...), vv.values[i], p)
+		}
+		dst = append(dst, '}')
+	case *List:
+		dst = append(dst, "list("...)
+		for i, e := range vv.Elems {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendString(dst, e, p)
+		}
+		dst = append(dst, ')')
+	case *Set:
+		type keyed struct {
+			key string
+			v   Value
+		}
+		elems := make([]keyed, len(vv.elems))
+		for i, e := range vv.elems {
+			elems[i] = keyed{Key(e), e}
+		}
+		slices.SortFunc(elems, func(x, y keyed) int { return strings.Compare(x.key, y.key) })
+		dst = append(dst, '{')
+		for i, e := range elems {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendString(dst, e.v, p)
+		}
+		dst = append(dst, '}')
+	case *Tag:
+		dst = append(appendString(append(append(dst, vv.Label...), '('), vv.Payload, p), ')')
+	}
+	p.pop()
+	return dst
+}
 
 // ---------------------------------------------------------------------------
 // Copy, equality, canonical keys
 // ---------------------------------------------------------------------------
 
 // Copy deep-copies containers and shares atoms. Opaque values are shared.
+// Copy terminates on cyclic values and ties the knot as Join does: a
+// container found on its own path (see orderPath) is copied to the
+// container being built for it, so the copy of a cycle is a cycle of fresh
+// containers.
 func Copy(v Value) Value {
+	var p orderPath
+	return copyValue(v, &p)
+}
+
+func copyValue(v Value, p *orderPath) Value {
+	switch v.(type) {
+	case *Record, *List, *Set, *Tag:
+		if out, _, ok := p.find(v, nil); ok {
+			return out
+		}
+	}
 	switch vv := v.(type) {
 	case *Record:
-		return vv.Copy()
+		out := &Record{shape: vv.shape, values: make([]Value, len(vv.values))}
+		p.push(vv, nil, out)
+		for i, f := range vv.values {
+			out.values[i] = copyValue(f, p)
+		}
+		p.pop()
+		return out
 	case *List:
 		out := &List{Elems: make([]Value, len(vv.Elems))}
+		p.push(vv, nil, out)
 		for i, e := range vv.Elems {
-			out.Elems[i] = Copy(e)
+			out.Elems[i] = copyValue(e, p)
 		}
+		p.pop()
 		return out
 	case *Set:
 		out := NewSet()
+		p.push(vv, nil, out)
 		for _, e := range vv.elems {
-			out.Add(Copy(e))
+			out.Add(copyValue(e, p))
 		}
+		p.pop()
 		return out
 	case *Tag:
-		return NewTag(vv.Label, Copy(vv.Payload))
+		out := &Tag{Label: vv.Label}
+		p.push(vv, nil, out)
+		out.Payload = copyValue(vv.Payload, p)
+		p.pop()
+		return out
 	default:
 		return v
 	}
@@ -532,23 +578,69 @@ func Key(v Value) string {
 
 // AppendKey appends Key(v) to dst and returns the extended buffer. A map
 // keyed by Key is probed without allocating as m[string(AppendKey(buf, v))].
+//
+// AppendKey terminates on cyclic values. A value nested fewer than
+// pathFrom containers deep is keyed as it is. A deeper one, and so every
+// cyclic one, is keyed again from the top, keeping the path of records,
+// lists, sets and tags the key is inside (see orderPath), and a container
+// found on that path is written as a back-reference, ^k, k being how many
+// levels up the container encloses itself: r = {a = 1, self = r} keys as
+// {1:a=i1,4:self=^1}. No key of an acyclic value holds a back-reference,
+// so those keys are unchanged, and two cyclic values have equal keys
+// exactly when they unroll to the same tree up to the same
+// back-references. Two separately built copies of r are therefore Equal. A
+// value that folds the same infinite tree differently is not: r' = {a = 1,
+// self = {a = 1, self = r'}} has the back-reference ^2 where r has ^1, so
+// Equal(r, r') is false while Leq, which is coinductive, holds both ways.
 func AppendKey(dst []byte, v Value) []byte {
+	if out, ok := appendKey(dst, v, nil, 0); ok {
+		return out
+	}
+	var p orderPath
+	out, _ := appendKey(dst, v, &p, 0)
+	return out
+}
+
+// appendKey is AppendKey inside depth containers, on the path p. Without
+// a path it gives up, reporting false, at the first container pathFrom
+// deep.
+func appendKey(dst []byte, v Value, p *orderPath, depth int) ([]byte, bool) {
 	switch vv := v.(type) {
 	case Int:
-		return strconv.AppendInt(append(dst, 'i'), int64(vv), 10)
+		return strconv.AppendInt(append(dst, 'i'), int64(vv), 10), true
 	case Float:
-		return strconv.AppendUint(append(dst, 'f'), math.Float64bits(float64(vv)), 16)
+		return strconv.AppendUint(append(dst, 'f'), math.Float64bits(float64(vv)), 16), true
 	case String:
-		return appendLenPrefixed(append(dst, 's'), string(vv))
+		return appendLenPrefixed(append(dst, 's'), string(vv)), true
 	case Bool:
 		if vv {
-			return append(dst, "bt"...)
+			return append(dst, "bt"...), true
 		}
-		return append(dst, "bf"...)
+		return append(dst, "bf"...), true
 	case unitValue:
-		return append(dst, 'u')
+		return append(dst, 'u'), true
 	case bottomValue:
-		return append(dst, "⊥"...)
+		return append(dst, "⊥"...), true
+	case *TypeVal:
+		return append(append(append(dst, "T<"...), types.Key(vv.T)...), '>'), true
+	case *Record, *List, *Set, *Tag:
+		// Containers are written below, on the path.
+	default:
+		// Opaque values: identity only, as their address. They never meet
+		// the order's hot paths, so this is the one key fmt still writes.
+		return fmt.Appendf(dst, "opaque%p", v), true
+	}
+	if p == nil && depth >= pathFrom {
+		return dst, false
+	}
+	if dst, ok := p.backRef(dst, v); ok {
+		return dst, true
+	}
+	// Only a walk without a path gives up, so a path never needs its pop
+	// on the way out of one.
+	p.push(v, nil, nil)
+	ok := true
+	switch vv := v.(type) {
 	case *Record:
 		dst = append(dst, '{')
 		for i, l := range vv.Shape().labels {
@@ -556,18 +648,22 @@ func AppendKey(dst []byte, v Value) []byte {
 				dst = append(dst, ',')
 			}
 			dst = append(appendLenPrefixed(dst, l), '=')
-			dst = AppendKey(dst, vv.values[i])
+			if dst, ok = appendKey(dst, vv.values[i], p, depth+1); !ok {
+				return dst, false
+			}
 		}
-		return append(dst, '}')
+		dst = append(dst, '}')
 	case *List:
 		dst = append(dst, "l("...)
 		for i, e := range vv.Elems {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = AppendKey(dst, e)
+			if dst, ok = appendKey(dst, e, p, depth+1); !ok {
+				return dst, false
+			}
 		}
-		return append(dst, ')')
+		dst = append(dst, ')')
 	case *Set:
 		// Write every element's key once past the prefix, then copy them
 		// back in sorted order.
@@ -576,7 +672,9 @@ func AppendKey(dst []byte, v Value) []byte {
 		spans := make([][2]int, len(vv.elems))
 		for i, e := range vv.elems {
 			spans[i][0] = len(dst)
-			dst = AppendKey(dst, e)
+			if dst, ok = appendKey(dst, e, p, depth+1); !ok {
+				return dst, false
+			}
 			spans[i][1] = len(dst)
 		}
 		slices.SortFunc(spans, func(x, y [2]int) int {
@@ -589,17 +687,27 @@ func AppendKey(dst []byte, v Value) []byte {
 			}
 			sorted = append(sorted, dst[sp[0]:sp[1]]...)
 		}
-		return append(append(dst[:start], sorted...), ')')
+		dst = append(append(dst[:start], sorted...), ')')
 	case *Tag:
 		dst = append(appendLenPrefixed(append(dst, 't'), vv.Label), '(')
-		return append(AppendKey(dst, vv.Payload), ')')
-	case *TypeVal:
-		return append(append(append(dst, "T<"...), types.Key(vv.T)...), '>')
-	default:
-		// Opaque values: identity only, as their address. They never meet
-		// the order's hot paths, so this is the one key fmt still writes.
-		return fmt.Appendf(dst, "opaque%p", v)
+		if dst, ok = appendKey(dst, vv.Payload, p, depth+1); !ok {
+			return dst, false
+		}
+		dst = append(dst, ')')
 	}
+	p.pop()
+	return dst, true
+}
+
+// backRef appends the back-reference ^k for the container v and reports
+// true when v is on the path, k levels up; otherwise it returns dst as it
+// is. Keys and String write the same back-references.
+func (p *orderPath) backRef(dst []byte, v Value) ([]byte, bool) {
+	_, i, ok := p.find(v, nil)
+	if !ok {
+		return dst, false
+	}
+	return strconv.AppendInt(append(dst, '^'), int64(p.n-i), 10), true
 }
 
 // appendLenPrefixed appends len(s), a colon and s.
