@@ -41,7 +41,9 @@ bench-smoke:
 # rewritten, so the mutation reaches the decoder, the materializer and the
 # conformance check), the
 # conformance walk (differential against TypeOf + subtyping), the value
-# key writer (byte-identical to the fmt writer it replaced), the pruned
+# key writer (byte-identical to the fmt writer it replaced), the order's,
+# conformance's and Copy's walks with a memo (differential against the
+# plain walk, on values that share structure), the pruned
 # maximal-elements scan (differential against the naive one), the language
 # pipeline, the wire frame reader (malformed frames, truncated length
 # prefixes and oversize claims must yield typed wire errors — never a
@@ -60,6 +62,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzApplyGroup -fuzztime=30s ./internal/persist/intrinsic/
 	$(GO) test -fuzz=FuzzConforms -fuzztime=30s ./internal/value/
 	$(GO) test -fuzz=FuzzAppendKey -fuzztime=30s ./internal/value/
+	$(GO) test -fuzz=FuzzWalk -fuzztime=30s ./internal/value/
 	$(GO) test -fuzz=FuzzMaximal -fuzztime=30s -fuzzminimizetime=5s ./internal/value/
 	$(GO) test -fuzz=FuzzRun -fuzztime=30s ./internal/lang/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/server/wire/

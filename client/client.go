@@ -144,11 +144,6 @@ type Options struct {
 	// Stats always go to the currently pinned primary. See
 	// client/replicas.go and client/failover.go.
 	Replicas []string
-	// MaxReplicaLag is the staleness bound in log bytes: a replica whose
-	// durable offset trails the primary's by more is left out of the read
-	// rotation until it catches up. 0 means 1MiB; negative means
-	// unlimited (read-your-writes pinning still applies).
-	MaxReplicaLag int64
 	// ReplicaProbe is the health-probe interval for replica rotation;
 	// 0 means 1s.
 	ReplicaProbe time.Duration
@@ -253,16 +248,6 @@ func (o Options) requestTimeout() time.Duration {
 		return 0
 	}
 	return o.RequestTimeout
-}
-
-func (o Options) maxReplicaLag() int64 {
-	if o.MaxReplicaLag == 0 {
-		return 1 << 20
-	}
-	if o.MaxReplicaLag < 0 {
-		return -1 // unlimited
-	}
-	return o.MaxReplicaLag
 }
 
 func (o Options) replicaProbe() time.Duration {

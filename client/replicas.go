@@ -6,8 +6,8 @@
 //
 //   - Staleness bound: a background prober polls HEALTH on the primary
 //     and every replica (both report their durable log offset), and a
-//     replica lagging more than Options.MaxReplicaLag bytes behind the
-//     primary is taken out of rotation until it catches up.
+//     replica lagging more than maxReplicaLag bytes behind the primary is
+//     taken out of rotation until it catches up.
 //
 //   - Read-your-writes pinning: the client stamps every write with a
 //     monotone counter, and a replica is only eligible once a probe has
@@ -27,6 +27,11 @@ import (
 
 	"dbpl/internal/server/wire"
 )
+
+// maxReplicaLag is the staleness bound in log bytes: a replica whose
+// durable offset trails the primary's by more leaves the read rotation
+// until it catches up.
+const maxReplicaLag = 1 << 20
 
 // replica is one follower: its lazily-dialed connection and the prober's
 // verdict on it.
@@ -154,7 +159,6 @@ func (rs *replicaSet) probe() {
 	c := rs.c
 	s0 := c.writes.Load()
 	ph, perr := c.healthOnce()
-	bound := c.o.maxReplicaLag()
 	for _, rep := range rs.reps {
 		h, err := rep.health(c)
 		if err != nil || h.Poisoned {
@@ -179,7 +183,7 @@ func (rs *replicaSet) probe() {
 			continue
 		}
 		if perr == nil {
-			if bound >= 0 && ph.DurableEnd-h.DurableEnd > bound {
+			if ph.DurableEnd-h.DurableEnd > maxReplicaLag {
 				rep.healthy.Store(false)
 				continue
 			}

@@ -3,8 +3,10 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -247,5 +249,91 @@ func TestReadOnlyRefusalNotRetried(t *testing.T) {
 	}
 	if n := c.m.attempts[wire.OpPut].Value(); n != 1 {
 		t.Errorf("PUT attempts = %d, want exactly 1 (read-only must not be retried)", n)
+	}
+}
+
+// TestReplicaLagLeavesRotation: the staleness bound. A follower cut off
+// from its primary stays in a reader's rotation while it trails by less
+// than maxReplicaLag bytes of log: the reader has written nothing, so
+// read-your-writes pins nothing. Once the primary has taken more than that
+// from another client, the prober takes the follower out and reads go to
+// the primary. After the heal and catch-up it returns to the rotation.
+func TestReplicaLagLeavesRotation(t *testing.T) {
+	dir := t.TempDir()
+	paddr, pst, _ := bootReplSrv(t, filepath.Join(dir, "p.log"), server.Config{})
+	px, err := netfault.New(paddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { px.Close() })
+	faddr, fst, _ := bootReplSrv(t, filepath.Join(dir, "f.log"),
+		server.Config{Follow: px.Addr(), ReplHeartbeat: 50 * time.Millisecond})
+	w, err := Dial(paddr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	payload := value.String(strings.Repeat("x", 64<<10))
+	puts := 0
+	put := func() {
+		t.Helper()
+		puts++
+		if err := w.Put(fmt.Sprintf("k%d", puts), payload, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put()
+	waitCaughtUp(t, pst, fst)
+
+	c, err := Dial(paddr, &Options{Replicas: []string{faddr}, ReplicaProbe: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	waitEligible(t, c)
+	names := func() []string {
+		t.Helper()
+		ns, err := c.Names()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ns
+	}
+
+	px.Partition()
+	put()
+	time.Sleep(100 * time.Millisecond) // several probe rounds
+	if lag := pst.DurableEnd() - fst.DurableEnd(); lag <= 0 || lag > maxReplicaLag {
+		t.Fatalf("follower trails by %d bytes, want 0 < lag ≤ %d", lag, maxReplicaLag)
+	}
+	before := c.m.replicaReads.Value()
+	if ns := names(); len(ns) != 1 || c.m.replicaReads.Value() != before+1 {
+		t.Fatalf("within the bound: NAMES = %v, replica reads %d → %d; want the follower's one name, served by it",
+			ns, before, c.m.replicaReads.Value())
+	}
+
+	for pst.DurableEnd()-fst.DurableEnd() <= maxReplicaLag {
+		put()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for c.reps.pick() != nil {
+		if time.Now().After(deadline) {
+			t.Fatalf("a follower %d bytes behind is still in rotation", pst.DurableEnd()-fst.DurableEnd())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	before = c.m.replicaReads.Value()
+	if ns := names(); len(ns) != puts || c.m.replicaReads.Value() != before {
+		t.Errorf("past the bound: NAMES has %d names, replica reads %d → %d; want all %d, from the primary",
+			len(ns), before, c.m.replicaReads.Value(), puts)
+	}
+
+	px.Heal()
+	waitCaughtUp(t, pst, fst)
+	waitEligible(t, c)
+	before = c.m.replicaReads.Value()
+	if ns := names(); len(ns) != puts || c.m.replicaReads.Value() != before+1 {
+		t.Errorf("after catch-up: NAMES has %d names, replica reads %d → %d; want all %d, from the follower",
+			len(ns), before, c.m.replicaReads.Value(), puts)
 	}
 }

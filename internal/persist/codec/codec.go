@@ -706,10 +706,13 @@ func capCount(n int) int {
 	return n
 }
 
-// Cycles. A set keys each element by its whole structure, and value.Key,
-// which stops only at a dynamic, recurses forever round a cycle, so a set
-// element that reaches one would crash the reader in Set.Add. Each open
-// container notes whether it may reach a cycle: it refers back to a
+// Cycles. Set.Add keys each element by its whole structure as it is
+// added, and a set element on a cycle through the set reaches a container
+// the decoder has not finished: its key would be written over a partly
+// decoded value and go stale as the rest is read. value.Key terminates on
+// cycles; the refusal is about when the key is taken. The rule is kept
+// simple and sound: a set element that may reach any cycle is refused.
+// Each open container notes whether it may reach one: it refers back to a
 // container still open, or to a completed one that may, or has a child that
 // may — a dynamic, opaque to Key, passes nothing on. A back reference from
 // inside a dynamic's value to a container outside it need not close a cycle
@@ -908,7 +911,7 @@ func (d *Decoder) value() (value.Value, error) {
 		d.recs.Flush() // the check reads the records around it as read so far
 		dyn, err := dynamic.MakeAt(v, t)
 		if err != nil {
-			return nil, fmt.Errorf("%w: dynamic no longer conforms: %v", ErrCorrupt, err)
+			return nil, fmt.Errorf("%w: dynamic no longer conforms to %s", ErrCorrupt, t)
 		}
 		d.refs[idx] = dyn
 		return dyn, nil

@@ -22,8 +22,9 @@ import (
 // type, a JOIN of that type with itself, EXPLAIN JOIN and NAMES run over
 // it. Whatever the input, HEALTH must answer afterwards: no image the
 // codec accepts may take the server down or wedge it. Seeds are the
-// codec's golden tagged images, the cyclic pair of TestE2EJoinCyclicValues
-// and a set nested six deep.
+// codec's golden tagged images, the cyclic pair of TestE2EJoinCyclicValues,
+// a set nested six deep, the branching cycle of TestE2EJoinBranchingCycles
+// and a DAG of 24 levels, whose tree unfolding has 2^25 - 1 records.
 func FuzzServeImage(f *testing.F) {
 	for _, img := range serveImageSeeds(f) {
 		f.Add(img)
@@ -53,20 +54,7 @@ func FuzzServeImage(f *testing.F) {
 // connection, reporting whether the server accepted it.
 func putImage(t *testing.T, h *harness, img []byte) bool {
 	t.Helper()
-	conn, err := net.Dial("tcp", h.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := wire.WriteFrame(conn, 0, wire.OpPut, []byte("fuzz"), img); err != nil {
-		t.Fatal(err)
-	}
-	op, fields, err := wire.ReadFrame(conn, 0)
-	if err != nil {
-		t.Fatalf("PUT: %v", err)
-	}
-	switch op {
+	switch op, fields := rawPut(t, h, "fuzz", img, 10*time.Second); op {
 	case wire.OpOK:
 		return true
 	case wire.OpError:
@@ -75,6 +63,26 @@ func putImage(t *testing.T, h *harness, img []byte) bool {
 		t.Fatalf("PUT answered %s %v", wire.OpName(op), fields)
 		return false
 	}
+}
+
+// rawPut PUTs img under name on a raw connection with the given deadline
+// and returns the answer.
+func rawPut(t *testing.T, h *harness, name string, img []byte, deadline time.Duration) (byte, [][]byte) {
+	t.Helper()
+	conn, err := net.Dial("tcp", h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(deadline))
+	if err := wire.WriteFrame(conn, 0, wire.OpPut, []byte(name), img); err != nil {
+		t.Fatal(err)
+	}
+	op, fields, err := wire.ReadFrame(conn, 0)
+	if err != nil {
+		t.Fatalf("PUT: %v", err)
+	}
+	return op, fields
 }
 
 // serveImageSeeds returns FuzzServeImage's seeds.
@@ -117,6 +125,8 @@ func serveImageSeeds(tb testing.TB) [][]byte {
 		{r, "{a: Int}"},
 		{s, "{a: Int}"},
 		{nested, "Set[Set[Set[Set[Set[Set[Int]]]]]]"},
+		{branching("a", value.Int(1)), "{a: Int}"},
+		{dagValue(24, value.Int(1)), "{l: {l: {}}, r: {}}"},
 	} {
 		img, err := codec.AppendTagged(nil, c.v, types.MustParse(c.t))
 		if err != nil {

@@ -1186,7 +1186,10 @@ func (s *Server) handlePut(sess *session, fields [][]byte) (byte, [][]byte) {
 	}
 	d, err := dynamic.MakeAt(v, t)
 	if err != nil {
-		return errResp(&wire.WireError{Code: wire.CodeNotConforming, Msg: err.Error()})
+		// The refusal names the declared type, which the request wrote
+		// out, and not the value's: TypeOf shares record types as the
+		// value shares records, and a type renders as its unfolding.
+		return errResp(&wire.WireError{Code: wire.CodeNotConforming, Msg: "value does not conform to its declared type " + t.String()})
 	}
 	op := txnOp{name: name, dyn: d}
 	if sess.inTxn {
