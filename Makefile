@@ -35,15 +35,18 @@ race:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Short fuzz passes over every Fuzz* target in the repo: the decoders,
-# the log scanner (its seeds include the refused older headers), a
+# Short fuzz passes over every Fuzz* target in the repo: the decoders
+# (differential: each input is decoded through the process-wide type
+# table, cold and then warm, and against the table-free decoder), the log
+# scanner (its seeds include the refused older headers), a
 # follower's ApplyGroup of a mutated replicated group (its checksum
 # rewritten, so the mutation reaches the decoder, the materializer and the
 # conformance check), the
 # conformance walk (differential against TypeOf + subtyping), the value
 # key writer (byte-identical to the fmt writer it replaced), the order's,
 # conformance's and Copy's walks with a memo (differential against the
-# plain walk, on values that share structure), the pruned
+# plain walk, on values that share structure or reach themselves through
+# a list or set, with the cycle check against a plain search), the pruned
 # maximal-elements scan (differential against the naive one), the language
 # pipeline, the wire frame reader (malformed frames, truncated length
 # prefixes and oversize claims must yield typed wire errors — never a

@@ -609,8 +609,9 @@ func BenchmarkCodecUntagged(b *testing.B) {
 // BenchmarkCodecDecode decodes the 1000-employee world as one untagged
 // image, and a 512-record reply of the read-bulk record shape in 4 witness
 // types — each record its own tagged image, as a GET returns them — once
-// one-shot and once through one TypeTable per reply, as the client decodes
-// a GET. ns/rec is the cost of one record.
+// image by image and once as one reply, as the client decodes a GET. Both
+// read each type image through the codec's process-wide type table. ns/rec
+// is the cost of one record.
 func BenchmarkCodecDecode(b *testing.B) {
 	b.Run("world", func(b *testing.B) {
 		world, _ := benchWorld(1000)
@@ -643,15 +644,6 @@ func BenchmarkCodecDecode(b *testing.B) {
 		{"tagged-reply/one-shot", func(imgs [][]byte) error {
 			for _, img := range imgs {
 				if _, _, err := codec.DecodeTagged(img); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-		{"tagged-reply/table", func(imgs [][]byte) error {
-			var tbl codec.TypeTable
-			for _, img := range imgs {
-				if _, _, err := tbl.DecodeTagged(img); err != nil {
 					return err
 				}
 			}

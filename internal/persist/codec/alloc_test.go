@@ -17,9 +17,10 @@ func bulkRecord() (value.Value, types.Type) {
 
 // TestTaggedImageAllocs pins what one tagged image costs. Appending into a
 // buffer with room allocates nothing; a fresh image allocates only its
-// growing slice; decoding allocates the value, the type and their strings.
-// Through a warm TypeTable the type and the labels cost nothing, and a
-// table's first image costs no more than a one-shot decode.
+// growing slice; decoding allocates the value, and its type only when the
+// type table has not seen the type image: a seen one costs nothing, in a
+// tagged image or alone. An unseen one costs its decode and the table
+// entry, and still no more than the plain decoder, which reuses no Decoder.
 func TestTaggedImageAllocs(t *testing.T) {
 	v, ty := bulkRecord()
 	buf, err := AppendTagged(nil, v, ty)
@@ -27,11 +28,11 @@ func TestTaggedImageAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	img := append([]byte(nil), buf...)
-	var warm TypeTable
-	if _, _, err := warm.DecodeTagged(img); err != nil {
+	typeImg, err := AppendType(nil, ty)
+	if err != nil {
 		t.Fatal(err)
 	}
-	oneShot := testing.AllocsPerRun(100, func() { DecodeTagged(img) })
+	plain := testing.AllocsPerRun(100, func() { decodeTagged(img, true) })
 	for _, c := range []struct {
 		name string
 		max  float64
@@ -49,16 +50,21 @@ func TestTaggedImageAllocs(t *testing.T) {
 			_, _, err := UnmarshalTagged(img)
 			return err
 		}},
-		{"DecodeTagged through a warm table", 12, func() error {
-			_, _, err := warm.DecodeTagged(img)
+		{"DecodeTagged of a seen type image", 12, func() error {
+			_, _, err := DecodeTagged(img)
 			return err
 		}},
-		{"DecodeTagged through a zero-value table", oneShot, func() error {
-			var tbl TypeTable
-			_, _, err := tbl.DecodeTagged(img)
+		{"DecodeType of a seen type image", 0, func() error {
+			_, err := DecodeType(typeImg)
+			return err
+		}},
+		{"DecodeTagged of an unseen type image", plain, func() error {
+			forgetType(img)
+			_, _, err := DecodeTagged(img)
 			return err
 		}},
 	} {
+		c.f() // the type table has seen the image
 		var ferr error
 		allocs := testing.AllocsPerRun(100, func() {
 			if err := c.f(); err != nil {

@@ -20,15 +20,17 @@
 // Marshal/Unmarshal helpers wrap them, and NewEncoder and NewDecoder are
 // stream wrappers, for an image of many values sharing references.
 //
-// Principle P2 puts a type image beside every record, so one reader — a
-// reply of many records — meets a few distinct type images many times. A
-// TypeTable serves one such reader: its DecodeTagged measures each type
-// image with a skip that allocates nothing, and decodes and canonicalises
-// only an image it has not met before. The package-level DecodeTagged is
-// the same code with a nil table, which decodes every image afresh.
-// DecodeReply reads the images of one reply through one table and builds
-// its values from memory shared by the reply; AppendTaggedImage writes an
-// image at a type image encoded once.
+// Principle P2 puts a type image beside every value, so a process meets a
+// few distinct type images many times: the witness types of every reply,
+// the query type of every GET, the declared type of every PUT. Every
+// top-level type image a Decoder reads goes through one process-wide type
+// table, which maps the image's exact bytes to the canonical type they
+// decode to: an image met before costs a skip that allocates nothing, a
+// hash and one atomic load. The table is bounded (see typeSlots), and the
+// plain decoder it sits on stays the reference its tests hold it to.
+// DecodeReply reads the images of one reply with one reused Decoder and
+// builds their values from memory shared by the reply; AppendTaggedImage
+// writes an image at a type image encoded once.
 package codec
 
 import (
@@ -36,10 +38,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"dbpl/internal/dynamic"
 	"dbpl/internal/types"
@@ -443,8 +448,6 @@ type Decoder struct {
 	src  []byte
 	pos  int // next byte of src to read
 	refs []value.Value
-	// tbl, if set, is the TypeTable whose decoder this is.
-	tbl *TypeTable
 	// rep, if set, is the reply whose images the decoder reads; see
 	// DecodeReply.
 	rep *reply
@@ -520,49 +523,33 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 // DecodeTagged decodes an image written by AppendTagged, returning the
 // value and the type that persisted with it.
 func DecodeTagged(img []byte) (value.Value, types.Type, error) {
-	return (*TypeTable)(nil).DecodeTagged(img)
-}
-
-// DecodeType decodes a standalone type image written by AppendType.
-func DecodeType(img []byte) (types.Type, error) {
-	d, err := newDecoder(img)
-	if err != nil {
-		return nil, err
-	}
-	return d.Type()
-}
-
-// TypeTable maps the exact bytes of a type image to the canonical type they
-// decode to, for one reader: one reply. Through a table each distinct type
-// image is decoded and canonicalised once. It grows with the distinct images
-// its reader meets. The zero value is ready to use, and a nil *TypeTable
-// decodes every image afresh. A TypeTable is not safe for concurrent use,
-// and is not copied once used.
-type TypeTable struct {
-	// first is the first image stored and firstType its type; types maps
-	// every image once a second one is stored, so a reader of a single type
-	// builds no map. first is held in firstBuf when it fits, so a table's
-	// first image costs no more than a decode without a table.
-	first     []byte
-	firstBuf  [64]byte
-	firstType types.Type
-	types     map[string]types.Type
-	// d is the decoder every image through the table reuses.
-	d Decoder
-}
-
-// DecodeTagged is the package-level DecodeTagged through tbl.
-func (tbl *TypeTable) DecodeTagged(img []byte) (value.Value, types.Type, error) {
-	return tbl.decodeTagged(img, nil)
-}
-
-// decodeTagged is DecodeTagged of an image of rep, if rep is set.
-func (tbl *TypeTable) decodeTagged(img []byte, rep *reply) (value.Value, types.Type, error) {
-	d, err := tbl.decoder(img, rep)
-	if err != nil {
+	if err := checkHeader(img); err != nil {
 		return nil, nil, err
 	}
-	defer tbl.release()
+	d := decoders.Get().(*Decoder)
+	d.reset(img, nil)
+	v, t, err := d.tagged()
+	d.reset(nil, nil)
+	decoders.Put(d)
+	return v, t, err
+}
+
+// decoders holds the Decoders DecodeTagged reuses, with the slices they
+// grew.
+var decoders = sync.Pool{New: func() any { return new(Decoder) }}
+
+// reset readies d to read img, an image of rep if rep is set, keeping the
+// slices it grew and dropping what they held; reset(nil, nil) lets go of
+// everything d read.
+func (d *Decoder) reset(img []byte, rep *reply) {
+	clear(d.refs)
+	d.recs.Reset()
+	*d = Decoder{src: img, pos: headerLen, refs: d.refs[:0], rep: rep, recs: d.recs}
+	d.open = d.openBuf[:0]
+}
+
+// tagged reads a type and then a value.
+func (d *Decoder) tagged() (value.Value, types.Type, error) {
 	t, err := d.Type()
 	if err != nil {
 		return nil, nil, err
@@ -574,34 +561,49 @@ func (tbl *TypeTable) decodeTagged(img []byte, rep *reply) (value.Value, types.T
 	return v, t, nil
 }
 
-// decoder checks img's header and returns a decoder positioned after it:
-// the table's own, reset, or for a nil table a fresh one. A table's decoder
-// of an image of a reply reads it as one.
-func (tbl *TypeTable) decoder(img []byte, rep *reply) (*Decoder, error) {
-	if tbl == nil {
-		return newDecoder(img)
-	}
+// DecodeType decodes a standalone type image written by AppendType. An
+// image the type table holds costs no allocation.
+func DecodeType(img []byte) (types.Type, error) {
 	if err := checkHeader(img); err != nil {
 		return nil, err
 	}
-	d := &tbl.d
-	*d = Decoder{src: img, pos: headerLen, refs: d.refs, tbl: tbl, rep: rep, recs: d.recs}
-	d.open = d.openBuf[:0]
-	return d, nil
+	d := Decoder{src: img, pos: headerLen}
+	return d.Type()
 }
 
-// release drops what the table's decoder holds of the image it read.
-func (tbl *TypeTable) release() {
-	if tbl != nil {
-		clear(tbl.d.refs)
-		tbl.d.src, tbl.d.refs = nil, tbl.d.refs[:0]
-		tbl.d.recs.Reset()
-	}
+// The type table. Each of typeSlots slots holds at most one immutable
+// entry, the bytes of a top-level type image and its canonical type, and
+// an image hashes to one slot. A lookup is one atomic load and takes no
+// lock. A store replaces what the slot held, so two images that share a
+// slot both decode correctly, each costing a decode when the other was
+// stored last. An image longer than typeImageMax bytes is decoded but never
+// stored. So the table holds at most typeSlots entries and retains at most
+// typeSlots × typeImageMax image bytes, whatever a peer sends; the types
+// are types.Canon's, which holds them anyway.
+const (
+	typeSlots    = 1 << 10
+	typeImageMax = 512
+)
+
+// typeEntry is what a slot holds: a type image's bytes and its type.
+type typeEntry struct {
+	img string
+	t   types.Type
 }
 
-// typ reads the top-level type image at d's cursor. A stored image costs a
-// skip and a lookup; any other is decoded, and stored if it decodes.
-func (tbl *TypeTable) typ(d *Decoder) (types.Type, error) {
+var (
+	typeTable [typeSlots]atomic.Pointer[typeEntry]
+	typeSeed  = maphash.MakeSeed()
+)
+
+// typeSlot returns the index of the type image img's slot.
+func typeSlot(img []byte) int { return int(maphash.Bytes(typeSeed, img) % typeSlots) }
+
+// tableType reads the top-level type image at d's cursor through the type
+// table. It measures the image with a skip; a stored image costs no more,
+// and any other is decoded, and stored if it decodes to exactly the bytes
+// skipped.
+func (d *Decoder) tableType() (types.Type, error) {
 	start := d.pos
 	if err := d.skipType(0); err != nil {
 		// The decoder reports the first fault in image order, and the skip
@@ -612,41 +614,21 @@ func (tbl *TypeTable) typ(d *Decoder) (types.Type, error) {
 		}
 		return nil, err
 	}
-	end := d.pos
-	if t := tbl.lookup(d.src[start:end]); t != nil {
-		return t, nil
-	}
+	img := d.src[start:d.pos]
 	d.pos = start
+	if len(img) > typeImageMax {
+		return d.decodeType()
+	}
+	slot := &typeTable[typeSlot(img)]
+	if e := slot.Load(); e != nil && e.img == string(img) {
+		d.pos += len(img)
+		return e.t, nil
+	}
 	t, err := d.decodeType()
-	if err != nil {
-		return nil, err
+	if err == nil && d.pos == start+len(img) {
+		slot.Store(&typeEntry{img: string(img), t: t})
 	}
-	if d.pos != end {
-		return nil, fmt.Errorf("%w: a %d-byte type image read as %d bytes", ErrCorrupt, end-start, d.pos-start)
-	}
-	tbl.store(d.src[start:end], t)
-	return t, nil
-}
-
-func (tbl *TypeTable) lookup(img []byte) types.Type {
-	if tbl.types != nil {
-		return tbl.types[string(img)]
-	}
-	if string(tbl.first) == string(img) {
-		return tbl.firstType // nil until an image is stored
-	}
-	return nil
-}
-
-func (tbl *TypeTable) store(img []byte, t types.Type) {
-	switch {
-	case tbl.firstType == nil:
-		tbl.first, tbl.firstType = append(tbl.firstBuf[:0], img...), t
-	case tbl.types == nil:
-		tbl.types = map[string]types.Type{string(tbl.first): tbl.firstType, string(img): t}
-	default:
-		tbl.types[string(img)] = t
-	}
+	return t, err
 }
 
 func (d *Decoder) byte() (byte, error) {
@@ -933,15 +915,17 @@ func (d *Decoder) value() (value.Value, error) {
 // Type reads one type descriptor. Top-level types are routed through
 // types.Canon, so every image of a schema decodes to the one canonical
 // in-memory representation — and hence one entry in every type-keyed cache
-// and one extent handle in the database engine — and through the decoder's
-// TypeTable, if it has one.
+// and one extent handle in the database engine — and through the type
+// table.
 func (d *Decoder) Type() (types.Type, error) {
-	if d.tbl != nil && d.typeDepth == 0 {
-		return d.tbl.typ(d)
+	if d.typeDepth == 0 {
+		return d.tableType()
 	}
 	return d.decodeType()
 }
 
+// decodeType reads one type descriptor without the type table: the
+// reference the table is held to.
 func (d *Decoder) decodeType() (types.Type, error) {
 	if d.typeDepth == MaxTypeDepth {
 		return nil, fmt.Errorf("%w: type nested deeper than %d", ErrLimitExceeded, MaxTypeDepth)
@@ -1138,7 +1122,7 @@ func (d *Decoder) skipType(depth int) error {
 // one VALUES frame, in order, and calls each with an image's index, value
 // and type. Its outcome is per-image DecodeTagged's, stopping at the first
 // error, but it costs what the reply's bytes cost. The images share one
-// TypeTable, and their records get their labels as every decoded record
+// Decoder, and their records get their labels as every decoded record
 // does, from the interned value.Shape of their label set. The reply's
 // records and their value slices are cut from slabs sized from the image
 // count, and string atoms are substrings of one copy of the images. So a
@@ -1160,7 +1144,11 @@ func DecodeReply(imgs [][]byte, each func(i int, v value.Value, t types.Type)) e
 	}
 	rep := &reply{src: b.String(), images: len(imgs)}
 	for i, img := range imgs {
-		v, t, err := rep.tbl.decodeTagged(img, rep)
+		if err := checkHeader(img); err != nil {
+			return err
+		}
+		rep.d.reset(img, rep)
+		v, t, err := rep.d.tagged()
 		if err != nil {
 			return err
 		}
@@ -1173,7 +1161,8 @@ func DecodeReply(imgs [][]byte, each func(i int, v value.Value, t types.Type)) e
 
 // reply is what the decodes of one reply's images share.
 type reply struct {
-	tbl TypeTable
+	// d is the decoder every image reuses.
+	d Decoder
 	// src is every image, back to back; off is where the image being
 	// decoded starts in it.
 	src string

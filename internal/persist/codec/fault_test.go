@@ -31,11 +31,12 @@ func corpusImages(t *testing.T) (plain, tagged [][]byte) {
 	return plain, tagged
 }
 
-// decodeSafely decodes img one-shot and, given a table, through it as a
-// tagged image and as a type image, expecting the one-shot outcome
-// (sameThroughTable). A table shared across corrupted images is where a
-// corruption whose type bytes hit a stored image would show.
-func decodeSafely(t *testing.T, tbl *TypeTable, img []byte, what string) {
+// decodeSafely decodes img and, if differential, decodes it as a tagged
+// image and as a type image through the type table, expecting the plain
+// decoder's outcome (sameThroughTable). The table is shared across
+// corrupted images, which is where a corruption whose type bytes hit a
+// stored image would show.
+func decodeSafely(t *testing.T, differential bool, img []byte, what string) {
 	t.Helper()
 	done := make(chan struct{})
 	go func() {
@@ -47,9 +48,9 @@ func decodeSafely(t *testing.T, tbl *TypeTable, img []byte, what string) {
 		}()
 		_, _ = UnmarshalValue(img)
 		_, _, _ = UnmarshalTagged(img)
-		if tbl != nil {
-			sameThroughTable(t, tbl, img, decodeTagged)
-			sameThroughTable(t, tbl, img, decodeType)
+		if differential {
+			sameThroughTable(t, img, decodeTagged)
+			sameThroughTable(t, img, decodeTypeImage)
 		}
 	}()
 	select {
@@ -62,7 +63,6 @@ func decodeSafely(t *testing.T, tbl *TypeTable, img []byte, what string) {
 func TestBitFlipsNeverPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	plain, tagged := corpusImages(t)
-	var tbl TypeTable
 	for _, img := range append(plain, tagged...) {
 		for trial := 0; trial < 50; trial++ {
 			mut := append([]byte(nil), img...)
@@ -71,7 +71,7 @@ func TestBitFlipsNeverPanic(t *testing.T) {
 				i := rng.Intn(len(mut))
 				mut[i] ^= 1 << rng.Intn(8)
 			}
-			decodeSafely(t, &tbl, mut, "bitflip")
+			decodeSafely(t, true, mut, "bitflip")
 		}
 	}
 }
@@ -82,29 +82,28 @@ func TestRandomGarbageNeverPanics(t *testing.T) {
 		n := rng.Intn(200)
 		img := make([]byte, n)
 		rng.Read(img)
-		decodeSafely(t, nil, img, "garbage")
+		decodeSafely(t, false, img, "garbage")
 	}
 	// Garbage behind a valid header.
 	for trial := 0; trial < 100; trial++ {
 		img := append([]byte("DBPL\x01"), make([]byte, rng.Intn(64))...)
 		rng.Read(img[5:])
-		decodeSafely(t, nil, img, "garbage-with-header")
+		decodeSafely(t, false, img, "garbage-with-header")
 	}
 }
 
 func TestByteTruncationAndExtension(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	plain, tagged := corpusImages(t)
-	var tbl TypeTable
 	for _, img := range append(append([][]byte(nil), plain...), tagged...) {
 		// Random truncations.
 		for trial := 0; trial < 25; trial++ {
 			cut := rng.Intn(len(img))
-			decodeSafely(t, &tbl, img[:cut], "truncation")
+			decodeSafely(t, true, img[:cut], "truncation")
 		}
 		// Trailing junk after a valid image must not panic the decoder.
 		withJunk := append(append([]byte(nil), img...), 0xFF, 0x00, 0x13)
-		decodeSafely(t, &tbl, withJunk, "extension")
+		decodeSafely(t, true, withJunk, "extension")
 	}
 	// A clean untagged prefix with junk after it still decodes: the junk is
 	// simply unread stream.
@@ -117,9 +116,8 @@ func TestByteTruncationAndExtension(t *testing.T) {
 }
 
 func TestHugeCountsRejected(t *testing.T) {
-	// One table, warmed with a valid image, is shared by the table decodes.
-	var tbl TypeTable
-	if _, _, err := decodeType(&tbl, nestedImage(nil, 0, tRecord, 1, 1, 'A', tInt)); err != nil {
+	// The type table holds a valid image when the table decodes run.
+	if _, err := DecodeType(nestedImage(nil, 0, tRecord, 1, 1, 'A', tInt)); err != nil {
 		t.Fatal(err)
 	}
 	// A list claiming 2^40 elements, and a record type claiming as many
@@ -128,8 +126,8 @@ func TestHugeCountsRejected(t *testing.T) {
 		t.Error("huge count accepted")
 	}
 	hugeRecord := nestedImage(nil, 0, tRecord, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)
-	for _, decode := range []tableDecode{decodeType, decodeTagged} {
-		if _, _, err := decode(&tbl, hugeRecord); !errors.Is(err, ErrLimitExceeded) {
+	for _, decode := range []imageDecode{decodeTypeImage, decodeTagged} {
+		if _, _, err := decode(hugeRecord, false); !errors.Is(err, ErrLimitExceeded) {
 			t.Errorf("a record type claiming 2^40 fields through a table: %v, want ErrLimitExceeded", err)
 		}
 	}
@@ -147,7 +145,7 @@ func TestHugeCountsRejected(t *testing.T) {
 			return err
 		}},
 		{"label through a table", nestedImage(nil, 0, tRecord, 1, 0x80, 0x80, 0x80, 0x40, 'a', 'b', 'c', 'd', 'e'), func(img []byte) error {
-			_, _, err := decodeType(&tbl, img)
+			_, err := DecodeType(img)
 			return err
 		}},
 	} {

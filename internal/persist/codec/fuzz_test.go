@@ -16,8 +16,9 @@ import (
 // re-encoding what an input decodes to gives an image that decodes and
 // re-encodes to itself byte for byte, cyclic and shared inputs included.
 // Bytes are compared, not values: value.Equal does not terminate on a
-// cycle. Each target also decodes its input through one TypeTable twice,
-// cold and then warm, and expects the one-shot decoder's outcome
+// cycle. Each target is also a differential: it decodes its input through
+// the type table twice, cold and then warm, and expects the outcome of the
+// plain decoder, which reads the top-level type without the table
 // (sameThroughTable).
 
 func FuzzUnmarshalValue(f *testing.F) {
@@ -51,7 +52,7 @@ func FuzzUnmarshalValue(f *testing.F) {
 	f.Add(nestedImage(nil, 0, vList, 1, vRef, 0))
 
 	f.Fuzz(func(t *testing.T, img []byte) {
-		sameThroughTable(t, new(TypeTable), img, decodeTagged)
+		sameThroughTable(t, img, decodeTagged)
 		v, err := UnmarshalValue(img)
 		if err != nil {
 			return
@@ -87,7 +88,7 @@ func FuzzDecodeType(f *testing.F) {
 	}
 	f.Add(nestedImage([]byte{tList}, MaxTypeDepth, tInt))
 	f.Fuzz(func(t *testing.T, img []byte) {
-		sameThroughTable(t, new(TypeTable), img, decodeType)
+		sameThroughTable(t, img, decodeTypeImage)
 		ty, err := DecodeType(img)
 		if err != nil {
 			return
@@ -113,44 +114,79 @@ func FuzzDecodeType(f *testing.F) {
 // typeImage encodes a parsed type with the image header.
 func typeImage(src string) ([]byte, error) { return AppendType(nil, types.MustParse(src)) }
 
-// A tableDecode decodes img through tbl; a nil tbl is the one-shot decoder.
-type tableDecode func(tbl *TypeTable, img []byte) (value.Value, types.Type, error)
+// An imageDecode decodes img as an entry point does, reading its top-level
+// type through the type table, or, if plain, with the table-free decodeType.
+type imageDecode func(img []byte, plain bool) (value.Value, types.Type, error)
 
-func decodeTagged(tbl *TypeTable, img []byte) (value.Value, types.Type, error) {
-	return tbl.DecodeTagged(img)
+// decodeTagged is DecodeTagged.
+func decodeTagged(img []byte, plain bool) (value.Value, types.Type, error) {
+	if !plain {
+		return DecodeTagged(img)
+	}
+	d, err := newDecoder(img)
+	if err != nil {
+		return nil, nil, err
+	}
+	t, err := d.decodeType()
+	if err != nil {
+		return nil, nil, err
+	}
+	v, err := d.Value()
+	if err != nil {
+		return nil, nil, err
+	}
+	return v, t, nil
 }
 
-// decodeType reads the type image img through tbl as DecodeTagged reads a
-// record's: as the type of an image whose value is Bottom.
-func decodeType(tbl *TypeTable, img []byte) (value.Value, types.Type, error) {
-	_, ty, err := tbl.DecodeTagged(append(img[:len(img):len(img)], vBottom))
+// decodeTypeImage is DecodeType.
+func decodeTypeImage(img []byte, plain bool) (value.Value, types.Type, error) {
+	if !plain {
+		ty, err := DecodeType(img)
+		return nil, ty, err
+	}
+	d, err := newDecoder(img)
+	if err != nil {
+		return nil, nil, err
+	}
+	ty, err := d.decodeType()
 	return nil, ty, err
 }
 
-// sameThroughTable decodes img one-shot and then twice through tbl, which
-// may already hold other images, and fails unless both table decodes have
-// the one-shot outcome: the same error class, or the identical canonical
-// type and a value that re-encodes to the same bytes (value.Equal does not
-// terminate on a cycle).
-func sameThroughTable(t *testing.T, tbl *TypeTable, img []byte, decode tableDecode) {
+// forgetType empties the table slot of the type image at the start of the
+// image img, if it has one, so its next decode through the table is cold.
+func forgetType(img []byte) {
+	d, err := newDecoder(img)
+	if err != nil || d.skipType(0) != nil {
+		return
+	}
+	typeTable[typeSlot(img[headerLen:d.pos])].Store(nil)
+}
+
+// sameThroughTable decodes img with the plain decoder and then twice
+// through the type table, cold and then warm, and fails unless both table
+// decodes have the plain outcome: the same error class, or the identical
+// canonical type and a value that re-encodes to the same bytes (value.Equal
+// does not terminate on a cycle).
+func sameThroughTable(t *testing.T, img []byte, decode imageDecode) {
 	t.Helper()
-	v, ty, err := decode(nil, img)
+	v, ty, err := decode(img, true)
 	want, werr := errClass(err), error(nil)
 	var wantImg []byte
 	if err == nil && v != nil {
 		wantImg, werr = AppendTagged(nil, v, ty)
 	}
+	forgetType(img)
 	for _, pass := range []string{"cold", "warm"} {
-		tv, tty, err := decode(tbl, img)
+		tv, tty, err := decode(img, false)
 		if got := errClass(err); got != want {
-			t.Errorf("%s table decode of %x: %v, one-shot decode class %v", pass, img, err, want)
+			t.Errorf("%s table decode of %x: %v, plain decode class %v", pass, img, err, want)
 			return
 		}
 		if err != nil {
 			continue
 		}
 		if tty != ty {
-			t.Errorf("%s table decode of %x: type %s is not the one-shot decode's canonical %s", pass, img, tty, ty)
+			t.Errorf("%s table decode of %x: type %s is not the plain decode's canonical %s", pass, img, tty, ty)
 			return
 		}
 		if v == nil {
@@ -158,7 +194,7 @@ func sameThroughTable(t *testing.T, tbl *TypeTable, img []byte, decode tableDeco
 		}
 		got, gerr := AppendTagged(nil, tv, tty)
 		if !errors.Is(gerr, werr) || !bytes.Equal(got, wantImg) {
-			t.Errorf("%s table decode of %x re-encodes to %x (%v), one-shot decode to %x (%v)", pass, img, got, gerr, wantImg, werr)
+			t.Errorf("%s table decode of %x re-encodes to %x (%v), plain decode to %x (%v)", pass, img, got, gerr, wantImg, werr)
 			return
 		}
 	}

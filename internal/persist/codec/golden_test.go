@@ -177,8 +177,8 @@ func readGolden(t *testing.T) map[string][]byte {
 // TestGoldenImages: the encoder reproduces every recorded image byte for
 // byte, and every recorded image decodes and re-encodes to itself. Bytes
 // are compared, not values: value.Equal does not terminate on a cycle.
-// Every image also decodes through one shared TypeTable as it does
-// one-shot: a type image as a type, any other as a tagged image, which an
+// Every image also decodes through the type table as the plain decoder
+// decodes it: a type image as a type, any other as a tagged image, which an
 // untagged one is not and must fail or misread the same way both times.
 func TestGoldenImages(t *testing.T) {
 	corpus := goldenCorpus(t)
@@ -199,7 +199,6 @@ func TestGoldenImages(t *testing.T) {
 	if len(golden) != len(corpus) {
 		t.Errorf("golden file has %d images, corpus %d", len(golden), len(corpus))
 	}
-	var tbl TypeTable
 	for _, g := range corpus {
 		want, ok := golden[g.name]
 		if !ok {
@@ -224,8 +223,8 @@ func TestGoldenImages(t *testing.T) {
 		}
 		decode := decodeTagged
 		if g.typ != nil {
-			decode = decodeType
+			decode = decodeTypeImage
 		}
-		sameThroughTable(t, &tbl, want, decode)
+		sameThroughTable(t, want, decode)
 	}
 }

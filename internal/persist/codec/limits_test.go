@@ -45,13 +45,14 @@ func TestDecodeRefusesDeepNesting(t *testing.T) {
 	if _, _, err := UnmarshalTagged(nestedImage([]byte{tSet}, n, tInt)); !errors.Is(err, ErrLimitExceeded) {
 		t.Fatalf("tagged image with a %d-deep type: %v, want ErrLimitExceeded", n, err)
 	}
-	// Through a table, the skip that measures a type image is bounded too.
-	var tbl TypeTable
-	if _, _, err := decodeType(&tbl, nestedImage([]byte{tList}, n, tInt)); !errors.Is(err, ErrLimitExceeded) {
-		t.Fatalf("%d-deep type through a table: %v, want ErrLimitExceeded", n, err)
+	// The plain decoder, the table's reference, refuses both too: the
+	// refusals above are the skip's that measures a type image for the
+	// table, and then the decoder's, which reports the first fault.
+	if _, _, err := decodeTypeImage(nestedImage([]byte{tList}, n, tInt), true); !errors.Is(err, ErrLimitExceeded) {
+		t.Fatalf("%d-deep type without the table: %v, want ErrLimitExceeded", n, err)
 	}
-	if _, _, err := tbl.DecodeTagged(nestedImage([]byte{tSet}, n, tInt)); !errors.Is(err, ErrLimitExceeded) {
-		t.Fatalf("tagged image with a %d-deep type through a table: %v, want ErrLimitExceeded", n, err)
+	if _, _, err := decodeTagged(nestedImage([]byte{tSet}, n, tInt), true); !errors.Is(err, ErrLimitExceeded) {
+		t.Fatalf("tagged image with a %d-deep type without the table: %v, want ErrLimitExceeded", n, err)
 	}
 
 	// Exactly at the bounds, both decode.
@@ -62,8 +63,8 @@ func TestDecodeRefusesDeepNesting(t *testing.T) {
 	if _, err := d.Type(); err != nil {
 		t.Fatalf("type at the bound: %v", err)
 	}
-	if _, _, err := decodeType(&tbl, nestedImage([]byte{tList}, MaxTypeDepth-1, tInt)); err != nil {
-		t.Fatalf("type at the bound through a table: %v", err)
+	if _, err := DecodeType(nestedImage([]byte{tList}, MaxTypeDepth-1, tInt)); err != nil {
+		t.Fatalf("type at the bound through DecodeType: %v", err)
 	}
 	if _, err := UnmarshalValue(nestedImage([]byte{vList, 1}, MaxValueDepth-1, vInt, 0)); err != nil {
 		t.Fatalf("value at the bound: %v", err)

@@ -262,3 +262,47 @@ func TestServeGetBulkAllocs(t *testing.T) {
 		t.Errorf("a %d-record GET costs %.0f allocations process-wide, want <= %d", n, allocs, maxAllocs)
 	}
 }
+
+// TestServeGetOneRecordAllocs: a warm loopback GET of one record costs at
+// most 45 allocations in the whole process. The codec's type table has
+// seen the query type and the witness type, so neither the server's
+// decode of the request nor the client's decode of the reply decodes a
+// type.
+func TestServeGetOneRecordAllocs(t *testing.T) {
+	const maxAllocs = 45
+	srv, _, addr := serveWB(t, "one.log", Config{})
+	decl := types.MustParse("{Id: Int, Name: String, Badge: Int}")
+	rec := value.Rec("Id", value.Int(4711), "Name", value.String("qwertyuiopas"), "Badge", value.Int(1<<24+12345))
+	commitRoots(t, srv, []string{"r0"}, []value.Value{rec}, []types.Type{decl})
+
+	c, err := client.Dial(addr, &client.Options{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	get := func() {
+		ps, err := c.Get(decl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ps) != 1 || !value.Equal(ps[0].Value, rec) {
+			t.Fatalf("GET returned %v, want the one record", ps)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		get()
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		get()
+	}
+	runtime.ReadMemStats(&after)
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("a warm 1-record GET: %.1f allocations process-wide", allocs)
+	if allocs > maxAllocs {
+		t.Errorf("a warm 1-record GET costs %.0f allocations process-wide, want <= %d", allocs, maxAllocs)
+	}
+}

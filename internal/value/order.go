@@ -243,19 +243,58 @@ func (w *walk[K, E]) again() bool {
 //
 //	{Name = 'J Doe'} ⊔ {Emp_no = 1234} = {Name = 'J Doe', Emp_no = 1234}
 //
-// Join terminates on cyclic values: a pair of records, lists or tags met
-// again on a cycle joins to the container built for it, so the result
-// closes the cycle too (see walk).
+// Join terminates on cyclic values, a cycle through a set included: a pair
+// of containers met again on a cycle joins to the container built for it,
+// so the result closes the cycle too (see walk).
 func Join(a, b Value) (Value, error) {
-	var w walk[pair, Value]
+	var w joinWalk
 	j, err := join(a, b, &w)
 	if w.again() {
 		j, err = join(a, b, &w)
 	}
+	w.fill()
 	return j, err
 }
 
-func join(a, b Value, w *walk[pair, Value]) (Value, error) {
+// joinWalk is Join's walk. A set the second pass builds may hold a
+// container still under construction, which a set cannot key yet; sets
+// holds each such set with its joined elements, in the order the walk
+// left them, to be filled once the walk is done. A set drops the pairs of
+// elements that conflict, so log holds the pairs the second pass entered,
+// in order, for those entered under a failed pair to be taken back, as
+// Leq takes back a failed candidate's.
+type joinWalk struct {
+	walk[pair, Value]
+	log  []pair
+	sets []joinedSet
+}
+
+// enter is walk's enter, logging the pairs the second pass memoizes.
+func (w *joinWalk) enter(k pair, out Value) (start int) {
+	if w.path {
+		w.log = append(w.log, k)
+	}
+	return w.walk.enter(k, out)
+}
+
+// joinedSet is a set of a join and the joins of its element pairs.
+type joinedSet struct {
+	s     *Set
+	elems []Value
+}
+
+// fill fills the sets the walk left to fill, each with the maximal
+// elements of its joins.
+func (w *joinWalk) fill() {
+	for _, js := range w.sets {
+		for _, e := range Maximal(js.elems) {
+			js.s.Add(e)
+		}
+	}
+	w.sets = nil
+}
+
+func join(a, b Value, w *joinWalk) (Value, error) {
 	if a.Kind() == KindBottom {
 		return b, nil
 	}
@@ -263,7 +302,7 @@ func join(a, b Value, w *walk[pair, Value]) (Value, error) {
 		return a, nil
 	}
 	switch a.(type) {
-	case *Record, *List, *Tag:
+	case *Record, *List, *Tag, *Set:
 		if out, ok := w.seen(pair{a, b}); ok {
 			return out, nil
 		}
@@ -317,7 +356,7 @@ func join(a, b Value, w *walk[pair, Value]) (Value, error) {
 		if !ok {
 			return nil, conflict(a, b)
 		}
-		return SetJoin(av, bv), nil
+		return joinSets(av, bv, w), nil
 	default:
 		if a == b {
 			return a, nil
@@ -328,7 +367,7 @@ func join(a, b Value, w *walk[pair, Value]) (Value, error) {
 
 // joinRecords merges a's and b's sorted labels in one pass: a label of one
 // side keeps its value, and a common label joins a's value with b's.
-func joinRecords(a, b *Record, w *walk[pair, Value]) (*Record, error) {
+func joinRecords(a, b *Record, w *joinWalk) (*Record, error) {
 	la, lb := a.Shape().labels, b.Shape().labels
 	k := pair{a, b}
 	out := newJoined(len(la) + len(lb))
@@ -459,15 +498,44 @@ func holdsBottom(v Value, budget *int) bool {
 // maximal elements. Applied to generalized relations it is exactly the
 // generalized natural join of the paper's Figure 1.
 func SetJoin(a, b *Set) *Set {
+	j, _ := Join(a, b) // sets never conflict
+	return j.(*Set)
+}
+
+// joinSets is SetJoin on w: each pair of elements joins on the walk, so a
+// cycle through the sets ends at the pair met again.
+func joinSets(a, b *Set, w *joinWalk) *Set {
+	k := pair{a, b}
+	out := &Set{}
+	start := w.enter(k, out)
 	var joined []Value
 	for _, x := range a.elems {
 		for _, y := range b.elems {
-			if j, err := Join(x, y); err == nil {
+			depth, log, sets := w.depth, len(w.log), len(w.sets)
+			j, err := join(x, y, w)
+			if err == nil {
 				joined = append(joined, j)
+				continue
 			}
+			// The failed pair left the containers it was building in the
+			// memo, and the walk inside them.
+			for _, k := range w.log[log:] {
+				delete(w.memo, k)
+			}
+			w.depth, w.log, w.sets = depth, w.log[:log], w.sets[:sets]
 		}
 	}
-	return NewSet(Maximal(joined)...)
+	switch {
+	case w.spent: // the pass is void, and the joins may be nil
+	case w.path:
+		w.sets = append(w.sets, joinedSet{out, joined})
+	default:
+		for _, e := range Maximal(joined) {
+			out.Add(e)
+		}
+	}
+	w.leave(k, out, start)
+	return out
 }
 
 // Maximal returns the elements of vs that are not strictly below any other

@@ -188,11 +188,10 @@ func conforms(v Value, t types.Type) (ok, decided bool) {
 	if t.Kind() == types.KindTop {
 		return true, true
 	}
-	var state map[Value]bool
-	if cyclic(v, &state) {
+	var w walk[typed, verdict]
+	if cyclic(v, &w) {
 		return false, false
 	}
-	var w walk[typed, verdict]
 	ok, decided = conform(v, t, 0, &w)
 	if w.again() {
 		ok, decided = conform(v, t, 0, &w)
@@ -326,12 +325,26 @@ func atomConforms(k types.Kind, t types.Type) bool {
 	return ok && basicLeq[k][b.Kind()]
 }
 
-// cyclic reports whether a container reachable from v lies on a cycle.
-// state holds each container met with a nested container: false while it is
-// on the search path, true once everything below it is known acyclic. It is
-// allocated at the first nested container, so a record of atoms costs
-// nothing.
-func cyclic(v Value, state *map[Value]bool) bool {
+// cyclic reports whether a container reachable from v lies on a cycle. It
+// is a walk over w, which the conformance walk then goes on with: a first
+// pass follows containers with no map, and marks in w's memo, under the
+// type nil, only a container whose part took more than walkBudget steps
+// and is acyclic. A cycle sends the first pass deeper than pathFrom, and
+// the second pass memoizes each container as it enters it, as on the path,
+// and as finished when it leaves it, so a container met on the path is a
+// cycle. A tree costs no allocation, and a DAG at most walkBudget steps an
+// edge, as every walk.
+func cyclic(v Value, w *walk[typed, verdict]) bool {
+	c := cycles(v, w)
+	if w.again() {
+		c = cycles(v, w)
+	}
+	return c
+}
+
+// cycles is one pass of cyclic. A spent walk sees every container as on
+// the path, so it returns at once, its answer void.
+func cycles(v Value, w *walk[typed, verdict]) bool {
 	var elems []Value
 	switch vv := v.(type) {
 	case *Record:
@@ -345,31 +358,16 @@ func cyclic(v Value, state *map[Value]bool) bool {
 	default:
 		return false
 	}
-	marked := false
+	k := typed{v: v}
+	if vd, ok := w.seen(k); ok {
+		return !vd.ok // on the path, or done
+	}
+	start := w.enter(k, verdict{})
 	for _, e := range elems {
-		switch e.(type) {
-		case *Record, *List, *Set, *Tag:
-		default:
-			continue
-		}
-		if *state == nil {
-			*state = map[Value]bool{}
-		}
-		if !marked {
-			(*state)[v], marked = false, true
-		}
-		if done, seen := (*state)[e]; seen {
-			if !done {
-				return true
-			}
-			continue
-		}
-		if cyclic(e, state) {
+		if cycles(e, w) {
 			return true
 		}
 	}
-	if marked {
-		(*state)[v] = true
-	}
+	w.leave(k, verdict{ok: true}, start)
 	return false
 }

@@ -13,13 +13,15 @@ import (
 // progValues runs data as a program that builds values on a stack, one
 // byte an instruction: the low three bits are the operation, the high five
 // its argument a. Containers are built from values already on the stack,
-// so every value is acyclic, and dup shares one. It returns the two values
-// on top of the stack (the same one twice when only one was built).
+// dup shares one, and knot closes a cycle. It returns the two values on top
+// of the stack (the same one twice when only one was built).
 //
 //	0 Int(a)     1 String of label a     2 ⊥, unit, true or Float(a), by a%4
 //	3 record of the a&3 values on top, labelled from label a>>2 on
 //	4 list of the a&3 values on top      5 set of the a&3 values on top
-//	6 tag label a&3 over the value on top
+//	6 a < 4: tag label a&3 over the value on top; a ≥ 4: knot: the record
+//	  below the top is added to the top, if a list or set, and gets the
+//	  top as its field label a>>2, and the top is popped
 //	7 dup: push the value a%len below the top again
 func progValues(data []byte) (Value, Value) {
 	var st []Value
@@ -50,8 +52,16 @@ func progValues(data []byte) (Value, Value) {
 		case 5:
 			st = append(st, NewSet(pop(a&3)...))
 		case 6:
-			if len(st) > 0 {
+			if a < 4 && len(st) > 0 {
 				st = append(st, NewTag(label(a&3), pop(1)[0]))
+			} else if r, ok := below(st).(*Record); a >= 4 && ok {
+				switch c := st[len(st)-1].(type) {
+				case *List:
+					c.Append(r)
+				case *Set:
+					c.Add(r)
+				}
+				r.Set(label(a>>2), pop(1)[0])
 			}
 		case 7:
 			if len(st) > 0 {
@@ -68,12 +78,21 @@ func progValues(data []byte) (Value, Value) {
 	return st[len(st)-2], st[len(st)-1]
 }
 
+// below returns the value below the top of st, or nil.
+func below(st []Value) Value {
+	if len(st) < 2 {
+		return nil
+	}
+	return st[len(st)-2]
+}
+
 // Instructions for the seeds of FuzzWalk.
 func pInt(a int) byte       { return byte(a<<3 | 0) }
 func pRec(n, from int) byte { return byte((from<<2|n)<<3 | 3) }
 func pList(n int) byte      { return byte(n<<3 | 4) }
 func pSet(n int) byte       { return byte(n<<3 | 5) }
 func pTag(l int) byte       { return byte(l<<3 | 6) }
+func pKnot(l int) byte      { return byte(l<<5 | 6) }
 func pDup(below int) byte   { return byte(below<<3 | 7) }
 func pAtom(a int) byte      { return byte(a<<3 | 2) }
 func pStr(l int) byte       { return byte(l<<3 | 1) }
@@ -89,7 +108,8 @@ func dagProg(levels int) []byte {
 // and a pair whose order needs Leq to take back a failed set candidate's
 // assumptions: A = {a: {x, z}, b: x} ⋢ B = {a: {y}, b: y} with x = {a: 1},
 // y = {a: 2}, z = {}. Trying x for y assumes x ⊑ y; left behind, the
-// assumption would make b: x ⊑ y hold.
+// assumption would make b: x ⊑ y hold. The last seed is two records that
+// each reach themselves through a set, h = {a: 1, b: {h}}.
 func walkSeeds() [][]byte {
 	undo := []byte{
 		pInt(1), pRec(1, 0), pInt(2), pRec(1, 0), pRec(0, 0), // x y z
@@ -103,15 +123,17 @@ func walkSeeds() [][]byte {
 		pDup(0), pList(2), pDup(0), pInt(3), pRec(3, 0), pAtom(0), pDup(1), pRec(2, 1)}
 	sets := []byte{pInt(1), pRec(1, 0), pInt(1), pInt(2), pRec(2, 0), pSet(2), pDup(0), pRec(2, 0),
 		pInt(1), pRec(1, 0), pSet(1), pDup(0), pRec(2, 0)}
-	return [][]byte{undo, dags, same, mixed, sets}
+	holder := []byte{pInt(1), pRec(1, 0), pDup(0), pSet(1), pKnot(1)}
+	return [][]byte{undo, dags, same, mixed, sets, append(holder, holder...)}
 }
 
-// FuzzWalk is the differential test of the walks' memo: on the acyclic
-// pairs progValues builds, Leq, Join, Meet and the conformance check
-// memoizing every step from the start, as a second pass does, give the
-// first pass's verdict whenever the first pass is not spent, and the
-// public functions give the memo's always. Copy gives an Equal value with
-// as many distinct containers.
+// FuzzWalk is the differential test of the walks' memo: on the pairs
+// progValues builds, Leq, Join, Meet and the conformance check memoizing
+// every step from the start, as a second pass does, give the first pass's
+// verdict whenever the first pass is not spent, and the public functions
+// give the memo's always — but for a cyclic value, which the conformance
+// check leaves undecided, as the cycle check must find. Copy gives an
+// Equal value with as many distinct containers.
 func FuzzWalk(f *testing.F) {
 	for _, s := range walkSeeds() {
 		f.Add(s)
@@ -148,10 +170,11 @@ func checkWalks(t *testing.T, x, y Value, small bool) {
 		t.Fatalf("Leq(%s, %s): first pass %v (spent %v), memo %v, Leq %v", x, y, leqPlain, lp.spent, leqMemo, Leq(x, y))
 	}
 
-	var jp walk[pair, Value]
-	jm := walk[pair, Value]{path: true}
+	var jp joinWalk
+	jm := joinWalk{walk: walk[pair, Value]{path: true}}
 	joinPlain, errPlain := join(x, y, &jp)
 	joinMemo, errMemo := join(x, y, &jm)
+	jm.fill()
 	if (errMemo == nil) != !errors.Is(errMemo, ErrConflict) {
 		t.Fatalf("join(%s, %s) on a memo: %v", x, y, errMemo)
 	}
@@ -177,12 +200,19 @@ func checkWalks(t *testing.T, x, y Value, small bool) {
 	if !cp.spent && (okPlain != okMemo || decPlain != decMemo) {
 		t.Fatalf("%s : %s: first pass (%v, %v), memo (%v, %v)", x, ty, okPlain, decPlain, okMemo, decMemo)
 	}
+	var w walk[typed, verdict]
+	if got, want := cyclic(x, &w), onCycle(x); got != want {
+		t.Fatalf("cyclic(%s) = %v, want %v", x, got, want)
+	} else if want {
+		okMemo, decMemo = false, false
+	}
 	if ok, dec := conforms(x, ty); ok != okMemo || dec != decMemo {
 		t.Fatalf("%s : %s: conforms (%v, %v), memo (%v, %v)", x, ty, ok, dec, okMemo, decMemo)
 	}
 }
 
-// unfolded returns the size of v's tree unfolding, saturated at 1<<20.
+// unfolded returns the size of v's tree unfolding, saturated at 1<<20,
+// which a cyclic value's is.
 func unfolded(v Value) int {
 	memo := map[Value]int{}
 	var size func(Value) int
@@ -194,6 +224,7 @@ func unfolded(v Value) int {
 		if n, ok := memo[v]; ok {
 			return n
 		}
+		memo[v] = 1 << 20 // a cycle back to v
 		n := 1
 		for _, e := range elems {
 			n = min(n+size(e), 1<<20)
@@ -220,6 +251,32 @@ func containers(v Value) map[Value]bool {
 	}
 	visit(v)
 	return seen
+}
+
+// onCycle reports whether a container reachable from v lies on a cycle: a
+// depth-first search that finds a container on its own path.
+func onCycle(v Value) bool {
+	const onPath, done = 1, 2
+	state := map[Value]int{}
+	var visit func(Value) bool
+	visit = func(v Value) bool {
+		elems, ok := children(v)
+		if !ok || state[v] == done {
+			return false
+		}
+		if state[v] == onPath {
+			return true
+		}
+		state[v] = onPath
+		for _, e := range elems {
+			if visit(e) {
+				return true
+			}
+		}
+		state[v] = done
+		return false
+	}
+	return visit(v)
 }
 
 // children returns what the container v holds, and false when v is no
@@ -408,8 +465,8 @@ func TestCopyKeepsSharing(t *testing.T) {
 // TestWalkAllocsOnWideTrees: a tree of many containers, the shape of a
 // relation or a list of records, takes one pass that memoizes nothing.
 // Leq, and Leq on sets, whose candidates each enter a pair, allocate
-// nothing; Join allocates only its result; the conformance walk allocates
-// no more than its cycle check does.
+// nothing; Join allocates only its result; the conformance walk and its
+// cycle check allocate nothing.
 func TestWalkAllocsOnWideTrees(t *testing.T) {
 	const n = 4096
 	recs := func(n int) []Value {
@@ -430,13 +487,95 @@ func TestWalkAllocsOnWideTrees(t *testing.T) {
 		{"Leq", func() { Leq(x, y) }, 0},
 		{"SetLeq", func() { SetLeq(r, rp) }, 0},
 		{"Join", func() { Join(x, y) }, 2 + n*2}, // the list, its array, n records of two fields and a nested one
-		{"ConformsInterned", func() { ConformsInterned(x, in) }, testing.AllocsPerRun(10, func() {
-			var state map[Value]bool
-			cyclic(x, &state)
-		})},
+		{"ConformsInterned", func() { ConformsInterned(x, in) }, 0},
 	} {
 		if got := testing.AllocsPerRun(10, c.f); got != c.want {
 			t.Errorf("%s on a list of %d records: %v allocations, want %v", c.name, n, got, c.want)
+		}
+	}
+}
+
+// holder returns h = {a = 1, in = {h}} with the fields given besides: a
+// record that reaches itself through a set.
+func holder(fields ...any) *Record {
+	h := Rec(append([]any{"a", Int(1)}, fields...)...)
+	h.Set("in", NewSet(h))
+	return h
+}
+
+// TestJoinCycleThroughSet: Join of values that reach themselves through a
+// set returns within 1 s, and the join closes the cycle through its own
+// set: j = {a = 1, ..., in = {j}}.
+func TestJoinCycleThroughSet(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		x, y *Record
+		b    bool // the join holds b = 2
+	}{
+		{"h ⊔ h", holder(), nil, false},
+		{"h ⊔ a copy of h", holder(), holder(), false},
+		{"h ⊔ g, g with one more field", holder(), holder("b", Int(2)), true},
+	} {
+		if c.y == nil {
+			c.y = c.x
+		}
+		var j Value
+		var err error
+		if !within(time.Second, func() { j, err = Join(c.x, c.y) }) {
+			t.Fatalf("%s did not return within 1 s", c.name)
+		}
+		r, ok := j.(*Record)
+		if err != nil || !ok {
+			t.Fatalf("%s = (%v, %v), want a record", c.name, j, err)
+		}
+		in, ok := r.MustGet("in").(*Set)
+		if !ok || in.Len() != 1 || in.Elems()[0] != r {
+			t.Errorf("%s = %s: its in is not the set of itself", c.name, r)
+		}
+		if b, ok := r.Get("b"); ok != c.b || ok && !Equal(b, Int(2)) {
+			t.Errorf("%s = %s: field b %v, want it %v", c.name, r, b, c.b)
+		}
+		if !Leq(c.x, r) || !Leq(c.y, r) {
+			t.Errorf("%s = %s is not above both", c.name, r)
+		}
+	}
+}
+
+// TestCyclicRings: the cycle check finds a ring of records however long,
+// past pathFrom included, and passes a chain that deep and a DAG.
+func TestCyclicRings(t *testing.T) {
+	ring := func(n int) Value {
+		first := Rec("n", Int(0))
+		last := first
+		for i := 1; i < n; i++ {
+			r := Rec("n", Int(i))
+			last.Set("next", r)
+			last = r
+		}
+		last.Set("next", first)
+		return NewList(Int(7), first)
+	}
+	chain := func(n int) Value {
+		var v Value = Int(0)
+		for range n {
+			v = Rec("next", v)
+		}
+		return v
+	}
+	for _, c := range []struct {
+		name string
+		v    Value
+		want bool
+	}{
+		{"a ring of 1", ring(1), true},
+		{"a ring of 3", ring(3), true},
+		{"a ring of 2·pathFrom", ring(2 * pathFrom), true},
+		{"a chain 4·pathFrom deep", chain(4 * pathFrom), false},
+		{"a DAG of 40 levels", dag(40, Int(1)), false},
+	} {
+		var w walk[typed, verdict]
+		if got := cyclic(c.v, &w); got != c.want {
+			t.Errorf("cyclic(%s) = %v, want %v", c.name, got, c.want)
 		}
 	}
 }
