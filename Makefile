@@ -53,8 +53,10 @@ bench-smoke:
 # panic, never an unbounded allocation), the reply decoder
 # (differential against per-image DecodeTagged) and a live server fed
 # each input as a PUT image, then GET, JOIN, EXPLAIN and NAMES over it
-# (HEALTH must answer after every input). The codec seeds include images
-# nested past the depth bounds, 32 KiB and more, and each FuzzMaximal input
+# (HEALTH must answer after every input), and the client's STATS and
+# TRACES reply decoding (a refusal is a typed wire error, and an accepted
+# snapshot or trace re-marshals to an equal value). The codec seeds
+# include images nested past the depth bounds, 32 KiB and more, and each FuzzMaximal input
 # runs the quadratic reference scan; minimizing an input grown from either
 # would take the whole pass, so it is cut short. `make test`
 # runs every target's seed corpus.
@@ -71,6 +73,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/server/wire/
 	$(GO) test -fuzz=FuzzReplyDecode -fuzztime=30s -fuzzminimizetime=5s ./internal/persist/codec/
 	$(GO) test -fuzz=FuzzServeImage -fuzztime=30s -fuzzminimizetime=5s ./internal/server/
+	$(GO) test -fuzz=FuzzTelemetryReply -fuzztime=30s ./client/
 
 clean:
 	$(GO) clean ./...

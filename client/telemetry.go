@@ -3,7 +3,9 @@ package client
 import (
 	crand "crypto/rand"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -132,14 +134,7 @@ func (c *Client) Telemetry() *telemetry.Registry { return c.m.reg }
 // persistence layer maintain. Answered even by an overloaded, draining or
 // poisoned server.
 func (c *Client) Stats() (*telemetry.Snapshot, error) {
-	fields, err := c.call(wire.OpStats)
-	if err != nil {
-		return nil, err
-	}
-	if len(fields) != 1 {
-		return nil, &wire.WireError{Code: wire.CodeBadFrame, Msg: "malformed STATS response"}
-	}
-	return telemetry.UnmarshalSnapshot(fields[0])
+	return decodeStats(c.call(wire.OpStats))
 }
 
 // Trace is one retained server-side span tree, as returned by Traces.
@@ -149,18 +144,45 @@ type Trace = trace.Data
 // opcode), newest first. A server running with sampling disabled answers
 // an empty slice, not an error.
 func (c *Client) Traces() ([]Trace, error) {
-	fields, err := c.call(wire.OpTraces)
+	return decodeTraces(c.call(wire.OpTraces))
+}
+
+// decodeStats decodes a STATS reply: one field holding the snapshot's
+// JSON. Unmarshalling refuses a histogram without one count per bucket
+// (HistogramSnapshot.UnmarshalJSON) and recomputes its Count. TakenAt is
+// given in the client's zone, not the server's.
+func decodeStats(fields [][]byte, err error) (*telemetry.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Trace, 0, len(fields))
-	for _, f := range fields {
-		d, err := trace.Decode(f)
-		if err != nil {
-			return nil, &wire.WireError{Code: wire.CodeBadFrame,
-				Msg: "malformed TRACES response: " + err.Error()}
+	if len(fields) != 1 {
+		return nil, badTelemetry("STATS", fmt.Sprintf("%d fields", len(fields)))
+	}
+	s := new(telemetry.Snapshot)
+	if err := json.Unmarshal(fields[0], s); err != nil {
+		return nil, badTelemetry("STATS", err.Error())
+	}
+	s.TakenAt = s.TakenAt.Local()
+	return s, nil
+}
+
+// decodeTraces decodes a TRACES reply: one field per trace, each the
+// trace's JSON. Unmarshalling refuses a span whose parent is not in the
+// trace (Data.UnmarshalJSON). Begin is given in the client's zone.
+func decodeTraces(fields [][]byte, err error) ([]Trace, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Trace, len(fields))
+	for i, f := range fields {
+		if err := json.Unmarshal(f, &out[i]); err != nil {
+			return nil, badTelemetry("TRACES", err.Error())
 		}
-		out = append(out, d)
+		out[i].Begin = out[i].Begin.Local()
 	}
 	return out, nil
+}
+
+func badTelemetry(op, why string) error {
+	return &wire.WireError{Code: wire.CodeBadFrame, Msg: "malformed " + op + " response: " + why}
 }

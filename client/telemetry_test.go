@@ -2,14 +2,17 @@ package client
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"dbpl/internal/server/wire"
 	"dbpl/internal/telemetry"
+	"dbpl/internal/telemetry/trace"
 	"dbpl/internal/types"
 	"dbpl/internal/value"
 )
@@ -231,4 +234,239 @@ func TestEveryOpcodeHasAClientVerb(t *testing.T) {
 			t.Errorf("%s's verb sent %v, not %#x", name, sent, op)
 		}
 	}
+}
+
+// replyServer answers PING with OK and every other request with OK and
+// the fields reply returns, echoing the request's trace.
+func replyServer(t *testing.T, reply func() [][]byte) string {
+	return fakeServer(t, func(conn net.Conn) {
+		defer conn.Close()
+		for {
+			rawOp, rawFields, err := wire.ReadFrame(conn, 0)
+			if err != nil {
+				return
+			}
+			op, trace, _, _, err := wire.SplitTrace(rawOp, rawFields)
+			if err != nil {
+				return
+			}
+			var fields [][]byte
+			if op != wire.OpPing {
+				fields = reply()
+			}
+			respOp, respFields := wire.AppendTrace(wire.OpOK, trace, fields)
+			if err := wire.WriteFrame(conn, 0, respOp, respFields...); err != nil {
+				return
+			}
+		}
+	})
+}
+
+// telemetryFixtures returns a snapshot and a trace with their JSON, as a
+// server sends them.
+func telemetryFixtures(t testing.TB) (*telemetry.Snapshot, []byte, Trace, []byte) {
+	r := telemetry.NewRegistry()
+	r.Counter("c").Add(123456789)
+	r.Gauge("g").Set(-42)
+	r.Histogram("lat", telemetry.UnitDuration, []int64{10, 100}).ObserveExemplar(50, 0xFEED)
+	r.Histogram("plain", telemetry.UnitCount, []int64{1}).Observe(1)
+	snap := r.Snapshot()
+	tr := trace.New(0xBEEF, "PUT")
+	tr.SetLink(0xFEED)
+	tr.Start(tr.Start(0, "commit"), "fsync")
+	tr.Finish()
+	d := tr.Data()
+	snapJSON, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceJSON, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap, snapJSON, d, traceJSON
+}
+
+// sameSnapshot reports whether two snapshots hold the same values, with
+// TakenAt compared as an instant.
+func sameSnapshot(a, b *telemetry.Snapshot) bool {
+	if !a.TakenAt.Equal(b.TakenAt) {
+		return false
+	}
+	bb := *b
+	bb.TakenAt = a.TakenAt
+	return reflect.DeepEqual(a, &bb)
+}
+
+// sameTraces reports whether two trace lists hold the same values, with
+// each Begin compared as an instant.
+func sameTraces(a, b []Trace) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		bi := b[i]
+		if !a[i].Begin.Equal(bi.Begin) {
+			return false
+		}
+		bi.Begin = a[i].Begin
+		if !reflect.DeepEqual(a[i], bi) {
+			return false
+		}
+	}
+	return true
+}
+
+func isBadFrame(err error) bool {
+	var we *wire.WireError
+	return errors.As(err, &we) && we.Code == wire.CodeBadFrame
+}
+
+// malformedTelemetry lists replies the client must refuse, by opcode:
+// what the binary codecs before JSON sent, and JSON that is cut short,
+// carries trailing bytes or the wrong types, or whose histograms or span
+// trees do not hang together.
+func malformedTelemetry(snapJSON, traceJSON []byte) map[byte]map[string][][]byte {
+	oldSnapV2 := []byte{'S', 2, 1, 1, 1, 'c', 3, 0, 0}
+	oldSnapV1 := []byte{'S', 1, 1, 1, 1, 'c', 3, 0, 0}
+	oldTrace := []byte{'T', 1, 1, 0, 3, 'G', 'E', 'T', 2, 0}
+	rows := map[byte]map[string][][]byte{wire.OpStats: {}, wire.OpTraces: {}}
+	for op, good := range map[byte][]byte{wire.OpStats: snapJSON, wire.OpTraces: traceJSON} {
+		rows[op]["empty"] = [][]byte{{}}
+		rows[op]["truncated"] = [][]byte{good[:len(good)-1]}
+		rows[op]["trailing"] = [][]byte{append(append([]byte{}, good...), 'x')}
+		rows[op]["non-JSON"] = [][]byte{[]byte("\x00\xffnot json")}
+		rows[op]["binary snapshot v2"] = [][]byte{oldSnapV2}
+		rows[op]["binary snapshot v1"] = [][]byte{oldSnapV1}
+		rows[op]["binary trace v1"] = [][]byte{oldTrace}
+		rows[op]["bad magic"] = [][]byte{{'X', 1}}
+	}
+	for name, s := range map[string]string{
+		"counter cutoff":        `{"counters":[{"name":"a","value":5`,
+		"gauge cutoff":          `{"counters":[],"gauges":[{"name":"g"`,
+		"histogram cutoff":      `{"histograms":[{"name":"h"`,
+		"counter overflow":      `{"counters":[{"name":"c","value":18446744073709551616}]}`,
+		"negative counter":      `{"counters":[{"name":"c","value":-1}]}`,
+		"counters not a list":   `{"counters":{}}`,
+		"bad taken_at":          `{"taken_at":"yesterday"}`,
+		"more bounds":           `{"histograms":[{"name":"h","bounds":[1,2,3],"counts":[1]}]}`,
+		"more counts":           `{"histograms":[{"name":"h","bounds":[1],"counts":[1,2,3]}]}`,
+		"counts without bounds": `{"histograms":[{"name":"h","counts":[]}]}`,
+		"fewer exemplars":       `{"histograms":[{"name":"h","bounds":[1],"counts":[0,1],"exemplars":[7]}]}`,
+	} {
+		rows[wire.OpStats][name] = [][]byte{[]byte(s)}
+	}
+	rows[wire.OpStats]["two fields"] = [][]byte{snapJSON, snapJSON}
+	for name, s := range map[string]string{
+		"parent past spans": `{"id":1,"op":"GET","begin":"2026-01-02T03:04:05Z","spans":[{"name":"a","parent":5}]}`,
+		"parent below root": `{"id":1,"op":"GET","begin":"2026-01-02T03:04:05Z","spans":[{"name":"a","parent":-2}]}`,
+		"parent overflow":   `{"spans":[{"name":"a","parent":4294967296}]}`,
+		"bad begin":         `{"begin":"now"}`,
+	} {
+		rows[wire.OpTraces][name] = [][]byte{[]byte(s)}
+	}
+	rows[wire.OpTraces]["second trace cut"] = [][]byte{traceJSON, traceJSON[:len(traceJSON)/2]}
+	return rows
+}
+
+// TestTelemetryReplyDecoding: STATS and TRACES replies decode to the
+// snapshot and traces the server encoded, and every malformed reply is
+// refused with a CodeBadFrame wire error, never a panic.
+func TestTelemetryReplyDecoding(t *testing.T) {
+	snap, snapJSON, d, traceJSON := telemetryFixtures(t)
+	var mu sync.Mutex
+	var fields [][]byte
+	addr := replyServer(t, func() [][]byte {
+		mu.Lock()
+		defer mu.Unlock()
+		return fields
+	})
+	c, err := Dial(addr, &Options{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	answer := func(f [][]byte) {
+		mu.Lock()
+		fields = f
+		mu.Unlock()
+	}
+
+	answer([][]byte{snapJSON})
+	got, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameSnapshot(snap, got) {
+		t.Errorf("Stats() = %+v, want %+v", got, snap)
+	}
+	if lat, _ := got.Histogram("lat"); lat.Count != 1 || lat.Exemplars[1] != 0xFEED {
+		t.Errorf("lat count %d, exemplars %v: want 1 and 0xFEED in bucket 1", lat.Count, lat.Exemplars)
+	}
+	answer([][]byte{traceJSON, traceJSON})
+	ds, err := c.Traces()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameTraces([]Trace{d, d}, ds) {
+		t.Errorf("Traces() = %+v, want two of %+v", ds, d)
+	}
+
+	verbs := map[byte]func() error{
+		wire.OpStats:  func() error { _, err := c.Stats(); return err },
+		wire.OpTraces: func() error { _, err := c.Traces(); return err },
+	}
+	for op, rows := range malformedTelemetry(snapJSON, traceJSON) {
+		for name, f := range rows {
+			answer(f)
+			if err := verbs[op](); !isBadFrame(err) {
+				t.Errorf("%s/%s: %v, want a %v wire error", wire.OpName(op), name, err, wire.CodeBadFrame)
+			}
+		}
+	}
+}
+
+// FuzzTelemetryReply feeds one arbitrary field to the client's STATS and
+// TRACES reply decoding. Neither may panic; a refusal is a CodeBadFrame
+// wire error, and a snapshot or trace accepted re-marshals to JSON that
+// decodes to an equal value.
+func FuzzTelemetryReply(f *testing.F) {
+	_, snapJSON, _, traceJSON := telemetryFixtures(f)
+	f.Add(snapJSON)
+	f.Add(traceJSON)
+	for _, rows := range malformedTelemetry(snapJSON, traceJSON) {
+		for _, fields := range rows {
+			f.Add(fields[len(fields)-1])
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if s, err := decodeStats([][]byte{b}, nil); err != nil {
+			if !isBadFrame(err) {
+				t.Fatalf("STATS refusal %v is not a %v wire error", err, wire.CodeBadFrame)
+			}
+		} else {
+			again, err := json.Marshal(s)
+			if err != nil {
+				t.Fatalf("accepted snapshot does not marshal: %v", err)
+			}
+			s2, err := decodeStats([][]byte{again}, nil)
+			if err != nil || !sameSnapshot(s, s2) {
+				t.Fatalf("snapshot %+v re-marshalled to %s, decoded to %+v, %v", s, again, s2, err)
+			}
+		}
+		if ds, err := decodeTraces([][]byte{b}, nil); err != nil {
+			if !isBadFrame(err) {
+				t.Fatalf("TRACES refusal %v is not a %v wire error", err, wire.CodeBadFrame)
+			}
+		} else {
+			again, err := json.Marshal(ds[0])
+			if err != nil {
+				t.Fatalf("accepted trace does not marshal: %v", err)
+			}
+			ds2, err := decodeTraces([][]byte{again}, nil)
+			if err != nil || !sameTraces(ds, ds2) {
+				t.Fatalf("trace %+v re-marshalled to %s, decoded to %+v, %v", ds[0], again, ds2, err)
+			}
+		}
+	})
 }

@@ -61,6 +61,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -1550,19 +1551,22 @@ func (s *Server) handleHealth(*session, [][]byte) (byte, [][]byte) {
 }
 
 // handleStats is the STATS opcode: the full registry snapshot — server,
-// persistence and any co-registered layer — as one binary-encoded field.
+// persistence and any co-registered layer — as one field of JSON.
 // It takes no handler locks, and its monitor class keeps it answering an
 // overloaded or draining server, so the observer keeps observing exactly
 // when the server is at its most interesting.
 func (s *Server) handleStats(*session, [][]byte) (byte, [][]byte) {
-	snap := s.m.reg.Snapshot()
-	return wire.OpOK, [][]byte{snap.AppendBinary(nil)}
+	b, err := json.Marshal(s.m.reg.Snapshot())
+	if err != nil {
+		return errResp(&wire.WireError{Code: wire.CodeInternal, Msg: err.Error()})
+	}
+	return wire.OpOK, [][]byte{b}
 }
 
-// handleTraces answers TRACES: one binary-encoded trace per response
-// field, newest first. A server running with sampling off (or with no
-// ring) answers OpOK with zero fields rather than an error — polling
-// for traces is not a fault.
+// handleTraces answers TRACES: one trace per response field, each the
+// JSON object /traces serves, newest first. A server running with
+// sampling off (or with no ring) answers OpOK with zero fields rather
+// than an error — polling for traces is not a fault.
 func (s *Server) handleTraces(*session, [][]byte) (byte, [][]byte) {
 	if s.traces == nil {
 		return wire.OpOK, nil
@@ -1570,7 +1574,11 @@ func (s *Server) handleTraces(*session, [][]byte) (byte, [][]byte) {
 	ds := s.traces.Snapshot()
 	out := make([][]byte, len(ds))
 	for i := range ds {
-		out[i] = ds[i].AppendBinary(nil)
+		b, err := json.Marshal(ds[i])
+		if err != nil {
+			return errResp(&wire.WireError{Code: wire.CodeInternal, Msg: err.Error()})
+		}
+		out[i] = b
 	}
 	return wire.OpOK, out
 }

@@ -19,7 +19,7 @@ import (
 // TestStatsOpcodeEndToEnd drives real traffic through a real client and
 // asserts the STATS snapshot accounts for it: per-opcode request counters
 // and latency histograms, commit metrics, error-code counters, and the
-// gauges — all decoded from one binary frame.
+// gauges — all decoded from one frame.
 func TestStatsOpcodeEndToEnd(t *testing.T) {
 	h := boot(t, filepath.Join(t.TempDir(), "store.log"))
 	c := dial(t, h, nil)

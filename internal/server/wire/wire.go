@@ -85,7 +85,7 @@ const (
 	// newPrimaryAddr ([epoch, addr] -> OK []).
 	OpPromote byte = 0x10
 	// OpTraces fetches the server's ring of completed request trace
-	// trees ([] -> OK [encoded-trace...], one binary trace per field,
+	// trees ([] -> OK [trace-json...], one trace's JSON per field,
 	// newest first — see internal/telemetry/trace). The server treats it
 	// as a monitor request, like STATS, so span trees stay fetchable from
 	// an overloaded server (docs/SERVER.md, "Request classes").
@@ -164,13 +164,13 @@ var Ops = [...]Op{
 	OpAbort:       {"ABORT", ClassRead, 0, 0, OpOK},                 // [] -> []
 	OpNames:       {"NAMES", ClassRead, 0, 0, OpOK},                 // -> [name...]
 	OpHealth:      {"HEALTH", ClassMonitor, 0, 0, OpOK},             // -> HealthFields
-	OpStats:       {"STATS", ClassMonitor, 0, 0, OpOK},              // -> [snapshot]
+	OpStats:       {"STATS", ClassMonitor, 0, 0, OpOK},              // -> [snapshot-json]
 	OpCreateIndex: {"CREATEINDEX", ClassWrite, 1, 2, OpOK},          // [field, key?] -> [created(1)]
 	OpDropIndex:   {"DROPINDEX", ClassWrite, 1, 2, OpOK},            // [field, key?] -> [existed(1)]
 	OpExplain:     {"EXPLAIN", ClassRead, 1, 2, OpOK},               // [type-image, type-image?] -> [plan-text]
 	OpReplicate:   {"REPLICATE", ClassStream, 2, 2, OpRepHeartbeat}, // ReplicateFields -> the stream, a heartbeat first
 	OpPromote:     {"PROMOTE", ClassAdmin, 0, 2, OpOK},              // [] -> [epoch], or FenceFields -> []
-	OpTraces:      {"TRACES", ClassMonitor, 0, 0, OpOK},             // -> [encoded-trace...]
+	OpTraces:      {"TRACES", ClassMonitor, 0, 0, OpOK},             // -> [trace-json...]
 }
 
 // LastRequestOp is the highest assigned request opcode: request opcodes

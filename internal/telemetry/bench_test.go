@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"io"
 	"testing"
 	"time"
@@ -84,13 +85,18 @@ func BenchmarkRegistrySnapshot(b *testing.B) {
 	}
 }
 
-func BenchmarkSnapshotAppendBinary(b *testing.B) {
+func BenchmarkSnapshotMarshalJSON(b *testing.B) {
 	snap := benchRegistry().Snapshot()
-	buf := snap.AppendBinary(nil)
+	buf, err := json.Marshal(snap)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		snap.AppendBinary(buf[:0])
+		if _, err := json.Marshal(snap); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

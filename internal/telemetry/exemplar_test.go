@@ -2,7 +2,7 @@ package telemetry
 
 import (
 	"bufio"
-	"errors"
+	"encoding/json"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,13 +49,18 @@ func TestHistogramExemplars(t *testing.T) {
 	}
 }
 
+// TestSnapshotCodecCarriesExemplars: a snapshot's JSON, the STATS reply,
+// carries a traced histogram's exemplars and none for an untraced one.
 func TestSnapshotCodecCarriesExemplars(t *testing.T) {
 	r := NewRegistry()
 	r.Histogram("lat", UnitDuration, []int64{10, 100}).ObserveExemplar(50, 0xFEED)
 	r.Histogram("plain", UnitCount, []int64{1}).Observe(1)
-	s := r.Snapshot()
-	got, err := UnmarshalSnapshot(s.AppendBinary(nil))
+	b, err := json.Marshal(r.Snapshot())
 	if err != nil {
+		t.Fatal(err)
+	}
+	var got Snapshot
+	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}
 	lat, _ := got.Histogram("lat")
@@ -68,21 +73,24 @@ func TestSnapshotCodecCarriesExemplars(t *testing.T) {
 	}
 }
 
-// TestSnapshotCodecRefusesV1: a version-1 payload (no exemplar flag per
-// histogram) and any other version but the current one are ErrBadSnapshot,
-// not decoded with defaults.
+// TestSnapshotCodecRefusesV1: the binary snapshots sent before JSON, at
+// any version byte, do not unmarshal into a Snapshot; the current JSON
+// does.
 func TestSnapshotCodecRefusesV1(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("c").Add(3)
-	cur := r.Snapshot().AppendBinary(nil)
-	if _, err := UnmarshalSnapshot(cur); err != nil {
-		t.Fatalf("current version: %v", err)
+	cur, err := json.Marshal(r.Snapshot())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, v := range []byte{0, 1, snapVersion + 1} {
-		b := append([]byte(nil), cur...)
-		b[1] = v
-		if _, err := UnmarshalSnapshot(b); !errors.Is(err, ErrBadSnapshot) {
-			t.Errorf("version %d decoded to %v, want ErrBadSnapshot", v, err)
+	var s Snapshot
+	if err := json.Unmarshal(cur, &s); err != nil {
+		t.Fatalf("current JSON: %v", err)
+	}
+	for _, v := range []byte{0, 1, 2, 3} {
+		b := []byte{'S', v, 1, 1, 1, 'c', 3, 0, 0}
+		if err := json.Unmarshal(b, new(Snapshot)); err == nil {
+			t.Errorf("binary version %d decoded without error", v)
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package telemetry is the zero-dependency observability layer beneath
 // the served database: a metrics registry (atomic counters, gauges and
 // fixed-bucket histograms), a bounded slow-operation ring log, an
-// instrumented file system for the persistence seam, a binary snapshot
-// codec for the STATS opcode, and a hand-rolled Prometheus text
-// exposition.
+// instrumented file system for the persistence seam, and a hand-rolled
+// Prometheus text exposition. A Snapshot's wire form, the STATS reply,
+// is its encoding/json output through the struct tags below.
 //
 // "Orthogonal Persistence Revisited" (PAPERS.md) stresses that
 // persistent systems live or die by their operational behaviour, not
@@ -18,7 +18,7 @@
 //   - Reads are race-free by construction: Snapshot() deep-copies every
 //     value into an immutable Snapshot, so a scraper can never observe
 //     a histogram mid-update or tear a multi-field report. All derived
-//     views (the wire encoding, the Prometheus text, the health report)
+//     views (the STATS JSON, the Prometheus text, the health report)
 //     are computed from one Snapshot.
 //   - Histograms have fixed, immutable bucket bounds and an exact sum:
 //     quantiles are estimates (linear interpolation inside a bucket) but
@@ -31,6 +31,8 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -194,7 +196,7 @@ func NewRegistry() *Registry {
 // SetHelp records a one-line description for a metric family (the base
 // name, without any {label} suffix); the Prometheus exposition emits it
 // as the family's # HELP line. Help text is registry-local operator
-// documentation — the binary snapshot codec does not carry it.
+// documentation — the STATS reply does not carry it.
 func (r *Registry) SetHelp(name, help string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -254,26 +256,47 @@ func (r *Registry) Histogram(name string, unit Unit, bounds []int64) *Histogram 
 
 // NamedCounter is one counter in a snapshot.
 type NamedCounter struct {
-	Name  string
-	Value uint64
+	Name  string `json:"name"`
+	Value uint64 `json:"value"`
 }
 
 // NamedGauge is one gauge (or gauge func) in a snapshot.
 type NamedGauge struct {
-	Name  string
-	Value int64
+	Name  string `json:"name"`
+	Value int64  `json:"value"`
 }
 
 // HistogramSnapshot is one histogram's state: immutable copies of the
-// bounds and bucket counts, the exact sum, and the total count.
+// bounds and bucket counts, the exact sum, and the total count. Count is
+// derived from Counts, so it is not encoded: a decoder recomputes it.
 type HistogramSnapshot struct {
-	Name      string
-	Unit      Unit
-	Bounds    []int64  // ascending inclusive upper bounds
-	Counts    []uint64 // len(Bounds)+1; last is the overflow bucket
-	Exemplars []uint64 // per-bucket last trace ID (0 = none); nil when no bucket has one
-	Sum       int64
-	Count     uint64
+	Name      string   `json:"name"`
+	Unit      Unit     `json:"unit"`
+	Bounds    []int64  `json:"bounds"`              // ascending inclusive upper bounds
+	Counts    []uint64 `json:"counts"`              // len(Bounds)+1; last is the overflow bucket
+	Exemplars []uint64 `json:"exemplars,omitempty"` // per-bucket last trace ID (0 = none); nil when no bucket has one
+	Sum       int64    `json:"sum"`
+	Count     uint64   `json:"-"`
+}
+
+// UnmarshalJSON decodes a histogram's JSON, refusing one without a count
+// per bucket, or without an exemplar per bucket when it has any, as
+// Quantile and ExemplarNear index them so. Count is recomputed from the
+// buckets.
+func (h *HistogramSnapshot) UnmarshalJSON(b []byte) error {
+	type plain HistogramSnapshot
+	if err := json.Unmarshal(b, (*plain)(h)); err != nil {
+		return err
+	}
+	if len(h.Counts) != len(h.Bounds)+1 || h.Exemplars != nil && len(h.Exemplars) != len(h.Counts) {
+		return fmt.Errorf("telemetry: histogram %q has %d bounds, %d counts and %d exemplars",
+			h.Name, len(h.Bounds), len(h.Counts), len(h.Exemplars))
+	}
+	h.Count = 0
+	for _, n := range h.Counts {
+		h.Count += n
+	}
+	return nil
 }
 
 // Snapshot is a point-in-time copy of a registry, immutable after
@@ -281,11 +304,11 @@ type HistogramSnapshot struct {
 // Snapshot instead of re-loading atomics field by field, so a report can
 // never mix values from different instants of its own capture.
 type Snapshot struct {
-	TakenAt    time.Time
-	Counters   []NamedCounter      // sorted by name
-	Gauges     []NamedGauge        // sorted by name (includes gauge funcs)
-	Histograms []HistogramSnapshot // sorted by name
-	Helps      map[string]string   // family help text; local only, not wire-encoded
+	TakenAt    time.Time           `json:"taken_at"`
+	Counters   []NamedCounter      `json:"counters"`   // sorted by name
+	Gauges     []NamedGauge        `json:"gauges"`     // sorted by name (includes gauge funcs)
+	Histograms []HistogramSnapshot `json:"histograms"` // sorted by name
+	Helps      map[string]string   `json:"-"`          // family help text; local only, not wire-encoded
 }
 
 // Snapshot captures every registered metric. Values are copied with one
@@ -374,9 +397,9 @@ func (s *Snapshot) Histogram(name string) (HistogramSnapshot, bool) {
 // Quantile estimates the q-quantile (q in [0,1]) by linear interpolation
 // inside the bucket holding the target rank. Inside the overflow bucket
 // the last bound is returned — the histogram cannot resolve beyond it.
-// Returns 0 for an empty histogram.
+// Returns 0 for an empty histogram, and for one with no bounds.
 func (h HistogramSnapshot) Quantile(q float64) int64 {
-	if h.Count == 0 {
+	if h.Count == 0 || len(h.Bounds) == 0 {
 		return 0
 	}
 	if q < 0 {

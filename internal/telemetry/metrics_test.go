@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -98,6 +99,14 @@ func TestHistogramQuantileInterpolation(t *testing.T) {
 	hs2, _ := r.Snapshot().Histogram("h2")
 	if q := hs2.Quantile(0.5); q != 10 {
 		t.Errorf("overflow-bucket quantile = %d, want the last bound 10", q)
+	}
+	// With no bounds there is no last bound to floor at, as a STATS reply
+	// may say.
+	h3 := r.Histogram("h3", UnitCount, nil)
+	h3.Observe(1000)
+	hs3, _ := r.Snapshot().Histogram("h3")
+	if q := hs3.Quantile(0.5); q != 0 {
+		t.Errorf("bound-free quantile = %d, want 0", q)
 	}
 }
 
@@ -234,71 +243,43 @@ func TestSlowLogZeroThresholdKeepsEverything(t *testing.T) {
 	}
 }
 
-func TestSnapshotEncodeRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c").Add(123456789)
-	r.Gauge("g").Set(-42)
-	h := r.Histogram("h", UnitDuration, []int64{100, 2000})
-	h.Observe(50)
-	h.Observe(1500)
-	h.Observe(999999)
-	snap := r.Snapshot()
-	b := snap.AppendBinary(nil)
-	got, err := UnmarshalSnapshot(b)
+// TestUnmarshalSnapshotMalformed: hostile and truncated JSON, and
+// histograms whose buckets do not hang together, are refused, never
+// decoded with defaults or a panic.
+func TestUnmarshalSnapshotMalformed(t *testing.T) {
+	valid, err := json.Marshal(&Snapshot{TakenAt: time.Unix(0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := got.Counter("c"); v != 123456789 {
-		t.Errorf("decoded counter = %d", v)
-	}
-	if v, _ := got.Gauge("g"); v != -42 {
-		t.Errorf("decoded gauge = %d", v)
-	}
-	hs, ok := got.Histogram("h")
-	if !ok {
-		t.Fatal("decoded histogram missing")
-	}
-	if hs.Unit != UnitDuration {
-		t.Errorf("decoded unit = %d", hs.Unit)
-	}
-	if hs.Count != 3 || hs.Sum != 50+1500+999999 {
-		t.Errorf("decoded count/sum = %d/%d", hs.Count, hs.Sum)
-	}
-	orig, _ := snap.Histogram("h")
-	for i := range orig.Counts {
-		if hs.Counts[i] != orig.Counts[i] {
-			t.Errorf("decoded bucket %d = %d, want %d", i, hs.Counts[i], orig.Counts[i])
-		}
-	}
-	if !got.TakenAt.Equal(snap.TakenAt.Truncate(0)) && got.TakenAt.UnixNano() != snap.TakenAt.UnixNano() {
-		t.Errorf("decoded TakenAt = %v, want %v", got.TakenAt, snap.TakenAt)
-	}
-}
-
-// TestUnmarshalSnapshotMalformed: hostile and truncated payloads yield
-// ErrBadSnapshot, never a panic or a giant allocation.
-func TestUnmarshalSnapshotMalformed(t *testing.T) {
-	valid := (&Snapshot{TakenAt: time.Unix(0, 1)}).AppendBinary(nil)
 	cases := map[string][]byte{
-		"empty":           {},
-		"bad magic":       {'X', 1},
-		"bad version":     {'S', 99},
-		"truncated":       valid[:len(valid)-1],
-		"trailing":        append(append([]byte{}, valid...), 0),
-		"huge entries":    {'S', 1, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F},
-		"huge name":       {'S', 1, 0, 1, 0xFF, 0xFF, 0x7F},
-		"counter cutoff":  {'S', 1, 0, 2, 1, 'a', 5},
-		"gauge cutoff":    {'S', 1, 0, 0, 1, 1, 'g'},
-		"hist no bounds":  {'S', 1, 0, 0, 0, 0, 1, 1, 'h'},
-		"hist big bounds": {'S', 1, 0, 0, 0, 0, 1, 1, 'h', 0, 0xFF, 0xFF, 0x7F},
+		"empty":            {},
+		"bad magic":        {'X', 1},
+		"bad version":      {'S', 99},
+		"truncated":        valid[:len(valid)-1],
+		"trailing":         append(append([]byte{}, valid...), 0),
+		"counter cutoff":   []byte(`{"counters":[{"name":"a","value":5`),
+		"gauge cutoff":     []byte(`{"counters":[],"gauges":[{"name":"g"`),
+		"hist cutoff":      []byte(`{"histograms":[{"name":"h"`),
+		"hist no bounds":   []byte(`{"histograms":[{"name":"h","counts":[]}]}`),
+		"hist big bounds":  []byte(`{"histograms":[{"name":"h","bounds":[1,2,3],"counts":[1]}]}`),
+		"hist more counts": []byte(`{"histograms":[{"name":"h","bounds":[1],"counts":[1,2,3]}]}`),
+		"few exemplars":    []byte(`{"histograms":[{"name":"h","bounds":[1],"counts":[0,1],"exemplars":[7]}]}`),
+		"null histogram":   []byte(`{"histograms":[null]}`),
 	}
 	for name, b := range cases {
-		if _, err := UnmarshalSnapshot(b); err == nil {
+		if err := json.Unmarshal(b, new(Snapshot)); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
-	if _, err := UnmarshalSnapshot(valid); err != nil {
+	var s Snapshot
+	if err := json.Unmarshal(valid, &s); err != nil {
 		t.Fatalf("valid empty snapshot failed to decode: %v", err)
+	}
+	if err := json.Unmarshal([]byte(`{"histograms":[{"name":"h","bounds":[1],"counts":[2,3]}]}`), &s); err != nil {
+		t.Fatal(err)
+	}
+	if h, _ := s.Histogram("h"); h.Count != 5 {
+		t.Errorf("decoded count = %d, want 5 recomputed from the buckets", h.Count)
 	}
 }
 

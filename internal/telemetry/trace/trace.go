@@ -17,11 +17,17 @@
 // lock-wait/stage/fsync/publish spans to a waiter's trace while the
 // waiter owns it, so span mutation is guarded by a mutex. The completed tree is
 // snapshotted into a plain-value Data before it enters the ring.
+//
+// Data has one machine encoding, its encoding/json output through the
+// struct tags below: the TRACES opcode sends one trace per reply field,
+// and the ops endpoint's /traces serves the same as one array.
 package trace
 
 import (
 	"crypto/rand"
 	"encoding/binary"
+	"encoding/json"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,7 +47,7 @@ const maxSpans = 1 << 12
 
 // Span is one named interval. Start and Dur are offsets relative to the
 // trace's Begin so a span costs 8+8 bytes instead of two time.Times, and
-// the encoded form stays compact.
+// encodes as two integers of nanoseconds.
 type Span struct {
 	Name   string        `json:"name"`
 	Parent SpanID        `json:"parent"` // index into the trace's span array; -1 for the root
@@ -151,14 +157,29 @@ func (t *Trace) Finish() {
 	t.End(0)
 }
 
-// Data is a completed trace as plain values: safe to retain in the ring,
-// encode, or serve as JSON while the originating goroutines move on.
+// Data is a completed trace as plain values: safe to retain in the ring
+// or serve as JSON while the originating goroutines move on.
 type Data struct {
 	ID    uint64    `json:"id"`
 	Op    string    `json:"op"`
 	Begin time.Time `json:"begin"`
 	Link  uint64    `json:"link,omitempty"`
 	Spans []Span    `json:"spans"`
+}
+
+// UnmarshalJSON decodes a trace's JSON, refusing a span whose parent is
+// neither the root marker nor another span of the same trace.
+func (d *Data) UnmarshalJSON(b []byte) error {
+	type plain Data
+	if err := json.Unmarshal(b, (*plain)(d)); err != nil {
+		return err
+	}
+	for _, s := range d.Spans {
+		if s.Parent < NoSpan || int(s.Parent) >= len(d.Spans) {
+			return fmt.Errorf("trace: span parent %d out of range", s.Parent)
+		}
+	}
+	return nil
 }
 
 // Data snapshots the trace. On a nil trace it returns the zero Data.

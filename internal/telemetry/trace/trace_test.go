@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -240,6 +241,8 @@ func TestRingConcurrentForced(t *testing.T) {
 	}
 }
 
+// TestEncodeDecodeRoundTrip: a linked trace with nested spans survives
+// its JSON, the TRACES reply field, exactly.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tr := New(0xdeadbeef, "PUT")
 	tr.SetLink(0xfeed)
@@ -249,14 +252,18 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tr.Finish()
 	d := tr.Data()
 
-	got, err := Decode(d.AppendBinary(nil))
+	b, err := json.Marshal(d)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var got Data
+	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.ID != d.ID || got.Link != d.Link || got.Op != d.Op {
 		t.Fatalf("header mismatch: %+v vs %+v", got, d)
 	}
-	if got.Begin.UnixNano() != d.Begin.UnixNano() {
+	if !got.Begin.Equal(d.Begin) {
 		t.Fatalf("begin mismatch: %v vs %v", got.Begin, d.Begin)
 	}
 	if len(got.Spans) != len(d.Spans) {
@@ -269,34 +276,31 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeMalformed: bad bytes, and a span whose parent lies outside
+// its trace, do not unmarshal into a Data.
 func TestDecodeMalformed(t *testing.T) {
-	good := New(1, "GET").Data().AppendBinary(nil)
+	good, err := json.Marshal(New(1, "GET").Data())
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string][]byte{
-		"empty":       nil,
-		"bad magic":   {'X', 1},
-		"bad version": {'T', 99},
-		"truncated":   good[:len(good)-1],
-		"trailing":    append(append([]byte{}, good...), 0),
+		"empty":             nil,
+		"bad magic":         {'X', 1},
+		"bad version":       {'T', 99},
+		"binary v1":         {'T', 1, 1, 0, 3, 'G', 'E', 'T', 2, 0},
+		"truncated":         good[:len(good)-1],
+		"trailing":          append(append([]byte{}, good...), 0),
+		"parent past spans": []byte(`{"id":1,"op":"X","spans":[{"name":"a","parent":5}]}`),
+		"parent below root": []byte(`{"id":1,"op":"X","spans":[{"name":"a","parent":-2}]}`),
+		"parent overflow":   []byte(`{"spans":[{"name":"a","parent":4294967296}]}`),
 	}
 	for name, b := range cases {
-		if _, err := Decode(b); err == nil {
+		if err := json.Unmarshal(b, new(Data)); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
-	// Hostile span count must not allocate unboundedly.
-	hostile := []byte{'T', traceVersion}
-	hostile = append(hostile, 1, 1) // id, link
-	hostile = append(hostile, 0)    // empty op
-	hostile = append(hostile, 2)    // begin varint (1)
-	hostile = append(hostile, 0xff, 0xff, 0xff, 0xff, 0x7f)
-	if _, err := Decode(hostile); err == nil {
-		t.Error("hostile span count decoded without error")
-	}
-	// Parent index pointing outside the span array is rejected.
-	d := Data{ID: 1, Op: "X", Begin: time.Now(),
-		Spans: []Span{{Name: "a", Parent: 5}}}
-	if _, err := Decode(d.AppendBinary(nil)); err == nil {
-		t.Error("out-of-range parent decoded without error")
+	if err := json.Unmarshal(good, new(Data)); err != nil {
+		t.Fatalf("valid trace failed to decode: %v", err)
 	}
 }
 
