@@ -50,8 +50,12 @@ bench-smoke:
 # maximal-elements scan (differential against the naive one), the language
 # pipeline, the wire frame reader (malformed frames, truncated length
 # prefixes and oversize claims must yield typed wire errors — never a
-# panic, never an unbounded allocation), the reply decoder
-# (differential against per-image DecodeTagged) and a live server fed
+# panic, never an unbounded allocation), the two-field VALUES reply
+# decoder (differential against per-row DecodeTagged of each row's tagged
+# image, read from the layout's definition; its seeds include a bad
+# ordinal, a row count past the bytes, trailing bytes, types with no rows
+# and the old one-image-a-row payload, all refused with a codec error) and
+# a live server fed
 # each input as a PUT image, then GET, JOIN, EXPLAIN and NAMES over it
 # (HEALTH must answer after every input), and the client's STATS and
 # TRACES reply decoding (a refusal is a typed wire error, and an accepted

@@ -608,10 +608,10 @@ func BenchmarkCodecUntagged(b *testing.B) {
 
 // BenchmarkCodecDecode decodes the 1000-employee world as one untagged
 // image, and a 512-record reply of the read-bulk record shape in 4 witness
-// types — each record its own tagged image, as a GET returns them — once
-// image by image and once as one reply, as the client decodes a GET. Both
-// read each type image through the codec's process-wide type table. ns/rec
-// is the cost of one record.
+// types: once as one tagged image a record, decoded image by image, and
+// once as the reply a GET returns, each witness type stated once, decoded
+// as the client decodes it. Both read each type image through the codec's
+// process-wide type table. ns/rec is the cost of one record.
 func BenchmarkCodecDecode(b *testing.B) {
 	b.Run("world", func(b *testing.B) {
 		world, _ := benchWorld(1000)
@@ -627,21 +627,28 @@ func BenchmarkCodecDecode(b *testing.B) {
 			}
 		}
 	})
-	reply := make([][]byte, 512)
-	for i := range reply {
+	const n = 512
+	imgs := make([][]byte, n)
+	w := codec.NewReplyWriter(n)
+	for i := range imgs {
 		v := value.Rec("Id", value.Int(int64(i)), "Name", value.String(fmt.Sprintf("row-%07d", i)),
 			"A", value.Int(1<<24+int64(i)), fmt.Sprintf("A%d", 1+i%4), value.String("zxcvbnmasdfg"), "A9", value.Float(0.625))
 		img, err := codec.AppendTagged(nil, v, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		reply[i] = img
+		imgs[i] = img
+		w.Row(v, value.TypeOf(v))
+	}
+	reply, err := w.Fields()
+	if err != nil {
+		b.Fatal(err)
 	}
 	for _, c := range []struct {
 		name   string
-		decode func(imgs [][]byte) error
+		decode func() error
 	}{
-		{"tagged-reply/one-shot", func(imgs [][]byte) error {
+		{"tagged-reply/one-shot", func() error {
 			for _, img := range imgs {
 				if _, _, err := codec.DecodeTagged(img); err != nil {
 					return err
@@ -649,18 +656,18 @@ func BenchmarkCodecDecode(b *testing.B) {
 			}
 			return nil
 		}},
-		{"tagged-reply/reply", func(imgs [][]byte) error {
-			return codec.DecodeReply(imgs, func(int, value.Value, types.Type) {})
+		{"tagged-reply/reply", func() error {
+			return codec.DecodeReply(reply, func(int, value.Value, types.Type) {})
 		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := c.decode(reply); err != nil {
+				if err := c.decode(); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(reply)), "ns/rec")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/rec")
 		})
 	}
 }

@@ -259,8 +259,8 @@ func (o Options) replicaProbe() time.Duration {
 
 // Packed mirrors core.Packed: a remote object with the witness type it was
 // stored at. The values of one reply (Get, GetExpr, Join) share what the
-// reply was decoded into: one copy of its payload, which their string
-// atoms are substrings of, and the slabs their records come from. So a
+// reply was decoded into: the frame's payload, which their string atoms
+// are substrings of, and the slabs their records come from. So a
 // value kept from a reply pins what that one frame was decoded into, and
 // nothing of any other reply; the witness types pin none of it.
 type Packed = core.Packed
@@ -815,13 +815,22 @@ func decodeGet(fields [][]byte, err error) ([]Packed, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Packed, len(fields))
+	n, err := codec.ReplyRows(fields)
+	if err != nil {
+		return nil, badValues(err)
+	}
+	out := make([]Packed, n)
 	if err := codec.DecodeReply(fields, func(i int, v value.Value, t types.Type) {
 		out[i] = Packed{Value: v, Witness: t}
 	}); err != nil {
-		return nil, err
+		return nil, badValues(err)
 	}
 	return out, nil
+}
+
+// badValues is the refusal of a VALUES reply the codec could not read.
+func badValues(err error) error {
+	return &wire.WireError{Code: wire.CodeBadFrame, Msg: "malformed VALUES reply: " + err.Error()}
 }
 
 // decodeBool decodes a reply carrying one boolean field (the existed bit

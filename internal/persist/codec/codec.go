@@ -28,9 +28,10 @@
 // decode to: an image met before costs a skip that allocates nothing, a
 // hash and one atomic load. The table is bounded (see typeSlots), and the
 // plain decoder it sits on stays the reference its tests hold it to.
-// DecodeReply reads the images of one reply with one reused Decoder and
-// builds their values from memory shared by the reply; AppendTaggedImage
-// writes an image at a type image encoded once.
+// A reply to a GET or a JOIN states each of its witness types once: a
+// ReplyWriter writes a reply's types and then its rows, and DecodeReply
+// reads one, its rows through one reused Decoder, and builds their values
+// from memory shared by the reply: slabs, and the rows field itself.
 package codec
 
 import (
@@ -42,9 +43,9 @@ import (
 	"io"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"dbpl/internal/dynamic"
 	"dbpl/internal/types"
@@ -176,15 +177,6 @@ func AppendTagged(dst []byte, v value.Value, declared types.Type) ([]byte, error
 	}
 	e := Encoder{buf: appendHeader(dst)}
 	e.encodeType(declared)
-	e.encodeValue(v)
-	return e.image(dst)
-}
-
-// AppendTaggedImage appends AppendTagged's image of v at the type whose
-// standalone image, AppendType's, is typeImg: that image, then v's. A
-// writer of many values at a few types encodes each type once.
-func AppendTaggedImage(dst, typeImg []byte, v value.Value) ([]byte, error) {
-	e := Encoder{buf: append(dst, typeImg...)}
 	e.encodeValue(v)
 	return e.image(dst)
 }
@@ -448,7 +440,7 @@ type Decoder struct {
 	src  []byte
 	pos  int // next byte of src to read
 	refs []value.Value
-	// rep, if set, is the reply whose images the decoder reads; see
+	// rep, if set, is the reply whose rows the decoder reads; see
 	// DecodeReply.
 	rep *reply
 	// recs builds the records the decoder reads.
@@ -527,9 +519,9 @@ func DecodeTagged(img []byte) (value.Value, types.Type, error) {
 		return nil, nil, err
 	}
 	d := decoders.Get().(*Decoder)
-	d.reset(img, nil)
+	d.reset(img)
 	v, t, err := d.tagged()
-	d.reset(nil, nil)
+	d.reset(nil)
 	decoders.Put(d)
 	return v, t, err
 }
@@ -538,13 +530,12 @@ func DecodeTagged(img []byte) (value.Value, types.Type, error) {
 // grew.
 var decoders = sync.Pool{New: func() any { return new(Decoder) }}
 
-// reset readies d to read img, an image of rep if rep is set, keeping the
-// slices it grew and dropping what they held; reset(nil, nil) lets go of
-// everything d read.
-func (d *Decoder) reset(img []byte, rep *reply) {
+// reset readies d to read img, keeping the slices it grew and dropping
+// what they held; reset(nil) lets go of everything d read.
+func (d *Decoder) reset(img []byte) {
 	clear(d.refs)
 	d.recs.Reset()
-	*d = Decoder{src: img, pos: headerLen, refs: d.refs[:0], rep: rep, recs: d.recs}
+	*d = Decoder{src: img, pos: headerLen, refs: d.refs[:0], recs: d.recs}
 	d.open = d.openBuf[:0]
 }
 
@@ -1118,59 +1109,249 @@ func (d *Decoder) skipType(depth int) error {
 // Replies
 // ---------------------------------------------------------------------------
 
-// DecodeReply decodes the tagged images of one reply, such as the fields of
-// one VALUES frame, in order, and calls each with an image's index, value
-// and type. Its outcome is per-image DecodeTagged's, stopping at the first
-// error, but it costs what the reply's bytes cost. The images share one
-// Decoder, and their records get their labels as every decoded record
+// A reply is the answer to a GET or a JOIN: values, each at its witness
+// type, where a bulk answer has few distinct witnesses. A reply of no rows
+// is no fields. Any other is two:
+//
+//   - the reply's types: an image header, the row count, the type count,
+//     and each distinct witness type's image once, in order of first use;
+//   - the rows, back to back: each the uvarint ordinal of its witness in
+//     the types, then its value's image, with no header.
+//
+// Back-references are scoped to their row, so row i decodes as
+// DecodeTagged does the image of a header, its witness's type image and its
+// value's bytes.
+
+// ReplyWriter writes the fields of one reply. Add each row with Row, then
+// take the fields with Fields.
+type ReplyWriter struct {
+	// buf holds the rows, and after them the reply's types once Fields
+	// has run.
+	buf  []byte
+	rows int
+	// want is the number of rows the writer was made for.
+	want int
+	// types are the distinct witnesses in order of first use, canonical;
+	// typeBuf backs them for a reply of a few. index maps each witness met
+	// to its ordinal once there are more than len(typeBuf).
+	types   []types.Type
+	typeBuf [4]types.Type
+	index   map[types.Type]int
+	err     error
+}
+
+// Bounds on a reply buffer's reservations: the first row goes into
+// replyFirst bytes, and the rest are reserved at the first row's size, up
+// to replyReserveMax bytes; past that the buffer grows as it fills.
+const (
+	replyFirst      = 256
+	replyReserveMax = 64 << 10
+)
+
+// NewReplyWriter returns a writer for a reply of rows rows.
+func NewReplyWriter(rows int) ReplyWriter { return ReplyWriter{want: rows} }
+
+// Row adds the value v at its witness type t. The first error is kept for
+// Fields.
+func (w *ReplyWriter) Row(v value.Value, t types.Type) {
+	if w.err != nil {
+		return
+	}
+	if w.buf == nil {
+		w.buf = make([]byte, 0, replyFirst)
+	}
+	e := Encoder{buf: binary.AppendUvarint(w.buf, uint64(w.ordinal(t)))}
+	e.encodeValue(v)
+	w.buf, w.err = e.buf, e.err
+	w.rows++
+	if w.rows == 1 && w.want > 1 {
+		w.buf = slices.Grow(w.buf, min(len(w.buf)*(w.want-1), replyReserveMax))
+	}
+}
+
+// ordinal returns t's ordinal in the reply's types, adding t if it is new.
+// Witnesses are compared as their canonical types, so two equal witnesses
+// share one ordinal.
+func (w *ReplyWriter) ordinal(t types.Type) int {
+	if i, ok := w.lookup(t); ok {
+		return i
+	}
+	c := types.Canon(t)
+	i, ok := w.lookup(c)
+	if !ok {
+		if w.types == nil {
+			w.types = w.typeBuf[:0]
+		}
+		i = len(w.types)
+		w.types = append(w.types, c)
+		if w.index == nil && len(w.types) > len(w.typeBuf) {
+			w.index = make(map[types.Type]int, 2*len(w.types))
+			for j, u := range w.types {
+				w.index[u] = j
+			}
+		}
+	}
+	if w.index != nil {
+		w.index[t], w.index[c] = i, i
+	}
+	return i
+}
+
+// lookup returns t's ordinal, if t is among the reply's types or, past
+// len(typeBuf) of them, a witness met before.
+func (w *ReplyWriter) lookup(t types.Type) (int, bool) {
+	if w.index != nil {
+		i, ok := w.index[t]
+		return i, ok
+	}
+	for i, u := range w.types {
+		if u == t {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// Fields returns the reply's fields, or the first error met. Both fields
+// are slices of one buffer, the types appended after the rows.
+func (w *ReplyWriter) Fields() ([][]byte, error) {
+	if w.err != nil || w.rows == 0 {
+		return nil, w.err
+	}
+	rows := len(w.buf)
+	e := Encoder{buf: appendHeader(w.buf)}
+	e.uvarint(uint64(w.rows))
+	e.uvarint(uint64(len(w.types)))
+	for _, t := range w.types {
+		e.encodeType(t)
+	}
+	if e.err != nil {
+		return nil, e.err
+	}
+	w.buf = e.buf
+	return [][]byte{w.buf[rows:], w.buf[:rows]}, nil
+}
+
+// replyHead checks a reply's fields as far as its counts and returns a
+// decoder of its types field positioned at the first type image. Each row
+// takes at least two bytes, an ordinal and a value tag, so a row count
+// past half the rows field is refused.
+func replyHead(fields [][]byte) (d Decoder, rows, ntypes int, err error) {
+	if len(fields) != 2 {
+		return d, 0, 0, fmt.Errorf("%w: a reply of %d fields", ErrCorrupt, len(fields))
+	}
+	if err := checkHeader(fields[0]); err != nil {
+		return d, 0, 0, err
+	}
+	d = Decoder{src: fields[0], pos: headerLen}
+	n, err := d.uvarint()
+	if err != nil {
+		return d, 0, 0, err
+	}
+	if n == 0 {
+		return d, 0, 0, fmt.Errorf("%w: a reply's types with no rows", ErrCorrupt)
+	}
+	if n > uint64(len(fields[1])/2) {
+		return d, 0, 0, errTruncated
+	}
+	ntypes, err = d.count()
+	return d, int(n), ntypes, err
+}
+
+// ReplyRows returns the number of rows of the reply whose fields are
+// fields, checked against the size of its rows field.
+func ReplyRows(fields [][]byte) (int, error) {
+	if len(fields) == 0 {
+		return 0, nil
+	}
+	_, rows, _, err := replyHead(fields)
+	return rows, err
+}
+
+// DecodeReply decodes the reply whose fields are fields, such as the
+// fields of one VALUES frame, and calls each with each row's index, value
+// and witness in order. Each row's outcome is DecodeTagged's on the row's
+// image, stopping at the first error; it also refuses a malformed types
+// field, an ordinal past the types and bytes after the last type or row.
+// Each type image is read once, through the type table. The rows share
+// one Decoder, and their records get their labels as every decoded record
 // does, from the interned value.Shape of their label set. The reply's
-// records and their value slices are cut from slabs sized from the image
-// count, and string atoms are substrings of one copy of the images. So a
-// value kept from the reply keeps that copy and those slabs alive. The
-// types keep strings of their own, since a canonical type outlives the
-// reply.
-func DecodeReply(imgs [][]byte, each func(i int, v value.Value, t types.Type)) error {
-	if len(imgs) == 0 {
+// records and their value slices are cut from slabs sized from the row
+// count. The rows field is kept, not copied: string atoms are substrings
+// of it, so the caller hands it over and must not change it afterwards,
+// as the client does the payload of a frame it read. A value kept from the
+// reply keeps the rows field and those slabs alive. The types keep strings
+// of their own, since a canonical type outlives the reply.
+func DecodeReply(fields [][]byte, each func(i int, v value.Value, t types.Type)) error {
+	if len(fields) == 0 {
 		return nil
 	}
-	total := 0
-	for _, img := range imgs {
-		total += len(img)
+	td, rows, n, err := replyHead(fields)
+	if err != nil {
+		return err
 	}
-	var b strings.Builder
-	b.Grow(total)
-	for _, img := range imgs {
-		b.Write(img)
+	rep := &reply{src: unsafe.String(unsafe.SliceData(fields[1]), len(fields[1])), rows: rows}
+	ts := rep.typeBuf[:0]
+	if n > len(rep.typeBuf) {
+		ts = make([]types.Type, 0, n)
 	}
-	rep := &reply{src: b.String(), images: len(imgs)}
-	for i, img := range imgs {
-		if err := checkHeader(img); err != nil {
-			return err
-		}
-		rep.d.reset(img, rep)
-		v, t, err := rep.d.tagged()
+	for range n {
+		t, err := td.Type()
 		if err != nil {
 			return err
 		}
-		each(i, v, t)
-		rep.off += len(img)
+		ts = append(ts, t)
+	}
+	if td.pos != len(td.src) {
+		return fmt.Errorf("%w: bytes after a reply's types", ErrCorrupt)
+	}
+	d := &rep.d
+	d.src, d.rep = fields[1], rep
+	d.open = d.openBuf[:0]
+	for i := range rows {
+		ord, err := d.uvarint()
+		if err != nil {
+			return err
+		}
+		if ord >= uint64(len(ts)) {
+			return fmt.Errorf("%w: type ordinal %d of %d types", ErrCorrupt, ord, len(ts))
+		}
+		v, err := d.Value()
+		if err != nil {
+			return err
+		}
+		each(i, v, ts[ord])
 		rep.done++
+		d.nextRow()
+	}
+	if d.pos != len(d.src) {
+		return fmt.Errorf("%w: bytes after a reply's rows", ErrCorrupt)
 	}
 	return nil
 }
 
-// reply is what the decodes of one reply's images share.
+// nextRow readies d, between the rows of a reply, for the next row: a row
+// refers to no container of another.
+func (d *Decoder) nextRow() {
+	clear(d.refs)
+	d.refs = d.refs[:0]
+	d.recs.Reset()
+	d.open = d.open[:0]
+	d.cyclic = d.cyclic[:0]
+}
+
+// reply is what the decodes of one reply's rows share.
 type reply struct {
-	// d is the decoder every image reuses.
+	// d is the decoder of the rows.
 	d Decoder
-	// src is every image, back to back; off is where the image being
-	// decoded starts in it.
+	// src is the rows field, which string atoms slice.
 	src string
-	off int
-	// images is the number of images and done the number decoded.
-	images, done int
-	recs         slab[value.Record]
-	vals         slab[value.Value]
+	// rows is the number of rows and done the number decoded.
+	rows, done int
+	recs       slab[value.Record]
+	vals       slab[value.Value]
+	// typeBuf backs the reply's types when it has a few.
+	typeBuf [4]types.Type
 }
 
 // slab hands out runs of one reply's records or values.
@@ -1179,19 +1360,19 @@ type slab[T any] struct {
 	used int // the elements handed out
 }
 
-// take returns n elements. A new chunk holds what the images still to
+// take returns n elements. A new chunk holds what the rows still to
 // decode will take at the rate the decoded ones took, but no more than n
-// for each image left or the elements handed out so far, whichever is
-// more, and no more than the bytes left could use, since each element
-// takes at least one byte. So a reply of like images takes one chunk, and
-// one whose images differ wastes at most what it used plus n an image.
+// for each row left or the elements handed out so far, whichever is more,
+// and no more than the bytes left could use, since each element takes at
+// least one byte. So a reply of like rows takes one chunk, and one whose
+// rows differ wastes at most what it used plus n a row.
 func (s *slab[T]) take(n int, d *Decoder) []T {
 	if len(s.free) < n {
 		rep := d.rep
-		images := rep.images - rep.done
-		size := (s.used + n + rep.done) / (rep.done + 1) * images
-		left := len(rep.src) - rep.off - d.pos
-		s.free = make([]T, max(n, min(size, max(n*images, s.used), n+left)))
+		rows := rep.rows - rep.done
+		size := (s.used + n + rep.done) / (rep.done + 1) * rows
+		left := len(d.src) - d.pos
+		s.free = make([]T, max(n, min(size, max(n*rows, s.used), n+left)))
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]
@@ -1199,7 +1380,7 @@ func (s *slab[T]) take(n int, d *Decoder) []T {
 	return out
 }
 
-// atom reads a string atom: in a reply, a substring of the reply's copy.
+// atom reads a string atom: in a reply, a substring of the rows field.
 func (d *Decoder) atom() (string, error) {
 	if d.rep == nil {
 		return d.str()
@@ -1208,8 +1389,7 @@ func (d *Decoder) atom() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	end := d.rep.off + d.pos
-	return d.rep.src[end-len(b) : end], nil
+	return d.rep.src[d.pos-len(b) : d.pos], nil
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ package codec
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -13,9 +15,9 @@ import (
 	"dbpl/internal/value"
 )
 
-// splitImages cuts a fuzz payload into images as a frame holds its fields:
-// each a uvarint length, then that many bytes. A prefix that does not fit
-// makes the rest one image.
+// splitImages cuts a fuzz payload into fields as a frame holds them: each
+// a uvarint length, then that many bytes. A prefix that does not fit makes
+// the rest one field.
 func splitImages(b []byte) [][]byte {
 	var imgs [][]byte
 	for len(b) > 0 {
@@ -29,7 +31,7 @@ func splitImages(b []byte) [][]byte {
 	return imgs
 }
 
-// joinImages is the payload splitImages cuts into imgs.
+// joinImages is the payload splitImages cuts into the fields imgs.
 func joinImages(imgs ...[]byte) []byte {
 	var b []byte
 	for _, img := range imgs {
@@ -41,8 +43,10 @@ func joinImages(imgs ...[]byte) []byte {
 
 // structural reports whether value.Equal decides v by structure: v reaches
 // no cycle, on which Equal does not terminate, and no dynamic, which Equal
-// compares by identity.
-func structural(v value.Value, open map[value.Value]bool) bool {
+// compares by identity. seen holds the containers met: false while they
+// are on the search path, true once they are known structural, so a value
+// that shares costs its containers, not its unfolding.
+func structural(v value.Value, seen map[value.Value]bool) bool {
 	switch v.(type) {
 	case *dynamic.Dynamic:
 		return false
@@ -50,31 +54,143 @@ func structural(v value.Value, open map[value.Value]bool) bool {
 	default:
 		return true
 	}
-	if open[v] {
-		return false
+	if done, met := seen[v]; met {
+		return done
 	}
-	open[v] = true
-	defer delete(open, v)
+	seen[v] = false
 	ok := true
 	switch vv := v.(type) {
 	case *value.Record:
-		vv.Each(func(_ string, f value.Value) { ok = ok && structural(f, open) })
+		vv.Each(func(_ string, f value.Value) { ok = ok && structural(f, seen) })
 	case *value.List:
 		for _, el := range vv.Elems {
-			ok = ok && structural(el, open)
+			ok = ok && structural(el, seen)
 		}
 	case *value.Set:
-		vv.Each(func(el value.Value) { ok = ok && structural(el, open) })
+		vv.Each(func(el value.Value) { ok = ok && structural(el, seen) })
 	case *value.Tag:
-		ok = structural(vv.Payload, open)
+		ok = structural(vv.Payload, seen)
 	}
+	seen[v] = ok
 	return ok
 }
 
-// replySeeds are replies of several records sharing witnesses: nested
-// records, lists, a shared sub-value, a cycle, a dynamic whose value
-// refers back to the record around it, and labels out of order.
-func replySeeds(tb testing.TB) [][]byte {
+// writeReply is the reply ReplyWriter writes of vals at wits.
+func writeReply(tb testing.TB, vals []value.Value, wits []types.Type) [][]byte {
+	tb.Helper()
+	w := NewReplyWriter(len(vals))
+	for i, v := range vals {
+		w.Row(v, wits[i])
+	}
+	fields, err := w.Fields()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fields
+}
+
+// specReply builds the reply of vals at wits from the layout's definition
+// and the one-shot encoders: the types field holds each distinct witness
+// image once, in order of first use, and each row is an ordinal and the
+// value bytes of AppendTagged's image.
+func specReply(tb testing.TB, vals []value.Value, wits []types.Type) [][]byte {
+	tb.Helper()
+	if len(vals) == 0 {
+		return nil
+	}
+	var imgs [][]byte
+	var rows []byte
+	for i, v := range vals {
+		timg, err := AppendType(nil, wits[i])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ord := slices.IndexFunc(imgs, func(img []byte) bool { return bytes.Equal(img, timg) })
+		if ord < 0 {
+			ord, imgs = len(imgs), append(imgs, timg)
+		}
+		tagged, err := AppendTagged(nil, v, wits[i])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rows = binary.AppendUvarint(rows, uint64(ord))
+		rows = append(rows, tagged[len(timg):]...)
+	}
+	head := []byte("DBPL\x01")
+	head = binary.AppendUvarint(head, uint64(len(vals)))
+	head = binary.AppendUvarint(head, uint64(len(imgs)))
+	for _, img := range imgs {
+		head = append(head, img[headerLen:]...)
+	}
+	return [][]byte{head, rows}
+}
+
+// refRows reads a reply's fields by the layout's definition with the
+// plain decoder, and returns each row as the tagged image of a header, its
+// witness's type image and its value's bytes, up to the first refusal,
+// which it returns.
+func refRows(fields [][]byte) ([][]byte, error) {
+	if len(fields) == 0 {
+		return nil, nil
+	}
+	if len(fields) != 2 {
+		return nil, ErrCorrupt
+	}
+	if err := checkHeader(fields[0]); err != nil {
+		return nil, err
+	}
+	d := Decoder{src: fields[0], pos: headerLen}
+	rows, err := d.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if rows == 0 || rows > uint64(len(fields[1])/2) {
+		return nil, ErrCorrupt
+	}
+	n, err := d.count()
+	if err != nil {
+		return nil, err
+	}
+	var timgs [][]byte
+	for range n {
+		start := d.pos
+		if _, err := d.decodeType(); err != nil {
+			return nil, err
+		}
+		timgs = append(timgs, fields[0][start:d.pos])
+	}
+	if d.pos != len(d.src) {
+		return nil, ErrCorrupt
+	}
+	var imgs [][]byte
+	pos := 0
+	for range rows {
+		r := Decoder{src: fields[1], pos: pos}
+		ord, err := r.uvarint()
+		if err != nil {
+			return imgs, err
+		}
+		if ord >= uint64(len(timgs)) {
+			return imgs, ErrCorrupt
+		}
+		start := r.pos
+		r.open = r.openBuf[:0]
+		if _, err := r.Value(); err != nil {
+			return imgs, err
+		}
+		pos = r.pos
+		imgs = append(imgs, slices.Concat([]byte("DBPL\x01"), timgs[ord], fields[1][start:pos]))
+	}
+	if pos != len(fields[1]) {
+		return imgs, ErrCorrupt
+	}
+	return imgs, nil
+}
+
+// replyValues are values of several records sharing witnesses: nested
+// records, lists, a shared sub-value, a cycle, and a dynamic whose value
+// refers back to the record around it, with the witness of each.
+func replyValues(tb testing.TB) ([]value.Value, []types.Type) {
 	shared := value.Rec("City", value.String("Oslo"))
 	cyclic := value.Rec("Name", value.String("loop"))
 	cyclic.Set("Self", cyclic)
@@ -84,8 +200,7 @@ func replySeeds(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 	outer.Set("D", inner)
-	var imgs [][]byte
-	for i, v := range []value.Value{
+	vals := []value.Value{
 		value.Rec("Name", value.String("a"), "Id", value.Int(1)),
 		value.Rec("Name", value.String("b"), "Id", value.Int(2), "Addr", shared, "Home", shared),
 		value.Rec("Name", value.String("c"), "Id", value.Int(3)),
@@ -93,166 +208,289 @@ func replySeeds(tb testing.TB) [][]byte {
 		value.NewSet(value.Rec("K", value.String("k"))),
 		cyclic,
 		outer,
-	} {
-		var decl types.Type
-		if i == 5 {
-			decl = types.MustParse("{Name: String}")
-		}
-		img, err := AppendTagged(nil, v, decl)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		imgs = append(imgs, img)
+		value.Rec("Name", value.String("d"), "Id", value.Int(4), "Addr", shared),
 	}
-	// A record whose value image repeats a label out of order: B, A, B.
-	dup, err := AppendType(nil, types.MustParse("{A: Int}"))
+	wits := make([]types.Type, len(vals))
+	for i, v := range vals {
+		wits[i] = value.TypeOf(v)
+	}
+	wits[5] = types.MustParse("{Name: String}")
+	wits[7] = wits[0]
+	return vals, wits
+}
+
+// replySeeds are payloads of replies, their fields framed as a frame's:
+// replies written by ReplyWriter, one with hand-made rows whose records
+// repeat a label out of order, every malformed reply, and no reply.
+func replySeeds(tb testing.TB) [][]byte {
+	vals, wits := replyValues(tb)
+	// Two rows at {A: Int}, each a record B = 1, A = 2, B = 3.
+	aType, err := AppendType(nil, types.MustParse("{A: Int}"))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	dup = append(dup, vRecord, 3, 1, 'B', vInt, 2, 1, 'A', vInt, 4, 1, 'B', vInt, 6)
-	return [][]byte{
-		joinImages(mixedReply(tb, 64, 4, 256)...),
-		joinImages(dup, imgs[0], dup),
-		joinImages(imgs[:3]...),
-		joinImages(imgs...),
-		joinImages(imgs[5], imgs[6], imgs[0]),
-		joinImages(imgs[0], []byte("DBPL\x01junk")),
+	aRow := []byte{0, vRecord, 3, 1, 'B', vInt, 2, 1, 'A', vInt, 4, 1, 'B', vInt, 6}
+	dup := [][]byte{append([]byte("DBPL\x01\x02\x01"), aType[headerLen:]...), slices.Concat(aRow, aRow)}
+	mixed, mixedWits := mixedReply(tb, 64, 4, 256)
+	seeds := [][]byte{
+		joinImages(writeReply(tb, mixed, mixedWits)...),
+		joinImages(writeReply(tb, vals, wits)...),
+		joinImages(writeReply(tb, vals[:3], wits[:3])...),
+		joinImages(writeReply(tb, []value.Value{vals[5], vals[6], vals[0]}, []types.Type{wits[5], wits[6], wits[0]})...),
+		joinImages(dup...),
+	}
+	for _, m := range malformedReplies(tb) {
+		seeds = append(seeds, joinImages(m.fields...))
+	}
+	return append(seeds, nil)
+}
+
+// malformedReplies are replies a decoder must refuse, each named for its
+// fault, built by changing a good reply of three rows at two witnesses.
+func malformedReplies(tb testing.TB) []struct {
+	name   string
+	fields [][]byte
+} {
+	vals, wits := replyValues(tb)
+	good := writeReply(tb, vals[:3], wits[:3])
+	// withRows is good's types field claiming n rows.
+	withRows := func(n int) []byte {
+		return slices.Concat(good[0][:headerLen], binary.AppendUvarint(nil, uint64(n)), good[0][headerLen+1:])
+	}
+	var old [][]byte
+	for i, v := range vals[:3] {
+		img, err := AppendTagged(nil, v, wits[i])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		old = append(old, img)
+	}
+	ordinal := slices.Clone(good[1])
+	ordinal[0] = 7
+	return []struct {
+		name   string
+		fields [][]byte
+	}{
+		{"an ordinal past the types", [][]byte{good[0], ordinal}},
+		{"a row count past the rows' bytes", [][]byte{withRows(len(good[1])/2 + 1), good[1]}},
+		{"a row count past the rows", [][]byte{withRows(4), good[1]}},
+		{"bytes after the types", [][]byte{append(slices.Clone(good[0]), 0), good[1]}},
+		{"bytes after the rows", [][]byte{good[0], append(slices.Clone(good[1]), vInt)}},
+		{"types with no rows", [][]byte{withRows(0), good[1]}},
+		{"types and no rows field", good[:1]},
+		{"an empty rows field", [][]byte{good[0], nil}},
+		{"a third field", [][]byte{good[0], good[1], good[1]}},
+		{"bad magic", [][]byte{append([]byte("XBPL"), good[0][4:]...), good[1]}},
+		{"one tagged image a row, 3 rows", old},
+		{"one tagged image a row, 2 rows", old[:2]},
+		{"one tagged image a row, 1 row", old[:1]},
 	}
 }
 
-// mixedReply is a reply whose first image is a list of recs small records
-// and whose other images, strs of them, are strings of size bytes.
-func mixedReply(tb testing.TB, recs, strs, size int) [][]byte {
+// isCodecErr reports whether err is one of the codec's errors.
+func isCodecErr(err error) bool {
+	return err != nil && slices.Contains([]error{ErrBadMagic, ErrBadVersion, ErrCorrupt, ErrUnsupported, ErrLimitExceeded}, errClass(err))
+}
+
+// TestReplyRefusesMalformed: each malformed reply is refused with a
+// codec error, and a client sizing its answer from ReplyRows never gets
+// more rows than the rows field can hold.
+func TestReplyRefusesMalformed(t *testing.T) {
+	for _, m := range malformedReplies(t) {
+		rows := 0
+		err := DecodeReply(m.fields, func(int, value.Value, types.Type) { rows++ })
+		if !isCodecErr(err) {
+			t.Errorf("%s: DecodeReply returned %v after %d rows, want a codec error", m.name, err, rows)
+		}
+		if n, err := ReplyRows(m.fields); err == nil && (len(m.fields) != 2 || 2*n > len(m.fields[1])) {
+			t.Errorf("%s: ReplyRows accepts %d rows", m.name, n)
+		}
+	}
+}
+
+// mixedReply is the rows of a reply whose first value is a list of recs
+// small records and whose other values, strs of them, are strings of size
+// bytes, with their witnesses.
+func mixedReply(tb testing.TB, recs, strs, size int) ([]value.Value, []types.Type) {
 	elems := make([]value.Value, recs)
 	for i := range elems {
 		elems[i] = value.Rec("Sku", value.Int(int64(i)))
 	}
-	img, err := AppendTagged(nil, value.NewList(elems...), nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	imgs := [][]byte{img}
+	vals := []value.Value{value.NewList(elems...)}
 	for i := 0; i < strs; i++ {
-		img, err := AppendTagged(nil, value.String(strings.Repeat("s", size)), nil)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		imgs = append(imgs, img)
+		vals = append(vals, value.String(strings.Repeat("s", size)))
 	}
-	return imgs
+	wits := make([]types.Type, len(vals))
+	for i, v := range vals {
+		wits[i] = value.TypeOf(v)
+	}
+	return vals, wits
+}
+
+// TestReplyWriterLayout: ReplyWriter writes the layout's bytes: for no
+// rows, no fields; for several rows at a few witnesses, at more witnesses
+// than the writer keeps inline, and at equal witnesses that are distinct
+// pointers, the reply specReply builds from the definition. Each row
+// decodes through DecodeReply as its tagged image does through
+// DecodeTagged.
+func TestReplyWriterLayout(t *testing.T) {
+	vals, wits := replyValues(t)
+	var many []value.Value
+	var manyWits []types.Type
+	for i := range 40 {
+		v := value.Rec("Id", value.Int(int64(i)), fmt.Sprintf("F%d", i%9), value.Int(1))
+		many, manyWits = append(many, v), append(manyWits, value.TypeOf(v))
+	}
+	twin := types.MustParse("{Name: String, Id: Int}")
+	twins := []types.Type{twin, types.MustParse("{Name: String, Id: Int}"), twin}
+	for _, c := range []struct {
+		name string
+		vals []value.Value
+		wits []types.Type
+	}{
+		{"empty", nil, nil},
+		{"mixed", vals, wits},
+		{"many witnesses", many, manyWits},
+		{"equal witnesses", vals[:3], twins},
+	} {
+		got := writeReply(t, c.vals, c.wits)
+		want := specReply(t, c.vals, c.wits)
+		if len(got) != len(want) || len(got) == 2 && (!bytes.Equal(got[0], want[0]) || !bytes.Equal(got[1], want[1])) {
+			t.Errorf("%s: ReplyWriter wrote %x, the layout is %x", c.name, got, want)
+			continue
+		}
+		imgs, err := refRows(got)
+		if err != nil || len(imgs) != len(c.vals) {
+			t.Fatalf("%s: the reference read %d rows and %v", c.name, len(imgs), err)
+		}
+		if err := DecodeReply(got, func(i int, v value.Value, ty types.Type) {
+			wv, wt, err := DecodeTagged(imgs[i])
+			if err != nil || ty != wt || !sameEncoding(t, v, ty, wv, wt) {
+				t.Errorf("%s: row %d decodes to %v at %s, its image to %v at %s (%v)", c.name, i, v, ty, wv, wt, err)
+			}
+		}); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+}
+
+// sameEncoding reports whether v at t and w at u encode to the same tagged
+// image.
+func sameEncoding(tb testing.TB, v value.Value, t types.Type, w value.Value, u types.Type) bool {
+	a, aerr := AppendTagged(nil, v, t)
+	b, berr := AppendTagged(nil, w, u)
+	return errClass(aerr) == errClass(berr) && bytes.Equal(a, b)
 }
 
 // FuzzReplyDecode: a reply decodes through DecodeReply exactly as its
-// images do one by one through the one-shot DecodeTagged. Both refuse the
-// same image with the same class of error or accept every image, and then
-// each image's witness is the same canonical type and its value
+// rows do one by one through the one-shot DecodeTagged, each the tagged
+// image of a header, its witness's type image and its value's bytes, as
+// refRows reads them from the layout's definition. Both refuse at the
+// same row with the same class of error, or the reference refuses the
+// layout and so does the reply, before any row; or both accept every row,
+// and then each row's witness is the same canonical type and its value
 // re-encodes to the same bytes, and is value.Equal where Equal is decided
-// by structure.
+// by structure. No input panics.
 func FuzzReplyDecode(f *testing.F) {
 	for _, seed := range replySeeds(f) {
 		f.Add(seed)
 	}
-	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		imgs := splitImages(payload)
+		fields := splitImages(payload)
 		type decoded struct {
 			v  value.Value
 			ty types.Type
 		}
 		var got []decoded
-		err := DecodeReply(imgs, func(i int, v value.Value, ty types.Type) {
+		err := DecodeReply(fields, func(i int, v value.Value, ty types.Type) {
 			if i != len(got) {
-				t.Fatalf("image %d decoded after %d images", i, len(got))
+				t.Fatalf("row %d decoded after %d rows", i, len(got))
 			}
 			got = append(got, decoded{v, ty})
 		})
+		if err != nil && !isCodecErr(err) {
+			t.Fatalf("the reply refuses with an untyped error: %v", err)
+		}
+		imgs, rerr := refRows(fields)
+		if rows, _ := ReplyRows(fields); err == nil && rows != len(got) {
+			t.Fatalf("ReplyRows says %d rows; the reply decoded %d", rows, len(got))
+		}
 		for i, img := range imgs {
 			v, ty, werr := DecodeTagged(img)
 			if werr != nil {
-				if len(got) != i || errClass(err) != errClass(werr) {
-					t.Fatalf("image %d: one-shot refuses with %v; the reply decoded %d images and returned %v", i, werr, len(got), err)
-				}
-				return
+				t.Fatalf("row %d: the reference's image does not decode: %v", i, werr)
 			}
 			if i >= len(got) {
-				t.Fatalf("image %d: one-shot decodes; the reply decoded %d images and returned %v", i, len(got), err)
+				t.Fatalf("row %d: one-shot decodes; the reply decoded %d rows and returned %v", i, len(got), err)
 			}
 			if got[i].ty != ty {
-				t.Fatalf("image %d: witness %s, one-shot canonical %s", i, got[i].ty, ty)
+				t.Fatalf("row %d: witness %s, one-shot canonical %s", i, got[i].ty, ty)
 			}
-			want, werr := AppendTagged(nil, v, ty)
-			have, herr := AppendTagged(nil, got[i].v, got[i].ty)
-			if errClass(werr) != errClass(herr) || !bytes.Equal(want, have) {
-				t.Fatalf("image %d re-encodes to %x (%v), one-shot decode to %x (%v)", i, have, herr, want, werr)
+			if !sameEncoding(t, got[i].v, got[i].ty, v, ty) {
+				t.Fatalf("row %d re-encodes unlike its one-shot decode %v", i, v)
 			}
 			if structural(v, map[value.Value]bool{}) && !value.Equal(got[i].v, v) {
-				t.Fatalf("image %d decodes to %v, one-shot to %v", i, got[i].v, v)
+				t.Fatalf("row %d decodes to %v, one-shot to %v", i, got[i].v, v)
 			}
 		}
-		if err != nil {
-			t.Fatalf("every image decodes one-shot; the reply returned %v", err)
+		switch {
+		case rerr == nil && err != nil:
+			t.Fatalf("every row decodes one-shot; the reply returned %v", err)
+		case rerr != nil && (err == nil || len(got) != len(imgs) || errClass(err) != errClass(rerr)):
+			t.Fatalf("the reference refuses after %d rows with %v; the reply decoded %d and returned %v", len(imgs), rerr, len(got), err)
 		}
 	})
 }
 
 // TestReplyStringsAndTypes: a reply's string atoms are substrings of its
-// one copy of the images, not of the images themselves, and its types hold
-// none of the copy's bytes, since a canonical type outlives the reply.
+// rows field, at the offsets their bytes have there, so no byte of the
+// rows is copied; its types and record labels hold none of the payload's
+// bytes, since a canonical type and a label set outlive the reply.
 func TestReplyStringsAndTypes(t *testing.T) {
 	// Labels no other test in the process uses, so the types decoded here
 	// become canonical themselves.
 	ty := types.MustParse("{ReplyOwnName: String, ReplyOwnTags: List[String], ReplyOwnSub: {ReplyOwnLeaf: Int}}")
 	names := []string{"first-atom", "second-atom", "third-atom"}
-	var imgs [][]byte
+	var vals []value.Value
 	for _, name := range names {
-		v := value.Rec("ReplyOwnName", value.String(name),
+		vals = append(vals, value.Rec("ReplyOwnName", value.String(name),
 			"ReplyOwnTags", value.NewList(value.String("tag")),
-			"ReplyOwnSub", value.Rec("ReplyOwnLeaf", value.Int(1)))
-		img, err := AppendTagged(nil, v, ty)
-		if err != nil {
-			t.Fatal(err)
-		}
-		imgs = append(imgs, img)
+			"ReplyOwnSub", value.Rec("ReplyOwnLeaf", value.Int(1))))
 	}
-	// The images are fields of one buffer, as a frame's are.
-	payload := joinImages(imgs...)
-	imgs = splitImages(payload)
-	var vals []*value.Record
+	// The fields are slices of one buffer, as a frame's are.
+	payload := joinImages(writeReply(t, vals, []types.Type{ty, ty, ty})...)
+	fields := splitImages(payload)
+	rows := fields[1]
+	var recs []*value.Record
 	var tys []types.Type
-	if err := DecodeReply(imgs, func(_ int, v value.Value, ty types.Type) {
-		vals, tys = append(vals, v.(*value.Record)), append(tys, ty)
+	if err := DecodeReply(fields, func(_ int, v value.Value, ty types.Type) {
+		recs, tys = append(recs, v.(*value.Record)), append(tys, ty)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	addr := func(s string) uintptr { return uintptr(unsafe.Pointer(unsafe.StringData(s))) }
-	// The copy holds the images back to back, so the first atom's offset
-	// in the first image places it.
-	first := string(vals[0].MustGet("ReplyOwnName").(value.String))
-	start := addr(first) - uintptr(bytes.Index(imgs[0], []byte(first)))
-	end := start + uintptr(len(payload)-len(imgs)) // the images less their one-byte length prefixes
-	inCopy := func(s string) bool { return len(s) > 0 && addr(s) >= start && addr(s) < end }
+	start := uintptr(unsafe.Pointer(unsafe.SliceData(rows)))
+	inRows := func(s string) bool { return len(s) > 0 && addr(s) >= start && addr(s) < start+uintptr(len(rows)) }
 	inPayload := func(s string) bool {
 		p := uintptr(unsafe.Pointer(unsafe.SliceData(payload)))
 		return len(s) > 0 && addr(s) >= p && addr(s) < p+uintptr(len(payload))
 	}
-	offset := 0
-	for i, r := range vals {
+	for i, r := range recs {
 		atom := string(r.MustGet("ReplyOwnName").(value.String))
 		tag := string(r.MustGet("ReplyOwnTags").(*value.List).Elems[0].(value.String))
-		if atom != names[i] || !inCopy(atom) || !inCopy(tag) || inPayload(atom) {
-			t.Errorf("record %d: string atoms %q, %q are not substrings of the reply's copy", i, atom, tag)
+		if atom != names[i] || !inRows(atom) || !inRows(tag) {
+			t.Errorf("record %d: string atoms %q, %q are not substrings of the rows field", i, atom, tag)
 		}
-		if want := start + uintptr(offset+bytes.Index(imgs[i], []byte(atom))); addr(atom) != want {
-			t.Errorf("record %d: atom at %#x, want %#x in the reply's copy", i, addr(atom), want)
+		if want := start + uintptr(bytes.Index(rows, []byte(atom))); addr(atom) != want {
+			t.Errorf("record %d: atom at %#x, want %#x in the rows field", i, addr(atom), want)
 		}
-		offset += len(imgs[i])
 	}
 	var walk func(ty types.Type)
 	walk = func(ty types.Type) {
 		switch tt := ty.(type) {
 		case *types.Record:
 			for _, f := range tt.Fields() {
-				if inCopy(f.Label) || inPayload(f.Label) {
+				if inPayload(f.Label) {
 					t.Errorf("type label %q holds the reply's bytes", f.Label)
 				}
 				walk(f.Type)
@@ -264,8 +502,8 @@ func TestReplyStringsAndTypes(t *testing.T) {
 	for _, ty := range tys {
 		walk(ty)
 	}
-	for _, l := range vals[0].Labels() {
-		if inCopy(l) || inPayload(l) {
+	for _, l := range recs[0].Labels() {
+		if inPayload(l) {
 			t.Errorf("record label %q holds the reply's bytes", l)
 		}
 	}
@@ -281,12 +519,17 @@ func allocBytes(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestReplySlabBound: a reply whose images differ, a list of many small
-// records and then many strings, reserves slabs for what its images hold,
+// TestReplySlabBound: a reply whose rows differ, a list of many small
+// records and then many strings, reserves slabs for what its rows hold,
 // not for the bytes its strings take. It allocates no more than twice what
-// the one-shot decoder does for the same images.
+// the one-shot decoder does for the rows' tagged images.
 func TestReplySlabBound(t *testing.T) {
-	imgs := splitImages(joinImages(mixedReply(t, 2000, 1000, 1<<10)...))
+	vals, wits := mixedReply(t, 2000, 1000, 1<<10)
+	fields := splitImages(joinImages(writeReply(t, vals, wits)...))
+	imgs, err := refRows(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
 	oneShot := allocBytes(func() {
 		for _, img := range imgs {
 			if _, _, err := DecodeTagged(img); err != nil {
@@ -295,7 +538,7 @@ func TestReplySlabBound(t *testing.T) {
 		}
 	})
 	reply := allocBytes(func() {
-		if err := DecodeReply(imgs, func(int, value.Value, types.Type) {}); err != nil {
+		if err := DecodeReply(fields, func(int, value.Value, types.Type) {}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -332,7 +575,9 @@ func TestDynamicSeesEnclosingRecord(t *testing.T) {
 		t.Fatalf("DecodeTagged: %v", err)
 	}
 	check("DecodeTagged", v)
-	if err := DecodeReply([][]byte{img, img}, func(_ int, v value.Value, _ types.Type) { check("DecodeReply", v) }); err != nil {
+	w := value.TypeOf(outer)
+	fields := writeReply(t, []value.Value{outer, outer}, []types.Type{w, w})
+	if err := DecodeReply(fields, func(_ int, v value.Value, _ types.Type) { check("DecodeReply", v) }); err != nil {
 		t.Fatalf("DecodeReply: %v", err)
 	}
 }

@@ -209,11 +209,11 @@ func BenchmarkServeJoin(b *testing.B) {
 }
 
 // TestServeJoinBulkAllocs: a loopback JOIN of the read-bulk shape costs
-// at most 1 200 allocations in the whole process: the client's request,
+// at most 850 allocations in the whole process: the client's request,
 // the server's read, relations, join, typing and reply, and the client's
-// decode. It measures 891 with Go 1.24 on linux/amd64.
+// decode. It measures 802 with Go 1.24 on linux/amd64.
 func TestServeJoinBulkAllocs(t *testing.T) {
-	const maxAllocs = 1200
+	const maxAllocs = 850
 	addr, left, right := joinBulkServer(t)
 	c, err := client.Dial(addr, &client.Options{PoolSize: 1})
 	if err != nil {
@@ -240,7 +240,9 @@ func TestServeJoinBulkAllocs(t *testing.T) {
 		join()
 	}
 	runtime.ReadMemStats(&after)
-	if allocs := float64(after.Mallocs-before.Mallocs) / runs; allocs > maxAllocs {
+	allocs := float64(after.Mallocs-before.Mallocs) / runs
+	t.Logf("a 136 × 8 JOIN: %.0f allocations process-wide", allocs)
+	if allocs > maxAllocs {
 		t.Errorf("a 136 × 8 JOIN costs %.0f allocations process-wide, want <= %d", allocs, maxAllocs)
 	}
 }

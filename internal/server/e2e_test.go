@@ -455,11 +455,12 @@ func rawJoin(t *testing.T, h *harness, t1, t2 types.Type) ([]value.Value, []type
 	if op != wire.OpValues {
 		t.Fatalf("JOIN answered %s: %v", wire.OpName(op), wire.DecodeError(fields))
 	}
-	vals, wits := make([]value.Value, len(fields)), make([]types.Type, len(fields))
-	for i, f := range fields {
-		if vals[i], wits[i], err = codec.DecodeTagged(f); err != nil {
-			t.Fatal(err)
-		}
+	var vals []value.Value
+	var wits []types.Type
+	if err := codec.DecodeReply(fields, func(_ int, v value.Value, w types.Type) {
+		vals, wits = append(vals, v), append(wits, w)
+	}); err != nil {
+		t.Fatal(err)
 	}
 	return vals, wits
 }

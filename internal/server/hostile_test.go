@@ -150,7 +150,7 @@ func TestOversizedReplyIsTypedError(t *testing.T) {
 	if op, fields := get(employeeT, 0xB16); op != wire.OpError || !errors.Is(wire.DecodeError(fields), wire.ErrTooLarge) {
 		t.Fatalf("oversized GET answered op %#x (%v), want a CodeTooLarge error", op, wire.DecodeError(fields))
 	}
-	if op, fields := get(smallT, 0xB17); op != wire.OpValues || len(fields) != 1 {
+	if op, fields := get(smallT, 0xB17); op != wire.OpValues || len(fields) != 2 {
 		t.Fatalf("small GET on the same connection answered op %#x with %d fields", op, len(fields))
 	}
 }

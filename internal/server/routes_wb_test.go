@@ -213,8 +213,8 @@ func TestRequestClassRoleGate(t *testing.T) {
 // TestRequestClassAdmissionAndTracing: with the in-flight cap reached and
 // every request sampled, the monitor rows answer, leave the in-flight
 // gauge where it was and record no trace; every other row but the
-// stream is shed and traced. An opcode without a row is refused with
-// CodeUnknownOp and counted as op="unknown".
+// stream is shed, and traced but for PING. An opcode without a row is
+// refused with CodeUnknownOp and counted as op="unknown".
 func TestRequestClassAdmissionAndTracing(t *testing.T) {
 	srv, _, addr := serveWB(t, "admit.log", Config{MaxInFlight: 1, TraceSampleRate: 1})
 	srv.m.inflight.Add(1)
@@ -239,8 +239,8 @@ func TestRequestClassAdmissionAndTracing(t *testing.T) {
 				t.Errorf("%s: shed %v, traced %v; a stream is neither", wire.OpName(op), shed, traced)
 			}
 		default:
-			if !shed || !traced {
-				t.Errorf("%s: shed %v, traced %v; want both", wire.OpName(op), shed, traced)
+			if !shed || traced != (op != wire.OpPing) {
+				t.Errorf("%s: shed %v, traced %v; want shed, and traced but for PING", wire.OpName(op), shed, traced)
 			}
 		}
 	}

@@ -697,8 +697,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		// a span tree. The monitor class is never traced — HEALTH polls
 		// every second on a replica set and TRACES would trace its own
 		// fetch; their span trees are noise that would churn the ring.
+		// Nor is PING: every client dial sends one, so each run of a
+		// monitoring CLI would record its PING in the ring it reads.
 		var tr *rtrace.Trace
-		if s.traces != nil && class != wire.ClassMonitor {
+		if s.traces != nil && class != wire.ClassMonitor && op != wire.OpPing {
 			id := trace
 			if id == 0 {
 				id = rtrace.NextID()
@@ -1049,40 +1051,18 @@ func (s *Server) handleGet(sess *session, fields [][]byte) (byte, [][]byte) {
 	esp := sess.tr.Start(0, "exec")
 	entries, _ := sess.view(s).idx.GetEntries(ws[0])
 	sess.tr.End(esp)
-	var typeImgs map[types.Type][]byte // each witness's, encoded once per reply
-	return valuesReply(len(entries), func(dst []byte, i int) ([]byte, error) {
-		t := entries[i].Dyn.Type()
-		timg, ok := typeImgs[t]
-		if !ok {
-			var err error
-			if timg, err = codec.AppendType(nil, t); err != nil {
-				return dst, err
-			}
-			if typeImgs == nil {
-				typeImgs = map[types.Type][]byte{}
-			}
-			typeImgs[t] = timg
-		}
-		return codec.AppendTaggedImage(dst, timg, entries[i].Dyn.Value())
-	})
+	w := codec.NewReplyWriter(len(entries))
+	for _, e := range entries {
+		w.Row(e.Dyn.Value(), e.Dyn.Type())
+	}
+	return valuesOf(&w)
 }
 
-// valuesReply answers with n tagged images, appended by image into one
-// buffer that the reply's fields slice.
-func valuesReply(n int, image func(dst []byte, i int) ([]byte, error)) (byte, [][]byte) {
-	var buf []byte
-	ends := make([]int, n)
-	for i := range ends {
-		var err error
-		if buf, err = image(buf, i); err != nil {
-			return errResp(toWireError(err))
-		}
-		ends[i] = len(buf)
-	}
-	out := make([][]byte, n)
-	start := 0
-	for i, end := range ends {
-		out[i], start = buf[start:end], end
+// valuesOf answers with the reply w wrote.
+func valuesOf(w *codec.ReplyWriter) (byte, [][]byte) {
+	out, err := w.Fields()
+	if err != nil {
+		return errResp(toWireError(err))
 	}
 	return wire.OpValues, out
 }
@@ -1125,7 +1105,7 @@ type witnessed struct {
 
 // handleJoin answers the generalized join in the paper's types: the member
 // joining a left member declared at σ with a right one declared at τ ships
-// at σ ⊓ τ, computed and encoded once per distinct pair of witnesses. A
+// at σ ⊓ τ, computed once per distinct pair of witnesses. A
 // member ships at its most specific type (value.TypeOf) instead when the
 // meet is uninhabited, which takes a quantified witness or a recursive one
 // past types.Meet's unfolding bound, or when the member does not conform
@@ -1143,33 +1123,28 @@ func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
 	right, rw := relationOf(st, ws[1])
 	joined, pairs := relation.JoinPairs(left, right, relation.PlanJoin(left, right))
 	members := joined.Members()
-	type meet struct {
-		img []byte          // the meet's type image; nil when uninhabited
-		typ *types.Interned // the meet, for the conformance check
-	}
-	var meets map[[2]types.Type]meet
-	return valuesReply(len(members), func(dst []byte, i int) ([]byte, error) {
+	var meets map[[2]types.Type]*types.Interned // nil when uninhabited
+	w := codec.NewReplyWriter(len(members))
+	for i, m := range members {
 		l, r := lw[pairs[i][0]], rw[pairs[i][1]]
 		pw := [2]types.Type{l.wit, r.wit}
-		m, ok := meets[pw]
+		meet, ok := meets[pw]
 		if !ok {
 			if t, ok := types.Meet(pw[0], pw[1]); ok {
-				var err error
-				if m.img, err = codec.AppendType(nil, t); err != nil {
-					return dst, err
-				}
-				m.typ = types.Intern(t)
+				meet = types.Intern(t)
 			}
 			if meets == nil {
-				meets = map[[2]types.Type]meet{}
+				meets = map[[2]types.Type]*types.Interned{}
 			}
-			meets[pw] = m
+			meets[pw] = meet
 		}
-		if m.img == nil || (l.bottom || r.bottom) && !value.ConformsInterned(members[i], m.typ) {
-			return codec.AppendTagged(dst, members[i], nil)
+		if meet == nil || (l.bottom || r.bottom) && !value.ConformsInterned(m, meet) {
+			w.Row(m, value.TypeOf(m))
+		} else {
+			w.Row(m, meet.Type())
 		}
-		return codec.AppendTaggedImage(dst, m.img, members[i])
-	})
+	}
+	return valuesOf(&w)
 }
 
 // ---------------------------------------------------------------------------

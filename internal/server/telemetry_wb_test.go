@@ -5,6 +5,7 @@ package server
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -143,4 +144,42 @@ func TestFullTraceRingOneFrame(t *testing.T) {
 		n += len(f)
 	}
 	t.Logf("%d traces of %d spans: %d B of TRACES fields", traces, spans, n)
+}
+
+// TestDialsLeaveNoPingTrace: on a server tracing every request, two
+// dials — each of which sends a PING — followed by TRACES leave no PING
+// trace in the ring, and a GET is still traced.
+func TestDialsLeaveNoPingTrace(t *testing.T) {
+	_, _, addr := serveWB(t, "ping.log", Config{TraceSampleRate: 1})
+	var cs []*client.Client
+	for range 2 {
+		c, err := client.Dial(addr, &client.Options{PoolSize: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		cs = append(cs, c)
+	}
+	ds, err := cs[1].Traces()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range ds {
+		if d.Op == "PING" {
+			t.Errorf("a dial's PING is traced: %+v", d)
+		}
+	}
+	if _, err := cs[0].Get(types.MustParse("{Name: String}")); err != nil {
+		t.Fatal(err)
+	}
+	if ds, err = cs[1].Traces(); err != nil {
+		t.Fatal(err)
+	}
+	ops := make([]string, len(ds))
+	for i, d := range ds {
+		ops[i] = d.Op
+	}
+	if !slices.Equal(ops, []string{"GET"}) {
+		t.Errorf("the ring holds traces of %v, want one GET", ops)
+	}
 }

@@ -102,7 +102,7 @@ const (
 // a dead link and track lag while fully caught up.
 const (
 	OpOK           byte = 0x80
-	OpValues       byte = 0x81
+	OpValues       byte = 0x81 // [types, rows] (codec.ReplyWriter), or none
 	OpError        byte = 0x82 // [code(1), message]
 	OpRepData      byte = 0x83 // [startOffset, rawGroups, epoch, trace, commitNS, crc32c(4)]
 	OpRepHeartbeat byte = 0x84 // [durableEnd, epoch]
@@ -155,10 +155,10 @@ type Op struct {
 // idempotency key.
 var Ops = [...]Op{
 	OpPing:        {"PING", ClassAdmin, 0, 0, OpOK},                 // [] -> []
-	OpGet:         {"GET", ClassRead, 1, 1, OpValues},               // [type-image] -> [tagged...]
+	OpGet:         {"GET", ClassRead, 1, 1, OpValues},               // [type-image] -> [types, rows], or [] when empty
 	OpPut:         {"PUT", ClassWrite, 2, 3, OpOK},                  // [name, tagged-image, key?]
 	OpDelete:      {"DELETE", ClassWrite, 1, 2, OpOK},               // [name, key?] -> [existed(1)]
-	OpJoin:        {"JOIN", ClassRead, 2, 2, OpValues},              // [type-image, type-image] -> [tagged...]
+	OpJoin:        {"JOIN", ClassRead, 2, 2, OpValues},              // [type-image, type-image] -> [types, rows], or []
 	OpBegin:       {"BEGIN", ClassWrite, 0, 0, OpOK},                // [] -> []
 	OpCommit:      {"COMMIT", ClassWrite, 0, 1, OpOK},               // [key?]
 	OpAbort:       {"ABORT", ClassRead, 0, 0, OpOK},                 // [] -> []

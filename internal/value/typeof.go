@@ -188,19 +188,39 @@ func conforms(v Value, t types.Type) (ok, decided bool) {
 	if t.Kind() == types.KindTop {
 		return true, true
 	}
-	var w walk[typed, verdict]
-	if cyclic(v, &w) {
-		return false, false
-	}
-	ok, decided = conform(v, t, 0, &w)
+	var w conformWalk
+	return w.run(v, t)
+}
+
+// conformWalk is the conformance walk. In the same pass it searches the
+// value for a cycle: it enters every container the value reaches, at Top
+// where the type does not cover it, so a container is entered once for
+// both. A tree costs no allocation, and a DAG at most walkBudget steps an
+// edge, as every walk. A cycle sends the first pass deeper than pathFrom;
+// the second memoizes each step as it enters it, so a container met again
+// at Top while it is on the path is a cycle, and a step at any other type
+// never is: each is a part of the type of the step above it.
+type conformWalk struct {
+	walk[typed, verdict]
+	cycle bool // the second pass met a cycle, and stopped
+}
+
+// run walks t over v, in a second pass when the first is spent, and
+// returns the verdict, left undecided when v reaches a cycle.
+func (w *conformWalk) run(v Value, t types.Type) (ok, decided bool) {
+	ok, decided = conform(v, t, 0, w)
 	if w.again() {
-		ok, decided = conform(v, t, 0, &w)
+		ok, decided = conform(v, t, 0, w)
+	}
+	if w.cycle {
+		return false, false
 	}
 	return ok, decided
 }
 
 // typed is a step of the conformance walk: the container v against the
-// type node t, depth levels below the outermost list or set.
+// type node t, depth levels below the outermost list or set; a step of the
+// search alone is at Top and depth 0.
 type typed struct {
 	v     Value
 	t     types.Type
@@ -210,112 +230,191 @@ type typed struct {
 // verdict is what the conformance walk memoizes for a step.
 type verdict struct{ ok, decided bool }
 
-// conform decides v : t for an acyclic v, depth levels below the outermost
-// list or set.
-func conform(v Value, t types.Type, depth int, w *walk[typed, verdict]) (ok, decided bool) {
-	switch t.(type) {
-	case *types.Basic, *types.Record, *types.Variant, *types.List, *types.Set:
-	default:
-		return false, false
-	}
-	if t.Kind() == types.KindTop {
-		return true, true
-	}
-	if depth > walkDepth {
-		return false, false
-	}
-	switch v.(type) {
-	case bottomValue:
-		return true, true
-	case Int:
-		return atomConforms(types.KindInt, t), true
-	case Float:
-		return atomConforms(types.KindFloat, t), true
-	case String:
-		return atomConforms(types.KindString, t), true
-	case Bool:
-		return atomConforms(types.KindBool, t), true
-	case unitValue:
-		return atomConforms(types.KindUnit, t), true
-	case *TypeVal:
-		return atomConforms(types.KindTypeRep, t), true
-	case *Record, *List, *Set, *Tag:
-	default:
-		return false, false
-	}
-	k := typed{v, t, depth}
-	if vd, ok := w.seen(k); ok {
-		return vd.ok, vd.decided
-	}
-	start := w.enter(k, verdict{})
-	ok, decided = conformContainer(v, t, depth, w)
-	w.leave(k, verdict{ok, decided}, start)
-	return ok, decided
+// and is the verdict of a conjunction: decided false when either part is,
+// else undecided when either part is.
+func and(ok, decided, pok, pdec bool) (bool, bool) {
+	return ok && pok, !ok && decided || !pok && pdec || decided && pdec
 }
 
-// conformContainer is conform for the record, list, set or tag v. Every
-// element of a list or set must conform: a false verdict on any element
-// decides the whole, as a conjunction does.
-func conformContainer(v Value, t types.Type, depth int, w *walk[typed, verdict]) (ok, decided bool) {
+// conform decides v : t, depth levels below the outermost list or set,
+// and searches v for a cycle. Where t stops covering v — it is Top, a form
+// the walk leaves to the reference, nested past walkDepth, or of another
+// shape than v — the search goes on at Top.
+func conform(v Value, t types.Type, depth int, w *conformWalk) (ok, decided bool) {
+	ok, decided = true, true
+	if t != types.Top {
+		switch t.(type) {
+		case *types.Basic, *types.Record, *types.Variant, *types.List, *types.Set:
+			if t.Kind() == types.KindTop {
+				t = types.Top
+			} else if depth > walkDepth {
+				ok, decided, t = false, false, types.Top
+			}
+		default:
+			ok, decided, t = false, false, types.Top
+		}
+	}
+	var k types.Kind
+	switch v.(type) {
+	case bottomValue:
+		return ok, decided
+	case Int:
+		k = types.KindInt
+	case Float:
+		k = types.KindFloat
+	case String:
+		k = types.KindString
+	case Bool:
+		k = types.KindBool
+	case unitValue:
+		k = types.KindUnit
+	case *TypeVal:
+		k = types.KindTypeRep
+	case *Record, *List, *Set, *Tag:
+		if t == types.Top {
+			search(v, w)
+			return ok, decided
+		}
+		key := typed{v, t, depth}
+		vd, seen := w.seen(key)
+		if !seen {
+			start := w.enter(key, verdict{})
+			vd.ok, vd.decided = conformContainer(v, t, depth, w)
+			w.leave(key, vd, start)
+		}
+		return and(ok, decided, vd.ok, vd.decided)
+	default:
+		if t == types.Top {
+			return ok, decided
+		}
+		return false, false
+	}
+	if t == types.Top {
+		return ok, decided
+	}
+	return atomConforms(k, t), true
+}
+
+// conformContainer is conform for the record, list, set or tag v, which it
+// walks whole. Every element of a list or set must conform: a false
+// verdict on any element decides the whole, as a conjunction does. The
+// walk stops at a cycle.
+func conformContainer(v Value, t types.Type, depth int, w *conformWalk) (ok, decided bool) {
 	below := depth + min(depth, 1) // each level counts below a list or set
-	var elems []Value
-	var elem types.Type
 	switch vv := v.(type) {
 	case *Record:
-		tr, ok := t.(*types.Record)
-		labels := vv.Shape().labels
-		if !ok || tr.LabelBits()&^vv.Shape().bits != 0 {
-			return false, true
+		if tr, _ := t.(*types.Record); tr != nil && tr.LabelBits()&^vv.Shape().bits == 0 {
+			return conformRecord(vv, tr, below, w)
 		}
-		// Both label lists are sorted: a merge join, like the subtype check.
-		decided = true
-		j := 0
-		for i := 0; i < tr.Len(); i++ {
-			f := tr.Field(i)
-			for j < len(labels) && labels[j] < f.Label {
-				j++
-			}
-			if j == len(labels) || labels[j] != f.Label {
-				return false, true
-			}
-			switch ok, d := conform(vv.values[j], f.Type, below, w); {
-			case !d:
-				decided = false
-			case !ok:
-				return false, true
-			}
-		}
-		return true, decided
 	case *Tag:
-		if tv, ok := t.(*types.Variant); ok {
-			if pt, ok := tv.Lookup(vv.Label); ok {
+		if tv, _ := t.(*types.Variant); tv != nil {
+			if pt, found := tv.Lookup(vv.Label); found {
 				return conform(vv.Payload, pt, below, w)
 			}
 		}
-		return false, true
 	case *List:
-		tl, ok := t.(*types.List)
-		if !ok {
-			return false, true
+		if tl, _ := t.(*types.List); tl != nil {
+			return conformElems(vv.Elems, tl.Elem, depth+1, w)
 		}
-		elems, elem = vv.Elems, tl.Elem
 	case *Set:
-		ts, ok := t.(*types.Set)
-		if !ok {
-			return false, true
+		if ts, _ := t.(*types.Set); ts != nil {
+			return conformElems(vv.elems, ts.Elem, depth+1, w)
 		}
-		elems, elem = vv.elems, ts.Elem
 	}
-	decided = true
+	// t covers no part of v: v does not conform, and its parts are
+	// searched at Top.
+	if !searchParts(v, w) {
+		return false, false
+	}
+	return false, true
+}
+
+// conformRecord is conformContainer for the record r at a record type tr
+// that may hold only labels r has; below is the depth of r's fields.
+func conformRecord(r *Record, tr *types.Record, below int, w *conformWalk) (ok, decided bool) {
+	ok, decided = true, true
+	// Both label lists are sorted: a merge join, like the subtype check.
+	i := 0 // tr's next field
+	for j, l := range r.Shape().labels {
+		for i < tr.Len() && tr.Field(i).Label < l {
+			ok, decided, i = false, true, i+1 // a label r lacks
+		}
+		if i == tr.Len() || tr.Field(i).Label != l {
+			if !search(r.values[j], w) {
+				return false, false
+			}
+			continue
+		}
+		pok, pdec := conform(r.values[j], tr.Field(i).Type, below, w)
+		if w.cycle {
+			return false, false
+		}
+		ok, decided = and(ok, decided, pok, pdec)
+		i++
+	}
+	if i < tr.Len() {
+		return false, true
+	}
+	return ok, decided
+}
+
+// conformElems is conformContainer for the elements of a list or set at
+// the element type elem, depth levels below the outermost list or set.
+func conformElems(elems []Value, elem types.Type, depth int, w *conformWalk) (ok, decided bool) {
+	ok, decided = true, true
 	for _, e := range elems {
-		switch ok, d := conform(e, elem, depth+1, w); {
-		case !d:
-			decided = false
-		case !ok:
-			return false, true
+		pok, pdec := conform(e, elem, depth, w)
+		if w.cycle {
+			return false, false
+		}
+		ok, decided = and(ok, decided, pok, pdec)
+	}
+	return ok, decided
+}
+
+// searchParts searches the parts of the container v, and reports false
+// at a cycle.
+func searchParts(v Value, w *conformWalk) bool {
+	var parts []Value
+	switch vv := v.(type) {
+	case *Record:
+		parts = vv.values
+	case *List:
+		parts = vv.Elems
+	case *Set:
+		parts = vv.elems
+	case *Tag:
+		return search(vv.Payload, w)
+	}
+	for _, p := range parts {
+		if !search(p, w) {
+			return false
 		}
 	}
-	return true, decided
+	return true
+}
+
+// search walks v at Top, for the cycle search alone, and reports false at
+// a cycle.
+func search(v Value, w *conformWalk) bool {
+	switch v.(type) {
+	case *Record, *List, *Set, *Tag:
+	default:
+		return true
+	}
+	k := typed{v: v, t: types.Top}
+	if vd, seen := w.seen(k); seen {
+		if w.path && !vd.ok {
+			w.cycle = true // on the path
+		}
+		return !w.cycle
+	}
+	start := w.enter(k, verdict{})
+	if !searchParts(v, w) {
+		return false
+	}
+	w.leave(k, verdict{true, true}, start)
+	return true
 }
 
 // atomConforms reports whether an atom of basic kind k conforms to t, one of
@@ -323,51 +422,4 @@ func conformContainer(v Value, t types.Type, depth int, w *walk[typed, verdict])
 func atomConforms(k types.Kind, t types.Type) bool {
 	b, ok := t.(*types.Basic)
 	return ok && basicLeq[k][b.Kind()]
-}
-
-// cyclic reports whether a container reachable from v lies on a cycle. It
-// is a walk over w, which the conformance walk then goes on with: a first
-// pass follows containers with no map, and marks in w's memo, under the
-// type nil, only a container whose part took more than walkBudget steps
-// and is acyclic. A cycle sends the first pass deeper than pathFrom, and
-// the second pass memoizes each container as it enters it, as on the path,
-// and as finished when it leaves it, so a container met on the path is a
-// cycle. A tree costs no allocation, and a DAG at most walkBudget steps an
-// edge, as every walk.
-func cyclic(v Value, w *walk[typed, verdict]) bool {
-	c := cycles(v, w)
-	if w.again() {
-		c = cycles(v, w)
-	}
-	return c
-}
-
-// cycles is one pass of cyclic. A spent walk sees every container as on
-// the path, so it returns at once, its answer void.
-func cycles(v Value, w *walk[typed, verdict]) bool {
-	var elems []Value
-	switch vv := v.(type) {
-	case *Record:
-		elems = vv.values
-	case *List:
-		elems = vv.Elems
-	case *Set:
-		elems = vv.elems
-	case *Tag:
-		elems = []Value{vv.Payload}
-	default:
-		return false
-	}
-	k := typed{v: v}
-	if vd, ok := w.seen(k); ok {
-		return !vd.ok // on the path, or done
-	}
-	start := w.enter(k, verdict{})
-	for _, e := range elems {
-		if cycles(e, w) {
-			return true
-		}
-	}
-	w.leave(k, verdict{ok: true}, start)
-	return false
 }

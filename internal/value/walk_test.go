@@ -193,16 +193,15 @@ func checkWalks(t *testing.T, x, y Value, small bool) {
 	}
 
 	ty := TypeOf(y)
-	var cp walk[typed, verdict]
-	cm := walk[typed, verdict]{path: true}
+	var cp conformWalk
+	cm := conformWalk{walk: walk[typed, verdict]{path: true}}
 	okPlain, decPlain := conform(x, ty, 0, &cp)
 	okMemo, decMemo := conform(x, ty, 0, &cm)
 	if !cp.spent && (okPlain != okMemo || decPlain != decMemo) {
 		t.Fatalf("%s : %s: first pass (%v, %v), memo (%v, %v)", x, ty, okPlain, decPlain, okMemo, decMemo)
 	}
-	var w walk[typed, verdict]
-	if got, want := cyclic(x, &w), onCycle(x); got != want {
-		t.Fatalf("cyclic(%s) = %v, want %v", x, got, want)
+	if got, want := cm.cycle, onCycle(x); got != want {
+		t.Fatalf("the conformance walk of %s finds a cycle: %v, want %v", x, got, want)
 	} else if want {
 		okMemo, decMemo = false, false
 	}
@@ -443,6 +442,24 @@ func timeOp(t *testing.T, name string, deep int, prep func(d int) func()) {
 	}
 }
 
+// TestConformsOnePassOnDAGs: the conformance walk of a DAG of 10 levels
+// at its own type, which covers every container, takes exactly the steps
+// of the cycle search alone, the walk at Top: one pass, each container
+// entered once for both. A walk that searched first and then conformed
+// would take twice as many.
+func TestConformsOnePassOnDAGs(t *testing.T) {
+	x := dag(10, Rec("n", Int(1)))
+	var typed, search conformWalk
+	if ok, decided := typed.run(x, TypeOf(x)); !ok || !decided {
+		t.Fatalf("a DAG of 10 levels: conforms = (%v, %v) at its own type", ok, decided)
+	}
+	search.run(x, types.Top)
+	if typed.steps != search.steps || typed.path || typed.cycle {
+		t.Errorf("the conformance walk took %d steps (second pass %v), the cycle search alone %d", typed.steps, typed.path, search.steps)
+	}
+	t.Logf("%d steps on %d containers", typed.steps, len(containers(x)))
+}
+
 // TestCopyKeepsSharing: the copy of a DAG is a DAG with exactly as many
 // distinct containers, none of them the input's, so a copy of a value that
 // shares costs its containers, not their unfolding.
@@ -541,8 +558,9 @@ func TestJoinCycleThroughSet(t *testing.T) {
 	}
 }
 
-// TestCyclicRings: the cycle check finds a ring of records however long,
-// past pathFrom included, and passes a chain that deep and a DAG.
+// TestCyclicRings: the conformance walk's cycle search finds a ring of
+// records however long, past pathFrom included, and passes a chain that
+// deep and a DAG, at Top and at the value's own type.
 func TestCyclicRings(t *testing.T) {
 	ring := func(n int) Value {
 		first := Rec("n", Int(0))
@@ -573,9 +591,12 @@ func TestCyclicRings(t *testing.T) {
 		{"a chain 4·pathFrom deep", chain(4 * pathFrom), false},
 		{"a DAG of 40 levels", dag(40, Int(1)), false},
 	} {
-		var w walk[typed, verdict]
-		if got := cyclic(c.v, &w); got != c.want {
-			t.Errorf("cyclic(%s) = %v, want %v", c.name, got, c.want)
+		for _, ty := range []types.Type{types.Top, TypeOf(c.v)} {
+			var w conformWalk
+			w.run(c.v, ty)
+			if w.cycle != c.want {
+				t.Errorf("the conformance walk of %s at %s finds a cycle: %v, want %v", c.name, ty, w.cycle, c.want)
+			}
 		}
 	}
 }
