@@ -22,8 +22,13 @@ test:
 
 # Every package under the race detector: the concurrency stress tests
 # (forked core databases, index sets, persist stores, the server's commit
-# pipeline, transaction views, replication and failover) are only meaningful here. To run one feature's tests,
-# filter by name, e.g. `go test -race -run 'Repl|Follower' ./internal/server/`.
+# pipeline, transaction views, replication and failover, GETs racing to
+# store a member's value bytes) are only meaningful here. -race also turns
+# on checkptr, which checks the codec's two unsafe uses as the reply tests
+# run them: unsafe.String over a reply's rows field, and box, which makes
+# a reply's slab element the data word of a boxed atom. To run one
+# feature's tests, filter by name, e.g.
+# `go test -race -run 'Repl|Follower' ./internal/server/`.
 race:
 	$(GO) test -race ./...
 
@@ -54,7 +59,11 @@ bench-smoke:
 # decoder (differential against per-row DecodeTagged of each row's tagged
 # image, read from the layout's definition; its seeds include a bad
 # ordinal, a row count past the bytes, trailing bytes, types with no rows
-# and the old one-image-a-row payload, all refused with a codec error) and
+# and the old one-image-a-row payload, all refused with a codec error, and
+# a reply of atoms at the edges of what box boxes — Ints at 0, 255, 256,
+# -1 and MinInt64, Floats at -0, NaN and +Inf, an empty and a long String
+# — whose every atom must have the one-shot decode's dynamic type and be
+# == to it, NaN aside) and
 # a live server fed
 # each input as a PUT image, then GET, JOIN, EXPLAIN and NAMES over it
 # (HEALTH must answer after every input), and the client's STATS and

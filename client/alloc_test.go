@@ -53,13 +53,14 @@ func TestTracedStampWriteSideAllocs(t *testing.T) {
 
 // TestDecodeGetAllocs: a VALUES reply of 512 records in 4 interleaved
 // witness types decodes each record at the canonical type a one-shot
-// DecodeTagged gives — its own types.Intern handle — at no more than 4
-// allocations a record. The reply states each type once, cuts its records
-// and value slices from slabs, gives the records of one label set their
-// interned value.Shape without a label string, and slices its string atoms
-// from the rows field, so what is left is the boxing of the atoms.
+// DecodeTagged gives — its own types.Intern handle — at no more than 0.1
+// allocations a record. The reply states each type once, cuts its records,
+// value slices and boxed atoms from slabs, gives the records of one label
+// set their interned value.Shape without a label string, and slices its
+// string atoms from the rows field, so what is left is the slabs and the
+// answer. It measures 0.02 with Go 1.24 on linux/amd64.
 func TestDecodeGetAllocs(t *testing.T) {
-	const n, witnesses, maxPerRecord = 512, 4, 4
+	const n, witnesses, maxPerRecord = 512, 4, 0.1
 	recs := make([]value.Value, n)
 	want := make([]types.Type, n)
 	w := codec.NewReplyWriter(n)
@@ -101,6 +102,6 @@ func TestDecodeGetAllocs(t *testing.T) {
 	})
 	t.Logf("decoding a %d-record reply: %.2f allocs a record", n, allocs/n)
 	if perRecord := allocs / n; perRecord > maxPerRecord {
-		t.Errorf("decoding a %d-record reply costs %.1f allocs a record, want <= %d", n, perRecord, maxPerRecord)
+		t.Errorf("decoding a %d-record reply costs %.2f allocs a record, want <= %g", n, perRecord, maxPerRecord)
 	}
 }

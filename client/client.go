@@ -260,9 +260,10 @@ func (o Options) replicaProbe() time.Duration {
 // Packed mirrors core.Packed: a remote object with the witness type it was
 // stored at. The values of one reply (Get, GetExpr, Join) share what the
 // reply was decoded into: the frame's payload, which their string atoms
-// are substrings of, and the slabs their records come from. So a
-// value kept from a reply pins what that one frame was decoded into, and
-// nothing of any other reply; the witness types pin none of it.
+// are substrings of, and the slabs their records and boxed atoms come
+// from. So a value kept from a reply, down to one atom taken out of a
+// record, pins what that one frame was decoded into, and nothing of any
+// other reply; the witness types pin none of it.
 type Packed = core.Packed
 
 // Client is a pooled connection to one dbpl server. It is safe for

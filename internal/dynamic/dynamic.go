@@ -14,6 +14,7 @@ package dynamic
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"dbpl/internal/types"
 	"dbpl/internal/value"
@@ -26,6 +27,9 @@ type Dynamic struct {
 	v  value.Value
 	t  types.Type
 	in *types.Interned // canonical handle of t, computed at construction
+	// img is v's external image once Image has been asked for it: written
+	// once, then shared by every holder of the dynamic.
+	img atomic.Pointer[[]byte]
 }
 
 // Kind implements value.Value.
@@ -66,6 +70,26 @@ func (d *Dynamic) Type() types.Type { return d.t }
 // extents are keyed by it, and IsInterned makes the per-candidate subtype
 // test a pointer-keyed cache hit.
 func (d *Dynamic) Interned() *types.Interned { return d.in }
+
+// Image returns the external image of the carried value, written by
+// encode at the first call and returned by every later one. The image is
+// never refreshed, so Image is for a dynamic whose value nothing changes
+// any more, such as a published root. Callers racing on the first call
+// may each run encode; all of them return the image stored first. An
+// encode error is returned and nothing is stored.
+func (d *Dynamic) Image(encode func(value.Value) ([]byte, error)) ([]byte, error) {
+	if p := d.img.Load(); p != nil {
+		return *p, nil
+	}
+	img, err := encode(d.v)
+	if err != nil {
+		return nil, err
+	}
+	if !d.img.CompareAndSwap(nil, &img) {
+		img = *d.img.Load()
+	}
+	return img, nil
+}
 
 // TypeVal returns the carried type reified as a value of type Type.
 func (d *Dynamic) TypeVal() *value.TypeVal { return value.NewTypeVal(d.t) }

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"dbpl/internal/types"
@@ -120,5 +121,66 @@ func TestDynamicIsAValue(t *testing.T) {
 	}
 	if d.String() == "" {
 		t.Error("String should render something")
+	}
+}
+
+// TestImageWrittenOnce: Image runs encode at the first call and returns
+// its image, the same slice, at every later one; an encode error is
+// returned and nothing is stored, so the next call encodes again.
+func TestImageWrittenOnce(t *testing.T) {
+	d := Make(value.Rec("A", value.Int(1)))
+	boom := errors.New("boom")
+	if _, err := d.Image(func(value.Value) ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+		t.Fatalf("Image with a failing encode = %v, want its error", err)
+	}
+	calls := 0
+	encode := func(v value.Value) ([]byte, error) {
+		calls++
+		if v != d.Value() {
+			t.Errorf("encode got %v, want the carried value", v)
+		}
+		return []byte{byte(calls)}, nil
+	}
+	first, err := d.Image(encode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 3 {
+		img, err := d.Image(encode)
+		if err != nil || &img[0] != &first[0] {
+			t.Fatalf("a later Image = (%v, %v), want the first image %v", img, err, first)
+		}
+	}
+	if calls != 1 {
+		t.Fatalf("encode ran %d times, want once", calls)
+	}
+}
+
+// TestImageRacingFirstCalls: callers racing on the first Image all return
+// the one image stored, whichever encode stored it. Run under -race.
+func TestImageRacingFirstCalls(t *testing.T) {
+	d := Make(value.String("raced"))
+	const callers = 8
+	imgs := make([][]byte, callers)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			img, err := d.Image(func(value.Value) ([]byte, error) { return []byte{byte(i)}, nil })
+			if err != nil {
+				t.Error(err)
+			}
+			imgs[i] = img
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, img := range imgs {
+		if &img[0] != &imgs[0][0] {
+			t.Fatalf("caller %d returned %v, caller 0 %v: not one stored image", i, img, imgs[0])
+		}
 	}
 }

@@ -31,7 +31,12 @@
 // A reply to a GET or a JOIN states each of its witness types once: a
 // ReplyWriter writes a reply's types and then its rows, and DecodeReply
 // reads one, its rows through one reused Decoder, and builds their values
-// from memory shared by the reply: slabs, and the rows field itself.
+// from memory shared by the reply: slabs, and the rows field itself. The
+// slabs hold the reply's records, their value slices and its atoms: an
+// Int outside 0–255, a Float or a String is boxed over its slab element
+// rather than copied to an allocation of its own. The codec uses unsafe
+// twice, both for replies: unsafe.String makes the rows field the string
+// atoms slice, and box makes a slab element an interface's data word.
 package codec
 
 import (
@@ -762,17 +767,29 @@ func (d *Decoder) value() (value.Value, error) {
 			return nil, errVarint
 		}
 		d.pos += n
+		// Go boxes an Int in 0–255 without an allocation; a reply boxes
+		// the others in its slab.
+		if d.rep != nil && uint64(x) > 255 {
+			return boxIn(&d.rep.ints, value.Int(x), d), nil
+		}
 		return value.Int(x), nil
 	case vFloat:
 		if len(d.src)-d.pos < 8 {
 			return nil, errTruncated
 		}
 		d.pos += 8
-		return value.Float(math.Float64frombits(binary.LittleEndian.Uint64(d.src[d.pos-8:]))), nil
+		f := value.Float(math.Float64frombits(binary.LittleEndian.Uint64(d.src[d.pos-8:])))
+		if d.rep != nil {
+			return boxIn(&d.rep.floats, f, d), nil
+		}
+		return f, nil
 	case vString:
 		s, err := d.atom()
 		if err != nil {
 			return nil, err
+		}
+		if d.rep != nil {
+			return boxIn(&d.rep.strs, value.String(s), d), nil
 		}
 		return value.String(s), nil
 	case vBoolTrue:
@@ -1157,16 +1174,48 @@ func (w *ReplyWriter) Row(v value.Value, t types.Type) {
 	if w.err != nil {
 		return
 	}
+	e := Encoder{buf: w.ordinalOf(t)}
+	e.encodeValue(v)
+	w.buf, w.err = e.buf, e.err
+	w.rowDone()
+}
+
+// RowBytes adds a row at the witness type t whose value bytes are img,
+// as ValueBytes wrote them: the row Row writes for the value.
+func (w *ReplyWriter) RowBytes(img []byte, t types.Type) {
+	if w.err != nil {
+		return
+	}
+	w.buf = append(w.ordinalOf(t), img...)
+	w.rowDone()
+}
+
+// ordinalOf returns the buffer with the ordinal of a row at t appended.
+func (w *ReplyWriter) ordinalOf(t types.Type) []byte {
 	if w.buf == nil {
 		w.buf = make([]byte, 0, replyFirst)
 	}
-	e := Encoder{buf: binary.AppendUvarint(w.buf, uint64(w.ordinal(t)))}
-	e.encodeValue(v)
-	w.buf, w.err = e.buf, e.err
+	return binary.AppendUvarint(w.buf, uint64(w.ordinal(t)))
+}
+
+// rowDone counts a row written, and after the first reserves the rest.
+func (w *ReplyWriter) rowDone() {
 	w.rows++
 	if w.rows == 1 && w.want > 1 {
 		w.buf = slices.Grow(w.buf, min(len(w.buf)*(w.want-1), replyReserveMax))
 	}
+}
+
+// ValueBytes returns the bytes a reply's row holds for v after its
+// ordinal: v's image with no header, its back-references scoped to it.
+// The slice is a copy of its own, sized to the image.
+func ValueBytes(v value.Value) ([]byte, error) {
+	e := Encoder{buf: make([]byte, 0, replyFirst)}
+	e.encodeValue(v)
+	if e.err != nil {
+		return nil, e.err
+	}
+	return slices.Clone(e.buf), nil
 }
 
 // ordinal returns t's ordinal in the reply's types, adding t if it is new.
@@ -1277,11 +1326,14 @@ func ReplyRows(fields [][]byte) (int, error) {
 // one Decoder, and their records get their labels as every decoded record
 // does, from the interned value.Shape of their label set. The reply's
 // records and their value slices are cut from slabs sized from the row
-// count. The rows field is kept, not copied: string atoms are substrings
-// of it, so the caller hands it over and must not change it afterwards,
-// as the client does the payload of a frame it read. A value kept from the
-// reply keeps the rows field and those slabs alive. The types keep strings
-// of their own, since a canonical type outlives the reply.
+// count, and so are its atoms: an Int outside 0–255, which Go boxes
+// without an allocation, a Float or a String is boxed over an element of a
+// slab (box). The rows field is kept, not copied: string atoms are
+// substrings of it, so the caller hands it over and must not change it
+// afterwards, as the client does the payload of a frame it read. A value
+// kept from the reply, an atom included, keeps the rows field and those
+// slabs alive. The types keep strings of their own, since a canonical type
+// outlives the reply.
 func DecodeReply(fields [][]byte, each func(i int, v value.Value, t types.Type)) error {
 	if len(fields) == 0 {
 		return nil
@@ -1350,6 +1402,10 @@ type reply struct {
 	rows, done int
 	recs       slab[value.Record]
 	vals       slab[value.Value]
+	// ints, floats and strs hold the atoms the reply boxes.
+	ints   slab[value.Int]
+	floats slab[value.Float]
+	strs   slab[value.String]
 	// typeBuf backs the reply's types when it has a few.
 	typeBuf [4]types.Type
 }
@@ -1378,6 +1434,28 @@ func (s *slab[T]) take(n int, d *Decoder) []T {
 	s.free = s.free[n:]
 	s.used += n
 	return out
+}
+
+// boxIn returns x as a value.Value boxed in an element taken from s.
+func boxIn[T value.Int | value.Float | value.String](s *slab[T], x T, d *Decoder) value.Value {
+	p := &s.take(1, d)[0]
+	*p = x
+	return box(p)
+}
+
+// box returns the value.Value holding *p with p itself as its data word:
+// the conversion value.Value(*p) without the copy of *p to an allocation
+// of its own. The interface is the runtime's pair of words, the itab of
+// T's conversion to value.Value and a pointer to the value; it compares,
+// hashes, switches, asserts and reflects as the conversion's does, and
+// keeps p's slab alive as the conversion keeps its copy. *p must not
+// change afterwards. With unsafe.String over a reply's rows field, this
+// is the codec's only use of unsafe.
+func box[T value.Int | value.Float | value.String](p *T) value.Value {
+	var zero T
+	v := value.Value(zero) // a zero atom converts without an allocation
+	(*[2]unsafe.Pointer)(unsafe.Pointer(&v))[1] = unsafe.Pointer(p)
+	return v
 }
 
 // atom reads a string atom: in a reply, a substring of the rows field.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -220,8 +222,9 @@ func replyValues(tb testing.TB) ([]value.Value, []types.Type) {
 }
 
 // replySeeds are payloads of replies, their fields framed as a frame's:
-// replies written by ReplyWriter, one with hand-made rows whose records
-// repeat a label out of order, every malformed reply, and no reply.
+// replies written by ReplyWriter (one of them atomReply's), one with
+// hand-made rows whose records repeat a label out of order, every
+// malformed reply, and no reply.
 func replySeeds(tb testing.TB) [][]byte {
 	vals, wits := replyValues(tb)
 	// Two rows at {A: Int}, each a record B = 1, A = 2, B = 3.
@@ -233,6 +236,7 @@ func replySeeds(tb testing.TB) [][]byte {
 	dup := [][]byte{append([]byte("DBPL\x01\x02\x01"), aType[headerLen:]...), slices.Concat(aRow, aRow)}
 	mixed, mixedWits := mixedReply(tb, 64, 4, 256)
 	seeds := [][]byte{
+		joinImages(atomReply(tb)...),
 		joinImages(writeReply(tb, mixed, mixedWits)...),
 		joinImages(writeReply(tb, vals, wits)...),
 		joinImages(writeReply(tb, vals[:3], wits[:3])...),
@@ -390,7 +394,9 @@ func sameEncoding(tb testing.TB, v value.Value, t types.Type, w value.Value, u t
 // layout and so does the reply, before any row; or both accept every row,
 // and then each row's witness is the same canonical type and its value
 // re-encodes to the same bytes, and is value.Equal where Equal is decided
-// by structure. No input panics.
+// by structure; each atom it holds, boxed in the reply's slabs, has the
+// dynamic type of the one-shot decode's and is == to it (NaN aside). No
+// input panics.
 func FuzzReplyDecode(f *testing.F) {
 	for _, seed := range replySeeds(f) {
 		f.Add(seed)
@@ -431,6 +437,15 @@ func FuzzReplyDecode(f *testing.F) {
 			}
 			if structural(v, map[value.Value]bool{}) && !value.Equal(got[i].v, v) {
 				t.Fatalf("row %d decodes to %v, one-shot to %v", i, got[i].v, v)
+			}
+			ga, wa := atomsOf(got[i].v, map[value.Value]bool{}, nil), atomsOf(v, map[value.Value]bool{}, nil)
+			if len(ga) != len(wa) {
+				t.Fatalf("row %d holds %d atoms, its one-shot decode %d", i, len(ga), len(wa))
+			}
+			for j, a := range ga {
+				if reflect.TypeOf(a) != reflect.TypeOf(wa[j]) || a != wa[j] && wa[j] == wa[j] {
+					t.Fatalf("row %d: atom %d is %#v, one-shot %#v", i, j, a, wa[j])
+				}
 			}
 		}
 		switch {
@@ -579,5 +594,185 @@ func TestDynamicSeesEnclosingRecord(t *testing.T) {
 	fields := writeReply(t, []value.Value{outer, outer}, []types.Type{w, w})
 	if err := DecodeReply(fields, func(_ int, v value.Value, _ types.Type) { check("DecodeReply", v) }); err != nil {
 		t.Fatalf("DecodeReply: %v", err)
+	}
+}
+
+// boxAtoms are atoms a reply boxes in its slabs, and around them atoms Go
+// boxes without an allocation: Ints at and past the edges of 0–255, the
+// Floats whose == differs from value.Equal, and an empty and a long
+// String.
+func boxAtoms() []value.Value {
+	return []value.Value{
+		value.Int(0), value.Int(255), value.Int(256), value.Int(-1),
+		value.Int(math.MinInt64), value.Int(math.MaxInt64),
+		value.Float(math.Copysign(0, -1)), value.Float(0), value.Float(math.NaN()),
+		value.Float(math.Inf(1)), value.Float(0.625),
+		value.String(""), value.String(strings.Repeat("long atom ", 400)),
+		value.Bool(true),
+	}
+}
+
+// atomReply is the reply of boxAtoms, each atom a row of its own at its
+// type and then all of them the fields of one record and the elements of
+// one list.
+func atomReply(tb testing.TB) [][]byte {
+	atoms := boxAtoms()
+	rec := value.NewRecord()
+	for i, a := range atoms {
+		rec.Set(fmt.Sprintf("F%02d", i), a)
+	}
+	vals := append(slices.Clone(atoms), rec, value.NewList(atoms...))
+	wits := make([]types.Type, len(vals))
+	for i, v := range vals {
+		wits[i] = value.TypeOf(v)
+	}
+	return writeReply(tb, vals, wits)
+}
+
+// atomsOf appends the Int, Float, String and Bool atoms v reaches to out,
+// in the order the encoder writes them, each container visited once.
+func atomsOf(v value.Value, seen map[value.Value]bool, out []value.Value) []value.Value {
+	switch vv := v.(type) {
+	case value.Int, value.Float, value.String, value.Bool:
+		return append(out, v)
+	case *value.Record, *value.List, *value.Set, *value.Tag, *dynamic.Dynamic:
+		if seen[v] {
+			return out
+		}
+		seen[v] = true
+		switch vv := vv.(type) {
+		case *value.Record:
+			vv.Each(func(_ string, f value.Value) { out = atomsOf(f, seen, out) })
+		case *value.List:
+			for _, el := range vv.Elems {
+				out = atomsOf(el, seen, out)
+			}
+		case *value.Set:
+			vv.Each(func(el value.Value) { out = atomsOf(el, seen, out) })
+		case *value.Tag:
+			out = atomsOf(vv.Payload, seen, out)
+		case *dynamic.Dynamic:
+			out = atomsOf(vv.Value(), seen, out)
+		}
+	}
+	return out
+}
+
+// sameAtom reports why the atom got, decoded from a reply, is not the
+// atom want as a conversion boxes it, or "" when it is: the same dynamic
+// type, a type switch and an assertion yielding the same bits, == (NaN
+// aside), value.Equal, value.AppendKey, use as a map key, and the same
+// text through fmt and reflect.
+func sameAtom(got, want value.Value) string {
+	if reflect.TypeOf(got) != reflect.TypeOf(want) {
+		return fmt.Sprintf("dynamic type %T, want %T", got, want)
+	}
+	bits := func(v value.Value) string {
+		switch a := v.(type) {
+		case value.Int:
+			return fmt.Sprint("int ", int64(a))
+		case value.Float:
+			return fmt.Sprint("float ", math.Float64bits(float64(a)))
+		case value.String:
+			return "string " + string(a)
+		case value.Bool:
+			return fmt.Sprint("bool ", bool(a))
+		}
+		return "none"
+	}
+	if bits(got) != bits(want) {
+		return fmt.Sprintf("type switch gives %s, want %s", bits(got), bits(want))
+	}
+	var ok bool
+	switch want.(type) {
+	case value.Int:
+		_, ok = got.(value.Int)
+	case value.Float:
+		_, ok = got.(value.Float)
+	case value.String:
+		_, ok = got.(value.String)
+	case value.Bool:
+		_, ok = got.(value.Bool)
+	}
+	if !ok {
+		return "the assertion to its type fails"
+	}
+	nan := want != want
+	if !nan && (got != want || !(want == got)) {
+		return "== fails"
+	}
+	if !value.Equal(got, want) || !value.Equal(want, got) {
+		return "value.Equal fails"
+	}
+	if !bytes.Equal(value.AppendKey(nil, got), value.AppendKey(nil, want)) {
+		return "value.AppendKey differs"
+	}
+	if m := map[value.Value]int{want: 1}; !nan && m[got] != 1 {
+		return "a map keyed by the fresh atom misses it"
+	}
+	if m := map[value.Value]int{got: 1}; !nan && m[want] != 1 {
+		return "a map keyed by it misses the fresh atom"
+	}
+	for _, format := range []string{"%v", "%+v", "%#v", "%T", "%q", "%x"} {
+		if g, w := fmt.Sprintf(format, got), fmt.Sprintf(format, want); g != w {
+			return fmt.Sprintf("fmt %s prints %s, want %s", format, g, w)
+		}
+	}
+	rg, rw := reflect.ValueOf(got), reflect.ValueOf(want)
+	if rg.Kind() != rw.Kind() || rg.String() != rw.String() || fmt.Sprint(rg.Interface()) != fmt.Sprint(rw.Interface()) {
+		return fmt.Sprintf("reflect reads %v, want %v", rg, rw)
+	}
+	if !nan && !reflect.DeepEqual(got, want) {
+		return "reflect.DeepEqual fails"
+	}
+	return ""
+}
+
+// TestReplyAtomsBox: every atom a reply decodes, as a row of its own and
+// as a field of a record and an element of a list, is the atom a
+// conversion boxes (sameAtom), and it stays so when nothing but the atoms
+// is kept from the reply across collections.
+func TestReplyAtomsBox(t *testing.T) {
+	want := boxAtoms()
+	var got []value.Value
+	fields := atomReply(t)
+	if err := DecodeReply(fields, func(_ int, v value.Value, _ types.Type) {
+		got = atomsOf(v, map[value.Value]bool{}, got)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3*len(want) {
+		t.Fatalf("decoded %d atoms, want %d", len(got), 3*len(want))
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, g := range got {
+			w := want[i%len(want)]
+			if why := sameAtom(g, w); why != "" {
+				t.Errorf("%s: atom %d (%#v): %s", when, i, w, why)
+			}
+		}
+	}
+	check("decoded")
+	fields = nil
+	runtime.GC()
+	runtime.GC()
+	check("after the reply is dropped and collected")
+}
+
+// TestBoxAllocatesNothing: boxing an atom in a slab element allocates
+// nothing, whatever the atom.
+func TestBoxAllocatesNothing(t *testing.T) {
+	i, f, s := value.Int(math.MinInt64), value.Float(math.NaN()), value.String("atom")
+	var sink value.Value
+	if n := testing.AllocsPerRun(100, func() {
+		sink = box(&i)
+		sink = box(&f)
+		sink = box(&s)
+	}); n != 0 {
+		t.Fatalf("box allocates %v times a run, want 0", n)
+	}
+	if sink != value.Value(s) {
+		t.Fatalf("box(&s) = %#v, want %#v", sink, s)
 	}
 }

@@ -98,8 +98,8 @@ type commitReq struct {
 
 	// The rest belongs to processBatch, under commitMu. existed is set
 	// once the request's answer rides the batch: its group is staged, or
-	// it is index DDL that changed nothing after an earlier group of the
-	// batch (a commit has at least one op, so it is non-nil exactly then).
+	// it changed nothing after an earlier group of the batch (a commit
+	// has at least one op, so it is non-nil exactly then).
 	// owner is the earlier request of the same batch whose group a
 	// duplicate idempotency key shares. res is the waiter's answer, final
 	// once answered and delivered once sent.
@@ -136,9 +136,21 @@ func (r *commitReq) send() {
 	close(r.done)
 }
 
-// grouped reports whether r's commit wrote a group: every commit but
-// index DDL that changed nothing. Valid once existed is set.
-func (r *commitReq) grouped() bool { return !r.ops[0].index || r.existed[0] }
+// grouped reports whether r's commit wrote a group. Valid once existed is
+// set.
+func (r *commitReq) grouped() bool { return changes(r.ops, r.existed) }
+
+// changes reports whether a commit of ops, which found existed, changes
+// anything: it binds a root, deletes a bound one or changes an index
+// definition. Only such a commit writes a group.
+func changes(ops []txnOp, existed []bool) bool {
+	for j, o := range ops {
+		if existed[j] || !o.index && o.dyn != nil {
+			return true
+		}
+	}
+	return false
+}
 
 // committerLoop is the dedicated committer goroutine: it blocks for the
 // next queued commit, drains whatever else is already queued (up to the
@@ -262,10 +274,12 @@ func (s *Server) processBatch(batch []*commitReq) {
 				break
 			}
 		}
-		if r.ops[0].index && !existed[0] {
-			// Index DDL that changes nothing stages no group. Its answer is
-			// final now, unless a group staged earlier in this batch made it
-			// so: then the answer waits for that group's fate.
+		if failAll == nil && !changes(r.ops, existed) {
+			// A commit that changes nothing — index DDL that changes no
+			// definition, or deletes of roots that are not bound — stages no
+			// group. Its answer is final now, unless a group staged earlier
+			// in this batch made it so: then the answer waits for that
+			// group's fate.
 			if staged > 0 {
 				r.existed = existed
 				continue
@@ -310,7 +324,7 @@ func (s *Server) processBatch(batch []*commitReq) {
 	}
 	if staged == 0 {
 		// Every request was answered at once: from the dedup cache, or as
-		// index DDL that changed nothing.
+		// a commit that changed nothing.
 		return
 	}
 

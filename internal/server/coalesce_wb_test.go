@@ -20,12 +20,14 @@ import (
 	"testing"
 	"time"
 
+	"dbpl/client"
 	"dbpl/internal/dynamic"
 	"dbpl/internal/persist/intrinsic"
 	"dbpl/internal/persist/iofault"
 	"dbpl/internal/pmap"
 	"dbpl/internal/server/wire"
 	rtrace "dbpl/internal/telemetry/trace"
+	"dbpl/internal/types"
 	"dbpl/internal/value"
 )
 
@@ -747,5 +749,127 @@ func TestCommitLockWaitCoversCommitMu(t *testing.T) {
 					n, time.Duration(sum), lw.Dur)
 			}
 		})
+	}
+}
+
+// TestNoopDeleteWritesNoGroup: a DELETE of a root that is not bound, and
+// a COMMIT whose ops are all such deletes, stage no group: the durable
+// end, the commit-group count and the fsync count stay put. DELETE of an
+// empty name is refused as a bad request, in and out of a transaction. A
+// DELETE of a bound root still writes its group.
+func TestNoopDeleteWritesNoGroup(t *testing.T) {
+	inj := iofault.NewInjector(iofault.OS{})
+	srv, st := wbServer(t, inj, filepath.Join(t.TempDir(), "noop-delete.log"), Config{})
+	c, err := client.Dial(listen(t, srv), &client.Options{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Put("bound", value.Int(1), types.Int); err != nil {
+		t.Fatal(err)
+	}
+	end, groups, syncs := st.DurableEnd(), commitGroupCount(t, srv), inj.Count(iofault.OpSync)
+	unmoved := func(what string) {
+		t.Helper()
+		if st.DurableEnd() != end || commitGroupCount(t, srv) != groups || inj.Count(iofault.OpSync) != syncs {
+			t.Fatalf("%s: durable end %d -> %d, groups %d -> %d, fsyncs %d -> %d; want none to move", what,
+				end, st.DurableEnd(), groups, commitGroupCount(t, srv), syncs, inj.Count(iofault.OpSync))
+		}
+	}
+	badRequest := func(what string, err error) {
+		t.Helper()
+		var we *wire.WireError
+		if !errors.As(err, &we) || we.Code != wire.CodeBadRequest {
+			t.Fatalf("%s = %v, want a bad-request refusal", what, err)
+		}
+	}
+
+	for range 3 {
+		if existed, err := c.Delete("missing"); err != nil || existed {
+			t.Fatalf("DELETE of an unbound root = (%v, %v), want (false, nil)", existed, err)
+		}
+	}
+	unmoved("three autocommit DELETEs of an unbound root")
+	_, err = c.Delete("")
+	badRequest(`autocommit DELETE ""`, err)
+
+	sess, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"missing", "also-missing", "missing"} {
+		if existed, err := sess.Delete(name); err != nil || existed {
+			t.Fatalf("DELETE %s in a transaction = (%v, %v), want (false, nil)", name, existed, err)
+		}
+	}
+	_, err = sess.Delete("")
+	badRequest(`DELETE "" in a transaction`, err)
+	if err := sess.Commit(); err != nil {
+		t.Fatalf("COMMIT of deletes of unbound roots: %v", err)
+	}
+	unmoved("a COMMIT whose ops all delete unbound roots")
+	if n := srv.m.commits.Value(); n != 1 {
+		t.Fatalf("dbpl_server_commits_total = %d, want 1 (the PUT)", n)
+	}
+
+	if existed, err := c.Delete("bound"); err != nil || !existed {
+		t.Fatalf("DELETE of a bound root = (%v, %v), want (true, nil)", existed, err)
+	}
+	if st.DurableEnd() <= end || commitGroupCount(t, srv) != groups+1 || inj.Count(iofault.OpSync) != syncs+1 {
+		t.Fatalf("DELETE of a bound root: durable end %d -> %d, groups %d -> %d, fsyncs %d -> %d; want one more group and fsync",
+			end, st.DurableEnd(), groups, commitGroupCount(t, srv), syncs, inj.Count(iofault.OpSync))
+	}
+}
+
+// TestNoopDeleteWaitsForTheBatchThatMadeIt: two DELETEs of one bound root
+// in one batch: the first stages the group, and the second, which that
+// group made a no-op, stages none but shares the group's fate. A failed
+// batch fails both and leaves the root bound; retried, both succeed, one
+// of them reporting the root existed, and one group is written.
+func TestNoopDeleteWaitsForTheBatchThatMadeIt(t *testing.T) {
+	inj := iofault.NewInjector(iofault.OS{})
+	srv, st, gate := groupServer(t, inj, filepath.Join(t.TempDir(), "noop-delete-batch.log"))
+	if _, err := srv.commit([]txnOp{putOp("r", 1)}, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	del := txnOp{name: "r", del: true}
+
+	groupsBefore := commitGroupCount(t, srv)
+	inj.FailAt(iofault.OpSync, inj.Count(iofault.OpSync)+2) // the batch's, not the lead's
+	errs, leadErr := inOneBatch(t, srv, gate, putOp("lead", 0), 2, func(i int) error {
+		_, err := srv.commit([]txnOp{del}, fmt.Sprintf("del-%d", i), nil)
+		return err
+	})
+	if leadErr != nil {
+		t.Fatalf("lead commit: %v", leadErr)
+	}
+	for i, err := range errs {
+		if !errors.Is(err, iofault.ErrInjected) {
+			t.Fatalf("DELETE %d in the failed batch = %v, want the injected fsync cause", i, err)
+		}
+	}
+	if _, ok := st.Root("r"); !ok {
+		t.Fatal("r is unbound after the failed batch")
+	}
+	if grew := commitGroupCount(t, srv) - groupsBefore; grew != 1 {
+		t.Fatalf("log grew by %d groups, want only the lead's", grew)
+	}
+
+	existed := make([]bool, 2)
+	errs, leadErr = inOneBatch(t, srv, gate, putOp("lead2", 0), 2, func(i int) error {
+		res, err := srv.commit([]txnOp{del}, fmt.Sprintf("del-%d", i), nil)
+		if err == nil {
+			existed[i] = res[0]
+		}
+		return err
+	})
+	if leadErr != nil || errs[0] != nil || errs[1] != nil || existed[0] == existed[1] {
+		t.Fatalf("retried batch: lead %v, DELETE errors %v, existed %v; want one to find r", leadErr, errs, existed)
+	}
+	if _, ok := st.Root("r"); ok {
+		t.Fatal("r is still bound after the retried batch")
+	}
+	if grew := commitGroupCount(t, srv) - groupsBefore; grew != 3 {
+		t.Fatalf("log grew by %d groups, want the two leads' and one DELETE group", grew)
 	}
 }

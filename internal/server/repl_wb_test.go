@@ -24,12 +24,18 @@ import (
 func serveWB(t *testing.T, name string, cfg Config) (*Server, *intrinsic.Store, string) {
 	t.Helper()
 	srv, st := wbServer(t, iofault.OS{}, filepath.Join(t.TempDir(), name), cfg)
+	return srv, st, listen(t, srv)
+}
+
+// listen serves srv on a fresh loopback port and returns its address.
+func listen(t *testing.T, srv *Server) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	go srv.Serve(ln)
-	return srv, st, ln.Addr().String()
+	return ln.Addr().String()
 }
 
 // deadAddr is an address nobody listens on: a follower given it idles in

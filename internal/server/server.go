@@ -1043,6 +1043,11 @@ func badReq(format string, args ...any) (byte, [][]byte) {
 // Reads: GET, JOIN, NAMES
 // ---------------------------------------------------------------------------
 
+// handleGet answers each member with the value bytes its dynamic keeps
+// (dynamic.Image): written by the first GET that returns the member and
+// shared by every copy of its index entry. A rebind or a delete publishes
+// a new member, so a member's bytes are those of its value for as long
+// as it is served.
 func (s *Server) handleGet(sess *session, fields [][]byte) (byte, [][]byte) {
 	ws, err := internTypes(fields)
 	if err != nil {
@@ -1053,7 +1058,11 @@ func (s *Server) handleGet(sess *session, fields [][]byte) (byte, [][]byte) {
 	sess.tr.End(esp)
 	w := codec.NewReplyWriter(len(entries))
 	for _, e := range entries {
-		w.Row(e.Dyn.Value(), e.Dyn.Type())
+		img, err := e.Dyn.Image(codec.ValueBytes)
+		if err != nil {
+			return errResp(toWireError(err))
+		}
+		w.RowBytes(img, e.Dyn.Type())
 	}
 	return valuesOf(&w)
 }
@@ -1180,6 +1189,9 @@ func (s *Server) handlePut(sess *session, fields [][]byte) (byte, [][]byte) {
 
 func (s *Server) handleDelete(sess *session, fields [][]byte) (byte, [][]byte) {
 	name := string(fields[0])
+	if name == "" {
+		return badReq("DELETE with empty root name")
+	}
 	op := txnOp{name: name, del: true}
 	if sess.inTxn {
 		_, existed := sess.view(s).roots.Get(name)
