@@ -27,8 +27,8 @@ test:
 # on checkptr, which checks the codec's two unsafe uses as the reply tests
 # run them: unsafe.String over a reply's rows field, and box, which makes
 # a reply's slab element the data word of a boxed atom. To run one
-# feature's tests, filter by name, e.g.
-# `go test -race -run 'Repl|Follower' ./internal/server/`.
+# feature's tests, filter by name, e.g. replication and failover:
+# `go test -race -run 'Repl|Follower|Promote|Failover|Fence' ./internal/server/`.
 race:
 	$(GO) test -race ./...
 
@@ -55,7 +55,9 @@ bench-smoke:
 # maximal-elements scan (differential against the naive one), the language
 # pipeline, the wire frame reader (malformed frames, truncated length
 # prefixes and oversize claims must yield typed wire errors — never a
-# panic, never an unbounded allocation), the two-field VALUES reply
+# panic, never an unbounded allocation; its seeds include the heartbeat,
+# a REPDATA frame with no groups, valid, with a flipped CRC and missing
+# its trailer), the two-field VALUES reply
 # decoder (differential against per-row DecodeTagged of each row's tagged
 # image, read from the layout's definition; its seeds include a bad
 # ordinal, a row count past the bytes, trailing bytes, types with no rows

@@ -224,15 +224,14 @@ func (s *Server) processBatch(batch []*commitReq) {
 	}
 
 	// Stage phase: each commit binds its roots in the store's working
-	// table and becomes one staged group; the successor index set is
-	// computed but not yet published. Requests answered from the
-	// idempotency cache (their groups are already durable from an earlier
-	// batch) succeed regardless of this batch's fate; a duplicate key
-	// *within* the batch shares the first occurrence's result.
-	idx := s.state.Load().idx
+	// table and becomes one staged group, its root changes joining iops,
+	// which publish applies to the index set once the batch is durable.
+	// Requests answered from the idempotency cache (their groups are
+	// already durable from an earlier batch) succeed regardless of this
+	// batch's fate; a duplicate key *within* the batch shares the first
+	// occurrence's result.
 	var iops []index.Op
 	var staged int
-	var indexTouched uint64
 	var failAll error
 	// batchTrace is the trace that represents this batch on shared
 	// instruments (the sync-latency exemplar, the REPDATA stamp): the
@@ -253,7 +252,6 @@ func (s *Server) processBatch(batch []*commitReq) {
 		}
 		stageStart := time.Now()
 		existed := make([]bool, len(r.ops))
-		iops = iops[:0]
 		for j, o := range r.ops {
 			switch {
 			case o.index: // existed is the "changed" bit the reply carries
@@ -300,13 +298,6 @@ func (s *Server) processBatch(batch []*commitReq) {
 		if failAll != nil {
 			break
 		}
-		// The stage span ends once the successor index set is built, so
-		// that work shows under stage, not as unattributed commit self time.
-		if len(iops) > 0 {
-			var istats index.ApplyStats
-			idx, istats = idx.Apply(iops)
-			indexTouched += uint64(istats.EntriesTouched)
-		}
 		r.tr.Add(r.sp, "stage", stageStart, time.Now())
 		r.existed = existed
 		staged++
@@ -342,12 +333,11 @@ func (s *Server) processBatch(batch []*commitReq) {
 	s.markCommit(batchTrace)
 
 	// Publish the successor state — the store's committed root table
-	// itself, and the index set over the same dynamics — then answer every
-	// request whose answer rode the batch, and every in-batch duplicate
-	// with its owner's result.
+	// itself, and the index set moved by the batch's ops — then answer
+	// every request whose answer rode the batch, and every in-batch
+	// duplicate with its owner's result.
 	pubStart := time.Now()
-	s.state.Store(&state{roots: s.store.Committed(), idx: idx})
-	s.notifyCommit()
+	s.publish(iops, staged)
 	pubEnd := time.Now()
 	for _, r := range batch {
 		switch {
@@ -362,7 +352,6 @@ func (s *Server) processBatch(batch []*commitReq) {
 			r.tr.Add(r.sp, "fsync", syncStart, syncEnd)
 			r.tr.Add(r.sp, "publish", pubStart, pubEnd)
 			if r.grouped() {
-				s.m.commits.Inc()
 				s.m.commitSeconds.ObserveDurationExemplar(time.Since(r.enqueued), r.tr.ID())
 				s.m.commitOps.Observe(int64(len(r.ops)))
 			}
@@ -370,7 +359,6 @@ func (s *Server) processBatch(batch []*commitReq) {
 			r.answer(commitResult{existed: r.owner.existed})
 		}
 	}
-	s.m.indexTouched.Add(indexTouched)
 	s.m.batchGroups.Observe(int64(staged))
 	s.m.fsyncsSaved.Add(uint64(staged - 1))
 }

@@ -26,10 +26,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -530,5 +533,220 @@ func TestClientWriteFailover(t *testing.T) {
 	}
 	if len(names) != 5 {
 		t.Fatalf("NAMES after session failover = %v, want 5 roots", names)
+	}
+}
+
+// TestPlannedPromoteShipsOnlyTheNewBytes: a planned epoch bump on a live
+// primary reaches its follower through the stream it is already on. That
+// stream is contiguous, so nothing re-proves the follower's history: a
+// bump plus one PUT ships at most twice the log bytes the two writes
+// added, and the follower's log stays byte-identical to the primary's.
+func TestPlannedPromoteShipsOnlyTheNewBytes(t *testing.T) {
+	dir := t.TempDir()
+	p := bootCfg(t, filepath.Join(dir, "primary.log"), nil, server.Config{AllowPromote: true})
+	pc := dial(t, p, noRetry())
+	for i := 0; i < 50; i++ { // a history that would cost a re-ship
+		if err := pc.Put(fmt.Sprintf("r%02d", i), emp("E", int64(i), "Sales"), employeeT); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Both ends keep the default heartbeat, so the link stays up: a
+	// redial between the bump and its apply would rightly stream the
+	// follower, then below the primary's epoch, from the log head.
+	f := bootCfg(t, filepath.Join(dir, "follower.log"), nil, server.Config{Follow: p.addr})
+	waitConverged(t, p, f)
+	// shippedAtLeast waits until the primary has counted n bytes shipped:
+	// a streamer counts a frame after writing it, so the follower can
+	// hold the bytes first.
+	const shippedName = "dbpl_repl_bytes_shipped_total"
+	shippedAtLeast := func(n uint64) uint64 {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); counter(p, shippedName) < n; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s = %d, never reached %d", shippedName, counter(p, shippedName), n)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		return counter(p, shippedName)
+	}
+	end := p.store.DurableEnd()
+	shipped := shippedAtLeast(uint64(end - intrinsic.HeaderSize))
+
+	if epoch, err := pc.Promote(); err != nil || epoch != 1 {
+		t.Fatalf("planned Promote = (%d, %v), want (1, nil)", epoch, err)
+	}
+	if err := pc.Put("after", emp("A", 99, "Ops"), employeeT); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, p, f)
+	added := uint64(p.store.DurableEnd() - end)
+	if rise := shippedAtLeast(shipped+added) - shipped; rise > 2*added {
+		t.Fatalf("a planned bump and one PUT added %d log bytes but shipped %d: the follower's history was re-shipped", added, rise)
+	}
+	sameLog(t, p.path, f.path)
+	if e := f.store.Epoch(); e != 1 {
+		t.Fatalf("follower epoch = %d after applying the bump, want 1", e)
+	}
+}
+
+// scriptedUpstream is a REPLICATE endpoint that is no server: each
+// subscription is answered with script (whole frames), then silence until
+// the subscriber hangs up. subs counts the subscriptions served.
+func scriptedUpstream(t *testing.T, script []byte) (addr string, subs *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	subs = new(atomic.Int64)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if op, _, err := wire.ReadFrame(conn, 0); err != nil || op != wire.OpReplicate {
+					return
+				}
+				subs.Add(1)
+				conn.Write(script)
+				io.Copy(io.Discard, conn)
+			}()
+		}
+	}()
+	return ln.Addr().String(), subs
+}
+
+// frameBytes encodes one whole frame for a scripted upstream.
+func frameBytes(t *testing.T, op byte, fields ...[]byte) []byte {
+	t.Helper()
+	b, err := wire.AppendFrame(nil, 0, op, fields...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// loggedErrors is a Config.Logf that keeps the errors its lines carry,
+// so a test can match the follow loop's refusals by type, not by text.
+type loggedErrors struct {
+	mu   sync.Mutex
+	errs []error
+}
+
+func (l *loggedErrors) logf(_ string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, a := range args {
+		if err, ok := a.(error); ok {
+			l.errs = append(l.errs, err)
+		}
+	}
+}
+
+// wait returns the first logged error that is target, failing the test
+// if none is logged within ten seconds.
+func (l *loggedErrors) wait(t *testing.T, target error) error {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		l.mu.Lock()
+		for _, err := range l.errs {
+			if errors.Is(err, target) {
+				l.mu.Unlock()
+				return err
+			}
+		}
+		logged := fmt.Sprint(l.errs)
+		l.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatalf("no logged error is %v; logged %s", target, logged)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestFailoverShorterHistoryRejoinRefused: an upstream above our epoch whose
+// history is a byte-equal but shorter prefix of our log does not hold our
+// last groups. Once its stream, begun at the log head, has matched every
+// byte it has, its heartbeat at its end is refused with a DivergenceError
+// at that end; the refusal is permanent, the follower's log does not move
+// and its reads keep serving. An upstream's epoch records are in its log,
+// so a real one holding only our bytes would be at our epoch; the
+// upstream here is scripted to claim a higher one.
+func TestFailoverShorterHistoryRejoinRefused(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "follower.log")
+	st, err := intrinsic.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var short int64
+	for i, name := range []string{"a", "b", "c"} {
+		if err := st.Bind(name, value.Int(int64(i)), nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if name == "b" {
+			short = st.DurableEnd()
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	held, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The follower's log holds no epoch record: it subscribes at epoch 0.
+	prefix := frameBytes(t, wire.OpRepData, wire.ReplDataFields(intrinsic.HeaderSize, held[intrinsic.HeaderSize:short], 1, 0, 0)...)
+	addr, subs := scriptedUpstream(t, append(prefix, frameBytes(t, wire.OpRepData, wire.ReplDataFields(short, nil, 1, 0, 0)...)...))
+	var logged loggedErrors
+	cfg := replCfg(addr)
+	cfg.Logf = logged.logf
+	f := bootCfg(t, path, nil, cfg)
+
+	var de *intrinsic.DivergenceError
+	if err := logged.wait(t, intrinsic.ErrDiverged); !errors.As(err, &de) || de.Offset != short {
+		t.Fatalf("rejoin refused with %v, want a DivergenceError at the upstream's end %d", err, short)
+	}
+	time.Sleep(200 * time.Millisecond) // the backoff would have redialed by now
+	if n := subs.Load(); n != 1 {
+		t.Errorf("the follower subscribed %d times, want 1: divergence is permanent", n)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, held) {
+		t.Fatalf("the refused follower's log moved (%d bytes, was %d; %v)", len(after), len(held), err)
+	}
+	names, err := dial(t, f, noRetry()).Names()
+	if err != nil || fmt.Sprint(names) != "[a b c]" {
+		t.Fatalf("refused follower NAMES = %v, %v; want [a b c]", names, err)
+	}
+}
+
+// TestReplRetiredHeartbeatOpcodeDropsLink: 0x84, the retired two-field
+// heartbeat, is no part of the stream. A follower that receives it drops
+// the link with a typed wire error, applies nothing and redials.
+func TestReplRetiredHeartbeatOpcodeDropsLink(t *testing.T) {
+	addr, subs := scriptedUpstream(t, frameBytes(t, 0x84, wire.UvarintField(uint64(intrinsic.HeaderSize)), wire.UvarintField(0)))
+	var logged loggedErrors
+	cfg := replCfg(addr)
+	cfg.Logf = logged.logf
+	f := bootCfg(t, filepath.Join(t.TempDir(), "follower.log"), nil, cfg)
+
+	var we *wire.WireError
+	if err := logged.wait(t, wire.ErrBadFrame); !errors.As(err, &we) || we.Code != wire.CodeBadFrame {
+		t.Fatalf("retired opcode refused with %v, want a CodeBadFrame WireError", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); subs.Load() < 2; {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never redialed after dropping the link")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if end := f.store.DurableEnd(); end != intrinsic.HeaderSize {
+		t.Fatalf("follower durable end %d, want the bare header %d", end, intrinsic.HeaderSize)
 	}
 }

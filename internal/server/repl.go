@@ -15,9 +15,13 @@
 // streams from exactly that offset) or applied twice (a duplicate frame
 // ends at or before the durable end and is dropped).
 //
-// Idle streams carry REPHEARTBEAT frames bearing the primary's durable
-// end, so a follower can distinguish "primary idle" from "link dead"
-// (four missed heartbeats) and can report its replication lag in bytes.
+// The stream is also the one proof of a prefix: a subscriber below the
+// primary's epoch, whose history may have forked at a promotion, is
+// streamed from the log head, and its overlap check verifies its whole
+// log before a new byte lands. Idle streams carry REPDATA frames with no
+// groups whose start is the primary's durable end, so a follower can tell
+// "primary idle" from "link dead" (four missed heartbeats) and can
+// report its replication lag in bytes.
 package server
 
 import (
@@ -35,6 +39,22 @@ import (
 	"dbpl/internal/server/wire"
 	rtrace "dbpl/internal/telemetry/trace"
 )
+
+// publish advances the published state past groups durable commit groups
+// — a committer's batch, a replicated frame, a promotion's epoch record —
+// whose root changes are ops, in order: the index set moves by them and
+// the store's committed root table becomes the published roots. Groups
+// that changed no root still grew the log this server reports and ships.
+// Caller holds commitMu.
+func (s *Server) publish(ops []index.Op, groups int) {
+	if len(ops) > 0 {
+		idx, istats := s.state.Load().idx.Apply(ops)
+		s.state.Store(&state{roots: s.store.Committed(), idx: idx})
+		s.m.indexTouched.Add(uint64(istats.EntriesTouched))
+	}
+	s.m.commits.Add(uint64(groups))
+	s.notifyCommit()
+}
 
 // notifyCommit marks a publication: the log grew and the published state
 // (already stored, when the group changed it) covers it. It records the
@@ -57,7 +77,8 @@ func (s *Server) notifyCommit() {
 // ---------------------------------------------------------------------------
 
 // streamReplicate consumes the connection: it streams commit groups from
-// the requested offset, then heartbeats while caught up, until the peer
+// the requested offset — from the log head for a subscriber below this
+// server's epoch — then heartbeats while caught up, until the peer
 // hangs up or the server drains. As the stream row, REPLICATE bypasses
 // admission control — a follower holding a stream open is not "in-flight
 // work", and shedding it under load would amplify the load with reconnect
@@ -78,11 +99,6 @@ func (s *Server) streamReplicate(conn net.Conn, fields [][]byte) {
 		fail(toWireError(err))
 		return
 	}
-	if from == 0 {
-		// A fresh follower's log is just the header; offset 0 means "from
-		// the beginning".
-		from = intrinsic.HeaderSize
-	}
 	// Fencing, primary side: a subscriber carrying a higher promotion
 	// epoch has been promoted past us — we are the stale half of a
 	// failover. Demote ourselves (under commitMu, so no write in flight
@@ -93,16 +109,16 @@ func (s *Server) streamReplicate(conn net.Conn, fields [][]byte) {
 			Msg: fmt.Sprintf("subscriber epoch %d is above this server's epoch %d; fenced", subEpoch, s.store.Epoch())})
 		return
 	}
-	hb := s.cfg.replHeartbeat()
-	// An immediate heartbeat opens every stream: it carries our epoch and
-	// durable end, so the subscriber learns about a failover (and can run
-	// rejoin verification) before a single group is applied — and even
-	// when the loop below refuses because its log has grown past ours.
-	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	if wire.WriteFrame(conn, maxFrame, wire.OpRepHeartbeat,
-		wire.HeartbeatFields(s.store.DurableEnd(), s.store.Epoch())...) != nil {
-		return
+	if from == 0 || subEpoch < s.store.Epoch() {
+		// Offset 0 means "from the beginning". A subscriber below our
+		// epoch may hold groups that never reached the history we were
+		// promoted from: its overlap check byte-verifies every frame below
+		// its durable end, so streaming from the head proves its whole log
+		// a prefix of ours, or ends in a divergence error, before a new
+		// byte lands.
+		from = intrinsic.HeaderSize
 	}
+	hb := s.cfg.replHeartbeat()
 	for {
 		if s.draining.Load() {
 			fail(&wire.WireError{Code: wire.CodeShutdown, Msg: "server is draining"})
@@ -144,10 +160,11 @@ func (s *Server) streamReplicate(conn net.Conn, fields [][]byte) {
 			continue
 		}
 		// Caught up. Wait for the next commit, heartbeating so the
-		// follower can tell an idle primary from a dead link. The
-		// heartbeat write doubles as peer-death detection: this goroutine
-		// never reads, so a vanished follower is noticed at the next
-		// heartbeat's failed write.
+		// follower can tell an idle primary from a dead link: a frame with
+		// no groups, starting at our durable end. The heartbeat write
+		// doubles as peer-death detection: this goroutine never reads, so
+		// a vanished follower is noticed at the next heartbeat's failed
+		// write.
 		select {
 		case <-sig:
 		case <-s.shutdownCh:
@@ -155,7 +172,7 @@ func (s *Server) streamReplicate(conn net.Conn, fields [][]byte) {
 			return
 		case <-time.After(hb):
 			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-			if wire.WriteFrame(conn, maxFrame, wire.OpRepHeartbeat, wire.HeartbeatFields(end, s.store.Epoch())...) != nil {
+			if wire.WriteFrame(conn, maxFrame, wire.OpRepData, wire.ReplDataFields(end, nil, s.store.Epoch(), 0, 0)...) != nil {
 				return
 			}
 			s.m.replHeartbeats.Inc()
@@ -178,11 +195,6 @@ type followerState struct {
 	// subscription to the server it just superseded.
 	stop     chan struct{}
 	stopOnce sync.Once
-	// verifiedEpoch is the highest upstream epoch whose history this
-	// follower has proven its own log a byte prefix of (rejoin
-	// verification). Streams from an upstream above this epoch are not
-	// applied until the proof succeeds.
-	verifiedEpoch atomic.Uint64
 
 	mu     sync.Mutex
 	conn   net.Conn
@@ -306,6 +318,9 @@ func (s *Server) followOnce() (progressed bool, err error) {
 	}
 	conn.SetWriteDeadline(time.Time{})
 	br := bufio.NewReader(conn)
+	// head is the offset below which this stream has delivered every byte
+	// of the upstream's log from the log head; -1 once it has not.
+	head := int64(intrinsic.HeaderSize)
 	for {
 		// Four missed heartbeats ⇒ the link is dead, not idle.
 		conn.SetReadDeadline(time.Now().Add(4 * hb))
@@ -314,15 +329,6 @@ func (s *Server) followOnce() (progressed bool, err error) {
 			return progressed, fmt.Errorf("stream from %s: %w", s.cfg.Follow, err)
 		}
 		switch op {
-		case wire.OpRepHeartbeat:
-			end, upEpoch, err := wire.DecodeHeartbeat(fields)
-			if err != nil {
-				return progressed, err
-			}
-			if err := s.checkUpstreamEpoch(upEpoch); err != nil {
-				return progressed, err
-			}
-			s.follower.primaryEnd.Store(end)
 		case wire.OpRepData:
 			rd, err := wire.DecodeReplData(fields)
 			if err != nil {
@@ -331,8 +337,30 @@ func (s *Server) followOnce() (progressed bool, err error) {
 				// durable end, so the damaged group is re-sent intact.
 				return progressed, fmt.Errorf("stream from %s: %w", s.cfg.Follow, err)
 			}
-			if err := s.checkUpstreamEpoch(rd.Epoch); err != nil {
-				return progressed, err
+			// Fencing, follower side: an upstream below our epoch is a
+			// stale ex-primary whose history may have forked from ours —
+			// dropped, never applied. One above it needs no check: it
+			// streams us from the log head, and applyReplicated verifies
+			// our whole log before a new byte, while an epoch that rises
+			// mid-stream continues a stream already contiguous.
+			if local := s.store.Epoch(); rd.Epoch < local {
+				return progressed, fmt.Errorf("fencing: upstream %s at epoch %d is behind local epoch %d; dropping replication link",
+					s.cfg.Follow, rd.Epoch, local)
+			}
+			fromHead := rd.Start == head
+			if head = -1; fromHead {
+				head = rd.Start + int64(len(rd.Raw))
+			}
+			if len(rd.Raw) == 0 {
+				// A heartbeat: the upstream's log ends at rd.Start. An
+				// upstream above our epoch whose every byte matched ours
+				// but whose history stops short of our durable end does not
+				// hold our extra groups: refused, never truncated.
+				if fromHead && rd.Epoch > s.store.Epoch() && rd.Start < s.store.DurableEnd() {
+					return progressed, fmt.Errorf("rejoin refused: %w", &intrinsic.DivergenceError{Offset: rd.Start})
+				}
+				s.follower.primaryEnd.Store(rd.Start)
+				continue
 			}
 			n, err := s.applyReplicated(rd)
 			if err != nil {
@@ -345,110 +373,10 @@ func (s *Server) followOnce() (progressed bool, err error) {
 			return progressed, fmt.Errorf("primary %s refused stream: %w",
 				s.cfg.Follow, wire.DecodeError(fields))
 		default:
-			return progressed, fmt.Errorf("unexpected stream opcode %#x from %s", op, s.cfg.Follow)
+			return progressed, fmt.Errorf("stream from %s: %w", s.cfg.Follow,
+				&wire.WireError{Code: wire.CodeBadFrame, Msg: fmt.Sprintf("unexpected stream opcode %#x", op)})
 		}
 	}
-}
-
-// checkUpstreamEpoch is fencing, follower side, applied to every frame's
-// epoch before the frame is: an upstream below our own epoch is a stale
-// ex-primary (its history and ours may have forked past our shared
-// prefix) — the link is dropped, never applied. An upstream *above* our
-// epoch was promoted while we were partitioned from it: before applying
-// anything we must prove our log is still a byte prefix of the new
-// history (rejoin verification); the proof is cached per epoch so a
-// healthy stream pays it once.
-func (s *Server) checkUpstreamEpoch(up uint64) error {
-	local := s.store.Epoch()
-	if up < local {
-		return fmt.Errorf("fencing: upstream %s at epoch %d is behind local epoch %d; dropping replication link",
-			s.cfg.Follow, up, local)
-	}
-	if up > local && s.follower.verifiedEpoch.Load() < up {
-		if err := s.verifyRejoin(); err != nil {
-			return err
-		}
-		s.follower.verifiedEpoch.Store(up)
-	}
-	return nil
-}
-
-// verifyRejoin proves this store's durable log is a byte prefix of the
-// upstream's history, before any higher-epoch group is applied. After a
-// failover the new primary may have been promoted holding *less* history
-// than we do (groups the old primary acked but never shipped): those
-// offsets belong to the forked old history, and blindly appending the
-// new primary's groups after them would interleave two histories in one
-// log. The check streams the upstream's log from the beginning on a
-// separate connection and byte-compares it against ours; a mismatch — or
-// an upstream whose history ends before ours with every shared byte
-// equal — is a typed *intrinsic.DivergenceError naming the first
-// divergent offset. The local log is never truncated; recovery is the
-// explicit runbook in docs/REPLICATION.md.
-func (s *Server) verifyRejoin() error {
-	localEnd := s.store.DurableEnd()
-	if localEnd <= intrinsic.HeaderSize {
-		return nil // nothing local that could disagree
-	}
-	conn, err := net.DialTimeout("tcp", s.cfg.Follow, 5*time.Second)
-	if err != nil {
-		return fmt.Errorf("rejoin verification: %w", err)
-	}
-	defer conn.Close()
-	maxFrame := s.cfg.maxFrame()
-	hb := s.cfg.replHeartbeat()
-	conn.SetWriteDeadline(time.Now().Add(4 * hb))
-	if err := wire.WriteFrame(conn, maxFrame, wire.OpReplicate,
-		wire.ReplicateFields(intrinsic.HeaderSize, s.store.Epoch())...); err != nil {
-		return fmt.Errorf("rejoin verification: %w", err)
-	}
-	conn.SetWriteDeadline(time.Time{})
-	br := bufio.NewReader(conn)
-	verified := intrinsic.HeaderSize
-	for verified < localEnd {
-		conn.SetReadDeadline(time.Now().Add(4 * hb))
-		op, fields, err := wire.ReadFrame(br, maxFrame)
-		if err != nil {
-			return fmt.Errorf("rejoin verification: %w", err)
-		}
-		switch op {
-		case wire.OpRepData:
-			rd, err := wire.DecodeReplData(fields)
-			if err != nil {
-				return fmt.Errorf("rejoin verification: %w", err)
-			}
-			if rd.Start != verified {
-				return fmt.Errorf("rejoin verification: frame at offset %d, wanted %d", rd.Start, verified)
-			}
-			n, err := s.store.VerifyTail(rd.Raw, rd.Start)
-			if err != nil {
-				return fmt.Errorf("rejoin refused: %w", err)
-			}
-			verified += n
-			if n < int64(len(rd.Raw)) {
-				// The new history extends past our durable end and every
-				// local byte matched: we are a clean prefix. The remainder
-				// arrives through the ordinary stream.
-				return nil
-			}
-		case wire.OpRepHeartbeat:
-			end, _, err := wire.DecodeHeartbeat(fields)
-			if err != nil {
-				return fmt.Errorf("rejoin verification: %w", err)
-			}
-			if end < localEnd && verified >= end {
-				// The upstream's history ends here and ours continues:
-				// our extra groups were never shipped and are not part of
-				// the new history. Typed refusal, not truncation.
-				return fmt.Errorf("rejoin refused: %w", &intrinsic.DivergenceError{Offset: end})
-			}
-		case wire.OpError:
-			return fmt.Errorf("rejoin verification: upstream refused: %w", wire.DecodeError(fields))
-		default:
-			return fmt.Errorf("rejoin verification: unexpected stream opcode %#x", op)
-		}
-	}
-	return nil
 }
 
 // applyReplicated makes one REPDATA frame durable and visible: verify +
@@ -480,7 +408,8 @@ func (s *Server) applyReplicated(rd wire.ReplData) (int, error) {
 	end := s.store.DurableEnd()
 	// Duplicate and overlap handling. Frames arrive in order on one
 	// connection, but a frame in flight when a link died can be re-sent
-	// after the resubscribe. Both ends of any overlap are group
+	// after the resubscribe, and an upstream above our epoch streams our
+	// whole log back from the head. Both ends of any overlap are group
 	// boundaries (our durable end always is, and frames hold whole
 	// groups); the overlap is byte-verified against the local log — a
 	// re-sent group must be *the same* group, not a forked history's —
@@ -507,7 +436,7 @@ func (s *Server) applyReplicated(rd wire.ReplData) (int, error) {
 		return 0, err
 	}
 	psp := tr.Start(0, "publish")
-	s.publishDelta(delta)
+	s.publish(opsOf(delta.Changes), delta.Groups)
 	tr.End(psp)
 	s.m.replGroupsApplied.Add(uint64(delta.Groups))
 	s.m.replBytesApplied.Add(uint64(len(raw)))
@@ -531,23 +460,14 @@ func (s *Server) applyReplicated(rd wire.ReplData) (int, error) {
 	return len(raw), nil
 }
 
-// publishDelta advances the published state by what ApplyGroup reported:
-// the store's committed root table, which ApplyGroup already advanced, and
-// the index set moved by each change's old and new binding — the same
-// index.Apply as a local commit, so follower GETs are the same lock-free
-// extent unions as a primary's. Caller holds commitMu.
-func (s *Server) publishDelta(delta intrinsic.GroupDelta) {
-	if len(delta.Changes) > 0 {
-		ops := make([]index.Op, len(delta.Changes))
-		for i, c := range delta.Changes {
-			ops[i] = index.Op{Remove: c.Old, Add: c.New}
-		}
-		idx, istats := s.state.Load().idx.Apply(ops)
-		s.state.Store(&state{roots: s.store.Committed(), idx: idx})
-		s.m.indexTouched.Add(uint64(istats.EntriesTouched))
-		s.m.commits.Inc()
+// opsOf is the membership delta of a replicated frame's root changes:
+// each change's old and new binding, the same index.Op a local commit
+// publishes, so follower GETs are the same lock-free extent unions as a
+// primary's.
+func opsOf(changes []intrinsic.RootChange) []index.Op {
+	ops := make([]index.Op, len(changes))
+	for i, c := range changes {
+		ops[i] = index.Op{Remove: c.Old, Add: c.New}
 	}
-	// Even a group that changed no state (an epoch record, a shutdown
-	// boundary) grew the log this server reports and re-ships.
-	s.notifyCommit()
+	return ops
 }

@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -237,6 +238,35 @@ func TestFollowerLiveTail(t *testing.T) {
 	// with nothing double-counted.
 	if n := counter(f, "dbpl_repl_bytes_applied_total"); n != uint64(p.store.DurableEnd()-intrinsic.HeaderSize) {
 		t.Errorf("bytes applied = %d, want %d", n, p.store.DurableEnd()-intrinsic.HeaderSize)
+	}
+}
+
+// TestFollowerCountsCommitGroups: dbpl_server_commits_total counts the
+// durable commit groups a server publishes, on a follower as on its
+// primary. A follower that catches up on 300 groups, however few frames
+// carry them, counts 300, as do its primary and its groups-applied
+// counter.
+func TestFollowerCountsCommitGroups(t *testing.T) {
+	dir := t.TempDir()
+	p := boot(t, filepath.Join(dir, "primary.log"))
+	pc := dial(t, p, nil)
+	const groups = 300
+	for i := 0; i < groups; i++ {
+		if err := pc.Put(fmt.Sprintf("r%03d", i), value.Int(int64(i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := bootCfg(t, filepath.Join(dir, "follower.log"), nil, replCfg(p.addr))
+	waitConverged(t, p, f)
+	// The store's end moves when a group is applied, the counter when its
+	// state is published a moment later.
+	const commits = "dbpl_server_commits_total"
+	for deadline := time.Now().Add(5 * time.Second); counter(f, commits) < groups && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	pn, fn, applied := counter(p, commits), counter(f, commits), counter(f, "dbpl_repl_groups_applied_total")
+	if pn != groups || fn != pn || applied != pn {
+		t.Fatalf("commits_total: primary %d, follower %d; follower groups applied %d; want all %d", pn, fn, applied, groups)
 	}
 }
 

@@ -119,7 +119,7 @@ func TestFollowerHealthNeverAheadOfPublishedState(t *testing.T) {
 	fsrv.commitMu.Lock()
 	delta, err := fst.ApplyGroup(raw)
 	if err == nil {
-		fsrv.publishDelta(delta)
+		fsrv.publish(opsOf(delta.Changes), delta.Groups)
 	}
 	fsrv.commitMu.Unlock()
 	if err != nil {
@@ -159,7 +159,7 @@ func TestFollowerHealthNeverAheadOfPublishedState(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			sees(2)
 		}
-		fsrv.publishDelta(delta)
+		fsrv.publish(opsOf(delta.Changes), delta.Groups)
 	}()
 
 	if h := healthOf(t, fsrv); h.DurableEnd != pst.DurableEnd() {
@@ -191,7 +191,7 @@ func TestFollowerPublishesStatelessGroup(t *testing.T) {
 	fsrv.commitMu.Lock()
 	delta, err := fst.ApplyGroup(raw)
 	if err == nil {
-		fsrv.publishDelta(delta)
+		fsrv.publish(opsOf(delta.Changes), delta.Groups)
 	}
 	fsrv.commitMu.Unlock()
 	if err != nil {

@@ -379,12 +379,12 @@ func TestBulkReplyBytes(t *testing.T) {
 }
 
 // TestServeGetOneRecordAllocs: a warm loopback GET of one record costs at
-// most 45 allocations in the whole process. The codec's type table has
-// seen the query type and the witness type, so neither the server's
-// decode of the request nor the client's decode of the reply decodes a
-// type.
+// most 33 allocations in the whole process (it measures 30.0). The
+// codec's type table has seen the query type and the witness type, so
+// neither the server's decode of the request nor the client's decode of
+// the reply decodes a type.
 func TestServeGetOneRecordAllocs(t *testing.T) {
-	const maxAllocs = 45
+	const maxAllocs = 33
 	srv, _, addr := serveWB(t, "one.log", Config{})
 	decl := types.MustParse("{Id: Int, Name: String, Badge: Int}")
 	rec := value.Rec("Id", value.Int(4711), "Name", value.String("qwertyuiopas"), "Badge", value.Int(1<<24+12345))

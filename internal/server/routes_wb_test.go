@@ -134,8 +134,8 @@ func TestServerDocListsEveryOpcode(t *testing.T) {
 }
 
 // TestRequestClassDrain: on a draining server the monitor rows answer and
-// every other row is refused with CodeShutdown — the stream row after the
-// opening heartbeat that carries the server's epoch.
+// every other row is refused with CodeShutdown — the stream row in its
+// first frame.
 func TestRequestClassDrain(t *testing.T) {
 	srv, _ := wbServer(t, iofault.OS{}, filepath.Join(t.TempDir(), "drain.log"), Config{})
 	srv.draining.Store(true)
@@ -150,11 +150,9 @@ func TestRequestClassDrain(t *testing.T) {
 				defer server.Close()
 				routes[op].stream(srv, server, wire.ReplicateFields(0, 0))
 			}()
-			for respOp == 0 || respOp == wire.OpRepHeartbeat {
-				var err error
-				if respOp, fields, err = wire.ReadFrame(client, 0); err != nil {
-					t.Fatalf("%s: %v", wire.OpName(op), err)
-				}
+			var err error
+			if respOp, fields, err = wire.ReadFrame(client, 0); err != nil {
+				t.Fatalf("%s: %v", wire.OpName(op), err)
 			}
 			client.Close()
 		} else {

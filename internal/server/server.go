@@ -684,7 +684,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		class := wire.Lookup(op).Class
 		// The stream row consumes the connection: it becomes a one-way
-		// stream of REPDATA/REPHEARTBEAT frames until the peer hangs up or
+		// stream of REPDATA frames until the peer hangs up or
 		// we drain. Trace IDs are per-request and do not apply to a stream.
 		if class == wire.ClassStream {
 			s.m.requests[op].Inc()
@@ -1393,10 +1393,10 @@ func (s *Server) promote() (uint64, error) {
 		return 0, err
 	}
 	s.mode.Store(&mode{role: wire.RolePrimary})
-	// The epoch record is a durable commit: wake streamers so followers
-	// of *this* server learn the new epoch immediately.
-	s.notifyCommit()
-	s.m.commits.Inc()
+	// The epoch record is a durable commit group: publishing it wakes
+	// streamers so followers of *this* server learn the new epoch
+	// immediately.
+	s.publish(nil, 1)
 	s.logf("server: promoted to primary at epoch %d", epoch)
 	if s.cfg.Follow != "" && m.role != wire.RolePrimary {
 		// Best effort, retried in the background: the demoted primary may

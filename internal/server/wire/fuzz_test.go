@@ -115,9 +115,15 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(mustFrame(OpOK, []byte{'T', 1, 0xFF, 0xFF}))
 	tracesOp, tracesFields := AppendTrace(OpTraces, 0xBEEF, nil)
 	f.Add(mustFrame(tracesOp, tracesFields...))
-	f.Add(mustFrame(OpRepHeartbeat, HeartbeatFields(1<<40, 5)...))
-	f.Add(mustFrame(OpRepHeartbeat, UvarintField(64))) // refused single-field form
-	f.Add(mustFrame(OpRepHeartbeat))
+	// The heartbeat, a REPDATA frame with no groups: valid, with a flipped
+	// CRC, and missing its trailer.
+	f.Add(mustFrame(OpRepData, ReplDataFields(1<<40, nil, 5, 0, 0)...))
+	f.Add(func() []byte {
+		fields := ReplDataFields(1<<40, nil, 5, 0, 0)
+		fields[5][0] ^= 0x01
+		return mustFrame(OpRepData, fields...)
+	}())
+	f.Add(mustFrame(OpRepData, ReplDataFields(1<<40, nil, 5, 0, 0)[:5]...))
 	// Failover: the self-promote order, the fence notification, and a
 	// malformed fence epoch.
 	f.Add(mustFrame(OpPromote))
@@ -204,8 +210,6 @@ func FuzzReadFrame(f *testing.F) {
 				derr = decodeReplicateReq(rest)
 			case base == OpRepData:
 				derr = decodeReplData(rest)
-			case base == OpRepHeartbeat:
-				derr = decodeHeartbeat(rest)
 			case base == OpOK:
 				derr = decodeHealth(rest)
 			}

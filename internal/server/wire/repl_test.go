@@ -90,8 +90,8 @@ func TestReplDataTraceForm(t *testing.T) {
 // TestRemovedFrameShapesRefused: the frame shapes of earlier servers —
 // three- and four-field REPDATA, six-, seven- and nine-field HEALTH (the
 // last carried an acknowledged-end watermark after the durable end), and
-// single-field REPLICATE and REPHEARTBEAT — are refused with a typed
-// error, never decoded with defaults and never a panic.
+// single-field REPLICATE — are refused with a typed error, never decoded
+// with defaults and never a panic.
 func TestRemovedFrameShapesRefused(t *testing.T) {
 	raw := []byte("group-bytes")
 	off := UvarintField(4096)
@@ -117,7 +117,6 @@ func TestRemovedFrameShapesRefused(t *testing.T) {
 		{"HEALTH 7 fields", decodeHealth, health[:7], ErrBadFrame},
 		{"HEALTH 9 fields", decodeHealth, healthAcked, ErrBadFrame},
 		{"REPLICATE 1 field", decodeReplicateReq, [][]byte{off}, ErrBadRequest},
-		{"REPHEARTBEAT 1 field", decodeHeartbeat, [][]byte{off}, ErrBadFrame},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.decode(tc.fields)
@@ -132,7 +131,6 @@ func TestRemovedFrameShapesRefused(t *testing.T) {
 func decodeReplData(f [][]byte) error     { _, err := DecodeReplData(f); return err }
 func decodeHealth(f [][]byte) error       { _, err := DecodeHealth(f); return err }
 func decodeReplicateReq(f [][]byte) error { _, _, err := DecodeReplicateReq(f); return err }
-func decodeHeartbeat(f [][]byte) error    { _, _, err := DecodeHeartbeat(f); return err }
 
 // TestReplDataDetectsCorruption: any bit flip — in the offset, the
 // payload, the epoch, or the trailer itself — fails the checksum with
@@ -189,16 +187,25 @@ func TestReplDataMalformed(t *testing.T) {
 	}
 }
 
-// TestHeartbeatRoundTrip: the keepalive carries the primary's durable end
-// and epoch.
+// TestHeartbeatRoundTrip: the keepalive, a REPDATA frame with no groups,
+// carries the primary's durable end as its start and its epoch, both
+// under the CRC: a flipped byte in either is CodeCorrupt, so a follower
+// never fences on, or reports lag from, a damaged heartbeat.
 func TestHeartbeatRoundTrip(t *testing.T) {
-	got, epoch, err := DecodeHeartbeat(HeartbeatFields(1<<40, 12))
-	if err != nil || got != 1<<40 || epoch != 12 {
-		t.Fatalf("heartbeat round trip = (%d, %d, %v)", got, epoch, err)
+	got, err := DecodeReplData(ReplDataFields(1<<40, nil, 12, 0, 0))
+	if err != nil || got.Start != 1<<40 || got.Epoch != 12 || len(got.Raw) != 0 || got.Trace != 0 || got.CommitNS != 0 {
+		t.Fatalf("heartbeat round trip = (%+v, %v)", got, err)
 	}
-	for i, fields := range [][][]byte{{}, {{0xFF}}, {{1}, {2}, {3}}, {UvarintField(1), {0xFF}}, {{0xFF}, UvarintField(1)}} {
-		if _, _, err := DecodeHeartbeat(fields); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("malformed heartbeat %d decoded to %v, want ErrBadFrame", i, err)
+	for _, flip := range []struct {
+		name  string
+		field int
+	}{{"end", 0}, {"epoch", 2}} {
+		fields := ReplDataFields(1<<40, nil, 12, 0, 0)
+		fields[flip.field][0] ^= 0x01
+		_, err := DecodeReplData(fields)
+		var we *WireError
+		if !errors.As(err, &we) || we.Code != CodeCorrupt {
+			t.Errorf("heartbeat with a flipped %s decoded to %v, want a CodeCorrupt WireError", flip.name, err)
 		}
 	}
 }

@@ -71,9 +71,10 @@ const (
 	// [from, epoch] — the uvarint durable offset and the subscriber's
 	// promotion epoch; a server seeing a subscriber with a
 	// higher epoch than its own has been superseded and fences itself.
-	// The server answers with an open-ended stream of OpRepData /
-	// OpRepHeartbeat frames instead of a single response; the connection
-	// carries nothing else afterwards.
+	// The server answers with an open-ended stream of OpRepData frames
+	// instead of a single response, from the log head when the
+	// subscriber's epoch is below the server's; the connection carries
+	// nothing else afterwards.
 	OpReplicate byte = 0x0F
 	// OpPromote is failover administration, gated by the server's
 	// -allow-promote flag. With no fields it orders this server to
@@ -92,20 +93,20 @@ const (
 	OpTraces byte = 0x11
 )
 
-// Response opcodes. OpRepData and OpRepHeartbeat are the replication
-// stream (see OpReplicate): REPDATA carries whole commit groups as raw log
-// bytes with the primary's epoch and trace context, where the 4-byte
-// little-endian CRC-32C trailer covers every preceding field — so a
-// flipped bit anywhere in the frame is detected before the follower
-// touches its log (see ReplDataFields). REPHEARTBEAT is the idle keepalive
-// [durableEnd, epoch], letting a follower distinguish a quiet primary from
-// a dead link and track lag while fully caught up.
+// Response opcodes. OpRepData is the replication stream (see
+// OpReplicate): REPDATA carries whole commit groups as raw log bytes with
+// the primary's epoch and trace context, where the 4-byte little-endian
+// CRC-32C trailer covers every preceding field — so a flipped bit
+// anywhere in the frame is detected before the follower touches its log
+// (see ReplDataFields). A REPDATA frame with no groups is the idle
+// keepalive: its start is the primary's durable end, letting a follower
+// distinguish a quiet primary from a dead link and track lag while fully
+// caught up. 0x84, the old two-field keepalive, is retired.
 const (
-	OpOK           byte = 0x80
-	OpValues       byte = 0x81 // [types, rows] (codec.ReplyWriter), or none
-	OpError        byte = 0x82 // [code(1), message]
-	OpRepData      byte = 0x83 // [startOffset, rawGroups, epoch, trace, commitNS, crc32c(4)]
-	OpRepHeartbeat byte = 0x84 // [durableEnd, epoch]
+	OpOK      byte = 0x80
+	OpValues  byte = 0x81 // [types, rows] (codec.ReplyWriter), or none
+	OpError   byte = 0x82 // [code(1), message]
+	OpRepData byte = 0x83 // [startOffset, rawGroups, epoch, trace, commitNS, crc32c(4)]
 )
 
 // TraceFlag marks a *traced* frame in either direction: the opcode byte
@@ -154,23 +155,23 @@ type Op struct {
 // comments give each row's fields and reply fields, "key?" the optional
 // idempotency key.
 var Ops = [...]Op{
-	OpPing:        {"PING", ClassAdmin, 0, 0, OpOK},                 // [] -> []
-	OpGet:         {"GET", ClassRead, 1, 1, OpValues},               // [type-image] -> [types, rows], or [] when empty
-	OpPut:         {"PUT", ClassWrite, 2, 3, OpOK},                  // [name, tagged-image, key?]
-	OpDelete:      {"DELETE", ClassWrite, 1, 2, OpOK},               // [name, key?] -> [existed(1)]
-	OpJoin:        {"JOIN", ClassRead, 2, 2, OpValues},              // [type-image, type-image] -> [types, rows], or []
-	OpBegin:       {"BEGIN", ClassWrite, 0, 0, OpOK},                // [] -> []
-	OpCommit:      {"COMMIT", ClassWrite, 0, 1, OpOK},               // [key?]
-	OpAbort:       {"ABORT", ClassRead, 0, 0, OpOK},                 // [] -> []
-	OpNames:       {"NAMES", ClassRead, 0, 0, OpOK},                 // -> [name...]
-	OpHealth:      {"HEALTH", ClassMonitor, 0, 0, OpOK},             // -> HealthFields
-	OpStats:       {"STATS", ClassMonitor, 0, 0, OpOK},              // -> [snapshot-json]
-	OpCreateIndex: {"CREATEINDEX", ClassWrite, 1, 2, OpOK},          // [field, key?] -> [created(1)]
-	OpDropIndex:   {"DROPINDEX", ClassWrite, 1, 2, OpOK},            // [field, key?] -> [existed(1)]
-	OpExplain:     {"EXPLAIN", ClassRead, 1, 2, OpOK},               // [type-image, type-image?] -> [plan-text]
-	OpReplicate:   {"REPLICATE", ClassStream, 2, 2, OpRepHeartbeat}, // ReplicateFields -> the stream, a heartbeat first
-	OpPromote:     {"PROMOTE", ClassAdmin, 0, 2, OpOK},              // [] -> [epoch], or FenceFields -> []
-	OpTraces:      {"TRACES", ClassMonitor, 0, 0, OpOK},             // -> [trace-json...]
+	OpPing:        {"PING", ClassAdmin, 0, 0, OpOK},            // [] -> []
+	OpGet:         {"GET", ClassRead, 1, 1, OpValues},          // [type-image] -> [types, rows], or [] when empty
+	OpPut:         {"PUT", ClassWrite, 2, 3, OpOK},             // [name, tagged-image, key?]
+	OpDelete:      {"DELETE", ClassWrite, 1, 2, OpOK},          // [name, key?] -> [existed(1)]
+	OpJoin:        {"JOIN", ClassRead, 2, 2, OpValues},         // [type-image, type-image] -> [types, rows], or []
+	OpBegin:       {"BEGIN", ClassWrite, 0, 0, OpOK},           // [] -> []
+	OpCommit:      {"COMMIT", ClassWrite, 0, 1, OpOK},          // [key?]
+	OpAbort:       {"ABORT", ClassRead, 0, 0, OpOK},            // [] -> []
+	OpNames:       {"NAMES", ClassRead, 0, 0, OpOK},            // -> [name...]
+	OpHealth:      {"HEALTH", ClassMonitor, 0, 0, OpOK},        // -> HealthFields
+	OpStats:       {"STATS", ClassMonitor, 0, 0, OpOK},         // -> [snapshot-json]
+	OpCreateIndex: {"CREATEINDEX", ClassWrite, 1, 2, OpOK},     // [field, key?] -> [created(1)]
+	OpDropIndex:   {"DROPINDEX", ClassWrite, 1, 2, OpOK},       // [field, key?] -> [existed(1)]
+	OpExplain:     {"EXPLAIN", ClassRead, 1, 2, OpOK},          // [type-image, type-image?] -> [plan-text]
+	OpReplicate:   {"REPLICATE", ClassStream, 2, 2, OpRepData}, // ReplicateFields -> the stream of REPDATA frames
+	OpPromote:     {"PROMOTE", ClassAdmin, 0, 2, OpOK},         // [] -> [epoch], or FenceFields -> []
+	OpTraces:      {"TRACES", ClassMonitor, 0, 0, OpOK},        // -> [trace-json...]
 }
 
 // LastRequestOp is the highest assigned request opcode: request opcodes
@@ -199,7 +200,7 @@ func (o Op) CheckFields(n int) error {
 }
 
 // replyNames names the response opcodes, OpOK onwards.
-var replyNames = [...]string{"OK", "VALUES", "ERROR", "REPDATA", "REPHEARTBEAT"}
+var replyNames = [...]string{"OK", "VALUES", "ERROR", "REPDATA"}
 
 // OpName names a request or response opcode for logs, metrics and the
 // slow-op ring; a traced opcode names the same as its base. Unknown
@@ -758,7 +759,8 @@ func DecodeReplicateReq(fields [][]byte) (int64, uint64, error) {
 // follower acts on the frame. A catch-up chunk, or one whose last commit
 // was untraced, sends trace 0 and commitNS 0: no link. A follower links
 // its apply span to the primary's trace and measures commit-to-visible
-// delay from commitNS.
+// delay from commitNS. A heartbeat is a frame with no groups whose start
+// is the primary's durable end: ReplDataFields(end, nil, epoch, 0, 0).
 func ReplDataFields(start int64, raw []byte, epoch, traceID uint64, commitNS int64) [][]byte {
 	off := UvarintField(uint64(start))
 	ep := UvarintField(epoch)
@@ -815,29 +817,6 @@ func DecodeReplData(fields [][]byte) (ReplData, error) {
 			"REPDATA checksum mismatch (stored %08x, computed %08x)", got, sum)
 	}
 	return d, nil
-}
-
-// HeartbeatFields encodes a REPHEARTBEAT frame: the primary's durable end
-// and its promotion epoch.
-func HeartbeatFields(end int64, epoch uint64) [][]byte {
-	return [][]byte{UvarintField(uint64(end)), UvarintField(epoch)}
-}
-
-// DecodeHeartbeat decodes a two-field REPHEARTBEAT frame, returning the
-// primary's durable end and its epoch.
-func DecodeHeartbeat(fields [][]byte) (int64, uint64, error) {
-	if len(fields) != 2 {
-		return 0, 0, errf(CodeBadFrame, "malformed REPHEARTBEAT frame")
-	}
-	v, ok := uvarintOf(fields[0])
-	if !ok || v > math.MaxInt64 {
-		return 0, 0, errf(CodeBadFrame, "malformed REPHEARTBEAT offset")
-	}
-	epoch, ok := uvarintOf(fields[1])
-	if !ok {
-		return 0, 0, errf(CodeBadFrame, "malformed REPHEARTBEAT epoch")
-	}
-	return int64(v), epoch, nil
 }
 
 // FenceFields encodes the fence-notification form of a PROMOTE request:

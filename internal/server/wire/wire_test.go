@@ -316,10 +316,14 @@ func TestOpcodeExhaustiveness(t *testing.T) {
 	if s := OpName(LastRequestOp + 1); !strings.HasPrefix(s, "op(") {
 		t.Errorf("opcode past LastRequestOp has a real OpName %q", s)
 	}
-	for _, op := range []byte{OpOK, OpValues, OpError, OpRepData, OpRepHeartbeat} {
+	for _, op := range []byte{OpOK, OpValues, OpError, OpRepData} {
 		if s := OpName(op); strings.HasPrefix(s, "op(") {
 			t.Errorf("response opcode %#x has no real OpName", op)
 		}
+	}
+	// 0x84, the retired two-field heartbeat, is no opcode.
+	if s := OpName(0x84); !strings.HasPrefix(s, "op(") {
+		t.Errorf("retired opcode 0x84 still has a real OpName %q", s)
 	}
 }
 
