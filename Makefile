@@ -57,7 +57,9 @@ bench-smoke:
 # prefixes and oversize claims must yield typed wire errors — never a
 # panic, never an unbounded allocation; its seeds include the heartbeat,
 # a REPDATA frame with no groups, valid, with a flipped CRC and missing
-# its trailer), the two-field VALUES reply
+# its trailer, the three-field REPLICATE with its refused two-field form
+# and a heartbeat under 10 ms, and the refused HEALTH reply whose flags
+# set bit 1), the two-field VALUES reply
 # decoder (differential against per-row DecodeTagged of each row's tagged
 # image, read from the layout's definition; its seeds include a bad
 # ordinal, a row count past the bytes, trailing bytes, types with no rows

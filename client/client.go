@@ -110,7 +110,8 @@ var (
 )
 
 // Health is the server's HEALTH self-report (wire.Health re-exported):
-// poisoned flag, in-flight count, session count, root count, uptime.
+// poisoned flag, in-flight count, session count, root count, uptime,
+// durable end, replication role and promotion epoch.
 type Health = wire.Health
 
 // Options tunes a Client. The zero value is usable.

@@ -65,7 +65,7 @@ func (c *Client) failover() bool {
 	found := false
 	for _, addr := range c.candidates() {
 		h, err := c.probeAddr(addr)
-		if err != nil || h.Poisoned || h.ReadOnly || h.Role != wire.RolePrimary {
+		if err != nil || h.Poisoned || h.Role != wire.RolePrimary {
 			continue
 		}
 		if !found || h.Epoch > bestEpoch {

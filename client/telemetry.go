@@ -20,7 +20,7 @@ import (
 
 // traceSeq is the process-global trace-ID sequence, seeded once from the
 // system entropy source so IDs from different processes don't collide on
-// a shared server's slow-op log.
+// a shared server's trace ring.
 var traceSeq atomic.Uint64
 
 func init() {

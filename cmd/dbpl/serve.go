@@ -49,7 +49,7 @@ func runServe(args []string, out io.Writer) error {
 	maxInflight := fs.Int("max-inflight", 0, "admission-control cap of `n` concurrently executing requests (0 = default 1024, negative = uncapped)")
 	follow := fs.String("follow", "", "replicate from the `primary` at this address and serve read-only")
 	allowPromote := fs.Bool("allow-promote", false, "accept the PROMOTE admin opcode (dbpl promote) to take over as primary during failover")
-	opsAddr := fs.String("ops", "", "HTTP ops endpoint `address` exposing /metrics, /slowops and /debug/pprof; unauthenticated — bind loopback (e.g. 127.0.0.1:7071)")
+	opsAddr := fs.String("ops", "", "HTTP ops endpoint `address` exposing /metrics, /traces and /debug/pprof; unauthenticated — bind loopback (e.g. 127.0.0.1:7071)")
 	durability := fs.String("durability", "per-commit", "`per-commit|group`: per-commit pays one fsync per commit, group lets concurrent commits share one; both ack a write only after its fsync")
 	traceSample := fs.Float64("trace-sample", 0, "head-sampling probability `p` for span-based request tracing (0 = off, 1 = trace everything); slow requests are always retained")
 	traceRing := fs.Int("trace-ring", 0, "`n` completed traces retained in memory for TRACES//traces (0 = default 256)")

@@ -252,7 +252,7 @@ func FuzzScanLog(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		commits := 0
-		lastCommitEnd := int64(0)
+		finalCommitEnd := int64(0)
 		var tab []types.Type
 		sum, err := scanLog(bytes.NewReader(data), scanSink{
 			types:     &tab,
@@ -261,7 +261,7 @@ func FuzzScanLog(f *testing.F) {
 			indexDefs: func([]string) {},
 			commit: func(end int64) {
 				commits++
-				lastCommitEnd = end
+				finalCommitEnd = end
 			},
 		})
 		var ve *LogVersionError
@@ -280,8 +280,8 @@ func FuzzScanLog(f *testing.F) {
 		if sum.commits != commits {
 			t.Fatalf("summary commits %d != sink commits %d", sum.commits, commits)
 		}
-		if commits > 0 && lastCommitEnd > sum.goodEnd {
-			t.Fatalf("commit callback fired at %d past goodEnd %d", lastCommitEnd, sum.goodEnd)
+		if commits > 0 && finalCommitEnd > sum.goodEnd {
+			t.Fatalf("commit callback fired at %d past goodEnd %d", finalCommitEnd, sum.goodEnd)
 		}
 		if sum.corrupt != nil && (sum.corrupt.Offset < 0 || sum.corrupt.Offset > int64(len(data))) {
 			t.Fatalf("corruption offset %d outside input", sum.corrupt.Offset)

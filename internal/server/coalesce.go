@@ -328,16 +328,12 @@ func (s *Server) processBatch(batch []*commitReq) {
 		failBatch(batch, err)
 		return
 	}
-	// Mark before the wakeup in notifyCommit: a streamer woken by it must
-	// see this batch's trace stamp when it ships the groups.
-	s.markCommit(batchTrace)
-
 	// Publish the successor state — the store's committed root table
 	// itself, and the index set moved by the batch's ops — then answer
 	// every request whose answer rode the batch, and every in-batch
 	// duplicate with its owner's result.
 	pubStart := time.Now()
-	s.publish(iops, staged)
+	s.publish(iops, staged, batchTrace)
 	pubEnd := time.Now()
 	for _, r := range batch {
 		switch {

@@ -102,7 +102,7 @@ func TestFailoverPromoteAfterPrimaryDeath(t *testing.T) {
 		t.Fatalf("promotion epoch = %d, want 1 (first promotion of this log)", epoch)
 	}
 	h := waitRole(t, fc, wire.RolePrimary)
-	if h.ReadOnly || h.Epoch != 1 {
+	if h.Role != wire.RolePrimary || h.Epoch != 1 {
 		t.Fatalf("promoted HEALTH = %+v, want writable primary at epoch 1", h)
 	}
 
@@ -464,7 +464,7 @@ func TestFailoverHeartbeatLossDuringPromotion(t *testing.T) {
 		t.Fatalf("PUT after promotion: %v", err)
 	}
 	h := waitRole(t, fc, wire.RolePrimary)
-	if h.ReadOnly {
+	if h.Role != wire.RolePrimary || h.Poisoned {
 		t.Fatalf("promoted HEALTH = %+v, want writable", h)
 	}
 }

@@ -151,9 +151,15 @@ func (m *serverMetrics) observe(op byte, d time.Duration, respOp byte, respField
 	} else {
 		m.unknown.Inc()
 	}
-	if respOp == wire.OpError && len(respFields) > 0 && len(respFields[0]) == 1 {
-		if code := wire.Code(respFields[0][0]); code >= wire.CodeBadFrame && code <= lastWireCode {
-			m.errors[code].Inc()
-		}
+	if code, ok := replyCode(respOp, respFields); ok && code >= wire.CodeBadFrame && code <= lastWireCode {
+		m.errors[code].Inc()
 	}
+}
+
+// replyCode is the code of an error reply.
+func replyCode(respOp byte, respFields [][]byte) (wire.Code, bool) {
+	if respOp == wire.OpError && len(respFields) > 0 && len(respFields[0]) == 1 {
+		return wire.Code(respFields[0][0]), true
+	}
+	return 0, false
 }

@@ -1,8 +1,9 @@
 // The ops endpoint: an optional HTTP listener (`dbpl serve -ops addr`)
 // exposing the same telemetry the wire protocol serves, in the formats
-// operational tooling expects — Prometheus text exposition, a JSON
-// slow-op log, and net/http/pprof. It shares the server's registry, so a
-// scrape and a STATS frame report the same numbers.
+// operational tooling expects — Prometheus text exposition, the JSON
+// trace ring (sampled and slow requests), and net/http/pprof. It shares
+// the server's registry, so a scrape and a STATS frame report the same
+// numbers.
 //
 // The endpoint is unauthenticated by design (like the wire protocol);
 // cmd/dbpl binds it to loopback by default and docs/OBSERVABILITY.md
@@ -21,8 +22,7 @@ import (
 // OpsHandler returns the HTTP handler for the ops endpoint:
 //
 //	/metrics        Prometheus text exposition of the registry
-//	/slowops        JSON array of retained slow operations, newest first
-//	/traces         JSON array of retained span trees, newest first
+//	/traces         JSON array of retained traces, sampled and slow, newest first
 //	/debug/pprof/*  the standard runtime profiles
 //
 // The handler is safe for concurrent use and never touches locks a
@@ -33,16 +33,6 @@ func (s *Server) OpsHandler() http.Handler {
 		snap := s.m.reg.Snapshot()
 		w.Header().Set("Content-Type", telemetry.PromContentType)
 		snap.WriteProm(w)
-	})
-	mux.HandleFunc("/slowops", func(w http.ResponseWriter, r *http.Request) {
-		ops := s.SlowOps()
-		if ops == nil {
-			ops = []telemetry.SlowOp{}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(ops)
 	})
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {
 		ds := s.Traces()

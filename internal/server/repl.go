@@ -19,9 +19,10 @@
 // primary's epoch, whose history may have forked at a promotion, is
 // streamed from the log head, and its overlap check verifies its whole
 // log before a new byte lands. Idle streams carry REPDATA frames with no
-// groups whose start is the primary's durable end, so a follower can tell
-// "primary idle" from "link dead" (four missed heartbeats) and can
-// report its replication lag in bytes.
+// groups whose start is where the stream stands, at the heartbeat interval
+// the subscriber asked for, so a follower can tell "primary idle" from
+// "link dead" (four of its own missed heartbeats) and can report its
+// replication lag in bytes.
 package server
 
 import (
@@ -42,34 +43,26 @@ import (
 
 // publish advances the published state past groups durable commit groups
 // — a committer's batch, a replicated frame, a promotion's epoch record —
-// whose root changes are ops, in order: the index set moves by them and
-// the store's committed root table becomes the published roots. Groups
-// that changed no root still grew the log this server reports and ships.
-// Caller holds commitMu.
-func (s *Server) publish(ops []index.Op, groups int) {
+// whose root changes are ops, in order: the index set moves by them, the
+// store's committed root table becomes the published roots, and the
+// successor covers the store's durable end, since every caller runs after
+// its groups' fsync. trace is the committing batch's sampled trace, 0 for
+// none. Storing the successor and closing its predecessor's next is the
+// whole publication: a streamer waiting on the state it loaded wakes to
+// one that covers the new groups. Groups that changed no root still grew
+// the log this server reports and ships. Caller holds commitMu.
+func (s *Server) publish(ops []index.Op, groups int, trace uint64) {
+	prev := s.state.Load()
+	next := &state{roots: s.store.Committed(), idx: prev.idx, end: s.store.DurableEnd(),
+		trace: trace, ns: time.Now().UnixNano(), next: make(chan struct{})}
 	if len(ops) > 0 {
-		idx, istats := s.state.Load().idx.Apply(ops)
-		s.state.Store(&state{roots: s.store.Committed(), idx: idx})
+		var istats index.ApplyStats
+		next.idx, istats = prev.idx.Apply(ops)
 		s.m.indexTouched.Add(uint64(istats.EntriesTouched))
 	}
+	s.state.Store(next)
+	close(prev.next)
 	s.m.commits.Add(uint64(groups))
-	s.notifyCommit()
-}
-
-// notifyCommit marks a publication: the log grew and the published state
-// (already stored, when the group changed it) covers it. It records the
-// offset covered — the durable end, since every caller runs after its
-// group's fsync — and wakes every blocked replication streamer by closing
-// the current signal channel and installing a fresh one. Streamers load
-// the channel *before* reading the durable end, so a commit landing
-// between the two closes exactly the channel they are about to wait on —
-// the wakeup cannot be lost. Callers hold commitMu.
-func (s *Server) notifyCommit() {
-	s.publishedEnd.Store(s.store.DurableEnd())
-	ch := make(chan struct{})
-	if old := s.commitSignal.Swap(&ch); old != nil {
-		close(*old)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -94,7 +87,7 @@ func (s *Server) streamReplicate(conn net.Conn, fields [][]byte) {
 		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		wire.WriteFrame(conn, maxFrame, wire.OpError, wire.ErrorFields(we)...)
 	}
-	from, subEpoch, err := wire.DecodeReplicateReq(fields)
+	from, subEpoch, hb, err := wire.DecodeReplicateReq(fields)
 	if err != nil {
 		fail(toWireError(err))
 		return
@@ -118,22 +111,21 @@ func (s *Server) streamReplicate(conn net.Conn, fields [][]byte) {
 		// byte lands.
 		from = intrinsic.HeaderSize
 	}
-	hb := s.cfg.replHeartbeat()
 	for {
 		if s.draining.Load() {
 			fail(&wire.WireError{Code: wire.CodeShutdown, Msg: "server is draining"})
 			return
 		}
-		// Order matters: load the signal channel before the durable end
-		// (see notifyCommit).
-		sig := *s.commitSignal.Load()
-		end := s.store.DurableEnd()
-		if from > end {
+		// One load says how far to ship, how to stamp the frame that ends
+		// there and what to wait on. The offset check reads the store: a
+		// chunk may run past the published end, to the durable end.
+		st := s.state.Load()
+		if end := s.store.DurableEnd(); from > end {
 			fail(&wire.WireError{Code: wire.CodeBadRequest,
 				Msg: fmt.Sprintf("replication offset %d past durable end %d", from, end)})
 			return
 		}
-		if from < end {
+		if from < st.end {
 			raw, next, groups, err := s.store.ReadGroupsAt(from, replChunk)
 			if err != nil {
 				fail(toWireError(err))
@@ -147,8 +139,8 @@ func (s *Server) streamReplicate(conn net.Conn, fields [][]byte) {
 			// untraced commit) send zeros: no link.
 			var trace uint64
 			var commitNS int64
-			if mk := s.lastCommit.Load(); mk != nil && mk.trace != 0 && mk.end == next {
-				trace, commitNS = mk.trace, mk.ns
+			if st.trace != 0 && st.end == next {
+				trace, commitNS = st.trace, st.ns
 			}
 			repFields := wire.ReplDataFields(from, raw, s.store.Epoch(), trace, commitNS)
 			if wire.WriteFrame(conn, maxFrame, wire.OpRepData, repFields...) != nil {
@@ -159,20 +151,25 @@ func (s *Server) streamReplicate(conn net.Conn, fields [][]byte) {
 			s.m.replBytesShipped.Add(uint64(len(raw)))
 			continue
 		}
-		// Caught up. Wait for the next commit, heartbeating so the
-		// follower can tell an idle primary from a dead link: a frame with
-		// no groups, starting at our durable end. The heartbeat write
-		// doubles as peer-death detection: this goroutine never reads, so
-		// a vanished follower is noticed at the next heartbeat's failed
-		// write.
+		// Caught up. Wait for the next publication, heartbeating at the
+		// subscriber's interval so it can tell an idle primary from a dead
+		// link: a frame with no groups, starting at our log end. None is
+		// sent while the stream stands below the durable end: the
+		// publication that covers the rest is in flight and wakes us. The
+		// heartbeat write doubles as peer-death detection: this goroutine
+		// never reads, so a vanished follower is noticed at the next
+		// heartbeat's failed write.
 		select {
-		case <-sig:
+		case <-st.next:
 		case <-s.shutdownCh:
 			fail(&wire.WireError{Code: wire.CodeShutdown, Msg: "server is draining"})
 			return
 		case <-time.After(hb):
+			if from < s.store.DurableEnd() {
+				continue
+			}
 			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-			if wire.WriteFrame(conn, maxFrame, wire.OpRepData, wire.ReplDataFields(end, nil, s.store.Epoch(), 0, 0)...) != nil {
+			if wire.WriteFrame(conn, maxFrame, wire.OpRepData, wire.ReplDataFields(from, nil, s.store.Epoch(), 0, 0)...) != nil {
 				return
 			}
 			s.m.replHeartbeats.Inc()
@@ -313,7 +310,7 @@ func (s *Server) followOnce() (progressed bool, err error) {
 	hb := s.cfg.replHeartbeat()
 	conn.SetWriteDeadline(time.Now().Add(4 * hb))
 	if err := wire.WriteFrame(conn, maxFrame, wire.OpReplicate,
-		wire.ReplicateFields(s.store.DurableEnd(), s.store.Epoch())...); err != nil {
+		wire.ReplicateFields(s.store.DurableEnd(), s.store.Epoch(), hb)...); err != nil {
 		return false, fmt.Errorf("subscribing to %s: %w", s.cfg.Follow, err)
 	}
 	conn.SetWriteDeadline(time.Time{})
@@ -436,7 +433,7 @@ func (s *Server) applyReplicated(rd wire.ReplData) (int, error) {
 		return 0, err
 	}
 	psp := tr.Start(0, "publish")
-	s.publish(opsOf(delta.Changes), delta.Groups)
+	s.publish(opsOf(delta.Changes), delta.Groups, 0)
 	tr.End(psp)
 	s.m.replGroupsApplied.Add(uint64(delta.Groups))
 	s.m.replBytesApplied.Add(uint64(len(raw)))

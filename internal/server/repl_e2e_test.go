@@ -17,6 +17,7 @@ import (
 	"dbpl/internal/persist/iofault"
 	"dbpl/internal/server"
 	"dbpl/internal/server/netfault"
+	"dbpl/internal/server/wire"
 	"dbpl/internal/value"
 )
 
@@ -104,7 +105,7 @@ func counter(h *harness, name string) uint64 {
 
 // TestFollowerServesReadsRefusesWrites: a follower replays the primary's
 // history, serves the whole read surface (GET, NAMES, EXPLAIN of a GET
-// and of a JOIN, as exact as the primary's), reports itself read-only with its
+// and of a JOIN, as exact as the primary's), reports its role and its
 // durable offset in HEALTH, and refuses every write verb with the typed
 // read-only error naming the primary.
 func TestFollowerServesReadsRefusesWrites(t *testing.T) {
@@ -178,21 +179,21 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 		t.Errorf("refusal counter = %d, want >= 4", n)
 	}
 
-	// HEALTH: the follower flags itself read-only and reports the same
-	// durable offset the primary does; the primary reports writable.
+	// HEALTH: the follower reports its role and the same durable offset
+	// the primary does; the primary reports itself primary.
 	fh, err := fc.Health()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fh.ReadOnly || fh.DurableEnd != f.store.DurableEnd() {
-		t.Fatalf("follower HEALTH = %+v, want ReadOnly with DurableEnd %d", fh, f.store.DurableEnd())
+	if fh.Role != wire.RoleFollower || fh.DurableEnd != f.store.DurableEnd() {
+		t.Fatalf("follower HEALTH = %+v, want a follower with DurableEnd %d", fh, f.store.DurableEnd())
 	}
 	ph, err := pc.Health()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ph.ReadOnly || ph.DurableEnd != fh.DurableEnd {
-		t.Fatalf("primary HEALTH = %+v, want writable at the follower's offset %d", ph, fh.DurableEnd)
+	if ph.Role != wire.RolePrimary || ph.DurableEnd != fh.DurableEnd {
+		t.Fatalf("primary HEALTH = %+v, want the primary at the follower's offset %d", ph, fh.DurableEnd)
 	}
 	sameLog(t, p.path, f.path)
 }
@@ -338,6 +339,27 @@ func TestPrimaryRestartFollowerResubscribes(t *testing.T) {
 	sameLog(t, ppath, f.path)
 	if n := counter(f, "dbpl_repl_reconnects_total"); n < 1 {
 		t.Errorf("reconnect counter = %d, want >= 1 after primary restart", n)
+	}
+}
+
+// TestFollowerShorterHeartbeatKeepsLink: a follower times its link by the
+// heartbeat it asks for, so a primary must heartbeat at that interval and
+// not at its own. A 50 ms follower under a default (1 s) primary idles a
+// second on a healthy link without a single redial.
+func TestFollowerShorterHeartbeatKeepsLink(t *testing.T) {
+	dir := t.TempDir()
+	p := bootCfg(t, filepath.Join(dir, "primary.log"), nil, server.Config{})
+	if err := dial(t, p, nil).Put("x", value.Int(1), nil); err != nil {
+		t.Fatal(err)
+	}
+	f := bootCfg(t, filepath.Join(dir, "follower.log"), nil, replCfg(p.addr))
+	waitConverged(t, p, f)
+	time.Sleep(time.Second)
+	if n := counter(f, "dbpl_repl_reconnects_total"); n != 0 {
+		t.Errorf("an idle, healthy link was redialed %d times in 1 s", n)
+	}
+	if n := counter(p, "dbpl_repl_heartbeats_total"); n < 5 {
+		t.Errorf("the primary sent %d heartbeats in 1 s idle, want about 20 at the follower's 50 ms", n)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"dbpl/internal/persist/iofault"
 	"dbpl/internal/server/wire"
@@ -148,7 +149,7 @@ func TestRequestClassDrain(t *testing.T) {
 			server, client := net.Pipe()
 			go func() {
 				defer server.Close()
-				routes[op].stream(srv, server, wire.ReplicateFields(0, 0))
+				routes[op].stream(srv, server, wire.ReplicateFields(0, 0, time.Second))
 			}()
 			var err error
 			if respOp, fields, err = wire.ReadFrame(client, 0); err != nil {

@@ -110,8 +110,9 @@ type Config struct {
 	// private registry. Telemetry is always on — E15 measures its cost.
 	Registry *telemetry.Registry
 	// SlowOpThreshold is the duration at or above which a request is
-	// stamped into the slow-op ring log; 0 means 10ms, negative records
-	// every request (useful for tracing under test).
+	// recorded in the trace ring whether or not head sampling chose it,
+	// force-retained; 0 means 10ms, negative records every request
+	// (useful under test).
 	SlowOpThreshold time.Duration
 	// Logf, when set, receives one line per accepted connection error and
 	// per protocol violation. nil discards.
@@ -129,9 +130,12 @@ type Config struct {
 	// -allow-promote flag). Fence *notifications* are always accepted:
 	// refusing to learn about a higher epoch would defeat fencing.
 	AllowPromote bool
-	// ReplHeartbeat is the keepalive interval on idle replication streams;
-	// a follower declares the link dead after 4 missed heartbeats and
-	// redials with jittered backoff. 0 means 1s.
+	// ReplHeartbeat is the heartbeat interval this server asks for as a
+	// follower: its REPLICATE request carries it, the primary heartbeats
+	// an idle stream at it, and the follower declares the link dead after
+	// 4 missed heartbeats and redials with jittered backoff. A primary
+	// heartbeats each stream at the interval its subscriber asked for,
+	// whatever its own setting. 0 means 1s; it is clamped to [10ms, 60s].
 	ReplHeartbeat time.Duration
 	// Durability selects how many commits share one fsync, and is the
 	// committer's only setting. Both modes run the same committer, whose
@@ -144,13 +148,15 @@ type Config struct {
 	// request tracing: that share of requests (by uniform trace ID)
 	// record a full span tree into the trace ring, fetchable via TRACES
 	// / `dbpl trace` / the ops endpoint's /traces. 0 (the default)
-	// disables tracing entirely — an unsampled request costs one nil
-	// check per span site; >= 1 traces everything. A request slow enough
-	// for the slow-op ring has its trace force-retained regardless of
-	// ring pressure. See docs/OBSERVABILITY.md.
+	// samples nothing — an unsampled request costs one nil check per
+	// span site; >= 1 traces everything. A request at or past
+	// SlowOpThreshold is recorded force-retained regardless of ring
+	// pressure: its span tree when sampled, else its root span alone.
+	// See docs/OBSERVABILITY.md.
 	TraceSampleRate float64
 	// TraceRingSize bounds the ring of completed trace trees; 0 means
-	// 256, negative disables tracing even with a sample rate set.
+	// 256, negative disables the ring: no sampled and no slow request is
+	// recorded.
 	TraceRingSize int
 }
 
@@ -195,7 +201,7 @@ func (c Config) replHeartbeat() time.Duration {
 	if c.ReplHeartbeat <= 0 {
 		return time.Second
 	}
-	return c.ReplHeartbeat
+	return min(max(c.ReplHeartbeat, wire.MinReplHeartbeat), wire.MaxReplHeartbeat)
 }
 
 func (c Config) traceRingSize() int {
@@ -218,8 +224,6 @@ const (
 	// retryAfterHint is the backoff hint attached to CodeOverloaded
 	// refusals.
 	retryAfterHint = 50 * time.Millisecond
-	// slowLogSize bounds the slow-op ring.
-	slowLogSize = 256
 	// replChunk is the soft size target of one REPDATA frame; a single
 	// commit group larger than it is still shipped whole.
 	replChunk = 256 << 10
@@ -231,9 +235,22 @@ const (
 // view (session.view); never mutated after publication. Both tables are
 // persistent (internal/pmap), so a successor shares everything but the
 // paths to what its commit changed.
+//
+// A published state also says what it was published for: the log end it
+// covers, the trace ID of the batch that committed it (0 when none of its
+// waiters was sampled, and on a follower or a promotion) with the wall
+// clock of its publication, and next, closed when its successor is
+// published. HEALTH reports end and a replication streamer ships up to
+// it, stamps the frame that ends there and waits on next, all from the
+// one state it loaded. A transaction's view leaves them zero.
 type state struct {
 	roots pmap.Map[*dynamic.Dynamic]
 	idx   *index.Set
+
+	end   int64
+	trace uint64
+	ns    int64
+	next  chan struct{}
 }
 
 // stateOf builds the state over a root table in one pass, the index set
@@ -302,14 +319,8 @@ type Server struct {
 	store *intrinsic.Store
 
 	// state is the published committed view; see the package comment.
+	// Only New and publish store it.
 	state atomic.Pointer[state]
-	// publishedEnd is the log offset the published state covers, stored
-	// after every state publication (notifyCommit). HEALTH reports the
-	// durable end capped by it: a follower's store end moves when a group
-	// is applied, before the state that serves it is published, and a
-	// client that saw the store's end would route a read-your-writes GET
-	// here one step too early.
-	publishedEnd atomic.Int64
 	// commitMu serializes writers end to end: store mutation, commit
 	// group, state publication.
 	commitMu sync.Mutex
@@ -320,23 +331,18 @@ type Server struct {
 	idem *idemCache
 
 	// m is the always-on metric set; m.inflight is the admission-control
-	// gauge (requests admitted, response not yet produced). slow is the
-	// bounded slow-op ring.
+	// gauge (requests admitted, response not yet produced).
 	m     *serverMetrics
-	slow  *telemetry.SlowLog
 	start time.Time
 
-	// traces is the ring of completed span trees and sampler its head-
-	// sampling decision; traces == nil means tracing is off and every
-	// request carries a nil *rtrace.Trace (each span site then costs one
-	// nil check — the E20 overhead budget).
+	// traces is the ring of completed span trees, nil when
+	// cfg.TraceRingSize disables it; it holds the sampled requests and the
+	// slow ones. sampler is the head-sampling decision, consulted only
+	// when the sample rate is positive: an unsampled request carries a nil
+	// *rtrace.Trace, and each span site then costs one nil check — the E20
+	// overhead budget.
 	traces  *rtrace.Ring
 	sampler rtrace.Sampler
-	// lastCommit is the most recent durable commit's mark — log end,
-	// originating trace, publication wall-clock — read by replication
-	// streamers to attach trace context to the REPDATA frame that ships
-	// that commit. Stored under commitMu; loaded lock-free.
-	lastCommit atomic.Pointer[commitMark]
 
 	draining atomic.Bool
 	mu       sync.Mutex // guards ln, conns
@@ -344,11 +350,6 @@ type Server struct {
 	conns    map[net.Conn]struct{}
 	wg       sync.WaitGroup
 
-	// commitSignal wakes idle replication streamers: every state
-	// publication swaps in a fresh channel and closes the old one, so a
-	// streamer that loaded the channel *before* reading the durable end
-	// can never miss a commit (see notifyCommit).
-	commitSignal atomic.Pointer[chan struct{}]
 	// shutdownCh is closed when Shutdown begins, waking replication
 	// streamers and the follow loop, which never sit in deadline-
 	// interruptible request reads.
@@ -383,26 +384,6 @@ type mode struct {
 	poisoned  error
 }
 
-// commitMark records the most recent durable, published commit for the
-// replication plane: the log end it produced, the trace that committed
-// it (0 when the commit was unsampled), and the wall clock at
-// publication. A replication streamer whose next chunk ends exactly at
-// mark.end attaches the trace and timestamp to that REPDATA frame, so
-// the follower can link its apply span to the primary's commit span and
-// measure commit-to-visible delay.
-type commitMark struct {
-	end   int64
-	trace uint64
-	ns    int64
-}
-
-// markCommit publishes the just-committed durable end with its trace
-// context. Called with commitMu held (or from the committer goroutine,
-// which owns the same serialization).
-func (s *Server) markCommit(trace uint64) {
-	s.lastCommit.Store(&commitMark{end: s.store.DurableEnd(), trace: trace, ns: time.Now().UnixNano()})
-}
-
 // New builds a server over an opened store, deriving the initial
 // published state from the store's committed roots. When cfg.Follow is
 // set, the store enters replica mode (local writes refused from here on)
@@ -415,10 +396,10 @@ func New(store *intrinsic.Store, cfg Config) (*Server, error) {
 		role = wire.RoleFollower
 	}
 	st := stateOf(store.Committed())
+	st.end, st.next = store.DurableEnd(), make(chan struct{})
 	srv := &Server{cfg: cfg, store: store, conns: map[net.Conn]struct{}{}, start: time.Now()}
 	srv.mode.Store(&mode{role: role})
 	srv.shutdownCh = make(chan struct{})
-	srv.notifyCommit() // seed the commit-signal channel
 	if n := cfg.idemCacheSize(); n > 0 {
 		srv.idem = newIdemCache(n)
 	}
@@ -440,24 +421,21 @@ func New(store *intrinsic.Store, cfg Config) (*Server, error) {
 		}
 		return 0
 	})
-	// The durable end a reader can rely on: never past what the published
-	// state covers (see publishedEnd).
-	reg.GaugeFunc("dbpl_store_durable_end", func() int64 {
-		return min(store.DurableEnd(), srv.publishedEnd.Load())
-	})
+	// The durable end a reader can rely on: the end the published state
+	// covers. A follower's store end moves when a group is applied, before
+	// the state that serves it is published, and a client that saw the
+	// store's end would route a read-your-writes GET here one step early.
+	reg.GaugeFunc("dbpl_store_durable_end", func() int64 { return srv.state.Load().end })
 	// Failover observability: the promotion epoch (the store's, so it is
 	// exactly what the log holds) and the current role, for HEALTH, STATS
 	// and /metrics — a client picks the new primary as the highest-epoch
 	// node reporting RolePrimary.
 	reg.GaugeFunc("dbpl_server_epoch", func() int64 { return int64(store.Epoch()) })
 	reg.GaugeFunc("dbpl_repl_role", func() int64 { return int64(srv.mode.Load().role) })
-	srv.slow = telemetry.NewSlowLog(slowLogSize, cfg.slowOpThreshold())
-	if cfg.TraceSampleRate > 0 {
-		if n := cfg.traceRingSize(); n > 0 {
-			srv.traces = rtrace.NewRing(n)
-			srv.sampler = rtrace.NewSampler(cfg.TraceSampleRate)
-			reg.GaugeFunc("dbpl_trace_total", srv.traces.Total)
-		}
+	if n := cfg.traceRingSize(); n > 0 {
+		srv.traces = rtrace.NewRing(n)
+		srv.sampler = rtrace.NewSampler(cfg.TraceSampleRate)
+		reg.GaugeFunc("dbpl_trace_total", srv.traces.Total)
 	}
 	if cfg.Follow != "" {
 		f := &followerState{done: make(chan struct{}), stop: make(chan struct{})}
@@ -486,13 +464,8 @@ func New(store *intrinsic.Store, cfg Config) (*Server, error) {
 // ops endpoint serve).
 func (s *Server) Telemetry() *telemetry.Registry { return s.m.reg }
 
-// SlowOps returns the retained slow-op log entries, newest first.
-func (s *Server) SlowOps() []telemetry.SlowOp {
-	return s.slow.Snapshot()
-}
-
 // Traces returns the retained completed trace trees, newest first; nil
-// when tracing is disabled.
+// when the ring is disabled.
 func (s *Server) Traces() []rtrace.Data {
 	if s.traces == nil {
 		return nil
@@ -629,6 +602,9 @@ type session struct {
 	// frame is the buffer serveConn encodes replies into, kept while it
 	// is at most maxRetainedFrame.
 	frame []byte
+	// peer is the connection's remote address, read when the ring first
+	// records one of its requests.
+	peer string
 }
 
 // maxRetainedFrame caps the reply buffer a session keeps between
@@ -692,15 +668,17 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		began := time.Now()
-		// Head sampling: the wire trace ID (or a server-minted one when
-		// the client did not stamp) decides whether this request records
-		// a span tree. The monitor class is never traced — HEALTH polls
-		// every second on a replica set and TRACES would trace its own
-		// fetch; their span trees are noise that would churn the ring.
-		// Nor is PING: every client dial sends one, so each run of a
-		// monitoring CLI would record its PING in the ring it reads.
+		// The ring records this request when head sampling picks it — the
+		// wire trace ID, or a server-minted one when the client did not
+		// stamp, decides — or when it turns out slow. The monitor class is
+		// never recorded — HEALTH polls every second on a replica set and
+		// TRACES would record its own fetch; their traces are noise that
+		// would churn the ring. Nor is PING: every client dial sends one,
+		// so each run of a monitoring CLI would record its PING in the ring
+		// it reads.
+		recorded := s.traces != nil && class != wire.ClassMonitor && op != wire.OpPing
 		var tr *rtrace.Trace
-		if s.traces != nil && class != wire.ClassMonitor && op != wire.OpPing {
+		if recorded && s.cfg.TraceSampleRate > 0 {
 			id := trace
 			if id == 0 {
 				id = rtrace.NextID()
@@ -733,40 +711,45 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		sess.tr = nil
 		dur := time.Since(began)
-		// The latency exemplar is the sampled trace's ID when there is
-		// one (its span tree is in the ring), else the raw wire trace (an
-		// unsampled but stamped request is still findable client-side).
+		slow := recorded && dur >= s.cfg.slowOpThreshold()
+		// The latency exemplar is the recorded trace's ID when there is
+		// one (it is in the ring), else the raw wire trace (an unsampled
+		// but stamped request is still findable client-side). A slow
+		// unsampled request keeps the wire trace as its ID, or is minted
+		// one.
 		exemplar := tr.ID()
 		if exemplar == 0 {
 			exemplar = trace
 		}
-		s.m.observe(op, dur, respOp, respFields, exemplar)
-		slow := dur >= s.slow.Threshold()
-		if slow {
-			respBytes := 0
-			for _, f := range respFields {
-				respBytes += len(f)
-			}
-			var errCode string
-			if respOp == wire.OpError && len(respFields) > 0 && len(respFields[0]) == 1 {
-				errCode = wire.Code(respFields[0][0]).String()
-			}
-			s.slow.Record(telemetry.SlowOp{
-				Time:     began,
-				Op:       wire.OpName(op),
-				Duration: dur,
-				Session:  conn.RemoteAddr().String(),
-				Trace:    exemplar,
-				Bytes:    respBytes,
-				Err:      errCode,
-			})
+		if slow && exemplar == 0 {
+			exemplar = rtrace.NextID()
 		}
-		if tr != nil {
-			tr.Finish()
-			// A request slow enough for the slow-op ring has its span
-			// tree force-retained: the trace that explains a slow op must
-			// survive ring churn until an operator fetches it.
-			s.traces.Record(tr.Data(), slow)
+		s.m.observe(op, dur, respOp, respFields, exemplar)
+		if tr != nil || slow {
+			var d rtrace.Data
+			if tr != nil {
+				tr.Finish()
+				d = tr.Data()
+			} else {
+				name := wire.OpName(op)
+				d = rtrace.Data{ID: exemplar, Op: name, Begin: began,
+					Spans: []rtrace.Span{{Name: name, Parent: rtrace.NoSpan, Dur: dur}}}
+			}
+			// The facts only the reply settles: who asked, how many reply
+			// bytes, which error.
+			if sess.peer == "" {
+				sess.peer = conn.RemoteAddr().String()
+			}
+			d.Session = sess.peer
+			for _, f := range respFields {
+				d.Bytes += len(f)
+			}
+			if code, ok := replyCode(respOp, respFields); ok {
+				d.Err = code.String()
+			}
+			// A slow request is force-retained: the trace that explains it
+			// must survive ring churn until an operator fetches it.
+			s.traces.Record(d, slow)
 		}
 		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		frame, err := s.appendReply(sess.frame[:0], respOp, respFields, trace, traced)
@@ -1396,7 +1379,7 @@ func (s *Server) promote() (uint64, error) {
 	// The epoch record is a durable commit group: publishing it wakes
 	// streamers so followers of *this* server learn the new epoch
 	// immediately.
-	s.publish(nil, 1)
+	s.publish(nil, 1, 0)
 	s.logf("server: promoted to primary at epoch %d", epoch)
 	if s.cfg.Follow != "" && m.role != wire.RolePrimary {
 		// Best effort, retried in the background: the demoted primary may
@@ -1510,10 +1493,11 @@ func (s *Server) fenceOnce(addr string, epoch uint64, self string) error {
 // handleHealth is the HEALTH opcode: the degraded-mode self-report. It
 // touches no locks a wedged writer could hold — every field is an atomic
 // or a derived gauge — so health stays answerable while a commit is stuck
-// on a dying disk. All five fields come from one registry Snapshot, so
-// the report is internally consistent: in-flight, session and root counts
-// were captured at the same instant and cannot tear against each other
-// the way per-field atomic loads could.
+// on a dying disk. Every field comes from one registry Snapshot, so the
+// report is internally consistent: in-flight, session and root counts,
+// the durable end, the role and the epoch were captured at the same
+// instant and cannot tear against each other the way per-field atomic
+// loads could.
 func (s *Server) handleHealth(*session, [][]byte) (byte, [][]byte) {
 	snap := s.m.reg.Snapshot()
 	inflight, _ := snap.Gauge("dbpl_server_inflight")
@@ -1526,7 +1510,6 @@ func (s *Server) handleHealth(*session, [][]byte) (byte, [][]byte) {
 	epoch, _ := snap.Gauge("dbpl_server_epoch")
 	return wire.OpOK, wire.HealthFields(wire.Health{
 		Poisoned:   degraded != 0,
-		ReadOnly:   wire.Role(role) != wire.RolePrimary,
 		InFlight:   int(inflight),
 		Sessions:   int(sessions),
 		Roots:      int(roots),
@@ -1551,9 +1534,9 @@ func (s *Server) handleStats(*session, [][]byte) (byte, [][]byte) {
 }
 
 // handleTraces answers TRACES: one trace per response field, each the
-// JSON object /traces serves, newest first. A server running with
-// sampling off (or with no ring) answers OpOK with zero fields rather
-// than an error — polling for traces is not a fault.
+// JSON object /traces serves, newest first. A server with an empty ring
+// (or none) answers OpOK with zero fields rather than an error — polling
+// for traces is not a fault.
 func (s *Server) handleTraces(*session, [][]byte) (byte, [][]byte) {
 	if s.traces == nil {
 		return wire.OpOK, nil

@@ -6,7 +6,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,6 +17,7 @@ import (
 	"dbpl/internal/server"
 	"dbpl/internal/server/wire"
 	"dbpl/internal/telemetry"
+	rtrace "dbpl/internal/telemetry/trace"
 )
 
 // TestStatsOpcodeEndToEnd drives real traffic through a real client and
@@ -96,62 +100,94 @@ func TestStatsOpcodeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestTraceReachesSlowLog: a negative threshold records every request, so
-// the client's wire-propagated trace IDs must land in the ring — the
-// whole point of the extension is correlating a client call site with a
-// server-side slow operation.
-func TestTraceReachesSlowLog(t *testing.T) {
+// TestSlowRequestsReachTraceRing: with sampling off and a negative
+// threshold every request but the monitor class and PING is slow, so
+// each lands in the trace ring as a root span alone, under the client's
+// wire trace ID or a minted one, with the facts its reply settled: the
+// peer, the reply's field bytes and its error code. A sampled slow
+// request keeps its span tree and gains the same facts.
+func TestSlowRequestsReachTraceRing(t *testing.T) {
 	h := bootCfg(t, filepath.Join(t.TempDir(), "store.log"), nil,
 		server.Config{SlowOpThreshold: -1})
 	c := dial(t, h, nil)
-
 	if err := c.Put("alice", emp("Alice", 1, "Sales"), employeeT); err != nil {
 		t.Fatal(err)
 	}
-
-	ops := h.srv.SlowOps()
-	if len(ops) == 0 {
-		t.Fatal("negative threshold recorded nothing")
+	if _, err := c.Get(personT); err != nil {
+		t.Fatal(err)
 	}
-	var put *telemetry.SlowOp
-	for i := range ops {
-		if ops[i].Op == "PUT" {
-			put = &ops[i]
-			break
-		}
+	if _, err := c.Health(); err != nil {
+		t.Fatal(err)
 	}
-	if put == nil {
-		t.Fatalf("no PUT in the slow log: %+v", ops)
-	}
-	if put.Trace == 0 {
-		t.Error("PUT entry lost its client trace ID")
-	}
-	if put.Session == "" {
-		t.Error("PUT entry has no session address")
-	}
-	if put.Duration <= 0 {
-		t.Errorf("PUT duration = %v, want > 0", put.Duration)
-	}
-	if put.Time.IsZero() || time.Since(put.Time) > time.Minute {
-		t.Errorf("PUT timestamp %v is not recent", put.Time)
-	}
-
-	// A bare frame, as replication and other tools send, carries no trace;
-	// the entry records trace 0 rather than inventing one.
+	// Bare frames carry no trace: the ring mints their IDs.
 	nc, err := net.Dial("tcp", h.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if err := wire.WriteFrame(nc, 0, wire.OpNames); err != nil {
+	for _, op := range []byte{wire.OpNames, wire.OpGet} {
+		if err := wire.WriteFrame(nc, 0, op); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := wire.ReadFrame(nc, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ds := h.srv.Traces()
+	var ops []string
+	for _, d := range ds {
+		ops = append(ops, d.Op+"/"+d.Err)
+		if d.ID == 0 || d.Session == "" {
+			t.Errorf("%s entry has ID %#x, session %q: want both set", d.Op, d.ID, d.Session)
+		}
+		if len(d.Spans) != 1 || d.Spans[0].Name != d.Op || d.Spans[0].Parent != rtrace.NoSpan || d.Spans[0].Dur <= 0 {
+			t.Errorf("%s entry spans = %+v, want its root span alone", d.Op, d.Spans)
+		}
+		if time.Since(d.Begin) > time.Minute {
+			t.Errorf("%s entry began %v, not recently", d.Op, d.Begin)
+		}
+		switch d.Op + "/" + d.Err {
+		case "PUT/":
+			if d.Bytes != 0 {
+				t.Errorf("PUT entry counts %d reply bytes, want 0", d.Bytes)
+			}
+		case "GET/", "NAMES/", "GET/bad-request":
+			if d.Bytes == 0 {
+				t.Errorf("%s/%s entry counts no reply bytes", d.Op, d.Err)
+			}
+		}
+		if d.Op == "NAMES" || d.Err != "" {
+			if d.Session != nc.LocalAddr().String() {
+				t.Errorf("%s entry session %q, want the bare connection's %s", d.Op, d.Session, nc.LocalAddr())
+			}
+		}
+	}
+	// Newest first.
+	if want := []string{"GET/bad-request", "NAMES/", "GET/", "PUT/"}; !slices.Equal(ops, want) {
+		t.Fatalf("the ring holds %v, want %v", ops, want)
+	}
+	if got, err := c.Traces(); err != nil || len(got) != len(ds) || got[0].Session != ds[0].Session ||
+		got[0].Bytes != ds[0].Bytes || got[0].Err != ds[0].Err {
+		t.Errorf("TRACES = %+v, %v; want the ring %+v", got, err, ds)
+	}
+
+	hs := bootCfg(t, filepath.Join(t.TempDir(), "sampled.log"), nil,
+		server.Config{SlowOpThreshold: -1, TraceSampleRate: 1})
+	cs := dial(t, hs, nil)
+	if err := cs.Put("alice", emp("Alice", 1, "Sales"), employeeT); err != nil {
 		t.Fatal(err)
 	}
-	if op, _, err := wire.ReadFrame(nc, 0); err != nil || op != wire.OpOK {
-		t.Fatalf("bare NAMES answered (%#x, %v), want an untraced OK", op, err)
+	if _, err := cs.Get(personT); err != nil {
+		t.Fatal(err)
 	}
-	for _, op := range h.srv.SlowOps() {
-		if op.Op == "NAMES" && op.Trace != 0 {
-			t.Errorf("untraced NAMES recorded trace %#x, want 0", op.Trace)
+	ds = hs.srv.Traces()
+	if len(ds) != 2 || ds[0].Op != "GET" || ds[1].Op != "PUT" {
+		t.Fatalf("the sampled ring holds %+v, want GET and PUT", ds)
+	}
+	for _, d := range ds {
+		if len(d.Spans) < 2 || d.Session == "" || (d.Op == "GET") != (d.Bytes > 0) || d.Err != "" {
+			t.Errorf("sampled slow %s entry = %+v: want its span tree, its session and its reply bytes", d.Op, d)
 		}
 	}
 }
@@ -188,8 +224,8 @@ func TestHealthConsistentWithTelemetry(t *testing.T) {
 }
 
 // TestOpsHandlerEndpoints exercises the HTTP side: /metrics speaks the
-// Prometheus text format with the right content type, /slowops is JSON,
-// and the pprof index answers.
+// Prometheus text format with the right content type, /traces is the
+// ring as JSON, and the pprof index answers.
 func TestOpsHandlerEndpoints(t *testing.T) {
 	h := bootCfg(t, filepath.Join(t.TempDir(), "store.log"), nil,
 		server.Config{SlowOpThreshold: -1})
@@ -201,21 +237,7 @@ func TestOpsHandlerEndpoints(t *testing.T) {
 	web := httptest.NewServer(h.srv.OpsHandler())
 	defer web.Close()
 
-	get := func(path string) (int, string, string) {
-		t.Helper()
-		resp, err := http.Get(web.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
-	}
-
-	code, ctype, body := get("/metrics")
+	code, ctype, body := httpGet(t, web.URL+"/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("/metrics status %d", code)
 	}
@@ -233,19 +255,68 @@ func TestOpsHandlerEndpoints(t *testing.T) {
 		}
 	}
 
-	code, _, body = get("/slowops")
+	code, _, body = httpGet(t, web.URL+"/traces")
 	if code != http.StatusOK {
-		t.Fatalf("/slowops status %d", code)
+		t.Fatalf("/traces status %d", code)
 	}
-	var slow []telemetry.SlowOp
-	if err := json.Unmarshal([]byte(body), &slow); err != nil {
-		t.Fatalf("/slowops is not a JSON SlowOp array: %v\n%s", err, body)
+	var ds []rtrace.Data
+	if err := json.Unmarshal([]byte(body), &ds); err != nil {
+		t.Fatalf("/traces is not a JSON trace array: %v\n%s", err, body)
 	}
-	if len(slow) == 0 {
-		t.Error("/slowops empty despite a record-everything threshold")
+	if len(ds) != 1 || ds[0].Op != "PUT" || ds[0].Session == "" {
+		t.Errorf("/traces = %+v, want the slow PUT with its session", ds)
 	}
 
-	if code, _, _ := get("/debug/pprof/"); code != http.StatusOK {
+	if code, _, _ := httpGet(t, web.URL+"/debug/pprof/"); code != http.StatusOK {
 		t.Errorf("/debug/pprof/ status %d", code)
 	}
+}
+
+// docPath is an ops-endpoint path named in OBSERVABILITY.md: a row
+// "`GET /path` on `-ops`" of the surfaces table or an item "- `/path` —"
+// of the ops endpoint's list.
+var docPath = regexp.MustCompile("(?m)(?:^\\| `GET (/\\S*)` on `-ops`|^- `(/\\S*)` —)")
+
+// TestOpsEndpointMatchesDocs: every path docs/OBSERVABILITY.md lists for
+// the ops endpoint answers 200, and the retired slow-op path is gone.
+func TestOpsEndpointMatchesDocs(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var paths []string
+	for _, m := range docPath.FindAllStringSubmatch(string(doc), -1) {
+		paths = append(paths, m[1]+m[2])
+	}
+	for _, want := range []string{"/metrics", "/traces", "/debug/pprof/"} {
+		if !slices.Contains(paths, want) {
+			t.Fatalf("OBSERVABILITY.md lists %v for the ops endpoint, without %s", paths, want)
+		}
+	}
+	h := boot(t, filepath.Join(t.TempDir(), "store.log"))
+	web := httptest.NewServer(h.srv.OpsHandler())
+	defer web.Close()
+	for _, p := range paths {
+		if code, _, _ := httpGet(t, web.URL+p); code != http.StatusOK {
+			t.Errorf("%s (OBSERVABILITY.md) answered %d, want 200", p, code)
+		}
+	}
+	if code, _, _ := httpGet(t, web.URL+"/slowops"); code != http.StatusNotFound {
+		t.Errorf("the retired /slowops answered %d, want 404", code)
+	}
+}
+
+// httpGet fetches url, returning the status, content type and body.
+func httpGet(t *testing.T, url string) (int, string, string) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
 }

@@ -223,20 +223,24 @@ func TestTraceFollowerLink(t *testing.T) {
 	}
 }
 
-// TestTraceSamplingOff: the default configuration runs with tracing
-// disabled — no trees retained, TRACES answers empty, and the request
-// path carries only the nil-trace no-ops (the E20 overhead story).
+// TestTraceSamplingOff: the default configuration samples nothing, so
+// the ring holds only slow requests (10 ms and past), each its root span
+// alone, TRACES answers the same, and the request path carries only the
+// nil-trace no-ops (the E20 overhead story).
 func TestTraceSamplingOff(t *testing.T) {
 	h := boot(t, filepath.Join(t.TempDir(), "store.log"))
 	c := dial(t, h, nil)
 	if err := c.Put("alice", emp("Alice", 1, "Sales"), employeeT); err != nil {
 		t.Fatal(err)
 	}
-	if ds, err := c.Traces(); err != nil || len(ds) != 0 {
-		t.Fatalf("Traces() = %d traces, err %v; want 0, nil", len(ds), err)
+	ds, err := c.Traces()
+	if err != nil || len(ds) != len(h.srv.Traces()) {
+		t.Fatalf("Traces() = %d traces, err %v; want the server's %d", len(ds), err, len(h.srv.Traces()))
 	}
-	if h.srv.Traces() != nil {
-		t.Fatal("server retains traces with sampling off")
+	for _, d := range ds {
+		if len(d.Spans) != 1 || d.Spans[0].Dur < 10*time.Millisecond {
+			t.Errorf("sampling off, the ring holds %+v: want slow requests alone, each its root span", d)
+		}
 	}
 	// Commit exemplars still carry the client's wire trace ID, so a slow
 	// write stays findable even without span trees.

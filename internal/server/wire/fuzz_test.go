@@ -73,7 +73,9 @@ func FuzzReadFrame(f *testing.F) {
 	// Replication: the subscribe request and the stream frame, plus
 	// damaged variants (truncated group bytes, oversize offset, bad CRC
 	// trailer) — each must decode to a *WireError, never panic.
-	f.Add(mustFrame(OpReplicate, ReplicateFields(8, 3)...))
+	f.Add(mustFrame(OpReplicate, ReplicateFields(8, 3, 50*time.Millisecond)...))
+	f.Add(mustFrame(OpReplicate, ReplicateFields(8, 3, 50*time.Millisecond)[:2]...))                  // refused two-field form
+	f.Add(mustFrame(OpReplicate, UvarintField(8), UvarintField(3), UvarintField(5)))                  // heartbeat under 10 ms
 	f.Add(mustFrame(OpReplicate, UvarintField(8)))                                                    // refused single-field form
 	f.Add(mustFrame(OpReplicate, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})) // > MaxInt64
 	f.Add(mustFrame(OpRepData, ReplDataFields(8, []byte("NOTALOGGROUP"), 2, 0, 0)...))
@@ -130,10 +132,12 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(mustFrame(OpPromote, FenceFields(9, "10.0.0.2:7070")...))
 	f.Add(mustFrame(OpPromote, []byte{0xFF}, []byte("addr")))
 	// The eight-field HEALTH payload with role and epoch, the refused
-	// seven-field shape, and the refused nine-field shape that carried an
-	// acknowledged-end watermark after the durable end.
-	health := HealthFields(Health{ReadOnly: true, Role: RoleFenced, Epoch: 4, DurableEnd: 1 << 20})
+	// seven-field shape, the refused nine-field shape that carried an
+	// acknowledged-end watermark after the durable end, and the refused
+	// flags byte with bit 1 (the retired read-only flag) set.
+	health := HealthFields(Health{Role: RoleFenced, Epoch: 4, DurableEnd: 1 << 20})
 	f.Add(mustFrame(OpOK, health...))
+	f.Add(mustFrame(OpOK, append([][]byte{{2}}, health[1:]...)...))
 	f.Add(mustFrame(OpOK, health[:7]...))
 	f.Add(mustFrame(OpOK, append(append(append([][]byte{}, health[:6]...), UvarintField(1<<20+512)), health[6:]...)...))
 	// The refused REPDATA shapes: three fields (CRC over offset and raw)

@@ -6,33 +6,44 @@ import (
 	"errors"
 	"hash/crc32"
 	"testing"
+	"time"
 )
 
-// TestReplicateReqRoundTrip: the subscribe request carries its offset and
-// the subscriber's epoch losslessly, and malformed offsets are typed bad
+// TestReplicateReqRoundTrip: the subscribe request carries its offset,
+// the subscriber's epoch and its heartbeat interval losslessly, and
+// malformed offsets and intervals outside [10 ms, 60 s] are typed bad
 // requests.
 func TestReplicateReqRoundTrip(t *testing.T) {
 	for _, from := range []int64{0, 8, 1 << 20, 1<<62 + 12345} {
 		for _, epoch := range []uint64{0, 1, 1 << 50} {
-			got, gotEpoch, err := DecodeReplicateReq(ReplicateFields(from, epoch))
-			if err != nil {
-				t.Fatalf("DecodeReplicateReq(%d, %d): %v", from, epoch, err)
-			}
-			if got != from || gotEpoch != epoch {
-				t.Fatalf("(%d, %d) round-tripped to (%d, %d)", from, epoch, got, gotEpoch)
+			for _, hb := range []time.Duration{MinReplHeartbeat, 50 * time.Millisecond, time.Second, MaxReplHeartbeat} {
+				got, gotEpoch, gotHB, err := DecodeReplicateReq(ReplicateFields(from, epoch, hb))
+				if err != nil {
+					t.Fatalf("DecodeReplicateReq(%d, %d, %v): %v", from, epoch, hb, err)
+				}
+				if got != from || gotEpoch != epoch || gotHB != hb {
+					t.Fatalf("(%d, %d, %v) round-tripped to (%d, %d, %v)", from, epoch, hb, got, gotEpoch, gotHB)
+				}
 			}
 		}
 	}
+	off, ep := UvarintField(8), UvarintField(0)
 	bad := [][][]byte{
-		{},                        // no fields
-		{UvarintField(8)},         // one field
-		{{1}, {2}, {3}},           // three fields
-		{{0xFF}},                  // unterminated uvarint
-		{UvarintField(8), {0xFF}}, // unterminated epoch
-		{{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}}, // > MaxInt64
+		{},                                // no fields
+		{off},                             // one field
+		{off, ep},                         // two fields
+		{{1}, {2}, {3}, {4}},              // four fields
+		{{0xFF}, ep, UvarintField(1000)},  // unterminated uvarint
+		{off, {0xFF}, UvarintField(1000)}, // unterminated epoch
+		{off, ep, {0xFF}},                 // unterminated heartbeat
+		{off, ep, UvarintField(9)},        // heartbeat under 10 ms
+		{off, ep, UvarintField(0)},        // no heartbeat
+		{off, ep, UvarintField(60_001)},   // heartbeat over 60 s
+		{off, ep, UvarintField(1 << 63)},  // a heartbeat no Duration holds
+		{{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}, ep, UvarintField(1000)}, // > MaxInt64
 	}
 	for i, fields := range bad {
-		if _, _, err := DecodeReplicateReq(fields); !errors.Is(err, ErrBadRequest) {
+		if _, _, _, err := DecodeReplicateReq(fields); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("bad request %d decoded to %v, want ErrBadRequest", i, err)
 		}
 	}
@@ -89,9 +100,11 @@ func TestReplDataTraceForm(t *testing.T) {
 
 // TestRemovedFrameShapesRefused: the frame shapes of earlier servers —
 // three- and four-field REPDATA, six-, seven- and nine-field HEALTH (the
-// last carried an acknowledged-end watermark after the durable end), and
-// single-field REPLICATE — are refused with a typed error, never decoded
-// with defaults and never a panic.
+// last carried an acknowledged-end watermark after the durable end), a
+// HEALTH whose flags set bit 1 (the retired read-only flag, which the
+// role states), and one- and two-field REPLICATE (no heartbeat interval)
+// — are refused with a typed error, never decoded with defaults and never
+// a panic.
 func TestRemovedFrameShapesRefused(t *testing.T) {
 	raw := []byte("group-bytes")
 	off := UvarintField(4096)
@@ -103,8 +116,9 @@ func TestRemovedFrameShapesRefused(t *testing.T) {
 		return binary.LittleEndian.AppendUint32(nil, sum)
 	}
 	ep := UvarintField(7)
-	health := HealthFields(Health{ReadOnly: true, DurableEnd: 500, Role: RoleFollower, Epoch: 2})
+	health := HealthFields(Health{DurableEnd: 500, Role: RoleFollower, Epoch: 2})
 	healthAcked := append(append(append([][]byte{}, health[:6]...), UvarintField(600)), health[6:]...)
+	healthReadOnly := append([][]byte{{2}}, health[1:]...)
 	for _, tc := range []struct {
 		name   string
 		decode func([][]byte) error
@@ -116,7 +130,9 @@ func TestRemovedFrameShapesRefused(t *testing.T) {
 		{"HEALTH 6 fields", decodeHealth, health[:6], ErrBadFrame},
 		{"HEALTH 7 fields", decodeHealth, health[:7], ErrBadFrame},
 		{"HEALTH 9 fields", decodeHealth, healthAcked, ErrBadFrame},
+		{"HEALTH read-only flag", decodeHealth, healthReadOnly, ErrBadFrame},
 		{"REPLICATE 1 field", decodeReplicateReq, [][]byte{off}, ErrBadRequest},
+		{"REPLICATE 2 fields", decodeReplicateReq, [][]byte{off, ep}, ErrBadRequest},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.decode(tc.fields)
@@ -130,7 +146,7 @@ func TestRemovedFrameShapesRefused(t *testing.T) {
 
 func decodeReplData(f [][]byte) error     { _, err := DecodeReplData(f); return err }
 func decodeHealth(f [][]byte) error       { _, err := DecodeHealth(f); return err }
-func decodeReplicateReq(f [][]byte) error { _, _, err := DecodeReplicateReq(f); return err }
+func decodeReplicateReq(f [][]byte) error { _, _, _, err := DecodeReplicateReq(f); return err }
 
 // TestReplDataDetectsCorruption: any bit flip — in the offset, the
 // payload, the epoch, or the trailer itself — fails the checksum with
@@ -229,11 +245,11 @@ func TestPromoteRoundTrip(t *testing.T) {
 }
 
 // TestHealthCarriesReplicationFields: the extended HEALTH payload round-
-// trips the role, epoch, follower flag and durable offset next to the
+// trips the role, epoch and durable offset next to the
 // original fields, and a short frame stays a typed decode error.
 func TestHealthCarriesReplicationFields(t *testing.T) {
 	want := Health{
-		Poisoned: true, ReadOnly: true,
+		Poisoned: true,
 		InFlight: 3, Sessions: 9, Roots: 42,
 		Uptime: 90210, DurableEnd: 1 << 33,
 		Role: RoleFenced, Epoch: 4,

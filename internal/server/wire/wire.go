@@ -68,13 +68,15 @@ const (
 	OpDropIndex   byte = 0x0D
 	OpExplain     byte = 0x0E
 	// OpReplicate subscribes the connection to the primary's log:
-	// [from, epoch] — the uvarint durable offset and the subscriber's
-	// promotion epoch; a server seeing a subscriber with a
+	// [from, epoch, heartbeat-ms] — the uvarint durable offset, the
+	// subscriber's promotion epoch and the heartbeat interval it times
+	// the link by; a server seeing a subscriber with a
 	// higher epoch than its own has been superseded and fences itself.
 	// The server answers with an open-ended stream of OpRepData frames
 	// instead of a single response, from the log head when the
-	// subscriber's epoch is below the server's; the connection carries
-	// nothing else afterwards.
+	// subscriber's epoch is below the server's, heartbeating at the
+	// subscriber's interval; the connection carries nothing else
+	// afterwards.
 	OpReplicate byte = 0x0F
 	// OpPromote is failover administration, gated by the server's
 	// -allow-promote flag. With no fields it orders this server to
@@ -111,8 +113,9 @@ const (
 
 // TraceFlag marks a *traced* frame in either direction: the opcode byte
 // has this bit set and the first field is a uvarint trace ID. A client
-// stamps requests with trace IDs so the server can attribute slow-op log
-// entries to the exact client call that suffered them; the server echoes
+// stamps requests with trace IDs so the server can attribute the entries
+// of its trace ring to the exact client call that suffered them; the
+// server echoes
 // the ID (and the flag) on the response. The extension is optional — a
 // bare frame is answered untraced — and request opcodes (< 0x40) and
 // response opcodes (0x80–0xBF) never collide with the flag.
@@ -169,7 +172,7 @@ var Ops = [...]Op{
 	OpCreateIndex: {"CREATEINDEX", ClassWrite, 1, 2, OpOK},     // [field, key?] -> [created(1)]
 	OpDropIndex:   {"DROPINDEX", ClassWrite, 1, 2, OpOK},       // [field, key?] -> [existed(1)]
 	OpExplain:     {"EXPLAIN", ClassRead, 1, 2, OpOK},          // [type-image, type-image?] -> [plan-text]
-	OpReplicate:   {"REPLICATE", ClassStream, 2, 2, OpRepData}, // ReplicateFields -> the stream of REPDATA frames
+	OpReplicate:   {"REPLICATE", ClassStream, 3, 3, OpRepData}, // ReplicateFields -> the stream of REPDATA frames
 	OpPromote:     {"PROMOTE", ClassAdmin, 0, 2, OpOK},         // [] -> [epoch], or FenceFields -> []
 	OpTraces:      {"TRACES", ClassMonitor, 0, 0, OpOK},        // -> [trace-json...]
 }
@@ -203,7 +206,7 @@ func (o Op) CheckFields(n int) error {
 var replyNames = [...]string{"OK", "VALUES", "ERROR", "REPDATA"}
 
 // OpName names a request or response opcode for logs, metrics and the
-// slow-op ring; a traced opcode names the same as its base. Unknown
+// trace ring; a traced opcode names the same as its base. Unknown
 // opcodes render as "op(0xNN)" — callers using names as metric labels
 // must not feed them unvalidated peer opcodes, or a hostile peer could
 // mint unbounded label cardinality.
@@ -636,17 +639,15 @@ func (r Role) String() string {
 }
 
 // Health is the server's self-report: whether the write path is poisoned
-// (degraded read-only mode), whether it is a read-only replication
-// follower, how much work is in flight, how many sessions are connected,
-// the committed root count, the uptime, and the store's durable log
-// offset. It is the payload of the HEALTH opcode's OK response, and the
-// one request a server answers even while shedding load — a monitor must
-// be able to ask "are you overloaded?" of an overloaded server.
+// (degraded read-only mode), how much work is in flight, how many
+// sessions are connected, the committed root count, the uptime, the
+// durable log offset its reads cover, its replication role and its
+// promotion epoch. It is the payload of the HEALTH opcode's OK response,
+// and the one request a server answers even while shedding load — a
+// monitor must be able to ask "are you overloaded?" of an overloaded
+// server.
 type Health struct {
 	Poisoned bool
-	// ReadOnly reports that writes are refused by role: a replication
-	// follower (CodeReadOnly) or a fenced old primary (CodeFenced).
-	ReadOnly bool
 	InFlight int
 	Sessions int
 	Roots    int
@@ -657,7 +658,9 @@ type Health struct {
 	// log bytes — observable from HEALTH alone, no STATS needed.
 	DurableEnd int64
 	// Role is the replication role; failover clients probe HEALTH for the
-	// highest-epoch node reporting RolePrimary.
+	// highest-epoch node reporting RolePrimary. Every other role refuses
+	// writes: a follower with CodeReadOnly, a fenced old primary with
+	// CodeFenced.
 	Role Role
 	// Epoch is the store's promotion epoch: bumped durably by every
 	// PROMOTE, 0 for a log never promoted. Higher epoch wins a failover.
@@ -669,9 +672,6 @@ func HealthFields(h Health) [][]byte {
 	var flags byte
 	if h.Poisoned {
 		flags |= 1
-	}
-	if h.ReadOnly {
-		flags |= 2
 	}
 	return [][]byte{
 		{flags},
@@ -686,10 +686,14 @@ func HealthFields(h Health) [][]byte {
 }
 
 // DecodeHealth reconstructs the Health from a HEALTH response payload of
-// exactly eight fields; any other shape is CodeBadFrame.
+// exactly eight fields whose flags byte sets no bit but poisoned; any
+// other shape is CodeBadFrame.
 func DecodeHealth(fields [][]byte) (Health, error) {
 	if len(fields) != 8 || len(fields[0]) != 1 || len(fields[6]) != 1 {
 		return Health{}, errf(CodeBadFrame, "malformed HEALTH response")
+	}
+	if fields[0][0]&^1 != 0 {
+		return Health{}, errf(CodeBadFrame, "HEALTH flags %#x set a bit other than poisoned", fields[0][0])
 	}
 	var u [6]uint64
 	for i, f := range [6][]byte{fields[1], fields[2], fields[3], fields[4], fields[5], fields[7]} {
@@ -700,8 +704,7 @@ func DecodeHealth(fields [][]byte) (Health, error) {
 		u[i] = v
 	}
 	return Health{
-		Poisoned:   fields[0][0]&1 != 0,
-		ReadOnly:   fields[0][0]&2 != 0,
+		Poisoned:   fields[0][0] == 1,
 		InFlight:   int(u[0]),
 		Sessions:   int(u[1]),
 		Roots:      int(u[2]),
@@ -721,33 +724,49 @@ func DecodeHealth(fields [][]byte) (Health, error) {
 // checksum family covers disk and wire.
 var replCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
+// The heartbeat intervals a REPLICATE request may ask for.
+const (
+	MinReplHeartbeat = 10 * time.Millisecond
+	MaxReplHeartbeat = 60 * time.Second
+)
+
 // ReplicateFields encodes the REPLICATE request: stream my log from this
 // durable offset. The second field is the subscriber's promotion epoch —
 // a primary seeing a subscriber at a higher epoch than its own has been
-// superseded and must fence itself.
-func ReplicateFields(from int64, epoch uint64) [][]byte {
-	return [][]byte{UvarintField(uint64(from)), UvarintField(epoch)}
+// superseded and must fence itself — and the third the heartbeat
+// interval, in whole milliseconds, the subscriber declares the link dead
+// by.
+func ReplicateFields(from int64, epoch uint64, heartbeat time.Duration) [][]byte {
+	return [][]byte{UvarintField(uint64(from)), UvarintField(epoch), UvarintField(uint64(heartbeat / time.Millisecond))}
 }
 
 // DecodeReplicateReq decodes the REPLICATE request payload, returning the
-// offset and the subscriber's epoch. An offset that does not fit an int64
-// is as malformed as a truncated one.
-func DecodeReplicateReq(fields [][]byte) (int64, uint64, error) {
+// offset, the subscriber's epoch and its heartbeat interval. An offset
+// that does not fit an int64 is as malformed as a truncated one, and an
+// interval outside [MinReplHeartbeat, MaxReplHeartbeat] is refused.
+func DecodeReplicateReq(fields [][]byte) (int64, uint64, time.Duration, error) {
 	if err := Ops[OpReplicate].CheckFields(len(fields)); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	v, ok := uvarintOf(fields[0])
 	if !ok {
-		return 0, 0, errf(CodeBadRequest, "malformed REPLICATE offset")
+		return 0, 0, 0, errf(CodeBadRequest, "malformed REPLICATE offset")
 	}
 	if v > math.MaxInt64 {
-		return 0, 0, errf(CodeBadRequest, "REPLICATE offset %d overflows", v)
+		return 0, 0, 0, errf(CodeBadRequest, "REPLICATE offset %d overflows", v)
 	}
 	epoch, ok := uvarintOf(fields[1])
 	if !ok {
-		return 0, 0, errf(CodeBadRequest, "malformed REPLICATE epoch")
+		return 0, 0, 0, errf(CodeBadRequest, "malformed REPLICATE epoch")
 	}
-	return int64(v), epoch, nil
+	ms, ok := uvarintOf(fields[2])
+	if !ok {
+		return 0, 0, 0, errf(CodeBadRequest, "malformed REPLICATE heartbeat")
+	}
+	if ms < uint64(MinReplHeartbeat/time.Millisecond) || ms > uint64(MaxReplHeartbeat/time.Millisecond) {
+		return 0, 0, 0, errf(CodeBadRequest, "REPLICATE heartbeat %d ms outside [%v, %v]", ms, MinReplHeartbeat, MaxReplHeartbeat)
+	}
+	return int64(v), epoch, time.Duration(ms) * time.Millisecond, nil
 }
 
 // ReplDataFields encodes one REPDATA stream frame: whole commit groups as

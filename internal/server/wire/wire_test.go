@@ -252,6 +252,7 @@ func TestHealthFieldsRoundTrip(t *testing.T) {
 	for name, fields := range map[string][][]byte{
 		"too few fields":  full[:4],
 		"oversized flags": {{1, 2}, {0}, {0}, {0}, {0}, {0}, {0}, {0}},
+		"unknown flag":    {{1 | 4}, {0}, {0}, {0}, {0}, {0}, {0}, {0}},
 		"bad uvarint":     {{0}, {0x80}, {0}, {0}, {0}, {0}, {0}, {0}},
 		"bad epoch":       {{0}, {0}, {0}, {0}, {0}, {0}, {0}, {0x80}},
 		"oversized role":  {{0}, {0}, {0}, {0}, {0}, {0}, {0, 0}, {0}},

@@ -48,15 +48,6 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	}
 }
 
-func BenchmarkSlowLogBelowThreshold(b *testing.B) {
-	l := NewSlowLog(256, 10*time.Millisecond)
-	op := SlowOp{Op: "GET", Duration: time.Microsecond}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		l.Record(op)
-	}
-}
-
 // benchRegistry approximates the serve verb's live registry: the
 // per-opcode server series plus the persistence set.
 func benchRegistry() *Registry {

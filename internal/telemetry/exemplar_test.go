@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -237,46 +236,5 @@ func TestWritePromHelpAndBuckets(t *testing.T) {
 		if last := s.cums[len(s.cums)-1]; last != s.count || last != 100 {
 			t.Fatalf("series %s +Inf bucket %d != count %d (want 100)", key, last, s.count)
 		}
-	}
-}
-
-// TestSlowLogConcurrentWriters is the -race stress for the slow-op ring:
-// racing writers above and below the threshold must never lose an
-// above-threshold entry while the ring has room, and Total must count
-// exactly the kept ones.
-func TestSlowLogConcurrentWriters(t *testing.T) {
-	const (
-		writers = 8
-		slowPer = 16 // 128 slow entries, ring capacity 256
-		fastPer = 200
-	)
-	sl := NewSlowLog(256, 10*time.Millisecond)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < slowPer; i++ {
-				sl.Record(SlowOp{Op: "PUT", Duration: 20 * time.Millisecond,
-					Trace: uint64(w*slowPer + i + 1)})
-			}
-			for i := 0; i < fastPer; i++ {
-				sl.Record(SlowOp{Op: "GET", Duration: time.Millisecond})
-			}
-		}(w)
-	}
-	wg.Wait()
-	snap := sl.Snapshot()
-	seen := map[uint64]bool{}
-	for _, op := range snap {
-		if op.Trace != 0 {
-			seen[op.Trace] = true
-		}
-	}
-	if len(seen) != writers*slowPer {
-		t.Fatalf("lost slow entries: %d of %d retained", len(seen), writers*slowPer)
-	}
-	if sl.Total() != uint64(writers*slowPer) {
-		t.Fatalf("Total = %d, want %d", sl.Total(), writers*slowPer)
 	}
 }

@@ -1,8 +1,8 @@
 // Package telemetry is the zero-dependency observability layer beneath
 // the served database: a metrics registry (atomic counters, gauges and
-// fixed-bucket histograms), a bounded slow-operation ring log, an
-// instrumented file system for the persistence seam, and a hand-rolled
-// Prometheus text exposition. A Snapshot's wire form, the STATS reply,
+// fixed-bucket histograms), an instrumented file system for the
+// persistence seam, and a hand-rolled Prometheus text exposition. Slow
+// requests are recorded in the span tracer's ring (subpackage trace). A Snapshot's wire form, the STATS reply,
 // is its encoding/json output through the struct tags below.
 //
 // "Orthogonal Persistence Revisited" (PAPERS.md) stresses that

@@ -211,38 +211,6 @@ func TestSnapshotSorted(t *testing.T) {
 	}
 }
 
-func TestSlowLogRingAndThreshold(t *testing.T) {
-	l := NewSlowLog(3, 10*time.Millisecond)
-	if l.Record(SlowOp{Op: "fast", Duration: time.Millisecond}) {
-		t.Error("sub-threshold op was recorded")
-	}
-	for i := 0; i < 5; i++ {
-		if !l.Record(SlowOp{Op: "slow", Duration: time.Duration(i+10) * time.Millisecond, Trace: uint64(i)}) {
-			t.Fatalf("op %d at threshold not recorded", i)
-		}
-	}
-	if got := l.Total(); got != 5 {
-		t.Errorf("total = %d, want 5 (eviction must not decrement)", got)
-	}
-	snap := l.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("ring retained %d entries, want capacity 3", len(snap))
-	}
-	// Newest first: traces 4, 3, 2.
-	for i, want := range []uint64{4, 3, 2} {
-		if snap[i].Trace != want {
-			t.Errorf("snapshot[%d].Trace = %d, want %d (newest first)", i, snap[i].Trace, want)
-		}
-	}
-}
-
-func TestSlowLogZeroThresholdKeepsEverything(t *testing.T) {
-	l := NewSlowLog(2, 0)
-	if !l.Record(SlowOp{Op: "instant"}) {
-		t.Error("zero-threshold log rejected a zero-duration op")
-	}
-}
-
 // TestUnmarshalSnapshotMalformed: hostile and truncated JSON, and
 // histograms whose buckets do not hang together, are refused, never
 // decoded with defaults or a panic.

@@ -10,13 +10,19 @@ import (
 )
 
 // WriteText renders the trace as an indented tree. The header carries
-// the IDs an operator correlates on (trace ID, link, slow-op ring,
-// exemplars); each span line shows its offset from the trace start and
-// its duration.
+// the IDs an operator correlates on (trace ID, link, exemplars) and the
+// facts the reply settled; each span line shows its offset from the
+// trace start and its duration.
 func WriteText(w io.Writer, d Data) {
 	fmt.Fprintf(w, "trace %016x  %s  %s", d.ID, d.Op, d.Begin.Format(time.RFC3339Nano))
 	if d.Link != 0 {
 		fmt.Fprintf(w, "  link=%016x", d.Link)
+	}
+	if d.Session != "" {
+		fmt.Fprintf(w, "  session=%s bytes=%d", d.Session, d.Bytes)
+	}
+	if d.Err != "" {
+		fmt.Fprintf(w, "  err=%s", d.Err)
 	}
 	fmt.Fprintln(w)
 	// Children in recorded order under each parent; the span array is

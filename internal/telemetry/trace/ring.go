@@ -1,7 +1,6 @@
-// The bounded ring of completed trace trees. Mirrors the slow-op ring's
-// contract — fixed memory, newest wins — with one refinement: a trace
-// recorded as *forced* (the request also tripped the slow-op threshold)
-// is never displaced by ordinary sampled traffic, so the span tree that
+// The bounded ring of completed trace trees: fixed memory, newest wins,
+// with one refinement: a trace recorded as *forced* (the request was
+// slow) is never displaced by ordinary sampled traffic, so the trace that
 // explains a slow operation survives until an operator fetches it, even
 // on a busy server whose ring turns over in seconds.
 package trace

@@ -5,8 +5,8 @@
 // appends and no per-span allocations beyond the backing array. The
 // trace ID reuses the wire trace ID the client stamped on the request
 // (or a server-generated one when the request arrived unstamped), which
-// makes a span tree joinable against client logs, the slow-op ring, and
-// histogram exemplars without any extra correlation machinery.
+// makes a span tree joinable against client logs and histogram exemplars
+// without any extra correlation machinery.
 //
 // Every method on *Trace is nil-safe: an unsampled request carries a nil
 // trace and every Start/End/Add collapses to a no-op without a branch at
@@ -158,13 +158,19 @@ func (t *Trace) Finish() {
 }
 
 // Data is a completed trace as plain values: safe to retain in the ring
-// or serve as JSON while the originating goroutines move on.
+// or serve as JSON while the originating goroutines move on. A request's
+// trace also carries what its reply settled: the peer address of the
+// session that sent it, the reply's field bytes and its error code, if
+// any; each is left out of the JSON when empty.
 type Data struct {
-	ID    uint64    `json:"id"`
-	Op    string    `json:"op"`
-	Begin time.Time `json:"begin"`
-	Link  uint64    `json:"link,omitempty"`
-	Spans []Span    `json:"spans"`
+	ID      uint64    `json:"id"`
+	Op      string    `json:"op"`
+	Begin   time.Time `json:"begin"`
+	Link    uint64    `json:"link,omitempty"`
+	Session string    `json:"session,omitempty"`
+	Bytes   int       `json:"bytes,omitempty"`
+	Err     string    `json:"err,omitempty"`
+	Spans   []Span    `json:"spans"`
 }
 
 // UnmarshalJSON decodes a trace's JSON, refusing a span whose parent is

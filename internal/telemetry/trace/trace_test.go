@@ -241,8 +241,9 @@ func TestRingConcurrentForced(t *testing.T) {
 	}
 }
 
-// TestEncodeDecodeRoundTrip: a linked trace with nested spans survives
-// its JSON, the TRACES reply field, exactly.
+// TestEncodeDecodeRoundTrip: a linked trace with nested spans and the
+// reply's facts survives its JSON, the TRACES reply field, exactly; a
+// trace with no reply facts leaves their keys out.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tr := New(0xdeadbeef, "PUT")
 	tr.SetLink(0xfeed)
@@ -251,6 +252,12 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	tr.End(c)
 	tr.Finish()
 	d := tr.Data()
+	for _, key := range []string{"session", "bytes", "err"} {
+		if b, _ := json.Marshal(d); strings.Contains(string(b), `"`+key+`"`) {
+			t.Errorf("a trace with no %s encodes the key: %s", key, b)
+		}
+	}
+	d.Session, d.Bytes, d.Err = "127.0.0.1:5000", 42, "io"
 
 	b, err := json.Marshal(d)
 	if err != nil {
@@ -260,7 +267,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &got); err != nil {
 		t.Fatal(err)
 	}
-	if got.ID != d.ID || got.Link != d.Link || got.Op != d.Op {
+	if got.ID != d.ID || got.Link != d.Link || got.Op != d.Op ||
+		got.Session != d.Session || got.Bytes != d.Bytes || got.Err != d.Err {
 		t.Fatalf("header mismatch: %+v vs %+v", got, d)
 	}
 	if !got.Begin.Equal(d.Begin) {
@@ -311,10 +319,13 @@ func TestWriteText(t *testing.T) {
 	tr.Start(c, "fsync")
 	tr.End(c)
 	tr.Finish()
+	d := tr.Data()
+	d.Session, d.Bytes, d.Err = "127.0.0.1:5000", 42, "io"
 	var sb strings.Builder
-	WriteText(&sb, tr.Data())
+	WriteText(&sb, d)
 	out := sb.String()
-	for _, want := range []string{"0000000000000abc", "PUT", "link=0000000000000123", "commit", "fsync"} {
+	for _, want := range []string{"0000000000000abc", "PUT", "link=0000000000000123",
+		"session=127.0.0.1:5000 bytes=42", "err=io", "commit", "fsync"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}

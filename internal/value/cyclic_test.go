@@ -2,6 +2,7 @@ package value_test
 
 import (
 	"math"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -127,11 +128,14 @@ func TestStringAndCopyCyclicValues(t *testing.T) {
 }
 
 // TestKeyCostLinearInDepth: keying an acyclic list nested 4n deep takes at
-// most 8× the time of one nested n deep, at n = codec.MaxValueDepth/4, the
-// deepest value the codec accepts. A key's path lookup that scanned the
-// whole path would make it quadratic. The two sizes are timed in turn, with
-// the collector off and once the goroutine's stack has grown to the deeper
-// one, so the ratio is the walk's own; each keeps its fastest of five runs.
+// most 8× the time per call of one nested n deep, at n =
+// codec.MaxValueDepth/4, the deepest value the codec accepts. A key's path
+// lookup that scanned the whole path would make it quadratic. Each sample
+// times enough calls to last at least 10 ms, so one preempted call cannot
+// decide it; the two sizes are sampled in turn, after a collection and
+// with the collector off, once the goroutine's stack has grown to the
+// deeper one, so the ratio is the walk's own; each keeps its fastest
+// per-call time of five samples.
 func TestKeyCostLinearInDepth(t *testing.T) {
 	nested := func(depth int) value.Value {
 		var v value.Value = value.Int(0)
@@ -140,22 +144,38 @@ func TestKeyCostLinearInDepth(t *testing.T) {
 		}
 		return v
 	}
-	timeKey := func(v value.Value) time.Duration {
+	const sampleFloor = 10 * time.Millisecond
+	timeKeys := func(v value.Value, calls int) time.Duration {
 		start := time.Now()
-		value.AppendKey(nil, v)
+		for range calls {
+			value.AppendKey(nil, v)
+		}
 		return time.Since(start)
+	}
+	// callsFor is the number of calls of a sample: doubled from one until
+	// that many take the sample floor.
+	callsFor := func(v value.Value) int {
+		calls := 1
+		for timeKeys(v, calls) < sampleFloor {
+			calls *= 2
+		}
+		return calls
 	}
 	n := codec.MaxValueDepth / 4
 	small, large := nested(n), nested(4*n)
+	// A collection still running from earlier allocations would scan and
+	// assist through the first samples: finish one, then switch it off.
+	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	timeKey(large)
+	cs, cl := callsFor(small), callsFor(large)
 	ts, tl := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 	for range 5 {
-		ts, tl = min(ts, timeKey(small)), min(tl, timeKey(large))
+		ts = min(ts, timeKeys(small, cs)/time.Duration(cs))
+		tl = min(tl, timeKeys(large, cl)/time.Duration(cl))
 	}
-	t.Logf("n=%d: %v, 4n: %v, ratio %.2f", n, ts, tl, float64(tl)/float64(ts))
+	t.Logf("n=%d: %v a call (%d a sample), 4n: %v (%d), ratio %.2f", n, ts, cs, tl, cl, float64(tl)/float64(ts))
 	if tl > 8*ts {
-		t.Errorf("keying a list nested %d deep took %v, %.1f× the %v of one nested %d deep; want ≤ 8×",
+		t.Errorf("keying a list nested %d deep took %v a call, %.1f× the %v of one nested %d deep; want ≤ 8×",
 			4*n, tl, float64(tl)/float64(ts), ts, n)
 	}
 }
