@@ -72,7 +72,9 @@ bench-smoke:
 # each input as a PUT image, then GET, JOIN, EXPLAIN and NAMES over it
 # (HEALTH must answer after every input), and the client's STATS and
 # TRACES reply decoding (a refusal is a typed wire error, and an accepted
-# snapshot or trace re-marshals to an equal value). The codec seeds
+# snapshot or trace re-marshals to an equal value; its seeds include a
+# STATS reply from an older server whose histograms carry per-bucket
+# trace IDs, which decodes with that key dropped). The codec seeds
 # include images nested past the depth bounds, 32 KiB and more, and each FuzzMaximal input
 # runs the quadratic reference scan; minimizing an input grown from either
 # would take the whole pass, so it is cut short. `make test`

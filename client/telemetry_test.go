@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -268,7 +270,7 @@ func telemetryFixtures(t testing.TB) (*telemetry.Snapshot, []byte, Trace, []byte
 	r := telemetry.NewRegistry()
 	r.Counter("c").Add(123456789)
 	r.Gauge("g").Set(-42)
-	r.Histogram("lat", telemetry.UnitDuration, []int64{10, 100}).ObserveExemplar(50, 0xFEED)
+	r.Histogram("lat", telemetry.UnitDuration, []int64{10, 100}).Observe(50)
 	r.Histogram("plain", telemetry.UnitCount, []int64{1}).Observe(1)
 	snap := r.Snapshot()
 	tr := trace.New(0xBEEF, "PUT")
@@ -352,7 +354,6 @@ func malformedTelemetry(snapJSON, traceJSON []byte) map[byte]map[string][][]byte
 		"more bounds":           `{"histograms":[{"name":"h","bounds":[1,2,3],"counts":[1]}]}`,
 		"more counts":           `{"histograms":[{"name":"h","bounds":[1],"counts":[1,2,3]}]}`,
 		"counts without bounds": `{"histograms":[{"name":"h","counts":[]}]}`,
-		"fewer exemplars":       `{"histograms":[{"name":"h","bounds":[1],"counts":[0,1],"exemplars":[7]}]}`,
 	} {
 		rows[wire.OpStats][name] = [][]byte{[]byte(s)}
 	}
@@ -400,8 +401,15 @@ func TestTelemetryReplyDecoding(t *testing.T) {
 	if !sameSnapshot(snap, got) {
 		t.Errorf("Stats() = %+v, want %+v", got, snap)
 	}
-	if lat, _ := got.Histogram("lat"); lat.Count != 1 || lat.Exemplars[1] != 0xFEED {
-		t.Errorf("lat count %d, exemplars %v: want 1 and 0xFEED in bucket 1", lat.Count, lat.Exemplars)
+	if lat, _ := got.Histogram("lat"); lat.Count != 1 || lat.Counts[1] != 1 {
+		t.Errorf("lat count %d, buckets %v: want 1, in bucket 1", lat.Count, lat.Counts)
+	}
+	answer([][]byte{olderStats(t)})
+	if got, err = c.Stats(); err != nil {
+		t.Fatalf("a reply from an older server: %v", err)
+	}
+	if lat, _ := got.Histogram("lat"); lat.Count != 1 || lat.Counts[1] != 1 || lat.Sum != 50 {
+		t.Errorf("older server's lat count %d, buckets %v, sum %d: want 1, in bucket 1, and 50", lat.Count, lat.Counts, lat.Sum)
 	}
 	answer([][]byte{traceJSON, traceJSON})
 	ds, err := c.Traces()
@@ -426,14 +434,27 @@ func TestTelemetryReplyDecoding(t *testing.T) {
 	}
 }
 
+// olderStats is a STATS reply from an older server, whose histograms
+// carried one more key, a trace ID per bucket. It decodes, with the key
+// dropped.
+func olderStats(t testing.TB) []byte {
+	b, err := os.ReadFile(filepath.Join("testdata", "older-stats.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // FuzzTelemetryReply feeds one arbitrary field to the client's STATS and
 // TRACES reply decoding. Neither may panic; a refusal is a CodeBadFrame
 // wire error, and a snapshot or trace accepted re-marshals to JSON that
-// decodes to an equal value.
+// decodes to an equal value. The seeds are a current server's replies,
+// an older server's STATS reply and the malformed replies.
 func FuzzTelemetryReply(f *testing.F) {
 	_, snapJSON, _, traceJSON := telemetryFixtures(f)
 	f.Add(snapJSON)
 	f.Add(traceJSON)
+	f.Add(olderStats(f))
 	for _, rows := range malformedTelemetry(snapJSON, traceJSON) {
 		for _, fields := range rows {
 			f.Add(fields[len(fields)-1])

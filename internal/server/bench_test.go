@@ -209,11 +209,12 @@ func BenchmarkServeJoin(b *testing.B) {
 }
 
 // TestServeJoinBulkAllocs: a loopback JOIN of the read-bulk shape costs
-// at most 300 allocations in the whole process: the client's request,
+// at most 292 allocations in the whole process: the client's request,
 // the server's read, relations, join, typing and reply, and the client's
-// decode. It measures 254 with Go 1.24 on linux/amd64.
+// decode. It measures 254 with Go 1.24 on linux/amd64, 255 under -race;
+// the bound is within 15 % of both.
 func TestServeJoinBulkAllocs(t *testing.T) {
-	const maxAllocs = 300
+	const maxAllocs = 292
 	addr, left, right := joinBulkServer(t)
 	c, err := client.Dial(addr, &client.Options{PoolSize: 1})
 	if err != nil {

@@ -233,9 +233,9 @@ func (s *Server) processBatch(batch []*commitReq) {
 	var iops []index.Op
 	var staged int
 	var failAll error
-	// batchTrace is the trace that represents this batch on shared
-	// instruments (the sync-latency exemplar, the REPDATA stamp): the
-	// first sampled staged waiter's trace ID, zero when none was sampled.
+	// batchTrace is the trace that stamps this batch's REPDATA frames:
+	// the first sampled staged waiter's trace ID, zero when none was
+	// sampled.
 	var batchTrace uint64
 	for i, r := range batch {
 		if r.key != "" {
@@ -322,7 +322,6 @@ func (s *Server) processBatch(batch []*commitReq) {
 	syncStart := time.Now()
 	_, err := s.store.SyncBatch()
 	syncEnd := time.Now()
-	s.m.commitSyncSeconds.ObserveExemplar(int64(syncEnd.Sub(syncStart)), batchTrace)
 	if err != nil {
 		s.rollback(err)
 		failBatch(batch, err)
@@ -348,7 +347,7 @@ func (s *Server) processBatch(batch []*commitReq) {
 			r.tr.Add(r.sp, "fsync", syncStart, syncEnd)
 			r.tr.Add(r.sp, "publish", pubStart, pubEnd)
 			if r.grouped() {
-				s.m.commitSeconds.ObserveDurationExemplar(time.Since(r.enqueued), r.tr.ID())
+				s.m.commitSeconds.ObserveDuration(time.Since(r.enqueued))
 				s.m.commitOps.Observe(int64(len(r.ops)))
 			}
 		case r.owner != nil:
@@ -356,7 +355,6 @@ func (s *Server) processBatch(batch []*commitReq) {
 		}
 	}
 	s.m.batchGroups.Observe(int64(staged))
-	s.m.fsyncsSaved.Add(uint64(staged - 1))
 }
 
 // stagedWithKey returns the request among reqs whose answer rides this

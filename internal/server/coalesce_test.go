@@ -137,11 +137,15 @@ func TestGroupCommitRaceStress(t *testing.T) {
 
 	// The coalescer must have formed at least one multi-group batch under
 	// this much concurrency: commits outnumber fsyncs.
+	// Each batch saves its groups but one fsync: the batch-size sum minus
+	// its count.
 	snap := reg.Snapshot()
-	saved, _ := snap.Counter("dbpl_commit_fsyncs_saved_total")
+	batches, _ := snap.Histogram("dbpl_commit_batch_groups")
+	saved := uint64(batches.Sum) - batches.Count
 	commits, _ := snap.Counter("dbpl_server_commits_total")
 	if saved == 0 {
-		t.Errorf("dbpl_commit_fsyncs_saved_total = 0 after %d concurrent writers x %d rounds: nothing coalesced", writers, rounds)
+		t.Errorf("dbpl_commit_batch_groups sum %d, count %d after %d concurrent writers x %d rounds: nothing coalesced",
+			batches.Sum, batches.Count, writers, rounds)
 	}
 	t.Logf("stress: %d commits, %d fsyncs saved", commits, saved)
 

@@ -208,8 +208,8 @@ func TestFailoverFencedPrimaryRefusesLateAcks(t *testing.T) {
 	if !strings.Contains(err.Error(), f.addr) {
 		t.Fatalf("fenced refusal %q does not name the new primary %s", err, f.addr)
 	}
-	if n := counter(p, "dbpl_repl_fenced_refusals_total"); n < 1 {
-		t.Errorf("fenced refusal counter = %d, want >= 1", n)
+	if n := counter(p, `dbpl_server_errors_total{code="fenced"}`); n < 1 {
+		t.Errorf(`errors_total{code="fenced"} = %d, want >= 1`, n)
 	}
 
 	// The late acks survive in the old primary's own log (no truncation) …

@@ -28,7 +28,6 @@ type serverMetrics struct {
 	errors [int(lastWireCode) + 1]*telemetry.Counter // per-code error responses
 
 	shed     *telemetry.Counter // admission-control refusals
-	degraded *telemetry.Counter // writes refused by the poisoned write path
 	idemHits *telemetry.Counter // retried writes answered from the dedup cache
 
 	commits       *telemetry.Counter   // durable commit groups published
@@ -36,15 +35,12 @@ type serverMetrics struct {
 	commitOps     *telemetry.Histogram // operations per commit group
 
 	// The commit pipeline (coalesce.go). batchGroups is the size of each
-	// promoted batch in commit groups (always 1 under per-commit);
-	// fsyncsSaved counts the fsyncs coalescing avoided (batch size - 1,
-	// summed); commitQueueWait is how long each commit waited from
-	// enqueue until the committer held commitMu (the lock-wait span);
-	// commitSyncSeconds is the batch fsync.
-	batchGroups       *telemetry.Histogram
-	fsyncsSaved       *telemetry.Counter
-	commitQueueWait   *telemetry.Histogram
-	commitSyncSeconds *telemetry.Histogram
+	// promoted batch in commit groups (always 1 under per-commit), so
+	// its sum minus its count is the fsyncs coalescing saved;
+	// commitQueueWait is how long each commit waited from enqueue until
+	// the committer held commitMu (the lock-wait span).
+	batchGroups     *telemetry.Histogram
+	commitQueueWait *telemetry.Histogram
 
 	inflight *telemetry.Gauge // requests admitted and not yet answered
 	sessions *telemetry.Gauge // open connections
@@ -55,15 +51,12 @@ type serverMetrics struct {
 	// Replication. The shipped side counts what this server streamed to
 	// followers; the applied side counts what this server (as a follower)
 	// verified and applied; reconnects counts the follow loop's re-dials.
-	replStreams       *telemetry.Gauge   // live REPLICATE subscriptions
-	replGroupsShipped *telemetry.Counter // commit groups streamed out
+	// A refused write is counted once, by its error code in errors.
 	replBytesShipped  *telemetry.Counter // raw log bytes streamed out
 	replHeartbeats    *telemetry.Counter // idle keepalives sent
 	replGroupsApplied *telemetry.Counter // groups verified + applied (follower)
 	replBytesApplied  *telemetry.Counter // raw log bytes applied (follower)
 	replReconnects    *telemetry.Counter // follow-loop re-dials after a failure
-	replReadOnly      *telemetry.Counter // writes refused with CodeReadOnly
-	fencedRefusals    *telemetry.Counter // writes refused with CodeFenced (demoted primary)
 
 	// replApplyDelay is the follower-side commit-to-apply lag: for each
 	// traced commit group applied, now minus the primary's commit
@@ -92,7 +85,6 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		m.errors[code] = reg.Counter(`dbpl_server_errors_total{code="` + code.String() + `"}`)
 	}
 	m.shed = reg.Counter("dbpl_server_shed_total")
-	m.degraded = reg.Counter("dbpl_server_degraded_refusals_total")
 	m.idemHits = reg.Counter("dbpl_server_idem_hits_total")
 	m.commits = reg.Counter("dbpl_server_commits_total")
 	m.commitSeconds = reg.Histogram("dbpl_server_commit_seconds",
@@ -101,23 +93,16 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		telemetry.UnitCount, telemetry.SizeBuckets)
 	m.batchGroups = reg.Histogram("dbpl_commit_batch_groups",
 		telemetry.UnitCount, telemetry.SizeBuckets)
-	m.fsyncsSaved = reg.Counter("dbpl_commit_fsyncs_saved_total")
 	m.commitQueueWait = reg.Histogram("dbpl_commit_queue_wait_seconds",
-		telemetry.UnitDuration, telemetry.DurationBuckets)
-	m.commitSyncSeconds = reg.Histogram("dbpl_commit_sync_seconds",
 		telemetry.UnitDuration, telemetry.DurationBuckets)
 	m.inflight = reg.Gauge("dbpl_server_inflight")
 	m.sessions = reg.Gauge("dbpl_server_sessions")
 	m.indexTouched = reg.Counter("dbpl_index_entries_touched_total")
-	m.replStreams = reg.Gauge("dbpl_repl_streams")
-	m.replGroupsShipped = reg.Counter("dbpl_repl_groups_shipped_total")
 	m.replBytesShipped = reg.Counter("dbpl_repl_bytes_shipped_total")
 	m.replHeartbeats = reg.Counter("dbpl_repl_heartbeats_total")
 	m.replGroupsApplied = reg.Counter("dbpl_repl_groups_applied_total")
 	m.replBytesApplied = reg.Counter("dbpl_repl_bytes_applied_total")
 	m.replReconnects = reg.Counter("dbpl_repl_reconnects_total")
-	m.replReadOnly = reg.Counter("dbpl_repl_readonly_refusals_total")
-	m.fencedRefusals = reg.Counter("dbpl_repl_fenced_refusals_total")
 	m.replApplyDelay = reg.Histogram("dbpl_repl_apply_delay_seconds",
 		telemetry.UnitDuration, telemetry.DurationBuckets)
 
@@ -130,10 +115,8 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		"dbpl_server_commit_seconds":     "commit latency, enqueue to durable publication",
 		"dbpl_server_commits_total":      "durable commit groups published",
 		"dbpl_commit_queue_wait_seconds": "time a commit waited from enqueue until the committer held the commit lock",
-		"dbpl_commit_sync_seconds":       "commit batch fsync latency",
 		"dbpl_commit_batch_groups":       "commit groups coalesced per shared fsync",
 		"dbpl_repl_apply_delay_seconds":  "follower lag: primary commit wall-clock to local apply",
-		"dbpl_trace_total":               "traces retained in the in-memory ring",
 	} {
 		reg.SetHelp(name, help)
 	}
@@ -141,13 +124,11 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 }
 
 // observe records one answered request: the per-opcode count and
-// latency, and the error code when the response is an error frame. A
-// non-zero trace stamps the latency bucket's exemplar so an operator
-// can jump from a histogram outlier to the span tree that produced it.
-func (m *serverMetrics) observe(op byte, d time.Duration, respOp byte, respFields [][]byte, trace uint64) {
+// latency, and the error code when the response is an error frame.
+func (m *serverMetrics) observe(op byte, d time.Duration, respOp byte, respFields [][]byte) {
 	if int(op) < len(m.requests) && m.requests[op] != nil {
 		m.requests[op].Inc()
-		m.latency[op].ObserveDurationExemplar(d, trace)
+		m.latency[op].ObserveDuration(d)
 	} else {
 		m.unknown.Inc()
 	}

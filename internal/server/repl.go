@@ -80,8 +80,6 @@ func (s *Server) publish(ops []index.Op, groups int, trace uint64) {
 // A follower can itself serve REPLICATE (its log is byte-identical to
 // the primary's prefix), so chains of followers work unmodified.
 func (s *Server) streamReplicate(conn net.Conn, fields [][]byte) {
-	s.m.replStreams.Add(1)
-	defer s.m.replStreams.Add(-1)
 	maxFrame := s.cfg.maxFrame()
 	fail := func(we *wire.WireError) {
 		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
@@ -126,7 +124,7 @@ func (s *Server) streamReplicate(conn net.Conn, fields [][]byte) {
 			return
 		}
 		if from < st.end {
-			raw, next, groups, err := s.store.ReadGroupsAt(from, replChunk)
+			raw, next, _, err := s.store.ReadGroupsAt(from, replChunk)
 			if err != nil {
 				fail(toWireError(err))
 				return
@@ -147,7 +145,6 @@ func (s *Server) streamReplicate(conn net.Conn, fields [][]byte) {
 				return
 			}
 			from = next
-			s.m.replGroupsShipped.Add(uint64(groups))
 			s.m.replBytesShipped.Add(uint64(len(raw)))
 			continue
 		}
@@ -385,8 +382,7 @@ func (s *Server) followOnce() (progressed bool, err error) {
 // wall-clock: when the follower's sampler keeps that ID (the decision is
 // deterministic in the ID, so both ends agree), the apply gets its own
 // span tree linked to the primary's trace, and the commit-to-apply lag
-// feeds dbpl_repl_apply_delay_seconds with the primary trace as the
-// exemplar.
+// feeds dbpl_repl_apply_delay_seconds.
 func (s *Server) applyReplicated(rd wire.ReplData) (int, error) {
 	start, raw := rd.Start, rd.Raw
 	s.commitMu.Lock()
@@ -444,7 +440,7 @@ func (s *Server) applyReplicated(rd wire.ReplData) (int, error) {
 		if delay < 0 {
 			delay = 0
 		}
-		s.m.replApplyDelay.ObserveExemplar(delay, rd.Trace)
+		s.m.replApplyDelay.Observe(delay)
 	}
 	if tr != nil {
 		tr.Finish()

@@ -175,8 +175,8 @@ func TestFollowerServesReadsRefusesWrites(t *testing.T) {
 	if _, err := fc.Begin(); !errors.Is(err, client.ErrReadOnly) {
 		t.Fatalf("BEGIN on follower: %v, want ErrReadOnly", err)
 	}
-	if n := counter(f, "dbpl_repl_readonly_refusals_total"); n < 4 {
-		t.Errorf("refusal counter = %d, want >= 4", n)
+	if n := counter(f, `dbpl_server_errors_total{code="read-only"}`); n < 4 {
+		t.Errorf(`errors_total{code="read-only"} = %d, want >= 4`, n)
 	}
 
 	// HEALTH: the follower reports its role and the same durable offset

@@ -155,6 +155,16 @@ func TestFollowerHealthNeverAheadOfPublishedState(t *testing.T) {
 		if h := healthOf(t, fsrv); h.DurableEnd != published {
 			t.Errorf("HEALTH reports end %d while the state still covers %d", h.DurableEnd, published)
 		}
+		// The lag is measured from the end HEALTH and the durable-end gauge
+		// report, so within one snapshot the two add up to the primary's end.
+		fsrv.follower.primaryEnd.Store(pst.DurableEnd())
+		snap := fsrv.Telemetry().Snapshot()
+		lag, _ := snap.Gauge("dbpl_repl_lag_bytes")
+		end, _ := snap.Gauge("dbpl_store_durable_end")
+		if lag+end != pst.DurableEnd() || end != published {
+			t.Errorf("lag %d + durable end %d = %d, want the primary's end %d (durable end %d)",
+				lag, end, lag+end, pst.DurableEnd(), published)
+		}
 		probed()
 		for i := 0; i < 20; i++ {
 			sees(2)

@@ -302,14 +302,15 @@ func bulkServer(t *testing.T) (srv *Server, addr string, query types.Type, vals 
 }
 
 // TestServeGetBulkAllocs: a warm loopback GET of bulkServer's 512
-// records costs at most 60 allocations in the whole process: the client's
+// records costs at most 44 allocations in the whole process: the client's
 // request, the server's read, extraction and reply, and the client's
 // decode. Neither end's cost grows with the record count: the server
 // copies each member's stored value bytes, and the client cuts records,
 // value slices and boxed atoms from the reply's slabs. It measures 39
-// with Go 1.24 on linux/amd64.
+// with Go 1.24 on linux/amd64, 40 under -race; the bound is within 15 %
+// of both.
 func TestServeGetBulkAllocs(t *testing.T) {
-	const n, maxAllocs = 512, 60
+	const n, maxAllocs = 512, 44
 	_, addr, query, _, _ := bulkServer(t)
 	c, err := client.Dial(addr, &client.Options{PoolSize: 1})
 	if err != nil {

@@ -219,10 +219,10 @@ func TestRequestClassAdmissionAndTracing(t *testing.T) {
 	srv.m.inflight.Add(1)
 	for op := wire.OpPing; op <= wire.LastRequestOp; op++ {
 		class := wire.Ops[op].Class
-		before := srv.traces.Total()
+		before := len(srv.Traces())
 		respOp, fields := roundTrip(t, addr, op)
 		shed := errCode(t, respOp, fields) == wire.CodeOverloaded
-		traced := srv.traces.Total() != before
+		traced := len(srv.Traces()) != before
 		switch class {
 		case wire.ClassMonitor:
 			if shed || traced {

@@ -435,14 +435,14 @@ func New(store *intrinsic.Store, cfg Config) (*Server, error) {
 	if n := cfg.traceRingSize(); n > 0 {
 		srv.traces = rtrace.NewRing(n)
 		srv.sampler = rtrace.NewSampler(cfg.TraceSampleRate)
-		reg.GaugeFunc("dbpl_trace_total", srv.traces.Total)
 	}
 	if cfg.Follow != "" {
 		f := &followerState{done: make(chan struct{}), stop: make(chan struct{})}
 		srv.follower = f
-		reg.GaugeFunc("dbpl_repl_primary_end", func() int64 { return f.primaryEnd.Load() })
+		// Lag from the published end, as dbpl_store_durable_end and HEALTH
+		// report it, so the three agree within one snapshot.
 		reg.GaugeFunc("dbpl_repl_lag_bytes", func() int64 {
-			if lag := f.primaryEnd.Load() - store.DurableEnd(); lag > 0 {
+			if lag := f.primaryEnd.Load() - srv.state.Load().end; lag > 0 {
 				return lag
 			}
 			return 0
@@ -712,27 +712,21 @@ func (s *Server) serveConn(conn net.Conn) {
 		sess.tr = nil
 		dur := time.Since(began)
 		slow := recorded && dur >= s.cfg.slowOpThreshold()
-		// The latency exemplar is the recorded trace's ID when there is
-		// one (it is in the ring), else the raw wire trace (an unsampled
-		// but stamped request is still findable client-side). A slow
-		// unsampled request keeps the wire trace as its ID, or is minted
-		// one.
-		exemplar := tr.ID()
-		if exemplar == 0 {
-			exemplar = trace
-		}
-		if slow && exemplar == 0 {
-			exemplar = rtrace.NextID()
-		}
-		s.m.observe(op, dur, respOp, respFields, exemplar)
+		s.m.observe(op, dur, respOp, respFields)
 		if tr != nil || slow {
 			var d rtrace.Data
 			if tr != nil {
 				tr.Finish()
 				d = tr.Data()
 			} else {
+				// A slow unsampled request keeps the client's wire trace as
+				// its ID, or is minted one.
+				id := trace
+				if id == 0 {
+					id = rtrace.NextID()
+				}
 				name := wire.OpName(op)
-				d = rtrace.Data{ID: exemplar, Op: name, Begin: began,
+				d = rtrace.Data{ID: id, Op: name, Begin: began,
 					Spans: []rtrace.Span{{Name: name, Parent: rtrace.NoSpan, Dur: dur}}}
 			}
 			// The facts only the reply settles: who asked, how many reply
@@ -957,27 +951,26 @@ func errResp(we *wire.WireError) (byte, [][]byte) {
 	return wire.OpError, wire.ErrorFields(we)
 }
 
-// refuseWrite builds and counts the refusal of one write under m, nil
-// when m takes it: CodeDegraded naming the poisoning (only when poison
-// is set), CodeFenced for a demoted primary (naming its successor when
-// known), CodeReadOnly for a follower (naming the upstream primary).
-// Dispatch gates on the role alone, so a poisoned primary still opens a
-// transaction; the committer gates on poison, then the role, under
-// commitMu, so a write admitted before a fence cannot be acked after it.
+// refuseWrite builds the refusal of one write under m, nil when m takes
+// it: CodeDegraded naming the poisoning (only when poison is set),
+// CodeFenced for a demoted primary (naming its successor when known),
+// CodeReadOnly for a follower (naming the upstream primary). The refusal
+// is counted once, by its code in dbpl_server_errors_total, as the error
+// reply it becomes. Dispatch gates on the role alone, so a poisoned
+// primary still opens a transaction; the committer gates on poison, then
+// the role, under commitMu, so a write admitted before a fence cannot be
+// acked after it.
 func (s *Server) refuseWrite(m *mode, poison bool) *wire.WireError {
 	switch {
 	case poison && m.poisoned != nil:
-		s.m.degraded.Inc()
 		return &wire.WireError{Code: wire.CodeDegraded, Msg: m.poisoned.Error()}
 	case m.role == wire.RoleFenced:
-		s.m.fencedRefusals.Inc()
 		msg := "fenced: a primary with a higher promotion epoch exists; writes refused"
 		if m.successor != "" {
 			msg = fmt.Sprintf("fenced: the primary is now %s (higher promotion epoch); writes must go there", m.successor)
 		}
 		return &wire.WireError{Code: wire.CodeFenced, Msg: msg}
 	case m.role == wire.RoleFollower:
-		s.m.replReadOnly.Inc()
 		return &wire.WireError{Code: wire.CodeReadOnly,
 			Msg: fmt.Sprintf("read-only replication follower of %s; writes must go to the primary", s.cfg.Follow)}
 	}

@@ -14,6 +14,9 @@ import (
 	"testing"
 	"time"
 
+	"dbpl/client"
+	"dbpl/internal/persist/intrinsic"
+	"dbpl/internal/persist/iofault"
 	"dbpl/internal/server"
 	"dbpl/internal/server/wire"
 	"dbpl/internal/telemetry"
@@ -304,6 +307,233 @@ func TestOpsEndpointMatchesDocs(t *testing.T) {
 	if code, _, _ := httpGet(t, web.URL+"/slowops"); code != http.StatusNotFound {
 		t.Errorf("the retired /slowops answered %d, want 404", code)
 	}
+}
+
+// TestMetricCatalogueMatchesRegistry: the series families OBSERVABILITY.md's
+// catalogue lists are exactly those the registries of a running system
+// hold — a primary over telemetry.InstrumentFS, its follower and a client
+// with the follower as a replica — in both directions.
+func TestMetricCatalogueMatchesRegistry(t *testing.T) {
+	listed, _ := catalogue(t)
+	live := bootLiveSystem(t).families()
+	for _, name := range sortedKeys(live) {
+		if !listed[name] {
+			t.Errorf("%s is registered, but OBSERVABILITY.md's catalogue does not list it", name)
+		}
+	}
+	for _, name := range sortedKeys(listed) {
+		if !live[name] {
+			t.Errorf("OBSERVABILITY.md's catalogue lists %s, which no registry holds", name)
+		}
+	}
+}
+
+// TestRetiredSeriesStayGone: no series OBSERVABILITY.md's "Retired series"
+// table lists is in a running system's registries, STATS replies or
+// /metrics; a STATS reply's JSON has exactly the keys the snapshot wire
+// format names; and every dbpl_ series README.md, DESIGN.md and docs/*.md
+// name in backticks is live or retired (a trailing * names a prefix of a
+// live one).
+func TestRetiredSeriesStayGone(t *testing.T) {
+	listed, retired := catalogue(t)
+	if len(retired) == 0 {
+		t.Fatal(`OBSERVABILITY.md has no "Retired series" table`)
+	}
+	for name := range retired {
+		if listed[name] {
+			t.Errorf("OBSERVABILITY.md lists %s as both live and retired", name)
+		}
+	}
+	sys := bootLiveSystem(t)
+	gone := func(where string, names []string) {
+		t.Helper()
+		for _, name := range names {
+			if base, _, _ := strings.Cut(name, "{"); retired[base] {
+				t.Errorf("%s holds the retired %s", where, name)
+			}
+		}
+	}
+	for _, h := range []*harness{sys.p, sys.f} {
+		var reply struct {
+			Counters, Gauges []struct{ Name string }
+			Histograms       []map[string]json.RawMessage
+		}
+		raw := rawStats(t, h)
+		if err := json.Unmarshal(raw, &reply); err != nil {
+			t.Fatal(err)
+		}
+		var top map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &top); err != nil {
+			t.Fatal(err)
+		}
+		if keys := sortedKeys(top); !slices.Equal(keys, []string{"counters", "gauges", "histograms", "taken_at"}) {
+			t.Errorf("STATS reply keys %v", keys)
+		}
+		var names []string
+		for _, c := range append(reply.Counters, reply.Gauges...) {
+			names = append(names, c.Name)
+		}
+		for _, hist := range reply.Histograms {
+			if keys := sortedKeys(hist); !slices.Equal(keys, []string{"bounds", "counts", "name", "sum", "unit"}) {
+				t.Errorf("STATS histogram %s has keys %v", hist["name"], keys)
+			}
+			var name string
+			json.Unmarshal(hist["name"], &name)
+			names = append(names, name)
+		}
+		gone("a STATS reply", names)
+
+		web := httptest.NewServer(h.srv.OpsHandler())
+		_, _, body := httpGet(t, web.URL+"/metrics")
+		web.Close()
+		var types []string
+		for _, line := range strings.Split(body, "\n") {
+			if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				name, _, _ := strings.Cut(rest, " ")
+				types = append(types, name)
+			}
+		}
+		gone("/metrics", types)
+	}
+	live := sys.families()
+	gone("a registry", sortedKeys(live))
+	docs, err := filepath.Glob(filepath.Join("..", "..", "docs", "*.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range append([]string{filepath.Join("..", "..", "README.md"), filepath.Join("..", "..", "DESIGN.md")}, docs...) {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans := strings.Split(string(src), "`")
+		for i := 1; i < len(spans); i += 2 {
+			for _, m := range docSeries.FindAllStringSubmatch(spans[i], -1) {
+				name, prefix := m[1], m[2] == "*"
+				if prefix && !slices.ContainsFunc(sortedKeys(live), func(f string) bool { return strings.HasPrefix(f, name) }) ||
+					!prefix && !live[name] && !retired[name] {
+					t.Errorf("%s names %s, which is neither a live series nor a retired one", filepath.Base(doc), m[0])
+				}
+			}
+		}
+	}
+}
+
+// docSeries matches a series name in a doc, with a trailing * when the
+// name is a prefix.
+var docSeries = regexp.MustCompile(`(dbpl_[a-z0-9_]+)(\*?)`)
+
+// catalogue reads OBSERVABILITY.md's metric catalogue: the series
+// families its tables list in their first column, and those its "Retired
+// series" table lists.
+func catalogue(t *testing.T) (listed, retired map[string]bool) {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cat, ok := strings.Cut(string(doc), "\n## Metric catalogue\n")
+	if !ok {
+		t.Fatal("OBSERVABILITY.md has no metric catalogue")
+	}
+	cat, _, _ = strings.Cut(cat, "\n## ")
+	live, gone, _ := strings.Cut(cat, "\n### Retired series\n")
+	firstColumn := func(tables string) map[string]bool {
+		fams := map[string]bool{}
+		for _, line := range strings.Split(tables, "\n") {
+			if !strings.HasPrefix(line, "| `") {
+				continue
+			}
+			cells := strings.Split(strings.ReplaceAll(line, `\|`, ""), "|")
+			for _, m := range docSeries.FindAllStringSubmatch(cells[1], -1) {
+				fams[m[1]] = true
+			}
+		}
+		return fams
+	}
+	return firstColumn(live), firstColumn(gone)
+}
+
+// liveSystem is a primary whose store is opened through
+// telemetry.InstrumentFS, a follower of it, and a client with the
+// follower as a replica.
+type liveSystem struct {
+	p, f *harness
+	c    *client.Client
+}
+
+// bootLiveSystem boots a liveSystem and replicates one write through it.
+func bootLiveSystem(t *testing.T) liveSystem {
+	t.Helper()
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	path := filepath.Join(dir, "primary.log")
+	st, err := intrinsic.OpenFS(telemetry.InstrumentFS(iofault.OS{}, reg), path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := bootCfg(t, path, st, server.Config{Registry: reg})
+	f := bootCfg(t, filepath.Join(dir, "follower.log"), nil, replCfg(p.addr))
+	c := dial(t, p, &client.Options{Replicas: []string{f.addr}})
+	if err := c.Put("alice", emp("Alice", 1, "Sales"), employeeT); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, p, f)
+	return liveSystem{p: p, f: f, c: c}
+}
+
+// families are the series of the system's three registries with their
+// label sets stripped.
+func (l liveSystem) families() map[string]bool {
+	fams := map[string]bool{}
+	for _, reg := range []*telemetry.Registry{l.p.srv.Telemetry(), l.f.srv.Telemetry(), l.c.Telemetry()} {
+		snap := reg.Snapshot()
+		var names []string
+		for _, c := range snap.Counters {
+			names = append(names, c.Name)
+		}
+		for _, g := range snap.Gauges {
+			names = append(names, g.Name)
+		}
+		for _, h := range snap.Histograms {
+			names = append(names, h.Name)
+		}
+		for _, name := range names {
+			base, _, _ := strings.Cut(name, "{")
+			fams[base] = true
+		}
+	}
+	return fams
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// rawStats sends STATS to h on a raw connection and returns the reply's
+// JSON as the server wrote it.
+func rawStats(t *testing.T, h *harness) []byte {
+	t.Helper()
+	conn, err := net.Dial("tcp", h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := wire.WriteFrame(conn, 0, wire.OpStats); err != nil {
+		t.Fatal(err)
+	}
+	op, fields, err := wire.ReadFrame(conn, 0)
+	if err != nil || op != wire.OpOK || len(fields) != 1 {
+		t.Fatalf("STATS answered %s with %d fields, %v", wire.OpName(op), len(fields), err)
+	}
+	return fields[0]
 }
 
 // httpGet fetches url, returning the status, content type and body.

@@ -38,7 +38,7 @@ func sameTraces(a, b []rtrace.Data) bool {
 
 // TestTelemetryRepliesMatchServer: after traffic, a client's Stats() holds
 // the server's own registry snapshot — every counter, gauge and
-// histogram's unit, bounds, counts, count, sum and exemplars — and its
+// histogram's unit, bounds, counts, count and sum — and its
 // Traces() the server's own ring. Only the series the STATS request
 // itself moves (its own request counter and latency, and the uptime
 // gauge) may differ from a snapshot taken after it.
@@ -49,7 +49,7 @@ func TestTelemetryRepliesMatchServer(t *testing.T) {
 	reg.Gauge("test_negative").Set(-42)
 	h := reg.Histogram("test_seconds", telemetry.UnitDuration, []int64{100, 2000})
 	h.Observe(50)
-	h.ObserveExemplar(1500, 0xFEED)
+	h.Observe(1500)
 	h.Observe(999999)
 	reg.Histogram("test_plain", telemetry.UnitCount, []int64{1}).Observe(1)
 
@@ -99,8 +99,8 @@ func TestTelemetryRepliesMatchServer(t *testing.T) {
 			len(got.Counters), len(got.Gauges), len(got.Histograms),
 			len(want.Counters), len(want.Gauges), len(want.Histograms))
 	}
-	if hs, _ := got.Histogram("test_seconds"); hs.Count != 3 || hs.Exemplars[1] != 0xFEED {
-		t.Errorf("test_seconds count %d, exemplars %v: want 3, and 0xFEED in bucket 1", hs.Count, hs.Exemplars)
+	if hs, _ := got.Histogram("test_seconds"); hs.Count != 3 || hs.Counts[1] != 1 {
+		t.Errorf("test_seconds count %d, buckets %v: want 3, and one in bucket 1", hs.Count, hs.Counts)
 	}
 
 	ds, err := c.Traces()

@@ -218,9 +218,6 @@ func TestTraceFollowerLink(t *testing.T) {
 	if hist.Sum <= 0 {
 		t.Errorf("apply-delay sum = %d ns, want positive (apply happens after commit)", hist.Sum)
 	}
-	if hist.Exemplars == nil {
-		t.Error("apply-delay histogram has no exemplar trace IDs")
-	}
 }
 
 // TestTraceSamplingOff: the default configuration samples nothing, so
@@ -241,14 +238,5 @@ func TestTraceSamplingOff(t *testing.T) {
 		if len(d.Spans) != 1 || d.Spans[0].Dur < 10*time.Millisecond {
 			t.Errorf("sampling off, the ring holds %+v: want slow requests alone, each its root span", d)
 		}
-	}
-	// Commit exemplars still carry the client's wire trace ID, so a slow
-	// write stays findable even without span trees.
-	snap, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hist, ok := snap.Histogram(`dbpl_server_request_seconds{op="PUT"}`); !ok || hist.Exemplars == nil {
-		t.Error("PUT latency histogram lost its wire-trace exemplar with sampling off")
 	}
 }

@@ -13,12 +13,10 @@ import (
 // file I/O exclusively through the iofault.FS seam.
 type FSMetrics struct {
 	Fsyncs   *Counter   // file fsyncs (the commit latency driver)
-	DirSyncs *Counter   // directory fsyncs (atomic replaces, compactions)
-	FsyncNS  *Histogram // latency of both kinds of fsync
+	FsyncNS  *Histogram // latency of file and directory fsyncs
 	BytesIn  *Counter   // bytes read (reads + ReadFile)
 	BytesOut *Counter   // bytes written
 	Opens    *Counter   // OpenFile + CreateTemp
-	Renames  *Counter   // atomic replaces: each compaction/snapshot save completes with exactly one
 	IOErrors *Counter   // failed operations of any kind
 }
 
@@ -27,21 +25,19 @@ type FSMetrics struct {
 func NewFSMetrics(r *Registry) *FSMetrics {
 	return &FSMetrics{
 		Fsyncs:   r.Counter("dbpl_persist_fsync_total"),
-		DirSyncs: r.Counter("dbpl_persist_dir_fsync_total"),
 		FsyncNS:  r.Histogram("dbpl_persist_fsync_seconds", UnitDuration, DurationBuckets),
 		BytesIn:  r.Counter("dbpl_persist_read_bytes_total"),
 		BytesOut: r.Counter("dbpl_persist_write_bytes_total"),
 		Opens:    r.Counter("dbpl_persist_open_total"),
-		Renames:  r.Counter("dbpl_persist_rename_total"),
 		IOErrors: r.Counter("dbpl_persist_io_errors_total"),
 	}
 }
 
 // InstrumentFS wraps an iofault.FS so every store opened through it
 // feeds the dbpl_persist_* metrics: fsync count and latency, bytes in
-// and out, opens, renames, and failed operations. The wrapper composes
-// with the fault injector in either order (metrics outside the injector
-// see injected faults as failures; inside, they see what reached the
+// and out, opens, and failed operations. The wrapper composes with the
+// fault injector in either order (metrics outside the injector see
+// injected faults as failures; inside, they see what reached the
 // "disk").
 func InstrumentFS(inner iofault.FS, r *Registry) iofault.FS {
 	return &instrFS{inner: inner, m: NewFSMetrics(r)}
@@ -78,11 +74,7 @@ func (f *instrFS) CreateTemp(dir, pattern string) (iofault.File, error) {
 }
 
 func (f *instrFS) Rename(oldpath, newpath string) error {
-	if err := f.inner.Rename(oldpath, newpath); err != nil {
-		return f.fail(err)
-	}
-	f.m.Renames.Inc()
-	return nil
+	return f.fail(f.inner.Rename(oldpath, newpath))
 }
 
 func (f *instrFS) Remove(name string) error { return f.fail(f.inner.Remove(name)) }
@@ -115,7 +107,6 @@ func (f *instrFS) SyncDir(dir string) error {
 	if err := f.inner.SyncDir(dir); err != nil {
 		return f.fail(err)
 	}
-	f.m.DirSyncs.Inc()
 	f.m.FsyncNS.ObserveDuration(time.Since(start))
 	return nil
 }

@@ -82,11 +82,10 @@ const (
 // everything past the last bound. Observe is lock-free and
 // allocation-free.
 type Histogram struct {
-	unit      Unit
-	bounds    []int64 // immutable after construction
-	counts    []atomic.Uint64
-	exemplars []atomic.Uint64 // last trace ID to land in each bucket; 0 = none
-	sum       atomic.Int64
+	unit   Unit
+	bounds []int64 // immutable after construction
+	counts []atomic.Uint64
+	sum    atomic.Int64
 }
 
 func newHistogram(unit Unit, bounds []int64) *Histogram {
@@ -97,25 +96,13 @@ func newHistogram(unit Unit, bounds []int64) *Histogram {
 			panic("telemetry: histogram bounds must be strictly ascending")
 		}
 	}
-	return &Histogram{
-		unit:      unit,
-		bounds:    b,
-		counts:    make([]atomic.Uint64, len(b)+1),
-		exemplars: make([]atomic.Uint64, len(b)+1),
-	}
+	return &Histogram{unit: unit, bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
 }
 
 // Observe records one observation. An observation lands in the first
 // bucket whose bound is >= v (Prometheus "le" semantics); past the last
 // bound it lands in the overflow bucket.
-func (h *Histogram) Observe(v int64) { h.ObserveExemplar(v, 0) }
-
-// ObserveExemplar records one observation and, when trace is non-zero,
-// remembers it as the bucket's exemplar — the trace ID of the last
-// request that landed there, so a suspicious p99 bucket points at a
-// concrete span tree (`dbpl trace`) instead of an anonymous count. Still
-// lock-free and allocation-free: the exemplar is one extra atomic store.
-func (h *Histogram) ObserveExemplar(v int64, trace uint64) {
+func (h *Histogram) Observe(v int64) {
 	idx := len(h.bounds)
 	// Linear scan: bucket counts are small (~20) and the loop is
 	// branch-predictable; a binary search costs more in practice.
@@ -126,20 +113,12 @@ func (h *Histogram) ObserveExemplar(v int64, trace uint64) {
 		}
 	}
 	h.counts[idx].Add(1)
-	if trace != 0 {
-		h.exemplars[idx].Store(trace)
-	}
 	h.sum.Add(v)
 }
 
 // ObserveDuration records a duration observation (for UnitDuration
 // histograms: the duration in nanoseconds).
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
-
-// ObserveDurationExemplar is ObserveExemplar for durations.
-func (h *Histogram) ObserveDurationExemplar(d time.Duration, trace uint64) {
-	h.ObserveExemplar(int64(d), trace)
-}
 
 // Stat returns the observation count and exact sum without the deep copy
 // a Snapshot performs — cheap enough to call on every request. The two
@@ -270,27 +249,26 @@ type NamedGauge struct {
 // bounds and bucket counts, the exact sum, and the total count. Count is
 // derived from Counts, so it is not encoded: a decoder recomputes it.
 type HistogramSnapshot struct {
-	Name      string   `json:"name"`
-	Unit      Unit     `json:"unit"`
-	Bounds    []int64  `json:"bounds"`              // ascending inclusive upper bounds
-	Counts    []uint64 `json:"counts"`              // len(Bounds)+1; last is the overflow bucket
-	Exemplars []uint64 `json:"exemplars,omitempty"` // per-bucket last trace ID (0 = none); nil when no bucket has one
-	Sum       int64    `json:"sum"`
-	Count     uint64   `json:"-"`
+	Name   string   `json:"name"`
+	Unit   Unit     `json:"unit"`
+	Bounds []int64  `json:"bounds"` // ascending inclusive upper bounds
+	Counts []uint64 `json:"counts"` // len(Bounds)+1; last is the overflow bucket
+	Sum    int64    `json:"sum"`
+	Count  uint64   `json:"-"`
 }
 
 // UnmarshalJSON decodes a histogram's JSON, refusing one without a count
-// per bucket, or without an exemplar per bucket when it has any, as
-// Quantile and ExemplarNear index them so. Count is recomputed from the
-// buckets.
+// per bucket, as Quantile indexes them so. Count is recomputed from the
+// buckets. A key it does not know, such as a per-bucket list an older
+// server sent, is dropped.
 func (h *HistogramSnapshot) UnmarshalJSON(b []byte) error {
 	type plain HistogramSnapshot
 	if err := json.Unmarshal(b, (*plain)(h)); err != nil {
 		return err
 	}
-	if len(h.Counts) != len(h.Bounds)+1 || h.Exemplars != nil && len(h.Exemplars) != len(h.Counts) {
-		return fmt.Errorf("telemetry: histogram %q has %d bounds, %d counts and %d exemplars",
-			h.Name, len(h.Bounds), len(h.Counts), len(h.Exemplars))
+	if len(h.Counts) != len(h.Bounds)+1 {
+		return fmt.Errorf("telemetry: histogram %q has %d bounds and %d counts",
+			h.Name, len(h.Bounds), len(h.Counts))
 	}
 	h.Count = 0
 	for _, n := range h.Counts {
@@ -342,14 +320,6 @@ func (r *Registry) Snapshot() *Snapshot {
 			n := h.counts[i].Load()
 			hs.Counts[i] = n
 			total += n
-		}
-		for i := range h.exemplars {
-			if ex := h.exemplars[i].Load(); ex != 0 {
-				if hs.Exemplars == nil {
-					hs.Exemplars = make([]uint64, len(h.exemplars))
-				}
-				hs.Exemplars[i] = ex
-			}
 		}
 		hs.Count = total
 		hs.Sum = h.sum.Load()
@@ -437,42 +407,10 @@ func (h HistogramSnapshot) Mean() float64 {
 	return float64(h.Sum) / float64(h.Count)
 }
 
-// ExemplarNear returns the exemplar trace ID closest to the q-quantile:
-// the last trace that landed in the bucket holding the target rank, or —
-// when that bucket has none — the nearest lower bucket that has one.
-// Returns 0 when the histogram is empty or carries no exemplars.
-func (h HistogramSnapshot) ExemplarNear(q float64) uint64 {
-	if h.Count == 0 || h.Exemplars == nil {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.Count)
-	target := len(h.Counts) - 1
-	var cum float64
-	for i, n := range h.Counts {
-		cum += float64(n)
-		if cum >= rank && n > 0 {
-			target = i
-			break
-		}
-	}
-	for i := target; i >= 0; i-- {
-		if h.Exemplars[i] != 0 {
-			return h.Exemplars[i]
-		}
-	}
-	return 0
-}
-
 // Delta returns the change from prev to s, for rate displays (`dbpl
 // stats -watch`): counter values and histogram bucket counts/sums become
-// the interval's increments, gauges keep their current (instantaneous)
-// values, and exemplars keep the current snapshot's. A metric absent
+// the interval's increments, and gauges keep their current
+// (instantaneous) values. A metric absent
 // from prev — or one that shrank, meaning the server restarted between
 // snapshots — passes through whole rather than going negative. TakenAt
 // is s's capture time; the interval length is s.TakenAt−prev.TakenAt.
@@ -492,10 +430,9 @@ func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
 		if ok && len(old.Counts) == len(h.Counts) && old.Count <= h.Count {
 			nh := HistogramSnapshot{
 				Name: h.Name, Unit: h.Unit, Bounds: h.Bounds,
-				Exemplars: h.Exemplars,
-				Counts:    make([]uint64, len(h.Counts)),
-				Sum:       h.Sum - old.Sum,
-				Count:     h.Count - old.Count,
+				Counts: make([]uint64, len(h.Counts)),
+				Sum:    h.Sum - old.Sum,
+				Count:  h.Count - old.Count,
 			}
 			for j := range h.Counts {
 				if old.Counts[j] <= h.Counts[j] {

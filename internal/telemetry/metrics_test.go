@@ -231,7 +231,6 @@ func TestUnmarshalSnapshotMalformed(t *testing.T) {
 		"hist no bounds":   []byte(`{"histograms":[{"name":"h","counts":[]}]}`),
 		"hist big bounds":  []byte(`{"histograms":[{"name":"h","bounds":[1,2,3],"counts":[1]}]}`),
 		"hist more counts": []byte(`{"histograms":[{"name":"h","bounds":[1],"counts":[1,2,3]}]}`),
-		"few exemplars":    []byte(`{"histograms":[{"name":"h","bounds":[1],"counts":[0,1],"exemplars":[7]}]}`),
 		"null histogram":   []byte(`{"histograms":[null]}`),
 	}
 	for name, b := range cases {

@@ -10,9 +10,9 @@ import (
 )
 
 // WriteText renders the trace as an indented tree. The header carries
-// the IDs an operator correlates on (trace ID, link, exemplars) and the
-// facts the reply settled; each span line shows its offset from the
-// trace start and its duration.
+// the IDs an operator correlates on (trace ID, link) and the facts the
+// reply settled; each span line shows its offset from the trace start
+// and its duration.
 func WriteText(w io.Writer, d Data) {
 	fmt.Fprintf(w, "trace %016x  %s  %s", d.ID, d.Op, d.Begin.Format(time.RFC3339Nano))
 	if d.Link != 0 {

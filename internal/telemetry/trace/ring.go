@@ -21,7 +21,6 @@ type Ring struct {
 	mu    sync.Mutex
 	slots []ringEntry
 	next  int
-	total uint64
 }
 
 // NewRing builds a ring holding capacity traces; capacity < 1 is
@@ -41,7 +40,6 @@ func NewRing(capacity int) *Ring {
 func (r *Ring) Record(d Data, forced bool) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.total++
 	// First choice: the next slot in rotation, if it is not protecting a
 	// forced entry (or if we are forced ourselves and may displace it).
 	n := len(r.slots)
@@ -66,14 +64,6 @@ func (r *Ring) Record(d Data, forced bool) bool {
 	r.slots[oldest] = ringEntry{d: d, forced: true, set: true}
 	r.next = (oldest + 1) % n
 	return true
-}
-
-// Total reports how many traces were ever offered to the ring (kept or
-// dropped), for the registry gauge.
-func (r *Ring) Total() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return int64(r.total)
 }
 
 // Snapshot returns the retained traces, newest first.

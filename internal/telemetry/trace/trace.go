@@ -5,8 +5,8 @@
 // appends and no per-span allocations beyond the backing array. The
 // trace ID reuses the wire trace ID the client stamped on the request
 // (or a server-generated one when the request arrived unstamped), which
-// makes a span tree joinable against client logs and histogram exemplars
-// without any extra correlation machinery.
+// makes a span tree joinable against client logs without any extra
+// correlation machinery.
 //
 // Every method on *Trace is nil-safe: an unsampled request carries a nil
 // trace and every Start/End/Add collapses to a no-op without a branch at

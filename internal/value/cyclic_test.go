@@ -131,11 +131,13 @@ func TestStringAndCopyCyclicValues(t *testing.T) {
 // most 8× the time per call of one nested n deep, at n =
 // codec.MaxValueDepth/4, the deepest value the codec accepts. A key's path
 // lookup that scanned the whole path would make it quadratic. Each sample
-// times enough calls to last at least 10 ms, so one preempted call cannot
-// decide it; the two sizes are sampled in turn, after a collection and
-// with the collector off, once the goroutine's stack has grown to the
+// times enough calls to use at least 10 ms of CPU, so one preempted call
+// cannot decide it; the two sizes are sampled in turn, after a collection
+// and with the collector off, once the goroutine's stack has grown to the
 // deeper one, so the ratio is the walk's own; each keeps its fastest
-// per-call time of five samples.
+// per-call time of five samples. The samples run on one locked OS thread
+// and read its CPU clock (value.ThreadCPU), so time a busy host's other
+// processes take from the thread is not charged to the walk.
 func TestKeyCostLinearInDepth(t *testing.T) {
 	nested := func(depth int) value.Value {
 		var v value.Value = value.Int(0)
@@ -146,11 +148,11 @@ func TestKeyCostLinearInDepth(t *testing.T) {
 	}
 	const sampleFloor = 10 * time.Millisecond
 	timeKeys := func(v value.Value, calls int) time.Duration {
-		start := time.Now()
+		start := value.ThreadCPU()
 		for range calls {
 			value.AppendKey(nil, v)
 		}
-		return time.Since(start)
+		return value.ThreadCPU() - start
 	}
 	// callsFor is the number of calls of a sample: doubled from one until
 	// that many take the sample floor.
@@ -167,6 +169,8 @@ func TestKeyCostLinearInDepth(t *testing.T) {
 	// assist through the first samples: finish one, then switch it off.
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
 	cs, cl := callsFor(small), callsFor(large)
 	ts, tl := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 	for range 5 {

@@ -3,6 +3,7 @@ package value
 import (
 	"errors"
 	"math"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
@@ -412,24 +413,27 @@ func TestWalkCostOnDAGs(t *testing.T) {
 
 // timeOp fails t unless prep(deep)'s call takes at most 8× prep(10)'s.
 // Each size is timed best of five, over enough calls that the smaller one
-// runs for ½ ms, with the collector off; the deeper call gets 1 s to
-// return at all.
+// uses ½ ms of CPU, with the collector off, on one locked OS thread's CPU
+// clock (ThreadCPU), so a busy host's other processes are not charged to
+// the call; the deeper call gets 1 s to return at all.
 func timeOp(t *testing.T, name string, deep int, prep func(d int) func()) {
 	t.Helper()
 	small, large := prep(10), prep(deep)
-	start := time.Now()
-	small()
-	reps := max(20, int(500*time.Microsecond/max(time.Since(start), 1)))
-	run := func(f func()) time.Duration {
-		start := time.Now()
-		for range reps {
-			f()
-		}
-		return time.Since(start)
-	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	if !within(time.Second, large) {
 		t.Fatalf("%s at d = %d did not return within 1 s", name, deep)
+	}
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	start := ThreadCPU()
+	small()
+	reps := max(20, int(500*time.Microsecond/max(ThreadCPU()-start, 1)))
+	run := func(f func()) time.Duration {
+		start := ThreadCPU()
+		for range reps {
+			f()
+		}
+		return ThreadCPU() - start
 	}
 	ts, tl := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
 	for range 5 {
