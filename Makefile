@@ -67,7 +67,12 @@ bench-smoke:
 # a reply of atoms at the edges of what box boxes — Ints at 0, 255, 256,
 # -1 and MinInt64, Floats at -0, NaN and +Inf, an empty and a long String
 # — whose every atom must have the one-shot decode's dynamic type and be
-# == to it, NaN aside) and
+# == to it, NaN aside), the
+# merge of two record images into a JOIN row (a merged row equals the row
+# of value.Join of the images' values, a conflict is two records Join
+# refuses, and no refusal adds a row or reads past either image; its
+# seeds include a varint longer than it needs, labels out of order and
+# bytes after the record) and
 # a live server fed
 # each input as a PUT image, then GET, JOIN, EXPLAIN and NAMES over it
 # (HEALTH must answer after every input), and the client's STATS and
@@ -91,6 +96,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzRun -fuzztime=30s ./internal/lang/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/server/wire/
 	$(GO) test -fuzz=FuzzReplyDecode -fuzztime=30s -fuzzminimizetime=5s ./internal/persist/codec/
+	$(GO) test -fuzz=FuzzRowMerged -fuzztime=30s ./internal/persist/codec/
 	$(GO) test -fuzz=FuzzServeImage -fuzztime=30s -fuzzminimizetime=5s ./internal/server/
 	$(GO) test -fuzz=FuzzTelemetryReply -fuzztime=30s ./client/
 

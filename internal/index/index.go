@@ -35,7 +35,8 @@
 //
 // Successor Sets share a type generation until a member type first
 // appears or an extent empties, and the generation memoizes, per interned
-// query type, the matching member types. A memo hit costs O(matching
+// query type, the matching member types, and per pair of member types a
+// JOIN meets, their meet. A memo hit costs O(matching
 // extents · log T + result) for T member types; a miss, one cached subtype
 // check per member type, once per generation.
 //
@@ -126,9 +127,12 @@ type Set struct {
 }
 
 // typeGen is one type generation (see the package comment). Its memo grows
-// with the distinct query types asked, like the subtype verdict cache.
+// with the distinct query types asked, like the subtype verdict cache, and
+// its meets with the distinct pairs of member types a JOIN pairs, at most
+// the square of the generation's member types.
 type typeGen struct {
-	memo sync.Map // *types.Interned → []*types.Interned
+	memo  sync.Map // *types.Interned → []*types.Interned
+	meets sync.Map // [2]*types.Interned → *types.Interned, nil when uninhabited
 }
 
 // NewSet returns an empty Set with the given field indexes declared.
@@ -332,6 +336,21 @@ func (s *Set) matches(want *types.Interned) []*types.Interned {
 		return true
 	})
 	s.gen.memo.Store(want, m)
+	return m
+}
+
+// Meet returns the interned meet a ⊓ b of two member types (types.Meet),
+// or nil when the meet is uninhabited, memoized per generation.
+func (s *Set) Meet(a, b *types.Interned) *types.Interned {
+	k := [2]*types.Interned{a, b}
+	if m, ok := s.gen.meets.Load(k); ok {
+		return m.(*types.Interned)
+	}
+	var m *types.Interned
+	if t, ok := types.Meet(a.Type(), b.Type()); ok {
+		m = types.Intern(t)
+	}
+	s.gen.meets.Store(k, m)
 	return m
 }
 

@@ -40,6 +40,7 @@
 package codec
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -1188,6 +1189,188 @@ func (w *ReplyWriter) RowBytes(img []byte, t types.Type) {
 	}
 	w.buf = append(w.ordinalOf(t), img...)
 	w.rowDone()
+}
+
+// A Merge is what RowMerged did with a pair of record images.
+type Merge int
+
+const (
+	// Merged: the row of the records' join was added.
+	Merged Merge = iota
+	// Conflict: the records hold unequal atoms at a label, so they do not
+	// join; no row was added.
+	Conflict
+	// Undecided: an image is not a record of atoms written as ValueBytes
+	// writes them, so the merge cannot tell; no row was added.
+	Undecided
+)
+
+// RowMerged adds, at the witness type t, the row Row adds for the join of
+// the records whose value bytes (ValueBytes) are a and b, built from the
+// bytes: their fields merged in label order, without the joined value.
+// It decides only records whose every field is an atom, not ⊥. A label
+// on both sides must carry byte-equal atoms, which for atoms written so
+// is value.Equal, or the records conflict. The first error is kept for
+// Fields, and then RowMerged reports Merged.
+func (w *ReplyWriter) RowMerged(a, b []byte, t types.Type) Merge {
+	if w.err != nil {
+		return Merged
+	}
+	if w.buf == nil {
+		w.buf = make([]byte, 0, replyFirst)
+	}
+	start := len(w.buf)
+	buf, n, m := appendMerged(w.buf, a, b)
+	if m != Merged {
+		w.buf = buf[:start]
+		return m
+	}
+	// The ordinal and the record's field count go in front of the fields
+	// once they are known to join.
+	var head [2*binary.MaxVarintLen64 + 1]byte
+	h := binary.AppendUvarint(head[:0], uint64(w.ordinal(t)))
+	h = binary.AppendUvarint(append(h, vRecord), uint64(n))
+	w.buf = slices.Insert(buf, start, h...)
+	w.rowDone()
+	return Merged
+}
+
+// appendMerged appends to dst the fields of the join of the record images
+// a and b, and returns their count. The fields are appended as the images
+// hold them; the verdict is Merged only when both images read to their
+// end and no label conflicts.
+func appendMerged(dst, a, b []byte) ([]byte, int, Merge) {
+	var fa, fb atomFields
+	if !fa.open(a) || !fb.open(b) {
+		return dst, 0, Undecided
+	}
+	sa, sb := fa.next(), fb.next()
+	n, conflict := 0, false
+	for {
+		if sa == fieldBad || sb == fieldBad {
+			return dst, 0, Undecided
+		}
+		if sa == fieldEnd && sb == fieldEnd {
+			break
+		}
+		c := -1 // the side to take: a below 0, b above, both at 0
+		switch {
+		case sa == fieldEnd:
+			c = 1
+		case sb != fieldEnd:
+			c = bytes.Compare(fa.label, fb.label)
+		}
+		if c <= 0 {
+			dst = append(dst, fa.field...)
+		} else {
+			dst = append(dst, fb.field...)
+		}
+		if c == 0 && !bytes.Equal(fa.atom, fb.atom) {
+			conflict = true // a later field may still be undecidable
+		}
+		if c <= 0 {
+			sa = fa.next()
+		}
+		if c >= 0 {
+			sb = fb.next()
+		}
+		n++
+	}
+	if conflict {
+		return dst, 0, Conflict
+	}
+	return dst, n, Merged
+}
+
+// atomFields reads, one field at a time, a record image whose fields are
+// atoms as the encoder writes them: counts, lengths and Ints as minimal
+// varints, labels strictly ascending, and nothing after the last field.
+type atomFields struct {
+	rest  []byte // the fields not read yet
+	left  uint64 // how many
+	field []byte // the field read last: its label's length and bytes, then its atom
+	label []byte // its label
+	atom  []byte // its atom's tag and bytes
+}
+
+// What atomFields.next read.
+const (
+	fieldRead = iota
+	fieldEnd
+	fieldBad
+)
+
+// open starts reading the record image img, reporting whether it opens
+// with a record's tag and field count.
+func (f *atomFields) open(img []byte) bool {
+	if len(img) == 0 || img[0] != vRecord {
+		return false
+	}
+	n, k := minimalCount(img[1:])
+	if k <= 0 {
+		return false
+	}
+	f.rest, f.left = img[1+k:], n
+	return true
+}
+
+// next reads the next field: fieldRead, fieldEnd after the last, or
+// fieldBad for a field that is not an atom written as the encoder writes
+// it, a label not past the last one, or bytes after the last field.
+func (f *atomFields) next() int {
+	if f.left == 0 {
+		if len(f.rest) != 0 {
+			return fieldBad
+		}
+		return fieldEnd
+	}
+	p := f.rest
+	l, k := minimalCount(p)
+	if k <= 0 || l >= uint64(len(p)-k) { // the label and at least a tag
+		return fieldBad
+	}
+	label := p[k : k+int(l)]
+	if f.field != nil && bytes.Compare(label, f.label) <= 0 {
+		return fieldBad
+	}
+	at := k + int(l)
+	end := at + 1
+	switch p[at] {
+	case vUnit, vBoolTrue, vBoolFalse:
+	case vInt:
+		_, k := binary.Varint(p[end:])
+		if k <= 0 || k > 1 && p[end+k-1] == 0 {
+			return fieldBad
+		}
+		end += k
+	case vFloat:
+		end += 8
+	case vString:
+		n, k := minimalCount(p[end:])
+		if k <= 0 {
+			return fieldBad
+		}
+		end += k + int(n) // n is at most maxCount
+	default:
+		return fieldBad
+	}
+	if end > len(p) {
+		return fieldBad
+	}
+	f.field, f.label, f.atom = p[:end], label, p[at:end]
+	f.rest, f.left = p[end:], f.left-1
+	return fieldRead
+}
+
+// minimalCount reads a count or length as binary.Uvarint does, and
+// refuses, with k = 0, one past the decoder's bound or longer than its
+// value needs.
+func minimalCount(p []byte) (x uint64, k int) {
+	x, k = binary.Uvarint(p)
+	if k > 1 && p[k-1] == 0 || x > maxCount {
+		return 0, 0
+	}
+	return x, k
 }
 
 // ordinalOf returns the buffer with the ordinal of a row at t appended.

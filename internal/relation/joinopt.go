@@ -147,16 +147,17 @@ func JoinPlanned(r, s *Relation, p JoinPlan) *Relation {
 
 // JoinPairs is JoinPlanned that also reports which members each result
 // member joins: Members()[i] is the join of r's member pairs[i][0] and s's
-// member pairs[i][1].
-//
-// When New proved both sides keyed, on k_R and k_S, the joined objects are
-// a cochain already and the maxima pass is skipped. A joined object holds
-// its r member's atom at k_R and its s member's atom at k_S, since an atom
-// joins only with an equal atom or ⊥. So j₁ ⊑ j₂ forces equal atoms at
-// both labels, hence the same pair of members, and each pair is joined once.
+// member pairs[i][1]. When both sides are Keyed the joins are a cochain
+// as EachPair makes them, and the maxima pass is skipped.
 func JoinPairs(r, s *Relation, p JoinPlan) (*Relation, [][2]int) {
-	joined, pairs := joinAll(r, s, p)
-	if r.keyedOn != "" && s.keyedOn != "" {
+	var joined []value.Value
+	var pairs [][2]int
+	EachPair(r, s, p, func(i, j int) {
+		if m, err := value.Join(r.elems[i], s.elems[j]); err == nil {
+			joined, pairs = append(joined, m), append(pairs, [2]int{i, j})
+		}
+	})
+	if r.Keyed() && s.Keyed() {
 		return &Relation{elems: joined}, pairs
 	}
 	out, keep := newFrom(joined)
@@ -170,22 +171,24 @@ func JoinPairs(r, s *Relation, p JoinPlan) (*Relation, [][2]int) {
 	return out, kept
 }
 
-// joinAll makes every value.Join attempt the plan calls for and returns
-// the joins that succeed, in plan order, with the positions of the pair of
-// members behind each.
-func joinAll(r, s *Relation, p JoinPlan) (joined []value.Value, pairs [][2]int) {
-	try := func(i, j int) {
-		if m, err := value.Join(r.elems[i], s.elems[j]); err == nil {
-			joined, pairs = append(joined, m), append(pairs, [2]int{i, j})
-		}
-	}
+// EachPair calls try(i, j) for every pair of r's member i and s's member
+// j that the plan pairs, in plan order: the join of the pair is attempted
+// by try. The plan order is JoinPairs' member order.
+//
+// When New proved both sides Keyed, on k_R and k_S, the joins of the
+// pairs are a cochain as made, so each one that succeeds is a member of
+// the join. A joined object holds its r member's atom at k_R and its s
+// member's atom at k_S, since an atom joins only with an equal atom or ⊥.
+// So j₁ ⊑ j₂ forces equal atoms at both labels, hence the same pair of
+// members, and each pair is tried once.
+func EachPair(r, s *Relation, p JoinPlan, try func(i, j int)) {
 	if p.Attr == "" {
 		for i := range r.elems {
 			for j := range s.elems {
 				try(i, j)
 			}
 		}
-		return joined, pairs
+		return
 	}
 	build, probe := r, s
 	if p.BuildRight {
@@ -224,5 +227,4 @@ func joinAll(r, s *Relation, p JoinPlan) (joined []value.Value, pairs [][2]int) 
 			}
 		}
 	}
-	return joined, pairs
 }

@@ -11,7 +11,7 @@
 // another would hold an equal atom there, since atoms are ordered only by
 // equality. New finds such a label in one linear probe (value.MaximalIndex)
 // and then keeps its input without comparing members, and the join of two
-// relations keyed so is a cochain as built (see JoinPairs).
+// relations keyed so is a cochain as built (see EachPair).
 package relation
 
 import (
@@ -153,6 +153,10 @@ func NewKeyed(key ...string) *Relation {
 	sort.Strings(ks)
 	return &Relation{key: ks, byKey: map[string]int{}}
 }
+
+// Keyed reports whether New proved the members a cochain by a key: each
+// holds a distinct atom at one label. Insert forgets the proof.
+func (r *Relation) Keyed() bool { return r.keyedOn != "" }
 
 // Len reports the number of members.
 func (r *Relation) Len() int { return len(r.elems) }

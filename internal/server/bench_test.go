@@ -186,8 +186,8 @@ func joinBulkServer(tb testing.TB) (addr string, left, right types.Type) {
 // BenchmarkServeJoin measures the full remote JOIN round trip of the
 // read-bulk shape, 136 × 8 records joined into 136 (E29 in
 // EXPERIMENTS.md): client encode, TCP, both extents read and keyed, the
-// hash join, each member typed at the meet of its pair's witnesses and
-// encoded, and the client's decode.
+// hash join, each row merged from its pair's stored bytes at the meet of
+// their witnesses, and the client's decode.
 func BenchmarkServeJoin(b *testing.B) {
 	addr, left, right := joinBulkServer(b)
 	c, err := client.Dial(addr, &client.Options{PoolSize: 1})
@@ -209,12 +209,16 @@ func BenchmarkServeJoin(b *testing.B) {
 }
 
 // TestServeJoinBulkAllocs: a loopback JOIN of the read-bulk shape costs
-// at most 292 allocations in the whole process: the client's request,
-// the server's read, relations, join, typing and reply, and the client's
-// decode. It measures 254 with Go 1.24 on linux/amd64, 255 under -race;
-// the bound is within 15 % of both.
+// at most 81 allocations in the whole process. It measures 71 with Go
+// 1.24 on linux/amd64, 72 under -race; the bound is within 15 % of both.
+// The server makes 36: 19 read the two extents and build their keyed
+// relations, 4 plan the join, 9 walk its pairs and write the reply,
+// whose rows are merged from the members' stored bytes, and 4 read the
+// request. The client's request and its decode of the reply make the
+// other 35. No joined record is built, and each pair of witnesses meets
+// once per type generation.
 func TestServeJoinBulkAllocs(t *testing.T) {
-	const maxAllocs = 292
+	const maxAllocs = 81
 	addr, left, right := joinBulkServer(t)
 	c, err := client.Dial(addr, &client.Options{PoolSize: 1})
 	if err != nil {

@@ -111,16 +111,21 @@ func layoutFields(t *testing.T, vals []value.Value, wits []types.Type) [][]byte 
 // and conforms to it. The store holds several witnesses, nested records,
 // lists, a sub-value shared within and across records, a cyclic record and
 // a reply past the session's kept frame buffer. The replies run on one
-// connection, so each reuses the buffer the last one left. Each GET is
-// sent twice: a member's first reply writes the value bytes its dynamic
-// keeps, and the second serves them; the first GET, of person, meets
-// every member it returns cold.
+// connection, so each reuses the buffer the last one left. Each GET and
+// JOIN is sent twice: a member's first reply writes the value bytes its
+// dynamic keeps, and the second serves them; the first GET, of person,
+// meets every member it returns cold. The JOINs of dept and grade, both
+// keyed and of flat records, merge their rows from the members' value
+// bytes, cold and then warm; their pairs clash on Id, and a grade
+// member's witness leaves its Id out. The JOIN of tagged and dept is
+// keyed too, and its tagged members join as values.
 func TestValuesReplyBytesUnchanged(t *testing.T) {
 	srv, _, addr := serveWB(t, "reply.log", Config{})
 	person := types.MustParse("{Name: String, Id: Int}")
 	located := types.MustParse("{Name: String, Id: Int, Addr: {City: String}}")
 	tagged := types.MustParse("{Name: String, Id: Int, Addr: {City: String}, Tags: List[String]}")
 	dept := types.MustParse("{Id: Int, Dept: Int}")
+	grade := types.MustParse("{Dept: Int, Grade: String}")
 	big := types.MustParse("{Name: String, Id: Int, Log: List[Int]}")
 	oslo := value.Rec("City", value.String("Oslo"))
 	cyclic := value.Rec("Name", value.String("loop"), "Id", value.Int(99))
@@ -145,6 +150,10 @@ func TestValuesReplyBytesUnchanged(t *testing.T) {
 			"Tags", value.NewList(value.String("a"), value.String("b"))), tagged)
 		add(value.Rec("Id", id, "Dept", value.Int(int64(i%3))), dept)
 	}
+	for i, g := range []string{"low", "mid", "high"} {
+		add(value.Rec("Dept", value.Int(int64(i)), "Grade", value.String(g)), grade)
+	}
+	add(value.Rec("Dept", value.Int(1), "Grade", value.String("mid+"), "Id", value.Int(4)), grade)
 	add(cyclic, person)
 	add(value.Rec("Name", value.String("big"), "Id", value.Int(-1), "Log", log), big)
 	commitRoots(t, srv, names, vals, decl)
@@ -218,7 +227,10 @@ func TestValuesReplyBytesUnchanged(t *testing.T) {
 				}
 			}
 		}
-		for _, q := range [][2]types.Type{{located, dept}, {tagged, dept}, {dept, located}, {person, dept}} {
+		// Ids repeat in the extents of located and of person, so only
+		// their relations prove no key.
+		unkeyed := map[types.Type]bool{located: true, person: true}
+		for _, q := range [][2]types.Type{{dept, grade}, {grade, dept}, {located, dept}, {tagged, dept}, {dept, located}, {person, dept}} {
 			// Each side's members, and the declared witness of each.
 			side := func(ty types.Type) (*relation.Relation, map[value.Value]types.Type) {
 				entries, _ := st.idx.GetEntries(types.Intern(ty))
@@ -231,6 +243,9 @@ func TestValuesReplyBytesUnchanged(t *testing.T) {
 			}
 			left, lw := side(q[0])
 			right, rw := side(q[1])
+			if keyed := left.Keyed() && right.Keyed(); keyed == (unkeyed[q[0]] || unkeyed[q[1]]) {
+				t.Fatalf("JOIN %s, %s: keyed is %v", q[0], q[1], keyed)
+			}
 			joined, pairs := relation.JoinPairs(left, right, relation.PlanJoin(left, right))
 			members := joined.Members()
 			if len(members) == 0 {
@@ -249,8 +264,10 @@ func TestValuesReplyBytesUnchanged(t *testing.T) {
 				wits[i] = w
 			}
 			want := frameOf(trace, members, wits)
-			if got := rawExchange(t, conn, request(trace, wire.OpJoin, q[0], q[1])); !bytes.Equal(got, want) {
-				t.Fatalf("JOIN %s, %s (trace %#x): reply of %d bytes differs from the layout's frame of %d", q[0], q[1], trace, len(got), len(want))
+			for _, how := range []string{"first", "second"} {
+				if got := rawExchange(t, conn, request(trace, wire.OpJoin, q[0], q[1])); !bytes.Equal(got, want) {
+					t.Fatalf("JOIN %s, %s (trace %#x, %s): reply of %d bytes differs from the layout's frame of %d", q[0], q[1], trace, how, len(got), len(want))
+				}
 			}
 		}
 	}

@@ -1067,7 +1067,8 @@ func internTypes(fields [][]byte) ([2]*types.Interned, error) {
 }
 
 // relationOf is the relation JOIN reads for want from st, GET's answer as
-// values, with each member's declared witness and whether ⊥ occurs in it.
+// values, with each member's dynamic and whether ⊥ occurs in it: member i
+// is the value of the i-th dynamic.
 func relationOf(st *state, want *types.Interned) (*relation.Relation, []witnessed) {
 	entries, _ := st.idx.GetEntries(want)
 	vals := make([]value.Value, len(entries))
@@ -1077,27 +1078,34 @@ func relationOf(st *state, want *types.Interned) (*relation.Relation, []witnesse
 	r, pos := relation.NewIndexed(vals)
 	ws := make([]witnessed, len(pos))
 	for i, p := range pos {
-		ws[i] = witnessed{wit: entries[p].Dyn.Type(), bottom: value.HoldsBottom(vals[p])}
+		ws[i] = witnessed{dyn: entries[p].Dyn, bottom: value.HoldsBottom(vals[p])}
 	}
 	return r, ws
 }
 
-// witnessed is what JOIN needs to type a relation member's joins.
+// witnessed is what JOIN needs of a relation member: its dynamic, whose
+// type is the member's declared witness and whose image its value bytes.
 type witnessed struct {
-	wit    types.Type // the member's declared witness
-	bottom bool       // value.HoldsBottom of the member
+	dyn    *dynamic.Dynamic
+	bottom bool // value.HoldsBottom of the member
 }
 
 // handleJoin answers the generalized join in the paper's types: the member
 // joining a left member declared at σ with a right one declared at τ ships
-// at σ ⊓ τ, computed once per distinct pair of witnesses. A
-// member ships at its most specific type (value.TypeOf) instead when the
-// meet is uninhabited, which takes a quantified witness or a recursive one
-// past types.Meet's unfolding bound, or when the member does not conform
-// to it. Only a ⊥ the join filled can cause that: ⊥ conforms to every type,
-// so a member declared {A: Int} may hold ⊥ at A, and joined with {A = 1.5}
-// it holds a Float there. So only the members of pairs holding ⊥ are
-// checked.
+// at σ ⊓ τ, computed once per pair of witnesses and type generation
+// (index.Set.Meet). A member ships at its most specific type
+// (value.TypeOf) instead when the meet is uninhabited, which takes a
+// quantified witness or a recursive one past types.Meet's unfolding bound,
+// or when the member does not conform to it. Only a ⊥ the join filled can
+// cause that: ⊥ conforms to every type, so a member declared {A: Int} may
+// hold ⊥ at A, and joined with {A = 1.5} it holds a Float there. So only
+// the members of pairs holding ⊥ are checked.
+//
+// When both relations are keyed, the pairs that join are the members
+// (relation.EachPair), and a pair of records of atoms is written from
+// the two members' stored value bytes (codec.ReplyWriter.RowMerged), with
+// no joined value built. Such a pair holds no ⊥, so its row is at the
+// meet. Any pair the merge cannot decide is joined as a value.
 func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
 	ws, err := internTypes(fields)
 	if err != nil {
@@ -1106,30 +1114,46 @@ func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
 	st := sess.view(s)
 	left, lw := relationOf(st, ws[0])
 	right, rw := relationOf(st, ws[1])
-	joined, pairs := relation.JoinPairs(left, right, relation.PlanJoin(left, right))
-	members := joined.Members()
-	var meets map[[2]types.Type]*types.Interned // nil when uninhabited
-	w := codec.NewReplyWriter(len(members))
-	for i, m := range members {
-		l, r := lw[pairs[i][0]], rw[pairs[i][1]]
-		pw := [2]types.Type{l.wit, r.wit}
-		meet, ok := meets[pw]
-		if !ok {
-			if t, ok := types.Meet(pw[0], pw[1]); ok {
-				meet = types.Intern(t)
-			}
-			if meets == nil {
-				meets = map[[2]types.Type]*types.Interned{}
-			}
-			meets[pw] = meet
+	plan := relation.PlanJoin(left, right)
+	if !left.Keyed() || !right.Keyed() {
+		joined, pairs := relation.JoinPairs(left, right, plan)
+		w := codec.NewReplyWriter(joined.Len())
+		for i, m := range joined.Members() {
+			l, r := lw[pairs[i][0]], rw[pairs[i][1]]
+			joinRow(&w, st.idx.Meet(l.dyn.Interned(), r.dyn.Interned()), m, l, r)
 		}
-		if meet == nil || (l.bottom || r.bottom) && !value.ConformsInterned(m, meet) {
-			w.Row(m, value.TypeOf(m))
-		} else {
-			w.Row(m, meet.Type())
+		return valuesOf(&w)
+	}
+	w := codec.NewReplyWriter(plan.Pairs)
+	relation.EachPair(left, right, plan, func(i, j int) { joinPair(&w, st.idx, lw[i], rw[j]) })
+	return valuesOf(&w)
+}
+
+// joinPair adds the row of the join of two members of keyed relations,
+// unless they conflict: merged from their value bytes when the merge
+// decides, else joined as values.
+func joinPair(w *codec.ReplyWriter, idx *index.Set, l, r witnessed) {
+	meet := idx.Meet(l.dyn.Interned(), r.dyn.Interned())
+	if meet != nil {
+		a, errA := l.dyn.Image(codec.ValueBytes)
+		b, errB := r.dyn.Image(codec.ValueBytes)
+		if errA == nil && errB == nil && w.RowMerged(a, b, meet.Type()) != codec.Undecided {
+			return
 		}
 	}
-	return valuesOf(&w)
+	if m, err := value.Join(l.dyn.Value(), r.dyn.Value()); err == nil {
+		joinRow(w, meet, m, l, r)
+	}
+}
+
+// joinRow adds the member m, the join of l and r, at meet, the meet of
+// their witnesses, or at its most specific type.
+func joinRow(w *codec.ReplyWriter, meet *types.Interned, m value.Value, l, r witnessed) {
+	if meet == nil || (l.bottom || r.bottom) && !value.ConformsInterned(m, meet) {
+		w.Row(m, value.TypeOf(m))
+	} else {
+		w.Row(m, meet.Type())
+	}
 }
 
 // ---------------------------------------------------------------------------
