@@ -52,7 +52,10 @@ bench-smoke:
 # conformance's and Copy's walks with a memo (differential against the
 # plain walk, on values that share structure or reach themselves through
 # a list or set, with the cycle check against a plain search), the pruned
-# maximal-elements scan (differential against the naive one), the language
+# maximal-elements scan (differential against the naive one), the type
+# parser (it never panics, and an accepted type re-parses from its
+# printing to an equal type whose printing is a fixed point; its seeds
+# include a comment between fields and a 2 000-label record), the language
 # pipeline, the wire frame reader (malformed frames, truncated length
 # prefixes and oversize claims must yield typed wire errors — never a
 # panic, never an unbounded allocation; its seeds include the heartbeat,
@@ -93,6 +96,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzAppendKey -fuzztime=30s ./internal/value/
 	$(GO) test -fuzz=FuzzWalk -fuzztime=30s ./internal/value/
 	$(GO) test -fuzz=FuzzMaximal -fuzztime=30s -fuzzminimizetime=5s ./internal/value/
+	$(GO) test -fuzz=FuzzParseType -fuzztime=30s ./internal/types/
 	$(GO) test -fuzz=FuzzRun -fuzztime=30s ./internal/lang/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/server/wire/
 	$(GO) test -fuzz=FuzzReplyDecode -fuzztime=30s -fuzzminimizetime=5s ./internal/persist/codec/

@@ -63,15 +63,14 @@ func (l *lexer) skipSpaceAndComments() {
 // next returns the next token.
 func (l *lexer) next() (Token, *Error) {
 	l.skipSpaceAndComments()
-	pos := Pos{Line: l.line, Col: l.col}
+	pos, off := Pos{Line: l.line, Col: l.col}, l.pos
 	r, w := l.peekRune()
 	if w == 0 {
-		return Token{Kind: TEOF, Pos: pos}, nil
+		return Token{Kind: TEOF, Pos: pos, Off: off}, nil
 	}
 
 	switch {
 	case unicode.IsLetter(r) || r == '_':
-		start := l.pos
 		for {
 			r, w := l.peekRune()
 			if w == 0 || (!unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_') {
@@ -79,10 +78,9 @@ func (l *lexer) next() (Token, *Error) {
 			}
 			l.advance(w, r)
 		}
-		return Token{Kind: TIdent, Lit: l.src[start:l.pos], Pos: pos}, nil
+		return Token{Kind: TIdent, Lit: l.src[off:l.pos], Pos: pos, Off: off}, nil
 
 	case unicode.IsDigit(r):
-		start := l.pos
 		isFloat := false
 		for {
 			r, w := l.peekRune()
@@ -108,7 +106,7 @@ func (l *lexer) next() (Token, *Error) {
 		if isFloat {
 			kind = TFloat
 		}
-		return Token{Kind: kind, Lit: l.src[start:l.pos], Pos: pos}, nil
+		return Token{Kind: kind, Lit: l.src[off:l.pos], Pos: pos, Off: off}, nil
 
 	case r == '"' || r == '\'':
 		quote := r
@@ -145,17 +143,17 @@ func (l *lexer) next() (Token, *Error) {
 			b.WriteRune(r)
 			l.advance(w, r)
 		}
-		return Token{Kind: TString, Lit: b.String(), Pos: pos}, nil
+		return Token{Kind: TString, Lit: b.String(), Pos: pos, Off: off}, nil
 	}
 
 	two := func(kind TokenKind, lit string) (Token, *Error) {
 		l.advance(1, 0)
 		l.advance(1, 0)
-		return Token{Kind: kind, Lit: lit, Pos: pos}, nil
+		return Token{Kind: kind, Lit: lit, Pos: pos, Off: off}, nil
 	}
 	one := func(kind TokenKind, lit string) (Token, *Error) {
 		l.advance(w, r)
-		return Token{Kind: kind, Lit: lit, Pos: pos}, nil
+		return Token{Kind: kind, Lit: lit, Pos: pos, Off: off}, nil
 	}
 	rest := l.src[l.pos:]
 	switch {

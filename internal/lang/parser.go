@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"slices"
 	"strconv"
 
 	"dbpl/internal/types"
@@ -10,6 +11,7 @@ import (
 // abbreviations (type N = T) are expanded during parsing; a self-reference
 // closes into a recursive type.
 type parser struct {
+	src     string
 	toks    []Token
 	pos     int
 	abbrevs map[string]types.Type
@@ -26,7 +28,7 @@ func Parse(src string, abbrevs map[string]types.Type) ([]Decl, error) {
 	if abbrevs == nil {
 		abbrevs = map[string]types.Type{}
 	}
-	p := &parser{toks: toks, abbrevs: abbrevs}
+	p := &parser{src: src, toks: toks, abbrevs: abbrevs}
 	var decls []Decl
 	for !p.at(TEOF) {
 		d, err := p.parseDecl()
@@ -190,7 +192,7 @@ func (p *parser) parseTypeDecl() (Decl, error) {
 	if name.Lit[0] < 'A' || name.Lit[0] > 'Z' {
 		return nil, errAt(name.Pos, "parse", "type names must start with an uppercase letter")
 	}
-	if _, dup := p.abbrevs[name.Lit]; dup || baseTypes[name.Lit] != nil {
+	if _, dup := p.abbrevs[name.Lit]; dup || baseTypes[name.Lit] {
 		return nil, errAt(name.Pos, "parse", "type %q is already defined", name.Lit)
 	}
 	if _, err := p.expect(TAssign, "'='"); err != nil {
@@ -906,206 +908,57 @@ func (p *parser) parseRecordLit() (*ERecord, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Types (lang-level syntax with abbreviations)
+// Types
 // ---------------------------------------------------------------------------
 
-// baseTypes are the built-in type names.
-var baseTypes = map[string]types.Type{
-	"Int": types.Int, "Float": types.Float, "String": types.String,
-	"Bool": types.Bool, "Unit": types.Unit, "Top": types.Top,
-	"Bottom": types.Bottom, "Dynamic": types.Dynamic, "Type": types.TypeRep,
+// baseTypes are the names the type grammar itself defines.
+var baseTypes = map[string]bool{
+	"Int": true, "Float": true, "String": true, "Bool": true, "Unit": true,
+	"Top": true, "Bottom": true, "Dynamic": true, "Type": true,
+	"List": true, "Set": true,
 }
 
+// parseType reads the type that starts at the current token with the
+// types package's grammar, the one every reader of a type shares. On the
+// tokens it took, the language then refuses keywords and capitalized
+// names that are neither base types nor abbreviations (labels and tags,
+// an identifier before ':', are exempt), and expands the abbreviations.
 func (p *parser) parseType() (types.Type, error) {
-	if p.atKw("forall") || p.atKw("exists") {
-		kw := p.cur().Lit
-		p.advance()
-		name, err := p.ident("a type variable")
-		if err != nil {
-			return nil, err
-		}
-		bound := types.Type(types.Top)
-		if p.at(TLe) {
-			p.advance()
-			if bound, err = p.parseType(); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := p.expect(TDot, "'.'"); err != nil {
-			return nil, err
-		}
-		body, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		if kw == "forall" {
-			return types.NewForAll(name.Lit, bound, body), nil
-		}
-		return types.NewExists(name.Lit, bound, body), nil
-	}
-	if p.atKw("rec") {
-		p.advance()
-		name, err := p.ident("a type variable")
-		if err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TDot, "'.'"); err != nil {
-			return nil, err
-		}
-		body, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		return types.NewRec(name.Lit, body), nil
-	}
-	parts, single, err := p.parseTypeGroup()
+	start, off := p.pos, p.cur().Off
+	t, n, err := types.ParsePrefix(p.src[off:])
 	if err != nil {
-		return nil, err
+		se := err.(*types.SyntaxError) // ParsePrefix refuses with no other error
+		return nil, errAt(p.posAt(off+se.Offset), "parse", "%s", se.Msg)
 	}
-	if p.at(TArrow) {
+	for p.cur().Off < off+n {
 		p.advance()
-		res, err := p.parseType()
-		if err != nil {
-			return nil, err
+	}
+	quantified := false // the token before was forall, exists or rec
+	for i := start; i < p.pos; i++ {
+		tok, binder := p.toks[i], quantified
+		quantified = false
+		if tok.Kind != TIdent || i+1 < p.pos && p.toks[i+1].Kind == TColon {
+			continue
 		}
-		return types.NewFunc(parts, res), nil
+		switch name := tok.Lit; {
+		case !binder && (name == "forall" || name == "exists" || name == "rec"):
+			quantified = true
+		case keywords[name]:
+			return nil, errAt(tok.Pos, "parse", "unexpected keyword %q in type", name)
+		case name[0] >= 'A' && name[0] <= 'Z' && !baseTypes[name] && p.abbrevs[name] == nil:
+			return nil, errAt(tok.Pos, "parse", "unknown type name %q", name)
+		}
 	}
-	if !single {
-		return nil, errAt(p.cur().Pos, "parse", "parameter list must be followed by \"->\"")
+	for v := range types.FreeVars(t) {
+		if abbr := p.abbrevs[v]; abbr != nil {
+			t = types.Substitute(t, v, abbr)
+		}
 	}
-	return parts[0], nil
+	return t, nil
 }
 
-func (p *parser) parseTypeGroup() ([]types.Type, bool, error) {
-	if p.at(TLParen) {
-		p.advance()
-		if p.at(TRParen) {
-			p.advance()
-			return nil, false, nil
-		}
-		var parts []types.Type
-		for {
-			t, err := p.parseType()
-			if err != nil {
-				return nil, false, err
-			}
-			parts = append(parts, t)
-			if !p.at(TComma) {
-				break
-			}
-			p.advance()
-		}
-		if _, err := p.expect(TRParen, "')'"); err != nil {
-			return nil, false, err
-		}
-		return parts, len(parts) == 1, nil
-	}
-	t, err := p.parseTypePrimary()
-	if err != nil {
-		return nil, false, err
-	}
-	return []types.Type{t}, true, nil
-}
-
-func (p *parser) parseTypePrimary() (types.Type, error) {
-	t := p.cur()
-	switch t.Kind {
-	case TIdent:
-		name := t.Lit
-		if keywords[name] && name != "rec" {
-			return nil, errAt(t.Pos, "parse", "unexpected keyword %q in type", name)
-		}
-		p.advance()
-		if bt, ok := baseTypes[name]; ok {
-			return bt, nil
-		}
-		if name == "List" || name == "Set" {
-			if _, err := p.expect(TLBrack, "'['"); err != nil {
-				return nil, err
-			}
-			el, err := p.parseType()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TRBrack, "']'"); err != nil {
-				return nil, err
-			}
-			if name == "List" {
-				return types.NewList(el), nil
-			}
-			return types.NewSet(el), nil
-		}
-		if abbr, ok := p.abbrevs[name]; ok {
-			return abbr, nil
-		}
-		if name[0] >= 'A' && name[0] <= 'Z' {
-			return nil, errAt(t.Pos, "parse", "unknown type name %q", name)
-		}
-		return types.NewVar(name), nil
-	case TLBrace:
-		p.advance()
-		var fs []types.Field
-		seen := map[string]bool{}
-		if !p.at(TRBrace) {
-			for {
-				label, err := p.expect(TIdent, "a field label")
-				if err != nil {
-					return nil, err
-				}
-				if seen[label.Lit] {
-					return nil, errAt(label.Pos, "parse", "duplicate field %q", label.Lit)
-				}
-				seen[label.Lit] = true
-				if _, err := p.expect(TColon, "':'"); err != nil {
-					return nil, err
-				}
-				ft, err := p.parseType()
-				if err != nil {
-					return nil, err
-				}
-				fs = append(fs, types.Field{Label: label.Lit, Type: ft})
-				if !p.at(TComma) {
-					break
-				}
-				p.advance()
-			}
-		}
-		if _, err := p.expect(TRBrace, "'}'"); err != nil {
-			return nil, err
-		}
-		return types.NewRecord(fs...), nil
-	case TLBrack:
-		// Variant type: [Circle: Float, Square: Float].
-		p.advance()
-		var fs []types.Field
-		seen := map[string]bool{}
-		for {
-			label, err := p.expect(TIdent, "a variant tag")
-			if err != nil {
-				return nil, err
-			}
-			if seen[label.Lit] {
-				return nil, errAt(label.Pos, "parse", "duplicate variant tag %q", label.Lit)
-			}
-			seen[label.Lit] = true
-			if _, err := p.expect(TColon, "':'"); err != nil {
-				return nil, err
-			}
-			ft, err := p.parseType()
-			if err != nil {
-				return nil, err
-			}
-			fs = append(fs, types.Field{Label: label.Lit, Type: ft})
-			if !p.at(TComma) {
-				break
-			}
-			p.advance()
-		}
-		if _, err := p.expect(TRBrack, "']'"); err != nil {
-			return nil, err
-		}
-		return types.NewVariant(fs...), nil
-	default:
-		return nil, errAt(t.Pos, "parse", "unexpected %s in type", t)
-	}
+// posAt is the position of the token that starts at byte offset off.
+func (p *parser) posAt(off int) Pos {
+	i, _ := slices.BinarySearchFunc(p.toks, off, func(t Token, off int) int { return t.Off - off })
+	return p.toks[i].Pos
 }

@@ -77,11 +77,13 @@ type Pos struct {
 // String renders the position as line:col.
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
-// Token is a lexical token with its literal text and position.
+// Token is a lexical token with its literal text, position and byte
+// offset in the source.
 type Token struct {
 	Kind TokenKind
 	Lit  string
 	Pos  Pos
+	Off  int
 }
 
 // String renders the token for error messages.

@@ -72,7 +72,7 @@ func (s *Store) EnterReplica() {
 // last committed 'E' record's value after recovery. Lock-free, like
 // DurableEnd — fencing decisions and health reporting must not block
 // behind a wedged commit.
-func (s *Store) Epoch() uint64 { return s.epochA.Load() }
+func (s *Store) Epoch() uint64 { return s.epoch.Load() }
 
 // Promote is the inverse of EnterReplica: it bumps the promotion epoch,
 // appends the epoch record durably as its own commit group, and re-enables
@@ -98,7 +98,7 @@ func (s *Store) Promote() (uint64, error) {
 	if s.staged > 0 {
 		return 0, fmt.Errorf("intrinsic: a staged commit batch is open; SyncBatch or Abort before Promote")
 	}
-	next := s.epoch + 1
+	next := s.epoch.Load() + 1
 	var out nodeBuf
 	out.WriteByte(recEpoch)
 	out.uvarint(next)
@@ -110,7 +110,7 @@ func (s *Store) Promote() (uint64, error) {
 		return 0, err
 	}
 	s.replica = false
-	s.setEpoch(next)
+	s.epoch.Store(next)
 	return next, nil
 }
 
@@ -408,7 +408,7 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	if fold.sawEpoch {
 		// The primary's promotion record flows down the stream like any
 		// other record; the follower's epoch tracks the history it holds.
-		s.setEpoch(fold.epoch)
+		s.epoch.Store(fold.epoch)
 	}
 	delta.Changes = changesOf(old, next, names)
 	return delta, nil

@@ -166,11 +166,10 @@ type Store struct {
 
 	// epoch is the promotion epoch: 0 until the first Promote, bumped by
 	// every Promote and recovered from the last committed 'E' record on
-	// open. epochA mirrors it for lock-free readers (Epoch): health and
-	// fencing decisions must not block behind a commit wedged on a dying
-	// disk.
-	epoch  uint64
-	epochA atomic.Uint64
+	// open. Writers hold s.mu; it is atomic for lock-free readers (Epoch):
+	// health and fencing decisions must not block behind a commit wedged
+	// on a dying disk.
+	epoch atomic.Uint64
 
 	// indexDefs is the declared field-index set (see DeclareIndex), sorted
 	// and replaced on change, durable as an 'X' record in the next commit
@@ -277,13 +276,6 @@ func (s *Store) setEnd(v int64) {
 // immutable map. Lock-free, like DurableEnd.
 func (s *Store) Committed() pmap.Map[*dynamic.Dynamic] { return *s.committed.Load() }
 
-// setEpoch moves the promotion epoch, keeping the lock-free mirror in
-// step. Callers hold s.mu.
-func (s *Store) setEpoch(e uint64) {
-	s.epoch = e
-	s.epochA.Store(e)
-}
-
 // rootEntry is a parsed but not yet materialized root-table entry.
 type rootEntry struct {
 	name   string
@@ -333,7 +325,7 @@ func (s *Store) load() error {
 		}
 		s.setEnd(int64(len(header)))
 		s.tailDirty = false
-		s.setEpoch(0)
+		s.epoch.Store(0)
 		s.oids = map[value.Value]uint64{}
 		s.roots = pmap.Map[*dynamic.Dynamic]{}
 		s.committed.Store(new(pmap.Map[*dynamic.Dynamic]))
@@ -344,7 +336,7 @@ func (s *Store) load() error {
 	}
 	s.setEnd(sum.goodEnd)
 	s.tailDirty = sum.torn
-	s.setEpoch(fold.epoch)
+	s.epoch.Store(fold.epoch)
 
 	s.indexDefs = sortedSet(fold.defs)
 	s.durableDefs = s.indexDefs
@@ -1388,10 +1380,10 @@ func (s *Store) Compact() (CompactStats, error) {
 	if len(s.indexDefs) > 0 {
 		encodeIndexDefs(&body, s.indexDefs)
 	}
-	if s.epoch > 0 {
+	if e := s.epoch.Load(); e > 0 {
 		// Carry the promotion epoch into the rewritten log.
 		body.WriteByte(recEpoch)
-		body.uvarint(s.epoch)
+		body.uvarint(e)
 	}
 	body.WriteByte(recCommit)
 	headerLen := len(logMagic) + 1

@@ -555,22 +555,8 @@ func TestPlannedPromoteShipsOnlyTheNewBytes(t *testing.T) {
 	// follower, then below the primary's epoch, from the log head.
 	f := bootCfg(t, filepath.Join(dir, "follower.log"), nil, server.Config{Follow: p.addr})
 	waitConverged(t, p, f)
-	// shippedAtLeast waits until the primary has counted n bytes shipped:
-	// a streamer counts a frame after writing it, so the follower can
-	// hold the bytes first.
-	const shippedName = "dbpl_repl_bytes_shipped_total"
-	shippedAtLeast := func(n uint64) uint64 {
-		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); counter(p, shippedName) < n; {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s = %d, never reached %d", shippedName, counter(p, shippedName), n)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		return counter(p, shippedName)
-	}
 	end := p.store.DurableEnd()
-	shipped := shippedAtLeast(uint64(end - intrinsic.HeaderSize))
+	shipped := shippedAtLeast(t, p, uint64(end-intrinsic.HeaderSize))
 
 	if epoch, err := pc.Promote(); err != nil || epoch != 1 {
 		t.Fatalf("planned Promote = (%d, %v), want (1, nil)", epoch, err)
@@ -580,7 +566,7 @@ func TestPlannedPromoteShipsOnlyTheNewBytes(t *testing.T) {
 	}
 	waitConverged(t, p, f)
 	added := uint64(p.store.DurableEnd() - end)
-	if rise := shippedAtLeast(shipped+added) - shipped; rise > 2*added {
+	if rise := shippedAtLeast(t, p, shipped+added) - shipped; rise > 2*added {
 		t.Fatalf("a planned bump and one PUT added %d log bytes but shipped %d: the follower's history was re-shipped", added, rise)
 	}
 	sameLog(t, p.path, f.path)

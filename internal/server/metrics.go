@@ -55,7 +55,6 @@ type serverMetrics struct {
 	replBytesShipped  *telemetry.Counter // raw log bytes streamed out
 	replHeartbeats    *telemetry.Counter // idle keepalives sent
 	replGroupsApplied *telemetry.Counter // groups verified + applied (follower)
-	replBytesApplied  *telemetry.Counter // raw log bytes applied (follower)
 	replReconnects    *telemetry.Counter // follow-loop re-dials after a failure
 
 	// replApplyDelay is the follower-side commit-to-apply lag: for each
@@ -101,7 +100,6 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	m.replBytesShipped = reg.Counter("dbpl_repl_bytes_shipped_total")
 	m.replHeartbeats = reg.Counter("dbpl_repl_heartbeats_total")
 	m.replGroupsApplied = reg.Counter("dbpl_repl_groups_applied_total")
-	m.replBytesApplied = reg.Counter("dbpl_repl_bytes_applied_total")
 	m.replReconnects = reg.Counter("dbpl_repl_reconnects_total")
 	m.replApplyDelay = reg.Histogram("dbpl_repl_apply_delay_seconds",
 		telemetry.UnitDuration, telemetry.DurationBuckets)

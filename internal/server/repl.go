@@ -432,7 +432,6 @@ func (s *Server) applyReplicated(rd wire.ReplData) (int, error) {
 	s.publish(opsOf(delta.Changes), delta.Groups, 0)
 	tr.End(psp)
 	s.m.replGroupsApplied.Add(uint64(delta.Groups))
-	s.m.replBytesApplied.Add(uint64(len(raw)))
 	if rd.CommitNS > 0 {
 		// Commit-to-apply lag across two hosts' clocks: an honest lag
 		// indicator, clamped so clock skew cannot go negative.

@@ -489,16 +489,6 @@ func (s *Server) Addr() net.Addr {
 	return s.ln.Addr()
 }
 
-// ListenAndServe listens on addr (":7070" style) and serves until
-// Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Serve accepts connections on ln until Shutdown, returning
 // ErrServerClosed after a clean drain.
 func (s *Server) Serve(ln net.Listener) error {

@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -20,17 +21,32 @@ import (
 //	t                                     type variable (lowercase)
 //
 // Quantifier bounds default to Top when the "<= Bound" part is omitted.
+// Comments run from "--" to the end of the line and may appear between
+// any two tokens. Parse is ParsePrefix that also requires the type to
+// take the whole of src; a refusal is a *SyntaxError.
 func Parse(src string) (Type, error) {
+	t, end, err := ParsePrefix(src)
+	if err != nil {
+		return nil, err
+	}
+	if end < len(src) {
+		return nil, &SyntaxError{Offset: end, Msg: "unexpected text after the type"}
+	}
+	return t, nil
+}
+
+// ParsePrefix reads the type at the start of src and returns it with the
+// byte offset of whatever follows it, past any space and comments. The
+// language parser reads the types in programs this way, so a type means
+// the same wherever its text appears.
+func ParsePrefix(src string) (Type, int, error) {
 	p := &typeParser{src: src}
 	p.next()
 	t, err := p.parseType()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if p.tok != tkEOF {
-		return nil, fmt.Errorf("types: unexpected %q after type at offset %d", p.lit, p.off)
-	}
-	return t, nil
+	return t, p.off, nil
 }
 
 // MustParse is Parse but panics on error; for use in tests and fixtures.
@@ -40,6 +56,17 @@ func MustParse(src string) Type {
 		panic(err)
 	}
 	return t
+}
+
+// SyntaxError is a refused type: what is wrong, and the byte offset of the
+// token the parser stopped at.
+type SyntaxError struct {
+	Offset int
+	Msg    string
+}
+
+func (e *SyntaxError) Error() string {
+	return fmt.Sprintf("types: %s at offset %d", e.Msg, e.Offset)
 }
 
 type typeToken int
@@ -61,6 +88,11 @@ const (
 	tkInvalid // anything else
 )
 
+var punct = map[byte]typeToken{
+	'{': tkLBrace, '}': tkRBrace, '[': tkLBrack, ']': tkRBrack,
+	'(': tkLParen, ')': tkRParen, ',': tkComma, ':': tkColon, '.': tkDot,
+}
+
 type typeParser struct {
 	src string
 	pos int // scan position
@@ -69,23 +101,34 @@ type typeParser struct {
 	lit string
 }
 
-func (p *typeParser) next() {
+// skip moves past space and "--" comments.
+func (p *typeParser) skip() {
 	for p.pos < len(p.src) {
+		if strings.HasPrefix(p.src[p.pos:], "--") {
+			if nl := strings.IndexByte(p.src[p.pos:], '\n'); nl >= 0 {
+				p.pos += nl
+			} else {
+				p.pos = len(p.src)
+			}
+			continue
+		}
 		r, w := utf8.DecodeRuneInString(p.src[p.pos:])
 		if !unicode.IsSpace(r) {
-			break
+			return
 		}
 		p.pos += w
 	}
+}
+
+func (p *typeParser) next() {
+	p.skip()
 	p.off = p.pos
 	if p.pos >= len(p.src) {
 		p.tok, p.lit = tkEOF, ""
 		return
 	}
 	r, w := utf8.DecodeRuneInString(p.src[p.pos:])
-	switch {
-	case unicode.IsLetter(r) || r == '_':
-		start := p.pos
+	if unicode.IsLetter(r) || r == '_' {
 		for p.pos < len(p.src) {
 			r, w := utf8.DecodeRuneInString(p.src[p.pos:])
 			if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' {
@@ -93,72 +136,68 @@ func (p *typeParser) next() {
 			}
 			p.pos += w
 		}
-		p.tok, p.lit = tkIdent, p.src[start:p.pos]
+		p.tok, p.lit = tkIdent, p.src[p.off:p.pos]
 		return
-	case r == '{':
-		p.tok, p.lit = tkLBrace, "{"
-	case r == '}':
-		p.tok, p.lit = tkRBrace, "}"
-	case r == '[':
-		p.tok, p.lit = tkLBrack, "["
-	case r == ']':
-		p.tok, p.lit = tkRBrack, "]"
-	case r == '(':
-		p.tok, p.lit = tkLParen, "("
-	case r == ')':
-		p.tok, p.lit = tkRParen, ")"
-	case r == ',':
-		p.tok, p.lit = tkComma, ","
-	case r == ':':
-		p.tok, p.lit = tkColon, ":"
-	case r == '.':
-		p.tok, p.lit = tkDot, "."
-	case r == '-':
-		if p.pos+1 < len(p.src) && p.src[p.pos+1] == '>' {
-			p.tok, p.lit = tkArrow, "->"
-			p.pos += 2
-			return
-		}
-		p.tok, p.lit = tkInvalid, "-"
-	case r == '<':
-		if p.pos+1 < len(p.src) && p.src[p.pos+1] == '=' {
-			p.tok, p.lit = tkLessEq, "<="
-			p.pos += 2
-			return
-		}
-		p.tok, p.lit = tkInvalid, "<"
-	default:
-		p.tok, p.lit = tkInvalid, string(r)
 	}
-	p.pos += w
+	rest := p.src[p.pos:]
+	switch tok, ok := punct[rest[0]]; {
+	case strings.HasPrefix(rest, "->"):
+		p.tok, p.pos = tkArrow, p.pos+2
+	case strings.HasPrefix(rest, "<="):
+		p.tok, p.pos = tkLessEq, p.pos+2
+	case ok:
+		p.tok, p.pos = tok, p.pos+1
+	default:
+		p.tok, p.pos = tkInvalid, p.pos+w
+	}
+	p.lit = p.src[p.off:p.pos]
+}
+
+// fail refuses the type at the current token.
+func (p *typeParser) fail(format string, args ...any) error {
+	return &SyntaxError{Offset: p.off, Msg: fmt.Sprintf(format, args...)}
+}
+
+// found names the current token for an error message.
+func (p *typeParser) found() string {
+	if p.tok == tkEOF {
+		return "end of input"
+	}
+	return fmt.Sprintf("%q", p.lit)
 }
 
 func (p *typeParser) expect(tok typeToken, what string) error {
 	if p.tok != tok {
-		return fmt.Errorf("types: expected %s at offset %d, found %q", what, p.off, p.lit)
+		return p.fail("expected %s, found %s", what, p.found())
 	}
 	p.next()
 	return nil
 }
 
+// binder reads the variable after forall, exists or rec.
+func (p *typeParser) binder(kw string) (string, error) {
+	if p.tok != tkIdent {
+		return "", p.fail("expected a variable after %q, found %s", kw, p.found())
+	}
+	name := p.lit
+	p.next()
+	return name, nil
+}
+
 // parseType handles quantifiers, recursion and function arrows.
 func (p *typeParser) parseType() (Type, error) {
 	if p.tok == tkIdent {
-		switch p.lit {
+		switch kw := p.lit; kw {
 		case "forall", "exists":
-			kw := p.lit
 			p.next()
-			if p.tok != tkIdent {
-				return nil, fmt.Errorf("types: expected variable after %q at offset %d", kw, p.off)
+			param, err := p.binder(kw)
+			if err != nil {
+				return nil, err
 			}
-			param := p.lit
-			p.next()
 			bound := Type(Top)
 			if p.tok == tkLessEq {
 				p.next()
-				var err error
-				bound, err = p.parseType()
-				if err != nil {
+				if bound, err = p.parseType(); err != nil {
 					return nil, err
 				}
 			}
@@ -175,11 +214,10 @@ func (p *typeParser) parseType() (Type, error) {
 			return NewExists(param, bound, body), nil
 		case "rec":
 			p.next()
-			if p.tok != tkIdent {
-				return nil, fmt.Errorf("types: expected variable after \"rec\" at offset %d", p.off)
+			param, err := p.binder(kw)
+			if err != nil {
+				return nil, err
 			}
-			param := p.lit
-			p.next()
 			if err := p.expect(tkDot, "'.'"); err != nil {
 				return nil, err
 			}
@@ -204,7 +242,7 @@ func (p *typeParser) parseType() (Type, error) {
 		return NewFunc(parts, result), nil
 	}
 	if !single {
-		return nil, fmt.Errorf("types: parameter list must be followed by \"->\" at offset %d", p.off)
+		return nil, p.fail("a parameter list must be followed by \"->\"")
 	}
 	return parts[0], nil
 }
@@ -242,95 +280,74 @@ func (p *typeParser) parsePrimaryGroup() (parts []Type, single bool, err error) 
 	return []Type{t}, true, nil
 }
 
+var basicNames = map[string]Type{
+	"Int": Int, "Float": Float, "String": String, "Bool": Bool, "Unit": Unit,
+	"Top": Top, "Bottom": Bottom, "Dynamic": Dynamic, "Type": TypeRep,
+}
+
 func (p *typeParser) parsePrimary() (Type, error) {
 	switch p.tok {
 	case tkIdent:
 		name := p.lit
 		p.next()
-		switch name {
-		case "Int":
-			return Int, nil
-		case "Float":
-			return Float, nil
-		case "String":
-			return String, nil
-		case "Bool":
-			return Bool, nil
-		case "Unit":
-			return Unit, nil
-		case "Top":
-			return Top, nil
-		case "Bottom":
-			return Bottom, nil
-		case "Dynamic":
-			return Dynamic, nil
-		case "Type":
-			return TypeRep, nil
-		case "List", "Set":
-			if err := p.expect(tkLBrack, "'['"); err != nil {
-				return nil, err
-			}
-			elem, err := p.parseType()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expect(tkRBrack, "']'"); err != nil {
-				return nil, err
-			}
-			if name == "List" {
-				return NewList(elem), nil
-			}
-			return NewSet(elem), nil
-		default:
+		if b, ok := basicNames[name]; ok {
+			return b, nil
+		}
+		if name != "List" && name != "Set" {
 			return NewVar(name), nil
 		}
-	case tkLBrace:
-		fs, err := p.parseFields(tkRBrace, "'}'")
+		if err := p.expect(tkLBrack, "'['"); err != nil {
+			return nil, err
+		}
+		elem, err := p.parseType()
 		if err != nil {
 			return nil, err
 		}
-		for i := 1; i < len(fs); i++ {
-			// NewRecord panics on duplicates; report a parse error instead.
-			for j := 0; j < i; j++ {
-				if fs[i].Label == fs[j].Label {
-					return nil, fmt.Errorf("types: duplicate record label %q", fs[i].Label)
-				}
-			}
+		if err := p.expect(tkRBrack, "']'"); err != nil {
+			return nil, err
+		}
+		if name == "List" {
+			return NewList(elem), nil
+		}
+		return NewSet(elem), nil
+	case tkLBrace:
+		p.next()
+		fs, err := p.parseFields(tkRBrace, "'}'", "record label")
+		if err != nil {
+			return nil, err
 		}
 		return NewRecord(fs...), nil
 	case tkLBrack:
-		fs, err := p.parseFields(tkRBrack, "']'")
+		p.next()
+		if p.tok == tkRBrack {
+			return nil, p.fail("a variant needs at least one tag")
+		}
+		fs, err := p.parseFields(tkRBrack, "']'", "variant tag")
 		if err != nil {
 			return nil, err
 		}
-		if len(fs) == 0 {
-			return nil, fmt.Errorf("types: a variant needs at least one tag at offset %d", p.off)
-		}
-		for i := 1; i < len(fs); i++ {
-			for j := 0; j < i; j++ {
-				if fs[i].Label == fs[j].Label {
-					return nil, fmt.Errorf("types: duplicate variant tag %q", fs[i].Label)
-				}
-			}
-		}
 		return NewVariant(fs...), nil
 	default:
-		return nil, fmt.Errorf("types: unexpected %q at offset %d", p.lit, p.off)
+		return nil, p.fail("unexpected %s", p.found())
 	}
 }
 
-func (p *typeParser) parseFields(closer typeToken, closeWhat string) ([]Field, error) {
-	p.next() // consume the opener
+// parseFields reads "label: T, ..." up to closer; the opener is already
+// consumed. A label given twice is refused at its second occurrence, found
+// by sorting, so a wide record costs n log n, not n².
+func (p *typeParser) parseFields(closer typeToken, closeWhat, what string) ([]Field, error) {
 	var fs []Field
-	if p.tok == closer {
-		p.next()
-		return fs, nil
-	}
-	for {
-		if p.tok != tkIdent {
-			return nil, fmt.Errorf("types: expected label at offset %d, found %q", p.off, p.lit)
+	var offs []int
+	for p.tok != closer {
+		if len(fs) > 0 {
+			if err := p.expect(tkComma, "',' or "+closeWhat); err != nil {
+				return nil, err
+			}
 		}
-		label := p.lit
+		if p.tok != tkIdent {
+			return nil, p.fail("expected a %s, found %s", what, p.found())
+		}
+		label, off := p.lit, p.off
 		p.next()
 		if err := p.expect(tkColon, "':'"); err != nil {
 			return nil, err
@@ -340,13 +357,17 @@ func (p *typeParser) parseFields(closer typeToken, closeWhat string) ([]Field, e
 			return nil, err
 		}
 		fs = append(fs, Field{Label: label, Type: t})
-		if p.tok != tkComma {
-			break
+		offs = append(offs, off)
+	}
+	if _, dup, ok := sortFields(fs); ok {
+		seen := false
+		for i, f := range fs {
+			if f.Label == dup && seen {
+				return nil, &SyntaxError{Offset: offs[i], Msg: fmt.Sprintf("duplicate %s %q", what, dup)}
+			}
+			seen = seen || f.Label == dup
 		}
-		p.next()
 	}
-	if err := p.expect(closer, closeWhat); err != nil {
-		return nil, err
-	}
+	p.next()
 	return fs, nil
 }

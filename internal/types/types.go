@@ -149,15 +149,25 @@ type Record struct {
 // distinct; NewRecord panics otherwise, since duplicate labels indicate a
 // programming error rather than a recoverable condition.
 func NewRecord(fields ...Field) *Record {
-	fs := make([]Field, len(fields))
+	fs, dup, ok := sortFields(fields)
+	if ok {
+		panic(fmt.Sprintf("types: duplicate record label %q", dup))
+	}
+	return &Record{fields: fs, labelBits: labelBitsOf(fs)}
+}
+
+// sortFields returns a copy of fields sorted by label, and a label that
+// occurs more than once, if any.
+func sortFields(fields []Field) (fs []Field, dup string, ok bool) {
+	fs = make([]Field, len(fields))
 	copy(fs, fields)
 	sort.Slice(fs, func(i, j int) bool { return fs[i].Label < fs[j].Label })
 	for i := 1; i < len(fs); i++ {
 		if fs[i].Label == fs[i-1].Label {
-			panic(fmt.Sprintf("types: duplicate record label %q", fs[i].Label))
+			return fs, fs[i].Label, true
 		}
 	}
-	return &Record{fields: fs, labelBits: labelBitsOf(fs)}
+	return fs, "", false
 }
 
 // LabelBit returns the signature bit for one label: a single set bit chosen
@@ -222,13 +232,9 @@ type Variant struct {
 // NewVariant builds a variant type. Tags must be distinct; NewVariant panics
 // otherwise.
 func NewVariant(tags ...Field) *Variant {
-	fs := make([]Field, len(tags))
-	copy(fs, tags)
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Label < fs[j].Label })
-	for i := 1; i < len(fs); i++ {
-		if fs[i].Label == fs[i-1].Label {
-			panic(fmt.Sprintf("types: duplicate variant tag %q", fs[i].Label))
-		}
+	fs, dup, ok := sortFields(tags)
+	if ok {
+		panic(fmt.Sprintf("types: duplicate variant tag %q", dup))
 	}
 	return &Variant{fields: fs, labelBits: labelBitsOf(fs)}
 }
