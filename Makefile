@@ -70,7 +70,12 @@ bench-smoke:
 # a reply of atoms at the edges of what box boxes — Ints at 0, 255, 256,
 # -1 and MinInt64, Floats at -0, NaN and +Inf, an empty and a long String
 # — whose every atom must have the one-shot decode's dynamic type and be
-# == to it, NaN aside), the
+# == to it, NaN aside — and replies whose rows share one witness and so
+# its record program, with a row the program leaves partway: a label
+# byte changed, a field more, a field fewer, a list, record or dynamic
+# as the last field, a label length as a non-minimal varint and a last
+# atom cut short, beside a row of ⊥ and an Int at a Float field that the
+# program reads whole), the
 # merge of two record images into a JOIN row (a merged row equals the row
 # of value.Join of the images' values, a conflict is two records Join
 # refuses, and no refusal adds a row or reads past either image; its

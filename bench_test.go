@@ -611,7 +611,11 @@ func BenchmarkCodecUntagged(b *testing.B) {
 // types: once as one tagged image a record, decoded image by image, and
 // once as the reply a GET returns, each witness type stated once, decoded
 // as the client decodes it. Both read each type image through the codec's
-// process-wide type table. ns/rec is the cost of one record.
+// process-wide type table. In the reply each record has exactly its
+// witness's labels, so its witness's record program reads it; reply-wide
+// is the same records, each a reply row at its witness less the A9 field,
+// so every row misses its program and the generic decoder reads it: the
+// price of the fallback. ns/rec is the cost of one record.
 func BenchmarkCodecDecode(b *testing.B) {
 	b.Run("world", func(b *testing.B) {
 		world, _ := benchWorld(1000)
@@ -629,7 +633,7 @@ func BenchmarkCodecDecode(b *testing.B) {
 	})
 	const n = 512
 	imgs := make([][]byte, n)
-	w := codec.NewReplyWriter(n)
+	w, wide := codec.NewReplyWriter(n), codec.NewReplyWriter(n)
 	for i := range imgs {
 		v := value.Rec("Id", value.Int(int64(i)), "Name", value.String(fmt.Sprintf("row-%07d", i)),
 			"A", value.Int(1<<24+int64(i)), fmt.Sprintf("A%d", 1+i%4), value.String("zxcvbnmasdfg"), "A9", value.Float(0.625))
@@ -639,8 +643,15 @@ func BenchmarkCodecDecode(b *testing.B) {
 		}
 		imgs[i] = img
 		w.Row(v, value.TypeOf(v))
+		narrow := v.Copy()
+		narrow.Delete("A9")
+		wide.Row(v, value.TypeOf(narrow))
 	}
 	reply, err := w.Fields()
+	if err != nil {
+		b.Fatal(err)
+	}
+	wideReply, err := wide.Fields()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -658,6 +669,9 @@ func BenchmarkCodecDecode(b *testing.B) {
 		}},
 		{"tagged-reply/reply", func() error {
 			return codec.DecodeReply(reply, func(int, value.Value, types.Type) {})
+		}},
+		{"tagged-reply/reply-wide", func() error {
+			return codec.DecodeReply(wideReply, func(int, value.Value, types.Type) {})
 		}},
 	} {
 		b.Run(c.name, func(b *testing.B) {

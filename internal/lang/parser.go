@@ -323,6 +323,11 @@ func (p *parser) parseFun() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
+			// A capitalized name in the signature would be read as a type
+			// name, not as the parameter.
+			if name.Lit[0] >= 'A' && name.Lit[0] <= 'Z' {
+				return nil, errAt(name.Pos, "parse", "type parameters must start with a lowercase letter")
+			}
 			bound := types.Type(types.Top)
 			if p.at(TLe) {
 				p.advance()

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"bytes"
 	"testing"
 
 	"dbpl/internal/types"
@@ -49,7 +50,8 @@ func TestTypeReadersAgree(t *testing.T) {
 
 // TestTypeNameRules: on top of the shared grammar, the language refuses a
 // keyword and a capitalized name that is neither a base type nor an
-// abbreviation, binders included; labels and tags may be any identifier.
+// abbreviation, binders included, and a capitalized type parameter of a
+// function; labels and tags may be any identifier.
 // Abbreviations expand wherever they occur free.
 func TestTypeNameRules(t *testing.T) {
 	for _, src := range []string{
@@ -59,8 +61,12 @@ func TestTypeNameRules(t *testing.T) {
 		"let x: List[Person] = []",
 		"type Int = Bool",
 		"type List = Int",
+		"type Person = {Name: String}; fun[Person](x: Person): Person is x",
 	} {
 		failRun(t, src, "parse")
+	}
+	if _, err := New(new(bytes.Buffer)).Run("fun[t](x: t): t is x"); err != nil {
+		t.Errorf("a lowercase type parameter: %v", err)
 	}
 	decls, err := Parse(`
 		type Person = {Name: String};

@@ -31,7 +31,10 @@
 // A reply to a GET or a JOIN states each of its witness types once: a
 // ReplyWriter writes a reply's types and then its rows, and DecodeReply
 // reads one, its rows through one reused Decoder, and builds their values
-// from memory shared by the reply: slabs, and the rows field itself. The
+// from memory shared by the reply: slabs, and the rows field itself. A
+// row that is a record of exactly its witness's labels, each field an
+// atom, is read with the record program kept on the witness's type table
+// entry, and any other row by the plain decoder. The
 // slabs hold the reply's records, their value slices and its atoms: an
 // Int outside 0–255, a Float or a String is boxed over its slab element
 // rather than copied to an allocation of its own. The codec uses unsafe
@@ -49,6 +52,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -582,10 +586,34 @@ const (
 	typeImageMax = 512
 )
 
-// typeEntry is what a slot holds: a type image's bytes and its type.
+// typeEntry is what a slot holds: a type image's bytes and its type, and,
+// once a reply has read the image, the program it reads its rows at that
+// type with.
 type typeEntry struct {
 	img string
 	t   types.Type
+	rec atomic.Pointer[recordProgram] // noProgram if t has none
+}
+
+// noProgram marks an entry whose type has no record program.
+var noProgram recordProgram
+
+// program returns e's record program, or nil if its type has none. The
+// first call compiles it; of calls that race, one's program is kept.
+func (e *typeEntry) program() *recordProgram {
+	p := e.rec.Load()
+	if p == nil {
+		if p = compileRecord(e.t); p == nil {
+			p = &noProgram
+		}
+		if !e.rec.CompareAndSwap(nil, p) {
+			p = e.rec.Load()
+		}
+	}
+	if p == &noProgram {
+		return nil
+	}
+	return p
 }
 
 var (
@@ -597,35 +625,79 @@ var (
 func typeSlot(img []byte) int { return int(maphash.Bytes(typeSeed, img) % typeSlots) }
 
 // tableType reads the top-level type image at d's cursor through the type
-// table. It measures the image with a skip; a stored image costs no more,
-// and any other is decoded, and stored if it decodes to exactly the bytes
-// skipped.
-func (d *Decoder) tableType() (types.Type, error) {
+// table, and returns its type and its entry, or no entry for an image the
+// table does not keep. It measures the image with a skip; a stored image
+// costs no more, and any other is decoded, and stored if it decodes to
+// exactly the bytes skipped.
+func (d *Decoder) tableType() (types.Type, *typeEntry, error) {
 	start := d.pos
 	if err := d.skipType(0); err != nil {
 		// The decoder reports the first fault in image order, and the skip
 		// does not look for duplicate labels.
 		d.pos = start
 		if _, derr := d.decodeType(); derr != nil {
-			return nil, derr
+			return nil, nil, derr
 		}
-		return nil, err
+		return nil, nil, err
 	}
 	img := d.src[start:d.pos]
 	d.pos = start
 	if len(img) > typeImageMax {
-		return d.decodeType()
+		t, err := d.decodeType()
+		return t, nil, err
 	}
 	slot := &typeTable[typeSlot(img)]
 	if e := slot.Load(); e != nil && e.img == string(img) {
 		d.pos += len(img)
-		return e.t, nil
+		return e.t, e, nil
 	}
 	t, err := d.decodeType()
-	if err == nil && d.pos == start+len(img) {
-		slot.Store(&typeEntry{img: string(img), t: t})
+	if err != nil || d.pos != start+len(img) {
+		return t, nil, err
 	}
-	return t, err
+	e := &typeEntry{img: string(img), t: t}
+	slot.Store(e)
+	return t, e, nil
+}
+
+// A recordProgram reads a reply's row at a record witness whose fields
+// are all of atom types: by Get's typing and principle P2 such a row is
+// most often a record of exactly the witness's labels. It holds the bytes
+// the encoder writes for such a record ahead of each atom, so a row is
+// checked with one comparison a field and built at the witness's interned
+// shape, without a label key or a probe of the shape table. A program is
+// compiled once, when a reply first reads its type image from the type
+// table, is kept on the image's entry and is immutable; the table's bound
+// is its bound.
+type recordProgram struct {
+	head   string   // the record's tag and field count
+	labels []string // each field's label, its uvarint length and bytes, ascending
+	shape  *value.Shape
+}
+
+// compileRecord returns the program of t, or nil unless t is a record
+// type whose every field type is an atom's, Top or Bottom: a row at any
+// other type would fall back at its first container.
+func compileRecord(t types.Type) *recordProgram {
+	r, ok := t.(*types.Record)
+	if !ok {
+		return nil
+	}
+	p := &recordProgram{
+		head:   string(binary.AppendUvarint([]byte{vRecord}, uint64(r.Len()))),
+		labels: make([]string, r.Len()),
+	}
+	names := make([]string, r.Len())
+	for i := range names {
+		f := r.Field(i)
+		if k := f.Type.Kind(); k < types.KindInt || k > types.KindBottom {
+			return nil
+		}
+		names[i] = f.Label
+		p.labels[i] = string(binary.AppendUvarint(nil, uint64(len(f.Label)))) + f.Label
+	}
+	p.shape = value.InternShape(names) // a record type's labels ascend
+	return p
 }
 
 func (d *Decoder) byte() (byte, error) {
@@ -928,7 +1000,8 @@ func (d *Decoder) value() (value.Value, error) {
 // table.
 func (d *Decoder) Type() (types.Type, error) {
 	if d.typeDepth == 0 {
-		return d.tableType()
+		t, _, err := d.tableType()
+		return t, err
 	}
 	return d.decodeType()
 }
@@ -1506,10 +1579,13 @@ func ReplyRows(fields [][]byte) (int, error) {
 // image, stopping at the first error; it also refuses a malformed types
 // field, an ordinal past the types and bytes after the last type or row.
 // Each type image is read once, through the type table. The rows share
-// one Decoder, and their records get their labels as every decoded record
-// does, from the interned value.Shape of their label set. The reply's
-// records and their value slices are cut from slabs sized from the row
-// count, and so are its atoms: an Int outside 0–255, which Go boxes
+// one Decoder. A row at a witness with a record program (recordProgram)
+// is read with it when it is a record of exactly the witness's labels
+// whose fields are atoms; any other row, and a row the program leaves
+// partway, is read from its start by the generic decoder, whose records
+// get their labels from the interned value.Shape of their label set. The
+// reply's records and their value slices are cut from slabs sized from
+// the row count, and so are its atoms: an Int outside 0–255, which Go boxes
 // without an allocation, a Float or a String is boxed over an element of a
 // slab (box). The rows field is kept, not copied: string atoms are
 // substrings of it, so the caller hands it over and must not change it
@@ -1528,14 +1604,18 @@ func DecodeReply(fields [][]byte, each func(i int, v value.Value, t types.Type))
 	rep := &reply{src: unsafe.String(unsafe.SliceData(fields[1]), len(fields[1])), rows: rows}
 	ts := rep.typeBuf[:0]
 	if n > len(rep.typeBuf) {
-		ts = make([]types.Type, 0, n)
+		ts = make([]witness, 0, n)
 	}
 	for range n {
-		t, err := td.Type()
+		t, e, err := td.tableType()
 		if err != nil {
 			return err
 		}
-		ts = append(ts, t)
+		w := witness{t: t}
+		if e != nil {
+			w.rec = e.program()
+		}
+		ts = append(ts, w)
 	}
 	if td.pos != len(td.src) {
 		return fmt.Errorf("%w: bytes after a reply's types", ErrCorrupt)
@@ -1551,11 +1631,16 @@ func DecodeReply(fields [][]byte, each func(i int, v value.Value, t types.Type))
 		if ord >= uint64(len(ts)) {
 			return fmt.Errorf("%w: type ordinal %d of %d types", ErrCorrupt, ord, len(ts))
 		}
-		v, err := d.Value()
-		if err != nil {
-			return err
+		var v value.Value
+		if rec := ts[ord].rec; rec != nil {
+			v = d.programRow(rec)
 		}
-		each(i, v, ts[ord])
+		if v == nil {
+			if v, err = d.Value(); err != nil {
+				return err
+			}
+		}
+		each(i, v, ts[ord].t)
 		rep.done++
 		d.nextRow()
 	}
@@ -1563,6 +1648,33 @@ func DecodeReply(fields [][]byte, each func(i int, v value.Value, t types.Type))
 		return fmt.Errorf("%w: bytes after a reply's rows", ErrCorrupt)
 	}
 	return nil
+}
+
+// programRow reads the row value at the cursor with p, when it is a record
+// of p's labels, each written as the encoder writes it, whose every field
+// is an atom. Any other row it leaves partway, and returns nil with the
+// cursor and the reply's slabs as it found them.
+func (d *Decoder) programRow(p *recordProgram) value.Value {
+	rep, start := d.rep, d.pos
+	if !strings.HasPrefix(rep.src[start:], p.head) {
+		return nil
+	}
+	saved := rep.slabs
+	d.pos += len(p.head)
+	vals := rep.vals.take(len(p.labels), d)
+	for i, l := range p.labels {
+		// vBottom up to vBoolFalse are the atoms' tags.
+		if at := d.pos + len(l); strings.HasPrefix(rep.src[d.pos:], l) && at < len(rep.src) && rep.src[at] <= vBoolFalse {
+			d.pos = at
+			if v, err := d.value(); err == nil {
+				vals[i] = v
+				continue
+			}
+		}
+		d.pos, rep.slabs = start, saved
+		return nil
+	}
+	return value.InitShaped(&rep.recs.take(1, d)[0], p.shape, vals)
 }
 
 // nextRow readies d, between the rows of a reply, for the next row: a row
@@ -1583,14 +1695,25 @@ type reply struct {
 	src string
 	// rows is the number of rows and done the number decoded.
 	rows, done int
-	recs       slab[value.Record]
-	vals       slab[value.Value]
-	// ints, floats and strs hold the atoms the reply boxes.
+	slabs
+	// typeBuf backs the reply's types when it has a few.
+	typeBuf [4]witness
+}
+
+// slabs are the slabs of one reply: its records and their value slices,
+// and in ints, floats and strs the atoms it boxes.
+type slabs struct {
+	recs   slab[value.Record]
+	vals   slab[value.Value]
 	ints   slab[value.Int]
 	floats slab[value.Float]
 	strs   slab[value.String]
-	// typeBuf backs the reply's types when it has a few.
-	typeBuf [4]types.Type
+}
+
+// witness is one of a reply's types, with its record program if it has one.
+type witness struct {
+	t   types.Type
+	rec *recordProgram
 }
 
 // slab hands out runs of one reply's records or values.

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -223,7 +224,8 @@ func replyValues(tb testing.TB) ([]value.Value, []types.Type) {
 
 // replySeeds are payloads of replies, their fields framed as a frame's:
 // replies written by ReplyWriter (one of them atomReply's), one with
-// hand-made rows whose records repeat a label out of order, every
+// hand-made rows whose records repeat a label out of order, the replies
+// whose rows leave their record program partway (programReplies), every
 // malformed reply, and no reply.
 func replySeeds(tb testing.TB) [][]byte {
 	vals, wits := replyValues(tb)
@@ -243,10 +245,127 @@ func replySeeds(tb testing.TB) [][]byte {
 		joinImages(writeReply(tb, []value.Value{vals[5], vals[6], vals[0]}, []types.Type{wits[5], wits[6], wits[0]})...),
 		joinImages(dup...),
 	}
+	for _, p := range programReplies(tb) {
+		seeds = append(seeds, joinImages(p.fields...))
+	}
 	for _, m := range malformedReplies(tb) {
 		seeds = append(seeds, joinImages(m.fields...))
 	}
 	return append(seeds, nil)
+}
+
+// programReplies are replies whose rows all have the witness {A: Int,
+// B: Float, C: String}, and so its record program: a row the program reads
+// whole, then the row each is named for, then the first again, except
+// that a row whose last atom is cut short ends its reply. read is whether
+// the program reads the named row whole; the others it leaves partway.
+func programReplies(tb testing.TB) []struct {
+	name   string
+	read   bool
+	fields [][]byte
+} {
+	row := func(pairs ...any) []byte {
+		img, err := ValueBytes(value.Rec(pairs...))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return append([]byte{0}, img...) // ordinal 0
+	}
+	a, b, c := value.Int(1000), value.Float(0.5), value.String("c")
+	dyn, err := dynamic.MakeAt(value.Int(1), types.Int)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	good := row("A", a, "B", b, "C", c)
+	typeImg, err := AppendType(nil, types.MustParse("{A: Int, B: Float, C: String}"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	typesField := func(rows int) []byte {
+		return slices.Concat([]byte("DBPL\x01"), binary.AppendUvarint(nil, uint64(rows)), []byte{1}, typeImg[headerLen:])
+	}
+	type reply = struct {
+		name   string
+		read   bool
+		fields [][]byte
+	}
+	var out []reply
+	for _, r := range []struct {
+		name string
+		read bool
+		row  []byte
+	}{
+		{"a label byte changed", false, row("A", a, "B", b, "D", c)},
+		{"a field more", false, row("A", a, "B", b, "C", c, "D", a)},
+		{"a field fewer", false, row("A", a, "B", b)},
+		{"a list last", false, row("A", a, "B", b, "C", value.NewList(c))},
+		{"a record last", false, row("A", a, "B", b, "C", value.Rec("X", c))},
+		{"a dynamic last", false, row("A", a, "B", b, "C", dyn)},
+		{"a label length as a non-minimal varint", false, bytes.Replace(good, []byte{1, 'B'}, []byte{0x81, 0, 'B'}, 1)},
+		{"⊥ and an Int at the Float field", true, row("A", value.Bottom, "B", value.Int(3), "C", c)},
+	} {
+		out = append(out, reply{r.name, r.read, [][]byte{typesField(3), slices.Concat(good, r.row, good)}})
+	}
+	return append(out, reply{"a truncated last atom", false, [][]byte{typesField(2), slices.Concat(good, good[:len(good)-1])}})
+}
+
+// slabMark is where a slab stands: its free chunk's start and length, and
+// the elements it has handed out.
+func slabMark[T any](s *slab[T]) [3]uintptr {
+	return [3]uintptr{uintptr(unsafe.Pointer(unsafe.SliceData(s.free))), uintptr(len(s.free)), uintptr(s.used)}
+}
+
+// slabMarks is where each of s stands.
+func slabMarks(s *slabs) [5][3]uintptr {
+	return [...][3]uintptr{slabMark(&s.recs), slabMark(&s.vals), slabMark(&s.ints), slabMark(&s.floats), slabMark(&s.strs)}
+}
+
+// TestProgramRowRewinds: each row of programReplies that the record
+// program reads whole is built at the witness's interned shape; from each
+// other row the program returns with the cursor and every slab of the
+// reply as it found them, and the generic decoder reads the row from its
+// start, to the refusal of the row cut short.
+func TestProgramRowRewinds(t *testing.T) {
+	for _, c := range programReplies(t) {
+		td, rows, _, err := replyHead(c.fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, e, err := td.tableType()
+		if err != nil || e == nil || e.program() == nil {
+			t.Fatalf("%s: the witness has no program (%v)", c.name, err)
+		}
+		p := e.program()
+		rep := &reply{src: string(c.fields[1]), rows: rows}
+		d := &rep.d
+		d.src, d.rep, d.open = c.fields[1], rep, d.openBuf[:0]
+		for i := range rows {
+			d.pos++ // the ordinal
+			start := d.pos
+			before := slabMarks(&rep.slabs)
+			v := d.programRow(p)
+			if read := i != 1 || c.read; read != (v != nil) {
+				t.Fatalf("%s: row %d read by the program: %v, want %v", c.name, i, v != nil, read)
+			}
+			if v != nil {
+				if v.(*value.Record).Shape() != p.shape {
+					t.Errorf("%s: row %d is not at the witness's shape", c.name, i)
+				}
+			} else {
+				if after := slabMarks(&rep.slabs); d.pos != start || after != before {
+					t.Fatalf("%s: row %d left at %d, slabs at %v, want %d, %v", c.name, i, d.pos, after, start, before)
+				}
+				if _, err := d.Value(); err != nil {
+					if i != rows-1 || !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("%s: row %d: %v", c.name, i, err)
+					}
+					break
+				}
+			}
+			rep.done++
+			d.nextRow()
+		}
+	}
 }
 
 // malformedReplies are replies a decoder must refuse, each named for its

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dbpl/internal/types"
+	"dbpl/internal/value"
 )
 
 // labelledImage returns the image of the record type {<label>: Int} and
@@ -34,19 +35,24 @@ func tableEntries() (entries, bytes int) {
 }
 
 // TestTypeTableConcurrent: goroutines decoding type images the others
-// decode too, and images only they decode, through DecodeType and
-// DecodeTagged, each get the canonical type, pointer for pointer. Run it
-// under -race: the distinct images outnumber the slots, so stores replace
-// one another while other goroutines load the slots.
+// decode too, and images only they decode, through DecodeType,
+// DecodeTagged and DecodeReply, each get the canonical type, pointer for
+// pointer, and a reply its row. Run it under -race: the distinct images
+// outnumber the slots, so stores replace one another while other
+// goroutines load the slots, and replies compile an entry's record
+// program while others read it.
 func TestTypeTableConcurrent(t *testing.T) {
 	const goroutines, shared, own = 8, 32, 400
 	type image struct {
 		img, tagged []byte
+		reply       [][]byte
+		val         value.Value
 		want        types.Type
 	}
 	mk := func(label string) image {
 		img, want := labelledImage(t, label)
-		return image{img, append(img[:len(img):len(img)], vBottom), want}
+		v := value.Rec(label, value.Int(1000))
+		return image{img, append(img[:len(img):len(img)], vBottom), writeReply(t, []value.Value{v}, []types.Type{want}), v, want}
 	}
 	common := make([]image, shared)
 	for i := range common {
@@ -71,6 +77,14 @@ func TestTypeTableConcurrent(t *testing.T) {
 						}
 						if _, got, err = DecodeTagged(im.tagged); err != nil || got != im.want {
 							t.Errorf("DecodeTagged: %v (%v), want the canonical %s", got, err, im.want)
+							return
+						}
+						if err := DecodeReply(im.reply, func(_ int, v value.Value, ty types.Type) {
+							if ty != im.want || !value.Equal(v, im.val) {
+								t.Errorf("DecodeReply: %v at %s, want %v at the canonical %s", v, ty, im.val, im.want)
+							}
+						}); err != nil {
+							t.Errorf("DecodeReply: %v", err)
 							return
 						}
 					}

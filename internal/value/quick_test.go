@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -411,6 +412,25 @@ func TestInitRecordOutOfOrder(t *testing.T) {
 	}
 	if labels[0] != "B" || labels[1] != "A" {
 		t.Fatalf("InitRecord reordered its caller's labels: %v", labels)
+	}
+}
+
+// TestInitShaped: InternShape gives the shape a record of those labels
+// has, or nil for labels out of order, and InitShaped over it builds the
+// record InitRecord builds, keeping the values it was given.
+func TestInitShaped(t *testing.T) {
+	labels, vals := []string{"A", "B", "C"}, []Value{Int(1), String("b"), Float(0.5)}
+	want := InitRecord(&Record{}, labels, slices.Clone(vals))
+	s := InternShape(labels)
+	got := InitShaped(&Record{}, s, vals)
+	if s != want.Shape() || got.Shape() != s || !Equal(got, want) {
+		t.Fatalf("InitShaped = %v, want %v at one shape", got, want)
+	}
+	if got.values[0] = Int(9); vals[0] != Int(9) {
+		t.Fatal("InitShaped copied its values")
+	}
+	if s := InternShape([]string{"B", "A"}); s != nil {
+		t.Fatalf("InternShape of labels out of order = %v, want nil", s.labels)
 	}
 }
 

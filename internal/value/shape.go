@@ -88,6 +88,23 @@ func appendLabels(key []byte, labels []string) []byte {
 	return key
 }
 
+// InternShape returns the shape of labels, or nil when they are not
+// strictly ascending. It probes the shape table, adding the shape if the
+// table does not hold it.
+func InternShape(labels []string) *Shape { return shapeOf(appendLabels(nil, labels)) }
+
+// InitShaped sets r to the fields of shape s, one of InternShape's, whose
+// values are values, one a label, and returns it: the record InitRecord
+// builds over s's labels, without a label key or a probe of the shape
+// table. r keeps values itself, capped at its length.
+func InitShaped(r *Record, s *Shape, values []Value) *Record {
+	if len(values) != len(s.labels) {
+		panic("value: InitShaped given a value count unlike its shape's")
+	}
+	r.shape, r.values = s, values[:len(values):len(values)]
+	return r
+}
+
 // initRecord sets r to the fields whose labels are key and whose values
 // are values, and interns one shape. In ascending order, r keeps values
 // itself, capped at its length; in any other order the fields are put as
