@@ -188,3 +188,95 @@ func BenchmarkApply(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWalk reads the members of k extents of 64 members each in seq
+// order, interleaved at random: walk is Set.Walk's k-way merge yielding
+// each entry in place, tree is the merge Walk replaced — a tree of
+// two-way merges into two fresh buffers of the result's size — and then a
+// loop over its result. ns/entry is the cost of one member.
+func BenchmarkWalk(b *testing.B) {
+	want := types.Intern(idT)
+	for _, k := range []int{1, 4, 40} {
+		s := walkSet(rand.New(rand.NewSource(1)), k, 64*k)
+		n, _ := s.MatchStats(want)
+		var sink uint64
+		yield := func(e Entry) bool {
+			sink += e.Seq
+			return true
+		}
+		for _, c := range []struct {
+			name string
+			read func()
+		}{
+			{"walk", func() { s.Walk(want, yield) }},
+			{"tree", func() {
+				var parts [][]Entry
+				for _, in := range s.matches(want) {
+					parts = append(parts, s.Extent(in).items)
+				}
+				for _, e := range treeMerge(parts, n) {
+					yield(e)
+				}
+			}},
+		} {
+			b.Run(fmt.Sprintf("k=%d/%s", k, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					c.read()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/entry")
+			})
+		}
+	}
+}
+
+// treeMerge is the merge Walk replaced, kept as BenchmarkWalk's baseline:
+// global insertion order across seq-ascending parts from a tree of two-way
+// merges. The result may alias an input when only one part is non-empty.
+func treeMerge(parts [][]Entry, total int) []Entry {
+	live, last := 0, -1
+	for i := range parts {
+		if len(parts[i]) > 0 {
+			live, last = live+1, i
+		}
+	}
+	if live == 0 {
+		return nil
+	}
+	if live == 1 {
+		return parts[last]
+	}
+	cur := make([][]Entry, len(parts), len(parts)+1)
+	copy(cur, parts)
+	buf, alt := make([]Entry, 0, total), make([]Entry, 0, total)
+	for len(cur) > 1 {
+		if len(cur)%2 == 1 {
+			cur = append(cur, nil)
+		}
+		dst := buf[:0]
+		next := cur[:0]
+		for i := 0; i+1 < len(cur); i += 2 {
+			start := len(dst)
+			dst = merge2(dst, cur[i], cur[i+1])
+			next = append(next, dst[start:len(dst):len(dst)])
+		}
+		cur = next
+		buf, alt = alt, dst
+	}
+	return cur[0]
+}
+
+func merge2(dst, a, b []Entry) []Entry {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i].Seq <= b[j].Seq {
+			dst = append(dst, a[i])
+			i++
+		} else {
+			dst = append(dst, b[j])
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}

@@ -29,7 +29,10 @@
 // for it.
 //
 // Each extent is one flat, insertion-ordered slice, so a high-selectivity
-// read costs exactly the result walk.
+// read costs exactly the result walk. Walk reads the matching extents in
+// insertion order with a k-way merge over a cursor per extent, which sits
+// on the stack for up to 8 extents, and copies nothing; GetEntries, All
+// and Candidates collect from the same merge.
 //
 // # Type generations
 //
@@ -39,6 +42,15 @@
 // JOIN meets, their meet. A memo hit costs O(matching
 // extents · log T + result) for T member types; a miss, one cached subtype
 // check per member type, once per generation.
+//
+// A generation also keeps, per query type, a value its caller derives
+// from the matching members (Keep) — the server's JOIN keeps each side's
+// relation there — for as long as the matching extents hold the members
+// it was derived from. Since an extent never changes below its length,
+// an extent that starts at the same entry with the same length is that
+// version: the same *Extent, or a fork's clipped copy of it. What a
+// generation keeps is derived from no more members than the Set holds,
+// and a fork reads it but stores nothing.
 //
 // # Field indexes
 //
@@ -124,15 +136,29 @@ type Set struct {
 	byType pmap.Map[*Extent] // by the interned type's canonical key
 	fields []string          // declared field-index labels, sorted; never mutated
 	gen    *typeGen          // shared with every Set of the same member types
+	forked bool              // a Fork or its successor: reads what gen keeps, stores nothing
 }
 
 // typeGen is one type generation (see the package comment). Its memo grows
 // with the distinct query types asked, like the subtype verdict cache, and
 // its meets with the distinct pairs of member types a JOIN pairs, at most
-// the square of the generation's member types.
+// the square of the generation's member types. What it keeps (Set.Keep)
+// is bounded by the members it was derived from.
 type typeGen struct {
 	memo  sync.Map // *types.Interned → []*types.Interned
 	meets sync.Map // [2]*types.Interned → *types.Interned, nil when uninhabited
+	kept  sync.Map // *types.Interned → *kept
+
+	keepMu sync.Mutex // serializes stores into kept
+	keptN  int        // the members the values in kept were derived from, in all
+}
+
+// kept is one value Set.Keep keeps: derived from the n members of exts,
+// the extents matching its query type when it was derived.
+type kept struct {
+	exts []*Extent
+	n    int
+	val  any
 }
 
 // NewSet returns an empty Set with the given field indexes declared.
@@ -250,6 +276,7 @@ func (next *Set) remove(d *dynamic.Dynamic) bool {
 // every member and costs O(member types); s itself is left as it was.
 func (s *Set) Fork() *Set {
 	next := *s
+	next.forked = true
 	keys := make([]string, 0, s.byType.Len())
 	exts := make([]*Extent, 0, s.byType.Len())
 	s.byType.Range(func(key string, e *Extent) bool {
@@ -261,55 +288,106 @@ func (s *Set) Fork() *Set {
 	return &next
 }
 
-// mergeBySeq restores global insertion order across seq-ascending parts
-// with a tree of two-way merges (no comparison sort). The result may
-// alias an input when only one part is non-empty.
-func mergeBySeq(parts [][]Entry, total int) []Entry {
-	live, last := 0, -1
-	for i := range parts {
-		if len(parts[i]) > 0 {
-			live, last = live+1, i
+// walkStack is the number of extents a walk merges with its cursors on
+// the stack; a walk over more allocates them.
+const walkStack = 8
+
+// walkBySeq calls yield with the entries of the seq-ascending parts in
+// seq order until yield returns false, and reports whether it ran to the
+// end. It is a k-way merge over a cursor per part, kept in a min-heap on
+// the seq of the cursor's next entry: the least cursor yields its whole
+// run up to the next least, so each run costs one sift, not one
+// comparison per part for each entry. It allocates nothing for up to
+// walkStack parts.
+func walkBySeq(parts [][]Entry, yield func(Entry) bool) bool {
+	var buf [walkStack]cursor
+	h := buf[:0]
+	if len(parts) > walkStack {
+		h = make([]cursor, 0, len(parts))
+	}
+	for i, p := range parts {
+		if len(p) > 0 {
+			h = append(h, cursor{seq: p[0].Seq, part: i})
 		}
 	}
-	if live == 0 {
-		return nil
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
 	}
-	if live == 1 {
-		return parts[last]
-	}
-	cur := make([][]Entry, len(parts), len(parts)+1)
-	copy(cur, parts)
-	buf, alt := make([]Entry, 0, total), make([]Entry, 0, total)
-	for len(cur) > 1 {
-		if len(cur)%2 == 1 {
-			cur = append(cur, nil)
+	for len(h) > 1 {
+		c := &h[0]
+		next := h[1].seq
+		if len(h) > 2 {
+			next = min(next, h[2].seq)
 		}
-		dst := buf[:0]
-		next := cur[:0]
-		for i := 0; i+1 < len(cur); i += 2 {
-			start := len(dst)
-			dst = merge2(dst, cur[i], cur[i+1])
-			next = append(next, dst[start:len(dst):len(dst)])
+		p, at := parts[c.part], c.at
+		for {
+			if !yield(p[at]) {
+				return false
+			}
+			if at++; at == len(p) || p[at].Seq > next {
+				break
+			}
 		}
-		cur = next
-		buf, alt = alt, dst
+		if at < len(p) {
+			c.seq, c.at = p[at].Seq, at
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
 	}
-	return cur[0]
+	for _, c := range h { // the last cursor yields the rest of its part
+		for _, e := range parts[c.part][c.at:] {
+			if !yield(e) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
-func merge2(dst, a, b []Entry) []Entry {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].Seq <= b[j].Seq {
-			dst = append(dst, a[i])
-			i++
-		} else {
-			dst = append(dst, b[j])
-			j++
+// cursor is walkBySeq's place in one part: the entry at, whose seq is seq.
+type cursor struct {
+	seq      uint64
+	part, at int
+}
+
+// siftDown restores walkBySeq's heap below cursor i.
+func siftDown(h []cursor, i int) {
+	for {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < len(h) && h[l].seq < h[least].seq {
+			least = l
+		}
+		if r < len(h) && h[r].seq < h[least].seq {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
+}
+
+// collect returns the entries of the parts, total in all, in seq order:
+// the one non-empty part itself when there is one, else what walkBySeq
+// yields, copied.
+func collect(parts [][]Entry, total int) []Entry {
+	if total == 0 {
+		return nil
+	}
+	for _, p := range parts {
+		if len(p) == total {
+			return p
 		}
 	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
+	out := make([]Entry, 0, total)
+	walkBySeq(parts, func(e Entry) bool {
+		out = append(out, e)
+		return true
+	})
+	return out
 }
 
 // All returns every member in insertion order.
@@ -319,7 +397,7 @@ func (s *Set) All() []Entry {
 		parts = append(parts, e.items)
 		return true
 	})
-	return mergeBySeq(parts, s.total)
+	return collect(parts, s.total)
 }
 
 // matches returns the member types conforming to want, memoized per
@@ -354,19 +432,110 @@ func (s *Set) Meet(a, b *types.Interned) *types.Interned {
 	return m
 }
 
-// GetEntries answers the subtype query: every member whose declared type
-// conforms to want, in insertion order, by unioning the matching extents.
-// matched reports how many extents that is. The result may alias an
-// extent and must not be mutated.
-func (s *Set) GetEntries(want *types.Interned) (entries []Entry, matched int) {
-	ts := s.matches(want)
-	parts := make([][]Entry, 0, 8)
+// extents appends the items of the extents of the member types ts to
+// parts, and returns them with their member count.
+func (s *Set) extents(parts [][]Entry, ts []*types.Interned) ([][]Entry, int) {
+	if cap(parts)-len(parts) < len(ts) {
+		parts = slices.Grow(parts, len(ts))
+	}
 	total := 0
 	for _, in := range ts {
-		parts = append(parts, s.Extent(in).items)
-		total += len(parts[len(parts)-1])
+		items := s.Extent(in).items
+		parts, total = append(parts, items), total+len(items)
 	}
-	return mergeBySeq(parts, total), len(ts)
+	return parts, total
+}
+
+// Walk calls yield with every member whose declared type conforms to
+// want, in insertion order, until yield returns false: GetEntries' answer,
+// read from the matching extents as it is yielded. It allocates nothing
+// for up to 8 matching extents.
+func (s *Set) Walk(want *types.Interned, yield func(Entry) bool) {
+	var buf [walkStack][]Entry
+	parts, _ := s.extents(buf[:0], s.matches(want))
+	walkBySeq(parts, yield)
+}
+
+// GetEntries answers the subtype query: every member whose declared type
+// conforms to want, in insertion order, collected from Walk's merge of the
+// matching extents. matched reports how many extents that is. The result
+// may alias an extent and must not be mutated.
+func (s *Set) GetEntries(want *types.Interned) (entries []Entry, matched int) {
+	ts := s.matches(want)
+	var buf [walkStack][]Entry
+	parts, total := s.extents(buf[:0], ts)
+	return collect(parts, total), len(ts)
+}
+
+// Keep returns the value derive makes of the members matching want,
+// GetEntries' answer, keeping it in the type generation for as long as
+// they are the same: while the matching extents are those it was derived
+// from. An extent never changes below its length (the single-successor
+// rule), so one that starts at the same entry and has the same length
+// holds the same members, a fork's clipped copy included. A kept value is
+// shared by every Set of the generation and every goroutine reading one:
+// derive's result must be safe to read concurrently and must never be
+// written after derive returns.
+//
+// The values a generation keeps together are derived from no more members
+// than the Set that keeps the newest holds; one past that drops all it
+// kept. A value of no members is not kept. A forked Set and its
+// successors read what their generation keeps but store nothing, so a
+// transaction's view never evicts what the published Sets keep.
+func (s *Set) Keep(want *types.Interned, derive func([]Entry) any) any {
+	ts := s.matches(want)
+	if k, ok := s.gen.kept.Load(want); ok && s.holds(k.(*kept).exts, ts) {
+		return k.(*kept).val
+	}
+	exts := make([]*Extent, len(ts))
+	for i, in := range ts {
+		exts[i] = s.Extent(in)
+	}
+	parts, n := s.extents(nil, ts)
+	val := derive(collect(parts, n))
+	if !s.forked && n > 0 {
+		s.gen.keep(want, &kept{exts: exts, n: n, val: val}, s.total)
+	}
+	return val
+}
+
+// holds reports whether the extents of the member types ts in s hold what
+// exts, the extents of ts in a Set of the same generation, held.
+func (s *Set) holds(exts []*Extent, ts []*types.Interned) bool {
+	for i, in := range ts {
+		e, was := s.Extent(in), exts[i]
+		if e != was && (e == nil || e.Len() != was.Len() || &e.items[0] != &was.items[0]) {
+			return false
+		}
+	}
+	return true
+}
+
+// keep stores k as the value kept for want, dropping everything kept
+// first when k would take the members kept past bound.
+func (g *typeGen) keep(want *types.Interned, k *kept, bound int) {
+	g.keepMu.Lock()
+	defer g.keepMu.Unlock()
+	if old, ok := g.kept.LoadAndDelete(want); ok {
+		g.keptN -= old.(*kept).n
+	}
+	if g.keptN+k.n > bound {
+		g.kept.Range(func(key, _ any) bool {
+			g.kept.Delete(key)
+			return true
+		})
+		g.keptN = 0
+	}
+	g.kept.Store(want, k)
+	g.keptN += k.n
+}
+
+// KeptMembers reports how many members the values s's type generation
+// keeps were derived from, in all (see Keep).
+func (s *Set) KeptMembers() int {
+	s.gen.keepMu.Lock()
+	defer s.gen.keepMu.Unlock()
+	return s.gen.keptN
 }
 
 // MatchStats sizes the subtype query without materializing it: the result
@@ -387,7 +556,7 @@ func (s *Set) MatchStats(want *types.Interned) (result, matched int) {
 // is false when the field is not indexed.
 func (s *Set) Candidates(field string) (entries []Entry, ok bool) {
 	parts, total, ok := s.covering(field)
-	return mergeBySeq(parts, total), ok
+	return collect(parts, total), ok
 }
 
 // CandidateCount sizes a field index's candidate set without materializing

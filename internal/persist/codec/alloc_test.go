@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"fmt"
 	"testing"
 
 	"dbpl/internal/types"
@@ -77,5 +78,38 @@ func TestTaggedImageAllocs(t *testing.T) {
 		if allocs > c.max {
 			t.Errorf("%s of a %d-byte record = %.0f allocs, want <= %.0f", c.name, len(img), allocs, c.max)
 		}
+	}
+}
+
+// TestReplyWideAllocs pins the generic decoder's cost on a reply, the
+// shape of BenchmarkCodecDecode's tagged-reply/reply-wide: 512 records,
+// each a row at its witness less a field, so every row misses its record
+// program. The reply backs the decoder's containers, label key and
+// open-record stack, so what it allocates is itself and its slabs: 8.
+func TestReplyWideAllocs(t *testing.T) {
+	const n, maxAllocs = 512, 8
+	w := NewReplyWriter(n)
+	for i := range n {
+		v := value.Rec("Id", value.Int(int64(i)), "Name", value.String(fmt.Sprintf("row-%07d", i)),
+			"A", value.Int(1<<24+int64(i)), fmt.Sprintf("A%d", 1+i%4), value.String("zxcvbnmasdfg"), "A9", value.Float(0.625))
+		narrow := v.Copy()
+		narrow.Delete("A9")
+		w.Row(v, value.TypeOf(narrow))
+	}
+	fields, err := w.Fields()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	if err := DecodeReply(fields, func(int, value.Value, types.Type) { rows++ }); err != nil || rows != n {
+		t.Fatalf("DecodeReply: %d rows, %v", rows, err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := DecodeReply(fields, func(int, value.Value, types.Type) {}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Errorf("decoding a %d-row reply past its programs costs %.0f allocs, want <= %d", n, allocs, maxAllocs)
 	}
 }

@@ -1622,7 +1622,8 @@ func DecodeReply(fields [][]byte, each func(i int, v value.Value, t types.Type))
 	}
 	d := &rep.d
 	d.src, d.rep = fields[1], rep
-	d.open = d.openBuf[:0]
+	d.open, d.refs = d.openBuf[:0], rep.refBuf[:0]
+	d.recs.Use(&rep.recScratch)
 	for i := range rows {
 		ord, err := d.uvarint()
 		if err != nil {
@@ -1698,6 +1699,10 @@ type reply struct {
 	slabs
 	// typeBuf backs the reply's types when it has a few.
 	typeBuf [4]witness
+	// refBuf and recScratch back d's containers and its record decoder
+	// when the generic decoder reads a row.
+	refBuf     [4]value.Value
+	recScratch value.RecordScratch
 }
 
 // slabs are the slabs of one reply: its records and their value slices,

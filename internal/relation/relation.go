@@ -64,8 +64,13 @@ var ErrNoKey = errors.New("relation: object missing key attribute")
 // Relation is a generalized relation: a set of mutually incomparable
 // objects under the information ordering ("cochains in the jargon of
 // lattice theory"). The zero value is not usable; construct with New or
-// NewKeyed. A Relation is not safe for concurrent use: even Contains may
-// build its member index.
+// NewKeyed. A Relation is not safe for concurrent use in general: Insert
+// and Delete change it, and even Contains, and so Equal and Diff, may
+// build its member index. Len, Keyed, Key, Members, Lookup and String,
+// and the joins (Join, JoinFast, JoinPlanned, JoinPairs, EachPair,
+// PlanJoin) and the other operations that build a new relation from it
+// only read it, so any number of goroutines may run them on a relation
+// nothing changes any more.
 type Relation struct {
 	elems []value.Value
 	// keyedOn is the label value.MaximalIndex proved the members a cochain

@@ -1019,16 +1019,23 @@ func (s *Server) handleGet(sess *session, fields [][]byte) (byte, [][]byte) {
 	if err != nil {
 		return errResp(toWireError(err))
 	}
+	idx := sess.view(s).idx
+	n, _ := idx.MatchStats(ws[0])
+	w := codec.NewReplyWriter(n)
 	esp := sess.tr.Start(0, "exec")
-	entries, _ := sess.view(s).idx.GetEntries(ws[0])
-	sess.tr.End(esp)
-	w := codec.NewReplyWriter(len(entries))
-	for _, e := range entries {
+	var ierr error
+	idx.Walk(ws[0], func(e index.Entry) bool {
 		img, err := e.Dyn.Image(codec.ValueBytes)
 		if err != nil {
-			return errResp(toWireError(err))
+			ierr = err
+			return false
 		}
 		w.RowBytes(img, e.Dyn.Type())
+		return true
+	})
+	sess.tr.End(esp)
+	if ierr != nil {
+		return errResp(toWireError(ierr))
 	}
 	return valuesOf(&w)
 }
@@ -1056,30 +1063,6 @@ func internTypes(fields [][]byte) ([2]*types.Interned, error) {
 	return ws, nil
 }
 
-// relationOf is the relation JOIN reads for want from st, GET's answer as
-// values, with each member's dynamic and whether ⊥ occurs in it: member i
-// is the value of the i-th dynamic.
-func relationOf(st *state, want *types.Interned) (*relation.Relation, []witnessed) {
-	entries, _ := st.idx.GetEntries(want)
-	vals := make([]value.Value, len(entries))
-	for i, e := range entries {
-		vals[i] = e.Dyn.Value()
-	}
-	r, pos := relation.NewIndexed(vals)
-	ws := make([]witnessed, len(pos))
-	for i, p := range pos {
-		ws[i] = witnessed{dyn: entries[p].Dyn, bottom: value.HoldsBottom(vals[p])}
-	}
-	return r, ws
-}
-
-// witnessed is what JOIN needs of a relation member: its dynamic, whose
-// type is the member's declared witness and whose image its value bytes.
-type witnessed struct {
-	dyn    *dynamic.Dynamic
-	bottom bool // value.HoldsBottom of the member
-}
-
 // handleJoin answers the generalized join in the paper's types: the member
 // joining a left member declared at σ with a right one declared at τ ships
 // at σ ⊓ τ, computed once per pair of witnesses and type generation
@@ -1091,31 +1074,33 @@ type witnessed struct {
 // hold ⊥ at A, and joined with {A = 1.5} it holds a Float there. So only
 // the members of pairs holding ⊥ are checked.
 //
-// When both relations are keyed, the pairs that join are the members
-// (relation.EachPair), and a pair of records of atoms is written from
-// the two members' stored value bytes (codec.ReplyWriter.RowMerged), with
-// no joined value built. Such a pair holds no ⊥, so its row is at the
-// meet. Any pair the merge cannot decide is joined as a value.
+// Each side is read as its operand, kept while the side's extents are
+// unchanged (operandOf), so a JOIN of unchanged extents builds no
+// relation. When both relations are keyed, the pairs that join are the
+// members (eachPair, in relation.EachPair's order), and a pair of records
+// of atoms is written from the two members' stored value bytes
+// (codec.ReplyWriter.RowMerged), with no joined value built. Such a pair
+// holds no ⊥, so its row is at the meet. Any pair the merge cannot decide
+// is joined as a value.
 func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
 	ws, err := internTypes(fields)
 	if err != nil {
 		return errResp(toWireError(err))
 	}
 	st := sess.view(s)
-	left, lw := relationOf(st, ws[0])
-	right, rw := relationOf(st, ws[1])
-	plan := relation.PlanJoin(left, right)
-	if !left.Keyed() || !right.Keyed() {
-		joined, pairs := relation.JoinPairs(left, right, plan)
+	left, right := operandOf(st, ws[0]), operandOf(st, ws[1])
+	plan := planJoin(left, right)
+	if !left.rel.Keyed() || !right.rel.Keyed() {
+		joined, pairs := relation.JoinPairs(left.rel, right.rel, plan)
 		w := codec.NewReplyWriter(joined.Len())
 		for i, m := range joined.Members() {
-			l, r := lw[pairs[i][0]], rw[pairs[i][1]]
+			l, r := left.ws[pairs[i][0]], right.ws[pairs[i][1]]
 			joinRow(&w, st.idx.Meet(l.dyn.Interned(), r.dyn.Interned()), m, l, r)
 		}
 		return valuesOf(&w)
 	}
 	w := codec.NewReplyWriter(plan.Pairs)
-	relation.EachPair(left, right, plan, func(i, j int) { joinPair(&w, st.idx, lw[i], rw[j]) })
+	eachPair(left, right, plan, func(i, j int) { joinPair(&w, st.idx, left.ws[i], right.ws[j]) })
 	return valuesOf(&w)
 }
 
@@ -1249,9 +1234,7 @@ func (s *Server) handleExplain(sess *session, fields [][]byte) (byte, [][]byte) 
 		plan := fmt.Sprintf("get n=%d types=%d matched=%d result=%d", st.idx.Len(), st.idx.Types(), matched, result)
 		return wire.OpOK, [][]byte{[]byte(plan)}
 	}
-	left, _ := relationOf(st, ws[0])
-	right, _ := relationOf(st, ws[1])
-	return wire.OpOK, [][]byte{[]byte(relation.PlanJoin(left, right).String())}
+	return wire.OpOK, [][]byte{[]byte(planJoin(operandOf(st, ws[0]), operandOf(st, ws[1])).String())}
 }
 
 // keyOf is a keyed write's optional idempotency key, the field at i when

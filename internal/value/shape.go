@@ -150,6 +150,23 @@ type RecordDecoder struct {
 	dirty int
 }
 
+// RecordScratch is backing a RecordDecoder starts its label key and
+// open-record stack in (RecordDecoder.Use): room for the labels of a
+// record of a dozen short fields, nested four deep. Held inside what
+// holds the decoder, it spares a decoder that lives for one image the
+// allocations of growing both from nil.
+type RecordScratch struct {
+	key  [128]byte
+	open [4]openRecord
+}
+
+// Use starts d's label key and open-record stack, which must be empty, in
+// s; either moves to the heap when it outgrows s. s must live as long as
+// d is used.
+func (d *RecordDecoder) Use(s *RecordScratch) {
+	d.key, d.open = s.key[:0], s.open[:0]
+}
+
 // openRecord is a record being read: the values read of it, where its
 // labels start in RecordDecoder.key, and how many of its fields, and up to
 // where in key their labels, Flush has put.
