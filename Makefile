@@ -23,10 +23,12 @@ test:
 # Every package under the race detector: the concurrency stress tests
 # (forked core databases, index sets, persist stores, the server's commit
 # pipeline, transaction views, replication and failover, GETs racing to
-# store a member's value bytes) are only meaningful here. -race also turns
-# on checkptr, which checks the codec's two unsafe uses as the reply tests
-# run them: unsafe.String over a reply's rows field, and box, which makes
-# a reply's slab element the data word of a boxed atom. To run one
+# store a member's value bytes, joins racing to build a relation's label
+# set and partitions, TestJoinPartitionsConcurrentFirstUse) are only
+# meaningful here. -race also turns on checkptr, which checks the codec's
+# two unsafe uses as the reply tests run them: unsafe.String over a
+# reply's rows field, and box, which makes a reply's slab element the
+# data word of a boxed atom. To run one
 # feature's tests, filter by name, e.g. replication and failover:
 # `go test -race -run 'Repl|Follower|Promote|Failover|Fence' ./internal/server/`.
 race:

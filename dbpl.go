@@ -193,10 +193,6 @@ func NewKeyedRelation(key ...string) *Relation { return relation.NewKeyed(key...
 // JoinRelations is the generalized natural join of the paper's Figure 1.
 func JoinRelations(r, s *Relation) *Relation { return relation.Join(r, s) }
 
-// JoinRelationsFast is JoinRelations with hash partitioning on a shared
-// atomic attribute; identical results, faster on large inputs.
-func JoinRelationsFast(r, s *Relation) *Relation { return relation.JoinFast(r, s) }
-
 // Project restricts members to the given labels.
 func Project(r *Relation, labels ...string) *Relation { return relation.Project(r, labels...) }
 

@@ -103,7 +103,7 @@ func TestEndToEndSeparation(t *testing.T) {
 		dbpl.Rec("Dept", dbpl.Str("Sales"), "Floor", dbpl.IntV(3)),
 		dbpl.Rec("Dept", dbpl.Str("Manuf"), "Floor", dbpl.IntV(1)),
 	)
-	joined := relation.JoinFast(emps, depts)
+	joined := relation.Join(emps, depts)
 	if joined.Len() != 3 {
 		t.Errorf("join = %d members, want 3", joined.Len())
 	}

@@ -120,10 +120,6 @@ type Extent struct {
 // Type returns the extent's interned type handle.
 func (e *Extent) Type() *types.Interned { return e.in }
 
-// Items returns the extent's members in insertion order. The slice is
-// shared and must not be mutated.
-func (e *Extent) Items() []Entry { return e.items }
-
 // Len reports the member count.
 func (e *Extent) Len() int { return len(e.items) }
 

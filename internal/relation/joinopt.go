@@ -3,24 +3,29 @@ package relation
 import (
 	"fmt"
 	"slices"
+	"strings"
+	"sync/atomic"
 
 	"dbpl/internal/value"
 )
 
-// This file implements a hash-accelerated generalized natural join. The
-// naive join compares every pair of members — O(|R|·|S|) value joins. On
+// This file implements the generalized natural join as a hash join. The
+// nested loop compares every pair of members — O(|R|·|S|) value joins. On
 // the common case where both relations largely *define* a shared atomic
 // attribute, members with distinct atoms on that attribute can never join
 // (atoms conflict unless equal), so pairing can be restricted to members
 // whose atoms agree — plus the members *silent* on the attribute, which,
 // like the paper's N Bug tuple, remain joinable with everything.
 //
-// The plan is chosen from exact counts, not estimates: for every shared
-// label the planner counts the value.Join attempts a partition on it would
-// make, and partitions on the cheapest only when that beats the |R|·|S|
-// attempts of the nested loop. The optimization never changes the result
-// (TestQuickJoinPlannedEquals); BenchmarkJoin measures the effect (the E1
-// ablation).
+// A relation keeps what the join reads of it: its sorted label set and,
+// for each label a plan reads, its members partitioned on that label,
+// each built on first use (joinIndex, partition). So a relation joined
+// again while unchanged is partitioned once, and the plan is chosen from
+// exact counts, not estimates: for every shared label the planner counts
+// the value.Join attempts a partition on it would make, and partitions on
+// the cheapest only when that beats the |R|·|S| attempts of the nested
+// loop. The plan never changes the result (TestQuickJoinPlannedEquals);
+// BenchmarkJoin measures the effect (the E1 ablation).
 
 // JoinPlan is the planner's verdict for one join: the partition attribute
 // ("" for nested-loop), which side to build the hash table from (the probe
@@ -47,99 +52,180 @@ func (p JoinPlan) String() string {
 	return fmt.Sprintf("%s attr=%s build=%s", s, p.Attr, side)
 }
 
-// PlanJoin chooses the join strategy. Among the labels that members of
-// both sides carry, it picks the one whose partition makes the fewest
-// value.Join attempts — the smallest label on a tie — and partitions on it
-// only when that is fewer than the nested loop's |R|·|S|, building from
-// the smaller side. The plan depends on the members only, not on their
-// insertion order.
-func PlanJoin(r, s *Relation) JoinPlan {
-	p := JoinPlan{Left: r.Len(), Right: s.Len(), Pairs: r.Len() * s.Len()}
-	for _, l := range sharedLabels(r, s) {
-		if n := pairsOn(r, s, l); n < p.Pairs {
-			p.Attr, p.Pairs = l, n
+// joinIndex is what the join reads of a relation: the labels some record
+// member carries, sorted, and parts[i] the partition on labels[i], built
+// on first use.
+type joinIndex struct {
+	labels []string
+	parts  []atomic.Pointer[partition]
+}
+
+// partition is a relation's members partitioned on one label, as the hash
+// join partitions its build side: the members holding each distinct atom
+// there, and the wildcards, silent, not atomic there or not records.
+type partition struct {
+	ids     map[value.AtomKey]int // atom → its bucket
+	atoms   []value.AtomKey       // bucket → its atom
+	buckets [][]int               // members, ascending, by bucket
+	wild    []int                 // wildcard members, ascending
+	of      []int                 // member → its bucket, -1 for a wildcard
+}
+
+// joinIndex returns r's join index, building its label set on first use;
+// a concurrent first use may build it twice, and one copy wins. Each
+// shape's labels are read once, so an extent of a few label sets costs a
+// few reads.
+func (r *Relation) joinIndex() *joinIndex {
+	if x := r.join.Load(); x != nil {
+		return x
+	}
+	shapes, n := map[*value.Shape]*value.Record{}, 0
+	for _, m := range r.elems {
+		if rec, ok := m.(*value.Record); ok && shapes[rec.Shape()] == nil {
+			shapes[rec.Shape()], n = rec, n+rec.Len()
 		}
 	}
-	p.BuildRight = p.Attr != "" && p.Right <= p.Left
+	x := &joinIndex{labels: make([]string, 0, n)}
+	for _, rec := range shapes {
+		rec.Each(func(l string, _ value.Value) { x.labels = append(x.labels, l) })
+	}
+	slices.Sort(x.labels)
+	x.labels = slices.Compact(x.labels)
+	x.parts = make([]atomic.Pointer[partition], len(x.labels))
+	if !r.join.CompareAndSwap(nil, x) {
+		return r.join.Load()
+	}
+	return x
+}
+
+// partOn returns r's partition on label, kept when some member carries
+// the label; on any other label every member is a wildcard.
+func (r *Relation) partOn(label string) *partition {
+	x := r.joinIndex()
+	if i, ok := slices.BinarySearch(x.labels, label); ok {
+		return x.part(r.elems, i)
+	}
+	return partitionOn(r.elems, label)
+}
+
+// part returns the partition of members, the relation's, on labels[i],
+// building it on first use; a concurrent first use may build it twice,
+// and one copy wins.
+func (x *joinIndex) part(members []value.Value, i int) *partition {
+	if p := x.parts[i].Load(); p != nil {
+		return p
+	}
+	p := partitionOn(members, x.labels[i])
+	if !x.parts[i].CompareAndSwap(nil, p) {
+		return x.parts[i].Load()
+	}
 	return p
 }
 
-// sharedLabels returns, sorted, the labels some member of r and some
-// member of s both carry. Each side's labels are read once a shape, so an
-// extent of a few label sets costs a few reads.
-func sharedLabels(r, s *Relation) []string {
-	sides := map[string]int{} // bit 0: r carries the label, bit 1: s does
-	for side, rel := range []*Relation{r, s} {
-		seen := map[*value.Shape]bool{}
-		for _, m := range rel.elems {
-			if rec, ok := m.(*value.Record); ok && !seen[rec.Shape()] {
-				seen[rec.Shape()] = true
-				for _, l := range rec.Labels() {
-					sides[l] |= 1 << side
-				}
-			}
+// partitionOn partitions members on label. The buckets and the wildcards
+// are cut from one array.
+func partitionOn(members []value.Value, label string) *partition {
+	p := &partition{ids: map[value.AtomKey]int{}, of: make([]int, len(members))}
+	for m, v := range members {
+		k, ok := atomOn(v, label)
+		if !ok {
+			p.of[m] = -1
+			continue
+		}
+		b, seen := p.ids[k]
+		if !seen {
+			b = len(p.ids)
+			p.ids[k] = b
+		}
+		p.of[m] = b
+	}
+	p.atoms = make([]value.AtomKey, len(p.ids))
+	for k, b := range p.ids {
+		p.atoms[b] = k
+	}
+	sizes := make([]int, len(p.atoms))
+	for _, b := range p.of {
+		if b >= 0 {
+			sizes[b]++
 		}
 	}
-	var out []string
-	for l, in := range sides {
-		if in == 3 {
-			out = append(out, l)
+	all, at := make([]int, len(members)), 0
+	p.buckets = make([][]int, len(sizes))
+	for b, n := range sizes {
+		p.buckets[b], at = all[at:at:at+n], at+n
+	}
+	p.wild = all[at:at]
+	for m, b := range p.of {
+		if b < 0 {
+			p.wild = append(p.wild, m)
+		} else {
+			p.buckets[b] = append(p.buckets[b], m)
 		}
 	}
-	slices.Sort(out)
-	return out
+	return p
 }
 
-// pairsOn counts the value.Join attempts JoinPlanned makes partitioning
-// on attr, with either build side: each member of r atomic on attr meets
-// the members of s with an equal atom and s's wildcards (members silent,
-// non-atomic or not records on attr); each wildcard of r meets all of s.
-func pairsOn(r, s *Relation, attr string) int {
-	if s.Len() > r.Len() {
-		r, s = s, r // the count is symmetric; tally the smaller side
-	}
-	atoms, wild := map[value.AtomKey]int{}, 0
-	for _, m := range s.elems {
-		if k, ok := atomOn(m, attr); ok {
-			atoms[k]++
-		} else {
-			wild++
-		}
-	}
-	n := 0
-	for _, m := range r.elems {
-		if k, ok := atomOn(m, attr); ok {
-			n += atoms[k] + wild
-		} else {
-			n += s.Len()
-		}
-	}
-	return n
-}
-
-// atomOn returns the AtomKey of m's attr field when m is a record defining
-// it atomically.
-func atomOn(m value.Value, attr string) (value.AtomKey, bool) {
+// atomOn returns the AtomKey of m's label field when m is a record
+// defining it atomically.
+func atomOn(m value.Value, label string) (value.AtomKey, bool) {
 	if rec, ok := m.(*value.Record); ok {
-		if v, ok := rec.Get(attr); ok {
+		if v, ok := rec.Get(label); ok {
 			return value.AtomKeyOf(v)
 		}
 	}
 	return value.AtomKey{}, false
 }
 
-// JoinFast computes the same generalized natural join as Join under the
-// plan PlanJoin chooses. Members silent (or non-atomic) on the chosen
-// attribute are wildcards paired with everything, exactly preserving the
-// partial-tuple semantics.
-func JoinFast(r, s *Relation) *Relation {
-	return JoinPlanned(r, s, PlanJoin(r, s))
+// PlanJoin chooses the join strategy. Among the labels that members of
+// both sides carry, it picks the one whose partition makes the fewest
+// value.Join attempts — the smallest label on a tie — and partitions on it
+// only when that is fewer than the nested loop's |R|·|S|, building from
+// the smaller side. The plan depends on the members only, not on their
+// insertion order. It reads the partitions each side keeps, so planning a
+// join of relations joined before builds nothing.
+func PlanJoin(r, s *Relation) JoinPlan {
+	p := JoinPlan{Left: r.Len(), Right: s.Len()}
+	p.Pairs = p.Left * p.Right
+	rx, sx := r.joinIndex(), s.joinIndex()
+	for i, j := 0, 0; i < len(rx.labels) && j < len(sx.labels); {
+		switch c := strings.Compare(rx.labels[i], sx.labels[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			if n := pairsOn(rx.part(r.elems, i), sx.part(s.elems, j), p.Left, p.Right); n < p.Pairs {
+				p.Attr, p.Pairs = rx.labels[i], n
+			}
+			i, j = i+1, j+1
+		}
+	}
+	p.BuildRight = p.Attr != "" && p.Right <= p.Left
+	return p
 }
 
-// JoinPlanned executes a join under an explicit plan: nested-loop, or a
-// build/probe hash join — the build side is partitioned into buckets once,
-// the probe side streams through them. The result is identical under
-// every plan (TestQuickJoinPlannedEquals).
+// pairsOn counts the value.Join attempts a hash join on one label makes
+// between sides of na and nb members partitioned as a and b, with either
+// build side: each member atomic there meets the other side's members
+// with an equal atom and its wildcards, and each wildcard meets the whole
+// other side.
+func pairsOn(a, b *partition, na, nb int) int {
+	n := (na-len(a.wild))*len(b.wild) + len(a.wild)*nb
+	if len(a.atoms) > len(b.atoms) {
+		a, b = b, a
+	}
+	for i, k := range a.atoms {
+		if j, ok := b.ids[k]; ok {
+			n += len(a.buckets[i]) * len(b.buckets[j])
+		}
+	}
+	return n
+}
+
+// JoinPlanned executes a join under an explicit plan: nested-loop (the
+// zero plan), or a build/probe hash join — the build side's partition on
+// the plan's attribute gives each probe member its bucket. The result is
+// identical under every plan (TestQuickJoinPlannedEquals).
 func JoinPlanned(r, s *Relation, p JoinPlan) *Relation {
 	out, _ := JoinPairs(r, s, p)
 	return out
@@ -173,7 +259,10 @@ func JoinPairs(r, s *Relation, p JoinPlan) (*Relation, [][2]int) {
 
 // EachPair calls try(i, j) for every pair of r's member i and s's member
 // j that the plan pairs, in plan order: the join of the pair is attempted
-// by try. The plan order is JoinPairs' member order.
+// by try. The plan order is JoinPairs' member order: the probe side in
+// member order, each probe member atomic on the plan's attribute with the
+// build side's members holding its atom and then the build side's
+// wildcards, and each probe wildcard with the whole build side.
 //
 // When New proved both sides Keyed, on k_R and k_S, the joins of the
 // pairs are a cochain as made, so each one that succeeds is a member of
@@ -194,15 +283,6 @@ func EachPair(r, s *Relation, p JoinPlan, try func(i, j int)) {
 	if p.BuildRight {
 		build, probe = s, r
 	}
-	buckets := map[value.AtomKey][]int{}
-	var buildWild []int
-	for i, m := range build.elems {
-		if k, ok := atomOn(m, p.Attr); ok {
-			buckets[k] = append(buckets[k], i)
-		} else {
-			buildWild = append(buildWild, i)
-		}
-	}
 	// tryPair keeps the (r, s) orientation regardless of build side.
 	tryPair := func(pi, bi int) {
 		if p.BuildRight {
@@ -211,20 +291,23 @@ func EachPair(r, s *Relation, p JoinPlan, try func(i, j int)) {
 			try(bi, pi)
 		}
 	}
-	for pi, m := range probe.elems {
-		if k, ok := atomOn(m, p.Attr); ok {
-			// Equal atoms join; the build side's wildcards join everything.
-			for _, bi := range buckets[k] {
-				tryPair(pi, bi)
-			}
-			for _, bi := range buildWild {
-				tryPair(pi, bi)
-			}
-		} else {
+	bp, pp := build.partOn(p.Attr), probe.partOn(p.Attr)
+	for pi, b := range pp.of {
+		if b < 0 {
 			// A probe wildcard pairs with the whole build side.
 			for bi := range build.elems {
 				tryPair(pi, bi)
 			}
+			continue
+		}
+		// Equal atoms join; the build side's wildcards join everything.
+		if j, ok := bp.ids[pp.atoms[b]]; ok {
+			for _, bi := range bp.buckets[j] {
+				tryPair(pi, bi)
+			}
+		}
+		for _, bi := range bp.wild {
+			tryPair(pi, bi)
 		}
 	}
 }

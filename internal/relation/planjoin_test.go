@@ -3,7 +3,9 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -35,26 +37,117 @@ func genPartial(rng *rand.Rand, n int) *Relation {
 	return r
 }
 
+// sharedLabels returns, sorted, the labels some record member of r and
+// some record member of s both carry: the labels PlanJoin weighs.
+func sharedLabels(r, s *Relation) []string {
+	labels := func(r *Relation) map[string]bool {
+		out := map[string]bool{}
+		for _, m := range r.elems {
+			if rec, ok := m.(*value.Record); ok {
+				for _, l := range rec.Labels() {
+					out[l] = true
+				}
+			}
+		}
+		return out
+	}
+	ls := labels(s)
+	var out []string
+	for l := range labels(r) {
+		if ls[l] {
+			out = append(out, l)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// everyPlan is the nested loop, a partition on a label neither side
+// carries (every member a wildcard), and a partition on each label r and
+// s share, building either side.
+func everyPlan(r, s *Relation) []JoinPlan {
+	plans := []JoinPlan{{}, {Attr: "Missing"}}
+	for _, l := range sharedLabels(r, s) {
+		plans = append(plans, JoinPlan{Attr: l}, JoinPlan{Attr: l, BuildRight: true})
+	}
+	return plans
+}
+
+// pairSequence is the (i, j) pairs EachPair tries under p, in its order.
+func pairSequence(r, s *Relation, p JoinPlan) [][2]int {
+	var out [][2]int
+	EachPair(r, s, p, func(i, j int) { out = append(out, [2]int{i, j}) })
+	return out
+}
+
 // TestQuickJoinPlannedEquals: under EVERY plan — nested, or a partition
 // on any shared label building either side — JoinPlanned equals the
-// reference Join. The planner can therefore only affect speed, never the
-// result.
+// nested loop. The planner can therefore only affect speed, never the
+// result. The question is asked twice on the same relations, first with
+// their partitions cold, so that each partition is built by the first
+// join that reads it, then with the partitions kept. Then a member is
+// inserted into each side and one deleted, which reorders the members:
+// the plan, the pairs EachPair tries and what JoinPairs returns must be
+// those of relations freshly built from the same members.
 func TestQuickJoinPlannedEquals(t *testing.T) {
 	chosen := map[string]int{}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := genPartial(rng, 4+rng.Intn(24))
 		b := genPartial(rng, 4+rng.Intn(24))
-		want := Join(a, b)
-		plan := PlanJoin(a, b)
-		chosen[plan.Attr]++
-		plans := []JoinPlan{{}, plan}
-		for _, l := range sharedLabels(a, b) {
-			plans = append(plans, JoinPlan{Attr: l}, JoinPlan{Attr: l, BuildRight: true})
+		want := nestedJoin(a, b)
+		plans := everyPlan(a, b)
+		for _, pass := range []string{"cold", "kept"} {
+			// The explicit plans read the partitions before PlanJoin does,
+			// so each side's first join on a label builds its partition.
+			for _, p := range plans {
+				if !Equal(want, JoinPlanned(a, b, p)) {
+					t.Logf("seed %d, partitions %s: plan %+v diverges", seed, pass, p)
+					return false
+				}
+			}
+			if p := PlanJoin(a, b); !Equal(want, JoinPlanned(a, b, p)) {
+				t.Logf("seed %d, partitions %s: the chosen plan %+v diverges", seed, pass, p)
+				return false
+			}
 		}
-		for _, p := range plans {
-			if !Equal(want, JoinPlanned(a, b, p)) {
-				t.Logf("seed %d: plan %+v diverges", seed, p)
+		chosen[PlanJoin(a, b).Attr]++
+
+		// asFresh reports whether a and b, their partitions kept, join as
+		// relations freshly built from their members do.
+		asFresh := func(change string) bool {
+			fa, fb := New(a.Members()...), New(b.Members()...)
+			if p, q := PlanJoin(a, b), PlanJoin(fa, fb); p != q {
+				t.Logf("seed %d: after %s planned %v, fresh relations %v", seed, change, p, q)
+				return false
+			}
+			for _, p := range append(everyPlan(a, b), PlanJoin(a, b)) {
+				if got, fresh := pairSequence(a, b, p), pairSequence(fa, fb, p); !slices.Equal(got, fresh) {
+					t.Logf("seed %d, plan %+v: after %s EachPair tried %v, on fresh relations %v", seed, p, change, got, fresh)
+					return false
+				}
+				got, gp := JoinPairs(a, b, p)
+				fresh, fp := JoinPairs(fa, fb, p)
+				if !slices.EqualFunc(got.elems, fresh.elems, value.Equal) || !slices.Equal(gp, fp) {
+					t.Logf("seed %d, plan %+v: after %s JoinPairs differs from fresh relations'", seed, p, change)
+					return false
+				}
+			}
+			return true
+		}
+		for k, r := range []*Relation{a, b} {
+			extra := genPartial(rng, 1).elems[0].(*value.Record)
+			extra.Set("ID", value.Rec("N", value.Int(int64(1000+k))))
+			if out, err := r.Insert(extra); out != Added || err != nil {
+				t.Fatalf("seed %d: inserting %s: %v, %v", seed, extra, out, err)
+			}
+			if !asFresh("Insert") {
+				return false
+			}
+			if !r.Delete(r.elems[0]) {
+				t.Fatalf("seed %d: deleting a member failed", seed)
+			}
+			if !asFresh("Delete") {
 				return false
 			}
 		}
@@ -70,38 +163,74 @@ func TestQuickJoinPlannedEquals(t *testing.T) {
 
 // TestQuickPlanJoinCountsPairs: Pairs is exactly the number of member
 // pairs that unequal atoms on Attr do not separate — the pairs JoinPlanned
-// tries — and |R|·|S| for the nested loop.
+// tries — and |R|·|S| for the nested loop, whether PlanJoin builds the
+// partitions or reads them kept by the previous call.
 func TestQuickPlanJoinCountsPairs(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := genPartial(rng, rng.Intn(24))
 		b := genPartial(rng, rng.Intn(24))
-		p := PlanJoin(a, b)
-		atom := func(m value.Value) (value.Value, bool) {
-			if rec, ok := m.(*value.Record); ok {
-				v, ok := rec.Get(p.Attr)
-				return v, ok && isAtom(v)
+		for _, pass := range []string{"cold", "kept"} {
+			p := PlanJoin(a, b)
+			atom := func(m value.Value) (value.Value, bool) {
+				if rec, ok := m.(*value.Record); ok {
+					v, ok := rec.Get(p.Attr)
+					return v, ok && isAtom(v)
+				}
+				return nil, false
 			}
-			return nil, false
-		}
-		want := 0
-		for _, m := range a.Members() {
-			for _, n := range b.Members() {
-				x, xok := atom(m)
-				y, yok := atom(n)
-				if p.Attr == "" || !xok || !yok || value.Equal(x, y) {
-					want++
+			want := 0
+			for _, m := range a.Members() {
+				for _, n := range b.Members() {
+					x, xok := atom(m)
+					y, yok := atom(n)
+					if p.Attr == "" || !xok || !yok || value.Equal(x, y) {
+						want++
+					}
 				}
 			}
-		}
-		if p.Pairs != want || p.Left != a.Len() || p.Right != b.Len() {
-			t.Logf("seed %d: plan %+v, brute force %d pairs over %d×%d", seed, p, want, a.Len(), b.Len())
-			return false
+			if p.Pairs != want || p.Left != a.Len() || p.Right != b.Len() || len(pairSequence(a, b, p)) != want {
+				t.Logf("seed %d, partitions %s: plan %+v, brute force %d pairs over %d×%d", seed, pass, p, want, a.Len(), b.Len())
+				return false
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestJoinPartitionsConcurrentFirstUse: goroutines that plan and pair a
+// join at once on relations whose label sets and partitions are not built
+// yet each build them or read another's, and all see the plan and the pair
+// sequence of relations joined alone. Run under -race (make race).
+func TestJoinPartitionsConcurrentFirstUse(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a, b := genPartial(rng, 40), genPartial(rng, 40)
+	fa, fb := New(a.Members()...), New(b.Members()...)
+	want := PlanJoin(fa, fb)
+	if want.Attr == "" {
+		t.Fatalf("plan %v reads no partition", want)
+	}
+	wantPairs := pairSequence(fa, fb, want)
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if p := PlanJoin(a, b); p != want {
+				errs <- fmt.Sprintf("planned %v, want %v", p, want)
+			} else if got := pairSequence(a, b, p); !slices.Equal(got, wantPairs) {
+				errs <- "EachPair's pairs differ from a join run alone"
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

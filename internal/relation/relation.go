@@ -12,6 +12,11 @@
 // equality. New finds such a label in one linear probe (value.MaximalIndex)
 // and then keeps its input without comparing members, and the join of two
 // relations keyed so is a cochain as built (see EachPair).
+//
+// A relation keeps what the join reads of it: its label set and its
+// partitions on the labels a plan reads, built on first use and dropped by
+// Insert and Delete, so joining a relation again while it is unchanged
+// partitions nothing (see PlanJoin).
 package relation
 
 import (
@@ -20,6 +25,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"dbpl/internal/types"
 	"dbpl/internal/value"
@@ -67,10 +73,11 @@ var ErrNoKey = errors.New("relation: object missing key attribute")
 // NewKeyed. A Relation is not safe for concurrent use in general: Insert
 // and Delete change it, and even Contains, and so Equal and Diff, may
 // build its member index. Len, Keyed, Key, Members, Lookup and String,
-// and the joins (Join, JoinFast, JoinPlanned, JoinPairs, EachPair,
-// PlanJoin) and the other operations that build a new relation from it
-// only read it, so any number of goroutines may run them on a relation
-// nothing changes any more.
+// and the other operations that build a new relation from it, only read
+// it. The joins (Join, JoinPlanned, JoinPairs, EachPair, PlanJoin) build
+// its label set and partitions on first use and publish each by
+// compare-and-swap. So any number of goroutines may run all of these on a
+// relation nothing changes any more.
 type Relation struct {
 	elems []value.Value
 	// keyedOn is the label value.MaximalIndex proved the members a cochain
@@ -84,6 +91,10 @@ type Relation struct {
 	index map[string]int
 	key   []string       // key attributes; empty means unkeyed
 	byKey map[string]int // key-tuple -> position, when keyed
+	// join is the label set and partitions the joins read, built on first
+	// use (joinIndex). Insert and Delete drop it: they add members and
+	// reorder them.
+	join atomic.Pointer[joinIndex]
 }
 
 // keyScratch sizes the stack buffers member keys are written into before a
@@ -259,6 +270,7 @@ func (r *Relation) Insert(o value.Value) (Outcome, error) {
 // relation is keyed.
 func (r *Relation) add(o value.Value, k, tuple string) {
 	r.keyedOn = "" // o may repeat the atom the members were keyed on
+	r.join.Store(nil)
 	r.index[k] = len(r.elems)
 	if len(r.key) > 0 {
 		r.byKey[tuple] = len(r.elems)
@@ -268,6 +280,7 @@ func (r *Relation) add(o value.Value, k, tuple string) {
 }
 
 func (r *Relation) removeAt(i int) {
+	r.join.Store(nil)
 	delete(r.index, r.keys[i])
 	if len(r.key) > 0 {
 		if ks, err := r.appendKeyTuple(nil, r.elems[i]); err == nil {
@@ -340,9 +353,12 @@ func Equal(r, s *Relation) bool {
 // Join is the generalized natural join of Figure 1: every pairwise join of
 // members that does not conflict, reduced to the maximal (mutually
 // incomparable) objects. For flat keyed relations it coincides with the
-// classical natural join. It is the nested-loop plan of JoinPlanned.
+// classical natural join. It runs the plan PlanJoin chooses; members
+// silent (or non-atomic) on the chosen attribute are wildcards paired with
+// everything, exactly preserving the partial-tuple semantics. The nested
+// loop every plan must agree with is JoinPlanned(r, s, JoinPlan{}).
 func Join(r, s *Relation) *Relation {
-	return JoinPlanned(r, s, JoinPlan{})
+	return JoinPlanned(r, s, PlanJoin(r, s))
 }
 
 // Project restricts each member record to the given labels — with partial

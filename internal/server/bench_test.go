@@ -232,12 +232,12 @@ func BenchmarkServeJoin(b *testing.B) {
 // Go 1.24 on linux/amd64, 36 under -race; the bound is within 15 % of
 // both. The server makes 9: 4 read the request and 5 write the reply,
 // whose rows are merged from the members' stored bytes. Reading the two
-// sides costs nothing: each side's relation, label set and partition on
-// the join label are kept in the index set's type generation while its
-// extents are unchanged, so the plan and the pairing only probe them. The
-// client's request and its decode of the reply make the other 26. No
-// joined record is built, and each pair of witnesses meets once per type
-// generation.
+// sides costs nothing: each side's relation is kept in the index set's
+// type generation while its extents are unchanged, and the relation keeps
+// its label set and its partition on the join label, so relation.PlanJoin
+// and relation.EachPair only probe them. The client's request and its
+// decode of the reply make the other 26. No joined record is built, and
+// each pair of witnesses meets once per type generation.
 func TestServeJoinBulkAllocs(t *testing.T) {
 	const maxAllocs = 40
 	addr, left, right := joinBulkServer(t)

@@ -1076,8 +1076,8 @@ func internTypes(fields [][]byte) ([2]*types.Interned, error) {
 //
 // Each side is read as its operand, kept while the side's extents are
 // unchanged (operandOf), so a JOIN of unchanged extents builds no
-// relation. When both relations are keyed, the pairs that join are the
-// members (eachPair, in relation.EachPair's order), and a pair of records
+// relation and no partition. When both relations are keyed, the pairs
+// that join are the members (relation.EachPair), and a pair of records
 // of atoms is written from the two members' stored value bytes
 // (codec.ReplyWriter.RowMerged), with no joined value built. Such a pair
 // holds no ⊥, so its row is at the meet. Any pair the merge cannot decide
@@ -1089,7 +1089,7 @@ func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
 	}
 	st := sess.view(s)
 	left, right := operandOf(st, ws[0]), operandOf(st, ws[1])
-	plan := planJoin(left, right)
+	plan := relation.PlanJoin(left.rel, right.rel)
 	if !left.rel.Keyed() || !right.rel.Keyed() {
 		joined, pairs := relation.JoinPairs(left.rel, right.rel, plan)
 		w := codec.NewReplyWriter(joined.Len())
@@ -1100,7 +1100,7 @@ func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
 		return valuesOf(&w)
 	}
 	w := codec.NewReplyWriter(plan.Pairs)
-	eachPair(left, right, plan, func(i, j int) { joinPair(&w, st.idx, left.ws[i], right.ws[j]) })
+	relation.EachPair(left.rel, right.rel, plan, func(i, j int) { joinPair(&w, st.idx, left.ws[i], right.ws[j]) })
 	return valuesOf(&w)
 }
 
@@ -1234,7 +1234,7 @@ func (s *Server) handleExplain(sess *session, fields [][]byte) (byte, [][]byte) 
 		plan := fmt.Sprintf("get n=%d types=%d matched=%d result=%d", st.idx.Len(), st.idx.Types(), matched, result)
 		return wire.OpOK, [][]byte{[]byte(plan)}
 	}
-	return wire.OpOK, [][]byte{[]byte(planJoin(operandOf(st, ws[0]), operandOf(st, ws[1])).String())}
+	return wire.OpOK, [][]byte{[]byte(relation.PlanJoin(operandOf(st, ws[0]).rel, operandOf(st, ws[1]).rel).String())}
 }
 
 // keyOf is a keyed write's optional idempotency key, the field at i when

@@ -172,10 +172,10 @@ func TestFreeVars(t *testing.T) {
 	if !free["u"] || !free["v"] || free["t"] {
 		t.Errorf("FreeVars = %v, want {u, v}", free)
 	}
-	if !Closed(MustParse("forall t . t")) {
+	if len(FreeVars(MustParse("forall t . t"))) != 0 {
 		t.Error("closed type reported as open")
 	}
-	if Closed(MustParse("t")) {
+	if len(FreeVars(MustParse("t"))) == 0 {
 		t.Error("bare variable reported as closed")
 	}
 }

@@ -275,6 +275,3 @@ func writeKey(b *strings.Builder, t Type, binders []string) {
 		panic(fmt.Sprintf("types: key: unknown type %T", t))
 	}
 }
-
-// Closed reports whether t has no free type variables.
-func Closed(t Type) bool { return len(FreeVars(t)) == 0 }
