@@ -24,12 +24,14 @@ test:
 # (forked core databases, index sets, persist stores, the server's commit
 # pipeline, transaction views, replication and failover, GETs racing to
 # store a member's value bytes, joins racing to build a relation's label
-# set and partitions, TestJoinPartitionsConcurrentFirstUse) are only
-# meaningful here. -race also turns on checkptr, which checks the codec's
-# two unsafe uses as the reply tests run them: unsafe.String over a
-# reply's rows field, and box, which makes a reply's slab element the
-# data word of a boxed atom. To run one
-# feature's tests, filter by name, e.g. replication and failover:
+# set and partitions, TestJoinPartitionsConcurrentFirstUse, callers
+# pipelining on one client connection while its reader moves the read
+# deadline from request to request and they reuse its result channels,
+# TestRequestTimeoutPipelined) are only meaningful here. -race also
+# turns on checkptr, which checks the codec's two unsafe uses as the
+# reply tests run them: unsafe.String over a reply's rows field, and box,
+# which makes a reply's slab element the data word of a boxed atom. To
+# run one feature's tests, filter by name, e.g. replication and failover:
 # `go test -race -run 'Repl|Follower|Promote|Failover|Fence' ./internal/server/`.
 race:
 	$(GO) test -race ./...
@@ -64,7 +66,9 @@ bench-smoke:
 # a REPDATA frame with no groups, valid, with a flipped CRC and missing
 # its trailer, the three-field REPLICATE with its refused two-field form
 # and a heartbeat under 10 ms, and the refused HEALTH reply whose flags
-# set bit 1), the two-field VALUES reply
+# set bit 1; a FrameReader carried across the inputs must read each to
+# the same frames and errors, so a byte or field its reused buffers kept
+# from an earlier frame shows), the two-field VALUES reply
 # decoder (differential against per-row DecodeTagged of each row's tagged
 # image, read from the layout's definition; its seeds include a bad
 # ordinal, a row count past the bytes, trailing bytes, types with no rows

@@ -9,6 +9,14 @@
 // transparently on next use — a client survives a server restart and sees
 // exactly the state the server recovered from its log.
 //
+// A round trip allocates nothing but its answer: the request is encoded
+// into buffers the client keeps, its caller waits on a reused channel in
+// a reused queue slot, and Options.RequestTimeout is enforced without a
+// timer. The requests in flight on a connection are answered in order and
+// share one timeout, so the oldest has the earliest deadline: the
+// connection's reader reads under that deadline, and a read it cuts short
+// fails every request on the connection with ErrDeadline.
+//
 // Transactions are session-scoped on the server, so Begin pins a dedicated
 // connection: the *Session's Put/Delete buffer server-side until Commit
 // makes them one durable commit group (Abort discards them). A Session's
@@ -33,7 +41,6 @@
 package client
 
 import (
-	"bufio"
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -124,8 +131,11 @@ type Options struct {
 	// DialTimeout bounds connection establishment; 0 means 5s.
 	DialTimeout time.Duration
 	// RequestTimeout is the per-request deadline, covering the write and
-	// the wait for the response; 0 means 30s, negative disables. Under
-	// the retry policy it bounds each *attempt*, not the whole call.
+	// the wait for the response from the moment the request is queued on
+	// its connection; 0 means 30s, negative disables. It is enforced as
+	// the connection's read deadline, the oldest request's, and on expiry
+	// every request in flight on the connection fails with ErrDeadline.
+	// Under the retry policy it bounds each *attempt*, not the whole call.
 	RequestTimeout time.Duration
 	// RetryPolicy governs transparent retries of failed requests. The
 	// zero value is the documented default (retries ON: 4 attempts,
@@ -286,6 +296,11 @@ type Client struct {
 
 	// m counts attempts, retries and backoff; see telemetry.go.
 	m *clientMetrics
+
+	// tbufs holds the buffers query encodes type images into, one for
+	// each call in flight at once at most, guarded by tmu.
+	tmu   sync.Mutex
+	tbufs [][]byte
 
 	mu     sync.Mutex
 	pool   []*conn // fixed slots, lazily (re)dialed
@@ -597,7 +612,7 @@ func (h *handle) write(op byte, fields ...[]byte) ([][]byte, error) {
 // reply's payload and slabs (see Packed): a kept value pins at most one
 // frame.
 func (h *handle) Get(t types.Type) ([]Packed, error) {
-	return decodeGet(h.call(wire.OpGet, mustTypeField(t)))
+	return decodeGet(h.query(wire.OpGet, t))
 }
 
 // Put binds name to v at the declared type (nil means v's most specific
@@ -624,7 +639,7 @@ func (h *handle) Delete(name string) (bool, error) {
 // Join computes the generalized natural join (the paper's Figure 1) of
 // the extents at t1 and t2, remotely, over the same state Get reads.
 func (h *handle) Join(t1, t2 types.Type) ([]value.Value, error) {
-	ps, err := decodeGet(h.call(wire.OpJoin, mustTypeField(t1), mustTypeField(t2)))
+	ps, err := decodeGet(h.query(wire.OpJoin, t1, t2))
 	if err != nil {
 		return nil, err
 	}
@@ -653,7 +668,7 @@ func (h *handle) Names() ([]string, error) {
 // server holds, the member types conforming to t and the members a GET
 // returns — without executing the GET. It counts the state Get reads.
 func (h *handle) ExplainGet(t types.Type) (string, error) {
-	return decodeText(h.call(wire.OpExplain, mustTypeField(t)))
+	return decodeText(h.query(wire.OpExplain, t))
 }
 
 // ExplainJoin renders the join plan for joining GET's answers at t1 and
@@ -662,7 +677,7 @@ func (h *handle) ExplainGet(t types.Type) (string, error) {
 // followed by "attr=… build=left|right" when it partitions on a shared
 // atomic label.
 func (h *handle) ExplainJoin(t1, t2 types.Type) (string, error) {
-	return decodeText(h.call(wire.OpExplain, mustTypeField(t1), mustTypeField(t2)))
+	return decodeText(h.query(wire.OpExplain, t1, t2))
 }
 
 // Ping checks server liveness.
@@ -800,15 +815,43 @@ func (s *Session) finish() {
 // Request/response plumbing
 // ---------------------------------------------------------------------------
 
-func mustTypeField(t types.Type) []byte {
-	b, err := wire.MarshalType(t)
-	if err != nil {
-		// Every types.Type the package can produce is encodable; an
-		// unencodable one is a programming error surfaced loudly.
-		panic(fmt.Sprintf("client: unencodable type %s: %v", t, err))
+// query sends op with the type images of ts, at most two, as its fields.
+// The images are encoded into one of the client's type buffers, which is
+// put back once the call returns: the request frame is a copy of them,
+// and no reply aliases them.
+func (h *handle) query(op byte, ts ...types.Type) ([][]byte, error) {
+	c := h.c
+	c.tmu.Lock()
+	var b []byte
+	if k := len(c.tbufs); k > 0 {
+		b, c.tbufs = c.tbufs[k-1], c.tbufs[:k-1]
 	}
-	return b
+	c.tmu.Unlock()
+	var ends [2]int
+	for i, t := range ts {
+		var err error
+		if b, err = codec.AppendType(b, t); err != nil {
+			// Every types.Type the package can produce is encodable; an
+			// unencodable one is a programming error surfaced loudly.
+			panic(fmt.Sprintf("client: unencodable type %s: %v", t, err))
+		}
+		ends[i] = len(b)
+	}
+	var imgs [2][]byte
+	for i, start := 0, 0; i < len(ts); i++ {
+		imgs[i], start = b[start:ends[i]], ends[i]
+	}
+	fields, err := h.call(op, imgs[:len(ts)]...)
+	if cap(b) <= maxRetainedTypeBuf {
+		c.tmu.Lock()
+		c.tbufs = append(c.tbufs, b[:0])
+		c.tmu.Unlock()
+	}
+	return fields, err
 }
+
+// maxRetainedTypeBuf caps each type buffer a client keeps.
+const maxRetainedTypeBuf = 4 << 10
 
 // The reply decoders take a checked reply's fields and the round trip's
 // error, so a verb is one decoder over one call.
@@ -876,17 +919,25 @@ type result struct {
 }
 
 // pendingSlot is one in-flight request awaiting its FIFO-matched
-// response, and the trace ID it was stamped with so the reader can verify
-// the server's echo.
+// response: the channel its caller waits on, the trace ID it was stamped
+// with so the reader can verify the server's echo, and its deadline, zero
+// for none.
 type pendingSlot struct {
-	ch    chan result
-	trace uint64
+	ch       chan result
+	trace    uint64
+	deadline time.Time
 }
 
-// conn is a single connection with FIFO request pipelining: writers append
+// conn is a single connection with FIFO request pipelining: writers queue
 // a response slot and write their frame under wmu (so slot order equals
 // frame order), and the reader goroutine delivers responses to slots in
 // order.
+//
+// A request's deadline is enforced as the reader's read deadline. Every
+// request on a connection has the same timeout and its deadline is set as
+// it is queued, so the head of the queue has the earliest; the read
+// deadline is the head's, set under mu whenever the head changes, and a
+// read that fails past it fails the connection with ErrDeadline.
 type conn struct {
 	nc       net.Conn
 	maxFrame int
@@ -894,9 +945,17 @@ type conn struct {
 	wmu  sync.Mutex // serializes {enqueue, encode, write}
 	wbuf []byte     // reused frame-encode buffer, guarded by wmu
 
-	mu      sync.Mutex
-	pending []pendingSlot
-	dead    error // sticky; set once by fail
+	mu sync.Mutex
+	// ring holds the in-flight requests in frame order, n of them from
+	// ring[head]; it grows when full, and is otherwise reused.
+	ring    []pendingSlot
+	head, n int
+	// armed is the read deadline last set: the head's, zero for none.
+	armed time.Time
+	// free holds result channels to reuse: a request's channel receives
+	// exactly one result, which its caller takes before putting it back.
+	free []chan result
+	dead error // sticky; set once by fail
 }
 
 // maxRetainedWriteBuf caps the encode buffer kept across requests: one
@@ -920,6 +979,45 @@ func (c *conn) isDead() bool {
 	return c.dead != nil
 }
 
+// push queues s behind the in-flight requests; the caller holds mu.
+func (c *conn) push(s pendingSlot) {
+	if c.n == len(c.ring) {
+		ring := make([]pendingSlot, max(4, 2*len(c.ring)))
+		for i := range c.n {
+			ring[i] = c.ring[(c.head+i)%len(c.ring)]
+		}
+		c.ring, c.head = ring, 0
+	}
+	c.ring[(c.head+c.n)%len(c.ring)] = s
+	c.n++
+	if c.n == 1 {
+		c.arm()
+	}
+}
+
+// pop dequeues the head request; the caller holds mu and has checked
+// that one is in flight.
+func (c *conn) pop() pendingSlot {
+	s := c.ring[c.head]
+	c.ring[c.head] = pendingSlot{}
+	c.head = (c.head + 1) % len(c.ring)
+	c.n--
+	return s
+}
+
+// arm sets the read deadline to the head request's, or to none when
+// nothing is in flight; the caller holds mu.
+func (c *conn) arm() {
+	var d time.Time
+	if c.n > 0 {
+		d = c.ring[c.head].deadline
+	}
+	if !d.Equal(c.armed) {
+		c.armed = d
+		c.nc.SetReadDeadline(d)
+	}
+}
+
 // fail marks the connection dead, closes it, and delivers err to every
 // in-flight request. Idempotent.
 func (c *conn) fail(err error) {
@@ -929,31 +1027,39 @@ func (c *conn) fail(err error) {
 		return
 	}
 	c.dead = err
-	ps := c.pending
-	c.pending = nil
+	for c.n > 0 {
+		c.pop().ch <- result{err: err} // buffered, and empty until now
+	}
 	c.mu.Unlock()
 	c.nc.Close()
-	for _, slot := range ps {
-		slot.ch <- result{err: err}
-	}
 }
 
 func (c *conn) readLoop() {
-	r := bufio.NewReader(c.nc)
+	// The reply frames are read into fresh slices: a reply's values alias
+	// its frame, and its caller keeps them.
+	r := wire.NewFrameReader(c.nc, c.maxFrame, 0)
 	for {
-		rawOp, rawFields, err := wire.ReadFrame(r, c.maxFrame)
+		rawOp, rawFields, err := r.ReadFrame()
+		c.mu.Lock()
 		if err != nil {
-			c.fail(fmt.Errorf("%w: %w", ErrConnLost, err))
+			// The read deadline is the head request's: a read that fails
+			// once it has passed is that request's timeout.
+			if c.n > 0 && !c.armed.IsZero() && !time.Now().Before(c.armed) {
+				err = ErrDeadline
+			} else {
+				err = fmt.Errorf("%w: %w", ErrConnLost, err)
+			}
+			c.mu.Unlock()
+			c.fail(err)
 			return
 		}
-		c.mu.Lock()
-		if len(c.pending) == 0 {
+		if c.n == 0 {
 			c.mu.Unlock()
 			c.fail(&wire.WireError{Code: wire.CodeBadFrame, Msg: "unsolicited response"})
 			return
 		}
-		slot := c.pending[0]
-		c.pending = c.pending[1:]
+		slot := c.pop()
+		c.arm()
 		c.mu.Unlock()
 		// Strip the server's trace echo. An untraced response is tolerated
 		// (a server reports a request it could not read untraced); a
@@ -981,16 +1087,10 @@ func (c *conn) readLoop() {
 
 // roundTrip writes one request and waits for its response. Concurrent
 // callers pipeline: their frames are written back to back and answered in
-// order. timeout covers the whole round trip; on expiry the connection is
-// killed (responses can no longer be matched) and redialed by the pool on
-// next use.
+// order. timeout covers the whole round trip from the moment the request
+// is queued; on expiry the connection is killed (responses can no longer
+// be matched) and redialed by the pool on next use.
 func (c *conn) roundTrip(timeout time.Duration, op byte, fields ...[]byte) (byte, [][]byte, error) {
-	ch := make(chan result, 1)
-	slot := pendingSlot{ch: ch, trace: nextTrace()}
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
 	c.wmu.Lock()
 	c.mu.Lock()
 	if c.dead != nil {
@@ -999,9 +1099,18 @@ func (c *conn) roundTrip(timeout time.Duration, op byte, fields ...[]byte) (byte
 		c.wmu.Unlock()
 		return 0, nil, err
 	}
-	c.pending = append(c.pending, slot)
+	slot := pendingSlot{trace: nextTrace()}
+	if k := len(c.free); k > 0 {
+		slot.ch, c.free = c.free[k-1], c.free[:k-1]
+	} else {
+		slot.ch = make(chan result, 1)
+	}
+	if timeout > 0 {
+		slot.deadline = time.Now().Add(timeout)
+	}
+	c.push(slot)
 	c.mu.Unlock()
-	c.nc.SetWriteDeadline(deadline)
+	c.nc.SetWriteDeadline(slot.deadline)
 	// Encode into the connection's reused buffer and write in one syscall.
 	// Trace stamping this way costs zero allocations (E15 addendum in
 	// EXPERIMENTS.md): AppendTracedFrame splices the trace field into the
@@ -1017,32 +1126,15 @@ func (c *conn) roundTrip(timeout time.Duration, op byte, fields ...[]byte) (byte
 	}
 	c.wmu.Unlock()
 	if err != nil {
+		// fail delivers to every queued slot, ours included, unless the
+		// response won the race: the frame reached the server despite the
+		// reported write error, and the reader matched its answer to our
+		// slot before fail drained it.
 		c.fail(fmt.Errorf("%w: write failed: %w", ErrConnLost, err))
-		r := <-ch // fail delivered to every pending slot, including ours
-		if r.err == nil {
-			// The response won the race with fail's delivery: the frame
-			// reached the server despite the reported write error, and the
-			// reader matched its answer to our slot before fail drained it.
-			return r.op, r.fields, nil
-		}
-		return 0, nil, r.err
 	}
-	if timeout <= 0 {
-		r := <-ch
-		return r.op, r.fields, r.err
-	}
-	timer := time.NewTimer(time.Until(deadline))
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.op, r.fields, r.err
-	case <-timer.C:
-		c.fail(ErrDeadline)
-		r := <-ch
-		if r.err == nil {
-			// The response won the race with fail's delivery.
-			return r.op, r.fields, nil
-		}
-		return 0, nil, r.err
-	}
+	r := <-slot.ch
+	c.mu.Lock()
+	c.free = append(c.free, slot.ch)
+	c.mu.Unlock()
+	return r.op, r.fields, r.err
 }

@@ -1,13 +1,18 @@
 package client
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"net"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dbpl/internal/server/wire"
+	"dbpl/internal/types"
 )
 
 // fakeServer accepts one connection and hands it to serve; the wire
@@ -88,6 +93,96 @@ func TestRequestTimeoutKillsConn(t *testing.T) {
 	responsive.Store(true)
 	if err := c.Ping(); err != nil {
 		t.Fatalf("Ping after redial: %v", err)
+	}
+}
+
+// TestRequestTimeoutPipelined: goroutines pipelining on one connection
+// against a server that stalls some replies each get their own reply or
+// ErrDeadline, never another call's reply, and leave no goroutine
+// behind. A stall past RequestTimeout fails the connection with
+// ErrDeadline for every call queued on it, and the next call redials.
+// Run it under -race: the reader sets the head's deadline while callers
+// queue theirs and reuse the result channels.
+func TestRequestTimeoutPipelined(t *testing.T) {
+	const goroutines, calls, timeout = 6, 30, 50 * time.Millisecond
+	addr := fakeServer(t, func(conn net.Conn) {
+		defer conn.Close()
+		for {
+			rawOp, rawFields, err := wire.ReadFrame(conn, 0)
+			if err != nil {
+				return
+			}
+			op, trace, fields, _, err := wire.SplitTrace(rawOp, rawFields)
+			if err != nil {
+				return
+			}
+			// EXPLAIN is answered with its own type image as the text.
+			if op == wire.OpExplain && bytes.Contains(fields[0], []byte("stall")) {
+				time.Sleep(4 * timeout)
+			}
+			if op != wire.OpExplain {
+				fields = nil
+			}
+			frame, err := wire.AppendTracedFrame(nil, 0, wire.OpOK, trace, fields...)
+			if err != nil {
+				return
+			}
+			if _, err := conn.Write(frame); err != nil {
+				return
+			}
+		}
+	})
+	before := runtime.NumGoroutine()
+	c, err := Dial(addr, &Options{PoolSize: 1, RequestTimeout: timeout, RetryPolicy: RetryPolicy{MaxAttempts: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var answered, timedOut atomic.Int64
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range calls {
+				label := fmt.Sprintf("g%d_%d", g, i)
+				stall := (g*calls+i)%17 == 0
+				if stall {
+					label = "stall_" + label
+				}
+				ty := types.NewRecord(types.Field{Label: label, Type: types.Int})
+				want, err := wire.MarshalType(ty)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := c.ExplainGet(ty)
+				switch {
+				case err == nil && stall:
+					t.Errorf("%s: answered %q, want ErrDeadline", label, got)
+				case err == nil && got != string(want):
+					t.Errorf("%s: answered another call's reply %q", label, got)
+				case err == nil:
+					answered.Add(1)
+				case errors.Is(err, ErrDeadline):
+					timedOut.Add(1)
+				default:
+					t.Errorf("%s: %v, want its reply or ErrDeadline", label, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	c.Close()
+	t.Logf("%d calls answered, %d timed out", answered.Load(), timedOut.Load())
+	if answered.Load() == 0 || timedOut.Load() == 0 {
+		t.Errorf("%d calls answered and %d timed out, want some of each", answered.Load(), timedOut.Load())
+	}
+	// The fake server's handlers finish their stalls and exit once the
+	// client has closed their connections.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left, %d before the client dialed", runtime.NumGoroutine(), before)
+		}
 	}
 }
 
@@ -241,7 +336,7 @@ func TestWriteFailureKeepsWonResponse(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		cn.mu.Lock()
-		n := len(cn.pending)
+		n := cn.n
 		cn.mu.Unlock()
 		if n == 0 {
 			break

@@ -572,23 +572,26 @@ func DecodeType(img []byte) (types.Type, error) {
 	return d.Type()
 }
 
-// The type table. Each of typeSlots slots holds at most one immutable
-// entry, the bytes of a top-level type image and its canonical type, and
-// an image hashes to one slot. A lookup is one atomic load and takes no
-// lock. A store replaces what the slot held, so two images that share a
-// slot both decode correctly, each costing a decode when the other was
-// stored last. An image longer than typeImageMax bytes is decoded but never
-// stored. So the table holds at most typeSlots entries and retains at most
-// typeSlots × typeImageMax image bytes, whatever a peer sends; the types
-// are types.Canon's, which holds them anyway.
+// The type table. It has typeSets sets of typeWays entries each, every
+// entry immutable, the bytes of a top-level type image and its canonical
+// type, and an image hashes to one set. A lookup is an atomic load a way
+// and takes no lock. A store puts the image in the set's first way and
+// moves what that held to the second, dropping what the second held, so
+// the two images a set stored last both stay, and any images that share
+// a set decode correctly, an evicted one costing a decode. An image
+// longer than typeImageMax bytes is decoded but never stored. So the
+// table holds at most typeSets × typeWays entries and retains at most
+// typeSets × typeWays × typeImageMax image bytes, whatever a peer sends;
+// the types are types.Canon's, which holds them anyway.
 const (
-	typeSlots    = 1 << 10
+	typeSets     = 1 << 9
+	typeWays     = 2
 	typeImageMax = 512
 )
 
-// typeEntry is what a slot holds: a type image's bytes and its type, and,
-// once a reply has read the image, the program it reads its rows at that
-// type with.
+// typeEntry is an entry of the table: a type image's bytes and its type,
+// and, once a reply has read the image, the program it reads its rows at
+// that type with.
 type typeEntry struct {
 	img string
 	t   types.Type
@@ -617,12 +620,14 @@ func (e *typeEntry) program() *recordProgram {
 }
 
 var (
-	typeTable [typeSlots]atomic.Pointer[typeEntry]
+	typeTable [typeSets][typeWays]atomic.Pointer[typeEntry]
 	typeSeed  = maphash.MakeSeed()
 )
 
-// typeSlot returns the index of the type image img's slot.
-func typeSlot(img []byte) int { return int(maphash.Bytes(typeSeed, img) % typeSlots) }
+// typeSet returns the set the type image img hashes to.
+func typeSet(img []byte) *[typeWays]atomic.Pointer[typeEntry] {
+	return &typeTable[maphash.Bytes(typeSeed, img)%typeSets]
+}
 
 // tableType reads the top-level type image at d's cursor through the type
 // table, and returns its type and its entry, or no entry for an image the
@@ -646,17 +651,20 @@ func (d *Decoder) tableType() (types.Type, *typeEntry, error) {
 		t, err := d.decodeType()
 		return t, nil, err
 	}
-	slot := &typeTable[typeSlot(img)]
-	if e := slot.Load(); e != nil && e.img == string(img) {
-		d.pos += len(img)
-		return e.t, e, nil
+	set := typeSet(img)
+	for i := range set {
+		if e := set[i].Load(); e != nil && e.img == string(img) {
+			d.pos += len(img)
+			return e.t, e, nil
+		}
 	}
 	t, err := d.decodeType()
 	if err != nil || d.pos != start+len(img) {
 		return t, nil, err
 	}
 	e := &typeEntry{img: string(img), t: t}
-	slot.Store(e)
+	set[1].Store(set[0].Load())
+	set[0].Store(e)
 	return t, e, nil
 }
 
@@ -1214,7 +1222,8 @@ func (d *Decoder) skipType(depth int) error {
 // value's bytes.
 
 // ReplyWriter writes the fields of one reply. Add each row with Row, then
-// take the fields with Fields.
+// take the fields with Fields. Reset readies a writer for the next reply,
+// which it writes into the buffer of the last.
 type ReplyWriter struct {
 	// buf holds the rows, and after them the reply's types once Fields
 	// has run.
@@ -1229,6 +1238,8 @@ type ReplyWriter struct {
 	typeBuf [4]types.Type
 	index   map[types.Type]int
 	err     error
+	// fields is what Fields returns.
+	fields [2][]byte
 }
 
 // Bounds on a reply buffer's reservations: the first row goes into
@@ -1241,6 +1252,17 @@ const (
 
 // NewReplyWriter returns a writer for a reply of rows rows.
 func NewReplyWriter(rows int) ReplyWriter { return ReplyWriter{want: rows} }
+
+// Reset readies w for a reply of rows rows, as NewReplyWriter does, and
+// keeps the buffer of the reply w wrote last when its capacity is at most
+// keep bytes. The fields Fields returned before are no longer valid.
+func (w *ReplyWriter) Reset(rows, keep int) {
+	buf := w.buf[:0]
+	if cap(buf) > keep {
+		buf = nil
+	}
+	*w = ReplyWriter{buf: buf, want: rows}
+}
 
 // Row adds the value v at its witness type t. The first error is kept for
 // Fields.
@@ -1518,7 +1540,8 @@ func (w *ReplyWriter) lookup(t types.Type) (int, bool) {
 }
 
 // Fields returns the reply's fields, or the first error met. Both fields
-// are slices of one buffer, the types appended after the rows.
+// are slices of one buffer, the types appended after the rows, and the
+// slice of the two is w's own: all are valid until w is Reset.
 func (w *ReplyWriter) Fields() ([][]byte, error) {
 	if w.err != nil || w.rows == 0 {
 		return nil, w.err
@@ -1534,7 +1557,8 @@ func (w *ReplyWriter) Fields() ([][]byte, error) {
 		return nil, e.err
 	}
 	w.buf = e.buf
-	return [][]byte{w.buf[rows:], w.buf[:rows]}, nil
+	w.fields = [2][]byte{w.buf[rows:], w.buf[:rows]}
+	return w.fields[:], nil
 }
 
 // replyHead checks a reply's fields as far as its counts and returns a

@@ -152,14 +152,17 @@ func decodeTypeImage(img []byte, plain bool) (value.Value, types.Type, error) {
 	return nil, ty, err
 }
 
-// forgetType empties the table slot of the type image at the start of the
+// forgetType empties the table set of the type image at the start of the
 // image img, if it has one, so its next decode through the table is cold.
 func forgetType(img []byte) {
 	d, err := newDecoder(img)
 	if err != nil || d.skipType(0) != nil {
 		return
 	}
-	typeTable[typeSlot(img[headerLen:d.pos])].Store(nil)
+	set := typeSet(img[headerLen:d.pos])
+	for i := range set {
+		set[i].Store(nil)
+	}
 }
 
 // sameThroughTable decodes img with the plain decoder and then twice

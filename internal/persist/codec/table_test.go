@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"dbpl/internal/types"
@@ -26,20 +27,56 @@ func labelledImage(t testing.TB, label string) ([]byte, types.Type) {
 // bytes they retain.
 func tableEntries() (entries, bytes int) {
 	for i := range typeTable {
-		if e := typeTable[i].Load(); e != nil {
-			entries++
-			bytes += len(e.img)
+		for j := range typeTable[i] {
+			if e := typeTable[i][j].Load(); e != nil {
+				entries++
+				bytes += len(e.img)
+			}
 		}
 	}
 	return entries, bytes
+}
+
+// sharingSet returns the images of k record types {c<i>: Int} that hash
+// to one set of the type table and their canonical types, and empties
+// that set.
+func sharingSet(t *testing.T, k int) ([][]byte, []types.Type) {
+	t.Helper()
+	imgs := map[*[typeWays]atomic.Pointer[typeEntry]][][]byte{}
+	want := map[*[typeWays]atomic.Pointer[typeEntry]][]types.Type{}
+	for i := 0; ; i++ {
+		img, ty := labelledImage(t, fmt.Sprintf("c%d", i))
+		set := typeSet(img[headerLen:])
+		imgs[set], want[set] = append(imgs[set], img), append(want[set], ty)
+		if len(imgs[set]) == k {
+			for j := range set {
+				set[j].Store(nil)
+			}
+			return imgs[set], want[set]
+		}
+	}
+}
+
+// setHolds reports which of imgs the set they share holds.
+func setHolds(imgs [][]byte) []bool {
+	set := typeSet(imgs[0][headerLen:])
+	held := make([]bool, len(imgs))
+	for i, img := range imgs {
+		for j := range set {
+			if e := set[j].Load(); e != nil && e.img == string(img[headerLen:]) {
+				held[i] = true
+			}
+		}
+	}
+	return held
 }
 
 // TestTypeTableConcurrent: goroutines decoding type images the others
 // decode too, and images only they decode, through DecodeType,
 // DecodeTagged and DecodeReply, each get the canonical type, pointer for
 // pointer, and a reply its row. Run it under -race: the distinct images
-// outnumber the slots, so stores replace one another while other
-// goroutines load the slots, and replies compile an entry's record
+// outnumber the entries, so stores replace one another while other
+// goroutines load the sets, and replies compile an entry's record
 // program while others read it.
 func TestTypeTableConcurrent(t *testing.T) {
 	const goroutines, shared, own = 8, 32, 400
@@ -96,8 +133,9 @@ func TestTypeTableConcurrent(t *testing.T) {
 }
 
 // TestTypeTableBounded: after 100 000 distinct type images the table holds
-// at most typeSlots entries and typeSlots × typeImageMax image bytes, and
-// an image longer than typeImageMax bytes decodes but is never stored.
+// at most typeSets × typeWays entries and as many times typeImageMax
+// image bytes, and an image longer than typeImageMax bytes decodes but is
+// never stored.
 func TestTypeTableBounded(t *testing.T) {
 	const distinct = 100_000
 	for i := range distinct {
@@ -108,8 +146,8 @@ func TestTypeTableBounded(t *testing.T) {
 	}
 	entries, bytes := tableEntries()
 	t.Logf("after %d distinct images: %d entries, %d image bytes", distinct, entries, bytes)
-	if entries > typeSlots || bytes > typeSlots*typeImageMax {
-		t.Errorf("the table holds %d entries and %d image bytes, want <= %d and <= %d", entries, bytes, typeSlots, typeSlots*typeImageMax)
+	if max := typeSets * typeWays; entries > max || bytes > max*typeImageMax {
+		t.Errorf("the table holds %d entries and %d image bytes, want <= %d and <= %d", entries, bytes, max, max*typeImageMax)
 	}
 
 	long, want := labelledImage(t, strings.Repeat("x", typeImageMax))
@@ -121,43 +159,44 @@ func TestTypeTableBounded(t *testing.T) {
 			t.Fatalf("an over-cap image: %v (%v), want the canonical %s", got, err, want)
 		}
 	}
-	for i := range typeTable {
-		if e := typeTable[i].Load(); e != nil && e.img == string(long[headerLen:]) {
-			t.Fatalf("slot %d holds a %d-byte image, over the %d-byte cap", i, len(e.img), typeImageMax)
+	if setHolds([][]byte{long})[0] {
+		t.Fatalf("the table holds a %d-byte image, over the %d-byte cap", len(long)-headerLen, typeImageMax)
+	}
+}
+
+// TestTypeTableCollision: of three type images that hash to one set, the
+// two decoded last stay in it, and decoded in turn each still gives its
+// own canonical type.
+func TestTypeTableCollision(t *testing.T) {
+	imgs, want := sharingSet(t, 3)
+	for round := range 4 {
+		for i := range imgs {
+			got, err := DecodeType(imgs[i])
+			if err != nil || got != want[i] {
+				t.Fatalf("round %d: %v (%v), want the canonical %s", round, got, err, want[i])
+			}
+			prev := (i + len(imgs) - 1) % len(imgs)
+			if held := setHolds(imgs); !held[i] || round+i > 0 && !held[prev] || held[3-i-prev] {
+				t.Fatalf("round %d: after image %d the set holds %v, want it and the image decoded before it", round, i, held)
+			}
 		}
 	}
 }
 
-// TestTypeTableCollision: two type images that hash to one slot replace
-// each other there, and decoded in turn each still gives its own canonical
-// type.
-func TestTypeTableCollision(t *testing.T) {
-	bySlot := map[int]int{}
-	var a, b int
-	for i := 0; ; i++ {
-		img, _ := labelledImage(t, fmt.Sprintf("c%d", i))
-		slot := typeSlot(img[headerLen:])
-		if j, ok := bySlot[slot]; ok {
-			a, b = j, i
-			break
+// TestTypeTableSharedSetAllocs: two type images that hash to one set,
+// decoded in turn once both are stored, cost no allocation: neither
+// evicts the other.
+func TestTypeTableSharedSetAllocs(t *testing.T) {
+	imgs, _ := sharingSet(t, 2)
+	decode := func() {
+		for _, img := range imgs {
+			if _, err := DecodeType(img); err != nil {
+				t.Fatal(err)
+			}
 		}
-		bySlot[slot] = i
 	}
-	imgA, wantA := labelledImage(t, fmt.Sprintf("c%d", a))
-	imgB, wantB := labelledImage(t, fmt.Sprintf("c%d", b))
-	slot := &typeTable[typeSlot(imgA[headerLen:])]
-	for round := range 4 {
-		for _, c := range []struct {
-			img  []byte
-			want types.Type
-		}{{imgA, wantA}, {imgB, wantB}} {
-			got, err := DecodeType(c.img)
-			if err != nil || got != c.want {
-				t.Fatalf("round %d: %v (%v), want the canonical %s", round, got, err, c.want)
-			}
-			if e := slot.Load(); e == nil || e.img != string(c.img[headerLen:]) || e.t != c.want {
-				t.Fatalf("round %d: the shared slot does not hold the image decoded last", round)
-			}
-		}
+	decode()
+	if n := testing.AllocsPerRun(100, decode); n != 0 {
+		t.Errorf("decoding two images of one set in turn costs %v allocations, want 0", n)
 	}
 }

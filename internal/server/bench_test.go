@@ -228,18 +228,19 @@ func BenchmarkServeJoin(b *testing.B) {
 }
 
 // TestServeJoinBulkAllocs: a warm loopback JOIN of the read-bulk shape
-// costs at most 40 allocations in the whole process. It measures 35 with
-// Go 1.24 on linux/amd64, 36 under -race; the bound is within 15 % of
-// both. The server makes 9: 4 read the request and 5 write the reply,
-// whose rows are merged from the members' stored bytes. Reading the two
-// sides costs nothing: each side's relation is kept in the index set's
-// type generation while its extents are unchanged, and the relation keeps
-// its label set and its partition on the join label, so relation.PlanJoin
-// and relation.EachPair only probe them. The client's request and its
-// decode of the reply make the other 26. No joined record is built, and
-// each pair of witnesses meets once per type generation.
+// costs at most 14 allocations in the whole process. It measures 13 with
+// Go 1.24 on linux/amd64, and as many under -race. The server
+// makes none: it reads the request into the session's buffers, reads
+// each side from its relation, kept in the index set's type generation
+// while the side's extents are unchanged with its label set and its
+// partition on the join label, so relation.PlanJoin and
+// relation.EachPair only probe them, and merges each row from the
+// members' stored bytes into the session's reply buffer. The client's
+// copy of the reply frame and its decode of the reply make the 13. No
+// joined record is built, and each pair of witnesses meets once per type
+// generation.
 func TestServeJoinBulkAllocs(t *testing.T) {
-	const maxAllocs = 40
+	const maxAllocs = 14
 	addr, left, right := joinBulkServer(t)
 	c, err := client.Dial(addr, &client.Options{PoolSize: 1})
 	if err != nil {

@@ -589,17 +589,40 @@ type session struct {
 	// unsampled. Set by serveConn around each dispatch; handlers thread
 	// it into the exec and commit spans.
 	tr *rtrace.Trace
-	// frame is the buffer serveConn encodes replies into, kept while it
-	// is at most maxRetainedFrame.
+	// dr and in read the session's requests: in buffers what dr reads
+	// from the connection, so a request that has arrived whole is one
+	// read, and reads each request into a payload buffer and a field
+	// array it keeps while they are at most maxRetainedFrame. A handler
+	// copies what it keeps of its request: the next request reuses them.
+	dr deadlineReader
+	in *wire.FrameReader
+	// reply writes the VALUES answer of GET and JOIN, text is the field
+	// of the EXPLAIN answer, and frame is the buffer serveConn encodes
+	// each reply into: each is reused from one request to the next, and
+	// trim drops any over maxRetainedFrame once its reply is written.
+	reply codec.ReplyWriter
+	text  [1][]byte
 	frame []byte
 	// peer is the connection's remote address, read when the ring first
 	// records one of its requests.
 	peer string
 }
 
-// maxRetainedFrame caps the reply buffer a session keeps between
-// requests: one large reply must not pin its size on an idle connection.
+// maxRetainedFrame caps each request and reply buffer a session keeps
+// between requests: one large request or reply must not pin its size on
+// an idle connection.
 const maxRetainedFrame = 64 << 10
+
+// trim drops each reply buffer of the session over maxRetainedFrame.
+func (sess *session) trim() {
+	if cap(sess.frame) > maxRetainedFrame {
+		sess.frame = nil
+	}
+	if cap(sess.text[0]) > maxRetainedFrame {
+		sess.text[0] = nil
+	}
+	sess.reply.Reset(0, maxRetainedFrame)
+}
 
 // view returns the one state every read of the session answers from:
 // outside a transaction the published state, inside one the state its
@@ -630,21 +653,20 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 	s.m.sessions.Add(1)
 	defer s.m.sessions.Add(-1)
-	sess := &session{srv: s}
+	sess := &session{srv: s, dr: deadlineReader{conn: conn}}
+	sess.in = wire.NewFrameReader(&sess.dr, s.cfg.maxFrame(), maxRetainedFrame)
 	for {
 		if s.draining.Load() {
 			return // an implicit abort of any open transaction
 		}
-		op, trace, fields, traced, err := s.readRequest(conn)
+		op, trace, fields, traced, err := s.readRequest(sess, conn)
 		if err != nil {
 			var we *wire.WireError
 			if errors.As(err, &we) {
 				// Protocol violation (a framing error or a malformed trace
 				// field): report it, then close — the stream is not
 				// trustworthy past it.
-				s.logf("server: %v: %v", conn.RemoteAddr(), we)
-				conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-				wire.WriteFrame(conn, s.cfg.maxFrame(), wire.OpError, wire.ErrorFields(we)...)
+				s.refuseConn(conn, we)
 			}
 			return
 		}
@@ -652,8 +674,15 @@ func (s *Server) serveConn(conn net.Conn) {
 		// The stream row consumes the connection: it becomes a one-way
 		// stream of REPDATA frames until the peer hangs up or
 		// we drain. Trace IDs are per-request and do not apply to a stream.
+		// Bytes the session has read past the request would go unread, so
+		// a stream request with any behind it is refused.
 		if class == wire.ClassStream {
 			s.m.requests[op].Inc()
+			if n := sess.in.Buffered(); n > 0 {
+				s.refuseConn(conn, &wire.WireError{Code: wire.CodeBadFrame,
+					Msg: fmt.Sprintf("%d bytes follow %s, which takes the connection over", n, wire.OpName(op))})
+				return
+			}
 			routes[op].stream(s, conn, fields)
 			return
 		}
@@ -746,14 +775,22 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err == nil {
 			_, err = conn.Write(frame)
 		}
-		if cap(frame) <= maxRetainedFrame {
-			sess.frame = frame
-		}
+		sess.frame = frame
+		sess.trim()
 		if err != nil {
 			return
 		}
 		conn.SetWriteDeadline(time.Time{})
 	}
+}
+
+// refuseConn answers a request that leaves the connection's byte stream
+// untrustworthy with we, and logs it; the caller then closes the
+// connection.
+func (s *Server) refuseConn(conn net.Conn, we *wire.WireError) {
+	s.logf("server: %v: %v", conn.RemoteAddr(), we)
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	wire.WriteFrame(conn, s.cfg.maxFrame(), wire.OpError, wire.ErrorFields(we)...)
 }
 
 // appendReply appends the reply frame to dst, echoing the request's trace
@@ -780,21 +817,28 @@ func (s *Server) admit() bool {
 	return true
 }
 
-// readRequest reads one request frame and strips its trace extension, so
-// every handler sees the base opcode; a malformed trace field is a
-// protocol violation like a framing error. The wait for the header may
-// block indefinitely (idle connection; Shutdown interrupts it via read
-// deadline); once the header has arrived the remainder must land within
-// readTimeout.
-func (s *Server) readRequest(conn net.Conn) (op byte, trace uint64, fields [][]byte, traced bool, err error) {
-	conn.SetReadDeadline(time.Time{})
-	// Re-check draining after clearing the deadline: Shutdown may have set
-	// its wake-up deadline between our caller's check and the clear above,
+// readRequest reads one request frame through the session's reader and
+// strips its trace extension, so every handler sees the base opcode; a
+// malformed trace field is a protocol violation like a framing error. The
+// wait for the request's first byte may block indefinitely (idle
+// connection; Shutdown interrupts it via read deadline); once it has
+// arrived the remainder must land within readTimeout.
+func (s *Server) readRequest(sess *session, conn net.Conn) (op byte, trace uint64, fields [][]byte, traced bool, err error) {
+	// A request whose first bytes came in the read of the last one has
+	// begun to arrive.
+	sess.dr.started = sess.in.Buffered() > 0
+	if sess.dr.started {
+		conn.SetReadDeadline(time.Now().Add(readTimeout))
+	} else {
+		conn.SetReadDeadline(time.Time{})
+	}
+	// Re-check draining after setting the deadline: Shutdown may have set
+	// its wake-up deadline between our caller's check and the set above,
 	// and it must not be lost or this connection idles until force-close.
 	if s.draining.Load() {
 		conn.SetReadDeadline(time.Now())
 	}
-	rawOp, rawFields, err := wire.ReadFrame(&deadlineReader{conn: conn}, s.cfg.maxFrame())
+	rawOp, rawFields, err := sess.in.ReadFrame()
 	if err != nil {
 		return 0, 0, nil, false, err
 	}
@@ -802,8 +846,8 @@ func (s *Server) readRequest(conn net.Conn) (op byte, trace uint64, fields [][]b
 }
 
 // deadlineReader arms the body deadline after the first successful read
-// (the frame header), bounding how long a half-sent request can hold the
-// session.
+// of a request, bounding how long a half-sent request can hold the
+// session. readRequest clears started before each request.
 type deadlineReader struct {
 	conn    net.Conn
 	started bool
@@ -1021,7 +1065,7 @@ func (s *Server) handleGet(sess *session, fields [][]byte) (byte, [][]byte) {
 	}
 	idx := sess.view(s).idx
 	n, _ := idx.MatchStats(ws[0])
-	w := codec.NewReplyWriter(n)
+	w := sess.replyWriter(n)
 	esp := sess.tr.Start(0, "exec")
 	var ierr error
 	idx.Walk(ws[0], func(e index.Entry) bool {
@@ -1037,7 +1081,13 @@ func (s *Server) handleGet(sess *session, fields [][]byte) (byte, [][]byte) {
 	if ierr != nil {
 		return errResp(toWireError(ierr))
 	}
-	return valuesOf(&w)
+	return valuesOf(w)
+}
+
+// replyWriter readies the session's reply writer for a reply of rows rows.
+func (sess *session) replyWriter(rows int) *codec.ReplyWriter {
+	sess.reply.Reset(rows, maxRetainedFrame)
+	return &sess.reply
 }
 
 // valuesOf answers with the reply w wrote.
@@ -1092,16 +1142,16 @@ func (s *Server) handleJoin(sess *session, fields [][]byte) (byte, [][]byte) {
 	plan := relation.PlanJoin(left.rel, right.rel)
 	if !left.rel.Keyed() || !right.rel.Keyed() {
 		joined, pairs := relation.JoinPairs(left.rel, right.rel, plan)
-		w := codec.NewReplyWriter(joined.Len())
+		w := sess.replyWriter(joined.Len())
 		for i, m := range joined.Members() {
 			l, r := left.ws[pairs[i][0]], right.ws[pairs[i][1]]
-			joinRow(&w, st.idx.Meet(l.dyn.Interned(), r.dyn.Interned()), m, l, r)
+			joinRow(w, st.idx.Meet(l.dyn.Interned(), r.dyn.Interned()), m, l, r)
 		}
-		return valuesOf(&w)
+		return valuesOf(w)
 	}
-	w := codec.NewReplyWriter(plan.Pairs)
-	relation.EachPair(left.rel, right.rel, plan, func(i, j int) { joinPair(&w, st.idx, left.ws[i], right.ws[j]) })
-	return valuesOf(&w)
+	w := sess.replyWriter(plan.Pairs)
+	relation.EachPair(left.rel, right.rel, plan, func(i, j int) { joinPair(w, st.idx, left.ws[i], right.ws[j]) })
+	return valuesOf(w)
 }
 
 // joinPair adds the row of the join of two members of keyed relations,
@@ -1229,12 +1279,15 @@ func (s *Server) handleExplain(sess *session, fields [][]byte) (byte, [][]byte) 
 		return errResp(toWireError(err))
 	}
 	st := sess.view(s)
+	text := sess.text[0][:0]
 	if len(fields) == 1 {
 		result, matched := st.idx.MatchStats(ws[0])
-		plan := fmt.Sprintf("get n=%d types=%d matched=%d result=%d", st.idx.Len(), st.idx.Types(), matched, result)
-		return wire.OpOK, [][]byte{[]byte(plan)}
+		text = fmt.Appendf(text, "get n=%d types=%d matched=%d result=%d", st.idx.Len(), st.idx.Types(), matched, result)
+	} else {
+		text = append(text, relation.PlanJoin(operandOf(st, ws[0]).rel, operandOf(st, ws[1]).rel).String()...)
 	}
-	return wire.OpOK, [][]byte{[]byte(relation.PlanJoin(operandOf(st, ws[0]).rel, operandOf(st, ws[1]).rel).String())}
+	sess.text[0] = text
+	return wire.OpOK, sess.text[:]
 }
 
 // keyOf is a keyed write's optional idempotency key, the field at i when

@@ -19,7 +19,10 @@ import (
 // stream — malformed frames, truncated length prefixes, oversize claims —
 // yields frames or a *WireError, never a panic and never an allocation
 // beyond the frame limit; and every frame that decodes re-encodes to a
-// frame that decodes identically.
+// frame that decodes identically. A FrameReader carried across the
+// inputs, its buffers kept for frames of up to 64 bytes, reads each input
+// to the same frames and errors as ReadFrame, so a byte or a field left
+// from an earlier frame would show.
 func FuzzReadFrame(f *testing.F) {
 	// Seed corpus: request and reply shapes the protocol defines, one
 	// frame per wire.Ops row at its maximum arity, and degenerate inputs.
@@ -174,10 +177,24 @@ func FuzzReadFrame(f *testing.F) {
 	}())
 
 	const limit = 1 << 20
+	fr := NewFrameReader(nil, limit, 64)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
+		fr.br.Reset(bytes.NewReader(data))
 		for {
 			op, fields, err := ReadFrame(r, limit)
+			kop, kfields, kerr := fr.ReadFrame()
+			if (err == nil) != (kerr == nil) || err != nil && err.Error() != kerr.Error() {
+				t.Fatalf("ReadFrame: %v; the FrameReader: %v", err, kerr)
+			}
+			if err == nil && (kop != op || len(kfields) != len(fields)) {
+				t.Fatalf("the FrameReader read op %#x with %d fields, ReadFrame op %#x with %d", kop, len(kfields), op, len(fields))
+			}
+			for i := range kfields {
+				if !bytes.Equal(kfields[i], fields[i]) {
+					t.Fatalf("the FrameReader read field %d as %x, ReadFrame as %x", i, kfields[i], fields[i])
+				}
+			}
 			if err != nil {
 				// Every failure must be a classified wire error or a raw
 				// transport error at/inside the header.

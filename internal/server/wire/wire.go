@@ -24,6 +24,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -522,25 +523,43 @@ func WriteFrame(w io.Writer, max int, op byte, fields ...[]byte) error {
 // header are returned raw (io.EOF at a frame boundary is a clean close);
 // everything after the header that goes wrong is a *WireError.
 func ReadFrame(r io.Reader, max int) (op byte, fields [][]byte, err error) {
-	if max <= 0 {
-		max = MaxFrame
-	}
 	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return readFrame(r, max, hdr[:], nil)
+}
+
+// readFrame is ReadFrame reading the header into hdr, and the payload and
+// its fields into the buffers of keep when it is not nil and they take
+// the frame.
+func readFrame(r io.Reader, limit int, hdr []byte, keep *FrameReader) (op byte, fields [][]byte, err error) {
+	if limit <= 0 {
+		limit = MaxFrame
+	}
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 {
+	claim := binary.BigEndian.Uint32(hdr)
+	if claim == 0 {
 		return 0, nil, errf(CodeBadFrame, "empty frame")
 	}
-	if n > uint32(max) {
-		return 0, nil, errf(CodeTooLarge, "frame payload %d exceeds limit %d", n, max)
+	if claim > uint32(limit) {
+		return 0, nil, errf(CodeTooLarge, "frame payload %d exceeds limit %d", claim, limit)
 	}
-	payload := make([]byte, n)
+	n := int(claim)
+	var payload []byte
+	var dst [][]byte
+	switch {
+	case keep == nil || n > keep.keep:
+		payload = make([]byte, n)
+	case n <= cap(keep.payload):
+		payload, dst = keep.payload[:n], keep.fields
+	default:
+		keep.payload = make([]byte, n, min(max(n, 2*cap(keep.payload)), keep.keep))
+		payload, dst = keep.payload, keep.fields
+	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, errf(CodeBadFrame, "truncated frame: %v", err)
 	}
-	fields, err = SplitFields(payload[1:])
+	fields, err = splitFields(dst, payload[1:])
 	if err != nil {
 		return 0, nil, err
 	}
@@ -550,7 +569,10 @@ func ReadFrame(r io.Reader, max int) (op byte, fields [][]byte, err error) {
 // SplitFields parses the field sequence of a frame payload. The returned
 // slices alias b. The fields are counted first, so the result is allocated
 // once.
-func SplitFields(b []byte) ([][]byte, error) {
+func SplitFields(b []byte) ([][]byte, error) { return splitFields(nil, b) }
+
+// splitFields is SplitFields into dst when it has room for the fields.
+func splitFields(dst [][]byte, b []byte) ([][]byte, error) {
 	count := 0
 	for rest := b; len(rest) > 0; count++ {
 		n, k := binary.Uvarint(rest)
@@ -565,12 +587,57 @@ func SplitFields(b []byte) ([][]byte, error) {
 	if count == 0 {
 		return nil, nil
 	}
-	out := make([][]byte, count)
+	if cap(dst) < count {
+		dst = make([][]byte, count)
+	}
+	out := dst[:count]
 	for i := range out {
 		n, k := binary.Uvarint(b)
 		out[i], b = b[k:k+int(n)], b[k+int(n):]
 	}
 	return out, nil
+}
+
+// FrameReader reads a stream of frames as ReadFrame does, through a
+// bufio.Reader, so a frame that has arrived whole costs one read of the
+// source, and into a payload buffer and a field array it keeps across
+// frames. A frame of at most keep payload bytes reuses them, the field
+// array when the frame has at most maxKeptFields fields, so once they
+// have grown to it a frame costs no allocation; its fields alias the kept
+// buffers, so they are valid until the next ReadFrame, and a caller
+// copies what it keeps. A larger frame is read into fresh slices, as
+// ReadFrame reads it, so no frame pins more than keep bytes on the
+// reader, and every frame of a reader with keep 0 is its caller's to
+// keep.
+type FrameReader struct {
+	br        *bufio.Reader
+	max, keep int
+	hdr       [headerLen]byte
+	payload   []byte
+	fields    [][]byte
+}
+
+// maxKeptFields bounds the field array a FrameReader keeps.
+const maxKeptFields = 16
+
+// NewFrameReader returns a reader of the frames of r, each of at most max
+// payload bytes (<= 0 means MaxFrame), that keeps buffers of at most keep
+// bytes.
+func NewFrameReader(r io.Reader, max, keep int) *FrameReader {
+	fr := &FrameReader{br: bufio.NewReader(r), max: max, keep: keep}
+	if keep > 0 {
+		fr.fields = make([][]byte, 0, maxKeptFields)
+	}
+	return fr
+}
+
+// Buffered returns the number of bytes read from the source and not yet
+// returned as a frame: the start of the frames behind the last one read.
+func (fr *FrameReader) Buffered() int { return fr.br.Buffered() }
+
+// ReadFrame reads the next frame, as ReadFrame reads one from the source.
+func (fr *FrameReader) ReadFrame() (op byte, fields [][]byte, err error) {
+	return readFrame(fr.br, fr.max, fr.hdr[:], fr)
 }
 
 // ---------------------------------------------------------------------------
