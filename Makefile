@@ -27,7 +27,12 @@ test:
 # set and partitions, TestJoinPartitionsConcurrentFirstUse, callers
 # pipelining on one client connection while its reader moves the read
 # deadline from request to request and they reuse its result channels,
-# TestRequestTimeoutPipelined) are only meaningful here. -race also
+# TestRequestTimeoutPipelined, readers pinning published states while
+# multi-op groups, each built under one owner that edits in place what it
+# copied, publish over them and over forks,
+# TestPinnedStateStableUnderPublish) are only meaningful here. The write
+# path's allocation pins (TestServePutAllocs, TestStageBoundAllocs,
+# TestApplyRebindAllocs) take their bounds from -race's counts. -race also
 # turns on checkptr, which checks the codec's two unsafe uses as the
 # reply tests run them: unsafe.String over a reply's rows field, and box,
 # which makes a reply's slab element the data word of a boxed atom. To

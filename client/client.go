@@ -297,8 +297,9 @@ type Client struct {
 	// m counts attempts, retries and backoff; see telemetry.go.
 	m *clientMetrics
 
-	// tbufs holds the buffers query encodes type images into, one for
-	// each call in flight at once at most, guarded by tmu.
+	// tbufs holds the buffers query encodes type images into, and Put
+	// its tagged image, one for each call in flight at once at most,
+	// guarded by tmu.
 	tmu   sync.Mutex
 	tbufs [][]byte
 
@@ -620,11 +621,13 @@ func (h *handle) Get(t types.Type) ([]Packed, error) {
 // idempotency key, so a retry after a lost acknowledgement applies
 // exactly once. A Session buffers it until Commit.
 func (h *handle) Put(name string, v value.Value, declared types.Type) error {
-	img, err := codec.AppendTagged(nil, v, declared)
-	if err != nil {
-		return err
+	c := h.c
+	b := c.takeBuf()
+	img, err := codec.AppendTagged(b, v, declared)
+	if err == nil {
+		_, err = h.write(wire.OpPut, []byte(name), img)
 	}
-	_, err = h.write(wire.OpPut, []byte(name), img)
+	c.putBuf(img)
 	return err
 }
 
@@ -816,17 +819,11 @@ func (s *Session) finish() {
 // ---------------------------------------------------------------------------
 
 // query sends op with the type images of ts, at most two, as its fields.
-// The images are encoded into one of the client's type buffers, which is
-// put back once the call returns: the request frame is a copy of them,
-// and no reply aliases them.
+// The images are encoded into one of the client's image buffers, which is
+// put back once the call returns.
 func (h *handle) query(op byte, ts ...types.Type) ([][]byte, error) {
 	c := h.c
-	c.tmu.Lock()
-	var b []byte
-	if k := len(c.tbufs); k > 0 {
-		b, c.tbufs = c.tbufs[k-1], c.tbufs[:k-1]
-	}
-	c.tmu.Unlock()
+	b := c.takeBuf()
 	var ends [2]int
 	for i, t := range ts {
 		var err error
@@ -842,16 +839,36 @@ func (h *handle) query(op byte, ts ...types.Type) ([][]byte, error) {
 		imgs[i], start = b[start:ends[i]], ends[i]
 	}
 	fields, err := h.call(op, imgs[:len(ts)]...)
-	if cap(b) <= maxRetainedTypeBuf {
-		c.tmu.Lock()
-		c.tbufs = append(c.tbufs, b[:0])
-		c.tmu.Unlock()
-	}
+	c.putBuf(b)
 	return fields, err
 }
 
-// maxRetainedTypeBuf caps each type buffer a client keeps.
-const maxRetainedTypeBuf = 4 << 10
+// takeBuf returns one of the client's image buffers, empty, or nil when
+// every kept one is in use.
+func (c *Client) takeBuf() []byte {
+	c.tmu.Lock()
+	defer c.tmu.Unlock()
+	var b []byte
+	if k := len(c.tbufs); k > 0 {
+		b, c.tbufs = c.tbufs[k-1], c.tbufs[:k-1]
+	}
+	return b
+}
+
+// putBuf gives back a buffer takeBuf returned, which the call it was taken
+// for has done with: the request frame is a copy of it, and no reply
+// aliases it. One over maxRetainedImageBuf is dropped.
+func (c *Client) putBuf(b []byte) {
+	if cap(b) > maxRetainedImageBuf {
+		return
+	}
+	c.tmu.Lock()
+	c.tbufs = append(c.tbufs, b[:0])
+	c.tmu.Unlock()
+}
+
+// maxRetainedImageBuf caps each image buffer a client keeps.
+const maxRetainedImageBuf = 4 << 10
 
 // The reply decoders take a checked reply's fields and the round trip's
 // error, so a verb is one decoder over one call.
@@ -1041,6 +1058,13 @@ func (c *conn) readLoop() {
 	for {
 		rawOp, rawFields, err := r.ReadFrame()
 		c.mu.Lock()
+		if c.dead != nil {
+			// The connection was failed, and closed, from outside: a
+			// finished Session or a Close. That closing is what ended the
+			// read, and every request in flight has its answer already.
+			c.mu.Unlock()
+			return
+		}
 		if err != nil {
 			// The read deadline is the head request's: a read that fails
 			// once it has passed is that request's timeout.

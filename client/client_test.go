@@ -355,3 +355,40 @@ func TestWriteFailureKeepsWonResponse(t *testing.T) {
 		t.Error("connection must still be condemned after the write failure")
 	}
 }
+
+// TestClosedConnReportsItsCause: a connection the client closes on purpose
+// — a finished Session's (ErrDone) or a closed client's (ErrClosed) —
+// answers the request it had in flight, and every later one, with that
+// cause and never ErrConnLost, although its reader sees the close as a
+// failed read: the reader returns as soon as it finds the connection
+// failed, without wrapping the read error it will not deliver.
+func TestClosedConnReportsItsCause(t *testing.T) {
+	swallowed := make(chan struct{}, 1)
+	addr := fakeServer(t, func(conn net.Conn) {
+		defer conn.Close()
+		for { // read every request and answer none
+			if _, _, err := wire.ReadFrame(conn, 0); err != nil {
+				return
+			}
+			swallowed <- struct{}{}
+		}
+	})
+	for _, cause := range []error{ErrDone, ErrClosed} {
+		cn, err := dialConn(addr, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inflight := make(chan error, 1)
+		go func() {
+			_, _, err := cn.roundTrip(0, wire.OpPing)
+			inflight <- err
+		}()
+		<-swallowed // the request reached the server, which keeps it
+		cn.fail(cause)
+		for i, err := range []error{<-inflight, func() error { _, _, err := cn.roundTrip(0, wire.OpPing); return err }()} {
+			if !errors.Is(err, cause) || errors.Is(err, ErrConnLost) {
+				t.Errorf("request %d on a connection failed with %v: %v, want %v and not %v", i, cause, err, cause, ErrConnLost)
+			}
+		}
+	}
+}

@@ -115,6 +115,11 @@ type ApplyStats struct {
 type Extent struct {
 	in    *types.Interned
 	items []Entry
+	// owner is the Apply that built this Extent, which edits it in place
+	// (nil for any other); mine reports that items is an array that Apply
+	// made, not one a published extent shares. See Apply.
+	owner *pmap.Owner
+	mine  bool
 }
 
 // Type returns the extent's interned type handle.
@@ -198,15 +203,25 @@ func removeAt(items []Entry, i int) []Entry {
 // parent's type generation unless an op added a member type or emptied an
 // extent. Apply must only be called on the newest Set of a lineage, at
 // most once (the single-successor rule); the caller serializes writers.
+//
+// Apply builds the successor under one pmap.Owner, as a commit builds its
+// root table: the first change to an extent copies the extent, and the
+// path to it in the type → extent table, and every later change of the
+// same Apply edits those copies in place, which nobody else can see yet.
+// It never edits a node or an extent it did not build: those are its
+// parent's, and published. A rebind within one extent is one copy of the
+// extent, the new member appended in the room the copy leaves.
 func (s *Set) Apply(ops []Op) (*Set, ApplyStats) {
 	next := *s
+	o := new(pmap.Owner)
 	var stats ApplyStats
 	for _, op := range ops {
-		if op.Remove != nil && next.remove(op.Remove) {
+		rebind := op.Remove != nil && op.Add != nil && op.Remove.Interned() == op.Add.Interned()
+		if op.Remove != nil && next.remove(op.Remove, o, rebind) {
 			stats.EntriesTouched++
 		}
 		if op.Add != nil {
-			next.add(op.Add)
+			next.add(op.Add, o)
 			stats.EntriesTouched++
 		}
 	}
@@ -216,30 +231,35 @@ func (s *Set) Apply(ops []Op) (*Set, ApplyStats) {
 	return &next, stats
 }
 
-// add appends d to its extent. Called on a successor under construction
-// only.
-func (next *Set) add(d *dynamic.Dynamic) {
+// add appends d to its extent under o. Called on a successor under
+// construction only.
+func (next *Set) add(d *dynamic.Dynamic, o *pmap.Owner) {
 	e := Entry{Dyn: d, Seq: next.seq}
 	next.seq++
 	next.total++
 	in := d.Interned()
 	key := in.Key()
 	ext, had := next.byType.Get(key)
-	items := []Entry{e}
-	if had {
+	switch {
+	case had && ext.owner == o:
+		ext.items = append(ext.items, e)
+	case had:
 		// append may reuse the parent's spare capacity: safe, because older
 		// published Sets hold shorter slice headers and the single-successor
 		// rule means no sibling Set appends to the same array.
-		items = append(ext.items, e)
-	} else {
+		next.byType = next.byType.SetOwned(key, &Extent{in: in, items: append(ext.items, e), owner: o}, o)
+	default:
 		next.gen = nil // a new member type: Apply starts a generation
+		next.byType = next.byType.SetOwned(key, &Extent{in: in, items: []Entry{e}, owner: o, mine: true}, o)
 	}
-	next.byType = next.byType.Set(key, &Extent{in: in, items: items})
 }
 
-// remove deletes d from its extent, reporting whether it was a member.
-// Called on a successor under construction only.
-func (next *Set) remove(d *dynamic.Dynamic) bool {
+// remove deletes d from its extent under o, reporting whether it was a
+// member. Called on a successor under construction only. An extent that
+// d empties is deleted, and Apply starts a generation, unless refill is
+// set: then the Op goes on to add a member of the same type, and the
+// extent stays, empty for that moment.
+func (next *Set) remove(d *dynamic.Dynamic, o *pmap.Owner, refill bool) bool {
 	in := d.Interned()
 	key := in.Key()
 	ext, ok := next.byType.Get(key)
@@ -253,13 +273,17 @@ func (next *Set) remove(d *dynamic.Dynamic) bool {
 	if i == len(ext.items) {
 		return false
 	}
-	items := removeAt(ext.items, i)
 	next.total--
-	if len(items) == 0 {
-		next.byType = next.byType.Delete(key)
+	switch {
+	case len(ext.items) == 1 && !refill:
+		next.byType = next.byType.DeleteOwned(key, o)
 		next.gen = nil // an emptied extent: Apply starts a generation
-	} else {
-		next.byType = next.byType.Set(key, &Extent{in: in, items: items})
+	case ext.owner == o && ext.mine:
+		ext.items = slices.Delete(ext.items, i, i+1)
+	case ext.owner == o:
+		ext.items, ext.mine = removeAt(ext.items, i), true
+	default:
+		next.byType = next.byType.SetOwned(key, &Extent{in: in, items: removeAt(ext.items, i), owner: o, mine: true}, o)
 	}
 	return true
 }

@@ -179,6 +179,16 @@ type nodeBuf struct {
 	bytes.Buffer
 }
 
+// keep empties b for the next group, or drops its buffer when it grew
+// past maxKeptGroup.
+func (b *nodeBuf) keep() {
+	if b.Cap() > maxKeptGroup {
+		*b = nodeBuf{}
+		return
+	}
+	b.Reset()
+}
+
 func (b *nodeBuf) uvarint(x uint64) { b.Write(binary.AppendUvarint(b.AvailableBuffer(), x)) }
 
 func (b *nodeBuf) varint(x int64) { b.Write(binary.AppendVarint(b.AvailableBuffer(), x)) }

@@ -219,6 +219,10 @@ type Store struct {
 	touched       map[string]bool
 	stagedTouched map[string]bool
 
+	// sc is the committer's scratch for one commit group, kept from one
+	// group to the next; see scratch.
+	sc scratch
+
 	// replica marks a store fed by ApplyGroup (a replication follower);
 	// local mutations are refused with ErrReplica, and materialized values
 	// are not registered in oids (a follower never re-encodes them).
@@ -620,7 +624,7 @@ func (s *Store) Rebind(name string, d *dynamic.Dynamic) (*dynamic.Dynamic, error
 	}
 	s.touch(name)
 	if d == nil {
-		s.roots = s.roots.Delete(name)
+		s.roots = s.roots.DeleteOwned(name, s.owner)
 	} else {
 		s.roots = s.roots.SetOwned(name, d, s.owner)
 	}
@@ -760,47 +764,12 @@ func (s *Store) OpenAs(name string, want types.Type) (value.Value, error) {
 
 // reach walks the container graph from the named roots, in the order
 // given, assigning OIDs to new containers, and returns the reachable
-// containers in that deterministic order. Transient record fields are not
-// traversed. A root whose own container has no OID yet is touched: its
-// table entry is about to name a fresh one.
+// containers in that deterministic order, in the scratch's order slice.
+// Transient record fields are not traversed. A root whose own container
+// has no OID yet is touched: its table entry is about to name a fresh one.
 func (s *Store) reach(names []string) []value.Value {
-	var order []value.Value
-	seen := map[value.Value]bool{}
-	var walk func(v value.Value)
-	walk = func(v value.Value) {
-		if !isContainer(v) {
-			return
-		}
-		if seen[v] {
-			return
-		}
-		seen[v] = true
-		if _, ok := s.oids[v]; !ok {
-			s.oids[v] = s.nextOID
-			s.nextOID++
-			s.fresh = append(s.fresh, v)
-		}
-		order = append(order, v)
-		switch vv := v.(type) {
-		case *value.Record:
-			vv.Each(func(l string, f value.Value) {
-				if !isTransient(l, TransientPrefix) {
-					walk(f)
-				}
-			})
-		case *value.List:
-			for _, el := range vv.Elems {
-				walk(el)
-			}
-		case *value.Set:
-			for _, el := range vv.Elems() {
-				walk(el)
-			}
-		case *value.Tag:
-			walk(vv.Payload)
-		case *dynamic.Dynamic:
-			walk(vv.Value())
-		}
+	if s.sc.seen == nil {
+		s.sc.seen = map[value.Value]bool{}
 	}
 	for _, n := range names {
 		d, _ := s.roots.Get(n)
@@ -810,9 +779,45 @@ func (s *Store) reach(names []string) []value.Value {
 				s.touch(n)
 			}
 		}
-		walk(v)
+		s.walk(v)
 	}
-	return order
+	return s.sc.order
+}
+
+// walk is reach's step: it numbers v when v is a container that has no
+// OID yet, appends it to the order and walks its children, once per
+// container.
+func (s *Store) walk(v value.Value) {
+	if !isContainer(v) || s.sc.seen[v] {
+		return
+	}
+	s.sc.seen[v] = true
+	if _, ok := s.oids[v]; !ok {
+		s.oids[v] = s.nextOID
+		s.nextOID++
+		s.fresh = append(s.fresh, v)
+	}
+	s.sc.order = append(s.sc.order, v)
+	switch vv := v.(type) {
+	case *value.Record:
+		vv.Each(func(l string, f value.Value) {
+			if !isTransient(l, TransientPrefix) {
+				s.walk(f)
+			}
+		})
+	case *value.List:
+		for _, el := range vv.Elems {
+			s.walk(el)
+		}
+	case *value.Set:
+		for _, el := range vv.Elems() {
+			s.walk(el)
+		}
+	case *value.Tag:
+		s.walk(vv.Payload)
+	case *dynamic.Dynamic:
+		s.walk(vv.Value())
+	}
 }
 
 // encodeRootEntries writes a count and one root-table entry per name.
@@ -832,13 +837,15 @@ func (s *Store) encodeRootEntries(b *nodeBuf, names []string) error {
 }
 
 // rootDelta turns the touched set into the two sorted halves of the next
-// group's 'D' record: the touched handles that are bound now, and those
-// that are not but were in the table the previous group wrote.
+// group's 'D' record, in the scratch's slices: the touched handles that
+// are bound now, and those that are not but were in the table the
+// previous group wrote.
 func (s *Store) rootDelta() (upserts, deletes []string) {
 	prev := s.Committed()
 	if s.stagedRoots != nil {
 		prev = *s.stagedRoots
 	}
+	upserts, deletes = s.sc.upserts[:0], s.sc.deletes[:0]
 	for name := range s.touched {
 		if _, ok := s.roots.Get(name); ok {
 			upserts = append(upserts, name)
@@ -846,8 +853,9 @@ func (s *Store) rootDelta() (upserts, deletes []string) {
 			deletes = append(deletes, name)
 		}
 	}
-	sort.Strings(upserts)
-	sort.Strings(deletes)
+	slices.Sort(upserts)
+	slices.Sort(deletes)
+	s.sc.upserts, s.sc.deletes = upserts, deletes
 	return upserts, deletes
 }
 
@@ -918,21 +926,14 @@ func (s *Store) appendPos() int64 {
 func (s *Store) resetStaging() {
 	s.staged = 0
 	s.stagedEnd = s.end
-	s.stagedNodes = nil
+	s.stagedNodes = keptMap(s.stagedNodes)
 	s.stagedRoots = nil
 	s.forgetTypes(s.durableTypes)
 	if s.stagedDefs != nil {
 		s.defsDirty = true
 		s.stagedDefs = nil
 	}
-	if s.touched == nil {
-		s.touched = s.stagedTouched
-	} else {
-		for name := range s.stagedTouched {
-			s.touched[name] = true
-		}
-	}
-	s.stagedTouched = nil
+	s.touched, s.stagedTouched = merged(s.touched, s.stagedTouched)
 }
 
 // trim cuts the file back to the durable end and repositions the write
@@ -1020,10 +1021,10 @@ func (s *Store) syncStaged() (int, error) {
 	if s.stagedDefs != nil {
 		s.durableDefs = s.stagedDefs
 	}
-	s.stagedNodes, s.stagedRoots, s.stagedDefs = nil, nil, nil
+	s.stagedNodes, s.stagedRoots, s.stagedDefs = keptMap(s.stagedNodes), nil, nil
 	s.staged = 0
-	s.stagedTouched = nil
-	s.fresh = nil
+	s.stagedTouched = keptMap(s.stagedTouched)
+	s.fresh = keptSlice(s.fresh)
 	return n, nil
 }
 
@@ -1058,7 +1059,7 @@ func (s *Store) Commit() (CommitStats, error) {
 	if err := s.writable(); err != nil {
 		return CommitStats{}, err
 	}
-	stats, err := s.stageCommitLocked(s.namesLocked())
+	stats, err := s.stageCommitLocked(true)
 	if err != nil {
 		return stats, err
 	}
@@ -1081,7 +1082,7 @@ func (s *Store) StageCommit() (CommitStats, error) {
 	if err := s.writable(); err != nil {
 		return CommitStats{}, err
 	}
-	return s.stageCommitLocked(s.namesLocked())
+	return s.stageCommitLocked(true)
 }
 
 // StageBound is StageCommit for a caller that only ever changes the store
@@ -1099,8 +1100,7 @@ func (s *Store) StageBound() (CommitStats, error) {
 	if err := s.writable(); err != nil {
 		return CommitStats{}, err
 	}
-	bound, _ := s.rootDelta()
-	return s.stageCommitLocked(bound)
+	return s.stageCommitLocked(false)
 }
 
 // SyncBatch makes every staged commit group durable with one fsync and
@@ -1155,15 +1155,23 @@ func (s *Store) writable() error {
 // groups had been committed singly — which is why a batched log is
 // byte-identical to a serial one (the property test). The root delta
 // likewise covers the handles touched since the previous *staged* group.
-// walk names, sorted, the roots searched for changed nodes: every handle
-// (Commit's reachability semantics) or only the touched ones that are
-// bound (StageBound). Callers hold s.mu.
-func (s *Store) stageCommitLocked(walk []string) (CommitStats, error) {
-	order := s.reach(walk)
-	upserts, deletes := s.rootDelta() // after reach, which may touch
+// The roots searched for changed nodes are every handle when walkAll is
+// set (Commit's reachability semantics), else only the touched ones that
+// are bound (StageBound): the upserts of the root delta, which the walk
+// cannot change, since it touches only a root it walks. Callers hold s.mu.
+func (s *Store) stageCommitLocked(walkAll bool) (CommitStats, error) {
+	defer s.sc.reset()
+	var order []value.Value
+	if walkAll {
+		order = s.reach(s.namesLocked())
+	}
+	upserts, deletes := s.rootDelta() // after a walk of all, which may touch
+	if !walkAll {
+		order = s.reach(upserts)
+	}
 	stats := CommitStats{NodesReachable: len(order)}
 	from := len(s.types)
-	group, newImages, err := s.encodeGroup(order, upserts, deletes, from, &stats)
+	group, err := s.encodeGroup(order, upserts, deletes, from, &stats)
 	if err != nil {
 		// The group never reached the file, so neither did its types.
 		s.forgetTypes(from)
@@ -1176,10 +1184,10 @@ func (s *Store) stageCommitLocked(walk []string) (CommitStats, error) {
 	}
 	stats.BytesWritten = group.Len()
 	if s.stagedNodes == nil {
-		s.stagedNodes = make(map[uint64][]byte, len(newImages))
+		s.stagedNodes = make(map[uint64][]byte, len(s.sc.images))
 	}
-	for oid, img := range newImages {
-		s.stagedNodes[oid] = img
+	for _, n := range s.sc.images {
+		s.stagedNodes[n.oid] = n.img
 	}
 	roots := s.roots
 	s.stagedRoots, s.owner = &roots, new(pmap.Owner)
@@ -1187,17 +1195,8 @@ func (s *Store) stageCommitLocked(walk []string) (CommitStats, error) {
 		s.defsDirty = false
 		s.stagedDefs = append([]string{}, s.indexDefs...)
 	}
-	// Hand the touched set to the batch: the map itself when this is the
-	// batch's first group — a first commit's holds every handle, and is
-	// not worth keeping allocated — else merged.
-	if s.stagedTouched == nil {
-		s.stagedTouched = s.touched
-	} else {
-		for name := range s.touched {
-			s.stagedTouched[name] = true
-		}
-	}
-	s.touched = nil
+	// Hand the touched set to the batch.
+	s.stagedTouched, s.touched = merged(s.stagedTouched, s.touched)
 	return stats, nil
 }
 
@@ -1205,14 +1204,14 @@ func (s *Store) stageCommitLocked(walk []string) (CommitStats, error) {
 // changed since their staged or committed image, the root delta and, if
 // dirty, the index definitions. The types it numbers past from are
 // defined by 'T' records at the group's head. It returns the group,
-// without its checksum, and the node images it writes.
-func (s *Store) encodeGroup(order []value.Value, upserts, deletes []string, from int, stats *CommitStats) (*nodeBuf, map[uint64][]byte, error) {
-	var out nodeBuf
-	newImages := map[uint64][]byte{}
+// without its checksum, in one of the scratch's buffers, and leaves the
+// node images it writes in the scratch's images.
+func (s *Store) encodeGroup(order []value.Value, upserts, deletes []string, from int, stats *CommitStats) (*nodeBuf, error) {
+	out := &s.sc.body
 	for _, v := range order {
 		img, err := encodeNode(v, s, TransientPrefix)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		oid := s.oids[v]
 		prev, ok := s.stagedNodes[oid]
@@ -1222,29 +1221,105 @@ func (s *Store) encodeGroup(order []value.Value, upserts, deletes []string, from
 		if ok && string(prev) == string(img) {
 			continue // unchanged: no I/O
 		}
-		newImages[oid] = img
+		s.sc.images = append(s.sc.images, stagedImage{oid, img})
 		out.WriteByte(recNode)
 		out.uvarint(oid)
 		out.uvarint(uint64(len(img)))
 		out.Write(img)
 		stats.NodesWritten++
 	}
-	if err := s.encodeRootDelta(&out, upserts, deletes); err != nil {
-		return nil, nil, err
+	if err := s.encodeRootDelta(out, upserts, deletes); err != nil {
+		return nil, err
 	}
 	if s.defsDirty {
-		encodeIndexDefs(&out, s.indexDefs)
+		encodeIndexDefs(out, s.indexDefs)
 	}
-	group := &out
+	group := out
 	if len(s.types) > from {
-		group = new(nodeBuf)
+		group = &s.sc.group
 		if err := s.encodeTypes(group, from); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		group.Write(out.Bytes())
 	}
 	group.WriteByte(recCommit)
-	return group, newImages, nil
+	return group, nil
+}
+
+// scratch is the committer's working memory for one commit group: the
+// walk's seen set and order, the root delta's two halves, the node images
+// the group writes and the buffers it is encoded into. The log has one
+// writer, which holds s.mu, and each group is done with all of it once
+// staged (the file holds the bytes, and stagedNodes the images), so it is
+// kept from one group to the next instead of allocated per group. reset
+// drops whatever grew past maxKeptScratch or maxKeptGroup, so that a first
+// commit's walk of every root leaves none of it behind.
+type scratch struct {
+	seen             map[value.Value]bool
+	order            []value.Value
+	upserts, deletes []string
+	images           []stagedImage
+	body, group      nodeBuf
+}
+
+// stagedImage is one node image a group writes.
+type stagedImage struct {
+	oid uint64
+	img []byte
+}
+
+// The scratch kept between groups is at most maxKeptScratch entries in
+// each set and slice and maxKeptGroup bytes in each buffer.
+const (
+	maxKeptScratch = 256
+	maxKeptGroup   = 64 << 10
+)
+
+// reset empties the scratch for the next group, so that it holds no value,
+// name or image of the last.
+func (sc *scratch) reset() {
+	sc.seen = keptMap(sc.seen)
+	sc.order = keptSlice(sc.order)
+	sc.upserts = keptSlice(sc.upserts)
+	sc.deletes = keptSlice(sc.deletes)
+	sc.images = keptSlice(sc.images)
+	sc.body.keep()
+	sc.group.keep()
+}
+
+// keptMap returns m emptied, or nil when it held more than maxKeptScratch
+// entries. The scratch maps only grow between resets, so their length is
+// their peak.
+func keptMap[M ~map[K]V, K comparable, V any](m M) M {
+	if len(m) > maxKeptScratch {
+		return nil
+	}
+	clear(m)
+	return m
+}
+
+// keptSlice returns s emptied, its elements zeroed, or nil when its
+// capacity is over maxKeptScratch.
+func keptSlice[S ~[]E, E any](s S) S {
+	if cap(s) > maxKeptScratch {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
+// merged returns into with the keys of from added, and from emptied (see
+// keptMap): from itself, when into is empty, so that the hand-over of a
+// one-group batch copies nothing.
+func merged(into, from map[string]bool) (map[string]bool, map[string]bool) {
+	if len(into) == 0 {
+		into, from = from, into
+	} else {
+		for name := range from {
+			into[name] = true
+		}
+	}
+	return into, keptMap(from)
 }
 
 // Abort discards all uncommitted changes by replaying the log: handles and
@@ -1329,7 +1404,7 @@ func (s *Store) Compact() (CompactStats, error) {
 	if err := s.writable(); err != nil {
 		return CompactStats{}, err
 	}
-	if _, err := s.stageCommitLocked(s.namesLocked()); err != nil {
+	if _, err := s.stageCommitLocked(true); err != nil {
 		return CompactStats{}, err
 	}
 	if _, err := s.syncStaged(); err != nil {
@@ -1338,6 +1413,7 @@ func (s *Store) Compact() (CompactStats, error) {
 	before := s.end
 	names := s.namesLocked()
 	order := s.reach(names)
+	defer s.sc.reset()
 
 	tmp, err := s.fs.CreateTemp(iofault.Dir(s.path), ".compact-*")
 	if err != nil {

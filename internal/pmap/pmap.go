@@ -167,11 +167,14 @@ func (n *node[V]) set(k string, v V, o *Owner) (a, b *node[V], added bool) {
 
 // Delete returns the successor map without k, or m itself when k is
 // absent.
-func (m Map[V]) Delete(k string) Map[V] {
+func (m Map[V]) Delete(k string) Map[V] { return m.DeleteOwned(k, nil) }
+
+// DeleteOwned is Delete that edits in place the nodes o owns; see Owner.
+func (m Map[V]) DeleteOwned(k string, o *Owner) Map[V] {
 	if m.root == nil {
 		return m
 	}
-	r, ok := m.root.del(k)
+	r, ok := m.root.del(k, o)
 	if !ok {
 		return m
 	}
@@ -185,9 +188,9 @@ func (m Map[V]) Delete(k string) Map[V] {
 	return m
 }
 
-// del returns the copy of n without k — possibly under-full, possibly
+// del returns n without k, edited under o — possibly under-full, possibly
 // empty — and whether k was present; n itself when it was not.
-func (n *node[V]) del(k string) (*node[V], bool) {
+func (n *node[V]) del(k string, o *Owner) (*node[V], bool) {
 	i := n.find(k)
 	if i < 0 {
 		return n, false
@@ -196,16 +199,16 @@ func (n *node[V]) del(k string) (*node[V], bool) {
 		if n.items[i].key != k {
 			return n, false
 		}
-		return n.splice(i, i+1), true
+		return n.edit(o, i, i+1), true
 	}
-	c, ok := n.items[i].kid.del(k)
+	c, ok := n.items[i].kid.del(k, o)
 	switch {
 	case !ok:
 		return n, false
 	case len(c.items) == 0:
-		return n.splice(i, i+1), true
+		return n.edit(o, i, i+1), true
 	case len(c.items) >= minItems || len(n.items) == 1:
-		return n.splice(i, i+1, ref(c)), true
+		return n.edit(o, i, i+1, ref(c)), true
 	}
 	// c is under-full: pool it with a neighbour, then keep one node when
 	// the pool fits, two halves when it does not.
@@ -217,11 +220,11 @@ func (n *node[V]) del(k string) (*node[V], bool) {
 		l, r = n.items[i].kid, c
 	}
 	pool := make([]item[V], 0, len(l.items)+len(r.items))
-	a, b := (&node[V]{items: append(append(pool, l.items...), r.items...)}).split()
+	a, b := (&node[V]{items: append(append(pool, l.items...), r.items...), owner: o}).split()
 	if b == nil {
-		return n.splice(i, i+2, ref(a)), true
+		return n.edit(o, i, i+2, ref(a)), true
 	}
-	return n.splice(i, i+2, ref(a), ref(b)), true
+	return n.edit(o, i, i+2, ref(a), ref(b)), true
 }
 
 // Range calls f on each key and value in ascending key order until f

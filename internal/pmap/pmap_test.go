@@ -126,7 +126,7 @@ func TestQuickAgainstGoMap(t *testing.T) {
 		for op := 0; op < 4*universe; op++ {
 			k := key(rng.Intn(universe))
 			if rng.Intn(3) == 0 {
-				m = m.Delete(k)
+				m = m.DeleteOwned(k, o)
 				delete(want, k)
 			} else {
 				m = m.SetOwned(k, op, o)

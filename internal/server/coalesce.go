@@ -87,14 +87,16 @@ func ParseDurability(s string) (Durability, error) {
 // committer appends lock-wait/stage/fsync/publish child spans under sp
 // (the writer's "commit" span) while the writer blocks on done, so the
 // finished tree shows exactly where the write spent its time. Both are
-// nil/zero for unsampled requests.
+// nil/zero for unsampled requests. A session keeps one request, and its
+// channel, for all its commits (see Server.submit): it has at most one
+// in flight, and the committer is done with it once it has sent done.
 type commitReq struct {
 	ops      []txnOp
 	key      string
 	enqueued time.Time
 	tr       *rtrace.Trace
 	sp       rtrace.SpanID
-	done     chan struct{} // closed once res is final
+	done     chan struct{} // buffered; receives one value once res is final
 
 	// The rest belongs to processBatch, under commitMu. existed is set
 	// once the request's answer rides the batch: its group is staged, or
@@ -133,7 +135,7 @@ func (r *commitReq) send() {
 	if !r.answered {
 		r.res = commitResult{err: &wire.WireError{Code: wire.CodeInternal, Msg: "commit batch dropped a waiter"}}
 	}
-	close(r.done)
+	r.done <- struct{}{}
 }
 
 // grouped reports whether r's commit wrote a group. Valid once existed is
@@ -230,7 +232,8 @@ func (s *Server) processBatch(batch []*commitReq) {
 	// already durable from an earlier batch) succeed regardless of this
 	// batch's fate; a duplicate key *within* the batch shares the first
 	// occurrence's result.
-	var iops []index.Op
+	iops := s.iops[:0]
+	defer func() { s.iops = keptOps(iops) }()
 	var staged int
 	var failAll error
 	// batchTrace is the trace that stamps this batch's REPDATA frames:
@@ -355,6 +358,20 @@ func (s *Server) processBatch(batch []*commitReq) {
 		}
 	}
 	s.m.batchGroups.Observe(int64(staged))
+}
+
+// maxKeptOps caps the index ops the committer keeps room for from one
+// batch to the next.
+const maxKeptOps = 1 << 10
+
+// keptOps returns ops emptied, its elements zeroed so that it pins no
+// dynamic, or nil when its capacity is over maxKeptOps.
+func keptOps(ops []index.Op) []index.Op {
+	if cap(ops) > maxKeptOps {
+		return nil
+	}
+	clear(ops)
+	return ops[:0]
 }
 
 // stagedWithKey returns the request among reqs whose answer rides this

@@ -1,7 +1,5 @@
 package server
 
-import "container/list"
-
 // idemCache is the bounded LRU of *applied* write ids: idempotency key →
 // the per-op existed results the commit group produced. A write is
 // recorded only after its commit group is durable, so a dedup hit means
@@ -19,19 +17,30 @@ import "container/list"
 // window, and PUT/DELETE re-application is idempotent at the state level
 // anyway — the window exists so DELETE's existed bit and the log's
 // group count stay exact across the retries that can actually happen.
+//
+// The LRU order is a doubly linked list threaded through an array of
+// slots by index, so a write recorded costs no allocation of its own once
+// the array has grown to the capacity: the slot of the evicted key takes
+// the new one.
 type idemCache struct {
-	cap int
-	ll  *list.List               // front = most recently applied
-	m   map[string]*list.Element // key → element holding *idemEntry
+	cap   int
+	slots []idemSlot       // grown up to cap, then reused
+	m     map[string]int32 // key → index of its slot
+	// head and tail are the most and the least recently applied slots,
+	// -1 while the cache is empty.
+	head, tail int32
 }
 
-type idemEntry struct {
-	key     string
-	existed []bool
+// idemSlot is one recorded write, linked to its neighbours in LRU order
+// (-1 at either end).
+type idemSlot struct {
+	key        string
+	existed    []bool
+	prev, next int32
 }
 
 func newIdemCache(capacity int) *idemCache {
-	return &idemCache{cap: capacity, ll: list.New(), m: make(map[string]*list.Element, capacity)}
+	return &idemCache{cap: capacity, m: make(map[string]int32, capacity), head: -1, tail: -1}
 }
 
 // get reports whether key was already applied, promoting it on a hit.
@@ -39,12 +48,12 @@ func (c *idemCache) get(key string) ([]bool, bool) {
 	if c == nil {
 		return nil, false
 	}
-	el, ok := c.m[key]
+	i, ok := c.m[key]
 	if !ok {
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*idemEntry).existed, true
+	c.toFront(i)
+	return c.slots[i].existed, true
 }
 
 // put records an applied write, evicting the least recently used entry
@@ -53,17 +62,58 @@ func (c *idemCache) put(key string, existed []bool) {
 	if c == nil {
 		return
 	}
-	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*idemEntry).existed = existed
+	if i, ok := c.m[key]; ok {
+		c.toFront(i)
+		c.slots[i].existed = existed
 		return
 	}
-	c.m[key] = c.ll.PushFront(&idemEntry{key: key, existed: existed})
-	for c.ll.Len() > c.cap {
-		el := c.ll.Back()
-		c.ll.Remove(el)
-		delete(c.m, el.Value.(*idemEntry).key)
+	var i int32
+	if len(c.slots) < c.cap {
+		i = int32(len(c.slots))
+		c.slots = append(c.slots, idemSlot{prev: -1, next: -1})
+	} else {
+		i = c.tail
+		c.unlink(i)
+		delete(c.m, c.slots[i].key)
 	}
+	c.slots[i].key, c.slots[i].existed = key, existed
+	c.m[key] = i
+	c.pushFront(i)
+}
+
+// toFront makes slot i the most recently used.
+func (c *idemCache) toFront(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
+	}
+}
+
+// unlink takes slot i out of the LRU list.
+func (c *idemCache) unlink(i int32) {
+	s := &c.slots[i]
+	if s.prev >= 0 {
+		c.slots[s.prev].next = s.next
+	} else {
+		c.head = s.next
+	}
+	if s.next >= 0 {
+		c.slots[s.next].prev = s.prev
+	} else {
+		c.tail = s.prev
+	}
+	s.prev, s.next = -1, -1
+}
+
+// pushFront links the unlinked slot i in as the most recently used.
+func (c *idemCache) pushFront(i int32) {
+	c.slots[i].next = c.head
+	if c.head >= 0 {
+		c.slots[c.head].prev = i
+	} else {
+		c.tail = i
+	}
+	c.head = i
 }
 
 // len reports the number of recorded write ids (tests).
@@ -71,5 +121,5 @@ func (c *idemCache) len() int {
 	if c == nil {
 		return 0
 	}
-	return c.ll.Len()
+	return len(c.m)
 }

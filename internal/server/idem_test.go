@@ -1,8 +1,11 @@
 package server
 
-import "fmt"
-
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 func TestIdemCacheBoundedLRU(t *testing.T) {
 	c := newIdemCache(3)
@@ -65,5 +68,47 @@ func TestIdemCachePutSameKeyUpdates(t *testing.T) {
 	got, ok := c.get("k")
 	if !ok || len(got) != 1 || !got[0] {
 		t.Errorf("get = %v, %v; want [true]", got, ok)
+	}
+}
+
+// TestIdemCacheMatchesReferenceLRU drives random gets and puts over a
+// small key space through caches of several capacities and checks every
+// answer, the length and the eviction order against a slice kept in
+// recency order: the array-threaded list must be exactly an LRU.
+func TestIdemCacheMatchesReferenceLRU(t *testing.T) {
+	for _, capacity := range []int{1, 2, 3, 8} {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		c := newIdemCache(capacity)
+		var lru []string // most recent first
+		want := map[string]bool{}
+		promote := func(k string) {
+			lru = slices.DeleteFunc(lru, func(x string) bool { return x == k })
+			lru = slices.Insert(lru, 0, k)
+		}
+		for step := 0; step < 2000; step++ {
+			k := fmt.Sprintf("k%d", rng.Intn(2*capacity+2))
+			if rng.Intn(2) == 0 {
+				got, ok := c.get(k)
+				_, held := want[k]
+				if ok != held || ok && (len(got) != 1 || got[0] != want[k]) {
+					t.Fatalf("cap %d step %d: get(%s) = %v, %v; want held %v", capacity, step, k, got, ok, held)
+				}
+				if held {
+					promote(k)
+				}
+				continue
+			}
+			b := rng.Intn(2) == 0
+			c.put(k, []bool{b})
+			want[k] = b
+			promote(k)
+			if len(lru) > capacity {
+				delete(want, lru[capacity])
+				lru = lru[:capacity]
+			}
+			if c.len() != len(lru) {
+				t.Fatalf("cap %d step %d: len %d, want %d", capacity, step, c.len(), len(lru))
+			}
+		}
 	}
 }

@@ -4,8 +4,10 @@ package server
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -100,10 +102,16 @@ func TestPublishCostsTheChangeNotTheStore(t *testing.T) {
 
 // TestPinnedStateStableUnderPublish runs readers that pin the published
 // state and iterate its roots and extents while a committer publishes
-// random binds, rebinds, deletes and index DDL — the server's exact
-// sharing, checked under -race. Each reader checks that the roots and the
-// extents of its pin hold the same members. At the end every snapshot the
-// committer kept must still read exactly what it held when published.
+// random groups of binds, rebinds, deletes and index DDL — the server's
+// exact sharing, checked under -race. A group is one op, or eight, and
+// some groups rebind one name twice or delete a name and bind it again,
+// so that an Apply edits in place the extents and table nodes it copied
+// earlier in the same group. Each reader checks that the roots and the
+// extents of its pin hold the same members. Now and then a transaction's
+// view applies groups to a Fork of a pinned Set, twice over. At the end
+// every snapshot kept, the pinned bases of the views and the views among
+// them, must still read exactly what it held when it was published: its
+// roots, and each extent's members in their order.
 func TestPinnedStateStableUnderPublish(t *testing.T) {
 	var pub atomic.Pointer[state]
 	pub.Store(stateOf(pmap.Map[*dynamic.Dynamic]{}))
@@ -146,59 +154,129 @@ func TestPinnedStateStableUnderPublish(t *testing.T) {
 		}(r)
 	}
 
-	type snapshot struct {
-		st    *state
-		roots map[string]*dynamic.Dynamic
-	}
-	var snaps []snapshot
+	var snaps []pinned
 	want := map[string]*dynamic.Dynamic{}
 	rng := rand.New(rand.NewSource(1))
 	labels := []string{"A", "B", ""} // "" binds a {Name: String}, which {Id: Int} does not match
-	for i := 0; i < 3000; i++ {
-		var op txnOp
-		name := fmt.Sprintf("n%03d", rng.Intn(200))
-		switch k := rng.Intn(20); {
-		case k == 0:
-			op = txnOp{name: "Id", index: true, del: rng.Intn(2) == 0}
-		case k < 6:
-			op = txnOp{name: name, del: true}
-			delete(want, name)
-		default:
-			v := value.Rec("Name", value.String(name))
-			if l := labels[rng.Intn(len(labels))]; l != "" {
-				v = value.Rec("Id", value.Int(int64(rng.Intn(50))), l, value.Int(int64(i)))
-			}
-			d := dynamic.Make(v)
-			op = txnOp{name: name, dyn: d}
-			want[name] = d
+	bind := func(name string, i int) txnOp {
+		v := value.Rec("Name", value.String(name))
+		if l := labels[rng.Intn(len(labels))]; l != "" {
+			v = value.Rec("Id", value.Int(int64(rng.Intn(50))), l, value.Int(int64(i)))
 		}
-		next, _ := pub.Load().apply([]txnOp{op})
+		return txnOp{name: name, dyn: dynamic.Make(v)}
+	}
+	// group returns a random commit group and applies it to roots.
+	group := func(i int, roots map[string]*dynamic.Dynamic) []txnOp {
+		n := 1
+		if rng.Intn(4) == 0 {
+			n = 8
+		}
+		var ops []txnOp
+		for len(ops) < n {
+			name := fmt.Sprintf("n%03d", rng.Intn(200))
+			switch k := rng.Intn(24); {
+			case k == 0:
+				ops = append(ops, txnOp{name: "Id", index: true, del: rng.Intn(2) == 0})
+			case k < 6:
+				ops = append(ops, txnOp{name: name, del: true})
+			case k < 8: // the same name rebound twice
+				ops = append(ops, bind(name, i), bind(name, i))
+			case k < 10: // deleted, then bound again
+				ops = append(ops, txnOp{name: name, del: true}, bind(name, i))
+			default:
+				ops = append(ops, bind(name, i))
+			}
+		}
+		for _, o := range ops {
+			switch {
+			case o.index:
+			case o.del:
+				delete(roots, o.name)
+			default:
+				roots[o.name] = o.dyn
+			}
+		}
+		return ops
+	}
+	for i := 0; i < 3000; i++ {
+		next, _ := pub.Load().apply(group(i, want))
 		pub.Store(next)
 		if i%100 == 0 {
-			frozen := make(map[string]*dynamic.Dynamic, len(want))
-			for n, d := range want {
-				frozen[n] = d
+			snaps = append(snaps, pin(next, want))
+		}
+		if i%150 == 75 {
+			// A transaction's view: two groups over a Fork of the pinned
+			// Set, and a second view over the same Fork, each applied on
+			// and read as the committer publishes.
+			base := pub.Load()
+			snaps = append(snaps, pin(base, want))
+			fork := base.idx.Fork()
+			for range 2 {
+				view, roots := &state{roots: base.roots, idx: fork}, maps.Clone(want)
+				for range 2 {
+					view, _ = view.apply(group(i, roots))
+				}
+				snaps = append(snaps, pin(view, roots))
 			}
-			snaps = append(snaps, snapshot{next, frozen})
 		}
 	}
 	close(stop)
 	wg.Wait()
 	for i, s := range snaps {
-		if s.st.roots.Len() != len(s.roots) || s.st.idx.Len() != len(s.roots) {
-			t.Fatalf("snapshot %d: %d roots, %d members, want %d", i, s.st.roots.Len(), s.st.idx.Len(), len(s.roots))
+		s.check(t, i)
+	}
+}
+
+// pinned is a state with what it read when it was published: its roots,
+// and each extent's members in order, keyed by the extent's type.
+type pinned struct {
+	st      *state
+	roots   map[string]*dynamic.Dynamic
+	extents map[*types.Interned][]*dynamic.Dynamic
+}
+
+// pin records what st reads, and want, the roots it must hold.
+func pin(st *state, want map[string]*dynamic.Dynamic) pinned {
+	return pinned{st: st, roots: maps.Clone(want), extents: extentsOf(st)}
+}
+
+// extentsOf reads each extent of st's index set, in seq order.
+func extentsOf(st *state) map[*types.Interned][]*dynamic.Dynamic {
+	out := map[*types.Interned][]*dynamic.Dynamic{}
+	all, _ := st.idx.GetEntries(types.Intern(types.Top))
+	for _, e := range all {
+		in := e.Dyn.Interned()
+		out[in] = append(out[in], e.Dyn)
+	}
+	return out
+}
+
+// check fails the test unless p's state still reads what p recorded, and
+// its roots and extents hold the same members.
+func (p pinned) check(t *testing.T, i int) {
+	t.Helper()
+	if p.st.roots.Len() != len(p.roots) || p.st.idx.Len() != len(p.roots) {
+		t.Fatalf("snapshot %d: %d roots, %d members, want %d", i, p.st.roots.Len(), p.st.idx.Len(), len(p.roots))
+	}
+	members := map[*dynamic.Dynamic]bool{}
+	for n, d := range p.roots {
+		if got, ok := p.st.roots.Get(n); !ok || got != d {
+			t.Fatalf("snapshot %d: root %q changed after later publishes", i, n)
 		}
-		members := map[*dynamic.Dynamic]bool{}
-		for n, d := range s.roots {
-			if got, ok := s.st.roots.Get(n); !ok || got != d {
-				t.Fatalf("snapshot %d: root %q changed after later publishes", i, n)
-			}
-			members[d] = true
+		members[d] = true
+	}
+	now := extentsOf(p.st)
+	if len(now) != len(p.extents) || p.st.idx.Types() != len(p.extents) {
+		t.Fatalf("snapshot %d: %d extents (%d types), %d when published", i, len(now), p.st.idx.Types(), len(p.extents))
+	}
+	for in, was := range p.extents {
+		ext := p.st.idx.Extent(in)
+		if !slices.Equal(now[in], was) || ext == nil || ext.Len() != len(was) {
+			t.Fatalf("snapshot %d: the extent of %s changed after later publishes", i, in.Type())
 		}
-		all, _ := s.st.idx.GetEntries(top)
-		for _, e := range all {
-			if !members[e.Dyn] {
-				t.Fatalf("snapshot %d: extent member %v published after the snapshot", i, e.Dyn)
+		for _, d := range was {
+			if !members[d] {
+				t.Fatalf("snapshot %d: extent member %v bound to no root", i, d)
 			}
 		}
 	}

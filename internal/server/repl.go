@@ -26,7 +26,6 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -311,14 +310,17 @@ func (s *Server) followOnce() (progressed bool, err error) {
 		return false, fmt.Errorf("subscribing to %s: %w", s.cfg.Follow, err)
 	}
 	conn.SetWriteDeadline(time.Time{})
-	br := bufio.NewReader(conn)
+	// The reader keeps only its header (keep 0): each frame is read into
+	// fresh slices, so the group bytes ApplyGroup is handed, and may keep
+	// node images of, are this frame's alone.
+	fr := wire.NewFrameReader(conn, maxFrame, 0)
 	// head is the offset below which this stream has delivered every byte
 	// of the upstream's log from the log head; -1 once it has not.
 	head := int64(intrinsic.HeaderSize)
 	for {
 		// Four missed heartbeats ⇒ the link is dead, not idle.
 		conn.SetReadDeadline(time.Now().Add(4 * hb))
-		op, fields, err := wire.ReadFrame(br, maxFrame)
+		op, fields, err := fr.ReadFrame()
 		if err != nil {
 			return progressed, fmt.Errorf("stream from %s: %w", s.cfg.Follow, err)
 		}

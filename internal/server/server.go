@@ -329,6 +329,9 @@ type Server struct {
 	mode atomic.Pointer[mode]
 	// idem (guarded by commitMu) deduplicates retried writes; see idem.go.
 	idem *idemCache
+	// iops (guarded by commitMu) is the committer's room for a batch's
+	// index ops, kept from one batch to the next.
+	iops []index.Op
 
 	// m is the always-on metric set; m.inflight is the admission-control
 	// gauge (requests admitted, response not yet produced).
@@ -606,6 +609,11 @@ type session struct {
 	// peer is the connection's remote address, read when the ring first
 	// records one of its requests.
 	peer string
+	// req is the session's commit request, and one the ops of its
+	// one-op commits: each is reused from one commit to the next (see
+	// Server.submit).
+	req commitReq
+	one [1]txnOp
 }
 
 // maxRetainedFrame caps each request and reply buffer a session keeps
@@ -948,7 +956,7 @@ func (s *Server) handleCommit(sess *session, fields [][]byte) (byte, [][]byte) {
 	}
 	ops := sess.ops
 	sess.endTxn()
-	if _, err := s.commit(ops, keyOf(fields, 0), sess.tr); err != nil {
+	if _, err := s.submit(&sess.req, ops, keyOf(fields, 0), sess.tr); err != nil {
 		return errResp(toWireError(err))
 	}
 	return wire.OpOK, nil
@@ -1206,7 +1214,7 @@ func (s *Server) handlePut(sess *session, fields [][]byte) (byte, [][]byte) {
 		sess.buffer(op)
 		return wire.OpOK, nil
 	}
-	if _, err := s.commit([]txnOp{op}, keyOf(fields, 2), sess.tr); err != nil {
+	if _, err := sess.commitOne(op, keyOf(fields, 2)); err != nil {
 		return errResp(toWireError(err))
 	}
 	return wire.OpOK, nil
@@ -1221,13 +1229,13 @@ func (s *Server) handleDelete(sess *session, fields [][]byte) (byte, [][]byte) {
 	if sess.inTxn {
 		_, existed := sess.view(s).roots.Get(name)
 		sess.buffer(op)
-		return wire.OpOK, [][]byte{boolField(existed)}
+		return wire.OpOK, boolReply(existed)
 	}
-	existed, err := s.commit([]txnOp{op}, keyOf(fields, 1), sess.tr)
+	existed, err := sess.commitOne(op, keyOf(fields, 1))
 	if err != nil {
 		return errResp(toWireError(err))
 	}
-	return wire.OpOK, [][]byte{boolField(existed[0])}
+	return wire.OpOK, boolReply(existed[0])
 }
 
 // ---------------------------------------------------------------------------
@@ -1259,11 +1267,11 @@ func (s *Server) handleIndexDDL(sess *session, fields [][]byte, name string, dro
 		return errResp(&wire.WireError{Code: wire.CodeTxn, Msg: name + " inside a transaction"})
 	}
 	ddl := txnOp{name: field, index: true, del: drop}
-	changed, err := s.commit([]txnOp{ddl}, keyOf(fields, 1), sess.tr)
+	changed, err := sess.commitOne(ddl, keyOf(fields, 1))
 	if err != nil {
 		return errResp(toWireError(err))
 	}
-	return wire.OpOK, [][]byte{boolField(changed[0])}
+	return wire.OpOK, boolReply(changed[0])
 }
 
 // handleExplain is the EXPLAIN opcode: one type field renders the exact
@@ -1299,12 +1307,16 @@ func keyOf(fields [][]byte, i int) string {
 	return ""
 }
 
-func boolField(b bool) []byte {
+// boolReply is the one-field reply of DELETE and the index DDL: b as a
+// byte. Every such reply shares the two, and only reads them.
+func boolReply(b bool) [][]byte {
 	if b {
-		return []byte{1}
+		return trueReply[:]
 	}
-	return []byte{0}
+	return falseReply[:]
 }
+
+var falseReply, trueReply = [1][]byte{{0}}, [1][]byte{{1}}
 
 func (sess *session) buffer(op txnOp) {
 	sess.ops = append(sess.ops, op)
@@ -1329,16 +1341,37 @@ func (sess *session) buffer(op txnOp) {
 // applies exactly once. Only durable applications are recorded — a failed
 // commit's retry re-executes.
 func (s *Server) commit(ops []txnOp, key string, tr *rtrace.Trace) ([]bool, error) {
+	return s.submit(new(commitReq), ops, key, tr)
+}
+
+// submit is commit through req, which a session keeps for all its
+// commits: req is refilled, handed to the committer, and emptied again
+// once its answer is read, so that an idle session pins none of the
+// commit's ops. Its channel is made at its first commit and reused.
+func (s *Server) submit(req *commitReq, ops []txnOp, key string, tr *rtrace.Trace) ([]bool, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
+	done := req.done
+	if done == nil {
+		done = make(chan struct{}, 1)
+	}
 	sp := tr.Start(0, "commit")
-	req := &commitReq{ops: ops, key: key, enqueued: time.Now(),
-		tr: tr, sp: sp, done: make(chan struct{})}
+	*req = commitReq{ops: ops, key: key, enqueued: time.Now(), tr: tr, sp: sp, done: done}
 	s.commitCh <- req
-	<-req.done
+	<-done
 	tr.End(sp)
-	return req.res.existed, req.res.err
+	res := req.res
+	*req = commitReq{done: done}
+	return res.existed, res.err
+}
+
+// commitOne commits the one op through the session's request.
+func (sess *session) commitOne(op txnOp, key string) ([]bool, error) {
+	sess.one[0] = op
+	existed, err := sess.srv.submit(&sess.req, sess.one[:], key, sess.tr)
+	sess.one[0] = txnOp{}
+	return existed, err
 }
 
 // rollback reverts a failed commit with the store's AbortBound: the store's
