@@ -633,7 +633,9 @@ func BenchmarkCodecDecode(b *testing.B) {
 	})
 	const n = 512
 	imgs := make([][]byte, n)
-	w, wide := codec.NewReplyWriter(n), codec.NewReplyWriter(n)
+	var w, wide codec.ReplyWriter
+	w.Reset(n, 0)
+	wide.Reset(n, 0)
 	for i := range imgs {
 		v := value.Rec("Id", value.Int(int64(i)), "Name", value.String(fmt.Sprintf("row-%07d", i)),
 			"A", value.Int(1<<24+int64(i)), fmt.Sprintf("A%d", 1+i%4), value.String("zxcvbnmasdfg"), "A9", value.Float(0.625))

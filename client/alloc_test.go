@@ -102,7 +102,8 @@ func TestDecodeGetAllocs(t *testing.T) {
 	}{{"at their witnesses", false, 0.1}, {"a field more than their witnesses", true, 0.02}} {
 		recs := make([]value.Value, n)
 		want := make([]types.Type, n)
-		w := codec.NewReplyWriter(n)
+		var w codec.ReplyWriter
+		w.Reset(n, 0)
 		for i := range recs {
 			r := value.Rec("Id", value.Int(int64(4711+i)), "Name", value.String(fmt.Sprintf("name-%07d", i)),
 				fmt.Sprintf("A%d", i%witnesses), value.Int(1<<24+int64(i)), "A2", value.Float(0.625))

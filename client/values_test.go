@@ -48,7 +48,8 @@ func TestGetRefusesOldValuesPayload(t *testing.T) {
 		value.Rec("Name", value.String("b"), "Id", value.Int(2)),
 		value.Rec("Name", value.String("c"), "Id", value.Int(3)),
 	}
-	w := codec.NewReplyWriter(len(recs))
+	var w codec.ReplyWriter
+	w.Reset(len(recs), 0)
 	var old [][]byte
 	for _, r := range recs {
 		w.Row(r, wit)

@@ -6,10 +6,12 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -117,64 +119,26 @@ var citedIdent = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)(?
 // The packages are read with go/parser; the benchmark module is not the
 // root module, and main packages are not cited by name.
 func TestDocsCiteExistingIdentifiers(t *testing.T) {
-	declared := map[string]map[string]bool{} // package name → its names and Type.Member pairs
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "bench") {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		if f.Name.Name == "main" {
-			return nil
-		}
-		names := declared[f.Name.Name]
-		if names == nil {
-			names = map[string]bool{}
-			declared[f.Name.Name] = names
-		}
-		for _, decl := range f.Decls {
-			switch decl := decl.(type) {
-			case *ast.FuncDecl:
-				if decl.Recv == nil {
-					names[decl.Name.Name] = true
-				} else {
-					names[receiverName(decl.Recv.List[0].Type)+"."+decl.Name.Name] = true
-				}
-			case *ast.GenDecl:
-				for _, spec := range decl.Specs {
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						names[spec.Name.Name] = true
-						if st, ok := spec.Type.(*ast.StructType); ok {
-							for _, field := range st.Fields.List {
-								for _, n := range field.Names {
-									names[spec.Name.Name+"."+n.Name] = true
-								}
-								if field.Names == nil {
-									names[spec.Name.Name+"."+receiverName(field.Type)] = true
-								}
-							}
-						}
-					case *ast.ValueSpec:
-						for _, n := range spec.Names {
-							names[n.Name] = true
-						}
-					}
-				}
-			}
-		}
-		return nil
-	})
+	files, err := repoSources()
 	if err != nil {
 		t.Fatal(err)
+	}
+	declared := map[string]map[string]bool{} // package name → its names and Type.Member pairs
+	for _, sf := range files {
+		if sf.bench() || sf.f.Name.Name == "main" {
+			continue
+		}
+		names := declared[sf.f.Name.Name]
+		if names == nil {
+			names = map[string]bool{}
+			declared[sf.f.Name.Name] = names
+		}
+		eachDecl(sf.f, func(owner, name string, _ declKind) {
+			if owner != "" {
+				name = owner + "." + name
+			}
+			names[name] = true
+		})
 	}
 	cited := 0
 	eachDocSpan(t, func(doc, span string) {
@@ -194,6 +158,95 @@ func TestDocsCiteExistingIdentifiers(t *testing.T) {
 	})
 	if cited == 0 {
 		t.Error("the docs cite no identifier of the root module: the citation pattern matches nothing")
+	}
+}
+
+// sourceFile is one parsed non-test Go file of the repository.
+type sourceFile struct {
+	path string // slash-separated, relative to the repository root
+	dir  string // the directory of its package
+	f    *ast.File
+}
+
+// bench reports whether the file belongs to the benchmark module.
+func (sf sourceFile) bench() bool { return sf.dir == "bench" || strings.HasPrefix(sf.dir, "bench/") }
+
+// repoSources parses the repository's non-test Go files once for every
+// test that reads declarations.
+var repoSources = sync.OnceValues(func() ([]sourceFile, error) { return parseSources(os.DirFS(".")) })
+
+// parseSources parses every non-test Go file of fsys, the benchmark module
+// included, skipping dot directories and testdata.
+func parseSources(fsys fs.FS) ([]sourceFile, error) {
+	var files []sourceFile
+	fset := token.NewFileSet()
+	err := fs.WalkDir(fsys, ".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return fs.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		src, err := fs.ReadFile(fsys, p)
+		if err != nil {
+			return err
+		}
+		f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, sourceFile{path: p, dir: path.Dir(p), f: f})
+		return nil
+	})
+	return files, err
+}
+
+// declKind says what eachDecl found.
+type declKind int
+
+const (
+	declPackage declKind = iota // a func, type, var or const
+	declMethod
+	declField // a struct field, embedded ones under their type's name
+)
+
+// eachDecl calls f with every name a file declares at package level: a
+// func, type, var or const with owner "", and a method or struct field
+// with its type's name as owner.
+func eachDecl(file *ast.File, f func(owner, name string, kind declKind)) {
+	for _, decl := range file.Decls {
+		switch decl := decl.(type) {
+		case *ast.FuncDecl:
+			if decl.Recv == nil {
+				f("", decl.Name.Name, declPackage)
+			} else {
+				f(receiverName(decl.Recv.List[0].Type), decl.Name.Name, declMethod)
+			}
+		case *ast.GenDecl:
+			for _, spec := range decl.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					f("", spec.Name.Name, declPackage)
+					if st, ok := spec.Type.(*ast.StructType); ok {
+						for _, field := range st.Fields.List {
+							for _, n := range field.Names {
+								f(spec.Name.Name, n.Name, declField)
+							}
+							if field.Names == nil {
+								f(spec.Name.Name, receiverName(field.Type), declField)
+							}
+						}
+					}
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						f("", n.Name, declPackage)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -24,7 +24,6 @@ package class
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"dbpl/internal/types"
@@ -114,19 +113,6 @@ func (c *Class) Type() types.Type { return c.typ }
 // checks against the class are pointer-keyed cache hits.
 func (c *Class) Interned() *types.Interned { return c.in }
 
-// Attrs returns the class-level attribute record, creating it on first use.
-// These are the "properties of the class" in the paper's products scenario
-// (e.g. weight and number-in-stock held at class level for cheap products).
-func (c *Class) Attrs() *value.Record {
-	if c.attrs == nil {
-		c.attrs = value.NewRecord()
-	}
-	return c.attrs
-}
-
-// Supers returns the declared direct superclasses.
-func (c *Class) Supers() []*Class { return append([]*Class(nil), c.supers...) }
-
 // IsSubclassOf reports whether c is (transitively, reflexively) a subclass
 // of s.
 func (c *Class) IsSubclassOf(s *Class) bool {
@@ -193,18 +179,6 @@ func (s *Schema) Lookup(name string) (*Class, bool) {
 	defer s.mu.RUnlock()
 	c, ok := s.classes[name]
 	return c, ok
-}
-
-// Classes returns all class names in sorted order.
-func (s *Schema) Classes() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.classes))
-	for n := range s.classes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // NewObject creates an instance of the class from rec, which must conform

@@ -304,12 +304,8 @@ func TestProductsLevelShift(t *testing.T) {
 	}
 }
 
-func TestSchemaListing(t *testing.T) {
+func TestSchemaLookup(t *testing.T) {
 	s, _, _ := declarePersonnel(t)
-	got := s.Classes()
-	if len(got) != 2 || got[0] != "Employee" || got[1] != "Person" {
-		t.Errorf("Classes = %v", got)
-	}
 	if _, ok := s.Lookup("Person"); !ok {
 		t.Error("Lookup failed")
 	}

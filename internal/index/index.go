@@ -550,14 +550,6 @@ func (g *typeGen) keep(want *types.Interned, k *kept, bound int) {
 	g.keptN += k.n
 }
 
-// KeptMembers reports how many members the values s's type generation
-// keeps were derived from, in all (see Keep).
-func (s *Set) KeptMembers() int {
-	s.gen.keepMu.Lock()
-	defer s.gen.keepMu.Unlock()
-	return s.gen.keptN
-}
-
 // MatchStats sizes the subtype query without materializing it: the result
 // cardinality and the number of matching extents, exactly what
 // GetEntries returns.

@@ -151,7 +151,56 @@ func TestKeepFollowsExtents(t *testing.T) {
 	s = addAll(s, dynamic.Make(employee("E4", "Oslo", 4, "Sales")))
 	keep(s, 4, 4)
 	keep(s, 4, 4)
-	if n := s.KeptMembers(); n != 4 || n > s.Len() {
+	s.gen.keepMu.Lock()
+	n := s.gen.keptN // the members the generation's kept values were derived from
+	s.gen.keepMu.Unlock()
+	if n != 4 || n > s.Len() {
 		t.Errorf("the generation keeps values of %d members, want 4 of the Set's %d", n, s.Len())
+	}
+}
+
+// TestKeepIsBounded: Keep at many distinct query types whose matching
+// members add up to several times the Set's. After each call the
+// generation's kept values are derived from no more members than the Set
+// holds, kept values are dropped on the way, and every call still answers
+// its own type's members.
+func TestKeepIsBounded(t *testing.T) {
+	const k = 6
+	s := walkSet(rand.New(rand.NewSource(7)), k, 96)
+	// The queries are {}, {Id: Int}, {T<j>: Int} and {Id: Int, T<j>: Int}:
+	// the first two match every member, the others one extent each.
+	id := types.Field{Label: "Id", Type: types.Int}
+	queries := []*types.Interned{types.Intern(types.NewRecord()), types.Intern(types.NewRecord(id))}
+	for j := 0; j < k; j++ {
+		tj := types.Field{Label: fmt.Sprintf("T%d", j), Type: types.Int}
+		queries = append(queries, types.Intern(types.NewRecord(tj)), types.Intern(types.NewRecord(id, tj)))
+	}
+	derive := func(es []Entry) any { return len(es) }
+	keptN := func() int {
+		s.gen.keepMu.Lock()
+		defer s.gen.keepMu.Unlock()
+		return s.gen.keptN
+	}
+	sum, drops := 0, 0
+	for round := 0; round < 2; round++ {
+		for i, q := range queries {
+			before := keptN()
+			if got, want := s.Keep(q, derive), len(bySeq(s, q)); got != want {
+				t.Fatalf("round %d, query %d: Keep = %v, want %d members", round, i, got, want)
+			}
+			n := keptN()
+			if n > s.Len() {
+				t.Fatalf("round %d, query %d: the generation keeps values of %d members, more than the Set's %d", round, i, n, s.Len())
+			}
+			if n < before {
+				drops++
+			}
+			if round == 0 {
+				sum += len(bySeq(s, q))
+			}
+		}
+	}
+	if sum <= s.Len() || drops == 0 {
+		t.Errorf("the queries match %d members in all and dropped kept values %d times; want more than the Set's %d and some drops", sum, drops, s.Len())
 	}
 }

@@ -104,38 +104,46 @@ func TestOpenShadowingRejected(t *testing.T) {
 	`, "type")
 }
 
-func TestMustRunAndTypeNames(t *testing.T) {
+// mustRun is in.Run, failing the test on an error.
+func mustRun(t *testing.T, in *Interp, src string) []Result {
+	t.Helper()
+	rs, err := in.Run(src)
+	if err != nil {
+		t.Fatalf("Run(%q): %v", src, err)
+	}
+	return rs
+}
+
+// TestRunDeclaresTypeNames: a type declaration is a result of its own and
+// records the abbreviation; a program that does not parse is an error.
+func TestRunDeclaresTypeNames(t *testing.T) {
 	in := New(new(bytes.Buffer))
-	rs := in.MustRun("type Person = {Name: String}; 1 + 1")
+	rs := mustRun(t, in, "type Person = {Name: String}; 1 + 1")
 	if len(rs) != 2 {
-		t.Fatalf("MustRun results = %d", len(rs))
+		t.Fatalf("Run results = %d", len(rs))
 	}
-	names := in.TypeNames()
-	if ty, ok := names["Person"]; !ok || !types.Equal(ty, types.MustParse("{Name: String}")) {
-		t.Errorf("TypeNames = %v", names)
+	if ty, ok := in.abbrevs["Person"]; !ok || !types.Equal(ty, types.MustParse("{Name: String}")) {
+		t.Errorf("abbreviations = %v", in.abbrevs)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustRun should panic on bad input")
-		}
-	}()
-	in.MustRun("][")
+	if _, err := in.Run("]["); err == nil {
+		t.Error("Run of a program that does not parse succeeded")
+	}
 }
 
 func TestValueStrings(t *testing.T) {
 	in := New(new(bytes.Buffer))
-	rs := in.MustRun("fun(x: Int): Int is x")
+	rs := mustRun(t, in, "fun(x: Int): Int is x")
 	if rs[0].Value.String() != "<fun>" {
 		t.Errorf("closure String = %q", rs[0].Value.String())
 	}
 	if rs[0].Value.Kind() != value.KindOpaque {
 		t.Error("closure kind")
 	}
-	rs = in.MustRun("head")
+	rs = mustRun(t, in, "head")
 	if !strings.Contains(rs[0].Value.String(), "head") {
 		t.Errorf("builtin String = %q", rs[0].Value.String())
 	}
-	rs = in.MustRun("head[Int]")
+	rs = mustRun(t, in, "head[Int]")
 	if !strings.Contains(rs[0].Value.String(), "head") {
 		t.Errorf("bound builtin String = %q", rs[0].Value.String())
 	}

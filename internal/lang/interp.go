@@ -163,15 +163,6 @@ func (in *Interp) evalPersistent(d *DPersistent) (value.Value, error) {
 	return v, nil
 }
 
-// MustRun is Run but panics on error; for fixtures and examples.
-func (in *Interp) MustRun(src string) []Result {
-	rs, err := in.Run(src)
-	if err != nil {
-		panic(err)
-	}
-	return rs
-}
-
 // Lookup returns a global binding and its static type.
 func (in *Interp) Lookup(name string) (value.Value, types.Type, bool) {
 	v, ok := in.globals[name]
@@ -179,13 +170,4 @@ func (in *Interp) Lookup(name string) (value.Value, types.Type, bool) {
 		return nil, nil, false
 	}
 	return v, in.globalTypes[name], true
-}
-
-// TypeNames returns the declared type abbreviations.
-func (in *Interp) TypeNames() map[string]types.Type {
-	out := map[string]types.Type{}
-	for k, v := range in.abbrevs {
-		out[k] = v
-	}
-	return out
 }

@@ -88,7 +88,8 @@ func TestTaggedImageAllocs(t *testing.T) {
 // open-record stack, so what it allocates is itself and its slabs: 8.
 func TestReplyWideAllocs(t *testing.T) {
 	const n, maxAllocs = 512, 8
-	w := NewReplyWriter(n)
+	var w ReplyWriter
+	w.Reset(n, 0)
 	for i := range n {
 		v := value.Rec("Id", value.Int(int64(i)), "Name", value.String(fmt.Sprintf("row-%07d", i)),
 			"A", value.Int(1<<24+int64(i)), fmt.Sprintf("A%d", 1+i%4), value.String("zxcvbnmasdfg"), "A9", value.Float(0.625))

@@ -198,13 +198,6 @@ func AppendType(dst []byte, t types.Type) ([]byte, error) {
 	return e.image(dst)
 }
 
-// WriteType writes t to w as a standalone image (AppendType).
-func WriteType(w io.Writer, t types.Type) error {
-	e := NewEncoder(w)
-	e.encodeType(t)
-	return e.Flush()
-}
-
 // Flush hands the buffered image to the writer and returns the first error
 // encountered, the writer's included.
 func (e *Encoder) Flush() error {
@@ -1221,9 +1214,9 @@ func (d *Decoder) skipType(depth int) error {
 // DecodeTagged does the image of a header, its witness's type image and its
 // value's bytes.
 
-// ReplyWriter writes the fields of one reply. Add each row with Row, then
-// take the fields with Fields. Reset readies a writer for the next reply,
-// which it writes into the buffer of the last.
+// ReplyWriter writes the fields of one reply. Reset readies a writer, the
+// zero one included, for a reply, which it writes into the buffer of the
+// last; add each row with Row, then take the fields with Fields.
 type ReplyWriter struct {
 	// buf holds the rows, and after them the reply's types once Fields
 	// has run.
@@ -1250,12 +1243,9 @@ const (
 	replyReserveMax = 64 << 10
 )
 
-// NewReplyWriter returns a writer for a reply of rows rows.
-func NewReplyWriter(rows int) ReplyWriter { return ReplyWriter{want: rows} }
-
-// Reset readies w for a reply of rows rows, as NewReplyWriter does, and
-// keeps the buffer of the reply w wrote last when its capacity is at most
-// keep bytes. The fields Fields returned before are no longer valid.
+// Reset readies w for a reply of rows rows, and keeps the buffer of the
+// reply w wrote last when its capacity is at most keep bytes. The fields
+// Fields returned before are no longer valid.
 func (w *ReplyWriter) Reset(rows, keep int) {
 	buf := w.buf[:0]
 	if cap(buf) > keep {

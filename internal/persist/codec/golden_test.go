@@ -39,9 +39,7 @@ type goldenImage struct {
 func (g goldenImage) encode() ([]byte, error) {
 	switch {
 	case g.typ != nil:
-		var buf bytes.Buffer
-		err := WriteType(&buf, g.typ)
-		return buf.Bytes(), err
+		return AppendType(nil, g.typ)
 	case g.tagged:
 		return MarshalTagged(g.v, g.t)
 	default:

@@ -78,8 +78,8 @@ func TestEncodeRefusesDeepNesting(t *testing.T) {
 	for i := 0; i < MaxTypeDepth; i++ {
 		ty = types.NewList(ty)
 	}
-	if err := WriteType(&bytes.Buffer{}, ty); !errors.Is(err, ErrLimitExceeded) {
-		t.Fatalf("WriteType of a %d-deep type: %v, want ErrLimitExceeded", MaxTypeDepth+1, err)
+	if _, err := AppendType(nil, ty); !errors.Is(err, ErrLimitExceeded) {
+		t.Fatalf("AppendType of a %d-deep type: %v, want ErrLimitExceeded", MaxTypeDepth+1, err)
 	}
 	var v value.Value = value.Int(1)
 	for i := 0; i < MaxValueDepth; i++ {
@@ -89,8 +89,8 @@ func TestEncodeRefusesDeepNesting(t *testing.T) {
 		t.Fatalf("MarshalValue of a %d-deep value: %v, want ErrLimitExceeded", MaxValueDepth+1, err)
 	}
 	// A failed encode leaves nothing behind that a later one trips on.
-	if err := WriteType(&bytes.Buffer{}, types.Int); err != nil {
-		t.Fatalf("WriteType after a refusal: %v", err)
+	if _, err := AppendType(nil, types.Int); err != nil {
+		t.Fatalf("AppendType after a refusal: %v", err)
 	}
 }
 

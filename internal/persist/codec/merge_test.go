@@ -90,7 +90,9 @@ func TestRowMergedMatchesJoin(t *testing.T) {
 		}
 		// Each writer starts with a row at another witness, so a refusal
 		// that left a type or bytes behind would show in the reply.
-		got, want := NewReplyWriter(2), NewReplyWriter(2)
+		var got, want ReplyWriter
+		got.Reset(2, 0)
+		want.Reset(2, 0)
 		got.Row(value.Int(7), types.Int)
 		want.Row(value.Int(7), types.Int)
 		m := got.RowMerged(a, b, wit)
@@ -158,7 +160,8 @@ func TestRowMergedRefusesWhatItCannotRead(t *testing.T) {
 		"empty":             {},
 	} {
 		for _, pair := range [][2][]byte{{img, other}, {other, img}} {
-			w := NewReplyWriter(1)
+			var w ReplyWriter
+			w.Reset(1, 0)
 			if m := w.RowMerged(pair[0][:len(pair[0]):len(pair[0])], pair[1], types.Unit); m != Undecided {
 				t.Errorf("%s: %v, want Undecided", name, m)
 			}
@@ -175,7 +178,8 @@ func TestRowMergedAllocs(t *testing.T) {
 	a, _ := ValueBytes(value.Rec("Id", value.Int(1<<30), "Name", value.String("twelve chars"), "Dept", value.Int(3)))
 	b, _ := ValueBytes(value.Rec("Dept", value.Int(3), "DName", value.String("research"), "R", value.Float(0.5)))
 	wit := types.MustParse("{Id: Int, Dept: Int}")
-	w := NewReplyWriter(200)
+	var w ReplyWriter
+	w.Reset(200, 0)
 	w.RowMerged(a, b, wit)
 	if n := testing.AllocsPerRun(100, func() {
 		if w.RowMerged(a, b, wit) != Merged {
@@ -233,7 +237,8 @@ func FuzzRowMerged(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		a, b = a[:len(a):len(a)], b[:len(b):len(b)]
-		w := NewReplyWriter(1)
+		var w ReplyWriter
+		w.Reset(1, 0)
 		m := w.RowMerged(a, b, types.Unit)
 		fields, err := w.Fields()
 		if err != nil {
@@ -259,7 +264,8 @@ func FuzzRowMerged(f *testing.F) {
 		case m == Merged && err != nil:
 			t.Fatalf("merged, but %s ⊔ %s refuses: %v", va, vb, err)
 		case m == Merged:
-			want := NewReplyWriter(1)
+			var want ReplyWriter
+			want.Reset(1, 0)
 			want.Row(j, types.Unit)
 			wf, err := want.Fields()
 			if err != nil {

@@ -81,7 +81,8 @@ func structural(v value.Value, seen map[value.Value]bool) bool {
 // writeReply is the reply ReplyWriter writes of vals at wits.
 func writeReply(tb testing.TB, vals []value.Value, wits []types.Type) [][]byte {
 	tb.Helper()
-	w := NewReplyWriter(len(vals))
+	var w ReplyWriter
+	w.Reset(len(vals), 0)
 	for i, v := range vals {
 		w.Row(v, wits[i])
 	}

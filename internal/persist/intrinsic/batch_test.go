@@ -90,13 +90,13 @@ func TestStageSyncBatchRoundTrip(t *testing.T) {
 	if _, err := s.StageCommit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.StagedGroups(); got != 2 {
-		t.Fatalf("StagedGroups = %d, want 2", got)
+	if got := s.staged; got != 2 {
+		t.Fatalf("staged = %d, want 2", got)
 	}
 	if de := s.DurableEnd(); de != HeaderSize {
 		t.Fatalf("durable end %d moved before SyncBatch (header is %d)", de, HeaderSize)
 	}
-	if se := s.StagedEnd(); se <= HeaderSize {
+	if se := s.appendPos(); se <= HeaderSize {
 		t.Fatalf("staged end %d did not advance past header", se)
 	}
 
@@ -107,11 +107,11 @@ func TestStageSyncBatchRoundTrip(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("SyncBatch promoted %d groups, want 2", n)
 	}
-	if s.StagedGroups() != 0 {
-		t.Fatalf("%d groups still staged after SyncBatch", s.StagedGroups())
+	if s.staged != 0 {
+		t.Fatalf("%d groups still staged after SyncBatch", s.staged)
 	}
-	if s.DurableEnd() != s.StagedEnd() {
-		t.Fatalf("durable end %d != staged end %d after SyncBatch", s.DurableEnd(), s.StagedEnd())
+	if s.DurableEnd() != s.appendPos() {
+		t.Fatalf("durable end %d != staged end %d after SyncBatch", s.DurableEnd(), s.appendPos())
 	}
 	// An empty SyncBatch trivially succeeds.
 	if n, err := s.SyncBatch(); n != 0 || err != nil {
@@ -130,7 +130,7 @@ func TestStageSyncBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() {
+	if !fsckClean(rep) {
 		t.Fatalf("log not clean after batched commit: %v", rep)
 	}
 }
@@ -347,8 +347,8 @@ func TestSyncBatchFailureFailsWholeBatch(t *testing.T) {
 	if s.DurableEnd() != durable {
 		t.Fatalf("durable end moved to %d across a failed batch (pre-batch %d)", s.DurableEnd(), durable)
 	}
-	if s.StagedGroups() != 0 {
-		t.Fatalf("%d groups still staged after a rolled-back batch", s.StagedGroups())
+	if s.staged != 0 {
+		t.Fatalf("%d groups still staged after a rolled-back batch", s.staged)
 	}
 	if fi, err := os.Stat(path); err != nil || fi.Size() != durable {
 		t.Fatalf("file size %d after rollback, want pre-batch durable end %d (err %v)", fi.Size(), durable, err)
@@ -373,7 +373,7 @@ func TestSyncBatchFailureFailsWholeBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() {
+	if !fsckClean(rep) {
 		t.Fatalf("log not clean after batch rollback + retry: %v", rep)
 	}
 }
@@ -407,11 +407,11 @@ func TestStageWriteFailureDiscardsBatch(t *testing.T) {
 	} else if !errors.Is(err, iofault.ErrInjected) {
 		t.Fatalf("StageCommit error %v does not wrap ErrInjected", err)
 	}
-	if s.StagedGroups() != 0 {
-		t.Fatalf("%d groups staged after a failed stage rolled the batch back", s.StagedGroups())
+	if s.staged != 0 {
+		t.Fatalf("%d groups staged after a failed stage rolled the batch back", s.staged)
 	}
-	if s.DurableEnd() != durable || s.StagedEnd() != durable {
-		t.Fatalf("ends (%d, %d) after rollback, want both %d", s.DurableEnd(), s.StagedEnd(), durable)
+	if s.DurableEnd() != durable || s.appendPos() != durable {
+		t.Fatalf("ends (%d, %d) after rollback, want both %d", s.DurableEnd(), s.appendPos(), durable)
 	}
 	// SyncBatch now has nothing to promote: it must not report success for
 	// groups that were rolled back.
@@ -477,7 +477,7 @@ func TestAbortDiscardsStagedGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() {
+	if !fsckClean(rep) {
 		t.Fatalf("log not clean after Abort of staged batch: %v", rep)
 	}
 }
@@ -543,7 +543,7 @@ func TestPoisonedBatchRecoversViaAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() {
+	if !fsckClean(rep) {
 		t.Fatalf("log not clean after poisoned-batch recovery: %v", rep)
 	}
 }
@@ -596,7 +596,7 @@ func TestFailedAbortReplayPoisons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() || rep.Types != 2 {
+	if !fsckClean(rep) || rep.Types != 2 {
 		t.Fatalf("log after recovery: %v, want clean with 2 types", rep)
 	}
 	r, err := Open(path)
@@ -645,7 +645,7 @@ func TestReadGroupsDuringStagedBatch(t *testing.T) {
 		t.Fatalf("shipped %d bytes, want durable body %d", len(raw), durable-HeaderSize)
 	}
 	// Reading past the durable end (into staged territory) is refused.
-	if _, _, _, err := s.ReadGroupsAt(s.StagedEnd(), 0); !errors.Is(err, ErrBadOffset) {
+	if _, _, _, err := s.ReadGroupsAt(s.appendPos(), 0); !errors.Is(err, ErrBadOffset) {
 		t.Fatalf("ReadGroupsAt(stagedEnd) = %v, want ErrBadOffset", err)
 	}
 
@@ -672,7 +672,7 @@ func TestReadGroupsDuringStagedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() {
+	if !fsckClean(rep) {
 		t.Fatalf("log not clean after read-during-batch: %v", rep)
 	}
 }

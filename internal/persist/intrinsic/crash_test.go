@@ -184,7 +184,7 @@ func TestCommitFailureThenRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !rep.Clean() {
+			if !fsckClean(rep) {
 				t.Fatalf("log not clean after rollback + retry: %v", rep)
 			}
 		})
@@ -249,7 +249,7 @@ func TestPoisonedStoreRecoversViaAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() {
+	if !fsckClean(rep) {
 		t.Fatalf("log not clean after poison recovery: %v", rep)
 	}
 }

@@ -918,7 +918,7 @@ func TestRootDeltaGroupDamagedAtEveryByte(t *testing.T) {
 			t.Fatalf("flip at %d: Open = %v, want a CorruptError", at, err)
 		}
 		rep, err := Fsck(damaged)
-		if err != nil || rep.Clean() || rep.GoodEnd != groupStart || rep.Roots != len(before) {
+		if err != nil || fsckClean(rep) || rep.GoodEnd != groupStart || rep.Roots != len(before) {
 			t.Fatalf("flip at %d: fsck = %+v, %v; want damage reported with the prefix intact", at, rep, err)
 		}
 		if _, err := f.ApplyGroup(flipped[groupStart:]); err == nil {

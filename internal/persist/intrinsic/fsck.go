@@ -36,10 +36,6 @@ type FsckReport struct {
 	Corrupt *CorruptError
 }
 
-// Clean reports whether the log is fully valid: no torn tail, no
-// corruption.
-func (r *FsckReport) Clean() bool { return !r.TornTail && r.Corrupt == nil }
-
 // String renders the report in the format the fsck CLI verb prints.
 func (r *FsckReport) String() string {
 	s := fmt.Sprintf("%s: log v%d, %d bytes, %d commits, %d nodes, %d types, %d roots, %d index defs, epoch %d\n",

@@ -10,6 +10,10 @@ import (
 	"dbpl/internal/value"
 )
 
+// fsckClean reports whether fsck found the log fully valid: no torn tail, no
+// corruption.
+func fsckClean(r *FsckReport) bool { return !r.TornTail && r.Corrupt == nil }
+
 // buildGenerations creates a store at path with `commits` committed
 // generations of a root "x" (values 1..commits) and closes it.
 func buildGenerations(t *testing.T, path string, commits int) {
@@ -53,7 +57,7 @@ func TestFsckCleanLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() {
+	if !fsckClean(rep) {
 		t.Fatalf("report not clean: %v", rep)
 	}
 	if rep.Version != logVersion {
@@ -113,7 +117,7 @@ func TestFsckFoldsRootDeltas(t *testing.T) {
 	if want := len(s.Names()); rep.Roots != want || want != 5 {
 		t.Fatalf("fsck reports %d roots, store holds %d, want 5", rep.Roots, want)
 	}
-	if !rep.Clean() || rep.Commits != 11 {
+	if !fsckClean(rep) || rep.Commits != 11 {
 		t.Fatalf("report = %+v, want clean with 11 commits", rep)
 	}
 }
@@ -201,7 +205,7 @@ func TestFsckBitFlipIsCorrupt(t *testing.T) {
 	if got := rootInt(t, dst, "x"); got != 1 {
 		t.Errorf("salvaged x = %d, want first generation 1", got)
 	}
-	if rep2, err := Fsck(dst); err != nil || !rep2.Clean() {
+	if rep2, err := Fsck(dst); err != nil || !fsckClean(rep2) {
 		t.Fatalf("salvaged log not clean: %v, %v", rep2, err)
 	}
 }
@@ -225,7 +229,7 @@ func TestSalvageTornTail(t *testing.T) {
 	if !rep.TornTail {
 		t.Fatal("source torn tail not reported")
 	}
-	if rep2, err := Fsck(dst); err != nil || !rep2.Clean() {
+	if rep2, err := Fsck(dst); err != nil || !fsckClean(rep2) {
 		t.Fatalf("salvaged log not clean: %v, %v", rep2, err)
 	}
 	if got := rootInt(t, dst, "x"); got != 1 {

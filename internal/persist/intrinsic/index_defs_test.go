@@ -61,8 +61,8 @@ func TestIndexDefsDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() || rep.IndexDefs != 1 {
-		t.Fatalf("fsck: clean=%v indexDefs=%d, want clean with 1", rep.Clean(), rep.IndexDefs)
+	if !fsckClean(rep) || rep.IndexDefs != 1 {
+		t.Fatalf("fsck: clean=%v indexDefs=%d, want clean with 1", fsckClean(rep), rep.IndexDefs)
 	}
 }
 

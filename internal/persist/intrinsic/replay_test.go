@@ -197,7 +197,7 @@ func TestCompactRenumbersTypes(t *testing.T) {
 	fsckTypes := func() int {
 		t.Helper()
 		rep, err := Fsck(path)
-		if err != nil || !rep.Clean() {
+		if err != nil || !fsckClean(rep) {
 			t.Fatalf("fsck after compaction: %v, %v", rep, err)
 		}
 		return rep.Types

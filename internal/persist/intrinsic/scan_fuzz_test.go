@@ -465,7 +465,7 @@ func TestTypeOrdinalsResolveInFileOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		rep, err := Fsck(path)
-		if err != nil || !rep.Clean() || rep.Types != 2 || rep.Roots != 2 {
+		if err != nil || !fsckClean(rep) || rep.Types != 2 || rep.Roots != 2 {
 			t.Fatalf("after the append: %+v, %v; want clean, 2 types, 2 roots", rep, err)
 		}
 		if strings.Count(rep.String(), "2 types") != 1 {

@@ -1118,22 +1118,6 @@ func (s *Store) SyncBatch() (int, error) {
 	return s.syncStaged()
 }
 
-// StagedEnd returns the offset just past the last staged commit group —
-// the durable end when no batch is open.
-func (s *Store) StagedEnd() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appendPos()
-}
-
-// StagedGroups reports how many staged-but-unsynced groups the open batch
-// holds (tests and invariant checks).
-func (s *Store) StagedGroups() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.staged
-}
-
 // writable is the shared precondition of every local append path. Callers
 // hold s.mu.
 func (s *Store) writable() error {

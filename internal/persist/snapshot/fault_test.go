@@ -2,6 +2,8 @@ package snapshot
 
 import (
 	"errors"
+	"io"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -17,11 +19,29 @@ func saveEnv(gen int64) *Environment {
 	return e
 }
 
+// saveFile saves e to path through fsys as a caller keeping its core image
+// in a file does: atomically and durably (temporary file, fsync, rename,
+// directory fsync), so a crash mid-save, or just after the rename, never
+// destroys the previous image.
+func saveFile(fsys iofault.FS, path string, e *Environment) error {
+	return iofault.AtomicWriteFile(fsys, path, func(w io.Writer) error { return Save(w, e) })
+}
+
+// resumeFile resumes from a file written by saveFile.
+func resumeFile(path string) (*Environment, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return Resume(f)
+}
+
 func mustResume(t *testing.T, path string) *Environment {
 	t.Helper()
-	e, err := ResumeFile(path)
+	e, err := resumeFile(path)
 	if err != nil {
-		t.Fatalf("ResumeFile: %v", err)
+		t.Fatalf("resumeFile: %v", err)
 	}
 	return e
 }
@@ -35,7 +55,7 @@ func gen(t *testing.T, e *Environment) int64 {
 	return int64(v.(value.Int))
 }
 
-// TestSaveFileFaultAtomicity drives SaveFileFS through an injector failing
+// TestSaveFileFaultAtomicity drives saveFile through an injector failing
 // each mutating op kind in turn, and asserts the previous image is always
 // intact: a failed save is a no-op, never a torn file.
 func TestSaveFileFaultAtomicity(t *testing.T) {
@@ -45,18 +65,18 @@ func TestSaveFileFaultAtomicity(t *testing.T) {
 	} {
 		t.Run(string(op), func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "env.img")
-			if err := SaveFile(path, saveEnv(1)); err != nil {
-				t.Fatalf("baseline SaveFile: %v", err)
+			if err := saveFile(iofault.OS{}, path, saveEnv(1)); err != nil {
+				t.Fatalf("baseline saveFile: %v", err)
 			}
 
 			inj := iofault.NewInjector(iofault.OS{})
 			inj.FailAt(op, 1)
-			err := SaveFileFS(inj, path, saveEnv(2))
+			err := saveFile(inj, path, saveEnv(2))
 			if op == iofault.OpSyncDir {
 				// The rename already happened; a failed directory fsync
 				// must still be reported, but the new image is in place.
 				if err == nil {
-					t.Fatalf("SaveFileFS: expected injected %s error", op)
+					t.Fatalf("saveFile: expected injected %s error", op)
 				}
 				if g := gen(t, mustResume(t, path)); g != 2 {
 					t.Fatalf("gen = %d, want 2 after post-rename SyncDir failure", g)
@@ -64,13 +84,13 @@ func TestSaveFileFaultAtomicity(t *testing.T) {
 				return
 			}
 			if err == nil {
-				t.Fatalf("SaveFileFS: expected injected %s error", op)
+				t.Fatalf("saveFile: expected injected %s error", op)
 			}
 			if !errors.Is(err, iofault.ErrInjected) {
-				t.Fatalf("SaveFileFS error %v does not wrap ErrInjected", err)
+				t.Fatalf("saveFile error %v does not wrap ErrInjected", err)
 			}
 			if !errors.Is(err, iofault.ErrIOFailed) {
-				t.Fatalf("SaveFileFS error %v does not wrap ErrIOFailed", err)
+				t.Fatalf("saveFile error %v does not wrap ErrIOFailed", err)
 			}
 			if g := gen(t, mustResume(t, path)); g != 1 {
 				t.Fatalf("gen = %d, want 1 (previous image) after failed %s", g, op)
@@ -86,11 +106,11 @@ func TestSaveFileCrashEveryBoundary(t *testing.T) {
 	// Count boundaries with a fault-free probe run.
 	probeDir := t.TempDir()
 	probePath := filepath.Join(probeDir, "env.img")
-	if err := SaveFile(probePath, saveEnv(1)); err != nil {
+	if err := saveFile(iofault.OS{}, probePath, saveEnv(1)); err != nil {
 		t.Fatalf("probe baseline: %v", err)
 	}
 	probe := iofault.NewInjector(iofault.OS{})
-	if err := SaveFileFS(probe, probePath, saveEnv(2)); err != nil {
+	if err := saveFile(probe, probePath, saveEnv(2)); err != nil {
 		t.Fatalf("probe save: %v", err)
 	}
 	n := probe.Ops()
@@ -101,13 +121,13 @@ func TestSaveFileCrashEveryBoundary(t *testing.T) {
 	for k := 1; k <= n; k++ {
 		for _, lose := range []bool{false, true} {
 			path := filepath.Join(t.TempDir(), "env.img")
-			if err := SaveFile(path, saveEnv(1)); err != nil {
+			if err := saveFile(iofault.OS{}, path, saveEnv(1)); err != nil {
 				t.Fatalf("baseline: %v", err)
 			}
 			inj := iofault.NewInjector(iofault.OS{})
 			inj.LoseUnsynced = lose
 			inj.CrashAt(k)
-			err := SaveFileFS(inj, path, saveEnv(2))
+			err := saveFile(inj, path, saveEnv(2))
 			if err == nil && k <= n-0 && !inj.Crashed() {
 				t.Fatalf("crash %d: injector never fired", k)
 			}

@@ -17,12 +17,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"sync"
 
 	"dbpl/internal/persist/codec"
-	"dbpl/internal/persist/iofault"
 	"dbpl/internal/value"
 )
 
@@ -142,35 +140,4 @@ func Resume(r io.Reader) (*Environment, error) {
 		env.binds[string(s)] = v
 	}
 	return env, nil
-}
-
-// SaveFile saves atomically and durably to path (temporary file, fsync,
-// rename, directory fsync), so a crash mid-save — or even just after the
-// rename — never destroys the previous image — though, as the paper
-// notes, everything else about this model remains fragile.
-func SaveFile(path string, e *Environment) error {
-	return SaveFileFS(iofault.OS{}, path, e)
-}
-
-// SaveFileFS is SaveFile over an explicit file system — the seam the
-// fault tests inject through.
-func SaveFileFS(fsys iofault.FS, path string, e *Environment) error {
-	return iofault.AtomicWriteFile(fsys, path, func(w io.Writer) error {
-		return Save(w, e)
-	})
-}
-
-// ResumeFile resumes from a file written by SaveFile.
-func ResumeFile(path string) (*Environment, error) {
-	return ResumeFileFS(iofault.OS{}, path)
-}
-
-// ResumeFileFS is ResumeFile over an explicit file system.
-func ResumeFileFS(fsys iofault.FS, path string) (*Environment, error) {
-	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Resume(f)
 }

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"dbpl/internal/persist/iofault"
 	"dbpl/internal/value"
 )
 
@@ -104,10 +105,10 @@ func TestSaveFileResumeFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "session.img")
 	env := NewEnvironment()
 	env.Bind("x", value.Int(1))
-	if err := SaveFile(path, env); err != nil {
+	if err := saveFile(iofault.OS{}, path, env); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ResumeFile(path)
+	got, err := resumeFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +117,10 @@ func TestSaveFileResumeFile(t *testing.T) {
 	}
 	// Overwrite is atomic and repeatable.
 	env.Bind("x", value.Int(2))
-	if err := SaveFile(path, env); err != nil {
+	if err := saveFile(iofault.OS{}, path, env); err != nil {
 		t.Fatal(err)
 	}
-	got, err = ResumeFile(path)
+	got, err = resumeFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,6 @@ func NewFlat(attrs ...string) *Flat {
 	return &Flat{attrs: as, index: map[string]int{}}
 }
 
-// Attrs returns the schema attributes in sorted order.
-func (f *Flat) Attrs() []string { return append([]string(nil), f.attrs...) }
-
 // Len reports the number of tuples.
 func (f *Flat) Len() int { return len(f.tuples) }
 

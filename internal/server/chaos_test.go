@@ -17,6 +17,7 @@ import (
 	"dbpl/internal/persist/iofault"
 	"dbpl/internal/server"
 	"dbpl/internal/server/netfault"
+	"dbpl/internal/telemetry"
 	"dbpl/internal/value"
 )
 
@@ -31,6 +32,9 @@ func bootCfg(t testing.TB, path string, st *intrinsic.Store, cfg server.Config) 
 			t.Fatal(err)
 		}
 	}
+	if cfg.Registry == nil {
+		cfg.Registry = telemetry.NewRegistry()
+	}
 	srv, err := server.New(st, cfg)
 	if err != nil {
 		st.Close()
@@ -41,7 +45,7 @@ func bootCfg(t testing.TB, path string, st *intrinsic.Store, cfg server.Config) 
 		st.Close()
 		t.Fatal(err)
 	}
-	h := &harness{t: t, path: path, store: st, srv: srv, addr: ln.Addr().String(), done: make(chan error, 1)}
+	h := &harness{t: t, path: path, store: st, srv: srv, reg: cfg.Registry, addr: ln.Addr().String(), done: make(chan error, 1)}
 	go func() { h.done <- srv.Serve(ln) }()
 	t.Cleanup(h.stop)
 	return h

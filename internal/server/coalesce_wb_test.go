@@ -2,7 +2,8 @@
 // double-ack regression at the stage→ack boundary, exactly-once
 // idempotency across and within batches, every write durable at ack,
 // per-commit as the batch of one, and the
-// lock-wait accounting. These drive Server.commit directly (no network)
+// lock-wait accounting. These drive Server.submit directly (no network),
+// each committer through a request it keeps as a session keeps its own,
 // so the injected faults land on deterministic I/O boundaries, and they
 // force a batch by holding a lead commit's fsync (inOneBatch), never by
 // timing.
@@ -78,7 +79,8 @@ func inOneBatch(t *testing.T, srv *Server, gate *gateFS, lead txnOp, n int, comm
 	gate.Hold()
 	leadErr := make(chan error, 1)
 	go func() {
-		_, err := srv.commit([]txnOp{lead}, "", nil)
+		var req commitReq
+		_, err := srv.submit(&req, []txnOp{lead}, "", nil)
 		leadErr <- err
 	}()
 	waitUntil(t, func() bool { return len(gate.blocked) == 1 }, "the lead commit never reached its fsync")
@@ -116,8 +118,9 @@ func TestCoalescerSharesFsync(t *testing.T) {
 
 	const K = 8
 	syncsBefore := inj.Count(iofault.OpSync)
+	reqs := make([]commitReq, K)
 	errs, leadErr := inOneBatch(t, srv, gate, putOp("lead", 0), K, func(i int) error {
-		_, err := srv.commit([]txnOp{putOp(fmt.Sprintf("r%d", i), int64(i))}, "", nil)
+		_, err := srv.submit(&reqs[i], []txnOp{putOp(fmt.Sprintf("r%d", i), int64(i))}, "", nil)
 		return err
 	})
 	if leadErr != nil {
@@ -141,8 +144,8 @@ func TestCoalescerSharesFsync(t *testing.T) {
 			t.Fatalf("r%d missing from the store after an acked group commit", i)
 		}
 	}
-	if st.StagedGroups() != 0 {
-		t.Fatalf("%d groups left staged after all acks", st.StagedGroups())
+	if n, err := st.SyncBatch(); n != 0 || err != nil {
+		t.Fatalf("SyncBatch after all acks = (%d, %v): groups were left staged", n, err)
 	}
 }
 
@@ -155,7 +158,8 @@ func TestCoalescerBatchFsyncFailureFailsAllWaiters(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "failall.log")
 	inj := iofault.NewInjector(iofault.OS{})
 	srv, st, gate := groupServer(t, inj, path)
-	if _, err := srv.commit([]txnOp{putOp("base", 0)}, "", nil); err != nil {
+	var req commitReq // kept across the test's commits, as a session keeps its own
+	if _, err := srv.submit(&req, []txnOp{putOp("base", 0)}, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	durable := st.DurableEnd()
@@ -167,8 +171,9 @@ func TestCoalescerBatchFsyncFailureFailsAllWaiters(t *testing.T) {
 	for i := 1; i <= K; i++ {
 		inj.FailAt(iofault.OpSync, n+i)
 	}
+	reqs := make([]commitReq, K)
 	errs, _ := inOneBatch(t, srv, gate, putOp("doomed-lead", 0), K, func(i int) error {
-		_, err := srv.commit([]txnOp{putOp(fmt.Sprintf("doomed%d", i), int64(i))}, "", nil)
+		_, err := srv.submit(&reqs[i], []txnOp{putOp(fmt.Sprintf("doomed%d", i), int64(i))}, "", nil)
 		return err
 	})
 	for i, err := range errs {
@@ -190,7 +195,7 @@ func TestCoalescerBatchFsyncFailureFailsAllWaiters(t *testing.T) {
 	// is durable. (Disarm the spare failures first — the lead and the
 	// batch used two of them.)
 	inj.Clear(iofault.OpSync)
-	if _, err := srv.commit([]txnOp{putOp("after", 1)}, "", nil); err != nil {
+	if _, err := srv.submit(&req, []txnOp{putOp("after", 1)}, "", nil); err != nil {
 		t.Fatalf("commit after failed batch: %v", err)
 	}
 	if _, ok := st.Root("after"); !ok {
@@ -238,19 +243,22 @@ func TestRollbackMatchesReopen(t *testing.T) {
 			path := filepath.Join(dir, "rollback.log")
 			inj := iofault.NewInjector(iofault.OS{})
 			srv, st, gate := groupServer(t, inj, path)
+			// One request kept across the sequential commits, and one for
+			// each commit of a concurrent batch, as sessions keep theirs.
+			var req commitReq
+			commit := func(srv *Server, req *commitReq, op txnOp) error {
+				_, err := srv.submit(req, []txnOp{op}, "", nil)
+				return err
+			}
 			for _, op := range []txnOp{putOp("base", 0), putOp("gone", 0)} {
-				if _, err := srv.commit([]txnOp{op}, "", nil); err != nil {
+				if err := commit(srv, &req, op); err != nil {
 					t.Fatal(err)
 				}
 			}
 			doomed := tc.batch()
-			commit := func(srv *Server, op txnOp) error {
-				_, err := srv.commit([]txnOp{op}, "", nil)
-				return err
-			}
 			if len(doomed) == 1 {
 				inj.FailAt(iofault.OpSync, inj.Count(iofault.OpSync)+1)
-				if err := commit(srv, doomed[0]); !errors.Is(err, iofault.ErrInjected) {
+				if err := commit(srv, &req, doomed[0]); !errors.Is(err, iofault.ErrInjected) {
 					t.Fatalf("commit over a failing fsync = %v, want the injected cause", err)
 				}
 			} else {
@@ -260,8 +268,9 @@ func TestRollbackMatchesReopen(t *testing.T) {
 				} else {
 					inj.FailAt(iofault.OpSync, inj.Count(iofault.OpSync)+2) // the lead's fsync passes
 				}
+				reqs := make([]commitReq, len(doomed))
 				errs, leadErr := inOneBatch(t, srv, gate, putOp("lead", 0), len(doomed), func(i int) error {
-					return commit(srv, doomed[i])
+					return commit(srv, &reqs[i], doomed[i])
 				})
 				if leadErr != nil {
 					t.Fatalf("lead commit: %v", leadErr)
@@ -272,8 +281,8 @@ func TestRollbackMatchesReopen(t *testing.T) {
 					}
 				}
 			}
-			if st.StagedGroups() != 0 {
-				t.Fatalf("%d groups left staged after the failed batch", st.StagedGroups())
+			if n, err := st.SyncBatch(); n != 0 || err != nil {
+				t.Fatalf("SyncBatch after the failed batch = (%d, %v): groups were left staged", n, err)
 			}
 
 			log, err := os.ReadFile(path)
@@ -287,7 +296,7 @@ func TestRollbackMatchesReopen(t *testing.T) {
 			fresh, _ := wbServer(t, iofault.OS{}, reopened, Config{})
 			for _, s := range []*Server{srv, fresh} {
 				for _, op := range tc.batch() {
-					if err := commit(s, op); err != nil {
+					if err := commit(s, &req, op); err != nil {
 						t.Fatalf("retried %q: %v", op.name, err)
 					}
 				}
@@ -317,7 +326,8 @@ func TestCoalescerPoisonBetweenStageAndAck(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "poison.log")
 	inj := iofault.NewInjector(iofault.OS{})
 	srv, st, gate := groupServer(t, inj, path)
-	if _, err := srv.commit([]txnOp{putOp("base", 0)}, "", nil); err != nil {
+	var req commitReq // kept across the test's commits, as a session keeps its own
+	if _, err := srv.submit(&req, []txnOp{putOp("base", 0)}, "", nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -333,8 +343,9 @@ func TestCoalescerPoisonBetweenStageAndAck(t *testing.T) {
 	inj.FailAt(iofault.OpTruncate, nt+1)
 	inj.FailAt(iofault.OpTruncate, nt+2)
 
+	reqs := make([]commitReq, K)
 	errs, leadErr := inOneBatch(t, srv, gate, putOp("lead", 0), K, func(i int) error {
-		_, err := srv.commit([]txnOp{putOp(fmt.Sprintf("doomed%d", i), int64(i))}, "", nil)
+		_, err := srv.submit(&reqs[i], []txnOp{putOp(fmt.Sprintf("doomed%d", i), int64(i))}, "", nil)
 		return err
 	})
 	if leadErr != nil {
@@ -349,7 +360,7 @@ func TestCoalescerPoisonBetweenStageAndAck(t *testing.T) {
 		t.Fatal("server not degraded after rollback double-failure")
 	}
 	var we *wire.WireError
-	if _, err := srv.commit([]txnOp{putOp("later", 9)}, "", nil); !errors.As(err, &we) || we.Code != wire.CodeDegraded {
+	if _, err := srv.submit(&req, []txnOp{putOp("later", 9)}, "", nil); !errors.As(err, &we) || we.Code != wire.CodeDegraded {
 		t.Fatalf("commit on poisoned write path = %v, want CodeDegraded", err)
 	}
 	// HEALTH self-reports the poisoned flag next to the watermarks.
@@ -398,7 +409,8 @@ func TestCoalescerPoisonBetweenStageAndAck(t *testing.T) {
 func TestCoalescerIdemExactlyOnce(t *testing.T) {
 	srv, st, gate := groupServer(t, iofault.OS{}, filepath.Join(t.TempDir(), "idem.log"))
 
-	existed, err := srv.commit([]txnOp{putOp("R", 1)}, "key-1", nil)
+	var req commitReq // kept across the test's commits, as a session keeps its own
+	existed, err := srv.submit(&req, []txnOp{putOp("R", 1)}, "key-1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +419,7 @@ func TestCoalescerIdemExactlyOnce(t *testing.T) {
 	}
 	// Across batches: re-execution would now see R existing and answer
 	// [true]; the dedup cache must answer the recorded [false].
-	existed, err = srv.commit([]txnOp{putOp("R", 1)}, "key-1", nil)
+	existed, err = srv.submit(&req, []txnOp{putOp("R", 1)}, "key-1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,9 +431,10 @@ func TestCoalescerIdemExactlyOnce(t *testing.T) {
 	// must stage once; both see the same answer.
 	groupsBefore := commitGroupCount(t, srv) + 1 // the lead's group
 	results := make([][]bool, 2)
+	reqs := make([]commitReq, 2)
 	errs, leadErr := inOneBatch(t, srv, gate, putOp("lead", 0), 2, func(i int) error {
 		var err error
-		results[i], err = srv.commit([]txnOp{putOp("S", 7)}, "key-2", nil)
+		results[i], err = srv.submit(&reqs[i], []txnOp{putOp("S", 7)}, "key-2", nil)
 		return err
 	})
 	if leadErr != nil {
@@ -525,12 +538,13 @@ func TestCoalescerAcksOnlyAfterFsync(t *testing.T) {
 			// never leave the committer wedged on a gated fsync.
 			t.Cleanup(gate.Release)
 
+			var req commitReq // each commit is acked before the next: one kept request
 			for _, op := range []txnOp{putOp("put", 1), {name: "Dept", index: true}} {
 				durable := st.DurableEnd()
 				gate.Hold()
 				acked := make(chan error, 1)
 				go func() {
-					_, err := srv.commit([]txnOp{op}, "", nil)
+					_, err := srv.submit(&req, []txnOp{op}, "", nil)
 					acked <- err
 				}()
 				waitUntil(t, func() bool { return len(gate.blocked) == 1 }, "the commit never reached its fsync")
@@ -614,8 +628,10 @@ func TestNoopDDLWaitsForTheBatchThatMadeIt(t *testing.T) {
 	groupsBefore := commitGroupCount(t, srv)
 	inj.FailAt(iofault.OpSync, inj.Count(iofault.OpSync)+2) // the batch's, not the lead's
 	create := txnOp{name: "Dept", index: true}
+	// One request a committer, each kept across both batches.
+	reqs := make([]commitReq, 2)
 	errs, leadErr := inOneBatch(t, srv, gate, putOp("lead", 0), 2, func(i int) error {
-		_, err := srv.commit([]txnOp{create}, fmt.Sprintf("ddl-%d", i), nil)
+		_, err := srv.submit(&reqs[i], []txnOp{create}, fmt.Sprintf("ddl-%d", i), nil)
 		return err
 	})
 	if leadErr != nil {
@@ -639,7 +655,7 @@ func TestNoopDDLWaitsForTheBatchThatMadeIt(t *testing.T) {
 	// answered at once, with no group either.
 	changed := make([]bool, 2)
 	errs, leadErr = inOneBatch(t, srv, gate, putOp("lead2", 0), 2, func(i int) error {
-		res, err := srv.commit([]txnOp{create}, fmt.Sprintf("ddl-%d", i), nil)
+		res, err := srv.submit(&reqs[i], []txnOp{create}, fmt.Sprintf("ddl-%d", i), nil)
 		if err == nil {
 			changed[i] = res[0]
 		}
@@ -648,7 +664,7 @@ func TestNoopDDLWaitsForTheBatchThatMadeIt(t *testing.T) {
 	if leadErr != nil || errs[0] != nil || errs[1] != nil || changed[0] == changed[1] {
 		t.Fatalf("retried batch: lead %v, CREATEINDEX errors %v, changed %v; want one change", leadErr, errs, changed)
 	}
-	if res, err := srv.commit([]txnOp{create}, "", nil); err != nil || res[0] {
+	if res, err := srv.submit(&reqs[0], []txnOp{create}, "", nil); err != nil || res[0] {
 		t.Fatalf("CREATEINDEX of a declared index = (%v, %v), want ([false], nil)", res, err)
 	}
 	if grew := commitGroupCount(t, srv) - groupsBefore; grew != 3 {
@@ -674,8 +690,9 @@ func TestPerCommitIsBatchOfOne(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var req commitReq // kept across the writer's rounds, as a session keeps its own
 			for r := 0; r < rounds && errs[w] == nil; r++ {
-				_, errs[w] = srv.commit([]txnOp{putOp(fmt.Sprintf("w%d-%d", w, r), int64(r))}, "", nil)
+				_, errs[w] = srv.submit(&req, []txnOp{putOp(fmt.Sprintf("w%d-%d", w, r), int64(r))}, "", nil)
 			}
 		}(w)
 	}
@@ -709,7 +726,8 @@ func TestCommitLockWaitCoversCommitMu(t *testing.T) {
 			srv.commitMu.Lock()
 			done := make(chan error, 1)
 			go func() {
-				_, err := srv.commit([]txnOp{putOp("r", 1)}, "", tr)
+				var req commitReq
+				_, err := srv.submit(&req, []txnOp{putOp("r", 1)}, "", tr)
 				done <- err
 			}()
 			// Hold the lock for hold once the commit span has opened; the
@@ -828,15 +846,18 @@ func TestNoopDeleteWritesNoGroup(t *testing.T) {
 func TestNoopDeleteWaitsForTheBatchThatMadeIt(t *testing.T) {
 	inj := iofault.NewInjector(iofault.OS{})
 	srv, st, gate := groupServer(t, inj, filepath.Join(t.TempDir(), "noop-delete-batch.log"))
-	if _, err := srv.commit([]txnOp{putOp("r", 1)}, "", nil); err != nil {
+	var req commitReq
+	if _, err := srv.submit(&req, []txnOp{putOp("r", 1)}, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	del := txnOp{name: "r", del: true}
 
 	groupsBefore := commitGroupCount(t, srv)
 	inj.FailAt(iofault.OpSync, inj.Count(iofault.OpSync)+2) // the batch's, not the lead's
+	// One request a committer, each kept across both batches.
+	reqs := make([]commitReq, 2)
 	errs, leadErr := inOneBatch(t, srv, gate, putOp("lead", 0), 2, func(i int) error {
-		_, err := srv.commit([]txnOp{del}, fmt.Sprintf("del-%d", i), nil)
+		_, err := srv.submit(&reqs[i], []txnOp{del}, fmt.Sprintf("del-%d", i), nil)
 		return err
 	})
 	if leadErr != nil {
@@ -856,7 +877,7 @@ func TestNoopDeleteWaitsForTheBatchThatMadeIt(t *testing.T) {
 
 	existed := make([]bool, 2)
 	errs, leadErr = inOneBatch(t, srv, gate, putOp("lead2", 0), 2, func(i int) error {
-		res, err := srv.commit([]txnOp{del}, fmt.Sprintf("del-%d", i), nil)
+		res, err := srv.submit(&reqs[i], []txnOp{del}, fmt.Sprintf("del-%d", i), nil)
 		if err == nil {
 			existed[i] = res[0]
 		}

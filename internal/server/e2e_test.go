@@ -19,6 +19,7 @@ import (
 	"dbpl/internal/relation"
 	"dbpl/internal/server"
 	"dbpl/internal/server/wire"
+	"dbpl/internal/telemetry"
 	"dbpl/internal/types"
 	"dbpl/internal/value"
 )
@@ -30,6 +31,7 @@ type harness struct {
 	path  string
 	store *intrinsic.Store
 	srv   *server.Server
+	reg   *telemetry.Registry // the server's metrics, as STATS serves them
 	addr  string
 	done  chan error
 	once  sync.Once

@@ -92,7 +92,8 @@ func TestJoinPairMatchesValueJoin(t *testing.T) {
 			}
 			ws[1] = witnessed{dyn: d, bottom: value.HoldsBottom(vs[1])}
 		}
-		want := codec.NewReplyWriter(1)
+		var want codec.ReplyWriter
+		want.Reset(1, 0)
 		if m, err := value.Join(vs[0], vs[1]); err == nil {
 			meet, ok := types.Meet(decl[0], decl[1])
 			if !ok || (ws[0].bottom || ws[1].bottom) && !value.Conforms(m, meet) {
@@ -105,7 +106,8 @@ func TestJoinPairMatchesValueJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, how := range []string{"cold", "warm"} {
-			got := codec.NewReplyWriter(1)
+			var got codec.ReplyWriter
+			got.Reset(1, 0)
 			joinPair(&got, idx, ws[0], ws[1])
 			gf, err := got.Fields()
 			if err != nil {

@@ -18,6 +18,7 @@ import (
 	"dbpl/internal/server"
 	"dbpl/internal/server/netfault"
 	"dbpl/internal/server/wire"
+	"dbpl/internal/telemetry"
 	"dbpl/internal/value"
 )
 
@@ -35,6 +36,9 @@ func bootAt(t *testing.T, path, addr string, cfg server.Config) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if cfg.Registry == nil {
+		cfg.Registry = telemetry.NewRegistry()
+	}
 	srv, err := server.New(st, cfg)
 	if err != nil {
 		st.Close()
@@ -45,7 +49,7 @@ func bootAt(t *testing.T, path, addr string, cfg server.Config) *harness {
 		st.Close()
 		t.Fatal(err)
 	}
-	h := &harness{t: t, path: path, store: st, srv: srv, addr: ln.Addr().String(), done: make(chan error, 1)}
+	h := &harness{t: t, path: path, store: st, srv: srv, reg: cfg.Registry, addr: ln.Addr().String(), done: make(chan error, 1)}
 	go func() { h.done <- srv.Serve(ln) }()
 	t.Cleanup(h.stop)
 	return h
@@ -100,7 +104,7 @@ func sameLog(t *testing.T, ppath, fpath string) {
 }
 
 func counter(h *harness, name string) uint64 {
-	return h.srv.Telemetry().Counter(name).Value()
+	return h.reg.Counter(name).Value()
 }
 
 // shippedAtLeast waits until primary p has counted n bytes shipped and
@@ -551,7 +555,7 @@ func TestReplShutdownTerminatesStream(t *testing.T) {
 	}
 	f := bootCfg(t, filepath.Join(dir, "follower.log"), nil, replCfg(addr))
 	waitConverged(t, p, f)
-	if g := f.srv.Telemetry().Gauge("dbpl_repl_lag_bytes").Value(); g != 0 {
+	if g := f.reg.Gauge("dbpl_repl_lag_bytes").Value(); g != 0 {
 		t.Errorf("replication lag gauge = %d on a converged follower, want 0", g)
 	}
 	p.stop()

@@ -77,7 +77,7 @@ func TestFollowerHealthNeverAheadOfPublishedState(t *testing.T) {
 	}
 	defer c.Close()
 	replicaReads := c.Telemetry().Counter("dbpl_client_replica_reads_total")
-	healthServed := fsrv.Telemetry().Counter(`dbpl_server_requests_total{op="HEALTH"}`)
+	healthServed := fsrv.m.reg.Counter(`dbpl_server_requests_total{op="HEALTH"}`)
 	rec := types.MustParse("{Name: String}")
 	sees := func(want int) {
 		t.Helper()
@@ -158,7 +158,7 @@ func TestFollowerHealthNeverAheadOfPublishedState(t *testing.T) {
 		// The lag is measured from the end HEALTH and the durable-end gauge
 		// report, so within one snapshot the two add up to the primary's end.
 		fsrv.follower.primaryEnd.Store(pst.DurableEnd())
-		snap := fsrv.Telemetry().Snapshot()
+		snap := fsrv.m.reg.Snapshot()
 		lag, _ := snap.Gauge("dbpl_repl_lag_bytes")
 		end, _ := snap.Gauge("dbpl_store_durable_end")
 		if lag+end != pst.DurableEnd() || end != published {

@@ -40,7 +40,8 @@ func commitRoots(t *testing.T, srv *Server, names []string, vals []value.Value, 
 		}
 		ops[i] = txnOp{name: name, dyn: d}
 	}
-	if _, err := srv.commit(ops, "", nil); err != nil {
+	var req commitReq
+	if _, err := srv.submit(&req, ops, "", nil); err != nil {
 		t.Fatal(err)
 	}
 }

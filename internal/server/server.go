@@ -463,10 +463,6 @@ func New(store *intrinsic.Store, cfg Config) (*Server, error) {
 	return srv, nil
 }
 
-// Telemetry returns the server's metrics registry (the one STATS and the
-// ops endpoint serve).
-func (s *Server) Telemetry() *telemetry.Registry { return s.m.reg }
-
 // Traces returns the retained completed trace trees, newest first; nil
 // when the ring is disabled.
 func (s *Server) Traces() []rtrace.Data {
@@ -1323,7 +1319,7 @@ func (sess *session) buffer(op txnOp) {
 	sess.cur = nil
 }
 
-// commit turns ops into one durable commit group and publishes the
+// submit turns ops into one durable commit group and publishes the
 // successor state, reporting per-op whether each name was bound when the
 // op applied (computed under commitMu, so concurrent DELETEs of one name
 // see exactly one existed=true); for an
@@ -1340,11 +1336,8 @@ func (sess *session) buffer(op txnOp) {
 // the recorded result is returned without touching the store, so a retry
 // applies exactly once. Only durable applications are recorded — a failed
 // commit's retry re-executes.
-func (s *Server) commit(ops []txnOp, key string, tr *rtrace.Trace) ([]bool, error) {
-	return s.submit(new(commitReq), ops, key, tr)
-}
-
-// submit is commit through req, which a session keeps for all its
+//
+// The commit goes through req, which a session keeps for all its
 // commits: req is refilled, handed to the committer, and emptied again
 // once its answer is read, so that an idle session pins none of the
 // commit's ops. Its channel is made at its first commit and reused.

@@ -486,7 +486,7 @@ func bootLiveSystem(t *testing.T) liveSystem {
 // label sets stripped.
 func (l liveSystem) families() map[string]bool {
 	fams := map[string]bool{}
-	for _, reg := range []*telemetry.Registry{l.p.srv.Telemetry(), l.f.srv.Telemetry(), l.c.Telemetry()} {
+	for _, reg := range []*telemetry.Registry{l.p.reg, l.f.reg, l.c.Telemetry()} {
 		snap := reg.Snapshot()
 		var names []string
 		for _, c := range snap.Counters {

@@ -44,7 +44,7 @@ func sameTraces(a, b []rtrace.Data) bool {
 // gauge) may differ from a snapshot taken after it.
 func TestTelemetryRepliesMatchServer(t *testing.T) {
 	srv, _, addr := serveWB(t, "telemetry.log", Config{TraceSampleRate: 1})
-	reg := srv.Telemetry()
+	reg := srv.m.reg
 	reg.Counter("test_big_total").Add(123456789)
 	reg.Gauge("test_negative").Set(-42)
 	h := reg.Histogram("test_seconds", telemetry.UnitDuration, []int64{100, 2000})

@@ -566,12 +566,10 @@ func readFrame(r io.Reader, limit int, hdr []byte, keep *FrameReader) (op byte, 
 	return payload[0], fields, nil
 }
 
-// SplitFields parses the field sequence of a frame payload. The returned
-// slices alias b. The fields are counted first, so the result is allocated
-// once.
-func SplitFields(b []byte) ([][]byte, error) { return splitFields(nil, b) }
-
-// splitFields is SplitFields into dst when it has room for the fields.
+// splitFields parses the field sequence of a frame payload into dst, or
+// into a new slice when dst has no room for the fields. The returned
+// slices alias b. The fields are counted first, so a new result is
+// allocated once.
 func splitFields(dst [][]byte, b []byte) ([][]byte, error) {
 	count := 0
 	for rest := b; len(rest) > 0; count++ {

@@ -265,7 +265,7 @@ func TestHealthFieldsRoundTrip(t *testing.T) {
 
 func TestSplitFieldsAliasesInput(t *testing.T) {
 	payload := []byte{1, 'a', 2, 'b', 'c', 0}
-	fields, err := SplitFields(payload)
+	fields, err := splitFields(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -347,7 +347,7 @@ func TestOrderAllocs(t *testing.T) {
 		{"Leq wider", 0, func() { _ = Leq(a, wider) }},
 		{"Leq equal shapes", 0, func() { _ = Leq(other, a) }},
 		{"AppendKey rec", 0, func() { buf = AppendKey(buf[:0], wider) }},
-		{"InitRecord known shape", 0, func() { InitRecord(&init, labels, vals) }},
+		{"InitRecord known shape", 0, func() { recordOf(&init, labels, vals) }},
 		// The record and three growths of its values slice.
 		{"NewRecord + 4 Set", 4, func() {
 			r := NewRecord()

@@ -21,7 +21,7 @@ func recomputeBits(r *Record) uint64 {
 }
 
 // TestQuickLabelBitsExact checks the invariants the ⊑ fast path and every
-// reader of a shape depend on. Over random sequences of InitRecord (labels
+// reader of a shape depend on. Over random sequences of initRecord (labels
 // sorted, unsorted and repeated), Set, Delete, Copy, Join and Meet, two
 // records share a *Shape exactly when their labels are equal, and a shape's
 // signature is exactly the OR of types.LabelBit over its labels — never a
@@ -46,7 +46,7 @@ func TestQuickLabelBitsExact(t *testing.T) {
 				for i := range vals {
 					vals[i] = Int(1)
 				}
-				recs = append(recs, InitRecord(&Record{}, labels, vals))
+				recs = append(recs, recordOf(&Record{}, labels, vals))
 			case 1:
 				pick().Set(label(), Int(1))
 			case 2:
@@ -81,7 +81,7 @@ func TestQuickLabelBitsExact(t *testing.T) {
 }
 
 // TestShapeTableConcurrent: goroutines building records over overlapping
-// label sets, through InitRecord, Set and Join, meet in the one table: every
+// label sets, through initRecord, Set and Join, meet in the one table: every
 // label set has one shape, pointer-identical wherever it was built.
 func TestShapeTableConcurrent(t *testing.T) {
 	const workers, rounds = 8, 200
@@ -97,7 +97,7 @@ func TestShapeTableConcurrent(t *testing.T) {
 				labels := []string{label(), label(), label()}
 				slices.Sort(labels)
 				labels = slices.Compact(labels)
-				a := InitRecord(&Record{}, labels, []Value{Int(1), Int(1), Int(1)}[:len(labels)])
+				a := recordOf(&Record{}, labels, []Value{Int(1), Int(1), Int(1)}[:len(labels)])
 				b := NewRecord()
 				b.Set(label(), Int(1))
 				b.Set(label(), Int(1))
@@ -167,7 +167,7 @@ func TestDecoderInternsFinishedShapesOnly(t *testing.T) {
 		for i := range labels {
 			labels[i], vals[i] = string(label("init", n-1-i)), Int(n-1-i)
 		}
-		r := InitRecord(&Record{}, labels, vals)
+		r := recordOf(&Record{}, labels, vals)
 		if got := shapeCount() - before; got != 1 {
 			t.Errorf("table grew by %d shapes, want 1", got)
 		}
@@ -203,7 +203,7 @@ func TestDecoderInternsFinishedShapesOnly(t *testing.T) {
 		if outer.Len() != n+1 || field(outer, label("flush", n)) != Value(inner) || inner.Len() != n {
 			t.Fatalf("records read wrong: outer %d fields, inner %d", outer.Len(), inner.Len())
 		}
-		again := InitRecord(&Record{}, outer.Labels(), make([]Value, n+1))
+		again := recordOf(&Record{}, outer.Labels(), make([]Value, n+1))
 		if again.Shape() != outer.Shape() {
 			t.Errorf("a finished record's shape is not the table's")
 		}

@@ -348,7 +348,7 @@ func TestQuickCopyEqualAndIndependent(t *testing.T) {
 	}
 }
 
-// TestQuickSharedLabelsIndependent: records built by InitRecord over one
+// TestQuickSharedLabelsIndependent: records built by recordOf over one
 // labels slice, as a reply decoder builds them, stay independent. Random
 // Set and Delete sequences on one record leave every other record equal to
 // its snapshot, and leave the edited record equal to the same edits on a
@@ -370,7 +370,7 @@ func TestQuickSharedLabelsIndependent(t *testing.T) {
 			for j := range vals {
 				vals[j] = genValue(r, 1)
 			}
-			InitRecord(&recs[i], labels, vals)
+			recordOf(&recs[i], labels, vals)
 			snaps[i] = recs[i].Copy()
 		}
 		edit := r.Intn(len(recs))
@@ -401,26 +401,34 @@ func TestQuickSharedLabelsIndependent(t *testing.T) {
 	}
 }
 
+// recordOf is the record a RecordDecoder ends with after reading labels
+// in order with values: initRecord over the labels' key. r keeps values
+// itself, capped at its length.
+func recordOf(r *Record, labels []string, values []Value) *Record {
+	var buf [keyScratch]byte
+	return initRecord(r, appendLabels(buf[:0], labels), values)
+}
+
 // TestInitRecordOutOfOrder: labels out of order, repeated ones included,
 // build the record Set would build.
 func TestInitRecordOutOfOrder(t *testing.T) {
 	labels := []string{"B", "A", "B"}
-	got := InitRecord(&Record{}, labels, []Value{Int(1), Int(2), Int(3)})
+	got := recordOf(&Record{}, labels, []Value{Int(1), Int(2), Int(3)})
 	want := Rec("B", Int(1), "A", Int(2), "B", Int(3))
 	if !Equal(got, want) || got.Shape() != want.Shape() {
-		t.Fatalf("InitRecord out of order = %v, want %v", got, want)
+		t.Fatalf("recordOf out of order = %v, want %v", got, want)
 	}
 	if labels[0] != "B" || labels[1] != "A" {
-		t.Fatalf("InitRecord reordered its caller's labels: %v", labels)
+		t.Fatalf("recordOf reordered its caller's labels: %v", labels)
 	}
 }
 
 // TestInitShaped: InternShape gives the shape a record of those labels
 // has, or nil for labels out of order, and InitShaped over it builds the
-// record InitRecord builds, keeping the values it was given.
+// record recordOf builds, keeping the values it was given.
 func TestInitShaped(t *testing.T) {
 	labels, vals := []string{"A", "B", "C"}, []Value{Int(1), String("b"), Float(0.5)}
-	want := InitRecord(&Record{}, labels, slices.Clone(vals))
+	want := recordOf(&Record{}, labels, slices.Clone(vals))
 	s := InternShape(labels)
 	got := InitShaped(&Record{}, s, vals)
 	if s != want.Shape() || got.Shape() != s || !Equal(got, want) {

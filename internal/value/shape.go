@@ -94,7 +94,7 @@ func appendLabels(key []byte, labels []string) []byte {
 func InternShape(labels []string) *Shape { return shapeOf(appendLabels(nil, labels)) }
 
 // InitShaped sets r to the fields of shape s, one of InternShape's, whose
-// values are values, one a label, and returns it: the record InitRecord
+// values are values, one a label, and returns it: the record initRecord
 // builds over s's labels, without a label key or a probe of the shape
 // table. r keeps values itself, capped at its length.
 func InitShaped(r *Record, s *Shape, values []Value) *Record {

@@ -25,10 +25,10 @@ import (
 // Kind discriminates the concrete representations of Value.
 type Kind int
 
-// The kinds of value in the domain.
+// The kinds of value in the domain; the zero Kind is no value's.
 const (
-	KindInvalid Kind = iota
-	KindBottom       // ⊥ — the wholly uninformative object
+	_          Kind = iota
+	KindBottom      // ⊥ — the wholly uninformative object
 	KindInt
 	KindFloat
 	KindString
@@ -140,16 +140,6 @@ type Record struct {
 
 // NewRecord returns an empty record object.
 func NewRecord() *Record { return &Record{} }
-
-// InitRecord sets r to the fields labels[i] = values[i] and returns it; r
-// keeps values itself, capped at its length. Labels in ascending order cost
-// one probe of the shape table, and no allocation when it holds them.
-// Labels in any other order are added one by one as by Set, so a repeated
-// label resolves as Set resolves it.
-func InitRecord(r *Record, labels []string, values []Value) *Record {
-	var buf [keyScratch]byte
-	return initRecord(r, appendLabels(buf[:0], labels), values)
-}
 
 // Rec builds a record from alternating label, value pairs:
 // Rec("Name", String("J Doe"), "Age", Int(42)). It panics on an odd number
