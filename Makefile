@@ -31,8 +31,12 @@ test:
 # multi-op groups, each built under one owner that edits in place what it
 # copied, publish over them and over forks,
 # TestPinnedStateStableUnderPublish) are only meaningful here. The write
-# path's allocation pins (TestServePutAllocs, TestStageBoundAllocs,
-# TestApplyRebindAllocs) take their bounds from -race's counts. -race also
+# path's allocation pins (TestServePutAllocs, whose transaction row reuses
+# the connection an ended session gave back, TestStageBoundAllocs,
+# TestApplyRebindAllocs) take their bounds from -race's counts, and
+# TestFreeingCostsTheDelta holds the durable boundary that frees a
+# rebind's old nodes to as many allocations at 65 536 roots as at 1 024
+# (none, when measured). -race also
 # turns on checkptr, which checks the codec's two unsafe uses as the
 # reply tests run them: unsafe.String over a reply's rows field, and box,
 # which makes a reply's slab element the data word of a boxed atom. To

@@ -124,7 +124,9 @@ type Health = wire.Health
 // Options tunes a Client. The zero value is usable.
 type Options struct {
 	// PoolSize is the number of pooled connections for stateless
-	// requests; 0 means 2. Sessions always dial their own.
+	// requests; 0 means 2. A session has a connection of its own, which
+	// it gives back when it ends: Begin takes one of at most PoolSize
+	// connections kept idle that way before it dials a new one.
 	PoolSize int
 	// MaxFrame bounds frames in both directions; 0 means wire.MaxFrame.
 	MaxFrame int
@@ -305,6 +307,7 @@ type Client struct {
 
 	mu     sync.Mutex
 	pool   []*conn // fixed slots, lazily (re)dialed
+	idle   []*conn // ended sessions' connections, at most PoolSize
 	closed bool
 	next   atomic.Uint64 // round-robin over the pool
 
@@ -353,8 +356,8 @@ func (c *Client) nextKey() []byte {
 	return key
 }
 
-// Close closes every pooled and replica connection. Sessions hold their
-// own connections and must be finished separately.
+// Close closes every pooled, idle and replica connection. Sessions hold
+// their own connections and must be finished separately.
 func (c *Client) Close() error {
 	if c.reps != nil {
 		c.reps.close()
@@ -362,13 +365,24 @@ func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
+	c.dropConns(ErrClosed)
+	return nil
+}
+
+// dropConns fails every pooled and idle connection with err. Callers hold
+// c.mu.
+func (c *Client) dropConns(err error) {
 	for i, cn := range c.pool {
 		if cn != nil {
-			cn.fail(ErrClosed)
+			cn.fail(err)
 			c.pool[i] = nil
 		}
 	}
-	return nil
+	for i, cn := range c.idle {
+		cn.fail(err)
+		c.idle[i] = nil
+	}
+	c.idle = c.idle[:0]
 }
 
 // primary returns the current write target: the dialed address, or the
@@ -753,14 +767,17 @@ type Session struct {
 	done bool
 }
 
-// Begin opens a transaction on a dedicated connection. Nothing has been
-// buffered yet, so the whole dial+BEGIN is retried under the policy, and
-// fails over like a stateless call: redialing the new primary is free.
+// Begin opens a transaction on a connection of its own: one an ended
+// session gave back, or a new dial. Nothing has been buffered yet, so the
+// whole BEGIN is retried under the policy — a kept connection the server
+// has since closed fails its attempt, and the next takes another or dials
+// — and fails over like a stateless call: redialing the new primary is
+// free.
 func (c *Client) Begin() (*Session, error) {
 	s := &Session{}
 	s.handle = handle{c: c, s: s}
 	_, err := c.run(retryAll, wire.OpBegin, func() (byte, [][]byte, error) {
-		cn, err := dialConn(c.primary(), c.o)
+		cn, err := c.sessionConn()
 		if err != nil {
 			return 0, nil, err
 		}
@@ -788,14 +805,14 @@ func (s *Session) Commit() error {
 	}
 	defer s.c.noteWrite()
 	_, err := s.call(wire.OpCommit, s.c.nextKey())
-	s.finish()
+	s.finish(err)
 	return err
 }
 
 // Abort discards the buffered writes and ends the session.
 func (s *Session) Abort() error {
 	_, err := s.call(wire.OpAbort)
-	s.finish()
+	s.finish(err)
 	return err
 }
 
@@ -807,11 +824,53 @@ func (s *Session) Close() error {
 	return s.Abort()
 }
 
-func (s *Session) finish() {
-	if !s.done {
-		s.done = true
+// finish ends the session. The server answered err to its COMMIT or
+// ABORT: nil leaves the connection outside any transaction, and it goes
+// back to the client for the next Begin; any error closes it.
+func (s *Session) finish(err error) {
+	if s.done {
+		return
+	}
+	s.done = true
+	if err != nil || !s.c.keepIdle(s.cn) {
 		s.cn.fail(ErrDone)
 	}
+	s.cn = nil
+}
+
+// sessionConn returns a connection for a new session: the last one an
+// ended session gave back that is still open, or a new dial of the
+// primary.
+func (c *Client) sessionConn() (*conn, error) {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, ErrClosed
+	}
+	for k := len(c.idle); k > 0; k-- {
+		cn := c.idle[k-1]
+		c.idle[k-1], c.idle = nil, c.idle[:k-1]
+		if !cn.isDead() {
+			c.mu.Unlock()
+			return cn, nil
+		}
+	}
+	addr := c.addr
+	c.mu.Unlock()
+	return dialConn(addr, c.o)
+}
+
+// keepIdle takes an ended session's connection for a later Begin, and
+// reports false when PoolSize of them are kept already or the client is
+// closed.
+func (c *Client) keepIdle(cn *conn) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed || len(c.idle) >= c.o.poolSize() {
+		return false
+	}
+	c.idle = append(c.idle, cn)
+	return true
 }
 
 // ---------------------------------------------------------------------------

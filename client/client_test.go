@@ -392,3 +392,69 @@ func TestClosedConnReportsItsCause(t *testing.T) {
 		}
 	}
 }
+
+// TestEndedSessionConnIsReused: a session that ends with an OK answer gives
+// its connection to the next Begin, which dials nothing; the client keeps
+// at most PoolSize of them; and a kept connection the server has closed
+// fails only a BEGIN attempt, which the retry answers with a fresh dial.
+func TestEndedSessionConnIsReused(t *testing.T) {
+	var mu sync.Mutex
+	var conns []net.Conn
+	addr := fakeServer(t, func(conn net.Conn) {
+		mu.Lock()
+		conns = append(conns, conn)
+		mu.Unlock()
+		answerPings(conn)
+	})
+	accepted := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(conns)
+	}
+	c, err := Dial(addr, &Options{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	txn := func() *Session {
+		t.Helper()
+		s, err := c.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if err := txn().Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn().Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if got := accepted(); got != 2 {
+		t.Fatalf("the pool and two transactions in turn made %d connections, want 2", got)
+	}
+	a, b := txn(), txn() // the second dials: the first holds the kept one
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	kept := len(c.idle)
+	c.mu.Unlock()
+	if got := accepted(); got != 3 || kept != 1 {
+		t.Fatalf("two open transactions: %d connections made, %d kept; want 3 and PoolSize 1", got, kept)
+	}
+	mu.Lock()
+	for _, conn := range conns[1:] {
+		conn.Close()
+	}
+	mu.Unlock()
+	if err := txn().Commit(); err != nil {
+		t.Fatalf("a transaction after the server closed the kept connection: %v", err)
+	}
+	if got := accepted(); got != 4 {
+		t.Fatalf("%d connections made, want 4: one fresh dial after the closed one", got)
+	}
+}

@@ -122,9 +122,10 @@ func capDur(d, cap time.Duration) time.Duration {
 	return d
 }
 
-// repin swaps the write target and kills every pooled connection so the
-// next request dials the new primary. In-flight requests on the old pool
-// fail with ErrConnLost and retry — against the new pin.
+// repin swaps the write target and kills every pooled and idle
+// connection so the next request, and the next Begin, dials the new
+// primary. In-flight requests on the old pool fail with ErrConnLost and
+// retry — against the new pin.
 func (c *Client) repin(addr string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -134,10 +135,5 @@ func (c *Client) repin(addr string) {
 	if c.addr != addr {
 		c.addr = addr
 	}
-	for i, cn := range c.pool {
-		if cn != nil {
-			cn.fail(ErrConnLost)
-			c.pool[i] = nil
-		}
-	}
+	c.dropConns(ErrConnLost)
 }

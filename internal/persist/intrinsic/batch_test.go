@@ -277,6 +277,7 @@ func TestBatchedAppendCrashMatrix(t *testing.T) {
 					t.Fatalf("reopen after crash at op %d: %v", k, err)
 				}
 				defer s.Close()
+				checkLifecycle(t, s)
 				got := render(s)
 
 				// Allowed: any state at or past the acked floor that some

@@ -113,6 +113,7 @@ func TestCrashAtEveryIOBoundary(t *testing.T) {
 					t.Fatalf("reopen after crash at op %d: %v", k, err)
 				}
 				defer s.Close()
+				checkLifecycle(t, s)
 				state := render(s)
 
 				// The crashed run completed len(got) checkpoints. An

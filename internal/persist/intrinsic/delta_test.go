@@ -264,11 +264,12 @@ func TestFailedBatchRestoresTouchedSet(t *testing.T) {
 	}
 }
 
-// TestPromotedFollowerKeepsRootsOnCommit: a follower registers no OIDs, so
-// the first walk-everything Commit after Promote numbers every container
-// afresh — and must then say so in the root delta, or the table on disk
-// keeps naming the old nodes and an in-place mutation is lost on reopen.
-// From the second Commit on the OIDs are stable and nothing is rewritten.
+// TestPromotedFollowerKeepsRootsOnCommit: Promote numbers each of the
+// follower's values by the OID it was materialized from, so a
+// walk-everything Commit after it finds an in-place mutation under an
+// untouched root and writes only that node, the table on disk keeps naming
+// it, and the mutation survives a reopen — through the first Commit after
+// Promote and the second.
 func TestPromotedFollowerKeepsRootsOnCommit(t *testing.T) {
 	dir := t.TempDir()
 	a, err := Open(filepath.Join(dir, "a.log"))
@@ -295,12 +296,13 @@ func TestPromotedFollowerKeepsRootsOnCommit(t *testing.T) {
 	if _, err := b.StageBound(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Commit(); err != nil {
-		t.Fatal(err)
+	if stats, err := b.Commit(); err != nil || stats.NodesWritten != 1 {
+		t.Fatalf("first Commit after Promote = %+v, %v; want the 1 mutated node", stats, err)
 	}
 	if got, want := renderTyped(openCopy(t, b.Path())), renderTyped(b); !reflect.DeepEqual(got, want) {
 		t.Fatalf("reopened %v, live %v", got, want)
 	}
+	checkLifecycle(t, b)
 	r.Value.(*value.Record).Set("N", value.Int(-4))
 	stats, err := b.Commit()
 	if err != nil {
@@ -655,20 +657,25 @@ func (h *history) step() string {
 // check asserts the three equivalences after every step: the live store is
 // the model, a cold reopen of the log is the committed model, and a
 // follower fed group by group through ApplyGroup is too — with a log
-// byte-identical to the primary's.
+// byte-identical to the primary's. Each of the three holds exactly the
+// nodes its committed roots reach (checkLifecycle).
 func (h *history) check(step int, op string) {
 	t := h.t
 	t.Helper()
 	if got, want := renderTyped(h.p), h.renderLive(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("step %d (%s): live store %v != model %v", step, op, got, want)
 	}
-	if got := renderTyped(openCopy(t, h.p.Path())); !reflect.DeepEqual(got, h.committed) {
+	checkLifecycle(t, h.p)
+	cp := openCopy(t, h.p.Path())
+	if got := renderTyped(cp); !reflect.DeepEqual(got, h.committed) {
 		t.Fatalf("step %d (%s): reopened log %v != committed model %v", step, op, got, h.committed)
 	}
+	checkLifecycle(t, cp)
 	catchUp(t, h.p, h.f)
 	if got := renderTyped(h.f); !reflect.DeepEqual(got, h.committed) {
 		t.Fatalf("step %d (%s): follower %v != committed model %v", step, op, got, h.committed)
 	}
+	checkLifecycle(t, h.f)
 	pb, err := os.ReadFile(h.p.Path())
 	if err != nil {
 		t.Fatal(err)
@@ -945,8 +952,10 @@ func TestRootDeltaGroupDamagedAtEveryByte(t *testing.T) {
 // and keeps the new root table for publication and takes the next owner
 // (2). The walk, the root delta, the group buffer, the staged images and
 // the touched sets are the committer's scratch, kept from one group to
-// the next; the oids and nodes maps grow now and then. It measures 10
-// with Go 1.24 on linux/amd64, and as many under -race.
+// the next, and so is what SyncBatch counts and frees with; the oids and
+// nodes maps keep their size, since each sync drops the two containers
+// the rebind replaced. It measures 10 with Go 1.24 on linux/amd64, and as
+// many under -race.
 func TestStageBoundAllocs(t *testing.T) {
 	const runs, maxAllocs = 100, 12
 	s, err := Open(filepath.Join(t.TempDir(), "store.log"))

@@ -461,13 +461,37 @@ func (r *nodeReader) inlineValue(resolve func(oid uint64) (value.Value, error)) 
 	}
 }
 
-// checkNode reads a node image as the materializer does, each inline value
-// by inlineValue with no reference resolved, to resolve every type ordinal
-// it names against r.types; like the materializer, it ignores bytes after
-// the value. The scanner runs it on each node that may name a type as the
-// node arrives, so an ordinal is resolved against the 'T' records before
-// it. Its node layout follows encodeNode, as materializer.node does.
-func (r *nodeReader) checkNode() error {
+// checkNode reads a node image as the materializer does, to resolve every
+// type ordinal it names against r.types. The scanner runs it on each node
+// that may name a type as the node arrives, so an ordinal is resolved
+// against the 'T' records before it.
+func (r *nodeReader) checkNode() error { return r.skipNode(nil, true) }
+
+// appendRefs appends the OIDs img references, in order. It reads what
+// skipNode can and stops there: a malformed image names no more nodes.
+func appendRefs(dst []uint64, img []byte) []uint64 {
+	r := nodeReader{buf: img}
+	r.skipNode(&dst, false)
+	return dst
+}
+
+// inlineRef returns the OID a root entry's inline value references, when
+// it is a reference.
+func inlineRef(inline []byte) (uint64, bool) {
+	if len(inline) == 0 || inline[0] != inRef {
+		return 0, false
+	}
+	oid, n := binary.Uvarint(inline[1:])
+	return oid, n > 0
+}
+
+// skipNode reads past a node image as the materializer decodes it, each
+// inline value skipped rather than built, and like the materializer
+// ignores bytes after the value. It appends each reference's OID to *refs
+// when refs is not nil, and resolves each type ordinal against r.types
+// when check is set. Its node layout follows encodeNode, as
+// materializer.node does.
+func (r *nodeReader) skipNode(refs *[]uint64, check bool) error {
 	tag, err := r.byte()
 	if err != nil {
 		return err
@@ -481,7 +505,7 @@ func (r *nodeReader) checkNode() error {
 	case inTag:
 		_, err = r.bytes()
 	case inDynamic:
-		_, err = r.typ()
+		err = r.skipType(check)
 	default:
 		return fmt.Errorf("%w: node tag %d", ErrCorrupt, tag)
 	}
@@ -491,11 +515,48 @@ func (r *nodeReader) checkNode() error {
 				break
 			}
 		}
-		_, err = r.inlineValue(noRefs)
+		err = r.skipInline(refs, check)
 	}
 	return err
 }
 
-// noRefs resolves every reference to ⊥, for a walk that reads a node only
-// to check it.
-func noRefs(uint64) (value.Value, error) { return value.Bottom, nil }
+// skipInline reads past one inline value as inlineValue decodes it; see
+// skipNode.
+func (r *nodeReader) skipInline(refs *[]uint64, check bool) error {
+	tag, err := r.byte()
+	if err != nil {
+		return err
+	}
+	switch tag {
+	case inBottom, inUnit, inBoolTrue, inBoolFalse:
+	case inInt:
+		_, err = r.varint()
+	case inFloat:
+		if r.pos+8 > len(r.buf) {
+			return fmt.Errorf("%w: short float", ErrCorrupt)
+		}
+		r.pos += 8
+	case inString:
+		_, err = r.bytes()
+	case inTypeVal:
+		err = r.skipType(check)
+	case inRef:
+		var oid uint64
+		if oid, err = r.uvarint(); err == nil && refs != nil {
+			*refs = append(*refs, oid)
+		}
+	default:
+		err = fmt.Errorf("%w: inline tag %d", ErrCorrupt, tag)
+	}
+	return err
+}
+
+// skipType reads past a type ordinal, resolving it when check is set.
+func (r *nodeReader) skipType(check bool) error {
+	if check {
+		_, err := r.typ()
+		return err
+	}
+	_, err := r.uvarint()
+	return err
+}

@@ -1,0 +1,402 @@
+package intrinsic
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"dbpl/internal/dynamic"
+	"dbpl/internal/persist/iofault"
+	"dbpl/internal/types"
+	"dbpl/internal/value"
+)
+
+// This file tests that the node bookkeeping follows reachability: after a
+// durable boundary a store holds the nodes its committed roots reach, and
+// no others.
+
+// checkLifecycle asserts that s holds exactly the nodes its committed root
+// table reaches, with the counts a replay gives them, and one oids entry
+// per node on a primary (one vals entry, and a rootOIDs entry per
+// container root, on a replica). The root entries are read from the log
+// file and the reachable set by a replay's materializer over s's images,
+// not by the bookkeeping under test. The histories it runs on are
+// acyclic: a garbage cycle is a node the replay does not reach.
+func checkLifecycle(t testing.TB, s *Store) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	raw, err := os.ReadFile(s.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tab []types.Type
+	var fold groupFold
+	if _, err := scanLog(bytes.NewReader(raw[:s.end]), fold.sink(&tab)); err != nil {
+		t.Fatal(err)
+	}
+	replay := &Store{nodes: s.nodes, shared: map[uint64]int32{}}
+	m := replay.newMaterializer(len(s.nodes), nil, tab)
+	m.load = true
+	roots := map[string]uint64{}
+	for name, e := range fold.upserts {
+		if _, err := m.root(e.inline); err != nil {
+			t.Fatalf("root %q: %v", name, err)
+		}
+		if oid, ok := inlineRef(e.inline); ok {
+			roots[name] = oid
+		}
+	}
+	live := len(m.cache)
+	if len(s.nodes) != live {
+		t.Fatalf("store holds %d node images, its committed roots reach %d", len(s.nodes), live)
+	}
+	if !maps.Equal(s.shared, replay.shared) {
+		t.Fatalf("store counts %v references past the first, a replay counts %v", s.shared, replay.shared)
+	}
+	if s.replica {
+		if len(s.vals) != live || len(s.oids) != 0 {
+			t.Fatalf("replica holds %d vals and %d oids for %d live nodes", len(s.vals), len(s.oids), live)
+		}
+		for oid := range s.vals {
+			if _, ok := m.cache[oid]; !ok {
+				t.Fatalf("replica holds a value for node %d, which no root reaches", oid)
+			}
+		}
+		if !maps.Equal(s.rootOIDs, roots) {
+			t.Fatalf("replica's root OIDs %v, its log's %v", s.rootOIDs, roots)
+		}
+		return
+	}
+	numbered := map[uint64]bool{}
+	for _, oid := range s.oids {
+		if _, ok := m.cache[oid]; !ok {
+			t.Fatalf("oids maps a value to node %d, which no root reaches", oid)
+		}
+		numbered[oid] = true
+	}
+	if len(s.oids) != live || len(numbered) != live {
+		t.Fatalf("primary holds %d oids entries naming %d nodes for %d live nodes", len(s.oids), len(numbered), live)
+	}
+}
+
+// unsynced is the OS file system with fsync a no-op, for tests that commit
+// thousands of groups to measure memory, not durability.
+type unsynced struct{ iofault.OS }
+
+func (u unsynced) OpenFile(name string, flag int, perm os.FileMode) (iofault.File, error) {
+	f, err := u.OS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return unsyncedFile{f}, nil
+}
+
+type unsyncedFile struct{ iofault.File }
+
+func (unsyncedFile) Sync() error { return nil }
+
+// rebound is the record-with-a-list the rebind tests bind: two containers.
+func rebound(i int) *dynamic.Dynamic {
+	return dynamic.Make(value.Rec("Name", value.String("rebound"), "N", value.Int(int64(i)),
+		"Tags", value.NewList(value.String("x"), value.Int(int64(i)))))
+}
+
+// TestRebindsFreeWhatTheyReplaced: 10 000 bound rebinds of one root of a
+// 64-root store, each its own durable batch, leave the store holding the
+// 128 containers its roots reach — not the 20 128 every rebind ever
+// numbered — and a follower fed the log the same.
+func TestRebindsFreeWhatTheyReplaced(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenFS(unsynced{}, filepath.Join(dir, "p.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	preload(t, s, 64)
+	for i := 0; i < 10000; i++ {
+		if _, err := s.Rebind("root00007", rebound(i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.StageBound(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.SyncBatch(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.oids) != 128 || len(s.nodes) != 128 {
+		t.Fatalf("after 10 000 rebinds: %d oids entries and %d node images, want 128 each", len(s.oids), len(s.nodes))
+	}
+	checkLifecycle(t, s)
+	f, err := OpenFS(unsynced{}, filepath.Join(dir, "f.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	catchUp(t, s, f)
+	if len(f.nodes) != 128 {
+		t.Fatalf("follower holds %d node images, want 128", len(f.nodes))
+	}
+	checkLifecycle(t, f)
+	checkLifecycle(t, openCopy(t, s.Path()))
+}
+
+// TestMovedNodeSurvivesTheBatch: a container shared into another handle
+// and then dropped by its first one, in two groups of one batch, only
+// moved: the batch counts the new reference before it drops the old, and
+// the node lives on — on the primary, on a follower that receives the
+// batch as one frame, and after a reopen.
+func TestMovedNodeSurvivesTheBatch(t *testing.T) {
+	s := open(t)
+	anon, _ := s.Namespace("")
+	u, _ := s.Namespace("u")
+	moved := value.Rec("Name", value.String("moved"), "Tags", value.NewList(value.String("x")))
+	if err := s.Bind("a", moved, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Open(filepath.Join(t.TempDir(), "f.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	catchUp(t, s, f)
+	if err := anon.ShareTo(u, "a"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.StageBound(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Bind("a", value.Int(1), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.StageBound(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SyncBatch(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.nodes) != 2 {
+		t.Fatalf("primary holds %d node images after the move, want the record and its list", len(s.nodes))
+	}
+	checkLifecycle(t, s)
+	catchUp(t, s, f)
+	checkLifecycle(t, f)
+	got, _ := f.Root("u/a")
+	if got == nil || !value.Equal(got.Value, moved) {
+		t.Fatalf("follower's u/a = %v, want %v", got, moved)
+	}
+	cp := openCopy(t, s.Path())
+	checkLifecycle(t, cp)
+	if got, _ := cp.Root("u/a"); got == nil || !value.Equal(got.Value, moved) {
+		t.Fatalf("reopened u/a = %v, want %v", got, moved)
+	}
+}
+
+// TestUnboundCycleGoneAfterReopen: counting cannot see that an unbound
+// cycle is garbage, so its node stays until a reopen, which keeps only
+// what the roots reach, or a Compact, which drops its oids entry too.
+func TestUnboundCycleGoneAfterReopen(t *testing.T) {
+	s := open(t)
+	cyc := value.Rec("N", value.Int(1))
+	cyc.Set("Self", cyc)
+	if err := s.Bind("cycle", cyc, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Bind("keep", value.Rec("K", value.Int(2)), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	s.Unbind("cycle")
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.nodes) != 2 || len(s.oids) != 2 {
+		t.Fatalf("after the unbind: %d node images and %d oids entries, want the cycle's kept beside the live one",
+			len(s.nodes), len(s.oids))
+	}
+	cp := openCopy(t, s.Path())
+	if len(cp.nodes) != 1 || len(cp.oids) != 1 {
+		t.Fatalf("reopened: %d node images and %d oids entries, want 1 each", len(cp.nodes), len(cp.oids))
+	}
+	checkLifecycle(t, cp)
+	st, err := s.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.NodesKept != 1 || len(s.nodes) != 1 || len(s.oids) != 1 {
+		t.Fatalf("Compact kept %d nodes, and the store holds %d images and %d oids entries; want 1 each",
+			st.NodesKept, len(s.nodes), len(s.oids))
+	}
+	checkLifecycle(t, s)
+}
+
+// syncAllocs is the mean number of allocations a SyncBatch makes that
+// promotes one bound rebind of a root of s.
+func syncAllocs(t *testing.T, s *Store, runs int) float64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	var total uint64
+	for i := 0; i < runs; i++ {
+		if _, err := s.Rebind("root00512", rebound(i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.StageBound(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		if _, err := s.SyncBatch(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		total += after.Mallocs - before.Mallocs
+	}
+	return float64(total) / float64(runs)
+}
+
+// TestFreeingCostsTheDelta: making a rebind durable — which settles the
+// new nodes and frees the replaced ones — allocates the same on a 1 024-
+// root store as on a 65 536-root one, and a batch whose fsync fails moves
+// no count, no node and no oids entry.
+func TestFreeingCostsTheDelta(t *testing.T) {
+	var at [2]float64
+	for i, roots := range []int{1024, 65536} {
+		s, err := OpenFS(unsynced{}, filepath.Join(t.TempDir(), "store.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < roots; j++ {
+			if err := s.Bind(fmt.Sprintf("root%05d", j), value.Rec("N", value.Int(int64(j))), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		syncAllocs(t, s, 20) // warm the committer's scratch
+		at[i] = syncAllocs(t, s, 200)
+		s.Close()
+	}
+	t.Logf("SyncBatch of one rebind: %.2f allocations at 1 024 roots, %.2f at 65 536", at[0], at[1])
+	if at[1] > at[0] {
+		t.Errorf("SyncBatch of one rebind allocates %.2f at 65 536 roots, %.2f at 1 024", at[1], at[0])
+	}
+
+	inj := iofault.NewInjector(iofault.OS{})
+	s, err := OpenFS(inj, filepath.Join(t.TempDir(), "fail.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	preload(t, s, 16)
+	nodes, shared, oids := maps.Clone(s.nodes), maps.Clone(s.shared), maps.Clone(s.oids)
+	for _, name := range []string{"root00003", "root00004"} {
+		if _, err := s.Rebind(name, rebound(0)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.StageBound(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj.FailAt(iofault.OpSync, inj.Count(iofault.OpSync)+1)
+	if _, err := s.SyncBatch(); !errors.Is(err, iofault.ErrInjected) {
+		t.Fatalf("SyncBatch under an injected fsync failure = %v", err)
+	}
+	if !maps.EqualFunc(s.nodes, nodes, bytes.Equal) || !maps.Equal(s.shared, shared) {
+		t.Fatal("a failed batch moved the committed node images or their counts")
+	}
+	if err := s.AbortBound(); err != nil {
+		t.Fatal(err)
+	}
+	if !maps.Equal(s.oids, oids) {
+		t.Fatalf("after the rollback oids holds %d entries, before the batch %d", len(s.oids), len(oids))
+	}
+	checkLifecycle(t, s)
+}
+
+// TestInPlaceMutationFreesTheReplacedChild: a Commit that finds a record
+// mutated in place to hold a new child drops the old child's node, and —
+// since no value the store still reaches leads to it — its oids entry
+// too.
+func TestInPlaceMutationFreesTheReplacedChild(t *testing.T) {
+	s := open(t)
+	rec := value.Rec("Child", value.Rec("K", value.Int(1)))
+	if err := s.Bind("a", rec, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	rec.Set("Child", value.Rec("K", value.Int(2)))
+	if _, err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.nodes) != 2 || len(s.oids) != 2 {
+		t.Fatalf("after the mutation: %d node images and %d oids entries, want 2 each", len(s.nodes), len(s.oids))
+	}
+	checkLifecycle(t, s)
+}
+
+// TestFollowerRenamesADroppedNode: one batch unbinds a handle and binds
+// its value to another, so its node lives on at the primary. A follower
+// that receives the batch group by group drops the node after the first
+// group; the second names it without rewriting it, and the follower
+// replays its log, which still holds the image, instead of refusing the
+// group.
+func TestFollowerRenamesADroppedNode(t *testing.T) {
+	p := open(t)
+	x := value.Rec("Name", value.String("x"), "Tags", value.NewList(value.String("t")))
+	if err := p.Bind("a", x, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := Open(filepath.Join(t.TempDir(), "f.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	catchUp(t, p, f)
+	p.Unbind("a")
+	if _, err := p.StageBound(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Bind("b", x, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.StageBound(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.SyncBatch(); err != nil {
+		t.Fatal(err)
+	}
+	checkLifecycle(t, p)
+	raw, _, _, err := p.ReadGroupsAt(f.DurableEnd(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := splitGroups(t, raw)
+	if len(groups) != 2 {
+		t.Fatalf("the batch wrote %d groups, want 2", len(groups))
+	}
+	for i, g := range groups {
+		if _, err := f.ApplyGroup(g); err != nil {
+			t.Fatalf("group %d: %v", i, err)
+		}
+		checkLifecycle(t, f)
+	}
+	if got, want := renderTyped(f), renderTyped(p); !maps.Equal(got, want) {
+		t.Fatalf("follower %v, primary %v", got, want)
+	}
+}

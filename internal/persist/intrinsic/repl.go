@@ -11,6 +11,7 @@ import (
 	"dbpl/internal/dynamic"
 	"dbpl/internal/persist/iofault"
 	"dbpl/internal/pmap"
+	"dbpl/internal/value"
 )
 
 // This file is the store's replication surface: a primary reads verified
@@ -65,7 +66,30 @@ func (s *Store) DurableEnd() int64 { return s.endA.Load() }
 func (s *Store) EnterReplica() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.enterReplica()
+}
+
+// enterReplica sets replica mode, trading a primary's oids for the vals
+// and rootOIDs a replica keeps. Callers hold s.mu.
+func (s *Store) enterReplica() {
+	if s.replica {
+		return
+	}
 	s.replica = true
+	s.vals = make(map[uint64]value.Value, len(s.nodes))
+	for v, oid := range s.oids {
+		if _, ok := s.nodes[oid]; ok {
+			s.vals[oid] = v
+		}
+	}
+	s.rootOIDs = map[string]uint64{}
+	s.Committed().Range(func(name string, d *dynamic.Dynamic) bool {
+		if oid, ok := s.oids[d.Value()]; ok {
+			s.rootOIDs[name] = oid
+		}
+		return true
+	})
+	s.oids = map[value.Value]uint64{}
 }
 
 // Epoch returns the promotion epoch: 0 until the first Promote, and the
@@ -108,6 +132,16 @@ func (s *Store) Promote() (uint64, error) {
 	}
 	if _, err := s.syncStaged(); err != nil {
 		return 0, err
+	}
+	if s.replica {
+		// The follower's values become the primary's: each keeps the OID it
+		// was materialized from, so the next Commit rewrites only what
+		// changed.
+		s.oids = make(map[value.Value]uint64, len(s.vals))
+		for oid, v := range s.vals {
+			s.oids[v] = oid
+		}
+		s.vals, s.rootOIDs = nil, nil
 	}
 	s.replica = false
 	s.epoch.Store(next)
@@ -287,9 +321,10 @@ type GroupDelta struct {
 // defines, and an upserted root that does not conform to its declared type
 // with a *ConformanceError, and the store is untouched: the frame's 'T'
 // records join the table only once it is durable. A group that overwrites
-// a node image in place is published by replaying the log once it is
-// durable, and the replay makes the checks instead: a failed replay
-// poisons the store.
+// a node image in place, or names a node the store has dropped, is
+// published by replaying the log once it is durable, and the replay makes
+// the checks instead: a failed replay poisons the store. Otherwise the
+// nodes the groups leave unreachable are dropped (see settleFrame).
 func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -303,7 +338,7 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	if s.staged > 0 {
 		return delta, fmt.Errorf("%w: store has a staged local commit batch", ErrReplica)
 	}
-	s.replica = true
+	s.enterReplica()
 	delta.Start, delta.End = s.end, s.end
 	if len(raw) == 0 {
 		return delta, nil
@@ -344,11 +379,14 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	//    share — a serve primary never produces that (every PUT binds
 	//    freshly decoded values), but a generic primary can, and then the
 	//    deltas under-approximate: every root is re-materialized from the
-	//    log after the append instead.
-	overwrite := false
+	//    log after the append instead. So is a group that names a node
+	//    this store dropped (errPruned): a writer's batch may leave a node
+	//    unreachable in one group and name it again in a later one, and
+	//    only the log still holds its image.
+	replay := false
 	for oid, img := range newNodes {
 		if prev, ok := s.nodes[oid]; ok && !bytes.Equal(prev, img) {
-			overwrite = true
+			replay = true
 			break
 		}
 	}
@@ -358,10 +396,15 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 		next = next.Delete(name)
 		names = append(names, name)
 	}
-	if !overwrite {
-		m := s.newMaterializer(len(newNodes), newNodes, tab)
+	var m *materializer
+	if !replay {
+		m = s.newMaterializer(len(newNodes), newNodes, tab)
 		for _, e := range fold.upserts {
 			v, err := m.root(e.inline)
+			if errors.Is(err, errPruned) {
+				replay, names = true, names[:len(fold.deletes)]
+				break
+			}
 			var d *dynamic.Dynamic
 			if err == nil {
 				d, err = makeRoot(e.name, v, e.typ)
@@ -380,7 +423,7 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	delta.End = s.end
 
 	// 4. Publish to memory.
-	if overwrite {
+	if replay {
 		// The log now holds the group; replay it. Memory that cannot be
 		// rebuilt from the durable log is unusable, so a failed replay
 		// poisons the store as a failed append would. Every root the
@@ -392,12 +435,14 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 		names = append(names, s.namesLocked()...)
 	} else {
 		s.defineTypes(tab)
-		for oid, img := range newNodes {
-			s.nodes[oid] = img
+		for oid := range newNodes {
 			if oid >= s.nextOID {
 				s.nextOID = oid + 1
 			}
 		}
+		m.keep()
+		s.logNodes += fold.nodeRecs
+		s.settleFrame(&fold)
 		s.roots = next
 		s.committed.Store(&next)
 		if fold.sawDefs {

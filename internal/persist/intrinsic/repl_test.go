@@ -653,6 +653,7 @@ func followerPrefixCrashMatrix(t *testing.T, fixture func(*testing.T) (*Store, s
 					t.Fatalf("reopen after crash at op %d: %v", k, err)
 				}
 				defer f.Close()
+				checkLifecycle(t, f)
 				de := f.DurableEnd()
 				if !boundaries[de] {
 					t.Fatalf("durable end %d after crash is not a group boundary", de)
@@ -679,6 +680,7 @@ func followerPrefixCrashMatrix(t *testing.T, fixture func(*testing.T) (*Store, s
 				if !sameState(render(f), want) {
 					t.Fatalf("resumed follower state %v != primary state %v", render(f), want)
 				}
+				checkLifecycle(t, f)
 			})
 		}
 	}

@@ -289,7 +289,7 @@ func scanRootEntries(s *logScanner, tab *[]types.Type) ([]rootEntry, error) {
 		}
 		if tab != nil {
 			r := nodeReader{buf: e.inline, types: *tab}
-			if _, err := r.inlineValue(noRefs); err != nil || r.pos != len(e.inline) {
+			if err := r.skipInline(nil, true); err != nil || r.pos != len(e.inline) {
 				return nil, badImage(inlineOff, r, err, "root value")
 			}
 		}

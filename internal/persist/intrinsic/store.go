@@ -20,8 +20,14 @@
 //     in-place mutation of any persistent value is found; StageBound walks
 //     only the handles written since the last group, for callers that
 //     never mutate a bound value in place (see StageBound).
-//   - Garbage collection: values unreachable from any handle are simply not
-//     written by Compact, and never re-materialized.
+//   - Garbage collection: memory follows reachability at each durable
+//     boundary. A batch that becomes durable (syncStaged), a replicated
+//     frame (ApplyGroup) and a reopen (load) drop every node that no
+//     committed root entry and no committed node image names any more —
+//     its image and its OID entry — so the value it replaced can be
+//     collected. References are counted, so a garbage cycle keeps itself
+//     until a reopen, which keeps only what the roots reach, or Compact,
+//     which also leaves it out of the rewritten log.
 //   - Crash recovery: a torn final commit group is ignored on reopen.
 //   - Transient fields (label prefix "_") are not persisted — the paper's
 //     memoization fields on persistent Part values.
@@ -148,13 +154,29 @@ type Store struct {
 	roots     pmap.Map[*dynamic.Dynamic]
 	owner     *pmap.Owner
 	committed atomic.Pointer[pmap.Map[*dynamic.Dynamic]]
-	// oids maps live container values to their OIDs; nodes holds the last
-	// committed image per OID; fresh lists the containers numbered since
-	// the last durable group, which AbortBound forgets.
-	oids    map[value.Value]uint64
-	nodes   map[uint64][]byte
-	nextOID uint64
-	fresh   []value.Value
+	// nodes holds the last committed image of each node some committed
+	// root entry or node image names. oids maps their values to their OIDs
+	// on a primary; a replica, which never encodes, keeps the inverse in
+	// vals instead, and the OID each committed root entry names in
+	// rootOIDs. fresh lists the containers numbered since the last durable
+	// group, which AbortBound forgets. logNodes counts the node records the
+	// durable log holds, superseded images included (Compact reports what
+	// it drops).
+	oids     map[value.Value]uint64
+	nodes    map[uint64][]byte
+	vals     map[uint64]value.Value
+	rootOIDs map[string]uint64
+	nextOID  uint64
+	fresh    []value.Value
+	logNodes int
+	// shared holds, for each node that two or more committed references
+	// name, how many it has past the first: a node of nodes that is not in
+	// shared has exactly one, so a store whose values are never shared
+	// pays nothing here. A durable boundary counts the references its
+	// groups added before it drops the ones they removed (see settle).
+	// nodesA mirrors len(nodes) for lock-free readers (Nodes).
+	shared map[uint64]int32
+	nodesA atomic.Int64
 	// types is the log's type table: the type each ordinal names, the
 	// staged groups' ordinals included, and typeIDs its inverse, which the
 	// writer numbers a type by. durableTypes counts the ordinals the
@@ -193,6 +215,7 @@ type Store struct {
 	//                 when the batch is durable, so a failed batch leaves the
 	//                 in-memory images exactly at the durable state
 	//   stagedRoots — the root table the last staged group wrote, or nil
+	//   stagedRecs  — the node records those groups wrote
 	//   stagedDefs  — the index-definition table a staged group wrote, or
 	//                 nil (defsDirty is restored if the batch fails)
 	//
@@ -204,18 +227,18 @@ type Store struct {
 	stagedEnd   int64
 	stagedNodes map[uint64][]byte
 	stagedRoots *pmap.Map[*dynamic.Dynamic]
+	stagedRecs  int
 	stagedDefs  []string
 
 	// touched holds the handles whose table entry changed since the last
 	// staged commit group. Bind, Unbind and OpenAs's enrichment record the
 	// name; nothing else can change an entry (a root atom is immutable, a
-	// bound container keeps its OID) except on a promoted follower, whose
-	// values were never registered in oids — reach touches a root whose
-	// container it has to number afresh. The next group's root delta is
-	// computed from touched and StageBound walks only these roots.
-	// stagedTouched is what the open batch's groups consumed: a failed batch
-	// puts it back, exactly as stagedDefs restores defsDirty, so a retry
-	// re-emits the whole delta.
+	// bound container keeps its OID while an entry names it), but reach
+	// still touches a root whose container it has to number afresh. The
+	// next group's root delta is computed from touched and StageBound
+	// walks only these roots. stagedTouched is what the open batch's
+	// groups consumed: a failed batch puts it back, exactly as stagedDefs
+	// restores defsDirty, so a retry re-emits the whole delta.
 	touched       map[string]bool
 	stagedTouched map[string]bool
 
@@ -225,7 +248,7 @@ type Store struct {
 
 	// replica marks a store fed by ApplyGroup (a replication follower);
 	// local mutations are refused with ErrReplica, and materialized values
-	// are not registered in oids (a follower never re-encodes them).
+	// are registered in vals, not oids (a follower never re-encodes them).
 	replica bool
 }
 
@@ -280,6 +303,11 @@ func (s *Store) setEnd(v int64) {
 // immutable map. Lock-free, like DurableEnd.
 func (s *Store) Committed() pmap.Map[*dynamic.Dynamic] { return *s.committed.Load() }
 
+// Nodes returns how many node images the store holds: one for each
+// container its committed roots reach, and the garbage cycles a reopen or
+// Compact has not yet dropped. Lock-free, like DurableEnd.
+func (s *Store) Nodes() int { return int(s.nodesA.Load()) }
+
 // rootEntry is a parsed but not yet materialized root-table entry.
 type rootEntry struct {
 	name   string
@@ -301,6 +329,7 @@ func (s *Store) load() error {
 	s.defsDirty = false
 	s.touched, s.stagedTouched = nil, nil
 	s.nodes, s.nextOID, s.fresh = map[uint64][]byte{}, 0, nil
+	s.shared = map[uint64]int32{}
 	s.types, s.typeIDs, s.durableTypes = nil, map[*types.Interned]uint64{}, 0
 	var tab []types.Type
 	fold := groupFold{nodes: map[uint64][]byte{}}
@@ -330,7 +359,9 @@ func (s *Store) load() error {
 		s.setEnd(int64(len(header)))
 		s.tailDirty = false
 		s.epoch.Store(0)
-		s.oids = map[value.Value]uint64{}
+		s.logNodes = 0
+		s.nodesA.Store(0)
+		s.resetRefs(0)
 		s.roots = pmap.Map[*dynamic.Dynamic]{}
 		s.committed.Store(new(pmap.Map[*dynamic.Dynamic]))
 		return nil
@@ -345,18 +376,16 @@ func (s *Store) load() error {
 	s.indexDefs = sortedSet(fold.defs)
 	s.durableDefs = s.indexDefs
 	s.nodes = fold.nodes
+	s.logNodes = fold.nodeRecs
+	// OIDs are numbered past every node the log ever held, reachable or
+	// not, so a later group never reuses one an older group wrote.
 	for oid := range s.nodes {
 		if oid >= s.nextOID {
 			s.nextOID = oid + 1
 		}
 	}
 	// Materialize the committed roots — the fold of every root delta from
-	// the empty table.
-	oids := len(s.nodes)
-	if s.replica {
-		oids = 0 // a replica registers none; see register
-	}
-	s.oids = make(map[value.Value]uint64, oids)
+	// the empty table — counting each reference past a node's first.
 	names := make([]string, 0, len(fold.upserts))
 	for name := range fold.upserts {
 		names = append(names, name)
@@ -364,6 +393,7 @@ func (s *Store) load() error {
 	sort.Strings(names)
 	dyns := make([]*dynamic.Dynamic, len(names))
 	m := s.newMaterializer(len(s.nodes), nil, s.types)
+	m.load = true
 	for i, name := range names {
 		e := fold.upserts[name]
 		v, err := m.root(e.inline)
@@ -374,6 +404,22 @@ func (s *Store) load() error {
 			return err
 		}
 	}
+	// Register what the roots reach, and keep only its images.
+	s.resetRefs(len(m.cache))
+	m.keep()
+	if s.rootOIDs != nil {
+		for name, e := range fold.upserts {
+			if oid, ok := inlineRef(e.inline); ok {
+				s.rootOIDs[name] = oid
+			}
+		}
+	}
+	for oid := range s.nodes {
+		if _, ok := m.cache[oid]; !ok {
+			delete(s.nodes, oid)
+		}
+	}
+	s.nodesA.Store(int64(len(s.nodes)))
 	roots := pmap.Build(names, dyns)
 	s.roots = roots
 	s.committed.Store(&roots)
@@ -424,22 +470,44 @@ func (s *Store) typeID(t types.Type) uint64 {
 	return id
 }
 
-// register records a live container's OID so a later Commit can re-encode
-// it incrementally. A replica never commits locally, so registration is
-// skipped there — a long-running follower must not grow oids without
-// bound as groups stream in.
+// resetRefs makes the value bookkeeping for n nodes a replay reached: a
+// primary's oids, or a replica's vals and rootOIDs. Callers hold s.mu.
+func (s *Store) resetRefs(n int) {
+	if s.replica {
+		s.oids = map[value.Value]uint64{}
+		s.vals, s.rootOIDs = make(map[uint64]value.Value, n), map[string]uint64{}
+		return
+	}
+	s.oids = make(map[value.Value]uint64, n)
+	s.vals, s.rootOIDs = nil, nil
+}
+
+// register records a live container's OID: on a primary so a later Commit
+// can re-encode it incrementally, on a replica so a later group that names
+// the node shares the value.
 func (s *Store) register(v value.Value, oid uint64) {
-	if !s.replica {
+	if s.replica {
+		s.vals[oid] = v
+	} else {
 		s.oids[v] = oid
 	}
 }
+
+// errPruned is ApplyGroup's signal that a group names a node this store
+// no longer holds: one that an earlier group left unreachable and a later
+// one names again without rewriting it, which a writer's batch can do.
+var errPruned = errors.New("intrinsic: group names a node the store dropped")
 
 // materializer decodes node images into live values for one load or
 // ApplyGroup. cache shares each node among every parent that reaches it;
 // busy holds the set, tag and dynamic nodes being decoded — a cycle back
 // into one is corrupt — and is allocated at the first of them. overlay,
 // an ApplyGroup's incoming node images, wins over the committed ones, and
-// types is the type table with the incoming groups' 'T' records.
+// types is the type table with the incoming groups' 'T' records. load
+// marks a replay's materializer, which registers each value and counts in
+// shared each reference past a node's first; ApplyGroup's registers
+// nothing before its groups are durable, and takes a node the replica
+// already holds from vals, so the roots that share it share one value.
 type materializer struct {
 	s       *Store
 	overlay map[uint64][]byte
@@ -448,6 +516,14 @@ type materializer struct {
 	busy    map[uint64]bool
 	resolve func(oid uint64) (value.Value, error) // m.node, bound once
 	recs    value.RecordDecoder
+	load    bool
+}
+
+// keep registers each value m decoded.
+func (m *materializer) keep() {
+	for oid, v := range m.cache {
+		m.s.register(v, oid)
+	}
 }
 
 // newMaterializer returns a materializer sized for n nodes.
@@ -476,6 +552,12 @@ func (m *materializer) enter(oid uint64) {
 func (m *materializer) node(oid uint64) (value.Value, error) {
 	s := m.s
 	if v, ok := m.cache[oid]; ok {
+		if m.load {
+			s.shared[oid]++
+		}
+		return v, nil
+	}
+	if v, ok := s.vals[oid]; ok && !m.load {
 		return v, nil
 	}
 	img, ok := s.nodes[oid]
@@ -483,6 +565,9 @@ func (m *materializer) node(oid uint64) (value.Value, error) {
 		img, ok = o, true
 	}
 	if !ok {
+		if !m.load && oid < s.nextOID {
+			return nil, errPruned
+		}
 		return nil, fmt.Errorf("%w: dangling oid %d", ErrCorrupt, oid)
 	}
 	if m.busy[oid] {
@@ -502,7 +587,6 @@ func (m *materializer) node(oid uint64) (value.Value, error) {
 		}
 		rec := new(value.Record)
 		m.cache[oid] = rec // before children: record cycles are supported
-		s.register(rec, oid)
 		m.recs.Begin(rec, make([]value.Value, 0, capCount(int(n))))
 		for i := uint64(0); i < n; i++ {
 			l, err := r.bytes()
@@ -523,7 +607,6 @@ func (m *materializer) node(oid uint64) (value.Value, error) {
 		}
 		lst := &value.List{Elems: make([]value.Value, 0, capCount(int(n)))}
 		m.cache[oid] = lst
-		s.register(lst, oid)
 		for i := uint64(0); i < n; i++ {
 			el, err := r.inlineValue(resolve)
 			if err != nil {
@@ -535,7 +618,6 @@ func (m *materializer) node(oid uint64) (value.Value, error) {
 	case inSet:
 		set := value.NewSet()
 		m.cache[oid] = set
-		s.register(set, oid)
 		m.enter(oid)
 		n, err := r.uvarint()
 		if err != nil {
@@ -563,7 +645,6 @@ func (m *materializer) node(oid uint64) (value.Value, error) {
 		delete(m.busy, oid)
 		tv := value.NewTag(string(label), payload)
 		m.cache[oid] = tv
-		s.register(tv, oid)
 		return tv, nil
 	case inDynamic:
 		m.enter(oid)
@@ -582,7 +663,6 @@ func (m *materializer) node(oid uint64) (value.Value, error) {
 			return nil, fmt.Errorf("%w: persisted dynamic no longer conforms: %v", ErrCorrupt, err)
 		}
 		m.cache[oid] = d
-		s.register(d, oid)
 		return d, nil
 	default:
 		return nil, fmt.Errorf("%w: node tag %d", ErrCorrupt, tag)
@@ -640,7 +720,9 @@ func (s *Store) touch(name string) {
 }
 
 // Unbind removes a handle; the values it named become garbage unless
-// reachable from another handle, and are reclaimed by the next Compact. On
+// reachable from another handle, and leave the store's memory when the
+// commit group that removes the handle is durable — a garbage cycle at the
+// next reopen or Compact. On
 // a replica it changes nothing and reports false: the handle table is the
 // log's, and only ApplyGroup moves it.
 func (s *Store) Unbind(name string) bool {
@@ -927,7 +1009,7 @@ func (s *Store) resetStaging() {
 	s.staged = 0
 	s.stagedEnd = s.end
 	s.stagedNodes = keptMap(s.stagedNodes)
-	s.stagedRoots = nil
+	s.stagedRoots, s.stagedRecs = nil, 0
 	s.forgetTypes(s.durableTypes)
 	if s.stagedDefs != nil {
 		s.defsDirty = true
@@ -998,10 +1080,11 @@ func (s *Store) stageBytes(raw []byte) error {
 
 // syncStaged fsyncs the file, promoting every staged group to durable at
 // once — the one shared fsync group commit exists to amortize — and only
-// then merges the staged node images into the committed ones. On a sync
-// failure the batch is rolled back to the pre-batch durable end (or the
-// store is poisoned if even that fails): all staged groups fail together,
-// with the same cause. Returns the number of groups made durable.
+// then settles the staged node images and root entries into the committed
+// ones. On a sync failure the batch is rolled back to the pre-batch
+// durable end (or the store is poisoned if even that fails): all staged
+// groups fail together, with the same cause, and no count moves. Returns
+// the number of groups made durable.
 func (s *Store) syncStaged() (int, error) {
 	if s.staged == 0 {
 		return 0, nil
@@ -1012,17 +1095,16 @@ func (s *Store) syncStaged() (int, error) {
 	n := s.staged
 	s.setEnd(s.stagedEnd)
 	s.durableTypes = len(s.types)
-	for oid, img := range s.stagedNodes {
-		s.nodes[oid] = img
-	}
+	s.logNodes += s.stagedRecs
 	if s.stagedRoots != nil {
+		s.settleStaged()
 		s.committed.Store(s.stagedRoots)
 	}
 	if s.stagedDefs != nil {
 		s.durableDefs = s.stagedDefs
 	}
 	s.stagedNodes, s.stagedRoots, s.stagedDefs = keptMap(s.stagedNodes), nil, nil
-	s.staged = 0
+	s.staged, s.stagedRecs = 0, 0
 	s.stagedTouched = keptMap(s.stagedTouched)
 	s.fresh = keptSlice(s.fresh)
 	return n, nil
@@ -1167,6 +1249,7 @@ func (s *Store) stageCommitLocked(walkAll bool) (CommitStats, error) {
 		return stats, err
 	}
 	stats.BytesWritten = group.Len()
+	s.stagedRecs += stats.NodesWritten
 	if s.stagedNodes == nil {
 		s.stagedNodes = make(map[uint64][]byte, len(s.sc.images))
 	}
@@ -1232,18 +1315,23 @@ func (s *Store) encodeGroup(order []value.Value, upserts, deletes []string, from
 
 // scratch is the committer's working memory for one commit group: the
 // walk's seen set and order, the root delta's two halves, the node images
-// the group writes and the buffers it is encoded into. The log has one
-// writer, which holds s.mu, and each group is done with all of it once
-// staged (the file holds the bytes, and stagedNodes the images), so it is
-// kept from one group to the next instead of allocated per group. reset
-// drops whatever grew past maxKeptScratch or maxKeptGroup, so that a first
-// commit's walk of every root leaves none of it behind.
+// the group writes and the buffers it is encoded into — and, when a batch
+// is durable, settle's references gained and lost, the nodes the batch
+// added and the values it released. The log has one writer, which holds
+// s.mu, and each group is done with all of it once staged (the file holds
+// the bytes, and stagedNodes the images), so it is kept from one group to
+// the next instead of allocated per group. reset drops whatever grew past
+// maxKeptScratch or maxKeptGroup, so that a first commit's walk of every
+// root leaves none of it behind.
 type scratch struct {
 	seen             map[value.Value]bool
 	order            []value.Value
 	upserts, deletes []string
 	images           []stagedImage
 	body, group      nodeBuf
+	gained, lost     []uint64
+	born             map[uint64]int32
+	released         []value.Value
 }
 
 // stagedImage is one node image a group writes.
@@ -1269,6 +1357,14 @@ func (sc *scratch) reset() {
 	sc.images = keptSlice(sc.images)
 	sc.body.keep()
 	sc.group.keep()
+}
+
+// resetSettle empties what settling a durable batch used.
+func (sc *scratch) resetSettle() {
+	sc.gained = keptSlice(sc.gained)
+	sc.lost = keptSlice(sc.lost)
+	sc.born = keptMap(sc.born)
+	sc.released = keptSlice(sc.released)
 }
 
 // keptMap returns m emptied, or nil when it held more than maxKeptScratch
@@ -1373,9 +1469,12 @@ func (s *Store) AbortBound() error {
 }
 
 // Compact garbage-collects the log: it rewrites the file with only the
-// nodes reachable from the current handles, at their current images. The
-// store must have no uncommitted changes worth keeping — Compact performs
-// a Commit first so the result is the current state, minimally stored.
+// nodes reachable from the current handles, at their current images, and
+// drops the rest from memory too — the garbage cycles a durable commit
+// leaves behind. NodesFreed counts the node records of the old log that
+// the rewrite dropped, superseded images included. The store must have no
+// uncommitted changes worth keeping — Compact performs a Commit first so
+// the result is the current state, minimally stored.
 func (s *Store) Compact() (CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1491,8 +1590,26 @@ func (s *Store) Compact() (CompactStats, error) {
 	s.setEnd(int64(out.Len()))
 	s.tailDirty = false
 	s.defsDirty = false // the rewrite persisted the definitions
-	freed := len(s.nodes) - len(kept)
+	freed := s.logNodes - len(kept)
+	s.logNodes = len(kept)
+	// The nodes the rewrite left out are garbage cycles, which no count
+	// reaches: their references leave the counts of the nodes they named,
+	// and their values leave oids.
+	var lost []uint64
+	for oid, img := range s.nodes {
+		if _, ok := kept[oid]; !ok {
+			lost = appendRefs(lost, img)
+			delete(s.shared, oid)
+		}
+	}
 	s.nodes = kept
+	s.release(lost)
+	s.nodesA.Store(int64(len(s.nodes)))
+	for v, oid := range s.oids {
+		if _, ok := kept[oid]; !ok {
+			delete(s.oids, v)
+		}
+	}
 	// fsync the containing directory: without it the rename itself — the
 	// whole compaction — can be undone by a crash.
 	if err := s.fs.SyncDir(iofault.Dir(s.path)); err != nil {

@@ -360,8 +360,9 @@ func (s *Server) processBatch(batch []*commitReq) {
 	s.m.batchGroups.Observe(int64(staged))
 }
 
-// maxKeptOps caps the index ops the committer keeps room for from one
-// batch to the next.
+// maxKeptOps caps the ops kept room for from one use to the next: the
+// committer's index ops from one batch to the next, and a session's
+// buffered writes from one transaction to the next.
 const maxKeptOps = 1 << 10
 
 // keptOps returns ops emptied, its elements zeroed so that it pins no

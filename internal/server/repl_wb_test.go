@@ -6,6 +6,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"path/filepath"
 	"testing"
@@ -258,5 +259,37 @@ func TestFollowerRefusesNonConformingGroup(t *testing.T) {
 	if h := healthOf(t, fsrv); h.DurableEnd != before || fst.DurableEnd() != start {
 		t.Errorf("HEALTH end %d (was %d), store end %d (was %d): want both unmoved",
 			h.DurableEnd, before, fst.DurableEnd(), start)
+	}
+}
+
+// TestRebindsLeaveStoresAtTheirLiveCount: 2 000 autocommit PUTs that
+// rebind 16 roots, each to a record holding a list, leave the primary's
+// store and its follower's holding the 32 containers the roots reach —
+// not one pair for every PUT — as the dbpl_store_nodes gauge reports.
+func TestRebindsLeaveStoresAtTheirLiveCount(t *testing.T) {
+	psrv, pst, paddr := serveWB(t, "primary.log", Config{})
+	fsrv, fst, _ := serveWB(t, "follower.log", Config{Follow: paddr})
+	c, err := client.Dial(paddr, &client.Options{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	decl := types.MustParse("{Id: Int, Tags: List[String]}")
+	for i := 0; i < 2000; i++ {
+		v := value.Rec("Id", value.Int(int64(i)), "Tags", value.NewList(value.String("t")))
+		if err := c.Put(fmt.Sprintf("r%02d", i%16), v, decl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitUntil(t, func() bool { return healthOf(t, fsrv).DurableEnd == pst.DurableEnd() }, "the follower never caught up")
+	for _, n := range []struct {
+		name  string
+		srv   *Server
+		store *intrinsic.Store
+	}{{"primary", psrv, pst}, {"follower", fsrv, fst}} {
+		gauge, _ := n.srv.m.reg.Snapshot().Gauge("dbpl_store_nodes")
+		if n.store.Nodes() != 32 || gauge != 32 {
+			t.Errorf("%s holds %d node images (gauge %d) after 2 000 rebinds of 16 roots, want 32", n.name, n.store.Nodes(), gauge)
+		}
 	}
 }

@@ -429,6 +429,7 @@ func New(store *intrinsic.Store, cfg Config) (*Server, error) {
 	// the state that serves it is published, and a client that saw the
 	// store's end would route a read-your-writes GET here one step early.
 	reg.GaugeFunc("dbpl_store_durable_end", func() int64 { return srv.state.Load().end })
+	reg.GaugeFunc("dbpl_store_nodes", func() int64 { return int64(srv.store.Nodes()) })
 	// Failover observability: the promotion epoch (the store's, so it is
 	// exactly what the log holds) and the current role, for HEALTH, STATS
 	// and /metrics — a client picks the new primary as the highest-epoch
@@ -941,7 +942,6 @@ func (s *Server) handleBegin(sess *session, _ [][]byte) (byte, [][]byte) {
 	}
 	sess.inTxn = true
 	sess.base = s.state.Load()
-	sess.ops = nil
 	sess.cur = nil
 	return wire.OpOK, nil
 }
@@ -950,9 +950,10 @@ func (s *Server) handleCommit(sess *session, fields [][]byte) (byte, [][]byte) {
 	if !sess.inTxn {
 		return errResp(&wire.WireError{Code: wire.CodeTxn, Msg: "COMMIT outside a transaction"})
 	}
-	ops := sess.ops
-	sess.endTxn()
-	if _, err := s.submit(&sess.req, ops, keyOf(fields, 0), sess.tr); err != nil {
+	ops := sess.endTxn()
+	_, err := s.submit(&sess.req, ops, keyOf(fields, 0), sess.tr)
+	sess.keepOps(ops) // submit is done with them
+	if err != nil {
 		return errResp(toWireError(err))
 	}
 	return wire.OpOK, nil
@@ -962,7 +963,7 @@ func (s *Server) handleAbort(sess *session, _ [][]byte) (byte, [][]byte) {
 	if !sess.inTxn {
 		return errResp(&wire.WireError{Code: wire.CodeTxn, Msg: "ABORT outside a transaction"})
 	}
-	sess.endTxn()
+	sess.keepOps(sess.endTxn())
 	return wire.OpOK, nil
 }
 
@@ -978,11 +979,21 @@ func (s *Server) handleNames(sess *session, _ [][]byte) (byte, [][]byte) {
 	return wire.OpOK, out
 }
 
-func (sess *session) endTxn() {
-	sess.inTxn = false
-	sess.base = nil
-	sess.ops = nil
-	sess.cur = nil
+// endTxn ends the session's transaction and returns the ops it buffered.
+func (sess *session) endTxn() []txnOp {
+	ops := sess.ops
+	sess.inTxn, sess.base, sess.ops, sess.cur = false, nil, nil, nil
+	return ops
+}
+
+// keepOps gives an ended transaction's op buffer back to the session for
+// the next one, emptied so that it pins no value, or drops it when it
+// grew past maxKeptOps.
+func (sess *session) keepOps(ops []txnOp) {
+	if cap(ops) <= maxKeptOps {
+		clear(ops)
+		sess.ops = ops[:0]
+	}
 }
 
 func errResp(we *wire.WireError) (byte, [][]byte) {
