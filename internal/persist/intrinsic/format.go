@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -122,31 +121,6 @@ const (
 	// guard during replay.
 	maxRecordSize = 1 << 30
 )
-
-// readN reads exactly n bytes, growing the buffer incrementally so a
-// corrupt log claiming a huge length fails fast at end of input instead of
-// pre-allocating gigabytes.
-func readN(r io.Reader, n int) ([]byte, error) {
-	const chunk = 64 << 10
-	if n <= chunk {
-		buf := make([]byte, n)
-		_, err := io.ReadFull(r, buf)
-		return buf, err
-	}
-	buf := make([]byte, 0, chunk)
-	for len(buf) < n {
-		step := n - len(buf)
-		if step > chunk {
-			step = chunk
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, step)...)
-		if _, err := io.ReadFull(r, buf[start:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
 
 // capCount bounds an initial slice capacity derived from untrusted input.
 func capCount(n int) int {
@@ -275,13 +249,12 @@ func encodeInline(b *nodeBuf, v value.Value, s *Store) error {
 	return nil
 }
 
-// encodeNode produces the shallow image of a container. Record fields whose
-// label begins with transientPrefix are skipped — the paper's "transient
-// information attached to a persistent structure" (the memo fields of the
-// bill-of-materials example), which must not persist. Set elements are
-// emitted in canonical key order so images are deterministic.
-func encodeNode(v value.Value, s *Store, transientPrefix string) ([]byte, error) {
-	var b nodeBuf
+// encodeNode appends the shallow image of a container to b. Record fields
+// whose label begins with transientPrefix are skipped — the paper's
+// "transient information attached to a persistent structure" (the memo
+// fields of the bill-of-materials example), which must not persist. Set
+// elements are emitted in canonical key order so images are deterministic.
+func encodeNode(b *nodeBuf, v value.Value, s *Store, transientPrefix string) error {
 	var err error
 	switch vv := v.(type) {
 	case *value.Record:
@@ -299,13 +272,13 @@ func encodeNode(v value.Value, s *Store, transientPrefix string) ([]byte, error)
 				return
 			}
 			b.str(l)
-			err = encodeInline(&b, f, s)
+			err = encodeInline(b, f, s)
 		})
 	case *value.List:
 		b.WriteByte(inList)
 		b.uvarint(uint64(len(vv.Elems)))
 		for _, el := range vv.Elems {
-			if err = encodeInline(&b, el, s); err != nil {
+			if err = encodeInline(b, el, s); err != nil {
 				break
 			}
 		}
@@ -321,25 +294,22 @@ func encodeNode(v value.Value, s *Store, transientPrefix string) ([]byte, error)
 		sort.Slice(elems, func(i, j int) bool { return elems[i].key < elems[j].key })
 		b.uvarint(uint64(len(elems)))
 		for _, el := range elems {
-			if err = encodeInline(&b, el.v, s); err != nil {
+			if err = encodeInline(b, el.v, s); err != nil {
 				break
 			}
 		}
 	case *value.Tag:
 		b.WriteByte(inTag)
 		b.str(vv.Label)
-		err = encodeInline(&b, vv.Payload, s)
+		err = encodeInline(b, vv.Payload, s)
 	case *dynamic.Dynamic:
 		b.WriteByte(inDynamic)
 		b.uvarint(s.typeID(vv.Type()))
-		err = encodeInline(&b, vv.Value(), s)
+		err = encodeInline(b, vv.Value(), s)
 	default:
-		return nil, fmt.Errorf("intrinsic: %T is not a container", v)
+		return fmt.Errorf("intrinsic: %T is not a container", v)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
+	return err
 }
 
 func isTransient(label, prefix string) bool {
@@ -347,11 +317,13 @@ func isTransient(label, prefix string) bool {
 }
 
 // nodeReader decodes node images and inline values, resolving type
-// ordinals through types, the table of the 'T' records read so far.
+// ordinals through types, the table of the 'T' records read so far. refs,
+// when set, collects the OIDs of the references it reads, in order.
 type nodeReader struct {
 	buf   []byte
 	pos   int
 	types []types.Type
+	refs  *[]uint64
 }
 
 func (r *nodeReader) byte() (byte, error) {
@@ -455,6 +427,9 @@ func (r *nodeReader) inlineValue(resolve func(oid uint64) (value.Value, error)) 
 		if err != nil {
 			return nil, err
 		}
+		if r.refs != nil {
+			*r.refs = append(*r.refs, oid)
+		}
 		return resolve(oid)
 	default:
 		return nil, fmt.Errorf("%w: inline tag %d", ErrCorrupt, tag)
@@ -465,13 +440,13 @@ func (r *nodeReader) inlineValue(resolve func(oid uint64) (value.Value, error)) 
 // type ordinal it names against r.types. The scanner runs it on each node
 // that may name a type as the node arrives, so an ordinal is resolved
 // against the 'T' records before it.
-func (r *nodeReader) checkNode() error { return r.skipNode(nil, true) }
+func (r *nodeReader) checkNode() error { return r.skipNode(true) }
 
 // appendRefs appends the OIDs img references, in order. It reads what
 // skipNode can and stops there: a malformed image names no more nodes.
 func appendRefs(dst []uint64, img []byte) []uint64 {
-	r := nodeReader{buf: img}
-	r.skipNode(&dst, false)
+	r := nodeReader{buf: img, refs: &dst}
+	r.skipNode(false)
 	return dst
 }
 
@@ -487,11 +462,10 @@ func inlineRef(inline []byte) (uint64, bool) {
 
 // skipNode reads past a node image as the materializer decodes it, each
 // inline value skipped rather than built, and like the materializer
-// ignores bytes after the value. It appends each reference's OID to *refs
-// when refs is not nil, and resolves each type ordinal against r.types
-// when check is set. Its node layout follows encodeNode, as
+// ignores bytes after the value. It resolves each type ordinal against
+// r.types when check is set. Its node layout follows encodeNode, as
 // materializer.node does.
-func (r *nodeReader) skipNode(refs *[]uint64, check bool) error {
+func (r *nodeReader) skipNode(check bool) error {
 	tag, err := r.byte()
 	if err != nil {
 		return err
@@ -515,14 +489,14 @@ func (r *nodeReader) skipNode(refs *[]uint64, check bool) error {
 				break
 			}
 		}
-		err = r.skipInline(refs, check)
+		err = r.skipInline(check)
 	}
 	return err
 }
 
 // skipInline reads past one inline value as inlineValue decodes it; see
 // skipNode.
-func (r *nodeReader) skipInline(refs *[]uint64, check bool) error {
+func (r *nodeReader) skipInline(check bool) error {
 	tag, err := r.byte()
 	if err != nil {
 		return err
@@ -542,8 +516,8 @@ func (r *nodeReader) skipInline(refs *[]uint64, check bool) error {
 		err = r.skipType(check)
 	case inRef:
 		var oid uint64
-		if oid, err = r.uvarint(); err == nil && refs != nil {
-			*refs = append(*refs, oid)
+		if oid, err = r.uvarint(); err == nil && r.refs != nil {
+			*r.refs = append(*r.refs, oid)
 		}
 	default:
 		err = fmt.Errorf("%w: inline tag %d", ErrCorrupt, tag)

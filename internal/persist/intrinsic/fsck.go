@@ -73,11 +73,15 @@ func FsckFS(fsys iofault.FS, path string) (*FsckReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	data, err := readLog(f)
+	if err != nil {
+		return nil, err
+	}
 
 	rep := &FsckReport{Path: path, Size: fi.Size()}
-	var fold groupFold // nodes left nil: images are counted, not retained
+	var fold groupFold // no data: node records are counted, not kept
 	var tab []types.Type
-	sum, err := scanLog(f, fold.sink(&tab))
+	sum, err := scanLog(data, fold.sink(&tab))
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package intrinsic
 
 import (
+	"hash/maphash"
 	"slices"
 
 	"dbpl/internal/dynamic"
@@ -11,15 +12,96 @@ import (
 // reaches. A node lives while some committed root entry or committed node
 // image names it; each durable boundary — a local batch (settleStaged), a
 // replicated frame (settleFrame) — counts the references its groups added
-// and removed, and a node left with none leaves nodes and shared, and its
-// value leaves a primary's oids or a replica's vals. load and Compact
-// start from what the roots reach instead, so they also drop the garbage
-// cycles that counting cannot see.
+// and removed, and a node left with none leaves nodes, refs and shared,
+// and its value leaves a primary's oids or a replica's vals. load and
+// Compact start from what the roots reach instead, so they also drop the
+// garbage cycles that counting cannot see.
+//
+// Memory holds no committed image. A node is remembered by its digest
+// (nodes), which is all that telling a changed image from an unchanged one
+// needs, and, if its image names other nodes, by their OIDs (refs), which
+// is all that releasing it needs.
+
+// nodeSum is the 128-bit digest of a node image: two maphash sums under
+// seeds drawn once per process. It never leaves the process, so no image
+// can be chosen to collide with another, and at 128 bits an accidental
+// collision — which would silently drop a write — is out of reach; 64
+// bits would not be.
+type nodeSum [2]uint64
+
+var sumSeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
+
+func sumOf(img []byte) nodeSum {
+	return nodeSum{maphash.Bytes(sumSeeds[0], img), maphash.Bytes(sumSeeds[1], img)}
+}
+
+// nodeRec is a node record a batch staged or a frame carries: its OID,
+// where it lies in the bytes that hold it (see nodeAt), and its image's
+// digest.
+type nodeRec struct {
+	oid uint64
+	at  int
+	sum nodeSum
+}
+
+// stagedNodes is what the open batch wrote: its groups' bytes, which the
+// batch owns until it is durable, and a record for each node image in
+// them. last maps each OID to its last record once a second group is
+// encoded; a single group writes each node once.
+type stagedNodes struct {
+	buf  nodeBuf
+	recs []nodeRec
+	last map[uint64]int
+}
+
+// index maps the OIDs of the records from i on to their records.
+func (st *stagedNodes) index(i int) {
+	if st.last == nil {
+		st.last = make(map[uint64]int, len(st.recs))
+	}
+	for ; i < len(st.recs); i++ {
+		st.last[st.recs[i].oid] = i
+	}
+}
+
+// latest returns each OID's last record, dropping the ones a later group
+// of the batch superseded.
+func (st *stagedNodes) latest() []nodeRec {
+	if st.last == nil {
+		return st.recs
+	}
+	keep := st.recs[:0]
+	for i, r := range st.recs {
+		if st.last[r.oid] == i {
+			keep = append(keep, r)
+		}
+	}
+	return keep
+}
+
+// reset empties st for the next batch, keeping its buffers unless they
+// grew past what the scratch keeps.
+func (st *stagedNodes) reset() {
+	st.buf.keep()
+	st.recs = keptSlice(st.recs)
+	st.last = keptMap(st.last)
+}
+
+// sumBefore returns the digest oid's image had before the group being
+// encoded: as the open batch last staged it, or as committed.
+func (s *Store) sumBefore(oid uint64) (nodeSum, bool) {
+	if i, ok := s.staging.last[oid]; ok {
+		return s.staging.recs[i].sum, true
+	}
+	sum, ok := s.nodes[oid]
+	return sum, ok
+}
 
 // settleStaged settles a local batch that just became durable. The root
 // entries it changed are those of the handles its groups consumed
 // (stagedTouched), from the committed table to the one it staged; its node
-// images are stagedNodes. A primary's oids is keyed by value, so the
+// records are staging's, and the nodes new to it lie in the OID range its
+// walks numbered (fresh). A primary's oids is keyed by value, so the
 // values the batch released — the replaced roots', and the ones it
 // numbered when one of their nodes went unnamed — are walked to find the
 // entries whose nodes went. Callers hold s.mu.
@@ -39,7 +121,8 @@ func (s *Store) settleStaged() {
 			sc.released = append(sc.released, was.Value())
 		}
 	}
-	if s.settle(s.stagedNodes) {
+	lo := s.nextOID - uint64(len(s.fresh))
+	if s.settle(s.staging.buf.Bytes(), s.staging.latest(), lo, s.nextOID) {
 		sc.released = append(sc.released, s.fresh...)
 	}
 	sc.released = s.forget(sc.released)
@@ -58,9 +141,11 @@ func (s *Store) settleStaged() {
 
 // settleFrame settles a replicated frame that just became durable: its
 // fold's upserts and deletes are the root entries it changed, whose OIDs
-// rootOIDs tracks, and its node images are the fold's. The values of the
-// nodes it drops leave vals as the nodes go. Callers hold s.mu.
-func (s *Store) settleFrame(fold *groupFold) {
+// rootOIDs tracks, and recs the records of the nodes it wrote anew or
+// afresh, which lie in raw, the new ones in the OID range [lo, hi). The
+// values of the nodes it drops leave vals as the nodes go. Callers hold
+// s.mu.
+func (s *Store) settleFrame(fold *groupFold, recs []nodeRec, lo, hi uint64) {
 	sc := &s.sc
 	defer sc.resetSettle()
 	for name := range fold.deletes {
@@ -73,7 +158,7 @@ func (s *Store) settleFrame(fold *groupFold) {
 			s.rootOIDs[name] = oid
 		}
 	}
-	s.settle(fold.nodes)
+	s.settle(fold.data, recs, lo, hi)
 }
 
 // appendRootOID appends the OID of the container d's root entry names; a
@@ -99,68 +184,94 @@ func (s *Store) unrootOID(dst []uint64, name string) []uint64 {
 	return dst
 }
 
-// settle brings nodes and the counts to a batch that just became durable.
-// images are the node images its groups wrote, the last per OID, and the
-// scratch's gained and lost already hold the OIDs of the root entries it
-// wrote and of the ones they replaced. An image joins nodes or replaces
-// its node's, whose references are then lost. Every reference the batch
-// added is counted before any it removed is dropped, so a node that only
-// moved between parents inside the batch never reaches zero; a node the
-// batch wrote that nothing names is dropped as if it lost its last
-// reference, and settle reports whether there was one.
-func (s *Store) settle(images map[uint64][]byte) (unnamed bool) {
+// settle brings nodes, refs and the counts to a batch that just became
+// durable. recs are the records of the node images its groups wrote, the
+// last per OID, in buf; the nodes new to the store among them lie in the
+// OID range [lo, hi). The scratch's gained and lost already hold the OIDs
+// of the root entries it wrote and of the ones they replaced. An image
+// whose digest differs joins nodes or replaces its node's, whose
+// references are then lost. Every reference the batch added is counted
+// before any it removed is dropped, so a node that only moved between
+// parents inside the batch never reaches zero; a node the batch wrote that
+// nothing names is dropped as if it lost its last reference, and settle
+// reports whether there was one.
+func (s *Store) settle(buf []byte, recs []nodeRec, lo, hi uint64) (unnamed bool) {
 	sc := &s.sc
-	if sc.born == nil {
-		sc.born = make(map[uint64]int32, len(images))
-	}
-	if n := len(sc.gained) + len(images); cap(sc.gained) < n {
+	// born counts, for each OID of the range, one for a node new to the
+	// store and one more for each reference it gains; a bulk load's first
+	// commit counts every node here without a map.
+	born := slices.Grow(sc.born[:0], int(hi-lo))[:hi-lo]
+	clear(born)
+	if n := len(sc.gained) + len(recs); cap(sc.gained) < n {
 		// About one reference an image: a bulk load's batch grows the
 		// slice once.
 		sc.gained = slices.Grow(sc.gained, n-len(sc.gained))
 	}
-	for oid, img := range images {
-		old, had := s.nodes[oid]
-		if had && string(old) == string(img) {
+	for _, r := range recs {
+		old, had := s.nodes[r.oid]
+		if had && old == r.sum {
 			continue
 		}
 		if had {
-			sc.lost = appendRefs(sc.lost, old)
+			sc.lost = append(sc.lost, s.refs[r.oid]...)
 		} else {
-			sc.born[oid] = 0
+			born[r.oid-lo] = 1
 		}
-		s.nodes[oid] = img
-		sc.gained = appendRefs(sc.gained, img)
+		s.nodes[r.oid] = r.sum
+		_, img := nodeAt(buf, r.at)
+		sc.gained = s.setRefs(r.oid, img, sc.gained)
 	}
 	for _, oid := range sc.gained {
-		if n, ok := sc.born[oid]; ok {
-			sc.born[oid] = n + 1
+		if i := oid - lo; i < uint64(len(born)) && born[i] > 0 {
+			born[i]++
 		} else if _, ok := s.nodes[oid]; ok {
 			s.shared[oid]++
 		}
 	}
-	for oid, n := range sc.born {
-		if n == 0 {
+	for i, n := range born {
+		switch oid := lo + uint64(i); {
+		case n == 1:
 			sc.lost = append(sc.lost, oid)
 			unnamed = true
-		} else if n > 1 {
-			s.shared[oid] = n - 1
+		case n > 2:
+			s.shared[oid] = n - 2
 		}
 	}
+	sc.born = born
 	sc.lost = s.release(sc.lost)
 	s.nodesA.Store(int64(len(s.nodes)))
 	return unnamed
 }
 
+// setRefs makes the references img names oid's, and appends them to
+// gained.
+func (s *Store) setRefs(oid uint64, img []byte, gained []uint64) []uint64 {
+	n := len(gained)
+	gained = appendRefs(gained, img)
+	refs := gained[n:]
+	old, had := s.refs[oid]
+	switch {
+	case len(refs) == 0:
+		if had {
+			delete(s.refs, oid)
+		}
+	case cap(old) >= len(refs):
+		s.refs[oid] = append(old[:0], refs...)
+	default:
+		s.refs[oid] = slices.Clone(refs)
+	}
+	return gained
+}
+
 // release drops one reference to each node stack names. A node left with
-// none leaves nodes and vals, and the references of its image are dropped
-// in turn, on the same explicit stack, however deep the cascade goes. It
+// none leaves nodes, refs and vals, and its references are dropped in
+// turn, on the same explicit stack, however deep the cascade goes. It
 // returns the emptied stack.
 func (s *Store) release(stack []uint64) []uint64 {
 	for len(stack) > 0 {
 		oid := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		img, ok := s.nodes[oid]
-		if !ok {
+		if _, ok := s.nodes[oid]; !ok {
 			continue
 		}
 		if n := s.shared[oid]; n > 0 {
@@ -173,7 +284,10 @@ func (s *Store) release(stack []uint64) []uint64 {
 		}
 		delete(s.nodes, oid)
 		delete(s.vals, oid)
-		stack = appendRefs(stack, img)
+		if refs, ok := s.refs[oid]; ok {
+			stack = append(stack, refs...)
+			delete(s.refs, oid)
+		}
 	}
 	return stack
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"dbpl/internal/dynamic"
@@ -21,12 +22,15 @@ import (
 // no others.
 
 // checkLifecycle asserts that s holds exactly the nodes its committed root
-// table reaches, with the counts a replay gives them, and one oids entry
-// per node on a primary (one vals entry, and a rootOIDs entry per
-// container root, on a replica). The root entries are read from the log
-// file and the reachable set by a replay's materializer over s's images,
-// not by the bookkeeping under test. The histories it runs on are
-// acyclic: a garbage cycle is a node the replay does not reach.
+// table reaches — each by the digest of its last image in the log and, if
+// that image names other nodes, their OIDs — with the counts a replay
+// gives them, one oids entry per node on a primary (one vals entry, and a
+// rootOIDs entry per container root, on a replica), and no image bytes:
+// the staging buffer and records are empty. The root entries and images
+// are read from the log file, and the reachable set, digests and
+// references taken by a replay's materializer over them, not by the
+// bookkeeping under test. The histories it runs on are acyclic: a garbage
+// cycle is a node the replay does not reach.
 func checkLifecycle(t testing.TB, s *Store) {
 	t.Helper()
 	s.mu.Lock()
@@ -35,13 +39,18 @@ func checkLifecycle(t testing.TB, s *Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tab []types.Type
-	var fold groupFold
-	if _, err := scanLog(bytes.NewReader(raw[:s.end]), fold.sink(&tab)); err != nil {
-		t.Fatal(err)
+	if n := s.staging.buf.Len() + len(s.staging.recs) + len(s.staging.last); n != 0 || s.staged != 0 {
+		t.Fatalf("after a durable boundary the store stages %d bytes, %d node records and %d groups",
+			s.staging.buf.Len(), len(s.staging.recs), s.staged)
 	}
-	replay := &Store{nodes: s.nodes, shared: map[uint64]int32{}}
-	m := replay.newMaterializer(len(s.nodes), nil, tab)
+	var tab []types.Type
+	fold := groupFold{data: raw[:s.end]}
+	if sum, err := scanLog(fold.data, fold.sink(&tab)); err != nil || sum.corrupt != nil || sum.torn {
+		t.Fatalf("the durable log scans to %+v, %v", sum, err)
+	}
+	fold.index()
+	replay := &Store{nodes: map[uint64]nodeSum{}, refs: map[uint64][]uint64{}, shared: map[uint64]int32{}}
+	m := replay.newMaterializer(len(fold.nodes), &fold, tab)
 	m.load = true
 	roots := map[string]uint64{}
 	for name, e := range fold.upserts {
@@ -52,10 +61,20 @@ func checkLifecycle(t testing.TB, s *Store) {
 			roots[name] = oid
 		}
 	}
-	live := len(m.cache)
-	if len(s.nodes) != live {
-		t.Fatalf("store holds %d node images, its committed roots reach %d", len(s.nodes), live)
+	for oid, sum := range replay.nodes {
+		img, _ := fold.image(oid)
+		if refs := appendRefs(nil, img); sum != sumOf(img) || !slices.Equal(refs, replay.refs[oid]) {
+			t.Fatalf("a replay remembers node %d as %x %v, its last image is %x %v", oid, sum, replay.refs[oid], sumOf(img), refs)
+		}
 	}
+	if !maps.Equal(s.nodes, replay.nodes) {
+		t.Fatalf("store holds %d node digests, its committed roots reach %d, or a digest differs from its last image's",
+			len(s.nodes), len(replay.nodes))
+	}
+	if !maps.EqualFunc(s.refs, replay.refs, slices.Equal) {
+		t.Fatalf("store's references %v, the log's %v", s.refs, replay.refs)
+	}
+	live := len(m.cache)
 	if !maps.Equal(s.shared, replay.shared) {
 		t.Fatalf("store counts %v references past the first, a replay counts %v", s.shared, replay.shared)
 	}
@@ -299,7 +318,7 @@ func TestFreeingCostsTheDelta(t *testing.T) {
 	}
 	defer s.Close()
 	preload(t, s, 16)
-	nodes, shared, oids := maps.Clone(s.nodes), maps.Clone(s.shared), maps.Clone(s.oids)
+	nodes, refs, shared, oids := maps.Clone(s.nodes), maps.Clone(s.refs), maps.Clone(s.shared), maps.Clone(s.oids)
 	for _, name := range []string{"root00003", "root00004"} {
 		if _, err := s.Rebind(name, rebound(0)); err != nil {
 			t.Fatal(err)
@@ -312,8 +331,8 @@ func TestFreeingCostsTheDelta(t *testing.T) {
 	if _, err := s.SyncBatch(); !errors.Is(err, iofault.ErrInjected) {
 		t.Fatalf("SyncBatch under an injected fsync failure = %v", err)
 	}
-	if !maps.EqualFunc(s.nodes, nodes, bytes.Equal) || !maps.Equal(s.shared, shared) {
-		t.Fatal("a failed batch moved the committed node images or their counts")
+	if !maps.Equal(s.nodes, nodes) || !maps.EqualFunc(s.refs, refs, slices.Equal) || !maps.Equal(s.shared, shared) {
+		t.Fatal("a failed batch moved the committed node digests, their references or their counts")
 	}
 	if err := s.AbortBound(); err != nil {
 		t.Fatal(err)
@@ -399,4 +418,50 @@ func TestFollowerRenamesADroppedNode(t *testing.T) {
 	if got, want := renderTyped(f), renderTyped(p); !maps.Equal(got, want) {
 		t.Fatalf("follower %v, primary %v", got, want)
 	}
+}
+
+// TestFollowerReplaysAScatteredFrame: a frame whose new nodes' OIDs lie
+// far apart, which a writer makes only when it rewrites a node the
+// follower dropped, is published by replaying the log rather than by
+// counting over the OID range between them.
+func TestFollowerReplaysAScatteredFrame(t *testing.T) {
+	recType := types.MustParse("{A: Int}")
+	var log bytes.Buffer
+	logGroup(&log, func(b *nodeBuf) {
+		typeRecord(t, b, recType)
+		oids := []uint64{1, 1 << 40}
+		for i, oid := range oids {
+			b.WriteByte(recNode)
+			b.uvarint(oid)
+			start := b.Len()
+			if err := encodeNode(b, value.Rec("A", value.Int(int64(i))), nil, TransientPrefix); err != nil {
+				t.Fatal(err)
+			}
+			b.prefixLen(start)
+		}
+		b.WriteByte(recRootDelta)
+		b.uvarint(uint64(len(oids)))
+		for i, oid := range oids {
+			b.str(string(rune('a' + i)))
+			b.uvarint(0)
+			start := b.Len()
+			b.WriteByte(inRef)
+			b.uvarint(oid)
+			b.prefixLen(start)
+		}
+		b.uvarint(0)
+	})
+	f, err := Open(filepath.Join(t.TempDir(), "f.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.ApplyGroup(log.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"a": "{A: Int} | {A = 0}", "b": "{A: Int} | {A = 1}"}
+	if got := renderTyped(f); !maps.Equal(got, want) {
+		t.Fatalf("follower %v, want %v", got, want)
+	}
+	checkLifecycle(t, f)
 }

@@ -1,7 +1,6 @@
 package intrinsic
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -127,7 +126,7 @@ func (s *Store) Promote() (uint64, error) {
 	out.WriteByte(recEpoch)
 	out.uvarint(next)
 	out.WriteByte(recCommit)
-	if err := s.stageGroup(&out); err != nil {
+	if err := s.stageGroup(&out, 0); err != nil {
 		return 0, err
 	}
 	if _, err := s.syncStaged(); err != nil {
@@ -184,14 +183,6 @@ func (s *Store) VerifyTail(raw []byte, from int64) (int64, error) {
 		}
 	}
 	return n, nil
-}
-
-// scanRaw runs the structural scanner over raw bytes as if they followed a
-// log header. Offsets in the returned summary therefore count from
-// HeaderSize, as in a real file.
-func scanRaw(raw []byte, sink scanSink) (scanSummary, error) {
-	hdr := append([]byte(logMagic), logVersion)
-	return scanLog(io.MultiReader(bytes.NewReader(hdr), bytes.NewReader(raw)), sink)
 }
 
 // rebase moves the offset of corruption scanRaw found in bytes that start
@@ -279,10 +270,7 @@ func (s *Store) readAt(off int64, n int) ([]byte, error) {
 // group is fine (it just isn't counted); deterministic corruption is an
 // error.
 func groupBoundary(buf []byte, at int64) (int64, int, error) {
-	sum, err := scanRaw(buf, scanSink{})
-	if err != nil {
-		return 0, 0, err
-	}
+	sum := scanRaw(buf, scanSink{})
 	if sum.corrupt != nil {
 		return 0, 0, rebase(sum.corrupt, at)
 	}
@@ -347,11 +335,8 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	// 1. Structural + checksum verification, folding the groups' effect,
 	//    before a single byte touches the file.
 	tab := slices.Clip(s.types) // the frame's 'T' records extend a copy
-	fold := groupFold{nodes: map[uint64][]byte{}}
-	sum, err := scanRaw(raw, fold.sink(&tab))
-	if err != nil {
-		return delta, err
-	}
+	fold := groupFold{data: raw}
+	sum := scanRaw(raw, fold.sink(&tab))
 	if sum.corrupt != nil {
 		return delta, rebase(sum.corrupt, s.end)
 	}
@@ -359,7 +344,7 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 		return delta, fmt.Errorf("%w: frame does not end on a commit-group boundary", ErrBadGroup)
 	}
 	delta.Groups = sum.commits
-	newNodes := fold.nodes
+	nextOID := fold.index()
 
 	if len(s.touched) > 0 {
 		// The store bound or unbound locally since its last commit group:
@@ -374,7 +359,7 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	//    refused group or a failed append leaves memory exactly at the old
 	//    commit. The roots to re-materialize and check are the ones the
 	//    root deltas upserted — the writer names every handle whose entry
-	//    changed. A node image overwriting a *different* existing image
+	//    changed. A node image whose digest differs from an existing node's
 	//    means in-place mutation of a subgraph some untouched handle may
 	//    share — a serve primary never produces that (every PUT binds
 	//    freshly decoded values), but a generic primary can, and then the
@@ -382,14 +367,33 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	//    log after the append instead. So is a group that names a node
 	//    this store dropped (errPruned): a writer's batch may leave a node
 	//    unreachable in one group and name it again in a later one, and
-	//    only the log still holds its image.
+	//    only the log still holds its image. And so is a frame whose new
+	//    nodes' OIDs are scattered, which the counts of a durable frame
+	//    cannot index densely (see settle): a writer numbers the nodes it
+	//    adds from one counter, so only a node that this store dropped and
+	//    the frame rewrites lies apart from the others.
 	replay := false
-	for oid, img := range newNodes {
-		if prev, ok := s.nodes[oid]; ok && !bytes.Equal(prev, img) {
-			replay = true
-			break
+	frame := s.sc.frame[:0]
+	lo, hi := nextOID, uint64(0)
+	for oid, at := range fold.nodes {
+		_, img := nodeAt(raw, at)
+		r := nodeRec{oid: oid, at: at, sum: sumOf(img)}
+		if prev, ok := s.nodes[oid]; ok {
+			if prev != r.sum {
+				replay = true
+				break
+			}
+			continue
 		}
+		lo, hi = min(lo, oid), max(hi, oid+1)
+		frame = append(frame, r)
 	}
+	if hi < lo {
+		lo, hi = 0, 0
+	} else if hi-lo > 2*uint64(len(frame))+64 {
+		replay = true
+	}
+	s.sc.frame = frame
 	old, next := s.Committed(), s.Committed()
 	names := make([]string, 0, len(fold.upserts)+len(fold.deletes))
 	for name := range fold.deletes {
@@ -398,7 +402,7 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	}
 	var m *materializer
 	if !replay {
-		m = s.newMaterializer(len(newNodes), newNodes, tab)
+		m = s.newMaterializer(len(fold.nodes), &fold, tab)
 		for _, e := range fold.upserts {
 			v, err := m.root(e.inline)
 			if errors.Is(err, errPruned) {
@@ -435,14 +439,10 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 		names = append(names, s.namesLocked()...)
 	} else {
 		s.defineTypes(tab)
-		for oid := range newNodes {
-			if oid >= s.nextOID {
-				s.nextOID = oid + 1
-			}
-		}
+		s.nextOID = max(s.nextOID, nextOID)
 		m.keep()
 		s.logNodes += fold.nodeRecs
-		s.settleFrame(&fold)
+		s.settleFrame(&fold, frame, lo, hi)
 		s.roots = next
 		s.committed.Store(&next)
 		if fold.sawDefs {

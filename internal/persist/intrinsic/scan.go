@@ -1,7 +1,6 @@
 package intrinsic
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -56,8 +55,11 @@ func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 // their group is validated: callers must buffer per group and apply only
 // on commit (which fires only for valid groups).
 type scanSink struct {
-	node func(oid uint64, img []byte)
-	// roots receives a 'D' root-table delta.
+	// node receives where in the scanned bytes a node record starts; see
+	// nodeAt.
+	node func(at int)
+	// roots receives a 'D' root-table delta. Its inline values are slices
+	// of the scanned bytes.
 	roots     func(op rootOp)
 	indexDefs func(fields []string)
 	epoch     func(e uint64)
@@ -82,8 +84,17 @@ type rootOp struct {
 // torn or corrupt group contributes nothing. The root-table effect is
 // relative to the table before the scan, which afterwards holds
 // (before − deletes) ∪ upserts; the two are disjoint.
+//
+// A fold given the scanned bytes in data keeps where its node records lie
+// in them, not copies of the images: recs holds the records in log order,
+// the first valid of them the valid groups', and index turns those into
+// nodes, where each OID's last record lies. A fold without data only
+// counts them.
 type groupFold struct {
-	nodes    map[uint64][]byte // last image per OID; left nil, only counted
+	data     []byte
+	recs     []int
+	valid    int
+	nodes    map[uint64]int
 	nodeRecs int
 	upserts  map[string]rootEntry
 	deletes  map[string]bool
@@ -92,6 +103,11 @@ type groupFold struct {
 	epoch    uint64
 	sawEpoch bool
 }
+
+// bytesPerNodeRec is about how many log bytes a node record takes, which
+// sizes a fold's record list by its input: a benchmark-shaped node record
+// takes 37, so the list is seldom grown.
+const bytesPerNodeRec = 32
 
 func (f *groupFold) applyRootOp(op rootOp) {
 	if f.upserts == nil {
@@ -111,13 +127,12 @@ func (f *groupFold) applyRootOp(op rootOp) {
 // sink returns the scanSink that feeds f, extending and checking against
 // the type table tab.
 func (f *groupFold) sink(tab *[]types.Type) scanSink {
-	type nodeRec struct {
-		oid uint64
-		img []byte
+	if f.data != nil {
+		f.recs = make([]int, 0, len(f.data)/bytesPerNodeRec)
 	}
-	// The open group's records, folded into f on its commit marker.
+	// The open group's records, folded into f on its commit marker: its
+	// node records past f.valid in f.recs, and the rest here.
 	var (
-		nodes    []nodeRec
 		nodeRecs int
 		rootOps  []rootOp
 		defs     []string
@@ -126,10 +141,10 @@ func (f *groupFold) sink(tab *[]types.Type) scanSink {
 		sawEpoch bool
 	)
 	return scanSink{
-		node: func(oid uint64, img []byte) {
+		node: func(at int) {
 			nodeRecs++
-			if f.nodes != nil {
-				nodes = append(nodes, nodeRec{oid, img})
+			if f.data != nil {
+				f.recs = append(f.recs, at)
 			}
 		},
 		roots:     func(op rootOp) { rootOps = append(rootOps, op) },
@@ -138,13 +153,11 @@ func (f *groupFold) sink(tab *[]types.Type) scanSink {
 		types:     tab,
 		commit: func(int64) {
 			f.nodeRecs += nodeRecs
-			for _, n := range nodes {
-				f.nodes[n.oid] = n.img
-			}
+			f.valid = len(f.recs)
 			for _, op := range rootOps {
 				f.applyRootOp(op)
 			}
-			nodes, nodeRecs, rootOps = nodes[:0], 0, rootOps[:0]
+			nodeRecs, rootOps = 0, rootOps[:0]
 			if sawDefs {
 				f.defs, f.sawDefs, sawDefs = defs, true, false
 			}
@@ -153,6 +166,39 @@ func (f *groupFold) sink(tab *[]types.Type) scanSink {
 			}
 		},
 	}
+}
+
+// index maps each OID the valid groups wrote to where its last record lies
+// in f.data, and returns one past the largest.
+func (f *groupFold) index() (next uint64) {
+	f.nodes = make(map[uint64]int, f.valid)
+	for _, at := range f.recs[:f.valid] {
+		oid, _ := nodeAt(f.data, at)
+		f.nodes[oid] = at
+		next = max(next, oid+1)
+	}
+	f.recs = nil
+	return next
+}
+
+// image returns the last image the valid groups wrote for oid.
+func (f *groupFold) image(oid uint64) ([]byte, bool) {
+	at, ok := f.nodes[oid]
+	if !ok {
+		return nil, false
+	}
+	_, img := nodeAt(f.data, at)
+	return img, true
+}
+
+// nodeAt reads the node record a scan found at at in data: its OID and
+// its image, a slice of data.
+func nodeAt(data []byte, at int) (oid uint64, img []byte) {
+	b := data[at+1:] // past the record kind
+	oid, n := binary.Uvarint(b)
+	b = b[n:]
+	size, n := binary.Uvarint(b)
+	return oid, b[n : n+int(size)]
 }
 
 // scanSummary is the structural verdict over a whole log.
@@ -165,73 +211,40 @@ type scanSummary struct {
 	corrupt *CorruptError
 }
 
-// logScanner reads the log sequentially, tracking the absolute offset and
-// the running CRC-32C of the current commit group.
+// logScanner reads log bytes held in memory, tracking the position and
+// the log offset of buf[0]. What it returns are slices of buf.
 type logScanner struct {
-	r   *bufio.Reader
-	off int64
-	crc uint32
-	// one and scratch hold bytes only until the next read: the byte
-	// ReadByte checksums, and the names and type images decoded in place.
-	one     [1]byte
-	scratch []byte
+	buf  []byte
+	pos  int
+	base int64
 }
 
-// ReadByte implements io.ByteReader so binary.ReadUvarint counts and
-// checksums every byte it consumes.
-func (s *logScanner) ReadByte() (byte, error) {
-	b, err := s.r.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	s.off++
-	s.one[0] = b
-	s.crc = crc32.Update(s.crc, crcTable, s.one[:])
-	return b, nil
-}
+// off is the log offset of the next byte.
+func (s *logScanner) off() int64 { return s.base + int64(s.pos) }
 
+// uvarint and bytes report a read past the end of the input, which a torn
+// tail explains, as io.ErrUnexpectedEOF.
 func (s *logScanner) uvarint() (uint64, error) {
-	return binary.ReadUvarint(s)
+	x, n := binary.Uvarint(s.buf[s.pos:])
+	if n == 0 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	if n < 0 {
+		s.pos -= n
+		return 0, fmt.Errorf("%w: uvarint overflows 64 bits", ErrCorrupt)
+	}
+	s.pos += n
+	return x, nil
 }
 
-func (s *logScanner) bytes(n int) ([]byte, error) {
-	buf, err := readN(s.r, n)
-	if err != nil {
-		return nil, err
+// bytes returns the next n bytes.
+func (s *logScanner) bytes(n uint64) ([]byte, error) {
+	if n > uint64(len(s.buf)-s.pos) {
+		return nil, io.ErrUnexpectedEOF
 	}
-	s.off += int64(n)
-	s.crc = crc32.Update(s.crc, crcTable, buf)
-	return buf, nil
-}
-
-// transient is bytes for a field decoded on the spot: the result is only
-// valid until the next read.
-func (s *logScanner) transient(n int) ([]byte, error) {
-	const limit = 64 << 10 // larger fields take readN's guarded growth
-	if n > limit {
-		return s.bytes(n)
-	}
-	if cap(s.scratch) < n {
-		s.scratch = make([]byte, max(n, 256))
-	}
-	buf := s.scratch[:n]
-	if _, err := io.ReadFull(s.r, buf); err != nil {
-		return nil, err
-	}
-	s.off += int64(n)
-	s.crc = crc32.Update(s.crc, crcTable, buf)
-	return buf, nil
-}
-
-// raw reads n bytes without feeding the group checksum — used for the
-// stored checksum itself.
-func (s *logScanner) raw(n int) ([]byte, error) {
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(s.r, buf); err != nil {
-		return nil, err
-	}
-	s.off += int64(n)
-	return buf, nil
+	b := s.buf[s.pos : s.pos+int(n)]
+	s.pos += int(n)
+	return b, nil
 }
 
 // isEOF reports whether err is an end-of-input condition — the only
@@ -260,12 +273,12 @@ func scanRootEntries(s *logScanner, tab *[]types.Type) ([]rootEntry, error) {
 		if n > maxRecordSize {
 			return nil, fmt.Errorf("%w: bad root name length", ErrCorrupt)
 		}
-		name, err := s.transient(int(n))
+		name, err := s.bytes(n)
 		if err != nil {
 			return nil, err
 		}
 		e := rootEntry{name: string(name)}
-		typeOff := s.off
+		typeOff := s.off()
 		id, err := s.uvarint()
 		if err != nil {
 			return nil, err
@@ -283,13 +296,13 @@ func scanRootEntries(s *logScanner, tab *[]types.Type) ([]rootEntry, error) {
 		if vn > maxRecordSize {
 			return nil, fmt.Errorf("%w: bad root value length", ErrCorrupt)
 		}
-		inlineOff := s.off
-		if e.inline, err = s.bytes(int(vn)); err != nil {
+		inlineOff := s.off()
+		if e.inline, err = s.bytes(vn); err != nil {
 			return nil, err
 		}
 		if tab != nil {
 			r := nodeReader{buf: e.inline, types: *tab}
-			if err := r.skipInline(nil, true); err != nil || r.pos != len(e.inline) {
+			if err := r.skipInline(true); err != nil || r.pos != len(e.inline) {
 				return nil, badImage(inlineOff, r, err, "root value")
 			}
 		}
@@ -333,7 +346,7 @@ func scanNames(s *logScanner) ([]string, error) {
 		if n > maxRecordSize {
 			return nil, fmt.Errorf("%w: bad name length", ErrCorrupt)
 		}
-		name, err := s.transient(int(n))
+		name, err := s.bytes(n)
 		if err != nil {
 			return nil, err
 		}
@@ -342,42 +355,46 @@ func scanNames(s *logScanner) ([]string, error) {
 	return names, nil
 }
 
-// scanLog reads the whole log from r, firing sink callbacks, and returns
-// the structural summary. The returned error is reserved for real I/O
-// failures of the underlying reader and for a header naming another
-// version (*LogVersionError); corruption and torn tails are reported in
-// the summary.
-func scanLog(r io.Reader, sink scanSink) (scanSummary, error) {
-	s := &logScanner{r: bufio.NewReader(r)}
+// scanLog scans a whole log held in data, firing sink callbacks, and
+// returns the structural summary. The returned error is reserved for a
+// header naming another version (*LogVersionError); corruption and torn
+// tails are reported in the summary.
+func scanLog(data []byte, sink scanSink) (scanSummary, error) {
 	var sum scanSummary
-
-	header := make([]byte, len(logMagic)+1)
-	if _, err := io.ReadFull(s.r, header); err != nil {
-		if err == io.EOF {
-			sum.empty = true
-			return sum, nil
-		}
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			// Fewer bytes than a header: a crash during store creation —
-			// the header write itself was torn. Recoverable.
-			sum.torn = true
-			return sum, nil
-		}
-		return sum, err
-	}
-	s.off = int64(len(header))
-	if string(header[:len(logMagic)]) != logMagic {
+	switch {
+	case len(data) == 0:
+		sum.empty = true
+		return sum, nil
+	case len(data) < int(HeaderSize):
+		// Fewer bytes than a header: a crash during store creation — the
+		// header write itself was torn. Recoverable.
+		sum.torn = true
+		return sum, nil
+	case string(data[:len(logMagic)]) != logMagic:
 		sum.corrupt = &CorruptError{Offset: 0, Reason: "bad magic"}
 		return sum, nil
-	}
-	if v := header[len(logMagic)]; v != logVersion {
-		return sum, &LogVersionError{Found: v}
+	case data[len(logMagic)] != logVersion:
+		return sum, &LogVersionError{Found: data[len(logMagic)]}
 	}
 	sum.version = logVersion
-	sum.goodEnd = s.off
+	scanGroups(&logScanner{buf: data, pos: int(HeaderSize)}, sink, &sum)
+	return sum, nil
+}
 
-	groupStart := s.off
-	s.crc = 0
+// scanRaw scans commit groups held in raw as if they followed a log
+// header: offsets in the summary count from HeaderSize, as in a real
+// file, and the positions the sink receives index raw.
+func scanRaw(raw []byte, sink scanSink) scanSummary {
+	sum := scanSummary{version: logVersion}
+	scanGroups(&logScanner{buf: raw, base: HeaderSize}, sink, &sum)
+	return sum
+}
+
+// scanGroups scans the commit groups from s's position to the end of its
+// bytes into sum.
+func scanGroups(s *logScanner, sink scanSink, sum *scanSummary) {
+	sum.goodEnd = s.off()
+	groupStart := s.pos
 	// validTypes is the type table's length at the last valid commit: the
 	// open group's 'T' records define nothing until its marker validates.
 	validTypes := 0
@@ -403,85 +420,83 @@ func scanLog(r io.Reader, sink scanSink) (scanSummary, error) {
 	}
 
 	for {
-		kindOff := s.off
-		kind, err := s.r.ReadByte()
-		if err == io.EOF {
-			if s.off > sum.goodEnd {
+		at := s.pos
+		kindOff := s.off()
+		if at == len(s.buf) {
+			if at > groupStart {
 				sum.torn = true // mid-group end of input
 			}
-			return sum, nil
+			return
 		}
-		if err != nil {
-			return sum, err
-		}
-		s.off++
-		s.crc = crc32.Update(s.crc, crcTable, []byte{kind})
+		kind := s.buf[at]
+		s.pos++
 
 		switch kind {
 		case recType:
 			n, err := s.uvarint()
 			if err != nil {
-				anomaly(s.off, "bad type record length", err)
-				return sum, nil
+				anomaly(s.off(), "bad type record length", err)
+				return
 			}
 			if n > maxRecordSize {
-				anomaly(s.off, fmt.Sprintf("oversized type record (%d bytes)", n), nil)
-				return sum, nil
+				anomaly(s.off(), fmt.Sprintf("oversized type record (%d bytes)", n), nil)
+				return
 			}
-			imgOff := s.off
-			img, err := s.transient(int(n))
+			imgOff := s.off()
+			img, err := s.bytes(n)
 			if err != nil {
-				anomaly(s.off, "short type image", err)
-				return sum, nil
+				anomaly(s.off(), "short type image", err)
+				return
 			}
 			if sink.types != nil {
 				t, err := codec.DecodeType(img)
 				if err != nil {
 					anomaly(imgOff, fmt.Sprintf("bad image of type ordinal %d: %v", len(*sink.types), err), nil)
-					return sum, nil
+					return
 				}
 				*sink.types = append(*sink.types, t)
 			}
 		case recNode:
 			oid, err := s.uvarint()
 			if err != nil {
-				anomaly(s.off, "bad node oid", err)
-				return sum, nil
+				anomaly(s.off(), "bad node oid", err)
+				return
 			}
 			n, err := s.uvarint()
 			if err != nil {
-				anomaly(s.off, "bad node length", err)
-				return sum, nil
+				anomaly(s.off(), "bad node length", err)
+				return
 			}
 			if n > maxRecordSize {
-				anomaly(s.off, fmt.Sprintf("oversized node (%d bytes)", n), nil)
-				return sum, nil
+				anomaly(s.off(), fmt.Sprintf("oversized node (%d bytes)", n), nil)
+				return
 			}
-			imgOff := s.off
-			img, err := s.bytes(int(n))
+			imgOff := s.off()
+			img, err := s.bytes(n)
 			if err != nil {
-				anomaly(s.off, "short node image", err)
-				return sum, nil
+				anomaly(s.off(), "short node image", err)
+				return
 			}
 			if sink.types != nil && mayNameType(img) {
 				r := nodeReader{buf: img, types: *sink.types}
 				if err := r.checkNode(); err != nil {
 					sum.corrupt = badImage(imgOff, r, err, fmt.Sprintf("node %d", oid))
-					return sum, nil
+					return
 				}
 			}
 			if sink.node != nil {
-				sink.node(oid, img)
+				sink.node(at)
 			}
 		case recRootDelta:
 			var op rootOp
+			var err error
 			op.upserts, err = scanRootEntries(s, sink.types)
 			if err == nil {
 				op.deletes, err = scanNames(s)
 			}
 			if err != nil {
-				anomaly(s.off, fmt.Sprintf("bad root table: %v", err), err)
-				return sum, nil
+				anomaly(s.off(), fmt.Sprintf("bad root table: %v", err), err)
+				return
 			}
 			if sink.roots != nil {
 				sink.roots(op)
@@ -489,8 +504,8 @@ func scanLog(r io.Reader, sink scanSink) (scanSummary, error) {
 		case recIndex:
 			fields, err := scanNames(s)
 			if err != nil {
-				anomaly(s.off, fmt.Sprintf("bad index-definition table: %v", err), err)
-				return sum, nil
+				anomaly(s.off(), fmt.Sprintf("bad index-definition table: %v", err), err)
+				return
 			}
 			if sink.indexDefs != nil {
 				sink.indexDefs(fields)
@@ -498,39 +513,39 @@ func scanLog(r io.Reader, sink scanSink) (scanSummary, error) {
 		case recEpoch:
 			e, err := s.uvarint()
 			if err != nil {
-				anomaly(s.off, "bad epoch record", err)
-				return sum, nil
+				anomaly(s.off(), "bad epoch record", err)
+				return
 			}
 			if sink.epoch != nil {
 				sink.epoch(e)
 			}
 		case recCommit:
-			want := s.crc
-			stored, err := s.raw(checksumSize)
+			want := crc32.Checksum(s.buf[groupStart:s.pos], crcTable)
+			stored, err := s.bytes(checksumSize)
 			if err != nil {
-				anomaly(s.off, "short commit checksum", err)
-				return sum, nil
+				anomaly(s.off(), "short commit checksum", err)
+				return
 			}
 			if got := binary.LittleEndian.Uint32(stored); got != want {
+				off := s.base + int64(groupStart)
 				sum.corrupt = &CorruptError{
-					Offset: groupStart,
-					Reason: fmt.Sprintf("checksum mismatch in commit group at offset %d (stored %08x, computed %08x)", groupStart, got, want),
+					Offset: off,
+					Reason: fmt.Sprintf("checksum mismatch in commit group at offset %d (stored %08x, computed %08x)", off, got, want),
 				}
-				return sum, nil
+				return
 			}
 			if sink.commit != nil {
-				sink.commit(s.off)
+				sink.commit(s.off())
 			}
 			if sink.types != nil {
 				validTypes = len(*sink.types)
 			}
 			sum.commits++
-			sum.goodEnd = s.off
-			groupStart = s.off
-			s.crc = 0
+			sum.goodEnd = s.off()
+			groupStart = s.pos
 		default:
 			anomaly(kindOff, fmt.Sprintf("unknown record kind 0x%02x", kind), nil)
-			return sum, nil
+			return
 		}
 	}
 }

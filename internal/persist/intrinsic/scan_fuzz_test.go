@@ -254,9 +254,9 @@ func FuzzScanLog(f *testing.F) {
 		commits := 0
 		finalCommitEnd := int64(0)
 		var tab []types.Type
-		sum, err := scanLog(bytes.NewReader(data), scanSink{
+		sum, err := scanLog(data, scanSink{
 			types:     &tab,
-			node:      func(uint64, []byte) {},
+			node:      func(int) {},
 			roots:     func(rootOp) {},
 			indexDefs: func([]string) {},
 			commit: func(end int64) {
@@ -287,7 +287,7 @@ func FuzzScanLog(f *testing.F) {
 			t.Fatalf("corruption offset %d outside input", sum.corrupt.Offset)
 		}
 		var valid []types.Type
-		scanLog(bytes.NewReader(data[:sum.goodEnd]), scanSink{types: &valid})
+		scanLog(data[:sum.goodEnd], scanSink{types: &valid})
 		if len(tab) != len(valid) {
 			t.Fatalf("the scan's type table holds %d types, its valid groups define %d", len(tab), len(valid))
 		}
@@ -302,7 +302,7 @@ func TestScanLogIndexSeeds(t *testing.T) {
 	seed := seedLogWithIndexGroup(t)
 
 	var defs []string
-	sum, err := scanLog(bytes.NewReader(seed), scanSink{
+	sum, err := scanLog(seed, scanSink{
 		indexDefs: func(fields []string) { defs = fields },
 	})
 	if err != nil || sum.corrupt != nil || sum.torn {
@@ -312,14 +312,14 @@ func TestScanLogIndexSeeds(t *testing.T) {
 		t.Fatalf("index group not replayed: commits=%d defs=%v", sum.commits, defs)
 	}
 
-	sum, _ = scanLog(bytes.NewReader(seed[:len(seed)-checksumSize-2]), scanSink{})
+	sum, _ = scanLog(seed[:len(seed)-checksumSize-2], scanSink{})
 	if sum.corrupt != nil || !sum.torn || sum.commits != 1 {
 		t.Fatalf("torn index group: %+v", sum)
 	}
 
 	flipped := append([]byte(nil), seed...)
 	flipped[len(flipped)-checksumSize-3] ^= 0x40
-	sum, _ = scanLog(bytes.NewReader(flipped), scanSink{})
+	sum, _ = scanLog(flipped, scanSink{})
 	if sum.corrupt == nil {
 		t.Fatalf("bit rot in index group not detected: %+v", sum)
 	}
@@ -333,7 +333,7 @@ func TestScanLogIndexSeeds(t *testing.T) {
 func TestScanLogRootDeltaSeeds(t *testing.T) {
 	seed := seedLogWithRootDeltas(t)
 	var fold groupFold
-	sum, err := scanLog(bytes.NewReader(seed), fold.sink(nil))
+	sum, err := scanLog(seed, fold.sink(nil))
 	if err != nil || sum.corrupt != nil || sum.torn || sum.commits != 3 {
 		t.Fatalf("clean seed misclassified: err=%v sum=%+v", err, sum)
 	}
@@ -342,7 +342,7 @@ func TestScanLogRootDeltaSeeds(t *testing.T) {
 	}
 
 	var ends []int64
-	scanLog(bytes.NewReader(seed), scanSink{commit: func(end int64) { ends = append(ends, end) }})
+	scanLog(seed, scanSink{commit: func(end int64) { ends = append(ends, end) }})
 	boundary := func(off int64) bool {
 		for _, e := range ends {
 			if e == off {
@@ -352,7 +352,7 @@ func TestScanLogRootDeltaSeeds(t *testing.T) {
 		return off == HeaderSize
 	}
 	for cut := HeaderSize; cut < int64(len(seed)); cut++ {
-		sum, _ := scanLog(bytes.NewReader(seed[:cut]), scanSink{})
+		sum, _ := scanLog(seed[:cut], scanSink{})
 		if sum.corrupt != nil || !boundary(sum.goodEnd) || sum.torn != !boundary(cut) {
 			t.Fatalf("torn at %d: %+v", cut, sum)
 		}
@@ -361,7 +361,7 @@ func TestScanLogRootDeltaSeeds(t *testing.T) {
 		flipped := append([]byte(nil), seed...)
 		flipped[at] ^= 0xFF
 		var damaged groupFold
-		sum, _ := scanLog(bytes.NewReader(flipped), damaged.sink(nil))
+		sum, _ := scanLog(flipped, damaged.sink(nil))
 		if sum.corrupt == nil && !sum.torn {
 			t.Fatalf("flip at %d went undetected: %+v", at, sum)
 		}
@@ -397,7 +397,7 @@ func TestTypeOrdinalsResolveInFileOrder(t *testing.T) {
 	for _, c := range badOrdinalLogs(t) {
 		t.Run(c.name, func(t *testing.T) {
 			var tab []types.Type
-			sum, err := scanLog(bytes.NewReader(c.log), scanSink{types: &tab})
+			sum, err := scanLog(c.log, scanSink{types: &tab})
 			if err != nil || sum.corrupt == nil || sum.corrupt.Offset != c.at || sum.commits != 1 {
 				t.Fatalf("scanLog = %+v, %v; want corruption at offset %d after 1 commit", sum, err, c.at)
 			}
@@ -439,12 +439,12 @@ func TestTypeOrdinalsResolveInFileOrder(t *testing.T) {
 	t.Run("torn", func(t *testing.T) {
 		torn, naming := tornTypeLog(t)
 		var tab []types.Type
-		sum, _ := scanLog(bytes.NewReader(append(torn[:len(torn):len(torn)], naming...)), scanSink{types: &tab})
+		sum, _ := scanLog(append(torn[:len(torn):len(torn)], naming...), scanSink{types: &tab})
 		if sum.corrupt == nil || sum.commits != 1 || len(tab) != 1 {
 			t.Fatalf("scan of a group after a torn 'T' = %+v with %d types, want corruption after 1 commit and 1 type", sum, len(tab))
 		}
 		tab = nil
-		if sum, _ := scanLog(bytes.NewReader(torn), scanSink{types: &tab}); !sum.torn || len(tab) != 1 {
+		if sum, _ := scanLog(torn, scanSink{types: &tab}); !sum.torn || len(tab) != 1 {
 			t.Fatalf("scan of a torn 'T' = %+v with %d types, want torn and 1 type", sum, len(tab))
 		}
 		// A store opened on the torn log defines String again when it

@@ -24,10 +24,13 @@
 //     boundary. A batch that becomes durable (syncStaged), a replicated
 //     frame (ApplyGroup) and a reopen (load) drop every node that no
 //     committed root entry and no committed node image names any more —
-//     its image and its OID entry — so the value it replaced can be
-//     collected. References are counted, so a garbage cycle keeps itself
-//     until a reopen, which keeps only what the roots reach, or Compact,
-//     which also leaves it out of the rewritten log.
+//     its digest, its references and its OID entry — so the value it
+//     replaced can be collected. References are counted, so a garbage
+//     cycle keeps itself until a reopen, which keeps only what the roots
+//     reach, or Compact, which also leaves it out of the rewritten log.
+//     Memory holds no committed image: a live node is its image's 128-bit
+//     digest, which tells a changed image from an unchanged one, and the
+//     OIDs its image names, if any (see refs.go).
 //   - Crash recovery: a torn final commit group is ignored on reopen.
 //   - Transient fields (label prefix "_") are not persisted — the paper's
 //     memoization fields on persistent Part values.
@@ -154,16 +157,18 @@ type Store struct {
 	roots     pmap.Map[*dynamic.Dynamic]
 	owner     *pmap.Owner
 	committed atomic.Pointer[pmap.Map[*dynamic.Dynamic]]
-	// nodes holds the last committed image of each node some committed
-	// root entry or node image names. oids maps their values to their OIDs
-	// on a primary; a replica, which never encodes, keeps the inverse in
-	// vals instead, and the OID each committed root entry names in
-	// rootOIDs. fresh lists the containers numbered since the last durable
-	// group, which AbortBound forgets. logNodes counts the node records the
-	// durable log holds, superseded images included (Compact reports what
-	// it drops).
+	// nodes holds the digest of the last committed image of each node some
+	// committed root entry or node image names — 16 bytes, not the image —
+	// and refs, for the nodes whose image names others, their OIDs in
+	// image order. oids maps their values to their OIDs on a primary; a
+	// replica, which never encodes, keeps the inverse in vals instead, and
+	// the OID each committed root entry names in rootOIDs. fresh lists the
+	// containers numbered since the last durable group, which AbortBound
+	// forgets. logNodes counts the node records the durable log holds,
+	// superseded images included (Compact reports what it drops).
 	oids     map[value.Value]uint64
-	nodes    map[uint64][]byte
+	nodes    map[uint64]nodeSum
+	refs     map[uint64][]uint64
 	vals     map[uint64]value.Value
 	rootOIDs map[string]uint64
 	nextOID  uint64
@@ -211,9 +216,10 @@ type Store struct {
 	//
 	//   staged      — groups written since the last durable boundary
 	//   stagedEnd   — file offset just past the last staged group
-	//   stagedNodes — node images those groups wrote; merged into nodes only
-	//                 when the batch is durable, so a failed batch leaves the
-	//                 in-memory images exactly at the durable state
+	//   staging     — those groups' bytes and where their node records lie;
+	//                 settled into nodes and refs only when the batch is
+	//                 durable, so a failed batch leaves the bookkeeping
+	//                 exactly at the durable state
 	//   stagedRoots — the root table the last staged group wrote, or nil
 	//   stagedRecs  — the node records those groups wrote
 	//   stagedDefs  — the index-definition table a staged group wrote, or
@@ -225,7 +231,7 @@ type Store struct {
 	// would otherwise resurrect groups whose writers were told they failed.
 	staged      int
 	stagedEnd   int64
-	stagedNodes map[uint64][]byte
+	staging     stagedNodes
 	stagedRoots *pmap.Map[*dynamic.Dynamic]
 	stagedRecs  int
 	stagedDefs  []string
@@ -303,9 +309,9 @@ func (s *Store) setEnd(v int64) {
 // immutable map. Lock-free, like DurableEnd.
 func (s *Store) Committed() pmap.Map[*dynamic.Dynamic] { return *s.committed.Load() }
 
-// Nodes returns how many node images the store holds: one for each
-// container its committed roots reach, and the garbage cycles a reopen or
-// Compact has not yet dropped. Lock-free, like DurableEnd.
+// Nodes returns how many live nodes the store keeps a digest of: one for
+// each container its committed roots reach, and the garbage cycles a
+// reopen or Compact has not yet dropped. Lock-free, like DurableEnd.
 func (s *Store) Nodes() int { return int(s.nodesA.Load()) }
 
 // rootEntry is a parsed but not yet materialized root-table entry.
@@ -320,20 +326,23 @@ type rootEntry struct {
 // before the next append), deterministic corruption fails the open with a
 // CorruptError naming the offset, a log of another version fails it with
 // a LogVersionError, untouched, and a non-conforming root with a
-// ConformanceError.
+// ConformanceError. The log is read whole into one buffer, which the
+// scan's records and the materializer's images are slices of, and which
+// nothing holds once load returns.
 func (s *Store) load() error {
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
+	data, err := readLog(s.f)
+	if err != nil {
 		return err
 	}
 	s.indexDefs, s.durableDefs = nil, nil
 	s.defsDirty = false
 	s.touched, s.stagedTouched = nil, nil
-	s.nodes, s.nextOID, s.fresh = map[uint64][]byte{}, 0, nil
+	s.nodes, s.refs, s.nextOID, s.fresh = map[uint64]nodeSum{}, map[uint64][]uint64{}, 0, nil
 	s.shared = map[uint64]int32{}
 	s.types, s.typeIDs, s.durableTypes = nil, map[*types.Interned]uint64{}, 0
 	var tab []types.Type
-	fold := groupFold{nodes: map[uint64][]byte{}}
-	sum, err := scanLog(s.f, fold.sink(&tab))
+	fold := groupFold{data: data}
+	sum, err := scanLog(data, fold.sink(&tab))
 	if err != nil {
 		return err
 	}
@@ -375,24 +384,21 @@ func (s *Store) load() error {
 
 	s.indexDefs = sortedSet(fold.defs)
 	s.durableDefs = s.indexDefs
-	s.nodes = fold.nodes
 	s.logNodes = fold.nodeRecs
 	// OIDs are numbered past every node the log ever held, reachable or
 	// not, so a later group never reuses one an older group wrote.
-	for oid := range s.nodes {
-		if oid >= s.nextOID {
-			s.nextOID = oid + 1
-		}
-	}
+	s.nextOID = fold.index()
 	// Materialize the committed roots — the fold of every root delta from
-	// the empty table — counting each reference past a node's first.
+	// the empty table — remembering each node the roots reach by its
+	// digest and references, and counting each reference past its first.
 	names := make([]string, 0, len(fold.upserts))
 	for name := range fold.upserts {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	dyns := make([]*dynamic.Dynamic, len(names))
-	m := s.newMaterializer(len(s.nodes), nil, s.types)
+	s.nodes = make(map[uint64]nodeSum, len(fold.nodes))
+	m := s.newMaterializer(len(fold.nodes), &fold, s.types)
 	m.load = true
 	for i, name := range names {
 		e := fold.upserts[name]
@@ -404,7 +410,7 @@ func (s *Store) load() error {
 			return err
 		}
 	}
-	// Register what the roots reach, and keep only its images.
+	// Register what the roots reach.
 	s.resetRefs(len(m.cache))
 	m.keep()
 	if s.rootOIDs != nil {
@@ -412,11 +418,6 @@ func (s *Store) load() error {
 			if oid, ok := inlineRef(e.inline); ok {
 				s.rootOIDs[name] = oid
 			}
-		}
-	}
-	for oid := range s.nodes {
-		if _, ok := m.cache[oid]; !ok {
-			delete(s.nodes, oid)
 		}
 	}
 	s.nodesA.Store(int64(len(s.nodes)))
@@ -429,6 +430,24 @@ func (s *Store) load() error {
 		return err
 	}
 	return nil
+}
+
+// readLog reads the whole file f, from its start, into one buffer of its
+// size.
+func readLog(f iofault.File) ([]byte, error) {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	data := make([]byte, size)
+	n, err := io.ReadFull(f, data)
+	if err == io.ErrUnexpectedEOF || err == io.EOF {
+		err = nil // the file is shorter than it was: scan what it holds
+	}
+	return data[:n], err
 }
 
 // defineTypes makes tab, which extends the store's type table, the table
@@ -499,23 +518,26 @@ func (s *Store) register(v value.Value, oid uint64) {
 var errPruned = errors.New("intrinsic: group names a node the store dropped")
 
 // materializer decodes node images into live values for one load or
-// ApplyGroup. cache shares each node among every parent that reaches it;
-// busy holds the set, tag and dynamic nodes being decoded — a cycle back
-// into one is corrupt — and is allocated at the first of them. overlay,
-// an ApplyGroup's incoming node images, wins over the committed ones, and
-// types is the type table with the incoming groups' 'T' records. load
-// marks a replay's materializer, which registers each value and counts in
-// shared each reference past a node's first; ApplyGroup's registers
-// nothing before its groups are durable, and takes a node the replica
-// already holds from vals, so the roots that share it share one value.
+// ApplyGroup, reading them from fold: a replay's every node, an
+// ApplyGroup's incoming ones. cache shares each node among every parent
+// that reaches it; busy holds the set, tag and dynamic nodes being decoded
+// — a cycle back into one is corrupt — and is allocated at the first of
+// them. types is the type table with the incoming groups' 'T' records.
+// load marks a replay's materializer, which records each node it decodes
+// in nodes and refs, counts in shared each reference past a node's first,
+// and registers each value; refs is its stack of the references of the
+// nodes being decoded, innermost last. ApplyGroup's registers nothing
+// before its groups are durable, and takes a node the replica already
+// holds from vals, so the roots that share it share one value.
 type materializer struct {
 	s       *Store
-	overlay map[uint64][]byte
+	fold    *groupFold
 	types   []types.Type
 	cache   map[uint64]value.Value
 	busy    map[uint64]bool
 	resolve func(oid uint64) (value.Value, error) // m.node, bound once
 	recs    value.RecordDecoder
+	refs    []uint64
 	load    bool
 }
 
@@ -527,8 +549,8 @@ func (m *materializer) keep() {
 }
 
 // newMaterializer returns a materializer sized for n nodes.
-func (s *Store) newMaterializer(n int, overlay map[uint64][]byte, tab []types.Type) *materializer {
-	m := &materializer{s: s, overlay: overlay, types: tab, cache: make(map[uint64]value.Value, n)}
+func (s *Store) newMaterializer(n int, fold *groupFold, tab []types.Type) *materializer {
+	m := &materializer{s: s, fold: fold, types: tab, cache: make(map[uint64]value.Value, n)}
 	m.resolve = m.node
 	return m
 }
@@ -560,10 +582,7 @@ func (m *materializer) node(oid uint64) (value.Value, error) {
 	if v, ok := s.vals[oid]; ok && !m.load {
 		return v, nil
 	}
-	img, ok := s.nodes[oid]
-	if o, ok2 := m.overlay[oid]; ok2 {
-		img, ok = o, true
-	}
+	img, ok := m.fold.image(oid)
 	if !ok {
 		if !m.load && oid < s.nextOID {
 			return nil, errPruned
@@ -573,7 +592,27 @@ func (m *materializer) node(oid uint64) (value.Value, error) {
 	if m.busy[oid] {
 		return nil, fmt.Errorf("%w: cycle through a non-record node %d", ErrCorrupt, oid)
 	}
+	if !m.load {
+		return m.decode(oid, img)
+	}
+	start := len(m.refs)
+	v, err := m.decode(oid, img)
+	if err == nil {
+		s.nodes[oid] = sumOf(img)
+		if refs := m.refs[start:]; len(refs) > 0 {
+			s.refs[oid] = slices.Clone(refs)
+		}
+	}
+	m.refs = m.refs[:start]
+	return v, err
+}
+
+// decode decodes img, the image of the node oid.
+func (m *materializer) decode(oid uint64, img []byte) (value.Value, error) {
 	r := nodeReader{buf: img, types: m.types}
+	if m.load {
+		r.refs = &m.refs
+	}
 	tag, err := r.byte()
 	if err != nil {
 		return nil, err
@@ -1008,7 +1047,7 @@ func (s *Store) appendPos() int64 {
 func (s *Store) resetStaging() {
 	s.staged = 0
 	s.stagedEnd = s.end
-	s.stagedNodes = keptMap(s.stagedNodes)
+	s.staging.reset()
 	s.stagedRoots, s.stagedRecs = nil, 0
 	s.forgetTypes(s.durableTypes)
 	if s.stagedDefs != nil {
@@ -1044,13 +1083,13 @@ func (s *Store) rollbackStaged(cause error) error {
 	return cause
 }
 
-// stageGroup stages one encoded commit group, adding its CRC-32C trailer,
-// via stageBytes.
-func (s *Store) stageGroup(out *nodeBuf) error {
+// stageGroup stages one encoded commit group, the bytes of out from
+// start, adding its CRC-32C trailer, via stageBytes.
+func (s *Store) stageGroup(out *nodeBuf, start int) error {
 	var tr [checksumSize]byte
-	binary.LittleEndian.PutUint32(tr[:], crc32.Checksum(out.Bytes(), crcTable))
+	binary.LittleEndian.PutUint32(tr[:], crc32.Checksum(out.Bytes()[start:], crcTable))
 	out.Write(tr[:])
-	return s.stageBytes(out.Bytes())
+	return s.stageBytes(out.Bytes()[start:])
 }
 
 // stageBytes appends raw past the last staged group *without* syncing,
@@ -1080,8 +1119,8 @@ func (s *Store) stageBytes(raw []byte) error {
 
 // syncStaged fsyncs the file, promoting every staged group to durable at
 // once — the one shared fsync group commit exists to amortize — and only
-// then settles the staged node images and root entries into the committed
-// ones. On a sync failure the batch is rolled back to the pre-batch
+// then settles the staged node records and root entries into the committed
+// bookkeeping. On a sync failure the batch is rolled back to the pre-batch
 // durable end (or the store is poisoned if even that fails): all staged
 // groups fail together, with the same cause, and no count moves. Returns
 // the number of groups made durable.
@@ -1103,7 +1142,8 @@ func (s *Store) syncStaged() (int, error) {
 	if s.stagedDefs != nil {
 		s.durableDefs = s.stagedDefs
 	}
-	s.stagedNodes, s.stagedRoots, s.stagedDefs = keptMap(s.stagedNodes), nil, nil
+	s.staging.reset()
+	s.stagedRoots, s.stagedDefs = nil, nil
 	s.staged, s.stagedRecs = 0, 0
 	s.stagedTouched = keptMap(s.stagedTouched)
 	s.fresh = keptSlice(s.fresh)
@@ -1124,14 +1164,14 @@ func (s *Store) appendBytes(raw []byte) error {
 }
 
 // Commit makes the current state of every handle durable. Only nodes whose
-// shallow image differs from the last committed image, and the root-table
-// entries of handles written since, are appended — the incremental
-// property benchmarked in experiment E4. Commit is stage + sync as a batch
+// shallow image differs from the last committed image (by its digest),
+// and the root-table entries of handles written since, are appended — the
+// incremental property benchmarked in experiment E4. Commit is stage + sync as a batch
 // of one: the group-commit primitives below share every byte of its write
 // path.
 //
 // Commit is crash-consistent: on a write or sync failure the log is
-// truncated back to the pre-commit offset (and the in-memory images are
+// truncated back to the pre-commit offset (and the node bookkeeping is
 // left at the last committed state), so a failed commit can never bury a
 // torn tail under later appends. If even the truncation fails, the store
 // is poisoned (ErrPoisoned) until Abort or a reopen.
@@ -1237,24 +1277,26 @@ func (s *Store) stageCommitLocked(walkAll bool) (CommitStats, error) {
 	}
 	stats := CommitStats{NodesReachable: len(order)}
 	from := len(s.types)
-	group, err := s.encodeGroup(order, upserts, deletes, from, &stats)
+	st := &s.staging
+	start, recs := st.buf.Len(), len(st.recs)
+	group, at, err := s.encodeGroup(order, upserts, deletes, from, &stats)
 	if err != nil {
-		// The group never reached the file, so neither did its types.
+		// The group never reached the file, so neither did its types or
+		// its records.
 		s.forgetTypes(from)
+		st.buf.Truncate(start)
+		st.recs = st.recs[:recs]
 		return stats, err
 	}
 	// A failed stage rolls the whole batch back, and the rollback forgets
 	// every type the batch numbered (resetStaging).
-	if err := s.stageGroup(group); err != nil {
+	if err := s.stageGroup(group, at); err != nil {
 		return stats, err
 	}
-	stats.BytesWritten = group.Len()
+	stats.BytesWritten = group.Len() - at
 	s.stagedRecs += stats.NodesWritten
-	if s.stagedNodes == nil {
-		s.stagedNodes = make(map[uint64][]byte, len(s.sc.images))
-	}
-	for _, n := range s.sc.images {
-		s.stagedNodes[n.oid] = n.img
+	if st.last != nil {
+		st.index(recs)
 	}
 	roots := s.roots
 	s.stagedRoots, s.owner = &roots, new(pmap.Owner)
@@ -1267,77 +1309,77 @@ func (s *Store) stageCommitLocked(walkAll bool) (CommitStats, error) {
 	return stats, nil
 }
 
-// encodeGroup encodes one commit group over the nodes of order that
-// changed since their staged or committed image, the root delta and, if
-// dirty, the index definitions. The types it numbers past from are
-// defined by 'T' records at the group's head. It returns the group,
-// without its checksum, in one of the scratch's buffers, and leaves the
-// node images it writes in the scratch's images.
-func (s *Store) encodeGroup(order []value.Value, upserts, deletes []string, from int, stats *CommitStats) (*nodeBuf, error) {
-	out := &s.sc.body
+// encodeGroup encodes one commit group over the nodes of order whose
+// digest differs from their staged or committed image's, the root delta
+// and, if dirty, the index definitions. The types it numbers past from are
+// defined by 'T' records at the group's head. The group is encoded into
+// the batch's buffer, which keeps the node records until the batch is
+// durable, each noted in the batch's records; when it needs 'T' records it
+// is copied behind them into the scratch's. encodeGroup returns the buffer
+// that holds the group, without its checksum, and where in it the group
+// starts.
+func (s *Store) encodeGroup(order []value.Value, upserts, deletes []string, from int, stats *CommitStats) (*nodeBuf, int, error) {
+	st := &s.staging
+	if s.staged > 0 && st.last == nil {
+		st.index(0) // a second group diffs against the first
+	}
+	out := &st.buf
+	start := out.Len()
 	for _, v := range order {
-		img, err := encodeNode(v, s, TransientPrefix)
-		if err != nil {
-			return nil, err
-		}
 		oid := s.oids[v]
-		prev, ok := s.stagedNodes[oid]
-		if !ok {
-			prev, ok = s.nodes[oid]
-		}
-		if ok && string(prev) == string(img) {
-			continue // unchanged: no I/O
-		}
-		s.sc.images = append(s.sc.images, stagedImage{oid, img})
+		at := out.Len()
 		out.WriteByte(recNode)
 		out.uvarint(oid)
-		out.uvarint(uint64(len(img)))
-		out.Write(img)
+		img := out.Len()
+		if err := encodeNode(out, v, s, TransientPrefix); err != nil {
+			return nil, 0, err
+		}
+		sum := sumOf(out.Bytes()[img:])
+		if prev, ok := s.sumBefore(oid); ok && prev == sum {
+			out.Truncate(at) // unchanged: no I/O
+			continue
+		}
+		out.prefixLen(img)
+		st.recs = append(st.recs, nodeRec{oid: oid, at: at, sum: sum})
 		stats.NodesWritten++
 	}
 	if err := s.encodeRootDelta(out, upserts, deletes); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if s.defsDirty {
 		encodeIndexDefs(out, s.indexDefs)
 	}
-	group := out
-	if len(s.types) > from {
-		group = &s.sc.group
-		if err := s.encodeTypes(group, from); err != nil {
-			return nil, err
-		}
-		group.Write(out.Bytes())
+	out.WriteByte(recCommit)
+	if len(s.types) == from {
+		return out, start, nil
 	}
-	group.WriteByte(recCommit)
-	return group, nil
+	group := &s.sc.group
+	if err := s.encodeTypes(group, from); err != nil {
+		return nil, 0, err
+	}
+	group.Write(out.Bytes()[start:])
+	return group, 0, nil
 }
 
 // scratch is the committer's working memory for one commit group: the
-// walk's seen set and order, the root delta's two halves, the node images
-// the group writes and the buffers it is encoded into — and, when a batch
-// is durable, settle's references gained and lost, the nodes the batch
-// added and the values it released. The log has one writer, which holds
-// s.mu, and each group is done with all of it once staged (the file holds
-// the bytes, and stagedNodes the images), so it is kept from one group to
-// the next instead of allocated per group. reset drops whatever grew past
-// maxKeptScratch or maxKeptGroup, so that a first commit's walk of every
-// root leaves none of it behind.
+// walk's seen set and order, the root delta's two halves and the buffer a
+// group that defines types is assembled in — and, when a batch is durable,
+// settle's references gained and lost, its counts of the nodes the batch
+// added and the values it released, and an ApplyGroup frame's records. The
+// log has one writer, which holds s.mu, and each group is done with all of
+// it once staged (the file holds the bytes, and staging the node records),
+// so it is kept from one group to the next instead of allocated per group.
+// reset drops whatever grew past maxKeptScratch or maxKeptGroup, so that a
+// first commit's walk of every root leaves none of it behind.
 type scratch struct {
 	seen             map[value.Value]bool
 	order            []value.Value
 	upserts, deletes []string
-	images           []stagedImage
-	body, group      nodeBuf
+	group            nodeBuf
 	gained, lost     []uint64
-	born             map[uint64]int32
+	born             []int32
 	released         []value.Value
-}
-
-// stagedImage is one node image a group writes.
-type stagedImage struct {
-	oid uint64
-	img []byte
+	frame            []nodeRec
 }
 
 // The scratch kept between groups is at most maxKeptScratch entries in
@@ -1354,8 +1396,6 @@ func (sc *scratch) reset() {
 	sc.order = keptSlice(sc.order)
 	sc.upserts = keptSlice(sc.upserts)
 	sc.deletes = keptSlice(sc.deletes)
-	sc.images = keptSlice(sc.images)
-	sc.body.keep()
 	sc.group.keep()
 }
 
@@ -1363,8 +1403,9 @@ func (sc *scratch) reset() {
 func (sc *scratch) resetSettle() {
 	sc.gained = keptSlice(sc.gained)
 	sc.lost = keptSlice(sc.lost)
-	sc.born = keptMap(sc.born)
+	sc.born = keptSlice(sc.born)
 	sc.released = keptSlice(sc.released)
+	sc.frame = keptSlice(sc.frame)
 }
 
 // keptMap returns m emptied, or nil when it held more than maxKeptScratch
@@ -1516,19 +1557,20 @@ func (s *Store) Compact() (CompactStats, error) {
 		}
 	}()
 	var body nodeBuf
-	kept := map[uint64][]byte{}
+	// The types are numbered afresh, so an image that names one may change:
+	// each kept node is remembered by the digest of its rewritten image.
+	kept := make(map[uint64]nodeSum, len(order))
 	for _, v := range order {
-		img, err := encodeNode(v, s, TransientPrefix)
-		if err != nil {
+		oid := s.oids[v]
+		body.WriteByte(recNode)
+		body.uvarint(oid)
+		img := body.Len()
+		if err := encodeNode(&body, v, s, TransientPrefix); err != nil {
 			tmp.Close()
 			return CompactStats{}, err
 		}
-		oid := s.oids[v]
-		kept[oid] = img
-		body.WriteByte(recNode)
-		body.uvarint(oid)
-		body.uvarint(uint64(len(img)))
-		body.Write(img)
+		kept[oid] = sumOf(body.Bytes()[img:])
+		body.prefixLen(img)
 	}
 	// The rewritten log's one group states the whole table as a delta
 	// against the empty one.
@@ -1596,9 +1638,10 @@ func (s *Store) Compact() (CompactStats, error) {
 	// reaches: their references leave the counts of the nodes they named,
 	// and their values leave oids.
 	var lost []uint64
-	for oid, img := range s.nodes {
+	for oid := range s.nodes {
 		if _, ok := kept[oid]; !ok {
-			lost = appendRefs(lost, img)
+			lost = append(lost, s.refs[oid]...)
+			delete(s.refs, oid)
 			delete(s.shared, oid)
 		}
 	}

@@ -311,8 +311,8 @@ func (s *Server) followOnce() (progressed bool, err error) {
 	}
 	conn.SetWriteDeadline(time.Time{})
 	// The reader keeps only its header (keep 0): each frame is read into
-	// fresh slices, so the group bytes ApplyGroup is handed, and may keep
-	// node images of, are this frame's alone.
+	// fresh slices, so the group bytes ApplyGroup is handed are this
+	// frame's alone.
 	fr := wire.NewFrameReader(conn, maxFrame, 0)
 	// head is the offset below which this stream has delivered every byte
 	// of the upstream's log from the log head; -1 once it has not.

@@ -15,7 +15,7 @@ import (
 // end on a 1 024-root store, each write binding a fresh record at the
 // declared type of the root it rebinds. The bounds are -race's.
 //
-// An autocommit PUT measures 27 with Go 1.24 on linux/amd64, 29 under
+// An autocommit PUT measures 26 with Go 1.24 on linux/amd64, 28 under
 // -race. The client encodes the image and the frame into buffers it keeps
 // and copies the reply frame and its field slice (2). The handler copies
 // the name (1), decodes the record (about 4) and makes its dynamic (1),
@@ -24,15 +24,16 @@ import (
 // committer's scratch, the session's commit request and its channel, the
 // one-op slice and the cache's LRU slots are all kept, so the rest is the
 // delta: the root table's path to the name under the store's owner (6:
-// a node and its items at each of 3 levels), the record's node image, the
-// root table kept for publication and the next owner (3), the index set's
+// a node and its items at each of 3 levels), the root table kept for
+// publication and the next owner (2; the record's node image is encoded
+// into the batch's buffer, which the store keeps), the index set's
 // successor and its owner, one copy of the extent, the path to it in the
 // type → extent table (6), and the published state and its next channel
 // (2).
 //
 // A DELETE measures 21, 22 under -race: it decodes nothing, stages no
 // node and answers with a shared field, and its extent loses one member.
-// An 8-PUT transaction measures 104, 113 under -race: BEGIN takes the
+// An 8-PUT transaction measures 96, 105.5 under -race: BEGIN takes the
 // connection the last transaction gave back, so neither a dial nor the
 // server's session for it is made again, and the session keeps its op
 // buffer; the BEGIN, the eight buffered PUTs and the COMMIT are a round
@@ -95,9 +96,9 @@ func TestServePutAllocs(t *testing.T) {
 		runs      int
 		maxAllocs float64
 	}{
-		{"autocommit PUT", put, 200, 29.5},
+		{"autocommit PUT", put, 200, 28.5},
 		{"DELETE", del, 200, 22.5},
-		{"8-PUT transaction", txn, 20, 115},
+		{"8-PUT transaction", txn, 20, 106},
 	} {
 		for range 5 {
 			w.f()
