@@ -35,8 +35,8 @@ test:
 # the connection an ended session gave back, TestStageBoundAllocs,
 # TestApplyRebindAllocs) take their bounds from -race's counts, and
 # TestFreeingCostsTheDelta holds the durable boundary that frees a
-# rebind's old nodes to as many allocations at 65 536 roots as at 1 024
-# (one, when measured: the new record's reference list). -race also
+# rebind's old nodes to no allocation at 1 024 roots and at 65 536 (the
+# new record's reference list is one the old record gave up). -race also
 # turns on checkptr, which checks the codec's two unsafe uses as the
 # reply tests run them: unsafe.String over a reply's rows field, and box,
 # which makes a reply's slab element the data word of a boxed atom. To

@@ -9,16 +9,43 @@ import (
 )
 
 // FuzzApplyGroup feeds a follower one mutated commit group after a prefix
-// of primaryFixture's history (the first byte picks how many of its groups
-// the follower holds first; the seeds are the fixture's groups, each at its
-// own place, and groups that name type ordinals well and badly). The harness rewrites the input's CRC-32C trailer, so a
-// mutation reaches the decoder, the materializer and the conformance check
-// instead of stopping at the checksum. ApplyGroup must not panic; it
+// of a primary's history: primaryFixture's, continued by a library writer
+// that binds a second handle to the value a first holds, then in one batch
+// unbinds both and binds a third to it, so that one of its groups names a
+// node the follower holds and a later one a node it dropped, and both are
+// replayed. The first byte picks how many of the history's groups the
+// follower holds first; the seeds are its groups, each at its own place,
+// and groups that name type ordinals well and badly. The harness rewrites
+// the input's CRC-32C trailer, so a mutation reaches the decoder, the
+// materializer and the conformance check instead of stopping at the
+// checksum. ApplyGroup must not panic; it
 // succeeds or refuses with a typed error, and a refusal leaves the
 // committed table as it was, and the durable end too — unless the group
 // was appended and its replay refused, which poisons the store.
 func FuzzApplyGroup(f *testing.F) {
 	p, _ := primaryFixture(f)
+	fixture := len(splitGroups(f, allGroups(f, p)))
+	emps, _ := p.Root("emps")
+	if err := p.Bind("twin", emps.Value, nil); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := p.Commit(); err != nil {
+		f.Fatal(err)
+	}
+	p.Unbind("emps")
+	p.Unbind("twin")
+	if _, err := p.StageBound(); err != nil {
+		f.Fatal(err)
+	}
+	if err := p.Bind("moved", emps.Value, nil); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := p.StageBound(); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := p.SyncBatch(); err != nil {
+		f.Fatal(err)
+	}
 	groups := splitGroups(f, allGroups(f, p))
 	for i, g := range groups {
 		f.Add(uint8(i), g)
@@ -30,7 +57,7 @@ func FuzzApplyGroup(f *testing.F) {
 	typed := seedLogWithTypes(f)
 	f.Add(uint8(0), splitGroups(f, typed[HeaderSize:])[0])
 	f.Add(uint8(0), splitGroups(f, badOrdinalLogs(f)[0].log[HeaderSize:])[1])
-	f.Add(uint8(1), groups[len(groups)-1])
+	f.Add(uint8(1), groups[fixture-1])
 	f.Fuzz(func(t *testing.T, at uint8, g []byte) {
 		fol, err := Open(filepath.Join(t.TempDir(), "follower.log"))
 		if err != nil {

@@ -57,29 +57,49 @@ func heapAfterGC() uint64 {
 // bookkeeping — nodes, refs and shared — holds at most 56 bytes a live
 // node: a digest in a map slot, and a reference list for the one node in
 // thirteen that names others. Holding each node's image, as the store did,
-// made it 115.
+// made it 115. With oids, the value bookkeeping holds at most 96 bytes a
+// live node (80 when measured), on the primary and on a follower caught up
+// to it alike: both roles keep the one map. A follower that kept the
+// inverse of oids and the OIDs of its roots instead held 232.
 func TestNodeBookkeepingBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measures a 4 096-root store")
 	}
-	const maxPerNode = 56
+	const maxPerNode, maxWithOIDs = 56, 96
 	s, err := OpenFS(unsynced{}, filepath.Join(t.TempDir(), "store.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	bulkLoad(t, s, 4096)
-	live := len(s.nodes)
-	if live != 12800 {
-		t.Fatalf("bulk load holds %d nodes, want 12 800", live)
+	f, err := OpenFS(unsynced{}, filepath.Join(t.TempDir(), "follower.log"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	with := heapAfterGC()
-	s.nodes, s.refs, s.shared = nil, nil, nil
-	without := heapAfterGC()
-	per := float64(with-without) / float64(live)
-	t.Logf("node bookkeeping: %.1f bytes a live node (%d nodes)", per, live)
-	if per > maxPerNode {
-		t.Errorf("node bookkeeping holds %.1f bytes a live node, want <= %d", per, maxPerNode)
+	defer f.Close()
+	catchUp(t, s, f)
+	for _, row := range []struct {
+		role string
+		s    *Store
+	}{{"primary", s}, {"follower", f}} {
+		live := len(row.s.nodes)
+		if live != 12800 || len(row.s.oids) != live {
+			t.Fatalf("%s: bulk load holds %d nodes and %d oids entries, want 12 800 each", row.role, live, len(row.s.oids))
+		}
+		with := heapAfterGC()
+		row.s.nodes, row.s.refs, row.s.shared = nil, nil, nil
+		nodes := heapAfterGC()
+		row.s.oids = nil
+		without := heapAfterGC()
+		per := float64(with-nodes) / float64(live)
+		all := float64(with-without) / float64(live)
+		t.Logf("%s: node bookkeeping %.1f bytes a live node, with oids %.1f (%d nodes)", row.role, per, all, live)
+		if per > maxPerNode {
+			t.Errorf("%s: node bookkeeping holds %.1f bytes a live node, want <= %d", row.role, per, maxPerNode)
+		}
+		if all > maxWithOIDs {
+			t.Errorf("%s: value bookkeeping holds %.1f bytes a live node, want <= %d", row.role, all, maxWithOIDs)
+		}
 	}
 }
 

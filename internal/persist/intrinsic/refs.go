@@ -5,15 +5,16 @@ import (
 	"slices"
 
 	"dbpl/internal/dynamic"
+	"dbpl/internal/pmap"
 	"dbpl/internal/value"
 )
 
 // This file keeps the store's node bookkeeping at what the committed state
 // reaches. A node lives while some committed root entry or committed node
-// image names it; each durable boundary — a local batch (settleStaged), a
-// replicated frame (settleFrame) — counts the references its groups added
-// and removed, and a node left with none leaves nodes, refs and shared,
-// and its value leaves a primary's oids or a replica's vals. load and
+// image names it; each durable boundary — a local batch (settleStaged) or
+// a replicated frame (ApplyGroup) — is settled by settleDurable, which
+// counts the references its groups added and removed: a node left with
+// none leaves nodes, refs and shared, and its value leaves oids. load and
 // Compact start from what the roots reach instead, so they also drop the
 // garbage cycles that counting cannot see.
 //
@@ -97,35 +98,19 @@ func (s *Store) sumBefore(oid uint64) (nodeSum, bool) {
 	return sum, ok
 }
 
-// settleStaged settles a local batch that just became durable. The root
-// entries it changed are those of the handles its groups consumed
-// (stagedTouched), from the committed table to the one it staged; its node
-// records are staging's, and the nodes new to it lie in the OID range its
-// walks numbered (fresh). A primary's oids is keyed by value, so the
-// values the batch released — the replaced roots', and the ones it
-// numbered when one of their nodes went unnamed — are walked to find the
-// entries whose nodes went. Callers hold s.mu.
+// settleStaged settles a local batch that just became durable: the root
+// entries of the handles its groups consumed (stagedTouched), its node
+// records, which are staging's, and the nodes new to it, which lie in the
+// OID range its walks numbered (fresh). When one of those went unnamed,
+// its value is among fresh. Callers hold s.mu.
 func (s *Store) settleStaged() {
-	sc := &s.sc
-	defer sc.resetSettle()
-	prev, next := s.Committed(), *s.stagedRoots
+	names := s.sc.names[:0]
 	for name := range s.stagedTouched {
-		was, _ := prev.Get(name)
-		is, _ := next.Get(name)
-		if was == is {
-			continue
-		}
-		sc.gained = s.appendRootOID(sc.gained, is)
-		sc.lost = s.appendRootOID(sc.lost, was)
-		if was != nil {
-			sc.released = append(sc.released, was.Value())
-		}
+		names = append(names, name)
 	}
+	s.sc.names = names
 	lo := s.nextOID - uint64(len(s.fresh))
-	if s.settle(s.staging.buf.Bytes(), s.staging.latest(), lo, s.nextOID) {
-		sc.released = append(sc.released, s.fresh...)
-	}
-	sc.released = s.forget(sc.released)
+	s.settleDurable(names, *s.stagedRoots, s.staging.buf.Bytes(), s.staging.latest(), lo, s.nextOID, s.fresh)
 	if len(s.oids) > len(s.nodes) {
 		// A value the released ones do not reach still has its entry: a
 		// child that an in-place mutation replaced. Only a pass over oids
@@ -139,47 +124,45 @@ func (s *Store) settleStaged() {
 	}
 }
 
-// settleFrame settles a replicated frame that just became durable: its
-// fold's upserts and deletes are the root entries it changed, whose OIDs
-// rootOIDs tracks, and recs the records of the nodes it wrote anew or
-// afresh, which lie in raw, the new ones in the OID range [lo, hi). The
-// values of the nodes it drops leave vals as the nodes go. Callers hold
-// s.mu.
-func (s *Store) settleFrame(fold *groupFold, recs []nodeRec, lo, hi uint64) {
+// settleDurable settles a batch or a frame that just became durable, before
+// next, the root table it wrote, replaces the committed one. names are the
+// handles whose entries it may have changed; the OIDs of the entries that
+// differ between the two tables are gained and lost through oids, which
+// holds every committed container and, by then, the batch's or frame's. Its
+// node records are recs, in buf, with the nodes new to the store in the
+// OID range [lo, hi) (see settle). The values of the replaced entries, and
+// unnamed when a new node went unnamed, are walked to drop the oids entries
+// whose nodes went. Callers hold s.mu.
+func (s *Store) settleDurable(names []string, next pmap.Map[*dynamic.Dynamic], buf []byte, recs []nodeRec, lo, hi uint64, unnamed []value.Value) {
 	sc := &s.sc
 	defer sc.resetSettle()
-	for name := range fold.deletes {
-		sc.lost = s.unrootOID(sc.lost, name)
-	}
-	for name, e := range fold.upserts {
-		sc.lost = s.unrootOID(sc.lost, name)
-		if oid, ok := inlineRef(e.inline); ok {
-			sc.gained = append(sc.gained, oid)
-			s.rootOIDs[name] = oid
+	prev := s.Committed()
+	for _, name := range names {
+		was, _ := prev.Get(name)
+		is, _ := next.Get(name)
+		if was == is {
+			continue
+		}
+		sc.gained = s.appendRootOID(sc.gained, is)
+		sc.lost = s.appendRootOID(sc.lost, was)
+		if was != nil {
+			sc.released = append(sc.released, was.Value())
 		}
 	}
-	s.settle(fold.data, recs, lo, hi)
+	if s.settle(buf, recs, lo, hi) {
+		sc.released = append(sc.released, unnamed...)
+	}
+	sc.released = s.forget(sc.released)
 }
 
 // appendRootOID appends the OID of the container d's root entry names; a
-// root atom names none. Only a primary calls it: its oids holds every
-// committed container.
+// root atom names none.
 func (s *Store) appendRootOID(dst []uint64, d *dynamic.Dynamic) []uint64 {
 	if d == nil || !isContainer(d.Value()) {
 		return dst
 	}
 	if oid, ok := s.oids[d.Value()]; ok {
 		dst = append(dst, oid)
-	}
-	return dst
-}
-
-// unrootOID appends the OID name's committed entry names on a replica, if
-// any, and forgets it.
-func (s *Store) unrootOID(dst []uint64, name string) []uint64 {
-	if oid, ok := s.rootOIDs[name]; ok {
-		dst = append(dst, oid)
-		delete(s.rootOIDs, name)
 	}
 	return dst
 }
@@ -258,15 +241,38 @@ func (s *Store) setRefs(oid uint64, img []byte, gained []uint64) []uint64 {
 	case cap(old) >= len(refs):
 		s.refs[oid] = append(old[:0], refs...)
 	default:
-		s.refs[oid] = slices.Clone(refs)
+		s.refs[oid] = s.sc.takeRefs(refs)
 	}
 	return gained
 }
 
+// keepRefs keeps refs, a reference list release emptied, for takeRefs: at
+// most maxSpareRefs lists, none longer than the scratch keeps, so that a
+// rebind's new reference lists take the ones its old nodes gave up.
+func (sc *scratch) keepRefs(refs []uint64) {
+	if len(sc.spare) < maxSpareRefs && cap(refs) <= maxKeptScratch {
+		sc.spare = append(sc.spare, refs[:0])
+	}
+}
+
+// takeRefs returns a copy of refs in a kept list that has room for it, or
+// in a new one.
+func (sc *scratch) takeRefs(refs []uint64) []uint64 {
+	for i := len(sc.spare) - 1; i >= 0; i-- {
+		if l := sc.spare[i]; cap(l) >= len(refs) {
+			last := len(sc.spare) - 1
+			sc.spare[i], sc.spare[last] = sc.spare[last], nil
+			sc.spare = sc.spare[:last]
+			return append(l, refs...)
+		}
+	}
+	return slices.Clone(refs)
+}
+
 // release drops one reference to each node stack names. A node left with
-// none leaves nodes, refs and vals, and its references are dropped in
-// turn, on the same explicit stack, however deep the cascade goes. It
-// returns the emptied stack.
+// none leaves nodes and refs, and its references are dropped in turn, on
+// the same explicit stack, however deep the cascade goes. It returns the
+// emptied stack.
 func (s *Store) release(stack []uint64) []uint64 {
 	for len(stack) > 0 {
 		oid := stack[len(stack)-1]
@@ -283,10 +289,10 @@ func (s *Store) release(stack []uint64) []uint64 {
 			continue
 		}
 		delete(s.nodes, oid)
-		delete(s.vals, oid)
 		if refs, ok := s.refs[oid]; ok {
 			stack = append(stack, refs...)
 			delete(s.refs, oid)
+			s.sc.keepRefs(refs)
 		}
 	}
 	return stack

@@ -10,7 +10,6 @@ import (
 	"dbpl/internal/dynamic"
 	"dbpl/internal/persist/iofault"
 	"dbpl/internal/pmap"
-	"dbpl/internal/value"
 )
 
 // This file is the store's replication surface: a primary reads verified
@@ -65,30 +64,7 @@ func (s *Store) DurableEnd() int64 { return s.endA.Load() }
 func (s *Store) EnterReplica() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.enterReplica()
-}
-
-// enterReplica sets replica mode, trading a primary's oids for the vals
-// and rootOIDs a replica keeps. Callers hold s.mu.
-func (s *Store) enterReplica() {
-	if s.replica {
-		return
-	}
 	s.replica = true
-	s.vals = make(map[uint64]value.Value, len(s.nodes))
-	for v, oid := range s.oids {
-		if _, ok := s.nodes[oid]; ok {
-			s.vals[oid] = v
-		}
-	}
-	s.rootOIDs = map[string]uint64{}
-	s.Committed().Range(func(name string, d *dynamic.Dynamic) bool {
-		if oid, ok := s.oids[d.Value()]; ok {
-			s.rootOIDs[name] = oid
-		}
-		return true
-	})
-	s.oids = map[value.Value]uint64{}
 }
 
 // Epoch returns the promotion epoch: 0 until the first Promote, and the
@@ -132,16 +108,8 @@ func (s *Store) Promote() (uint64, error) {
 	if _, err := s.syncStaged(); err != nil {
 		return 0, err
 	}
-	if s.replica {
-		// The follower's values become the primary's: each keeps the OID it
-		// was materialized from, so the next Commit rewrites only what
-		// changed.
-		s.oids = make(map[value.Value]uint64, len(s.vals))
-		for oid, v := range s.vals {
-			s.oids[v] = oid
-		}
-		s.vals, s.rootOIDs = nil, nil
-	}
+	// A follower's bookkeeping is a primary's: each value keeps the OID it
+	// was materialized from, so the next Commit rewrites only what changed.
 	s.replica = false
 	s.epoch.Store(next)
 	return next, nil
@@ -308,11 +276,13 @@ type GroupDelta struct {
 // neither the store's table nor an earlier 'T' record of the frame
 // defines, and an upserted root that does not conform to its declared type
 // with a *ConformanceError, and the store is untouched: the frame's 'T'
-// records join the table only once it is durable. A group that overwrites
-// a node image in place, or names a node the store has dropped, is
-// published by replaying the log once it is durable, and the replay makes
-// the checks instead: a failed replay poisons the store. Otherwise the
-// nodes the groups leave unreachable are dropped (see settleFrame).
+// records join the table only once it is durable. A frame is applied in
+// place only when it just adds: every node record's OID is past the ones
+// the store numbered, and those OIDs are dense, and every node that the
+// upserted roots reach is in the frame. Any other frame is published by
+// replaying the log once it is durable, and the replay makes the checks
+// instead: a failed replay poisons the store. Either way the nodes the
+// groups leave unreachable are dropped.
 func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -326,7 +296,7 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	if s.staged > 0 {
 		return delta, fmt.Errorf("%w: store has a staged local commit batch", ErrReplica)
 	}
-	s.enterReplica()
+	s.replica = true
 	delta.Start, delta.End = s.end, s.end
 	if len(raw) == 0 {
 		return delta, nil
@@ -357,36 +327,28 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 
 	// 2. Stage the in-memory effect without touching live state, so a
 	//    refused group or a failed append leaves memory exactly at the old
-	//    commit. The roots to re-materialize and check are the ones the
-	//    root deltas upserted — the writer names every handle whose entry
-	//    changed. A node image whose digest differs from an existing node's
-	//    means in-place mutation of a subgraph some untouched handle may
-	//    share — a serve primary never produces that (every PUT binds
-	//    freshly decoded values), but a generic primary can, and then the
-	//    deltas under-approximate: every root is re-materialized from the
-	//    log after the append instead. So is a group that names a node
-	//    this store dropped (errPruned): a writer's batch may leave a node
-	//    unreachable in one group and name it again in a later one, and
-	//    only the log still holds its image. And so is a frame whose new
-	//    nodes' OIDs are scattered, which the counts of a durable frame
-	//    cannot index densely (see settle): a writer numbers the nodes it
-	//    adds from one counter, so only a node that this store dropped and
-	//    the frame rewrites lies apart from the others.
+	//    commit. The roots the root deltas upserted — the writer names
+	//    every handle whose entry changed — are materialized from the frame
+	//    alone, which is the whole change only when the frame just adds: a
+	//    serve primary binds freshly decoded values, so its frames write
+	//    new nodes, numbered densely from one counter, and name no other.
+	//    Every other frame is replayed from the log after the append: one
+	//    that writes a node the store numbered (an in-place mutation, which
+	//    an untouched handle may share, or a rewrite of a node this store
+	//    dropped), one whose new OIDs are scattered, which a durable
+	//    frame's counts cannot index densely (see settle), and one whose
+	//    roots reach a node it does not carry (errPruned).
 	replay := false
 	frame := s.sc.frame[:0]
 	lo, hi := nextOID, uint64(0)
 	for oid, at := range fold.nodes {
-		_, img := nodeAt(raw, at)
-		r := nodeRec{oid: oid, at: at, sum: sumOf(img)}
-		if prev, ok := s.nodes[oid]; ok {
-			if prev != r.sum {
-				replay = true
-				break
-			}
-			continue
+		if oid < s.nextOID {
+			replay = true
+			break
 		}
+		_, img := nodeAt(raw, at)
+		frame = append(frame, nodeRec{oid: oid, at: at, sum: sumOf(img)})
 		lo, hi = min(lo, oid), max(hi, oid+1)
-		frame = append(frame, r)
 	}
 	if hi < lo {
 		lo, hi = 0, 0
@@ -442,7 +404,7 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 		s.nextOID = max(s.nextOID, nextOID)
 		m.keep()
 		s.logNodes += fold.nodeRecs
-		s.settleFrame(&fold, frame, lo, hi)
+		s.settleDurable(names, next, raw, frame, lo, hi, nil)
 		s.roots = next
 		s.committed.Store(&next)
 		if fold.sawDefs {

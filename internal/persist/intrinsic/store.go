@@ -25,9 +25,12 @@
 //     frame (ApplyGroup) and a reopen (load) drop every node that no
 //     committed root entry and no committed node image names any more —
 //     its digest, its references and its OID entry — so the value it
-//     replaced can be collected. References are counted, so a garbage
-//     cycle keeps itself until a reopen, which keeps only what the roots
-//     reach, or Compact, which also leaves it out of the rewritten log.
+//     replaced can be collected. A primary and a follower keep the same
+//     bookkeeping, and one function settles a batch and a frame (see
+//     refs.go), so a store changes role without converting any of it.
+//     References are counted, so a garbage cycle keeps itself until a
+//     reopen, which keeps only what the roots reach, or Compact, which
+//     also leaves it out of the rewritten log.
 //     Memory holds no committed image: a live node is its image's 128-bit
 //     digest, which tells a changed image from an unchanged one, and the
 //     OIDs its image names, if any (see refs.go).
@@ -160,17 +163,15 @@ type Store struct {
 	// nodes holds the digest of the last committed image of each node some
 	// committed root entry or node image names — 16 bytes, not the image —
 	// and refs, for the nodes whose image names others, their OIDs in
-	// image order. oids maps their values to their OIDs on a primary; a
-	// replica, which never encodes, keeps the inverse in vals instead, and
-	// the OID each committed root entry names in rootOIDs. fresh lists the
-	// containers numbered since the last durable group, which AbortBound
-	// forgets. logNodes counts the node records the durable log holds,
-	// superseded images included (Compact reports what it drops).
+	// image order. oids maps their values to their OIDs, on a primary and
+	// on a follower alike: a primary's committer re-encodes by it, and
+	// either role finds the OID of a root entry it replaces by it. fresh
+	// lists the containers numbered since the last durable group, which
+	// AbortBound forgets. logNodes counts the node records the durable log
+	// holds, superseded images included (Compact reports what it drops).
 	oids     map[value.Value]uint64
 	nodes    map[uint64]nodeSum
 	refs     map[uint64][]uint64
-	vals     map[uint64]value.Value
-	rootOIDs map[string]uint64
 	nextOID  uint64
 	fresh    []value.Value
 	logNodes int
@@ -252,9 +253,9 @@ type Store struct {
 	// group to the next; see scratch.
 	sc scratch
 
-	// replica marks a store fed by ApplyGroup (a replication follower);
-	// local mutations are refused with ErrReplica, and materialized values
-	// are registered in vals, not oids (a follower never re-encodes them).
+	// replica marks a store fed by ApplyGroup (a replication follower):
+	// local mutations are refused with ErrReplica. It is all that a role
+	// changes; the bookkeeping is the same in both.
 	replica bool
 }
 
@@ -370,7 +371,7 @@ func (s *Store) load() error {
 		s.epoch.Store(0)
 		s.logNodes = 0
 		s.nodesA.Store(0)
-		s.resetRefs(0)
+		s.oids = map[value.Value]uint64{}
 		s.roots = pmap.Map[*dynamic.Dynamic]{}
 		s.committed.Store(new(pmap.Map[*dynamic.Dynamic]))
 		return nil
@@ -411,15 +412,8 @@ func (s *Store) load() error {
 		}
 	}
 	// Register what the roots reach.
-	s.resetRefs(len(m.cache))
+	s.oids = make(map[value.Value]uint64, len(m.cache))
 	m.keep()
-	if s.rootOIDs != nil {
-		for name, e := range fold.upserts {
-			if oid, ok := inlineRef(e.inline); ok {
-				s.rootOIDs[name] = oid
-			}
-		}
-	}
 	s.nodesA.Store(int64(len(s.nodes)))
 	roots := pmap.Build(names, dyns)
 	s.roots = roots
@@ -489,33 +483,12 @@ func (s *Store) typeID(t types.Type) uint64 {
 	return id
 }
 
-// resetRefs makes the value bookkeeping for n nodes a replay reached: a
-// primary's oids, or a replica's vals and rootOIDs. Callers hold s.mu.
-func (s *Store) resetRefs(n int) {
-	if s.replica {
-		s.oids = map[value.Value]uint64{}
-		s.vals, s.rootOIDs = make(map[uint64]value.Value, n), map[string]uint64{}
-		return
-	}
-	s.oids = make(map[value.Value]uint64, n)
-	s.vals, s.rootOIDs = nil, nil
-}
-
-// register records a live container's OID: on a primary so a later Commit
-// can re-encode it incrementally, on a replica so a later group that names
-// the node shares the value.
-func (s *Store) register(v value.Value, oid uint64) {
-	if s.replica {
-		s.vals[oid] = v
-	} else {
-		s.oids[v] = oid
-	}
-}
-
-// errPruned is ApplyGroup's signal that a group names a node this store
-// no longer holds: one that an earlier group left unreachable and a later
-// one names again without rewriting it, which a writer's batch can do.
-var errPruned = errors.New("intrinsic: group names a node the store dropped")
+// errPruned is ApplyGroup's signal that a frame names a node the store
+// numbered and the frame does not carry: one the store holds, or one it
+// dropped, which a writer's batch can leave unreachable in one group and
+// name again in a later one. ApplyGroup publishes such a frame by
+// replaying the log.
+var errPruned = errors.New("intrinsic: frame names a node it does not carry")
 
 // materializer decodes node images into live values for one load or
 // ApplyGroup, reading them from fold: a replay's every node, an
@@ -524,11 +497,11 @@ var errPruned = errors.New("intrinsic: group names a node the store dropped")
 // — a cycle back into one is corrupt — and is allocated at the first of
 // them. types is the type table with the incoming groups' 'T' records.
 // load marks a replay's materializer, which records each node it decodes
-// in nodes and refs, counts in shared each reference past a node's first,
-// and registers each value; refs is its stack of the references of the
-// nodes being decoded, innermost last. ApplyGroup's registers nothing
-// before its groups are durable, and takes a node the replica already
-// holds from vals, so the roots that share it share one value.
+// in nodes and refs and counts in shared each reference past a node's
+// first; refs is its stack of the references of the nodes being decoded,
+// innermost last. ApplyGroup's reads only the frame (see errPruned) and
+// records nothing: the frame's settle does, once it is durable. Either
+// registers each value it decoded in oids (keep).
 type materializer struct {
 	s       *Store
 	fold    *groupFold
@@ -544,7 +517,7 @@ type materializer struct {
 // keep registers each value m decoded.
 func (m *materializer) keep() {
 	for oid, v := range m.cache {
-		m.s.register(v, oid)
+		m.s.oids[v] = oid
 	}
 }
 
@@ -577,9 +550,6 @@ func (m *materializer) node(oid uint64) (value.Value, error) {
 		if m.load {
 			s.shared[oid]++
 		}
-		return v, nil
-	}
-	if v, ok := s.vals[oid]; ok && !m.load {
 		return v, nil
 	}
 	img, ok := m.fold.image(oid)
@@ -1363,30 +1333,36 @@ func (s *Store) encodeGroup(order []value.Value, upserts, deletes []string, from
 
 // scratch is the committer's working memory for one commit group: the
 // walk's seen set and order, the root delta's two halves and the buffer a
-// group that defines types is assembled in — and, when a batch is durable,
-// settle's references gained and lost, its counts of the nodes the batch
-// added and the values it released, and an ApplyGroup frame's records. The
-// log has one writer, which holds s.mu, and each group is done with all of
-// it once staged (the file holds the bytes, and staging the node records),
-// so it is kept from one group to the next instead of allocated per group.
-// reset drops whatever grew past maxKeptScratch or maxKeptGroup, so that a
-// first commit's walk of every root leaves none of it behind.
+// group that defines types is assembled in — and, when a batch or a frame
+// is durable, the names settle compares, its references gained and lost,
+// its counts of the nodes it added, the values it released and a frame's
+// records. The log has one writer, which holds s.mu, and each group is
+// done with all of it once staged (the file holds the bytes, and staging
+// the node records), so it is kept from one group to the next instead of
+// allocated per group. reset drops whatever grew past maxKeptScratch or
+// maxKeptGroup, so that a first commit's walk of every root leaves none of
+// it behind. spare holds the reference lists release emptied, which
+// setRefs fills again (see keepRefs).
 type scratch struct {
 	seen             map[value.Value]bool
 	order            []value.Value
 	upserts, deletes []string
 	group            nodeBuf
+	names            []string
 	gained, lost     []uint64
 	born             []int32
 	released         []value.Value
 	frame            []nodeRec
+	spare            [][]uint64
 }
 
 // The scratch kept between groups is at most maxKeptScratch entries in
-// each set and slice and maxKeptGroup bytes in each buffer.
+// each set and slice, maxKeptGroup bytes in each buffer and maxSpareRefs
+// spare reference lists.
 const (
 	maxKeptScratch = 256
 	maxKeptGroup   = 64 << 10
+	maxSpareRefs   = 64
 )
 
 // reset empties the scratch for the next group, so that it holds no value,
@@ -1401,6 +1377,7 @@ func (sc *scratch) reset() {
 
 // resetSettle empties what settling a durable batch used.
 func (sc *scratch) resetSettle() {
+	sc.names = keptSlice(sc.names)
 	sc.gained = keptSlice(sc.gained)
 	sc.lost = keptSlice(sc.lost)
 	sc.born = keptSlice(sc.born)

@@ -265,7 +265,9 @@ func TestFollowerRefusesNonConformingGroup(t *testing.T) {
 // TestRebindsLeaveStoresAtTheirLiveCount: 2 000 autocommit PUTs that
 // rebind 16 roots, each to a record holding a list, leave the primary's
 // store and its follower's holding the 32 containers the roots reach —
-// not one pair for every PUT — as the dbpl_store_nodes gauge reports.
+// not one pair for every PUT — as the dbpl_store_nodes gauge reports. The
+// follower applies every frame in place: a root no PUT wrote keeps its
+// *dynamic.Dynamic throughout.
 func TestRebindsLeaveStoresAtTheirLiveCount(t *testing.T) {
 	psrv, pst, paddr := serveWB(t, "primary.log", Config{})
 	fsrv, fst, _ := serveWB(t, "follower.log", Config{Follow: paddr})
@@ -274,6 +276,12 @@ func TestRebindsLeaveStoresAtTheirLiveCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	caughtUp := func() bool { return healthOf(t, fsrv).DurableEnd == pst.DurableEnd() }
+	if err := c.Put("untouched", value.Int(7), types.MustParse("Int")); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, caughtUp, "the follower never caught up")
+	untouched, _ := fst.Committed().Get("untouched")
 	decl := types.MustParse("{Id: Int, Tags: List[String]}")
 	for i := 0; i < 2000; i++ {
 		v := value.Rec("Id", value.Int(int64(i)), "Tags", value.NewList(value.String("t")))
@@ -281,7 +289,10 @@ func TestRebindsLeaveStoresAtTheirLiveCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitUntil(t, func() bool { return healthOf(t, fsrv).DurableEnd == pst.DurableEnd() }, "the follower never caught up")
+	waitUntil(t, caughtUp, "the follower never caught up")
+	if d, _ := fst.Committed().Get("untouched"); d == nil || d != untouched {
+		t.Error("the follower rematerialized a root no PUT wrote: a frame was replayed")
+	}
 	for _, n := range []struct {
 		name  string
 		srv   *Server
