@@ -33,7 +33,8 @@ test:
 # TestPinnedStateStableUnderPublish) are only meaningful here. The write
 # path's allocation pins (TestServePutAllocs, whose transaction row reuses
 # the connection an ended session gave back, TestStageBoundAllocs,
-# TestApplyRebindAllocs) take their bounds from -race's counts, and
+# TestApplyRebindAllocs, a follower's TestApplyFrameAllocs) and the
+# reopen's (TestOpenAllocs) take their bounds from -race's counts, and
 # TestFreeingCostsTheDelta holds the durable boundary that frees a
 # rebind's old nodes to no allocation at 1 024 roots and at 65 536 (the
 # new record's reference list is one the old record gave up). -race also

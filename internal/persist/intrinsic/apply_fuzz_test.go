@@ -5,7 +5,10 @@ import (
 	"errors"
 	"hash/crc32"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"dbpl/internal/value"
 )
 
 // FuzzApplyGroup feeds a follower one mutated commit group after a prefix
@@ -13,7 +16,8 @@ import (
 // that binds a second handle to the value a first holds, then in one batch
 // unbinds both and binds a third to it, so that one of its groups names a
 // node the follower holds and a later one a node it dropped, and both are
-// replayed. The first byte picks how many of the history's groups the
+// replayed, and in another batch unbinds the third and binds it to a new
+// list. The first byte picks how many of the history's groups the
 // follower holds first; the seeds are its groups, each at its own place,
 // and groups that name type ordinals well and badly. The harness rewrites
 // the input's CRC-32C trailer, so a mutation reaches the decoder, the
@@ -46,10 +50,28 @@ func FuzzApplyGroup(f *testing.F) {
 	if _, err := p.SyncBatch(); err != nil {
 		f.Fatal(err)
 	}
+	p.Unbind("moved")
+	if _, err := p.StageBound(); err != nil {
+		f.Fatal(err)
+	}
+	if err := p.Bind("moved", value.NewList(value.Int(1)), nil); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := p.StageBound(); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := p.SyncBatch(); err != nil {
+		f.Fatal(err)
+	}
 	groups := splitGroups(f, allGroups(f, p))
 	for i, g := range groups {
 		f.Add(uint8(i), g)
 	}
+	// The last two groups as one frame: it deletes a root in one group
+	// and upserts it again in the next, which the fold resolves to the
+	// upsert.
+	n := len(groups)
+	f.Add(uint8(n-2), slices.Concat(groups[n-2], groups[n-1]))
 	// Type ordinals: a fresh follower's group defining the types it names
 	// in all three places; one naming an ordinal no 'T' record defines;
 	// and the fixture's last group after its first only, whose ordinals

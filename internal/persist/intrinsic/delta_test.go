@@ -868,7 +868,7 @@ func TestRootDeltaGroupDamagedAtEveryByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	var last rootOp
-	if sum := scanRaw(raw[groupStart:], scanSink{roots: func(op rootOp) { last = op }}); sum.corrupt != nil {
+	if sum := scanRaw(raw[groupStart:], funcSink{onDelta: func(op rootOp) { last = op }}); sum.corrupt != nil {
 		t.Fatal(sum.corrupt)
 	}
 	if len(last.upserts) != 2 || !reflect.DeepEqual(last.deletes, []string{"a"}) {

@@ -167,9 +167,9 @@ func (h *digestHistory) check(op string) {
 	}
 	groups := raw[h.end:h.p.DurableEnd()]
 	var recs []int
-	sum := scanRaw(groups, scanSink{
-		node: func(at int) { recs = append(recs, at) },
-		commit: func(int64) {
+	sum := scanRaw(groups, funcSink{
+		onNode: func(at int) { recs = append(recs, at) },
+		onCommit: func(int64) {
 			for _, at := range recs {
 				oid, img := nodeAt(groups, at)
 				if prev, ok := h.images[oid]; ok && bytes.Equal(prev, img) {

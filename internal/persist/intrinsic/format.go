@@ -122,12 +122,12 @@ const (
 	maxRecordSize = 1 << 30
 )
 
-// capCount bounds an initial slice capacity derived from untrusted input.
-func capCount(n int) int {
-	if n > 1024 {
-		return 1024
-	}
-	return n
+// fits bounds the initial capacity of a slice of count elements that an
+// image claims, each taking at least one of the left bytes that follow:
+// the slice is sized once when the claim holds, and memory stays bounded
+// by the input when it does not.
+func fits(count uint64, left int) int {
+	return int(min(count, uint64(left)))
 }
 
 // Inline value tags used inside node images and root entries.
@@ -381,9 +381,10 @@ func (r *nodeReader) typ() (types.Type, error) {
 	return r.types[id], nil
 }
 
-// inlineValue decodes an inline value; container refs are resolved through
-// resolve, which materializes (or returns the already-materialized) node.
-func (r *nodeReader) inlineValue(resolve func(oid uint64) (value.Value, error)) (value.Value, error) {
+// inlineValue decodes an inline value; container refs are resolved
+// through m, which materializes (or returns the already-materialized)
+// node.
+func (r *nodeReader) inlineValue(m *materializer) (value.Value, error) {
 	tag, err := r.byte()
 	if err != nil {
 		return nil, err
@@ -430,7 +431,7 @@ func (r *nodeReader) inlineValue(resolve func(oid uint64) (value.Value, error)) 
 		if r.refs != nil {
 			*r.refs = append(*r.refs, oid)
 		}
-		return resolve(oid)
+		return m.node(oid)
 	default:
 		return nil, fmt.Errorf("%w: inline tag %d", ErrCorrupt, tag)
 	}

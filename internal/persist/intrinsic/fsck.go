@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"dbpl/internal/persist/iofault"
-	"dbpl/internal/types"
 )
 
 // FsckReport is the verdict of a structural log verification: how much of
@@ -80,8 +79,7 @@ func FsckFS(fsys iofault.FS, path string) (*FsckReport, error) {
 
 	rep := &FsckReport{Path: path, Size: fi.Size()}
 	var fold groupFold // no data: node records are counted, not kept
-	var tab []types.Type
-	sum, err := scanLog(data, fold.sink(&tab))
+	sum, err := scanLog(data, &fold)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +90,8 @@ func FsckFS(fsys iofault.FS, path string) (*FsckReport, error) {
 	rep.GoodEnd = sum.goodEnd
 	rep.Commits = sum.commits
 	rep.Nodes = fold.nodeRecs
-	rep.Types = len(tab)
+	rep.Types = len(fold.types)
+	fold.finish()
 	rep.Roots = len(fold.upserts)
 	rep.IndexDefs = len(fold.defs)
 	rep.Epoch = fold.epoch

@@ -1,10 +1,15 @@
 package intrinsic
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"dbpl/internal/value"
 )
@@ -128,16 +133,87 @@ func openLog(t *testing.T) string {
 	return path
 }
 
-// TestOpenAllocs pins the bytes one Open of openLog's log allocates. The
-// open reads the log into one buffer, which the scan's records and the
-// images it materializes are slices of, sizes its record list and maps by
-// the log, and keeps each reached node's digest. It measures 1 682 088
-// bytes with Go 1.24 on linux/amd64, 1 743 464 under -race. Keeping
-// every image in a map that grew by doubling, and one allocation per
-// image, made it 2 288 392.
+// TestOpenAllocs pins the bytes one Open allocates, on two logs: a
+// 4 096-root bulk load, the shape of the benchmark's read store, and
+// openLog's, the shape of its write store, where the roots reach 3 200 of
+// the 4 771 OIDs the log wrote. The open reads the log into one buffer,
+// which the scan's records and the images it materializes are slices of;
+// the fold's OID table is sized once by the log, a log of many deltas
+// resolves its root names through one map sized by the largest, and the
+// nodes and oids maps it keeps are sized by what the roots reach. It
+// measures 3 895 712 and 1 301 344 bytes with Go 1.24 on linux/amd64,
+// 4 127 168 and 1 362 688 under -race. A fold that kept every root entry
+// and every OID's last record in maps, and a materializer that kept its
+// values in a map of every OID the log wrote, made them 5 537 832 and
+// 1 682 088; keeping every image in a map that grew by doubling, and one
+// allocation per image, made the second 2 288 392.
 func TestOpenAllocs(t *testing.T) {
-	const maxBytes = 1_750_000
-	path := openLog(t)
+	for _, row := range []struct {
+		name     string
+		log      func(t *testing.T) string
+		maxBytes uint64
+	}{
+		{"4 096 roots", bulkLog, 4_130_000},
+		{"1 024 roots and 500 rebinds", openLog, 1_365_000},
+	} {
+		path := row.log(t)
+		var before, after runtime.MemStats
+		best := uint64(1 << 62)
+		for range 3 {
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			s, err := OpenFS(unsynced{}, path)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("Open of %s: %d bytes allocated", row.name, best)
+		if best > row.maxBytes {
+			t.Errorf("Open of %s allocates %d bytes, want <= %d", row.name, best, row.maxBytes)
+		}
+	}
+}
+
+// TestInflatedRootCountAllocatesNothing: a flipped bit that inflates the
+// entry count of an early 'D' record in a multi-megabyte log fails the open
+// for what it is, and the open allocates little beyond what it sizes by the
+// log: the buffer it reads the log into and the fold's OID table. The
+// record is parsed before its group's checksum is checked, so its entries
+// are checked before a slice of count is allocated. Sizing that slice by
+// the bytes left instead, at three a root entry, made this open allocate
+// 98 504 entries of 56 bytes, 5.5 MB, before the checksum failed.
+func TestInflatedRootCountAllocatesNothing(t *testing.T) {
+	const slack = 64 << 10
+	path := filepath.Join(t.TempDir(), "store.log")
+	s, err := OpenFS(unsynced{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bulkLoad(t, s, 200) // a count of two bytes, c8 01
+	for i := range 64 {
+		if err := s.Bind(fmt.Sprintf("blob%02d", i), value.String(strings.Repeat(string(rune('a'+i%26)), 32<<10)), nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, []byte("D\xc8\x01\x06r00000"))
+	if at < 0 || len(data) < 2<<20 {
+		t.Fatalf("no 200-entry 'D' record in a %d-byte log", len(data))
+	}
+	data[at+2] ^= 0x80 // the count now runs on into the first name's length: 98 504
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	var before, after runtime.MemStats
 	best := uint64(1 << 62)
 	for range 3 {
@@ -145,14 +221,87 @@ func TestOpenAllocs(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		s, err := OpenFS(unsynced{}, path)
 		runtime.ReadMemStats(&after)
+		if err == nil {
+			s.Close()
+			t.Fatal("Open of a log with an inflated root count succeeded")
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Open of a log with an inflated root count: %v, want a corrupt log", err)
+		}
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("Open of a %d-byte log with an inflated root count: %d bytes allocated", len(data), best)
+	byLog := uint64(len(data)) + uint64(len(data)/bytesPerNodeRec)*uint64(unsafe.Sizeof(nodeSlot{}))
+	if best > byLog+slack {
+		t.Errorf("Open of a %d-byte log with an inflated root count allocates %d bytes, want <= %d", len(data), best, byLog+slack)
+	}
+}
+
+// bulkLog is a log of 4 096 lattice roots committed as one group.
+func bulkLog(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "store.log")
+	s, err := OpenFS(unsynced{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	bulkLoad(t, s, 4096)
+	return path
+}
+
+// TestApplyFrameAllocs pins what a follower's ApplyGroup of a one-PUT
+// frame costs on 1 024 roots: at most 21 allocations. The fold is the
+// committer's scratch, kept from one frame to the next, and feeds the
+// scanner without allocating; the frame's one delta, sorted and disjoint
+// as the writer emits it, is its own resolved root table; and the
+// materializer's memo is the fold's OID table. What is left is the
+// frame's own: the decoded record, the root table's copied path, the root
+// entry, its dynamic and the delta. It measures 21 with Go 1.24 on
+// linux/amd64, and as many under -race. A fold whose sink was a set of
+// closures over per-scan state, which resolved the root deltas into maps
+// and whose materializer kept its values in a map of its own, made it 44.
+func TestApplyFrameAllocs(t *testing.T) {
+	const runs, maxAllocs = 100, 21
+	p, err := OpenFS(unsynced{}, filepath.Join(t.TempDir(), "primary.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	bulkLoad(t, p, 1024)
+	f, err := OpenFS(unsynced{}, filepath.Join(t.TempDir(), "follower.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	catchUp(t, p, f)
+	frames := make([][]byte, runs+1) // AllocsPerRun calls once more to warm up
+	for g := range frames {
+		from := p.DurableEnd()
+		if err := p.Bind(fmt.Sprintf("r%05d", g*37%1024), latticeRoot(1025+g*8), nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.StageBound(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.SyncBatch(); err != nil {
+			t.Fatal(err)
+		}
+		raw, _, _, err := p.ReadGroupsAt(from, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Close()
-		best = min(best, after.TotalAlloc-before.TotalAlloc)
+		frames[g] = raw
 	}
-	t.Logf("Open of 1 024 roots and 500 rebinds: %d bytes allocated", best)
-	if best > maxBytes {
-		t.Errorf("Open of 1 024 roots and 500 rebinds allocates %d bytes, want <= %d", best, maxBytes)
+	g := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := f.ApplyGroup(frames[g]); err != nil {
+			t.Fatal(err)
+		}
+		g++
+	})
+	t.Logf("a one-PUT frame applied on 1 024 roots: %.2f allocations", allocs)
+	if allocs > maxAllocs {
+		t.Errorf("a one-PUT frame applied on 1 024 roots costs %.2f allocations, want <= %d", allocs, maxAllocs)
 	}
 }

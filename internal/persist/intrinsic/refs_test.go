@@ -24,13 +24,15 @@ import (
 
 // checkLifecycle asserts that s holds exactly the nodes its committed root
 // table reaches — each by the digest of its last image in the log and, if
-// that image names other nodes, their OIDs — with the counts a replay
-// gives them, one oids entry per node whatever its role, and no image
-// bytes: the staging buffer and records are empty. The root entries and
-// images are read from the log file, and the reachable set, digests and
-// references taken by a replay's materializer over them, not by the
-// bookkeeping under test. The histories it runs on are acyclic: a garbage
-// cycle is a node the replay does not reach.
+// that image names other nodes, their OIDs — with the counts of the
+// references that name them, one oids entry per node whatever its role,
+// and no image bytes: the staging buffer and records are empty. The root
+// entries and images are read from the log file by foldReference — each
+// root name's last entry and each OID's last image, applied group by
+// group — and the reachable set, digests,
+// references and counts taken by a walk over them, not by the store's
+// fold and materializer, which replay shares with the bookkeeping under
+// test.
 func checkLifecycle(t testing.TB, s *Store) {
 	t.Helper()
 	s.mu.Lock()
@@ -44,44 +46,60 @@ func checkLifecycle(t testing.TB, s *Store) {
 			s.staging.buf.Len(), len(s.staging.recs), s.staged)
 	}
 	var tab []types.Type
-	fold := groupFold{data: raw[:s.end]}
-	if sum, err := scanLog(fold.data, fold.sink(&tab)); err != nil || sum.corrupt != nil || sum.torn {
+	roots, images, sum, err := foldReference(raw[:s.end], &tab)
+	if err != nil || sum.corrupt != nil || sum.torn {
 		t.Fatalf("the durable log scans to %+v, %v", sum, err)
 	}
-	fold.index()
-	replay := &Store{nodes: map[uint64]nodeSum{}, refs: map[uint64][]uint64{}, shared: map[uint64]int32{}}
-	m := replay.newMaterializer(len(fold.nodes), &fold, tab)
-	m.load = true
-	for name, e := range fold.upserts {
-		if _, err := m.root(e.inline); err != nil {
-			t.Fatalf("root %q: %v", name, err)
+	var stack []uint64
+	for _, e := range roots {
+		if e == nil {
+			continue
+		}
+		if oid, ok := inlineRef(e.inline); ok {
+			stack = append(stack, oid)
 		}
 	}
-	for oid, sum := range replay.nodes {
-		img, _ := fold.image(oid)
-		if refs := appendRefs(nil, img); sum != sumOf(img) || !slices.Equal(refs, replay.refs[oid]) {
-			t.Fatalf("a replay remembers node %d as %x %v, its last image is %x %v", oid, sum, replay.refs[oid], sumOf(img), refs)
+	nodes, refs, named := map[uint64]nodeSum{}, map[uint64][]uint64{}, map[uint64]int32{}
+	for len(stack) > 0 {
+		oid := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if named[oid]++; named[oid] > 1 {
+			continue
+		}
+		img, ok := images[oid]
+		if !ok {
+			t.Fatalf("the log's roots reach node %d, which it never wrote", oid)
+		}
+		nodes[oid] = sumOf(img)
+		if r := appendRefs(nil, img); len(r) > 0 {
+			refs[oid] = r
+			stack = append(stack, r...)
 		}
 	}
-	if !maps.Equal(s.nodes, replay.nodes) {
+	shared := map[uint64]int32{}
+	for oid, n := range named {
+		if n > 1 {
+			shared[oid] = n - 1
+		}
+	}
+	if !maps.Equal(s.nodes, nodes) {
 		t.Fatalf("store holds %d node digests, its committed roots reach %d, or a digest differs from its last image's",
-			len(s.nodes), len(replay.nodes))
+			len(s.nodes), len(nodes))
 	}
-	if !maps.EqualFunc(s.refs, replay.refs, slices.Equal) {
-		t.Fatalf("store's references %v, the log's %v", s.refs, replay.refs)
+	if !maps.EqualFunc(s.refs, refs, slices.Equal) {
+		t.Fatalf("store's references %v, the log's %v", s.refs, refs)
 	}
-	live := len(m.cache)
-	if !maps.Equal(s.shared, replay.shared) {
-		t.Fatalf("store counts %v references past the first, a replay counts %v", s.shared, replay.shared)
+	if !maps.Equal(s.shared, shared) {
+		t.Fatalf("store counts %v references past the first, the log's roots and images %v", s.shared, shared)
 	}
 	numbered := map[uint64]bool{}
 	for _, oid := range s.oids {
-		if _, ok := m.cache[oid]; !ok {
+		if _, ok := nodes[oid]; !ok {
 			t.Fatalf("oids maps a value to node %d, which no root reaches", oid)
 		}
 		numbered[oid] = true
 	}
-	if len(s.oids) != live || len(numbered) != live {
+	if live := len(nodes); len(s.oids) != live || len(numbered) != live {
 		t.Fatalf("store holds %d oids entries naming %d nodes for %d live nodes", len(s.oids), len(numbered), live)
 	}
 }

@@ -238,7 +238,7 @@ func (s *Store) readAt(off int64, n int) ([]byte, error) {
 // group is fine (it just isn't counted); deterministic corruption is an
 // error.
 func groupBoundary(buf []byte, at int64) (int64, int, error) {
-	sum := scanRaw(buf, scanSink{})
+	sum := scanRaw(buf, nil)
 	if sum.corrupt != nil {
 		return 0, 0, rebase(sum.corrupt, at)
 	}
@@ -303,10 +303,12 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	}
 
 	// 1. Structural + checksum verification, folding the groups' effect,
-	//    before a single byte touches the file.
-	tab := slices.Clip(s.types) // the frame's 'T' records extend a copy
-	fold := groupFold{data: raw}
-	sum := scanRaw(raw, fold.sink(&tab))
+	//    before a single byte touches the file. The fold is the scratch's,
+	//    kept from one frame to the next.
+	fold := &s.sc.fold
+	fold.data, fold.types = raw, slices.Clip(s.types) // the frame's 'T' records extend a copy
+	defer fold.reset()
+	sum := scanRaw(raw, fold)
 	if sum.corrupt != nil {
 		return delta, rebase(sum.corrupt, s.end)
 	}
@@ -314,7 +316,7 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 		return delta, fmt.Errorf("%w: frame does not end on a commit-group boundary", ErrBadGroup)
 	}
 	delta.Groups = sum.commits
-	nextOID := fold.index()
+	nextOID := fold.finish()
 
 	if len(s.touched) > 0 {
 		// The store bound or unbound locally since its last commit group:
@@ -337,34 +339,31 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 	//    an untouched handle may share, or a rewrite of a node this store
 	//    dropped), one whose new OIDs are scattered, which a durable
 	//    frame's counts cannot index densely (see settle), and one whose
-	//    roots reach a node it does not carry (errPruned).
+	//    roots reach a node it does not carry (errPruned). The fold's
+	//    slots are in OID order, so the first and the last bound them.
 	replay := false
 	frame := s.sc.frame[:0]
-	lo, hi := nextOID, uint64(0)
-	for oid, at := range fold.nodes {
-		if oid < s.nextOID {
-			replay = true
-			break
-		}
-		_, img := nodeAt(raw, at)
-		frame = append(frame, nodeRec{oid: oid, at: at, sum: sumOf(img)})
-		lo, hi = min(lo, oid), max(hi, oid+1)
+	var lo, hi uint64
+	if n := len(fold.slots); n > 0 {
+		lo, hi = fold.oid(fold.slots[0]), nextOID
+		replay = lo < s.nextOID || hi-lo > 2*uint64(n)+64
 	}
-	if hi < lo {
-		lo, hi = 0, 0
-	} else if hi-lo > 2*uint64(len(frame))+64 {
-		replay = true
+	if !replay {
+		for _, sl := range fold.slots {
+			oid, img := nodeAt(raw, sl.at)
+			frame = append(frame, nodeRec{oid: oid, at: sl.at, sum: sumOf(img)})
+		}
 	}
 	s.sc.frame = frame
 	old, next := s.Committed(), s.Committed()
 	names := make([]string, 0, len(fold.upserts)+len(fold.deletes))
-	for name := range fold.deletes {
+	for _, name := range fold.deletes {
 		next = next.Delete(name)
 		names = append(names, name)
 	}
 	var m *materializer
 	if !replay {
-		m = s.newMaterializer(len(fold.nodes), &fold, tab)
+		m = &materializer{s: s, fold: fold, types: fold.types}
 		for _, e := range fold.upserts {
 			v, err := m.root(e.inline)
 			if errors.Is(err, errPruned) {
@@ -400,7 +399,7 @@ func (s *Store) ApplyGroup(raw []byte) (GroupDelta, error) {
 		next = s.Committed()
 		names = append(names, s.namesLocked()...)
 	} else {
-		s.defineTypes(tab)
+		s.defineTypes(fold.types)
 		s.nextOID = max(s.nextOID, nextOID)
 		m.keep()
 		s.logNodes += fold.nodeRecs

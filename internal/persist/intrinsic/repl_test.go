@@ -92,7 +92,7 @@ func deltaNames(d GroupDelta) (changed, removed []string) {
 func splitGroups(t testing.TB, raw []byte) [][]byte {
 	t.Helper()
 	var ends []int64
-	sum := scanRaw(raw, scanSink{commit: func(end int64) { ends = append(ends, end-HeaderSize) }})
+	sum := scanRaw(raw, funcSink{onCommit: func(end int64) { ends = append(ends, end-HeaderSize) }})
 	if sum.corrupt != nil {
 		t.Fatal(sum.corrupt)
 	}

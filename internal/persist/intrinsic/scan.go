@@ -2,14 +2,18 @@ package intrinsic
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
+	"strings"
 
 	"dbpl/internal/persist/codec"
 	"dbpl/internal/types"
+	"dbpl/internal/value"
 )
 
 // This file implements the single structural reader of the log, shared by
@@ -52,23 +56,24 @@ func (e *CorruptError) Error() string {
 func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 
 // scanSink receives log records as they parse. Records arrive *before*
-// their group is validated: callers must buffer per group and apply only
-// on commit (which fires only for valid groups).
-type scanSink struct {
+// their group is validated: a sink buffers per group and applies only on
+// commit (which fires only for valid groups). A nil sink scans structure
+// and checksums only.
+type scanSink interface {
 	// node receives where in the scanned bytes a node record starts; see
 	// nodeAt.
-	node func(at int)
-	// roots receives a 'D' root-table delta. Its inline values are slices
+	node(at int)
+	// delta receives a 'D' root-table delta. Its inline values are slices
 	// of the scanned bytes.
-	roots     func(op rootOp)
-	indexDefs func(fields []string)
-	epoch     func(e uint64)
-	commit    func(end int64)
-	// types, if set, is the type table the scan extends and checks
-	// ordinals against. It starts as the table of the log before the
-	// scanned bytes, and ends as the table of the valid groups: a torn or
-	// corrupt group's 'T' records are dropped from it.
-	types *[]types.Type
+	delta(op rootOp)
+	indexDefs(fields []string)
+	newEpoch(e uint64)
+	commit(end int64)
+	// typeTable, if not nil, is the type table the scan extends and
+	// checks ordinals against. It starts as the table of the log before
+	// the scanned bytes, and ends as the table of the valid groups: a torn
+	// or corrupt group's 'T' records are dropped from it.
+	typeTable() *[]types.Type
 }
 
 // rootOp is one root-table delta's effect on the running table: upsert,
@@ -79,116 +84,241 @@ type rootOp struct {
 }
 
 // groupFold accumulates what the valid commit groups of one scan did — the
-// single fold replay (load), ApplyGroup and Fsck share. Records buffer per
-// group and fold in only when the group's commit marker validates, so a
-// torn or corrupt group contributes nothing. The root-table effect is
-// relative to the table before the scan, which afterwards holds
-// (before − deletes) ∪ upserts; the two are disjoint.
+// single fold replay (load), ApplyGroup and Fsck share. It is the scan's
+// sink: records land in flat slices as they parse, and a group's commit
+// marker only moves the mark that says how many of them valid groups
+// wrote, so a torn or corrupt group contributes nothing, and feeding the
+// fold allocates only as those slices grow.
 //
-// A fold given the scanned bytes in data keeps where its node records lie
-// in them, not copies of the images: recs holds the records in log order,
-// the first valid of them the valid groups', and index turns those into
-// nodes, where each OID's last record lies. A fold without data only
-// counts them.
+// finish turns what the valid groups wrote into two tables. The root
+// deltas resolve into name-sorted upserts and deletes, the last op on a
+// name winning: the table after the scan holds (before − deletes) ∪
+// upserts, and the two are disjoint. The node records, when the fold
+// keeps the scanned bytes in data, become slots, one an OID, sorted by
+// OID: where its last record lies in data and, once a materializer
+// decoded it, its value. A fold without data only counts node records.
+//
+// types is the type table the scan extends and checks ordinals against:
+// the table of the log before the scanned bytes, and after the scan the
+// table of the valid groups.
 type groupFold struct {
 	data     []byte
-	recs     []int
-	valid    int
-	nodes    map[uint64]int
+	types    []types.Type
+	slots    []nodeSlot
+	ops      []rootOp
 	nodeRecs int
-	upserts  map[string]rootEntry
-	deletes  map[string]bool
-	defs     []string
-	sawDefs  bool
-	epoch    uint64
-	sawEpoch bool
+	// The valid groups wrote slots[:valid], ops[:validOps] and nodeRecs
+	// records; pend holds what the open group wrote besides.
+	valid, validOps int
+	pend            openGroup
+	upserts         []rootEntry
+	deletes         []string
+	defs            []string
+	sawDefs         bool
+	epoch           uint64
+	sawEpoch        bool
+}
+
+// openGroup is what the group being scanned wrote besides its node
+// records and root deltas.
+type openGroup struct {
+	nodeRecs          int
+	defs              []string
+	epoch             uint64
+	sawDefs, sawEpoch bool
+}
+
+// reset empties f for the next scan, keeping its slices unless they grew
+// past what the scratch keeps.
+func (f *groupFold) reset() {
+	*f = groupFold{slots: keptSlice(f.slots), ops: keptSlice(f.ops)}
+}
+
+// nodeSlot is a node of a fold's OID table: where its last record lies in
+// the fold's data, which holds its OID (see groupFold.oid), and its value
+// once decoded (see materializer).
+type nodeSlot struct {
+	at int
+	v  value.Value
 }
 
 // bytesPerNodeRec is about how many log bytes a node record takes, which
-// sizes a fold's record list by its input: a benchmark-shaped node record
-// takes 37, so the list is seldom grown.
+// sizes a fold's slots by its input: a benchmark-shaped node record takes
+// 37, so the slice is seldom grown.
 const bytesPerNodeRec = 32
 
-func (f *groupFold) applyRootOp(op rootOp) {
-	if f.upserts == nil {
-		f.upserts = make(map[string]rootEntry, len(op.upserts))
-		f.deletes = map[string]bool{}
+func (f *groupFold) node(at int) {
+	f.pend.nodeRecs++
+	if f.data == nil {
+		return
 	}
-	for _, e := range op.upserts {
-		f.upserts[e.name] = e
-		delete(f.deletes, e.name)
+	if f.slots == nil {
+		f.slots = make([]nodeSlot, 0, len(f.data)/bytesPerNodeRec)
 	}
-	for _, name := range op.deletes {
-		delete(f.upserts, name)
-		f.deletes[name] = true
-	}
+	f.slots = append(f.slots, nodeSlot{at: at})
 }
 
-// sink returns the scanSink that feeds f, extending and checking against
-// the type table tab.
-func (f *groupFold) sink(tab *[]types.Type) scanSink {
-	if f.data != nil {
-		f.recs = make([]int, 0, len(f.data)/bytesPerNodeRec)
+func (f *groupFold) delta(op rootOp)           { f.ops = append(f.ops, op) }
+func (f *groupFold) indexDefs(fields []string) { f.pend.defs, f.pend.sawDefs = fields, true }
+func (f *groupFold) newEpoch(e uint64)         { f.pend.epoch, f.pend.sawEpoch = e, true }
+func (f *groupFold) typeTable() *[]types.Type  { return &f.types }
+
+func (f *groupFold) commit(int64) {
+	f.valid, f.validOps = len(f.slots), len(f.ops)
+	f.nodeRecs += f.pend.nodeRecs
+	if f.pend.sawDefs {
+		f.defs, f.sawDefs = f.pend.defs, true
 	}
-	// The open group's records, folded into f on its commit marker: its
-	// node records past f.valid in f.recs, and the rest here.
-	var (
-		nodeRecs int
-		rootOps  []rootOp
-		defs     []string
-		epoch    uint64
-		sawDefs  bool
-		sawEpoch bool
-	)
-	return scanSink{
-		node: func(at int) {
-			nodeRecs++
-			if f.data != nil {
-				f.recs = append(f.recs, at)
-			}
-		},
-		roots:     func(op rootOp) { rootOps = append(rootOps, op) },
-		indexDefs: func(fields []string) { defs, sawDefs = fields, true },
-		epoch:     func(e uint64) { epoch, sawEpoch = e, true },
-		types:     tab,
-		commit: func(int64) {
-			f.nodeRecs += nodeRecs
-			f.valid = len(f.recs)
-			for _, op := range rootOps {
-				f.applyRootOp(op)
-			}
-			nodeRecs, rootOps = 0, rootOps[:0]
-			if sawDefs {
-				f.defs, f.sawDefs, sawDefs = defs, true, false
-			}
-			if sawEpoch {
-				f.epoch, f.sawEpoch, sawEpoch = epoch, true, false
-			}
-		},
+	if f.pend.sawEpoch {
+		f.epoch, f.sawEpoch = f.pend.epoch, true
 	}
+	f.pend = openGroup{}
 }
 
-// index maps each OID the valid groups wrote to where its last record lies
-// in f.data, and returns one past the largest.
-func (f *groupFold) index() (next uint64) {
-	f.nodes = make(map[uint64]int, f.valid)
-	for _, at := range f.recs[:f.valid] {
-		oid, _ := nodeAt(f.data, at)
-		f.nodes[oid] = at
-		next = max(next, oid+1)
+// finish drops what the open group wrote, resolves the valid groups' root
+// deltas and builds the OID table, and returns one past the largest OID
+// the valid groups wrote.
+func (f *groupFold) finish() (next uint64) {
+	f.slots, f.ops = f.slots[:f.valid], f.ops[:f.validOps]
+	f.resolveRoots()
+	if len(f.slots) == 0 {
+		return 0
 	}
-	f.recs = nil
-	return next
+	// A writer numbers its nodes from one counter, so the records mostly
+	// come in OID order, each OID once, which one pass confirms. Any
+	// others are sorted, and each OID keeps its last record: the one at
+	// the largest position.
+	if !f.increasing() {
+		slices.SortFunc(f.slots, func(a, b nodeSlot) int {
+			return cmp.Or(cmp.Compare(f.oid(a), f.oid(b)), cmp.Compare(a.at, b.at))
+		})
+		last, prev := f.slots[:0], uint64(0)
+		for i, sl := range f.slots {
+			oid := f.oid(sl)
+			if i > 0 && oid == prev {
+				last[len(last)-1] = sl
+				continue
+			}
+			last, prev = append(last, sl), oid
+		}
+		f.slots = last
+	}
+	return f.oid(f.slots[len(f.slots)-1]) + 1
 }
 
-// image returns the last image the valid groups wrote for oid.
-func (f *groupFold) image(oid uint64) ([]byte, bool) {
-	at, ok := f.nodes[oid]
+// increasing reports whether f's slots are in strictly increasing OID
+// order.
+func (f *groupFold) increasing() bool {
+	prev := f.oid(f.slots[0])
+	for _, sl := range f.slots[1:] {
+		oid := f.oid(sl)
+		if oid <= prev {
+			return false
+		}
+		prev = oid
+	}
+	return true
+}
+
+// oid returns the OID of sl's node.
+func (f *groupFold) oid(sl nodeSlot) uint64 {
+	oid, _ := binary.Uvarint(f.data[sl.at+1:]) // past the record kind
+	return oid
+}
+
+// slot returns oid's slot, or nil when no valid group wrote it. A table
+// whose OIDs are dense up to oid finds it where it would lie; any other
+// is searched.
+func (f *groupFold) slot(oid uint64) *nodeSlot {
+	if len(f.slots) == 0 || oid < f.oid(f.slots[0]) {
+		return nil
+	}
+	if i := oid - f.oid(f.slots[0]); i < uint64(len(f.slots)) && f.oid(f.slots[i]) == oid {
+		return &f.slots[i]
+	}
+	i, ok := slices.BinarySearchFunc(f.slots, oid, func(sl nodeSlot, oid uint64) int { return cmp.Compare(f.oid(sl), oid) })
 	if !ok {
-		return nil, false
+		return nil
 	}
-	_, img := nodeAt(f.data, at)
-	return img, true
+	return &f.slots[i]
+}
+
+// image returns the last image the valid groups wrote for sl's node.
+func (f *groupFold) image(sl *nodeSlot) []byte {
+	_, img := nodeAt(f.data, sl.at)
+	return img
+}
+
+// resolveRoots folds ops into name-sorted upserts and deletes, the last op
+// on a name winning. One delta whose halves are sorted and disjoint — a
+// bulk load's, or a one-group frame's, as the writer emits them — is its
+// own result. Any other sequence goes through a map from each name to its
+// last op, sized by the largest delta, and only the names that survive it
+// are sorted: a write-commit-shaped log holds thousands of one-name deltas
+// over a thousand names, and sorting every op by name cost a sixth of its
+// open.
+func (f *groupFold) resolveRoots() {
+	f.upserts, f.deletes = nil, nil
+	if len(f.ops) == 1 && resolved(f.ops[0]) {
+		f.upserts, f.deletes = f.ops[0].upserts, f.ops[0].deletes
+		return
+	}
+	largest := 0
+	for _, op := range f.ops {
+		largest = max(largest, len(op.upserts)+len(op.deletes))
+	}
+	last := make(map[string]*rootEntry, largest) // nil: a delete
+	for i := range f.ops {
+		op := &f.ops[i]
+		for j := range op.upserts {
+			last[op.upserts[j].name] = &op.upserts[j]
+		}
+		for _, name := range op.deletes {
+			last[name] = nil
+		}
+	}
+	ups := 0
+	for _, e := range last {
+		if e != nil {
+			ups++
+		}
+	}
+	f.upserts, f.deletes = make([]rootEntry, 0, ups), make([]string, 0, len(last)-ups)
+	for name, e := range last {
+		if e != nil {
+			f.upserts = append(f.upserts, *e)
+		} else {
+			f.deletes = append(f.deletes, name)
+		}
+	}
+	slices.SortFunc(f.upserts, func(a, b rootEntry) int { return strings.Compare(a.name, b.name) })
+	slices.Sort(f.deletes)
+}
+
+// resolved reports whether op's upserts and deletes are each strictly
+// sorted by name and share none.
+func resolved(op rootOp) bool {
+	for i := 1; i < len(op.upserts); i++ {
+		if op.upserts[i-1].name >= op.upserts[i].name {
+			return false
+		}
+	}
+	for i := 1; i < len(op.deletes); i++ {
+		if op.deletes[i-1] >= op.deletes[i] {
+			return false
+		}
+	}
+	for i, j := 0, 0; i < len(op.upserts) && j < len(op.deletes); {
+		switch c := strings.Compare(op.upserts[i].name, op.deletes[j]); {
+		case c == 0:
+			return false
+		case c < 0:
+			i++
+		default:
+			j++
+		}
+	}
+	return true
 }
 
 // nodeAt reads the node record a scan found at at in data: its OID and
@@ -255,7 +385,10 @@ func isEOF(err error) bool {
 
 // scanRootEntries parses a counted list of root-table entries — the upsert
 // half of a 'D' record — validating lengths, and each entry's type ordinal
-// and inline value against tab when it is set.
+// and inline value against tab when it is set. Its group's checksum is
+// not yet checked, so the entries are parsed twice: checked first, then
+// kept in a slice of exactly count. A count that a flipped bit inflated
+// fails before anything is allocated.
 func scanRootEntries(s *logScanner, tab *[]types.Type) ([]rootEntry, error) {
 	count, err := s.uvarint()
 	if err != nil {
@@ -264,51 +397,64 @@ func scanRootEntries(s *logScanner, tab *[]types.Type) ([]rootEntry, error) {
 	if count > maxRecordSize {
 		return nil, fmt.Errorf("%w: oversized root table", ErrCorrupt)
 	}
-	entries := make([]rootEntry, 0, capCount(int(count)))
-	for i := uint64(0); i < count; i++ {
-		n, err := s.uvarint()
-		if err != nil {
+	start := s.pos
+	for range count {
+		if _, _, _, err := rootEntryAt(s, tab, true); err != nil {
 			return nil, err
 		}
-		if n > maxRecordSize {
-			return nil, fmt.Errorf("%w: bad root name length", ErrCorrupt)
-		}
-		name, err := s.bytes(n)
-		if err != nil {
-			return nil, err
-		}
-		e := rootEntry{name: string(name)}
-		typeOff := s.off()
-		id, err := s.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if tab != nil {
-			if id >= uint64(len(*tab)) {
-				return nil, &CorruptError{Offset: typeOff, Reason: fmt.Sprintf("root %q names type ordinal %d, which no 'T' record defines (%d do)", e.name, id, len(*tab))}
-			}
-			e.typ = (*tab)[id]
-		}
-		vn, err := s.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if vn > maxRecordSize {
-			return nil, fmt.Errorf("%w: bad root value length", ErrCorrupt)
-		}
-		inlineOff := s.off()
-		if e.inline, err = s.bytes(vn); err != nil {
-			return nil, err
-		}
-		if tab != nil {
-			r := nodeReader{buf: e.inline, types: *tab}
-			if err := r.skipInline(true); err != nil || r.pos != len(e.inline) {
-				return nil, badImage(inlineOff, r, err, "root value")
-			}
-		}
-		entries = append(entries, e)
+	}
+	s.pos = start
+	entries := make([]rootEntry, count)
+	for i := range entries {
+		name, typ, inline, _ := rootEntryAt(s, tab, false)
+		entries[i] = rootEntry{name: string(name), typ: typ, inline: inline}
 	}
 	return entries, nil
+}
+
+// rootEntryAt parses the root-table entry at s's position; its name and
+// inline value are slices of the input. The entry's type is looked up in
+// tab when tab is set, and check also validates its inline value.
+func rootEntryAt(s *logScanner, tab *[]types.Type, check bool) (name []byte, typ types.Type, inline []byte, err error) {
+	n, err := s.uvarint()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if n > maxRecordSize {
+		return nil, nil, nil, fmt.Errorf("%w: bad root name length", ErrCorrupt)
+	}
+	if name, err = s.bytes(n); err != nil {
+		return nil, nil, nil, err
+	}
+	typeOff := s.off()
+	id, err := s.uvarint()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if tab != nil {
+		if id >= uint64(len(*tab)) {
+			return nil, nil, nil, &CorruptError{Offset: typeOff, Reason: fmt.Sprintf("root %q names type ordinal %d, which no 'T' record defines (%d do)", name, id, len(*tab))}
+		}
+		typ = (*tab)[id]
+	}
+	vn, err := s.uvarint()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if vn > maxRecordSize {
+		return nil, nil, nil, fmt.Errorf("%w: bad root value length", ErrCorrupt)
+	}
+	inlineOff := s.off()
+	if inline, err = s.bytes(vn); err != nil {
+		return nil, nil, nil, err
+	}
+	if check && tab != nil {
+		r := nodeReader{buf: inline, types: *tab}
+		if err := r.skipInline(true); err != nil || r.pos != len(inline) {
+			return nil, nil, nil, badImage(inlineOff, r, err, "root value")
+		}
+	}
+	return name, typ, inline, nil
 }
 
 // mayNameType reports whether a node image can name a type ordinal: as a
@@ -328,7 +474,8 @@ func badImage(off int64, r nodeReader, err error, what string) *CorruptError {
 }
 
 // scanNames parses a counted list of names: an index-definition table, or
-// the delete half of a root delta.
+// the delete half of a root delta. Like scanRootEntries it checks every
+// name before it allocates the list.
 func scanNames(s *logScanner) ([]string, error) {
 	count, err := s.uvarint()
 	if err != nil {
@@ -337,22 +484,32 @@ func scanNames(s *logScanner) ([]string, error) {
 	if count > maxRecordSize {
 		return nil, fmt.Errorf("%w: oversized name list", ErrCorrupt)
 	}
-	names := make([]string, 0, capCount(int(count)))
-	for i := uint64(0); i < count; i++ {
-		n, err := s.uvarint()
-		if err != nil {
+	start := s.pos
+	for range count {
+		if _, err := nameAt(s); err != nil {
 			return nil, err
 		}
-		if n > maxRecordSize {
-			return nil, fmt.Errorf("%w: bad name length", ErrCorrupt)
-		}
-		name, err := s.bytes(n)
-		if err != nil {
-			return nil, err
-		}
-		names = append(names, string(name))
+	}
+	s.pos = start
+	names := make([]string, count)
+	for i := range names {
+		name, _ := nameAt(s)
+		names[i] = string(name)
 	}
 	return names, nil
+}
+
+// nameAt parses the length-prefixed name at s's position, a slice of the
+// input.
+func nameAt(s *logScanner) ([]byte, error) {
+	n, err := s.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > maxRecordSize {
+		return nil, fmt.Errorf("%w: bad name length", ErrCorrupt)
+	}
+	return s.bytes(n)
 }
 
 // scanLog scans a whole log held in data, firing sink callbacks, and
@@ -397,10 +554,14 @@ func scanGroups(s *logScanner, sink scanSink, sum *scanSummary) {
 	groupStart := s.pos
 	// validTypes is the type table's length at the last valid commit: the
 	// open group's 'T' records define nothing until its marker validates.
+	var tab *[]types.Type
+	if sink != nil {
+		tab = sink.typeTable()
+	}
 	validTypes := 0
-	if sink.types != nil {
-		validTypes = len(*sink.types)
-		defer func() { *sink.types = (*sink.types)[:validTypes] }()
+	if tab != nil {
+		validTypes = len(*tab)
+		defer func() { *tab = (*tab)[:validTypes] }()
 	}
 
 	// anomaly classifies a parse failure at offset off: torn when a crash
@@ -448,13 +609,13 @@ func scanGroups(s *logScanner, sink scanSink, sum *scanSummary) {
 				anomaly(s.off(), "short type image", err)
 				return
 			}
-			if sink.types != nil {
+			if tab != nil {
 				t, err := codec.DecodeType(img)
 				if err != nil {
-					anomaly(imgOff, fmt.Sprintf("bad image of type ordinal %d: %v", len(*sink.types), err), nil)
+					anomaly(imgOff, fmt.Sprintf("bad image of type ordinal %d: %v", len(*tab), err), nil)
 					return
 				}
-				*sink.types = append(*sink.types, t)
+				*tab = append(*tab, t)
 			}
 		case recNode:
 			oid, err := s.uvarint()
@@ -477,20 +638,20 @@ func scanGroups(s *logScanner, sink scanSink, sum *scanSummary) {
 				anomaly(s.off(), "short node image", err)
 				return
 			}
-			if sink.types != nil && mayNameType(img) {
-				r := nodeReader{buf: img, types: *sink.types}
+			if tab != nil && mayNameType(img) {
+				r := nodeReader{buf: img, types: *tab}
 				if err := r.checkNode(); err != nil {
 					sum.corrupt = badImage(imgOff, r, err, fmt.Sprintf("node %d", oid))
 					return
 				}
 			}
-			if sink.node != nil {
+			if sink != nil {
 				sink.node(at)
 			}
 		case recRootDelta:
 			var op rootOp
 			var err error
-			op.upserts, err = scanRootEntries(s, sink.types)
+			op.upserts, err = scanRootEntries(s, tab)
 			if err == nil {
 				op.deletes, err = scanNames(s)
 			}
@@ -498,8 +659,8 @@ func scanGroups(s *logScanner, sink scanSink, sum *scanSummary) {
 				anomaly(s.off(), fmt.Sprintf("bad root table: %v", err), err)
 				return
 			}
-			if sink.roots != nil {
-				sink.roots(op)
+			if sink != nil {
+				sink.delta(op)
 			}
 		case recIndex:
 			fields, err := scanNames(s)
@@ -507,7 +668,7 @@ func scanGroups(s *logScanner, sink scanSink, sum *scanSummary) {
 				anomaly(s.off(), fmt.Sprintf("bad index-definition table: %v", err), err)
 				return
 			}
-			if sink.indexDefs != nil {
+			if sink != nil {
 				sink.indexDefs(fields)
 			}
 		case recEpoch:
@@ -516,8 +677,8 @@ func scanGroups(s *logScanner, sink scanSink, sum *scanSummary) {
 				anomaly(s.off(), "bad epoch record", err)
 				return
 			}
-			if sink.epoch != nil {
-				sink.epoch(e)
+			if sink != nil {
+				sink.newEpoch(e)
 			}
 		case recCommit:
 			want := crc32.Checksum(s.buf[groupStart:s.pos], crcTable)
@@ -534,11 +695,11 @@ func scanGroups(s *logScanner, sink scanSink, sum *scanSummary) {
 				}
 				return
 			}
-			if sink.commit != nil {
+			if sink != nil {
 				sink.commit(s.off())
 			}
-			if sink.types != nil {
-				validTypes = len(*sink.types)
+			if tab != nil {
+				validTypes = len(*tab)
 			}
 			sum.commits++
 			sum.goodEnd = s.off()

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,6 +16,129 @@ import (
 	"dbpl/internal/types"
 	"dbpl/internal/value"
 )
+
+// funcSink is a scanSink of optional callbacks, for tests that watch a
+// scan record by record.
+type funcSink struct {
+	types       *[]types.Type
+	onNode      func(at int)
+	onDelta     func(op rootOp)
+	onIndexDefs func(fields []string)
+	onCommit    func(end int64)
+}
+
+func (s funcSink) node(at int) {
+	if s.onNode != nil {
+		s.onNode(at)
+	}
+}
+
+func (s funcSink) delta(op rootOp) {
+	if s.onDelta != nil {
+		s.onDelta(op)
+	}
+}
+
+func (s funcSink) indexDefs(fields []string) {
+	if s.onIndexDefs != nil {
+		s.onIndexDefs(fields)
+	}
+}
+
+func (s funcSink) newEpoch(uint64) {}
+
+func (s funcSink) commit(end int64) {
+	if s.onCommit != nil {
+		s.onCommit(end)
+	}
+}
+
+func (s funcSink) typeTable() *[]types.Type { return s.types }
+
+// foldReference folds the valid groups of data the plain way: on each
+// group's commit marker, its root deltas apply in log order, upserts then
+// deletes, to a map from name to entry in which a delete leaves nil, and
+// its node records to a map from OID to last image. It is the semantics
+// groupFold's flat tables must reproduce, computed apart from them.
+func foldReference(data []byte, tab *[]types.Type) (roots map[string]*rootEntry, images map[uint64][]byte, sum scanSummary, err error) {
+	roots, images = map[string]*rootEntry{}, map[uint64][]byte{}
+	var (
+		recs []int
+		ops  []rootOp
+	)
+	sum, err = scanLog(data, funcSink{
+		types:   tab,
+		onNode:  func(at int) { recs = append(recs, at) },
+		onDelta: func(op rootOp) { ops = append(ops, op) },
+		onCommit: func(int64) {
+			for _, at := range recs {
+				oid, img := nodeAt(data, at)
+				images[oid] = img
+			}
+			for _, op := range ops {
+				for i := range op.upserts {
+					roots[op.upserts[i].name] = &op.upserts[i]
+				}
+				for _, name := range op.deletes {
+					roots[name] = nil
+				}
+			}
+			recs, ops = recs[:0], ops[:0]
+		},
+	})
+	return roots, images, sum, err
+}
+
+// checkFold asserts that fold, finished to next, holds what foldReference
+// gives for the same bytes: as upserts the names whose last op upserted,
+// with that op's entry, and as deletes the others, each list strictly
+// sorted; and, if it keeps the bytes, one slot an OID in OID order, at the
+// OID's last image, next one past the largest.
+func checkFold(t testing.TB, fold *groupFold, next uint64, roots map[string]*rootEntry, images map[uint64][]byte) {
+	t.Helper()
+	var ups, dels []string
+	for name, e := range roots {
+		if e != nil {
+			ups = append(ups, name)
+		} else {
+			dels = append(dels, name)
+		}
+	}
+	slices.Sort(ups)
+	slices.Sort(dels)
+	got := make([]string, len(fold.upserts))
+	for i, e := range fold.upserts {
+		got[i] = e.name
+		want := roots[e.name]
+		if want == nil || !bytes.Equal(e.inline, want.inline) || (e.typ == nil) != (want.typ == nil) ||
+			(e.typ != nil && !types.Equal(e.typ, want.typ)) {
+			t.Fatalf("the fold upserts %q as %v %x, the reference %+v", e.name, e.typ, e.inline, want)
+		}
+	}
+	if !slices.Equal(got, ups) || !slices.Equal(fold.deletes, dels) {
+		t.Fatalf("the fold upserts %q and deletes %q, the reference %q and %q", got, fold.deletes, ups, dels)
+	}
+	if fold.data == nil {
+		return
+	}
+	if len(fold.slots) != len(images) {
+		t.Fatalf("the fold holds %d slots, the valid groups wrote %d OIDs", len(fold.slots), len(images))
+	}
+	want := uint64(0)
+	for _, sl := range fold.slots {
+		oid, img := nodeAt(fold.data, sl.at)
+		if oid < want {
+			t.Fatalf("slot of OID %d follows one of OID %d", oid, want-1)
+		}
+		if last, ok := images[oid]; !ok || !bytes.Equal(img, last) {
+			t.Fatalf("OID %d's slot holds image %x, its last image is %x", oid, img, last)
+		}
+		want = oid + 1
+	}
+	if next != want {
+		t.Fatalf("the fold numbers from %d, its largest OID is %d", next, want-1)
+	}
+}
 
 // logGroup appends one commit group (records + 'C' + CRC-32C) to log.
 func logGroup(log *bytes.Buffer, records func(b *nodeBuf)) {
@@ -97,6 +222,43 @@ func seedLogWithRootDeltas(t testing.TB) []byte {
 		b.uvarint(2)
 		b.str("y")
 		b.str("never bound")
+	})
+	return log.Bytes()
+}
+
+// seedLogWithWideDelta builds a well-formed log of one group whose 'D'
+// record upserts n names.
+func seedLogWithWideDelta(t testing.TB, n int) []byte {
+	var log bytes.Buffer
+	log.WriteString(logMagic)
+	log.WriteByte(logVersion)
+	logGroup(&log, func(b *nodeBuf) {
+		typeRecord(t, b, types.Int)
+		b.WriteByte(recRootDelta)
+		b.uvarint(uint64(n))
+		for i := range n {
+			intEntry(t, b, fmt.Sprintf("r%05d", i), int64(i))
+		}
+		b.uvarint(0)
+	})
+	return log.Bytes()
+}
+
+// seedLogUpsertDeleted builds a well-formed log of one group whose one
+// 'D' record upserts x and y and deletes x: the delete, applied after the
+// upserts, wins.
+func seedLogUpsertDeleted(t testing.TB) []byte {
+	var log bytes.Buffer
+	log.WriteString(logMagic)
+	log.WriteByte(logVersion)
+	logGroup(&log, func(b *nodeBuf) {
+		typeRecord(t, b, types.Int)
+		b.WriteByte(recRootDelta)
+		b.uvarint(2)
+		intEntry(t, b, "x", 7)
+		intEntry(t, b, "y", 8)
+		b.uvarint(1)
+		b.str("x")
 	})
 	return log.Bytes()
 }
@@ -249,17 +411,19 @@ func FuzzScanLog(f *testing.F) {
 	f.Add(badOrdinalLogs(f)[0].log)
 	torn, naming := tornTypeLog(f)
 	f.Add(append(torn, naming...))
+	// Root deltas the fold resolves: one of 1 100 entries, more than a
+	// fixed cap on an untrusted count allowed for, and one that upserts a
+	// name and deletes it.
+	f.Add(seedLogWithWideDelta(f, 1100))
+	f.Add(seedLogUpsertDeleted(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		commits := 0
 		finalCommitEnd := int64(0)
 		var tab []types.Type
-		sum, err := scanLog(data, scanSink{
-			types:     &tab,
-			node:      func(int) {},
-			roots:     func(rootOp) {},
-			indexDefs: func([]string) {},
-			commit: func(end int64) {
+		sum, err := scanLog(data, funcSink{
+			types: &tab,
+			onCommit: func(end int64) {
 				commits++
 				finalCommitEnd = end
 			},
@@ -287,10 +451,17 @@ func FuzzScanLog(f *testing.F) {
 			t.Fatalf("corruption offset %d outside input", sum.corrupt.Offset)
 		}
 		var valid []types.Type
-		scanLog(data[:sum.goodEnd], scanSink{types: &valid})
+		scanLog(data[:sum.goodEnd], funcSink{types: &valid})
 		if len(tab) != len(valid) {
 			t.Fatalf("the scan's type table holds %d types, its valid groups define %d", len(tab), len(valid))
 		}
+		// The fold that replay, ApplyGroup and Fsck share agrees with the
+		// plain one.
+		var refTab []types.Type
+		roots, images, _, _ := foldReference(data, &refTab)
+		fold := groupFold{data: data}
+		scanLog(data, &fold)
+		checkFold(t, &fold, fold.finish(), roots, images)
 	})
 }
 
@@ -302,8 +473,8 @@ func TestScanLogIndexSeeds(t *testing.T) {
 	seed := seedLogWithIndexGroup(t)
 
 	var defs []string
-	sum, err := scanLog(seed, scanSink{
-		indexDefs: func(fields []string) { defs = fields },
+	sum, err := scanLog(seed, funcSink{
+		onIndexDefs: func(fields []string) { defs = fields },
 	})
 	if err != nil || sum.corrupt != nil || sum.torn {
 		t.Fatalf("clean seed misclassified: err=%v sum=%+v", err, sum)
@@ -312,14 +483,14 @@ func TestScanLogIndexSeeds(t *testing.T) {
 		t.Fatalf("index group not replayed: commits=%d defs=%v", sum.commits, defs)
 	}
 
-	sum, _ = scanLog(seed[:len(seed)-checksumSize-2], scanSink{})
+	sum, _ = scanLog(seed[:len(seed)-checksumSize-2], nil)
 	if sum.corrupt != nil || !sum.torn || sum.commits != 1 {
 		t.Fatalf("torn index group: %+v", sum)
 	}
 
 	flipped := append([]byte(nil), seed...)
 	flipped[len(flipped)-checksumSize-3] ^= 0x40
-	sum, _ = scanLog(flipped, scanSink{})
+	sum, _ = scanLog(flipped, nil)
 	if sum.corrupt == nil {
 		t.Fatalf("bit rot in index group not detected: %+v", sum)
 	}
@@ -333,16 +504,35 @@ func TestScanLogIndexSeeds(t *testing.T) {
 func TestScanLogRootDeltaSeeds(t *testing.T) {
 	seed := seedLogWithRootDeltas(t)
 	var fold groupFold
-	sum, err := scanLog(seed, fold.sink(nil))
+	sum, err := scanLog(seed, &fold)
 	if err != nil || sum.corrupt != nil || sum.torn || sum.commits != 3 {
 		t.Fatalf("clean seed misclassified: err=%v sum=%+v", err, sum)
 	}
-	if _, ok := fold.upserts["z"]; !ok || len(fold.upserts) != 1 {
-		t.Fatalf("three deltas fold to %v, want only z", fold.upserts)
+	fold.finish()
+	if len(fold.upserts) != 1 || fold.upserts[0].name != "z" || !slices.Equal(fold.deletes, []string{"never bound", "x", "y"}) {
+		t.Fatalf("three deltas fold to upserts %v and deletes %v, want z and the other three", fold.upserts, fold.deletes)
+	}
+	for _, c := range []struct {
+		name        string
+		log         []byte
+		ups, dels   int
+		firstUpsert string
+	}{
+		{"1 100 upserts", seedLogWithWideDelta(t, 1100), 1100, 0, "r00000"},
+		{"an upsert deleted", seedLogUpsertDeleted(t), 1, 1, "y"},
+	} {
+		fold := groupFold{data: c.log}
+		if sum, err := scanLog(c.log, &fold); err != nil || sum.corrupt != nil || sum.torn || sum.commits != 1 {
+			t.Fatalf("%s: clean seed misclassified: err=%v sum=%+v", c.name, err, sum)
+		}
+		fold.finish()
+		if len(fold.upserts) != c.ups || len(fold.deletes) != c.dels || fold.upserts[0].name != c.firstUpsert {
+			t.Fatalf("%s: the delta folds to upserts %v and deletes %v", c.name, fold.upserts, fold.deletes)
+		}
 	}
 
 	var ends []int64
-	scanLog(seed, scanSink{commit: func(end int64) { ends = append(ends, end) }})
+	scanLog(seed, funcSink{onCommit: func(end int64) { ends = append(ends, end) }})
 	boundary := func(off int64) bool {
 		for _, e := range ends {
 			if e == off {
@@ -352,7 +542,7 @@ func TestScanLogRootDeltaSeeds(t *testing.T) {
 		return off == HeaderSize
 	}
 	for cut := HeaderSize; cut < int64(len(seed)); cut++ {
-		sum, _ := scanLog(seed[:cut], scanSink{})
+		sum, _ := scanLog(seed[:cut], nil)
 		if sum.corrupt != nil || !boundary(sum.goodEnd) || sum.torn != !boundary(cut) {
 			t.Fatalf("torn at %d: %+v", cut, sum)
 		}
@@ -361,7 +551,7 @@ func TestScanLogRootDeltaSeeds(t *testing.T) {
 		flipped := append([]byte(nil), seed...)
 		flipped[at] ^= 0xFF
 		var damaged groupFold
-		sum, _ := scanLog(flipped, damaged.sink(nil))
+		sum, _ := scanLog(flipped, &damaged)
 		if sum.corrupt == nil && !sum.torn {
 			t.Fatalf("flip at %d went undetected: %+v", at, sum)
 		}
@@ -397,7 +587,7 @@ func TestTypeOrdinalsResolveInFileOrder(t *testing.T) {
 	for _, c := range badOrdinalLogs(t) {
 		t.Run(c.name, func(t *testing.T) {
 			var tab []types.Type
-			sum, err := scanLog(c.log, scanSink{types: &tab})
+			sum, err := scanLog(c.log, funcSink{types: &tab})
 			if err != nil || sum.corrupt == nil || sum.corrupt.Offset != c.at || sum.commits != 1 {
 				t.Fatalf("scanLog = %+v, %v; want corruption at offset %d after 1 commit", sum, err, c.at)
 			}
@@ -439,12 +629,12 @@ func TestTypeOrdinalsResolveInFileOrder(t *testing.T) {
 	t.Run("torn", func(t *testing.T) {
 		torn, naming := tornTypeLog(t)
 		var tab []types.Type
-		sum, _ := scanLog(append(torn[:len(torn):len(torn)], naming...), scanSink{types: &tab})
+		sum, _ := scanLog(append(torn[:len(torn):len(torn)], naming...), funcSink{types: &tab})
 		if sum.corrupt == nil || sum.commits != 1 || len(tab) != 1 {
 			t.Fatalf("scan of a group after a torn 'T' = %+v with %d types, want corruption after 1 commit and 1 type", sum, len(tab))
 		}
 		tab = nil
-		if sum, _ := scanLog(torn, scanSink{types: &tab}); !sum.torn || len(tab) != 1 {
+		if sum, _ := scanLog(torn, funcSink{types: &tab}); !sum.torn || len(tab) != 1 {
 			t.Fatalf("scan of a torn 'T' = %+v with %d types, want torn and 1 type", sum, len(tab))
 		}
 		// A store opened on the torn log defines String again when it

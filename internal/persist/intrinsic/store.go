@@ -51,7 +51,6 @@ import (
 	"io"
 	"os"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -329,7 +328,10 @@ type rootEntry struct {
 // a LogVersionError, untouched, and a non-conforming root with a
 // ConformanceError. The log is read whole into one buffer, which the
 // scan's records and the materializer's images are slices of, and which
-// nothing holds once load returns.
+// nothing holds once load returns. What load allocates besides what the
+// store keeps is that buffer and the fold's tables, each sized by the log
+// (see groupFold), and the maps it keeps are sized by what the roots
+// reach, not by every OID the log wrote.
 func (s *Store) load() error {
 	data, err := readLog(s.f)
 	if err != nil {
@@ -341,13 +343,12 @@ func (s *Store) load() error {
 	s.nodes, s.refs, s.nextOID, s.fresh = map[uint64]nodeSum{}, map[uint64][]uint64{}, 0, nil
 	s.shared = map[uint64]int32{}
 	s.types, s.typeIDs, s.durableTypes = nil, map[*types.Interned]uint64{}, 0
-	var tab []types.Type
 	fold := groupFold{data: data}
-	sum, err := scanLog(data, fold.sink(&tab))
+	sum, err := scanLog(data, &fold)
 	if err != nil {
 		return err
 	}
-	s.defineTypes(tab)
+	s.defineTypes(fold.types)
 	if sum.empty || (sum.corrupt == nil && sum.version == 0) {
 		// Fresh file — or a torn header fragment from a crash during store
 		// creation, which cannot contain any commit and is safe to clear.
@@ -388,31 +389,24 @@ func (s *Store) load() error {
 	s.logNodes = fold.nodeRecs
 	// OIDs are numbered past every node the log ever held, reachable or
 	// not, so a later group never reuses one an older group wrote.
-	s.nextOID = fold.index()
+	s.nextOID = fold.finish()
 	// Materialize the committed roots — the fold of every root delta from
-	// the empty table — remembering each node the roots reach by its
-	// digest and references, and counting each reference past its first.
-	names := make([]string, 0, len(fold.upserts))
-	for name := range fold.upserts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	dyns := make([]*dynamic.Dynamic, len(names))
-	s.nodes = make(map[uint64]nodeSum, len(fold.nodes))
-	m := s.newMaterializer(len(fold.nodes), &fold, s.types)
-	m.load = true
-	for i, name := range names {
-		e := fold.upserts[name]
+	// the empty table, in name order — counting each reference past a
+	// node's first, then remember each node the roots reach by its digest
+	// and references.
+	names := make([]string, len(fold.upserts))
+	dyns := make([]*dynamic.Dynamic, len(fold.upserts))
+	m := &materializer{s: s, fold: &fold, types: s.types, load: true}
+	for i, e := range fold.upserts {
 		v, err := m.root(e.inline)
 		if err != nil {
 			return err
 		}
-		if dyns[i], err = makeRoot(name, v, e.typ); err != nil {
+		if dyns[i], err = makeRoot(e.name, v, e.typ); err != nil {
 			return err
 		}
+		names[i] = e.name
 	}
-	// Register what the roots reach.
-	s.oids = make(map[value.Value]uint64, len(m.cache))
 	m.keep()
 	s.nodesA.Store(int64(len(s.nodes)))
 	roots := pmap.Build(names, dyns)
@@ -491,95 +485,101 @@ func (s *Store) typeID(t types.Type) uint64 {
 var errPruned = errors.New("intrinsic: frame names a node it does not carry")
 
 // materializer decodes node images into live values for one load or
-// ApplyGroup, reading them from fold: a replay's every node, an
-// ApplyGroup's incoming ones. cache shares each node among every parent
-// that reaches it; busy holds the set, tag and dynamic nodes being decoded
-// — a cycle back into one is corrupt — and is allocated at the first of
-// them. types is the type table with the incoming groups' 'T' records.
-// load marks a replay's materializer, which records each node it decodes
-// in nodes and refs and counts in shared each reference past a node's
-// first; refs is its stack of the references of the nodes being decoded,
-// innermost last. ApplyGroup's reads only the frame (see errPruned) and
-// records nothing: the frame's settle does, once it is durable. Either
-// registers each value it decoded in oids (keep).
+// ApplyGroup, reading them from fold: a replay's every node, an ApplyGroup's
+// incoming ones. fold's OID table is its memo: a node's slot holds its value
+// once decoded, so each node is shared among every parent that reaches it. A
+// record's or set's slot holds it before its children are decoded, so a
+// cycle through one comes back as written; a tag's or dynamic's holds
+// decoding until they are, and a cycle back into one is corrupt. types is
+// the type table with the incoming groups' 'T' records. load marks a
+// replay's materializer, which counts in shared each reference past a node's
+// first and records in refs the references of each node it decodes; refs is
+// its stack of the references of the nodes being decoded, innermost last.
+// ApplyGroup's reads only the frame (see errPruned) and records nothing: the
+// frame's settle does, once it is durable. Either registers each value it
+// decoded in oids (keep), and a replay's also each node's digest.
 type materializer struct {
-	s       *Store
-	fold    *groupFold
-	types   []types.Type
-	cache   map[uint64]value.Value
-	busy    map[uint64]bool
-	resolve func(oid uint64) (value.Value, error) // m.node, bound once
-	recs    value.RecordDecoder
-	refs    []uint64
-	load    bool
+	s     *Store
+	fold  *groupFold
+	types []types.Type
+	recs  value.RecordDecoder
+	refs  []uint64
+	load  bool
 }
 
-// keep registers each value m decoded.
+// decoding marks the slot of a tag or dynamic node whose children are being
+// decoded; see materializer.
+var decoding value.Value = new(value.Tag)
+
+// keep registers each value m decoded, in oids sized by their number, and
+// for a replay each decoded node's digest, in nodes sized alike.
 func (m *materializer) keep() {
-	for oid, v := range m.cache {
-		m.s.oids[v] = oid
+	s := m.s
+	if m.load {
+		live := 0
+		for _, sl := range m.fold.slots {
+			if sl.v != nil {
+				live++
+			}
+		}
+		s.nodes = make(map[uint64]nodeSum, live)
+		s.oids = make(map[value.Value]uint64, live)
 	}
-}
-
-// newMaterializer returns a materializer sized for n nodes.
-func (s *Store) newMaterializer(n int, fold *groupFold, tab []types.Type) *materializer {
-	m := &materializer{s: s, fold: fold, types: tab, cache: make(map[uint64]value.Value, n)}
-	m.resolve = m.node
-	return m
+	for i := range m.fold.slots {
+		sl := &m.fold.slots[i]
+		if sl.v == nil {
+			continue
+		}
+		oid, img := nodeAt(m.fold.data, sl.at)
+		s.oids[sl.v] = oid
+		if m.load {
+			s.nodes[oid] = sumOf(img)
+		}
+	}
 }
 
 // root decodes a root entry's inline value.
 func (m *materializer) root(inline []byte) (value.Value, error) {
 	r := nodeReader{buf: inline, types: m.types}
-	return r.inlineValue(m.resolve)
-}
-
-// enter marks a non-record node as being decoded.
-func (m *materializer) enter(oid uint64) {
-	if m.busy == nil {
-		m.busy = map[uint64]bool{}
-	}
-	m.busy[oid] = true
+	return r.inlineValue(m)
 }
 
 // node decodes the node oid (and, recursively, its children) into a live
-// value, with sharing through the cache.
+// value, or returns the value its slot holds.
 func (m *materializer) node(oid uint64) (value.Value, error) {
 	s := m.s
-	if v, ok := m.cache[oid]; ok {
-		if m.load {
-			s.shared[oid]++
-		}
-		return v, nil
-	}
-	img, ok := m.fold.image(oid)
-	if !ok {
+	sl := m.fold.slot(oid)
+	if sl == nil {
 		if !m.load && oid < s.nextOID {
 			return nil, errPruned
 		}
 		return nil, fmt.Errorf("%w: dangling oid %d", ErrCorrupt, oid)
 	}
-	if m.busy[oid] {
+	switch sl.v {
+	case nil:
+	case decoding:
 		return nil, fmt.Errorf("%w: cycle through a non-record node %d", ErrCorrupt, oid)
+	default:
+		if m.load {
+			s.shared[oid]++
+		}
+		return sl.v, nil
 	}
 	if !m.load {
-		return m.decode(oid, img)
+		return m.decode(sl)
 	}
 	start := len(m.refs)
-	v, err := m.decode(oid, img)
-	if err == nil {
-		s.nodes[oid] = sumOf(img)
-		if refs := m.refs[start:]; len(refs) > 0 {
-			s.refs[oid] = slices.Clone(refs)
-		}
+	v, err := m.decode(sl)
+	if refs := m.refs[start:]; err == nil && len(refs) > 0 {
+		s.refs[oid] = slices.Clone(refs)
 	}
 	m.refs = m.refs[:start]
 	return v, err
 }
 
-// decode decodes img, the image of the node oid.
-func (m *materializer) decode(oid uint64, img []byte) (value.Value, error) {
-	r := nodeReader{buf: img, types: m.types}
+// decode decodes the image of sl's node into sl.
+func (m *materializer) decode(sl *nodeSlot) (value.Value, error) {
+	r := nodeReader{buf: m.fold.image(sl), types: m.types}
 	if m.load {
 		r.refs = &m.refs
 	}
@@ -587,7 +587,6 @@ func (m *materializer) decode(oid uint64, img []byte) (value.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	resolve := m.resolve
 	switch tag {
 	case inRecord:
 		n, err := r.uvarint()
@@ -595,14 +594,14 @@ func (m *materializer) decode(oid uint64, img []byte) (value.Value, error) {
 			return nil, err
 		}
 		rec := new(value.Record)
-		m.cache[oid] = rec // before children: record cycles are supported
-		m.recs.Begin(rec, make([]value.Value, 0, capCount(int(n))))
+		sl.v = rec // before children: record cycles are supported
+		m.recs.Begin(rec, make([]value.Value, 0, fits(n, len(r.buf)-r.pos)))
 		for i := uint64(0); i < n; i++ {
 			l, err := r.bytes()
 			if err != nil {
 				return nil, err
 			}
-			f, err := r.inlineValue(resolve)
+			f, err := r.inlineValue(m)
 			if err != nil {
 				return nil, err
 			}
@@ -614,10 +613,10 @@ func (m *materializer) decode(oid uint64, img []byte) (value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		lst := &value.List{Elems: make([]value.Value, 0, capCount(int(n)))}
-		m.cache[oid] = lst
+		lst := &value.List{Elems: make([]value.Value, 0, fits(n, len(r.buf)-r.pos))}
+		sl.v = lst
 		for i := uint64(0); i < n; i++ {
-			el, err := r.inlineValue(resolve)
+			el, err := r.inlineValue(m)
 			if err != nil {
 				return nil, err
 			}
@@ -626,52 +625,48 @@ func (m *materializer) decode(oid uint64, img []byte) (value.Value, error) {
 		return lst, nil
 	case inSet:
 		set := value.NewSet()
-		m.cache[oid] = set
-		m.enter(oid)
+		sl.v = set
 		n, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
 		for i := uint64(0); i < n; i++ {
-			el, err := r.inlineValue(resolve)
+			el, err := r.inlineValue(m)
 			if err != nil {
 				return nil, err
 			}
 			set.Add(el)
 		}
-		delete(m.busy, oid)
 		return set, nil
 	case inTag:
-		m.enter(oid)
+		sl.v = decoding
 		label, err := r.bytes()
 		if err != nil {
 			return nil, err
 		}
-		payload, err := r.inlineValue(resolve)
+		payload, err := r.inlineValue(m)
 		if err != nil {
 			return nil, err
 		}
-		delete(m.busy, oid)
 		tv := value.NewTag(string(label), payload)
-		m.cache[oid] = tv
+		sl.v = tv
 		return tv, nil
 	case inDynamic:
-		m.enter(oid)
+		sl.v = decoding
 		t, err := r.typ()
 		if err != nil {
 			return nil, err
 		}
-		inner, err := r.inlineValue(resolve)
+		inner, err := r.inlineValue(m)
 		if err != nil {
 			return nil, err
 		}
-		delete(m.busy, oid)
 		m.recs.Flush() // the check reads the records around it as read so far
 		d, err := dynamic.MakeAt(inner, t)
 		if err != nil {
 			return nil, fmt.Errorf("%w: persisted dynamic no longer conforms: %v", ErrCorrupt, err)
 		}
-		m.cache[oid] = d
+		sl.v = d
 		return d, nil
 	default:
 		return nil, fmt.Errorf("%w: node tag %d", ErrCorrupt, tag)
@@ -1354,6 +1349,7 @@ type scratch struct {
 	released         []value.Value
 	frame            []nodeRec
 	spare            [][]uint64
+	fold             groupFold
 }
 
 // The scratch kept between groups is at most maxKeptScratch entries in
